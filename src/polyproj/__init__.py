@@ -26,6 +26,7 @@ from .angles import (
     orthonormal_basis,
 )
 from .errors import (
+    CacheFormatError,
     DegenerateGeometryError,
     InvalidArgumentError,
     InvalidDimensionError,

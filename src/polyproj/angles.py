@@ -11,6 +11,13 @@ the projection formulas need:
                  the barycenter of one of its subfaces; its angle is the
                  internal angle beta(Q_k, Q_g).
 
+Both kinds carry an H-representation, a set of outer normals a with the cone
+equal to {u in L : <u, a> <= 0 for all a}, and membership of a batch of samples
+is a single vectorized half-space test.  Normal cones take the vertex
+directions v - x as their normals.  Internal cones are cut out by the facets
+of Q_g that contain Q_k, which in canonical coordinates are sign conditions
+u_i >= 0: on coordinates k+1..g for simplex-type faces, k..g-1 for cube faces.
+
 Cube angles and codimension <= 1 pairs are exact powers of 1/2 and never hit
 the sampler.  Monte Carlo estimates are deterministic: every chunk of samples
 draws from a counter-based stream derived from the angle's identity, so values
@@ -35,20 +42,19 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    CacheFormatError,
     InvalidArgumentError,
     InvalidDimensionError,
     InvalidFaceError,
     InvalidPairError,
     NumericError,
 )
-from .families import Family, barycenter, canonical_face, vertices
-from .solvers import robust_nnls
+from .families import Family, barycenter, canonical_face, check_int, vertices
 from .streams import ANGLE_SAMPLES, FAMILY_CODES, KIND_EXTERNAL, KIND_INTERNAL, chunk_counts, derive_generator
 
 ORTHONORMALITY_TOL = 1e-12
 SPAN_TOL = 1e-10
 HALFSPACE_TOL = 1e-10
-NNLS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -94,22 +100,32 @@ def _exact_angle(frac: Fraction | int) -> AngleEstimate:
 
 @dataclass(frozen=True)
 class NormalConeData:
-    """Membership oracle data: u in cone iff <u, v - apex> <= tol for all vertices v."""
+    """Normal cone at apex x: u in cone iff <u, v - x> <= tol for all vertices v."""
 
     apex: np.ndarray
     polytope_vertices: np.ndarray
 
+    @property
+    def normals(self) -> np.ndarray:
+        return self.polytope_vertices - self.apex
+
 
 @dataclass(frozen=True)
 class PositiveHullData:
-    """Membership oracle data: u in cone iff u is a nonnegative combination of generators."""
+    """pos(generators) with its H-representation.
+
+    u is in the cone iff <u, a> <= tol for every row a of normals.  The
+    generators are kept as the V-representation; a cone checks them against
+    its own half-spaces when it is built.
+    """
 
     generators: np.ndarray
+    normals: np.ndarray
 
 
 @dataclass(frozen=True)
 class Cone:
-    """A polyhedral cone: orthonormal frame of its linear hull plus a membership oracle.
+    """A polyhedral cone: orthonormal frame of its linear hull plus outer normals.
 
     frame rows are unit vectors in the ambient space; seed_path is the identity
     tuple mixed into sampling streams so distinct cones never share randomness.
@@ -132,10 +148,22 @@ class Cone:
             scale = 1.0 + np.linalg.norm(g, axis=1)
             if np.any(np.linalg.norm(resid, axis=1) > SPAN_TOL * scale):
                 raise NumericError("generators leave the frame span beyond 1e-10")
+            if not self.contains(g).all():
+                raise NumericError("a generator violates the cone's own half-spaces")
 
     @property
     def dim(self) -> int:
         return self.frame.shape[0]
+
+    def contains(self, u: np.ndarray) -> np.ndarray:
+        """Membership mask of the rows of u, points of the cone's linear hull.
+
+        A row is in the cone when no outer normal scores it above
+        HALFSPACE_TOL * (1 + |u|).
+        """
+        scores = u @ self.data.normals.T
+        tol = HALFSPACE_TOL * (1.0 + np.linalg.norm(u, axis=1))
+        return scores.max(axis=1, initial=-np.inf) <= tol
 
 
 def orthonormal_basis(vecs: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
@@ -198,7 +226,13 @@ def normal_cone(family: Family, n: int, g: int) -> Cone:
 
 
 def internal_cone(family: Family, n: int, k: int, g: int) -> Cone:
-    """pos(Q_g - bary(Q_k)) as a Cone; requires 0 <= k <= g with both faces canonical."""
+    """pos(Q_g - bary(Q_k)) as a Cone; requires 0 <= k <= g with both faces canonical.
+
+    The facets of Q_g through Q_k are coordinate hyperplanes, so the cone is
+    {u in lin(Q_g - bary(Q_k)) : u_i >= 0} over the coordinates those facets
+    fix: k+1..g for simplex-type faces (the vertices e_i outside Q_k), and
+    k..g-1 for cube faces (the axes Q_g spans beyond Q_k).
+    """
     face_g = canonical_face(family, n, g)
     face_k = canonical_face(family, n, k)
     if k > g:
@@ -207,32 +241,13 @@ def internal_cone(family: Family, n: int, k: int, g: int) -> Cone:
     frame = orthonormal_basis(gens)
     if frame.shape[0] != g:
         raise NumericError(f"internal cone frame has dimension {frame.shape[0]}, expected {g}")
+    fixed = range(k, g) if family is Family.CUBE else range(k + 1, g + 1)
+    normals = -np.eye(gens.shape[1])[list(fixed)]
     return Cone(
         frame,
-        PositiveHullData(gens.astype(float)),
+        PositiveHullData(gens.astype(float), normals),
         seed_path=(KIND_INTERNAL, FAMILY_CODES[family.value], k, g),
     )
-
-
-def _count_normal(data: NormalConeData, u: np.ndarray) -> int:
-    diffs = data.polytope_vertices - data.apex
-    scores = u @ diffs.T
-    tol = HALFSPACE_TOL * (1.0 + np.linalg.norm(u, axis=1))
-    return int(np.count_nonzero(scores.max(axis=1) <= tol))
-
-
-def _count_positive_hull(data: PositiveHullData, u: np.ndarray, base_index: int) -> int:
-    a = data.generators.T  # ambient x generators
-    hits = 0
-    norms = 1.0 + np.linalg.norm(u, axis=1)
-    for i, row in enumerate(u):
-        try:
-            _, resid = robust_nnls(a, row)
-        except RuntimeError as exc:  # iteration cap inside the solver
-            raise NumericError(str(exc), sample_index=base_index + i) from exc
-        if resid <= NNLS_TOL * norms[i]:
-            hits += 1
-    return hits
 
 
 def cone_angle(cone: Cone, cfg: MCConfig | None = None) -> AngleEstimate:
@@ -251,10 +266,7 @@ def cone_angle(cone: Cone, cfg: MCConfig | None = None) -> AngleEstimate:
         idx, count = job
         rng = derive_generator(cfg.seed, ANGLE_SAMPLES, *cone.seed_path, idx)
         z = rng.standard_normal((count, cone.dim))
-        u = z @ cone.frame
-        if isinstance(cone.data, NormalConeData):
-            return _count_normal(cone.data, u)
-        return _count_positive_hull(cone.data, u, idx * cfg.chunk_size)
+        return int(np.count_nonzero(cone.contains(z @ cone.frame)))
 
     jobs = list(enumerate(counts))
     if cfg.workers > 1:
@@ -286,24 +298,30 @@ def clear_angle_memo() -> None:
 
 
 def _ensure_cache_loaded(path: str) -> None:
+    """Merge a cache file's rows into the memo; a malformed row rejects the whole file."""
     apath = os.path.abspath(path)
     with _LOCK:
         if apath in _LOADED_CACHES:
             return
+        rows: dict[tuple, AngleEstimate] = {}
+        if os.path.exists(apath):
+            with open(apath, "r", encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    parts = line.split()
+                    if len(parts) != 9 or parts[0].startswith("#"):
+                        continue
+                    fam, n_s, k_s, g_s, kind, samples_s, seed_s, value_s, stderr_s = parts
+                    try:
+                        key = (kind, fam, int(n_s), int(k_s), int(g_s), int(samples_s), int(seed_s))
+                        est = AngleEstimate(
+                            float(value_s), float(stderr_s), "monte_carlo", int(samples_s)
+                        )
+                    except (ValueError, NumericError) as exc:
+                        raise CacheFormatError(apath, lineno, str(exc)) from exc
+                    rows.setdefault(key, est)
+        for key, est in rows.items():
+            _MEMO.setdefault(key, est)
         _LOADED_CACHES.add(apath)
-        if not os.path.exists(apath):
-            return
-        with open(apath, "r", encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.split()
-                if len(parts) != 9 or parts[0].startswith("#"):
-                    continue
-                fam, n_s, k_s, g_s, kind, samples_s, seed_s, value_s, stderr_s = parts
-                key = (kind, fam, int(n_s), int(k_s), int(g_s), int(samples_s), int(seed_s))
-                est = AngleEstimate(
-                    float(value_s), float(stderr_s), "monte_carlo", int(samples_s)
-                )
-                _MEMO.setdefault(key, est)
 
 
 def _append_cache(path: str, key: tuple, est: AngleEstimate) -> None:
@@ -328,12 +346,6 @@ def _memoized_angle(key: tuple, build, cfg: MCConfig) -> AngleEstimate:
     return est
 
 
-def _check_index(name: str, v) -> int:
-    if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-        raise InvalidArgumentError(f"{name} must be an integer, got {v!r}")
-    return int(v)
-
-
 def external_angle(family: Family, n: int, g: int, cfg: MCConfig | None = None) -> AngleEstimate:
     """gamma(Q_g, P_n): the external angle of P_n at its canonical g-face.
 
@@ -342,8 +354,8 @@ def external_angle(family: Family, n: int, g: int, cfg: MCConfig | None = None) 
     """
     cfg = cfg or MCConfig()
     family = Family(family)
-    n = _check_index("n", n)
-    g = _check_index("g", g)
+    n = check_int("n", n)
+    g = check_int("g", g)
     if n < 1:
         raise InvalidDimensionError(f"polytope dimension must be >= 1, got {n}")
     if g < 0 or g > n:
@@ -372,9 +384,9 @@ def internal_angle(
     """
     cfg = cfg or MCConfig()
     family = Family(family)
-    n = _check_index("n", n)
-    k = _check_index("k", k)
-    g = _check_index("g", g)
+    n = check_int("n", n)
+    k = check_int("k", k)
+    g = check_int("g", g)
     if n < 1:
         raise InvalidDimensionError(f"polytope dimension must be >= 1, got {n}")
     if k < 0 or g < 0:

@@ -52,8 +52,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=_positive_int, default=1_000_000,
                    help="Monte Carlo samples per angle estimate (default 1e6)")
     p.add_argument("--seed", type=_nonneg_int, default=0, help="master seed (default 0)")
+    # a string default goes through `type` at parse time, so a bad
+    # $POLYPROJ_WORKERS becomes a usage error rather than a traceback
     p.add_argument("--workers", type=_positive_int,
-                   default=int(os.environ.get("POLYPROJ_WORKERS", "1")),
+                   default=os.environ.get("POLYPROJ_WORKERS", "1"),
                    help="parallel workers (default $POLYPROJ_WORKERS or 1)")
     p.add_argument("--angle-cache", default=None, metavar="PATH",
                    help="append-only angle cache file shared across runs")

@@ -22,13 +22,16 @@ class InvalidPairError(PolyprojError, ValueError):
 
 
 class NumericError(PolyprojError, RuntimeError):
-    """Numerical routine failed; carries the offending sample index if known."""
+    """Numerical routine failed or a numerical invariant does not hold."""
 
-    def __init__(self, message: str, sample_index: int | None = None):
-        if sample_index is not None:
-            message = f"{message} (sample index {sample_index})"
-        super().__init__(message)
-        self.sample_index = sample_index
+
+class CacheFormatError(PolyprojError, ValueError):
+    """A row of an angle cache file does not parse; carries the file and line number."""
+
+    def __init__(self, path: str, lineno: int, detail: str):
+        super().__init__(f"{path}:{lineno}: malformed angle cache row ({detail})")
+        self.path = path
+        self.lineno = lineno
 
 
 class DegenerateGeometryError(PolyprojError, RuntimeError):

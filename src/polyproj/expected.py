@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .angles import AngleEstimate, MCConfig, external_angle, internal_angle
 from .errors import InvalidArgumentError, InvalidDimensionError, TruncationError
-from .families import Family, canonical_face, face_count, face_volume
+from .families import Family, canonical_face, check_int, face_count, face_volume
 from .streams import MODEL_CODES
 
 GAUSSIAN_MODELS = ("gaussian", "symmetric", "zonotope")
@@ -69,14 +69,6 @@ class SnTerm:
     exact_value: Fraction | None
 
 
-def _check_int(name: str, v, lo: int | None = None) -> int:
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise InvalidArgumentError(f"{name} must be an integer, got {v!r}")
-    if lo is not None and v < lo:
-        raise InvalidArgumentError(f"{name} must be >= {lo}, got {v}")
-    return v
-
-
 def sn_terms(
     family: Family, n: int, d: int, k: int, cfg: MCConfig | None = None
 ) -> list[SnTerm]:
@@ -86,9 +78,9 @@ def sn_terms(
     value 0 so the sum structure stays inspectable.
     """
     family = Family(family)
-    n = _check_int("n", n, 1)
-    d = _check_int("d", d, 1)
-    k = _check_int("k", k, 0)
+    n = check_int("n", n, 1)
+    d = check_int("d", d, 1)
+    k = check_int("k", k, 0)
     if d > n:
         raise InvalidArgumentError(f"projection sum needs d <= n, got d={d} > n={n}")
     cfg = cfg or MCConfig()
@@ -120,9 +112,9 @@ def expected_f_projection(
     projection sum, exactly where possible.
     """
     family = Family(family)
-    n = _check_int("n", n, 1)
-    d = _check_int("d", d, 1)
-    k = _check_int("k", k, 0)
+    n = check_int("n", n, 1)
+    d = check_int("d", d, 1)
+    k = check_int("k", k, 0)
     m = min(n, d)
     if k > m:
         return _exact_estimate(0)
@@ -149,9 +141,9 @@ def expected_f_cube_closed_form(n: int, d: int, k: int) -> int:
     the 2-power in the face counts, leaving 2 * sum_j C(n, j-1) * C(j-1, k).
     Requires 1 <= d <= n and 0 <= k < d.
     """
-    n = _check_int("n", n, 1)
-    d = _check_int("d", d, 1)
-    k = _check_int("k", k, 0)
+    n = check_int("n", n, 1)
+    d = check_int("d", d, 1)
+    k = check_int("k", k, 0)
     if d > n:
         raise InvalidArgumentError(f"closed form needs d <= n, got d={d} > n={n}")
     if k >= d:
@@ -166,9 +158,9 @@ def expected_f_cube_closed_form(n: int, d: int, k: int) -> int:
 
 def expected_f_gaussian(n: int, d: int, k: int, cfg: MCConfig | None = None) -> Estimate:
     """E f_k of the convex hull of n iid standard Gaussian points in R^d."""
-    n = _check_int("n", n, 1)
-    d = _check_int("d", d, 1)
-    k = _check_int("k", k, 0)
+    n = check_int("n", n, 1)
+    d = check_int("d", d, 1)
+    k = check_int("k", k, 0)
     if n == 1:
         return _exact_estimate(1 if k == 0 else 0)
     return expected_f_projection(Family.SIMPLEX, n - 1, d, k, cfg)
@@ -176,7 +168,7 @@ def expected_f_gaussian(n: int, d: int, k: int, cfg: MCConfig | None = None) -> 
 
 def expected_f_symmetric(n: int, d: int, k: int, cfg: MCConfig | None = None) -> Estimate:
     """E f_k of the convex hull of n iid Gaussian points and their negatives."""
-    n = _check_int("n", n, 1)
+    n = check_int("n", n, 1)
     return expected_f_projection(Family.CROSSPOLYTOPE, n, d, k, cfg)
 
 
@@ -186,9 +178,9 @@ def expected_f_zonotope(n: int, d: int, k: int) -> Estimate:
     Always exact: the projected-cube closed form for d <= n, cube face counts
     for d > n.
     """
-    n = _check_int("n", n, 1)
-    d = _check_int("d", d, 1)
-    k = _check_int("k", k, 0)
+    n = check_int("n", n, 1)
+    d = check_int("d", d, 1)
+    k = check_int("k", k, 0)
     m = min(n, d)
     if k > m:
         return _exact_estimate(0)
@@ -203,7 +195,7 @@ def expected_f_model(model: str, n: int, d: int, k: int, cfg: MCConfig | None = 
     """Dispatch E f_k by Gaussian model name; n = 0 points gives the empty hull."""
     if model not in GAUSSIAN_MODELS:
         raise InvalidArgumentError(f"unknown model {model!r}, expected one of {GAUSSIAN_MODELS}")
-    n = _check_int("n", n, 0)
+    n = check_int("n", n, 0)
     if n == 0:
         return _exact_estimate(0)
     if model == "gaussian":
@@ -254,8 +246,8 @@ def intrinsic_volume(family: Family, n: int, k: int, cfg: MCConfig | None = None
     V_n = 2^n/n! is a special branch since it has no canonical n-face.
     """
     family = Family(family)
-    n = _check_int("n", n, 1)
-    k = _check_int("k", k, 0)
+    n = check_int("n", n, 1)
+    k = check_int("k", k, 0)
     if k > n:
         raise InvalidArgumentError(f"intrinsic volume needs 0 <= k <= n, got k={k}")
     if family is Family.CROSSPOLYTOPE and k == n:
@@ -273,7 +265,7 @@ def intrinsic_volume(family: Family, n: int, k: int, cfg: MCConfig | None = None
 
 def unit_ball_volume(ell: int) -> float:
     """Volume of the ell-dimensional Euclidean unit ball."""
-    ell = _check_int("ell", ell, 0)
+    ell = check_int("ell", ell, 0)
     return math.pi ** (ell / 2.0) / math.gamma(ell / 2.0 + 1.0)
 
 
@@ -284,8 +276,8 @@ def t_functional_expected(d: int, k: int, b: float, expected_f_value: float) -> 
     Gamma((d+b+1-j)/2) / Gamma((d+1-j)/2); b = 0 or k = 0 returns the input
     unchanged (the functional degenerates to counting).
     """
-    d = _check_int("d", d, 1)
-    k = _check_int("k", k, 0)
+    d = check_int("d", d, 1)
+    k = check_int("k", k, 0)
     if not isinstance(b, (int, float)) or isinstance(b, bool):
         raise InvalidArgumentError(f"b must be a real number, got {b!r}")
     if b < 0:
@@ -368,8 +360,8 @@ def poissonized_expected(
         raise InvalidArgumentError(f"t must be a positive real, got {t!r}")
     if eps <= 0:
         raise InvalidArgumentError(f"eps must be positive, got {eps}")
-    d = _check_int("d", d, 1)
-    k = _check_int("k", k, 0)
+    d = check_int("d", d, 1)
+    k = check_int("k", k, 0)
     cfg = cfg or MCConfig()
     t = float(t)
     cap = int(10 * t + 400)
@@ -433,8 +425,8 @@ def monotonicity_table(
     targets = GAUSSIAN_MODELS + tuple(f.value for f in Family)
     if target not in targets:
         raise InvalidArgumentError(f"unknown target {target!r}, expected one of {targets}")
-    n_lo = _check_int("n_lo", n_lo, 1)
-    n_hi = _check_int("n_hi", n_hi, n_lo)
+    n_lo = check_int("n_lo", n_lo, 1)
+    n_hi = check_int("n_hi", n_hi, n_lo)
     estimates = [_dispatch_expected(target, n, d, k, cfg) for n in range(n_lo, n_hi + 1)]
     rows: list[MonotonicityRow] = []
     for i, est in enumerate(estimates):

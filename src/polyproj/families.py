@@ -32,26 +32,39 @@ class Family(str, Enum):
 _MAX_CUBE_N = 15  # vertex arrays grow as 2^n; keep explicit desk-scale cap
 
 
+def check_int(name: str, v, lo: int | None = None) -> int:
+    """v as a Python int: accepts int and NumPy integers, rejects bool.
+
+    With lo given, a value below lo raises InvalidArgumentError too.
+    """
+    if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+        raise InvalidArgumentError(f"{name} must be an integer, got {v!r}")
+    v = int(v)
+    if lo is not None and v < lo:
+        raise InvalidArgumentError(f"{name} must be >= {lo}, got {v}")
+    return v
+
+
 def ambient_dim(family: Family, n: int) -> int:
     """Dimension of the ambient space the standard embedding lives in."""
-    _check_n(family, n)
+    n = _check_n(family, n)
     return n + 1 if family is Family.SIMPLEX else n
 
 
-def _check_n(family: Family, n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise InvalidArgumentError(f"n must be an integer, got {n!r}")
+def _check_n(family: Family, n: int) -> int:
+    n = check_int("n", n)
     if n < 1:
         raise InvalidDimensionError(f"polytope dimension must be >= 1, got {n}")
     if family is Family.CUBE and n > _MAX_CUBE_N:
         raise InvalidDimensionError(
             f"cube vertex enumeration capped at n = {_MAX_CUBE_N}, got {n}"
         )
+    return n
 
 
 def vertices(family: Family, n: int) -> np.ndarray:
     """All vertices of P_n as an integer array, one vertex per row."""
-    _check_n(family, n)
+    n = _check_n(family, n)
     if family is Family.SIMPLEX:
         return np.eye(n + 1, dtype=np.int64)
     if family is Family.CROSSPOLYTOPE:
@@ -71,9 +84,8 @@ def face_count(family: Family, m: int, ell: int, on_polytope: bool = True) -> in
     crosspolytopes.  The face itself counts as its own (improper) face, so
     face_count(f, m, m) == 1.
     """
-    for name, v in (("m", m), ("ell", ell)):
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-            raise InvalidArgumentError(f"{name} must be an integer, got {v!r}")
+    m = check_int("m", m)
+    ell = check_int("ell", ell)
     if m < 0 or ell < 0:
         raise InvalidArgumentError(f"face dimensions must be >= 0, got m={m}, ell={ell}")
     if ell > m:
@@ -109,9 +121,8 @@ def canonical_face(family: Family, n: int, i: int) -> CanonicalFace:
     crosspolytope only proper faces exist canonically, so 0 <= i <= n-1.
     For the cube, 0 <= i <= n.
     """
-    _check_n(family, n)
-    if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
-        raise InvalidArgumentError(f"face dimension must be an integer, got {i!r}")
+    n = _check_n(family, n)
+    i = check_int("face dimension", i)
     hi = n - 1 if family is Family.CROSSPOLYTOPE else n
     if i < 0 or i > hi:
         raise InvalidFaceError(

@@ -51,6 +51,7 @@ _MAX_GENERATORS = 15
 _MAX_ATTEMPTS = 5
 _DEGENERATE_RATE_LIMIT = 1e-3
 _SEPARATION_TOL = 1e-6
+_RANK_TOL = 1e-9  # relative to the cloud's extent, like the 9-digit facet grouping
 _BLOCK = 512
 
 
@@ -195,15 +196,19 @@ def hull_f_vector(points: np.ndarray) -> FVectorSample:
                     faces.add(h)
                     fresh.append(h)
         frontier = fresh
+    # facets are (d-1)-faces by construction; a rank call could call a flat
+    # one d-dimensional, so only lower faces are ranked, at the cloud's scale
+    rank_tol = _RANK_TOL * float(np.abs(pts - pts.mean(axis=0)).max())
     counts = [0] * d
-    for fs in faces:
+    counts[d - 1] = len(facet_sets)
+    for fs in faces.difference(facet_sets):
         idx = sorted(fs)
         if len(idx) == 1:
             counts[0] += 1
             continue
         rel = pts[idx[1:]] - pts[idx[0]]
-        dim = int(np.linalg.matrix_rank(rel))
-        if dim <= d - 1:
+        dim = int(np.linalg.matrix_rank(rel, tol=rank_tol))
+        if dim <= d - 2:
             counts[dim] += 1
     return FVectorSample(tuple(counts))
 

@@ -2,8 +2,9 @@
 
 Everything here deliberately takes a different route than the library:
 quadrature instead of sampling, determinants instead of closed forms, linear
-programming instead of least squares, and raw subset enumeration instead of
-qhull bookkeeping.  Agreement between routes is the point.
+programming instead of least squares, least squares on cone generators instead
+of half-space tests, and raw subset enumeration instead of qhull bookkeeping.
+Agreement between routes is the point.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 from scipy.stats import norm
 
 
@@ -70,17 +71,19 @@ TRIANGLE_VERTEX_ANGLE = 1 / 6
 SHADOW_TETRA_VERTICES = 6 * (math.pi - math.acos(1 / 3)) / math.pi
 
 
-def internal_hrep_member(u: np.ndarray, k: int, g: int, tol: float = 1e-9) -> bool:
-    """H-representation membership for the internal cone of (Q_k, Q_g).
+def nnls_member_count(generators: np.ndarray, u: np.ndarray, tol: float = 1e-8) -> int:
+    """Rows of u in pos(generators): those that NNLS on the generators reproduces.
 
-    In the canonical R^(g+1) coordinates the cone is exactly {u in lin :
-    u_i >= 0 for the trailing g-k coordinates}; lin is the zero-coordinate-sum
-    hyperplane restricted to the first g+1 axes.
+    The residual is recomputed from the returned coefficients rather than
+    taken from the solver, and compared against tol * (1 + |u|).
     """
-    u = np.asarray(u, dtype=float)
-    if abs(u.sum()) > tol * (1 + np.linalg.norm(u)):
-        return False
-    return bool((u[k + 1 :] >= -tol * (1 + np.linalg.norm(u))).all())
+    a = np.asarray(generators, dtype=float).T
+    hits = 0
+    for row in np.asarray(u, dtype=float):
+        x, _ = nnls(a, row)
+        if np.linalg.norm(a @ x - row) <= tol * (1.0 + np.linalg.norm(row)):
+            hits += 1
+    return hits
 
 
 def lp_strict_separation(rows: np.ndarray) -> bool:

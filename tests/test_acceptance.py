@@ -40,7 +40,7 @@ from polyproj.cli import main
 from polyproj.streams import derive_generator
 
 CFG = MCConfig(samples=1_000_000, seed=0)
-# Planar tables carry no NNLS internals, so extra samples are cheap; at 8e6
+# Planar tables sample no internal angle, so extra samples are cheap; at 8e6
 # the true n=7 -> n=8 gaps exceed the 3-sigma slack by 2.9x (crosspolytope)
 # and 5.9x (simplex).  At 1e6 the crosspolytope certificate fails by a hair.
 CFG_PLANAR = MCConfig(samples=8_000_000, seed=0)

@@ -6,6 +6,7 @@ import pytest
 
 from polyproj import (
     AngleEstimate,
+    CacheFormatError,
     Cone,
     Family,
     InvalidArgumentError,
@@ -24,14 +25,14 @@ from polyproj import (
     normal_cone,
     orthonormal_basis,
 )
-from polyproj.solvers import robust_nnls
-from polyproj.streams import chunk_counts, derive_generator
+from polyproj.angles import HALFSPACE_TOL
+from polyproj.streams import ANGLE_SAMPLES, chunk_counts, derive_generator
 
 from oracles import (
     TETRA_EDGE_ANGLE,
     TRIANGLE_VERTEX_ANGLE,
     cross_external_quadrature,
-    internal_hrep_member,
+    nnls_member_count,
     simplex_external_quadrature,
 )
 
@@ -111,11 +112,16 @@ def test_internal_cone_frame_and_errors():
 def test_cone_validation():
     bad_frame = np.array([[1.0, 0.0], [1.0, 1.0]])
     with pytest.raises(NumericError):
-        Cone(bad_frame, PositiveHullData(np.eye(2)))
+        Cone(bad_frame, PositiveHullData(np.eye(2), -np.eye(2)))
     frame = np.array([[1.0, 0.0, 0.0]])
-    outside = PositiveHullData(np.array([[0.0, 1.0, 0.0]]))
+    outside = PositiveHullData(np.array([[0.0, 1.0, 0.0]]), np.zeros((0, 3)))
     with pytest.raises(NumericError):
         Cone(frame, outside)
+    # a wrong normal set cuts off a generator and fails when the cone is built
+    cone = internal_cone(Family.SIMPLEX, 4, 1, 3)
+    flipped = PositiveHullData(cone.data.generators, -cone.data.normals)
+    with pytest.raises(NumericError):
+        Cone(cone.frame, flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +230,48 @@ def test_internal_angle_independent_of_n():
     assert abs(big.value - shared.value) < 4 * (big.std_error + shared.std_error)
 
 
-def test_nnls_membership_matches_hrep_oracle():
-    k, g = 0, 3
-    cone = internal_cone(Family.SIMPLEX, g, k, g)
-    rng = derive_generator(99, 7)
-    u = rng.standard_normal((2000, cone.dim)) @ cone.frame
-    a = cone.data.generators.T
-    for row in u:
-        _, resid = robust_nnls(a, row)
-        nnls_in = resid <= 1e-8 * (1 + np.linalg.norm(row))
-        assert nnls_in == internal_hrep_member(row, k, g)
+MEMBERSHIP_CONES = [
+    # every canonical pair the sampler sees up to g = 7, minimal embedding
+    *[(Family.SIMPLEX, g, k, g) for g in range(2, 8) for k in range(g - 1)],
+    (Family.SIMPLEX, 7, 0, 2),  # non-minimal embedding
+    (Family.SIMPLEX, 6, 1, 4),
+    (Family.CROSSPOLYTOPE, 6, 0, 3),
+    (Family.CUBE, 3, 0, 2),
+    (Family.CUBE, 5, 1, 4),
+]
+
+
+@pytest.mark.parametrize("family,n,k,g", MEMBERSHIP_CONES)
+def test_nnls_membership_matches_hrep_oracle(family, n, k, g):
+    # replay the sampler's own draws through NNLS on the cone's generators
+    cone = internal_cone(family, n, k, g)
+    cfg = MCConfig(samples=4000, seed=12345, chunk_size=1500)
+    est = cone_angle(cone, cfg)
+    hits = 0
+    for idx, count in enumerate(chunk_counts(cfg.samples, cfg.chunk_size)):
+        rng = derive_generator(cfg.seed, ANGLE_SAMPLES, *cone.seed_path, idx)
+        u = rng.standard_normal((count, cone.dim)) @ cone.frame
+        hits += nnls_member_count(cone.data.generators, u)
+    assert round(est.value * cfg.samples) == hits
+
+
+@pytest.mark.parametrize("family,n,k,g,base,axis,free", [
+    # a point on the facet u_3 = 0 of pos(Q_3 - bary Q_1), pushed along e_0 - e_3
+    (Family.SIMPLEX, 4, 1, 3, [-0.5, -0.5, 1.0, 0.0, 0.0], 3, 0),
+    # a point on the facet u_0 = 0 of the cube's pos(Q_2 - Q_0), pushed along -e_0
+    (Family.CUBE, 3, 0, 2, [0.0, 1.0, 0.0], 0, None),
+])
+@pytest.mark.parametrize("scale,inside", [(-2.0, False), (-0.5, True), (0.5, True), (2.0, True)])
+def test_halfspace_tolerance_boundary(family, n, k, g, base, axis, free, scale, inside):
+    cone = internal_cone(family, n, k, g)
+    base = np.array(base)
+    shift = scale * HALFSPACE_TOL * (1.0 + np.linalg.norm(base))
+    u = base.copy()
+    u[axis] += shift
+    if free is not None:
+        u[free] -= shift  # stay on the zero-sum hyperplane of the simplex face
+    assert cone.contains(u[None])[0] == inside
+    assert cone.contains(base[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +301,7 @@ def test_cone_angle_seed_sensitivity():
 
 
 def test_zero_dimensional_cone_is_exact():
-    cone = Cone(np.zeros((0, 3)), PositiveHullData(np.zeros((0, 3))))
+    cone = Cone(np.zeros((0, 3)), PositiveHullData(np.zeros((0, 3)), np.zeros((0, 3))))
     est = cone_angle(cone)
     assert est.exact_value == 1
 
@@ -299,6 +337,25 @@ def test_cache_file_is_trusted(tmp_path):
     cfg = MCConfig(samples=777, seed=3, cache_path=str(path))
     est = external_angle(Family.SIMPLEX, 4, 0, cfg)
     assert est.value == 0.123
+    clear_angle_memo()
+
+
+def test_cache_file_malformed_row(tmp_path):
+    clear_angle_memo()
+    path = tmp_path / "angles.cache"
+    good = "simplex 5 -1 0 ext 777 3 0.25 0.001\n"
+    path.write_text(good + "simplex 4 -1 0 ext 777 3 notanumber 0.1\n", encoding="utf-8")
+    cfg = MCConfig(samples=777, seed=3, cache_path=str(path))
+    for _ in range(2):  # a failed load leaves the file unloaded, so it fails again
+        with pytest.raises(CacheFormatError) as exc:
+            external_angle(Family.SIMPLEX, 5, 0, cfg)
+        assert exc.value.lineno == 2
+        assert str(path) in str(exc.value)
+    # no row of the rejected file reached the memo (777 samples never give 0.25)
+    assert external_angle(Family.SIMPLEX, 5, 0, MCConfig(samples=777, seed=3)).value != 0.25
+    clear_angle_memo()
+    path.write_text(good, encoding="utf-8")
+    assert external_angle(Family.SIMPLEX, 5, 0, cfg).value == 0.25
     clear_angle_memo()
 
 

@@ -207,6 +207,26 @@ def test_angle_cache_file_reused(tmp_path, capsys):
     clear_angle_memo()
 
 
+def test_angle_cache_malformed_row_exits_1(tmp_path, capsys):
+    from polyproj import clear_angle_memo
+
+    cache = tmp_path / "angles.txt"
+    cache.write_text("simplex 4 -1 0 ext 100 0 notanumber 0.1\n", encoding="utf-8")
+    clear_angle_memo()
+    code, _, err = run(capsys, ["expected", "--model", "gaussian", "--n", "6", "--d", "3",
+                                "--k", "0", "--angle-cache", str(cache), *SMALL])
+    assert code == 1
+    assert err.startswith("error: ") and f"{cache}:1:" in err
+    clear_angle_memo()
+
+
+def test_bad_workers_environment_exits_2(monkeypatch):
+    monkeypatch.setenv("POLYPROJ_WORKERS", "x")
+    with pytest.raises(SystemExit) as exc:
+        main(["expected", "--family", "cube", "--n", "4", "--d", "3", "--k", "0"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["expected", "--family", "cube", "--n", "4", "--d", "3"],  # missing k choice
     ["expected", "--family", "cube", "--model", "gaussian", "--n", "4", "--d", "3", "--k", "0"],

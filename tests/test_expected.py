@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import polyproj.expected
@@ -16,6 +17,7 @@ from polyproj import (
     expected_f_symmetric,
     expected_f_vector,
     expected_f_zonotope,
+    external_angle,
     face_count,
     intrinsic_volume,
     monotonicity_table,
@@ -174,6 +176,17 @@ def test_argument_validation():
         expected_f_projection(Family.CUBE, 3.0, 2, 0)
     with pytest.raises(InvalidArgumentError):
         expected_f_model("gaussian", -1, 2, 0)
+    with pytest.raises(InvalidArgumentError):
+        expected_f_model("gaussian", True, 2, 0)
+
+
+def test_numpy_integer_arguments():
+    # NumPy integers are integers wherever the package takes one
+    args = (np.int64(5), np.int32(2), np.int64(0))
+    assert expected_f_model("gaussian", *args, FAST) == expected_f_model("gaussian", 5, 2, 0, FAST)
+    assert expected_f_projection(Family.CUBE, *args) == expected_f_projection(Family.CUBE, 5, 2, 0)
+    assert face_count(Family.CUBE, np.int64(3), np.uint8(1)) == face_count(Family.CUBE, 3, 1)
+    assert external_angle(Family.CUBE, np.int64(4), np.int64(1)).exact_value == Fraction(1, 8)
 
 
 # ---------------------------------------------------------------------------

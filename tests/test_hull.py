@@ -76,6 +76,15 @@ def test_hull_euler_relation_4d(rep):
     assert f2 == 2 * f3  # every ridge of a simplicial 4-polytope joins two facets
 
 
+def test_hull_flat_merged_facet_is_counted():
+    # a projected 8-cube whose flat facet has third singular value 2.3e-16,
+    # above the default matrix_rank cutoff of about 1.8e-16
+    cloud = _sample_cloud("projected_cube", 8, 3, derive_generator(11, 2, 6, 8, 3, 104, 0))
+    f0, f1, f2 = hull_f_vector(cloud).counts
+    assert (f0, f1, f2) == (58, 112, 56)
+    assert f0 - f1 + f2 == 2
+
+
 def test_hull_degenerate_inputs():
     assert hull_f_vector(np.zeros((3, 3))).degenerate
     flat = np.hstack([np.random.default_rng(0).standard_normal((9, 2)), np.zeros((9, 1))])
