@@ -12,17 +12,26 @@ the projection formulas need:
                  internal angle beta(Q_k, Q_g).
 
 Both kinds carry an H-representation, a set of outer normals a with the cone
-equal to {u in L : <u, a> <= 0 for all a}, and membership of a batch of samples
-is a single vectorized half-space test.  Normal cones take the vertex
+equal to {u in L : <u, a> <= 0 for all a}.  Normal cones take the vertex
 directions v - x as their normals.  Internal cones are cut out by the facets
 of Q_g that contain Q_k, which in canonical coordinates are sign conditions
 u_i >= 0: on coordinates k+1..g for simplex-type faces, k..g-1 for cube faces.
+
+A cone's frame is an orthonormal basis of L, built by classical Gram-Schmidt
+applied twice (one matrix-vector product per pass and row, rows kept in
+order).  Membership is tested in frame coordinates: the normals are projected
+onto the frame once, when the cone is built, so scoring a batch of samples z
+is the single product z @ (frame @ normals^T) against the tolerance
+HALFSPACE_TOL * (1 + |z|).  Ambient points of L are mapped to frame
+coordinates first; the frame is orthonormal, so the test is the same.
 
 Cube angles and codimension <= 1 pairs are exact powers of 1/2 and never hit
 the sampler.  Monte Carlo estimates are deterministic: every chunk of samples
 draws from a counter-based stream derived from the angle's identity, so values
 do not depend on evaluation order or worker count.  Estimates are memoized
-in-process and optionally persisted to an append-only text cache.
+in-process and optionally persisted to an append-only text cache, keyed by
+everything that fixes the draws: the cone, the sample count, the seed and the
+chunk grid.
 
 Internal angles of simplex and crosspolytope faces coincide: every proper face
 of either series is a regular simplex with edge sqrt(2), and the canonical
@@ -36,7 +45,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +64,7 @@ from .streams import ANGLE_SAMPLES, FAMILY_CODES, KIND_EXTERNAL, KIND_INTERNAL, 
 ORTHONORMALITY_TOL = 1e-12
 SPAN_TOL = 1e-10
 HALFSPACE_TOL = 1e-10
+DEFAULT_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -64,7 +74,7 @@ class MCConfig:
     samples: int = 1_000_000
     seed: int = 0
     workers: int = 1
-    chunk_size: int = 1 << 15
+    chunk_size: int = DEFAULT_CHUNK
     cache_path: str | None = None
 
     def __post_init__(self):
@@ -134,6 +144,8 @@ class Cone:
     frame: np.ndarray
     data: NormalConeData | PositiveHullData
     seed_path: tuple[int, ...] = ()
+    # the outer normals in frame coordinates, frame @ normals^T, set when built
+    frame_normals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = self.frame
@@ -142,6 +154,7 @@ class Cone:
         gram = f @ f.T
         if gram.size and np.abs(gram - np.eye(f.shape[0])).max() > ORTHONORMALITY_TOL:
             raise NumericError("frame rows are not orthonormal to 1e-12")
+        object.__setattr__(self, "frame_normals", f @ self.data.normals.T)
         if isinstance(self.data, PositiveHullData):
             g = self.data.generators
             resid = g - (g @ f.T) @ f
@@ -156,37 +169,42 @@ class Cone:
         return self.frame.shape[0]
 
     def contains(self, u: np.ndarray) -> np.ndarray:
-        """Membership mask of the rows of u, points of the cone's linear hull.
+        """Membership mask of the rows of u, points of the cone's linear hull."""
+        return self.contains_coords(u @ self.frame.T)
+
+    def contains_coords(self, z: np.ndarray) -> np.ndarray:
+        """Membership mask of the rows of z, points in frame coordinates.
 
         A row is in the cone when no outer normal scores it above
-        HALFSPACE_TOL * (1 + |u|).
+        HALFSPACE_TOL * (1 + |z|).
         """
-        scores = u @ self.data.normals.T
-        tol = HALFSPACE_TOL * (1.0 + np.linalg.norm(u, axis=1))
+        scores = z @ self.frame_normals
+        tol = HALFSPACE_TOL * (1.0 + np.sqrt(np.einsum("ij,ij->i", z, z)))
         return scores.max(axis=1, initial=-np.inf) <= tol
 
 
 def orthonormal_basis(vecs: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of span(rows) by modified Gram-Schmidt with re-orthogonalization.
+    """Orthonormal basis of span(rows) by classical Gram-Schmidt applied twice.
 
-    Rows whose residual after projection is below drop_tol * (1 + |row|) are
-    treated as dependent and dropped.
+    Rows are taken in order; each is projected off the rows kept so far in two
+    passes (the second controls cancellation for near-dependent rows).  Rows
+    whose residual is below drop_tol * (1 + |row|) are treated as dependent and
+    dropped.
     """
     vecs = np.asarray(vecs, dtype=float)
     if vecs.ndim != 2:
         raise InvalidArgumentError("expected a 2-d array of row vectors")
-    basis: list[np.ndarray] = []
+    basis = np.empty_like(vecs)
+    r = 0
     for v in vecs:
         w = v.copy()
-        for _ in range(2):  # second pass controls cancellation for near-dependent rows
-            for b in basis:
-                w -= (w @ b) * b
+        for _ in range(2):
+            w -= (basis[:r] @ w) @ basis[:r]
         nw = np.linalg.norm(w)
         if nw > drop_tol * (1.0 + np.linalg.norm(v)):
-            basis.append(w / nw)
-    if not basis:
-        return np.zeros((0, vecs.shape[1]))
-    return np.vstack(basis)
+            basis[r] = w / nw
+            r += 1
+    return basis[:r]
 
 
 def complement_basis(span_vecs: np.ndarray, within_basis: np.ndarray) -> np.ndarray:
@@ -266,7 +284,7 @@ def cone_angle(cone: Cone, cfg: MCConfig | None = None) -> AngleEstimate:
         idx, count = job
         rng = derive_generator(cfg.seed, ANGLE_SAMPLES, *cone.seed_path, idx)
         z = rng.standard_normal((count, cone.dim))
-        return int(np.count_nonzero(cone.contains(z @ cone.frame)))
+        return int(np.count_nonzero(cone.contains_coords(z)))
 
     jobs = list(enumerate(counts))
     if cfg.workers > 1:
@@ -285,20 +303,36 @@ def cone_angle(cone: Cone, cfg: MCConfig | None = None) -> AngleEstimate:
 _MEMO: dict[tuple, AngleEstimate] = {}
 _LOCK = threading.Lock()
 _LOADED_CACHES: set[str] = set()
+# memos of values computed from angles, emptied together with the angle memo
+_DERIVED_MEMOS: list[dict] = []
 
 # internal angles are shared between simplex and crosspolytope (identical
 # canonical geometry); this token marks such rows in memo keys and cache files
 _SHARED_FACE = "simplexface"
 
 
+def derived_memo() -> dict:
+    """A new module-level memo that clear_angle_memo() empties along with its own."""
+    memo: dict = {}
+    _DERIVED_MEMOS.append(memo)
+    return memo
+
+
 def clear_angle_memo() -> None:
     with _LOCK:
         _MEMO.clear()
         _LOADED_CACHES.clear()
+        for memo in _DERIVED_MEMOS:
+            memo.clear()
 
 
 def _ensure_cache_loaded(path: str) -> None:
-    """Merge a cache file's rows into the memo; a malformed row rejects the whole file."""
+    """Merge a cache file's rows into the memo; a malformed row rejects the whole file.
+
+    A row is `family n k g kind samples seed value stderr chunk_size`; rows
+    written before the chunk grid was recorded have nine fields and were
+    sampled on the default grid.
+    """
     apath = os.path.abspath(path)
     with _LOCK:
         if apath in _LOADED_CACHES:
@@ -308,11 +342,15 @@ def _ensure_cache_loaded(path: str) -> None:
             with open(apath, "r", encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, 1):
                     parts = line.split()
-                    if len(parts) != 9 or parts[0].startswith("#"):
+                    if not parts or parts[0].startswith("#"):
                         continue
-                    fam, n_s, k_s, g_s, kind, samples_s, seed_s, value_s, stderr_s = parts
+                    if len(parts) not in (9, 10):
+                        raise CacheFormatError(apath, lineno, f"expected 9 or 10 fields, got {len(parts)}")
+                    fam, n_s, k_s, g_s, kind, samples_s, seed_s, value_s, stderr_s = parts[:9]
+                    chunk_s = parts[9] if len(parts) == 10 else DEFAULT_CHUNK
                     try:
-                        key = (kind, fam, int(n_s), int(k_s), int(g_s), int(samples_s), int(seed_s))
+                        key = (kind, fam, int(n_s), int(k_s), int(g_s), int(samples_s), int(seed_s),
+                               int(chunk_s))
                         est = AngleEstimate(
                             float(value_s), float(stderr_s), "monte_carlo", int(samples_s)
                         )
@@ -325,10 +363,10 @@ def _ensure_cache_loaded(path: str) -> None:
 
 
 def _append_cache(path: str, key: tuple, est: AngleEstimate) -> None:
-    kind, fam, n, k, g, samples, seed = key
+    kind, fam, n, k, g, samples, seed, chunk = key
     with _LOCK:
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write(f"{fam} {n} {k} {g} {kind} {samples} {seed} {est.value!r} {est.std_error!r}\n")
+            fh.write(f"{fam} {n} {k} {g} {kind} {samples} {seed} {est.value!r} {est.std_error!r} {chunk}\n")
 
 
 def _memoized_angle(key: tuple, build, cfg: MCConfig) -> AngleEstimate:
@@ -366,7 +404,7 @@ def external_angle(family: Family, n: int, g: int, cfg: MCConfig | None = None) 
         return _exact_angle(1)
     if g == n - 1:
         return _exact_angle(Fraction(1, 2))
-    key = ("ext", family.value, n, -1, g, cfg.samples, cfg.seed)
+    key = ("ext", family.value, n, -1, g, cfg.samples, cfg.seed, cfg.chunk_size)
     return _memoized_angle(key, lambda: normal_cone(family, n, g), cfg)
 
 
@@ -404,7 +442,7 @@ def internal_angle(
         return _exact_angle(Fraction(1, 2 ** (g - k)))
     if g == k + 1:
         return _exact_angle(Fraction(1, 2))
-    key = ("int", _SHARED_FACE, 0, k, g, cfg.samples, cfg.seed)
+    key = ("int", _SHARED_FACE, 0, k, g, cfg.samples, cfg.seed, cfg.chunk_size)
     return _memoized_angle(key, lambda: _canonical_internal_cone(k, g), cfg)
 
 

@@ -27,25 +27,39 @@ from .hull import MODELS, SimConfig, simulate_expected_f
 from .report import ReportRow, render
 
 
+def _number(text: str, convert, what: str):
+    try:
+        return convert(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
-    v = int(text)
+    v = _number(text, int, "a positive integer")
     if v < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {v}")
     return v
 
 
 def _nonneg_int(text: str) -> int:
-    v = int(text)
+    v = _number(text, int, "a nonnegative integer")
     if v < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {v}")
     return v
 
 
 def _positive_float(text: str) -> float:
-    v = float(text)
+    v = _number(text, float, "a positive number")
     if v <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive number, got {v}")
     return v
+
+
+def _workers(text: str) -> int:
+    try:
+        return _positive_int(text)
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"{exc} (from --workers or $POLYPROJ_WORKERS)") from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -54,7 +68,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_nonneg_int, default=0, help="master seed (default 0)")
     # a string default goes through `type` at parse time, so a bad
     # $POLYPROJ_WORKERS becomes a usage error rather than a traceback
-    p.add_argument("--workers", type=_positive_int,
+    p.add_argument("--workers", type=_workers,
                    default=os.environ.get("POLYPROJ_WORKERS", "1"),
                    help="parallel workers (default $POLYPROJ_WORKERS or 1)")
     p.add_argument("--angle-cache", default=None, metavar="PATH",

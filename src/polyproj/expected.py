@@ -24,10 +24,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .angles import AngleEstimate, MCConfig, external_angle, internal_angle
-from .errors import InvalidArgumentError, InvalidDimensionError, TruncationError
+from .angles import AngleEstimate, MCConfig, derived_memo, external_angle, internal_angle
+from .errors import InvalidArgumentError, TruncationError
 from .families import Family, canonical_face, check_int, face_count, face_volume
-from .streams import MODEL_CODES
 
 GAUSSIAN_MODELS = ("gaussian", "symmetric", "zonotope")
 
@@ -303,11 +302,11 @@ class PoissonizedExpectation:
     terms: int
 
 
-_POISSON_MEMO: dict[tuple, Estimate] = {}
+_POISSON_MEMO: dict[tuple, Estimate] = derived_memo()
 
 
 def _poisson_term_value(model: str, ell: int, d: int, k: int, cfg: MCConfig) -> Estimate:
-    key = (model, d, k, ell, cfg.samples, cfg.seed)
+    key = (model, d, k, ell, cfg.samples, cfg.seed, cfg.chunk_size)
     hit = _POISSON_MEMO.get(key)
     if hit is None:
         hit = expected_f_model(model, ell, d, k, cfg)
@@ -351,8 +350,8 @@ def poissonized_expected(
 
     Sums Poisson(t) weights against the fixed-size expectations until the
     remaining tail, bounded through per-model face-count growth bounds, drops
-    below eps.  Per-size values are memoized module-wide, so evaluating a grid
-    of t values reuses every term.
+    below eps.  Per-size values are memoized module-wide until
+    clear_angle_memo(), so evaluating a grid of t values reuses every term.
     """
     if model not in GAUSSIAN_MODELS:
         raise InvalidArgumentError(f"unknown model {model!r}, expected one of {GAUSSIAN_MODELS}")

@@ -3,7 +3,9 @@
 Everything here deliberately takes a different route than the library:
 quadrature instead of sampling, determinants instead of closed forms, linear
 programming instead of least squares, least squares on cone generators instead
-of half-space tests, and raw subset enumeration instead of qhull bookkeeping.
+of half-space tests, modified Gram-Schmidt one basis vector at a time instead
+of blocked classical Gram-Schmidt, and raw subset enumeration instead of qhull
+bookkeeping.
 Agreement between routes is the point.
 """
 
@@ -69,6 +71,24 @@ TRIANGLE_VERTEX_ANGLE = 1 / 6
 # the pinned composite value: expected vertex count of the planar shadow of a
 # regular 3-simplex, 12 * (pi - arccos(1/3)) / (2 pi)
 SHADOW_TETRA_VERTICES = 6 * (math.pi - math.acos(1 / 3)) / math.pi
+
+
+def mgs_orthonormal_basis(vecs: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
+    """Orthonormal basis of span(rows) by modified Gram-Schmidt, applied twice.
+
+    Same contract as the library's basis: rows in order, a row is dropped when
+    its residual is below drop_tol * (1 + |row|).
+    """
+    basis: list[np.ndarray] = []
+    for v in np.asarray(vecs, dtype=float):
+        w = v.copy()
+        for _ in range(2):
+            for b in basis:
+                w -= (w @ b) * b
+        nw = np.linalg.norm(w)
+        if nw > drop_tol * (1.0 + np.linalg.norm(v)):
+            basis.append(w / nw)
+    return np.array(basis).reshape(len(basis), np.shape(vecs)[1])
 
 
 def nnls_member_count(generators: np.ndarray, u: np.ndarray, tol: float = 1e-8) -> int:

@@ -15,6 +15,7 @@ from polyproj import (
     MCConfig,
     NumericError,
     PositiveHullData,
+    barycenter,
     canonical_face,
     clear_angle_memo,
     complement_basis,
@@ -24,14 +25,16 @@ from polyproj import (
     internal_cone,
     normal_cone,
     orthonormal_basis,
+    vertices,
 )
-from polyproj.angles import HALFSPACE_TOL
+from polyproj.angles import DEFAULT_CHUNK, HALFSPACE_TOL
 from polyproj.streams import ANGLE_SAMPLES, chunk_counts, derive_generator
 
 from oracles import (
     TETRA_EDGE_ANGLE,
     TRIANGLE_VERTEX_ANGLE,
     cross_external_quadrature,
+    mgs_orthonormal_basis,
     nnls_member_count,
     simplex_external_quadrature,
 )
@@ -72,6 +75,35 @@ def test_complement_basis_splits_subspace():
     resid = comp - (comp @ within.T) @ within
     assert np.abs(resid).max() < 1e-10
     assert complement_basis(np.zeros((1, 8)), within).shape == (5, 8)
+
+
+def _assert_same_basis(vecs):
+    ours = orthonormal_basis(vecs)
+    ref = mgs_orthonormal_basis(vecs)
+    assert ours.shape == ref.shape  # same rank, same rows dropped
+    assert np.abs(ours - ref).max(initial=0.0) <= 1e-14
+
+
+@pytest.mark.parametrize("family", [Family.SIMPLEX, Family.CROSSPOLYTOPE])
+@pytest.mark.parametrize("n,g", [(n, g) for n in (2, 3, 10, 40, 80) for g in (0, 1, 3) if g < n])
+def test_orthonormal_basis_matches_mgs_oracle(family, n, g):
+    # the inputs of a normal-cone frame: verts - x, then the face directions
+    # stacked on the polytope's frame as complement_basis stacks them
+    verts = vertices(family, n).astype(float)
+    face = canonical_face(family, n, g)
+    x = barycenter(face)
+    _assert_same_basis(verts - x)
+    _assert_same_basis(face.vertices - x)
+    stacked = np.vstack([mgs_orthonormal_basis(face.vertices - x), mgs_orthonormal_basis(verts - x)])
+    _assert_same_basis(stacked)
+
+
+@pytest.mark.parametrize("k,g", [(k, g) for g in range(1, 8) for k in range(g)])
+def test_orthonormal_basis_matches_mgs_oracle_internal(k, g):
+    # the generators of every canonical internal cone up to g = 7
+    face_g = canonical_face(Family.SIMPLEX, g, g)
+    face_k = canonical_face(Family.SIMPLEX, g, k)
+    _assert_same_basis(face_g.vertices - barycenter(face_k))
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +287,27 @@ def test_nnls_membership_matches_hrep_oracle(family, n, k, g):
     assert round(est.value * cfg.samples) == hits
 
 
+@pytest.mark.parametrize("build", [
+    lambda: normal_cone(Family.SIMPLEX, 10, 1),
+    lambda: normal_cone(Family.CROSSPOLYTOPE, 40, 1),
+    lambda: normal_cone(Family.CUBE, 4, 1),
+    lambda: internal_cone(Family.SIMPLEX, 5, 0, 3),
+    lambda: internal_cone(Family.CROSSPOLYTOPE, 6, 1, 4),
+    lambda: internal_cone(Family.CUBE, 4, 0, 3),
+])
+def test_cone_angle_counts_contains_on_its_draws(build):
+    # the sampler scores in frame coordinates; contains() takes ambient points
+    cone = build()
+    cfg = MCConfig(samples=5000, seed=7, chunk_size=2000)
+    est = cone_angle(cone, cfg)
+    hits = 0
+    for idx, count in enumerate(chunk_counts(cfg.samples, cfg.chunk_size)):
+        rng = derive_generator(cfg.seed, ANGLE_SAMPLES, *cone.seed_path, idx)
+        z = rng.standard_normal((count, cone.dim))
+        hits += int(np.count_nonzero(cone.contains(z @ cone.frame)))
+    assert round(est.value * cfg.samples) == hits
+
+
 @pytest.mark.parametrize("family,n,k,g,base,axis,free", [
     # a point on the facet u_3 = 0 of pos(Q_3 - bary Q_1), pushed along e_0 - e_3
     (Family.SIMPLEX, 4, 1, 3, [-0.5, -0.5, 1.0, 0.0, 0.0], 3, 0),
@@ -314,6 +367,19 @@ def test_memo_returns_same_estimate():
     assert a is b or a == b
 
 
+def test_memo_key_includes_chunk_size():
+    # a different chunk grid draws different samples, so it is a different estimate
+    chunked = MCConfig(samples=20_000, seed=3, chunk_size=1000)
+    clear_angle_memo()
+    fresh = external_angle(Family.SIMPLEX, 5, 1, chunked)
+    clear_angle_memo()
+    default = external_angle(Family.SIMPLEX, 5, 1, MCConfig(samples=20_000, seed=3))
+    after = external_angle(Family.SIMPLEX, 5, 1, chunked)
+    assert after == fresh
+    assert after.value != default.value
+    clear_angle_memo()
+
+
 def test_cache_file_roundtrip(tmp_path):
     clear_angle_memo()
     path = str(tmp_path / "angles.cache")
@@ -322,7 +388,9 @@ def test_cache_file_roundtrip(tmp_path):
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     assert len(lines) == 1
-    assert lines[0].split()[:7] == ["simplex", "4", "-1", "0", "ext", "5000", "9"]
+    fields = lines[0].split()
+    assert fields[:7] == ["simplex", "4", "-1", "0", "ext", "5000", "9"]
+    assert fields[9:] == [str(DEFAULT_CHUNK)]
     clear_angle_memo()
     again = external_angle(Family.SIMPLEX, 4, 0, cfg)
     assert again.value == est.value
@@ -337,6 +405,37 @@ def test_cache_file_is_trusted(tmp_path):
     cfg = MCConfig(samples=777, seed=3, cache_path=str(path))
     est = external_angle(Family.SIMPLEX, 4, 0, cfg)
     assert est.value == 0.123
+    clear_angle_memo()
+
+
+def test_cache_file_chunk_size_field(tmp_path):
+    # a nine-field row was written on the default grid; a ten-field row names its grid
+    clear_angle_memo()
+    path = tmp_path / "angles.cache"
+    path.write_text("# comment\n\nsimplex 4 -1 0 ext 777 3 0.123 0.001\n"
+                    "simplex 5 -1 0 ext 777 3 0.25 0.001 100\n", encoding="utf-8")
+    default = MCConfig(samples=777, seed=3, cache_path=str(path))
+    small = MCConfig(samples=777, seed=3, chunk_size=100, cache_path=str(path))
+    assert external_angle(Family.SIMPLEX, 4, 0, default).value == 0.123
+    assert external_angle(Family.SIMPLEX, 4, 0, small).value != 0.123
+    assert external_angle(Family.SIMPLEX, 5, 0, small).value == 0.25
+    assert external_angle(Family.SIMPLEX, 5, 0, default).value != 0.25
+    clear_angle_memo()
+
+
+@pytest.mark.parametrize("row", [
+    "simplex 4 -1 0 ext 100 0 0.5\n",  # a field short
+    "simplex 4 -1 0 ext 100 0 0.5 0.01 32768 extra\n",
+])
+def test_cache_file_wrong_field_count(tmp_path, row):
+    clear_angle_memo()
+    path = tmp_path / "angles.cache"
+    path.write_text("simplex 5 -1 0 ext 100 0 0.25 0.001\n" + row, encoding="utf-8")
+    with pytest.raises(CacheFormatError) as exc:
+        external_angle(Family.SIMPLEX, 4, 0, MCConfig(samples=100, seed=0, cache_path=str(path)))
+    assert exc.value.lineno == 2
+    assert str(path) in str(exc.value)
+    assert path.read_text(encoding="utf-8").count("\n") == 2  # nothing appended
     clear_angle_memo()
 
 

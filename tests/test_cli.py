@@ -220,11 +220,26 @@ def test_angle_cache_malformed_row_exits_1(tmp_path, capsys):
     clear_angle_memo()
 
 
-def test_bad_workers_environment_exits_2(monkeypatch):
+def test_bad_workers_environment_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("POLYPROJ_WORKERS", "x")
     with pytest.raises(SystemExit) as exc:
         main(["expected", "--family", "cube", "--n", "4", "--d", "3", "--k", "0"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --workers: expected a positive integer, got 'x'" in err
+    assert "$POLYPROJ_WORKERS" in err
+
+
+@pytest.mark.parametrize("flag,expected", [
+    ("--samples", "expected a positive integer, got 'x'"),
+    ("--seed", "expected a nonnegative integer, got 'x'"),
+    ("--workers", "expected a positive integer, got 'x'"),
+])
+def test_non_numeric_flag_message(capsys, flag, expected):
+    with pytest.raises(SystemExit) as exc:
+        main(["expected", "--family", "cube", "--n", "4", "--d", "3", "--k", "0", flag, "x"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {expected}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,6 +10,7 @@ from polyproj import (
     InvalidArgumentError,
     MCConfig,
     TruncationError,
+    clear_angle_memo,
     expected_f_cube_closed_form,
     expected_f_gaussian,
     expected_f_model,
@@ -297,6 +298,25 @@ def test_poisson_term_memoization():
     for key, val in before.items():
         assert polyproj.expected._POISSON_MEMO[key] is val
     assert a.value != b.value
+
+
+def test_poisson_memo_cleared_with_angle_memo():
+    poissonized_expected(3.0, 2, 0, cfg=MCConfig(samples=2_000, seed=0))
+    assert polyproj.expected._POISSON_MEMO
+    clear_angle_memo()
+    assert not polyproj.expected._POISSON_MEMO
+
+
+def test_poisson_memo_key_includes_chunk_size():
+    chunked = MCConfig(samples=2_000, seed=5, chunk_size=500)
+    clear_angle_memo()
+    fresh = poissonized_expected(3.0, 2, 0, cfg=chunked)
+    clear_angle_memo()
+    default = poissonized_expected(3.0, 2, 0, cfg=MCConfig(samples=2_000, seed=5))
+    after = poissonized_expected(3.0, 2, 0, cfg=chunked)
+    assert after == fresh
+    assert after.value != default.value
+    clear_angle_memo()
 
 
 def test_poisson_validation():
