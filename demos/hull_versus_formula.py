@@ -1,8 +1,9 @@
 """Sampled convex hulls against the projection formula, model by model.
 
-Each replication builds an actual polytope (qhull for point clouds, sign-vector
-enumeration for zonotopes) and counts faces exactly; the formula side computes
-the same expectations from face counts and cone angles.
+Each replication builds an actual polytope and counts faces exactly: qhull for
+point clouds, and for zonotopes the distinct covectors of the generators'
+hyperplane arrangement, read off its rays.  The formula side computes the same
+expectations from face counts and cone angles.
 """
 
 import math

@@ -189,7 +189,8 @@ def orthonormal_basis(vecs: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
     Rows are taken in order; each is projected off the rows kept so far in two
     passes (the second controls cancellation for near-dependent rows).  Rows
     whose residual is below drop_tol * (1 + |row|) are treated as dependent and
-    dropped.
+    dropped.  Once the basis spans the whole space the remaining rows would
+    all be dropped, so they are not projected.
     """
     vecs = np.asarray(vecs, dtype=float)
     if vecs.ndim != 2:
@@ -197,6 +198,8 @@ def orthonormal_basis(vecs: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
     basis = np.empty_like(vecs)
     r = 0
     for v in vecs:
+        if r == vecs.shape[1]:
+            break
         w = v.copy()
         for _ in range(2):
             w -= (basis[:r] @ w) @ basis[:r]

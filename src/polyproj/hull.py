@@ -12,9 +12,11 @@ Random models
 Hulls go through qhull; the full face lattice is recovered either by a
 simplicial fast path (k-faces are the (k+1)-subsets of facet vertex sets) or,
 when facets merge, by closing the facet vertex sets under intersection.
-Zonotope f-vectors are counted combinatorially: a k-face corresponds to a
-k-subset of generators together with a feasible sign pattern on the rest,
-and feasibility is a strict linear separation test.
+Zonotope f-vectors are counted combinatorially: a k-face is a covector of
+the generators' hyperplane arrangement with k zeros, and every covector is
+read off a ray of the arrangement, so one batched SVD and one np.unique count
+them all.  A projected cube is the zonotope of its frame rows and is counted
+the same way.
 
 Every replication draws from its own counter-based stream derived from
 (seed, model, n, d, replication index, attempt), so estimates are identical
@@ -27,10 +29,9 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
@@ -41,7 +42,6 @@ from .errors import (
 )
 from .expected import Estimate
 from .families import Family, vertices
-from .solvers import robust_nnls
 from .streams import MODEL_CODES, SIM_REPLICATION, derive_generator
 
 MODELS = tuple(MODEL_CODES)
@@ -50,7 +50,7 @@ _MAX_HULL_DIM = 6
 _MAX_GENERATORS = 15
 _MAX_ATTEMPTS = 5
 _DEGENERATE_RATE_LIMIT = 1e-3
-_SEPARATION_TOL = 1e-6
+_GENERAL_POSITION_TOL = 1e-9  # on unit generators: singular values and distances to spans
 _RANK_TOL = 1e-9  # relative to the cloud's extent, like the 9-digit facet grouping
 _BLOCK = 512
 
@@ -213,50 +213,17 @@ def hull_f_vector(points: np.ndarray) -> FVectorSample:
     return FVectorSample(tuple(counts))
 
 
-def _origin_in_hull(rows: np.ndarray) -> bool:
-    # 0 in conv(rows) iff the system P^T lam = 0, sum lam = 1 admits lam >= 0
-    a = np.vstack([rows.T, np.ones((1, rows.shape[0]))])
-    b = np.zeros(rows.shape[1] + 1)
-    b[-1] = 1.0
-    _, resid = robust_nnls(a, b)
-    return resid < _SEPARATION_TOL
-
-
-def _chamber_count(w: np.ndarray) -> int:
-    """Number of sign vectors sigma with an open solution to sigma_i <w_i, c> > 0.
-
-    Strict feasibility of a sign pattern is equivalent to the origin lying
-    outside the convex hull of the signed, normalized rows.  Chambers come in
-    antipodal pairs, so the first sign is pinned and the count doubled.
-    """
-    norms = np.linalg.norm(w, axis=1)
-    if np.any(norms < 1e-12):
-        raise DegenerateGeometryError("zero generator after projection")
-    wn = w / norms[:, None]
-    m = wn.shape[0]
-    total = 0
-
-    def rec(depth: int, rows: list[np.ndarray]) -> None:
-        nonlocal total
-        if depth == m:
-            total += 1
-            return
-        for s in (1.0, -1.0):
-            cand = rows + [s * wn[depth]]
-            if not _origin_in_hull(np.array(cand)):
-                rec(depth + 1, cand)
-
-    rec(1, [wn[0]])
-    return 2 * total
-
-
 def zonotope_f_vector(generators: np.ndarray) -> FVectorSample:
     """Exact f-vector of the zonotope sum of segments [0, g_i].
 
-    A k-face is a k-subset S of generators translated to a vertex of the
-    zonotope of the others, so f_k is a sum of sign-pattern chamber counts in
-    the orthogonal complement of span(S).  Requires generators in general
-    position (full rank, no generator inside a k-subset's span).
+    A k-face is a covector sign(G c) of the arrangement of the planes g_i^perp
+    with exactly k zeros.  In a simple arrangement every nonzero covector lies
+    next to a ray, the null vector of some d-1 generators, and the covectors
+    next to a ray are its sign vector with the d-1 zeros filled in all
+    3^(d-1) ways; f_k counts the distinct ones with k zeros.  Simplicity is
+    checked, at _GENERAL_POSITION_TOL each: no generator is shorter than that
+    fraction of the longest, and of the normalized generators every d-1 have
+    full rank and every other one lies off their span.
     """
     g = np.asarray(generators, dtype=float)
     if g.ndim != 2:
@@ -266,23 +233,35 @@ def zonotope_f_vector(generators: np.ndarray) -> FVectorSample:
         raise InvalidDimensionError(f"zonotope dimension must be in 2..{_MAX_HULL_DIM}, got {d}")
     if n > _MAX_GENERATORS:
         raise InvalidDimensionError(f"zonotope enumeration capped at n = {_MAX_GENERATORS}, got {n}")
-    if n < d or np.linalg.matrix_rank(g) < d:
+    if n < d:
         raise DegenerateGeometryError("generators do not span the ambient space")
-    counts = [0] * d
-    for k in range(d):
-        for subset in combinations(range(n), k):
-            if k == 0:
-                basis = np.eye(d)
-            else:
-                basis = null_space(g[list(subset)])
-                if basis.shape[1] != d - k:
-                    raise DegenerateGeometryError(
-                        f"generator subset {subset} is rank-deficient"
-                    )
-            rest = [i for i in range(n) if i not in subset]
-            w = g[rest] @ basis
-            counts[k] += _chamber_count(w)
-    return FVectorSample(tuple(counts))
+    norms = np.linalg.norm(g, axis=1)
+    if np.any(norms <= _GENERAL_POSITION_TOL * norms.max()):
+        raise DegenerateGeometryError("zero generator")
+    unit = g / norms[:, None]
+
+    subsets = np.array(list(combinations(range(n), d - 1)))
+    _, sing, vt = np.linalg.svd(unit[subsets])
+    if np.any(sing[:, -1] <= _GENERAL_POSITION_TOL):
+        raise DegenerateGeometryError(f"some {d - 1} generators are rank-deficient")
+    rays = vt[:, -1]
+    cos = rays @ unit.T
+    on_span = np.zeros(cos.shape, dtype=bool)
+    np.put_along_axis(on_span, subsets, True, axis=1)
+    if np.any(np.abs(cos[~on_span]) <= _GENERAL_POSITION_TOL):
+        raise DegenerateGeometryError(f"a generator lies in the span of {d - 1} others")
+
+    # base-3 covector keys, digit 0 for a zero, 1 for +, 2 for -; the zero
+    # count rides above the n digits, so one unique counts every k at once
+    digits = np.where(cos > 0, 1, 2)
+    digits[on_span] = 0
+    pow3 = 3 ** np.arange(n + 1, dtype=np.int64)
+    ray_keys = np.stack([digits, (3 - digits) % 3]) @ pow3[:n]  # each ray and its negative
+    fills = np.array(list(product(range(3), repeat=d - 1)), dtype=np.int64)
+    fill_keys = pow3[subsets] @ fills.T + (fills == 0).sum(axis=1) * pow3[n]
+    keys = ray_keys[:, :, None] + fill_keys
+    counts = np.bincount(np.unique(keys) // pow3[n], minlength=d)
+    return FVectorSample(tuple(int(c) for c in counts))
 
 
 @dataclass(frozen=True)
@@ -300,6 +279,10 @@ def _one_replication(model: str, n: int, d: int, seed: int, index: int) -> tuple
         try:
             if model == "zonotope":
                 fv = zonotope_f_vector(rng.standard_normal((n, d)))
+            elif model == "projected_cube":
+                # the cube's shadow is the zonotope of the frame rows, drawn as
+                # _sample_cloud draws it
+                fv = zonotope_f_vector(random_orthonormal_frame(n, d, rng))
             else:
                 fv = hull_f_vector(_sample_cloud(model, n, d, rng))
         except DegenerateGeometryError:

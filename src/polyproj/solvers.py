@@ -1,10 +1,14 @@
 """Nonnegative least squares with verified optimality.
 
+No library module imports this file, so scipy.optimize stays off the import
+path of ``polyproj``: cone membership is a half-space test and zonotopes are
+counted by covectors.  It is kept for the benchmark's traced replay
+(``bench/staged.py``), whose ``solvers.nnls_us`` probe times this solver.
+
 scipy's active-set solver can stop early on rare inputs and its reported
-residual norm can be stale, both of which would silently misclassify cone
-membership.  This wrapper recomputes the residual from the returned solution,
-verifies first-order optimality, and falls back to a slower bounded
-least-squares solve when the check fails.
+residual norm can be stale.  This wrapper recomputes the residual from the
+returned solution, verifies first-order optimality, and falls back to a slower
+bounded least-squares solve when the check fails.
 """
 
 from __future__ import annotations

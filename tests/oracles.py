@@ -91,6 +91,27 @@ def mgs_orthonormal_basis(vecs: np.ndarray, drop_tol: float = 1e-10) -> np.ndarr
     return np.array(basis).reshape(len(basis), np.shape(vecs)[1])
 
 
+def full_pass_orthonormal_basis(vecs: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
+    """The library's Gram-Schmidt basis without its early exit: every row is projected.
+
+    Same arithmetic as polyproj.angles.orthonormal_basis, so a row the library
+    skips once its basis is full must be dropped here and the bases agree bit
+    for bit.
+    """
+    vecs = np.asarray(vecs, dtype=float)
+    basis = np.empty_like(vecs)
+    r = 0
+    for v in vecs:
+        w = v.copy()
+        for _ in range(2):
+            w -= (basis[:r] @ w) @ basis[:r]
+        nw = np.linalg.norm(w)
+        if nw > drop_tol * (1.0 + np.linalg.norm(v)):
+            basis[r] = w / nw
+            r += 1
+    return basis[:r]
+
+
 def nnls_member_count(generators: np.ndarray, u: np.ndarray, tol: float = 1e-8) -> int:
     """Rows of u in pos(generators): those that NNLS on the generators reproduces.
 

@@ -34,6 +34,7 @@ from oracles import (
     TETRA_EDGE_ANGLE,
     TRIANGLE_VERTEX_ANGLE,
     cross_external_quadrature,
+    full_pass_orthonormal_basis,
     mgs_orthonormal_basis,
     nnls_member_count,
     simplex_external_quadrature,
@@ -96,6 +97,17 @@ def test_orthonormal_basis_matches_mgs_oracle(family, n, g):
     _assert_same_basis(face.vertices - x)
     stacked = np.vstack([mgs_orthonormal_basis(face.vertices - x), mgs_orthonormal_basis(verts - x)])
     _assert_same_basis(stacked)
+
+
+@pytest.mark.parametrize("n,g", [(n, g) for n in (3, 10, 40, 70) for g in (0, 1, 3) if g < n])
+def test_orthonormal_basis_stops_when_full(n, g):
+    # a normal-cone input of 2n rows in R^n: the basis is full before the last
+    # n rows, which the library skips and the full pass drops
+    verts = vertices(Family.CROSSPOLYTOPE, n).astype(float)
+    vecs = verts - barycenter(canonical_face(Family.CROSSPOLYTOPE, n, g))
+    ours = orthonormal_basis(vecs)
+    assert ours.shape == (n, n)
+    assert np.array_equal(ours, full_pass_orthonormal_basis(vecs))
 
 
 @pytest.mark.parametrize("k,g", [(k, g) for g in range(1, 8) for k in range(g)])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from polyproj import (
     vertices,
     zonotope_f_vector,
 )
-from polyproj.hull import _sample_cloud
-from polyproj.streams import derive_generator
+from polyproj.hull import _GENERAL_POSITION_TOL, _sample_cloud
+from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator
 
 from oracles import full_dimensional, lp_zonotope_f_vector, zonotope_vertex_cloud
 
@@ -101,7 +103,8 @@ def test_hull_degenerate_inputs():
 # zonotopes
 
 
-@pytest.mark.parametrize("n,d", [(3, 2), (5, 2), (3, 3), (4, 3), (5, 3), (4, 4), (5, 4)])
+@pytest.mark.parametrize("n,d", [(3, 2), (5, 2), (3, 3), (4, 3), (5, 3), (4, 4), (5, 4),
+                                 (15, 2), (15, 3), (15, 6)])  # n = 15 is the cap
 def test_zonotope_counts_match_closed_form(n, d):
     # generic generators give the same f-vector almost surely
     for rep in range(3):
@@ -112,7 +115,7 @@ def test_zonotope_counts_match_closed_form(n, d):
         )
 
 
-@pytest.mark.parametrize("n,d", [(4, 2), (4, 3), (5, 3)])
+@pytest.mark.parametrize("n,d", [(4, 2), (4, 3), (5, 3), (7, 4), (7, 5), (8, 6)])
 def test_zonotope_counts_match_hull_of_subset_sums(n, d):
     rng = derive_generator(29, n, d)
     g = rng.standard_normal((n, d))
@@ -121,11 +124,42 @@ def test_zonotope_counts_match_hull_of_subset_sums(n, d):
     assert fv.counts == hull.counts
 
 
-@pytest.mark.parametrize("n,d", [(5, 3), (6, 2)])
+@pytest.mark.parametrize("n,d", [(5, 3), (6, 2), (6, 5), (7, 6)])
 def test_zonotope_counts_match_lp_route(n, d):
     rng = derive_generator(31, n, d)
     g = rng.standard_normal((n, d))
     assert zonotope_f_vector(g).counts == lp_zonotope_f_vector(g)
+
+
+def _near_span_generators(d, gap):
+    # e_1 .. e_{d-1} and one unit generator at distance `gap` from their span;
+    # every other general-position quantity of this set is at least `gap`
+    g = np.eye(d)
+    g[d - 1, : d - 1] = math.sqrt((1.0 - gap**2) / (d - 1))
+    g[d - 1, d - 1] = gap
+    return g
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_general_position_tolerance_boundary(d):
+    with pytest.raises(DegenerateGeometryError):
+        zonotope_f_vector(_near_span_generators(d, 0.5 * _GENERAL_POSITION_TOL))
+    # d generators in general position span a parallelotope, a d-cube's f-vector
+    fv = zonotope_f_vector(_near_span_generators(d, 2.0 * _GENERAL_POSITION_TOL))
+    assert fv.counts == tuple(int(expected_f_zonotope(d, d, k).value) for k in range(d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_zero_generator_tolerance_boundary(d):
+    g = derive_generator(41, d).standard_normal((d + 2, d))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    g[0] *= 0.5 * _GENERAL_POSITION_TOL
+    with pytest.raises(DegenerateGeometryError):
+        zonotope_f_vector(g)
+    g[0] *= 4.0
+    assert zonotope_f_vector(g).counts == tuple(
+        int(expected_f_zonotope(d + 2, d, k).value) for k in range(d)
+    )
 
 
 def test_zonotope_degenerate_generators():
@@ -138,6 +172,17 @@ def test_zonotope_degenerate_generators():
         zonotope_f_vector(np.zeros((16, 3)))
     with pytest.raises(InvalidArgumentError):
         zonotope_f_vector(np.zeros(3))
+
+
+@pytest.mark.parametrize("index", range(100, 150))
+def test_projected_cube_frame_zonotope_matches_hull(index):
+    # the shadow of the cube is the zonotope of the frame rows; qhull on the
+    # 2^n projected vertices stays the independent route (index 104 is the
+    # draw with a nearly flat merged facet)
+    key = (11, SIM_REPLICATION, MODEL_CODES["projected_cube"], 8, 3, index, 0)
+    frame = random_orthonormal_frame(8, 3, derive_generator(*key))
+    cloud = _sample_cloud("projected_cube", 8, 3, derive_generator(*key))
+    assert zonotope_f_vector(frame).counts == hull_f_vector(cloud).counts
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +237,15 @@ def test_simulate_zonotope_has_zero_variance():
     assert result.replications == 40
     for k, expected in enumerate((14.0, 24.0, 12.0)):
         assert result.means[k].value == expected
+        assert result.means[k].std_error == 0.0
+
+
+def test_simulate_projected_cube_has_zero_variance():
+    cfg = SimConfig(model="projected_cube", n=8, d=3, replications=200, seed=5)
+    result = simulate_expected_f(cfg)
+    assert result.degenerate_events == 0
+    for k in range(3):
+        assert result.means[k].value == expected_f_zonotope(8, 3, k).value
         assert result.means[k].std_error == 0.0
 
 

@@ -1,9 +1,14 @@
-"""Static check: every name a polyproj module imports is used in that module.
+"""Import hygiene: every name a polyproj module imports is used in that module,
+and importing the CLI leaves scipy.optimize unloaded.
 
-The package's __init__ is exempt; its imports are the public re-exports.
+The package's __init__ is exempt from the unused-import scan; its imports are
+the public re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +41,12 @@ def test_scanner_flags_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # a fresh interpreter, so modules the test run itself loaded do not count
+    code = "import sys, polyproj.cli; print('scipy.optimize' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
