@@ -9,9 +9,14 @@ Random models
   projected_crosspolytope  image of the n-crosspolytope (2n vertices)
   projected_cube           image of the n-cube (2^n vertices)
 
-Hulls go through qhull; the full face lattice is recovered either by a
-simplicial fast path (k-faces are the (k+1)-subsets of facet vertex sets) or,
-when facets merge, by closing the facet vertex sets under intersection.
+Hulls go through qhull, whose output is triangulated.  Two neighbouring
+simplices lie on one facet when their [normal, offset] rows agree within
+_FACET_TOL, which one vectorized comparison over qhull's neighbour array
+tests.  If no neighbours agree the hull is simplicial and its k-faces are the
+distinct (k+1)-subsets of the simplices, counted by sorting one integer key
+per subset; otherwise facet labels spread over agreeing neighbours, and the
+face lattice is recovered by closing the facet vertex sets under
+intersection.
 Zonotope f-vectors are counted combinatorially: a k-face is a covector of
 the generators' hyperplane arrangement with k zeros, and every covector is
 read off a ray of the arrangement, so one batched SVD and one np.unique count
@@ -51,8 +56,16 @@ _MAX_GENERATORS = 15
 _MAX_ATTEMPTS = 5
 _DEGENERATE_RATE_LIMIT = 1e-3
 _GENERAL_POSITION_TOL = 1e-9  # on unit generators: singular values and distances to spans
-_RANK_TOL = 1e-9  # relative to the cloud's extent, like the 9-digit facet grouping
+_FACET_TOL = 1e-9  # largest entry difference of two simplices' [normal, offset] rows on one facet
+_RANK_TOL = 1e-9  # relative to the cloud's extent, on the scale of _FACET_TOL
 _BLOCK = 512
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# column index sets of the j-subsets of a d-column row, for the simplicial path
+_COLUMN_SUBSETS = {
+    (d, j): np.array(list(combinations(range(d), j)))
+    for d in range(2, _MAX_HULL_DIM + 1)
+    for j in range(2, d)
+}
 
 
 @dataclass(frozen=True)
@@ -142,6 +155,15 @@ def _sample_cloud(model: str, n: int, d: int, rng: np.random.Generator) -> np.nd
 def hull_f_vector(points: np.ndarray) -> FVectorSample:
     """Exact f-vector (f_0 .. f_{d-1}) of the convex hull of a point cloud.
 
+    qhull's simplices are merged into facets across ridges where the two
+    neighbours' [normal, offset] rows differ by at most _FACET_TOL in every
+    entry; merging follows the neighbour graph, so one facet is never split
+    by where its rows happen to round.  With nothing merged the hull is
+    simplicial and each f_k is the number of distinct sorted (k+1)-subsets
+    of the simplices' vertex ids; merged facets go through intersection
+    closure, with faces below the facets ranked at _RANK_TOL times the
+    cloud's extent.
+
     Flat inputs come back flagged degenerate rather than raising; other qhull
     failures raise a degeneracy error.  Dimension is capped at 6: face-lattice
     recovery enumerates vertex subsets and is meant for desk-scale checks.
@@ -161,27 +183,32 @@ def hull_f_vector(points: np.ndarray) -> FVectorSample:
             return FVectorSample((0,) * d, degenerate=True)
         raise DegenerateGeometryError(f"qhull failed on non-flat input: {exc}") from exc
 
-    # group the triangulated output back into genuine facets by hyperplane
-    groups: dict[bytes, set[int]] = {}
-    for simplex, eq in zip(hull.simplices, hull.equations):
-        key = np.round(eq, 9).tobytes()
-        groups.setdefault(key, set()).update(int(v) for v in simplex)
-    facet_sets = [frozenset(g) for g in groups.values()]
-
-    counts = [0] * d
-    counts[0] = len(hull.vertices)
-    counts[d - 1] = len(facet_sets)
-    if d <= 2:
-        return FVectorSample(tuple(counts))
-
-    if all(len(fs) == d for fs in facet_sets):
+    simplices, eq, nb = hull.simplices, hull.equations, hull.neighbors
+    # neighbouring simplices lie on one facet when their hyperplanes agree;
+    # nb[i, j] is the simplex across the ridge opposite vertex j of simplex i
+    close = np.abs(eq[nb] - eq[:, None]).max(axis=2) <= _FACET_TOL
+    if not close.any():
         # simplicial hull: every k-face is a (k+1)-subset of some facet
-        for k in range(1, d - 1):
-            seen: set[tuple[int, ...]] = set()
-            for fs in facet_sets:
-                seen.update(combinations(sorted(fs), k + 1))
-            counts[k] = len(seen)
+        ordered = np.sort(simplices, axis=1)
+        counts = [len(hull.vertices)] + [
+            _count_distinct_rows(ordered[:, _COLUMN_SUBSETS[d, k + 1]].reshape(-1, k + 1), len(pts))
+            for k in range(1, d - 1)
+        ] + [len(simplices)]
         return FVectorSample(tuple(counts))
+
+    # each facet is labelled by the least simplex index among its simplices,
+    # spread over close neighbours until no label moves
+    label = np.arange(len(simplices))
+    while True:
+        relaxed = np.minimum(label, np.where(close, label[nb], len(simplices)).min(axis=1))
+        if np.array_equal(relaxed, label):
+            break
+        label = relaxed
+    order = np.argsort(label, kind="stable")
+    bounds = np.flatnonzero(np.diff(label[order])) + 1
+    facet_sets = [frozenset(block.ravel().tolist()) for block in np.split(simplices[order], bounds)]
+    if d == 2:
+        return FVectorSample((len(hull.vertices), len(facet_sets)))
 
     # merged facets: close the facet vertex sets under intersection, then
     # bucket every face by its affine dimension
@@ -211,6 +238,24 @@ def hull_f_vector(points: np.ndarray) -> FVectorSample:
         if dim <= d - 2:
             counts[dim] += 1
     return FVectorSample(tuple(counts))
+
+
+def _count_distinct_rows(rows: np.ndarray, base: int) -> int:
+    """Number of distinct rows of a nonnegative integer array with entries below base.
+
+    Each row is read as a base-`base` integer key.  `top` bounds the keys
+    read so far; when the next digit could overflow int64 they are first
+    renumbered densely, which keeps their order and their distinctness.
+    """
+    key, top = rows[:, 0].astype(np.int64), base
+    for col in rows.T[1:]:
+        if top * base > _INT64_MAX:
+            key = np.unique(key, return_inverse=True)[1]
+            top = len(key)
+        key = key * base + col
+        top *= base
+    key.sort()
+    return int(np.count_nonzero(key[1:] != key[:-1])) + 1
 
 
 def zonotope_f_vector(generators: np.ndarray) -> FVectorSample:

@@ -4,8 +4,9 @@ Everything here deliberately takes a different route than the library:
 quadrature instead of sampling, determinants instead of closed forms, linear
 programming instead of least squares, least squares on cone generators instead
 of half-space tests, modified Gram-Schmidt one basis vector at a time instead
-of blocked classical Gram-Schmidt, and raw subset enumeration instead of qhull
-bookkeeping.
+of blocked classical Gram-Schmidt, raw subset enumeration instead of qhull
+bookkeeping, and facets grouped by rounded hyperplane equations instead of
+by qhull's neighbour graph.
 Agreement between routes is the point.
 """
 
@@ -17,6 +18,7 @@ from itertools import combinations
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linprog, nnls
+from scipy.spatial import ConvexHull
 from scipy.stats import norm
 
 
@@ -187,3 +189,51 @@ def full_dimensional(points: np.ndarray) -> np.ndarray:
     _, s, vt = np.linalg.svd(rel, full_matrices=False)
     rank = int((s > 1e-10 * s[0]).sum())
     return rel @ vt[:rank].T
+
+
+def rounded_facet_f_vector(points: np.ndarray) -> tuple[int, ...]:
+    """f-vector of a full-dimensional hull, facets grouped by rounded equations.
+
+    Every simplex of qhull's triangulated output is filed under its
+    [normal, offset] row rounded to 9 places, one simplex at a time;
+    simplicial hulls count k-faces as distinct (k+1)-subsets of facets, and
+    merged ones close the facets under intersection and rank each face.
+    Rounding can split one facet whose rows straddle a rounding boundary, so
+    inputs are kept away from such near-ties.
+    """
+    pts = np.asarray(points, dtype=float)
+    d = pts.shape[1]
+    hull = ConvexHull(pts)
+    groups: dict[bytes, set[int]] = {}
+    for simplex, eq in zip(hull.simplices, hull.equations):
+        groups.setdefault(np.round(eq, 9).tobytes(), set()).update(int(v) for v in simplex)
+    facet_sets = [frozenset(g) for g in groups.values()]
+    counts = [0] * d
+    counts[0] = len(hull.vertices)
+    counts[d - 1] = len(facet_sets)
+    if d <= 2:
+        return tuple(counts)
+    if all(len(fs) == d for fs in facet_sets):
+        for k in range(1, d - 1):
+            counts[k] = len({sub for fs in facet_sets for sub in combinations(sorted(fs), k + 1)})
+        return tuple(counts)
+    faces = set(facet_sets)
+    frontier = list(facet_sets)
+    while frontier:
+        fresh = []
+        for f in frontier:
+            for g in facet_sets:
+                h = f & g
+                if h and h not in faces:
+                    faces.add(h)
+                    fresh.append(h)
+        frontier = fresh
+    rank_tol = 1e-9 * float(np.abs(pts - pts.mean(axis=0)).max())
+    counts = [0] * d
+    counts[d - 1] = len(facet_sets)
+    for fs in faces.difference(facet_sets):
+        idx = sorted(fs)
+        dim = 0 if len(idx) == 1 else int(np.linalg.matrix_rank(pts[idx[1:]] - pts[idx[0]], tol=rank_tol))
+        if dim <= d - 2:
+            counts[dim] += 1
+    return tuple(counts)

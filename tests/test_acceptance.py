@@ -16,6 +16,8 @@ import time
 from fractions import Fraction
 from math import comb
 
+import pytest
+
 from polyproj import (
     Family,
     SimConfig,
@@ -117,6 +119,7 @@ def test_criterion_2_zonotope_determinism(capsys):
              f"{elapsed:.1f}s < 60s; failures {failures[:4]}")
 
 
+@pytest.mark.slow
 def test_criterion_3_gaussian_equivalence(capsys):
     t0 = time.monotonic()
     failures = []
@@ -201,6 +204,7 @@ def test_criterion_5_angle_identities(capsys):
              f"codim-1 exact, {elapsed:.0f}s < 300s; failures {failures[:4]}")
 
 
+@pytest.mark.slow
 def test_criterion_6_monotonicity_tables(capsys):
     t0 = time.monotonic()
     failures = []

@@ -17,10 +17,15 @@ from polyproj import (
     vertices,
     zonotope_f_vector,
 )
-from polyproj.hull import _GENERAL_POSITION_TOL, _sample_cloud
+from polyproj.hull import _FACET_TOL, _GENERAL_POSITION_TOL, _count_distinct_rows, _sample_cloud
 from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator
 
-from oracles import full_dimensional, lp_zonotope_f_vector, zonotope_vertex_cloud
+from oracles import (
+    full_dimensional,
+    lp_zonotope_f_vector,
+    rounded_facet_f_vector,
+    zonotope_vertex_cloud,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -31,6 +36,24 @@ def test_hull_square_pyramid():
     # one merged square facet among triangles
     pts = np.array([[1, 1, 0], [1, -1, 0], [-1, 1, 0], [-1, -1, 0], [0, 0, 1.0]])
     assert hull_f_vector(pts).counts == (5, 8, 5)
+
+
+def test_hull_facet_straddling_a_rounding_boundary_is_one_facet():
+    # the base rows differ by about 5e-13; rounded to 9 places one of their
+    # components is 0.0 and the other -0.0, whose bytes differ
+    c = 0.3
+    pts = np.array([[1, 1, -c], [1, -1, -c], [-1, 1, -c], [-1, -1, -c + 1e-12], [0, 0, 1]])
+    assert hull_f_vector(pts).counts == (5, 8, 5)
+
+
+@pytest.mark.parametrize("factor,expected", [(0.5, (5, 8, 5)), (2.0, (5, 9, 6))])
+def test_facet_tolerance_boundary(factor, expected):
+    # the bottom triangles (a, b, p) and (a, b, q) share the ridge ab; lifting
+    # q by t tilts the second one so that their [normal, offset] rows differ
+    # by t / sqrt(1 + t^2) in the y entry and by less elsewhere
+    t = factor * _FACET_TOL
+    pts = np.array([[-1, 0, 0], [1, 0, 0], [0, -1, 0], [0, 1, t], [0, 0, 1.0]])
+    assert hull_f_vector(pts).counts == expected
 
 
 def test_hull_regular_polygon():
@@ -85,6 +108,40 @@ def test_hull_flat_merged_facet_is_counted():
     f0, f1, f2 = hull_f_vector(cloud).counts
     assert (f0, f1, f2) == (58, 112, 56)
     assert f0 - f1 + f2 == 2
+
+
+_ORACLE_MODELS = {"gaussian": 5, "symmetric": 2, "projected_simplex": 4, "projected_crosspolytope": 2}
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("model", sorted(_ORACLE_MODELS))
+def test_hull_matches_rounded_facet_oracle(model, d):
+    # the per-simplex rounding grouping the library used before it read
+    # qhull's neighbour graph, on 50 replication streams of each model
+    n = d + _ORACLE_MODELS[model]
+    for index in range(50):
+        rng = derive_generator(13, SIM_REPLICATION, MODEL_CODES[model], n, d, index, 0)
+        cloud = _sample_cloud(model, n, d, rng)
+        assert hull_f_vector(cloud).counts == rounded_facet_f_vector(cloud)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("family", [Family.SIMPLEX, Family.CROSSPOLYTOPE, Family.CUBE])
+def test_hull_regular_solids_match_rounded_facet_oracle(family, n):
+    pts = vertices(family, n).astype(float)
+    if family is Family.SIMPLEX:
+        pts = full_dimensional(pts)
+    assert hull_f_vector(pts).counts == rounded_facet_f_vector(pts)
+
+
+def test_count_distinct_rows_renumbers_before_overflow():
+    # five digits of base 2^40 overflow int64 unless the keys are renumbered;
+    # entries 2^24 apart would wrap onto one another
+    base = 2**40
+    rows = derive_generator(43).integers(0, 4, size=(400, 5)) * 2**24
+    rows = np.vstack([rows, rows[:100]])
+    assert _count_distinct_rows(rows, base) == len(np.unique(rows, axis=0))
+    assert _count_distinct_rows(rows[:, :1], base) == len(np.unique(rows[:, 0]))
 
 
 def test_hull_degenerate_inputs():

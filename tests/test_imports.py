@@ -1,5 +1,5 @@
 """Import hygiene: every name a polyproj module imports is used in that module,
-and importing the CLI leaves scipy.optimize unloaded.
+and importing the CLI leaves scipy.optimize and scipy.sparse.csgraph unloaded.
 
 The package's __init__ is exempt from the unused-import scan; its imports are
 the public re-exports.
@@ -43,10 +43,20 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
+def loaded_after_cli_import(module: str) -> str:
     # a fresh interpreter, so modules the test run itself loaded do not count
-    code = "import sys, polyproj.cli; print('scipy.optimize' in sys.modules)"
+    code = f"import sys, polyproj.cli; print({module!r} in sys.modules)"
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    assert loaded_after_cli_import("scipy.optimize") == "False"
+
+
+def test_cli_import_leaves_scipy_sparse_csgraph_unloaded():
+    # facets are merged over qhull's neighbour graph with array operations,
+    # so no graph library joins the start-up cost
+    assert loaded_after_cli_import("scipy.sparse.csgraph") == "False"
