@@ -14,9 +14,10 @@ simplices lie on one facet when their [normal, offset] rows agree within
 _FACET_TOL, which one vectorized comparison over qhull's neighbour array
 tests.  If no neighbours agree the hull is simplicial and its k-faces are the
 distinct (k+1)-subsets of the simplices, counted by sorting one integer key
-per subset; otherwise facet labels spread over agreeing neighbours, and the
-face lattice is recovered by closing the facet vertex sets under
-intersection.
+per subset, with the hull's position as the key's top digit so that one sort
+per k counts many hulls at once; otherwise facet labels spread over
+agreeing neighbours, and the face lattice is recovered by closing the facet
+vertex sets under intersection.
 Zonotope f-vectors are counted combinatorially: a k-face is a covector of
 the generators' hyperplane arrangement with k zeros, and every covector is
 read off a ray of the arrangement, so one batched SVD and one np.unique count
@@ -25,7 +26,12 @@ the same way.
 
 Every replication draws from its own counter-based stream derived from
 (seed, model, n, d, replication index, attempt), so estimates are identical
-for any worker count and assembly order.
+for any worker count and assembly order.  Replications run in blocks of
+_BLOCK: one derive_keys call gives the attempt-0 Philox keys of the whole
+block, one Philox is re-keyed per replication, and only a degenerate draw's
+resample builds its own generator with derive_generator.  The draws are the
+ones derive_generator's generators would give, so reports do not depend on
+the blocking.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
+from numpy.random import Generator, Philox
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
@@ -46,8 +53,8 @@ from .errors import (
     SimulationAbortError,
 )
 from .expected import Estimate
-from .families import Family, vertices
-from .streams import MODEL_CODES, SIM_REPLICATION, derive_generator
+from .families import Family, check_int, vertices
+from .streams import MODEL_CODES, SIM_REPLICATION, derive_generator, derive_keys, rekey
 
 MODELS = tuple(MODEL_CODES)
 
@@ -59,12 +66,13 @@ _GENERAL_POSITION_TOL = 1e-9  # on unit generators: singular values and distance
 _FACET_TOL = 1e-9  # largest entry difference of two simplices' [normal, offset] rows on one facet
 _RANK_TOL = 1e-9  # relative to the cloud's extent, on the scale of _FACET_TOL
 _BLOCK = 512
+_COUNT_BATCH = 2048  # simplices counted by one sort per k; caps the key arrays at 2048 * C(d, k+1) entries
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # column index sets of the j-subsets of a d-column row, for the simplicial path
 _COLUMN_SUBSETS = {
     (d, j): np.array(list(combinations(range(d), j)))
     for d in range(2, _MAX_HULL_DIM + 1)
-    for j in range(2, d)
+    for j in range(1, d)
 }
 
 
@@ -88,14 +96,11 @@ class SimConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise InvalidArgumentError(f"unknown model {self.model!r}, expected one of {MODELS}")
+        # NumPy integers are stored as Python ints
+        for name, lo in (("n", None), ("d", None), ("replications", 1), ("seed", 0), ("workers", 1)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
         if not (2 <= self.d <= _MAX_HULL_DIM):
             raise InvalidDimensionError(f"hull dimension must be in 2..{_MAX_HULL_DIM}, got {self.d}")
-        if self.replications < 1:
-            raise InvalidArgumentError(f"replications must be >= 1, got {self.replications}")
-        if self.seed < 0:
-            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
-        if self.workers < 1:
-            raise InvalidArgumentError(f"workers must be >= 1, got {self.workers}")
         min_n = {
             "gaussian": self.d + 1,
             "symmetric": self.d,
@@ -159,10 +164,9 @@ def hull_f_vector(points: np.ndarray) -> FVectorSample:
     neighbours' [normal, offset] rows differ by at most _FACET_TOL in every
     entry; merging follows the neighbour graph, so one facet is never split
     by where its rows happen to round.  With nothing merged the hull is
-    simplicial and each f_k is the number of distinct sorted (k+1)-subsets
-    of the simplices' vertex ids; merged facets go through intersection
-    closure, with faces below the facets ranked at _RANK_TOL times the
-    cloud's extent.
+    simplicial and goes to _simplicial_f_vectors; merged facets go through
+    intersection closure, with faces below the facets ranked at _RANK_TOL
+    times the cloud's extent.
 
     Flat inputs come back flagged degenerate rather than raising; other qhull
     failures raise a degeneracy error.  Dimension is capped at 6: face-lattice
@@ -171,9 +175,23 @@ def hull_f_vector(points: np.ndarray) -> FVectorSample:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise InvalidArgumentError("points must be a 2-d array")
-    m, d = pts.shape
+    d = pts.shape[1]
     if not (2 <= d <= _MAX_HULL_DIM):
         raise InvalidDimensionError(f"hull dimension must be in 2..{_MAX_HULL_DIM}, got {d}")
+    fv = _f_vector_or_simplices(pts)
+    if isinstance(fv, FVectorSample):
+        return fv
+    return FVectorSample(tuple(int(c) for c in _simplicial_f_vectors([fv])[0]))
+
+
+def _f_vector_or_simplices(pts: np.ndarray) -> FVectorSample | np.ndarray:
+    """The simplices of qhull's hull of pts if it is simplicial, else its f-vector.
+
+    A flat cloud gives a degenerate FVectorSample; a hull with merged facets
+    is counted here by intersection closure.  Simplicial hulls are handed
+    back as qhull's simplices so that many of them can be counted at once.
+    """
+    m, d = pts.shape
     if m < d + 1:
         return FVectorSample((0,) * d, degenerate=True)
     try:
@@ -188,13 +206,7 @@ def hull_f_vector(points: np.ndarray) -> FVectorSample:
     # nb[i, j] is the simplex across the ridge opposite vertex j of simplex i
     close = np.abs(eq[nb] - eq[:, None]).max(axis=2) <= _FACET_TOL
     if not close.any():
-        # simplicial hull: every k-face is a (k+1)-subset of some facet
-        ordered = np.sort(simplices, axis=1)
-        counts = [len(hull.vertices)] + [
-            _count_distinct_rows(ordered[:, _COLUMN_SUBSETS[d, k + 1]].reshape(-1, k + 1), len(pts))
-            for k in range(1, d - 1)
-        ] + [len(simplices)]
-        return FVectorSample(tuple(counts))
+        return simplices
 
     # each facet is labelled by the least simplex index among its simplices,
     # spread over close neighbours until no label moves
@@ -240,22 +252,49 @@ def hull_f_vector(points: np.ndarray) -> FVectorSample:
     return FVectorSample(tuple(counts))
 
 
-def _count_distinct_rows(rows: np.ndarray, base: int) -> int:
-    """Number of distinct rows of a nonnegative integer array with entries below base.
+def _simplicial_f_vectors(simplices: list[np.ndarray]) -> np.ndarray:
+    """f-vectors, one int64 row per hull, of simplicial hulls given by their simplices.
 
-    Each row is read as a base-`base` integer key.  `top` bounds the keys
-    read so far; when the next digit could overflow int64 they are first
-    renumbered densely, which keeps their order and their distinctness.
+    f_{d-1} counts a hull's simplices, and f_k for k <= d-2 its distinct
+    sorted (k+1)-subsets of simplex vertex ids; each f_k of every hull comes
+    from one _count_distinct_rows call.
     """
-    key, top = rows[:, 0].astype(np.int64), base
-    for col in rows.T[1:]:
+    d = simplices[0].shape[1]
+    sizes = [len(s) for s in simplices]
+    ordered = np.sort(np.concatenate(simplices), axis=1)
+    base = int(ordered.max()) + 1
+    owner = np.repeat(np.arange(len(simplices)), sizes)
+    rows = np.empty((len(simplices), d), dtype=np.int64)
+    rows[:, d - 1] = sizes
+    for k in range(d - 1):
+        cols = _COLUMN_SUBSETS[d, k + 1]
+        subsets = ordered[:, cols].reshape(-1, k + 1)
+        rows[:, k] = _count_distinct_rows(subsets, base, np.repeat(owner, len(cols)), len(simplices))
+    return rows
+
+
+def _count_distinct_rows(rows: np.ndarray, base: int, group: np.ndarray, groups: int) -> np.ndarray:
+    """Number of distinct rows in each group, for integer rows with entries in [0, base).
+
+    group is the nondecreasing group index (below `groups`) of each row.  A
+    row's key has its group as the top digit and its entries as base-`base`
+    digits below, so after one sort the keys still sit in group order and one
+    bincount over the first key of each run counts every group.  `top` bounds
+    the keys read so far; when the next digit could overflow int64 they are
+    first renumbered densely, which keeps their order and their distinctness.
+    """
+    key, top = group.astype(np.int64), groups
+    for col in rows.T:
         if top * base > _INT64_MAX:
             key = np.unique(key, return_inverse=True)[1]
             top = len(key)
-        key = key * base + col
+        key *= base
+        key += col
         top *= base
     key.sort()
-    return int(np.count_nonzero(key[1:] != key[:-1])) + 1
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    return np.bincount(group[first], minlength=groups)
 
 
 def zonotope_f_vector(generators: np.ndarray) -> FVectorSample:
@@ -317,26 +356,38 @@ class SimulationResult:
     degenerate_events: int
 
 
-def _one_replication(model: str, n: int, d: int, seed: int, index: int) -> tuple[np.ndarray, int]:
+def _sample_f_vector(model: str, n: int, d: int, rng: np.random.Generator) -> FVectorSample | np.ndarray:
+    """One draw of the model: its f-vector, or its hull's simplices when that is simplicial."""
+    if model == "zonotope":
+        return zonotope_f_vector(rng.standard_normal((n, d)))
+    if model == "projected_cube":
+        # the cube's shadow is the zonotope of the frame rows, drawn as
+        # _sample_cloud draws it
+        return zonotope_f_vector(random_orthonormal_frame(n, d, rng))
+    return _f_vector_or_simplices(_sample_cloud(model, n, d, rng))
+
+
+def _one_replication(
+    model: str, n: int, d: int, seed: int, index: int, rng: np.random.Generator
+) -> tuple[FVectorSample | np.ndarray, int]:
+    """Replication `index` and its count of degenerate attempts.
+
+    rng is the attempt-0 stream; a degenerate draw is resampled from the
+    stream of the next attempt, derived on its own.
+    """
     degen = 0
     for attempt in range(_MAX_ATTEMPTS):
-        rng = derive_generator(seed, SIM_REPLICATION, MODEL_CODES[model], n, d, index, attempt)
+        if attempt:
+            rng = derive_generator(seed, SIM_REPLICATION, MODEL_CODES[model], n, d, index, attempt)
         try:
-            if model == "zonotope":
-                fv = zonotope_f_vector(rng.standard_normal((n, d)))
-            elif model == "projected_cube":
-                # the cube's shadow is the zonotope of the frame rows, drawn as
-                # _sample_cloud draws it
-                fv = zonotope_f_vector(random_orthonormal_frame(n, d, rng))
-            else:
-                fv = hull_f_vector(_sample_cloud(model, n, d, rng))
+            fv = _sample_f_vector(model, n, d, rng)
         except DegenerateGeometryError:
             degen += 1
             continue
-        if fv.degenerate:
+        if isinstance(fv, FVectorSample) and fv.degenerate:
             degen += 1
             continue
-        return np.asarray(fv.counts, dtype=np.int64), degen
+        return fv, degen
     raise SimulationAbortError(
         f"replication {index} of model {model} stayed degenerate after {_MAX_ATTEMPTS} attempts",
         degenerate=degen,
@@ -345,12 +396,37 @@ def _one_replication(model: str, n: int, d: int, seed: int, index: int) -> tuple
 
 
 def _replication_block(args: tuple[str, int, int, int, int, int]) -> tuple[int, np.ndarray, int]:
+    """Rows lo..hi-1 of a simulation and their degenerate-attempt count.
+
+    The attempt-0 keys of the whole block come from one derive_keys call and
+    one Philox is re-keyed for each replication.  The simplices of simplicial
+    hulls are set aside and counted together whenever _COUNT_BATCH simplices
+    wait, and at the end of the block.
+    """
     model, n, d, seed, lo, hi = args
+    keys = derive_keys(seed, SIM_REPLICATION, MODEL_CODES[model], n, d, np.arange(lo, hi), 0)
+    bitgen = Philox(key=0)
+    rng = Generator(bitgen)
     rows = np.zeros((hi - lo, d), dtype=np.int64)
     degen = 0
-    for i in range(lo, hi):
-        rows[i - lo], extra = _one_replication(model, n, d, seed, i)
+    simplicial: list[np.ndarray] = []
+    at: list[int] = []
+    pending = 0
+    for j, key in enumerate(keys):
+        rekey(bitgen, key)
+        fv, extra = _one_replication(model, n, d, seed, lo + j, rng)
         degen += extra
+        if isinstance(fv, FVectorSample):
+            rows[j] = fv.counts
+            continue
+        simplicial.append(fv)
+        at.append(j)
+        pending += len(fv)
+        if pending >= _COUNT_BATCH:
+            rows[at] = _simplicial_f_vectors(simplicial)
+            simplicial, at, pending = [], [], 0
+    if simplicial:
+        rows[at] = _simplicial_f_vectors(simplicial)
     return lo, rows, degen
 
 

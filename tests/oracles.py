@@ -5,8 +5,10 @@ quadrature instead of sampling, determinants instead of closed forms, linear
 programming instead of least squares, least squares on cone generators instead
 of half-space tests, modified Gram-Schmidt one basis vector at a time instead
 of blocked classical Gram-Schmidt, raw subset enumeration instead of qhull
-bookkeeping, and facets grouped by rounded hyperplane equations instead of
-by qhull's neighbour graph.
+bookkeeping, facets grouped by rounded hyperplane equations instead of
+by qhull's neighbour graph, and one freshly derived generator and one
+f-vector call per replication instead of batched stream keys and
+block-wise face counting.
 Agreement between routes is the point.
 """
 
@@ -237,3 +239,49 @@ def rounded_facet_f_vector(points: np.ndarray) -> tuple[int, ...]:
         if dim <= d - 2:
             counts[dim] += 1
     return tuple(counts)
+
+
+def per_replication_rows(model: str, n: int, d: int, seed: int, replications: int,
+                         sampler=None) -> tuple[np.ndarray, np.ndarray]:
+    """simulate's f-vector rows and per-replication degenerate counts, one replication at a time.
+
+    The replication loop simulate_expected_f ran before it worked a block at
+    a time: every attempt builds its own generator with derive_generator and
+    counts its hull alone with hull_f_vector.  sampler stands in for
+    polyproj.hull._sample_cloud when given.
+    """
+    from polyproj.errors import DegenerateGeometryError, SimulationAbortError
+    from polyproj.hull import (
+        _MAX_ATTEMPTS,
+        _sample_cloud,
+        hull_f_vector,
+        random_orthonormal_frame,
+        zonotope_f_vector,
+    )
+    from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator
+
+    sampler = sampler or _sample_cloud
+    rows = np.zeros((replications, d), dtype=np.int64)
+    degenerate = np.zeros(replications, dtype=np.int64)
+    for index in range(replications):
+        for attempt in range(_MAX_ATTEMPTS):
+            rng = derive_generator(seed, SIM_REPLICATION, MODEL_CODES[model], n, d, index, attempt)
+            try:
+                if model == "zonotope":
+                    fv = zonotope_f_vector(rng.standard_normal((n, d)))
+                elif model == "projected_cube":
+                    fv = zonotope_f_vector(random_orthonormal_frame(n, d, rng))
+                else:
+                    fv = hull_f_vector(sampler(model, n, d, rng))
+            except DegenerateGeometryError:
+                degenerate[index] += 1
+                continue
+            if fv.degenerate:
+                degenerate[index] += 1
+                continue
+            rows[index] = fv.counts
+            break
+        else:
+            raise SimulationAbortError(f"replication {index} stayed degenerate",
+                                       degenerate=int(degenerate[index]), replications=index)
+    return rows, degenerate

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence
 
 from polyproj import (
     DegenerateGeometryError,
@@ -17,12 +18,19 @@ from polyproj import (
     vertices,
     zonotope_f_vector,
 )
-from polyproj.hull import _FACET_TOL, _GENERAL_POSITION_TOL, _count_distinct_rows, _sample_cloud
+from polyproj.hull import (
+    _FACET_TOL,
+    _GENERAL_POSITION_TOL,
+    _count_distinct_rows,
+    _replication_block,
+    _sample_cloud,
+)
 from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator
 
 from oracles import (
     full_dimensional,
     lp_zonotope_f_vector,
+    per_replication_rows,
     rounded_facet_f_vector,
     zonotope_vertex_cloud,
 )
@@ -140,8 +148,13 @@ def test_count_distinct_rows_renumbers_before_overflow():
     base = 2**40
     rows = derive_generator(43).integers(0, 4, size=(400, 5)) * 2**24
     rows = np.vstack([rows, rows[:100]])
-    assert _count_distinct_rows(rows, base) == len(np.unique(rows, axis=0))
-    assert _count_distinct_rows(rows[:, :1], base) == len(np.unique(rows[:, 0]))
+    one = np.zeros(len(rows), dtype=np.int64)
+    assert _count_distinct_rows(rows, base, one, 1).tolist() == [len(np.unique(rows, axis=0))]
+    assert _count_distinct_rows(rows[:, :1], base, one, 1).tolist() == [len(np.unique(rows[:, 0]))]
+    # three groups, one of them empty: rows shared across groups count in each
+    group = np.repeat([0, 2], [250, 250])
+    expected = [len(np.unique(rows[:250], axis=0)), 0, len(np.unique(rows[250:], axis=0))]
+    assert _count_distinct_rows(rows, base, group, 3).tolist() == expected
 
 
 def test_hull_degenerate_inputs():
@@ -286,6 +299,19 @@ def test_sim_config_validation():
         SimConfig(model="gaussian", n=5, d=2, replications=5, seed=-1)
     with pytest.raises(InvalidArgumentError):
         SimConfig(model="gaussian", n=5, d=2, replications=5, workers=0)
+    # integer fields take ints and NumPy integers, never floats or bools
+    for field, bad in [("n", 5.5), ("d", 3.0), ("replications", True), ("seed", 2.7),
+                       ("workers", "2"), ("seed", np.float64(1.0))]:
+        fields = dict(model="gaussian", n=5, d=3, replications=5, seed=0, workers=1)
+        fields[field] = bad
+        with pytest.raises(InvalidArgumentError, match=field):
+            SimConfig(**fields)
+    cfg = SimConfig(model="gaussian", n=np.int64(5), d=np.int32(3), replications=np.uint16(5),
+                    seed=np.int64(2), workers=np.int8(1))
+    assert (cfg.n, cfg.d, cfg.replications, cfg.seed, cfg.workers) == (5, 3, 5, 2, 1)
+    assert all(type(v) is int for v in (cfg.n, cfg.d, cfg.replications, cfg.seed, cfg.workers))
+    assert simulate_expected_f(cfg).means == simulate_expected_f(
+        SimConfig(model="gaussian", n=5, d=3, replications=5, seed=2)).means
 
 
 def test_simulate_zonotope_has_zero_variance():
@@ -318,6 +344,57 @@ def test_simulate_worker_invariance():
     b = simulate_expected_f(SimConfig(**base, workers=2))
     assert a.means == b.means
     assert a.degenerate_events == b.degenerate_events
+
+
+_BLOCK_ORACLE_EXTRA_N = {"gaussian": 3, "symmetric": 1, "zonotope": 2,
+                         "projected_simplex": 2, "projected_crosspolytope": 1, "projected_cube": 2}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("model", sorted(_BLOCK_ORACLE_EXTRA_N))
+def test_simulate_blocks_match_per_replication_oracle(model, d, tmp_path):
+    # 1, 511, 512 and 513 replications sit on either side of a block edge;
+    # replication i's row does not depend on how many there are
+    n = d + _BLOCK_ORACLE_EXTRA_N[model]
+    rows, degenerate = per_replication_rows(model, n, d, 17, 513)
+    dump = tmp_path / "rows.csv"
+    for r, workers in [(1, 1), (511, 1), (512, 1), (513, 1), (513, 2)]:
+        cfg = SimConfig(model=model, n=n, d=d, replications=r, seed=17, workers=workers)
+        result = simulate_expected_f(cfg, dump_path=str(dump))
+        assert result.degenerate_events == degenerate[:r].sum()
+        dumped = np.loadtxt(dump, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+        assert np.array_equal(dumped[:, 0], np.arange(r))
+        assert np.array_equal(dumped[:, 1:], rows[:r])
+        assert result.means[d - 1].value == float(rows[:r, d - 1].mean())
+
+
+def test_simulate_resamples_degenerate_draws_from_later_attempts(monkeypatch):
+    # flatten the attempt-0 clouds of replications 0, 511, 512 and 1700 and
+    # the attempt-1 cloud of 1700; keys pick the draws, whatever the order
+    model, n, d, seed, r = "gaussian", 6, 3, 23, 5200
+    path = (seed, SIM_REPLICATION, MODEL_CODES[model], n, d)
+    flat = {(0, 0), (511, 0), (512, 0), (1700, 0), (1700, 1)}
+    flat_keys = {tuple(SeedSequence((*path, i, a)).generate_state(2, np.uint64)) for i, a in flat}
+
+    def sampler(model, n, d, rng):
+        key = tuple(rng.bit_generator.state["state"]["key"])
+        cloud = _sample_cloud(model, n, d, rng)
+        if key in flat_keys:
+            cloud[:, -1] = 0.0
+        return cloud
+
+    rows, degenerate = per_replication_rows(model, n, d, seed, r, sampler=sampler)
+    assert degenerate.sum() == 5 and degenerate[1700] == 2
+    monkeypatch.setattr("polyproj.hull._sample_cloud", sampler)
+    lo, block_rows, block_degen = _replication_block((model, n, d, seed, 512, 1024))
+    assert block_degen == 1 and np.array_equal(block_rows, rows[512:1024])
+    result = simulate_expected_f(SimConfig(model=model, n=n, d=d, replications=r, seed=seed))
+    assert result.degenerate_events == 5
+    assert result.means[0].value == float(rows[:, 0].mean())
+    # the resampled rows are the f-vectors of the next attempts' streams
+    for i, attempt in [(0, 1), (511, 1), (512, 1), (1700, 2)]:
+        rng = derive_generator(*path, i, attempt)
+        assert rows[i].tolist() == list(hull_f_vector(_sample_cloud(model, n, d, rng)).counts)
 
 
 def test_simulate_dump_is_deterministic(tmp_path):
