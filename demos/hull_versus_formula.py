@@ -3,19 +3,13 @@
 Each replication builds an actual polytope and counts faces exactly: qhull for
 point clouds, and for zonotopes the distinct covectors of the generators'
 hyperplane arrangement, read off its rays.  The formula side computes the same
-expectations from face counts and cone angles.
+expectations from face counts and cone angles, of the projected polytope each
+model reduces to.
 """
 
 import math
 
-from polyproj import (
-    MCConfig,
-    SimConfig,
-    expected_f_model,
-    expected_f_projection,
-    Family,
-    simulate_expected_f,
-)
+from polyproj import MCConfig, SimConfig, expected_f_model, simulate_expected_f
 
 cfg = MCConfig(samples=200_000, seed=0)
 
@@ -31,10 +25,7 @@ for model, n, d, reps in runs:
     print(f"{model} n={n} d={d} ({reps} replications)")
     for k in range(d):
         sim = result.means[k]
-        if model == "projected_simplex":
-            formula = expected_f_projection(Family.SIMPLEX, n - 1, d, k, cfg)
-        else:
-            formula = expected_f_model(model, n, d, k, cfg)
+        formula = expected_f_model(model, n, d, k, cfg)
         denom = math.hypot(sim.std_error, formula.std_error)
         z = (sim.value - formula.value) / denom if denom else 0.0
         print(f"  E f_{k}: simulated {sim.value:8.4f} +- {sim.std_error:.4f}"

@@ -59,8 +59,10 @@ from .expected import (
     unit_ball_volume,
 )
 from .families import (
+    MODEL_TABLE,
     CanonicalFace,
     Family,
+    Model,
     ambient_dim,
     barycenter,
     canonical_face,

@@ -78,14 +78,9 @@ class MCConfig:
     cache_path: str | None = None
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise InvalidArgumentError(f"samples must be >= 1, got {self.samples}")
-        if self.seed < 0:
-            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
-        if self.workers < 1:
-            raise InvalidArgumentError(f"workers must be >= 1, got {self.workers}")
-        if self.chunk_size < 1:
-            raise InvalidArgumentError(f"chunk_size must be >= 1, got {self.chunk_size}")
+        # NumPy integers are stored as Python ints
+        for name, lo in (("samples", 1), ("seed", 0), ("workers", 1), ("chunk_size", 1)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ summaries go to stderr so the data stream stays parseable.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -22,16 +23,19 @@ from .expected import (
     poissonized_expected,
     t_functional_expected,
 )
-from .families import Family
+from .families import MODEL_TABLE, Family
 from .hull import MODELS, SimConfig, simulate_expected_f
 from .report import ReportRow, render
 
 
 def _number(text: str, convert, what: str):
     try:
-        return convert(text)
+        v = convert(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+    if isinstance(v, float) and not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {v}")
+    return v
 
 
 def _positive_int(text: str) -> int:
@@ -46,6 +50,10 @@ def _nonneg_int(text: str) -> int:
     if v < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {v}")
     return v
+
+
+def _finite_float(text: str) -> float:
+    return _number(text, float, "a finite number")
 
 
 def _positive_float(text: str) -> float:
@@ -106,17 +114,10 @@ def _emit(rows: list[ReportRow], args) -> None:
         sys.stdout.write(text)
 
 
-def _proper_face_top(args) -> int:
-    if args.family is not None:
-        return min(args.n, args.d)
-    if args.model == "gaussian":
-        return min(args.n - 1, args.d)
-    return min(args.n, args.d)
-
-
 def _cmd_expected(args) -> int:
     cfg = _mc_config(args)
-    ks = list(range(_proper_face_top(args))) if args.all_k else [args.k]
+    shift = MODEL_TABLE[args.model].shift if args.model else 0
+    ks = list(range(min(args.n - shift, args.d))) if args.all_k else [args.k]
     rows = []
     for k in ks:
         t0 = time.perf_counter()
@@ -134,17 +135,6 @@ def _cmd_expected(args) -> int:
     return 0
 
 
-def _formula_estimate(model: str, n: int, d: int, k: int, cfg: MCConfig):
-    if model in GAUSSIAN_MODELS:
-        return expected_f_model(model, n, d, k, cfg)
-    target = {
-        "projected_simplex": (Family.SIMPLEX, n - 1),
-        "projected_crosspolytope": (Family.CROSSPOLYTOPE, n),
-        "projected_cube": (Family.CUBE, n),
-    }[model]
-    return expected_f_projection(target[0], target[1], d, k, cfg)
-
-
 def _cmd_simulate(args) -> int:
     cfg = _mc_config(args)
     sim_cfg = SimConfig(model=args.model, n=args.n, d=args.d,
@@ -155,7 +145,7 @@ def _cmd_simulate(args) -> int:
     rows = []
     for k in range(args.d):
         sim = result.means[k]
-        formula = _formula_estimate(args.model, args.n, args.d, k, cfg)
+        formula = expected_f_model(args.model, args.n, args.d, k, cfg)
         diff = sim.value - formula.value
         denom = (sim.std_error**2 + formula.std_error**2) ** 0.5
         if denom > 0:
@@ -276,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-step", type=_positive_float, default=1.0)
     p.add_argument("--eps", type=_positive_float, default=1e-8,
                    help="truncation tolerance for the Poisson tail (default 1e-8)")
-    p.add_argument("--b", type=float, default=None,
+    p.add_argument("--b", type=_finite_float, default=None,
                    help="also report the size-functional scaling of order b")
     _add_common(p)
     p.set_defaults(func=_cmd_poisson)

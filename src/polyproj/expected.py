@@ -12,10 +12,12 @@ injective almost surely and f_k is deterministic.  Whenever every factor in
 the sum is exact the result is carried as an exact rational; cubes always
 take this path, which is what makes their monotonicity verdicts exact.
 
-Three Gaussian models reduce to the three series: the convex hull of n iid
+Every random-polytope model reduces to one of the three series through its
+row of families.MODEL_TABLE: the model with parameter n has the expected
+f-vector of the projected P_{n - shift}.  So the convex hull of n iid
 standard Gaussian points behaves like a projected (n-1)-simplex, the hull of
-n symmetrized pairs like a projected n-crosspolytope, and the zonotope
-sum of n random segments like a projected n-cube.
+n symmetrized pairs like a projected n-crosspolytope, and the zonotope sum
+of n random segments like a projected n-cube.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .angles import AngleEstimate, MCConfig, derived_memo, external_angle, internal_angle
 from .errors import InvalidArgumentError, TruncationError
-from .families import Family, canonical_face, check_int, face_count, face_volume
+from .families import MODEL_TABLE, Family, canonical_face, check_int, face_count, face_volume, model_row
 
-GAUSSIAN_MODELS = ("gaussian", "symmetric", "zonotope")
+GAUSSIAN_MODELS = tuple(name for name, row in MODEL_TABLE.items() if row.gaussian)
 
 
 @dataclass(frozen=True)
@@ -155,53 +158,35 @@ def expected_f_cube_closed_form(n: int, d: int, k: int) -> int:
     return 2 * total
 
 
-def expected_f_gaussian(n: int, d: int, k: int, cfg: MCConfig | None = None) -> Estimate:
-    """E f_k of the convex hull of n iid standard Gaussian points in R^d."""
-    n = check_int("n", n, 1)
+def expected_f_model(model: str, n: int, d: int, k: int, cfg: MCConfig | None = None) -> Estimate:
+    """E f_k of a model of MODEL_TABLE with parameter n: that of the projected P_{n - shift}.
+
+    n = 0 is the empty hull, and n - shift = 0 a single point.
+    """
+    row = model_row(model)
+    n = check_int("n", n, 0)
     d = check_int("d", d, 1)
     k = check_int("k", k, 0)
-    if n == 1:
+    if n == 0:
+        return _exact_estimate(0)
+    if n == row.shift:
         return _exact_estimate(1 if k == 0 else 0)
-    return expected_f_projection(Family.SIMPLEX, n - 1, d, k, cfg)
+    return expected_f_projection(row.family, n - row.shift, d, k, cfg)
+
+
+def expected_f_gaussian(n: int, d: int, k: int, cfg: MCConfig | None = None) -> Estimate:
+    """E f_k of the convex hull of n iid standard Gaussian points in R^d."""
+    return expected_f_model("gaussian", check_int("n", n, 1), d, k, cfg)
 
 
 def expected_f_symmetric(n: int, d: int, k: int, cfg: MCConfig | None = None) -> Estimate:
     """E f_k of the convex hull of n iid Gaussian points and their negatives."""
-    n = check_int("n", n, 1)
-    return expected_f_projection(Family.CROSSPOLYTOPE, n, d, k, cfg)
+    return expected_f_model("symmetric", check_int("n", n, 1), d, k, cfg)
 
 
 def expected_f_zonotope(n: int, d: int, k: int) -> Estimate:
-    """E f_k of the Minkowski sum of n segments with iid Gaussian directions in R^d.
-
-    Always exact: the projected-cube closed form for d <= n, cube face counts
-    for d > n.
-    """
-    n = check_int("n", n, 1)
-    d = check_int("d", d, 1)
-    k = check_int("k", k, 0)
-    m = min(n, d)
-    if k > m:
-        return _exact_estimate(0)
-    if k == m:
-        return _exact_estimate(1)
-    if d > n:
-        return _exact_estimate(face_count(Family.CUBE, n, k, on_polytope=True))
-    return _exact_estimate(expected_f_cube_closed_form(n, d, k))
-
-
-def expected_f_model(model: str, n: int, d: int, k: int, cfg: MCConfig | None = None) -> Estimate:
-    """Dispatch E f_k by Gaussian model name; n = 0 points gives the empty hull."""
-    if model not in GAUSSIAN_MODELS:
-        raise InvalidArgumentError(f"unknown model {model!r}, expected one of {GAUSSIAN_MODELS}")
-    n = check_int("n", n, 0)
-    if n == 0:
-        return _exact_estimate(0)
-    if model == "gaussian":
-        return expected_f_gaussian(n, d, k, cfg)
-    if model == "symmetric":
-        return expected_f_symmetric(n, d, k, cfg)
-    return expected_f_zonotope(n, d, k)
+    """E f_k of the Minkowski sum of n segments with iid Gaussian directions in R^d; always exact."""
+    return expected_f_model("zonotope", check_int("n", n, 1), d, k)
 
 
 @dataclass(frozen=True)
@@ -222,17 +207,18 @@ def expected_f_vector(
     d: int = 0,
     cfg: MCConfig | None = None,
 ) -> ExpectedFVector:
-    """All proper-face expectations of one projection or Gaussian model."""
+    """All proper-face expectations of one projection or model: k below min(n - shift, d)."""
     if (family is None) == (model is None):
         raise InvalidArgumentError("exactly one of family/model must be given")
+    n = check_int("n", n, 0)
+    d = check_int("d", d, 0)
     if family is not None:
         family = Family(family)
-        top = min(n, d)
-        entries = {k: expected_f_projection(family, n, d, k, cfg) for k in range(top)}
-        return ExpectedFVector(f"projected_{family.value}", family, n, d, entries)
-    top = min(n - 1, d) if model == "gaussian" else min(n, d)
-    entries = {k: expected_f_model(model, n, d, k, cfg) for k in range(top)}
-    return ExpectedFVector(model, None, n, d, entries)
+        name, shift, expected = f"projected_{family.value}", 0, partial(expected_f_projection, family)
+    else:
+        name, shift, expected = model, model_row(model).shift, partial(expected_f_model, model)
+    entries = {k: expected(n, d, k, cfg) for k in range(min(n - shift, d))}
+    return ExpectedFVector(name, family, n, d, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +341,12 @@ def poissonized_expected(
     """
     if model not in GAUSSIAN_MODELS:
         raise InvalidArgumentError(f"unknown model {model!r}, expected one of {GAUSSIAN_MODELS}")
-    if not isinstance(t, (int, float)) or isinstance(t, bool) or t <= 0:
+    if not isinstance(t, (int, float)) or isinstance(t, bool) or not 0 < t < math.inf:
         raise InvalidArgumentError(f"t must be a positive real, got {t!r}")
-    if eps <= 0:
+    if not eps > 0:
         raise InvalidArgumentError(f"eps must be positive, got {eps}")
+    if eps == math.inf:
+        raise InvalidArgumentError(f"eps must be finite, got {eps}")
     d = check_int("d", d, 1)
     k = check_int("k", k, 0)
     cfg = cfg or MCConfig()
@@ -400,12 +388,6 @@ class MonotonicityRow:
     strict_increase: bool | None  # verdict for the step n -> n+1; None on the last row
 
 
-def _dispatch_expected(target: str, n: int, d: int, k: int, cfg: MCConfig | None) -> Estimate:
-    if target in GAUSSIAN_MODELS:
-        return expected_f_model(target, n, d, k, cfg)
-    return expected_f_projection(Family(target), n, d, k, cfg)
-
-
 def monotonicity_table(
     target: str,
     d: int,
@@ -426,7 +408,11 @@ def monotonicity_table(
         raise InvalidArgumentError(f"unknown target {target!r}, expected one of {targets}")
     n_lo = check_int("n_lo", n_lo, 1)
     n_hi = check_int("n_hi", n_hi, n_lo)
-    estimates = [_dispatch_expected(target, n, d, k, cfg) for n in range(n_lo, n_hi + 1)]
+    if target in GAUSSIAN_MODELS:
+        expected = partial(expected_f_model, target)
+    else:
+        expected = partial(expected_f_projection, Family(target))
+    estimates = [expected(n, d, k, cfg) for n in range(n_lo, n_hi + 1)]
     rows: list[MonotonicityRow] = []
     for i, est in enumerate(estimates):
         if i + 1 == len(estimates):

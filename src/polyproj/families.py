@@ -10,6 +10,9 @@ All vertex arrays are integer-valued and deterministic in order.  Canonical
 faces Q_{i,n} are the representative i-dimensional faces used throughout:
 conv(e_1, ..., e_{i+1}) for simplex and crosspolytope, and the coordinate
 subcube spanned by the first i coordinates for the cube.
+
+MODEL_TABLE is the one home of the reduction of the random-polytope models
+to the series: each model is a random image of P_{n - shift} of its family.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,6 +31,35 @@ class Family(str, Enum):
     SIMPLEX = "simplex"
     CROSSPOLYTOPE = "crosspolytope"
     CUBE = "cube"
+
+
+@dataclass(frozen=True)
+class Model:
+    """A random-polytope model: with parameter n it is the image of P_{n - shift}
+    of `family` under a d-column Gaussian matrix when `gaussian`, else under a
+    uniform random orthogonal projection (Baryshnikov & Vitale)."""
+
+    family: Family
+    shift: int
+    gaussian: bool
+
+
+# every model by name, in streams.MODEL_CODES order
+MODEL_TABLE = MappingProxyType({
+    "gaussian": Model(Family.SIMPLEX, 1, True),
+    "symmetric": Model(Family.CROSSPOLYTOPE, 0, True),
+    "zonotope": Model(Family.CUBE, 0, True),
+    "projected_simplex": Model(Family.SIMPLEX, 1, False),
+    "projected_crosspolytope": Model(Family.CROSSPOLYTOPE, 0, False),
+    "projected_cube": Model(Family.CUBE, 0, False),
+})
+
+
+def model_row(name: str) -> Model:
+    """The MODEL_TABLE row of `name`; an unknown name raises InvalidArgumentError."""
+    if name not in MODEL_TABLE:
+        raise InvalidArgumentError(f"unknown model {name!r}, expected one of {tuple(MODEL_TABLE)}")
+    return MODEL_TABLE[name]
 
 
 _MAX_CUBE_N = 15  # vertex arrays grow as 2^n; keep explicit desk-scale cap

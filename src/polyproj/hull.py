@@ -1,11 +1,11 @@
 """Monte Carlo laboratory: exact f-vectors of sampled random polytopes.
 
-Random models
+Random models are the rows of families.MODEL_TABLE: model n is the image of
+P_{n - shift} under a Gaussian map or a uniform orthogonal projection to R^d.
   gaussian                 convex hull of n iid standard Gaussian points
   symmetric                hull of n Gaussian points and their negatives
   zonotope                 Minkowski sum of n segments [0, g_i], Gaussian g_i
-  projected_simplex        image of the (n-1)-simplex (n vertices) under a
-                           uniform random orthogonal projection to R^d
+  projected_simplex        image of the (n-1)-simplex (n vertices)
   projected_crosspolytope  image of the n-crosspolytope (2n vertices)
   projected_cube           image of the n-cube (2^n vertices)
 
@@ -53,10 +53,10 @@ from .errors import (
     SimulationAbortError,
 )
 from .expected import Estimate
-from .families import Family, check_int, vertices
+from .families import MODEL_TABLE, Family, Model, check_int, model_row, vertices
 from .streams import MODEL_CODES, SIM_REPLICATION, derive_generator, derive_keys, rekey
 
-MODELS = tuple(MODEL_CODES)
+MODELS = tuple(MODEL_TABLE)
 
 _MAX_HULL_DIM = 6
 _MAX_GENERATORS = 15
@@ -94,26 +94,18 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise InvalidArgumentError(f"unknown model {self.model!r}, expected one of {MODELS}")
+        row = model_row(self.model)
         # NumPy integers are stored as Python ints
         for name, lo in (("n", None), ("d", None), ("replications", 1), ("seed", 0), ("workers", 1)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
         if not (2 <= self.d <= _MAX_HULL_DIM):
             raise InvalidDimensionError(f"hull dimension must be in 2..{_MAX_HULL_DIM}, got {self.d}")
-        min_n = {
-            "gaussian": self.d + 1,
-            "symmetric": self.d,
-            "zonotope": self.d,
-            "projected_simplex": self.d + 1,
-            "projected_crosspolytope": self.d,
-            "projected_cube": self.d,
-        }[self.model]
+        min_n = self.d + row.shift
         if self.n < min_n:
             raise InvalidDimensionError(
                 f"model {self.model} needs n >= {min_n} for a full-dimensional hull, got {self.n}"
             )
-        if self.model in ("zonotope", "projected_cube") and self.n > _MAX_GENERATORS:
+        if row.family is Family.CUBE and self.n > _MAX_GENERATORS:
             raise InvalidDimensionError(
                 f"model {self.model} capped at n = {_MAX_GENERATORS}, got {self.n}"
             )
@@ -140,21 +132,22 @@ def symmetrize(cloud: np.ndarray) -> np.ndarray:
     return np.vstack([cloud, -cloud])
 
 
+def _sample_map(row: Model, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """The model's random n x d map to R^d; every model's P_{n - shift} lies in R^n."""
+    return sample_gaussian(n, d, rng) if row.gaussian else random_orthonormal_frame(n, d, rng)
+
+
 def _sample_cloud(model: str, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    if model == "gaussian":
-        return sample_gaussian(n, d, rng)
-    if model == "symmetric":
-        return symmetrize(sample_gaussian(n, d, rng))
-    if model == "projected_simplex":
-        verts = vertices(Family.SIMPLEX, n - 1)
-    elif model == "projected_crosspolytope":
-        verts = vertices(Family.CROSSPOLYTOPE, n)
-    elif model == "projected_cube":
-        verts = vertices(Family.CUBE, n)
-    else:
-        raise InvalidArgumentError(f"model {model!r} has no point-cloud sampler")
-    frame = random_orthonormal_frame(verts.shape[1], d, rng)
-    return verts @ frame
+    """The image of the vertices of the model's P_{n - shift} under its random map."""
+    row = MODEL_TABLE[model]
+    image = _sample_map(row, n, d, rng)
+    # the simplex's vertices are the e_i and the crosspolytope's the +-e_i,
+    # so their images are the map's rows, and those and their negatives
+    if row.family is Family.SIMPLEX:
+        return image
+    if row.family is Family.CROSSPOLYTOPE:
+        return symmetrize(image)
+    return vertices(row.family, n - row.shift) @ image
 
 
 def hull_f_vector(points: np.ndarray) -> FVectorSample:
@@ -358,12 +351,10 @@ class SimulationResult:
 
 def _sample_f_vector(model: str, n: int, d: int, rng: np.random.Generator) -> FVectorSample | np.ndarray:
     """One draw of the model: its f-vector, or its hull's simplices when that is simplicial."""
-    if model == "zonotope":
-        return zonotope_f_vector(rng.standard_normal((n, d)))
-    if model == "projected_cube":
-        # the cube's shadow is the zonotope of the frame rows, drawn as
-        # _sample_cloud draws it
-        return zonotope_f_vector(random_orthonormal_frame(n, d, rng))
+    row = MODEL_TABLE[model]
+    if row.family is Family.CUBE:
+        # the cube's image is the zonotope of the map's rows
+        return zonotope_f_vector(_sample_map(row, n, d, rng))
     return _f_vector_or_simplices(_sample_cloud(model, n, d, rng))
 
 

@@ -241,26 +241,45 @@ def rounded_facet_f_vector(points: np.ndarray) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def model_cloud(model: str, n: int, d: int, rng) -> np.ndarray:
+    """The point cloud of one draw of a hull model, written out model by model.
+
+    The sampler simulate used before the model table: every model names its
+    polytope and its map itself, and the vertices are multiplied out.
+    """
+    from polyproj.families import Family, vertices
+    from polyproj.hull import random_orthonormal_frame
+
+    if model == "gaussian":
+        return rng.standard_normal((n, d))
+    if model == "symmetric":
+        cloud = rng.standard_normal((n, d))
+        return np.vstack([cloud, -cloud])
+    if model == "projected_simplex":
+        verts = vertices(Family.SIMPLEX, n - 1)
+    elif model == "projected_crosspolytope":
+        verts = vertices(Family.CROSSPOLYTOPE, n)
+    elif model == "projected_cube":
+        verts = vertices(Family.CUBE, n)
+    else:
+        raise ValueError(f"model {model!r} has no point-cloud sampler")
+    frame = random_orthonormal_frame(verts.shape[1], d, rng)
+    return verts @ frame
+
+
 def per_replication_rows(model: str, n: int, d: int, seed: int, replications: int,
-                         sampler=None) -> tuple[np.ndarray, np.ndarray]:
+                         sampler=model_cloud) -> tuple[np.ndarray, np.ndarray]:
     """simulate's f-vector rows and per-replication degenerate counts, one replication at a time.
 
     The replication loop simulate_expected_f ran before it worked a block at
     a time: every attempt builds its own generator with derive_generator and
-    counts its hull alone with hull_f_vector.  sampler stands in for
-    polyproj.hull._sample_cloud when given.
+    counts its hull alone with hull_f_vector.  Point clouds come from
+    `sampler`, model_cloud unless another is given.
     """
     from polyproj.errors import DegenerateGeometryError, SimulationAbortError
-    from polyproj.hull import (
-        _MAX_ATTEMPTS,
-        _sample_cloud,
-        hull_f_vector,
-        random_orthonormal_frame,
-        zonotope_f_vector,
-    )
+    from polyproj.hull import _MAX_ATTEMPTS, hull_f_vector, random_orthonormal_frame, zonotope_f_vector
     from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator
 
-    sampler = sampler or _sample_cloud
     rows = np.zeros((replications, d), dtype=np.int64)
     degenerate = np.zeros(replications, dtype=np.int64)
     for index in range(replications):

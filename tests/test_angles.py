@@ -479,6 +479,20 @@ def test_mcconfig_validation():
         MCConfig(workers=0)
     with pytest.raises(InvalidArgumentError):
         MCConfig(chunk_size=0)
+    # integer fields take ints and NumPy integers, never floats, bools or strings
+    for field, bad in [("seed", 2.7), ("samples", 1.5), ("workers", True), ("samples", "5"),
+                       ("chunk_size", np.float64(8.0))]:
+        with pytest.raises(InvalidArgumentError, match=field):
+            MCConfig(**{field: bad})
+    cfg = MCConfig(samples=np.int64(2000), seed=np.uint32(3), workers=np.int8(1), chunk_size=np.int16(512))
+    assert all(type(v) is int for v in (cfg.samples, cfg.seed, cfg.workers, cfg.chunk_size))
+    twin = MCConfig(samples=2000, seed=3, workers=1, chunk_size=512)
+    assert cfg == twin
+    clear_angle_memo()
+    est = external_angle(Family.SIMPLEX, 4, 1, cfg)
+    clear_angle_memo()
+    assert est == external_angle(Family.SIMPLEX, 4, 1, twin)
+    clear_angle_memo()
 
 
 def test_stream_helpers():

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from polyproj import from_csv
-from polyproj.cli import main
+from polyproj.cli import build_parser, main
 
 SMALL = ["--samples", "5000", "--seed", "1"]
 
@@ -256,3 +256,18 @@ def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--t-min", "--t-max", "--t-step", "--eps", "--b"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_non_finite_floats_are_usage_errors(capsys, flag, value):
+    # parsed only: a run with --t-max inf would never finish its grid
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["poisson", "--model", "gaussian", "--d", "2", "--k", "0", f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a " in capsys.readouterr().err
+
+
+def test_finite_b_parses():
+    args = build_parser().parse_args(["poisson", "--model", "gaussian", "--d", "2", "--k", "0", "--b=-1.5"])
+    assert args.b == -1.5

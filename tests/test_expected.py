@@ -6,6 +6,7 @@ import pytest
 
 import polyproj.expected
 from polyproj import (
+    MODEL_TABLE,
     Family,
     InvalidArgumentError,
     MCConfig,
@@ -179,6 +180,29 @@ def test_argument_validation():
         expected_f_model("gaussian", -1, 2, 0)
     with pytest.raises(InvalidArgumentError):
         expected_f_model("gaussian", True, 2, 0)
+    with pytest.raises(InvalidArgumentError, match="unknown model 'bogus'"):
+        expected_f_vector(model="bogus", n=0, d=2)
+    with pytest.raises(InvalidArgumentError, match="d must be an integer"):
+        expected_f_vector(model="gaussian", n=4, d=3.5)
+    with pytest.raises(InvalidArgumentError, match="n must be an integer"):
+        expected_f_vector(family=Family.CUBE, n=4.0, d=3)
+
+
+@pytest.mark.parametrize("model", list(MODEL_TABLE))
+def test_every_model_is_its_projected_polytope(model):
+    # the model with parameter n is the projected P_{n - shift}; n = 0 is the
+    # empty hull and n = shift a point
+    row = MODEL_TABLE[model]
+    for n in range(row.shift + 1, row.shift + 5):
+        for d in (1, 2, 3):
+            for k in range(d + 1):
+                assert expected_f_model(model, n, d, k, FAST) == expected_f_projection(
+                    row.family, n - row.shift, d, k, FAST)
+    assert expected_f_model(model, 0, 2, 0).exact_value == 0
+    if row.shift:
+        assert [expected_f_model(model, row.shift, 2, k).exact_value for k in range(3)] == [1, 0, 0]
+    fv = expected_f_vector(model=model, n=row.shift + 4, d=3, cfg=FAST)
+    assert sorted(fv.entries) == [0, 1, 2] and fv.family is None and fv.model == model
 
 
 def test_numpy_integer_arguments():
@@ -326,6 +350,13 @@ def test_poisson_validation():
         poissonized_expected(1.0, 2, 0, model="cube")
     with pytest.raises(InvalidArgumentError):
         poissonized_expected(1.0, 2, 0, eps=0.0)
+    # non-finite t or eps is a typed error, never a hang or a bare ValueError
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgumentError, match="t must be a positive real"):
+            poissonized_expected(t, 2, 0)
+    for eps in (math.nan, math.inf):
+        with pytest.raises(InvalidArgumentError, match="eps must be"):
+            poissonized_expected(1.0, 2, 0, eps=eps)
 
 
 def test_poisson_truncation_valve(monkeypatch):

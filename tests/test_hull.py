@@ -5,6 +5,7 @@ import pytest
 from numpy.random import SeedSequence
 
 from polyproj import (
+    MODEL_TABLE,
     DegenerateGeometryError,
     Family,
     InvalidArgumentError,
@@ -23,6 +24,7 @@ from polyproj.hull import (
     _GENERAL_POSITION_TOL,
     _count_distinct_rows,
     _replication_block,
+    MODELS,
     _sample_cloud,
 )
 from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator
@@ -30,6 +32,7 @@ from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator
 from oracles import (
     full_dimensional,
     lp_zonotope_f_vector,
+    model_cloud,
     per_replication_rows,
     rounded_facet_f_vector,
     zonotope_vertex_cloud,
@@ -280,6 +283,22 @@ def test_random_orthonormal_frame():
 def test_sample_cloud_shapes(model, n, rows):
     cloud = _sample_cloud(model, n, 3, derive_generator(7, 2))
     assert cloud.shape == (rows, 3)
+
+
+def test_model_table_follows_stream_codes():
+    # the codes are part of every simulate stream key; the table lists the same models in order
+    assert tuple(MODEL_TABLE) == tuple(MODEL_CODES)
+    assert MODELS == tuple(MODEL_CODES)
+
+
+@pytest.mark.parametrize("model", sorted(set(MODEL_CODES) - {"zonotope"}))
+def test_sample_cloud_matches_written_out_sampler(model):
+    for d in (2, 3, 4):
+        n = d + 2
+        for index in range(20):
+            a = _sample_cloud(model, n, d, derive_generator(5, index))
+            b = model_cloud(model, n, d, derive_generator(5, index))
+            assert a.tobytes() == b.tobytes()
 
 
 def test_sim_config_validation():
