@@ -28,10 +28,12 @@ coordinates first; the frame is orthonormal, so the test is the same.
 Cube angles and codimension <= 1 pairs are exact powers of 1/2 and never hit
 the sampler.  Monte Carlo estimates are deterministic: every chunk of samples
 draws from a counter-based stream derived from the angle's identity, so values
-do not depend on evaluation order or worker count.  Estimates are memoized
+do not depend on evaluation order or worker count.  Every estimate is
+sampled on the fixed chunk grid DEFAULT_CHUNK.  Estimates are memoized
 in-process and optionally persisted to an append-only text cache, keyed by
-everything that fixes the draws: the cone, the sample count, the seed and the
-chunk grid.
+everything that fixes the draws: the cone, the sample count and the seed.
+The memo is the only cache of the formula route; sums over many sizes, such
+as Poisson sums, are rebuilt from it.
 
 Internal angles of simplex and crosspolytope faces coincide: every proper face
 of either series is a regular simplex with edge sqrt(2), and the canonical
@@ -47,6 +49,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -74,12 +77,13 @@ class MCConfig:
     samples: int = 1_000_000
     seed: int = 0
     workers: int = 1
-    chunk_size: int = DEFAULT_CHUNK
     cache_path: str | None = None
+    # the fixed grid every estimate is sampled on
+    chunk_size: ClassVar[int] = DEFAULT_CHUNK
 
     def __post_init__(self):
         # NumPy integers are stored as Python ints
-        for name, lo in (("samples", 1), ("seed", 0), ("workers", 1), ("chunk_size", 1)):
+        for name, lo in (("samples", 1), ("seed", 0), ("workers", 1)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
 
 
@@ -276,7 +280,7 @@ def cone_angle(cone: Cone, cfg: MCConfig | None = None) -> AngleEstimate:
     cfg = cfg or MCConfig()
     if cone.dim == 0:
         return _exact_angle(1)
-    counts = chunk_counts(cfg.samples, cfg.chunk_size)
+    counts = chunk_counts(cfg.samples, DEFAULT_CHUNK)
 
     def run_chunk(job: tuple[int, int]) -> int:
         idx, count = job
@@ -290,9 +294,14 @@ def cone_angle(cone: Cone, cfg: MCConfig | None = None) -> AngleEstimate:
             hits = sum(pool.map(run_chunk, jobs))
     else:
         hits = sum(map(run_chunk, jobs))
-    p = hits / cfg.samples
-    se = math.sqrt(p * (1.0 - p) / cfg.samples)
-    return AngleEstimate(p, se, "monte_carlo", cfg.samples)
+    return _binomial_estimate(hits, cfg.samples)
+
+
+def _binomial_estimate(hits: int, samples: int) -> AngleEstimate:
+    """The hit rate of `samples` draws with its binomial standard error."""
+    p = hits / samples
+    se = math.sqrt(p * (1.0 - p) / samples)
+    return AngleEstimate(p, se, "monte_carlo", samples)
 
 
 # ---------------------------------------------------------------------------
@@ -301,27 +310,16 @@ def cone_angle(cone: Cone, cfg: MCConfig | None = None) -> AngleEstimate:
 _MEMO: dict[tuple, AngleEstimate] = {}
 _LOCK = threading.Lock()
 _LOADED_CACHES: set[str] = set()
-# memos of values computed from angles, emptied together with the angle memo
-_DERIVED_MEMOS: list[dict] = []
 
 # internal angles are shared between simplex and crosspolytope (identical
 # canonical geometry); this token marks such rows in memo keys and cache files
 _SHARED_FACE = "simplexface"
 
 
-def derived_memo() -> dict:
-    """A new module-level memo that clear_angle_memo() empties along with its own."""
-    memo: dict = {}
-    _DERIVED_MEMOS.append(memo)
-    return memo
-
-
 def clear_angle_memo() -> None:
     with _LOCK:
         _MEMO.clear()
         _LOADED_CACHES.clear()
-        for memo in _DERIVED_MEMOS:
-            memo.clear()
 
 
 def _ensure_cache_loaded(path: str) -> None:
@@ -329,7 +327,9 @@ def _ensure_cache_loaded(path: str) -> None:
 
     A row is `family n k g kind samples seed value stderr chunk_size`; rows
     written before the chunk grid was recorded have nine fields and were
-    sampled on the default grid.
+    sampled on DEFAULT_CHUNK.  A row must be the binomial estimate that
+    cone_angle gives for some hit count.  Rows sampled on another grid are
+    skipped, so they never claim a key.
     """
     apath = os.path.abspath(path)
     with _LOCK:
@@ -342,29 +342,38 @@ def _ensure_cache_loaded(path: str) -> None:
                     parts = line.split()
                     if not parts or parts[0].startswith("#"):
                         continue
-                    if len(parts) not in (9, 10):
-                        raise CacheFormatError(apath, lineno, f"expected 9 or 10 fields, got {len(parts)}")
-                    fam, n_s, k_s, g_s, kind, samples_s, seed_s, value_s, stderr_s = parts[:9]
-                    chunk_s = parts[9] if len(parts) == 10 else DEFAULT_CHUNK
                     try:
-                        key = (kind, fam, int(n_s), int(k_s), int(g_s), int(samples_s), int(seed_s),
-                               int(chunk_s))
-                        est = AngleEstimate(
-                            float(value_s), float(stderr_s), "monte_carlo", int(samples_s)
-                        )
-                    except (ValueError, NumericError) as exc:
+                        key, chunk, est = _cache_row(parts)
+                    except ValueError as exc:
                         raise CacheFormatError(apath, lineno, str(exc)) from exc
-                    rows.setdefault(key, est)
+                    if chunk == DEFAULT_CHUNK:
+                        rows.setdefault(key, est)
         for key, est in rows.items():
             _MEMO.setdefault(key, est)
         _LOADED_CACHES.add(apath)
 
 
+def _cache_row(parts: list[str]) -> tuple[tuple, int, AngleEstimate]:
+    """Memo key, chunk grid and estimate of a split cache row; ValueError if it is malformed."""
+    if len(parts) not in (9, 10):
+        raise ValueError(f"expected 9 or 10 fields, got {len(parts)}")
+    fam, n_s, k_s, g_s, kind, samples_s, seed_s, value_s, stderr_s = parts[:9]
+    key = (kind, fam, int(n_s), int(k_s), int(g_s), int(samples_s), int(seed_s))
+    chunk = int(parts[9]) if len(parts) == 10 else DEFAULT_CHUNK
+    samples, value, stderr = key[5], float(value_s), float(stderr_s)
+    # the row must be what cone_angle gives for some hit count, bit for bit
+    est = _binomial_estimate(round(value * samples), samples) if samples > 0 and 0 <= value <= 1 else None
+    if est is None or (est.value.hex(), est.std_error.hex()) != (value.hex(), stderr.hex()):
+        raise ValueError(f"value {value_s} with stderr {stderr_s} is not a binomial estimate "
+                         f"from {samples} samples")
+    return key, chunk, est
+
+
 def _append_cache(path: str, key: tuple, est: AngleEstimate) -> None:
-    kind, fam, n, k, g, samples, seed, chunk = key
+    kind, fam, n, k, g, samples, seed = key
     with _LOCK:
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write(f"{fam} {n} {k} {g} {kind} {samples} {seed} {est.value!r} {est.std_error!r} {chunk}\n")
+            fh.write(f"{fam} {n} {k} {g} {kind} {samples} {seed} {est.value!r} {est.std_error!r} {DEFAULT_CHUNK}\n")
 
 
 def _memoized_angle(key: tuple, build, cfg: MCConfig) -> AngleEstimate:
@@ -402,7 +411,7 @@ def external_angle(family: Family, n: int, g: int, cfg: MCConfig | None = None) 
         return _exact_angle(1)
     if g == n - 1:
         return _exact_angle(Fraction(1, 2))
-    key = ("ext", family.value, n, -1, g, cfg.samples, cfg.seed, cfg.chunk_size)
+    key = ("ext", family.value, n, -1, g, cfg.samples, cfg.seed)
     return _memoized_angle(key, lambda: normal_cone(family, n, g), cfg)
 
 
@@ -440,7 +449,7 @@ def internal_angle(
         return _exact_angle(Fraction(1, 2 ** (g - k)))
     if g == k + 1:
         return _exact_angle(Fraction(1, 2))
-    key = ("int", _SHARED_FACE, 0, k, g, cfg.samples, cfg.seed, cfg.chunk_size)
+    key = ("int", _SHARED_FACE, 0, k, g, cfg.samples, cfg.seed)
     return _memoized_angle(key, lambda: _canonical_internal_cone(k, g), cfg)
 
 

@@ -14,7 +14,7 @@ import sys
 import time
 
 from .angles import MCConfig
-from .errors import PolyprojError
+from .errors import InvalidArgumentError, PolyprojError
 from .expected import (
     GAUSSIAN_MODELS,
     expected_f_model,
@@ -26,6 +26,23 @@ from .expected import (
 from .families import MODEL_TABLE, Family
 from .hull import MODELS, SimConfig, simulate_expected_f
 from .report import ReportRow, render
+
+
+MAX_T_POINTS = 10_000
+
+
+def t_grid(t_min: float, t_max: float, t_step: float) -> list[float]:
+    """t_min, t_min + t_step, ... up to t_max; empty or over MAX_T_POINTS points is an error."""
+    if t_max + 1e-9 < t_min:
+        raise InvalidArgumentError(f"--t-max must be >= --t-min, got {t_max} < {t_min}")
+    grid, t = [], t_min
+    while t <= t_max + 1e-9:
+        if len(grid) == MAX_T_POINTS:  # also stops a step too small to move t
+            raise InvalidArgumentError(f"--t-min {t_min} to --t-max {t_max} by --t-step {t_step} "
+                                       f"gives more than {MAX_T_POINTS} grid points")
+        grid.append(round(t, 12))
+        t += t_step
+    return grid
 
 
 def _number(text: str, convert, what: str):
@@ -193,15 +210,10 @@ def _cmd_monotonicity(args) -> int:
 def _cmd_poisson(args) -> int:
     cfg = _mc_config(args)
     ks = list(range(args.d)) if args.all_k else [args.k]
-    grid = []
-    t = args.t_min
-    while t <= args.t_max + 1e-9:
-        grid.append(round(t, 12))
-        t += args.t_step
     rows = []
     for k in ks:
         values = []
-        for t in grid:
+        for t in args.t_grid:
             t0 = time.perf_counter()
             est = poissonized_expected(t, args.d, k, model=args.model, eps=args.eps, cfg=cfg)
             wall = time.perf_counter() - t0 if args.timings else None
@@ -211,7 +223,7 @@ def _cmd_poisson(args) -> int:
             rows.append(ReportRow(
                 command="poisson", model=args.model, d=args.d, k=k, t=float(t),
                 value=est.value, stderr=est.std_error,
-                method="exact" if est.std_error == 0 else "monte_carlo",
+                method="exact" if est.exact else "monte_carlo",
                 t_functional=tf, wall_time_s=wall,
             ))
             values.append(est.value)
@@ -279,6 +291,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if hasattr(args, "n_min") and args.n_max < args.n_min:
         parser.error(f"--n-max must be >= --n-min, got {args.n_max} < {args.n_min}")
+    if hasattr(args, "t_step"):
+        try:
+            args.t_grid = t_grid(args.t_min, args.t_max, args.t_step)
+        except InvalidArgumentError as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except PolyprojError as exc:

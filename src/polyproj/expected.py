@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-from .angles import AngleEstimate, MCConfig, derived_memo, external_angle, internal_angle
+from .angles import AngleEstimate, MCConfig, external_angle, internal_angle
 from .errors import InvalidArgumentError, TruncationError
 from .families import MODEL_TABLE, Family, canonical_face, check_int, face_count, face_volume, model_row
 
@@ -286,18 +286,7 @@ class PoissonizedExpectation:
     std_error: float
     truncation_bound: float
     terms: int
-
-
-_POISSON_MEMO: dict[tuple, Estimate] = derived_memo()
-
-
-def _poisson_term_value(model: str, ell: int, d: int, k: int, cfg: MCConfig) -> Estimate:
-    key = (model, d, k, ell, cfg.samples, cfg.seed, cfg.chunk_size)
-    hit = _POISSON_MEMO.get(key)
-    if hit is None:
-        hit = expected_f_model(model, ell, d, k, cfg)
-        _POISSON_MEMO[key] = hit
-    return hit
+    exact: bool
 
 
 def _face_bound(model: str, ell: int, d: int, k: int) -> float:
@@ -336,8 +325,9 @@ def poissonized_expected(
 
     Sums Poisson(t) weights against the fixed-size expectations until the
     remaining tail, bounded through per-model face-count growth bounds, drops
-    below eps.  Per-size values are memoized module-wide until
-    clear_angle_memo(), so evaluating a grid of t values reuses every term.
+    below eps.  The fixed-size expectations are rebuilt from memoized angles,
+    so a grid of t values samples each angle once.  exact is true when every
+    term of the sum is exact.
     """
     if model not in GAUSSIAN_MODELS:
         raise InvalidArgumentError(f"unknown model {model!r}, expected one of {GAUSSIAN_MODELS}")
@@ -354,20 +344,22 @@ def poissonized_expected(
     cap = int(10 * t + 400)
     value = 0.0
     se = 0.0
+    exact = True
     ell = 0
     log_t = math.log(t)
     while True:
         weight = math.exp(-t + ell * log_t - math.lgamma(ell + 1))
-        term = _poisson_term_value(model, ell, d, k, cfg)
+        term = expected_f_model(model, ell, d, k, cfg)
         value += weight * term.value
         se += weight * term.std_error
+        exact = exact and term.exact
         if ell >= max(k + 2, int(t) + 1):
             ratio = _growth_ratio(model, ell, d, k)
             q = t * ratio / (ell + 1)
             if q < 0.5:
                 tail = weight * _face_bound(model, ell, d, k) * q / (1.0 - q)
                 if tail < eps:
-                    return PoissonizedExpectation(value, se, tail, ell + 1)
+                    return PoissonizedExpectation(value, se, tail, ell + 1, exact)
         if ell >= cap:
             bound = weight * _face_bound(model, ell, d, k)
             raise TruncationError(
@@ -419,10 +411,8 @@ def monotonicity_table(
             verdict = None
         else:
             nxt = estimates[i + 1]
-            if est.exact and nxt.exact and est.exact_value is not None and nxt.exact_value is not None:
+            if est.exact and nxt.exact:
                 verdict = nxt.exact_value > est.exact_value
-            elif est.exact and nxt.exact:
-                verdict = nxt.value > est.value
             else:
                 gap = nxt.value - est.value
                 verdict = gap > sigmas * (est.std_error + nxt.std_error)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -289,10 +290,10 @@ MEMBERSHIP_CONES = [
 def test_nnls_membership_matches_hrep_oracle(family, n, k, g):
     # replay the sampler's own draws through NNLS on the cone's generators
     cone = internal_cone(family, n, k, g)
-    cfg = MCConfig(samples=4000, seed=12345, chunk_size=1500)
+    cfg = MCConfig(samples=4000, seed=12345)
     est = cone_angle(cone, cfg)
     hits = 0
-    for idx, count in enumerate(chunk_counts(cfg.samples, cfg.chunk_size)):
+    for idx, count in enumerate(chunk_counts(cfg.samples, DEFAULT_CHUNK)):
         rng = derive_generator(cfg.seed, ANGLE_SAMPLES, *cone.seed_path, idx)
         u = rng.standard_normal((count, cone.dim)) @ cone.frame
         hits += nnls_member_count(cone.data.generators, u)
@@ -310,10 +311,10 @@ def test_nnls_membership_matches_hrep_oracle(family, n, k, g):
 def test_cone_angle_counts_contains_on_its_draws(build):
     # the sampler scores in frame coordinates; contains() takes ambient points
     cone = build()
-    cfg = MCConfig(samples=5000, seed=7, chunk_size=2000)
+    cfg = MCConfig(samples=2 * DEFAULT_CHUNK + 5000, seed=7)  # three chunks
     est = cone_angle(cone, cfg)
     hits = 0
-    for idx, count in enumerate(chunk_counts(cfg.samples, cfg.chunk_size)):
+    for idx, count in enumerate(chunk_counts(cfg.samples, DEFAULT_CHUNK)):
         rng = derive_generator(cfg.seed, ANGLE_SAMPLES, *cone.seed_path, idx)
         z = rng.standard_normal((count, cone.dim))
         hits += int(np.count_nonzero(cone.contains(z @ cone.frame)))
@@ -379,19 +380,6 @@ def test_memo_returns_same_estimate():
     assert a is b or a == b
 
 
-def test_memo_key_includes_chunk_size():
-    # a different chunk grid draws different samples, so it is a different estimate
-    chunked = MCConfig(samples=20_000, seed=3, chunk_size=1000)
-    clear_angle_memo()
-    fresh = external_angle(Family.SIMPLEX, 5, 1, chunked)
-    clear_angle_memo()
-    default = external_angle(Family.SIMPLEX, 5, 1, MCConfig(samples=20_000, seed=3))
-    after = external_angle(Family.SIMPLEX, 5, 1, chunked)
-    assert after == fresh
-    assert after.value != default.value
-    clear_angle_memo()
-
-
 def test_cache_file_roundtrip(tmp_path):
     clear_angle_memo()
     path = str(tmp_path / "angles.cache")
@@ -409,29 +397,78 @@ def test_cache_file_roundtrip(tmp_path):
     clear_angle_memo()
 
 
+def cache_row(head: str, samples: int, seed: int, hits: int, *grid: int) -> str:
+    """A cache row holding the binomial estimate of `hits` in `samples` draws."""
+    p = hits / samples
+    se = math.sqrt(p * (1.0 - p) / samples)
+    return " ".join([head, str(samples), str(seed), repr(p), repr(se), *map(str, grid)]) + "\n"
+
+
 def test_cache_file_is_trusted(tmp_path):
-    # a preloaded row short-circuits sampling entirely
+    # a preloaded row short-circuits sampling entirely; the true angle is 1/5
     clear_angle_memo()
     path = tmp_path / "angles.cache"
-    path.write_text("simplex 4 -1 0 ext 777 3 0.123 0.001\n", encoding="utf-8")
+    path.write_text(cache_row("simplex 4 -1 0 ext", 777, 3, 95), encoding="utf-8")
     cfg = MCConfig(samples=777, seed=3, cache_path=str(path))
     est = external_angle(Family.SIMPLEX, 4, 0, cfg)
-    assert est.value == 0.123
+    assert est.value == 95 / 777
     clear_angle_memo()
 
 
 def test_cache_file_chunk_size_field(tmp_path):
-    # a nine-field row was written on the default grid; a ten-field row names its grid
+    # nine-field rows and rows of the default grid are served; a row from another
+    # grid is skipped before it can claim its key
     clear_angle_memo()
     path = tmp_path / "angles.cache"
-    path.write_text("# comment\n\nsimplex 4 -1 0 ext 777 3 0.123 0.001\n"
-                    "simplex 5 -1 0 ext 777 3 0.25 0.001 100\n", encoding="utf-8")
-    default = MCConfig(samples=777, seed=3, cache_path=str(path))
-    small = MCConfig(samples=777, seed=3, chunk_size=100, cache_path=str(path))
-    assert external_angle(Family.SIMPLEX, 4, 0, default).value == 0.123
-    assert external_angle(Family.SIMPLEX, 4, 0, small).value != 0.123
-    assert external_angle(Family.SIMPLEX, 5, 0, small).value == 0.25
-    assert external_angle(Family.SIMPLEX, 5, 0, default).value != 0.25
+    path.write_text("# comment\n\n" + cache_row("simplex 4 -1 0 ext", 777, 3, 95)
+                    + cache_row("simplex 5 -1 0 ext", 777, 3, 40, 100)
+                    + cache_row("simplex 6 -1 0 ext", 777, 3, 50, 100)
+                    + cache_row("simplex 6 -1 0 ext", 777, 3, 60, DEFAULT_CHUNK), encoding="utf-8")
+    cfg = MCConfig(samples=777, seed=3, cache_path=str(path))
+    assert external_angle(Family.SIMPLEX, 4, 0, cfg).value == 95 / 777
+    assert external_angle(Family.SIMPLEX, 6, 0, cfg).value == 60 / 777
+    sampled = external_angle(Family.SIMPLEX, 5, 0, cfg)
+    assert sampled.value != 40 / 777
+    clear_angle_memo()
+    assert sampled == external_angle(Family.SIMPLEX, 5, 0, MCConfig(samples=777, seed=3))
+    clear_angle_memo()
+
+
+@pytest.mark.parametrize("value,stderr", [
+    ("nan", "0.01"),
+    ("0.25", "nan"),
+    ("0.25", "inf"),
+    ("0.25", "-4.0"),
+    ("0.25", "0.01"),  # the binomial stderr of 25 hits in 100 is 0.0433...
+    ("0.25", "-0.0"),
+    ("0.255", "0.04358"),  # not a multiple of 1/100
+    ("-0.0", "0.0"),
+    ("1.5", "0.0"),
+    ("inf", "0.0"),
+])
+def test_cache_row_must_be_a_binomial_estimate(tmp_path, value, stderr):
+    clear_angle_memo()
+    path = tmp_path / "angles.cache"
+    path.write_text(cache_row("simplex 5 -1 0 ext", 100, 0, 25)
+                    + f"simplex 4 -1 0 ext 100 0 {value} {stderr}\n", encoding="utf-8")
+    with pytest.raises(CacheFormatError, match="not a binomial estimate") as exc:
+        external_angle(Family.SIMPLEX, 4, 0, MCConfig(samples=100, seed=0, cache_path=str(path)))
+    assert exc.value.lineno == 2
+    assert str(path) in str(exc.value)
+    clear_angle_memo()
+
+
+@pytest.mark.parametrize("hits,samples", [(0, 1), (1, 1), (0, 100), (25, 100), (100, 100), (95, 777),
+                                          (123_457, 1_000_000)])
+def test_cache_row_loads_every_binomial_estimate(tmp_path, hits, samples):
+    clear_angle_memo()
+    path = tmp_path / "angles.cache"
+    path.write_text(cache_row("simplex 4 -1 0 ext", samples, 0, hits), encoding="utf-8")
+    cfg = MCConfig(samples=samples, seed=0, cache_path=str(path))
+    est = external_angle(Family.SIMPLEX, 4, 0, cfg)
+    assert (est.value, est.std_error, est.samples) == (hits / samples,
+                                                       math.sqrt(hits / samples * (1 - hits / samples) / samples),
+                                                       samples)
     clear_angle_memo()
 
 
@@ -442,7 +479,7 @@ def test_cache_file_chunk_size_field(tmp_path):
 def test_cache_file_wrong_field_count(tmp_path, row):
     clear_angle_memo()
     path = tmp_path / "angles.cache"
-    path.write_text("simplex 5 -1 0 ext 100 0 0.25 0.001\n" + row, encoding="utf-8")
+    path.write_text(cache_row("simplex 5 -1 0 ext", 100, 0, 25) + row, encoding="utf-8")
     with pytest.raises(CacheFormatError) as exc:
         external_angle(Family.SIMPLEX, 4, 0, MCConfig(samples=100, seed=0, cache_path=str(path)))
     assert exc.value.lineno == 2
@@ -454,7 +491,7 @@ def test_cache_file_wrong_field_count(tmp_path, row):
 def test_cache_file_malformed_row(tmp_path):
     clear_angle_memo()
     path = tmp_path / "angles.cache"
-    good = "simplex 5 -1 0 ext 777 3 0.25 0.001\n"
+    good = cache_row("simplex 5 -1 0 ext", 777, 3, 40)
     path.write_text(good + "simplex 4 -1 0 ext 777 3 notanumber 0.1\n", encoding="utf-8")
     cfg = MCConfig(samples=777, seed=3, cache_path=str(path))
     for _ in range(2):  # a failed load leaves the file unloaded, so it fails again
@@ -462,11 +499,11 @@ def test_cache_file_malformed_row(tmp_path):
             external_angle(Family.SIMPLEX, 5, 0, cfg)
         assert exc.value.lineno == 2
         assert str(path) in str(exc.value)
-    # no row of the rejected file reached the memo (777 samples never give 0.25)
-    assert external_angle(Family.SIMPLEX, 5, 0, MCConfig(samples=777, seed=3)).value != 0.25
+    # no row of the rejected file reached the memo (the seed-3 draws do not give 40 hits)
+    assert external_angle(Family.SIMPLEX, 5, 0, MCConfig(samples=777, seed=3)).value != 40 / 777
     clear_angle_memo()
     path.write_text(good, encoding="utf-8")
-    assert external_angle(Family.SIMPLEX, 5, 0, cfg).value == 0.25
+    assert external_angle(Family.SIMPLEX, 5, 0, cfg).value == 40 / 777
     clear_angle_memo()
 
 
@@ -477,16 +514,17 @@ def test_mcconfig_validation():
         MCConfig(seed=-1)
     with pytest.raises(InvalidArgumentError):
         MCConfig(workers=0)
-    with pytest.raises(InvalidArgumentError):
-        MCConfig(chunk_size=0)
+    # the chunk grid is fixed, not a field
+    assert [f.name for f in dataclasses.fields(MCConfig)] == ["samples", "seed", "workers", "cache_path"]
+    assert MCConfig().chunk_size == DEFAULT_CHUNK == 32768
     # integer fields take ints and NumPy integers, never floats, bools or strings
     for field, bad in [("seed", 2.7), ("samples", 1.5), ("workers", True), ("samples", "5"),
-                       ("chunk_size", np.float64(8.0))]:
+                       ("seed", np.float64(8.0))]:
         with pytest.raises(InvalidArgumentError, match=field):
             MCConfig(**{field: bad})
-    cfg = MCConfig(samples=np.int64(2000), seed=np.uint32(3), workers=np.int8(1), chunk_size=np.int16(512))
-    assert all(type(v) is int for v in (cfg.samples, cfg.seed, cfg.workers, cfg.chunk_size))
-    twin = MCConfig(samples=2000, seed=3, workers=1, chunk_size=512)
+    cfg = MCConfig(samples=np.int64(2000), seed=np.uint32(3), workers=np.int8(1))
+    assert all(type(v) is int for v in (cfg.samples, cfg.seed, cfg.workers))
+    twin = MCConfig(samples=2000, seed=3, workers=1)
     assert cfg == twin
     clear_angle_memo()
     est = external_angle(Family.SIMPLEX, 4, 1, cfg)

@@ -4,6 +4,8 @@ import math
 import pytest
 
 from polyproj import from_csv
+import polyproj.cli as cli
+from polyproj import InvalidArgumentError
 from polyproj.cli import build_parser, main
 
 SMALL = ["--samples", "5000", "--seed", "1"]
@@ -184,6 +186,58 @@ def test_poisson_without_b_leaves_column_empty(capsys):
     _, out, _ = run(capsys, ["poisson", "--model", "zonotope", "--d", "2", "--k", "0",
                              "--t-min", "1", "--t-max", "1", *SMALL])
     assert from_csv(out)[0].t_functional is None
+
+
+def test_poisson_sampled_rows_are_not_exact(capsys):
+    # at one sample per angle most sums carry stderr 0, but every term past ell = 4 is sampled
+    code, out, _ = run(capsys, ["poisson", "--model", "gaussian", "--d", "3", "--k", "0",
+                                "--t-max", "5", "--samples", "1"])
+    assert code == 0
+    rows = from_csv(out)
+    assert any(r.stderr == 0 for r in rows)
+    assert all(r.method == "monte_carlo" for r in rows)
+
+
+def test_t_grid_accumulates_steps():
+    assert cli.t_grid(1.0, 30.0, 1.0) == [float(t) for t in range(1, 31)]
+    grid, t = [], 0.5
+    while t <= 3.0 + 1e-9:
+        grid.append(round(t, 12))
+        t += 0.1
+    assert cli.t_grid(0.5, 3.0, 0.1) == grid
+    assert cli.t_grid(5.0, 5.0, 1.0) == [5.0]
+    assert len(cli.t_grid(1.0, float(cli.MAX_T_POINTS), 1.0)) == cli.MAX_T_POINTS
+
+
+# each of these grids is endless or too large to build: always ask cli.t_grid
+# first, so that a build without the bound fails fast instead of filling memory
+BAD_T_GRIDS = [
+    ((1.0, 1e12, 1.0), "more than"),  # too many points
+    ((1.0, 30.0, 1e-300), "more than"),  # the step never moves t
+    ((5.0, 2.0, 1.0), "--t-max must be >= --t-min"),  # empty
+]
+
+
+@pytest.mark.parametrize("grid,message", BAD_T_GRIDS + [
+    ((1e17, 1e17 + 64, 1.0), "more than"),  # the step is below the spacing of doubles at t
+    ((1.0, 10_001.0, 1.0), "more than 10000 grid points"),
+])
+def test_t_grid_rejects_unbounded_or_empty_grids(grid, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        cli.t_grid(*grid)
+
+
+@pytest.mark.parametrize("grid,message", BAD_T_GRIDS)
+def test_poisson_bad_t_grid_exits_2(capsys, grid, message):
+    with pytest.raises(InvalidArgumentError):
+        cli.t_grid(*grid)
+    flags = [f"--t-{name}={value!r}" for name, value in zip(("min", "max", "step"), grid)]
+    with pytest.raises(SystemExit) as exc:
+        main(["poisson", "--model", "zonotope", "--d", "2", "--k", "0", *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

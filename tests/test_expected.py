@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import polyproj.angles
 import polyproj.expected
 from polyproj import (
     MODEL_TABLE,
@@ -313,33 +314,34 @@ def test_poisson_zonotope_matches_direct_sum():
     assert got.terms >= max(2, int(t) + 1)
 
 
-def test_poisson_term_memoization():
+def test_poisson_grid_reuses_memoized_angles(monkeypatch):
+    # a second grid over sizes already seen samples no cone and gives the same sums
+    calls = []
+    original = polyproj.angles.cone_angle
+
+    def counting(cone, cfg=None):
+        calls.append(cone.seed_path)
+        return original(cone, cfg)
+
+    monkeypatch.setattr(polyproj.angles, "cone_angle", counting)
     cfg = MCConfig(samples=2_000, seed=0)
-    a = poissonized_expected(2.0, 2, 0, model="gaussian", eps=1e-6, cfg=cfg)
-    before = dict(polyproj.expected._POISSON_MEMO)
-    b = poissonized_expected(2.5, 2, 0, model="gaussian", eps=1e-6, cfg=cfg)
-    # the second grid point reuses every overlapping per-size value
-    for key, val in before.items():
-        assert polyproj.expected._POISSON_MEMO[key] is val
-    assert a.value != b.value
-
-
-def test_poisson_memo_cleared_with_angle_memo():
-    poissonized_expected(3.0, 2, 0, cfg=MCConfig(samples=2_000, seed=0))
-    assert polyproj.expected._POISSON_MEMO
     clear_angle_memo()
-    assert not polyproj.expected._POISSON_MEMO
+    grid = (1.0, 2.0, 3.0)
+    first = [poissonized_expected(t, 3, 0, model="symmetric", eps=1e-6, cfg=cfg) for t in grid]
+    assert calls
+    calls.clear()
+    again = [poissonized_expected(t, 3, 0, model="symmetric", eps=1e-6, cfg=cfg) for t in grid]
+    assert calls == []
+    assert again == first
+    clear_angle_memo()
 
 
-def test_poisson_memo_key_includes_chunk_size():
-    chunked = MCConfig(samples=2_000, seed=5, chunk_size=500)
+@pytest.mark.parametrize("model,exact", [("zonotope", True), ("gaussian", False), ("symmetric", False)])
+def test_poisson_exact_only_when_every_term_is(model, exact):
+    # one sample per angle: a sampled term may well carry stderr 0, yet it is not exact
     clear_angle_memo()
-    fresh = poissonized_expected(3.0, 2, 0, cfg=chunked)
-    clear_angle_memo()
-    default = poissonized_expected(3.0, 2, 0, cfg=MCConfig(samples=2_000, seed=5))
-    after = poissonized_expected(3.0, 2, 0, cfg=chunked)
-    assert after == fresh
-    assert after.value != default.value
+    est = poissonized_expected(2.0, 3, 0, model=model, eps=1e-6, cfg=MCConfig(samples=1, seed=0))
+    assert est.exact is exact
     clear_angle_memo()
 
 
