@@ -20,20 +20,27 @@ u_i >= 0: on coordinates k+1..g for simplex-type faces, k..g-1 for cube faces.
 A cone's frame is an orthonormal basis of L, built by classical Gram-Schmidt
 applied twice (one matrix-vector product per pass and row, rows kept in
 order).  Membership is tested in frame coordinates: the normals are projected
-onto the frame once, when the cone is built, so scoring a batch of samples z
-is the single product z @ (frame @ normals^T) against the tolerance
-HALFSPACE_TOL * (1 + |z|).  Ambient points of L are mapped to frame
-coordinates first; the frame is orthonormal, so the test is the same.
+onto the frame once, when the cone is built, and a sample z is in the cone
+when every score <z, frame @ a> is at most HALFSPACE_TOL * (1 + |z|).  A
+cone keeps its last _LEAD normals (all of them, if it has fewer) as a lead
+block: every row is scored against it first, and only the rows it does not
+reject (a few percent for large normal cones) against the other normals.
+Both series list the canonical face's vertices first, and those score about
+0 and never reject, so the lead block of a large normal cone holds vertices
+off the face.  Ambient points of L are mapped to frame coordinates first;
+the frame is orthonormal, so the test is the same.
 
 Cube angles and codimension <= 1 pairs are exact powers of 1/2 and never hit
 the sampler.  Monte Carlo estimates are deterministic: every chunk of samples
 draws from a counter-based stream derived from the angle's identity, so values
 do not depend on evaluation order or worker count.  Every estimate is
-sampled on the fixed chunk grid DEFAULT_CHUNK.  Estimates are memoized
-in-process and optionally persisted to an append-only text cache, keyed by
-everything that fixes the draws: the cone, the sample count and the seed.
-The memo is the only cache of the formula route; sums over many sizes, such
-as Poisson sums, are rebuilt from it.
+sampled on the fixed chunk grid DEFAULT_CHUNK.  A chunk is drawn and scored
+_SUB_ROWS rows at a time in one reused buffer; consecutive draws from one
+stream are the numbers a single draw of the whole chunk gives.  Estimates
+are memoized in-process and optionally persisted to an append-only text
+cache, keyed by everything that fixes the draws: the cone, the sample count
+and the seed.  The memo is the only cache of the formula route; sums over
+many sizes, such as Poisson sums, are rebuilt from it.
 
 Internal angles of simplex and crosspolytope faces coincide: every proper face
 of either series is a regular simplex with edge sqrt(2), and the canonical
@@ -68,6 +75,10 @@ ORTHONORMALITY_TOL = 1e-12
 SPAN_TOL = 1e-10
 HALFSPACE_TOL = 1e-10
 DEFAULT_CHUNK = 1 << 15
+# rows drawn and scored at a time within a chunk, in one reused buffer
+_SUB_ROWS = 2048
+# outer normals every row is scored against before the rest
+_LEAD = 8
 
 
 @dataclass(frozen=True)
@@ -143,8 +154,10 @@ class Cone:
     frame: np.ndarray
     data: NormalConeData | PositiveHullData
     seed_path: tuple[int, ...] = ()
-    # the outer normals in frame coordinates, frame @ normals^T, set when built
-    frame_normals: np.ndarray = field(init=False, repr=False, compare=False)
+    # the outer normals in frame coordinates, frame @ normals^T, set when built:
+    # the last _LEAD of them as contiguous rows, the others as contiguous columns
+    lead_normals: np.ndarray = field(init=False, repr=False, compare=False)
+    rest_normals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = self.frame
@@ -153,7 +166,9 @@ class Cone:
         gram = f @ f.T
         if gram.size and np.abs(gram - np.eye(f.shape[0])).max() > ORTHONORMALITY_TOL:
             raise NumericError("frame rows are not orthonormal to 1e-12")
-        object.__setattr__(self, "frame_normals", f @ self.data.normals.T)
+        fn = f @ self.data.normals.T
+        object.__setattr__(self, "lead_normals", np.ascontiguousarray(fn[:, -_LEAD:].T))
+        object.__setattr__(self, "rest_normals", np.ascontiguousarray(fn[:, :-_LEAD]))
         if isinstance(self.data, PositiveHullData):
             g = self.data.generators
             resid = g - (g @ f.T) @ f
@@ -175,11 +190,15 @@ class Cone:
         """Membership mask of the rows of z, points in frame coordinates.
 
         A row is in the cone when no outer normal scores it above
-        HALFSPACE_TOL * (1 + |z|).
+        HALFSPACE_TOL * (1 + |z|).  Every row is scored against the lead
+        normals first, and only the rows no lead normal rejects (about 6 %
+        for normal cones at n = 40-75) against the rest.
         """
-        scores = z @ self.frame_normals
         tol = HALFSPACE_TOL * (1.0 + np.sqrt(np.einsum("ij,ij->i", z, z)))
-        return scores.max(axis=1, initial=-np.inf) <= tol
+        inside = np.maximum.reduce(self.lead_normals @ z.T, axis=0, initial=-np.inf) <= tol
+        rows = np.flatnonzero(inside)
+        inside[rows] = (z[rows] @ self.rest_normals).max(axis=1, initial=-np.inf) <= tol[rows]
+        return inside
 
 
 def orthonormal_basis(vecs: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
@@ -274,8 +293,12 @@ def cone_angle(cone: Cone, cfg: MCConfig | None = None) -> AngleEstimate:
     """Monte Carlo estimate of the solid angle of `cone` within its linear hull.
 
     Samples standard Gaussians in frame coordinates, counts membership, and
-    returns hit rate with binomial standard error.  A zero-dimensional frame
-    means the cone is {0}: angle exactly 1.
+    returns hit rate with binomial standard error.  Each chunk of the
+    DEFAULT_CHUNK grid draws from its own stream into one buffer of at most
+    _SUB_ROWS rows, which is scored by contains_coords while still in cache
+    and then refilled; the draws and hit counts are those of one
+    (count, dim) draw per chunk.  A zero-dimensional frame means the cone is
+    {0}: angle exactly 1.
     """
     cfg = cfg or MCConfig()
     if cone.dim == 0:
@@ -285,8 +308,14 @@ def cone_angle(cone: Cone, cfg: MCConfig | None = None) -> AngleEstimate:
     def run_chunk(job: tuple[int, int]) -> int:
         idx, count = job
         rng = derive_generator(cfg.seed, ANGLE_SAMPLES, *cone.seed_path, idx)
-        z = rng.standard_normal((count, cone.dim))
-        return int(np.count_nonzero(cone.contains_coords(z)))
+        # consecutive fills draw what one (count, dim) call would, row for row
+        buf = np.empty((min(count, _SUB_ROWS), cone.dim))
+        hits = 0
+        for start in range(0, count, _SUB_ROWS):
+            z = buf[: min(count - start, _SUB_ROWS)]
+            rng.standard_normal(out=z)
+            hits += int(np.count_nonzero(cone.contains_coords(z)))
+        return hits
 
     jobs = list(enumerate(counts))
     if cfg.workers > 1:

@@ -69,8 +69,11 @@ def _nonneg_int(text: str) -> int:
     return v
 
 
-def _finite_float(text: str) -> float:
-    return _number(text, float, "a finite number")
+def _nonneg_float(text: str) -> float:
+    v = _number(text, float, "a nonnegative number")
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {v}")
+    return v
 
 
 def _positive_float(text: str) -> float:
@@ -278,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-step", type=_positive_float, default=1.0)
     p.add_argument("--eps", type=_positive_float, default=1e-8,
                    help="truncation tolerance for the Poisson tail (default 1e-8)")
-    p.add_argument("--b", type=_finite_float, default=None,
+    p.add_argument("--b", type=_nonneg_float, default=None,
                    help="also report the size-functional scaling of order b")
     _add_common(p)
     p.set_defaults(func=_cmd_poisson)

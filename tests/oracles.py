@@ -3,11 +3,12 @@
 Everything here deliberately takes a different route than the library:
 quadrature instead of sampling, determinants instead of closed forms, linear
 programming instead of least squares, least squares on cone generators instead
-of half-space tests, modified Gram-Schmidt one basis vector at a time instead
-of blocked classical Gram-Schmidt, raw subset enumeration instead of qhull
-bookkeeping, facets grouped by rounded hyperplane equations instead of
-by qhull's neighbour graph, and one freshly derived generator and one
-f-vector call per replication instead of batched stream keys and
+of half-space tests, one product over every outer normal instead of a lead
+block of normals and its survivors, modified Gram-Schmidt one basis vector at
+a time instead of blocked classical Gram-Schmidt, raw subset enumeration
+instead of qhull bookkeeping, facets grouped by rounded hyperplane equations
+instead of by qhull's neighbour graph, and one freshly derived generator and
+one f-vector call per replication instead of batched stream keys and
 block-wise face counting.
 Agreement between routes is the point.
 """
@@ -129,6 +130,17 @@ def nnls_member_count(generators: np.ndarray, u: np.ndarray, tol: float = 1e-8) 
         if np.linalg.norm(a @ x - row) <= tol * (1.0 + np.linalg.norm(row)):
             hits += 1
     return hits
+
+
+def one_product_member_mask(cone, z: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Membership mask of the rows of z (frame coordinates) from one product over every normal.
+
+    Each row is scored against all of the cone's outer normals at once, and is
+    in the cone when its largest score is at most tol * (1 + |z|).
+    """
+    scores = z @ (cone.frame @ cone.data.normals.T)
+    bound = tol * (1.0 + np.sqrt(np.einsum("ij,ij->i", z, z)))
+    return scores.max(axis=1, initial=-np.inf) <= bound
 
 
 def lp_strict_separation(rows: np.ndarray) -> bool:

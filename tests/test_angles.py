@@ -28,7 +28,14 @@ from polyproj import (
     orthonormal_basis,
     vertices,
 )
-from polyproj.angles import DEFAULT_CHUNK, HALFSPACE_TOL
+from polyproj.angles import (
+    _LEAD,
+    _SUB_ROWS,
+    DEFAULT_CHUNK,
+    HALFSPACE_TOL,
+    ORTHONORMALITY_TOL,
+    SPAN_TOL,
+)
 from polyproj.streams import ANGLE_SAMPLES, chunk_counts, derive_generator
 
 from oracles import (
@@ -38,6 +45,7 @@ from oracles import (
     full_pass_orthonormal_basis,
     mgs_orthonormal_basis,
     nnls_member_count,
+    one_product_member_mask,
     simplex_external_quadrature,
 )
 
@@ -321,6 +329,81 @@ def test_cone_angle_counts_contains_on_its_draws(build):
     assert round(est.value * cfg.samples) == hits
 
 
+AGREEMENT_CONES = [
+    *[("normal", family, n, g) for family in (Family.SIMPLEX, Family.CROSSPOLYTOPE)
+      for n in (3, 9, 10, 40, 75, 150) for g in (0, 1, 3, 5) if g < n],
+    *[("internal", Family.SIMPLEX, g, k, g) for g in range(2, 8) for k in range(g - 1)],
+    # internal cones with more than _LEAD normals, some scored after the lead block
+    ("internal", Family.SIMPLEX, 12, 0, 11),
+    ("internal", Family.CUBE, 10, 0, 10),
+]
+AGREEMENT_ROWS = (1, 7, _SUB_ROWS - 1, _SUB_ROWS, _SUB_ROWS + 1, 20_000)
+
+
+@pytest.mark.parametrize("spec", AGREEMENT_CONES,
+                         ids=lambda spec: "-".join(str(getattr(x, "value", x)) for x in spec))
+def test_contains_coords_matches_one_product_oracle(spec):
+    cone = normal_cone(*spec[1:]) if spec[0] == "normal" else internal_cone(*spec[1:])
+    rng = np.random.default_rng(list(spec[2:]))
+    for rows in AGREEMENT_ROWS:
+        z = rng.standard_normal((rows, cone.dim))
+        assert np.array_equal(cone.contains_coords(z), one_product_member_mask(cone, z)), rows
+
+
+def test_lead_block_is_off_the_canonical_face():
+    # the face's own normals score about 0 and could never reject a row
+    for family, n, g in [(Family.SIMPLEX, 40, 5), (Family.CROSSPOLYTOPE, 40, 5)]:
+        cone = normal_cone(family, n, g)
+        face = canonical_face(family, n, g).vertices
+        lead = cone.data.polytope_vertices[-_LEAD:]
+        assert not (lead[:, None, :] == face[None, :, :]).all(axis=2).any()
+        assert cone.lead_normals.shape == (_LEAD, cone.dim)
+        assert cone.lead_normals.flags.c_contiguous and cone.rest_normals.flags.c_contiguous
+    # a cone with fewer normals keeps them all in the lead block
+    small = internal_cone(Family.SIMPLEX, 8, 0, 7)
+    assert small.lead_normals.shape == (7, 7) and small.rest_normals.shape == (7, 0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: normal_cone(Family.CROSSPOLYTOPE, 40, 1),
+    lambda: normal_cone(Family.SIMPLEX, 39, 1),
+    lambda: internal_cone(Family.SIMPLEX, 5, 0, 3),
+])
+@pytest.mark.parametrize("samples", [
+    1, _SUB_ROWS - 1, _SUB_ROWS + 1, 3 * _SUB_ROWS, DEFAULT_CHUNK + _SUB_ROWS + 3,
+])
+def test_cone_angle_hits_match_oracle_on_single_call_draws(build, samples):
+    # cone_angle fills one buffer a sub-block at a time; the oracle draws each chunk at once
+    cone = build()
+    cfg = MCConfig(samples=samples, seed=3)
+    hits = 0
+    for idx, count in enumerate(chunk_counts(cfg.samples, DEFAULT_CHUNK)):
+        rng = derive_generator(cfg.seed, ANGLE_SAMPLES, *cone.seed_path, idx)
+        z = rng.standard_normal((count, cone.dim))
+        hits += int(np.count_nonzero(one_product_member_mask(cone, z)))
+    assert round(cone_angle(cone, cfg).value * cfg.samples) == hits
+
+
+# hit counts of 2e4 samples at seed 1, from the one-product sampler that drew
+# each chunk in a single call; a sampler change that moves one decision fails
+PINNED_EXTERNAL_HITS = [
+    (Family.CROSSPOLYTOPE, 40, 0, 274),
+    (Family.CROSSPOLYTOPE, 40, 1, 27),
+    (Family.CROSSPOLYTOPE, 75, 0, 124),
+    (Family.CROSSPOLYTOPE, 75, 1, 12),
+    (Family.SIMPLEX, 39, 1, 91),
+    (Family.SIMPLEX, 74, 1, 19),
+]
+
+
+@pytest.mark.parametrize("family,n,g,hits", PINNED_EXTERNAL_HITS)
+def test_external_angle_hits_are_pinned(family, n, g, hits):
+    cfg = MCConfig(samples=20_000, seed=1)
+    est = cone_angle(normal_cone(family, n, g), cfg)
+    assert round(est.value * cfg.samples) == hits
+    assert est == cone_angle(normal_cone(family, n, g), MCConfig(samples=20_000, seed=1, workers=2))
+
+
 @pytest.mark.parametrize("family,n,k,g,base,axis,free", [
     # a point on the facet u_3 = 0 of pos(Q_3 - bary Q_1), pushed along e_0 - e_3
     (Family.SIMPLEX, 4, 1, 3, [-0.5, -0.5, 1.0, 0.0, 0.0], 3, 0),
@@ -338,6 +421,33 @@ def test_halfspace_tolerance_boundary(family, n, k, g, base, axis, free, scale, 
         u[free] -= shift  # stay on the zero-sum hyperplane of the simplex face
     assert cone.contains(u[None])[0] == inside
     assert cone.contains(base[None])[0]
+
+
+@pytest.mark.parametrize("scale,ok", [(0.5, True), (2.0, False)])
+def test_orthonormality_tolerance_boundary(scale, ok):
+    # the second row leans toward the first by scale * ORTHONORMALITY_TOL
+    lean = scale * ORTHONORMALITY_TOL
+    frame = np.array([[1.0, 0.0, 0.0], [lean, 1.0, 0.0]])
+    data = PositiveHullData(np.zeros((0, 3)), np.zeros((0, 3)))
+    if ok:
+        assert Cone(frame, data).dim == 2
+    else:
+        with pytest.raises(NumericError, match="orthonormal"):
+            Cone(frame, data)
+
+
+@pytest.mark.parametrize("scale,ok", [(0.5, True), (2.0, False)])
+def test_span_tolerance_boundary(scale, ok):
+    # a generator of norm about 1 that leaves the frame's line by scale * SPAN_TOL * 2
+    off = scale * SPAN_TOL * 2.0
+    generators = np.array([[1.0, off, 0.0]])
+    data = PositiveHullData(generators, np.zeros((0, 3)))
+    frame = np.array([[1.0, 0.0, 0.0]])
+    if ok:
+        assert Cone(frame, data).dim == 1
+    else:
+        with pytest.raises(NumericError, match="frame span"):
+            Cone(frame, data)
 
 
 # ---------------------------------------------------------------------------

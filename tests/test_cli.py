@@ -323,5 +323,19 @@ def test_non_finite_floats_are_usage_errors(capsys, flag, value):
 
 
 def test_finite_b_parses():
-    args = build_parser().parse_args(["poisson", "--model", "gaussian", "--d", "2", "--k", "0", "--b=-1.5"])
-    assert args.b == -1.5
+    for value in (0.0, 1.5):
+        args = build_parser().parse_args(["poisson", "--model", "gaussian", "--d", "2", "--k", "0", f"--b={value}"])
+        assert args.b == value
+
+
+def test_negative_b_exits_2_before_sampling(monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("poissonized_expected ran before --b was checked")
+
+    monkeypatch.setattr(cli, "poissonized_expected", no_sampling)
+    with pytest.raises(SystemExit) as exc:
+        main(["poisson", "--model", "gaussian", "--d", "2", "--k", "0", "--b", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --b: expected a nonnegative number, got -1.0" in captured.err
+    assert captured.out == ""
