@@ -18,12 +18,11 @@ from .errors import InvalidArgumentError, PolyprojError
 from .expected import (
     GAUSSIAN_MODELS,
     expected_f_model,
-    expected_f_projection,
     monotonicity_table,
     poissonized_expected,
     t_functional_expected,
 )
-from .families import MODEL_TABLE, Family
+from .families import Family, target_row
 from .hull import MODELS, SimConfig, simulate_expected_f
 from .report import ReportRow, render
 
@@ -136,15 +135,12 @@ def _emit(rows: list[ReportRow], args) -> None:
 
 def _cmd_expected(args) -> int:
     cfg = _mc_config(args)
-    shift = MODEL_TABLE[args.model].shift if args.model else 0
-    ks = list(range(min(args.n - shift, args.d))) if args.all_k else [args.k]
+    row = target_row(args.family or args.model)
+    ks = list(range(min(args.n - row.shift, args.d))) if args.all_k else [args.k]
     rows = []
     for k in ks:
         t0 = time.perf_counter()
-        if args.family is not None:
-            est = expected_f_projection(Family(args.family), args.n, args.d, k, cfg)
-        else:
-            est = expected_f_model(args.model, args.n, args.d, k, cfg)
+        est = expected_f_model(row, args.n, args.d, k, cfg)
         wall = time.perf_counter() - t0 if args.timings else None
         rows.append(ReportRow(
             command="expected", model=args.model or "", family=args.family or "",

@@ -7,13 +7,14 @@ orthogonal projection to R^d.  For d <= n it equals
         c(n, j-1) * c(j-1, k) * beta(Q_k, Q_{j-1}) * gamma(Q_{j-1}, P_n)
 
 with face counts c from the family's combinatorics, internal angles beta and
-external angles gamma from the angle engine.  For d > n the projection is
-injective almost surely and f_k is deterministic.  Whenever every factor in
-the sum is exact the result is carried as an exact rational; cubes always
-take this path, which is what makes their monotonicity verdicts exact.
+external angles gamma from the angle engine.  For d >= n the projection is
+injective on P_n almost surely, so f_k is the face count of P_n and the sum
+is not evaluated.  Whenever every factor in the sum is exact the result is
+carried as an exact rational; cubes always take this path, which is what
+makes their monotonicity verdicts exact.
 
-Every random-polytope model reduces to one of the three series through its
-row of families.MODEL_TABLE: the model with parameter n has the expected
+Every formula target is a row of families.MODEL_TABLE, or a family's own
+row (P_n itself, shift 0): the target with parameter n has the expected
 f-vector of the projected P_{n - shift}.  So the convex hull of n iid
 standard Gaussian points behaves like a projected (n-1)-simplex, the hull of
 n symmetrized pairs like a projected n-crosspolytope, and the zonotope sum
@@ -25,11 +26,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
 from .angles import AngleEstimate, MCConfig, external_angle, internal_angle
 from .errors import InvalidArgumentError, TruncationError
-from .families import MODEL_TABLE, Family, canonical_face, check_int, face_count, face_volume, model_row
+from .families import (
+    MODEL_TABLE,
+    Family,
+    Model,
+    canonical_face,
+    check_int,
+    face_count,
+    face_volume,
+    model_row,
+    target_row,
+)
 
 GAUSSIAN_MODELS = tuple(name for name, row in MODEL_TABLE.items() if row.gaussian)
 
@@ -109,7 +119,7 @@ def expected_f_projection(
     """E f_k of the random projection of P_n to d dimensions.
 
     Deterministic branches: k beyond min(n, d) gives 0; k = min(n, d) gives 1
-    (the image itself); d > n gives the face count of P_n (injective); d = 1
+    (the image itself); d >= n gives the face count of P_n (injective); d = 1
     gives the segment counts (2, 1).  The general branch evaluates the
     projection sum, exactly where possible.
     """
@@ -122,7 +132,7 @@ def expected_f_projection(
         return _exact_estimate(0)
     if k == m:
         return _exact_estimate(1)
-    if d > n:
+    if d >= n:
         return _exact_estimate(face_count(family, n, k, on_polytope=True))
     if d == 1:
         # the image is a segment for every draw; only k = 0 reaches here
@@ -158,12 +168,12 @@ def expected_f_cube_closed_form(n: int, d: int, k: int) -> int:
     return 2 * total
 
 
-def expected_f_model(model: str, n: int, d: int, k: int, cfg: MCConfig | None = None) -> Estimate:
-    """E f_k of a model of MODEL_TABLE with parameter n: that of the projected P_{n - shift}.
+def expected_f_model(model: str | Model, n: int, d: int, k: int, cfg: MCConfig | None = None) -> Estimate:
+    """E f_k of a target row or MODEL_TABLE name with parameter n: that of the projected P_{n - shift}.
 
     n = 0 is the empty hull, and n - shift = 0 a single point.
     """
-    row = model_row(model)
+    row = model if isinstance(model, Model) else model_row(model)
     n = check_int("n", n, 0)
     d = check_int("d", d, 1)
     k = check_int("k", k, 0)
@@ -191,7 +201,7 @@ def expected_f_zonotope(n: int, d: int, k: int) -> Estimate:
 
 @dataclass(frozen=True)
 class ExpectedFVector:
-    """E f_k for every proper face dimension of one model instance."""
+    """E f_k for every proper face dimension of one target: a model name, or model "" and a family."""
 
     model: str
     family: Family | None
@@ -212,13 +222,9 @@ def expected_f_vector(
         raise InvalidArgumentError("exactly one of family/model must be given")
     n = check_int("n", n, 0)
     d = check_int("d", d, 0)
-    if family is not None:
-        family = Family(family)
-        name, shift, expected = f"projected_{family.value}", 0, partial(expected_f_projection, family)
-    else:
-        name, shift, expected = model, model_row(model).shift, partial(expected_f_model, model)
-    entries = {k: expected(n, d, k, cfg) for k in range(min(n - shift, d))}
-    return ExpectedFVector(name, family, n, d, entries)
+    row = model_row(model) if family is None else target_row(Family(family))
+    entries = {k: expected_f_model(row, n, d, k, cfg) for k in range(min(n - row.shift, d))}
+    return ExpectedFVector(model or "", None if family is None else row.family, n, d, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +269,12 @@ def t_functional_expected(d: int, k: int, b: float, expected_f_value: float) -> 
     """
     d = check_int("d", d, 1)
     k = check_int("k", k, 0)
-    if not isinstance(b, (int, float)) or isinstance(b, bool):
-        raise InvalidArgumentError(f"b must be a real number, got {b!r}")
+    if not isinstance(b, (int, float)) or isinstance(b, bool) or not math.isfinite(b):
+        raise InvalidArgumentError(f"b must be a finite real number, got {b!r}")
     if b < 0:
         raise InvalidArgumentError(f"b must be >= 0, got {b}")
+    if not math.isfinite(expected_f_value):
+        raise InvalidArgumentError(f"expected_f_value must be finite, got {expected_f_value!r}")
     if k > d:
         raise InvalidArgumentError(f"k must be <= d, got k={k}, d={d}")
     if b == 0 or k == 0:
@@ -289,25 +297,21 @@ class PoissonizedExpectation:
     exact: bool
 
 
-def _face_bound(model: str, ell: int, d: int, k: int) -> float:
-    # upper bounds on f_k given ell points/pairs/segments, used only for tails
-    if model == "gaussian":
-        return float(math.comb(ell, k + 1))
-    if model == "symmetric":
-        return float(math.comb(2 * ell, k + 1))
-    return expected_f_zonotope(ell, d, k).value
+def _face_bound(row: Model, ell: int, d: int, k: int) -> float:
+    # an upper bound on f_k of the model with parameter ell, used only for tails:
+    # a hull's k-faces are (k+1)-sets of the vertices of P_{ell - shift}, and a
+    # zonotope's f-vector is deterministic, so its expectation is one
+    if row.family is Family.CUBE:
+        return expected_f_model(row, ell, d, k).value
+    return math.comb(face_count(row.family, ell - row.shift, 0), k + 1)
 
 
-def _growth_ratio(model: str, ell: int, d: int, k: int) -> float:
-    # sup over ell' >= ell of bound(ell'+1)/bound(ell'); all three decrease in ell
-    if model == "gaussian":
-        if ell <= k:
-            return float(k + 2)
-        return (ell + 1) / (ell - k)
-    if model == "symmetric":
-        if 2 * ell <= k:
-            return float(k + 2)
-        return ((2 * ell + 2) * (2 * ell + 1)) / ((2 * ell + 1 - k) * (2 * ell - k))
+def _growth_ratio(row: Model, ell: int, d: int, k: int) -> float:
+    # sup over ell' >= ell of bound(ell'+1)/bound(ell'), as every ratio decreases
+    # in ell; a hull's bounds are ints, so their ratio is correctly rounded, and
+    # nonzero from ell >= k + 2 on, where the Poisson sum first asks for it
+    if row.family is not Family.CUBE:
+        return _face_bound(row, ell + 1, d, k) / _face_bound(row, ell, d, k)
     if ell + 1 <= d:
         return 2.0 * d
     return (ell + 1) / (ell + 2 - d)
@@ -324,19 +328,18 @@ def poissonized_expected(
     """E f_k when the number of points is Poisson(t), by adaptive truncation.
 
     Sums Poisson(t) weights against the fixed-size expectations until the
-    remaining tail, bounded through per-model face-count growth bounds, drops
-    below eps.  The fixed-size expectations are rebuilt from memoized angles,
-    so a grid of t values samples each angle once.  exact is true when every
+    remaining tail, bounded through face-count growth bounds read off the
+    model's row, drops below eps.  The fixed-size expectations are rebuilt
+    from memoized angles, so a grid of t values samples each angle once.  exact is true when every
     term of the sum is exact.
     """
     if model not in GAUSSIAN_MODELS:
         raise InvalidArgumentError(f"unknown model {model!r}, expected one of {GAUSSIAN_MODELS}")
+    row = MODEL_TABLE[model]
     if not isinstance(t, (int, float)) or isinstance(t, bool) or not 0 < t < math.inf:
         raise InvalidArgumentError(f"t must be a positive real, got {t!r}")
-    if not eps > 0:
-        raise InvalidArgumentError(f"eps must be positive, got {eps}")
-    if eps == math.inf:
-        raise InvalidArgumentError(f"eps must be finite, got {eps}")
+    if not isinstance(eps, (int, float)) or isinstance(eps, bool) or not 0 < eps < math.inf:
+        raise InvalidArgumentError(f"eps must be a positive finite real, got {eps!r}")
     d = check_int("d", d, 1)
     k = check_int("k", k, 0)
     cfg = cfg or MCConfig()
@@ -349,19 +352,19 @@ def poissonized_expected(
     log_t = math.log(t)
     while True:
         weight = math.exp(-t + ell * log_t - math.lgamma(ell + 1))
-        term = expected_f_model(model, ell, d, k, cfg)
+        term = expected_f_model(row, ell, d, k, cfg)
         value += weight * term.value
         se += weight * term.std_error
         exact = exact and term.exact
         if ell >= max(k + 2, int(t) + 1):
-            ratio = _growth_ratio(model, ell, d, k)
+            ratio = _growth_ratio(row, ell, d, k)
             q = t * ratio / (ell + 1)
             if q < 0.5:
-                tail = weight * _face_bound(model, ell, d, k) * q / (1.0 - q)
+                tail = weight * _face_bound(row, ell, d, k) * q / (1.0 - q)
                 if tail < eps:
                     return PoissonizedExpectation(value, se, tail, ell + 1, exact)
         if ell >= cap:
-            bound = weight * _face_bound(model, ell, d, k)
+            bound = weight * _face_bound(row, ell, d, k)
             raise TruncationError(
                 f"poissonized sum did not reach eps={eps} within {cap} terms", bound
             )
@@ -400,11 +403,8 @@ def monotonicity_table(
         raise InvalidArgumentError(f"unknown target {target!r}, expected one of {targets}")
     n_lo = check_int("n_lo", n_lo, 1)
     n_hi = check_int("n_hi", n_hi, n_lo)
-    if target in GAUSSIAN_MODELS:
-        expected = partial(expected_f_model, target)
-    else:
-        expected = partial(expected_f_projection, Family(target))
-    estimates = [expected(n, d, k, cfg) for n in range(n_lo, n_hi + 1)]
+    row = target_row(target)
+    estimates = [expected_f_model(row, n, d, k, cfg) for n in range(n_lo, n_hi + 1)]
     rows: list[MonotonicityRow] = []
     for i, est in enumerate(estimates):
         if i + 1 == len(estimates):

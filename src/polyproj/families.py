@@ -13,6 +13,7 @@ subcube spanned by the first i coordinates for the cube.
 
 MODEL_TABLE is the one home of the reduction of the random-polytope models
 to the series: each model is a random image of P_{n - shift} of its family.
+A family on its own is the row Model(family, 0, False), P_n itself.
 """
 
 from __future__ import annotations
@@ -60,6 +61,13 @@ def model_row(name: str) -> Model:
     if name not in MODEL_TABLE:
         raise InvalidArgumentError(f"unknown model {name!r}, expected one of {tuple(MODEL_TABLE)}")
     return MODEL_TABLE[name]
+
+
+def target_row(target: Family | str) -> Model:
+    """The row of a family name or member, P_n itself with shift 0, or else of a model name."""
+    if target in tuple(Family):  # str-enum equality: names match members
+        return Model(Family(target), 0, False)
+    return model_row(target)
 
 
 _MAX_CUBE_N = 15  # vertex arrays grow as 2^n; keep explicit desk-scale cap

@@ -168,6 +168,8 @@ def hull_f_vector(points: np.ndarray) -> FVectorSample:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise InvalidArgumentError("points must be a 2-d array")
+    if not np.isfinite(pts).all():
+        raise InvalidArgumentError("points must be finite")
     d = pts.shape[1]
     if not (2 <= d <= _MAX_HULL_DIM):
         raise InvalidDimensionError(f"hull dimension must be in 2..{_MAX_HULL_DIM}, got {d}")
@@ -305,6 +307,8 @@ def zonotope_f_vector(generators: np.ndarray) -> FVectorSample:
     g = np.asarray(generators, dtype=float)
     if g.ndim != 2:
         raise InvalidArgumentError("generators must be a 2-d array")
+    if not np.isfinite(g).all():
+        raise InvalidArgumentError("generators must be finite")
     n, d = g.shape
     if not (2 <= d <= _MAX_HULL_DIM):
         raise InvalidDimensionError(f"zonotope dimension must be in 2..{_MAX_HULL_DIM}, got {d}")

@@ -87,7 +87,7 @@ def from_csv(text: str) -> list[ReportRow]:
 
 
 def to_json(rows: list[ReportRow]) -> str:
-    payload = [{c: asdict(row)[c] for c in COLUMNS} for row in rows]
+    payload = [asdict(row) for row in rows]  # asdict keeps field order, which is COLUMNS
     return json.dumps(payload, indent=2) + "\n"
 
 

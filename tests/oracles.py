@@ -7,9 +7,10 @@ of half-space tests, one product over every outer normal instead of a lead
 block of normals and its survivors, modified Gram-Schmidt one basis vector at
 a time instead of blocked classical Gram-Schmidt, raw subset enumeration
 instead of qhull bookkeeping, facets grouped by rounded hyperplane equations
-instead of by qhull's neighbour graph, and one freshly derived generator and
+instead of by qhull's neighbour graph, one freshly derived generator and
 one f-vector call per replication instead of batched stream keys and
-block-wise face counting.
+block-wise face counting, and Poisson tail bounds written out per model name
+instead of read off the model table.
 Agreement between routes is the point.
 """
 
@@ -76,6 +77,32 @@ TRIANGLE_VERTEX_ANGLE = 1 / 6
 # the pinned composite value: expected vertex count of the planar shadow of a
 # regular 3-simplex, 12 * (pi - arccos(1/3)) / (2 pi)
 SHADOW_TETRA_VERTICES = 6 * (math.pi - math.acos(1 / 3)) / math.pi
+
+
+def poisson_face_bound(model: str, ell: int, k: int) -> float:
+    """The Poisson tail's bound on f_k of a hull model with parameter ell, by model name.
+
+    ell Gaussian points have at most C(ell, k+1) k-faces, and ell symmetric
+    pairs at most C(2 ell, k+1).
+    """
+    if model == "gaussian":
+        return float(math.comb(ell, k + 1))
+    if model == "symmetric":
+        return float(math.comb(2 * ell, k + 1))
+    raise ValueError(f"model {model!r} has no hull face bound")
+
+
+def poisson_growth_ratio(model: str, ell: int, k: int) -> float:
+    """The largest ratio of consecutive face bounds from ell on, as a closed form per model name."""
+    if model == "gaussian":
+        if ell <= k:
+            return float(k + 2)
+        return (ell + 1) / (ell - k)
+    if model == "symmetric":
+        if 2 * ell <= k:
+            return float(k + 2)
+        return ((2 * ell + 2) * (2 * ell + 1)) / ((2 * ell + 1 - k) * (2 * ell - k))
+    raise ValueError(f"model {model!r} has no hull growth ratio")
 
 
 def mgs_orthonormal_basis(vecs: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:

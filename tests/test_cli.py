@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polyproj
 from polyproj import from_csv
 import polyproj.cli as cli
 from polyproj import InvalidArgumentError
@@ -30,6 +35,20 @@ def test_expected_cube_all_k(capsys):
         (0, 14.0, "exact"), (1, 24.0, "exact"), (2, 12.0, "exact"),
     ]
     assert all(r.command == "expected" and r.family == "cube" for r in rows)
+
+
+def test_module_entry_point():
+    # `python -m polyproj` in a fresh interpreter, on the copy of the package under test
+    src = str(Path(polyproj.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "polyproj", "expected", "--family", "cube", "--n", "4", "--d", "3", "--all-k"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    row = from_csv(done.stdout)[0]
+    assert (row.k, row.value, row.stderr, row.method) == (0, 14.0, 0.0, "exact")
+    bad = subprocess.run(argv + ["--bogus"], capture_output=True, text=True, env=env, timeout=300)
+    assert bad.returncode == 2
+    assert "unrecognized arguments: --bogus" in bad.stderr
 
 
 def test_expected_model_monte_carlo(capsys):

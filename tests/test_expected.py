@@ -30,7 +30,9 @@ from polyproj import (
     unit_ball_volume,
 )
 
-from oracles import SHADOW_TETRA_VERTICES
+from polyproj.families import target_row
+
+from oracles import SHADOW_TETRA_VERTICES, poisson_face_bound, poisson_growth_ratio
 
 FAST = MCConfig(samples=20_000, seed=0)
 
@@ -47,6 +49,16 @@ def test_trivial_branches(family):
     # injective regime reproduces the face count
     got = expected_f_projection(family, 3, 6, 1)
     assert got.exact_value == face_count(family, 3, 1)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_d_equals_n_is_exact(family):
+    # onto n dimensions P_n projects injectively almost surely: no sampling
+    for n in range(1, 7):
+        for k in range(n):
+            est = expected_f_projection(family, n, n, k)
+            assert est.exact and est.std_error == 0.0
+            assert est.exact_value == face_count(family, n, k)
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -148,13 +160,16 @@ def test_model_dispatch():
     assert expected_f_model("gaussian", 0, 3, 0).exact_value == 0
     a = expected_f_model("symmetric", 4, 2, 0, FAST)
     assert a == expected_f_symmetric(4, 2, 0, FAST)
+    # a family's row is P_n itself, but its name is no model name
+    row = target_row("crosspolytope")
+    assert expected_f_model(row, 5, 3, 1, FAST) == expected_f_projection(Family.CROSSPOLYTOPE, 5, 3, 1, FAST)
     with pytest.raises(InvalidArgumentError):
         expected_f_model("cube", 4, 3, 0)
 
 
 def test_expected_f_vector_shapes():
     fv = expected_f_vector(family=Family.CUBE, n=4, d=3)
-    assert fv.model == "projected_cube"
+    assert fv.model == "" and fv.family is Family.CUBE
     assert sorted(fv.entries) == [0, 1, 2]
     assert fv.entries[0].exact_value == 14
     gv = expected_f_vector(model="gaussian", n=3, d=4)
@@ -163,6 +178,17 @@ def test_expected_f_vector_shapes():
         expected_f_vector(family=Family.CUBE, model="gaussian", n=3, d=2)
     with pytest.raises(InvalidArgumentError):
         expected_f_vector(n=3, d=2)
+    # the simplex family's n is P_n itself, projected_simplex's n is P_{n-1}:
+    # the two targets differ and so do their labels
+    sv = expected_f_vector(family="simplex", n=4, d=3, cfg=FAST)
+    pv = expected_f_vector(model="projected_simplex", n=4, d=3, cfg=FAST)
+    assert (sv.model, sv.family) == ("", Family.SIMPLEX)
+    assert (pv.model, pv.family) == ("projected_simplex", None)
+    for k in range(3):
+        assert sv.entries[k] == expected_f_projection(Family.SIMPLEX, 4, 3, k, FAST)
+        assert pv.entries[k] == expected_f_projection(Family.SIMPLEX, 3, 3, k, FAST)
+    assert [e.exact_value for e in pv.entries.values()] == [4, 6, 4]  # the tetrahedron itself
+    assert not sv.entries[0].exact
 
 
 def test_estimate_method_property():
@@ -284,6 +310,12 @@ def test_t_functional_validation():
         t_functional_expected(2, 1, -1.0, 1.0)
     with pytest.raises(InvalidArgumentError):
         t_functional_expected(2, 1, True, 1.0)
+    # non-finite inputs are typed errors, not nan or inf results
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgumentError, match="b must be a finite real number"):
+            t_functional_expected(3, 1, value, 5.0)
+        with pytest.raises(InvalidArgumentError, match="expected_f_value must be finite"):
+            t_functional_expected(3, 1, 1.0, value)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +391,21 @@ def test_poisson_validation():
     for eps in (math.nan, math.inf):
         with pytest.raises(InvalidArgumentError, match="eps must be"):
             poissonized_expected(1.0, 2, 0, eps=eps)
+    # eps takes a real like t does, and a bool is not one
+    for eps in (True, False):
+        with pytest.raises(InvalidArgumentError, match="eps must be a positive finite real"):
+            poissonized_expected(1.0, 2, 0, model="zonotope", eps=eps)
+
+
+@pytest.mark.parametrize("model", ["gaussian", "symmetric"])
+def test_poisson_tails_read_off_the_row_match_the_closed_forms(model):
+    # the hull bounds come from the vertex count of the row's P_{ell - shift},
+    # the ratios as int divisions; both equal the per-model closed forms bit for bit
+    row = MODEL_TABLE[model]
+    for k in range(12):
+        for ell in range(k + 2, 3001):
+            assert float(polyproj.expected._face_bound(row, ell, 3, k)) == poisson_face_bound(model, ell, k)
+            assert polyproj.expected._growth_ratio(row, ell, 3, k) == poisson_growth_ratio(model, ell, k)
 
 
 def test_poisson_truncation_valve(monkeypatch):

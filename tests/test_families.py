@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from polyproj import (
+    MODEL_TABLE,
     CanonicalFace,
     Family,
     InvalidArgumentError,
     InvalidDimensionError,
     InvalidFaceError,
+    Model,
     ambient_dim,
     barycenter,
     canonical_face,
@@ -17,6 +19,7 @@ from polyproj import (
     hull_f_vector,
     vertices,
 )
+from polyproj.families import target_row
 
 from oracles import cayley_menger_volume, full_dimensional
 
@@ -172,3 +175,13 @@ def test_dimension_validation():
         face_count(Family.SIMPLEX, -1, 0)
     with pytest.raises(InvalidArgumentError):
         canonical_face(Family.SIMPLEX, 3, 1.5)
+
+
+def test_target_rows():
+    # a family on its own is P_n itself; a model name is its table row
+    for f in Family:
+        assert target_row(f) == target_row(f.value) == Model(f, 0, False)
+    for name, row in MODEL_TABLE.items():
+        assert target_row(name) is row
+    with pytest.raises(InvalidArgumentError, match="unknown model 'dodecahedron'"):
+        target_row("dodecahedron")

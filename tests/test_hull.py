@@ -172,6 +172,15 @@ def test_hull_degenerate_inputs():
         hull_f_vector(np.zeros((10, 7)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hull_rejects_non_finite_points(bad):
+    # a non-finite coordinate is bad input, not a flat draw or a qhull failure
+    pts = np.random.default_rng(1).standard_normal((8, 3))
+    pts[2, 1] = bad
+    with pytest.raises(InvalidArgumentError, match="points must be finite"):
+        hull_f_vector(pts)
+
+
 # ---------------------------------------------------------------------------
 # zonotopes
 
@@ -245,6 +254,15 @@ def test_zonotope_degenerate_generators():
         zonotope_f_vector(np.zeros((16, 3)))
     with pytest.raises(InvalidArgumentError):
         zonotope_f_vector(np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_zonotope_rejects_non_finite_generators(bad):
+    # a non-finite generator is bad input, not a degenerate arrangement
+    g = np.random.default_rng(1).standard_normal((5, 3))
+    g[3, 0] = bad
+    with pytest.raises(InvalidArgumentError, match="generators must be finite"):
+        zonotope_f_vector(g)
 
 
 @pytest.mark.parametrize("index", range(100, 150))
