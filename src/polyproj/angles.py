@@ -68,7 +68,7 @@ from .errors import (
     InvalidPairError,
     NumericError,
 )
-from .families import Family, barycenter, canonical_face, check_int, vertices
+from .families import Family, barycenter, canonical_face, check_int, resolve_family, vertices
 from .streams import ANGLE_SAMPLES, FAMILY_CODES, KIND_EXTERNAL, KIND_INTERNAL, chunk_counts, derive_generator
 
 ORTHONORMALITY_TOL = 1e-12
@@ -427,7 +427,7 @@ def external_angle(family: Family, n: int, g: int, cfg: MCConfig | None = None) 
     Everything else is estimated by sampling the normal cone.
     """
     cfg = cfg or MCConfig()
-    family = Family(family)
+    family = resolve_family(family)
     n = check_int("n", n)
     g = check_int("g", g)
     if n < 1:
@@ -457,7 +457,7 @@ def internal_angle(
     simplices.
     """
     cfg = cfg or MCConfig()
-    family = Family(family)
+    family = resolve_family(family)
     n = check_int("n", n)
     k = check_int("k", k)
     g = check_int("g", g)

@@ -38,6 +38,7 @@ from .families import (
     face_count,
     face_volume,
     model_row,
+    resolve_family,
     target_row,
 )
 
@@ -89,7 +90,7 @@ def sn_terms(
     Terms with k > j-1 vanish (the subface count is 0) and are included with
     value 0 so the sum structure stays inspectable.
     """
-    family = Family(family)
+    family = resolve_family(family)
     n = check_int("n", n, 1)
     d = check_int("d", d, 1)
     k = check_int("k", k, 0)
@@ -123,7 +124,7 @@ def expected_f_projection(
     gives the segment counts (2, 1).  The general branch evaluates the
     projection sum, exactly where possible.
     """
-    family = Family(family)
+    family = resolve_family(family)
     n = check_int("n", n, 1)
     d = check_int("d", d, 1)
     k = check_int("k", k, 0)
@@ -222,7 +223,7 @@ def expected_f_vector(
         raise InvalidArgumentError("exactly one of family/model must be given")
     n = check_int("n", n, 0)
     d = check_int("d", d, 0)
-    row = model_row(model) if family is None else target_row(Family(family))
+    row = model_row(model) if family is None else target_row(resolve_family(family))
     entries = {k: expected_f_model(row, n, d, k, cfg) for k in range(min(n - row.shift, d))}
     return ExpectedFVector(model or "", None if family is None else row.family, n, d, entries)
 
@@ -236,7 +237,7 @@ def intrinsic_volume(family: Family, n: int, k: int, cfg: MCConfig | None = None
     Exact for cubes (binomial coefficients).  The crosspolytope's top volume
     V_n = 2^n/n! is a special branch since it has no canonical n-face.
     """
-    family = Family(family)
+    family = resolve_family(family)
     n = check_int("n", n, 1)
     k = check_int("k", k, 0)
     if k > n:

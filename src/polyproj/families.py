@@ -34,6 +34,16 @@ class Family(str, Enum):
     CUBE = "cube"
 
 
+def resolve_family(family: Family | str) -> Family:
+    """The Family of a member or of its name; anything else raises InvalidArgumentError."""
+    try:
+        return Family(family)
+    except ValueError:
+        raise InvalidArgumentError(
+            f"unknown family {family!r}, expected one of {tuple(f.value for f in Family)}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class Model:
     """A random-polytope model: with parameter n it is the image of P_{n - shift}
@@ -88,6 +98,7 @@ def check_int(name: str, v, lo: int | None = None) -> int:
 
 def ambient_dim(family: Family, n: int) -> int:
     """Dimension of the ambient space the standard embedding lives in."""
+    family = resolve_family(family)
     n = _check_n(family, n)
     return n + 1 if family is Family.SIMPLEX else n
 
@@ -105,6 +116,7 @@ def _check_n(family: Family, n: int) -> int:
 
 def vertices(family: Family, n: int) -> np.ndarray:
     """All vertices of P_n as an integer array, one vertex per row."""
+    family = resolve_family(family)
     n = _check_n(family, n)
     if family is Family.SIMPLEX:
         return np.eye(n + 1, dtype=np.int64)
@@ -125,6 +137,7 @@ def face_count(family: Family, m: int, ell: int, on_polytope: bool = True) -> in
     crosspolytopes.  The face itself counts as its own (improper) face, so
     face_count(f, m, m) == 1.
     """
+    family = resolve_family(family)
     m = check_int("m", m)
     ell = check_int("ell", ell)
     if m < 0 or ell < 0:
@@ -162,6 +175,7 @@ def canonical_face(family: Family, n: int, i: int) -> CanonicalFace:
     crosspolytope only proper faces exist canonically, so 0 <= i <= n-1.
     For the cube, 0 <= i <= n.
     """
+    family = resolve_family(family)
     n = _check_n(family, n)
     i = check_int("face dimension", i)
     hi = n - 1 if family is Family.CROSSPOLYTOPE else n

@@ -9,15 +9,30 @@ P_{n - shift} under a Gaussian map or a uniform orthogonal projection to R^d.
   projected_crosspolytope  image of the n-crosspolytope (2n vertices)
   projected_cube           image of the n-cube (2^n vertices)
 
-Hulls go through qhull, whose output is triangulated.  Two neighbouring
-simplices lie on one facet when their [normal, offset] rows agree within
-_FACET_TOL, which one vectorized comparison over qhull's neighbour array
-tests.  If no neighbours agree the hull is simplicial and its k-faces are the
-distinct (k+1)-subsets of the simplices, counted by sorting one integer key
-per subset, with the hull's position as the key's top digit so that one sort
-per k counts many hulls at once; otherwise facet labels spread over
-agreeing neighbours, and the face lattice is recovered by closing the facet
-vertex sets under intersection.
+Simulated hulls of the simplex and crosspolytope images (the hull of the
+map's rows, or of those and their negatives) are decided a chunk of clouds
+at a time from one table of d x d minors of each map, built by Laplace
+expansion one column at a time over precomputed index tables.  The minor
+chi(I) of rows I and the minors c_ij of X_I with row j replaced by x_i give
+every side test: I is a facet of the rows' hull iff sum_j c_ij - chi(I) has
+one strict sign over the rows i outside I, and the signed set eps*I is a
+facet of the symmetric hull, with its antipode, iff |sum_j eps_j c_ij| <
+|chi(I)| for each of them.  A cloud with a point within a margin of some
+hyperplane through d others (_ENUM_MARGIN, a distance at the cloud's scale
+that dominates _FACET_TOL) is not read off the table but goes to qhull, and
+so do shapes with more side tests per point than the measured _ENUM_CAP.
+
+Hulls that hull_f_vector is asked for, and those clouds, go through qhull,
+whose output is triangulated.  Two neighbouring simplices lie on one
+facet when their [normal, offset] rows agree within _FACET_TOL, which one
+vectorized comparison over qhull's neighbour array tests.  If no neighbours
+agree the hull is simplicial; otherwise facet labels spread over agreeing
+neighbours, and the face lattice is recovered by closing the facet vertex
+sets under intersection.  The k-faces of a simplicial hull, from either
+route, are the distinct (k+1)-subsets of its facets, counted by sorting one
+integer key per subset, with the hull's position as the key's top digit so
+that one sort per k counts many hulls at once.
+
 Zonotope f-vectors are counted combinatorially: a k-face is a covector of
 the generators' hyperplane arrangement with k zeros, and every covector is
 read off a ray of the arrangement, so one batched SVD and one np.unique count
@@ -31,7 +46,8 @@ _BLOCK: one derive_keys call gives the attempt-0 Philox keys of the whole
 block, one Philox is re-keyed per replication, and only a degenerate draw's
 resample builds its own generator with derive_generator.  The draws are the
 ones derive_generator's generators would give, so reports do not depend on
-the blocking.
+the blocking, and a cloud sent to qhull is drawn again from the same
+stream, so they do not depend on the route either.
 """
 
 from __future__ import annotations
@@ -40,6 +56,7 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
@@ -66,6 +83,23 @@ _GENERAL_POSITION_TOL = 1e-9  # on unit generators: singular values and distance
 _FACET_TOL = 1e-9  # largest entry difference of two simplices' [normal, offset] rows on one facet
 _RANK_TOL = 1e-9  # relative to the cloud's extent, on the scale of _FACET_TOL
 _BLOCK = 512
+# a cloud is enumerated only if every point lies farther than _ENUM_MARGIN * (1 + R)
+# from every hyperplane through d other points, R the largest point norm; qhull's
+# neighbours merge only within sqrt(d) * _FACET_TOL * (1 + R), 40 times less at d = 6
+_ENUM_MARGIN = 1e-7
+# Side tests per cloud point up to which the minors route decides a shape (see
+# _enumerates); larger shapes go to qhull.  Time per hull of the minors route
+# over qhull's, 512-cloud blocks, 2-core VM, one thread, tests per point in
+# brackets:
+#   gaussian  n=10 d=2 (36) 0.19, n=20 d=2 (171) 1.03, n=10 d=3 (84) 0.32,
+#             n=12 d=3 (165) 0.51, n=14 d=3 (286) 1.06, n=10 d=4 (126) 0.42,
+#             n=12 d=4 (330) 1.03, n=10 d=6 (84) 0.47
+#   symmetric n=20 d=2 (171) 1.68, n=10 d=3 (168) 0.42, n=12 d=3 (330) 1.27,
+#             n=8 d=4 (140) 0.31, n=10 d=4 (504) 0.95, n=8 d=5 (168) 0.32
+# The route stops paying near 170 at d = 2 and 300-500 at d = 3, 4; at 160
+# every shape it takes was measured at least 1.6 times faster.
+_ENUM_CAP = 160
+_ENUM_ENTRIES = 1 << 16  # float64 entries of the largest per-chunk temporary
 _COUNT_BATCH = 2048  # simplices counted by one sort per k; caps the key arrays at 2048 * C(d, k+1) entries
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # column index sets of the j-subsets of a d-column row, for the simplicial path
@@ -176,7 +210,7 @@ def hull_f_vector(points: np.ndarray) -> FVectorSample:
     fv = _f_vector_or_simplices(pts)
     if isinstance(fv, FVectorSample):
         return fv
-    return FVectorSample(tuple(int(c) for c in _simplicial_f_vectors([fv])[0]))
+    return FVectorSample(tuple(int(c) for c in _simplicial_f_vectors(fv, [len(fv)])[0]))
 
 
 def _f_vector_or_simplices(pts: np.ndarray) -> FVectorSample | np.ndarray:
@@ -247,24 +281,24 @@ def _f_vector_or_simplices(pts: np.ndarray) -> FVectorSample | np.ndarray:
     return FVectorSample(tuple(counts))
 
 
-def _simplicial_f_vectors(simplices: list[np.ndarray]) -> np.ndarray:
+def _simplicial_f_vectors(simplices: np.ndarray, sizes) -> np.ndarray:
     """f-vectors, one int64 row per hull, of simplicial hulls given by their simplices.
 
-    f_{d-1} counts a hull's simplices, and f_k for k <= d-2 its distinct
-    sorted (k+1)-subsets of simplex vertex ids; each f_k of every hull comes
-    from one _count_distinct_rows call.
+    The simplices of every hull are stacked hull after hull, sizes[h] of
+    hull h.  f_{d-1} counts a hull's simplices, and f_k for k <= d-2 its
+    distinct sorted (k+1)-subsets of simplex vertex ids; each f_k of every
+    hull comes from one _count_distinct_rows call.
     """
-    d = simplices[0].shape[1]
-    sizes = [len(s) for s in simplices]
-    ordered = np.sort(np.concatenate(simplices), axis=1)
+    d = simplices.shape[1]
+    ordered = np.sort(simplices, axis=1)
     base = int(ordered.max()) + 1
-    owner = np.repeat(np.arange(len(simplices)), sizes)
-    rows = np.empty((len(simplices), d), dtype=np.int64)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    rows = np.empty((len(sizes), d), dtype=np.int64)
     rows[:, d - 1] = sizes
     for k in range(d - 1):
         cols = _COLUMN_SUBSETS[d, k + 1]
         subsets = ordered[:, cols].reshape(-1, k + 1)
-        rows[:, k] = _count_distinct_rows(subsets, base, np.repeat(owner, len(cols)), len(simplices))
+        rows[:, k] = _count_distinct_rows(subsets, base, np.repeat(owner, len(cols)), len(sizes))
     return rows
 
 
@@ -290,6 +324,137 @@ def _count_distinct_rows(rows: np.ndarray, base: int, group: np.ndarray, groups:
     first = np.ones(len(key), dtype=bool)
     np.not_equal(key[1:], key[:-1], out=first[1:])
     return np.bincount(group[first], minlength=groups)
+
+
+@cache
+def _minor_tables(m: int, d: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """Index tables of the d x d minors of an m x d map and of its side tests.
+
+    Row subsets are listed in combinations order.  Level k holds the minors
+    on columns 0..k-1 of every k-subset S, expanded along column k-1:
+    M_k(S) = sum_p (-1)^(p+k-1) X[S_p, k-1] M_{k-1}(S without S_p), so a
+    level is, for each p, one gather of rows at[p], one of the level below
+    at sub[p] and a signed add.  For a d-subset I and the a-th row i
+    outside it, the minor of X_I with its p-th row replaced by x_i is entry
+    swap[p, I, a] of the top level stacked on its negative.  Returns the
+    levels 2..d as (at, sub) pairs, the d-subsets and swap; built on first
+    use, once per (m, d).
+    """
+    subsets = [list(combinations(range(m), k)) for k in range(d + 1)]
+    where = [{s: r for r, s in enumerate(level)} for level in subsets]
+    levels = []
+    for k in range(2, d + 1):
+        sub = [[where[k - 1][s[:p] + s[p + 1 :]] for p in range(k)] for s in subsets[k]]
+        levels.append((np.array(subsets[k]).T, np.array(sub).T))
+    top = len(subsets[d])
+    swap = np.empty((d, top, m - d), dtype=np.intp)
+    for r, s in enumerate(subsets[d]):
+        for a, i in enumerate(sorted(set(range(m)).difference(s))):
+            for p in range(d):
+                t = s[:p] + (i,) + s[p + 1 :]
+                odd = sum(x > y for x, y in combinations(t, 2)) % 2
+                swap[p, r, a] = where[d][tuple(sorted(t))] + odd * top
+    facets = np.array(subsets[d])
+    for table in [*(a for level in levels for a in level), facets, swap]:
+        table.setflags(write=False)  # shared by every caller through the cache
+    return levels, facets, swap
+
+
+@cache
+def _signed_facets(m: int, d: int) -> np.ndarray:
+    """Vertex ids, shape (2^(d-1), C(m, d), 2, d), of each signed d-subset and its antipode.
+
+    Sign vector e has eps_0 = +1 and eps_p = -1 exactly when bit p-1 of e is
+    set; in the cloud [X; -X] the point eps_j x_j has id j when eps_j is +1
+    and m + j otherwise.
+    """
+    e = np.arange(1 << (d - 1))[:, None]
+    flip = np.concatenate([np.zeros_like(e), (e >> np.arange(d - 1)) & 1], axis=1) * m
+    subsets = np.array(list(combinations(range(m), d)))
+    ids = np.stack([subsets + flip[:, None], subsets + (m - flip)[:, None]], axis=2)
+    ids.setflags(write=False)  # shared by every caller through the cache
+    return ids
+
+
+def _side_tests(row: Model, n: int, d: int) -> int:
+    """Side tests of one cloud on the minors route: points outside each candidate facet, per sign vector."""
+    tests = math.comb(n, d) * (n - d)
+    return tests << (d - 1) if row.family is Family.CROSSPOLYTOPE else tests
+
+
+def _enumerates(row: Model, n: int, d: int) -> bool:
+    """Whether the minors route decides the model's clouds at (n, d).
+
+    It takes simplex and crosspolytope images with at most _ENUM_CAP side
+    tests per point of the cloud.
+    """
+    if row.family is Family.CUBE:
+        return False
+    points = 2 * n if row.family is Family.CROSSPOLYTOPE else n
+    return _side_tests(row, n, d) <= _ENUM_CAP * points
+
+
+def _enumerated_facets(maps: np.ndarray, symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Facets of the hulls of a stack of m x d maps' rows, with their negatives if symmetric.
+
+    With chi(I) the minor of rows I and c_ij the minor of X_I with row j
+    replaced by x_i, the point x_i is on the side sum_j c_ij - chi(I) of the
+    hyperplane through X_I: so I is a facet of the rows' hull iff that has one
+    strict sign for every i outside I.  The signed set eps*I is a facet of the
+    symmetric hull iff |sum_j eps_j c_ij| < |chi(I)| for every i outside I,
+    and its antipode -eps*I with it.  Each such value is, up to sign, the
+    distance of a point from the hyperplane through the d points of I times
+    (d-1)! times their (d-1)-volume, which is at most the product over p >= 1
+    of |x_{I_p}| + |x_{I_0}|.  A cloud with any value within _ENUM_MARGIN *
+    (1 + R) times that product of 0, R its largest point norm, or with
+    |2 chi(I)| that small (the points -eps_j x_j), is flagged near and its
+    facets are not read.
+
+    Returns the near flags, the simplices of the other clouds in cloud order
+    and how many belong to each of those clouds.  Arrays are worked with the
+    cloud axis last, so that every gather copies whole rows.
+    """
+    m, d = maps.shape[1:]
+    x = np.ascontiguousarray(maps.transpose(1, 2, 0))
+    levels, subsets, swap = _minor_tables(m, d)
+    chi = x[:, 0]
+    for k, (at, sub) in enumerate(levels, start=1):
+        # the cofactor of row p in column k has sign (-1)^(p+k)
+        col = x[:, k]
+        acc = col[at[k]] * chi[sub[k]]
+        for p in range(k):
+            term = col[at[p]] * chi[sub[p]]
+            acc -= term if (k - p) % 2 else -term
+        chi = acc
+    signed = np.concatenate([chi, -chi])
+    norms = np.sqrt((x * x).sum(axis=1))
+    volume_bound = np.prod(norms[subsets[:, 1:]] + norms[subsets[:, :1]], axis=1)
+    tol = _ENUM_MARGIN * (1 + norms.max(axis=0)) * volume_bound
+    side = signed[swap[0]]
+    if not symmetric:
+        side -= chi[:, None]
+        for p in range(1, d):
+            side += signed[swap[p]]
+        near = (np.abs(side) <= tol[:, None]).any(axis=(0, 1))
+        above = (side > 0).sum(axis=1)
+        facet = ((above == 0) | (above == side.shape[1])).T[~near]
+        return near, subsets[np.nonzero(facet)[1]], facet.sum(axis=1)
+    # sums[e] = sum_p eps_p c_ip for sign vector e, built in place one p at a time
+    sums = np.empty((1 << (d - 1),) + side.shape)
+    sums[0] = side
+    for p in range(1, d):
+        half = 1 << (p - 1)
+        np.take(signed, swap[p], axis=0, out=side)
+        np.subtract(sums[:half], side, out=sums[half : 2 * half])
+        sums[:half] += side
+    size = np.abs(chi)
+    np.abs(sums, out=sums)
+    sums -= size[:, None]
+    facet = (sums < 0).all(axis=2)
+    near = (np.abs(sums, out=sums) <= tol[:, None]).any(axis=(0, 1, 2)) | (2 * size <= tol).any(axis=0)
+    facet = facet.transpose(2, 0, 1)[~near]
+    _, e, r = np.nonzero(facet)
+    return near, _signed_facets(m, d)[e, r].reshape(-1, d), 2 * facet.sum(axis=(1, 2))
 
 
 def zonotope_f_vector(generators: np.ndarray) -> FVectorSample:
@@ -394,21 +559,27 @@ def _replication_block(args: tuple[str, int, int, int, int, int]) -> tuple[int, 
     """Rows lo..hi-1 of a simulation and their degenerate-attempt count.
 
     The attempt-0 keys of the whole block come from one derive_keys call and
-    one Philox is re-keyed for each replication.  The simplices of simplicial
-    hulls are set aside and counted together whenever _COUNT_BATCH simplices
-    wait, and at the end of the block.
+    one Philox is re-keyed for each replication.  Shapes that _enumerates
+    takes are first decided on the minors route; only the clouds it flags
+    near go on to qhull, drawn again from their attempt-0 stream.  The
+    simplices of simplicial qhull hulls are set aside and counted together
+    whenever _COUNT_BATCH simplices wait, and at the end of the block.
     """
     model, n, d, seed, lo, hi = args
     keys = derive_keys(seed, SIM_REPLICATION, MODEL_CODES[model], n, d, np.arange(lo, hi), 0)
     bitgen = Philox(key=0)
     rng = Generator(bitgen)
     rows = np.zeros((hi - lo, d), dtype=np.int64)
+    row = MODEL_TABLE[model]
+    todo = range(hi - lo)
+    if _enumerates(row, n, d):
+        todo = _enumerate_block(row, n, d, keys, bitgen, rng, rows)
     degen = 0
     simplicial: list[np.ndarray] = []
     at: list[int] = []
     pending = 0
-    for j, key in enumerate(keys):
-        rekey(bitgen, key)
+    for j in todo:
+        rekey(bitgen, keys[j])
         fv, extra = _one_replication(model, n, d, seed, lo + j, rng)
         degen += extra
         if isinstance(fv, FVectorSample):
@@ -418,11 +589,41 @@ def _replication_block(args: tuple[str, int, int, int, int, int]) -> tuple[int, 
         at.append(j)
         pending += len(fv)
         if pending >= _COUNT_BATCH:
-            rows[at] = _simplicial_f_vectors(simplicial)
+            rows[at] = _simplicial_f_vectors(np.concatenate(simplicial), [len(s) for s in simplicial])
             simplicial, at, pending = [], [], 0
     if simplicial:
-        rows[at] = _simplicial_f_vectors(simplicial)
+        rows[at] = _simplicial_f_vectors(np.concatenate(simplicial), [len(s) for s in simplicial])
     return lo, rows, degen
+
+
+def _enumerate_block(
+    row: Model, n: int, d: int, keys: np.ndarray, bitgen: Philox, rng: Generator, rows: np.ndarray
+) -> np.ndarray:
+    """Fill the rows of the block's clouds that the minors route decides; return the others.
+
+    The attempt-0 maps are drawn and decided in chunks whose largest
+    temporary has about _ENUM_ENTRIES entries.
+    """
+    symmetric = row.family is Family.CROSSPOLYTOPE
+    chunk = max(1, _ENUM_ENTRIES // max(_side_tests(row, n, d), 1))
+    maps = np.empty((min(chunk, len(keys)), n, d))
+    left = []
+    for lo in range(0, len(keys), chunk):
+        hi = min(lo + chunk, len(keys))
+        for j in range(lo, hi):
+            rekey(bitgen, keys[j])
+            maps[j - lo] = _sample_map(row, n, d, rng)
+        near, simplices, sizes = _enumerated_facets(maps[: hi - lo], symmetric)
+        left.extend(np.flatnonzero(near) + lo)
+        done = np.flatnonzero(~near) + lo
+        # counted in runs of clouds of about _COUNT_BATCH simplices, as qhull's are
+        ends = np.cumsum(sizes)
+        bounds = [0, *(np.flatnonzero(np.diff((ends - 1) // _COUNT_BATCH)) + 1), len(done)]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            if b > a:
+                simplices_ab = simplices[ends[a] - sizes[a] : ends[b - 1]]
+                rows[done[a:b]] = _simplicial_f_vectors(simplices_ab, sizes[a:b])
+    return np.array(left, dtype=np.intp)
 
 
 def simulate_expected_f(cfg: SimConfig, dump_path: str | None = None) -> SimulationResult:

@@ -119,7 +119,6 @@ def test_criterion_2_zonotope_determinism(capsys):
              f"{elapsed:.1f}s < 60s; failures {failures[:4]}")
 
 
-@pytest.mark.slow
 def test_criterion_3_gaussian_equivalence(capsys):
     t0 = time.monotonic()
     failures = []

@@ -14,12 +14,18 @@ from polyproj import (
     ambient_dim,
     barycenter,
     canonical_face,
+    expected_f_projection,
+    expected_f_vector,
+    external_angle,
     face_count,
     face_volume,
     hull_f_vector,
+    internal_angle,
+    intrinsic_volume,
+    sn_terms,
     vertices,
 )
-from polyproj.families import target_row
+from polyproj.families import resolve_family, target_row
 
 from oracles import cayley_menger_volume, full_dimensional
 
@@ -185,3 +191,39 @@ def test_target_rows():
         assert target_row(name) is row
     with pytest.raises(InvalidArgumentError, match="unknown model 'dodecahedron'"):
         target_row("dodecahedron")
+
+
+_FAMILY_ENTRY_POINTS = {
+    "expected_f_projection": lambda f: expected_f_projection(f, 3, 2, 1),
+    "sn_terms": lambda f: sn_terms(f, 3, 2, 1),
+    "intrinsic_volume": lambda f: intrinsic_volume(f, 3, 1),
+    "external_angle": lambda f: external_angle(f, 3, 1),
+    "internal_angle": lambda f: internal_angle(f, 3, 0, 2),
+    "expected_f_vector": lambda f: expected_f_vector(family=f, n=3, d=2),
+    "face_count": lambda f: face_count(f, 3, 1),
+    "vertices": lambda f: vertices(f, 2),
+    "canonical_face": lambda f: canonical_face(f, 3, 1),
+    "ambient_dim": lambda f: ambient_dim(f, 3),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_FAMILY_ENTRY_POINTS))
+def test_unknown_family_is_a_typed_error(entry):
+    # a model name is not a family; neither is a number
+    for bad in ("hexagon", "gaussian", 3):
+        with pytest.raises(InvalidArgumentError, match="unknown family"):
+            _FAMILY_ENTRY_POINTS[entry](bad)
+
+
+@pytest.mark.parametrize("entry", ["face_count", "vertices", "ambient_dim", "canonical_face"])
+def test_family_names_resolve_to_members(entry):
+    # a name gives what its member gives; the cube's counts are never returned for a simplex name
+    for f in Family:
+        by_name, by_member = _FAMILY_ENTRY_POINTS[entry](f.value), _FAMILY_ENTRY_POINTS[entry](f)
+        if entry == "vertices":
+            assert np.array_equal(by_name, by_member)
+        elif entry == "canonical_face":
+            assert by_name.family is by_member.family and np.array_equal(by_name.vertices, by_member.vertices)
+        else:
+            assert by_name == by_member
+    assert resolve_family("simplex") is Family.SIMPLEX

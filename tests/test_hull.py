@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.random import SeedSequence
+from scipy.spatial import ConvexHull
 
 from polyproj import (
     MODEL_TABLE,
@@ -16,16 +17,21 @@ from polyproj import (
     hull_f_vector,
     random_orthonormal_frame,
     simulate_expected_f,
+    symmetrize,
     vertices,
     zonotope_f_vector,
 )
 from polyproj.hull import (
+    _ENUM_MARGIN,
     _FACET_TOL,
     _GENERAL_POSITION_TOL,
+    _MAX_HULL_DIM,
     _count_distinct_rows,
+    _enumerates,
     _replication_block,
     MODELS,
     _sample_cloud,
+    _sample_map,
 )
 from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator
 
@@ -406,30 +412,37 @@ def test_simulate_blocks_match_per_replication_oracle(model, d, tmp_path):
 
 
 def test_simulate_resamples_degenerate_draws_from_later_attempts(monkeypatch):
-    # flatten the attempt-0 clouds of replications 0, 511, 512 and 1700 and
-    # the attempt-1 cloud of 1700; keys pick the draws, whatever the order
-    model, n, d, seed, r = "gaussian", 6, 3, 23, 5200
+    # flatten the attempt-0 maps of replications 0, 511, 512, 600 and 1700 and
+    # the attempt-1 map of 1700; keys pick the draws, whatever the order.  Every
+    # minor of a flat map is 0, so the minors route hands it to qhull, which
+    # flags it degenerate, and it is resampled from its next attempt's stream
+    model, n, d, seed, r = "gaussian", 6, 3, 23, 6000  # 6 is the most degenerate draws allowed
+    assert _enumerates(MODEL_TABLE[model], n, d)
     path = (seed, SIM_REPLICATION, MODEL_CODES[model], n, d)
-    flat = {(0, 0), (511, 0), (512, 0), (1700, 0), (1700, 1)}
+    flat = {(0, 0), (511, 0), (512, 0), (600, 0), (1700, 0), (1700, 1)}
     flat_keys = {tuple(SeedSequence((*path, i, a)).generate_state(2, np.uint64)) for i, a in flat}
 
-    def sampler(model, n, d, rng):
+    def flattened(row, n, d, rng):
         key = tuple(rng.bit_generator.state["state"]["key"])
-        cloud = _sample_cloud(model, n, d, rng)
+        image = _sample_map(row, n, d, rng)
         if key in flat_keys:
-            cloud[:, -1] = 0.0
-        return cloud
+            image[:, -1] = 0.0
+        return image
+
+    def sampler(model, n, d, rng):
+        return flattened(MODEL_TABLE[model], n, d, rng)  # a gaussian cloud is its map
 
     rows, degenerate = per_replication_rows(model, n, d, seed, r, sampler=sampler)
-    assert degenerate.sum() == 5 and degenerate[1700] == 2
-    monkeypatch.setattr("polyproj.hull._sample_cloud", sampler)
+    assert degenerate.sum() == 6 and degenerate[1700] == 2
+    monkeypatch.setattr("polyproj.hull._sample_map", flattened)
     lo, block_rows, block_degen = _replication_block((model, n, d, seed, 512, 1024))
-    assert block_degen == 1 and np.array_equal(block_rows, rows[512:1024])
+    assert block_degen == 2 and np.array_equal(block_rows, rows[512:1024])
     result = simulate_expected_f(SimConfig(model=model, n=n, d=d, replications=r, seed=seed))
-    assert result.degenerate_events == 5
+    assert result.degenerate_events == 6
     assert result.means[0].value == float(rows[:, 0].mean())
+    monkeypatch.undo()
     # the resampled rows are the f-vectors of the next attempts' streams
-    for i, attempt in [(0, 1), (511, 1), (512, 1), (1700, 2)]:
+    for i, attempt in [(0, 1), (511, 1), (512, 1), (600, 1), (1700, 2)]:
         rng = derive_generator(*path, i, attempt)
         assert rows[i].tolist() == list(hull_f_vector(_sample_cloud(model, n, d, rng)).counts)
 
@@ -452,3 +465,107 @@ def test_simulation_abort_error_fields():
     err = SimulationAbortError("model stalled", degenerate=7, replications=30)
     assert err.degenerate == 7
     assert err.replications == 30
+
+
+# ---------------------------------------------------------------------------
+# the minors route and its qhull fallback
+
+
+# (model, n, d): d = 2, the smallest full-dimensional n of each model (n = d
+# for the crosspolytope images), crosspolytope images at d = 5, and the
+# benchmark's gaussian n=10 d=3 and symmetric n=8 d=4
+_MINORS_GRID = [
+    ("gaussian", 3, 2), ("gaussian", 7, 2), ("gaussian", 4, 3), ("gaussian", 10, 3),
+    ("gaussian", 5, 4), ("gaussian", 6, 5), ("gaussian", 8, 6),
+    ("symmetric", 2, 2), ("symmetric", 6, 2), ("symmetric", 3, 3), ("symmetric", 8, 4),
+    ("symmetric", 5, 5), ("symmetric", 6, 5), ("symmetric", 6, 6),
+    ("projected_simplex", 3, 2), ("projected_simplex", 6, 3), ("projected_simplex", 7, 5),
+    ("projected_crosspolytope", 2, 2), ("projected_crosspolytope", 4, 3),
+    ("projected_crosspolytope", 5, 5), ("projected_crosspolytope", 6, 5),
+]
+
+
+@pytest.mark.parametrize("model,n,d", _MINORS_GRID)
+def test_minors_route_matches_per_replication_oracle(model, n, d, tmp_path):
+    assert _enumerates(MODEL_TABLE[model], n, d)
+    rows, degenerate = per_replication_rows(model, n, d, 29, 300)
+    dump = tmp_path / "rows.csv"
+    result = simulate_expected_f(SimConfig(model=model, n=n, d=d, replications=300, seed=29),
+                                 dump_path=str(dump))
+    assert result.degenerate_events == degenerate.sum()
+    expected = "".join(
+        [",".join(["replication"] + [f"f_{k}" for k in range(d)]) + "\n"]
+        + [",".join(map(str, [i, *row])) + "\n" for i, row in enumerate(rows.tolist())]
+    )
+    assert dump.read_bytes() == expected.encode()
+
+
+def test_enumeration_cap_sends_large_shapes_to_qhull():
+    # the cap is in side tests per cloud point; cubes are never enumerated
+    assert _enumerates(MODEL_TABLE["gaussian"], 10, 3)
+    assert _enumerates(MODEL_TABLE["symmetric"], 8, 4)
+    assert not _enumerates(MODEL_TABLE["gaussian"], 14, 3)
+    assert not _enumerates(MODEL_TABLE["symmetric"], 10, 4)
+    assert not _enumerates(MODEL_TABLE["zonotope"], 4, 3)
+    assert not _enumerates(MODEL_TABLE["projected_cube"], 4, 3)
+
+
+def test_enumeration_margin_dominates_facet_tolerance():
+    # qhull's neighbours are merged only if their [normal, offset] rows agree
+    # within _FACET_TOL, which puts a vertex of one within
+    # _FACET_TOL * (|p|_1 + 1) <= sqrt(d) * _FACET_TOL * (1 + R) of the other's
+    # hyperplane; the margin is ten times that at the largest d
+    assert _ENUM_MARGIN >= 10 * math.sqrt(_MAX_HULL_DIM) * _FACET_TOL
+
+
+def _routed_block(monkeypatch, model, cloud_map):
+    """Row 0 of a one-replication block whose map is cloud_map, and whether qhull ran."""
+    calls = []
+
+    def counted_hull(points):
+        calls.append(len(points))
+        return ConvexHull(points)
+
+    monkeypatch.setattr("polyproj.hull._sample_map", lambda row, n, d, rng: cloud_map.copy())
+    monkeypatch.setattr("polyproj.hull.ConvexHull", counted_hull)
+    n, d = cloud_map.shape
+    _, rows, degen = _replication_block((model, n, d, 0, 0, 1))
+    assert degen == 0
+    return tuple(rows[0].tolist()), bool(calls)
+
+
+# a point well within the facet tolerance, just inside the margin, just outside it
+_PLACEMENTS = [("merged", True), ("inside", True), ("outside", False)]
+
+
+def _placement(where, margin):
+    return {"merged": 0.1 * _FACET_TOL, "inside": 0.9 * margin, "outside": 1.1 * margin}[where]
+
+
+@pytest.mark.parametrize("where,qhull", _PLACEMENTS)
+def test_enumeration_margin_boundary_simplex_type(monkeypatch, where, qhull):
+    # p lies at distance h below the segment ab; a and b are antipodal, so the
+    # volume bound is exact there and the cloud goes to qhull exactly when
+    # h <= _ENUM_MARGIN * (1 + R), R = 1.  At h = _FACET_TOL / 10 qhull merges
+    # the edges ap and pb into one facet
+    h = _placement(where, 2 * _ENUM_MARGIN)
+    cloud = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -h]])
+    counts, ran_qhull = _routed_block(monkeypatch, "gaussian", cloud)
+    assert ran_qhull is qhull
+    assert counts == hull_f_vector(cloud).counts
+    assert counts[1] == (3 if where == "merged" else 4)
+
+
+@pytest.mark.parametrize("where,qhull", _PLACEMENTS)
+def test_enumeration_margin_boundary_crosspolytope_type(monkeypatch, where, qhull):
+    # p lies at distance h outside the segment from a = e_1 to c = e_2; the
+    # side value of p at the facet {a, c} is |c - a| h = sqrt(2) h and its
+    # bound _ENUM_MARGIN * (1 + R) * (|a| + |c|) with R = 1, so the cloud
+    # goes to qhull exactly when h <= 2 sqrt(2) _ENUM_MARGIN.  At h =
+    # _FACET_TOL / 10 qhull merges ap with pc, and their antipodes
+    h = _placement(where, 2 * math.sqrt(2) * _ENUM_MARGIN)
+    cloud = np.array([[1.0, 0.0], [0.0, 1.0], [0.5 + h / math.sqrt(2), 0.5 + h / math.sqrt(2)]])
+    counts, ran_qhull = _routed_block(monkeypatch, "symmetric", cloud)
+    assert ran_qhull is qhull
+    assert counts == hull_f_vector(symmetrize(cloud)).counts
+    assert counts[1] == (4 if where == "merged" else 6)
