@@ -35,9 +35,14 @@ that one sort per k counts many hulls at once.
 
 Zonotope f-vectors are counted combinatorially: a k-face is a covector of
 the generators' hyperplane arrangement with k zeros, and every covector is
-read off a ray of the arrangement, so one batched SVD and one np.unique count
-them all.  A projected cube is the zonotope of its frame rows and is counted
-the same way.
+read off a ray of the arrangement.  The ray of d-1 generators S is
+x -> det[g_S; x], so its sign at generator i is that of the minor chi(S + i)
+times the parity of putting i into S: the same table of d x d minors, of
+the normalized generators, gives every ray's sign vector, and its entries'
+sizes are the general-position check.  A projected cube is the zonotope of
+its frame rows.  simulate counts a chunk of zonotopes with one sort of
+their covector keys, as it counts hulls' faces, and zonotope_f_vector is
+the call for one.
 
 Every replication draws from its own counter-based stream derived from
 (seed, model, n, d, replication index, attempt), so estimates are identical
@@ -79,7 +84,7 @@ _MAX_HULL_DIM = 6
 _MAX_GENERATORS = 15
 _MAX_ATTEMPTS = 5
 _DEGENERATE_RATE_LIMIT = 1e-3
-_GENERAL_POSITION_TOL = 1e-9  # on unit generators: singular values and distances to spans
+_GENERAL_POSITION_TOL = 1e-9  # on unit generators: their d x d minors
 _FACET_TOL = 1e-9  # largest entry difference of two simplices' [normal, offset] rows on one facet
 _RANK_TOL = 1e-9  # relative to the cloud's extent, on the scale of _FACET_TOL
 _BLOCK = 512
@@ -153,9 +158,13 @@ def random_orthonormal_frame(ambient: int, d: int, rng: np.random.Generator) -> 
     """
     if d > ambient:
         raise InvalidDimensionError(f"frame needs d <= ambient, got {d} > {ambient}")
-    g = rng.standard_normal((ambient, d))
+    return _orthonormal_frames(rng.standard_normal((ambient, d)))
+
+
+def _orthonormal_frames(g: np.ndarray) -> np.ndarray:
+    """The Q factors of one Gaussian matrix or a stack of them, with the R-diagonal signs fixed."""
     q, r = np.linalg.qr(g)
-    return q * np.sign(np.diag(r))
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
 def sample_gaussian(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -169,6 +178,21 @@ def symmetrize(cloud: np.ndarray) -> np.ndarray:
 def _sample_map(row: Model, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """The model's random n x d map to R^d; every model's P_{n - shift} lies in R^n."""
     return sample_gaussian(n, d, rng) if row.gaussian else random_orthonormal_frame(n, d, rng)
+
+
+def _sample_maps(row: Model, keys: np.ndarray, bitgen: Philox, rng: Generator, out: np.ndarray) -> np.ndarray:
+    """The maps of the streams with the given Philox keys, drawn into out.
+
+    The same draws as _sample_map on each key's fresh generator: each map is
+    drawn in place after a re-key, and the frames of projected models come
+    from one stacked QR.
+    """
+    for j, key in enumerate(keys):
+        rekey(bitgen, key)
+        rng.standard_normal(out=out[j])
+    if not row.gaussian:
+        out[:] = _orthonormal_frames(out)
+    return out
 
 
 def _sample_cloud(model: str, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -249,7 +273,8 @@ def _f_vector_or_simplices(pts: np.ndarray) -> FVectorSample | np.ndarray:
     bounds = np.flatnonzero(np.diff(label[order])) + 1
     facet_sets = [frozenset(block.ravel().tolist()) for block in np.split(simplices[order], bounds)]
     if d == 2:
-        return FVectorSample((len(hull.vertices), len(facet_sets)))
+        # a polygon has as many vertices as edges; a merged edge's inner vertex is none
+        return FVectorSample((len(facet_sets), len(facet_sets)))
 
     # merged facets: close the facet vertex sets under intersection, then
     # bucket every face by its affine dimension
@@ -327,18 +352,15 @@ def _count_distinct_rows(rows: np.ndarray, base: int, group: np.ndarray, groups:
 
 
 @cache
-def _minor_tables(m: int, d: int) -> tuple[list, np.ndarray, np.ndarray]:
-    """Index tables of the d x d minors of an m x d map and of its side tests.
+def _minor_levels(m: int, d: int) -> tuple[list, np.ndarray]:
+    """Index tables of the d x d minors of an m x d map, by Laplace expansion.
 
     Row subsets are listed in combinations order.  Level k holds the minors
     on columns 0..k-1 of every k-subset S, expanded along column k-1:
     M_k(S) = sum_p (-1)^(p+k-1) X[S_p, k-1] M_{k-1}(S without S_p), so a
     level is, for each p, one gather of rows at[p], one of the level below
-    at sub[p] and a signed add.  For a d-subset I and the a-th row i
-    outside it, the minor of X_I with its p-th row replaced by x_i is entry
-    swap[p, I, a] of the top level stacked on its negative.  Returns the
-    levels 2..d as (at, sub) pairs, the d-subsets and swap; built on first
-    use, once per (m, d).
+    at sub[p] and a signed add.  Returns the levels 2..d as (at, sub) pairs
+    and the d-subsets; built on first use, once per (m, d).
     """
     subsets = [list(combinations(range(m), k)) for k in range(d + 1)]
     where = [{s: r for r, s in enumerate(level)} for level in subsets]
@@ -346,18 +368,77 @@ def _minor_tables(m: int, d: int) -> tuple[list, np.ndarray, np.ndarray]:
     for k in range(2, d + 1):
         sub = [[where[k - 1][s[:p] + s[p + 1 :]] for p in range(k)] for s in subsets[k]]
         levels.append((np.array(subsets[k]).T, np.array(sub).T))
-    top = len(subsets[d])
+    top = np.array(subsets[d])
+    for table in [*(a for level in levels for a in level), top]:
+        table.setflags(write=False)  # shared by every caller through the cache
+    return levels, top
+
+
+def _minors(x: np.ndarray, levels: list) -> np.ndarray:
+    """Every d x d minor, shape (C(m, d), maps), of a stack of maps given as x[row, column, map]."""
+    chi = x[:, 0]
+    for k, (at, sub) in enumerate(levels, start=1):
+        # the cofactor of row p in column k has sign (-1)^(p+k)
+        col = x[:, k]
+        acc = col[at[k]] * chi[sub[k]]
+        for p in range(k):
+            term = col[at[p]] * chi[sub[p]]
+            acc -= term if (k - p) % 2 else -term
+        chi = acc
+    return chi
+
+
+@cache
+def _side_table(m: int, d: int) -> np.ndarray:
+    """Where the side tests of an m x d map sit among its signed minors.
+
+    For the r-th d-subset I and the a-th row i outside it, the minor of X_I
+    with its p-th row replaced by x_i is entry swap[p, r, a] of the minors
+    stacked on their negatives.
+    """
+    facets = _minor_levels(m, d)[1]
+    where = {tuple(s): r for r, s in enumerate(facets.tolist())}
+    top = len(facets)
     swap = np.empty((d, top, m - d), dtype=np.intp)
-    for r, s in enumerate(subsets[d]):
+    for r, s in enumerate(facets.tolist()):
         for a, i in enumerate(sorted(set(range(m)).difference(s))):
             for p in range(d):
-                t = s[:p] + (i,) + s[p + 1 :]
+                t = s[:p] + [i] + s[p + 1 :]
                 odd = sum(x > y for x, y in combinations(t, 2)) % 2
-                swap[p, r, a] = where[d][tuple(sorted(t))] + odd * top
-    facets = np.array(subsets[d])
-    for table in [*(a for level in levels for a in level), facets, swap]:
+                swap[p, r, a] = where[tuple(sorted(t))] + odd * top
+    swap.setflags(write=False)  # shared by every caller through the cache
+    return swap
+
+
+@cache
+def _covector_tables(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables that read the covectors of n generators in R^d off their d x d minors.
+
+    The ray of the (d-1)-subset S (combinations order) is x -> det[g_S; x],
+    so its covector sign at generator i outside S is the sign of chi(S + i)
+    times (-1)^(number of S above i).  Entry sign[S, i] indexes the minors
+    stacked on their negatives and one zero, which it gives for i in S.
+    Covector keys are base 3, digit 0 for a zero, 1 for +, 2 for -, with the
+    count of zeros as the digit above the n generator digits: the ray's key
+    is off[S] plus 3^i for each negative i, its negative's 2 off[S] minus
+    that, and fill[S, f] adds the f-th of the 3^(d-1) fills of S's zeros.
+    """
+    top = math.comb(n, d)
+    where = {s: r for r, s in enumerate(combinations(range(n), d))}
+    rays = list(combinations(range(n), d - 1))
+    sign = np.full((len(rays), n), 2 * top, dtype=np.intp)
+    for r, s in enumerate(rays):
+        for i in set(range(n)).difference(s):
+            odd = sum(x > i for x in s) % 2
+            sign[r, i] = where[tuple(sorted((*s, i)))] + odd * top
+    pow3 = 3 ** np.arange(n + 1, dtype=np.int64)
+    spans = np.array(rays)
+    off = (pow3[n] - 1) // 2 - pow3[spans].sum(axis=1)
+    fills = np.array(list(product(range(3), repeat=d - 1)), dtype=np.int64)
+    fill = pow3[spans] @ fills.T + (fills == 0).sum(axis=1) * pow3[n]
+    for table in (sign, off, fill):
         table.setflags(write=False)  # shared by every caller through the cache
-    return levels, facets, swap
+    return sign, off, fill
 
 
 @cache
@@ -383,15 +464,29 @@ def _side_tests(row: Model, n: int, d: int) -> int:
 
 
 def _enumerates(row: Model, n: int, d: int) -> bool:
-    """Whether the minors route decides the model's clouds at (n, d).
+    """Whether the minors route decides the model's draws at (n, d).
 
-    It takes simplex and crosspolytope images with at most _ENUM_CAP side
-    tests per point of the cloud.
+    It takes every cube shape, which SimConfig caps at _MAX_GENERATORS, and
+    simplex and crosspolytope images with at most _ENUM_CAP side tests per
+    point of the cloud.
     """
     if row.family is Family.CUBE:
-        return False
+        return True
     points = 2 * n if row.family is Family.CROSSPOLYTOPE else n
     return _side_tests(row, n, d) <= _ENUM_CAP * points
+
+
+def _chunk_size(row: Model, n: int, d: int) -> int:
+    """Maps decided at once on the minors route, so that the largest temporary has about _ENUM_ENTRIES entries.
+
+    That is a cube's covector keys, a ray and its negative with every fill
+    for each (d-1)-subset of generators, and a cloud's side tests.
+    """
+    if row.family is Family.CUBE:
+        entries = 2 * math.comb(n, d - 1) * 3 ** (d - 1)
+    else:
+        entries = max(_side_tests(row, n, d), 1)
+    return max(1, _ENUM_ENTRIES // entries)
 
 
 def _enumerated_facets(maps: np.ndarray, symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -416,16 +511,9 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool) -> tuple[np.ndarray, n
     """
     m, d = maps.shape[1:]
     x = np.ascontiguousarray(maps.transpose(1, 2, 0))
-    levels, subsets, swap = _minor_tables(m, d)
-    chi = x[:, 0]
-    for k, (at, sub) in enumerate(levels, start=1):
-        # the cofactor of row p in column k has sign (-1)^(p+k)
-        col = x[:, k]
-        acc = col[at[k]] * chi[sub[k]]
-        for p in range(k):
-            term = col[at[p]] * chi[sub[p]]
-            acc -= term if (k - p) % 2 else -term
-        chi = acc
+    levels, subsets = _minor_levels(m, d)
+    swap = _side_table(m, d)
+    chi = _minors(x, levels)
     signed = np.concatenate([chi, -chi])
     norms = np.sqrt((x * x).sum(axis=1))
     volume_bound = np.prod(norms[subsets[:, 1:]] + norms[subsets[:, :1]], axis=1)
@@ -460,14 +548,11 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool) -> tuple[np.ndarray, n
 def zonotope_f_vector(generators: np.ndarray) -> FVectorSample:
     """Exact f-vector of the zonotope sum of segments [0, g_i].
 
-    A k-face is a covector sign(G c) of the arrangement of the planes g_i^perp
-    with exactly k zeros.  In a simple arrangement every nonzero covector lies
-    next to a ray, the null vector of some d-1 generators, and the covectors
-    next to a ray are its sign vector with the d-1 zeros filled in all
-    3^(d-1) ways; f_k counts the distinct ones with k zeros.  Simplicity is
-    checked, at _GENERAL_POSITION_TOL each: no generator is shorter than that
-    fraction of the longest, and of the normalized generators every d-1 have
-    full rank and every other one lies off their span.
+    A k-face is a covector of the generators' hyperplane arrangement with k
+    zeros; they are read off the d x d minors of the normalized generators,
+    the count simulate runs on a chunk of maps (_zonotope_f_vectors) run on
+    one.  Generators not in general position at _GENERAL_POSITION_TOL, a
+    zero generator or a minor that small, raise a degeneracy error.
     """
     g = np.asarray(generators, dtype=float)
     if g.ndim != 2:
@@ -481,33 +566,54 @@ def zonotope_f_vector(generators: np.ndarray) -> FVectorSample:
         raise InvalidDimensionError(f"zonotope enumeration capped at n = {_MAX_GENERATORS}, got {n}")
     if n < d:
         raise DegenerateGeometryError("generators do not span the ambient space")
-    norms = np.linalg.norm(g, axis=1)
-    if np.any(norms <= _GENERAL_POSITION_TOL * norms.max()):
-        raise DegenerateGeometryError("zero generator")
-    unit = g / norms[:, None]
+    flat, rows = _zonotope_f_vectors(g[None])
+    if flat[0]:
+        raise DegenerateGeometryError(
+            f"generators not in general position: a zero generator, or {d} of them nearly on one hyperplane"
+        )
+    return FVectorSample(tuple(int(c) for c in rows[0]))
 
-    subsets = np.array(list(combinations(range(n), d - 1)))
-    _, sing, vt = np.linalg.svd(unit[subsets])
-    if np.any(sing[:, -1] <= _GENERAL_POSITION_TOL):
-        raise DegenerateGeometryError(f"some {d - 1} generators are rank-deficient")
-    rays = vt[:, -1]
-    cos = rays @ unit.T
-    on_span = np.zeros(cos.shape, dtype=bool)
-    np.put_along_axis(on_span, subsets, True, axis=1)
-    if np.any(np.abs(cos[~on_span]) <= _GENERAL_POSITION_TOL):
-        raise DegenerateGeometryError(f"a generator lies in the span of {d - 1} others")
 
-    # base-3 covector keys, digit 0 for a zero, 1 for +, 2 for -; the zero
-    # count rides above the n digits, so one unique counts every k at once
-    digits = np.where(cos > 0, 1, 2)
-    digits[on_span] = 0
-    pow3 = 3 ** np.arange(n + 1, dtype=np.int64)
-    ray_keys = np.stack([digits, (3 - digits) % 3]) @ pow3[:n]  # each ray and its negative
-    fills = np.array(list(product(range(3), repeat=d - 1)), dtype=np.int64)
-    fill_keys = pow3[subsets] @ fills.T + (fills == 0).sum(axis=1) * pow3[n]
-    keys = ray_keys[:, :, None] + fill_keys
-    counts = np.bincount(np.unique(keys) // pow3[n], minlength=d)
-    return FVectorSample(tuple(int(c) for c in counts))
+def _zonotope_f_vectors(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f-vectors of the zonotopes of a stack of n x d generator maps, n >= d.
+
+    A k-face is a covector sign(G c) of the arrangement of the planes g_i^perp
+    with exactly k zeros.  In a simple arrangement every nonzero covector lies
+    next to a ray, the null vector of some d-1 generators, and the covectors
+    next to a ray are its sign vector with the d-1 zeros filled in all
+    3^(d-1) ways; f_k counts the distinct ones with k zeros.  The rays' sign
+    vectors are read off the d x d minors of the normalized generators (see
+    _covector_tables), and the keys of every map sort together, the map's
+    position their top digit, so that one sort and one bincount count them.
+
+    A map is flat when a generator is no longer than _GENERAL_POSITION_TOL
+    times the longest, or some d x d minor of the normalized generators is
+    no larger than _GENERAL_POSITION_TOL: d-1 of them then nearly fail to
+    span a hyperplane, or another lies nearly on it.  Returns the flat flags
+    and the f-vector rows of the other maps, in map order.
+    """
+    m, n, d = maps.shape
+    norms = np.sqrt((maps * maps).sum(axis=2))
+    short = (norms <= _GENERAL_POSITION_TOL * norms.max(axis=1, keepdims=True)).any(axis=1)
+    unit = maps / np.where(norms > 0, norms, 1.0)[:, :, None]
+    chi = _minors(np.ascontiguousarray(unit.transpose(1, 2, 0)), _minor_levels(n, d)[0])
+    flat = short | (np.abs(chi) <= _GENERAL_POSITION_TOL).any(axis=0)
+    chi = chi[:, ~flat]
+    kept = chi.shape[1]
+    sign, off, fill = _covector_tables(n, d)
+    negative = np.concatenate([chi, -chi, np.zeros((1, kept))])[sign] < 0
+    unit_key = 3 ** n
+    low = np.matmul(3.0 ** np.arange(n), negative).astype(np.int64)  # exact below 2^53
+    top = np.arange(kept, dtype=np.int64) * (d * unit_key)  # the map's position, above the zero count
+    keys = np.empty((2, len(off), kept, fill.shape[1]), dtype=np.int64)
+    keys[0] = (off[:, None] + top + low)[..., None]
+    keys[1] = (2 * off[:, None] + top - low)[..., None]
+    keys += fill[:, None, :]
+    keys = keys.ravel()
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return flat, np.bincount(keys[first] // unit_key, minlength=kept * d).reshape(kept, d)
 
 
 @dataclass(frozen=True)
@@ -560,10 +666,12 @@ def _replication_block(args: tuple[str, int, int, int, int, int]) -> tuple[int, 
 
     The attempt-0 keys of the whole block come from one derive_keys call and
     one Philox is re-keyed for each replication.  Shapes that _enumerates
-    takes are first decided on the minors route; only the clouds it flags
-    near go on to qhull, drawn again from their attempt-0 stream.  The
-    simplices of simplicial qhull hulls are set aside and counted together
-    whenever _COUNT_BATCH simplices wait, and at the end of the block.
+    takes are first decided on the minors route; only the draws it flags,
+    clouds near a hyperplane and cube maps not in general position, go on
+    to the one-map path (qhull, or zonotope_f_vector and resampling), drawn
+    again from their attempt-0 stream.  The simplices of simplicial qhull
+    hulls are set aside and counted together whenever _COUNT_BATCH
+    simplices wait, and at the end of the block.
     """
     model, n, d, seed, lo, hi = args
     keys = derive_keys(seed, SIM_REPLICATION, MODEL_CODES[model], n, d, np.arange(lo, hi), 0)
@@ -599,21 +707,22 @@ def _replication_block(args: tuple[str, int, int, int, int, int]) -> tuple[int, 
 def _enumerate_block(
     row: Model, n: int, d: int, keys: np.ndarray, bitgen: Philox, rng: Generator, rows: np.ndarray
 ) -> np.ndarray:
-    """Fill the rows of the block's clouds that the minors route decides; return the others.
+    """Fill the rows of the block's draws that the minors route decides; return the others.
 
-    The attempt-0 maps are drawn and decided in chunks whose largest
-    temporary has about _ENUM_ENTRIES entries.
+    The attempt-0 maps are drawn and decided in chunks of _chunk_size maps.
     """
-    symmetric = row.family is Family.CROSSPOLYTOPE
-    chunk = max(1, _ENUM_ENTRIES // max(_side_tests(row, n, d), 1))
+    chunk = _chunk_size(row, n, d)
     maps = np.empty((min(chunk, len(keys)), n, d))
     left = []
     for lo in range(0, len(keys), chunk):
         hi = min(lo + chunk, len(keys))
-        for j in range(lo, hi):
-            rekey(bitgen, keys[j])
-            maps[j - lo] = _sample_map(row, n, d, rng)
-        near, simplices, sizes = _enumerated_facets(maps[: hi - lo], symmetric)
+        drawn = _sample_maps(row, keys[lo:hi], bitgen, rng, maps[: hi - lo])
+        if row.family is Family.CUBE:
+            near, counts = _zonotope_f_vectors(drawn)
+            rows[np.flatnonzero(~near) + lo] = counts
+            left.extend(np.flatnonzero(near) + lo)
+            continue
+        near, simplices, sizes = _enumerated_facets(drawn, row.family is Family.CROSSPOLYTOPE)
         left.extend(np.flatnonzero(near) + lo)
         done = np.flatnonzero(~near) + lo
         # counted in runs of clouds of about _COUNT_BATCH simplices, as qhull's are

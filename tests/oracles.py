@@ -6,7 +6,8 @@ programming instead of least squares, least squares on cone generators instead
 of half-space tests, one product over every outer normal instead of a lead
 block of normals and its survivors, modified Gram-Schmidt one basis vector at
 a time instead of blocked classical Gram-Schmidt, raw subset enumeration
-instead of qhull bookkeeping, facets grouped by rounded hyperplane equations
+instead of qhull bookkeeping, rays of a zonotope's arrangement by SVD instead
+of off a table of minors, facets grouped by rounded hyperplane equations
 instead of by qhull's neighbour graph, one freshly derived generator and
 one f-vector call per replication instead of batched stream keys and
 block-wise face counting, and Poisson tail bounds written out per model name
@@ -212,6 +213,50 @@ def lp_zonotope_f_vector(generators: np.ndarray) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def svd_zonotope_f_vector(generators: np.ndarray) -> tuple[int, ...]:
+    """Zonotope f-vector from covectors at rays found by SVD, one generator set at a time.
+
+    The route the library took before it read rays off d x d minors: the ray
+    of d-1 generators is the last right singular vector of their normalized
+    rows, covector signs are its cosines with the generators, and one
+    np.unique over the base-3 keys of every ray's fills counts the faces.
+    General position is checked by the smallest singular value of every d-1
+    normalized generators and the cosine of every other one with their ray,
+    and raises the library's DegenerateGeometryError like the library's check.
+    """
+    from itertools import product
+
+    from polyproj.errors import DegenerateGeometryError
+    from polyproj.hull import _GENERAL_POSITION_TOL
+
+    g = np.asarray(generators, dtype=float)
+    n, d = g.shape
+    norms = np.linalg.norm(g, axis=1)
+    if np.any(norms <= _GENERAL_POSITION_TOL * norms.max()):
+        raise DegenerateGeometryError("zero generator")
+    unit = g / norms[:, None]
+    subsets = np.array(list(combinations(range(n), d - 1)))
+    _, sing, vt = np.linalg.svd(unit[subsets])
+    if np.any(sing[:, -1] <= _GENERAL_POSITION_TOL):
+        raise DegenerateGeometryError(f"some {d - 1} generators are rank-deficient")
+    rays = vt[:, -1]
+    cos = rays @ unit.T
+    on_span = np.zeros(cos.shape, dtype=bool)
+    np.put_along_axis(on_span, subsets, True, axis=1)
+    if np.any(np.abs(cos[~on_span]) <= _GENERAL_POSITION_TOL):
+        raise DegenerateGeometryError(f"a generator lies in the span of {d - 1} others")
+    # base-3 covector keys, digit 0 for a zero, 1 for +, 2 for -; the zero
+    # count rides above the n digits, so one unique counts every k at once
+    digits = np.where(cos > 0, 1, 2)
+    digits[on_span] = 0
+    pow3 = 3 ** np.arange(n + 1, dtype=np.int64)
+    ray_keys = np.stack([digits, (3 - digits) % 3]) @ pow3[:n]  # each ray and its negative
+    fills = np.array(list(product(range(3), repeat=d - 1)), dtype=np.int64)
+    fill_keys = pow3[subsets] @ fills.T + (fills == 0).sum(axis=1) * pow3[n]
+    keys = ray_keys[:, :, None] + fill_keys
+    return tuple(int(c) for c in np.bincount(np.unique(keys) // pow3[n], minlength=d))
+
+
 def zonotope_vertex_cloud(generators: np.ndarray) -> np.ndarray:
     """All subset sums of the generators; contains every vertex of the zonotope."""
     g = np.asarray(generators, dtype=float)
@@ -312,11 +357,13 @@ def per_replication_rows(model: str, n: int, d: int, seed: int, replications: in
 
     The replication loop simulate_expected_f ran before it worked a block at
     a time: every attempt builds its own generator with derive_generator and
-    counts its hull alone with hull_f_vector.  Point clouds come from
-    `sampler`, model_cloud unless another is given.
+    counts its hull alone with hull_f_vector, or its zonotope with
+    svd_zonotope_f_vector.  Point clouds come from `sampler`, model_cloud
+    unless another is given; zonotope generators and projected-cube frames
+    are drawn here.
     """
     from polyproj.errors import DegenerateGeometryError, SimulationAbortError
-    from polyproj.hull import _MAX_ATTEMPTS, hull_f_vector, random_orthonormal_frame, zonotope_f_vector
+    from polyproj.hull import _MAX_ATTEMPTS, hull_f_vector, random_orthonormal_frame
     from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator
 
     rows = np.zeros((replications, d), dtype=np.int64)
@@ -326,18 +373,19 @@ def per_replication_rows(model: str, n: int, d: int, seed: int, replications: in
             rng = derive_generator(seed, SIM_REPLICATION, MODEL_CODES[model], n, d, index, attempt)
             try:
                 if model == "zonotope":
-                    fv = zonotope_f_vector(rng.standard_normal((n, d)))
+                    counts = svd_zonotope_f_vector(rng.standard_normal((n, d)))
                 elif model == "projected_cube":
-                    fv = zonotope_f_vector(random_orthonormal_frame(n, d, rng))
+                    counts = svd_zonotope_f_vector(random_orthonormal_frame(n, d, rng))
                 else:
                     fv = hull_f_vector(sampler(model, n, d, rng))
+                    if fv.degenerate:
+                        degenerate[index] += 1
+                        continue
+                    counts = fv.counts
             except DegenerateGeometryError:
                 degenerate[index] += 1
                 continue
-            if fv.degenerate:
-                degenerate[index] += 1
-                continue
-            rows[index] = fv.counts
+            rows[index] = counts
             break
         else:
             raise SimulationAbortError(f"replication {index} stayed degenerate",

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.random import SeedSequence
+from numpy.random import Generator, Philox, SeedSequence
 from scipy.spatial import ConvexHull
 
 from polyproj import (
@@ -13,6 +13,7 @@ from polyproj import (
     InvalidDimensionError,
     SimConfig,
     SimulationAbortError,
+    expected_f_cube_closed_form,
     expected_f_zonotope,
     hull_f_vector,
     random_orthonormal_frame,
@@ -28,12 +29,14 @@ from polyproj.hull import (
     _MAX_HULL_DIM,
     _count_distinct_rows,
     _enumerates,
+    _chunk_size,
     _replication_block,
     MODELS,
     _sample_cloud,
     _sample_map,
+    _sample_maps,
 )
-from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator
+from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator, derive_keys, rekey
 
 from oracles import (
     full_dimensional,
@@ -41,6 +44,7 @@ from oracles import (
     model_cloud,
     per_replication_rows,
     rounded_facet_f_vector,
+    svd_zonotope_f_vector,
     zonotope_vertex_cloud,
 )
 
@@ -71,6 +75,13 @@ def test_facet_tolerance_boundary(factor, expected):
     t = factor * _FACET_TOL
     pts = np.array([[-1, 0, 0], [1, 0, 0], [0, -1, 0], [0, 1, t], [0, 0, 1.0]])
     assert hull_f_vector(pts).counts == expected
+
+
+def test_hull_merged_polygon_has_as_many_vertices_as_edges():
+    # (0, -1e-10) lies within _FACET_TOL of the edge from (-1, 0) to (1, 0),
+    # so qhull's two edges through it merge into one and it is no vertex
+    pts = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1e-10]])
+    assert hull_f_vector(pts).counts == (3, 3)
 
 
 def test_hull_regular_polygon():
@@ -411,6 +422,24 @@ def test_simulate_blocks_match_per_replication_oracle(model, d, tmp_path):
         assert result.means[d - 1].value == float(rows[:r, d - 1].mean())
 
 
+def _maps_through(sample_map):
+    """A stand-in for _sample_maps that draws every map of a chunk with sample_map, one key at a time."""
+
+    def sample_maps(row, keys, bitgen, rng, out):
+        for j, key in enumerate(keys):
+            rekey(bitgen, key)
+            out[j] = sample_map(row, out.shape[1], out.shape[2], rng)
+        return out
+
+    return sample_maps
+
+
+def _patch_sample_map(monkeypatch, sample_map):
+    """Draw every map with sample_map, on the minors route's chunks and on the one-map route."""
+    monkeypatch.setattr("polyproj.hull._sample_map", sample_map)
+    monkeypatch.setattr("polyproj.hull._sample_maps", _maps_through(sample_map))
+
+
 def test_simulate_resamples_degenerate_draws_from_later_attempts(monkeypatch):
     # flatten the attempt-0 maps of replications 0, 511, 512, 600 and 1700 and
     # the attempt-1 map of 1700; keys pick the draws, whatever the order.  Every
@@ -434,7 +463,7 @@ def test_simulate_resamples_degenerate_draws_from_later_attempts(monkeypatch):
 
     rows, degenerate = per_replication_rows(model, n, d, seed, r, sampler=sampler)
     assert degenerate.sum() == 6 and degenerate[1700] == 2
-    monkeypatch.setattr("polyproj.hull._sample_map", flattened)
+    _patch_sample_map(monkeypatch, flattened)
     lo, block_rows, block_degen = _replication_block((model, n, d, seed, 512, 1024))
     assert block_degen == 2 and np.array_equal(block_rows, rows[512:1024])
     result = simulate_expected_f(SimConfig(model=model, n=n, d=d, replications=r, seed=seed))
@@ -501,13 +530,14 @@ def test_minors_route_matches_per_replication_oracle(model, n, d, tmp_path):
 
 
 def test_enumeration_cap_sends_large_shapes_to_qhull():
-    # the cap is in side tests per cloud point; cubes are never enumerated
+    # the cap is in side tests per cloud point; cube shapes take the route up to their own cap
     assert _enumerates(MODEL_TABLE["gaussian"], 10, 3)
     assert _enumerates(MODEL_TABLE["symmetric"], 8, 4)
     assert not _enumerates(MODEL_TABLE["gaussian"], 14, 3)
     assert not _enumerates(MODEL_TABLE["symmetric"], 10, 4)
-    assert not _enumerates(MODEL_TABLE["zonotope"], 4, 3)
-    assert not _enumerates(MODEL_TABLE["projected_cube"], 4, 3)
+    for model in ("zonotope", "projected_cube"):
+        assert _enumerates(MODEL_TABLE[model], 3, 3)
+        assert _enumerates(MODEL_TABLE[model], 15, 6)
 
 
 def test_enumeration_margin_dominates_facet_tolerance():
@@ -526,7 +556,7 @@ def _routed_block(monkeypatch, model, cloud_map):
         calls.append(len(points))
         return ConvexHull(points)
 
-    monkeypatch.setattr("polyproj.hull._sample_map", lambda row, n, d, rng: cloud_map.copy())
+    _patch_sample_map(monkeypatch, lambda row, n, d, rng: cloud_map.copy())
     monkeypatch.setattr("polyproj.hull.ConvexHull", counted_hull)
     n, d = cloud_map.shape
     _, rows, degen = _replication_block((model, n, d, 0, 0, 1))
@@ -553,7 +583,7 @@ def test_enumeration_margin_boundary_simplex_type(monkeypatch, where, qhull):
     counts, ran_qhull = _routed_block(monkeypatch, "gaussian", cloud)
     assert ran_qhull is qhull
     assert counts == hull_f_vector(cloud).counts
-    assert counts[1] == (3 if where == "merged" else 4)
+    assert counts == ((3, 3) if where == "merged" else (4, 4))
 
 
 @pytest.mark.parametrize("where,qhull", _PLACEMENTS)
@@ -568,4 +598,97 @@ def test_enumeration_margin_boundary_crosspolytope_type(monkeypatch, where, qhul
     counts, ran_qhull = _routed_block(monkeypatch, "symmetric", cloud)
     assert ran_qhull is qhull
     assert counts == hull_f_vector(symmetrize(cloud)).counts
-    assert counts[1] == (4 if where == "merged" else 6)
+    assert counts == ((4, 4) if where == "merged" else (6, 6))
+
+
+# ---------------------------------------------------------------------------
+# cube models on the minors table
+
+
+# (n, d, replications): n from d to the cap at every d; 513 replications
+# cross a block edge wherever the SVD oracle is cheap enough
+_CUBE_GRID = [
+    (2, 2, 513), (3, 2, 513), (9, 2, 513), (15, 2, 513),
+    (3, 3, 513), (4, 3, 513), (8, 3, 513), (15, 3, 60),
+    (4, 4, 513), (5, 4, 513), (10, 4, 100), (15, 4, 8),
+    (5, 5, 513), (6, 5, 513), (10, 5, 20), (15, 5, 3),
+    (6, 6, 513), (7, 6, 100), (11, 6, 6), (15, 6, 2),
+]
+
+
+@pytest.mark.parametrize("n,d,r", _CUBE_GRID)
+@pytest.mark.parametrize("model", ["zonotope", "projected_cube"])
+def test_cube_minors_route_matches_svd_oracle(model, n, d, r, tmp_path):
+    # the oracle finds each replication's rays by SVD, one replication at a time
+    assert _enumerates(MODEL_TABLE[model], n, d)
+    rows, degenerate = per_replication_rows(model, n, d, 37, r)
+    dump = tmp_path / "rows.csv"
+    result = simulate_expected_f(SimConfig(model=model, n=n, d=d, replications=r, seed=37),
+                                 dump_path=str(dump))
+    assert result.degenerate_events == degenerate.sum()
+    expected = "".join(
+        [",".join(["replication"] + [f"f_{k}" for k in range(d)]) + "\n"]
+        + [",".join(map(str, [i, *row])) + "\n" for i, row in enumerate(rows.tolist())]
+    )
+    assert dump.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("factor,resampled", [(0.5, True), (2.0, False)])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_cube_general_position_boundary_inside_a_chunk(monkeypatch, d, factor, resampled):
+    # replication 5 of a 16-map chunk draws d generators, one at distance
+    # factor * _GENERAL_POSITION_TOL from the span of the others, which is
+    # their only d x d minor; every other map is a Gaussian draw
+    model, n, seed, placed = "zonotope", d, 7, 5
+    assert _chunk_size(MODEL_TABLE[model], n, d) >= 16
+    path = (seed, SIM_REPLICATION, MODEL_CODES[model], n, d)
+    placed_key = tuple(SeedSequence((*path, placed, 0)).generate_state(2, np.uint64))
+    drawn, counted = [], []
+
+    def placing(row, n, d, rng):
+        key = tuple(rng.bit_generator.state["state"]["key"])
+        drawn.append(key)
+        image = _sample_map(row, n, d, rng)
+        return _near_span_generators(d, factor * _GENERAL_POSITION_TOL) if key == placed_key else image
+
+    def counting(generators):
+        counted.append(len(generators))
+        return zonotope_f_vector(generators)
+
+    _patch_sample_map(monkeypatch, placing)
+    monkeypatch.setattr("polyproj.hull.zonotope_f_vector", counting)
+    _, rows, degen = _replication_block((model, n, d, seed, 0, 16))
+    parallelotope = [int(expected_f_zonotope(d, d, k).value) for k in range(d)]
+    assert rows.tolist() == [parallelotope] * 16
+    keys = [tuple(k) for k in derive_keys(*path, np.arange(16), 0)]
+    if resampled:
+        # drawn again from its attempt-0 stream, found flat, resampled from attempt 1
+        again = tuple(SeedSequence((*path, placed, 1)).generate_state(2, np.uint64))
+        assert degen == 1 and counted == [d, d]
+        assert drawn == keys + [placed_key, again]
+    else:
+        assert degen == 0 and counted == []
+        assert drawn == keys
+
+
+@pytest.mark.parametrize("n,d", [(4, 2), (8, 3), (10, 4), (15, 6)])
+def test_stacked_frames_match_per_map_frames(n, d):
+    # one QR over the chunk gives each map the frame random_orthonormal_frame gives it alone
+    path = (3, SIM_REPLICATION, MODEL_CODES["projected_cube"], n, d)
+    keys = derive_keys(*path, np.arange(40), 0)
+    bitgen = Philox(key=0)
+    frames = _sample_maps(MODEL_TABLE["projected_cube"], keys, bitgen, Generator(bitgen), np.empty((40, n, d)))
+    for i in range(40):
+        alone = random_orthonormal_frame(n, d, derive_generator(*path, i, 0))
+        assert frames[i].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("model", ["zonotope", "projected_cube"])
+def test_simulate_cube_models_at_the_cap(model, tmp_path):
+    # n = 15, d = 6: 3003 rays and 1.46 million covector keys per replication
+    dump = tmp_path / "rows.csv"
+    result = simulate_expected_f(SimConfig(model=model, n=15, d=6, replications=20, seed=2),
+                                 dump_path=str(dump))
+    assert result.degenerate_events == 0
+    rows = np.loadtxt(dump, delimiter=",", skiprows=1, dtype=np.int64)[:, 1:]
+    assert rows.tolist() == [[expected_f_cube_closed_form(15, 6, k) for k in range(6)]] * 20
