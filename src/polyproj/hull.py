@@ -51,8 +51,9 @@ _BLOCK: one derive_keys call gives the attempt-0 Philox keys of the whole
 block, one Philox is re-keyed per replication, and only a degenerate draw's
 resample builds its own generator with derive_generator.  The draws are the
 ones derive_generator's generators would give, so reports do not depend on
-the blocking, and a cloud sent to qhull is drawn again from the same
-stream, so they do not depend on the route either.
+the blocking.  Each attempt-0 map is drawn once, and a map the minors route
+hands to qhull or to zonotope_f_vector goes there as drawn, so reports do
+not depend on the route either.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
@@ -75,7 +77,7 @@ from .errors import (
     SimulationAbortError,
 )
 from .expected import Estimate
-from .families import MODEL_TABLE, Family, Model, check_int, model_row, vertices
+from .families import MODEL_TABLE, Family, Model, check_int, model_row
 from .streams import MODEL_CODES, SIM_REPLICATION, derive_generator, derive_keys, rekey
 
 MODELS = tuple(MODEL_TABLE)
@@ -193,19 +195,6 @@ def _sample_maps(row: Model, keys: np.ndarray, bitgen: Philox, rng: Generator, o
     if not row.gaussian:
         out[:] = _orthonormal_frames(out)
     return out
-
-
-def _sample_cloud(model: str, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """The image of the vertices of the model's P_{n - shift} under its random map."""
-    row = MODEL_TABLE[model]
-    image = _sample_map(row, n, d, rng)
-    # the simplex's vertices are the e_i and the crosspolytope's the +-e_i,
-    # so their images are the map's rows, and those and their negatives
-    if row.family is Family.SIMPLEX:
-        return image
-    if row.family is Family.CROSSPOLYTOPE:
-        return symmetrize(image)
-    return vertices(row.family, n - row.shift) @ image
 
 
 def hull_f_vector(points: np.ndarray) -> FVectorSample:
@@ -477,11 +466,13 @@ def _enumerates(row: Model, n: int, d: int) -> bool:
 
 
 def _chunk_size(row: Model, n: int, d: int) -> int:
-    """Maps decided at once on the minors route, so that the largest temporary has about _ENUM_ENTRIES entries.
+    """Maps drawn at once: one for shapes qhull decides, on the minors route so many that the largest temporary has about _ENUM_ENTRIES entries.
 
     That is a cube's covector keys, a ray and its negative with every fill
     for each (d-1)-subset of generators, and a cloud's side tests.
     """
+    if not _enumerates(row, n, d):
+        return 1
     if row.family is Family.CUBE:
         entries = 2 * math.comb(n, d - 1) * 3 ** (d - 1)
     else:
@@ -624,29 +615,32 @@ class SimulationResult:
     degenerate_events: int
 
 
-def _sample_f_vector(model: str, n: int, d: int, rng: np.random.Generator) -> FVectorSample | np.ndarray:
-    """One draw of the model: its f-vector, or its hull's simplices when that is simplicial."""
-    row = MODEL_TABLE[model]
+def _map_f_vector(row: Model, image: np.ndarray) -> FVectorSample | np.ndarray:
+    """The f-vector of one drawn map's polytope, or its hull's simplices when that is simplicial."""
     if row.family is Family.CUBE:
         # the cube's image is the zonotope of the map's rows
-        return zonotope_f_vector(_sample_map(row, n, d, rng))
-    return _f_vector_or_simplices(_sample_cloud(model, n, d, rng))
+        return zonotope_f_vector(image)
+    # the simplex's vertices are the e_i and the crosspolytope's the +-e_i,
+    # so their images are the map's rows, and those and their negatives
+    return _f_vector_or_simplices(symmetrize(image) if row.family is Family.CROSSPOLYTOPE else image)
 
 
 def _one_replication(
-    model: str, n: int, d: int, seed: int, index: int, rng: np.random.Generator
+    model: str, n: int, d: int, seed: int, index: int, image: np.ndarray
 ) -> tuple[FVectorSample | np.ndarray, int]:
     """Replication `index` and its count of degenerate attempts.
 
-    rng is the attempt-0 stream; a degenerate draw is resampled from the
-    stream of the next attempt, derived on its own.
+    image is the attempt-0 map, already drawn; a degenerate draw is
+    resampled from the stream of the next attempt, derived on its own.
     """
+    row = MODEL_TABLE[model]
     degen = 0
     for attempt in range(_MAX_ATTEMPTS):
         if attempt:
             rng = derive_generator(seed, SIM_REPLICATION, MODEL_CODES[model], n, d, index, attempt)
+            image = _sample_map(row, n, d, rng)
         try:
-            fv = _sample_f_vector(model, n, d, rng)
+            fv = _map_f_vector(row, image)
         except DegenerateGeometryError:
             degen += 1
             continue
@@ -664,75 +658,61 @@ def _one_replication(
 def _replication_block(args: tuple[str, int, int, int, int, int]) -> tuple[int, np.ndarray, int]:
     """Rows lo..hi-1 of a simulation and their degenerate-attempt count.
 
-    The attempt-0 keys of the whole block come from one derive_keys call and
-    one Philox is re-keyed for each replication.  Shapes that _enumerates
-    takes are first decided on the minors route; only the draws it flags,
-    clouds near a hyperplane and cube maps not in general position, go on
-    to the one-map path (qhull, or zonotope_f_vector and resampling), drawn
-    again from their attempt-0 stream.  The simplices of simplicial qhull
-    hulls are set aside and counted together whenever _COUNT_BATCH
-    simplices wait, and at the end of the block.
+    The attempt-0 keys of the whole block come from one derive_keys call, and
+    the maps are drawn from them once, a chunk of _chunk_size maps at a time,
+    by re-keying one Philox.  Shapes that _enumerates takes are decided on
+    the minors route; the draws it flags, clouds near a hyperplane and cube
+    maps not in general position, and every map of other shapes go on with
+    the map already drawn to the one-map path (qhull, or zonotope_f_vector,
+    and resampling).  The simplices of simplicial hulls, from either route,
+    are set aside and counted together, in runs of about _COUNT_BATCH
+    simplices, after a chunk that leaves that many waiting and at the end of
+    the block.
     """
     model, n, d, seed, lo, hi = args
+    row = MODEL_TABLE[model]
     keys = derive_keys(seed, SIM_REPLICATION, MODEL_CODES[model], n, d, np.arange(lo, hi), 0)
     bitgen = Philox(key=0)
     rng = Generator(bitgen)
-    rows = np.zeros((hi - lo, d), dtype=np.int64)
-    row = MODEL_TABLE[model]
-    todo = range(hi - lo)
-    if _enumerates(row, n, d):
-        todo = _enumerate_block(row, n, d, keys, bitgen, rng, rows)
-    degen = 0
-    simplicial: list[np.ndarray] = []
-    at: list[int] = []
-    pending = 0
-    for j in todo:
-        rekey(bitgen, keys[j])
-        fv, extra = _one_replication(model, n, d, seed, lo + j, rng)
-        degen += extra
-        if isinstance(fv, FVectorSample):
-            rows[j] = fv.counts
-            continue
-        simplicial.append(fv)
-        at.append(j)
-        pending += len(fv)
-        if pending >= _COUNT_BATCH:
-            rows[at] = _simplicial_f_vectors(np.concatenate(simplicial), [len(s) for s in simplicial])
-            simplicial, at, pending = [], [], 0
-    if simplicial:
-        rows[at] = _simplicial_f_vectors(np.concatenate(simplicial), [len(s) for s in simplicial])
-    return lo, rows, degen
-
-
-def _enumerate_block(
-    row: Model, n: int, d: int, keys: np.ndarray, bitgen: Philox, rng: Generator, rows: np.ndarray
-) -> np.ndarray:
-    """Fill the rows of the block's draws that the minors route decides; return the others.
-
-    The attempt-0 maps are drawn and decided in chunks of _chunk_size maps.
-    """
+    enumerates = _enumerates(row, n, d)
     chunk = _chunk_size(row, n, d)
-    maps = np.empty((min(chunk, len(keys)), n, d))
-    left = []
-    for lo in range(0, len(keys), chunk):
-        hi = min(lo + chunk, len(keys))
-        drawn = _sample_maps(row, keys[lo:hi], bitgen, rng, maps[: hi - lo])
-        if row.family is Family.CUBE:
+    maps = np.empty((min(chunk, hi - lo), n, d))
+    rows = np.zeros((hi - lo, d), dtype=np.int64)
+    degen = 0
+    # simplicial hulls not counted yet: their simplices, hull after hull, their sizes and block rows
+    simplices, sizes, at, waiting = [], [], [], 0
+    for start in range(0, hi - lo, chunk):
+        drawn = _sample_maps(row, keys[start : start + chunk], bitgen, rng, maps[: hi - lo - start])
+        if not enumerates:
+            near = np.ones(len(drawn), dtype=bool)
+        elif row.family is Family.CUBE:
             near, counts = _zonotope_f_vectors(drawn)
-            rows[np.flatnonzero(~near) + lo] = counts
-            left.extend(np.flatnonzero(near) + lo)
-            continue
-        near, simplices, sizes = _enumerated_facets(drawn, row.family is Family.CROSSPOLYTOPE)
-        left.extend(np.flatnonzero(near) + lo)
-        done = np.flatnonzero(~near) + lo
-        # counted in runs of clouds of about _COUNT_BATCH simplices, as qhull's are
-        ends = np.cumsum(sizes)
-        bounds = [0, *(np.flatnonzero(np.diff((ends - 1) // _COUNT_BATCH)) + 1), len(done)]
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if b > a:
-                simplices_ab = simplices[ends[a] - sizes[a] : ends[b - 1]]
-                rows[done[a:b]] = _simplicial_f_vectors(simplices_ab, sizes[a:b])
-    return np.array(left, dtype=np.intp)
+            rows[start + np.flatnonzero(~near)] = counts
+        else:
+            near, facets, counts = _enumerated_facets(drawn, row.family is Family.CROSSPOLYTOPE)
+            simplices.append(facets)
+            sizes.append(counts)
+            at.append(start + np.flatnonzero(~near))
+            waiting += len(facets)
+        for j in np.flatnonzero(near):
+            fv, extra = _one_replication(model, n, d, seed, lo + start + j, drawn[j])
+            degen += extra
+            if isinstance(fv, FVectorSample):
+                rows[start + j] = fv.counts
+                continue
+            simplices.append(fv)
+            sizes.append([len(fv)])
+            at.append([start + j])
+            waiting += len(fv)
+        if at and (start + chunk >= hi - lo or waiting >= _COUNT_BATCH):
+            # counted in runs of hulls of about _COUNT_BATCH simplices, one sort per k each
+            stacked, sizes, at = np.concatenate(simplices), np.concatenate(sizes), np.concatenate(at)
+            ends = np.cumsum(sizes)
+            firsts = np.unique((ends - 1) // _COUNT_BATCH, return_index=True)[1]
+            for a, b in zip(firsts, [*firsts[1:], len(at)]):
+                rows[at[a:b]] = _simplicial_f_vectors(stacked[ends[a] - sizes[a] : ends[b - 1]], sizes[a:b])
+            simplices, sizes, at, waiting = [], [], [], 0
+    return lo, rows, degen
 
 
 def simulate_expected_f(cfg: SimConfig, dump_path: str | None = None) -> SimulationResult:
@@ -749,14 +729,10 @@ def simulate_expected_f(cfg: SimConfig, dump_path: str | None = None) -> Simulat
     ]
     rows = np.zeros((r, cfg.d), dtype=np.int64)
     degen = 0
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for lo, block_rows, block_degen in pool.map(_replication_block, blocks):
-                rows[lo : lo + len(block_rows)] = block_rows
-                degen += block_degen
-    else:
-        for block in blocks:
-            lo, block_rows, block_degen = _replication_block(block)
+    # a pool starts all its workers at once, so it gets no more than there are blocks
+    workers = min(cfg.workers, len(blocks))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for lo, block_rows, block_degen in (pool.map if pool else map)(_replication_block, blocks):
             rows[lo : lo + len(block_rows)] = block_rows
             degen += block_degen
     if degen > _DEGENERATE_RATE_LIMIT * r:

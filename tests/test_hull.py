@@ -9,6 +9,7 @@ from polyproj import (
     MODEL_TABLE,
     DegenerateGeometryError,
     Family,
+    FVectorSample,
     InvalidArgumentError,
     InvalidDimensionError,
     SimConfig,
@@ -30,11 +31,12 @@ from polyproj.hull import (
     _count_distinct_rows,
     _enumerates,
     _chunk_size,
+    _map_f_vector,
     _replication_block,
     MODELS,
-    _sample_cloud,
     _sample_map,
     _sample_maps,
+    _simplicial_f_vectors,
 )
 from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator, derive_keys, rekey
 
@@ -132,7 +134,7 @@ def test_hull_euler_relation_4d(rep):
 def test_hull_flat_merged_facet_is_counted():
     # a projected 8-cube whose flat facet has third singular value 2.3e-16,
     # above the default matrix_rank cutoff of about 1.8e-16
-    cloud = _sample_cloud("projected_cube", 8, 3, derive_generator(11, 2, 6, 8, 3, 104, 0))
+    cloud = model_cloud("projected_cube", 8, 3, derive_generator(11, 2, 6, 8, 3, 104, 0))
     f0, f1, f2 = hull_f_vector(cloud).counts
     assert (f0, f1, f2) == (58, 112, 56)
     assert f0 - f1 + f2 == 2
@@ -149,7 +151,7 @@ def test_hull_matches_rounded_facet_oracle(model, d):
     n = d + _ORACLE_MODELS[model]
     for index in range(50):
         rng = derive_generator(13, SIM_REPLICATION, MODEL_CODES[model], n, d, index, 0)
-        cloud = _sample_cloud(model, n, d, rng)
+        cloud = model_cloud(model, n, d, rng)
         assert hull_f_vector(cloud).counts == rounded_facet_f_vector(cloud)
 
 
@@ -289,7 +291,7 @@ def test_projected_cube_frame_zonotope_matches_hull(index):
     # draw with a nearly flat merged facet)
     key = (11, SIM_REPLICATION, MODEL_CODES["projected_cube"], 8, 3, index, 0)
     frame = random_orthonormal_frame(8, 3, derive_generator(*key))
-    cloud = _sample_cloud("projected_cube", 8, 3, derive_generator(*key))
+    cloud = model_cloud("projected_cube", 8, 3, derive_generator(*key))
     assert zonotope_f_vector(frame).counts == hull_f_vector(cloud).counts
 
 
@@ -316,7 +318,7 @@ def test_random_orthonormal_frame():
     ("projected_cube", 4, 16),
 ])
 def test_sample_cloud_shapes(model, n, rows):
-    cloud = _sample_cloud(model, n, 3, derive_generator(7, 2))
+    cloud = model_cloud(model, n, 3, derive_generator(7, 2))
     assert cloud.shape == (rows, 3)
 
 
@@ -328,12 +330,16 @@ def test_model_table_follows_stream_codes():
 
 @pytest.mark.parametrize("model", sorted(set(MODEL_CODES) - {"zonotope"}))
 def test_sample_cloud_matches_written_out_sampler(model):
+    # a drawn map's polytope, as simulate counts it, is the hull of the
+    # written-out sampler's cloud on the same stream
+    row = MODEL_TABLE[model]
     for d in (2, 3, 4):
         n = d + 2
         for index in range(20):
-            a = _sample_cloud(model, n, d, derive_generator(5, index))
-            b = model_cloud(model, n, d, derive_generator(5, index))
-            assert a.tobytes() == b.tobytes()
+            fv = _map_f_vector(row, _sample_map(row, n, d, derive_generator(5, index)))
+            if not isinstance(fv, FVectorSample):  # a simplicial hull's simplices
+                fv = FVectorSample(tuple(_simplicial_f_vectors(fv, [len(fv)])[0].tolist()))
+            assert fv == hull_f_vector(model_cloud(model, n, d, derive_generator(5, index)))
 
 
 def test_sim_config_validation():
@@ -398,6 +404,35 @@ def test_simulate_worker_invariance():
     b = simulate_expected_f(SimConfig(**base, workers=2))
     assert a.means == b.means
     assert a.degenerate_events == b.degenerate_events
+
+
+def test_simulate_pool_has_no_more_workers_than_blocks(monkeypatch):
+    # a pool starts all of its workers at its first task; this stand-in
+    # records the size it is asked for and maps in this process
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    base = dict(model="symmetric", n=4, d=2, seed=5)
+    alone = {r: simulate_expected_f(SimConfig(**base, replications=r)) for r in (10, 1100)}
+    monkeypatch.setattr("polyproj.hull.ProcessPoolExecutor", RecordingPool)
+    for r, workers, pool in [(10, 64, None), (1100, 64, 3), (1100, 2, 2), (1100, 1, None)]:
+        pools.clear()
+        result = simulate_expected_f(SimConfig(**base, replications=r, workers=workers))
+        assert pools == ([] if pool is None else [pool])  # one block or one worker runs in this process
+        assert result.means == alone[r].means
+        assert result.degenerate_events == alone[r].degenerate_events
 
 
 _BLOCK_ORACLE_EXTRA_N = {"gaussian": 3, "symmetric": 1, "zonotope": 2,
@@ -473,7 +508,7 @@ def test_simulate_resamples_degenerate_draws_from_later_attempts(monkeypatch):
     # the resampled rows are the f-vectors of the next attempts' streams
     for i, attempt in [(0, 1), (511, 1), (512, 1), (600, 1), (1700, 2)]:
         rng = derive_generator(*path, i, attempt)
-        assert rows[i].tolist() == list(hull_f_vector(_sample_cloud(model, n, d, rng)).counts)
+        assert rows[i].tolist() == list(hull_f_vector(model_cloud(model, n, d, rng)).counts)
 
 
 def test_simulate_dump_is_deterministic(tmp_path):
@@ -500,6 +535,20 @@ def test_simulation_abort_error_fields():
 # the minors route and its qhull fallback
 
 
+def _assert_simulate_matches_oracle(model, n, d, seed, r, tmp_path):
+    """simulate's degenerate count and --dump bytes are those of per_replication_rows."""
+    rows, degenerate = per_replication_rows(model, n, d, seed, r)
+    dump = tmp_path / "rows.csv"
+    result = simulate_expected_f(SimConfig(model=model, n=n, d=d, replications=r, seed=seed),
+                                 dump_path=str(dump))
+    assert result.degenerate_events == degenerate.sum()
+    expected = "".join(
+        [",".join(["replication"] + [f"f_{k}" for k in range(d)]) + "\n"]
+        + [",".join(map(str, [i, *row])) + "\n" for i, row in enumerate(rows.tolist())]
+    )
+    assert dump.read_bytes() == expected.encode()
+
+
 # (model, n, d): d = 2, the smallest full-dimensional n of each model (n = d
 # for the crosspolytope images), crosspolytope images at d = 5, and the
 # benchmark's gaussian n=10 d=3 and symmetric n=8 d=4
@@ -517,16 +566,18 @@ _MINORS_GRID = [
 @pytest.mark.parametrize("model,n,d", _MINORS_GRID)
 def test_minors_route_matches_per_replication_oracle(model, n, d, tmp_path):
     assert _enumerates(MODEL_TABLE[model], n, d)
-    rows, degenerate = per_replication_rows(model, n, d, 29, 300)
-    dump = tmp_path / "rows.csv"
-    result = simulate_expected_f(SimConfig(model=model, n=n, d=d, replications=300, seed=29),
-                                 dump_path=str(dump))
-    assert result.degenerate_events == degenerate.sum()
-    expected = "".join(
-        [",".join(["replication"] + [f"f_{k}" for k in range(d)]) + "\n"]
-        + [",".join(map(str, [i, *row])) + "\n" for i, row in enumerate(rows.tolist())]
-    )
-    assert dump.read_bytes() == expected.encode()
+    _assert_simulate_matches_oracle(model, n, d, 29, 300, tmp_path)
+
+
+# past _ENUM_CAP every draw goes to qhull; 513 replications cross a block edge
+_QHULL_GRID = [("gaussian", 14, 3), ("projected_simplex", 14, 3), ("symmetric", 10, 4),
+               ("projected_crosspolytope", 9, 4)]
+
+
+@pytest.mark.parametrize("model,n,d", _QHULL_GRID)
+def test_qhull_route_matches_per_replication_oracle(model, n, d, tmp_path):
+    assert not _enumerates(MODEL_TABLE[model], n, d)
+    _assert_simulate_matches_oracle(model, n, d, 31, 513, tmp_path)
 
 
 def test_enumeration_cap_sends_large_shapes_to_qhull():
@@ -549,18 +600,26 @@ def test_enumeration_margin_dominates_facet_tolerance():
 
 
 def _routed_block(monkeypatch, model, cloud_map):
-    """Row 0 of a one-replication block whose map is cloud_map, and whether qhull ran."""
-    calls = []
+    """Row 0 of a one-replication block whose map is cloud_map, and whether qhull ran.
+
+    The map is drawn once, whichever route decides it.
+    """
+    calls, draws = [], []
 
     def counted_hull(points):
         calls.append(len(points))
         return ConvexHull(points)
 
-    _patch_sample_map(monkeypatch, lambda row, n, d, rng: cloud_map.copy())
+    def drawing(row, n, d, rng):
+        draws.append(n)
+        return cloud_map.copy()
+
+    _patch_sample_map(monkeypatch, drawing)
     monkeypatch.setattr("polyproj.hull.ConvexHull", counted_hull)
     n, d = cloud_map.shape
     _, rows, degen = _replication_block((model, n, d, 0, 0, 1))
     assert degen == 0
+    assert len(draws) == 1
     return tuple(rows[0].tolist()), bool(calls)
 
 
@@ -621,16 +680,7 @@ _CUBE_GRID = [
 def test_cube_minors_route_matches_svd_oracle(model, n, d, r, tmp_path):
     # the oracle finds each replication's rays by SVD, one replication at a time
     assert _enumerates(MODEL_TABLE[model], n, d)
-    rows, degenerate = per_replication_rows(model, n, d, 37, r)
-    dump = tmp_path / "rows.csv"
-    result = simulate_expected_f(SimConfig(model=model, n=n, d=d, replications=r, seed=37),
-                                 dump_path=str(dump))
-    assert result.degenerate_events == degenerate.sum()
-    expected = "".join(
-        [",".join(["replication"] + [f"f_{k}" for k in range(d)]) + "\n"]
-        + [",".join(map(str, [i, *row])) + "\n" for i, row in enumerate(rows.tolist())]
-    )
-    assert dump.read_bytes() == expected.encode()
+    _assert_simulate_matches_oracle(model, n, d, 37, r, tmp_path)
 
 
 @pytest.mark.parametrize("factor,resampled", [(0.5, True), (2.0, False)])
@@ -662,10 +712,10 @@ def test_cube_general_position_boundary_inside_a_chunk(monkeypatch, d, factor, r
     assert rows.tolist() == [parallelotope] * 16
     keys = [tuple(k) for k in derive_keys(*path, np.arange(16), 0)]
     if resampled:
-        # drawn again from its attempt-0 stream, found flat, resampled from attempt 1
+        # counted as drawn, found flat, resampled from attempt 1
         again = tuple(SeedSequence((*path, placed, 1)).generate_state(2, np.uint64))
         assert degen == 1 and counted == [d, d]
-        assert drawn == keys + [placed_key, again]
+        assert drawn == keys + [again]
     else:
         assert degen == 0 and counted == []
         assert drawn == keys
