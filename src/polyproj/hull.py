@@ -23,7 +23,10 @@ that dominates _FACET_TOL) is not read off the table but goes to qhull, and
 so do shapes with more side tests per point than the measured _ENUM_CAP.
 
 Hulls that hull_f_vector is asked for, and those clouds, go through qhull,
-whose output is triangulated.  Two neighbouring simplices lie on one
+whose output is triangulated.  SciPy, which wraps qhull, is imported when the
+first such hull is built, not with this module: a process that sends no hull
+to qhull (the formula commands, simulate of the cube models, most small
+Gaussian shapes) never loads it.  Two neighbouring simplices lie on one
 facet when their [normal, offset] rows agree within _FACET_TOL, which one
 vectorized comparison over qhull's neighbour array tests.  If no neighbours
 agree the hull is simplicial; otherwise facet labels spread over agreeing
@@ -68,7 +71,6 @@ from itertools import combinations, product
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
     DegenerateGeometryError,
@@ -189,7 +191,7 @@ def _sample_maps(row: Model, keys: np.ndarray, bitgen: Philox, rng: Generator, o
     drawn in place after a re-key, and the frames of projected models come
     from one stacked QR.
     """
-    for j, key in enumerate(keys):
+    for j, key in enumerate(keys.tolist()):
         rekey(bitgen, key)
         rng.standard_normal(out=out[j])
     if not row.gaussian:
@@ -233,6 +235,9 @@ def _f_vector_or_simplices(pts: np.ndarray) -> FVectorSample | np.ndarray:
     is counted here by intersection closure.  Simplicial hulls are handed
     back as qhull's simplices so that many of them can be counted at once.
     """
+    # SciPy loads on the first hull that reaches qhull, not at import
+    from scipy.spatial import ConvexHull, QhullError
+
     m, d = pts.shape
     if m < d + 1:
         return FVectorSample((0,) * d, degenerate=True)

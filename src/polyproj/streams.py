@@ -160,10 +160,14 @@ def _generate_key(pool: list[np.ndarray]) -> np.ndarray:
 
 
 def rekey(bitgen: Philox, key) -> None:
-    """Reset bitgen to the fresh state Philox(key=key) would have: counter 0, empty buffer."""
+    """Reset bitgen to the fresh state Philox(key=key) would have: counter 0, empty buffer.
+
+    key is a pair of unsigned 64-bit words, a row of derive_keys or, cheaper,
+    that row as a list of Python ints, which the state setter takes as is.
+    """
     bitgen.state = {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": [int(key[0]), int(key[1])]},
+        "state": {"counter": [0, 0, 0, 0], "key": key},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,

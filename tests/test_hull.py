@@ -313,13 +313,20 @@ def test_random_orthonormal_frame():
 @pytest.mark.parametrize("model,n,rows", [
     ("gaussian", 5, 5),
     ("symmetric", 5, 10),
+    ("zonotope", 4, 16),
     ("projected_simplex", 5, 5),
     ("projected_crosspolytope", 4, 8),
     ("projected_cube", 4, 16),
 ])
 def test_sample_cloud_shapes(model, n, rows):
-    cloud = model_cloud(model, n, 3, derive_generator(7, 2))
-    assert cloud.shape == (rows, 3)
+    # the model's map is n x d and takes the rows vertices of P_{n - shift} in R^n
+    # to the cloud; a projected model's map is an orthonormal frame
+    row = MODEL_TABLE[model]
+    cloud_map = _sample_map(row, n, 3, derive_generator(7, 2))
+    assert cloud_map.shape == (n, 3)
+    assert vertices(row.family, n - row.shift).shape == (rows, n)
+    if not row.gaussian:
+        assert np.allclose(cloud_map.T @ cloud_map, np.eye(3), atol=1e-12)
 
 
 def test_model_table_follows_stream_codes():
@@ -615,7 +622,8 @@ def _routed_block(monkeypatch, model, cloud_map):
         return cloud_map.copy()
 
     _patch_sample_map(monkeypatch, drawing)
-    monkeypatch.setattr("polyproj.hull.ConvexHull", counted_hull)
+    # hull.py imports ConvexHull where it calls qhull, so the name is read from scipy.spatial then
+    monkeypatch.setattr("scipy.spatial.ConvexHull", counted_hull)
     n, d = cloud_map.shape
     _, rows, degen = _replication_block((model, n, d, 0, 0, 1))
     assert degen == 0

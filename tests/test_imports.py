@@ -1,5 +1,7 @@
 """Import hygiene: every name a polyproj module imports is used in that module,
-and importing the CLI leaves scipy.optimize and scipy.sparse.csgraph unloaded.
+importing the CLI leaves scipy.optimize and scipy.sparse.csgraph unloaded, and
+SciPy itself loads only when a hull goes to qhull: the package, the CLI and
+every command that builds no convex hull start without it.
 
 The package's __init__ is exempt from the unused-import scan; its imports are
 the public re-exports.
@@ -43,20 +45,73 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def loaded_after_cli_import(module: str) -> str:
-    # a fresh interpreter, so modules the test run itself loaded do not count
-    code = f"import sys, polyproj.cli; print({module!r} in sys.modules)"
+def run_fresh(code: str) -> str:
+    """What code prints, run in a fresh interpreter on the package under test.
+
+    A fresh interpreter, so that modules the test run itself loaded do not count.
+    """
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True)
-    return out.stdout.strip()
+    return out.stdout
+
+
+def loaded_after(code: str, module: str) -> bool:
+    """Whether module is in sys.modules after code runs in a fresh interpreter."""
+    last = run_fresh(f"import sys\n{code}\nprint({module!r} in sys.modules)").splitlines()[-1]
+    assert last in ("True", "False")
+    return last == "True"
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    assert loaded_after_cli_import("scipy.optimize") == "False"
+    assert not loaded_after("import polyproj.cli", "scipy.optimize")
 
 
 def test_cli_import_leaves_scipy_sparse_csgraph_unloaded():
     # facets are merged over qhull's neighbour graph with array operations,
     # so no graph library joins the start-up cost
-    assert loaded_after_cli_import("scipy.sparse.csgraph") == "False"
+    assert not loaded_after("import polyproj.cli", "scipy.sparse.csgraph")
+
+
+def _cli_run(*argv: str) -> str:
+    return f"import polyproj.cli\nassert polyproj.cli.main({list(argv)!r}) == 0"
+
+
+@pytest.mark.parametrize("code", [
+    "import polyproj",
+    "import polyproj.cli",
+    _cli_run("expected", "--model", "gaussian", "--n", "6", "--d", "3", "--all-k", "--samples", "2000"),
+    _cli_run("expected", "--family", "crosspolytope", "--n", "5", "--d", "3", "--all-k", "--samples", "500"),
+    _cli_run("monotonicity", "--model", "symmetric", "--d", "3", "--all-k", "--n-min", "4", "--n-max", "6",
+             "--samples", "500"),
+    _cli_run("poisson", "--model", "gaussian", "--d", "2", "--all-k", "--t-min", "1", "--t-max", "3",
+             "--samples", "500"),
+    _cli_run("simulate", "--model", "zonotope", "--n", "6", "--d", "3", "--reps", "200"),
+    _cli_run("simulate", "--model", "projected_cube", "--n", "6", "--d", "3", "--reps", "200"),
+], ids=["package", "cli", "expected", "expected_family", "monotonicity", "poisson",
+        "simulate_zonotope", "simulate_projected_cube"])
+def test_no_hull_leaves_scipy_unloaded(code):
+    # formula commands evaluate angle sums, and cube models are counted from
+    # their minors table; none of them reaches qhull
+    assert not loaded_after(code, "scipy")
+
+
+def test_hull_f_vector_loads_qhull():
+    out = run_fresh(
+        "import sys\n"
+        "from polyproj import hull_f_vector\n"
+        "print('scipy' in sys.modules)\n"
+        "pyramid = [[1, 1, 0], [1, -1, 0], [-1, 1, 0], [-1, -1, 0], [0, 0, 1]]\n"
+        "print(hull_f_vector(pyramid))\n"
+        "print('scipy.spatial' in sys.modules)\n")
+    assert out.splitlines() == [
+        "False", "FVectorSample(counts=(5, 8, 5), degenerate=False)", "True"]
+
+
+def test_flat_cloud_is_degenerate_under_the_deferred_import():
+    # qhull raises QhullError on a flat cloud; the error class comes from the
+    # same deferred import as ConvexHull
+    out = run_fresh(
+        "from polyproj import hull_f_vector\n"
+        "print(hull_f_vector([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.2, 0]]))\n")
+    assert out.strip() == "FVectorSample(counts=(0, 0, 0), degenerate=True)"

@@ -67,13 +67,16 @@ def test_derive_keys_rejects_bad_entries():
 
 
 def test_rekey_draws_equal_derive_generator():
+    # a key is a uint64 row of derive_keys or the list of Python ints tolist() makes of it
     path = (SIM_REPLICATION, 2, 8, 4)
     idx = np.array([0, 1, 511, 512, 2**32 + 3])
+    keys = derive_keys(5, *path, idx, 0)
+    assert keys.max() >= 2**63  # a word with the top bit set goes through both forms
     bitgen = Philox()
     rng = Generator(bitgen)
     # leave state behind: a used counter, a partly read buffer, a cached half word
     rng.integers(0, 2**32, size=3, dtype=np.uint32)
-    for i, key in zip(idx, derive_keys(5, *path, idx, 0)):
+    for i, key in [*zip(idx, keys), *zip(idx, keys.tolist())]:
         rekey(bitgen, key)
         fresh = derive_generator(5, *path, int(i), 0)
         assert _same_state(bitgen, fresh.bit_generator)
