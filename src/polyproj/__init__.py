@@ -11,7 +11,6 @@ Library layout:
 """
 
 from .angles import (
-    AngleEstimate,
     Cone,
     MCConfig,
     NormalConeData,

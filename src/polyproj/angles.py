@@ -30,10 +30,13 @@ Both series list the canonical face's vertices first, and those score about
 off the face.  Ambient points of L are mapped to frame coordinates first;
 the frame is orthonormal, so the test is the same.
 
-Cube angles and codimension <= 1 pairs are exact powers of 1/2 and never hit
-the sampler.  Monte Carlo estimates are deterministic: every chunk of samples
-draws from a counter-based stream derived from the angle's identity, so values
-do not depend on evaluation order or worker count.  Every estimate is
+Every angle is an Estimate, the package's one value-with-uncertainty type,
+which the formula layers reuse for sums of angles.  Cube angles and
+codimension <= 1 pairs are exact powers of 1/2 of the codimension, carried
+as Fractions with std_error 0, and never hit the sampler.  Monte Carlo
+estimates are deterministic: every chunk of samples draws from a
+counter-based stream derived from the angle's identity, so values do not
+depend on evaluation order or worker count.  Every estimate is
 sampled on the fixed chunk grid DEFAULT_CHUNK.  A chunk is drawn and scored
 _SUB_ROWS rows at a time in one reused buffer; consecutive draws from one
 stream are the numbers a single draw of the whole chunk gives.  Estimates
@@ -74,6 +77,8 @@ from .streams import ANGLE_SAMPLES, FAMILY_CODES, KIND_EXTERNAL, KIND_INTERNAL, 
 ORTHONORMALITY_TOL = 1e-12
 SPAN_TOL = 1e-10
 HALFSPACE_TOL = 1e-10
+# a row whose Gram-Schmidt residual is below this times 1 + |row| is dependent
+DROP_TOL = 1e-10
 DEFAULT_CHUNK = 1 << 15
 # rows drawn and scored at a time within a chunk, in one reused buffer
 _SUB_ROWS = 2048
@@ -99,23 +104,35 @@ class MCConfig:
 
 
 @dataclass(frozen=True)
-class AngleEstimate:
+class Estimate:
+    """A value with its uncertainty: an angle, a sum of angles or a row built from them.
+
+    Exact estimates carry std_error 0 and, when the value is rational,
+    exact_value as a Fraction; exact results with irrational values (simplex
+    volumes) keep exact=True with exact_value=None.  samples is the number of
+    draws behind a sampled angle, and 0 for everything else.
+    """
+
     value: float
-    std_error: float
-    method: str  # "exact" or "monte_carlo"
-    samples: int
+    std_error: float = 0.0
+    exact: bool = False
     exact_value: Fraction | None = None
+    samples: int = 0
 
     def __post_init__(self):
-        if not (-1e-12 <= self.value <= 1 + 1e-12):
-            raise NumericError(f"angle {self.value} outside [0, 1]")
-        if self.method == "exact" and self.std_error != 0.0:
-            raise NumericError("exact angle must have zero std error")
+        if self.exact and self.std_error != 0.0:
+            raise NumericError("exact estimate must have zero std error")
 
+    @classmethod
+    def rational(cls, v: Fraction | int) -> Estimate:
+        """The exact estimate of a rational value."""
+        v = Fraction(v)
+        return cls(float(v), 0.0, True, v)
 
-def _exact_angle(frac: Fraction | int) -> AngleEstimate:
-    frac = Fraction(frac)
-    return AngleEstimate(float(frac), 0.0, "exact", 0, frac)
+    @property
+    def method(self) -> str:
+        """The report's method column."""
+        return "exact" if self.exact else "monte_carlo"
 
 
 @dataclass(frozen=True)
@@ -201,12 +218,12 @@ class Cone:
         return inside
 
 
-def orthonormal_basis(vecs: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
+def orthonormal_basis(vecs: np.ndarray) -> np.ndarray:
     """Orthonormal basis of span(rows) by classical Gram-Schmidt applied twice.
 
     Rows are taken in order; each is projected off the rows kept so far in two
     passes (the second controls cancellation for near-dependent rows).  Rows
-    whose residual is below drop_tol * (1 + |row|) are treated as dependent and
+    whose residual is below DROP_TOL * (1 + |row|) are treated as dependent and
     dropped.  Once the basis spans the whole space the remaining rows would
     all be dropped, so they are not projected.
     """
@@ -222,7 +239,7 @@ def orthonormal_basis(vecs: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
         for _ in range(2):
             w -= (basis[:r] @ w) @ basis[:r]
         nw = np.linalg.norm(w)
-        if nw > drop_tol * (1.0 + np.linalg.norm(v)):
+        if nw > DROP_TOL * (1.0 + np.linalg.norm(v)):
             basis[r] = w / nw
             r += 1
     return basis[:r]
@@ -289,7 +306,7 @@ def internal_cone(family: Family, n: int, k: int, g: int) -> Cone:
     )
 
 
-def cone_angle(cone: Cone, cfg: MCConfig | None = None) -> AngleEstimate:
+def cone_angle(cone: Cone, cfg: MCConfig | None = None) -> Estimate:
     """Monte Carlo estimate of the solid angle of `cone` within its linear hull.
 
     Samples standard Gaussians in frame coordinates, counts membership, and
@@ -302,7 +319,7 @@ def cone_angle(cone: Cone, cfg: MCConfig | None = None) -> AngleEstimate:
     """
     cfg = cfg or MCConfig()
     if cone.dim == 0:
-        return _exact_angle(1)
+        return Estimate.rational(1)
     counts = chunk_counts(cfg.samples, DEFAULT_CHUNK)
 
     def run_chunk(job: tuple[int, int]) -> int:
@@ -326,17 +343,18 @@ def cone_angle(cone: Cone, cfg: MCConfig | None = None) -> AngleEstimate:
     return _binomial_estimate(hits, cfg.samples)
 
 
-def _binomial_estimate(hits: int, samples: int) -> AngleEstimate:
+def _binomial_estimate(hits: int, samples: int) -> Estimate:
     """The hit rate of `samples` draws with its binomial standard error."""
     p = hits / samples
-    se = math.sqrt(p * (1.0 - p) / samples)
-    return AngleEstimate(p, se, "monte_carlo", samples)
+    if not 0 <= p <= 1:
+        raise NumericError(f"angle {p} outside [0, 1]")
+    return Estimate(p, math.sqrt(p * (1.0 - p) / samples), samples=samples)
 
 
 # ---------------------------------------------------------------------------
 # memoization and the optional append-only cache file
 
-_MEMO: dict[tuple, AngleEstimate] = {}
+_MEMO: dict[tuple, Estimate] = {}
 _LOCK = threading.Lock()
 _LOADED_CACHES: set[str] = set()
 
@@ -364,25 +382,27 @@ def _ensure_cache_loaded(path: str) -> None:
     with _LOCK:
         if apath in _LOADED_CACHES:
             return
-        rows: dict[tuple, AngleEstimate] = {}
+        rows: dict[tuple, Estimate] = {}
         if os.path.exists(apath):
-            with open(apath, "r", encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, 1):
-                    parts = line.split()
+            with open(apath, "rb") as fh:
+                lines = fh.read().splitlines()  # at \n, \r\n and \r, as text mode splits
+            for lineno, line in enumerate(lines, 1):
+                try:
+                    # a line that is not UTF-8 is malformed like any other
+                    parts = line.decode("utf-8").split()
                     if not parts or parts[0].startswith("#"):
                         continue
-                    try:
-                        key, chunk, est = _cache_row(parts)
-                    except ValueError as exc:
-                        raise CacheFormatError(apath, lineno, str(exc)) from exc
-                    if chunk == DEFAULT_CHUNK:
-                        rows.setdefault(key, est)
+                    key, chunk, est = _cache_row(parts)
+                except ValueError as exc:
+                    raise CacheFormatError(apath, lineno, str(exc)) from exc
+                if chunk == DEFAULT_CHUNK:
+                    rows.setdefault(key, est)
         for key, est in rows.items():
             _MEMO.setdefault(key, est)
         _LOADED_CACHES.add(apath)
 
 
-def _cache_row(parts: list[str]) -> tuple[tuple, int, AngleEstimate]:
+def _cache_row(parts: list[str]) -> tuple[tuple, int, Estimate]:
     """Memo key, chunk grid and estimate of a split cache row; ValueError if it is malformed."""
     if len(parts) not in (9, 10):
         raise ValueError(f"expected 9 or 10 fields, got {len(parts)}")
@@ -398,14 +418,14 @@ def _cache_row(parts: list[str]) -> tuple[tuple, int, AngleEstimate]:
     return key, chunk, est
 
 
-def _append_cache(path: str, key: tuple, est: AngleEstimate) -> None:
+def _append_cache(path: str, key: tuple, est: Estimate) -> None:
     kind, fam, n, k, g, samples, seed = key
     with _LOCK:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(f"{fam} {n} {k} {g} {kind} {samples} {seed} {est.value!r} {est.std_error!r} {DEFAULT_CHUNK}\n")
 
 
-def _memoized_angle(key: tuple, build, cfg: MCConfig) -> AngleEstimate:
+def _memoized_angle(key: tuple, build, cfg: MCConfig) -> Estimate:
     if cfg.cache_path:
         _ensure_cache_loaded(cfg.cache_path)
     with _LOCK:
@@ -420,11 +440,12 @@ def _memoized_angle(key: tuple, build, cfg: MCConfig) -> AngleEstimate:
     return est
 
 
-def external_angle(family: Family, n: int, g: int, cfg: MCConfig | None = None) -> AngleEstimate:
+def external_angle(family: Family, n: int, g: int, cfg: MCConfig | None = None) -> Estimate:
     """gamma(Q_g, P_n): the external angle of P_n at its canonical g-face.
 
-    Exact branches: cubes (2^-(n-g)), g = n (angle 1), g = n-1 (facet, 1/2).
-    Everything else is estimated by sampling the normal cone.
+    Exact for cubes and for g >= n-1 (the polytope itself, or a facet): the
+    codimension's power of 1/2.  Everything else is estimated by sampling
+    the normal cone.
     """
     cfg = cfg or MCConfig()
     family = resolve_family(family)
@@ -434,27 +455,23 @@ def external_angle(family: Family, n: int, g: int, cfg: MCConfig | None = None) 
         raise InvalidDimensionError(f"polytope dimension must be >= 1, got {n}")
     if g < 0 or g > n:
         raise InvalidFaceError(f"external angle needs 0 <= g <= n, got g={g}, n={n}")
-    if family is Family.CUBE:
-        return _exact_angle(Fraction(1, 2 ** (n - g)))
-    if g == n:
-        return _exact_angle(1)
-    if g == n - 1:
-        return _exact_angle(Fraction(1, 2))
+    if family is Family.CUBE or g >= n - 1:
+        return Estimate.rational(Fraction(1, 2 ** (n - g)))
     key = ("ext", family.value, n, -1, g, cfg.samples, cfg.seed)
     return _memoized_angle(key, lambda: normal_cone(family, n, g), cfg)
 
 
 def internal_angle(
     family: Family, n: int, k: int, g: int, cfg: MCConfig | None = None
-) -> AngleEstimate:
+) -> Estimate:
     """beta(Q_k, Q_g): the internal angle of Q_g at its subface Q_k.
 
-    Exact branches: k > g (0), k = g (1, the empty-cone convention that makes
-    the top projection term reproduce facet counts), cubes (2^-(g-k)), and
-    g = k+1 (1/2).  The Monte Carlo branch samples the positive hull on a
-    minimal canonical embedding; the value does not depend on n, and simplex
-    and crosspolytope share it because their proper faces are the same regular
-    simplices.
+    k > g gives 0.  Cubes and codimension g-k <= 1 are exact powers 2^-(g-k);
+    k = g gives 1, the empty-cone convention that makes the top projection
+    term reproduce facet counts.  The Monte Carlo branch samples the positive
+    hull on a minimal canonical embedding; the value does not depend on n, and
+    simplex and crosspolytope share it because their proper faces are the
+    same regular simplices.
     """
     cfg = cfg or MCConfig()
     family = resolve_family(family)
@@ -471,13 +488,9 @@ def internal_angle(
             f"no canonical {g}-face of the {family.value} P_{n} (valid range 0..{hi})"
         )
     if k > g:
-        return _exact_angle(0)
-    if k == g:
-        return _exact_angle(1)
-    if family is Family.CUBE:
-        return _exact_angle(Fraction(1, 2 ** (g - k)))
-    if g == k + 1:
-        return _exact_angle(Fraction(1, 2))
+        return Estimate.rational(0)
+    if family is Family.CUBE or g - k <= 1:
+        return Estimate.rational(Fraction(1, 2 ** (g - k)))
     key = ("int", _SHARED_FACE, 0, k, g, cfg.samples, cfg.seed)
     return _memoized_angle(key, lambda: _canonical_internal_cone(k, g), cfg)
 

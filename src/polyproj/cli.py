@@ -44,42 +44,27 @@ def t_grid(t_min: float, t_max: float, t_step: float) -> list[float]:
     return grid
 
 
-def _number(text: str, convert, what: str):
-    try:
-        v = convert(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
-    if isinstance(v, float) and not math.isfinite(v):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {v}")
-    return v
+def _number(convert, what: str, lo, strict: bool = False):
+    """An argparse type: convert the text to a finite number >= lo (> lo when strict)."""
+
+    def parse(text: str):
+        try:
+            v = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+        if isinstance(v, float) and not math.isfinite(v):
+            raise argparse.ArgumentTypeError(f"expected a finite number, got {v}")
+        if v < lo or (strict and v == lo):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {v}")
+        return v
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    v = _number(text, int, "a positive integer")
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {v}")
-    return v
-
-
-def _nonneg_int(text: str) -> int:
-    v = _number(text, int, "a nonnegative integer")
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {v}")
-    return v
-
-
-def _nonneg_float(text: str) -> float:
-    v = _number(text, float, "a nonnegative number")
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {v}")
-    return v
-
-
-def _positive_float(text: str) -> float:
-    v = _number(text, float, "a positive number")
-    if v <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {v}")
-    return v
+_positive_int = _number(int, "a positive integer", 1)
+_nonneg_int = _number(int, "a nonnegative integer", 0)
+_nonneg_float = _number(float, "a nonnegative number", 0)
+_positive_float = _number(float, "a positive number", 0, strict=True)
 
 
 def _workers(text: str) -> int:
@@ -170,7 +155,7 @@ def _cmd_simulate(args) -> int:
             z = 0.0 if diff == 0 else float("inf")
         rows.append(ReportRow(
             command="simulate", model=args.model, n=args.n, d=args.d, k=k,
-            value=sim.value, stderr=sim.std_error, method="monte_carlo",
+            value=sim.value, stderr=sim.std_error, method=sim.method,
             formula_value=float(formula.value), z_score=z,
             wall_time_s=wall_total if args.timings else None,
         ))
@@ -192,7 +177,7 @@ def _cmd_monotonicity(args) -> int:
             rows.append(ReportRow(
                 command="monotonicity", model=args.model or "", family=args.family or "",
                 n=row.n, d=args.d, k=k, value=row.value, stderr=row.std_error,
-                method="exact" if row.exact else "monte_carlo",
+                method=row.method,
                 strict_increase=row.strict_increase,
             ))
         steps = [r.strict_increase for r in table if r.strict_increase is not None]
@@ -222,7 +207,7 @@ def _cmd_poisson(args) -> int:
             rows.append(ReportRow(
                 command="poisson", model=args.model, d=args.d, k=k, t=float(t),
                 value=est.value, stderr=est.std_error,
-                method="exact" if est.exact else "monte_carlo",
+                method=est.method,
                 t_functional=tf, wall_time_s=wall,
             ))
             values.append(est.value)
@@ -297,7 +282,7 @@ def main(argv=None) -> int:
             parser.error(str(exc))
     try:
         return args.func(args)
-    except PolyprojError as exc:
+    except (PolyprojError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,6 +13,11 @@ is not evaluated.  Whenever every factor in the sum is exact the result is
 carried as an exact rational; cubes always take this path, which is what
 makes their monotonicity verdicts exact.
 
+Every result is an angles.Estimate.  A Poissonized expectation and a row of
+a monotonicity table extend it with keyword-only fields: the truncation bound
+and term count of the Poisson sum, and the row's n and strict-increase
+verdict.
+
 Every formula target is a row of families.MODEL_TABLE, or a family's own
 row (P_n itself, shift 0): the target with parameter n has the expected
 f-vector of the projected P_{n - shift}.  So the convex hull of n iid
@@ -27,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .angles import AngleEstimate, MCConfig, external_angle, internal_angle
+from .angles import Estimate, MCConfig, external_angle, internal_angle
 from .errors import InvalidArgumentError, TruncationError
 from .families import (
     MODEL_TABLE,
@@ -46,37 +51,14 @@ GAUSSIAN_MODELS = tuple(name for name, row in MODEL_TABLE.items() if row.gaussia
 
 
 @dataclass(frozen=True)
-class Estimate:
-    """A value with its uncertainty; exact results carry std_error 0.
-
-    exact_value holds the rational value when one exists (cube sums, trivial
-    branches); exact results with irrational values (simplex volumes) keep
-    exact=True with exact_value=None.
-    """
-
-    value: float
-    std_error: float = 0.0
-    exact: bool = False
-    exact_value: Fraction | int | None = None
-
-    @property
-    def method(self) -> str:
-        return "exact" if self.exact else "monte_carlo"
-
-
-def _exact_estimate(v) -> Estimate:
-    return Estimate(float(v), 0.0, True, Fraction(v))
-
-
-@dataclass(frozen=True)
 class SnTerm:
     """One j-term of the projection sum, with its factors kept visible."""
 
     j: int
     faces: int  # c(n, j-1)
     subfaces: int  # c(j-1, k)
-    beta: AngleEstimate
-    gamma: AngleEstimate
+    beta: Estimate
+    gamma: Estimate
     value: float
     std_error: float
     exact_value: Fraction | None
@@ -130,21 +112,21 @@ def expected_f_projection(
     k = check_int("k", k, 0)
     m = min(n, d)
     if k > m:
-        return _exact_estimate(0)
+        return Estimate.rational(0)
     if k == m:
-        return _exact_estimate(1)
+        return Estimate.rational(1)
     if d >= n:
-        return _exact_estimate(face_count(family, n, k, on_polytope=True))
+        return Estimate.rational(face_count(family, n, k, on_polytope=True))
     if d == 1:
         # the image is a segment for every draw; only k = 0 reaches here
-        return _exact_estimate(2)
+        return Estimate.rational(2)
     terms = sn_terms(family, n, d, k, cfg)
     value = 2.0 * sum(t.value for t in terms)
     se = 2.0 * sum(t.std_error for t in terms)
     if all(t.exact_value is not None for t in terms):
         total = 2 * sum(t.exact_value for t in terms)
-        return Estimate(float(total), 0.0, True, total)
-    return Estimate(value, se, False, None)
+        return Estimate.rational(total)
+    return Estimate(value, se)
 
 
 def expected_f_cube_closed_form(n: int, d: int, k: int) -> int:
@@ -179,9 +161,9 @@ def expected_f_model(model: str | Model, n: int, d: int, k: int, cfg: MCConfig |
     d = check_int("d", d, 1)
     k = check_int("k", k, 0)
     if n == 0:
-        return _exact_estimate(0)
+        return Estimate.rational(0)
     if n == row.shift:
-        return _exact_estimate(1 if k == 0 else 0)
+        return Estimate.rational(1 if k == 0 else 0)
     return expected_f_projection(row.family, n - row.shift, d, k, cfg)
 
 
@@ -252,7 +234,7 @@ def intrinsic_volume(family: Family, n: int, k: int, cfg: MCConfig | None = None
     if gamma.exact_value is not None:
         exact_value = c * gamma.exact_value if family is Family.CUBE or k == 0 else None
         return Estimate(value, 0.0, True, exact_value)
-    return Estimate(value, se, False, None)
+    return Estimate(value, se)
 
 
 def unit_ball_volume(ell: int) -> float:
@@ -289,13 +271,12 @@ def t_functional_expected(d: int, k: int, b: float, expected_f_value: float) -> 
 # ---------------------------------------------------------------------------
 # Poissonization
 
-@dataclass(frozen=True)
-class PoissonizedExpectation:
-    value: float
-    std_error: float
+@dataclass(frozen=True, kw_only=True)
+class PoissonizedExpectation(Estimate):
+    """E f_k at Poisson(t) points, with the tail bound and length of its truncated sum."""
+
     truncation_bound: float
     terms: int
-    exact: bool
 
 
 def _face_bound(row: Model, ell: int, d: int, k: int) -> float:
@@ -363,7 +344,7 @@ def poissonized_expected(
             if q < 0.5:
                 tail = weight * _face_bound(row, ell, d, k) * q / (1.0 - q)
                 if tail < eps:
-                    return PoissonizedExpectation(value, se, tail, ell + 1, exact)
+                    return PoissonizedExpectation(value, se, exact, truncation_bound=tail, terms=ell + 1)
         if ell >= cap:
             bound = weight * _face_bound(row, ell, d, k)
             raise TruncationError(
@@ -375,12 +356,16 @@ def poissonized_expected(
 # ---------------------------------------------------------------------------
 # monotonicity tables
 
-@dataclass(frozen=True)
-class MonotonicityRow:
+# Monte Carlo neighbors of a monotonicity table must be this many summed
+# standard errors apart to earn a strict verdict
+STRICT_SIGMAS = 3.0
+
+
+@dataclass(frozen=True, kw_only=True)
+class MonotonicityRow(Estimate):
+    """E f_k at one n of a monotonicity table."""
+
     n: int
-    value: float
-    std_error: float
-    exact: bool
     strict_increase: bool | None  # verdict for the step n -> n+1; None on the last row
 
 
@@ -391,13 +376,12 @@ def monotonicity_table(
     n_lo: int,
     n_hi: int,
     cfg: MCConfig | None = None,
-    sigmas: float = 3.0,
 ) -> list[MonotonicityRow]:
     """E f_k over n = n_lo..n_hi with per-step strict-increase verdicts.
 
     target is a family name or a Gaussian model name.  Exact neighbors are
     compared as rationals; Monte Carlo neighbors must be separated by
-    `sigmas` times the sum of their standard errors to earn a strict verdict.
+    STRICT_SIGMAS times the sum of their standard errors to earn a strict verdict.
     """
     targets = GAUSSIAN_MODELS + tuple(f.value for f in Family)
     if target not in targets:
@@ -416,6 +400,7 @@ def monotonicity_table(
                 verdict = nxt.exact_value > est.exact_value
             else:
                 gap = nxt.value - est.value
-                verdict = gap > sigmas * (est.std_error + nxt.std_error)
-        rows.append(MonotonicityRow(n_lo + i, est.value, est.std_error, est.exact, verdict))
+                verdict = gap > STRICT_SIGMAS * (est.std_error + nxt.std_error)
+        rows.append(MonotonicityRow(est.value, est.std_error, est.exact, est.exact_value,
+                                    n=n_lo + i, strict_increase=verdict))
     return rows

@@ -72,13 +72,13 @@ from itertools import combinations, product
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .angles import Estimate
 from .errors import (
     DegenerateGeometryError,
     InvalidArgumentError,
     InvalidDimensionError,
     SimulationAbortError,
 )
-from .expected import Estimate
 from .families import MODEL_TABLE, Family, Model, check_int, model_row
 from .streams import MODEL_CODES, SIM_REPLICATION, derive_generator, derive_keys, rekey
 
@@ -757,5 +757,5 @@ def simulate_expected_f(cfg: SimConfig, dump_path: str | None = None) -> Simulat
         col = rows[:, k].astype(float)
         mean = float(col.mean())
         se = float(col.std(ddof=1) / math.sqrt(r)) if r > 1 else 0.0
-        means[k] = Estimate(mean, se, False, None)
+        means[k] = Estimate(mean, se)
     return SimulationResult(cfg, means, r, degen)

@@ -10,14 +10,16 @@ instead of qhull bookkeeping, rays of a zonotope's arrangement by SVD instead
 of off a table of minors, facets grouped by rounded hyperplane equations
 instead of by qhull's neighbour graph, one freshly derived generator and
 one f-vector call per replication instead of batched stream keys and
-block-wise face counting, and Poisson tail bounds written out per model name
-instead of read off the model table.
+block-wise face counting, Poisson tail bounds written out per model name
+instead of read off the model table, and exact angles as a ladder of
+branches instead of one power of 1/2 per kind.
 Agreement between routes is the point.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -78,6 +80,31 @@ TRIANGLE_VERTEX_ANGLE = 1 / 6
 # the pinned composite value: expected vertex count of the planar shadow of a
 # regular 3-simplex, 12 * (pi - arccos(1/3)) / (2 pi)
 SHADOW_TETRA_VERTICES = 6 * (math.pi - math.acos(1 / 3)) / math.pi
+
+
+def exact_angle_ladder(kind: str, family: str, n: int, k: int, g: int) -> Fraction | None:
+    """The exact value of an angle, branch by branch; None where the angle is sampled.
+
+    kind is "ext" for gamma(Q_g, P_n), with k ignored, or "int" for
+    beta(Q_k, Q_g).  family is the family's name.
+    """
+    if kind == "ext":
+        if family == "cube":
+            return Fraction(1, 2 ** (n - g))
+        if g == n:
+            return Fraction(1)
+        if g == n - 1:
+            return Fraction(1, 2)
+        return None
+    if k > g:
+        return Fraction(0)
+    if k == g:
+        return Fraction(1)
+    if family == "cube":
+        return Fraction(1, 2 ** (g - k))
+    if g == k + 1:
+        return Fraction(1, 2)
+    return None
 
 
 def poisson_face_bound(model: str, ell: int, k: int) -> float:

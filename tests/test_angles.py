@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from polyproj import (
-    AngleEstimate,
     CacheFormatError,
     Cone,
+    Estimate,
     Family,
     InvalidArgumentError,
     InvalidFaceError,
@@ -35,13 +35,16 @@ from polyproj.angles import (
     HALFSPACE_TOL,
     ORTHONORMALITY_TOL,
     SPAN_TOL,
+    _binomial_estimate,
 )
+import polyproj.angles
 from polyproj.streams import ANGLE_SAMPLES, chunk_counts, derive_generator
 
 from oracles import (
     TETRA_EDGE_ANGLE,
     TRIANGLE_VERTEX_ANGLE,
     cross_external_quadrature,
+    exact_angle_ladder,
     full_pass_orthonormal_basis,
     mgs_orthonormal_basis,
     nnls_member_count,
@@ -207,6 +210,29 @@ def test_internal_angle_cube_exact():
     assert internal_angle(Family.CUBE, 5, 1, 4).exact_value == Fraction(1, 8)
 
 
+@pytest.mark.parametrize("family", list(Family))
+def test_exact_angles_match_the_branch_ladder(family, monkeypatch):
+    # a sampled angle comes back as this marker, so nothing is drawn
+    sampled = object()
+    monkeypatch.setattr(polyproj.angles, "_memoized_angle", lambda key, build, cfg: sampled)
+
+    def check(est, want):
+        if want is None:
+            assert est is sampled
+        else:
+            assert type(est.exact_value) is Fraction and est.exact_value == want
+            assert est.value.hex() == float(want).hex()
+            assert (est.exact, est.std_error, est.samples) == (True, 0.0, 0)
+
+    for n in range(1, 11):
+        for g in range(n + 1):
+            check(external_angle(family, n, g), exact_angle_ladder("ext", family.value, n, -1, g))
+        hi = n - 1 if family is Family.CROSSPOLYTOPE else n
+        for g in range(hi + 1):
+            for k in range(n + 1):
+                check(internal_angle(family, n, k, g), exact_angle_ladder("int", family.value, n, k, g))
+
+
 def test_angle_argument_validation():
     with pytest.raises(InvalidFaceError):
         external_angle(Family.SIMPLEX, 3, 4)
@@ -222,9 +248,9 @@ def test_angle_argument_validation():
 
 def test_angle_estimate_validation():
     with pytest.raises(NumericError):
-        AngleEstimate(1.5, 0.0, "exact", 0)
+        _binomial_estimate(3, 2)
     with pytest.raises(NumericError):
-        AngleEstimate(0.5, 0.1, "exact", 0)
+        Estimate(0.5, 0.1, True)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from polyproj import from_csv
 import polyproj.cli as cli
 from polyproj import InvalidArgumentError
 from polyproj.cli import build_parser, main
+from polyproj.families import target_row
 
 SMALL = ["--samples", "5000", "--seed", "1"]
 
@@ -291,6 +292,77 @@ def test_angle_cache_malformed_row_exits_1(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: ") and f"{cache}:1:" in err
     clear_angle_memo()
+
+
+@pytest.mark.parametrize("head,lineno", [(b"", 1), (b"# angle cache\n", 2)])
+def test_angle_cache_not_utf8_exits_1(tmp_path, capsys, head, lineno):
+    from polyproj import clear_angle_memo
+
+    cache = tmp_path / "angles.txt"
+    cache.write_bytes(head + b"\xff\xfe simplex 4 -1 0 ext 100 0 0.5 0.05\n")
+    clear_angle_memo()
+    code, _, err = run(capsys, ["expected", "--model", "gaussian", "--n", "6", "--d", "3",
+                                "--k", "0", "--angle-cache", str(cache), *SMALL])
+    assert code == 1
+    assert err.startswith("error: ") and f"{cache}:{lineno}:" in err
+    clear_angle_memo()
+
+
+@pytest.mark.parametrize("argv", [
+    ["expected", "--family", "cube", "--n", "4", "--d", "3", "--all-k", "--out", "{missing}/x.csv"],
+    ["simulate", "--model", "zonotope", "--n", "4", "--d", "3", "--reps", "5", "--dump", "{missing}/d.csv"],
+    ["expected", "--model", "gaussian", "--n", "6", "--d", "3", "--k", "0", *SMALL, "--angle-cache", "{dir}"],
+], ids=["out", "dump", "angle-cache"])
+def test_unusable_paths_exit_1(tmp_path, capsys, argv):
+    from polyproj import clear_angle_memo
+
+    clear_angle_memo()
+    argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    clear_angle_memo()
+
+
+def test_every_result_is_an_estimate(capsys):
+    """Every number the library returns is an Estimate whose method the CLI prints as is."""
+    cfg = polyproj.MCConfig(samples=2000, seed=1)
+    small = ["--samples", "2000", "--seed", "1"]
+
+    def printed(argv):
+        code, out, _ = run(capsys, argv + small)
+        assert code == 0
+        return [r.method for r in from_csv(out)]
+
+    angles = [polyproj.external_angle("simplex", 5, 1, cfg), polyproj.external_angle("cube", 5, 1),
+              polyproj.internal_angle("simplex", 5, 0, 3, cfg), polyproj.internal_angle("simplex", 5, 0, 1)]
+    assert all(isinstance(a, polyproj.Estimate) for a in angles)
+    assert [a.method for a in angles] == ["monte_carlo", "exact", "monte_carlo", "exact"]
+
+    for target, flag in (("gaussian", "--model"), ("cube", "--family")):
+        ests = [polyproj.expected_f_model(target_row(target), 6, 3, k, cfg) for k in range(3)]
+        assert all(isinstance(e, polyproj.Estimate) for e in ests)
+        assert [e.method for e in ests] == printed(
+            ["expected", flag, target, "--n", "6", "--d", "3", "--all-k"])
+
+        rows = polyproj.monotonicity_table(target, 3, 0, 4, 6, cfg)
+        assert all(isinstance(r, polyproj.Estimate) for r in rows)
+        assert [r.method for r in rows] == printed(
+            ["monotonicity", flag, target, "--d", "3", "--k", "0", "--n-min", "4", "--n-max", "6"])
+
+    # a segment's counts are exact at every size, so d = 1 gives exact sums
+    for d, method in ((1, "exact"), (2, "monte_carlo")):
+        sums = [polyproj.poissonized_expected(t, d, 0, model="gaussian", cfg=cfg) for t in (2.0, 3.0)]
+        assert all(isinstance(p, polyproj.Estimate) for p in sums)
+        assert [p.method for p in sums] == [method] * 2 == printed(
+            ["poisson", "--model", "gaussian", "--d", str(d), "--k", "0", "--t-min", "2", "--t-max", "3"])
+
+    for model in ("zonotope", "gaussian"):
+        sim = polyproj.SimConfig(model=model, n=5, d=3, replications=20, seed=1)
+        means = list(polyproj.simulate_expected_f(sim).means.values())
+        assert all(isinstance(m, polyproj.Estimate) for m in means)
+        assert [m.method for m in means] == printed(
+            ["simulate", "--model", model, "--n", "5", "--d", "3", "--reps", "20"])
 
 
 def test_bad_workers_environment_exits_2(monkeypatch, capsys):
