@@ -12,6 +12,7 @@ import math
 import os
 import sys
 import time
+from contextlib import nullcontext
 
 from .angles import MCConfig
 from .errors import InvalidArgumentError, PolyprojError
@@ -110,12 +111,7 @@ def _mc_config(args) -> MCConfig:
 
 
 def _emit(rows: list[ReportRow], args) -> None:
-    text = render(rows, args.format)
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    args.report.write(render(rows, args.format))
 
 
 def _cmd_expected(args) -> int:
@@ -281,7 +277,10 @@ def main(argv=None) -> int:
         except InvalidArgumentError as exc:
             parser.error(str(exc))
     try:
-        return args.func(args)
+        # the report file is opened first, so a bad --out fails before any work is done
+        with open(args.out, "w", newline="", encoding="utf-8") if args.out else nullcontext(sys.stdout) as report:
+            args.report = report
+            return args.func(args)
     except (PolyprojError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -50,13 +50,13 @@ the call for one.
 Every replication draws from its own counter-based stream derived from
 (seed, model, n, d, replication index, attempt), so estimates are identical
 for any worker count and assembly order.  Replications run in blocks of
-_BLOCK: one derive_keys call gives the attempt-0 Philox keys of the whole
-block, one Philox is re-keyed per replication, and only a degenerate draw's
-resample builds its own generator with derive_generator.  The draws are the
-ones derive_generator's generators would give, so reports do not depend on
-the blocking.  Each attempt-0 map is drawn once, and a map the minors route
-hands to qhull or to zonotope_f_vector goes there as drawn, so reports do
-not depend on the route either.
+_BLOCK whose attempts run in rounds: round a draws the maps of the
+replications still undecided on their attempt-a Philox keys, from one
+derive_keys call, which are the draws derive_generator's generators would
+give.  Every round's maps take the same route, and a map the minors route
+hands to qhull goes there as drawn, so reports depend on neither the
+blocking nor the route.  A flat cube map, or a cloud qhull finds flat,
+waits for the next round.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ from .errors import (
     SimulationAbortError,
 )
 from .families import MODEL_TABLE, Family, Model, check_int, model_row
-from .streams import MODEL_CODES, SIM_REPLICATION, derive_generator, derive_keys, rekey
+from .streams import MODEL_CODES, SIM_REPLICATION, derive_keys, rekey
 
 MODELS = tuple(MODEL_TABLE)
 
@@ -179,17 +179,13 @@ def symmetrize(cloud: np.ndarray) -> np.ndarray:
     return np.vstack([cloud, -cloud])
 
 
-def _sample_map(row: Model, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """The model's random n x d map to R^d; every model's P_{n - shift} lies in R^n."""
-    return sample_gaussian(n, d, rng) if row.gaussian else random_orthonormal_frame(n, d, rng)
-
-
 def _sample_maps(row: Model, keys: np.ndarray, bitgen: Philox, rng: Generator, out: np.ndarray) -> np.ndarray:
     """The maps of the streams with the given Philox keys, drawn into out.
 
-    The same draws as _sample_map on each key's fresh generator: each map is
-    drawn in place after a re-key, and the frames of projected models come
-    from one stacked QR.
+    A model's map takes R^n, where its P_{n - shift} lies, to R^d: Gaussian,
+    or a random orthonormal frame for the projected models.  Each map is
+    drawn in place after a re-key, as a fresh generator on that key would
+    draw it, and the frames come from one stacked QR.
     """
     for j, key in enumerate(keys.tolist()):
         rekey(bitgen, key)
@@ -388,18 +384,16 @@ def _side_table(m: int, d: int) -> np.ndarray:
 
     For the r-th d-subset I and the a-th row i outside it, the minor of X_I
     with its p-th row replaced by x_i is entry swap[p, r, a] of the minors
-    stacked on their negatives.
+    stacked on their negatives: the ray table of the (d-1)-subset drop[p, r],
+    I without its p-th row, has that minor with i put in sorted order, and
+    moving i to position p flips its sign d-1-p times, up to an even count.
     """
-    facets = _minor_levels(m, d)[1]
-    where = {tuple(s): r for r, s in enumerate(facets.tolist())}
+    levels, facets = _minor_levels(m, d)
+    drop = levels[-1][1]
     top = len(facets)
-    swap = np.empty((d, top, m - d), dtype=np.intp)
-    for r, s in enumerate(facets.tolist()):
-        for a, i in enumerate(sorted(set(range(m)).difference(s))):
-            for p in range(d):
-                t = s[:p] + [i] + s[p + 1 :]
-                odd = sum(x > y for x, y in combinations(t, 2)) % 2
-                swap[p, r, a] = where[tuple(sorted(t))] + odd * top
+    outside = np.array([np.setdiff1d(np.arange(m), s) for s in facets]).reshape(top, m - d)
+    swap = _covector_tables(m, d)[0][drop[:, :, None], outside]
+    swap[d % 2 :: 2] = (swap[d % 2 :: 2] + top) % (2 * top)  # the p with d-1-p odd
     swap.setflags(write=False)  # shared by every caller through the cache
     return swap
 
@@ -620,63 +614,21 @@ class SimulationResult:
     degenerate_events: int
 
 
-def _map_f_vector(row: Model, image: np.ndarray) -> FVectorSample | np.ndarray:
-    """The f-vector of one drawn map's polytope, or its hull's simplices when that is simplicial."""
-    if row.family is Family.CUBE:
-        # the cube's image is the zonotope of the map's rows
-        return zonotope_f_vector(image)
-    # the simplex's vertices are the e_i and the crosspolytope's the +-e_i,
-    # so their images are the map's rows, and those and their negatives
-    return _f_vector_or_simplices(symmetrize(image) if row.family is Family.CROSSPOLYTOPE else image)
-
-
-def _one_replication(
-    model: str, n: int, d: int, seed: int, index: int, image: np.ndarray
-) -> tuple[FVectorSample | np.ndarray, int]:
-    """Replication `index` and its count of degenerate attempts.
-
-    image is the attempt-0 map, already drawn; a degenerate draw is
-    resampled from the stream of the next attempt, derived on its own.
-    """
-    row = MODEL_TABLE[model]
-    degen = 0
-    for attempt in range(_MAX_ATTEMPTS):
-        if attempt:
-            rng = derive_generator(seed, SIM_REPLICATION, MODEL_CODES[model], n, d, index, attempt)
-            image = _sample_map(row, n, d, rng)
-        try:
-            fv = _map_f_vector(row, image)
-        except DegenerateGeometryError:
-            degen += 1
-            continue
-        if isinstance(fv, FVectorSample) and fv.degenerate:
-            degen += 1
-            continue
-        return fv, degen
-    raise SimulationAbortError(
-        f"replication {index} of model {model} stayed degenerate after {_MAX_ATTEMPTS} attempts",
-        degenerate=degen,
-        replications=index,
-    )
-
-
 def _replication_block(args: tuple[str, int, int, int, int, int]) -> tuple[int, np.ndarray, int]:
     """Rows lo..hi-1 of a simulation and their degenerate-attempt count.
 
-    The attempt-0 keys of the whole block come from one derive_keys call, and
-    the maps are drawn from them once, a chunk of _chunk_size maps at a time,
-    by re-keying one Philox.  Shapes that _enumerates takes are decided on
-    the minors route; the draws it flags, clouds near a hyperplane and cube
-    maps not in general position, and every map of other shapes go on with
-    the map already drawn to the one-map path (qhull, or zonotope_f_vector,
-    and resampling).  The simplices of simplicial hulls, from either route,
-    are set aside and counted together, in runs of about _COUNT_BATCH
-    simplices, after a chunk that leaves that many waiting and at the end of
-    the block.
+    Attempts run in rounds.  Round a takes the replications still undecided,
+    gets their attempt-a keys from one derive_keys call and draws their maps,
+    a chunk of _chunk_size maps at a time, by re-keying one Philox.  Shapes
+    that _enumerates takes are decided on the minors route; the clouds it
+    flags, and every cloud of other shapes, go to qhull as drawn.  A flat
+    cube map or a cloud qhull finds flat waits for the next round.  The
+    simplices of simplicial hulls, from either route, are counted together
+    after a chunk that leaves about _COUNT_BATCH of them, and after a round.
     """
     model, n, d, seed, lo, hi = args
     row = MODEL_TABLE[model]
-    keys = derive_keys(seed, SIM_REPLICATION, MODEL_CODES[model], n, d, np.arange(lo, hi), 0)
+    symmetric = row.family is Family.CROSSPOLYTOPE
     bitgen = Philox(key=0)
     rng = Generator(bitgen)
     enumerates = _enumerates(row, n, d)
@@ -685,38 +637,59 @@ def _replication_block(args: tuple[str, int, int, int, int, int]) -> tuple[int, 
     rows = np.zeros((hi - lo, d), dtype=np.int64)
     degen = 0
     # simplicial hulls not counted yet: their simplices, hull after hull, their sizes and block rows
-    simplices, sizes, at, waiting = [], [], [], 0
-    for start in range(0, hi - lo, chunk):
-        drawn = _sample_maps(row, keys[start : start + chunk], bitgen, rng, maps[: hi - lo - start])
-        if not enumerates:
-            near = np.ones(len(drawn), dtype=bool)
-        elif row.family is Family.CUBE:
-            near, counts = _zonotope_f_vectors(drawn)
-            rows[start + np.flatnonzero(~near)] = counts
-        else:
-            near, facets, counts = _enumerated_facets(drawn, row.family is Family.CROSSPOLYTOPE)
-            simplices.append(facets)
-            sizes.append(counts)
-            at.append(start + np.flatnonzero(~near))
-            waiting += len(facets)
-        for j in np.flatnonzero(near):
-            fv, extra = _one_replication(model, n, d, seed, lo + start + j, drawn[j])
-            degen += extra
-            if isinstance(fv, FVectorSample):
-                rows[start + j] = fv.counts
+    simplices, sizes, at = [], [], []
+    pending = np.arange(hi - lo)  # block rows still undecided, in order
+    for attempt in range(_MAX_ATTEMPTS):
+        keys = derive_keys(seed, SIM_REPLICATION, MODEL_CODES[model], n, d, lo + pending, attempt)
+        flat = []  # per chunk, the block rows whose draws were flat
+        for start in range(0, len(pending), chunk):
+            todo = pending[start : start + chunk]
+            drawn = _sample_maps(row, keys[start : start + chunk], bitgen, rng, maps[: len(todo)])
+            if row.family is Family.CUBE:
+                # the zonotope of the map's rows; zonotope_f_vector would reject a flat map by this same test
+                again, counts = _zonotope_f_vectors(drawn)
+                rows[todo[~again]] = counts
+                flat.append(todo[again])
                 continue
-            simplices.append(fv)
-            sizes.append([len(fv)])
-            at.append([start + j])
-            waiting += len(fv)
-        if at and (start + chunk >= hi - lo or waiting >= _COUNT_BATCH):
-            # counted in runs of hulls of about _COUNT_BATCH simplices, one sort per k each
-            stacked, sizes, at = np.concatenate(simplices), np.concatenate(sizes), np.concatenate(at)
-            ends = np.cumsum(sizes)
-            firsts = np.unique((ends - 1) // _COUNT_BATCH, return_index=True)[1]
-            for a, b in zip(firsts, [*firsts[1:], len(at)]):
-                rows[at[a:b]] = _simplicial_f_vectors(stacked[ends[a] - sizes[a] : ends[b - 1]], sizes[a:b])
-            simplices, sizes, at, waiting = [], [], [], 0
+            # the simplex's vertices are the e_i and the crosspolytope's the +-e_i,
+            # so their images are the map's rows, and those and their negatives
+            again = np.zeros(len(todo), dtype=bool)
+            near = ~again
+            if enumerates:
+                near, facets, counts = _enumerated_facets(drawn, symmetric)
+                simplices.append(facets)
+                sizes.append(counts)
+                at.append(todo[~near])
+            for j in np.flatnonzero(near):
+                try:
+                    fv = _f_vector_or_simplices(symmetrize(drawn[j]) if symmetric else drawn[j])
+                except DegenerateGeometryError:  # qhull failed on a cloud it did not find flat
+                    fv = FVectorSample((0,) * d, degenerate=True)
+                if not isinstance(fv, FVectorSample):
+                    simplices.append(fv)
+                    sizes.append([len(fv)])
+                    at.append(todo[j : j + 1])
+                elif fv.degenerate:
+                    again[j] = True
+                else:
+                    rows[todo[j]] = fv.counts
+            flat.append(todo[again])
+            if at and (sum(map(len, simplices)) >= _COUNT_BATCH or start + chunk >= len(pending)):
+                # counted in runs of hulls of about _COUNT_BATCH simplices, one sort per k each
+                stacked, sizes, at = np.concatenate(simplices), np.concatenate(sizes), np.concatenate(at)
+                ends = np.cumsum(sizes)
+                firsts = np.unique((ends - 1) // _COUNT_BATCH, return_index=True)[1]
+                for a, b in zip(firsts, [*firsts[1:], len(at)]):
+                    rows[at[a:b]] = _simplicial_f_vectors(stacked[ends[a] - sizes[a] : ends[b - 1]], sizes[a:b])
+                simplices, sizes, at = [], [], []
+        pending = np.concatenate(flat)
+        degen += len(pending)
+        if not len(pending):
+            break
+    else:
+        index = lo + int(pending[0])
+        message = f"replication {index} of model {model} stayed degenerate after {_MAX_ATTEMPTS} attempts"
+        raise SimulationAbortError(message, degenerate=_MAX_ATTEMPTS, replications=index)
     return lo, rows, degen
 
 
@@ -736,19 +709,20 @@ def simulate_expected_f(cfg: SimConfig, dump_path: str | None = None) -> Simulat
     degen = 0
     # a pool starts all its workers at once, so it gets no more than there are blocks
     workers = min(cfg.workers, len(blocks))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for lo, block_rows, block_degen in (pool.map if pool else map)(_replication_block, blocks):
-            rows[lo : lo + len(block_rows)] = block_rows
-            degen += block_degen
-    if degen > _DEGENERATE_RATE_LIMIT * r:
-        raise SimulationAbortError(
-            f"degenerate rate {degen}/{r} exceeds {_DEGENERATE_RATE_LIMIT:.1%}",
-            degenerate=degen,
-            replications=r,
-        )
-    if dump_path is not None:
-        with open(dump_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+    # the dump file is opened first, so a bad path fails before any replication is drawn
+    with open(dump_path, "w", newline="", encoding="utf-8") if dump_path is not None else nullcontext() as dump:
+        with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+            for lo, block_rows, block_degen in (pool.map if pool else map)(_replication_block, blocks):
+                rows[lo : lo + len(block_rows)] = block_rows
+                degen += block_degen
+        if degen > _DEGENERATE_RATE_LIMIT * r:
+            raise SimulationAbortError(
+                f"degenerate rate {degen}/{r} exceeds {_DEGENERATE_RATE_LIMIT:.1%}",
+                degenerate=degen,
+                replications=r,
+            )
+        if dump is not None:
+            writer = csv.writer(dump, lineterminator="\n")
             writer.writerow(["replication"] + [f"f_{k}" for k in range(cfg.d)])
             for i in range(r):
                 writer.writerow([i] + [int(v) for v in rows[i]])

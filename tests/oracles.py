@@ -378,6 +378,27 @@ def model_cloud(model: str, n: int, d: int, rng) -> np.ndarray:
     return verts @ frame
 
 
+def side_table_by_permutations(m: int, d: int) -> np.ndarray:
+    """hull._side_table, one entry at a time from the sign of each permutation.
+
+    For the r-th d-subset s and the a-th row i outside it, the minor with
+    s's p-th row replaced by i is that of the sorted rows times the sign of
+    the permutation that sorts them, counted by its inversions; the entry
+    indexes the minors stacked on their negatives.
+    """
+    facets = list(combinations(range(m), d))
+    where = {s: r for r, s in enumerate(facets)}
+    top = len(facets)
+    swap = np.empty((d, top, m - d), dtype=np.intp)
+    for r, s in enumerate(facets):
+        for a, i in enumerate(sorted(set(range(m)).difference(s))):
+            for p in range(d):
+                t = s[:p] + (i,) + s[p + 1 :]
+                odd = sum(x > y for x, y in combinations(t, 2)) % 2
+                swap[p, r, a] = where[tuple(sorted(t))] + odd * top
+    return swap
+
+
 def per_replication_rows(model: str, n: int, d: int, seed: int, replications: int,
                          sampler=model_cloud) -> tuple[np.ndarray, np.ndarray]:
     """simulate's f-vector rows and per-replication degenerate counts, one replication at a time.

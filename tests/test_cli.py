@@ -324,6 +324,43 @@ def test_unusable_paths_exit_1(tmp_path, capsys, argv):
     clear_angle_memo()
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started before the output paths were opened")
+
+
+@pytest.mark.parametrize("argv,patched", [
+    (["simulate", "--model", "symmetric", "--n", "10", "--d", "4", "--reps", "1000000", "--dump", "{missing}/d.csv"],
+     "polyproj.hull._replication_block"),
+    (["simulate", "--model", "symmetric", "--n", "10", "--d", "4", "--reps", "1000000", "--out", "{missing}/x.csv"],
+     "polyproj.hull._replication_block"),
+    (["expected", "--model", "gaussian", "--n", "6", "--d", "3", "--all-k", "--out", "{missing}/x.csv"],
+     "polyproj.cli.expected_f_model"),
+], ids=["simulate-dump", "simulate-out", "expected-out"])
+def test_bad_output_paths_fail_before_any_work(tmp_path, capsys, monkeypatch, argv, patched):
+    # --out and --dump are opened first: a bad path exits 1 before one replication or angle is drawn
+    monkeypatch.setattr(patched, _must_not_run)
+    code, out, err = run(capsys, [a.format(missing=tmp_path / "missing") for a in argv])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_simulate_abort_exits_1(capsys, monkeypatch):
+    # every draw flat: replication 0 is still flat after the last attempt
+    from polyproj import hull
+
+    sample_maps = hull._sample_maps
+
+    def flat_maps(row, keys, bitgen, rng, out):
+        sample_maps(row, keys, bitgen, rng, out)
+        out[:, :, -1] = 0.0
+        return out
+
+    monkeypatch.setattr(hull, "_sample_maps", flat_maps)
+    code, out, err = run(capsys, ["simulate", "--model", "gaussian", "--n", "6", "--d", "3", "--reps", "10", *SMALL])
+    assert code == 1 and out == ""
+    assert err == "error: replication 0 of model gaussian stayed degenerate after 5 attempts\n"
+
+
 def test_every_result_is_an_estimate(capsys):
     """Every number the library returns is an Estimate whose method the CLI prints as is."""
     cfg = polyproj.MCConfig(samples=2000, seed=1)

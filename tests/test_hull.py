@@ -9,7 +9,6 @@ from polyproj import (
     MODEL_TABLE,
     DegenerateGeometryError,
     Family,
-    FVectorSample,
     InvalidArgumentError,
     InvalidDimensionError,
     SimConfig,
@@ -31,14 +30,14 @@ from polyproj.hull import (
     _count_distinct_rows,
     _enumerates,
     _chunk_size,
-    _map_f_vector,
+    _MAX_ATTEMPTS,
+    _minor_levels,
     _replication_block,
     MODELS,
-    _sample_map,
     _sample_maps,
-    _simplicial_f_vectors,
+    _side_table,
 )
-from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator, derive_keys, rekey
+from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator, derive_keys
 
 from oracles import (
     full_dimensional,
@@ -46,6 +45,7 @@ from oracles import (
     model_cloud,
     per_replication_rows,
     rounded_facet_f_vector,
+    side_table_by_permutations,
     svd_zonotope_f_vector,
     zonotope_vertex_cloud,
 )
@@ -322,7 +322,7 @@ def test_sample_cloud_shapes(model, n, rows):
     # the model's map is n x d and takes the rows vertices of P_{n - shift} in R^n
     # to the cloud; a projected model's map is an orthonormal frame
     row = MODEL_TABLE[model]
-    cloud_map = _sample_map(row, n, 3, derive_generator(7, 2))
+    cloud_map = _one_map(row, n, 3, 7, 2)
     assert cloud_map.shape == (n, 3)
     assert vertices(row.family, n - row.shift).shape == (rows, n)
     if not row.gaussian:
@@ -343,9 +343,11 @@ def test_sample_cloud_matches_written_out_sampler(model):
     for d in (2, 3, 4):
         n = d + 2
         for index in range(20):
-            fv = _map_f_vector(row, _sample_map(row, n, d, derive_generator(5, index)))
-            if not isinstance(fv, FVectorSample):  # a simplicial hull's simplices
-                fv = FVectorSample(tuple(_simplicial_f_vectors(fv, [len(fv)])[0].tolist()))
+            image = _one_map(row, n, d, 5, index)
+            if row.family is Family.CUBE:  # the zonotope of the map's rows
+                fv = zonotope_f_vector(image)
+            else:  # the hull of the map's rows, with their negatives for the crosspolytope
+                fv = hull_f_vector(symmetrize(image) if row.family is Family.CROSSPOLYTOPE else image)
             assert fv == hull_f_vector(model_cloud(model, n, d, derive_generator(5, index)))
 
 
@@ -464,22 +466,41 @@ def test_simulate_blocks_match_per_replication_oracle(model, d, tmp_path):
         assert result.means[d - 1].value == float(rows[:r, d - 1].mean())
 
 
-def _maps_through(sample_map):
-    """A stand-in for _sample_maps that draws every map of a chunk with sample_map, one key at a time."""
+def _one_map(row, n, d, *path):
+    """The model's n x d map on the stream (*path), drawn by _sample_maps as simulate draws it."""
+    bitgen = Philox(key=0)
+    keys = derive_keys(*path[:-1], np.array(path[-1:]))
+    return _sample_maps(row, keys, bitgen, Generator(bitgen), np.empty((1, n, d)))[0]
+
+
+def _key(*path):
+    """The Philox key, as a tuple of ints, of the stream (*path)."""
+    return tuple(SeedSequence(path).generate_state(2, np.uint64).tolist())
+
+
+def _patch_sample_map(monkeypatch, edit):
+    """Draw every map with _sample_maps, then replace it by edit(key, map), key the map's Philox key as ints."""
 
     def sample_maps(row, keys, bitgen, rng, out):
-        for j, key in enumerate(keys):
-            rekey(bitgen, key)
-            out[j] = sample_map(row, out.shape[1], out.shape[2], rng)
+        _sample_maps(row, keys, bitgen, rng, out)
+        for j, key in enumerate(keys.tolist()):
+            out[j] = edit(tuple(key), out[j])
         return out
 
-    return sample_maps
+    monkeypatch.setattr("polyproj.hull._sample_maps", sample_maps)
 
 
-def _patch_sample_map(monkeypatch, sample_map):
-    """Draw every map with sample_map, on the minors route's chunks and on the one-map route."""
-    monkeypatch.setattr("polyproj.hull._sample_map", sample_map)
-    monkeypatch.setattr("polyproj.hull._sample_maps", _maps_through(sample_map))
+def _flattening(model, n, d, seed, flat):
+    """An edit for _patch_sample_map that flattens the maps of the (replication, attempt) pairs in flat."""
+    path = (seed, SIM_REPLICATION, MODEL_CODES[model], n, d)
+    flat_keys = {_key(*path, i, a) for i, a in flat}
+
+    def flattened(key, image):
+        if key in flat_keys:
+            image[:, -1] = 0.0
+        return image
+
+    return flattened
 
 
 def test_simulate_resamples_degenerate_draws_from_later_attempts(monkeypatch):
@@ -490,18 +511,11 @@ def test_simulate_resamples_degenerate_draws_from_later_attempts(monkeypatch):
     model, n, d, seed, r = "gaussian", 6, 3, 23, 6000  # 6 is the most degenerate draws allowed
     assert _enumerates(MODEL_TABLE[model], n, d)
     path = (seed, SIM_REPLICATION, MODEL_CODES[model], n, d)
-    flat = {(0, 0), (511, 0), (512, 0), (600, 0), (1700, 0), (1700, 1)}
-    flat_keys = {tuple(SeedSequence((*path, i, a)).generate_state(2, np.uint64)) for i, a in flat}
-
-    def flattened(row, n, d, rng):
-        key = tuple(rng.bit_generator.state["state"]["key"])
-        image = _sample_map(row, n, d, rng)
-        if key in flat_keys:
-            image[:, -1] = 0.0
-        return image
+    flattened = _flattening(model, n, d, seed, {(0, 0), (511, 0), (512, 0), (600, 0), (1700, 0), (1700, 1)})
 
     def sampler(model, n, d, rng):
-        return flattened(MODEL_TABLE[model], n, d, rng)  # a gaussian cloud is its map
+        key = tuple(rng.bit_generator.state["state"]["key"].tolist())
+        return flattened(key, rng.standard_normal((n, d)))  # a gaussian cloud is its map
 
     rows, degenerate = per_replication_rows(model, n, d, seed, r, sampler=sampler)
     assert degenerate.sum() == 6 and degenerate[1700] == 2
@@ -536,6 +550,31 @@ def test_simulation_abort_error_fields():
     err = SimulationAbortError("model stalled", degenerate=7, replications=30)
     assert err.degenerate == 7
     assert err.replications == 30
+
+
+@pytest.mark.parametrize("model,n,d", [("gaussian", 6, 3), ("symmetric", 10, 4), ("zonotope", 5, 3)])
+def test_simulate_aborts_on_a_replication_flat_at_every_attempt(monkeypatch, model, n, d):
+    # replications 700 and 900 stay flat; the smallest one still flat after
+    # the last round is reported, with one degenerate draw per attempt
+    flat = {(i, a) for i in (700, 900) for a in range(_MAX_ATTEMPTS)}
+    _patch_sample_map(monkeypatch, _flattening(model, n, d, 3, flat))
+    with pytest.raises(SimulationAbortError) as info:
+        simulate_expected_f(SimConfig(model=model, n=n, d=d, replications=1000, seed=3))
+    assert info.value.replications == 700
+    assert info.value.degenerate == _MAX_ATTEMPTS == 5
+    assert "replication 700" in str(info.value)
+
+
+def test_simulate_aborts_when_flat_draws_exceed_the_rate_limit(monkeypatch):
+    # 2 flat draws in 1000 replications, each redrawn fine, are over 0.1 %
+    cfg = SimConfig(model="gaussian", n=6, d=3, replications=1000, seed=3)
+    _patch_sample_map(monkeypatch, _flattening("gaussian", 6, 3, 3, {(10, 0), (600, 0)}))
+    with pytest.raises(SimulationAbortError, match="degenerate rate 2/1000") as info:
+        simulate_expected_f(cfg)
+    assert (info.value.degenerate, info.value.replications) == (2, 1000)
+    # one flat draw is within it
+    _patch_sample_map(monkeypatch, _flattening("gaussian", 6, 3, 3, {(10, 0)}))
+    assert simulate_expected_f(cfg).degenerate_events == 1
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +656,9 @@ def _routed_block(monkeypatch, model, cloud_map):
         calls.append(len(points))
         return ConvexHull(points)
 
-    def drawing(row, n, d, rng):
-        draws.append(n)
-        return cloud_map.copy()
+    def drawing(key, image):
+        draws.append(key)
+        return cloud_map
 
     _patch_sample_map(monkeypatch, drawing)
     # hull.py imports ConvexHull where it calls qhull, so the name is read from scipy.spatial then
@@ -700,13 +739,11 @@ def test_cube_general_position_boundary_inside_a_chunk(monkeypatch, d, factor, r
     model, n, seed, placed = "zonotope", d, 7, 5
     assert _chunk_size(MODEL_TABLE[model], n, d) >= 16
     path = (seed, SIM_REPLICATION, MODEL_CODES[model], n, d)
-    placed_key = tuple(SeedSequence((*path, placed, 0)).generate_state(2, np.uint64))
+    placed_key = _key(*path, placed, 0)
     drawn, counted = [], []
 
-    def placing(row, n, d, rng):
-        key = tuple(rng.bit_generator.state["state"]["key"])
+    def placing(key, image):
         drawn.append(key)
-        image = _sample_map(row, n, d, rng)
         return _near_span_generators(d, factor * _GENERAL_POSITION_TOL) if key == placed_key else image
 
     def counting(generators):
@@ -718,15 +755,25 @@ def test_cube_general_position_boundary_inside_a_chunk(monkeypatch, d, factor, r
     _, rows, degen = _replication_block((model, n, d, seed, 0, 16))
     parallelotope = [int(expected_f_zonotope(d, d, k).value) for k in range(d)]
     assert rows.tolist() == [parallelotope] * 16
-    keys = [tuple(k) for k in derive_keys(*path, np.arange(16), 0)]
+    keys = [tuple(k) for k in derive_keys(*path, np.arange(16), 0).tolist()]
+    # zonotope_f_vector is never called: the chunk's own count finds a flat map
+    assert counted == []
     if resampled:
-        # counted as drawn, found flat, resampled from attempt 1
-        again = tuple(SeedSequence((*path, placed, 1)).generate_state(2, np.uint64))
-        assert degen == 1 and counted == [d, d]
-        assert drawn == keys + [again]
+        # found flat in the chunk, drawn again from attempt 1 in the next round
+        assert degen == 1
+        assert drawn == keys + [_key(*path, placed, 1)]
     else:
-        assert degen == 0 and counted == []
+        assert degen == 0
         assert drawn == keys
+
+
+def test_side_table_matches_permutation_oracle():
+    # read off the ray tables, the table is the one the sign of each permutation gives
+    for d in range(2, _MAX_HULL_DIM + 1):
+        for m in range(d, 13):
+            table = _side_table(m, d)
+            assert table.shape == (d, len(_minor_levels(m, d)[1]), m - d)
+            assert np.array_equal(table, side_table_by_permutations(m, d))
 
 
 @pytest.mark.parametrize("n,d", [(4, 2), (8, 3), (10, 4), (15, 6)])
