@@ -1,12 +1,15 @@
-"""Internal and external angles: exact branches next to Monte Carlo estimates.
+"""Internal and external angles: exact branches, quadrature and Monte Carlo estimates.
 
-Cube angles and codimension-one pairs are exact powers of 1/2.  The classical
-tetrahedron angles have closed forms worth comparing against the sampler.
+Cube angles and codimension-one pairs are exact powers of 1/2, and a vertex
+of the simplex or the crosspolytope has one over the vertex count.  Other
+external angles come from one-dimensional quadrature; the classical
+tetrahedron angles have closed forms worth comparing against it, and against
+the normal-cone sampler that still checks it.  Internal angles are sampled.
 """
 
 import math
 
-from polyproj import Family, MCConfig, external_angle, internal_angle
+from polyproj import Family, MCConfig, cone_angle, external_angle, internal_angle, normal_cone
 
 cfg = MCConfig(samples=300_000, seed=0)
 
@@ -19,7 +22,7 @@ print("  edge-in-triangle internal:    ",
       internal_angle(Family.SIMPLEX, 5, 1, 2).exact_value)
 
 print()
-print("Tetrahedron angles vs closed forms")
+print("Tetrahedron internal angles (sampled) vs closed forms")
 known = {
     "vertex internal beta(Q_0, Q_3)": (
         internal_angle(Family.SIMPLEX, 3, 0, 3, cfg),
@@ -29,10 +32,6 @@ known = {
         internal_angle(Family.SIMPLEX, 3, 1, 3, cfg),
         math.acos(1 / 3) / (2 * math.pi),
     ),
-    "edge external gamma(Q_1, P_3)": (
-        external_angle(Family.SIMPLEX, 3, 1, cfg),
-        (math.pi - math.acos(1 / 3)) / (2 * math.pi),
-    ),
 }
 for name, (est, exact) in known.items():
     sigma = abs(est.value - exact) / est.std_error
@@ -40,11 +39,24 @@ for name, (est, exact) in known.items():
           f"  (closed form {exact:.6f}, {sigma:.1f} sigma off)")
 
 print()
+print("Ridge external angles (quadrature) vs closed forms, with the sampler beside them")
+ridges = [
+    (Family.SIMPLEX, 3, (math.pi - math.acos(1 / 3)) / (2 * math.pi)),
+    (Family.SIMPLEX, 40, (math.pi - math.acos(1 / 40)) / (2 * math.pi)),
+    (Family.CROSSPOLYTOPE, 3, (math.pi - math.acos(-1 / 3)) / (2 * math.pi)),
+    (Family.CROSSPOLYTOPE, 40, (math.pi - math.acos(-38 / 40)) / (2 * math.pi)),
+]
+for family, n, exact in ridges:
+    est = external_angle(family, n, n - 2)
+    sampled = cone_angle(normal_cone(family, n, n - 2), cfg)
+    print(f"  {family.value:>14} gamma(Q_{n - 2}, P_{n}): {est.value:.15f}"
+          f"  (relative error {abs(est.value - exact) / exact:.1e});"
+          f" sampled {sampled.value:.6f} +- {sampled.std_error:.6f}")
+
+print()
 print("Vertex external angles sum to 1 over the whole polytope")
 for family in Family:
     n = 5
-    est = external_angle(family, n, 0, cfg)
+    est = external_angle(family, n, 0)
     count = {"simplex": n + 1, "crosspolytope": 2 * n, "cube": 2**n}[family.value]
-    total = count * est.value
-    tag = "exact" if est.method == "exact" else f"+- {count * est.std_error:.4f}"
-    print(f"  {family.value:>14}: {count} vertices x {est.value:.6f} = {total:.6f} ({tag})")
+    print(f"  {family.value:>14}: {count} vertices x {est.exact_value} = {count * est.exact_value}")

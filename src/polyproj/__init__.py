@@ -2,7 +2,8 @@
 
 Library layout:
   families   vertices, face counts, canonical faces of the three series
-  angles     internal/external angles: exact branches + Gaussian Monte Carlo
+  angles     internal/external angles: exact branches, external angles by
+             quadrature, internal angles by Gaussian Monte Carlo
   expected   projection formula, Gaussian models, intrinsic volumes,
              Poissonization, monotonicity tables
   hull       simulation side: sampled hulls and zonotopes with exact f-vectors
@@ -11,6 +12,7 @@ Library layout:
 """
 
 from .angles import (
+    QUADRATURE_RTOL,
     Cone,
     MCConfig,
     NormalConeData,

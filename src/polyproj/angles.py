@@ -1,4 +1,4 @@
-"""Solid angles of polyhedral cones by Gaussian sampling, with exact branches.
+"""Solid angles of polyhedral cones: exact branches, one-dimensional quadrature and sampling.
 
 The angle of a cone C inside its linear hull L is the probability that a
 standard Gaussian vector on L lands in C.  Two constructions cover everything
@@ -11,11 +11,32 @@ the projection formulas need:
                  the barycenter of one of its subfaces; its angle is the
                  internal angle beta(Q_k, Q_g).
 
-Both kinds carry an H-representation, a set of outer normals a with the cone
-equal to {u in L : <u, a> <= 0 for all a}.  Normal cones take the vertex
-directions v - x as their normals.  Internal cones are cut out by the facets
-of Q_g that contain Q_k, which in canonical coordinates are sign conditions
-u_i >= 0: on coordinates k+1..g for simplex-type faces, k..g-1 for cube faces.
+External angles are never sampled.  Cube angles and faces of codimension
+<= 1 are exact powers of 1/2 of the codimension, and a vertex of the simplex
+or the crosspolytope has 1/(number of vertices), as all vertices are alike
+and their angles sum to 1; these are Fractions with std_error 0.  Every other
+simplex or crosspolytope external angle is a one-dimensional Gaussian integral
+(Affentranger & Schneider 1992; Boeroeczky & Henk 1999), with s = sqrt(g + 1):
+
+  simplex        gamma(Q_g, T_n) = int phi(x) Phi(x / s)^(n - g) dx
+  crosspolytope  gamma(Q_g, C_n) = int_0^inf phi(z) (2 Phi(z / s) - 1)^(n - g - 1) dz
+
+Both integrands are log-concave.  Newton steps on the log-integrand find its
+mode and curvature width w, and one _QUAD_NODES-point Gauss-Legendre rule on
+the mode +- _QUAD_WIDTHS w (clipped at 0 for the crosspolytope) sums it in
+log space, with log Phi from math.erfc.  The rule's nodes come from Newton
+steps on the Legendre recurrence.  Such an angle is exact=True with exact_value None
+and std_error 0: deterministic, and within QUADRATURE_RTOL of the integral
+for n up to 1e4.  Quadrature values are memoized in-process under the face
+alone, and never written to a cache file.
+
+Internal angles are sampled.  Both kinds of cone carry an H-representation,
+a set of outer normals a with the cone equal to {u in L : <u, a> <= 0 for all
+a}.  Normal cones take the vertex directions v - x as their normals; they
+stay as an independent check of the quadrature.  Internal cones are cut out
+by the facets of Q_g that contain Q_k, which in canonical coordinates are
+sign conditions u_i >= 0: on coordinates k+1..g for simplex-type faces,
+k..g-1 for cube faces.
 
 A cone's frame is an orthonormal basis of L, built by classical Gram-Schmidt
 applied twice (one matrix-vector product per pass and row, rows kept in
@@ -31,19 +52,17 @@ off the face.  Ambient points of L are mapped to frame coordinates first;
 the frame is orthonormal, so the test is the same.
 
 Every angle is an Estimate, the package's one value-with-uncertainty type,
-which the formula layers reuse for sums of angles.  Cube angles and
-codimension <= 1 pairs are exact powers of 1/2 of the codimension, carried
-as Fractions with std_error 0, and never hit the sampler.  Monte Carlo
-estimates are deterministic: every chunk of samples draws from a
-counter-based stream derived from the angle's identity, so values do not
-depend on evaluation order or worker count.  Every estimate is
-sampled on the fixed chunk grid DEFAULT_CHUNK.  A chunk is drawn and scored
-_SUB_ROWS rows at a time in one reused buffer; consecutive draws from one
-stream are the numbers a single draw of the whole chunk gives.  Estimates
-are memoized in-process and optionally persisted to an append-only text
-cache, keyed by everything that fixes the draws: the cone, the sample count
-and the seed.  The memo is the only cache of the formula route; sums over
-many sizes, such as Poisson sums, are rebuilt from it.
+which the formula layers reuse for sums of angles.  Monte Carlo estimates
+are deterministic: every chunk of samples draws from a counter-based stream
+derived from the angle's identity, so values do not depend on evaluation
+order or worker count.  Every estimate is sampled on the fixed chunk grid
+DEFAULT_CHUNK.  A chunk is drawn and scored _SUB_ROWS rows at a time in one
+reused buffer; consecutive draws from one stream are the numbers a single
+draw of the whole chunk gives.  Sampled estimates are memoized in-process
+and optionally persisted to an append-only text cache, keyed by everything
+that fixes the draws: the cone, the sample count and the seed.  The memo is
+the only cache of the formula route; sums over many sizes, such as Poisson
+sums, are rebuilt from it.
 
 Internal angles of simplex and crosspolytope faces coincide: every proper face
 of either series is a regular simplex with edge sqrt(2), and the canonical
@@ -59,6 +78,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import ClassVar
 
 import numpy as np
@@ -71,7 +91,7 @@ from .errors import (
     InvalidPairError,
     NumericError,
 )
-from .families import Family, barycenter, canonical_face, check_int, resolve_family, vertices
+from .families import Family, barycenter, canonical_face, check_int, face_count, resolve_family, vertices
 from .streams import ANGLE_SAMPLES, FAMILY_CODES, KIND_EXTERNAL, KIND_INTERNAL, chunk_counts, derive_generator
 
 ORTHONORMALITY_TOL = 1e-12
@@ -84,6 +104,18 @@ DEFAULT_CHUNK = 1 << 15
 _SUB_ROWS = 2048
 # outer normals every row is scored against before the rest
 _LEAD = 8
+# the relative accuracy every quadrature external angle keeps for n <= 1e4
+QUADRATURE_RTOL = 1e-12
+# Gauss-Legendre nodes, and the half-width of the rule in curvature widths of
+# the log-integrand at its mode.  Vertex integrands (n = 1e4), whose left
+# flank falls fastest, lose 1e-12 at 160 nodes and 2e-14 at 176; 96 nodes
+# over +-14 widths lose about 1e-9 at n = 1e4
+_QUAD_NODES = 176
+_QUAD_WIDTHS = 20.0
+# cap on Newton steps, for the rule's nodes and for the mode of an integrand
+_NEWTON_STEPS = 100
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -109,8 +141,10 @@ class Estimate:
 
     Exact estimates carry std_error 0 and, when the value is rational,
     exact_value as a Fraction; exact results with irrational values (simplex
-    volumes) keep exact=True with exact_value=None.  samples is the number of
-    draws behind a sampled angle, and 0 for everything else.
+    volumes, quadrature external angles and sums of them) keep exact=True
+    with exact_value=None, and are deterministic within QUADRATURE_RTOL.
+    samples is the number of draws behind a sampled angle, and 0 for
+    everything else.
     """
 
     value: float
@@ -343,6 +377,102 @@ def cone_angle(cone: Cone, cfg: MCConfig | None = None) -> Estimate:
     return _binomial_estimate(hits, cfg.samples)
 
 
+# ---------------------------------------------------------------------------
+# external angles by one-dimensional quadrature
+
+
+@cache
+def _legendre_rule() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes and weights of the _QUAD_NODES-point Gauss-Legendre rule on [-1, 1].
+
+    Newton steps on P_N from x_i = cos(pi (i + 3/4) / (N + 1/2)), all nodes
+    at once, with P_N and P_{N-1} from the three-term recurrence; each weight
+    is 2 / ((1 - x^2) P_N'(x)^2).  Golub-Welsch through np.linalg.eigh gives
+    the same rule but raised peak RSS by 1-3 MB (LAPACK workspace); this
+    touches only arrays of N floats.
+    """
+    n = _QUAD_NODES
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(_NEWTON_STEPS):
+        p0, p1 = np.ones(n), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        slope = n * (x * p1 - p0) / (x * x - 1.0)
+        step = p1 / slope
+        x = x - step
+        if np.abs(step).max() < 1e-15:
+            break
+    else:
+        raise NumericError("Gauss-Legendre nodes did not converge")
+    return tuple(x.tolist()), tuple((2.0 / ((1.0 - x * x) * slope * slope)).tolist())
+
+
+def _log_cdf(t: float) -> float:
+    """log Phi(t), without cancellation near 1 or underflow far below 0."""
+    if t >= 0.0:
+        return math.log1p(-0.5 * math.erfc(t / _SQRT2))
+    if t > -37.0:
+        return math.log(0.5 * math.erfc(-t / _SQRT2))
+    # asymptotic tail; at t <= -37 the first omitted term is 3e-11 of Phi < 1e-299
+    u = 1.0 / (t * t)
+    return -0.5 * t * t - math.log(-t) - _LOG_SQRT_2PI + math.log1p(u * (-1.0 + u * (3.0 - 15.0 * u)))
+
+
+def _log_two_sided(t: float) -> float:
+    """log(2 Phi(t) - 1) = log erf(t / sqrt 2) for t > 0."""
+    y = t / _SQRT2
+    return math.log(math.erf(y)) if y < 0.5 else math.log1p(-math.erfc(y))
+
+
+def _external_quadrature(family: Family, n: int, g: int) -> float:
+    """gamma(Q_g, P_n) of the simplex or the crosspolytope, 0 <= g <= n - 2.
+
+    The integrand is phi(x) F(x / s)^m with F = Phi on the line (simplex) or
+    F = 2 Phi - 1 on x > 0 (crosspolytope); F' = c phi.  Its log
+    h(x) = -x^2/2 + m log F(x / s) is concave, with h' = -x + (m / s) r and
+    h'' = -1 - (m / s^2) r (t + r) for r = c phi(t) / F(t), t = x / s.
+    The mode lies in (0, s + 1.2 m / s), where h' changes sign; Newton steps
+    fall back to bisection when they leave that bracket.
+    """
+    s = math.sqrt(g + 1)
+    if family is Family.SIMPLEX:
+        m, log_f, c, floor = n - g, _log_cdf, 1.0, -math.inf
+    else:
+        m, log_f, c, floor = n - g - 1, _log_two_sided, 2.0, 0.0
+
+    def h(x: float) -> float:
+        return -0.5 * x * x + m * log_f(x / s)
+
+    def slopes(x: float) -> tuple[float, float]:
+        t = x / s
+        r = c * math.exp(-0.5 * t * t - _LOG_SQRT_2PI - log_f(t))
+        return -x + m / s * r, -1.0 - m / (s * s) * r * (t + r)
+
+    lo, hi = 0.0, s + 1.2 * m / s
+    x = s
+    for _ in range(_NEWTON_STEPS):
+        d1, d2 = slopes(x)
+        if d1 > 0.0:
+            lo = x
+        else:
+            hi = x
+        step = -d1 / d2
+        if abs(step) * math.sqrt(-d2) < 1e-9:  # within 1e-9 widths of the mode
+            break
+        x += step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    else:
+        raise NumericError(f"no mode found for the external angle of {family.value} n={n} g={g}")
+    width = 1.0 / math.sqrt(-d2)
+    a, b = max(floor, x - _QUAD_WIDTHS * width), x + _QUAD_WIDTHS * width
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    peak = h(x)
+    nodes, weights = _legendre_rule()
+    total = math.fsum(w * math.exp(h(mid + half * u) - peak) for u, w in zip(nodes, weights))
+    return math.exp(peak - _LOG_SQRT_2PI) * half * total
+
+
 def _binomial_estimate(hits: int, samples: int) -> Estimate:
     """The hit rate of `samples` draws with its binomial standard error."""
     p = hits / samples
@@ -369,8 +499,11 @@ def clear_angle_memo() -> None:
         _LOADED_CACHES.clear()
 
 
-def _ensure_cache_loaded(path: str) -> None:
+def load_angle_cache(path: str) -> None:
     """Merge a cache file's rows into the memo; a malformed row rejects the whole file.
+
+    A file is read once per process, until clear_angle_memo; a missing file
+    is an empty one.
 
     A row is `family n k g kind samples seed value stderr chunk_size`; rows
     written before the chunk grid was recorded have nine fields and were
@@ -427,7 +560,7 @@ def _append_cache(path: str, key: tuple, est: Estimate) -> None:
 
 def _memoized_angle(key: tuple, build, cfg: MCConfig) -> Estimate:
     if cfg.cache_path:
-        _ensure_cache_loaded(cfg.cache_path)
+        load_angle_cache(cfg.cache_path)
     with _LOCK:
         hit = _MEMO.get(key)
     if hit is not None:
@@ -443,11 +576,13 @@ def _memoized_angle(key: tuple, build, cfg: MCConfig) -> Estimate:
 def external_angle(family: Family, n: int, g: int, cfg: MCConfig | None = None) -> Estimate:
     """gamma(Q_g, P_n): the external angle of P_n at its canonical g-face.
 
-    Exact for cubes and for g >= n-1 (the polytope itself, or a facet): the
-    codimension's power of 1/2.  Everything else is estimated by sampling
-    the normal cone.
+    Rational for cubes and for g >= n-1 (the polytope itself, or a facet):
+    the codimension's power of 1/2; and for vertices: one over the vertex
+    count.  Every other angle comes from _external_quadrature, exact with
+    exact_value None, memoized under the face alone.  No external angle is
+    sampled, so cfg is accepted only for callers that pass one to every
+    angle, and ignored.
     """
-    cfg = cfg or MCConfig()
     family = resolve_family(family)
     n = check_int("n", n)
     g = check_int("g", g)
@@ -457,8 +592,16 @@ def external_angle(family: Family, n: int, g: int, cfg: MCConfig | None = None) 
         raise InvalidFaceError(f"external angle needs 0 <= g <= n, got g={g}, n={n}")
     if family is Family.CUBE or g >= n - 1:
         return Estimate.rational(Fraction(1, 2 ** (n - g)))
-    key = ("ext", family.value, n, -1, g, cfg.samples, cfg.seed)
-    return _memoized_angle(key, lambda: normal_cone(family, n, g), cfg)
+    if g == 0:
+        return Estimate.rational(Fraction(1, face_count(family, n, 0)))
+    key = ("ext", family.value, n, g)
+    with _LOCK:
+        hit = _MEMO.get(key)
+    if hit is None:
+        hit = Estimate(_external_quadrature(family, n, g), 0.0, True)
+        with _LOCK:
+            hit = _MEMO.setdefault(key, hit)
+    return hit
 
 
 def internal_angle(

@@ -14,7 +14,7 @@ import sys
 import time
 from contextlib import nullcontext
 
-from .angles import MCConfig
+from .angles import MCConfig, load_angle_cache
 from .errors import InvalidArgumentError, PolyprojError
 from .expected import (
     GAUSSIAN_MODELS,
@@ -77,7 +77,8 @@ def _workers(text: str) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=_positive_int, default=1_000_000,
-                   help="Monte Carlo samples per angle estimate (default 1e6)")
+                   help="Monte Carlo samples per internal angle estimate (default 1e6); "
+                        "external angles are computed by quadrature")
     p.add_argument("--seed", type=_nonneg_int, default=0, help="master seed (default 0)")
     # a string default goes through `type` at parse time, so a bad
     # $POLYPROJ_WORKERS becomes a usage error rather than a traceback
@@ -85,7 +86,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    default=os.environ.get("POLYPROJ_WORKERS", "1"),
                    help="parallel workers (default $POLYPROJ_WORKERS or 1)")
     p.add_argument("--angle-cache", default=None, metavar="PATH",
-                   help="append-only angle cache file shared across runs")
+                   help="append-only cache file of sampled internal angles, shared across runs")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the report to this file instead of stdout")
@@ -277,8 +278,11 @@ def main(argv=None) -> int:
         except InvalidArgumentError as exc:
             parser.error(str(exc))
     try:
-        # the report file is opened first, so a bad --out fails before any work is done
+        # the report file is opened and the angle cache read first, so a bad
+        # --out or --angle-cache fails before any work is done
         with open(args.out, "w", newline="", encoding="utf-8") if args.out else nullcontext(sys.stdout) as report:
+            if args.angle_cache:
+                load_angle_cache(args.angle_cache)
             args.report = report
             return args.func(args)
     except (PolyprojError, OSError) as exc:

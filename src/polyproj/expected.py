@@ -9,9 +9,12 @@ orthogonal projection to R^d.  For d <= n it equals
 with face counts c from the family's combinatorics, internal angles beta and
 external angles gamma from the angle engine.  For d >= n the projection is
 injective on P_n almost surely, so f_k is the face count of P_n and the sum
-is not evaluated.  Whenever every factor in the sum is exact the result is
+is not evaluated.  Whenever every factor in the sum is rational the result is
 carried as an exact rational; cubes always take this path, which is what
-makes their monotonicity verdicts exact.
+makes their monotonicity verdicts exact.  A sum whose factors are all exact
+but not all rational (quadrature external angles next to exact internal
+angles, as in every planar sum) is exact with exact_value None and std_error
+0, deterministic within QUADRATURE_RTOL.
 
 Every result is an angles.Estimate.  A Poissonized expectation and a row of
 a monotonicity table extend it with keyword-only fields: the truncation bound
@@ -32,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .angles import Estimate, MCConfig, external_angle, internal_angle
+from .angles import QUADRATURE_RTOL, Estimate, MCConfig, external_angle, internal_angle
 from .errors import InvalidArgumentError, TruncationError
 from .families import (
     MODEL_TABLE,
@@ -104,7 +107,9 @@ def expected_f_projection(
     Deterministic branches: k beyond min(n, d) gives 0; k = min(n, d) gives 1
     (the image itself); d >= n gives the face count of P_n (injective); d = 1
     gives the segment counts (2, 1).  The general branch evaluates the
-    projection sum, exactly where possible.
+    projection sum: as a rational when every factor is one, exact without
+    an exact_value when every factor is exact, and as a Monte Carlo estimate
+    otherwise.
     """
     family = resolve_family(family)
     n = check_int("n", n, 1)
@@ -126,6 +131,8 @@ def expected_f_projection(
     if all(t.exact_value is not None for t in terms):
         total = 2 * sum(t.exact_value for t in terms)
         return Estimate.rational(total)
+    if all(t.beta.exact and t.gamma.exact for t in terms):
+        return Estimate(value, 0.0, True)
     return Estimate(value, se)
 
 
@@ -216,7 +223,8 @@ def expected_f_vector(
 def intrinsic_volume(family: Family, n: int, k: int, cfg: MCConfig | None = None) -> Estimate:
     """V_k(P_n) = c(n, k) * gamma(Q_k, P_n) * Vol_k(Q_k).
 
-    Exact for cubes (binomial coefficients).  The crosspolytope's top volume
+    Rational for cubes (binomial coefficients) and for k = 0 (V_0 = 1); exact
+    without an exact_value wherever gamma is.  The crosspolytope's top volume
     V_n = 2^n/n! is a special branch since it has no canonical n-face.
     """
     family = resolve_family(family)
@@ -231,7 +239,7 @@ def intrinsic_volume(family: Family, n: int, k: int, cfg: MCConfig | None = None
     vol = face_volume(canonical_face(family, n, k))
     value = c * gamma.value * vol
     se = c * gamma.std_error * vol
-    if gamma.exact_value is not None:
+    if gamma.exact:
         exact_value = c * gamma.exact_value if family is Family.CUBE or k == 0 else None
         return Estimate(value, 0.0, True, exact_value)
     return Estimate(value, se)
@@ -379,9 +387,11 @@ def monotonicity_table(
 ) -> list[MonotonicityRow]:
     """E f_k over n = n_lo..n_hi with per-step strict-increase verdicts.
 
-    target is a family name or a Gaussian model name.  Exact neighbors are
-    compared as rationals; Monte Carlo neighbors must be separated by
-    STRICT_SIGMAS times the sum of their standard errors to earn a strict verdict.
+    target is a family name or a Gaussian model name.  Rational neighbors are
+    compared as rationals; other exact neighbors must be more than
+    QUADRATURE_RTOL * (|a| + |b|) apart, and Monte Carlo neighbors more than
+    STRICT_SIGMAS times the sum of their standard errors, to earn a strict
+    verdict.
     """
     targets = GAUSSIAN_MODELS + tuple(f.value for f in Family)
     if target not in targets:
@@ -396,10 +406,12 @@ def monotonicity_table(
             verdict = None
         else:
             nxt = estimates[i + 1]
-            if est.exact and nxt.exact:
+            gap = nxt.value - est.value
+            if est.exact_value is not None and nxt.exact_value is not None:
                 verdict = nxt.exact_value > est.exact_value
+            elif est.exact and nxt.exact:
+                verdict = gap > QUADRATURE_RTOL * (abs(est.value) + abs(nxt.value))
             else:
-                gap = nxt.value - est.value
                 verdict = gap > STRICT_SIGMAS * (est.std_error + nxt.std_error)
         rows.append(MonotonicityRow(est.value, est.std_error, est.exact, est.exact_value,
                                     n=n_lo + i, strict_increase=verdict))

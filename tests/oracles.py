@@ -1,7 +1,9 @@
 """Independent oracles used by the tests.
 
 Everything here deliberately takes a different route than the library:
-quadrature instead of sampling, determinants instead of closed forms, linear
+Gauss-Hermite and adaptive SciPy quadrature instead of one Gauss-Legendre
+rule around the integrand's mode, that rule's nodes from an eigenproblem
+instead of Newton steps, determinants instead of closed forms, linear
 programming instead of least squares, least squares on cone generators instead
 of half-space tests, one product over every outer normal instead of a lead
 block of normals and its survivors, modified Gram-Schmidt one basis vector at
@@ -72,6 +74,14 @@ def cross_external_quadrature(n: int, g: int) -> float:
     return float(val)
 
 
+def golub_welsch_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule from the eigenvectors of the Legendre Jacobi matrix."""
+    k = np.arange(1, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 * vecs[0] ** 2
+
+
 # closed-form internal angles of small regular simplex face pairs
 TETRA_VERTEX_ANGLE = (3 * math.acos(1 / 3) - math.pi) / (4 * math.pi)
 TETRA_EDGE_ANGLE = math.acos(1 / 3) / (2 * math.pi)
@@ -83,7 +93,9 @@ SHADOW_TETRA_VERTICES = 6 * (math.pi - math.acos(1 / 3)) / math.pi
 
 
 def exact_angle_ladder(kind: str, family: str, n: int, k: int, g: int) -> Fraction | None:
-    """The exact value of an angle, branch by branch; None where the angle is sampled.
+    """The rational value of an angle, branch by branch; None where it is not rational.
+
+    None means a sampled internal angle, or a quadrature external angle.
 
     kind is "ext" for gamma(Q_g, P_n), with k ignored, or "int" for
     beta(Q_k, Q_g).  family is the family's name.
@@ -95,6 +107,9 @@ def exact_angle_ladder(kind: str, family: str, n: int, k: int, g: int) -> Fracti
             return Fraction(1)
         if g == n - 1:
             return Fraction(1, 2)
+        if g == 0:
+            # all vertices are alike and their angles sum to 1
+            return Fraction(1, n + 1) if family == "simplex" else Fraction(1, 2 * n)
         return None
     if k > g:
         return Fraction(0)

@@ -5,8 +5,11 @@ count, so each gate reproduces the same numbers on every run.  Each test
 prints a single `[acceptance] ...` verdict line with its wall time so the
 suite doubles as a release checklist.
 
-Statistical gates compare at 3 combined standard errors.  Strict-increase
-certificates additionally require the observed gap to exceed the 3-sigma
+External angles come from quadrature, so planar formulas sample nothing:
+their values are compared at QUADRATURE_RTOL, and their strict-increase
+verdicts need a gap above QUADRATURE_RTOL times the two values.  Statistical
+gates compare at 3 combined standard errors.  Strict-increase certificates
+of sampled rows additionally require the observed gap to exceed the 3-sigma
 slack, so sample counts were sized (against quadrature oracles) to keep the
 true gap at least twice the slack at every step.
 """
@@ -19,6 +22,7 @@ from math import comb
 import pytest
 
 from polyproj import (
+    QUADRATURE_RTOL,
     Family,
     SimConfig,
     clear_angle_memo,
@@ -42,10 +46,6 @@ from polyproj.cli import main
 from polyproj.streams import derive_generator
 
 CFG = MCConfig(samples=1_000_000, seed=0)
-# Planar tables sample no internal angle, so extra samples are cheap; at 8e6
-# the true n=7 -> n=8 gaps exceed the 3-sigma slack by 2.9x (crosspolytope)
-# and 5.9x (simplex).  At 1e6 the crosspolytope certificate fails by a hair.
-CFG_PLANAR = MCConfig(samples=8_000_000, seed=0)
 CFG_POISSON = MCConfig(samples=50_000, seed=0)
 CFG_TAIL = MCConfig(samples=10_000, seed=0)
 
@@ -135,12 +135,12 @@ def test_criterion_3_gaussian_equivalence(capsys):
             failures.append((n, d, z))
         if (n, d) == (4, 2):
             dev = abs(formula.value - SHADOW_PIN)
-            if not dev < 3 * formula.std_error:
-                failures.append(("pin", dev, 3 * formula.std_error))
+            if not (formula.exact and dev <= QUADRATURE_RTOL * SHADOW_PIN):
+                failures.append(("pin", dev, QUADRATURE_RTOL * SHADOW_PIN))
     elapsed = time.monotonic() - t0
     ok = not failures and elapsed < 600.0
     _verdict(capsys, "3 gaussian equivalence", ok,
-             f"{', '.join(zs)}, pin dev < 3se, {elapsed:.0f}s < 600s; "
+             f"{', '.join(zs)}, pin dev <= {QUADRATURE_RTOL:.0e} rel, {elapsed:.0f}s < 600s; "
              f"failures {failures[:4]}")
 
 
@@ -171,15 +171,21 @@ def test_criterion_5_angle_identities(capsys):
         total = face_count(Family.CUBE, n, 0) * external_angle(Family.CUBE, n, 0).exact_value
         if total != 1:
             failures.append(("cube-sum", n, total))
-    worst = 0.0
     for fam in (Family.SIMPLEX, Family.CROSSPOLYTOPE):
-        for n in range(2, 7):
-            g = external_angle(fam, n, 0, CFG)
-            m = face_count(fam, n, 0)
-            dev = abs(m * g.value - 1.0)
-            worst = max(worst, dev / (3 * m * g.std_error))
-            if not dev < 3 * m * g.std_error:
-                failures.append(("vertex-sum", fam.value, n, dev))
+        for n in range(1, 13):
+            total = face_count(fam, n, 0) * external_angle(fam, n, 0).exact_value
+            if total != 1:
+                failures.append(("vertex-sum", fam.value, n, total))
+    # ridges: a planar wedge between two facets, (pi - dihedral angle) / (2 pi)
+    worst = 0.0
+    for n in range(3, 13):
+        for fam, cos_dihedral in ((Family.SIMPLEX, 1 / n), (Family.CROSSPOLYTOPE, (2 - n) / n)):
+            want = (math.pi - math.acos(cos_dihedral)) / (2 * math.pi)
+            g = external_angle(fam, n, n - 2)
+            dev = abs(g.value - want) / want
+            worst = max(worst, dev / QUADRATURE_RTOL)
+            if not (g.exact and dev <= QUADRATURE_RTOL):
+                failures.append(("ridge", fam.value, n, dev))
     beta = internal_angle(Family.SIMPLEX, 3, 0, 3, CFG)
     tetra_dev = abs(beta.value - 0.043869)
     if not tetra_dev < 3 * beta.std_error:
@@ -198,7 +204,7 @@ def test_criterion_5_angle_identities(capsys):
     elapsed = time.monotonic() - t0
     ok = not failures and elapsed < 300.0
     _verdict(capsys, "5 angle identities", ok,
-             f"cube sums exact, worst vertex-sum dev {worst:.2f}x gate, "
+             f"vertex sums exact, worst ridge dev {worst:.3f}x gate, "
              f"tetra dev {tetra_dev:.1e} < {3 * beta.std_error:.1e}, "
              f"codim-1 exact, {elapsed:.0f}s < 300s; failures {failures[:4]}")
 
@@ -215,12 +221,14 @@ def test_criterion_6_monotonicity_tables(capsys):
                 failures.append(("cube", d, k))
     worst = math.inf
     for fam in ("simplex", "crosspolytope"):
-        for d, cfg in ((2, CFG_PLANAR), (3, CFG)):
+        for d in (2, 3):
             for k in range(d):
-                rows = monotonicity_table(fam, d, k, k + 1, 8, cfg)
+                rows = monotonicity_table(fam, d, k, k + 1, 8, CFG)
                 if not all(r.strict_increase for r in rows[:-1]):
                     failures.append((fam, d, k,
                                      [r.strict_increase for r in rows[:-1]]))
+                if d == 2 and not all(r.exact and r.std_error == 0.0 for r in rows):
+                    failures.append(("planar-exact", fam, k))
                 for lo, hi in zip(rows, rows[1:]):
                     margin = (hi.value - lo.value
                               - 3 * (lo.std_error + hi.std_error))
@@ -236,7 +244,7 @@ def test_criterion_6_monotonicity_tables(capsys):
     elapsed = time.monotonic() - t0
     ok = not failures and elapsed < 900.0
     _verdict(capsys, "6 monotonicity tables", ok,
-             f"cube exact strict to n=12, MC strict to n=8 "
+             f"cube exact strict to n=12, planar exact strict and MC strict to n=8 "
              f"(worst margin {worst:.3f}), flat rows at 1, "
              f"{elapsed:.0f}s < 900s; failures {failures[:4]}")
 
@@ -328,7 +336,7 @@ def test_criterion_9_determinism(capsys, tmp_path):
     specs = [
         ("simulate", ["simulate", "--model", "gaussian", "--n", "6", "--d", "3",
                       "--reps", "600", "--seed", "5", "--format", "csv"]),
-        ("expected", ["expected", "--model", "gaussian", "--n", "6", "--d", "2",
+        ("expected", ["expected", "--model", "gaussian", "--n", "6", "--d", "3",
                       "--k", "0", "--samples", "40000", "--seed", "2",
                       "--format", "json"]),
         ("poisson", ["poisson", "--model", "gaussian", "--d", "2", "--k", "0",

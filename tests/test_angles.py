@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from polyproj import (
+    QUADRATURE_RTOL,
     CacheFormatError,
     Cone,
     Estimate,
@@ -22,6 +23,7 @@ from polyproj import (
     complement_basis,
     cone_angle,
     external_angle,
+    face_count,
     internal_angle,
     internal_cone,
     normal_cone,
@@ -46,6 +48,7 @@ from oracles import (
     cross_external_quadrature,
     exact_angle_ladder,
     full_pass_orthonormal_basis,
+    golub_welsch_rule,
     mgs_orthonormal_basis,
     nnls_member_count,
     one_product_member_mask,
@@ -216,9 +219,13 @@ def test_exact_angles_match_the_branch_ladder(family, monkeypatch):
     sampled = object()
     monkeypatch.setattr(polyproj.angles, "_memoized_angle", lambda key, build, cfg: sampled)
 
-    def check(est, want):
-        if want is None:
+    def check(est, want, kind):
+        if want is None and kind == "int":
             assert est is sampled
+        elif want is None:
+            # a quadrature external angle: exact, but not rational
+            assert (est.exact, est.exact_value, est.std_error, est.samples) == (True, None, 0.0, 0)
+            assert est.method == "exact"
         else:
             assert type(est.exact_value) is Fraction and est.exact_value == want
             assert est.value.hex() == float(want).hex()
@@ -226,11 +233,11 @@ def test_exact_angles_match_the_branch_ladder(family, monkeypatch):
 
     for n in range(1, 11):
         for g in range(n + 1):
-            check(external_angle(family, n, g), exact_angle_ladder("ext", family.value, n, -1, g))
+            check(external_angle(family, n, g), exact_angle_ladder("ext", family.value, n, -1, g), "ext")
         hi = n - 1 if family is Family.CROSSPOLYTOPE else n
         for g in range(hi + 1):
             for k in range(n + 1):
-                check(internal_angle(family, n, k, g), exact_angle_ladder("int", family.value, n, k, g))
+                check(internal_angle(family, n, k, g), exact_angle_ladder("int", family.value, n, k, g), "int")
 
 
 def test_angle_argument_validation():
@@ -271,18 +278,107 @@ def test_positive_hull_sampler_matches_cube_exact():
     assert abs(est.value - 0.25) < 4 * est.std_error + 1e-12
 
 
-@pytest.mark.parametrize("n,g", [(4, 0), (5, 1)])
+@pytest.mark.parametrize("n,g", [(4, 0), (5, 1), (9, 3), (30, 2)])
 def test_simplex_external_matches_quadrature(n, g):
-    cfg = MCConfig(samples=200_000, seed=0)
-    est = external_angle(Family.SIMPLEX, n, g, cfg)
-    assert abs(est.value - simplex_external_quadrature(n, g)) < 4 * est.std_error
+    # the oracle's Gauss-Hermite rule is a second route to the same integral
+    est = external_angle(Family.SIMPLEX, n, g)
+    assert est.value == pytest.approx(simplex_external_quadrature(n, g), rel=1e-9)
 
 
-@pytest.mark.parametrize("n,g", [(3, 0), (4, 1)])
+@pytest.mark.parametrize("n,g", [(3, 0), (4, 1), (9, 3), (30, 2)])
 def test_cross_external_matches_quadrature(n, g):
-    cfg = MCConfig(samples=200_000, seed=0)
-    est = external_angle(Family.CROSSPOLYTOPE, n, g, cfg)
-    assert abs(est.value - cross_external_quadrature(n, g)) < 4 * est.std_error
+    est = external_angle(Family.CROSSPOLYTOPE, n, g)
+    assert est.value == pytest.approx(cross_external_quadrature(n, g), rel=1e-9)
+
+
+# gamma(Q_g, P_n) to 30 digits: mpmath tanh-sinh quadrature of the same
+# integrals over 64 panels around the mode, at 45 and 60 digits, which agree
+# to 32
+PINNED_EXTERNAL_ANGLES = [
+    ("simplex", 3, 1, "0.304086723984696364914572220389"),
+    ("simplex", 10, 1, "0.0511251858391969688761830506242"),
+    ("simplex", 10, 2, "0.0406736865586791145548460176037"),
+    ("simplex", 10, 5, "0.0630556033399406330552493596271"),
+    ("simplex", 10, 8, "0.265942140214629961979208080289"),
+    ("simplex", 75, 1, "0.00149749872237358874550660632653"),
+    ("simplex", 75, 2, "0.000257680396386639125872932410731"),
+    ("simplex", 75, 5, "0.00000499360407962111502362784510676"),
+    ("simplex", 75, 73, "0.252122128788949452812386792779"),
+    ("simplex", 10000, 1, "0.000000136523445220719835807224364389"),
+    ("simplex", 10000, 2, "3.03143421650824034021615388293e-10"),
+    ("simplex", 10000, 5, "1.60589563549755689289944319005e-17"),
+    ("simplex", 10000, 9998, "0.250015915494335715357544903807"),
+    ("crosspolytope", 3, 1, "0.195913276015303635085427779611"),
+    ("crosspolytope", 10, 1, "0.0185193431887319736483859267914"),
+    ("crosspolytope", 10, 2, "0.0105790636002427650434865100682"),
+    ("crosspolytope", 10, 5, "0.0105200340018301503430762899151"),
+    ("crosspolytope", 10, 8, "0.102416382349566725824598923775"),
+    ("crosspolytope", 75, 1, "0.000423235095730201953106907978578"),
+    ("crosspolytope", 75, 2, "0.0000415950563886251581405027279131"),
+    ("crosspolytope", 75, 5, "0.000000165530210921443608474554122096"),
+    ("crosspolytope", 75, 73, "0.0368374320448814263510239502095"),
+    ("crosspolytope", 10000, 1, "0.0000000356192096369254750655031427081"),
+    ("crosspolytope", 10000, 2, "4.14669595202744953459571176274e-11"),
+    ("crosspolytope", 10000, 5, "3.21511668722513897768918195428e-19"),
+    ("crosspolytope", 10000, 9998, "0.00318315191587307027250070768074"),
+]
+
+
+@pytest.mark.parametrize("family,n,g,pinned", PINNED_EXTERNAL_ANGLES)
+def test_external_quadrature_matches_pinned_constants(family, n, g, pinned):
+    est = external_angle(family, n, g)
+    assert (est.exact, est.exact_value, est.std_error, est.method) == (True, None, 0.0, "exact")
+    assert abs(est.value - float(pinned)) <= QUADRATURE_RTOL * float(pinned)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 10, 40, 75, 1000, 10_000])
+def test_external_quadrature_ridge_closed_forms(n):
+    # a ridge's normal cone is a planar wedge, its angle (pi - dihedral) / (2 pi)
+    simplex = (math.pi - math.acos(1 / n)) / (2 * math.pi)
+    cross = (math.pi - math.acos((2 - n) / n)) / (2 * math.pi)
+    assert abs(external_angle(Family.SIMPLEX, n, n - 2).value - simplex) <= QUADRATURE_RTOL * simplex
+    assert abs(external_angle(Family.CROSSPOLYTOPE, n, n - 2).value - cross) <= QUADRATURE_RTOL * cross
+
+
+@pytest.mark.parametrize("family", [Family.SIMPLEX, Family.CROSSPOLYTOPE])
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 75, 10_000])
+def test_vertex_external_angles_sum_to_one(family, n):
+    # vertices take the rational rule; the quadrature agrees with it
+    vertex = external_angle(family, n, 0)
+    assert vertex.exact_value * face_count(family, n, 0) == 1
+    assert abs(polyproj.angles._external_quadrature(family, n, 0) - vertex.value) <= QUADRATURE_RTOL * vertex.value
+
+
+@pytest.mark.parametrize("family,n,g", [
+    (Family.SIMPLEX, 4, 1), (Family.SIMPLEX, 10, 3), (Family.SIMPLEX, 40, 1),
+    (Family.CROSSPOLYTOPE, 4, 1), (Family.CROSSPOLYTOPE, 10, 3), (Family.CROSSPOLYTOPE, 40, 1),
+])
+def test_normal_cone_sampler_matches_quadrature(family, n, g):
+    # the sampler stays as an independent check of the rule
+    est = cone_angle(normal_cone(family, n, g), MCConfig(samples=200_000, seed=0))
+    assert abs(est.value - external_angle(family, n, g).value) < 4 * est.std_error
+
+
+def test_legendre_rule_matches_eigenproblem_rules():
+    # Newton steps on the recurrence against Golub-Welsch and against NumPy's
+    # companion-matrix rule, which the package does not import
+    nodes, weights = (np.array(v) for v in polyproj.angles._legendre_rule())
+    order = np.argsort(nodes)
+    for ref_nodes, ref_weights in (golub_welsch_rule(len(nodes)), np.polynomial.legendre.leggauss(len(nodes))):
+        assert np.abs(nodes[order] - ref_nodes).max() < 1e-14
+        assert np.abs(weights[order] - ref_weights).max() < 1e-14
+    assert abs(weights.sum() - 2.0) < 1e-14
+
+
+def test_external_angle_memo_ignores_samples_and_seed(tmp_path):
+    clear_angle_memo()
+    path = tmp_path / "angles.cache"
+    first = external_angle(Family.CROSSPOLYTOPE, 12, 2, MCConfig(samples=100, seed=1, cache_path=str(path)))
+    assert external_angle(Family.CROSSPOLYTOPE, 12, 2, MCConfig(samples=5, seed=9)) is first
+    assert external_angle(Family.CROSSPOLYTOPE, 12, 2) is first
+    assert not path.exists()  # quadrature values never reach a cache file
+    clear_angle_memo()
+    assert external_angle(Family.CROSSPOLYTOPE, 12, 2) == first
 
 
 def test_internal_angle_triangle_vertex():
@@ -511,8 +607,8 @@ def test_zero_dimensional_cone_is_exact():
 def test_memo_returns_same_estimate():
     clear_angle_memo()
     cfg = MCConfig(samples=5_000, seed=9)
-    a = external_angle(Family.SIMPLEX, 4, 0, cfg)
-    b = external_angle(Family.SIMPLEX, 4, 0, cfg)
+    a = internal_angle(Family.SIMPLEX, 4, 0, 2, cfg)
+    b = internal_angle(Family.SIMPLEX, 4, 0, 2, cfg)
     assert a is b or a == b
 
 
@@ -520,15 +616,15 @@ def test_cache_file_roundtrip(tmp_path):
     clear_angle_memo()
     path = str(tmp_path / "angles.cache")
     cfg = MCConfig(samples=5_000, seed=9, cache_path=path)
-    est = external_angle(Family.SIMPLEX, 4, 0, cfg)
+    est = internal_angle(Family.SIMPLEX, 4, 0, 2, cfg)
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     assert len(lines) == 1
     fields = lines[0].split()
-    assert fields[:7] == ["simplex", "4", "-1", "0", "ext", "5000", "9"]
+    assert fields[:7] == ["simplexface", "0", "0", "2", "int", "5000", "9"]
     assert fields[9:] == [str(DEFAULT_CHUNK)]
     clear_angle_memo()
-    again = external_angle(Family.SIMPLEX, 4, 0, cfg)
+    again = internal_angle(Family.SIMPLEX, 4, 0, 2, cfg)
     assert again.value == est.value
     clear_angle_memo()
 
@@ -540,13 +636,18 @@ def cache_row(head: str, samples: int, seed: int, hits: int, *grid: int) -> str:
     return " ".join([head, str(samples), str(seed), repr(p), repr(se), *map(str, grid)]) + "\n"
 
 
+# beta(Q_0, Q_2), beta(Q_0, Q_3) and beta(Q_1, Q_3) in cache rows: the shared
+# simplex face, sampled; the true angles are 1/6, 0.0439 and 0.1959
+TRIANGLE, TETRA_VERTEX, TETRA_EDGE = "simplexface 0 0 2 int", "simplexface 0 0 3 int", "simplexface 0 1 3 int"
+
+
 def test_cache_file_is_trusted(tmp_path):
-    # a preloaded row short-circuits sampling entirely; the true angle is 1/5
+    # a preloaded row short-circuits sampling entirely
     clear_angle_memo()
     path = tmp_path / "angles.cache"
-    path.write_text(cache_row("simplex 4 -1 0 ext", 777, 3, 95), encoding="utf-8")
+    path.write_text(cache_row(TRIANGLE, 777, 3, 95), encoding="utf-8")
     cfg = MCConfig(samples=777, seed=3, cache_path=str(path))
-    est = external_angle(Family.SIMPLEX, 4, 0, cfg)
+    est = internal_angle(Family.SIMPLEX, 4, 0, 2, cfg)
     assert est.value == 95 / 777
     clear_angle_memo()
 
@@ -556,17 +657,17 @@ def test_cache_file_chunk_size_field(tmp_path):
     # grid is skipped before it can claim its key
     clear_angle_memo()
     path = tmp_path / "angles.cache"
-    path.write_text("# comment\n\n" + cache_row("simplex 4 -1 0 ext", 777, 3, 95)
-                    + cache_row("simplex 5 -1 0 ext", 777, 3, 40, 100)
-                    + cache_row("simplex 6 -1 0 ext", 777, 3, 50, 100)
-                    + cache_row("simplex 6 -1 0 ext", 777, 3, 60, DEFAULT_CHUNK), encoding="utf-8")
+    path.write_text("# comment\n\n" + cache_row(TRIANGLE, 777, 3, 95)
+                    + cache_row(TETRA_VERTEX, 777, 3, 400, 100)
+                    + cache_row(TETRA_EDGE, 777, 3, 50, 100)
+                    + cache_row(TETRA_EDGE, 777, 3, 60, DEFAULT_CHUNK), encoding="utf-8")
     cfg = MCConfig(samples=777, seed=3, cache_path=str(path))
-    assert external_angle(Family.SIMPLEX, 4, 0, cfg).value == 95 / 777
-    assert external_angle(Family.SIMPLEX, 6, 0, cfg).value == 60 / 777
-    sampled = external_angle(Family.SIMPLEX, 5, 0, cfg)
-    assert sampled.value != 40 / 777
+    assert internal_angle(Family.SIMPLEX, 4, 0, 2, cfg).value == 95 / 777
+    assert internal_angle(Family.SIMPLEX, 4, 1, 3, cfg).value == 60 / 777
+    sampled = internal_angle(Family.SIMPLEX, 4, 0, 3, cfg)
+    assert sampled.value != 400 / 777
     clear_angle_memo()
-    assert sampled == external_angle(Family.SIMPLEX, 5, 0, MCConfig(samples=777, seed=3))
+    assert sampled == internal_angle(Family.SIMPLEX, 4, 0, 3, MCConfig(samples=777, seed=3))
     clear_angle_memo()
 
 
@@ -585,10 +686,10 @@ def test_cache_file_chunk_size_field(tmp_path):
 def test_cache_row_must_be_a_binomial_estimate(tmp_path, value, stderr):
     clear_angle_memo()
     path = tmp_path / "angles.cache"
-    path.write_text(cache_row("simplex 5 -1 0 ext", 100, 0, 25)
-                    + f"simplex 4 -1 0 ext 100 0 {value} {stderr}\n", encoding="utf-8")
+    path.write_text(cache_row(TETRA_VERTEX, 100, 0, 25)
+                    + f"{TRIANGLE} 100 0 {value} {stderr}\n", encoding="utf-8")
     with pytest.raises(CacheFormatError, match="not a binomial estimate") as exc:
-        external_angle(Family.SIMPLEX, 4, 0, MCConfig(samples=100, seed=0, cache_path=str(path)))
+        internal_angle(Family.SIMPLEX, 4, 0, 2, MCConfig(samples=100, seed=0, cache_path=str(path)))
     assert exc.value.lineno == 2
     assert str(path) in str(exc.value)
     clear_angle_memo()
@@ -599,9 +700,9 @@ def test_cache_row_must_be_a_binomial_estimate(tmp_path, value, stderr):
 def test_cache_row_loads_every_binomial_estimate(tmp_path, hits, samples):
     clear_angle_memo()
     path = tmp_path / "angles.cache"
-    path.write_text(cache_row("simplex 4 -1 0 ext", samples, 0, hits), encoding="utf-8")
+    path.write_text(cache_row(TRIANGLE, samples, 0, hits), encoding="utf-8")
     cfg = MCConfig(samples=samples, seed=0, cache_path=str(path))
-    est = external_angle(Family.SIMPLEX, 4, 0, cfg)
+    est = internal_angle(Family.SIMPLEX, 4, 0, 2, cfg)
     assert (est.value, est.std_error, est.samples) == (hits / samples,
                                                        math.sqrt(hits / samples * (1 - hits / samples) / samples),
                                                        samples)
@@ -609,6 +710,7 @@ def test_cache_row_loads_every_binomial_estimate(tmp_path, hits, samples):
 
 
 @pytest.mark.parametrize("row", [
+    # external-angle rows of older files are still checked, though never served
     "simplex 4 -1 0 ext 100 0 0.5\n",  # a field short
     "simplex 4 -1 0 ext 100 0 0.5 0.01 32768 extra\n",
 ])
@@ -617,7 +719,7 @@ def test_cache_file_wrong_field_count(tmp_path, row):
     path = tmp_path / "angles.cache"
     path.write_text(cache_row("simplex 5 -1 0 ext", 100, 0, 25) + row, encoding="utf-8")
     with pytest.raises(CacheFormatError) as exc:
-        external_angle(Family.SIMPLEX, 4, 0, MCConfig(samples=100, seed=0, cache_path=str(path)))
+        internal_angle(Family.SIMPLEX, 4, 0, 2, MCConfig(samples=100, seed=0, cache_path=str(path)))
     assert exc.value.lineno == 2
     assert str(path) in str(exc.value)
     assert path.read_text(encoding="utf-8").count("\n") == 2  # nothing appended
@@ -627,19 +729,19 @@ def test_cache_file_wrong_field_count(tmp_path, row):
 def test_cache_file_malformed_row(tmp_path):
     clear_angle_memo()
     path = tmp_path / "angles.cache"
-    good = cache_row("simplex 5 -1 0 ext", 777, 3, 40)
-    path.write_text(good + "simplex 4 -1 0 ext 777 3 notanumber 0.1\n", encoding="utf-8")
+    good = cache_row(TETRA_VERTEX, 777, 3, 400)
+    path.write_text(good + f"{TRIANGLE} 777 3 notanumber 0.1\n", encoding="utf-8")
     cfg = MCConfig(samples=777, seed=3, cache_path=str(path))
     for _ in range(2):  # a failed load leaves the file unloaded, so it fails again
         with pytest.raises(CacheFormatError) as exc:
-            external_angle(Family.SIMPLEX, 5, 0, cfg)
+            internal_angle(Family.SIMPLEX, 4, 0, 3, cfg)
         assert exc.value.lineno == 2
         assert str(path) in str(exc.value)
-    # no row of the rejected file reached the memo (the seed-3 draws do not give 40 hits)
-    assert external_angle(Family.SIMPLEX, 5, 0, MCConfig(samples=777, seed=3)).value != 40 / 777
+    # no row of the rejected file reached the memo (the seed-3 draws do not give 400 hits)
+    assert internal_angle(Family.SIMPLEX, 4, 0, 3, MCConfig(samples=777, seed=3)).value != 400 / 777
     clear_angle_memo()
     path.write_text(good, encoding="utf-8")
-    assert external_angle(Family.SIMPLEX, 5, 0, cfg).value == 40 / 777
+    assert internal_angle(Family.SIMPLEX, 4, 0, 3, cfg).value == 400 / 777
     clear_angle_memo()
 
 
@@ -663,9 +765,9 @@ def test_mcconfig_validation():
     twin = MCConfig(samples=2000, seed=3, workers=1)
     assert cfg == twin
     clear_angle_memo()
-    est = external_angle(Family.SIMPLEX, 4, 1, cfg)
+    est = internal_angle(Family.SIMPLEX, 4, 0, 2, cfg)
     clear_angle_memo()
-    assert est == external_angle(Family.SIMPLEX, 4, 1, twin)
+    assert est == internal_angle(Family.SIMPLEX, 4, 0, 2, twin)
     clear_angle_memo()
 
 

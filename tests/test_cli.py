@@ -53,13 +53,23 @@ def test_module_entry_point():
 
 
 def test_expected_model_monte_carlo(capsys):
-    code, out, _ = run(capsys, ["expected", "--model", "gaussian", "--n", "5", "--d", "2",
+    # in R^3 the sum needs the sampled internal angle beta(Q_0, Q_2)
+    code, out, _ = run(capsys, ["expected", "--model", "gaussian", "--n", "5", "--d", "3",
                                 "--k", "0", *SMALL])
     assert code == 0
     row = from_csv(out)[0]
     assert row.method == "monte_carlo"
     assert row.stderr > 0
-    assert 3.0 < row.value < 6.0
+    assert 4.0 < row.value < 5.0
+
+
+def test_expected_planar_model_is_exact(capsys):
+    code, out, _ = run(capsys, ["expected", "--model", "gaussian", "--n", "5", "--d", "2",
+                                "--k", "0", *SMALL])
+    assert code == 0
+    row = from_csv(out)[0]
+    assert (row.method, row.stderr) == ("exact", 0.0)
+    assert row.value == pytest.approx(4.12260172, rel=1e-8)
 
 
 def test_expected_json_format(capsys):
@@ -88,7 +98,7 @@ def test_expected_out_file_is_stable(tmp_path, capsys):
 
 
 def test_expected_worker_invariance(capsys):
-    argv = ["expected", "--model", "gaussian", "--n", "6", "--d", "2", "--k", "0",
+    argv = ["expected", "--model", "gaussian", "--n", "6", "--d", "3", "--k", "0",
             "--samples", "40000", "--seed", "2"]
     _, out1, _ = run(capsys, argv + ["--workers", "1"])
     _, out2, _ = run(capsys, argv + ["--workers", "2"])
@@ -268,7 +278,7 @@ def test_angle_cache_file_reused(tmp_path, capsys):
     from polyproj import clear_angle_memo
 
     cache = tmp_path / "angles.txt"
-    argv = ["expected", "--model", "gaussian", "--n", "5", "--d", "2", "--k", "0",
+    argv = ["expected", "--model", "gaussian", "--n", "5", "--d", "3", "--k", "0",
             "--samples", "3000", "--seed", "7", "--angle-cache", str(cache)]
     clear_angle_memo()
     _, out1, _ = run(capsys, argv)
@@ -329,6 +339,27 @@ def _must_not_run(*args, **kwargs):
 
 
 @pytest.mark.parametrize("argv,patched", [
+    (["expected", "--family", "cube", "--n", "4", "--d", "3", "--all-k"], "polyproj.cli.expected_f_model"),
+    (["monotonicity", "--family", "crosspolytope", "--d", "2", "--k", "0", "--n-min", "2", "--n-max", "9"],
+     "polyproj.cli.monotonicity_table"),
+    (["poisson", "--model", "gaussian", "--d", "2", "--k", "0", "--t-max", "3"], "polyproj.cli.poissonized_expected"),
+    (["simulate", "--model", "zonotope", "--n", "4", "--d", "3", "--reps", "5"], "polyproj.hull._replication_block"),
+], ids=["expected-cube", "monotonicity-planar", "poisson-planar", "simulate-zonotope"])
+def test_bad_angle_cache_fails_before_any_work(tmp_path, capsys, monkeypatch, argv, patched):
+    # none of these samples an angle, yet a corrupt --angle-cache is read and rejected first
+    from polyproj import clear_angle_memo
+
+    cache = tmp_path / "angles.txt"
+    cache.write_text("# angle cache\nsimplexface 0 0 2 int 100 0 0.5\n", encoding="utf-8")
+    monkeypatch.setattr(patched, _must_not_run)
+    clear_angle_memo()
+    code, out, err = run(capsys, argv + ["--angle-cache", str(cache)])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {cache}:2: ") and "Traceback" not in err
+    clear_angle_memo()
+
+
+@pytest.mark.parametrize("argv,patched", [
     (["simulate", "--model", "symmetric", "--n", "10", "--d", "4", "--reps", "1000000", "--dump", "{missing}/d.csv"],
      "polyproj.hull._replication_block"),
     (["simulate", "--model", "symmetric", "--n", "10", "--d", "4", "--reps", "1000000", "--out", "{missing}/x.csv"],
@@ -374,7 +405,7 @@ def test_every_result_is_an_estimate(capsys):
     angles = [polyproj.external_angle("simplex", 5, 1, cfg), polyproj.external_angle("cube", 5, 1),
               polyproj.internal_angle("simplex", 5, 0, 3, cfg), polyproj.internal_angle("simplex", 5, 0, 1)]
     assert all(isinstance(a, polyproj.Estimate) for a in angles)
-    assert [a.method for a in angles] == ["monte_carlo", "exact", "monte_carlo", "exact"]
+    assert [a.method for a in angles] == ["exact", "exact", "monte_carlo", "exact"]
 
     for target, flag in (("gaussian", "--model"), ("cube", "--family")):
         ests = [polyproj.expected_f_model(target_row(target), 6, 3, k, cfg) for k in range(3)]
@@ -387,8 +418,9 @@ def test_every_result_is_an_estimate(capsys):
         assert [r.method for r in rows] == printed(
             ["monotonicity", flag, target, "--d", "3", "--k", "0", "--n-min", "4", "--n-max", "6"])
 
-    # a segment's counts are exact at every size, so d = 1 gives exact sums
-    for d, method in ((1, "exact"), (2, "monte_carlo")):
+    # a segment's counts are exact at every size, and planar sums sample no
+    # angle, so d = 1 and d = 2 give exact sums; d = 3 samples beta(Q_0, Q_2)
+    for d, method in ((1, "exact"), (2, "exact"), (3, "monte_carlo")):
         sums = [polyproj.poissonized_expected(t, d, 0, model="gaussian", cfg=cfg) for t in (2.0, 3.0)]
         assert all(isinstance(p, polyproj.Estimate) for p in sums)
         assert [p.method for p in sums] == [method] * 2 == printed(

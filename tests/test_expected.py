@@ -8,6 +8,8 @@ import polyproj.angles
 import polyproj.expected
 from polyproj import (
     MODEL_TABLE,
+    QUADRATURE_RTOL,
+    Estimate,
     Family,
     InvalidArgumentError,
     MCConfig,
@@ -123,9 +125,11 @@ def test_polygon_identity(family, n):
 
 
 def test_pinned_shadow_value():
-    cfg = MCConfig(samples=200_000, seed=0)
-    est = expected_f_gaussian(4, 2, 0, cfg)
-    assert abs(est.value - SHADOW_TETRA_VERTICES) < 4 * est.std_error
+    # a planar sum: quadrature external angles and exact internal ones, so it
+    # is exact without being rational
+    est = expected_f_gaussian(4, 2, 0)
+    assert (est.exact, est.exact_value, est.std_error, est.method) == (True, None, 0.0, "exact")
+    assert abs(est.value - SHADOW_TETRA_VERTICES) <= QUADRATURE_RTOL * SHADOW_TETRA_VERTICES
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +197,9 @@ def test_expected_f_vector_shapes():
 
 def test_estimate_method_property():
     assert expected_f_zonotope(4, 3, 0).method == "exact"
-    assert expected_f_gaussian(5, 2, 0, FAST).method == "monte_carlo"
+    assert expected_f_gaussian(5, 2, 0, FAST).method == "exact"
+    # beta(Q_0, Q_2) is sampled
+    assert expected_f_gaussian(5, 3, 0, FAST).method == "monte_carlo"
 
 
 def test_argument_validation():
@@ -267,11 +273,18 @@ def test_cross_top_intrinsic_volume():
 
 
 def test_vertex_intrinsic_volume_is_one():
-    cfg = MCConfig(samples=200_000, seed=0)
-    for family in (Family.SIMPLEX, Family.CROSSPOLYTOPE):
-        est = intrinsic_volume(family, 4, 0, cfg)
-        assert abs(est.value - 1.0) < 4 * est.std_error
-    assert intrinsic_volume(Family.CUBE, 4, 0).exact_value == 1
+    for family in Family:
+        for n in (1, 4, 12):
+            est = intrinsic_volume(family, n, 0)
+            assert est.exact_value == 1 and est.value == 1.0 and est.std_error == 0.0
+
+
+def test_intrinsic_volume_is_exact_where_gamma_is():
+    # an edge's V_1: quadrature gamma times sqrt(2), deterministic but irrational
+    est = intrinsic_volume(Family.SIMPLEX, 5, 1)
+    assert (est.exact, est.exact_value, est.std_error) == (True, None, 0.0)
+    want = face_count(Family.SIMPLEX, 5, 1) * external_angle(Family.SIMPLEX, 5, 1).value * math.sqrt(2)
+    assert est.value == pytest.approx(want, rel=1e-15)
 
 
 def test_intrinsic_volume_validation():
@@ -446,11 +459,29 @@ def test_monotonicity_includes_injective_regime():
 
 def test_monotonicity_mc_verdicts():
     cfg = MCConfig(samples=100_000, seed=0)
-    rows = monotonicity_table("gaussian", 2, 0, 4, 6, cfg)
+    rows = monotonicity_table("gaussian", 3, 0, 5, 7, cfg)
     assert all(not r.exact for r in rows)
     assert all(r.std_error > 0 for r in rows)
-    # expected vertex counts of planar Gaussian polygons grow by clear margins
+    # expected vertex counts of Gaussian polytopes in R^3 grow by clear margins
     assert all(r.strict_increase for r in rows[:-1])
+
+
+def test_monotonicity_planar_rows_are_exact_and_strict():
+    rows = monotonicity_table("symmetric", 2, 0, 1, 40)
+    assert all(r.exact and r.std_error == 0.0 for r in rows)
+    assert [r.exact_value for r in rows[:2]] == [2, 4]  # a segment, then a square
+    assert all(r.exact_value is None for r in rows[2:])
+    assert all(r.strict_increase for r in rows[:-1])
+
+
+@pytest.mark.parametrize("gap,strict", [(2.5e-12, True), (1.5e-12, False), (-1e-9, False)])
+def test_monotonicity_quadrature_tolerance_boundary(monkeypatch, gap, strict):
+    # exact neighbours without a rational value must be QUADRATURE_RTOL * (|a| + |b|) apart
+    values = {3: Estimate(1.0, 0.0, True), 4: Estimate(1.0 + gap, 0.0, True)}
+    monkeypatch.setattr(polyproj.expected, "expected_f_model", lambda row, n, d, k, cfg: values[n])
+    rows = monotonicity_table("gaussian", 2, 0, 3, 4)
+    assert QUADRATURE_RTOL == 1e-12
+    assert [r.strict_increase for r in rows] == [strict, None]
 
 
 def test_monotonicity_validation():

@@ -1,7 +1,8 @@
 """Import hygiene: every name a polyproj module imports is used in that module,
 importing the CLI leaves scipy.optimize and scipy.sparse.csgraph unloaded, and
 SciPy itself loads only when a hull goes to qhull: the package, the CLI and
-every command that builds no convex hull start without it.
+every command that builds no convex hull start without it.  External angles
+by quadrature load neither SciPy, numpy.polynomial nor mpmath.
 
 The package's __init__ is exempt from the unused-import scan; its imports are
 the public re-exports.
@@ -94,6 +95,14 @@ def test_no_hull_leaves_scipy_unloaded(code):
     # formula commands evaluate angle sums, and cube models are counted from
     # their minors table; none of them reaches qhull
     assert not loaded_after(code, "scipy")
+
+
+@pytest.mark.parametrize("module", ["scipy", "numpy.polynomial", "mpmath"])
+def test_planar_monotonicity_loads_no_quadrature_library(module):
+    # every angle of a planar table is exact or a quadrature external angle
+    code = _cli_run("monotonicity", "--family", "crosspolytope", "--d", "2", "--k", "0",
+                    "--n-min", "2", "--n-max", "60")
+    assert not loaded_after(code, module)
 
 
 def test_hull_f_vector_loads_qhull():
