@@ -27,7 +27,6 @@ from .angles import (
     orthonormal_basis,
 )
 from .errors import (
-    CacheFormatError,
     DegenerateGeometryError,
     InvalidArgumentError,
     InvalidDimensionError,

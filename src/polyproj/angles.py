@@ -28,7 +28,7 @@ log space, with log Phi from math.erfc.  The rule's nodes come from Newton
 steps on the Legendre recurrence.  Such an angle is exact=True with exact_value None
 and std_error 0: deterministic, and within QUADRATURE_RTOL of the integral
 for n up to 1e4.  Quadrature values are memoized in-process under the face
-alone, and never written to a cache file.
+alone.
 
 Internal angles are sampled.  Both kinds of cone carry an H-representation,
 a set of outer normals a with the cone equal to {u in L : <u, a> <= 0 for all
@@ -41,15 +41,10 @@ k..g-1 for cube faces.
 A cone's frame is an orthonormal basis of L, built by classical Gram-Schmidt
 applied twice (one matrix-vector product per pass and row, rows kept in
 order).  Membership is tested in frame coordinates: the normals are projected
-onto the frame once, when the cone is built, and a sample z is in the cone
-when every score <z, frame @ a> is at most HALFSPACE_TOL * (1 + |z|).  A
-cone keeps its last _LEAD normals (all of them, if it has fewer) as a lead
-block: every row is scored against it first, and only the rows it does not
-reject (a few percent for large normal cones) against the other normals.
-Both series list the canonical face's vertices first, and those score about
-0 and never reject, so the lead block of a large normal cone holds vertices
-off the face.  Ambient points of L are mapped to frame coordinates first;
-the frame is orthonormal, so the test is the same.
+onto the frame once, when the cone is built, into one contiguous block, and
+a sample z is in the cone when every score <z, frame @ a> is at most
+HALFSPACE_TOL * (1 + |z|).  Ambient points of L are mapped to frame
+coordinates first; the frame is orthonormal, so the test is the same.
 
 Every angle is an Estimate, the package's one value-with-uncertainty type,
 which the formula layers reuse for sums of angles.  Monte Carlo estimates
@@ -58,11 +53,10 @@ derived from the angle's identity, so values do not depend on evaluation
 order or worker count.  Every estimate is sampled on the fixed chunk grid
 DEFAULT_CHUNK.  A chunk is drawn and scored _SUB_ROWS rows at a time in one
 reused buffer; consecutive draws from one stream are the numbers a single
-draw of the whole chunk gives.  Sampled estimates are memoized in-process
-and optionally persisted to an append-only text cache, keyed by everything
-that fixes the draws: the cone, the sample count and the seed.  The memo is
-the only cache of the formula route; sums over many sizes, such as Poisson
-sums, are rebuilt from it.
+draw of the whole chunk gives.  Sampled estimates are memoized in-process,
+keyed by everything that fixes the draws: the face pair, the sample count
+and the seed.  The memo is the only cache of the formula route; sums over
+many sizes, such as Poisson sums, are rebuilt from it.
 
 Internal angles of simplex and crosspolytope faces coincide: every proper face
 of either series is a regular simplex with edge sqrt(2), and the canonical
@@ -73,7 +67,6 @@ once on a minimal canonical embedding and shared across the two families.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -84,7 +77,6 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import (
-    CacheFormatError,
     InvalidArgumentError,
     InvalidDimensionError,
     InvalidFaceError,
@@ -102,8 +94,6 @@ DROP_TOL = 1e-10
 DEFAULT_CHUNK = 1 << 15
 # rows drawn and scored at a time within a chunk, in one reused buffer
 _SUB_ROWS = 2048
-# outer normals every row is scored against before the rest
-_LEAD = 8
 # the relative accuracy every quadrature external angle keeps for n <= 1e4
 QUADRATURE_RTOL = 1e-12
 # Gauss-Legendre nodes, and the half-width of the rule in curvature widths of
@@ -120,7 +110,11 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Sampling budget and stream identity for Monte Carlo angle estimation."""
+    """Sampling budget and stream identity for Monte Carlo angle estimation.
+
+    cache_path is ignored: angles are memoized in-process only.  The field
+    stays so that callers written for the old angle cache file still build.
+    """
 
     samples: int = 1_000_000
     seed: int = 0
@@ -200,15 +194,14 @@ class Cone:
 
     frame rows are unit vectors in the ambient space; seed_path is the identity
     tuple mixed into sampling streams so distinct cones never share randomness.
+    frame_normals, set when the cone is built, holds the outer normals in frame
+    coordinates, one contiguous row per normal.
     """
 
     frame: np.ndarray
     data: NormalConeData | PositiveHullData
     seed_path: tuple[int, ...] = ()
-    # the outer normals in frame coordinates, frame @ normals^T, set when built:
-    # the last _LEAD of them as contiguous rows, the others as contiguous columns
-    lead_normals: np.ndarray = field(init=False, repr=False, compare=False)
-    rest_normals: np.ndarray = field(init=False, repr=False, compare=False)
+    frame_normals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = self.frame
@@ -217,9 +210,7 @@ class Cone:
         gram = f @ f.T
         if gram.size and np.abs(gram - np.eye(f.shape[0])).max() > ORTHONORMALITY_TOL:
             raise NumericError("frame rows are not orthonormal to 1e-12")
-        fn = f @ self.data.normals.T
-        object.__setattr__(self, "lead_normals", np.ascontiguousarray(fn[:, -_LEAD:].T))
-        object.__setattr__(self, "rest_normals", np.ascontiguousarray(fn[:, :-_LEAD]))
+        object.__setattr__(self, "frame_normals", np.ascontiguousarray((f @ self.data.normals.T).T))
         if isinstance(self.data, PositiveHullData):
             g = self.data.generators
             resid = g - (g @ f.T) @ f
@@ -241,15 +232,10 @@ class Cone:
         """Membership mask of the rows of z, points in frame coordinates.
 
         A row is in the cone when no outer normal scores it above
-        HALFSPACE_TOL * (1 + |z|).  Every row is scored against the lead
-        normals first, and only the rows no lead normal rejects (about 6 %
-        for normal cones at n = 40-75) against the rest.
+        HALFSPACE_TOL * (1 + |z|).
         """
         tol = HALFSPACE_TOL * (1.0 + np.sqrt(np.einsum("ij,ij->i", z, z)))
-        inside = np.maximum.reduce(self.lead_normals @ z.T, axis=0, initial=-np.inf) <= tol
-        rows = np.flatnonzero(inside)
-        inside[rows] = (z[rows] @ self.rest_normals).max(axis=1, initial=-np.inf) <= tol[rows]
-        return inside
+        return np.maximum.reduce(self.frame_normals @ z.T, axis=0, initial=-np.inf) <= tol
 
 
 def orthonormal_basis(vecs: np.ndarray) -> np.ndarray:
@@ -348,8 +334,10 @@ def cone_angle(cone: Cone, cfg: MCConfig | None = None) -> Estimate:
     DEFAULT_CHUNK grid draws from its own stream into one buffer of at most
     _SUB_ROWS rows, which is scored by contains_coords while still in cache
     and then refilled; the draws and hit counts are those of one
-    (count, dim) draw per chunk.  A zero-dimensional frame means the cone is
-    {0}: angle exactly 1.
+    (count, dim) draw per chunk.  With cfg.workers > 1 the chunks are scored
+    on a thread pool of that size, with the same hit count.  Nothing is
+    memoized here; internal_angle memoizes what it asks for.  A
+    zero-dimensional frame means the cone is {0}: angle exactly 1.
     """
     cfg = cfg or MCConfig()
     if cone.dim == 0:
@@ -482,95 +470,15 @@ def _binomial_estimate(hits: int, samples: int) -> Estimate:
 
 
 # ---------------------------------------------------------------------------
-# memoization and the optional append-only cache file
+# memoization
 
 _MEMO: dict[tuple, Estimate] = {}
 _LOCK = threading.Lock()
-_LOADED_CACHES: set[str] = set()
-
-# internal angles are shared between simplex and crosspolytope (identical
-# canonical geometry); this token marks such rows in memo keys and cache files
-_SHARED_FACE = "simplexface"
 
 
 def clear_angle_memo() -> None:
     with _LOCK:
         _MEMO.clear()
-        _LOADED_CACHES.clear()
-
-
-def load_angle_cache(path: str) -> None:
-    """Merge a cache file's rows into the memo; a malformed row rejects the whole file.
-
-    A file is read once per process, until clear_angle_memo; a missing file
-    is an empty one.
-
-    A row is `family n k g kind samples seed value stderr chunk_size`; rows
-    written before the chunk grid was recorded have nine fields and were
-    sampled on DEFAULT_CHUNK.  A row must be the binomial estimate that
-    cone_angle gives for some hit count.  Rows sampled on another grid are
-    skipped, so they never claim a key.
-    """
-    apath = os.path.abspath(path)
-    with _LOCK:
-        if apath in _LOADED_CACHES:
-            return
-        rows: dict[tuple, Estimate] = {}
-        if os.path.exists(apath):
-            with open(apath, "rb") as fh:
-                lines = fh.read().splitlines()  # at \n, \r\n and \r, as text mode splits
-            for lineno, line in enumerate(lines, 1):
-                try:
-                    # a line that is not UTF-8 is malformed like any other
-                    parts = line.decode("utf-8").split()
-                    if not parts or parts[0].startswith("#"):
-                        continue
-                    key, chunk, est = _cache_row(parts)
-                except ValueError as exc:
-                    raise CacheFormatError(apath, lineno, str(exc)) from exc
-                if chunk == DEFAULT_CHUNK:
-                    rows.setdefault(key, est)
-        for key, est in rows.items():
-            _MEMO.setdefault(key, est)
-        _LOADED_CACHES.add(apath)
-
-
-def _cache_row(parts: list[str]) -> tuple[tuple, int, Estimate]:
-    """Memo key, chunk grid and estimate of a split cache row; ValueError if it is malformed."""
-    if len(parts) not in (9, 10):
-        raise ValueError(f"expected 9 or 10 fields, got {len(parts)}")
-    fam, n_s, k_s, g_s, kind, samples_s, seed_s, value_s, stderr_s = parts[:9]
-    key = (kind, fam, int(n_s), int(k_s), int(g_s), int(samples_s), int(seed_s))
-    chunk = int(parts[9]) if len(parts) == 10 else DEFAULT_CHUNK
-    samples, value, stderr = key[5], float(value_s), float(stderr_s)
-    # the row must be what cone_angle gives for some hit count, bit for bit
-    est = _binomial_estimate(round(value * samples), samples) if samples > 0 and 0 <= value <= 1 else None
-    if est is None or (est.value.hex(), est.std_error.hex()) != (value.hex(), stderr.hex()):
-        raise ValueError(f"value {value_s} with stderr {stderr_s} is not a binomial estimate "
-                         f"from {samples} samples")
-    return key, chunk, est
-
-
-def _append_cache(path: str, key: tuple, est: Estimate) -> None:
-    kind, fam, n, k, g, samples, seed = key
-    with _LOCK:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(f"{fam} {n} {k} {g} {kind} {samples} {seed} {est.value!r} {est.std_error!r} {DEFAULT_CHUNK}\n")
-
-
-def _memoized_angle(key: tuple, build, cfg: MCConfig) -> Estimate:
-    if cfg.cache_path:
-        load_angle_cache(cfg.cache_path)
-    with _LOCK:
-        hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    est = cone_angle(build(), cfg)
-    with _LOCK:
-        _MEMO[key] = est
-    if cfg.cache_path:
-        _append_cache(cfg.cache_path, key, est)
-    return est
 
 
 def external_angle(family: Family, n: int, g: int, cfg: MCConfig | None = None) -> Estimate:
@@ -614,7 +522,8 @@ def internal_angle(
     term reproduce facet counts.  The Monte Carlo branch samples the positive
     hull on a minimal canonical embedding; the value does not depend on n, and
     simplex and crosspolytope share it because their proper faces are the
-    same regular simplices.
+    same regular simplices.  It is memoized in-process under (k, g,
+    cfg.samples, cfg.seed).
     """
     cfg = cfg or MCConfig()
     family = resolve_family(family)
@@ -634,8 +543,14 @@ def internal_angle(
         return Estimate.rational(0)
     if family is Family.CUBE or g - k <= 1:
         return Estimate.rational(Fraction(1, 2 ** (g - k)))
-    key = ("int", _SHARED_FACE, 0, k, g, cfg.samples, cfg.seed)
-    return _memoized_angle(key, lambda: _canonical_internal_cone(k, g), cfg)
+    key = ("int", k, g, cfg.samples, cfg.seed)
+    with _LOCK:
+        hit = _MEMO.get(key)
+    if hit is None:
+        hit = cone_angle(_canonical_internal_cone(k, g), cfg)
+        with _LOCK:
+            hit = _MEMO.setdefault(key, hit)
+    return hit
 
 
 def _canonical_internal_cone(k: int, g: int) -> Cone:

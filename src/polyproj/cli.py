@@ -14,7 +14,7 @@ import sys
 import time
 from contextlib import nullcontext
 
-from .angles import MCConfig, load_angle_cache
+from .angles import MCConfig
 from .errors import InvalidArgumentError, PolyprojError
 from .expected import (
     GAUSSIAN_MODELS,
@@ -85,8 +85,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=_workers,
                    default=os.environ.get("POLYPROJ_WORKERS", "1"),
                    help="parallel workers (default $POLYPROJ_WORKERS or 1)")
-    p.add_argument("--angle-cache", default=None, metavar="PATH",
-                   help="append-only cache file of sampled internal angles, shared across runs")
+    # accepted and ignored, so that scripts written for the old angle cache
+    # file still run; angles are memoized in-process only
+    p.add_argument("--angle-cache", metavar="PATH", help=argparse.SUPPRESS)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the report to this file instead of stdout")
@@ -107,8 +108,7 @@ def _add_k(p: argparse.ArgumentParser) -> None:
 
 
 def _mc_config(args) -> MCConfig:
-    return MCConfig(samples=args.samples, seed=args.seed, workers=args.workers,
-                    cache_path=args.angle_cache)
+    return MCConfig(samples=args.samples, seed=args.seed, workers=args.workers)
 
 
 def _emit(rows: list[ReportRow], args) -> None:
@@ -278,11 +278,8 @@ def main(argv=None) -> int:
         except InvalidArgumentError as exc:
             parser.error(str(exc))
     try:
-        # the report file is opened and the angle cache read first, so a bad
-        # --out or --angle-cache fails before any work is done
+        # the report file is opened first, so a bad --out fails before any work is done
         with open(args.out, "w", newline="", encoding="utf-8") if args.out else nullcontext(sys.stdout) as report:
-            if args.angle_cache:
-                load_angle_cache(args.angle_cache)
             args.report = report
             return args.func(args)
     except (PolyprojError, OSError) as exc:

@@ -25,15 +25,6 @@ class NumericError(PolyprojError, RuntimeError):
     """Numerical routine failed or a numerical invariant does not hold."""
 
 
-class CacheFormatError(PolyprojError, ValueError):
-    """A row of an angle cache file does not parse; carries the file and line number."""
-
-    def __init__(self, path: str, lineno: int, detail: str):
-        super().__init__(f"{path}:{lineno}: malformed angle cache row ({detail})")
-        self.path = path
-        self.lineno = lineno
-
-
 class DegenerateGeometryError(PolyprojError, RuntimeError):
     """Input points/generators numerically rank-deficient where full rank is required."""
 

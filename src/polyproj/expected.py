@@ -41,10 +41,9 @@ from .families import (
     MODEL_TABLE,
     Family,
     Model,
-    canonical_face,
+    canonical_face_volume,
     check_int,
     face_count,
-    face_volume,
     model_row,
     resolve_family,
     target_row,
@@ -223,8 +222,8 @@ def expected_f_vector(
 def intrinsic_volume(family: Family, n: int, k: int, cfg: MCConfig | None = None) -> Estimate:
     """V_k(P_n) = c(n, k) * gamma(Q_k, P_n) * Vol_k(Q_k).
 
-    Rational for cubes (binomial coefficients) and for k = 0 (V_0 = 1); exact
-    without an exact_value wherever gamma is.  The crosspolytope's top volume
+    Rational for cubes (V_k = C(n, k), at every n) and for k = 0 (V_0 = 1);
+    exact without an exact_value otherwise.  The crosspolytope's top volume
     V_n = 2^n/n! is a special branch since it has no canonical n-face.
     """
     family = resolve_family(family)
@@ -236,13 +235,10 @@ def intrinsic_volume(family: Family, n: int, k: int, cfg: MCConfig | None = None
         return Estimate(2.0**n / math.factorial(n), 0.0, True, Fraction(2**n, math.factorial(n)))
     c = face_count(family, n, k, on_polytope=True)
     gamma = external_angle(family, n, k, cfg)
-    vol = face_volume(canonical_face(family, n, k))
-    value = c * gamma.value * vol
-    se = c * gamma.std_error * vol
-    if gamma.exact:
-        exact_value = c * gamma.exact_value if family is Family.CUBE or k == 0 else None
-        return Estimate(value, 0.0, True, exact_value)
-    return Estimate(value, se)
+    if family is Family.CUBE:
+        return Estimate.rational(c * gamma.exact_value)
+    value = c * gamma.value * canonical_face_volume(family, k)
+    return Estimate(value, 0.0, True, c * gamma.exact_value if k == 0 else None)
 
 
 def unit_ball_volume(ell: int) -> float:

@@ -195,14 +195,19 @@ def canonical_face(family: Family, n: int, i: int) -> CanonicalFace:
 
 
 def face_volume(face: CanonicalFace) -> float:
-    """k-dimensional volume of Q_{k,n}.
+    """k-dimensional volume of Q_{k,n}; see canonical_face_volume."""
+    return canonical_face_volume(face.family, face.dim)
+
+
+def canonical_face_volume(family: Family, k: int) -> float:
+    """k-dimensional volume of the canonical k-face of any P_n of the series.
 
     Simplex-type faces (simplex and crosspolytope families) are regular
     simplices with edge length sqrt(2): Vol_k = sqrt(k+1)/k!.  Cube faces are
     unit subcubes, volume 1.  Zero-dimensional volume is 1 by convention.
+    The volume does not depend on n, so no face is built.
     """
-    k = face.dim
-    if k == 0 or face.family is Family.CUBE:
+    if k == 0 or family is Family.CUBE:
         return 1.0
     return math.sqrt(k + 1) / math.factorial(k)
 

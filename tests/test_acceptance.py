@@ -19,8 +19,6 @@ import time
 from fractions import Fraction
 from math import comb
 
-import pytest
-
 from polyproj import (
     QUADRATURE_RTOL,
     Family,
@@ -209,7 +207,6 @@ def test_criterion_5_angle_identities(capsys):
              f"codim-1 exact, {elapsed:.0f}s < 300s; failures {failures[:4]}")
 
 
-@pytest.mark.slow
 def test_criterion_6_monotonicity_tables(capsys):
     t0 = time.monotonic()
     failures = []

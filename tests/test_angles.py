@@ -7,7 +7,6 @@ import pytest
 
 from polyproj import (
     QUADRATURE_RTOL,
-    CacheFormatError,
     Cone,
     Estimate,
     Family,
@@ -31,7 +30,6 @@ from polyproj import (
     vertices,
 )
 from polyproj.angles import (
-    _LEAD,
     _SUB_ROWS,
     DEFAULT_CHUNK,
     HALFSPACE_TOL,
@@ -215,9 +213,11 @@ def test_internal_angle_cube_exact():
 
 @pytest.mark.parametrize("family", list(Family))
 def test_exact_angles_match_the_branch_ladder(family, monkeypatch):
-    # a sampled angle comes back as this marker, so nothing is drawn
+    # a sampled angle comes back as this marker, so nothing is drawn; a fresh
+    # memo keeps earlier values out and the markers in
     sampled = object()
-    monkeypatch.setattr(polyproj.angles, "_memoized_angle", lambda key, build, cfg: sampled)
+    monkeypatch.setattr(polyproj.angles, "cone_angle", lambda cone, cfg: sampled)
+    monkeypatch.setattr(polyproj.angles, "_MEMO", {})
 
     def check(est, want, kind):
         if want is None and kind == "int":
@@ -455,7 +455,7 @@ AGREEMENT_CONES = [
     *[("normal", family, n, g) for family in (Family.SIMPLEX, Family.CROSSPOLYTOPE)
       for n in (3, 9, 10, 40, 75, 150) for g in (0, 1, 3, 5) if g < n],
     *[("internal", Family.SIMPLEX, g, k, g) for g in range(2, 8) for k in range(g - 1)],
-    # internal cones with more than _LEAD normals, some scored after the lead block
+    # internal cones with more normals than any formula sum uses
     ("internal", Family.SIMPLEX, 12, 0, 11),
     ("internal", Family.CUBE, 10, 0, 10),
 ]
@@ -470,20 +470,6 @@ def test_contains_coords_matches_one_product_oracle(spec):
     for rows in AGREEMENT_ROWS:
         z = rng.standard_normal((rows, cone.dim))
         assert np.array_equal(cone.contains_coords(z), one_product_member_mask(cone, z)), rows
-
-
-def test_lead_block_is_off_the_canonical_face():
-    # the face's own normals score about 0 and could never reject a row
-    for family, n, g in [(Family.SIMPLEX, 40, 5), (Family.CROSSPOLYTOPE, 40, 5)]:
-        cone = normal_cone(family, n, g)
-        face = canonical_face(family, n, g).vertices
-        lead = cone.data.polytope_vertices[-_LEAD:]
-        assert not (lead[:, None, :] == face[None, :, :]).all(axis=2).any()
-        assert cone.lead_normals.shape == (_LEAD, cone.dim)
-        assert cone.lead_normals.flags.c_contiguous and cone.rest_normals.flags.c_contiguous
-    # a cone with fewer normals keeps them all in the lead block
-    small = internal_cone(Family.SIMPLEX, 8, 0, 7)
-    assert small.lead_normals.shape == (7, 7) and small.rest_normals.shape == (7, 0)
 
 
 @pytest.mark.parametrize("build", [
@@ -610,139 +596,6 @@ def test_memo_returns_same_estimate():
     a = internal_angle(Family.SIMPLEX, 4, 0, 2, cfg)
     b = internal_angle(Family.SIMPLEX, 4, 0, 2, cfg)
     assert a is b or a == b
-
-
-def test_cache_file_roundtrip(tmp_path):
-    clear_angle_memo()
-    path = str(tmp_path / "angles.cache")
-    cfg = MCConfig(samples=5_000, seed=9, cache_path=path)
-    est = internal_angle(Family.SIMPLEX, 4, 0, 2, cfg)
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    assert len(lines) == 1
-    fields = lines[0].split()
-    assert fields[:7] == ["simplexface", "0", "0", "2", "int", "5000", "9"]
-    assert fields[9:] == [str(DEFAULT_CHUNK)]
-    clear_angle_memo()
-    again = internal_angle(Family.SIMPLEX, 4, 0, 2, cfg)
-    assert again.value == est.value
-    clear_angle_memo()
-
-
-def cache_row(head: str, samples: int, seed: int, hits: int, *grid: int) -> str:
-    """A cache row holding the binomial estimate of `hits` in `samples` draws."""
-    p = hits / samples
-    se = math.sqrt(p * (1.0 - p) / samples)
-    return " ".join([head, str(samples), str(seed), repr(p), repr(se), *map(str, grid)]) + "\n"
-
-
-# beta(Q_0, Q_2), beta(Q_0, Q_3) and beta(Q_1, Q_3) in cache rows: the shared
-# simplex face, sampled; the true angles are 1/6, 0.0439 and 0.1959
-TRIANGLE, TETRA_VERTEX, TETRA_EDGE = "simplexface 0 0 2 int", "simplexface 0 0 3 int", "simplexface 0 1 3 int"
-
-
-def test_cache_file_is_trusted(tmp_path):
-    # a preloaded row short-circuits sampling entirely
-    clear_angle_memo()
-    path = tmp_path / "angles.cache"
-    path.write_text(cache_row(TRIANGLE, 777, 3, 95), encoding="utf-8")
-    cfg = MCConfig(samples=777, seed=3, cache_path=str(path))
-    est = internal_angle(Family.SIMPLEX, 4, 0, 2, cfg)
-    assert est.value == 95 / 777
-    clear_angle_memo()
-
-
-def test_cache_file_chunk_size_field(tmp_path):
-    # nine-field rows and rows of the default grid are served; a row from another
-    # grid is skipped before it can claim its key
-    clear_angle_memo()
-    path = tmp_path / "angles.cache"
-    path.write_text("# comment\n\n" + cache_row(TRIANGLE, 777, 3, 95)
-                    + cache_row(TETRA_VERTEX, 777, 3, 400, 100)
-                    + cache_row(TETRA_EDGE, 777, 3, 50, 100)
-                    + cache_row(TETRA_EDGE, 777, 3, 60, DEFAULT_CHUNK), encoding="utf-8")
-    cfg = MCConfig(samples=777, seed=3, cache_path=str(path))
-    assert internal_angle(Family.SIMPLEX, 4, 0, 2, cfg).value == 95 / 777
-    assert internal_angle(Family.SIMPLEX, 4, 1, 3, cfg).value == 60 / 777
-    sampled = internal_angle(Family.SIMPLEX, 4, 0, 3, cfg)
-    assert sampled.value != 400 / 777
-    clear_angle_memo()
-    assert sampled == internal_angle(Family.SIMPLEX, 4, 0, 3, MCConfig(samples=777, seed=3))
-    clear_angle_memo()
-
-
-@pytest.mark.parametrize("value,stderr", [
-    ("nan", "0.01"),
-    ("0.25", "nan"),
-    ("0.25", "inf"),
-    ("0.25", "-4.0"),
-    ("0.25", "0.01"),  # the binomial stderr of 25 hits in 100 is 0.0433...
-    ("0.25", "-0.0"),
-    ("0.255", "0.04358"),  # not a multiple of 1/100
-    ("-0.0", "0.0"),
-    ("1.5", "0.0"),
-    ("inf", "0.0"),
-])
-def test_cache_row_must_be_a_binomial_estimate(tmp_path, value, stderr):
-    clear_angle_memo()
-    path = tmp_path / "angles.cache"
-    path.write_text(cache_row(TETRA_VERTEX, 100, 0, 25)
-                    + f"{TRIANGLE} 100 0 {value} {stderr}\n", encoding="utf-8")
-    with pytest.raises(CacheFormatError, match="not a binomial estimate") as exc:
-        internal_angle(Family.SIMPLEX, 4, 0, 2, MCConfig(samples=100, seed=0, cache_path=str(path)))
-    assert exc.value.lineno == 2
-    assert str(path) in str(exc.value)
-    clear_angle_memo()
-
-
-@pytest.mark.parametrize("hits,samples", [(0, 1), (1, 1), (0, 100), (25, 100), (100, 100), (95, 777),
-                                          (123_457, 1_000_000)])
-def test_cache_row_loads_every_binomial_estimate(tmp_path, hits, samples):
-    clear_angle_memo()
-    path = tmp_path / "angles.cache"
-    path.write_text(cache_row(TRIANGLE, samples, 0, hits), encoding="utf-8")
-    cfg = MCConfig(samples=samples, seed=0, cache_path=str(path))
-    est = internal_angle(Family.SIMPLEX, 4, 0, 2, cfg)
-    assert (est.value, est.std_error, est.samples) == (hits / samples,
-                                                       math.sqrt(hits / samples * (1 - hits / samples) / samples),
-                                                       samples)
-    clear_angle_memo()
-
-
-@pytest.mark.parametrize("row", [
-    # external-angle rows of older files are still checked, though never served
-    "simplex 4 -1 0 ext 100 0 0.5\n",  # a field short
-    "simplex 4 -1 0 ext 100 0 0.5 0.01 32768 extra\n",
-])
-def test_cache_file_wrong_field_count(tmp_path, row):
-    clear_angle_memo()
-    path = tmp_path / "angles.cache"
-    path.write_text(cache_row("simplex 5 -1 0 ext", 100, 0, 25) + row, encoding="utf-8")
-    with pytest.raises(CacheFormatError) as exc:
-        internal_angle(Family.SIMPLEX, 4, 0, 2, MCConfig(samples=100, seed=0, cache_path=str(path)))
-    assert exc.value.lineno == 2
-    assert str(path) in str(exc.value)
-    assert path.read_text(encoding="utf-8").count("\n") == 2  # nothing appended
-    clear_angle_memo()
-
-
-def test_cache_file_malformed_row(tmp_path):
-    clear_angle_memo()
-    path = tmp_path / "angles.cache"
-    good = cache_row(TETRA_VERTEX, 777, 3, 400)
-    path.write_text(good + f"{TRIANGLE} 777 3 notanumber 0.1\n", encoding="utf-8")
-    cfg = MCConfig(samples=777, seed=3, cache_path=str(path))
-    for _ in range(2):  # a failed load leaves the file unloaded, so it fails again
-        with pytest.raises(CacheFormatError) as exc:
-            internal_angle(Family.SIMPLEX, 4, 0, 3, cfg)
-        assert exc.value.lineno == 2
-        assert str(path) in str(exc.value)
-    # no row of the rejected file reached the memo (the seed-3 draws do not give 400 hits)
-    assert internal_angle(Family.SIMPLEX, 4, 0, 3, MCConfig(samples=777, seed=3)).value != 400 / 777
-    clear_angle_memo()
-    path.write_text(good, encoding="utf-8")
-    assert internal_angle(Family.SIMPLEX, 4, 0, 3, cfg).value == 400 / 777
-    clear_angle_memo()
 
 
 def test_mcconfig_validation():

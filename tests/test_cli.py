@@ -274,89 +274,54 @@ def test_poisson_bad_t_grid_exits_2(capsys, grid, message):
 # shared plumbing
 
 
-def test_angle_cache_file_reused(tmp_path, capsys):
+# the rows that an older release rejected; "missing-dir" names a path whose directory is absent
+CACHE_FILES = {
+    "corrupt": b"# angle cache\nsimplexface 0 0 2 int 100 0 0.5\n",
+    "malformed-row": b"simplex 4 -1 0 ext 100 0 notanumber 0.1\n",
+    "not-utf8": b"\xff\xfe simplex 4 -1 0 ext 100 0 0.5 0.05\n",
+    "not-utf8-after-header": b"# angle cache\n\xff\xfe simplex 4 -1 0 ext 100 0 0.5 0.05\n",
+    "missing-dir": b"# angle cache\nsimplexface 0 0 2 int 100 0 0.5\n",
+}
+
+
+@pytest.mark.parametrize("cache", list(CACHE_FILES))
+@pytest.mark.parametrize("argv", [
+    ["expected", "--family", "cube", "--n", "4", "--d", "3", "--all-k"],
+    ["expected", "--model", "gaussian", "--n", "6", "--d", "3", "--all-k", *SMALL],
+    ["monotonicity", "--family", "crosspolytope", "--d", "2", "--k", "0", "--n-min", "2", "--n-max", "9"],
+    ["poisson", "--model", "gaussian", "--d", "2", "--k", "0", "--t-max", "3"],
+    ["simulate", "--model", "zonotope", "--n", "4", "--d", "3", "--reps", "5"],
+], ids=["expected-cube", "expected-sampled", "monotonicity-planar", "poisson-planar", "simulate-zonotope"])
+def test_angle_cache_is_ignored(tmp_path, capsys, argv, cache):
+    # --angle-cache is still parsed, but no file is read, created or written
     from polyproj import clear_angle_memo
 
-    cache = tmp_path / "angles.txt"
-    argv = ["expected", "--model", "gaussian", "--n", "5", "--d", "3", "--k", "0",
-            "--samples", "3000", "--seed", "7", "--angle-cache", str(cache)]
+    corrupt = tmp_path / "angles.txt"
+    corrupt.write_bytes(CACHE_FILES[cache])
+    before = corrupt.read_bytes()
+    path = tmp_path / "missing" / "angles.txt" if cache == "missing-dir" else corrupt
     clear_angle_memo()
-    _, out1, _ = run(capsys, argv)
-    first = cache.read_text()
-    assert len(first.splitlines()) == 1
-    clear_angle_memo()  # force the second run to go through the file
-    _, out2, _ = run(capsys, argv)
-    assert out1 == out2
-    assert cache.read_text() == first  # nothing re-sampled, nothing re-appended
+    plain = run(capsys, argv)
     clear_angle_memo()
-
-
-def test_angle_cache_malformed_row_exits_1(tmp_path, capsys):
-    from polyproj import clear_angle_memo
-
-    cache = tmp_path / "angles.txt"
-    cache.write_text("simplex 4 -1 0 ext 100 0 notanumber 0.1\n", encoding="utf-8")
-    clear_angle_memo()
-    code, _, err = run(capsys, ["expected", "--model", "gaussian", "--n", "6", "--d", "3",
-                                "--k", "0", "--angle-cache", str(cache), *SMALL])
-    assert code == 1
-    assert err.startswith("error: ") and f"{cache}:1:" in err
-    clear_angle_memo()
-
-
-@pytest.mark.parametrize("head,lineno", [(b"", 1), (b"# angle cache\n", 2)])
-def test_angle_cache_not_utf8_exits_1(tmp_path, capsys, head, lineno):
-    from polyproj import clear_angle_memo
-
-    cache = tmp_path / "angles.txt"
-    cache.write_bytes(head + b"\xff\xfe simplex 4 -1 0 ext 100 0 0.5 0.05\n")
-    clear_angle_memo()
-    code, _, err = run(capsys, ["expected", "--model", "gaussian", "--n", "6", "--d", "3",
-                                "--k", "0", "--angle-cache", str(cache), *SMALL])
-    assert code == 1
-    assert err.startswith("error: ") and f"{cache}:{lineno}:" in err
+    flagged = run(capsys, argv + ["--angle-cache", str(path)])
+    assert plain[0] == 0 and flagged == plain
+    assert sorted(tmp_path.iterdir()) == [corrupt] and corrupt.read_bytes() == before
     clear_angle_memo()
 
 
 @pytest.mark.parametrize("argv", [
     ["expected", "--family", "cube", "--n", "4", "--d", "3", "--all-k", "--out", "{missing}/x.csv"],
     ["simulate", "--model", "zonotope", "--n", "4", "--d", "3", "--reps", "5", "--dump", "{missing}/d.csv"],
-    ["expected", "--model", "gaussian", "--n", "6", "--d", "3", "--k", "0", *SMALL, "--angle-cache", "{dir}"],
-], ids=["out", "dump", "angle-cache"])
+], ids=["out", "dump"])
 def test_unusable_paths_exit_1(tmp_path, capsys, argv):
-    from polyproj import clear_angle_memo
-
-    clear_angle_memo()
-    argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
     code, _, err = run(capsys, argv)
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
-    clear_angle_memo()
 
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("work started before the output paths were opened")
-
-
-@pytest.mark.parametrize("argv,patched", [
-    (["expected", "--family", "cube", "--n", "4", "--d", "3", "--all-k"], "polyproj.cli.expected_f_model"),
-    (["monotonicity", "--family", "crosspolytope", "--d", "2", "--k", "0", "--n-min", "2", "--n-max", "9"],
-     "polyproj.cli.monotonicity_table"),
-    (["poisson", "--model", "gaussian", "--d", "2", "--k", "0", "--t-max", "3"], "polyproj.cli.poissonized_expected"),
-    (["simulate", "--model", "zonotope", "--n", "4", "--d", "3", "--reps", "5"], "polyproj.hull._replication_block"),
-], ids=["expected-cube", "monotonicity-planar", "poisson-planar", "simulate-zonotope"])
-def test_bad_angle_cache_fails_before_any_work(tmp_path, capsys, monkeypatch, argv, patched):
-    # none of these samples an angle, yet a corrupt --angle-cache is read and rejected first
-    from polyproj import clear_angle_memo
-
-    cache = tmp_path / "angles.txt"
-    cache.write_text("# angle cache\nsimplexface 0 0 2 int 100 0 0.5\n", encoding="utf-8")
-    monkeypatch.setattr(patched, _must_not_run)
-    clear_angle_memo()
-    code, out, err = run(capsys, argv + ["--angle-cache", str(cache)])
-    assert code == 1 and out == ""
-    assert err.startswith(f"error: {cache}:2: ") and "Traceback" not in err
-    clear_angle_memo()
 
 
 @pytest.mark.parametrize("argv,patched", [

@@ -14,6 +14,7 @@ from polyproj import (
     InvalidArgumentError,
     MCConfig,
     TruncationError,
+    canonical_face,
     clear_angle_memo,
     expected_f_cube_closed_form,
     expected_f_gaussian,
@@ -24,6 +25,7 @@ from polyproj import (
     expected_f_zonotope,
     external_angle,
     face_count,
+    face_volume,
     intrinsic_volume,
     monotonicity_table,
     poissonized_expected,
@@ -257,6 +259,20 @@ def test_cube_intrinsic_volumes_are_binomial(n):
         est = intrinsic_volume(Family.CUBE, n, k)
         assert est.exact
         assert est.exact_value == math.comb(n, k)
+
+
+@pytest.mark.parametrize("n", [16, 75])
+def test_intrinsic_volumes_past_the_cube_vertex_cap(n):
+    # no face is built, so the cube's vertex-enumeration cap (n = 15) does not apply
+    for k in (0, 1, 3, n):
+        est = intrinsic_volume(Family.CUBE, n, k)
+        assert est.exact_value == math.comb(n, k) and est.value == float(math.comb(n, k))
+    # simplex and crosspolytope values are those of the built canonical face
+    for family in (Family.SIMPLEX, Family.CROSSPOLYTOPE):
+        for k in (0, 1, 3, n - 1):
+            want = (face_count(family, n, k) * external_angle(family, n, k).value
+                    * face_volume(canonical_face(family, n, k)))
+            assert intrinsic_volume(family, n, k).value == want
 
 
 def test_simplex_top_intrinsic_volume():
