@@ -54,6 +54,7 @@ from .expected import (
     intrinsic_volume,
     monotonicity_table,
     poissonized_expected,
+    poissonized_series,
     sn_terms,
     t_functional_expected,
     unit_ball_volume,

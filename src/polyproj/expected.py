@@ -32,6 +32,7 @@ of n random segments like a projected n-cube.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -303,6 +304,81 @@ def _growth_ratio(row: Model, ell: int, d: int, k: int) -> float:
     return (ell + 1) / (ell + 2 - d)
 
 
+def poissonized_series(
+    ts: Iterable[float],
+    d: int,
+    k: int,
+    model: str = "gaussian",
+    eps: float = 1e-8,
+    cfg: MCConfig | None = None,
+) -> Iterator[PoissonizedExpectation]:
+    """E f_k when the number of points is Poisson(t), for each t of ts in order.
+
+    Every argument, each t included, is validated before any sum is taken.
+    The sums are then taken lazily, one per item drawn from the returned
+    iterator; each is the adaptively truncated sum of poissonized_expected.
+    The fixed-size term, growth ratio and face bound at each size ell are
+    built the first time some t reaches ell and read back by every later t,
+    so a grid costs one term build per distinct size; the stored sizes are
+    freed with the iterator.
+    """
+    if model not in GAUSSIAN_MODELS:
+        raise InvalidArgumentError(f"unknown model {model!r}, expected one of {GAUSSIAN_MODELS}")
+    row = MODEL_TABLE[model]
+    ts = list(ts)
+    for t in ts:
+        if not isinstance(t, (int, float)) or isinstance(t, bool) or not 0 < t < math.inf:
+            raise InvalidArgumentError(f"t must be a positive real, got {t!r}")
+    if not isinstance(eps, (int, float)) or isinstance(eps, bool) or not 0 < eps < math.inf:
+        raise InvalidArgumentError(f"eps must be a positive finite real, got {eps!r}")
+    d = check_int("d", d, 1)
+    k = check_int("k", k, 0)
+    return _poisson_sums([float(t) for t in ts], row, d, k, eps, cfg or MCConfig())
+
+
+def _poisson_sums(
+    ts: list[float], row: Model, d: int, k: int, eps: float, cfg: MCConfig
+) -> Iterator[PoissonizedExpectation]:
+    terms: list[Estimate] = []  # terms[ell]: the fixed-size expectation at ell
+    ratios: dict[int, float] = {}
+    bounds: dict[int, float] = {}
+
+    def bound(ell: int) -> float:
+        if ell not in bounds:
+            bounds[ell] = _face_bound(row, ell, d, k)
+        return bounds[ell]
+
+    for t in ts:
+        cap = int(10 * t + 400)
+        value = 0.0
+        se = 0.0
+        exact = True
+        ell = 0
+        log_t = math.log(t)
+        while True:
+            weight = math.exp(-t + ell * log_t - math.lgamma(ell + 1))
+            if ell == len(terms):
+                terms.append(expected_f_model(row, ell, d, k, cfg))
+            term = terms[ell]
+            value += weight * term.value
+            se += weight * term.std_error
+            exact = exact and term.exact
+            if ell >= max(k + 2, int(t) + 1):
+                if ell not in ratios:
+                    ratios[ell] = _growth_ratio(row, ell, d, k)
+                q = t * ratios[ell] / (ell + 1)
+                if q < 0.5:
+                    tail = weight * bound(ell) * q / (1.0 - q)
+                    if tail < eps:
+                        yield PoissonizedExpectation(value, se, exact, truncation_bound=tail, terms=ell + 1)
+                        break
+            if ell >= cap:
+                raise TruncationError(
+                    f"poissonized sum did not reach eps={eps} within {cap} terms", weight * bound(ell)
+                )
+            ell += 1
+
+
 def poissonized_expected(
     t: float,
     d: int,
@@ -315,46 +391,11 @@ def poissonized_expected(
 
     Sums Poisson(t) weights against the fixed-size expectations until the
     remaining tail, bounded through face-count growth bounds read off the
-    model's row, drops below eps.  The fixed-size expectations are rebuilt
-    from memoized angles, so a grid of t values samples each angle once.  exact is true when every
-    term of the sum is exact.
+    model's row, drops below eps.  exact is true when every term of the sum
+    is exact.  A grid of t values is cheaper through poissonized_series,
+    which builds each fixed-size term once for the whole grid.
     """
-    if model not in GAUSSIAN_MODELS:
-        raise InvalidArgumentError(f"unknown model {model!r}, expected one of {GAUSSIAN_MODELS}")
-    row = MODEL_TABLE[model]
-    if not isinstance(t, (int, float)) or isinstance(t, bool) or not 0 < t < math.inf:
-        raise InvalidArgumentError(f"t must be a positive real, got {t!r}")
-    if not isinstance(eps, (int, float)) or isinstance(eps, bool) or not 0 < eps < math.inf:
-        raise InvalidArgumentError(f"eps must be a positive finite real, got {eps!r}")
-    d = check_int("d", d, 1)
-    k = check_int("k", k, 0)
-    cfg = cfg or MCConfig()
-    t = float(t)
-    cap = int(10 * t + 400)
-    value = 0.0
-    se = 0.0
-    exact = True
-    ell = 0
-    log_t = math.log(t)
-    while True:
-        weight = math.exp(-t + ell * log_t - math.lgamma(ell + 1))
-        term = expected_f_model(row, ell, d, k, cfg)
-        value += weight * term.value
-        se += weight * term.std_error
-        exact = exact and term.exact
-        if ell >= max(k + 2, int(t) + 1):
-            ratio = _growth_ratio(row, ell, d, k)
-            q = t * ratio / (ell + 1)
-            if q < 0.5:
-                tail = weight * _face_bound(row, ell, d, k) * q / (1.0 - q)
-                if tail < eps:
-                    return PoissonizedExpectation(value, se, exact, truncation_bound=tail, terms=ell + 1)
-        if ell >= cap:
-            bound = weight * _face_bound(row, ell, d, k)
-            raise TruncationError(
-                f"poissonized sum did not reach eps={eps} within {cap} terms", bound
-            )
-        ell += 1
+    return next(poissonized_series([t], d, k, model, eps, cfg))
 
 
 # ---------------------------------------------------------------------------

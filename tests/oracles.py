@@ -148,6 +148,34 @@ def poisson_growth_ratio(model: str, ell: int, k: int) -> float:
     raise ValueError(f"model {model!r} has no hull growth ratio")
 
 
+def poisson_sum_per_t(t: float, d: int, k: int, model: str, eps: float, cfg) -> tuple:
+    """One Poisson sum with every term, growth ratio and face bound rebuilt at each size.
+
+    The truncated sum as polyproj.expected takes it, in the same order and with
+    the same stopping rule, but sharing nothing between sizes or calls.
+    Returns (value, std_error, exact, exact_value, truncation_bound, terms).
+    """
+    from polyproj.expected import MODEL_TABLE, _face_bound, _growth_ratio, expected_f_model
+
+    row = MODEL_TABLE[model]
+    value = se = 0.0
+    exact = True
+    ell = 0
+    while True:
+        weight = math.exp(-t + ell * math.log(t) - math.lgamma(ell + 1))
+        term = expected_f_model(row, ell, d, k, cfg)
+        value += weight * term.value
+        se += weight * term.std_error
+        exact = exact and term.exact
+        if ell >= max(k + 2, int(t) + 1):
+            q = t * _growth_ratio(row, ell, d, k) / (ell + 1)
+            if q < 0.5:
+                tail = weight * _face_bound(row, ell, d, k) * q / (1.0 - q)
+                if tail < eps:
+                    return value, se, exact, None, tail, ell + 1
+        ell += 1
+
+
 def mgs_orthonormal_basis(vecs: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis of span(rows) by modified Gram-Schmidt, applied twice.
 

@@ -106,11 +106,15 @@ def test_expected_worker_invariance(capsys):
 
 
 def test_timings_column(capsys):
-    argv = ["expected", "--family", "cube", "--n", "3", "--d", "2", "--k", "0", *SMALL]
-    _, bare, _ = run(capsys, argv)
-    assert from_csv(bare)[0].wall_time_s is None
-    _, timed, _ = run(capsys, argv + ["--timings"])
-    assert from_csv(timed)[0].wall_time_s >= 0.0
+    # a poisson row is timed over its own sum, the sizes its t reaches first included
+    for argv in (["expected", "--family", "cube", "--n", "3", "--d", "2", "--k", "0", *SMALL],
+                 ["poisson", "--model", "gaussian", "--d", "2", "--all-k", "--t-max", "5", *SMALL]):
+        _, bare, _ = run(capsys, argv)
+        assert all(r.wall_time_s is None for r in from_csv(bare))
+        _, timed, _ = run(capsys, argv + ["--timings"])
+        timed = from_csv(timed)
+        assert len(timed) == len(from_csv(bare))
+        assert all(r.wall_time_s >= 0.0 for r in timed)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +230,29 @@ def test_poisson_sampled_rows_are_not_exact(capsys):
     rows = from_csv(out)
     assert any(r.stderr == 0 for r in rows)
     assert all(r.method == "monte_carlo" for r in rows)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--model", "gaussian", "--d", "3", "--all-k", "--t-max", "6", *SMALL],
+    ["--model", "symmetric", "--d", "2", "--all-k", "--t-min", "0.5", "--t-max", "9", "--t-step", "0.5"],
+    ["--model", "gaussian", "--d", "2", "--k", "1", "--b", "1.5", "--t-max", "8"],
+    ["--model", "zonotope", "--d", "3", "--all-k", "--t-max", "6", "--format", "json"],
+], ids=["gaussian-d3-all-k", "symmetric-d2-all-k", "b", "json"])
+def test_poisson_report_matches_one_sum_per_t(capsys, flags):
+    # the report, byte for byte, as rendered from one poissonized_expected call per t
+    code, out, _ = run(capsys, ["poisson", *flags])
+    assert code == 0
+    args = build_parser().parse_args(["poisson", *flags])
+    cfg = polyproj.MCConfig(samples=args.samples, seed=args.seed, workers=args.workers)
+    rows = []
+    for k in range(args.d) if args.all_k else [args.k]:
+        for t in cli.t_grid(args.t_min, args.t_max, args.t_step):
+            est = polyproj.poissonized_expected(t, args.d, k, args.model, args.eps, cfg)
+            tf = None if args.b is None else polyproj.t_functional_expected(args.d, k, args.b, est.value)
+            rows.append(polyproj.ReportRow(command="poisson", model=args.model, d=args.d, k=k, t=t,
+                                           value=est.value, stderr=est.std_error, method=est.method,
+                                           t_functional=tf))
+    assert out == polyproj.render(rows, args.format)
 
 
 def test_t_grid_accumulates_steps():
@@ -455,9 +482,9 @@ def test_finite_b_parses():
 
 def test_negative_b_exits_2_before_sampling(monkeypatch, capsys):
     def no_sampling(*args, **kwargs):
-        raise AssertionError("poissonized_expected ran before --b was checked")
+        raise AssertionError("poissonized_series ran before --b was checked")
 
-    monkeypatch.setattr(cli, "poissonized_expected", no_sampling)
+    monkeypatch.setattr(cli, "poissonized_series", no_sampling)
     with pytest.raises(SystemExit) as exc:
         main(["poisson", "--model", "gaussian", "--d", "2", "--k", "0", "--b", "-1"])
     assert exc.value.code == 2

@@ -29,6 +29,7 @@ from polyproj import (
     intrinsic_volume,
     monotonicity_table,
     poissonized_expected,
+    poissonized_series,
     sn_terms,
     t_functional_expected,
     unit_ball_volume,
@@ -36,7 +37,7 @@ from polyproj import (
 
 from polyproj.families import target_row
 
-from oracles import SHADOW_TETRA_VERTICES, poisson_face_bound, poisson_growth_ratio
+from oracles import SHADOW_TETRA_VERTICES, poisson_face_bound, poisson_growth_ratio, poisson_sum_per_t
 
 FAST = MCConfig(samples=20_000, seed=0)
 
@@ -444,6 +445,83 @@ def test_poisson_truncation_valve(monkeypatch):
         poissonized_expected(1.0, 2, 0, model="zonotope", eps=1e-8)
     assert "410 terms" in str(exc.value)
     assert exc.value.achieved_bound == 0.0  # the Poisson weight underflowed long ago
+
+
+def sum_fields(est):
+    return (est.value, est.std_error, est.exact, est.exact_value, est.truncation_bound, est.terms)
+
+
+# an unsorted grid, so that some t first reaches no new size and a later t reaches new ones
+SERIES_GRID = (2.5, 0.5, 7.0, 1.0, 7.0, 12.0, 3.0)
+
+
+@pytest.mark.parametrize("model,d,cfg", [
+    ("gaussian", 2, MCConfig()),  # every term exact
+    ("symmetric", 3, MCConfig(samples=2000)),  # sampled internal angles
+    ("zonotope", 3, MCConfig()),  # rational terms, bounds from the terms themselves
+])
+def test_poisson_series_matches_one_call_per_t(model, d, cfg):
+    # bit for bit: the series, one poissonized_expected per t, and the per-t oracle
+    exact = []
+    for k in range(d):
+        clear_angle_memo()
+        series = [sum_fields(s) for s in poissonized_series(SERIES_GRID, d, k, model, 1e-8, cfg)]
+        clear_angle_memo()
+        assert series == [sum_fields(poissonized_expected(t, d, k, model, 1e-8, cfg)) for t in SERIES_GRID]
+        assert series == [poisson_sum_per_t(t, d, k, model, 1e-8, cfg) for t in SERIES_GRID]
+        exact += [s[2] for s in series]
+    assert all(exact) is (model != "symmetric")  # symmetric k = 0 samples beta(Q_0, Q_2)
+    clear_angle_memo()
+
+
+@pytest.mark.parametrize("model,d", [("gaussian", 2), ("symmetric", 2), ("gaussian", 3)])
+def test_poisson_series_builds_each_size_once(monkeypatch, model, d):
+    # one term build per distinct size for the whole grid, where one call per t
+    # builds sum(terms); the hull models' face bounds need no term
+    sizes = []
+    original = polyproj.expected.expected_f_model
+
+    def counting(row, n, *args):
+        sizes.append(n)
+        return original(row, n, *args)
+
+    monkeypatch.setattr(polyproj.expected, "expected_f_model", counting)
+    grid = [0.5 * i for i in range(1, 41)]
+    terms = [s.terms for s in poissonized_series(grid, d, 0, model, cfg=FAST)]
+    assert sizes == list(range(max(terms)))
+    assert sum(terms) > 5 * max(terms)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf, True, "3"])
+def test_poisson_series_validates_every_t_before_any_work(monkeypatch, bad):
+    def no_sampling(cone, cfg=None):
+        raise AssertionError("an angle was sampled before the last t was checked")
+
+    monkeypatch.setattr(polyproj.angles, "cone_angle", no_sampling)
+    clear_angle_memo()
+    with pytest.raises(InvalidArgumentError, match="t must be a positive real"):
+        list(poissonized_series([1.0, 2.0, bad], 3, 0, "symmetric", cfg=FAST))
+    for kwargs, message in (({"eps": 0.0}, "eps must be"), ({"model": "cube"}, "unknown model")):
+        with pytest.raises(InvalidArgumentError, match=message):
+            poissonized_series([1.0, 2.0], 3, 0, **{"model": "symmetric", **kwargs})
+    with pytest.raises(InvalidArgumentError):
+        poissonized_series([1.0], 3, -1, "symmetric")
+
+
+def test_poisson_series_truncation_at_a_later_t(monkeypatch):
+    # the tail test passes below size 40 only: t = 1 ends there, t = 30 runs into its cap
+    original = polyproj.expected._growth_ratio
+    monkeypatch.setattr(polyproj.expected, "_growth_ratio",
+                        lambda row, ell, d, k: original(row, ell, d, k) if ell < 40 else math.inf)
+    sums = poissonized_series([1.0, 30.0], 2, 0, "zonotope")
+    assert sum_fields(next(sums)) == sum_fields(poissonized_expected(1.0, 2, 0, "zonotope"))
+    with pytest.raises(TruncationError) as in_series:
+        next(sums)
+    with pytest.raises(TruncationError) as alone:
+        poissonized_expected(30.0, 2, 0, "zonotope")
+    assert "within 700 terms" in str(in_series.value)
+    assert str(in_series.value) == str(alone.value)
+    assert in_series.value.achieved_bound == alone.value.achieved_bound
 
 
 # ---------------------------------------------------------------------------
