@@ -1,7 +1,8 @@
 """Command-line harness: expected values, simulations, monotonicity sweeps, Poissonization.
 
 Reports go to stdout (or --out) in CSV or JSON with a fixed schema; human
-summaries go to stderr so the data stream stays parseable.  Exit codes:
+summaries go to stderr so the data stream stays parseable.  The four commands
+share one row builder, _row, and one --timings clock, _timed.  Exit codes:
 0 success, 1 numeric or simulation failure, 2 usage error.
 """
 
@@ -107,8 +108,23 @@ def _add_k(p: argparse.ArgumentParser) -> None:
     grp.add_argument("--all-k", action="store_true", help="every proper face dimension")
 
 
-def _mc_config(args) -> MCConfig:
-    return MCConfig(samples=args.samples, seed=args.seed, workers=args.workers)
+def _row(args, k: int, est, **extra) -> ReportRow:
+    """A report row of face dimension k: the columns every command fills, then its own."""
+    return ReportRow(
+        command=args.subcommand, model=args.model or "", family=getattr(args, "family", None) or "",
+        d=args.d, k=k, value=float(est.value), stderr=float(est.std_error), method=est.method, **extra,
+    )
+
+
+def _timed(args, f, *a):
+    """f(*a) and its wall time in seconds, None without --timings."""
+    t0 = time.perf_counter()
+    result = f(*a)
+    return result, (time.perf_counter() - t0 if args.timings else None)
+
+
+def _ks(args, top: int):
+    return range(top) if args.all_k else [args.k]
 
 
 def _emit(rows: list[ReportRow], args) -> None:
@@ -116,46 +132,28 @@ def _emit(rows: list[ReportRow], args) -> None:
 
 
 def _cmd_expected(args) -> int:
-    cfg = _mc_config(args)
     row = target_row(args.family or args.model)
-    ks = list(range(min(args.n - row.shift, args.d))) if args.all_k else [args.k]
     rows = []
-    for k in ks:
-        t0 = time.perf_counter()
-        est = expected_f_model(row, args.n, args.d, k, cfg)
-        wall = time.perf_counter() - t0 if args.timings else None
-        rows.append(ReportRow(
-            command="expected", model=args.model or "", family=args.family or "",
-            n=args.n, d=args.d, k=k, value=float(est.value),
-            stderr=float(est.std_error), method=est.method, wall_time_s=wall,
-        ))
+    for k in _ks(args, min(args.n - row.shift, args.d)):
+        est, wall = _timed(args, expected_f_model, row, args.n, args.d, k, args.cfg)
+        rows.append(_row(args, k, est, n=args.n, wall_time_s=wall))
     _emit(rows, args)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _mc_config(args)
     sim_cfg = SimConfig(model=args.model, n=args.n, d=args.d,
                         replications=args.reps, seed=args.seed, workers=args.workers)
-    t0 = time.perf_counter()
-    result = simulate_expected_f(sim_cfg, dump_path=args.dump)
-    wall_total = time.perf_counter() - t0
+    result, wall = _timed(args, simulate_expected_f, sim_cfg, args.dump)
     rows = []
     for k in range(args.d):
         sim = result.means[k]
-        formula = expected_f_model(args.model, args.n, args.d, k, cfg)
+        formula = expected_f_model(args.model, args.n, args.d, k, args.cfg)
         diff = sim.value - formula.value
         denom = (sim.std_error**2 + formula.std_error**2) ** 0.5
-        if denom > 0:
-            z = diff / denom
-        else:
-            z = 0.0 if diff == 0 else float("inf")
-        rows.append(ReportRow(
-            command="simulate", model=args.model, n=args.n, d=args.d, k=k,
-            value=sim.value, stderr=sim.std_error, method=sim.method,
-            formula_value=float(formula.value), z_score=z,
-            wall_time_s=wall_total if args.timings else None,
-        ))
+        z = diff / denom if denom > 0 else 0.0 if diff == 0 else float("inf")
+        rows.append(_row(args, k, sim, n=args.n, formula_value=float(formula.value), z_score=z,
+                         wall_time_s=wall))
     _emit(rows, args)
     print(f"simulate {args.model} n={args.n} d={args.d}: {result.replications} replications, "
           f"{result.degenerate_events} degenerate resamples", file=sys.stderr)
@@ -163,25 +161,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_monotonicity(args) -> int:
-    cfg = _mc_config(args)
     target = args.family or args.model
-    ks = list(range(args.d)) if args.all_k else [args.k]
     rows = []
     summaries = []
-    for k in ks:
-        table = monotonicity_table(target, args.d, k, args.n_min, args.n_max, cfg)
-        for row in table:
-            rows.append(ReportRow(
-                command="monotonicity", model=args.model or "", family=args.family or "",
-                n=row.n, d=args.d, k=k, value=row.value, stderr=row.std_error,
-                method=row.method,
-                strict_increase=row.strict_increase,
-            ))
+    for k in _ks(args, args.d):
+        table, wall = _timed(args, monotonicity_table, target, args.d, k, args.n_min, args.n_max, args.cfg)
+        rows += [_row(args, k, r, n=r.n, strict_increase=r.strict_increase, wall_time_s=wall) for r in table]
         steps = [r.strict_increase for r in table if r.strict_increase is not None]
-        summaries.append(
-            f"monotonicity {target} d={args.d} k={k}: "
-            f"{sum(steps)}/{len(steps)} steps strictly increasing"
-        )
+        summaries.append(f"monotonicity {target} d={args.d} k={k}: "
+                         f"{sum(steps)}/{len(steps)} steps strictly increasing")
     _emit(rows, args)
     for line in summaries:
         print(line, file=sys.stderr)
@@ -189,26 +177,15 @@ def _cmd_monotonicity(args) -> int:
 
 
 def _cmd_poisson(args) -> int:
-    cfg = _mc_config(args)
-    ks = list(range(args.d)) if args.all_k else [args.k]
     rows = []
-    for k in ks:
+    for k in _ks(args, args.d):
         values = []
-        sums = poissonized_series(args.t_grid, args.d, k, model=args.model, eps=args.eps, cfg=cfg)
+        sums = poissonized_series(args.t_grid, args.d, k, model=args.model, eps=args.eps, cfg=args.cfg)
         for t in args.t_grid:
             # each sum is taken when drawn, so a row's time includes the sizes its t reaches first
-            t0 = time.perf_counter()
-            est = next(sums)
-            wall = time.perf_counter() - t0 if args.timings else None
-            tf = None
-            if args.b is not None:
-                tf = t_functional_expected(args.d, k, args.b, est.value)
-            rows.append(ReportRow(
-                command="poisson", model=args.model, d=args.d, k=k, t=float(t),
-                value=est.value, stderr=est.std_error,
-                method=est.method,
-                t_functional=tf, wall_time_s=wall,
-            ))
+            est, wall = _timed(args, next, sums)
+            tf = None if args.b is None else t_functional_expected(args.d, k, args.b, est.value)
+            rows.append(_row(args, k, est, t=t, t_functional=tf, wall_time_s=wall))
             values.append(est.value)
         drops = sum(1 for a, b in zip(values, values[1:]) if b < a - 2 * args.eps)
         summary = "non-decreasing" if drops == 0 else f"{drops} decreasing steps"
@@ -283,6 +260,7 @@ def main(argv=None) -> int:
         # the report file is opened first, so a bad --out fails before any work is done
         with open(args.out, "w", newline="", encoding="utf-8") if args.out else nullcontext(sys.stdout) as report:
             args.report = report
+            args.cfg = MCConfig(samples=args.samples, seed=args.seed, workers=args.workers)
             return args.func(args)
     except (PolyprojError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

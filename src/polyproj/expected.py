@@ -44,6 +44,7 @@ from .families import (
     Model,
     canonical_face_volume,
     check_int,
+    check_real,
     face_count,
     model_row,
     resolve_family,
@@ -257,12 +258,8 @@ def t_functional_expected(d: int, k: int, b: float, expected_f_value: float) -> 
     """
     d = check_int("d", d, 1)
     k = check_int("k", k, 0)
-    if not isinstance(b, (int, float)) or isinstance(b, bool) or not math.isfinite(b):
-        raise InvalidArgumentError(f"b must be a finite real number, got {b!r}")
-    if b < 0:
-        raise InvalidArgumentError(f"b must be >= 0, got {b}")
-    if not math.isfinite(expected_f_value):
-        raise InvalidArgumentError(f"expected_f_value must be finite, got {expected_f_value!r}")
+    b = check_real("b", b, 0, what="a finite real number >= 0")
+    expected_f_value = check_real("expected_f_value", expected_f_value, what="finite")
     if k > d:
         raise InvalidArgumentError(f"k must be <= d, got k={k}, d={d}")
     if b == 0 or k == 0:
@@ -325,15 +322,11 @@ def poissonized_series(
     if model not in GAUSSIAN_MODELS:
         raise InvalidArgumentError(f"unknown model {model!r}, expected one of {GAUSSIAN_MODELS}")
     row = MODEL_TABLE[model]
-    ts = list(ts)
-    for t in ts:
-        if not isinstance(t, (int, float)) or isinstance(t, bool) or not 0 < t < math.inf:
-            raise InvalidArgumentError(f"t must be a positive real, got {t!r}")
-    if not isinstance(eps, (int, float)) or isinstance(eps, bool) or not 0 < eps < math.inf:
-        raise InvalidArgumentError(f"eps must be a positive finite real, got {eps!r}")
+    ts = [check_real("t", t, 0, strict=True, what="a positive real") for t in ts]
+    eps = check_real("eps", eps, 0, strict=True, what="a positive finite real")
     d = check_int("d", d, 1)
     k = check_int("k", k, 0)
-    return _poisson_sums([float(t) for t in ts], row, d, k, eps, cfg or MCConfig())
+    return _poisson_sums(ts, row, d, k, eps, cfg or MCConfig())
 
 
 def _poisson_sums(

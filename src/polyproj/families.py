@@ -96,6 +96,23 @@ def check_int(name: str, v, lo: int | None = None) -> int:
     return v
 
 
+def check_real(name: str, v, lo: float | None = None, strict: bool = False,
+               what: str = "a finite real number") -> float:
+    """v as a Python float: accepts Python and NumPy reals, rejects bool.
+
+    A value that is not finite, or with lo given is below lo (or equal to it
+    when strict), raises InvalidArgumentError saying that name must be `what`.
+    """
+    if isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool):
+        try:
+            x = float(v)
+        except OverflowError:  # an int beyond the float range
+            x = math.inf
+        if math.isfinite(x) and (lo is None or x > lo or (x == lo and not strict)):
+            return x
+    raise InvalidArgumentError(f"{name} must be {what}, got {v!r}")
+
+
 def ambient_dim(family: Family, n: int) -> int:
     """Dimension of the ambient space the standard embedding lives in."""
     family = resolve_family(family)

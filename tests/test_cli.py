@@ -106,8 +106,12 @@ def test_expected_worker_invariance(capsys):
 
 
 def test_timings_column(capsys):
-    # a poisson row is timed over its own sum, the sizes its t reaches first included
+    # an expected row is timed over its own k, a poisson row over its own sum
+    # (the sizes its t reaches first included); the rows of one simulate run
+    # share that run's time, and those of one monotonicity k that k's table
     for argv in (["expected", "--family", "cube", "--n", "3", "--d", "2", "--k", "0", *SMALL],
+                 ["simulate", "--model", "zonotope", "--n", "4", "--d", "3", "--reps", "5", *SMALL],
+                 ["monotonicity", "--family", "cube", "--d", "3", "--all-k", "--n-min", "2", "--n-max", "4", *SMALL],
                  ["poisson", "--model", "gaussian", "--d", "2", "--all-k", "--t-max", "5", *SMALL]):
         _, bare, _ = run(capsys, argv)
         assert all(r.wall_time_s is None for r in from_csv(bare))
@@ -115,6 +119,42 @@ def test_timings_column(capsys):
         timed = from_csv(timed)
         assert len(timed) == len(from_csv(bare))
         assert all(r.wall_time_s >= 0.0 for r in timed)
+        if argv[0] == "simulate":
+            assert len({r.wall_time_s for r in timed}) == 1
+        if argv[0] == "monotonicity":
+            for k in range(3):
+                assert len({r.wall_time_s for r in timed if r.k == k}) == 1
+
+
+# one row of each command as the report writes it: the CSV line, and the JSON
+# object with its indentation stripped
+EXACT_ROWS = [
+    (["expected", "--family", "cube", "--n", "4", "--d", "3", "--k", "1"],
+     "expected,,cube,4,3,1,,24.0,0.0,exact,,,,,",
+     '{"command": "expected","model": "","family": "cube","n": 4,"d": 3,"k": 1,"t": null,'
+     '"value": 24.0,"stderr": 0.0,"method": "exact","strict_increase": null,"formula_value": null,'
+     '"z_score": null,"t_functional": null,"wall_time_s": null}'),
+    (["simulate", "--model", "zonotope", "--n", "4", "--d", "2", "--reps", "5"],
+     "simulate,zonotope,,4,2,1,,8.0,0.0,monte_carlo,,8.0,0.0,,",
+     '{"command": "simulate","model": "zonotope","family": "","n": 4,"d": 2,"k": 1,"t": null,'
+     '"value": 8.0,"stderr": 0.0,"method": "monte_carlo","strict_increase": null,"formula_value": 8.0,'
+     '"z_score": 0.0,"t_functional": null,"wall_time_s": null}'),
+    (["monotonicity", "--family", "cube", "--d", "2", "--k", "0", "--n-min", "3", "--n-max", "4"],
+     "monotonicity,,cube,3,2,0,,6.0,0.0,exact,true,,,,",
+     '{"command": "monotonicity","model": "","family": "cube","n": 3,"d": 2,"k": 0,"t": null,'
+     '"value": 6.0,"stderr": 0.0,"method": "exact","strict_increase": true,"formula_value": null,'
+     '"z_score": null,"t_functional": null,"wall_time_s": null}'),
+]
+
+
+@pytest.mark.parametrize("argv,csv_row,json_row", EXACT_ROWS, ids=["expected", "simulate", "monotonicity"])
+def test_exact_report_rows(capsys, argv, csv_row, json_row):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert csv_row in out.splitlines()
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert json_row in "".join(line.strip() for line in out.splitlines())
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +254,17 @@ def test_poisson_t_functional_column(capsys):
     by_k = {r.k: r for r in rows}
     assert by_k[0].t_functional == by_k[0].value  # k = 0 collapses to counting
     assert by_k[1].t_functional == pytest.approx(by_k[1].value * math.sqrt(math.pi / 2))
+
+
+def test_poisson_b_row_columns(capsys):
+    code, out, _ = run(capsys, ["poisson", "--model", "zonotope", "--d", "3", "--k", "2",
+                                "--t-min", "4", "--t-max", "4", "--b", "1.5"])
+    assert code == 0
+    (row,) = from_csv(out)
+    assert (row.command, row.model, row.family, row.n, row.d, row.k, row.t) == ("poisson", "zonotope", "", None, 3, 2, 4.0)
+    assert row.t_functional == polyproj.t_functional_expected(3, 2, 1.5, row.value)
+    assert row.t_functional != row.value
+    assert (row.strict_increase, row.formula_value, row.z_score, row.wall_time_s) == (None,) * 4
 
 
 def test_poisson_without_b_leaves_column_empty(capsys):
@@ -424,6 +475,16 @@ def test_every_result_is_an_estimate(capsys):
         assert all(isinstance(m, polyproj.Estimate) for m in means)
         assert [m.method for m in means] == printed(
             ["simulate", "--model", model, "--n", "5", "--d", "3", "--reps", "20"])
+
+
+@pytest.mark.parametrize("argv", [[], ["expected"], ["simulate"], ["monotonicity"], ["poisson"]])
+def test_help_exits_0(capsys, argv):
+    # help strings are only formatted here, so a bad one surfaces as a traceback
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: polyproj {' '.join(argv)}".rstrip())
 
 
 def test_bad_workers_environment_exits_2(monkeypatch, capsys):

@@ -348,6 +348,18 @@ def test_t_functional_validation():
             t_functional_expected(3, 1, 1.0, value)
 
 
+def test_t_functional_takes_numpy_reals_and_rejects_non_numbers():
+    # a NumPy real is the Python float it holds; a bool or a non-number is a typed error
+    assert t_functional_expected(3, 1, np.float32(1.5), 5.0) == t_functional_expected(3, 1, 1.5, 5.0)
+    assert t_functional_expected(3, 2, np.int64(2), np.float32(2.5)) == t_functional_expected(3, 2, 2.0, 2.5)
+    for value in ("x", None, True, np.bool_(True)):
+        with pytest.raises(InvalidArgumentError, match="expected_f_value must be finite"):
+            t_functional_expected(3, 1, 1.0, value)
+    for b in ("1.5", None, np.float64(-0.5), 10**400):
+        with pytest.raises(InvalidArgumentError, match="b must be a finite real number"):
+            t_functional_expected(3, 1, b, 5.0)
+
+
 # ---------------------------------------------------------------------------
 # Poissonization
 
@@ -425,6 +437,18 @@ def test_poisson_validation():
     for eps in (True, False):
         with pytest.raises(InvalidArgumentError, match="eps must be a positive finite real"):
             poissonized_expected(1.0, 2, 0, model="zonotope", eps=eps)
+
+
+def test_poisson_takes_numpy_reals():
+    # NumPy t and eps give the sums of the Python floats they hold
+    assert list(poissonized_series(np.arange(1, 4), 2, 0)) == list(poissonized_series([1.0, 2.0, 3.0], 2, 0))
+    eps = np.float32(1e-6)
+    assert poissonized_expected(2.0, 2, 0, eps=eps) == poissonized_expected(2.0, 2, 0, eps=float(eps))
+    for bad in (np.float64(0.0), np.float32(np.nan), np.bool_(True)):
+        with pytest.raises(InvalidArgumentError, match="eps must be a positive finite real"):
+            poissonized_expected(1.0, 2, 0, eps=bad)
+        with pytest.raises(InvalidArgumentError, match="t must be a positive real"):
+            list(poissonized_series([1.0, bad], 2, 0))
 
 
 @pytest.mark.parametrize("model", ["gaussian", "symmetric"])

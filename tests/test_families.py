@@ -25,7 +25,7 @@ from polyproj import (
     sn_terms,
     vertices,
 )
-from polyproj.families import resolve_family, target_row
+from polyproj.families import check_real, resolve_family, target_row
 
 from oracles import cayley_menger_volume, full_dimensional
 
@@ -181,6 +181,20 @@ def test_dimension_validation():
         face_count(Family.SIMPLEX, -1, 0)
     with pytest.raises(InvalidArgumentError):
         canonical_face(Family.SIMPLEX, 3, 1.5)
+
+
+def test_check_real():
+    # Python and NumPy reals come back as Python floats; bools and non-numbers are typed errors
+    for v in (2, 2.5, np.int64(2), np.uint8(2), np.float32(2.5), np.float64(2.5)):
+        x = check_real("v", v)
+        assert type(x) is float and x == v
+    for v in (True, np.bool_(True), "2", None, 1j, math.nan, -math.inf, np.float32(np.inf), 10**400):
+        with pytest.raises(InvalidArgumentError, match="v must be a finite real number, got "):
+            check_real("v", v)
+    assert check_real("v", 0, 0) == 0.0
+    for v, lo, strict in ((0, 0, True), (-1e-300, 0, False), (np.float32(0.5), 1, False)):
+        with pytest.raises(InvalidArgumentError, match="v must be a positive real, got "):
+            check_real("v", v, lo, strict, what="a positive real")
 
 
 def test_target_rows():
