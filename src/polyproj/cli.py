@@ -9,6 +9,7 @@ share one row builder, _row, and one --timings clock, _timed.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -71,7 +72,7 @@ _positive_float = _number(float, "a positive number", 0, strict=True)
 
 def _workers(text: str) -> int:
     try:
-        return _positive_int(text)
+        return _positive_int(text or os.environ.get("POLYPROJ_WORKERS", "1"))
     except argparse.ArgumentTypeError as exc:
         raise argparse.ArgumentTypeError(f"{exc} (from --workers or $POLYPROJ_WORKERS)") from None
 
@@ -81,10 +82,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="Monte Carlo samples per internal angle estimate (default 1e6); "
                         "external angles are computed by quadrature")
     p.add_argument("--seed", type=_nonneg_int, default=0, help="master seed (default 0)")
-    # a string default goes through `type` at parse time, so a bad
-    # $POLYPROJ_WORKERS becomes a usage error rather than a traceback
-    p.add_argument("--workers", type=_workers,
-                   default=os.environ.get("POLYPROJ_WORKERS", "1"),
+    # the "" default goes through `type` at parse time, which reads
+    # $POLYPROJ_WORKERS (or 1) then: the cached parser sees the current
+    # environment, and a bad value is a usage error rather than a traceback
+    p.add_argument("--workers", type=_workers, default="",
                    help="parallel workers (default $POLYPROJ_WORKERS or 1)")
     # accepted and ignored, so that scripts written for the old angle cache
     # file still run; angles are memoized in-process only
@@ -194,7 +195,9 @@ def _cmd_poisson(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="polyproj",
         description="Expected f-vectors of random projections of regular polytopes "

@@ -52,10 +52,11 @@ Every replication draws from its own counter-based stream derived from
 for any worker count and assembly order.  Replications run in blocks of
 _BLOCK whose attempts run in rounds: round a draws the maps of the
 replications still undecided on their attempt-a Philox keys, from one
-derive_keys call, which are the draws derive_generator's generators would
-give.  Every round's maps take the same route, and a map the minors route
-hands to qhull goes there as drawn, so reports depend on neither the
-blocking nor the route.  A flat cube map, or a cloud qhull finds flat,
+derive_keys call over the column of their indices, which are the draws
+derive_generator's generators would give.  An index is one SeedSequence
+word, so SimConfig caps replications at 2^32.  Every round's maps take the
+same route, and a map the minors route hands to qhull goes there as drawn,
+so reports depend on neither the blocking nor the route.  A flat cube map, or a cloud qhull finds flat,
 waits for the next round.
 """
 
@@ -141,6 +142,8 @@ class SimConfig:
         # NumPy integers are stored as Python ints
         for name, lo in (("n", None), ("d", None), ("replications", 1), ("seed", 0), ("workers", 1)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
+        if self.replications > 2**32:  # each replication index is one SeedSequence word of its stream
+            raise InvalidArgumentError(f"replications must be <= 2^32, got {self.replications}")
         if not (2 <= self.d <= _MAX_HULL_DIM):
             raise InvalidDimensionError(f"hull dimension must be in 2..{_MAX_HULL_DIM}, got {self.d}")
         min_n = self.d + row.shift

@@ -57,8 +57,7 @@ def to_csv(rows: list[ReportRow]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(COLUMNS)
     for row in rows:
-        data = asdict(row)
-        writer.writerow([_cell(data[c]) for c in COLUMNS])
+        writer.writerow([_cell(getattr(row, c)) for c in COLUMNS])
     return buf.getvalue()
 
 

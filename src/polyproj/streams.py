@@ -10,10 +10,11 @@ and worker count.  Purpose and identity codes are fixed integer maps below;
 Python's salted hash() is never used.
 
 derive_generator builds one such generator.  derive_keys computes the Philox
-keys of many such streams at once, by NumPy's own SeedSequence hash run on
-uint32 columns, and rekey points one Philox at a key; a block of replications
-then re-keys one generator instead of building one per stream, and draws
-exactly what derive_generator's generators would.
+keys of many streams that differ in one index entry, by NumPy's own
+SeedSequence hash over one uint32 index column, and rekey points one Philox
+at a key; a block of replications then re-keys one generator instead of
+building one per stream, and draws exactly what derive_generator's
+generators would.
 """
 
 from __future__ import annotations
@@ -76,87 +77,74 @@ def _words(v: int) -> list[int]:
 def derive_keys(master_seed: int, *path) -> np.ndarray:
     """Philox keys, shape (m, 2) uint64, of the streams (master_seed, *path).
 
-    Path entries are ints or 1-d integer arrays of one common length m; row i
-    takes entry i of every array.  Row i equals
-    SeedSequence((master_seed, *path_i)).generate_state(2, np.uint64), the key
-    derive_generator's Philox gets, and NumPy's SeedSequence is the oracle
-    the tests check it against.  The hash is SeedSequence's own, run over
-    uint32 columns.  Negative entries raise ValueError, as in derive_generator.
+    One entry, in any position, is the index column: a 1-d integer array of
+    length m with entries in [0, 2^32), one SeedSequence word each.  Every
+    other entry is an int.  Row i equals SeedSequence((master_seed, *path_i))
+    .generate_state(2, np.uint64), path_i taking entry i of the column: the
+    key derive_generator's Philox gets, and the tests' oracle.  The hash is
+    SeedSequence's own: constant words are hashed once as Python ints, and
+    only the words the column reaches are uint32 columns.  Other layouts
+    raise TypeError or ValueError; negative entries raise ValueError.
     """
-    entries, m = [], None
+    words, column = [], None
     for p in (master_seed, *path):
-        if isinstance(p, np.ndarray):
-            if p.ndim != 1 or p.dtype.kind not in "iu":
-                raise TypeError(f"array path entries must be 1-d integer arrays, got {p.dtype} of shape {p.shape}")
-            if m is not None and len(p) != m:
-                raise ValueError(f"array path entries differ in length: {m} and {len(p)}")
-            m = len(p)
-            if p.dtype.kind == "i" and np.any(p < 0):
-                raise ValueError("seed path entries must be nonnegative")
-            p = p.astype(np.uint64)
-        elif int(p) < 0:
-            raise ValueError(f"seed path entries must be nonnegative, got {p}")
-        entries.append(p)
-    if m is None:
+        if not isinstance(p, np.ndarray):
+            if int(p) < 0:
+                raise ValueError(f"seed path entries must be nonnegative, got {p}")
+            words += _words(int(p))
+            continue
+        if column is not None:
+            raise ValueError("derive_keys takes one array path entry, got several")
+        if p.ndim != 1 or p.dtype.kind not in "iu":
+            raise TypeError(f"the index column must be a 1-d integer array, got {p.dtype} of shape {p.shape}")
+        if np.any((p < 0) | (p > _MASK32)):
+            raise ValueError("index column entries must be in [0, 2^32)")
+        column = p.astype(np.uint32)
+        words.append(column)
+    if column is None:
         raise ValueError("derive_keys needs an array path entry")
-    # an entry of 2^32 or more is two words, so rows are hashed in groups of
-    # one word layout; bit j of `layout` marks entry j as two words
-    layout = np.zeros(m, dtype=np.int64)
-    for j, p in enumerate(entries):
-        if isinstance(p, np.ndarray):
-            layout |= (p > _MASK32).astype(np.int64) << j
-    keys = np.empty((m, 2), dtype=np.uint64)
-    for pattern in np.unique(layout):
-        rows = np.flatnonzero(layout == pattern)
-        columns = []
-        for j, p in enumerate(entries):
-            if isinstance(p, np.ndarray):
-                columns.append((p[rows] & _MASK32).astype(np.uint32))
-                if pattern >> j & 1:
-                    columns.append((p[rows] >> 32).astype(np.uint32))
-            else:
-                columns.extend(np.full(len(rows), w, dtype=np.uint32) for w in _words(int(p)))
-        keys[rows] = _generate_key(_mix_pool(columns))
-    return keys
+    return _generate_key(_mix_pool(words))
 
 
-def _mix_pool(columns: list[np.ndarray]) -> list[np.ndarray]:
-    """SeedSequence.mix_entropy on uint32 columns: the four pool words, per row."""
+# The hash steps below take Python ints and uint32 columns alike: a product
+# or difference is reduced mod 2^32, which leaves a uint32 column as it is.
+
+def _mix_pool(words: list) -> list:
+    """SeedSequence.mix_entropy over words, ints or uint32 columns: the four pool words."""
     h = _INIT_A
 
     def hashmix(value):
         nonlocal h
-        value = value ^ np.uint32(h)
+        value = value ^ h
         h = h * _MULT_A & _MASK32
-        value = value * np.uint32(h)
-        return value ^ (value >> np.uint32(16))
+        value = value * h & _MASK32
+        return value ^ (value >> 16)
 
     def mix(x, y):
-        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return result ^ (result >> np.uint32(16))
+        result = ((x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32)) & _MASK32
+        return result ^ (result >> 16)
 
-    zero = np.zeros_like(columns[0])
-    pool = [hashmix(columns[i] if i < len(columns) else zero) for i in range(_POOL_SIZE)]
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in columns[_POOL_SIZE:]:
+    for word in words[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
     return pool
 
 
 def _generate_key(pool: list[np.ndarray]) -> np.ndarray:
-    """SeedSequence.generate_state(2, np.uint64) from the pool words, per row."""
+    """SeedSequence.generate_state(2, np.uint64) from the pool's uint32 columns, per row."""
     h = _INIT_B
     out = []
     for word in pool:  # four uint32 words, read as two little-endian uint64s
-        value = word ^ np.uint32(h)
+        value = word ^ h
         h = h * _MULT_B & _MASK32
-        value = value * np.uint32(h)
-        out.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
-    return np.stack([out[0] | out[1] << np.uint64(32), out[2] | out[3] << np.uint64(32)], axis=1)
+        value = value * h
+        out.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack([out[0] | (out[1] << 32), out[2] | (out[3] << 32)], axis=1)
 
 
 def rekey(bitgen: Philox, key) -> None:

@@ -198,6 +198,11 @@ def test_simulate_semantic_error_exits_1(capsys):
                                 "--reps", "5", *SMALL])
     assert code == 1
     assert err.startswith("error:")
+    # a replication index is one stream word, so more than 2^32 replications is an error line
+    code, out, err = run(capsys, ["simulate", "--model", "gaussian", "--n", "6", "--d", "3",
+                                  "--reps", str(2**32 + 1)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: replications must be <= 2^32")
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +500,26 @@ def test_bad_workers_environment_exits_2(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "argument --workers: expected a positive integer, got 'x'" in err
     assert "$POLYPROJ_WORKERS" in err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_cached_parser_reads_workers_environment_per_run(monkeypatch, capsys):
+    # the parser is built once, so $POLYPROJ_WORKERS must be read when each command is parsed
+    seen = []
+    real = cli.MCConfig
+    monkeypatch.setattr(cli, "MCConfig", lambda **kw: seen.append(kw["workers"]) or real(**kw))
+    argv = ["expected", "--family", "cube", "--n", "4", "--d", "3", "--k", "0"]
+    for value in ("3", "2"):
+        monkeypatch.setenv("POLYPROJ_WORKERS", value)
+        assert main(argv) == 0
+    assert main([*argv, "--workers", "4"]) == 0  # the flag wins over the environment
+    monkeypatch.delenv("POLYPROJ_WORKERS")
+    assert main(argv) == 0
+    assert seen == [3, 2, 4, 1]
+    assert build_parser().parse_args(argv).workers == 1
 
 
 @pytest.mark.parametrize("flag,expected", [

@@ -351,6 +351,14 @@ def test_sample_cloud_matches_written_out_sampler(model):
             assert fv == hull_f_vector(model_cloud(model, n, d, derive_generator(5, index)))
 
 
+def test_sim_config_caps_replications_at_one_stream_word():
+    # a replication index is one SeedSequence word of its stream key
+    for reps in (2**32 + 1, np.uint64(2**32 + 1), 2**64):
+        with pytest.raises(InvalidArgumentError, match="replications must be <= 2\\^32"):
+            SimConfig(model="gaussian", n=5, d=2, replications=reps)
+    assert SimConfig(model="gaussian", n=5, d=2, replications=2**32).replications == 2**32
+
+
 def test_sim_config_validation():
     with pytest.raises(InvalidArgumentError):
         SimConfig(model="icosahedron", n=5, d=3, replications=1)

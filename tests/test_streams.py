@@ -4,8 +4,11 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from polyproj.streams import SIM_REPLICATION, derive_generator, derive_keys, rekey
 
-# entries around the 32-bit word boundary and at the top of int64
-_INDICES = np.array([0, 1, 2, 7, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**33 + 7, 2**63 - 1])
+# hashing mixes Python ints into uint32 columns: any NumPy overflow warning is a failure
+pytestmark = pytest.mark.filterwarnings("error")
+
+# index column entries up to the top of their one 32-bit word
+_INDICES = np.array([0, 1, 2, 7, 2**31, 2**32 - 1])
 
 
 def _oracle(master_seed, *path):
@@ -33,16 +36,17 @@ def test_derive_keys_matches_seed_sequence(master_seed, prefix, suffix):
 
 def test_derive_keys_array_in_any_position():
     idx = np.arange(5)
-    keys = derive_keys(idx)  # one word for the first rows: the array is the master seed
+    keys = derive_keys(idx)  # the column is the master seed
     for i in idx:
         assert np.array_equal(keys[i], _oracle(int(i)))
-    two = derive_keys(3, idx, 2**32 + idx, np.zeros(5, dtype=np.uint8))
-    for i in idx:
-        assert np.array_equal(two[i], _oracle(3, int(i), 2**32 + int(i), 0))
+    _check(3, (), idx, (2**32, 0, 7))  # first of the path, before a two-word entry
+    _check(3, (2**40, SIM_REPLICATION), idx, ())  # last, after a two-word entry
 
 
 def test_derive_keys_unsigned_and_block_ranges():
-    _check(9, (1,), np.array([0, 2**32, 2**64 - 1], dtype=np.uint64), (0,))
+    for dtype in (np.uint8, np.int32, np.uint32, np.int64, np.uint64):
+        _check(9, (1,), np.array([0, 1, 127], dtype=dtype), (0,))
+    _check(9, (1,), np.array([0, 2**31, 2**32 - 1], dtype=np.uint64), (0,))
     _check(9, (SIM_REPLICATION, 1, 10, 3), np.arange(1000, 1512), (0,))
     assert derive_keys(9, np.arange(0)).shape == (0, 2)
 
@@ -54,22 +58,29 @@ def test_derive_keys_rejects_bad_entries():
         derive_keys(3, -1, np.arange(4))
     with pytest.raises(ValueError):
         derive_keys(-3, np.arange(4))
-    with pytest.raises(ValueError):
-        derive_keys(3, np.array([0, 5, -1]))
+    with pytest.raises(ValueError):  # no array entry
+        derive_keys(3, 1, 2)
+    with pytest.raises(ValueError):  # two array entries, of one length or of two
+        derive_keys(3, np.arange(4), np.arange(4))
     with pytest.raises(ValueError):
         derive_keys(3, np.arange(4), np.arange(5))
-    with pytest.raises(ValueError):
-        derive_keys(3, 1, 2)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):  # a negative entry
+        derive_keys(3, np.array([0, 5, -1]))
+    for big in (np.array([0, 2**32]), np.array([2**64 - 1], dtype=np.uint64)):  # an entry of two words
+        with pytest.raises(ValueError):
+            derive_keys(3, big)
+    with pytest.raises(TypeError):  # not an integer array
         derive_keys(3, np.arange(4.0))
     with pytest.raises(TypeError):
+        derive_keys(3, np.array([True, False]))
+    with pytest.raises(TypeError):  # not 1-d
         derive_keys(3, np.arange(4).reshape(2, 2))
 
 
 def test_rekey_draws_equal_derive_generator():
     # a key is a uint64 row of derive_keys or the list of Python ints tolist() makes of it
     path = (SIM_REPLICATION, 2, 8, 4)
-    idx = np.array([0, 1, 511, 512, 2**32 + 3])
+    idx = np.array([0, 1, 511, 512, 2**32 - 1])
     keys = derive_keys(5, *path, idx, 0)
     assert keys.max() >= 2**63  # a word with the top bit set goes through both forms
     bitgen = Philox()
