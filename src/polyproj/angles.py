@@ -49,14 +49,14 @@ coordinates first; the frame is orthonormal, so the test is the same.
 Every angle is an Estimate, the package's one value-with-uncertainty type,
 which the formula layers reuse for sums of angles.  Monte Carlo estimates
 are deterministic: every chunk of samples draws from a counter-based stream
-derived from the angle's identity, so values do not depend on evaluation
-order or worker count.  Every estimate is sampled on the fixed chunk grid
-DEFAULT_CHUNK.  A chunk is drawn and scored _SUB_ROWS rows at a time in one
-reused buffer; consecutive draws from one stream are the numbers a single
-draw of the whole chunk gives.  Sampled estimates are memoized in-process,
-keyed by everything that fixes the draws: the face pair, the sample count
-and the seed.  The memo is the only cache of the formula route; sums over
-many sizes, such as Poisson sums, are rebuilt from it.
+derived from the angle's identity, so values do not depend on the order of
+evaluation.  Every estimate is sampled on the fixed chunk grid DEFAULT_CHUNK,
+chunk by chunk on the calling thread, _SUB_ROWS rows at a time in one buffer
+reused across chunks; consecutive draws from one stream are the numbers a
+single draw of the whole chunk gives.  Sampled estimates are memoized
+in-process, keyed by everything that fixes the draws: the face pair, the
+sample count and the seed.  The memo is the only cache of the formula route;
+sums over many sizes, such as Poisson sums, are rebuilt from it.
 
 Internal angles of simplex and crosspolytope faces coincide: every proper face
 of either series is a regular simplex with edge sqrt(2), and the canonical
@@ -67,12 +67,10 @@ once on a minimal canonical embedding and shared across the two families.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -112,8 +110,8 @@ _SQRT2 = math.sqrt(2.0)
 class MCConfig:
     """Sampling budget and stream identity for Monte Carlo angle estimation.
 
-    cache_path is ignored: angles are memoized in-process only.  The field
-    stays so that callers written for the old angle cache file still build.
+    workers and cache_path are validated and ignored; they stay so that callers
+    written for the old angle thread pool and angle cache file still build.
     """
 
     samples: int = 1_000_000
@@ -330,38 +328,27 @@ def cone_angle(cone: Cone, cfg: MCConfig | None = None) -> Estimate:
     """Monte Carlo estimate of the solid angle of `cone` within its linear hull.
 
     Samples standard Gaussians in frame coordinates, counts membership, and
-    returns hit rate with binomial standard error.  Each chunk of the
-    DEFAULT_CHUNK grid draws from its own stream into one buffer of at most
-    _SUB_ROWS rows, which is scored by contains_coords while still in cache
-    and then refilled; the draws and hit counts are those of one
-    (count, dim) draw per chunk.  With cfg.workers > 1 the chunks are scored
-    on a thread pool of that size, with the same hit count.  Nothing is
-    memoized here; internal_angle memoizes what it asks for.  A
-    zero-dimensional frame means the cone is {0}: angle exactly 1.
+    returns hit rate with binomial standard error.  The chunks of the
+    DEFAULT_CHUNK grid are scored in order, on the calling thread, each from
+    its own stream.  One buffer of at most _SUB_ROWS rows, shared by all
+    chunks, is filled, scored by contains_coords while still in cache, and
+    refilled; the draws and hit counts are those of one (count, dim) draw per
+    chunk.  Nothing is memoized here; internal_angle memoizes what it asks
+    for.  A zero-dimensional frame means the cone is {0}: angle exactly 1.
     """
     cfg = cfg or MCConfig()
     if cone.dim == 0:
         return Estimate.rational(1)
     counts = chunk_counts(cfg.samples, DEFAULT_CHUNK)
-
-    def run_chunk(job: tuple[int, int]) -> int:
-        idx, count = job
+    # consecutive fills draw what one (count, dim) call would, row for row
+    buf = np.empty((min(counts[0], _SUB_ROWS), cone.dim))
+    hits = 0
+    for idx, count in enumerate(counts):
         rng = derive_generator(cfg.seed, ANGLE_SAMPLES, *cone.seed_path, idx)
-        # consecutive fills draw what one (count, dim) call would, row for row
-        buf = np.empty((min(count, _SUB_ROWS), cone.dim))
-        hits = 0
         for start in range(0, count, _SUB_ROWS):
             z = buf[: min(count - start, _SUB_ROWS)]
             rng.standard_normal(out=z)
             hits += int(np.count_nonzero(cone.contains_coords(z)))
-        return hits
-
-    jobs = list(enumerate(counts))
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            hits = sum(pool.map(run_chunk, jobs))
-    else:
-        hits = sum(map(run_chunk, jobs))
     return _binomial_estimate(hits, cfg.samples)
 
 
@@ -473,12 +460,18 @@ def _binomial_estimate(hits: int, samples: int) -> Estimate:
 # memoization
 
 _MEMO: dict[tuple, Estimate] = {}
-_LOCK = threading.Lock()
 
 
 def clear_angle_memo() -> None:
-    with _LOCK:
-        _MEMO.clear()
+    _MEMO.clear()
+
+
+def _memoized(key: tuple, compute: Callable[[], Estimate]) -> Estimate:
+    """The estimate stored under key, from compute() on the first call."""
+    hit = _MEMO.get(key)
+    if hit is None:
+        hit = _MEMO[key] = compute()
+    return hit
 
 
 def external_angle(family: Family, n: int, g: int, cfg: MCConfig | None = None) -> Estimate:
@@ -502,14 +495,9 @@ def external_angle(family: Family, n: int, g: int, cfg: MCConfig | None = None) 
         return Estimate.rational(Fraction(1, 2 ** (n - g)))
     if g == 0:
         return Estimate.rational(Fraction(1, face_count(family, n, 0)))
-    key = ("ext", family.value, n, g)
-    with _LOCK:
-        hit = _MEMO.get(key)
-    if hit is None:
-        hit = Estimate(_external_quadrature(family, n, g), 0.0, True)
-        with _LOCK:
-            hit = _MEMO.setdefault(key, hit)
-    return hit
+    return _memoized(
+        ("ext", family.value, n, g), lambda: Estimate(_external_quadrature(family, n, g), 0.0, True)
+    )
 
 
 def internal_angle(
@@ -543,14 +531,9 @@ def internal_angle(
         return Estimate.rational(0)
     if family is Family.CUBE or g - k <= 1:
         return Estimate.rational(Fraction(1, 2 ** (g - k)))
-    key = ("int", k, g, cfg.samples, cfg.seed)
-    with _LOCK:
-        hit = _MEMO.get(key)
-    if hit is None:
-        hit = cone_angle(_canonical_internal_cone(k, g), cfg)
-        with _LOCK:
-            hit = _MEMO.setdefault(key, hit)
-    return hit
+    return _memoized(
+        ("int", k, g, cfg.samples, cfg.seed), lambda: cone_angle(_canonical_internal_cone(k, g), cfg)
+    )
 
 
 def _canonical_internal_cone(k: int, g: int) -> Cone:

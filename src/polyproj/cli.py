@@ -34,16 +34,23 @@ MAX_T_POINTS = 10_000
 
 
 def t_grid(t_min: float, t_max: float, t_step: float) -> list[float]:
-    """t_min, t_min + t_step, ... up to t_max; empty or over MAX_T_POINTS points is an error."""
-    if t_max + 1e-9 < t_min:
+    """t_min, t_min + t_step, ... up to t_max, rounded to 12 decimals.
+
+    A grid that is empty, over MAX_T_POINTS points, or has a t of 0 or a repeated t is an error.
+    """
+    slack = min(1e-9, t_step / 2)  # float steps may overshoot t_max; half a step past it is a new point
+    if t_max + slack < t_min:
         raise InvalidArgumentError(f"--t-max must be >= --t-min, got {t_max} < {t_min}")
     grid, t = [], t_min
-    while t <= t_max + 1e-9:
+    while t <= t_max + slack:
         if len(grid) == MAX_T_POINTS:  # also stops a step too small to move t
             raise InvalidArgumentError(f"--t-min {t_min} to --t-max {t_max} by --t-step {t_step} "
                                        f"gives more than {MAX_T_POINTS} grid points")
         grid.append(round(t, 12))
         t += t_step
+    if grid[0] == 0.0 or len(set(grid)) < len(grid):
+        raise InvalidArgumentError(f"--t-min {t_min} by --t-step {t_step} gives a t of 0 or a repeated t "
+                                   "at 12 decimals; grid points must be positive and distinct")
     return grid
 
 
@@ -86,7 +93,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     # $POLYPROJ_WORKERS (or 1) then: the cached parser sees the current
     # environment, and a bad value is a usage error rather than a traceback
     p.add_argument("--workers", type=_workers, default="",
-                   help="parallel workers (default $POLYPROJ_WORKERS or 1)")
+                   help="simulate's worker processes, at most one per CPU this process may use "
+                        "(default $POLYPROJ_WORKERS or 1); the formula commands accept it and ignore it")
     # accepted and ignored, so that scripts written for the old angle cache
     # file still run; angles are memoized in-process only
     p.add_argument("--angle-cache", metavar="PATH", help=argparse.SUPPRESS)
@@ -263,7 +271,7 @@ def main(argv=None) -> int:
         # the report file is opened first, so a bad --out fails before any work is done
         with open(args.out, "w", newline="", encoding="utf-8") if args.out else nullcontext(sys.stdout) as report:
             args.report = report
-            args.cfg = MCConfig(samples=args.samples, seed=args.seed, workers=args.workers)
+            args.cfg = MCConfig(samples=args.samples, seed=args.seed)
             return args.func(args)
     except (PolyprojError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

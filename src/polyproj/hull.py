@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -696,6 +697,13 @@ def _replication_block(args: tuple[str, int, int, int, int, int]) -> tuple[int, 
     return lo, rows, degen
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate_expected_f(cfg: SimConfig, dump_path: str | None = None) -> SimulationResult:
     """Empirical mean f-vector over cfg.replications independent draws.
 
@@ -710,8 +718,8 @@ def simulate_expected_f(cfg: SimConfig, dump_path: str | None = None) -> Simulat
     ]
     rows = np.zeros((r, cfg.d), dtype=np.int64)
     degen = 0
-    # a pool starts all its workers at once, so it gets no more than there are blocks
-    workers = min(cfg.workers, len(blocks))
+    # a pool starts all its workers at once, so it gets no more than there are blocks or CPUs
+    workers = min(cfg.workers, len(blocks), _usable_cpus())
     # the dump file is opened first, so a bad path fails before any replication is drawn
     with open(dump_path, "w", newline="", encoding="utf-8") if dump_path is not None else nullcontext() as dump:
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:

@@ -478,10 +478,11 @@ def test_contains_coords_matches_one_product_oracle(spec):
     lambda: internal_cone(Family.SIMPLEX, 5, 0, 3),
 ])
 @pytest.mark.parametrize("samples", [
-    1, _SUB_ROWS - 1, _SUB_ROWS + 1, 3 * _SUB_ROWS, DEFAULT_CHUNK + _SUB_ROWS + 3,
+    1, _SUB_ROWS - 1, _SUB_ROWS + 1, 3 * _SUB_ROWS, DEFAULT_CHUNK + _SUB_ROWS + 3, DEFAULT_CHUNK + 5,
 ])
 def test_cone_angle_hits_match_oracle_on_single_call_draws(build, samples):
-    # cone_angle fills one buffer a sub-block at a time; the oracle draws each chunk at once
+    # cone_angle fills one buffer a sub-block at a time, sized by the first chunk
+    # and reused for a shorter last one; the oracle draws each chunk at once
     cone = build()
     cfg = MCConfig(samples=samples, seed=3)
     hits = 0

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import polyproj
 from polyproj import from_csv
 import polyproj.cli as cli
-from polyproj import InvalidArgumentError
+from polyproj import InvalidArgumentError, clear_angle_memo
 from polyproj.cli import build_parser, main
 from polyproj.families import target_row
 
@@ -103,6 +104,20 @@ def test_expected_worker_invariance(capsys):
     _, out1, _ = run(capsys, argv + ["--workers", "1"])
     _, out2, _ = run(capsys, argv + ["--workers", "2"])
     assert out1 == out2
+
+
+def test_formula_commands_start_no_thread(monkeypatch, capsys):
+    # --workers is simulate's; three chunks of every sampled angle are scored on this thread
+    def no_thread(self):
+        raise AssertionError(f"a formula command started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    clear_angle_memo()
+    code, out, err = run(capsys, ["expected", "--model", "gaussian", "--n", "8", "--d", "4", "--all-k",
+                                  "--samples", "70000", "--workers", "4"])
+    clear_angle_memo()
+    assert (code, err) == (0, "")
+    assert "monte_carlo" in out  # some angle was sampled
 
 
 def test_timings_column(capsys):
@@ -313,6 +328,8 @@ def test_poisson_report_matches_one_sum_per_t(capsys, flags):
 
 def test_t_grid_accumulates_steps():
     assert cli.t_grid(1.0, 30.0, 1.0) == [float(t) for t in range(1, 31)]
+    # the slack past --t-max is at most half a step, so a tiny step stops at --t-max
+    assert cli.t_grid(1.0, 1.0, 1e-11) == [1.0]
     grid, t = [], 0.5
     while t <= 3.0 + 1e-9:
         grid.append(round(t, 12))
@@ -320,6 +337,14 @@ def test_t_grid_accumulates_steps():
     assert cli.t_grid(0.5, 3.0, 0.1) == grid
     assert cli.t_grid(5.0, 5.0, 1.0) == [5.0]
     assert len(cli.t_grid(1.0, float(cli.MAX_T_POINTS), 1.0)) == cli.MAX_T_POINTS
+
+
+def test_poisson_accepts_the_smallest_t_min(capsys):
+    # 1e-12 is the least positive t at 12 decimals
+    code, out, _ = run(capsys, ["poisson", "--model", "zonotope", "--d", "2", "--k", "0",
+                                "--t-min", "1e-12", "--t-max", "1e-12"])
+    assert code == 0
+    assert out.splitlines()[1].startswith("poisson,zonotope,,,2,0,1e-12,")
 
 
 # each of these grids is endless or too large to build: always ask cli.t_grid
@@ -334,13 +359,16 @@ BAD_T_GRIDS = [
 @pytest.mark.parametrize("grid,message", BAD_T_GRIDS + [
     ((1e17, 1e17 + 64, 1.0), "more than"),  # the step is below the spacing of doubles at t
     ((1.0, 10_001.0, 1.0), "more than 10000 grid points"),
+    ((1.0, 1.0 + 1e-11, 1e-13), "positive and distinct"),  # steps that vanish at 12 decimals
 ])
 def test_t_grid_rejects_unbounded_or_empty_grids(grid, message):
     with pytest.raises(InvalidArgumentError, match=message):
         cli.t_grid(*grid)
 
 
-@pytest.mark.parametrize("grid,message", BAD_T_GRIDS)
+@pytest.mark.parametrize("grid,message", BAD_T_GRIDS + [
+    ((4e-13, 1.0, 1.0), "positive and distinct"),  # t = 0 at 12 decimals
+])
 def test_poisson_bad_t_grid_exits_2(capsys, grid, message):
     with pytest.raises(InvalidArgumentError):
         cli.t_grid(*grid)
@@ -507,11 +535,12 @@ def test_parser_is_built_once():
 
 
 def test_cached_parser_reads_workers_environment_per_run(monkeypatch, capsys):
-    # the parser is built once, so $POLYPROJ_WORKERS must be read when each command is parsed
+    # the parser is built once, so $POLYPROJ_WORKERS must be read when each command is parsed;
+    # simulate's SimConfig is where the count is used (one block here, so no pool starts)
     seen = []
-    real = cli.MCConfig
-    monkeypatch.setattr(cli, "MCConfig", lambda **kw: seen.append(kw["workers"]) or real(**kw))
-    argv = ["expected", "--family", "cube", "--n", "4", "--d", "3", "--k", "0"]
+    real = cli.SimConfig
+    monkeypatch.setattr(cli, "SimConfig", lambda **kw: seen.append(kw["workers"]) or real(**kw))
+    argv = ["simulate", "--model", "zonotope", "--n", "4", "--d", "3", "--reps", "5"]
     for value in ("3", "2"):
         monkeypatch.setenv("POLYPROJ_WORKERS", value)
         assert main(argv) == 0

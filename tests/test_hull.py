@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from polyproj.hull import (
     MODELS,
     _sample_maps,
     _side_table,
+    _usable_cpus,
 )
 from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator, derive_keys
 
@@ -444,12 +446,25 @@ def test_simulate_pool_has_no_more_workers_than_blocks(monkeypatch):
     base = dict(model="symmetric", n=4, d=2, seed=5)
     alone = {r: simulate_expected_f(SimConfig(**base, replications=r)) for r in (10, 1100)}
     monkeypatch.setattr("polyproj.hull.ProcessPoolExecutor", RecordingPool)
-    for r, workers, pool in [(10, 64, None), (1100, 64, 3), (1100, 2, 2), (1100, 1, None)]:
+    for cpus, r, workers, pool in [(64, 10, 64, None), (64, 1100, 64, 3), (64, 1100, 2, 2),
+                                   (64, 1100, 1, None), (2, 1100, 5000, 2), (1, 1100, 5000, None)]:
+        monkeypatch.setattr("polyproj.hull._usable_cpus", lambda: cpus)
         pools.clear()
         result = simulate_expected_f(SimConfig(**base, replications=r, workers=workers))
-        assert pools == ([] if pool is None else [pool])  # one block or one worker runs in this process
+        # one block, one worker or one CPU runs in this process
+        assert pools == ([] if pool is None else [pool])
         assert result.means == alone[r].means
         assert result.degenerate_events == alone[r].degenerate_events
+
+
+def test_usable_cpus_reads_the_affinity_set(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert _usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")  # platforms without affinity sets
+    assert _usable_cpus() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # a count the platform cannot tell
+    assert _usable_cpus() == 1
 
 
 _BLOCK_ORACLE_EXTRA_N = {"gaussian": 3, "symmetric": 1, "zonotope": 2,
