@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_positive_int, required=True)
     _add_k(p)
     _add_common(p)
-    p.set_defaults(func=_cmd_expected)
+    p.set_defaults(func=_cmd_expected, parser=p)
 
     p = sub.add_parser("simulate", help="sample hulls and compare with the formula route")
     p.add_argument("--model", choices=MODELS, required=True)
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", default=None, metavar="PATH",
                    help="write every sampled f-vector to this CSV file")
     _add_common(p)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, parser=p)
 
     p = sub.add_parser("monotonicity", help="expected f_k over a range of n with strictness verdicts")
     _add_target(p, GAUSSIAN_MODELS)
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=_positive_int, required=True)
     p.add_argument("--n-max", type=_positive_int, required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_monotonicity)
+    p.set_defaults(func=_cmd_monotonicity, parser=p)
 
     p = sub.add_parser("poisson", help="Poissonized expectations over a grid of intensities")
     p.add_argument("--model", choices=GAUSSIAN_MODELS, required=True)
@@ -252,21 +252,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=_nonneg_float, default=None,
                    help="also report the size-functional scaling of order b")
     _add_common(p)
-    p.set_defaults(func=_cmd_poisson)
+    p.set_defaults(func=_cmd_poisson, parser=p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # post-parse usage errors go through the subcommand's parser, so they print its usage line
+    args = build_parser().parse_args(argv)
     if hasattr(args, "n_min") and args.n_max < args.n_min:
-        parser.error(f"--n-max must be >= --n-min, got {args.n_max} < {args.n_min}")
+        args.parser.error(f"--n-max must be >= --n-min, got {args.n_max} < {args.n_min}")
     if hasattr(args, "t_step"):
         try:
             args.t_grid = t_grid(args.t_min, args.t_max, args.t_step)
         except InvalidArgumentError as exc:
-            parser.error(str(exc))
+            args.parser.error(str(exc))
     try:
         # the report file is opened first, so a bad --out fails before any work is done
         with open(args.out, "w", newline="", encoding="utf-8") if args.out else nullcontext(sys.stdout) as report:

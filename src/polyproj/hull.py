@@ -9,18 +9,19 @@ P_{n - shift} under a Gaussian map or a uniform orthogonal projection to R^d.
   projected_crosspolytope  image of the n-crosspolytope (2n vertices)
   projected_cube           image of the n-cube (2^n vertices)
 
-Simulated hulls of the simplex and crosspolytope images (the hull of the
-map's rows, or of those and their negatives) are decided a chunk of clouds
-at a time from one table of d x d minors of each map, built by Laplace
-expansion one column at a time over precomputed index tables.  The minor
-chi(I) of rows I and the minors c_ij of X_I with row j replaced by x_i give
-every side test: I is a facet of the rows' hull iff sum_j c_ij - chi(I) has
-one strict sign over the rows i outside I, and the signed set eps*I is a
-facet of the symmetric hull, with its antipode, iff |sum_j eps_j c_ij| <
-|chi(I)| for each of them.  A cloud with a point within a margin of some
-hyperplane through d others (_ENUM_MARGIN, a distance at the cloud's scale
-that dominates _FACET_TOL) is not read off the table but goes to qhull, and
-so do shapes with more side tests per point than the measured _ENUM_CAP.
+Simulated hulls of the simplex and crosspolytope images (the hull of the map's
+rows, or of those and their negatives) are decided a chunk of clouds at a time
+from one table of d x d minors of each map, built by Laplace expansion one
+column at a time over index tables that, like all here, come from one cached
+_subsets(m, k) and share its combinations order.  The minor chi(I) of rows I
+and the minors c_ij of X_I with row j replaced by x_i give every side test: I
+is a facet of the rows' hull iff sum_j c_ij - chi(I) has one strict sign over
+the rows i outside I, and the signed set eps*I is a facet of the symmetric
+hull, with its antipode, iff |sum_j eps_j c_ij| < |chi(I)| for each of them.  A
+cloud with a point within a margin of some hyperplane through d others
+(_ENUM_MARGIN, a distance at the cloud's scale that dominates _FACET_TOL) is
+not read off the table but goes to qhull, and so do shapes with more side
+tests per point than the measured _ENUM_CAP.
 
 Hulls that hull_f_vector is asked for, and those clouds, go through qhull,
 whose output is triangulated.  SciPy, which wraps qhull, is imported when the
@@ -56,8 +57,8 @@ derive_keys call over the column of their indices, which are the draws
 derive_generator's generators would give.  An index is one SeedSequence
 word, so SimConfig caps replications at 2^32.  Every round's maps take the
 same route, and a map the minors route hands to qhull goes there as drawn,
-so reports depend on neither the blocking nor the route.  A flat cube map, or a cloud qhull finds flat,
-waits for the next round.
+so reports depend on neither the blocking nor the route.  A flat cube
+map, or a cloud qhull finds flat, waits for the next round.
 """
 
 from __future__ import annotations
@@ -113,12 +114,6 @@ _ENUM_CAP = 160
 _ENUM_ENTRIES = 1 << 16  # float64 entries of the largest per-chunk temporary
 _COUNT_BATCH = 2048  # simplices counted by one sort per k; caps the key arrays at 2048 * C(d, k+1) entries
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# column index sets of the j-subsets of a d-column row, for the simplicial path
-_COLUMN_SUBSETS = {
-    (d, j): np.array(list(combinations(range(d), j)))
-    for d in range(2, _MAX_HULL_DIM + 1)
-    for j in range(1, d)
-}
 
 
 @dataclass(frozen=True)
@@ -199,6 +194,21 @@ def _sample_maps(row: Model, keys: np.ndarray, bitgen: Philox, rng: Generator, o
     return out
 
 
+def _real_rows(values, name: str, what: str) -> np.ndarray:
+    """values as finite float rows in R^d, 2 <= d <= _MAX_HULL_DIM; unreadable, ragged or non-finite input is an InvalidArgumentError."""
+    try:
+        a = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows, text, complex entries
+        raise InvalidArgumentError(f"{name} must be an array of real numbers ({exc})") from None
+    if a.ndim != 2:
+        raise InvalidArgumentError(f"{name} must be a 2-d array")
+    if not np.isfinite(a).all():
+        raise InvalidArgumentError(f"{name} must be finite")
+    if not (2 <= a.shape[1] <= _MAX_HULL_DIM):
+        raise InvalidDimensionError(f"{what} dimension must be in 2..{_MAX_HULL_DIM}, got {a.shape[1]}")
+    return a
+
+
 def hull_f_vector(points: np.ndarray) -> FVectorSample:
     """Exact f-vector (f_0 .. f_{d-1}) of the convex hull of a point cloud.
 
@@ -214,14 +224,7 @@ def hull_f_vector(points: np.ndarray) -> FVectorSample:
     failures raise a degeneracy error.  Dimension is capped at 6: face-lattice
     recovery enumerates vertex subsets and is meant for desk-scale checks.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise InvalidArgumentError("points must be a 2-d array")
-    if not np.isfinite(pts).all():
-        raise InvalidArgumentError("points must be finite")
-    d = pts.shape[1]
-    if not (2 <= d <= _MAX_HULL_DIM):
-        raise InvalidDimensionError(f"hull dimension must be in 2..{_MAX_HULL_DIM}, got {d}")
+    pts = _real_rows(points, "points", "hull")
     fv = _f_vector_or_simplices(pts)
     if isinstance(fv, FVectorSample):
         return fv
@@ -315,7 +318,7 @@ def _simplicial_f_vectors(simplices: np.ndarray, sizes) -> np.ndarray:
     rows = np.empty((len(sizes), d), dtype=np.int64)
     rows[:, d - 1] = sizes
     for k in range(d - 1):
-        cols = _COLUMN_SUBSETS[d, k + 1]
+        cols = _subsets(d, k + 1)
         subsets = ordered[:, cols].reshape(-1, k + 1)
         rows[:, k] = _count_distinct_rows(subsets, base, np.repeat(owner, len(cols)), len(sizes))
     return rows
@@ -346,26 +349,33 @@ def _count_distinct_rows(rows: np.ndarray, base: int, group: np.ndarray, groups:
 
 
 @cache
-def _minor_levels(m: int, d: int) -> tuple[list, np.ndarray]:
+def _subsets(m: int, k: int) -> np.ndarray:
+    """The k-subsets of range(m), shape (C(m, k), k), in combinations order: every index table's one order."""
+    rows = np.array(list(combinations(range(m), k)), dtype=np.intp).reshape(math.comb(m, k), k)
+    rows.setflags(write=False)  # shared by every caller through the cache
+    return rows
+
+
+@cache
+def _minor_levels(m: int, d: int) -> list:
     """Index tables of the d x d minors of an m x d map, by Laplace expansion.
 
-    Row subsets are listed in combinations order.  Level k holds the minors
-    on columns 0..k-1 of every k-subset S, expanded along column k-1:
+    Level k holds the minors on columns 0..k-1 of each k-subset S, a row of
+    _subsets(m, k), expanded along column k-1:
     M_k(S) = sum_p (-1)^(p+k-1) X[S_p, k-1] M_{k-1}(S without S_p), so a
     level is, for each p, one gather of rows at[p], one of the level below
-    at sub[p] and a signed add.  Returns the levels 2..d as (at, sub) pairs
-    and the d-subsets; built on first use, once per (m, d).
+    at sub[p], found by the increasing base-m codes of the (k-1)-subsets, and
+    a signed add.  Returns the levels 2..d as (at, sub) pairs.
     """
-    subsets = [list(combinations(range(m), k)) for k in range(d + 1)]
-    where = [{s: r for r, s in enumerate(level)} for level in subsets]
     levels = []
     for k in range(2, d + 1):
-        sub = [[where[k - 1][s[:p] + s[p + 1 :]] for p in range(k)] for s in subsets[k]]
-        levels.append((np.array(subsets[k]).T, np.array(sub).T))
-    top = np.array(subsets[d])
-    for table in [*(a for level in levels for a in level), top]:
-        table.setflags(write=False)  # shared by every caller through the cache
-    return levels, top
+        sets = _subsets(m, k)
+        code = m ** np.arange(k - 2, -1, -1)
+        # row p of _subsets(k, k - 1)[::-1] is the columns of S without S_p
+        sub = np.searchsorted(_subsets(m, k - 1) @ code, sets[:, _subsets(k, k - 1)[::-1]] @ code).T
+        sub.setflags(write=False)  # shared by every caller through the cache
+        levels.append((sets.T, sub))
+    return levels
 
 
 def _minors(x: np.ndarray, levels: list) -> np.ndarray:
@@ -392,10 +402,9 @@ def _side_table(m: int, d: int) -> np.ndarray:
     I without its p-th row, has that minor with i put in sorted order, and
     moving i to position p flips its sign d-1-p times, up to an even count.
     """
-    levels, facets = _minor_levels(m, d)
-    drop = levels[-1][1]
-    top = len(facets)
-    outside = np.array([np.setdiff1d(np.arange(m), s) for s in facets]).reshape(top, m - d)
+    drop = _minor_levels(m, d)[-1][1]
+    top = math.comb(m, d)
+    outside = _subsets(m, m - d)[::-1]  # complements reverse combinations order
     swap = _covector_tables(m, d)[0][drop[:, :, None], outside]
     swap[d % 2 :: 2] = (swap[d % 2 :: 2] + top) % (2 * top)  # the p with d-1-p odd
     swap.setflags(write=False)  # shared by every caller through the cache
@@ -415,16 +424,13 @@ def _covector_tables(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     is off[S] plus 3^i for each negative i, its negative's 2 off[S] minus
     that, and fill[S, f] adds the f-th of the 3^(d-1) fills of S's zeros.
     """
-    top = math.comb(n, d)
-    where = {s: r for r, s in enumerate(combinations(range(n), d))}
-    rays = list(combinations(range(n), d - 1))
-    sign = np.full((len(rays), n), 2 * top, dtype=np.intp)
-    for r, s in enumerate(rays):
-        for i in set(range(n)).difference(s):
-            odd = sum(x > i for x in s) % 2
-            sign[r, i] = where[tuple(sorted((*s, i)))] + odd * top
+    sets = _subsets(n, d)
+    top = len(sets)
+    spans = _subsets(n, d - 1)
+    sign = np.full((len(spans), n), 2 * top, dtype=np.intp)
+    for p, sub in enumerate(_minor_levels(n, d)[-1][1]):  # the d-subset T is sub[p] + T_p, d-1-p of sub[p] above T_p
+        sign[sub, sets[:, p]] = np.arange(top) + (d - 1 - p) % 2 * top
     pow3 = 3 ** np.arange(n + 1, dtype=np.int64)
-    spans = np.array(rays)
     off = (pow3[n] - 1) // 2 - pow3[spans].sum(axis=1)
     fills = np.array(list(product(range(3), repeat=d - 1)), dtype=np.int64)
     fill = pow3[spans] @ fills.T + (fills == 0).sum(axis=1) * pow3[n]
@@ -443,7 +449,7 @@ def _signed_facets(m: int, d: int) -> np.ndarray:
     """
     e = np.arange(1 << (d - 1))[:, None]
     flip = np.concatenate([np.zeros_like(e), (e >> np.arange(d - 1)) & 1], axis=1) * m
-    subsets = np.array(list(combinations(range(m), d)))
+    subsets = _subsets(m, d)
     ids = np.stack([subsets + flip[:, None], subsets + (m - flip)[:, None]], axis=2)
     ids.setflags(write=False)  # shared by every caller through the cache
     return ids
@@ -505,9 +511,9 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool) -> tuple[np.ndarray, n
     """
     m, d = maps.shape[1:]
     x = np.ascontiguousarray(maps.transpose(1, 2, 0))
-    levels, subsets = _minor_levels(m, d)
+    subsets = _subsets(m, d)
     swap = _side_table(m, d)
-    chi = _minors(x, levels)
+    chi = _minors(x, _minor_levels(m, d))
     signed = np.concatenate([chi, -chi])
     norms = np.sqrt((x * x).sum(axis=1))
     volume_bound = np.prod(norms[subsets[:, 1:]] + norms[subsets[:, :1]], axis=1)
@@ -548,14 +554,8 @@ def zonotope_f_vector(generators: np.ndarray) -> FVectorSample:
     one.  Generators not in general position at _GENERAL_POSITION_TOL, a
     zero generator or a minor that small, raise a degeneracy error.
     """
-    g = np.asarray(generators, dtype=float)
-    if g.ndim != 2:
-        raise InvalidArgumentError("generators must be a 2-d array")
-    if not np.isfinite(g).all():
-        raise InvalidArgumentError("generators must be finite")
+    g = _real_rows(generators, "generators", "zonotope")
     n, d = g.shape
-    if not (2 <= d <= _MAX_HULL_DIM):
-        raise InvalidDimensionError(f"zonotope dimension must be in 2..{_MAX_HULL_DIM}, got {d}")
     if n > _MAX_GENERATORS:
         raise InvalidDimensionError(f"zonotope enumeration capped at n = {_MAX_GENERATORS}, got {n}")
     if n < d:
@@ -590,7 +590,7 @@ def _zonotope_f_vectors(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = np.sqrt((maps * maps).sum(axis=2))
     short = (norms <= _GENERAL_POSITION_TOL * norms.max(axis=1, keepdims=True)).any(axis=1)
     unit = maps / np.where(norms > 0, norms, 1.0)[:, :, None]
-    chi = _minors(np.ascontiguousarray(unit.transpose(1, 2, 0)), _minor_levels(n, d)[0])
+    chi = _minors(np.ascontiguousarray(unit.transpose(1, 2, 0)), _minor_levels(n, d))
     flat = short | (np.abs(chi) <= _GENERAL_POSITION_TOL).any(axis=0)
     chi = chi[:, ~flat]
     kept = chi.shape[1]
@@ -735,8 +735,7 @@ def simulate_expected_f(cfg: SimConfig, dump_path: str | None = None) -> Simulat
         if dump is not None:
             writer = csv.writer(dump, lineterminator="\n")
             writer.writerow(["replication"] + [f"f_{k}" for k in range(cfg.d)])
-            for i in range(r):
-                writer.writerow([i] + [int(v) for v in rows[i]])
+            writer.writerows(np.column_stack([np.arange(r), rows]).tolist())
     means: dict[int, Estimate] = {}
     for k in range(cfg.d):
         col = rows[:, k].astype(float)

@@ -8,13 +8,15 @@ programming instead of least squares, least squares on cone generators instead
 of half-space tests, one product over every outer normal instead of a lead
 block of normals and its survivors, modified Gram-Schmidt one basis vector at
 a time instead of blocked classical Gram-Schmidt, raw subset enumeration
-instead of qhull bookkeeping, rays of a zonotope's arrangement by SVD instead
-of off a table of minors, facets grouped by rounded hyperplane equations
-instead of by qhull's neighbour graph, one freshly derived generator and
-one f-vector call per replication instead of batched stream keys and
-block-wise face counting, Poisson tail bounds written out per model name
-instead of read off the model table, and exact angles as a ladder of
-branches instead of one power of 1/2 per kind.
+instead of qhull bookkeeping, index tables subset by subset through
+dictionaries of positions instead of array operations on one subset list,
+rays of a zonotope's arrangement by SVD instead of off a table of minors,
+facets grouped by rounded hyperplane equations instead of by qhull's
+neighbour graph, one freshly derived generator and one f-vector call per
+replication instead of batched stream keys and block-wise face counting,
+Poisson tail bounds written out per model name instead of read off the
+model table, and exact angles as a ladder of branches instead of one power
+of 1/2 per kind.
 Agreement between routes is the point.
 """
 
@@ -419,6 +421,40 @@ def model_cloud(model: str, n: int, d: int, rng) -> np.ndarray:
         raise ValueError(f"model {model!r} has no point-cloud sampler")
     frame = random_orthonormal_frame(verts.shape[1], d, rng)
     return verts @ frame
+
+
+def minor_levels_by_loops(m: int, d: int) -> list:
+    """hull._minor_levels, subset by subset through a dictionary of positions.
+
+    Level k (k = 2..d) is the pair (at, sub): at[p] is the p-th row of each
+    k-subset S in combinations order, and sub[p] the position of S without
+    S_p among the (k-1)-subsets.
+    """
+    subsets = [list(combinations(range(m), k)) for k in range(d + 1)]
+    where = [{s: r for r, s in enumerate(level)} for level in subsets]
+    levels = []
+    for k in range(2, d + 1):
+        sub = [[where[k - 1][s[:p] + s[p + 1 :]] for p in range(k)] for s in subsets[k]]
+        levels.append((np.array(subsets[k]).T, np.array(sub).T))
+    return levels
+
+
+def covector_sign_by_loops(n: int, d: int) -> np.ndarray:
+    """hull._covector_tables' sign table, one (ray, generator) pair at a time.
+
+    For the r-th (d-1)-subset s and a generator i outside it, the entry is the
+    position of s + i among the d-subsets, plus C(n, d) when an odd number of
+    s lies above i; it is 2 C(n, d) for i in s.
+    """
+    top = math.comb(n, d)
+    where = {s: r for r, s in enumerate(combinations(range(n), d))}
+    rays = list(combinations(range(n), d - 1))
+    sign = np.full((len(rays), n), 2 * top, dtype=np.intp)
+    for r, s in enumerate(rays):
+        for i in set(range(n)).difference(s):
+            odd = sum(x > i for x in s) % 2
+            sign[r, i] = where[tuple(sorted((*s, i)))] + odd * top
+    return sign
 
 
 def side_table_by_permutations(m: int, d: int) -> np.ndarray:

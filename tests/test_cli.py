@@ -250,6 +250,24 @@ def test_monotonicity_range_check_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["monotonicity", "--family", "cube", "--d", "3", "--k", "0", "--n-min", "5", "--n-max", "3"],
+     "--n-max must be >= --n-min, got 3 < 5"),
+    (["poisson", "--model", "gaussian", "--d", "2", "--k", "0", "--t-min", "1e-13", "--t-max", "1"],
+     "grid points must be positive and distinct"),
+])
+def test_post_parse_errors_print_the_subcommand_usage(capsys, argv, message):
+    # checks made after parsing report through the subcommand's parser, as argparse's own errors do
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage: polyproj {argv[0]} [-h]")
+    assert f"polyproj {argv[0]}: error: " in captured.err
+    assert message in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # poisson
 

@@ -1,5 +1,6 @@
 import math
 import os
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -29,21 +30,27 @@ from polyproj.hull import (
     _GENERAL_POSITION_TOL,
     _MAX_HULL_DIM,
     _count_distinct_rows,
+    _covector_tables,
     _enumerates,
     _chunk_size,
     _MAX_ATTEMPTS,
+    _MAX_GENERATORS,
     _minor_levels,
     _replication_block,
     MODELS,
     _sample_maps,
     _side_table,
+    _signed_facets,
+    _subsets,
     _usable_cpus,
 )
 from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator, derive_keys
 
 from oracles import (
+    covector_sign_by_loops,
     full_dimensional,
     lp_zonotope_f_vector,
+    minor_levels_by_loops,
     model_cloud,
     per_replication_rows,
     rounded_facet_f_vector,
@@ -284,6 +291,19 @@ def test_zonotope_rejects_non_finite_generators(bad):
     g[3, 0] = bad
     with pytest.raises(InvalidArgumentError, match="generators must be finite"):
         zonotope_f_vector(g)
+
+
+@pytest.mark.parametrize("bad", [
+    [[0.0, 1.0], [1.0, 0.0, 2.0], [1.0, 1.0]],
+    "abc",
+    [[1j, 0.0], [1.0, 0.0], [0.0, 1.0]],
+    None,
+], ids=["ragged", "string", "complex", "none"])
+@pytest.mark.parametrize("count,name", [(hull_f_vector, "points"), (zonotope_f_vector, "generators")])
+def test_unreadable_input_is_a_typed_error(count, name, bad):
+    # what NumPy cannot read as a 2-d array of reals is bad input, not a bare ValueError or TypeError
+    with pytest.raises(InvalidArgumentError, match=f"^{name} must be "):
+        count(bad)
 
 
 @pytest.mark.parametrize("index", range(100, 150))
@@ -795,8 +815,39 @@ def test_side_table_matches_permutation_oracle():
     for d in range(2, _MAX_HULL_DIM + 1):
         for m in range(d, 13):
             table = _side_table(m, d)
-            assert table.shape == (d, len(_minor_levels(m, d)[1]), m - d)
+            assert table.shape == (d, math.comb(m, d), m - d)
             assert np.array_equal(table, side_table_by_permutations(m, d))
+
+
+@pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
+def test_index_tables_match_loop_oracles(d):
+    # the Laplace levels and the covector signs, read off one subset list, are
+    # the tables that looking each subset up in a dictionary gives
+    for m in range(d, _MAX_GENERATORS + 1):
+        levels = _minor_levels(m, d)
+        assert len(levels) == d - 1
+        for (at, sub), (at_ref, sub_ref) in zip(levels, minor_levels_by_loops(m, d)):
+            assert np.array_equal(at, at_ref) and np.array_equal(sub, sub_ref)
+        assert np.array_equal(_covector_tables(m, d)[0], covector_sign_by_loops(m, d))
+
+
+def test_subsets_edge_cases_and_read_only_tables():
+    assert _subsets(5, 0).shape == (1, 0)
+    assert _subsets(5, 5).tolist() == [[0, 1, 2, 3, 4]]
+    assert _subsets(1, 1).tolist() == [[0]]
+    for m, k in [(6, 2), (7, 3), (9, 4)]:
+        assert _subsets(m, k).tolist() == [list(s) for s in combinations(range(m), k)]
+        assert _subsets(m, k).dtype == np.intp
+        # complements reverse combinations order
+        complements = [sorted(set(range(m)).difference(s)) for s in combinations(range(m), k)]
+        assert _subsets(m, m - k)[::-1].tolist() == complements
+    # every cached table is shared by its callers, so none can be written
+    tables = [_subsets(8, 3), _side_table(8, 3), _signed_facets(8, 3), *_covector_tables(8, 3)]
+    tables += [a for level in _minor_levels(8, 3) for a in level]
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 1
 
 
 @pytest.mark.parametrize("n,d", [(4, 2), (8, 3), (10, 4), (15, 6)])

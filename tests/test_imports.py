@@ -124,3 +124,12 @@ def test_flat_cloud_is_degenerate_under_the_deferred_import():
         "from polyproj import hull_f_vector\n"
         "print(hull_f_vector([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.2, 0]]))\n")
     assert out.strip() == "FVectorSample(counts=(0, 0, 0), degenerate=True)"
+
+
+def test_hull_import_builds_no_index_table():
+    # every index table is built from _subsets on first use, none at import
+    out = run_fresh(
+        "import polyproj.hull as h\n"
+        "tables = (h._subsets, h._minor_levels, h._side_table, h._covector_tables, h._signed_facets)\n"
+        "print([t.cache_info().currsize for t in tables])\n")
+    assert out.strip() == "[0, 0, 0, 0, 0]"
