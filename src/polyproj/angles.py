@@ -21,14 +21,23 @@ simplex or crosspolytope external angle is a one-dimensional Gaussian integral
   simplex        gamma(Q_g, T_n) = int phi(x) Phi(x / s)^(n - g) dx
   crosspolytope  gamma(Q_g, C_n) = int_0^inf phi(z) (2 Phi(z / s) - 1)^(n - g - 1) dz
 
-Both integrands are log-concave.  Newton steps on the log-integrand find its
-mode and curvature width w, and one _QUAD_NODES-point Gauss-Legendre rule on
-the mode +- _QUAD_WIDTHS w (clipped at 0 for the crosspolytope) sums it in
-log space, with log Phi from math.erfc.  The rule's nodes come from Newton
-steps on the Legendre recurrence.  Such an angle is exact=True with exact_value None
-and std_error 0: deterministic, and within QUADRATURE_RTOL of the integral
-for n up to 1e4.  Quadrature values are memoized in-process under the face
-alone.
+Both integrands are log-concave.  Scalar Newton steps on each face's
+log-integrand find its mode and curvature width w, and one _QUAD_NODES-point
+Gauss-Legendre rule on the mode +- _QUAD_WIDTHS w (clipped at 0 for the
+crosspolytope) sums it in log space, with log Phi from math.erfc.  The rule's
+nodes come from Newton steps on the Legendre recurrence.  Such an angle is
+exact=True with exact_value None and std_error 0: deterministic, and within
+QUADRATURE_RTOL of the integral for n up to 1e4.  Quadrature values are
+memoized in-process under the face alone.
+
+external_angles takes every face a caller needs at once: the rule runs over
+one node matrix of _BATCH_ROWS faces by _QUAD_NODES nodes at a time (no
+temporary above about 2^16 floats), with math.erf and math.erfc mapped over
+its entries, NumPy logarithms and exponentials, and one math.fsum per row.
+Each entry is computed on its own, so a value does not depend on its batch,
+and external_angle is the batch of one face.  An angle costs about 0.05-0.08
+ms inside a batch of a few hundred faces and about 0.1 ms alone, of which
+the Newton search is about 0.01 ms (2-core x86 VM, one thread).
 
 Internal angles are sampled.  Both kinds of cone carry an H-representation,
 a set of outer normals a with the cone equal to {u in L : <u, a> <= 0 for all
@@ -67,10 +76,11 @@ once on a minimal canonical embedding and shared across the two families.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
@@ -100,6 +110,8 @@ QUADRATURE_RTOL = 1e-12
 # over +-14 widths lose about 1e-9 at n = 1e4
 _QUAD_NODES = 176
 _QUAD_WIDTHS = 20.0
+# windows summed as one node matrix, so that no temporary exceeds about 2^16 floats
+_BATCH_ROWS = (1 << 16) // _QUAD_NODES
 # cap on Newton steps, for the rule's nodes and for the mode of an integrand
 _NEWTON_STEPS = 100
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -357,8 +369,8 @@ def cone_angle(cone: Cone, cfg: MCConfig | None = None) -> Estimate:
 
 
 @cache
-def _legendre_rule() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Nodes and weights of the _QUAD_NODES-point Gauss-Legendre rule on [-1, 1].
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _QUAD_NODES-point Gauss-Legendre rule on [-1, 1], read-only.
 
     Newton steps on P_N from x_i = cos(pi (i + 3/4) / (N + 1/2)), all nodes
     at once, with P_N and P_{N-1} from the three-term recurrence; each weight
@@ -379,7 +391,9 @@ def _legendre_rule() -> tuple[tuple[float, ...], tuple[float, ...]]:
             break
     else:
         raise NumericError("Gauss-Legendre nodes did not converge")
-    return tuple(x.tolist()), tuple((2.0 / ((1.0 - x * x) * slope * slope)).tolist())
+    weights = 2.0 / ((1.0 - x * x) * slope * slope)
+    x.flags.writeable = weights.flags.writeable = False
+    return x, weights
 
 
 def _log_cdf(t: float) -> float:
@@ -399,24 +413,55 @@ def _log_two_sided(t: float) -> float:
     return math.log(math.erf(y)) if y < 0.5 else math.log1p(-math.erfc(y))
 
 
-def _external_quadrature(family: Family, n: int, g: int) -> float:
-    """gamma(Q_g, P_n) of the simplex or the crosspolytope, 0 <= g <= n - 2.
+def _log_f_nodes(family: Family, t: np.ndarray) -> np.ndarray:
+    """_log_cdf (simplex) or _log_two_sided (crosspolytope) at every entry of t.
+
+    The same branches on the same arguments: erf and erfc come from math,
+    mapped over the entries each branch takes, as NumPy has none and SciPy
+    stays off the formula path; the logarithms are NumPy's.  Each entry is
+    computed on its own, whatever else t holds.
+    """
+    out = np.empty_like(t)
+    if family is Family.SIMPLEX:
+        up, far = t >= 0.0, t <= -37.0
+        mid = ~(up | far)
+        out[up] = np.log1p(-0.5 * _math_map(math.erfc, t[up] / _SQRT2))
+        out[mid] = np.log(0.5 * _math_map(math.erfc, -t[mid] / _SQRT2))
+        if far.any():  # no integrand window reaches this far
+            tf = t[far]
+            u = 1.0 / (tf * tf)
+            out[far] = (-0.5 * tf * tf - np.log(-tf) - _LOG_SQRT_2PI
+                        + np.log1p(u * (-1.0 + u * (3.0 - 15.0 * u))))
+        return out
+    y = t / _SQRT2
+    low = y < 0.5
+    out[low] = np.log(_math_map(math.erf, y[low]))
+    out[~low] = np.log1p(-_math_map(math.erfc, y[~low]))
+    return out
+
+
+def _math_map(f: Callable[[float], float], a: np.ndarray) -> np.ndarray:
+    """The scalar math function f at every entry of the 1-d array a."""
+    return np.array(list(map(f, a.tolist())), dtype=float)
+
+
+def _quadrature_window(family: Family, n: int, g: int) -> tuple[int, float, float, float, float]:
+    """(m, s, a, b, peak) of the rule for gamma(Q_g, P_n), 0 <= g <= n - 2.
 
     The integrand is phi(x) F(x / s)^m with F = Phi on the line (simplex) or
     F = 2 Phi - 1 on x > 0 (crosspolytope); F' = c phi.  Its log
     h(x) = -x^2/2 + m log F(x / s) is concave, with h' = -x + (m / s) r and
     h'' = -1 - (m / s^2) r (t + r) for r = c phi(t) / F(t), t = x / s.
     The mode lies in (0, s + 1.2 m / s), where h' changes sign; Newton steps
-    fall back to bisection when they leave that bracket.
+    fall back to bisection when they leave that bracket.  The rule runs over
+    [a, b], the mode +- _QUAD_WIDTHS curvature widths clipped at the support,
+    and peak is h at the mode.
     """
     s = math.sqrt(g + 1)
     if family is Family.SIMPLEX:
         m, log_f, c, floor = n - g, _log_cdf, 1.0, -math.inf
     else:
         m, log_f, c, floor = n - g - 1, _log_two_sided, 2.0, 0.0
-
-    def h(x: float) -> float:
-        return -0.5 * x * x + m * log_f(x / s)
 
     def slopes(x: float) -> tuple[float, float]:
         t = x / s
@@ -440,12 +485,38 @@ def _external_quadrature(family: Family, n: int, g: int) -> float:
     else:
         raise NumericError(f"no mode found for the external angle of {family.value} n={n} g={g}")
     width = 1.0 / math.sqrt(-d2)
-    a, b = max(floor, x - _QUAD_WIDTHS * width), x + _QUAD_WIDTHS * width
-    half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    peak = h(x)
+    peak = -0.5 * x * x + m * log_f(x / s)
+    return m, s, max(floor, x - _QUAD_WIDTHS * width), x + _QUAD_WIDTHS * width, peak
+
+
+def _rule_sums(family: Family, windows: list[tuple[int, float, float, float, float]]) -> list[float]:
+    """The rule over each window, as one (len(windows), _QUAD_NODES) node matrix.
+
+    Each row is summed in log space relative to its peak, by one math.fsum.
+    Every entry is computed on its own, so a value does not depend on the
+    other windows of the batch.
+    """
     nodes, weights = _legendre_rule()
-    total = math.fsum(w * math.exp(h(mid + half * u) - peak) for u, w in zip(nodes, weights))
-    return math.exp(peak - _LOG_SQRT_2PI) * half * total
+    m, s, a, b, peak = np.array(windows).T[:, :, None]
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    x = mid + half * nodes
+    h = -0.5 * x * x + m * _log_f_nodes(family, x / s)
+    totals = [math.fsum(row) for row in (weights * np.exp(h - peak)).tolist()]
+    scales = zip(peak[:, 0].tolist(), half[:, 0].tolist())
+    return [math.exp(p - _LOG_SQRT_2PI) * hw * total for (p, hw), total in zip(scales, totals)]
+
+
+def _external_quadratures(family: Family, faces: list[tuple[int, int]]) -> list[float]:
+    """gamma(Q_g, P_n) of the simplex or the crosspolytope for every (n, g) of faces, 0 <= g <= n - 2.
+
+    Each face's window comes from its own Newton search; the rule then runs
+    over _BATCH_ROWS windows at a time.
+    """
+    windows = [_quadrature_window(family, n, g) for n, g in faces]
+    values: list[float] = []
+    for start in range(0, len(windows), _BATCH_ROWS):
+        values += _rule_sums(family, windows[start : start + _BATCH_ROWS])
+    return values
 
 
 def _binomial_estimate(hits: int, samples: int) -> Estimate:
@@ -466,38 +537,54 @@ def clear_angle_memo() -> None:
     _MEMO.clear()
 
 
-def _memoized(key: tuple, compute: Callable[[], Estimate]) -> Estimate:
-    """The estimate stored under key, from compute() on the first call."""
-    hit = _MEMO.get(key)
-    if hit is None:
-        hit = _MEMO[key] = compute()
-    return hit
-
-
 def external_angle(family: Family, n: int, g: int, cfg: MCConfig | None = None) -> Estimate:
     """gamma(Q_g, P_n): the external angle of P_n at its canonical g-face.
 
+    The one-face case of external_angles.  No external angle is sampled, so
+    cfg is accepted only for callers that pass one to every angle, and
+    ignored.
+    """
+    return external_angles(family, [(n, g)])[0]
+
+
+def external_angles(family: Family, faces: Iterable[tuple[int, int]]) -> list[Estimate]:
+    """gamma(Q_g, P_n) for every face (n, g) of faces, in order.
+
     Rational for cubes and for g >= n-1 (the polytope itself, or a facet):
     the codimension's power of 1/2; and for vertices: one over the vertex
-    count.  Every other angle comes from _external_quadrature, exact with
-    exact_value None, memoized under the face alone.  No external angle is
-    sampled, so cfg is accepted only for callers that pass one to every
-    angle, and ignored.
+    count.  Every other angle is exact with exact_value None, memoized under
+    the face alone; the faces missing from the memo go through
+    _external_quadratures as one batch.  A quadrature value does not depend
+    on the batch it was taken in, so a memo hit is what recomputation gives.
+    Every face is validated before any is computed.
     """
     family = resolve_family(family)
-    n = check_int("n", n)
-    g = check_int("g", g)
-    if n < 1:
-        raise InvalidDimensionError(f"polytope dimension must be >= 1, got {n}")
-    if g < 0 or g > n:
-        raise InvalidFaceError(f"external angle needs 0 <= g <= n, got g={g}, n={n}")
+    checked = []
+    missing: dict[tuple[int, int], None] = {}  # in first-seen order, each face once
+    for n, g in faces:
+        n = check_int("n", n)
+        g = check_int("g", g)
+        if n < 1:
+            raise InvalidDimensionError(f"polytope dimension must be >= 1, got {n}")
+        if g < 0 or g > n:
+            raise InvalidFaceError(f"external angle needs 0 <= g <= n, got g={g}, n={n}")
+        rational = _rational_external(family, n, g)
+        if rational is None and ("ext", family.value, n, g) not in _MEMO:
+            missing[n, g] = None
+        checked.append((n, g, rational))
+    if missing:
+        for (n, g), value in zip(missing, _external_quadratures(family, list(missing))):
+            _MEMO["ext", family.value, n, g] = Estimate(value, 0.0, True)
+    return [_MEMO["ext", family.value, n, g] if r is None else Estimate.rational(r) for n, g, r in checked]
+
+
+def _rational_external(family: Family, n: int, g: int) -> Fraction | None:
+    """The rational external angle of a valid face, or None where it takes quadrature."""
     if family is Family.CUBE or g >= n - 1:
-        return Estimate.rational(Fraction(1, 2 ** (n - g)))
+        return Fraction(1, 2 ** (n - g))
     if g == 0:
-        return Estimate.rational(Fraction(1, face_count(family, n, 0)))
-    return _memoized(
-        ("ext", family.value, n, g), lambda: Estimate(_external_quadrature(family, n, g), 0.0, True)
-    )
+        return Fraction(1, face_count(family, n, 0))
+    return None
 
 
 def internal_angle(
@@ -531,9 +618,10 @@ def internal_angle(
         return Estimate.rational(0)
     if family is Family.CUBE or g - k <= 1:
         return Estimate.rational(Fraction(1, 2 ** (g - k)))
-    return _memoized(
-        ("int", k, g, cfg.samples, cfg.seed), lambda: cone_angle(_canonical_internal_cone(k, g), cfg)
-    )
+    key = ("int", k, g, cfg.samples, cfg.seed)
+    if key not in _MEMO:
+        _MEMO[key] = cone_angle(_canonical_internal_cone(k, g), cfg)
+    return _MEMO[key]
 
 
 def _canonical_internal_cone(k: int, g: int) -> Cone:

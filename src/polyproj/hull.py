@@ -197,6 +197,8 @@ def _sample_maps(row: Model, keys: np.ndarray, bitgen: Philox, rng: Generator, o
 def _real_rows(values, name: str, what: str) -> np.ndarray:
     """values as finite float rows in R^d, 2 <= d <= _MAX_HULL_DIM; unreadable, ragged or non-finite input is an InvalidArgumentError."""
     try:
+        if np.iscomplexobj(values):  # NumPy would drop the imaginary parts with a warning
+            raise TypeError("complex entries")
         a = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:  # ragged rows, text, complex entries
         raise InvalidArgumentError(f"{name} must be an array of real numbers ({exc})") from None

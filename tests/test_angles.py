@@ -25,6 +25,7 @@ from polyproj import (
     face_count,
     internal_angle,
     internal_cone,
+    monotonicity_table,
     normal_cone,
     orthonormal_basis,
     vertices,
@@ -346,7 +347,77 @@ def test_vertex_external_angles_sum_to_one(family, n):
     # vertices take the rational rule; the quadrature agrees with it
     vertex = external_angle(family, n, 0)
     assert vertex.exact_value * face_count(family, n, 0) == 1
-    assert abs(polyproj.angles._external_quadrature(family, n, 0) - vertex.value) <= QUADRATURE_RTOL * vertex.value
+    quadrature = polyproj.angles._external_quadratures(family, [(n, 0)])[0]
+    assert abs(quadrature - vertex.value) <= QUADRATURE_RTOL * vertex.value
+
+
+@pytest.mark.parametrize("family", [Family.SIMPLEX, Family.CROSSPOLYTOPE])
+def test_batched_external_angles_equal_one_at_a_time(family):
+    # one node matrix for every face, several chunks of it, bit for bit the one-face values
+    faces = [(n, g) for g in (1, 2, 3, 5) for n in [*range(g + 2, 401), 10_000]]
+    batch = polyproj.angles._external_quadratures(family, faces)
+    assert len(faces) > 2 * polyproj.angles._BATCH_ROWS
+    single = [polyproj.angles._external_quadratures(family, [face])[0] for face in faces]
+    assert [v.hex() for v in batch] == [v.hex() for v in single]
+    assert all(type(v) is float for v in batch)
+    # through the memo: a batch that fills it, then a batch of memo hits
+    clear_angle_memo()
+    filled = polyproj.angles.external_angles(family, faces[::-1])[::-1]
+    assert [est.value for est in filled] == batch
+    assert all(a is b for a, b in zip(filled, polyproj.angles.external_angles(family, faces)))
+    clear_angle_memo()
+
+
+def test_external_angles_validate_every_face_before_any_quadrature(monkeypatch):
+    def no_quadrature(family, faces):
+        if faces:
+            raise AssertionError("a quadrature ran before the last face was checked")
+        return []
+
+    monkeypatch.setattr(polyproj.angles, "_external_quadratures", no_quadrature)
+    clear_angle_memo()
+    with pytest.raises(InvalidFaceError):
+        polyproj.angles.external_angles(Family.SIMPLEX, [(10, 2), (10, 11)])
+    with pytest.raises(InvalidArgumentError):
+        polyproj.angles.external_angles(Family.SIMPLEX, [(10, 2), (True, 0)])
+    # rational faces and an empty list take no quadrature either
+    assert polyproj.angles.external_angles(Family.CUBE, [(10, 2)])[0].exact_value == Fraction(1, 256)
+    assert polyproj.angles.external_angles(Family.CROSSPOLYTOPE, [(10, 0), (10, 9), (10, 10)])[0].exact_value == Fraction(1, 20)
+    assert polyproj.angles.external_angles(Family.SIMPLEX, []) == []
+
+
+def test_quadrature_batches_stay_under_the_chunk_bound(monkeypatch):
+    # a sweep to n = 1000 reaches the rule in chunks of at most _BATCH_ROWS windows
+    rows = []
+    original = polyproj.angles._rule_sums
+
+    def spy(family, windows):
+        rows.append(len(windows))
+        return original(family, windows)
+
+    monkeypatch.setattr(polyproj.angles, "_rule_sums", spy)
+    clear_angle_memo()
+    bound = polyproj.angles._BATCH_ROWS
+    assert bound * polyproj.angles._QUAD_NODES <= 1 << 16
+    rows_table = monotonicity_table("symmetric", 2, 0, 1, 1000)
+    assert all(r.strict_increase for r in rows_table[:-1])
+    assert sum(rows) == 998  # gamma(Q_1, C_n) for n = 3..1000
+    assert max(rows) == bound
+    assert len(rows) == -(-998 // bound)
+    clear_angle_memo()
+
+
+@pytest.mark.parametrize("family,scalar", [
+    (Family.SIMPLEX, polyproj.angles._log_cdf), (Family.CROSSPOLYTOPE, polyproj.angles._log_two_sided),
+])
+def test_log_f_nodes_follow_the_scalar_branches(family, scalar):
+    # every branch, the far simplex tail included, which no integrand window reaches
+    lo = -60.0 if family is Family.SIMPLEX else 1e-6
+    t = np.concatenate([np.linspace(lo, 12.0, 3001), [-37.0, -36.999, 0.0, 0.5 * math.sqrt(2.0)]])
+    t = t[t > 0] if family is Family.CROSSPOLYTOPE else t
+    got = polyproj.angles._log_f_nodes(family, t.reshape(-1, 1)).ravel()
+    want = np.array([scalar(v) for v in t.tolist()])
+    assert np.allclose(got, want, rtol=4e-16, atol=0.0)
 
 
 @pytest.mark.parametrize("family,n,g", [

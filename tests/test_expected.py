@@ -548,6 +548,60 @@ def test_poisson_series_truncation_at_a_later_t(monkeypatch):
     assert in_series.value.achieved_bound == alone.value.achieved_bound
 
 
+@pytest.mark.parametrize("model,d,k", [
+    ("gaussian", 2, 0), ("gaussian", 3, 1), ("symmetric", 2, 0), ("symmetric", 3, 2), ("zonotope", 3, 0),
+])
+@pytest.mark.parametrize("grid", [SERIES_GRID, tuple(0.5 * i for i in range(1, 41))], ids=["series", "forty"])
+def test_poisson_stopping_sizes_match_the_oracle(monkeypatch, model, d, k, grid):
+    # the sizes found before any term is built are the oracle's term counts, tails included
+    row = MODEL_TABLE[model]
+    want = [poisson_sum_per_t(t, d, k, model, 1e-8, FAST)[4:] for t in grid]
+    if row.gaussian and row.family is not Family.CUBE:
+        # a hull model's stopping rule reads no term
+        monkeypatch.setattr(polyproj.expected, "expected_f_model", None)
+    ratio = lambda ell: polyproj.expected._growth_ratio(row, ell, d, k)  # noqa: E731
+    bound = lambda ell: polyproj.expected._face_bound(row, ell, d, k)  # noqa: E731
+    got = [polyproj.expected._poisson_stop(t, k, 1e-8, ratio, bound) for t in grid]
+    assert [(tail, size) for size, tail in got] == want
+
+
+@pytest.mark.parametrize("model,d,k", [
+    ("gaussian", 2, 0), ("gaussian", 3, 0), ("gaussian", 4, 1), ("symmetric", 3, 1), ("symmetric", 4, 0),
+])
+def test_tables_and_series_take_their_angles_in_one_batch(monkeypatch, model, d, k):
+    # every quadrature a table or a series needs, and no other, is fetched before
+    # its loop as one batch; each memoized value is the one a fresh external_angle gives
+    def run():
+        clear_angle_memo()
+        monotonicity_table(model, d, k, 1, 60, FAST)
+        list(poissonized_series([4.0, 1.0, 30.0], d, k, model, cfg=FAST))
+        return {key for key in polyproj.angles._MEMO if key[0] == "ext"}
+
+    with monkeypatch.context() as lazy:
+        lazy.setattr(polyproj.expected, "_fetch_external_angles", lambda *args: None)
+        needed = run()
+    batches = []
+    original = polyproj.angles._external_quadratures
+
+    def spy(family, faces):
+        if faces:
+            batches.append(len(faces))
+        return original(family, faces)
+
+    monkeypatch.setattr(polyproj.angles, "_external_quadratures", spy)
+    clear_angle_memo()
+    monotonicity_table(model, d, k, 1, 60, FAST)
+    assert len(batches) == 1
+    list(poissonized_series([4.0, 1.0, 30.0], d, k, model, cfg=FAST))
+    assert len(batches) == 2  # sizes past 60 only
+    memo = {key: est for key, est in polyproj.angles._MEMO.items() if key[0] == "ext"}
+    assert set(memo) == needed and len(memo) == sum(batches)
+    for (_, family, n, g), est in memo.items():
+        clear_angle_memo()
+        assert external_angle(family, n, g) == est
+    clear_angle_memo()
+
+
 # ---------------------------------------------------------------------------
 # monotonicity tables
 

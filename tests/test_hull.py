@@ -297,8 +297,9 @@ def test_zonotope_rejects_non_finite_generators(bad):
     [[0.0, 1.0], [1.0, 0.0, 2.0], [1.0, 1.0]],
     "abc",
     [[1j, 0.0], [1.0, 0.0], [0.0, 1.0]],
+    np.random.default_rng(0).standard_normal((6, 3)) + 1j,
     None,
-], ids=["ragged", "string", "complex", "none"])
+], ids=["ragged", "string", "complex", "complex-array", "none"])
 @pytest.mark.parametrize("count,name", [(hull_f_vector, "points"), (zonotope_f_vector, "generators")])
 def test_unreadable_input_is_a_typed_error(count, name, bad):
     # what NumPy cannot read as a 2-d array of reals is bad input, not a bare ValueError or TypeError
