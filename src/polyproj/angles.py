@@ -33,11 +33,14 @@ memoized in-process under the face alone.
 external_angles takes every face a caller needs at once: the rule runs over
 one node matrix of _BATCH_ROWS faces by _QUAD_NODES nodes at a time (no
 temporary above about 2^16 floats), with math.erf and math.erfc mapped over
-its entries, NumPy logarithms and exponentials, and one math.fsum per row.
-Each entry is computed on its own, so a value does not depend on its batch,
-and external_angle is the batch of one face.  An angle costs about 0.05-0.08
-ms inside a batch of a few hundred faces and about 0.1 ms alone, of which
-the Newton search is about 0.01 ms (2-core x86 VM, one thread).
+its entries, NumPy logarithms and exponentials, and NumPy's sum of each row.
+Each entry and each row is computed on its own, so a value does not depend
+on its batch, and external_angle is the batch of one face.  An angle costs
+about 0.035-0.055 ms inside a batch of a few hundred faces and 0.055-0.11 ms
+alone, of which the Newton search is about 0.005-0.009 ms (medians over
+n = 4-79, g = 1-3, 2-core x86 VM, one thread).  The row sums stay within
+5e-16 relative of one math.fsum per row (4.5e-16 over 31 380 faces with
+g <= 5 and n <= 1e4).
 
 Internal angles are sampled.  Both kinds of cone carry an H-representation,
 a set of outer normals a with the cone equal to {u in L : <u, a> <= 0 for all
@@ -104,6 +107,10 @@ DEFAULT_CHUNK = 1 << 15
 _SUB_ROWS = 2048
 # the relative accuracy every quadrature external angle keeps for n <= 1e4
 QUADRATURE_RTOL = 1e-12
+# the largest n external_angles takes: up to 2^53 the rule's exponent n - g
+# is an exact float; past it the exponent is rounded, and past 2^64 the
+# window array would hold Python ints as objects, which np.exp rejects
+MAX_EXTERNAL_N = 1 << 53
 # Gauss-Legendre nodes, and the half-width of the rule in curvature widths of
 # the log-integrand at its mode.  Vertex integrands (n = 1e4), whose left
 # flank falls fastest, lose 1e-12 at 160 nodes and 2e-14 at 176; 96 nodes
@@ -492,18 +499,18 @@ def _quadrature_window(family: Family, n: int, g: int) -> tuple[int, float, floa
 def _rule_sums(family: Family, windows: list[tuple[int, float, float, float, float]]) -> list[float]:
     """The rule over each window, as one (len(windows), _QUAD_NODES) node matrix.
 
-    Each row is summed in log space relative to its peak, by one math.fsum.
-    Every entry is computed on its own, so a value does not depend on the
-    other windows of the batch.
+    Each row is summed in log space relative to its peak, by NumPy's row sum.
+    Every entry and every row is computed on its own, so a value does not
+    depend on the other windows of the batch.
     """
     nodes, weights = _legendre_rule()
     m, s, a, b, peak = np.array(windows).T[:, :, None]
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
     x = mid + half * nodes
     h = -0.5 * x * x + m * _log_f_nodes(family, x / s)
-    totals = [math.fsum(row) for row in (weights * np.exp(h - peak)).tolist()]
-    scales = zip(peak[:, 0].tolist(), half[:, 0].tolist())
-    return [math.exp(p - _LOG_SQRT_2PI) * hw * total for (p, hw), total in zip(scales, totals)]
+    totals = (weights * np.exp(h - peak)).sum(axis=1)
+    scales = zip(peak[:, 0].tolist(), half[:, 0].tolist(), totals.tolist())
+    return [math.exp(p - _LOG_SQRT_2PI) * hw * total for p, hw, total in scales]
 
 
 def _external_quadratures(family: Family, faces: list[tuple[int, int]]) -> list[float]:
@@ -556,7 +563,8 @@ def external_angles(family: Family, faces: Iterable[tuple[int, int]]) -> list[Es
     the face alone; the faces missing from the memo go through
     _external_quadratures as one batch.  A quadrature value does not depend
     on the batch it was taken in, so a memo hit is what recomputation gives.
-    Every face is validated before any is computed.
+    Every face is validated before any is computed; n is at most
+    MAX_EXTERNAL_N = 2^53.
     """
     family = resolve_family(family)
     checked = []
@@ -566,6 +574,8 @@ def external_angles(family: Family, faces: Iterable[tuple[int, int]]) -> list[Es
         g = check_int("g", g)
         if n < 1:
             raise InvalidDimensionError(f"polytope dimension must be >= 1, got {n}")
+        if n > MAX_EXTERNAL_N:
+            raise InvalidDimensionError(f"external angles capped at polytope dimension n = 2^53, got {n}")
         if g < 0 or g > n:
             raise InvalidFaceError(f"external angle needs 0 <= g <= n, got g={g}, n={n}")
         rational = _rational_external(family, n, g)

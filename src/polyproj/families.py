@@ -36,6 +36,8 @@ class Family(str, Enum):
 
 def resolve_family(family: Family | str) -> Family:
     """The Family of a member or of its name; anything else raises InvalidArgumentError."""
+    if type(family) is Family:  # a member is its own Family
+        return family
     try:
         return Family(family)
     except ValueError:
@@ -88,9 +90,10 @@ def check_int(name: str, v, lo: int | None = None) -> int:
 
     With lo given, a value below lo raises InvalidArgumentError too.
     """
-    if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-        raise InvalidArgumentError(f"{name} must be an integer, got {v!r}")
-    v = int(v)
+    if type(v) is not int:  # a plain int, the common case, needs no conversion; a bool is not one
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+            raise InvalidArgumentError(f"{name} must be an integer, got {v!r}")
+        v = int(v)
     if lo is not None and v < lo:
         raise InvalidArgumentError(f"{name} must be >= {lo}, got {v}")
     return v

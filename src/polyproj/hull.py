@@ -82,13 +82,19 @@ from .errors import (
     InvalidDimensionError,
     SimulationAbortError,
 )
-from .families import MODEL_TABLE, Family, Model, check_int, model_row
+from .families import MODEL_TABLE, Family, Model, check_int, face_count, model_row
 from .streams import MODEL_CODES, SIM_REPLICATION, derive_keys, rekey
 
 MODELS = tuple(MODEL_TABLE)
 
 _MAX_HULL_DIM = 6
 _MAX_GENERATORS = 15
+# points of one simplex or crosspolytope hull (n, or 2n for the crosspolytope
+# models): one replication at the cap, the formula row included, took 4.4-8.1 s
+# and 200-240 MB peak RSS through qhull at d = 6 (gaussian n = 200 000,
+# symmetric and projected_crosspolytope n = 100 000), 0.5 s and 77 MB at d = 3
+# (symmetric n = 100 000), 2-core x86 VM
+_MAX_POINTS = 200_000
 _MAX_ATTEMPTS = 5
 _DEGENERATE_RATE_LIMIT = 1e-3
 _GENERAL_POSITION_TOL = 1e-9  # on unit generators: their d x d minors
@@ -150,6 +156,11 @@ class SimConfig:
         if row.family is Family.CUBE and self.n > _MAX_GENERATORS:
             raise InvalidDimensionError(
                 f"model {self.model} capped at n = {_MAX_GENERATORS}, got {self.n}"
+            )
+        points = face_count(row.family, self.n - row.shift, 0)
+        if points > _MAX_POINTS:
+            raise InvalidDimensionError(
+                f"model {self.model} capped at {_MAX_POINTS} hull points, got {points} at n = {self.n}"
             )
 
 

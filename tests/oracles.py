@@ -15,8 +15,10 @@ facets grouped by rounded hyperplane equations instead of by qhull's
 neighbour graph, one freshly derived generator and one f-vector call per
 replication instead of batched stream keys and block-wise face counting,
 Poisson tail bounds written out per model name instead of read off the
-model table, and exact angles as a ladder of branches instead of one power
-of 1/2 per kind.
+model table, exact angles as a ladder of branches instead of one power
+of 1/2 per kind, one exactly rounded math.fsum per quadrature window instead
+of NumPy's row sums, and a linear scan for a Poisson sum's stopping size
+instead of galloping and bisection.
 Agreement between routes is the point.
 """
 
@@ -74,6 +76,24 @@ def cross_external_quadrature(n: int, g: int) -> float:
 
     val, _ = quad(f, 0, np.inf)
     return float(val)
+
+
+def fsum_rule_sums(family, windows: list) -> list[float]:
+    """The quadrature rule over each (m, s, a, b, peak) window, one window at a time.
+
+    The node values of polyproj.angles._rule_sums, but each window's weighted
+    values are summed by one exactly rounded math.fsum.
+    """
+    from polyproj.angles import _LOG_SQRT_2PI, _legendre_rule, _log_f_nodes
+
+    nodes, weights = _legendre_rule()
+    sums = []
+    for m, s, a, b, peak in windows:
+        half = 0.5 * (b - a)
+        x = 0.5 * (a + b) + half * nodes
+        h = -0.5 * x * x + m * _log_f_nodes(family, x / s)
+        sums.append(math.exp(peak - _LOG_SQRT_2PI) * half * math.fsum((weights * np.exp(h - peak)).tolist()))
+    return sums
 
 
 def golub_welsch_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -176,6 +196,26 @@ def poisson_sum_per_t(t: float, d: int, k: int, model: str, eps: float, cfg) -> 
                 if tail < eps:
                     return value, se, exact, None, tail, ell + 1
         ell += 1
+
+
+def poisson_stop_by_scan(t: float, d: int, k: int, model: str, eps: float) -> tuple[int, float] | None:
+    """The term count and tail bound of the Poisson(t) sum, every size tested in turn.
+
+    polyproj.expected._poisson_stop's rule, scanning ell = max(k + 2, int(t) + 1),
+    ... up to the cap one at a time; None when no ell up to the cap stops the sum.
+    """
+    from polyproj.expected import MAX_POISSON_SIZE, MODEL_TABLE, _face_bound, _growth_ratio
+
+    row = MODEL_TABLE[model]
+    log_t = math.log(t)
+    for ell in range(max(k + 2, int(t) + 1), min(int(10 * t + 400), MAX_POISSON_SIZE) + 1):
+        q = t * _growth_ratio(row, ell, d, k) / (ell + 1)
+        if q < 0.5:
+            weight = math.exp(-t + ell * log_t - math.lgamma(ell + 1))
+            tail = weight * _face_bound(row, ell, d, k) * q / (1.0 - q)
+            if tail < eps:
+                return ell + 1, tail
+    return None
 
 
 def mgs_orthonormal_basis(vecs: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:

@@ -11,6 +11,7 @@ from polyproj import (
     Estimate,
     Family,
     InvalidArgumentError,
+    InvalidDimensionError,
     InvalidFaceError,
     InvalidPairError,
     MCConfig,
@@ -46,6 +47,7 @@ from oracles import (
     TRIANGLE_VERTEX_ANGLE,
     cross_external_quadrature,
     exact_angle_ladder,
+    fsum_rule_sums,
     full_pass_orthonormal_basis,
     golub_welsch_rule,
     mgs_orthonormal_basis,
@@ -365,6 +367,33 @@ def test_batched_external_angles_equal_one_at_a_time(family):
     filled = polyproj.angles.external_angles(family, faces[::-1])[::-1]
     assert [est.value for est in filled] == batch
     assert all(a is b for a, b in zip(filled, polyproj.angles.external_angles(family, faces)))
+    clear_angle_memo()
+
+
+@pytest.mark.parametrize("family", [Family.SIMPLEX, Family.CROSSPOLYTOPE])
+def test_rule_row_sums_stay_within_1e_15_of_one_fsum_per_row(family):
+    # NumPy's row sums against one exactly rounded math.fsum per window, on the
+    # pinned faces and a sweep to n = 10 000
+    pinned = [(n, g) for name, n, g, _ in PINNED_EXTERNAL_ANGLES if name == family.value]
+    sweep = [(n, g) for g in (1, 2, 3, 5) for n in [*range(g + 2, 300), *range(300, 10_000, 89), 10_000]]
+    faces = pinned + sweep
+    got = polyproj.angles._external_quadratures(family, faces)
+    want = fsum_rule_sums(family, [polyproj.angles._quadrature_window(family, n, g) for n, g in faces])
+    assert max(abs(a - b) / b for a, b in zip(got, want)) <= 1e-15
+
+
+def test_external_angles_cap_n_at_2_to_the_53():
+    # up to 2^53 the rule's exponent n - g is an exact float; past it the face is refused before any work
+    cap = polyproj.angles.MAX_EXTERNAL_N
+    assert cap == 2**53
+    for family in Family:
+        for n in (cap + 1, 10**21):
+            with pytest.raises(InvalidDimensionError, match="capped at polytope dimension n = 2\\^53"):
+                polyproj.angles.external_angles(family, [(10, 2), (n, 1)])
+    clear_angle_memo()
+    for family in (Family.SIMPLEX, Family.CROSSPOLYTOPE):
+        est = polyproj.angles.external_angles(family, [(cap, 1)])[0]
+        assert est.exact and est.exact_value is None and 0.0 < est.value < 1e-6
     clear_angle_memo()
 
 

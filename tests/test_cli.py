@@ -243,6 +243,39 @@ def test_monotonicity_all_k(capsys):
     assert {r.k for r in rows} == {0, 1, 2}
 
 
+def test_monotonicity_row_cap_boundary(monkeypatch, capsys):
+    # MAX_TABLE_ROWS rows are a table; one more is a usage error, before any row is built
+    assert cli.MAX_TABLE_ROWS == 100_000
+    monkeypatch.setattr(cli, "MAX_TABLE_ROWS", 5)
+    argv = ["monotonicity", "--family", "cube", "--d", "2", "--k", "0", "--n-min", "2"]
+    code, out, _ = run(capsys, [*argv, "--n-max", "6"])
+    assert code == 0 and len(from_csv(out)) == 5
+    monkeypatch.setattr(cli, "monotonicity_table", None)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--n-max", "7"])
+    assert exc.value.code == 2
+    assert "gives more than 5 table rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["expected", "--model", "gaussian", "--n", str(10**21), "--d", "3", "--k", "0"],
+     "error: external angles capped at polytope dimension n = 2^53"),
+    (["expected", "--family", "crosspolytope", "--n", str(2**53 + 1), "--d", "2", "--k", "0"],
+     "error: external angles capped at polytope dimension n = 2^53"),
+    (["poisson", "--model", "gaussian", "--d", "3", "--k", "0", "--t-min", "1e6", "--t-max", "1e6"],
+     "error: poissonized sum did not reach eps=1e-08 within 10000 terms"),
+    (["poisson", "--model", "zonotope", "--d", "3", "--k", "0", "--t-min", "600", "--t-max", "1e6",
+      "--t-step", "999400"], "error: poissonized sum did not reach eps=1e-08 within 10000 terms"),
+    (["simulate", "--model", "gaussian", "--n", str(10**11), "--d", "3", "--reps", "2"],
+     "error: model gaussian capped at 200000 hull points"),
+])
+def test_sizes_past_their_caps_exit_1(capsys, argv, message):
+    # each size is known before any angle is taken or any point drawn
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(message)
+
+
 def test_monotonicity_range_check_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["monotonicity", "--family", "cube", "--d", "2", "--k", "0",
@@ -255,6 +288,8 @@ def test_monotonicity_range_check_exits_2(capsys):
      "--n-max must be >= --n-min, got 3 < 5"),
     (["poisson", "--model", "gaussian", "--d", "2", "--k", "0", "--t-min", "1e-13", "--t-max", "1"],
      "grid points must be positive and distinct"),
+    (["monotonicity", "--family", "cube", "--d", "3", "--k", "0", "--n-min", "1", "--n-max", str(10**23)],
+     f"--n-min 1 to --n-max {10**23} gives more than 100000 table rows"),
 ])
 def test_post_parse_errors_print_the_subcommand_usage(capsys, argv, message):
     # checks made after parsing report through the subcommand's parser, as argparse's own errors do

@@ -37,7 +37,13 @@ from polyproj import (
 
 from polyproj.families import target_row
 
-from oracles import SHADOW_TETRA_VERTICES, poisson_face_bound, poisson_growth_ratio, poisson_sum_per_t
+from oracles import (
+    SHADOW_TETRA_VERTICES,
+    poisson_face_bound,
+    poisson_growth_ratio,
+    poisson_stop_by_scan,
+    poisson_sum_per_t,
+)
 
 FAST = MCConfig(samples=20_000, seed=0)
 
@@ -563,6 +569,69 @@ def test_poisson_stopping_sizes_match_the_oracle(monkeypatch, model, d, k, grid)
     bound = lambda ell: polyproj.expected._face_bound(row, ell, d, k)  # noqa: E731
     got = [polyproj.expected._poisson_stop(t, k, 1e-8, ratio, bound) for t in grid]
     assert [(tail, size) for size, tail in got] == want
+
+
+@pytest.mark.parametrize("model,d,k", [
+    ("gaussian", 2, 0), ("gaussian", 4, 2), ("symmetric", 2, 0), ("symmetric", 3, 1),
+    ("zonotope", 2, 1), ("zonotope", 3, 0), ("zonotope", 3, 2),
+])
+def test_poisson_stops_match_the_linear_scan(model, d, k):
+    # galloping and bisection find the size a scan of every size finds, tails bit for bit
+    row = MODEL_TABLE[model]
+    ratio = lambda ell: polyproj.expected._growth_ratio(row, ell, d, k)  # noqa: E731
+    bound = lambda ell: polyproj.expected._face_bound(row, ell, d, k)  # noqa: E731
+    for t in (0.01, 0.5, 1.0, 2.5, 3.0, 7.0, 12.25, 30.0, 99.5, 100.0, 137.9, 250.0, 499.9, 500.0):
+        for eps in (1e-8, 1e-14):
+            assert polyproj.expected._poisson_stop(t, k, eps, ratio, bound) == poisson_stop_by_scan(t, d, k, model, eps)
+
+
+def test_first_true_is_the_first_index_of_a_monotone_test():
+    first_true = polyproj.expected._first_true
+    for lo in range(6):
+        for hi in range(lo - 1, 40):
+            for first in range(lo, hi + 3):
+                calls = []
+
+                def test(ell):
+                    assert lo <= ell <= hi  # never outside the range
+                    calls.append(ell)
+                    return ell >= first
+
+                assert first_true(test, lo, hi) == min(first, hi + 1)
+                assert len(calls) <= 2 * (hi - lo + 2).bit_length() + 1
+
+
+def test_poisson_sizes_stop_at_max_poisson_size(monkeypatch):
+    # a sum needs ell up to its size - 1 under the cap; one less and it is a TruncationError
+    size = poissonized_expected(10.0, 2, 0).terms
+    monkeypatch.setattr(polyproj.expected, "MAX_POISSON_SIZE", size - 1)
+    assert sum_fields(poissonized_expected(10.0, 2, 0)) == poisson_sum_per_t(10.0, 2, 0, "gaussian", 1e-8, None)
+    monkeypatch.setattr(polyproj.expected, "MAX_POISSON_SIZE", size - 2)
+    with pytest.raises(TruncationError, match=f"within {size - 2} terms"):
+        poissonized_expected(10.0, 2, 0)
+    monkeypatch.undo()
+    # t = 1e6 starts its search past the cap, so it fails at once, with no size tested
+    assert polyproj.expected.MAX_POISSON_SIZE == 10_000
+    for model in ("gaussian", "symmetric", "zonotope"):
+        with pytest.raises(TruncationError, match="within 10000 terms"):
+            poissonized_expected(1e6, 3, 0, model)
+
+
+def test_cube_terms_past_the_float_range_of_their_counts():
+    # a cube term is an integer: as a float it is the old float product wherever that fits
+    for n in (*range(3, 60), *range(60, 990, 37)):
+        for d, k in ((2, 0), (3, 1), (5, 2)):
+            for term in sn_terms(Family.CUBE, n, d, k) if d <= n else ():
+                product = term.faces * term.subfaces * term.beta.value * term.gamma.value
+                assert (term.value, term.std_error) == (product, 0.0)
+    # from n of about 1000 on, c(n, j - 1) overflows a float; the rows stay exact
+    rows = monotonicity_table("cube", 3, 0, 1020, 1040)
+    assert [r.exact_value for r in rows] == [expected_f_cube_closed_form(n, 3, 0) for n in range(1020, 1041)]
+    assert all(r.strict_increase for r in rows[:-1])
+    # so a zonotope's Poisson tail bounds reach past size 1000, where t = 600 stops
+    clear_angle_memo()
+    est = poissonized_expected(600.0, 3, 0, "zonotope")
+    assert est.terms > 1200 and sum_fields(est) == poisson_sum_per_t(600.0, 3, 0, "zonotope", 1e-8, None)
 
 
 @pytest.mark.parametrize("model,d,k", [

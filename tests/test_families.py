@@ -1,3 +1,4 @@
+import enum
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from polyproj import (
     sn_terms,
     vertices,
 )
-from polyproj.families import check_real, resolve_family, target_row
+from polyproj.families import check_int, check_real, resolve_family, target_row
 
 from oracles import cayley_menger_volume, full_dimensional
 
@@ -195,6 +196,36 @@ def test_check_real():
     for v, lo, strict in ((0, 0, True), (-1e-300, 0, False), (np.float32(0.5), 1, False)):
         with pytest.raises(InvalidArgumentError, match="v must be a positive real, got "):
             check_real("v", v, lo, strict, what="a positive real")
+
+
+class _Small(enum.IntEnum):
+    THREE = 3
+
+
+@pytest.mark.parametrize("lo", [None, 0, 3])
+def test_check_int_boundaries(lo):
+    # plain ints take the fast path and everything else the converting one; both test lo alike
+    for v in (3, np.int8(3), np.uint64(3), np.int64(3), _Small.THREE, 10**30):
+        x = check_int("v", v, lo)
+        assert type(x) is int and x == v
+    assert check_int("v", 7, 7) == check_int("v", np.int64(7), 7) == 7
+    for v in (6, np.int8(6), np.uint64(6)):
+        with pytest.raises(InvalidArgumentError, match="v must be >= 7, got 6"):
+            check_int("v", v, 7)
+    for v in (True, False, np.bool_(True), 3.0, np.float64(3.0), "3", None):
+        with pytest.raises(InvalidArgumentError, match="v must be an integer, got "):
+            check_int("v", v, lo)
+
+
+def test_resolve_family_boundaries():
+    # a member comes back as itself; a name or a str-enum equal to one resolves; the rest is a typed error
+    for f in Family:
+        assert resolve_family(f) is f
+        assert resolve_family(f.value) is f
+        assert resolve_family(str(f.value)) is f
+    for bad in ("hexagon", "SIMPLEX", "", None, 3, 3.0, True):
+        with pytest.raises(InvalidArgumentError, match="unknown family"):
+            resolve_family(bad)
 
 
 def test_target_rows():

@@ -35,6 +35,7 @@ from polyproj.hull import (
     _chunk_size,
     _MAX_ATTEMPTS,
     _MAX_GENERATORS,
+    _MAX_POINTS,
     _minor_levels,
     _replication_block,
     MODELS,
@@ -380,6 +381,18 @@ def test_sim_config_caps_replications_at_one_stream_word():
         with pytest.raises(InvalidArgumentError, match="replications must be <= 2\\^32"):
             SimConfig(model="gaussian", n=5, d=2, replications=reps)
     assert SimConfig(model="gaussian", n=5, d=2, replications=2**32).replications == 2**32
+
+
+def test_sim_config_caps_hull_points():
+    # one hull takes at most _MAX_POINTS points: n for the simplex models, 2n for the crosspolytope ones
+    assert _MAX_POINTS == 200_000
+    for model, n in (("gaussian", 200_000), ("projected_simplex", 200_000),
+                     ("symmetric", 100_000), ("projected_crosspolytope", 100_000)):
+        assert SimConfig(model=model, n=n, d=6, replications=1).n == n
+        with pytest.raises(InvalidDimensionError, match=f"capped at {_MAX_POINTS} hull points"):
+            SimConfig(model=model, n=n + 1, d=3, replications=2)
+    with pytest.raises(InvalidDimensionError, match="got 100000000000 at n = 100000000000"):
+        SimConfig(model="gaussian", n=10**11, d=3, replications=2)
 
 
 def test_sim_config_validation():
