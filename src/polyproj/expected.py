@@ -417,7 +417,9 @@ def _poisson_stop(
     first ell with q < 1/2 is found by galloping, then bisecting; the tail
     test is scanned from there.  Only Poisson weights, growth ratios and
     face bounds are read, no term.  TruncationError when no ell up to
-    cap = min(int(10 t + 400), MAX_POISSON_SIZE) gets there.
+    cap = min(int(10 t + 400), MAX_POISSON_SIZE) gets there; its achieved
+    bound is the tail bound at the cap, or inf when q >= 1/2 there and the
+    cap's weight bounds nothing.
     """
     cap = min(int(10 * t + 400), MAX_POISSON_SIZE)
     log_t = math.log(t)
@@ -425,16 +427,15 @@ def _poisson_stop(
     def below_half(ell: int) -> bool:
         return t * ratio(ell) / (ell + 1) < 0.5
 
+    tail = math.inf
     for ell in range(_first_true(below_half, max(k + 2, int(t) + 1), cap), cap + 1):
         q = t * ratio(ell) / (ell + 1)
         if q < 0.5:
             tail = _poisson_weight(t, log_t, ell) * bound(ell) * q / (1.0 - q)
             if tail < eps:
                 return ell + 1, tail
-    raise TruncationError(
-        f"poissonized sum did not reach eps={eps} within {cap} terms",
-        _poisson_weight(t, log_t, cap) * bound(cap),
-    )
+    # q decreases in ell, so tail is the cap's bound if q < 1/2 there and inf otherwise
+    raise TruncationError(f"poissonized sum did not reach eps={eps} within {cap} terms", tail)
 
 
 def _first_true(test: Callable[[int], bool], lo: int, hi: int) -> int:

@@ -13,11 +13,14 @@ Simulated hulls of the simplex and crosspolytope images (the hull of the map's
 rows, or of those and their negatives) are decided a chunk of clouds at a time
 from one table of d x d minors of each map, built by Laplace expansion one
 column at a time over index tables that, like all here, come from one cached
-_subsets(m, k) and share its combinations order.  The minor chi(I) of rows I
-and the minors c_ij of X_I with row j replaced by x_i give every side test: I
-is a facet of the rows' hull iff sum_j c_ij - chi(I) has one strict sign over
-the rows i outside I, and the signed set eps*I is a facet of the symmetric
-hull, with its antipode, iff |sum_j eps_j c_ij| < |chi(I)| for each of them.  A
+_subsets(m, k) and share its combinations order.  I is a facet of the rows'
+hull iff the rows i outside I all lie strictly on one side of the hyperplane
+through X_I, the side of the (d+1)-minor D(I + i) of the lifted map [X | 1]
+up to the sign of sorting i into I: one more Laplace level of the table,
+signed adds of minors since that column is all ones, gives every D(J) once
+for the d + 1 side tests it decides.  With c_ij the minor of X_I with row j
+replaced by x_i, the signed set eps*I is a facet of the symmetric hull, with
+its antipode, iff |sum_j eps_j c_ij| < |chi(I)| for each i outside I.  A
 cloud with a point within a margin of some hyperplane through d others
 (_ENUM_MARGIN, a distance at the cloud's scale that dominates _FACET_TOL) is
 not read off the table but goes to qhull, and so do shapes with more side
@@ -108,14 +111,15 @@ _ENUM_MARGIN = 1e-7
 # Side tests per cloud point up to which the minors route decides a shape (see
 # _enumerates); larger shapes go to qhull.  Time per hull of the minors route
 # over qhull's, 512-cloud blocks, 2-core VM, one thread, tests per point in
-# brackets:
-#   gaussian  n=10 d=2 (36) 0.19, n=20 d=2 (171) 1.03, n=10 d=3 (84) 0.32,
-#             n=12 d=3 (165) 0.51, n=14 d=3 (286) 1.06, n=10 d=4 (126) 0.42,
-#             n=12 d=4 (330) 1.03, n=10 d=6 (84) 0.47
+# brackets (gaussian on one (d+1)-minor per point set, fastest of six blocks):
+#   gaussian  n=10 d=2 (36) 0.08, n=20 d=2 (171) 0.30, n=10 d=3 (84) 0.13,
+#             n=12 d=3 (165) 0.19, n=14 d=3 (286) 0.31, n=10 d=4 (126) 0.23,
+#             n=12 d=4 (330) 0.43, n=10 d=6 (84) 0.47
 #   symmetric n=20 d=2 (171) 1.68, n=10 d=3 (168) 0.42, n=12 d=3 (330) 1.27,
 #             n=8 d=4 (140) 0.31, n=10 d=4 (504) 0.95, n=8 d=5 (168) 0.32
-# The route stops paying near 170 at d = 2 and 300-500 at d = 3, 4; at 160
-# every shape it takes was measured at least 1.6 times faster.
+# The symmetric route stops paying near 170 at d = 2 and 300-500 at d = 3, 4;
+# the gaussian one still pays at 330.  At 160 every shape it takes was
+# measured at least 1.6 times faster.
 _ENUM_CAP = 160
 _ENUM_ENTRIES = 1 << 16  # float64 entries of the largest per-chunk temporary
 _COUNT_BATCH = 2048  # simplices counted by one sort per k; caps the key arrays at 2048 * C(d, k+1) entries
@@ -405,6 +409,44 @@ def _minors(x: np.ndarray, levels: list) -> np.ndarray:
     return chi
 
 
+def _lifted_minors(chi: np.ndarray, m: int, d: int) -> np.ndarray:
+    """Every (d+1) x (d+1) minor D(J), shape (C(m, d+1), maps), of the lifted maps [X | 1], from their d x d minors chi.
+
+    It is the top level of the Laplace expansion: its column is all ones, so
+    D(J) = sum_r (-1)^(r+d) chi(J without J_r) takes signed adds only.
+    """
+    sub = _minor_levels(m, d + 1)[-1][1]
+    lifted = chi[sub[d]]
+    for r in range(d):
+        if (d - r) % 2:
+            lifted -= chi[sub[r]]
+        else:
+            lifted += chi[sub[r]]
+    return lifted
+
+
+@cache
+def _lifted_side_table(m: int, d: int) -> np.ndarray:
+    """Where the side tests of the rows of an m x d map sit among the minors of [X | 1].
+
+    For the r-th d-subset I and the a-th row i outside it, the point x_i is
+    on the side -det[X_I, 1; x_i, 1] of the hyperplane through X_I.  Moving
+    x_i to its sorted place J_p in J = I + i flips that determinant's sign
+    q = d - p times, q the rows of I above i, so the side is D(J) or -D(J),
+    entry [r, a] of the minors D stacked on their negatives: J itself when q
+    is odd and J + C(m, d+1) when it is even.  The table inverts the top
+    Laplace level, as _covector_tables does: I = J without J_p and a = J_p - p.
+    """
+    sub = _minor_levels(m, d + 1)[-1][1]
+    sets = _subsets(m, d + 1)
+    top = len(sets)
+    table = np.empty((math.comb(m, d), m - d), dtype=np.intp)
+    for p, rows in enumerate(sub):
+        table[rows, sets[:, p] - p] = np.arange(top) + (d - p + 1) % 2 * top
+    table.setflags(write=False)  # shared by every caller through the cache
+    return table
+
+
 @cache
 def _side_table(m: int, d: int) -> np.ndarray:
     """Where the side tests of an m x d map sit among its signed minors.
@@ -491,7 +533,8 @@ def _chunk_size(row: Model, n: int, d: int) -> int:
     """Maps drawn at once: one for shapes qhull decides, on the minors route so many that the largest temporary has about _ENUM_ENTRIES entries.
 
     That is a cube's covector keys, a ray and its negative with every fill
-    for each (d-1)-subset of generators, and a cloud's side tests.
+    for each (d-1)-subset of generators, and a cloud's side tests: sums per
+    sign vector, or sign bits (and margins, if it may be near) per pair.
     """
     if not _enumerates(row, n, d):
         return 1
@@ -505,10 +548,12 @@ def _chunk_size(row: Model, n: int, d: int) -> int:
 def _enumerated_facets(maps: np.ndarray, symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Facets of the hulls of a stack of m x d maps' rows, with their negatives if symmetric.
 
-    With chi(I) the minor of rows I and c_ij the minor of X_I with row j
-    replaced by x_i, the point x_i is on the side sum_j c_ij - chi(I) of the
-    hyperplane through X_I: so I is a facet of the rows' hull iff that has one
-    strict sign for every i outside I.  The signed set eps*I is a facet of the
+    The point x_i is on the side -det[X_I, 1; x_i, 1] of the hyperplane
+    through X_I, which is +-D(J) for the (d+1)-minor D of the lifted map
+    [X | 1] on J = I + i (_lifted_minors, read through _lifted_side_table):
+    so I is a facet of the rows' hull iff those have one strict sign for
+    every i outside I.  With chi(I) the minor of rows I and c_ij the minor of
+    X_I with row j replaced by x_i, the signed set eps*I is a facet of the
     symmetric hull iff |sum_j eps_j c_ij| < |chi(I)| for every i outside I,
     and its antipode -eps*I with it.  Each such value is, up to sign, the
     distance of a point from the hyperplane through the d points of I times
@@ -516,7 +561,8 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool) -> tuple[np.ndarray, n
     of |x_{I_p}| + |x_{I_0}|.  A cloud with any value within _ENUM_MARGIN *
     (1 + R) times that product of 0, R its largest point norm, or with
     |2 chi(I)| that small (the points -eps_j x_j), is flagged near and its
-    facets are not read.
+    facets are not read.  A D(J) decides d + 1 side tests, so it is compared
+    once with the largest of their margins.
 
     Returns the near flags, the simplices of the other clouds in cloud order
     and how many belong to each of those clouds.  Arrays are worked with the
@@ -525,21 +571,30 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool) -> tuple[np.ndarray, n
     m, d = maps.shape[1:]
     x = np.ascontiguousarray(maps.transpose(1, 2, 0))
     subsets = _subsets(m, d)
-    swap = _side_table(m, d)
     chi = _minors(x, _minor_levels(m, d))
-    signed = np.concatenate([chi, -chi])
     norms = np.sqrt((x * x).sum(axis=1))
-    volume_bound = np.prod(norms[subsets[:, 1:]] + norms[subsets[:, :1]], axis=1)
-    tol = _ENUM_MARGIN * (1 + norms.max(axis=0)) * volume_bound
-    side = signed[swap[0]]
+    largest = norms.max(axis=0)
+    scale = _ENUM_MARGIN * (1 + largest)
+
+    def margins(clouds) -> np.ndarray:
+        kept = norms[:, clouds]
+        return scale[clouds] * np.prod(kept[subsets[:, 1:]] + kept[subsets[:, :1]], axis=1)
+
     if not symmetric:
-        side -= chi[:, None]
-        for p in range(1, d):
-            side += signed[swap[p]]
-        near = (np.abs(side) <= tol[:, None]).any(axis=(0, 1))
-        above = (side > 0).sum(axis=1)
-        facet = ((above == 0) | (above == side.shape[1])).T[~near]
+        lifted = _lifted_minors(chi, m, d)
+        # every margin of a cloud is at most scale * (2R)^(d-1): a cloud with no
+        # minor below twice that (room for rounding) is not near, and needs none built
+        maybe = np.flatnonzero(np.abs(lifted).min(axis=0) <= 2 * scale * (2 * largest) ** (d - 1))
+        limit = margins(maybe)[_minor_levels(m, d + 1)[-1][1]].max(axis=0)
+        near = np.zeros(len(scale), dtype=bool)
+        near[maybe] = (np.abs(lifted[:, maybe]) <= limit).any(axis=0)
+        above = np.concatenate([lifted > 0, lifted < 0])[_lifted_side_table(m, d)].sum(axis=1, dtype=np.uint8)
+        facet = ((above == 0) | (above == m - d)).T[~near]
         return near, subsets[np.nonzero(facet)[1]], facet.sum(axis=1)
+    tol = margins(slice(None))
+    swap = _side_table(m, d)
+    signed = np.concatenate([chi, -chi])
+    side = signed[swap[0]]
     # sums[e] = sum_p eps_p c_ip for sign vector e, built in place one p at a time
     sums = np.empty((1 << (d - 1),) + side.shape)
     sums[0] = side

@@ -10,6 +10,8 @@ block of normals and its survivors, modified Gram-Schmidt one basis vector at
 a time instead of blocked classical Gram-Schmidt, raw subset enumeration
 instead of qhull bookkeeping, index tables subset by subset through
 dictionaries of positions instead of array operations on one subset list,
+each side test of a point against d others as a sum of d minors instead of
+one minor of the lifted map [X | 1] per d + 1 points,
 rays of a zonotope's arrangement by SVD instead of off a table of minors,
 facets grouped by rounded hyperplane equations instead of by qhull's
 neighbour graph, one freshly derived generator and one f-vector call per
@@ -516,6 +518,53 @@ def side_table_by_permutations(m: int, d: int) -> np.ndarray:
                 odd = sum(x > y for x, y in combinations(t, 2)) % 2
                 swap[p, r, a] = where[tuple(sorted(t))] + odd * top
     return swap
+
+
+def lifted_side_table_by_loops(m: int, d: int) -> np.ndarray:
+    """hull._lifted_side_table, one (d-subset, row) pair at a time.
+
+    For the r-th d-subset s and the a-th row i outside it, the entry is the
+    position of s + i among the (d+1)-subsets, plus C(m, d+1), which
+    indexes the negated minors, when an even number of s lies above i.
+    """
+    top = math.comb(m, d + 1)
+    where = {s: r for r, s in enumerate(combinations(range(m), d + 1))}
+    facets = list(combinations(range(m), d))
+    table = np.empty((len(facets), m - d), dtype=np.intp)
+    for r, s in enumerate(facets):
+        for a, i in enumerate(sorted(set(range(m)).difference(s))):
+            even = sum(x > i for x in s) % 2 == 0
+            table[r, a] = where[tuple(sorted((*s, i)))] + even * top
+    return table
+
+
+def simplex_facets_by_side_sums(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """hull._enumerated_facets for the hulls of the maps' rows, each side test summed from d minors.
+
+    With chi(I) the minor of rows I and c_ip that of X_I with its p-th row
+    replaced by x_i, read through hull._side_table, x_i lies on the side
+    sum_p c_ip - chi(I) of the hyperplane through X_I; a cloud with such a
+    value within its margin of 0 is near.  Returns the near flags, the
+    simplices of the other clouds in cloud order and how many belong to each.
+    """
+    from polyproj.hull import _ENUM_MARGIN, _minor_levels, _minors, _side_table, _subsets
+
+    m, d = maps.shape[1:]
+    x = np.ascontiguousarray(maps.transpose(1, 2, 0))
+    subsets = _subsets(m, d)
+    swap = _side_table(m, d)
+    chi = _minors(x, _minor_levels(m, d))
+    signed = np.concatenate([chi, -chi])
+    norms = np.sqrt((x * x).sum(axis=1))
+    volume_bound = np.prod(norms[subsets[:, 1:]] + norms[subsets[:, :1]], axis=1)
+    tol = _ENUM_MARGIN * (1 + norms.max(axis=0)) * volume_bound
+    side = signed[swap[0]] - chi[:, None]
+    for p in range(1, d):
+        side += signed[swap[p]]
+    near = (np.abs(side) <= tol[:, None]).any(axis=(0, 1))
+    above = (side > 0).sum(axis=1)
+    facet = ((above == 0) | (above == m - d)).T[~near]
+    return near, subsets[np.nonzero(facet)[1]], facet.sum(axis=1)
 
 
 def per_replication_rows(model: str, n: int, d: int, seed: int, replications: int,

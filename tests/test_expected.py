@@ -474,7 +474,30 @@ def test_poisson_truncation_valve(monkeypatch):
     with pytest.raises(TruncationError) as exc:
         poissonized_expected(1.0, 2, 0, model="zonotope", eps=1e-8)
     assert "410 terms" in str(exc.value)
-    assert exc.value.achieved_bound == 0.0  # the Poisson weight underflowed long ago
+    assert exc.value.achieved_bound == math.inf  # q >= 1/2 at the cap, where no weight bounds the tail
+
+
+def test_poisson_truncation_bound_at_the_cap(monkeypatch):
+    # q < 1/2 from t on, but face bounds so large that the tail test fails up to the
+    # cap: the achieved bound is the cap's tail bound, weight * bound * q / (1 - q)
+    monkeypatch.setattr(polyproj.expected, "_growth_ratio", lambda *a: 1e-3)
+    monkeypatch.setattr(polyproj.expected, "_face_bound", lambda *a: 1e300)
+    t, cap = 9000.0, 10_000
+    with pytest.raises(TruncationError) as exc:
+        poissonized_expected(t, 2, 0, model="gaussian", eps=1e-8)
+    assert f"within {cap} terms" in str(exc.value)
+    q = t * 1e-3 / (cap + 1)
+    weight = math.exp(-t + cap * math.log(t) - math.lgamma(cap + 1))
+    assert exc.value.achieved_bound == pytest.approx(weight * 1e300 * q / (1 - q), rel=1e-9)
+
+
+@pytest.mark.parametrize("model", ["gaussian", "symmetric", "zonotope"])
+def test_poisson_truncation_bound_far_past_the_cap(model):
+    # at t = 1e6 the 10 000-term cap sits far below the Poisson mass, whose
+    # weight at the cap underflows: the bound reported must not fall below eps
+    with pytest.raises(TruncationError) as exc:
+        poissonized_expected(1e6, 3, 0, model=model, eps=1e-8)
+    assert exc.value.achieved_bound >= 1e-8
 
 
 def sum_fields(est):

@@ -31,12 +31,16 @@ from polyproj.hull import (
     _MAX_HULL_DIM,
     _count_distinct_rows,
     _covector_tables,
+    _enumerated_facets,
     _enumerates,
     _chunk_size,
     _MAX_ATTEMPTS,
     _MAX_GENERATORS,
     _MAX_POINTS,
+    _lifted_minors,
+    _lifted_side_table,
     _minor_levels,
+    _minors,
     _replication_block,
     MODELS,
     _sample_maps,
@@ -50,12 +54,14 @@ from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator, der
 from oracles import (
     covector_sign_by_loops,
     full_dimensional,
+    lifted_side_table_by_loops,
     lp_zonotope_f_vector,
     minor_levels_by_loops,
     model_cloud,
     per_replication_rows,
     rounded_facet_f_vector,
     side_table_by_permutations,
+    simplex_facets_by_side_sums,
     svd_zonotope_f_vector,
     zonotope_vertex_cloud,
 )
@@ -833,6 +839,52 @@ def test_side_table_matches_permutation_oracle():
             assert np.array_equal(table, side_table_by_permutations(m, d))
 
 
+def test_lifted_side_table_matches_loop_oracle():
+    # the inverted top Laplace level of [X | 1] is the table one (d-subset, row) pair at a time gives
+    for d in range(2, _MAX_HULL_DIM + 1):
+        for m in range(d + 1, 13):
+            table = _lifted_side_table(m, d)
+            assert table.shape == (math.comb(m, d), m - d)
+            assert np.array_equal(table, lifted_side_table_by_loops(m, d))
+
+
+def _clouds_near_hyperplanes(rng, clouds, m, d):
+    """Gaussian m x d maps; in every other one row 0 is moved to 1e-10..1e-5 off the hyperplane through rows 1..d."""
+    maps = rng.standard_normal((clouds, m, d))
+    for c in range(0, clouds, 2):
+        weights = rng.random(d)
+        offset = 10 ** rng.uniform(-10, -5) * rng.standard_normal(d)
+        maps[c, 0] = weights / weights.sum() @ maps[c, 1 : d + 1] + offset
+    return maps
+
+
+@pytest.mark.parametrize("m,d", [(4, 3), (6, 2), (10, 3), (12, 4), (9, 5), (8, 6)])
+def test_lifted_minors_route_matches_side_sum_oracle(m, d):
+    # one (d+1)-minor per point set flags the same clouds and reads the same
+    # facets as summing d minors per side test
+    rng = np.random.default_rng(100 * m + d)
+    for _ in range(4):
+        maps = _clouds_near_hyperplanes(rng, 64, m, d)
+        near, facets, counts = _enumerated_facets(maps, False)
+        near_ref, facets_ref, counts_ref = simplex_facets_by_side_sums(maps)
+        assert near.any() and not near.all()
+        assert np.array_equal(near, near_ref)
+        assert np.array_equal(facets, facets_ref) and np.array_equal(counts, counts_ref)
+
+
+@pytest.mark.parametrize("m,d", [(4, 3), (6, 2), (10, 3), (12, 4), (9, 5), (8, 6)])
+def test_lifted_minors_read_through_the_table_are_side_determinants(m, d):
+    # the entry of (I, i) is x_i's side of the hyperplane through X_I: -det[X_I, 1; x_i, 1]
+    maps = np.random.default_rng(m + 10 * d).standard_normal((5, m, d))
+    x = np.ascontiguousarray(maps.transpose(1, 2, 0))
+    lifted = _lifted_minors(_minors(x, _minor_levels(m, d)), m, d)
+    side = np.concatenate([lifted, -lifted])[_lifted_side_table(m, d)]
+    for r, rows in enumerate(combinations(range(m), d)):
+        for a, i in enumerate(sorted(set(range(m)).difference(rows))):
+            lifted_rows = np.concatenate([maps[:, [*rows, i]], np.ones((5, d + 1, 1))], axis=2)
+            np.testing.assert_allclose(side[r, a], -np.linalg.det(lifted_rows), rtol=1e-12)
+
+
 @pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
 def test_index_tables_match_loop_oracles(d):
     # the Laplace levels and the covector signs, read off one subset list, are
@@ -856,7 +908,8 @@ def test_subsets_edge_cases_and_read_only_tables():
         complements = [sorted(set(range(m)).difference(s)) for s in combinations(range(m), k)]
         assert _subsets(m, m - k)[::-1].tolist() == complements
     # every cached table is shared by its callers, so none can be written
-    tables = [_subsets(8, 3), _side_table(8, 3), _signed_facets(8, 3), *_covector_tables(8, 3)]
+    tables = [_subsets(8, 3), _side_table(8, 3), _lifted_side_table(8, 3), _signed_facets(8, 3)]
+    tables += _covector_tables(8, 3)
     tables += [a for level in _minor_levels(8, 3) for a in level]
     for table in tables:
         assert not table.flags.writeable
