@@ -94,7 +94,7 @@ from .errors import (
     InvalidPairError,
     NumericError,
 )
-from .families import Family, barycenter, canonical_face, check_int, face_count, resolve_family, vertices
+from .families import Family, barycenter, canonical_face, check_int, exact_float, face_count, resolve_family, vertices
 from .streams import ANGLE_SAMPLES, FAMILY_CODES, KIND_EXTERNAL, KIND_INTERNAL, chunk_counts, derive_generator
 
 ORTHONORMALITY_TOL = 1e-12
@@ -170,9 +170,9 @@ class Estimate:
 
     @classmethod
     def rational(cls, v: Fraction | int) -> Estimate:
-        """The exact estimate of a rational value."""
+        """The exact estimate of a rational value; one past the float range is an InvalidDimensionError."""
         v = Fraction(v)
-        return cls(float(v), 0.0, True, v)
+        return cls(exact_float(v), 0.0, True, v)
 
     @property
     def method(self) -> str:

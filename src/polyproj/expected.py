@@ -9,12 +9,16 @@ orthogonal projection to R^d.  For d <= n it equals
 with face counts c from the family's combinatorics, internal angles beta and
 external angles gamma from the angle engine.  For d >= n the projection is
 injective on P_n almost surely, so f_k is the face count of P_n and the sum
-is not evaluated.  Whenever every factor in the sum is rational the result is
-carried as an exact rational; cubes always take this path, which is what
-makes their monotonicity verdicts exact.  A sum whose factors are all exact
-but not all rational (quadrature external angles next to exact internal
-angles, as in every planar sum) is exact with exact_value None and std_error
-0, deterministic within QUADRATURE_RTOL.
+is not evaluated.  Cube angles are powers of 1/2 that cancel against the
+face counts, so a cube's value is the exact integer of
+expected_f_cube_closed_form, which is what makes cube monotonicity verdicts
+exact; sn_terms still sums a cube's terms, as a check of that form.  The sum
+of a simplex or crosspolytope always has a quadrature external angle, so
+when its internal angles are exact too (as in every planar sum) it is exact
+with exact_value None and std_error 0, deterministic within QUADRATURE_RTOL.
+An exact count past the float range, which a report could not carry, is an
+InvalidDimensionError, found before the count is built where it is a face
+count or a closed form.
 
 Every result is an angles.Estimate.  A Poissonized expectation and a row of
 a monotonicity table extend it with keyword-only fields: the truncation bound
@@ -42,12 +46,15 @@ import numpy as np
 from .angles import QUADRATURE_RTOL, Estimate, MCConfig, external_angle, external_angles, internal_angle
 from .errors import InvalidArgumentError, TruncationError
 from .families import (
+    LOG_FLOAT_MAX,
     MODEL_TABLE,
     Family,
     Model,
     canonical_face_volume,
+    check_count_size,
     check_int,
     check_real,
+    exact_float,
     face_count,
     model_row,
     resolve_family,
@@ -102,10 +109,11 @@ def sn_terms(
         if family is Family.CUBE:
             # an integer; the float product is this, correctly rounded, while
             # c1 * c2 fits in a float, and overflows from n of about 1000 on
-            value, se = float(exact), 0.0
+            value, se = exact_float(exact), 0.0
         else:
-            value = c1 * c2 * beta.value * gamma.value
-            se = c1 * c2 * math.hypot(beta.value * gamma.std_error, gamma.value * beta.std_error)
+            count = exact_float(c1 * c2)  # the float c1 * c2 * beta.value would take, checked
+            value = count * beta.value * gamma.value
+            se = count * math.hypot(beta.value * gamma.std_error, gamma.value * beta.std_error)
         terms.append(SnTerm(j, c1, c2, beta, gamma, value, se, exact))
     return terms
 
@@ -117,10 +125,11 @@ def expected_f_projection(
 
     Deterministic branches: k beyond min(n, d) gives 0; k = min(n, d) gives 1
     (the image itself); d >= n gives the face count of P_n (injective); d = 1
-    gives the segment counts (2, 1).  The general branch evaluates the
-    projection sum: as a rational when every factor is one, exact without
-    an exact_value when every factor is exact, and as a Monte Carlo estimate
-    otherwise.
+    gives the segment counts (2, 1); a cube gives its closed form.  The
+    general branch evaluates the projection sum: exact without an
+    exact_value when every angle is exact, and as a Monte Carlo estimate
+    otherwise.  An exact value past the float range is an
+    InvalidDimensionError.
     """
     family = resolve_family(family)
     n = check_int("n", n, 1)
@@ -132,16 +141,15 @@ def expected_f_projection(
     if k == m:
         return Estimate.rational(1)
     if d >= n:
-        return Estimate.rational(face_count(family, n, k, on_polytope=True))
+        return Estimate.rational(face_count(family, n, k, on_polytope=True, fits_float=True))
     if d == 1:
         # the image is a segment for every draw; only k = 0 reaches here
         return Estimate.rational(2)
+    if family is Family.CUBE:
+        return Estimate.rational(expected_f_cube_closed_form(n, d, k))
     terms = sn_terms(family, n, d, k, cfg)
     value = 2.0 * sum(t.value for t in terms)
     se = 2.0 * sum(t.std_error for t in terms)
-    if all(t.exact_value is not None for t in terms):
-        total = 2 * sum(t.exact_value for t in terms)
-        return Estimate.rational(total)
     if all(t.beta.exact and t.gamma.exact for t in terms):
         return Estimate(value, 0.0, True)
     return Estimate(value, se)
@@ -151,8 +159,10 @@ def expected_f_cube_closed_form(n: int, d: int, k: int) -> int:
     """E f_k of a projected cube, as an integer, by the collapsed sum.
 
     Cube internal and external angles are powers of 1/2 that cancel against
-    the 2-power in the face counts, leaving 2 * sum_j C(n, j-1) * C(j-1, k).
-    Requires 1 <= d <= n and 0 <= k < d.
+    the 2-power in the face counts, leaving 2 * sum_j C(n, j-1) * C(j-1, k),
+    whose terms with j - 1 < k vanish.  Requires 1 <= d <= n and 0 <= k < d.
+    A total past the float range is an InvalidDimensionError, found from its
+    largest term before any is built.
     """
     n = check_int("n", n, 1)
     d = check_int("d", d, 1)
@@ -161,12 +171,13 @@ def expected_f_cube_closed_form(n: int, d: int, k: int) -> int:
         raise InvalidArgumentError(f"closed form needs d <= n, got d={d} > n={n}")
     if k >= d:
         raise InvalidArgumentError(f"closed form needs k < d, got k={k}, d={d}")
-    total = 0
-    j = d
-    while j >= 1:
-        total += math.comb(n, j - 1) * math.comb(j - 1, k)
-        j -= 2
-    return 2 * total
+    # the term C(n, i) C(i, k) = C(n, k) C(n - k, i - k), i = j - 1, at d - 1 or, if that
+    # is past the middle (n + k) / 2, at the i of d - 1's parity just below it, is at most
+    # the total and near its largest term: the total's size, known before any term is built
+    i = min(d - 1, (n + k) // 2)
+    i -= (d - 1 - i) % 2
+    check_count_size(0, (n, k), (n - k, i - k))
+    return 2 * sum(math.comb(n, j - 1) * math.comb(j - 1, k) for j in range(d, k, -2))
 
 
 def expected_f_model(model: str | Model, n: int, d: int, k: int, cfg: MCConfig | None = None) -> Estimate:
@@ -189,10 +200,10 @@ def _fetch_external_angles(row: Model, sizes: Iterable[int], d: int, k: int) -> 
     """Memoize, as one batch, every external angle expected_f_model(row, n, d, k) reads for n in sizes.
 
     Those are gamma(Q_{j-1}, P_{n - shift}) for j = d, d-2, ..., 1 wherever
-    expected_f_projection takes its projection sum: d >= 2, k < d and
-    d < n - shift.
+    expected_f_projection takes its projection sum: d >= 2, k < d,
+    d < n - shift and a simplex or crosspolytope.
     """
-    if d >= 2 and k < d:
+    if d >= 2 and k < d and row.family is not Family.CUBE:
         faces = [(n - row.shift, j - 1) for n in sizes if n - row.shift > d for j in range(d, 0, -2)]
         external_angles(row.family, faces)
 
@@ -246,9 +257,10 @@ def expected_f_vector(
 def intrinsic_volume(family: Family, n: int, k: int, cfg: MCConfig | None = None) -> Estimate:
     """V_k(P_n) = c(n, k) * gamma(Q_k, P_n) * Vol_k(Q_k).
 
-    Rational for cubes (V_k = C(n, k), at every n) and for k = 0 (V_0 = 1);
-    exact without an exact_value otherwise.  The crosspolytope's top volume
-    V_n = 2^n/n! is a special branch since it has no canonical n-face.
+    Rational for cubes (V_k = C(n, k), at every n, read without an angle) and
+    for k = 0 (V_0 = 1); exact without an exact_value otherwise.  The
+    crosspolytope's top volume V_n = 2^n/n! is a special branch since it has
+    no canonical n-face.
     """
     family = resolve_family(family)
     n = check_int("n", n, 1)
@@ -257,10 +269,12 @@ def intrinsic_volume(family: Family, n: int, k: int, cfg: MCConfig | None = None
         raise InvalidArgumentError(f"intrinsic volume needs 0 <= k <= n, got k={k}")
     if family is Family.CROSSPOLYTOPE and k == n:
         return Estimate(2.0**n / math.factorial(n), 0.0, True, Fraction(2**n, math.factorial(n)))
+    if family is Family.CUBE:
+        # c(n, k) = 2^(n-k) C(n, k) faces, each with external angle 2^(k-n) and volume 1
+        check_count_size(0, (n, k))
+        return Estimate.rational(math.comb(n, k))
     c = face_count(family, n, k, on_polytope=True)
     gamma = external_angle(family, n, k, cfg)
-    if family is Family.CUBE:
-        return Estimate.rational(c * gamma.exact_value)
     value = c * gamma.value * canonical_face_volume(family, k)
     return Estimate(value, 0.0, True, c * gamma.exact_value if k == 0 else None)
 
@@ -385,7 +399,7 @@ def _poisson_sums(
     errors = np.array([term.std_error for term in terms], dtype=float)
     exact_below = next((ell for ell, term in enumerate(terms) if not term.exact), top)  # first inexact size
     for t, (size, tail) in zip(ts, stops):
-        # the weights as _poisson_weight gives them, summed left to right by cumsum
+        # the weights P(Poisson(t) = ell), summed left to right by cumsum
         exponents = _poisson_exponent(t, math.log(t), ells[:size], log_factorials[:size])
         weights = np.array(list(map(math.exp, exponents.tolist())))
         value = float(np.cumsum(weights * values[:size])[-1])
@@ -400,11 +414,6 @@ def _poisson_exponent(t, log_t, ell, log_factorial):
     return -t + ell * log_t - log_factorial
 
 
-def _poisson_weight(t: float, log_t: float, ell: int) -> float:
-    # P(Poisson(t) = ell)
-    return math.exp(_poisson_exponent(t, log_t, ell, math.lgamma(ell + 1)))
-
-
 def _poisson_stop(
     t: float, k: int, eps: float, ratio: Callable[[int], float], bound: Callable[[int], float]
 ) -> tuple[int, float]:
@@ -416,25 +425,32 @@ def _poisson_stop(
     eps.  q strictly decreases in ell for every row's growth ratio, so the
     first ell with q < 1/2 is found by galloping, then bisecting; the tail
     test is scanned from there.  Only Poisson weights, growth ratios and
-    face bounds are read, no term.  TruncationError when no ell up to
-    cap = min(int(10 t + 400), MAX_POISSON_SIZE) gets there; its achieved
+    face bounds are read, no term.  The tail bound is compared in log space,
+    since a hull's face bound is an exact int that may be past the float
+    range, and a zero bound is a zero tail.  TruncationError when no ell up
+    to cap = min(int(10 t + 400), MAX_POISSON_SIZE) gets there; its achieved
     bound is the tail bound at the cap, or inf when q >= 1/2 there and the
-    cap's weight bounds nothing.
+    cap's weight bounds nothing, or when the bound is past the float range.
     """
     cap = min(int(10 * t + 400), MAX_POISSON_SIZE)
-    log_t = math.log(t)
+    log_t, log_eps = math.log(t), math.log(eps)
 
     def below_half(ell: int) -> bool:
         return t * ratio(ell) / (ell + 1) < 0.5
 
-    tail = math.inf
+    log_tail = math.inf
     for ell in range(_first_true(below_half, max(k + 2, int(t) + 1), cap), cap + 1):
         q = t * ratio(ell) / (ell + 1)
         if q < 0.5:
-            tail = _poisson_weight(t, log_t, ell) * bound(ell) * q / (1.0 - q)
-            if tail < eps:
-                return ell + 1, tail
-    # q decreases in ell, so tail is the cap's bound if q < 1/2 there and inf otherwise
+            face_bound = bound(ell)
+            log_tail = -math.inf
+            if face_bound:
+                log_weight = _poisson_exponent(t, log_t, ell, math.lgamma(ell + 1))
+                log_tail = log_weight + math.log(face_bound) + math.log(q / (1.0 - q))
+            if log_tail < log_eps:
+                return ell + 1, math.exp(log_tail)
+    # q decreases in ell, so this is the cap's bound if q < 1/2 there and inf otherwise
+    tail = math.exp(log_tail) if log_tail < LOG_FLOAT_MAX else math.inf
     raise TruncationError(f"poissonized sum did not reach eps={eps} within {cap} terms", tail)
 
 

@@ -19,8 +19,10 @@ A family on its own is the row Model(family, 0, False), P_n itself.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from types import MappingProxyType
 
 import numpy as np
@@ -83,6 +85,7 @@ def target_row(target: Family | str) -> Model:
 
 
 _MAX_CUBE_N = 15  # vertex arrays grow as 2^n; keep explicit desk-scale cap
+LOG_FLOAT_MAX = math.log(sys.float_info.max)  # the natural log of the largest float
 
 
 def check_int(name: str, v, lo: int | None = None) -> int:
@@ -114,6 +117,36 @@ def check_real(name: str, v, lo: float | None = None, strict: bool = False,
         if math.isfinite(x) and (lo is None or x > lo or (x == lo and not strict)):
             return x
     raise InvalidArgumentError(f"{name} must be {what}, got {v!r}")
+
+
+def exact_float(v: int | Fraction) -> float:
+    """An exact count, or a rational built from counts, as a float; past the float range it is an InvalidDimensionError."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise InvalidDimensionError(f"an exact value of about 2^{_bits(v)} is past the float range") from None
+
+
+def _bits(v: int | Fraction) -> int:
+    v = Fraction(v)
+    return abs(v.numerator).bit_length() - v.denominator.bit_length()
+
+
+def check_count_size(power_of_2: int, *binomials: tuple[int, int]) -> None:
+    """Reject a count of at least 2^power_of_2 times the binomials C(a, b), before it is built, if it is past the float range.
+
+    The count's log is bounded from below in floats, whatever its size, by
+    C(a, b) >= (a / b)^b for b <= a / 2, which is 2^2048 or more from
+    b = 2048 on; a count the bound passes has a few thousand bits at most,
+    and exact_float decides it.
+    """
+    log = min(power_of_2, 2048) * math.log(2.0)
+    for a, b in binomials:
+        b = min(b, a - b)
+        if b:
+            log += min(b, 2048) * (math.log(a) - math.log(b))
+    if log > LOG_FLOAT_MAX * (1 + 1e-12):  # room for rounding where the bound is the count, as for C(a, 1)
+        raise InvalidDimensionError(f"an exact count of at least 2^{log / math.log(2.0):.0f} is past the float range")
 
 
 def ambient_dim(family: Family, n: int) -> int:
@@ -148,14 +181,15 @@ def vertices(family: Family, n: int) -> np.ndarray:
     return (idx[:, None] >> np.arange(n)) & 1
 
 
-def face_count(family: Family, m: int, ell: int, on_polytope: bool = True) -> int:
+def face_count(family: Family, m: int, ell: int, on_polytope: bool = True, fits_float: bool = False) -> int:
     """Number of ell-dimensional faces of an m-dimensional face of the series.
 
     `on_polytope=True` counts faces of the polytope P_m itself; False counts
     faces of a proper m-face of some larger P_n.  The flag only matters for the
     crosspolytope, whose proper faces are simplices rather than smaller
     crosspolytopes.  The face itself counts as its own (improper) face, so
-    face_count(f, m, m) == 1.
+    face_count(f, m, m) == 1.  With fits_float, a count past the float range
+    is rejected by check_count_size before it is built.
     """
     family = resolve_family(family)
     m = check_int("m", m)
@@ -166,13 +200,16 @@ def face_count(family: Family, m: int, ell: int, on_polytope: bool = True) -> in
         return 0
     if ell == m:
         return 1
-    if family is Family.SIMPLEX:
-        return math.comb(m + 1, ell + 1)
+    # the count is 2^power * C(a, b)
     if family is Family.CUBE:
-        return 2 ** (m - ell) * math.comb(m, ell)
-    if on_polytope:
-        return 2 ** (ell + 1) * math.comb(m, ell + 1)
-    return math.comb(m + 1, ell + 1)
+        power, a, b = m - ell, m, ell
+    elif family is Family.CROSSPOLYTOPE and on_polytope:
+        power, a, b = ell + 1, m, ell + 1
+    else:
+        power, a, b = 0, m + 1, ell + 1
+    if fits_float:
+        check_count_size(power, (a, b))
+    return 2**power * math.comb(a, b)
 
 
 @dataclass(frozen=True)

@@ -12,19 +12,23 @@ P_{n - shift} under a Gaussian map or a uniform orthogonal projection to R^d.
 Simulated hulls of the simplex and crosspolytope images (the hull of the map's
 rows, or of those and their negatives) are decided a chunk of clouds at a time
 from one table of d x d minors of each map, built by Laplace expansion one
-column at a time over index tables that, like all here, come from one cached
-_subsets(m, k) and share its combinations order.  I is a facet of the rows'
-hull iff the rows i outside I all lie strictly on one side of the hyperplane
-through X_I, the side of the (d+1)-minor D(I + i) of the lifted map [X | 1]
-up to the sign of sorting i into I: one more Laplace level of the table,
-signed adds of minors since that column is all ones, gives every D(J) once
-for the d + 1 side tests it decides.  With c_ij the minor of X_I with row j
-replaced by x_i, the signed set eps*I is a facet of the symmetric hull, with
-its antipode, iff |sum_j eps_j c_ij| < |chi(I)| for each i outside I.  A
-cloud with a point within a margin of some hyperplane through d others
-(_ENUM_MARGIN, a distance at the cloud's scale that dominates _FACET_TOL) is
-not read off the table but goes to qhull, and so do shapes with more side
-tests per point than the measured _ENUM_CAP.
+column at a time.  Every index table here is built once, on first use, and
+shared read-only through a cache: the subsets of _subsets(m, k) in their one
+combinations order, the levels of the expansion (_laplace_level), and the one
+inverted level, _insertions(m, k), which says where the minor of a
+(k-1)-subset with one row put after it sits among the k x k minors.  The side
+tables of both hull types and the zonotope's covector signs are gathers of
+it.  I is a facet of the rows' hull iff the rows i outside I all lie strictly
+on one side of the hyperplane through X_I, the side of the (d+1)-minor
+D(I + i) of the lifted map [X | 1] up to the sign of sorting i into I: one
+more Laplace level of the table, signed adds of minors since that column is
+all ones, gives every D(J) once for the d + 1 side tests it decides.  With
+c_ij the minor of X_I with row j replaced by x_i, the signed set eps*I is a
+facet of the symmetric hull, with its antipode, iff |sum_j eps_j c_ij| <
+|chi(I)| for each i outside I.  A cloud with a point within a margin of some
+hyperplane through d others (_ENUM_MARGIN, a distance at the cloud's scale
+that dominates _FACET_TOL) is not read off the table but goes to qhull, and
+so do shapes with more side tests per point than the measured _ENUM_CAP.
 
 Hulls that hull_f_vector is asked for, and those clouds, go through qhull,
 whose output is triangulated.  SciPy, which wraps qhull, is imported when the
@@ -44,12 +48,12 @@ Zonotope f-vectors are counted combinatorially: a k-face is a covector of
 the generators' hyperplane arrangement with k zeros, and every covector is
 read off a ray of the arrangement.  The ray of d-1 generators S is
 x -> det[g_S; x], so its sign at generator i is that of the minor chi(S + i)
-times the parity of putting i into S: the same table of d x d minors, of
-the normalized generators, gives every ray's sign vector, and its entries'
-sizes are the general-position check.  A projected cube is the zonotope of
-its frame rows.  simulate counts a chunk of zonotopes with one sort of
-their covector keys, as it counts hulls' faces, and zonotope_f_vector is
-the call for one.
+times the parity of putting i into S, the entry [S, i] of _insertions: the
+same table of d x d minors, of the normalized generators, gives every ray's
+sign vector, and its entries' sizes are the general-position check.  A
+projected cube is the zonotope of its frame rows.  simulate counts a chunk
+of zonotopes with one sort of their covector keys, as it counts hulls'
+faces, and zonotope_f_vector is the call for one.
 
 Every replication draws from its own counter-based stream derived from
 (seed, model, n, d, replication index, attempt), so estimates are identical
@@ -58,10 +62,12 @@ _BLOCK whose attempts run in rounds: round a draws the maps of the
 replications still undecided on their attempt-a Philox keys, from one
 derive_keys call over the column of their indices, which are the draws
 derive_generator's generators would give.  An index is one SeedSequence
-word, so SimConfig caps replications at 2^32.  Every round's maps take the
-same route, and a map the minors route hands to qhull goes there as drawn,
-so reports depend on neither the blocking nor the route.  A flat cube
-map, or a cloud qhull finds flat, waits for the next round.
+word, so SimConfig caps replications at 2^32; it also caps replications x d
+at 2^26, which keeps the int64 f-vector rows within 512 MiB, and --dump
+writes them a block at a time.  Every round's maps take the same route, and
+a map the minors route hands to qhull goes there as drawn, so reports
+depend on neither the blocking nor the route.  A flat cube map, or a cloud
+qhull finds flat, waits for the next round.
 """
 
 from __future__ import annotations
@@ -152,6 +158,8 @@ class SimConfig:
             raise InvalidArgumentError(f"replications must be <= 2^32, got {self.replications}")
         if not (2 <= self.d <= _MAX_HULL_DIM):
             raise InvalidDimensionError(f"hull dimension must be in 2..{_MAX_HULL_DIM}, got {self.d}")
+        if self.replications * self.d > 2**26:  # the int64 f-vector rows stay within 512 MiB
+            raise InvalidArgumentError(f"replications x d must be <= 2^26, got {self.replications} x {self.d}")
         min_n = self.d + row.shift
         if self.n < min_n:
             raise InvalidDimensionError(
@@ -374,31 +382,30 @@ def _subsets(m: int, k: int) -> np.ndarray:
 
 
 @cache
-def _minor_levels(m: int, d: int) -> list:
-    """Index tables of the d x d minors of an m x d map, by Laplace expansion.
+def _laplace_level(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables of level k of the Laplace expansion of the minors of an m-row map.
 
     Level k holds the minors on columns 0..k-1 of each k-subset S, a row of
     _subsets(m, k), expanded along column k-1:
     M_k(S) = sum_p (-1)^(p+k-1) X[S_p, k-1] M_{k-1}(S without S_p), so a
     level is, for each p, one gather of rows at[p], one of the level below
     at sub[p], found by the increasing base-m codes of the (k-1)-subsets, and
-    a signed add.  Returns the levels 2..d as (at, sub) pairs.
+    a signed add.  Returns (at, sub), each of shape (k, C(m, k)).
     """
-    levels = []
-    for k in range(2, d + 1):
-        sets = _subsets(m, k)
-        code = m ** np.arange(k - 2, -1, -1)
-        # row p of _subsets(k, k - 1)[::-1] is the columns of S without S_p
-        sub = np.searchsorted(_subsets(m, k - 1) @ code, sets[:, _subsets(k, k - 1)[::-1]] @ code).T
-        sub.setflags(write=False)  # shared by every caller through the cache
-        levels.append((sets.T, sub))
-    return levels
+    sets = _subsets(m, k)
+    code = m ** np.arange(k - 2, -1, -1)
+    # row p of _subsets(k, k - 1)[::-1] is the columns of S without S_p
+    sub = np.searchsorted(_subsets(m, k - 1) @ code, sets[:, _subsets(k, k - 1)[::-1]] @ code).T
+    sub.setflags(write=False)  # shared by every caller through the cache
+    return sets.T, sub
 
 
-def _minors(x: np.ndarray, levels: list) -> np.ndarray:
-    """Every d x d minor, shape (C(m, d), maps), of a stack of maps given as x[row, column, map]."""
+def _minors(x: np.ndarray) -> np.ndarray:
+    """Every d x d minor, shape (C(m, d), maps), of a stack of m x d maps given as x[row, column, map]."""
+    m, d = x.shape[:2]
     chi = x[:, 0]
-    for k, (at, sub) in enumerate(levels, start=1):
+    for k in range(1, d):
+        at, sub = _laplace_level(m, k + 1)
         # the cofactor of row p in column k has sign (-1)^(p+k)
         col = x[:, k]
         acc = col[at[k]] * chi[sub[k]]
@@ -412,10 +419,10 @@ def _minors(x: np.ndarray, levels: list) -> np.ndarray:
 def _lifted_minors(chi: np.ndarray, m: int, d: int) -> np.ndarray:
     """Every (d+1) x (d+1) minor D(J), shape (C(m, d+1), maps), of the lifted maps [X | 1], from their d x d minors chi.
 
-    It is the top level of the Laplace expansion: its column is all ones, so
+    It is level d + 1 of the Laplace expansion: its column is all ones, so
     D(J) = sum_r (-1)^(r+d) chi(J without J_r) takes signed adds only.
     """
-    sub = _minor_levels(m, d + 1)[-1][1]
+    sub = _laplace_level(m, d + 1)[1]
     lifted = chi[sub[d]]
     for r in range(d):
         if (d - r) % 2:
@@ -426,23 +433,38 @@ def _lifted_minors(chi: np.ndarray, m: int, d: int) -> np.ndarray:
 
 
 @cache
+def _insertions(m: int, k: int) -> np.ndarray:
+    """Where the minor of each (k-1)-subset with one more row sits among the k x k minors of an m-row map.
+
+    Entry [S, i], for the (k-1)-subset S (combinations order) and a row i
+    outside it, is chi(S + i) times (-1)^(number of S above i), the minor of
+    the rows of S followed by row i: an index into the minors stacked on
+    their negatives and one zero, which it gives for i in S.  The table
+    inverts level k of the Laplace expansion: the k-subset T is sub[p] + T_p
+    with k-1-p rows of sub[p] above T_p.  Every other index table that puts
+    a row into a subset is a gather of this one.
+    """
+    sets = _subsets(m, k)
+    top = len(sets)
+    table = np.full((math.comb(m, k - 1), m), 2 * top, dtype=np.intp)
+    for p, sub in enumerate(_laplace_level(m, k)[1]):
+        table[sub, sets[:, p]] = np.arange(top) + (k - 1 - p) % 2 * top
+    table.setflags(write=False)  # shared by every caller through the cache
+    return table
+
+
+@cache
 def _lifted_side_table(m: int, d: int) -> np.ndarray:
     """Where the side tests of the rows of an m x d map sit among the minors of [X | 1].
 
     For the r-th d-subset I and the a-th row i outside it, the point x_i is
-    on the side -det[X_I, 1; x_i, 1] of the hyperplane through X_I.  Moving
-    x_i to its sorted place J_p in J = I + i flips that determinant's sign
-    q = d - p times, q the rows of I above i, so the side is D(J) or -D(J),
-    entry [r, a] of the minors D stacked on their negatives: J itself when q
-    is odd and J + C(m, d+1) when it is even.  The table inverts the top
-    Laplace level, as _covector_tables does: I = J without J_p and a = J_p - p.
+    on the side -det[X_I, 1; x_i, 1] of the hyperplane through X_I, the
+    negative of _insertions(m, d+1)'s entry [I, i]: that entry of the minors
+    D stacked on their negatives, moved by C(m, d+1) to its negative.
     """
-    sub = _minor_levels(m, d + 1)[-1][1]
-    sets = _subsets(m, d + 1)
-    top = len(sets)
-    table = np.empty((math.comb(m, d), m - d), dtype=np.intp)
-    for p, rows in enumerate(sub):
-        table[rows, sets[:, p] - p] = np.arange(top) + (d - p + 1) % 2 * top
+    top = math.comb(m, d + 1)
+    # the rows outside each d-subset: complements reverse combinations order
+    table = (np.take_along_axis(_insertions(m, d + 1), _subsets(m, m - d)[::-1], axis=1) + top) % (2 * top)
     table.setflags(write=False)  # shared by every caller through the cache
     return table
 
@@ -453,45 +475,38 @@ def _side_table(m: int, d: int) -> np.ndarray:
 
     For the r-th d-subset I and the a-th row i outside it, the minor of X_I
     with its p-th row replaced by x_i is entry swap[p, r, a] of the minors
-    stacked on their negatives: the ray table of the (d-1)-subset drop[p, r],
-    I without its p-th row, has that minor with i put in sorted order, and
-    moving i to position p flips its sign d-1-p times, up to an even count.
+    stacked on their negatives: _insertions(m, d) puts i into I without its
+    p-th row, the (d-1)-subset sub[p, r] of level d, and moving i from the
+    end to position p flips its sign d-1-p times.
     """
-    drop = _minor_levels(m, d)[-1][1]
     top = math.comb(m, d)
-    outside = _subsets(m, m - d)[::-1]  # complements reverse combinations order
-    swap = _covector_tables(m, d)[0][drop[:, :, None], outside]
+    # the rows outside each d-subset: complements reverse combinations order
+    swap = _insertions(m, d)[_laplace_level(m, d)[1][:, :, None], _subsets(m, m - d)[::-1]]
     swap[d % 2 :: 2] = (swap[d % 2 :: 2] + top) % (2 * top)  # the p with d-1-p odd
     swap.setflags(write=False)  # shared by every caller through the cache
     return swap
 
 
 @cache
-def _covector_tables(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index tables that read the covectors of n generators in R^d off their d x d minors.
+def _covector_tables(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The keys of the covectors of n generators in R^d read off their rays: (off, fill).
 
     The ray of the (d-1)-subset S (combinations order) is x -> det[g_S; x],
-    so its covector sign at generator i outside S is the sign of chi(S + i)
-    times (-1)^(number of S above i).  Entry sign[S, i] indexes the minors
-    stacked on their negatives and one zero, which it gives for i in S.
-    Covector keys are base 3, digit 0 for a zero, 1 for +, 2 for -, with the
-    count of zeros as the digit above the n generator digits: the ray's key
-    is off[S] plus 3^i for each negative i, its negative's 2 off[S] minus
-    that, and fill[S, f] adds the f-th of the 3^(d-1) fills of S's zeros.
+    so its covector sign at generator i is that of _insertions(n, d)'s
+    entry [S, i].  Covector keys are base 3, digit 0 for a zero, 1 for +,
+    2 for -, with the count of zeros as the digit above the n generator
+    digits: the ray's key is off[S] plus 3^i for each negative i, its
+    negative's 2 off[S] minus that, and fill[S, f] adds the f-th of the
+    3^(d-1) fills of S's zeros.
     """
-    sets = _subsets(n, d)
-    top = len(sets)
     spans = _subsets(n, d - 1)
-    sign = np.full((len(spans), n), 2 * top, dtype=np.intp)
-    for p, sub in enumerate(_minor_levels(n, d)[-1][1]):  # the d-subset T is sub[p] + T_p, d-1-p of sub[p] above T_p
-        sign[sub, sets[:, p]] = np.arange(top) + (d - 1 - p) % 2 * top
     pow3 = 3 ** np.arange(n + 1, dtype=np.int64)
     off = (pow3[n] - 1) // 2 - pow3[spans].sum(axis=1)
     fills = np.array(list(product(range(3), repeat=d - 1)), dtype=np.int64)
     fill = pow3[spans] @ fills.T + (fills == 0).sum(axis=1) * pow3[n]
-    for table in (sign, off, fill):
+    for table in (off, fill):
         table.setflags(write=False)  # shared by every caller through the cache
-    return sign, off, fill
+    return off, fill
 
 
 @cache
@@ -571,7 +586,7 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool) -> tuple[np.ndarray, n
     m, d = maps.shape[1:]
     x = np.ascontiguousarray(maps.transpose(1, 2, 0))
     subsets = _subsets(m, d)
-    chi = _minors(x, _minor_levels(m, d))
+    chi = _minors(x)
     norms = np.sqrt((x * x).sum(axis=1))
     largest = norms.max(axis=0)
     scale = _ENUM_MARGIN * (1 + largest)
@@ -585,7 +600,7 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool) -> tuple[np.ndarray, n
         # every margin of a cloud is at most scale * (2R)^(d-1): a cloud with no
         # minor below twice that (room for rounding) is not near, and needs none built
         maybe = np.flatnonzero(np.abs(lifted).min(axis=0) <= 2 * scale * (2 * largest) ** (d - 1))
-        limit = margins(maybe)[_minor_levels(m, d + 1)[-1][1]].max(axis=0)
+        limit = margins(maybe)[_laplace_level(m, d + 1)[1]].max(axis=0)
         near = np.zeros(len(scale), dtype=bool)
         near[maybe] = (np.abs(lifted[:, maybe]) <= limit).any(axis=0)
         above = np.concatenate([lifted > 0, lifted < 0])[_lifted_side_table(m, d)].sum(axis=1, dtype=np.uint8)
@@ -658,12 +673,12 @@ def _zonotope_f_vectors(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = np.sqrt((maps * maps).sum(axis=2))
     short = (norms <= _GENERAL_POSITION_TOL * norms.max(axis=1, keepdims=True)).any(axis=1)
     unit = maps / np.where(norms > 0, norms, 1.0)[:, :, None]
-    chi = _minors(np.ascontiguousarray(unit.transpose(1, 2, 0)), _minor_levels(n, d))
+    chi = _minors(np.ascontiguousarray(unit.transpose(1, 2, 0)))
     flat = short | (np.abs(chi) <= _GENERAL_POSITION_TOL).any(axis=0)
     chi = chi[:, ~flat]
     kept = chi.shape[1]
-    sign, off, fill = _covector_tables(n, d)
-    negative = np.concatenate([chi, -chi, np.zeros((1, kept))])[sign] < 0
+    off, fill = _covector_tables(n, d)
+    negative = np.concatenate([chi, -chi, np.zeros((1, kept))])[_insertions(n, d)] < 0
     unit_key = 3 ** n
     low = np.matmul(3.0 ** np.arange(n), negative).astype(np.int64)  # exact below 2^53
     top = np.arange(kept, dtype=np.int64) * (d * unit_key)  # the map's position, above the zero count
@@ -803,7 +818,8 @@ def simulate_expected_f(cfg: SimConfig, dump_path: str | None = None) -> Simulat
         if dump is not None:
             writer = csv.writer(dump, lineterminator="\n")
             writer.writerow(["replication"] + [f"f_{k}" for k in range(cfg.d)])
-            writer.writerows(np.column_stack([np.arange(r), rows]).tolist())
+            for lo in range(0, r, _BLOCK):  # one block's slice at a time, not one list of every row
+                writer.writerows(np.column_stack([np.arange(lo, min(lo + _BLOCK, r)), rows[lo : lo + _BLOCK]]).tolist())
     means: dict[int, Estimate] = {}
     for k in range(cfg.d):
         col = rows[:, k].astype(float)

@@ -194,9 +194,9 @@ def poisson_sum_per_t(t: float, d: int, k: int, model: str, eps: float, cfg) -> 
         if ell >= max(k + 2, int(t) + 1):
             q = t * _growth_ratio(row, ell, d, k) / (ell + 1)
             if q < 0.5:
-                tail = weight * _face_bound(row, ell, d, k) * q / (1.0 - q)
-                if tail < eps:
-                    return value, se, exact, None, tail, ell + 1
+                log_tail = _log_tail_bound(t, ell, _face_bound(row, ell, d, k), q)
+                if log_tail < math.log(eps):
+                    return value, se, exact, None, math.exp(log_tail), ell + 1
         ell += 1
 
 
@@ -209,15 +209,24 @@ def poisson_stop_by_scan(t: float, d: int, k: int, model: str, eps: float) -> tu
     from polyproj.expected import MAX_POISSON_SIZE, MODEL_TABLE, _face_bound, _growth_ratio
 
     row = MODEL_TABLE[model]
-    log_t = math.log(t)
     for ell in range(max(k + 2, int(t) + 1), min(int(10 * t + 400), MAX_POISSON_SIZE) + 1):
         q = t * _growth_ratio(row, ell, d, k) / (ell + 1)
         if q < 0.5:
-            weight = math.exp(-t + ell * log_t - math.lgamma(ell + 1))
-            tail = weight * _face_bound(row, ell, d, k) * q / (1.0 - q)
-            if tail < eps:
-                return ell + 1, tail
+            log_tail = _log_tail_bound(t, ell, _face_bound(row, ell, d, k), q)
+            if log_tail < math.log(eps):
+                return ell + 1, math.exp(log_tail)
     return None
+
+
+def _log_tail_bound(t: float, ell: int, bound, q: float) -> float:
+    """log(weight(ell) * bound * q / (1 - q)), summed in log space as polyproj.expected sums it; -inf for a zero bound.
+
+    A hull's face bound is an exact int that may be past the float range;
+    math.log takes it as it is.
+    """
+    if bound == 0:
+        return -math.inf
+    return -t + ell * math.log(t) - math.lgamma(ell + 1) + math.log(bound) + math.log(q / (1.0 - q))
 
 
 def mgs_orthonormal_basis(vecs: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
@@ -466,7 +475,7 @@ def model_cloud(model: str, n: int, d: int, rng) -> np.ndarray:
 
 
 def minor_levels_by_loops(m: int, d: int) -> list:
-    """hull._minor_levels, subset by subset through a dictionary of positions.
+    """hull._laplace_level(m, k) for k = 2..d, subset by subset through a dictionary of positions.
 
     Level k (k = 2..d) is the pair (at, sub): at[p] is the p-th row of each
     k-subset S in combinations order, and sub[p] the position of S without
@@ -482,7 +491,7 @@ def minor_levels_by_loops(m: int, d: int) -> list:
 
 
 def covector_sign_by_loops(n: int, d: int) -> np.ndarray:
-    """hull._covector_tables' sign table, one (ray, generator) pair at a time.
+    """hull._insertions(n, d), one (ray, generator) pair at a time.
 
     For the r-th (d-1)-subset s and a generator i outside it, the entry is the
     position of s + i among the d-subsets, plus C(n, d) when an odd number of
@@ -547,13 +556,13 @@ def simplex_facets_by_side_sums(maps: np.ndarray) -> tuple[np.ndarray, np.ndarra
     value within its margin of 0 is near.  Returns the near flags, the
     simplices of the other clouds in cloud order and how many belong to each.
     """
-    from polyproj.hull import _ENUM_MARGIN, _minor_levels, _minors, _side_table, _subsets
+    from polyproj.hull import _ENUM_MARGIN, _minors, _side_table, _subsets
 
     m, d = maps.shape[1:]
     x = np.ascontiguousarray(maps.transpose(1, 2, 0))
     subsets = _subsets(m, d)
     swap = _side_table(m, d)
-    chi = _minors(x, _minor_levels(m, d))
+    chi = _minors(x)
     signed = np.concatenate([chi, -chi])
     norms = np.sqrt((x * x).sum(axis=1))
     volume_bound = np.prod(norms[subsets[:, 1:]] + norms[subsets[:, :1]], axis=1)

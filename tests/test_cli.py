@@ -276,6 +276,42 @@ def test_sizes_past_their_caps_exit_1(capsys, argv, message):
     assert err.startswith(message)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["expected", "--family", "simplex", "--n", "2000", "--d", "2000", "--all-k"],
+     "error: an exact value of about 2^1024 is past the float range"),
+    (["expected", "--family", "cube", "--n", "1024", "--d", "1024", "--k", "0"],
+     "error: an exact value of about 2^1024 is past the float range"),
+    (["expected", "--family", "cube", "--n", "1100", "--d", "1100", "--k", "0"],
+     "error: an exact count of at least 2^1100 is past the float range"),
+    (["expected", "--family", "cube", "--n", str(10**12), "--d", str(10**12), "--k", "0"],
+     "error: an exact count of at least 2^2048 is past the float range"),
+    (["monotonicity", "--family", "simplex", "--d", "2000", "--k", "500", "--n-min", "1500", "--n-max", "1501"],
+     "error: an exact value of about 2^1373 is past the float range"),
+    (["expected", "--model", "gaussian", "--n", "3000", "--d", "1500", "--k", "1499"],
+     "error: an exact value of about 2^2993 is past the float range"),
+    (["simulate", "--model", "gaussian", "--n", "6", "--d", "3", "--reps", str(2**32)],
+     "error: replications x d must be <= 2^26, got 4294967296 x 3"),
+])
+def test_exact_counts_past_the_float_range_exit_1(capsys, argv, message):
+    # a count too large for a report's float is a typed error, found before a
+    # face count or a closed form is built where it is one of those
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(message) and "Traceback" not in err
+
+
+def test_exact_rows_at_the_edge_of_the_float_range(capsys):
+    # 2^1023 vertices fit a float; a zero Poisson sum whose face bounds do not
+    # fit one still ends, its tail compared in log space
+    code, out, _ = run(capsys, ["expected", "--family", "cube", "--n", "1023", "--d", "1023", "--k", "0"])
+    assert code == 0 and out.splitlines()[1] == "expected,,cube,1023,1023,0,,8.98846567431158e+307,0.0,exact,,,,,"
+    code, out, _ = run(capsys, ["poisson", "--model", "gaussian", "--d", "3", "--k", "250",
+                                "--t-min", "2000", "--t-max", "2000"])
+    assert code == 0 and out.splitlines()[1:] == ["poisson,gaussian,,,3,250,2000.0,0.0,0.0,exact,,,,,"]
+    code, out, _ = run(capsys, ["expected", "--family", "cube", "--n", str(10**12), "--d", "3", "--all-k"])
+    assert code == 0 and [line.split(",")[9] for line in out.splitlines()[1:]] == ["exact"] * 3
+
+
 def test_monotonicity_range_check_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["monotonicity", "--family", "cube", "--d", "2", "--k", "0",

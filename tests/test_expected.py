@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from polyproj import (
     Estimate,
     Family,
     InvalidArgumentError,
+    InvalidDimensionError,
     MCConfig,
     TruncationError,
     canonical_face,
@@ -35,7 +37,7 @@ from polyproj import (
     unit_ball_volume,
 )
 
-from polyproj.families import target_row
+from polyproj.families import check_count_size, target_row
 
 from oracles import (
     SHADOW_TETRA_VERTICES,
@@ -280,6 +282,58 @@ def test_intrinsic_volumes_past_the_cube_vertex_cap(n):
             want = (face_count(family, n, k) * external_angle(family, n, k).value
                     * face_volume(canonical_face(family, n, k)))
             assert intrinsic_volume(family, n, k).value == want
+
+
+def test_cube_values_at_a_trillion_take_no_angle(monkeypatch):
+    # cube rows come from the closed form and cube intrinsic volumes are binomials:
+    # no external angle, whose exact power of 1/2 would have 10^12 bits, is taken
+    monkeypatch.setattr(polyproj.expected, "external_angle", None)
+    monkeypatch.setattr(polyproj.expected, "external_angles", None)
+    n = 10**12
+    assert intrinsic_volume(Family.CUBE, n, 2).exact_value == math.comb(n, 2)
+    for d in (2, 3, 4):
+        for k in range(d):
+            est = expected_f_projection(Family.CUBE, n, d, k)
+            assert est.exact_value == expected_f_cube_closed_form(n, d, k)
+            # 2 sum_j C(n, j - 1) C(j - 1, k), j = d, d - 2, ...
+            want = 2 * sum(math.comb(n, j - 1) * math.comb(j - 1, k) for j in range(d, 0, -2))
+            assert est.exact_value == want and est.value == float(want)
+    rows = monotonicity_table("cube", 3, 0, n, n + 2)
+    assert [r.exact_value for r in rows] == [expected_f_cube_closed_form(m, 3, 0) for m in (n, n + 1, n + 2)]
+
+
+@pytest.mark.parametrize("n,d", [(7, 2), (12, 5), (40, 9), (61, 60)])
+def test_cube_closed_form_rows_are_the_projection_sums(n, d):
+    # the closed form gives every cube row the value and rational the sum of its terms gives
+    for k in range(d):
+        terms = sn_terms(Family.CUBE, n, d, k)
+        total = 2 * sum(t.exact_value for t in terms)
+        est = expected_f_projection(Family.CUBE, n, d, k)
+        assert (est.value, est.exact_value, est.std_error, est.exact) == (float(total), total, 0.0, True)
+
+
+def test_exact_values_at_the_edge_of_the_float_range():
+    # 2^1023 is a float and 2^1024 is not; a count whose size bound passes the
+    # float range (2^1025 vertices) is rejected before it is built
+    assert expected_f_projection(Family.CUBE, 1023, 1023, 0).value == 8.98846567431158e+307
+    with pytest.raises(InvalidDimensionError, match="about 2\\^1024 is past the float range"):
+        expected_f_projection(Family.CUBE, 1024, 1024, 0)
+    with pytest.raises(InvalidDimensionError, match="at least 2\\^1025 is past the float range"):
+        expected_f_projection(Family.CUBE, 1025, 1025, 0)
+    # the bound is the count for C(a, 1): a simplex with as many vertices as the largest float passes it
+    top = int(sys.float_info.max)
+    check_count_size(0, (top, 1))
+    assert face_count(Family.SIMPLEX, top - 1, 0, fits_float=True) == top
+    assert expected_f_projection(Family.SIMPLEX, top - 1, top - 1, 0).value == sys.float_info.max
+    with pytest.raises(InvalidDimensionError):
+        expected_f_projection(Family.SIMPLEX, 2 * top, 2 * top, 0)
+    # a closed form is bounded by a middle term: 2^(n-1) and more, not its first term C(n, 2)
+    with pytest.raises(InvalidDimensionError, match="past the float range"):
+        expected_f_cube_closed_form(10**6 + 1, 10**6 - 2, 0)
+    assert expected_f_cube_closed_form(1000, 998, 990) == expected_f_projection(Family.CUBE, 1000, 998, 990).exact_value
+    # a cube intrinsic volume is bounded the same way
+    with pytest.raises(InvalidDimensionError, match="past the float range"):
+        intrinsic_volume(Family.CUBE, 10**12, 5 * 10**11)
 
 
 def test_simplex_top_intrinsic_volume():

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import os
 from itertools import combinations
@@ -25,6 +27,7 @@ from polyproj import (
     zonotope_f_vector,
 )
 from polyproj.hull import (
+    _BLOCK,
     _ENUM_MARGIN,
     _FACET_TOL,
     _GENERAL_POSITION_TOL,
@@ -37,9 +40,10 @@ from polyproj.hull import (
     _MAX_ATTEMPTS,
     _MAX_GENERATORS,
     _MAX_POINTS,
+    _insertions,
+    _laplace_level,
     _lifted_minors,
     _lifted_side_table,
-    _minor_levels,
     _minors,
     _replication_block,
     MODELS,
@@ -386,7 +390,18 @@ def test_sim_config_caps_replications_at_one_stream_word():
     for reps in (2**32 + 1, np.uint64(2**32 + 1), 2**64):
         with pytest.raises(InvalidArgumentError, match="replications must be <= 2\\^32"):
             SimConfig(model="gaussian", n=5, d=2, replications=reps)
-    assert SimConfig(model="gaussian", n=5, d=2, replications=2**32).replications == 2**32
+    # 2^32 itself is one stream word, but its f-vector rows pass the 2^26-entry cap below
+    with pytest.raises(InvalidArgumentError, match="replications x d must be <= 2\\^26"):
+        SimConfig(model="gaussian", n=5, d=2, replications=2**32)
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_sim_config_caps_the_rows_array(d):
+    # replications x d int64 entries: at most 2^26, 512 MiB, asked for before the first replication
+    most = 2**26 // d
+    assert SimConfig(model="gaussian", n=8, d=d, replications=most).replications == most
+    with pytest.raises(InvalidArgumentError, match=f"replications x d must be <= 2\\^26, got {most + 1} x {d}"):
+        SimConfig(model="gaussian", n=8, d=d, replications=most + 1)
 
 
 def test_sim_config_caps_hull_points():
@@ -607,6 +622,21 @@ def test_simulate_dump_is_deterministic(tmp_path):
     assert len(lines) == 26
     # a generic planar shadow of the 3-cube is a hexagon
     assert lines[1].split(",")[1] == "6"
+
+
+def test_dump_written_a_block_at_a_time_is_the_one_call_dump(tmp_path):
+    # two whole blocks and a part of one, each written as its own slice, give the
+    # bytes one writerows call over every row gives
+    r = 2 * _BLOCK + 276
+    dump = tmp_path / "rows.csv"
+    simulate_expected_f(SimConfig(model="zonotope", n=5, d=3, replications=r, seed=6), dump_path=str(dump))
+    rows = np.concatenate([_replication_block(("zonotope", 5, 3, 6, lo, min(lo + _BLOCK, r)))[1]
+                           for lo in range(0, r, _BLOCK)])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["replication", "f_0", "f_1", "f_2"])
+    writer.writerows(np.column_stack([np.arange(r), rows]).tolist())
+    assert dump.read_bytes() == buf.getvalue().encode()
 
 
 def test_simulation_abort_error_fields():
@@ -877,7 +907,7 @@ def test_lifted_minors_read_through_the_table_are_side_determinants(m, d):
     # the entry of (I, i) is x_i's side of the hyperplane through X_I: -det[X_I, 1; x_i, 1]
     maps = np.random.default_rng(m + 10 * d).standard_normal((5, m, d))
     x = np.ascontiguousarray(maps.transpose(1, 2, 0))
-    lifted = _lifted_minors(_minors(x, _minor_levels(m, d)), m, d)
+    lifted = _lifted_minors(_minors(x), m, d)
     side = np.concatenate([lifted, -lifted])[_lifted_side_table(m, d)]
     for r, rows in enumerate(combinations(range(m), d)):
         for a, i in enumerate(sorted(set(range(m)).difference(rows))):
@@ -887,14 +917,21 @@ def test_lifted_minors_read_through_the_table_are_side_determinants(m, d):
 
 @pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
 def test_index_tables_match_loop_oracles(d):
-    # the Laplace levels and the covector signs, read off one subset list, are
-    # the tables that looking each subset up in a dictionary gives
+    # the Laplace levels, read off one subset list, are the tables that
+    # looking each subset up in a dictionary gives
     for m in range(d, _MAX_GENERATORS + 1):
-        levels = _minor_levels(m, d)
-        assert len(levels) == d - 1
-        for (at, sub), (at_ref, sub_ref) in zip(levels, minor_levels_by_loops(m, d)):
+        for k, (at_ref, sub_ref) in enumerate(minor_levels_by_loops(m, d), start=2):
+            at, sub = _laplace_level(m, k)
             assert np.array_equal(at, at_ref) and np.array_equal(sub, sub_ref)
-        assert np.array_equal(_covector_tables(m, d)[0], covector_sign_by_loops(m, d))
+
+
+@pytest.mark.parametrize("k", range(2, _MAX_HULL_DIM + 2))
+def test_insertions_match_covector_sign_oracle(k):
+    # the one inverted Laplace level is the table one (subset, row) pair at a time gives
+    for m in range(k, _MAX_GENERATORS + 1):
+        table = _insertions(m, k)
+        assert table.shape == (math.comb(m, k - 1), m)
+        assert np.array_equal(table, covector_sign_by_loops(m, k))
 
 
 def test_subsets_edge_cases_and_read_only_tables():
@@ -909,8 +946,8 @@ def test_subsets_edge_cases_and_read_only_tables():
         assert _subsets(m, m - k)[::-1].tolist() == complements
     # every cached table is shared by its callers, so none can be written
     tables = [_subsets(8, 3), _side_table(8, 3), _lifted_side_table(8, 3), _signed_facets(8, 3)]
-    tables += _covector_tables(8, 3)
-    tables += [a for level in _minor_levels(8, 3) for a in level]
+    tables += [_insertions(8, 3), _insertions(8, 4), *_covector_tables(8, 3)]
+    tables += [a for k in (2, 3, 4) for a in _laplace_level(8, k)]
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):

@@ -130,7 +130,7 @@ def test_hull_import_builds_no_index_table():
     # every index table is built from _subsets on first use, none at import
     out = run_fresh(
         "import polyproj.hull as h\n"
-        "tables = (h._subsets, h._minor_levels, h._side_table, h._lifted_side_table, h._covector_tables,\n"
-        "          h._signed_facets)\n"
+        "tables = (h._subsets, h._laplace_level, h._insertions, h._side_table, h._lifted_side_table,\n"
+        "          h._covector_tables, h._signed_facets)\n"
         "print([t.cache_info().currsize for t in tables])\n")
-    assert out.strip() == "[0, 0, 0, 0, 0, 0]"
+    assert out.strip() == "[0, 0, 0, 0, 0, 0, 0]"
