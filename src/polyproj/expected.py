@@ -259,8 +259,8 @@ def intrinsic_volume(family: Family, n: int, k: int, cfg: MCConfig | None = None
 
     Rational for cubes (V_k = C(n, k), at every n, read without an angle) and
     for k = 0 (V_0 = 1); exact without an exact_value otherwise.  The
-    crosspolytope's top volume V_n = 2^n/n! is a special branch since it has
-    no canonical n-face.
+    crosspolytope's top volume V_n = 2^n/n!, rational too, is a special
+    branch since it has no canonical n-face.
     """
     family = resolve_family(family)
     n = check_int("n", n, 1)
@@ -268,7 +268,7 @@ def intrinsic_volume(family: Family, n: int, k: int, cfg: MCConfig | None = None
     if k > n:
         raise InvalidArgumentError(f"intrinsic volume needs 0 <= k <= n, got k={k}")
     if family is Family.CROSSPOLYTOPE and k == n:
-        return Estimate(2.0**n / math.factorial(n), 0.0, True, Fraction(2**n, math.factorial(n)))
+        return Estimate.rational(Fraction(2**n, math.factorial(n)))
     if family is Family.CUBE:
         # c(n, k) = 2^(n-k) C(n, k) faces, each with external angle 2^(k-n) and volume 1
         check_count_size(0, (n, k))

@@ -18,17 +18,11 @@ combinations order, the levels of the expansion (_laplace_level), and the one
 inverted level, _insertions(m, k), which says where the minor of a
 (k-1)-subset with one row put after it sits among the k x k minors.  The side
 tables of both hull types and the zonotope's covector signs are gathers of
-it.  I is a facet of the rows' hull iff the rows i outside I all lie strictly
-on one side of the hyperplane through X_I, the side of the (d+1)-minor
-D(I + i) of the lifted map [X | 1] up to the sign of sorting i into I: one
-more Laplace level of the table, signed adds of minors since that column is
-all ones, gives every D(J) once for the d + 1 side tests it decides.  With
-c_ij the minor of X_I with row j replaced by x_i, the signed set eps*I is a
-facet of the symmetric hull, with its antipode, iff |sum_j eps_j c_ij| <
-|chi(I)| for each i outside I.  A cloud with a point within a margin of some
-hyperplane through d others (_ENUM_MARGIN, a distance at the cloud's scale
-that dominates _FACET_TOL) is not read off the table but goes to qhull, and
-so do shapes with more side tests per point than the measured _ENUM_CAP.
+it.  Side tests are (d+1)-minors of the lifted map [X | 1] for the rows'
+hull and sums of d minors for the symmetric one (_enumerated_facets).  A
+cloud with a point within a margin of some hyperplane through d others
+(_ENUM_MARGIN, at the cloud's scale) is not read off the table but goes to
+qhull, and so do shapes with more side tests per point than _ENUM_CAP.
 
 Hulls that hull_f_vector is asked for, and those clouds, go through qhull,
 whose output is triangulated.  SciPy, which wraps qhull, is imported when the
@@ -39,21 +33,20 @@ facet when their [normal, offset] rows agree within _FACET_TOL, which one
 vectorized comparison over qhull's neighbour array tests.  If no neighbours
 agree the hull is simplicial; otherwise facet labels spread over agreeing
 neighbours, and the face lattice is recovered by closing the facet vertex
-sets under intersection.  The k-faces of a simplicial hull, from either
-route, are the distinct (k+1)-subsets of its facets, counted by sorting one
-integer key per subset, with the hull's position as the key's top digit so
-that one sort per k counts many hulls at once.
+sets under intersection.  A simplicial hull, from either route, has its
+f-vector fixed by Dehn-Sommerville from its facet count and f_k for
+k <= d/2 - 2, the distinct (k+1)-subsets of its facets, counted by sorting
+one key per subset with the hull's position as the top digit: one sort per
+k counts many hulls.
 
 Zonotope f-vectors are counted combinatorially: a k-face is a covector of
 the generators' hyperplane arrangement with k zeros, and every covector is
-read off a ray of the arrangement.  The ray of d-1 generators S is
-x -> det[g_S; x], so its sign at generator i is that of the minor chi(S + i)
-times the parity of putting i into S, the entry [S, i] of _insertions: the
-same table of d x d minors, of the normalized generators, gives every ray's
-sign vector, and its entries' sizes are the general-position check.  A
-projected cube is the zonotope of its frame rows.  simulate counts a chunk
-of zonotopes with one sort of their covector keys, as it counts hulls'
-faces, and zonotope_f_vector is the call for one.
+read off a ray of the arrangement: a gather of _insertions from the same
+table of d x d minors, of the normalized generators, gives every ray's sign
+vector (_covector_tables), and the minors' sizes are the general-position
+check.  A projected cube is the zonotope of its frame rows.  simulate counts
+a chunk of zonotopes with one sort of their covector keys, as it counts
+hulls' faces, and zonotope_f_vector is the call for one.
 
 Every replication draws from its own counter-based stream derived from
 (seed, model, n, d, replication index, attempt), so estimates are identical
@@ -128,7 +121,7 @@ _ENUM_MARGIN = 1e-7
 # measured at least 1.6 times faster.
 _ENUM_CAP = 160
 _ENUM_ENTRIES = 1 << 16  # float64 entries of the largest per-chunk temporary
-_COUNT_BATCH = 2048  # simplices counted by one sort per k; caps the key arrays at 2048 * C(d, k+1) entries
+_COUNT_BATCH = 2048  # simplices counted together: key arrays of at most 2048 * C(d, 2) entries
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -260,8 +253,8 @@ def _f_vector_or_simplices(pts: np.ndarray) -> FVectorSample | np.ndarray:
     """The simplices of qhull's hull of pts if it is simplicial, else its f-vector.
 
     A flat cloud gives a degenerate FVectorSample; a hull with merged facets
-    is counted here by intersection closure.  Simplicial hulls are handed
-    back as qhull's simplices so that many of them can be counted at once.
+    is counted here by intersection closure.  Simplicial hulls come back as
+    qhull's simplices, to be counted many at once.
     """
     # SciPy loads on the first hull that reaches qhull, not at import
     from scipy.spatial import ConvexHull, QhullError
@@ -329,23 +322,33 @@ def _f_vector_or_simplices(pts: np.ndarray) -> FVectorSample | np.ndarray:
 
 
 def _simplicial_f_vectors(simplices: np.ndarray, sizes) -> np.ndarray:
-    """f-vectors, one int64 row per hull, of simplicial hulls given by their simplices.
+    """int64 f-vector rows of simplicial hulls whose facets are stacked in hull order, sizes[h] of hull h.
 
-    The simplices of every hull are stacked hull after hull, sizes[h] of
-    hull h.  f_{d-1} counts a hull's simplices, and f_k for k <= d-2 its
-    distinct sorted (k+1)-subsets of simplex vertex ids; each f_k of every
-    hull comes from one _count_distinct_rows call.
+    Both routes hand in the boundary of a simplicial d-polytope (qhull's
+    with no facet merged, the minors route's with no point near a facet's
+    hyperplane), whose h-vector h_j = sum_{i<=j} (-1)^(j-i) C(d-i, j-i) f_{i-1},
+    f_{-1} = 1, has h_j = h_{d-j} (Dehn-Sommerville), and
+    f_{k-1} = sum_{i<=k} C(d-i, k-i) h_i.  The distinct (k+1)-subsets of the
+    facets count f_k for k <= d/2 - 2, which give h_j for j < d/2; the facet
+    count, sum_j h_j, gives the middle.
     """
     d = simplices.shape[1]
-    ordered = np.sort(simplices, axis=1)
-    base = int(ordered.max()) + 1
-    owner = np.repeat(np.arange(len(sizes)), sizes)
+    half = d // 2
     rows = np.empty((len(sizes), d), dtype=np.int64)
     rows[:, d - 1] = sizes
-    for k in range(d - 1):
-        cols = _subsets(d, k + 1)
-        subsets = ordered[:, cols].reshape(-1, k + 1)
-        rows[:, k] = _count_distinct_rows(subsets, base, np.repeat(owner, len(cols)), len(sizes))
+    if half > 1:
+        ordered = np.sort(simplices, axis=1)
+        base = int(ordered.max()) + 1
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        for k in range(half - 1):
+            cols = _subsets(d, k + 1)
+            rows[:, k] = _count_distinct_rows(ordered[:, cols].reshape(-1, k + 1), base, np.repeat(owner, len(cols)), len(sizes))
+    f = [1, *rows[:, : half - 1].T]
+    h = [sum((-1) ** (j - i) * math.comb(d - i, j - i) * f[i] for i in range(j + 1)) for j in range(half)]
+    h.append((rows[:, d - 1] - 2 * sum(h)) // (1 + d % 2))
+    h += h[d - half - 1 :: -1]
+    for k in range(half, d):
+        rows[:, k - 1] = sum(math.comb(d - i, k - i) * h[i] for i in range(k + 1))
     return rows
 
 
@@ -762,7 +765,7 @@ def _replication_block(args: tuple[str, int, int, int, int, int]) -> tuple[int, 
                     rows[todo[j]] = fv.counts
             flat.append(todo[again])
             if at and (sum(map(len, simplices)) >= _COUNT_BATCH or start + chunk >= len(pending)):
-                # counted in runs of hulls of about _COUNT_BATCH simplices, one sort per k each
+                # counted in runs of hulls of about _COUNT_BATCH simplices
                 stacked, sizes, at = np.concatenate(simplices), np.concatenate(sizes), np.concatenate(at)
                 ends = np.cumsum(sizes)
                 firsts = np.unique((ends - 1) // _COUNT_BATCH, return_index=True)[1]

@@ -17,10 +17,11 @@ facets grouped by rounded hyperplane equations instead of by qhull's
 neighbour graph, one freshly derived generator and one f-vector call per
 replication instead of batched stream keys and block-wise face counting,
 Poisson tail bounds written out per model name instead of read off the
-model table, exact angles as a ladder of branches instead of one power
-of 1/2 per kind, one exactly rounded math.fsum per quadrature window instead
-of NumPy's row sums, and a linear scan for a Poisson sum's stopping size
-instead of galloping and bisection.
+model table, every face of a simplicial hull counted as a distinct subset of
+its facets instead of read off the h-vector, exact angles as a ladder of
+branches instead of one power of 1/2 per kind, one exactly rounded math.fsum
+per quadrature window instead of NumPy's row sums, and a linear scan for a
+Poisson sum's stopping size instead of galloping and bisection.
 Agreement between routes is the point.
 """
 
@@ -574,6 +575,29 @@ def simplex_facets_by_side_sums(maps: np.ndarray) -> tuple[np.ndarray, np.ndarra
     above = (side > 0).sum(axis=1)
     facet = ((above == 0) | (above == m - d)).T[~near]
     return near, subsets[np.nonzero(facet)[1]], facet.sum(axis=1)
+
+
+def distinct_subset_f_vectors(simplices: np.ndarray, sizes) -> np.ndarray:
+    """hull._simplicial_f_vectors with every f_k counted, none read off the h-vector.
+
+    The per-k loop the library ran before Dehn-Sommerville: the facets of
+    every hull are stacked hull after hull, sizes[h] of hull h; f_{d-1}
+    counts a hull's facets, and f_k for k <= d-2 its distinct sorted
+    (k+1)-subsets of facet vertex ids, one _count_distinct_rows call per k.
+    """
+    from polyproj.hull import _count_distinct_rows, _subsets
+
+    d = simplices.shape[1]
+    ordered = np.sort(simplices, axis=1)
+    base = int(ordered.max()) + 1
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    rows = np.empty((len(sizes), d), dtype=np.int64)
+    rows[:, d - 1] = sizes
+    for k in range(d - 1):
+        cols = _subsets(d, k + 1)
+        subsets = ordered[:, cols].reshape(-1, k + 1)
+        rows[:, k] = _count_distinct_rows(subsets, base, np.repeat(owner, len(cols)), len(sizes))
+    return rows
 
 
 def per_replication_rows(model: str, n: int, d: int, seed: int, replications: int,

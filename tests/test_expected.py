@@ -349,6 +349,18 @@ def test_cross_top_intrinsic_volume():
     assert est.exact_value == Fraction(2**4, math.factorial(4))
 
 
+@pytest.mark.parametrize("n", [23, 170, 171, 1000])
+def test_cross_top_intrinsic_volume_is_correctly_rounded_past_the_float_range_of_n_factorial(n):
+    # 170! is the last factorial below the float range; 2.0**n / n! raised OverflowError from n = 171 on
+    est = intrinsic_volume(Family.CROSSPOLYTOPE, n, n)
+    want = Fraction(2**n, math.factorial(n))
+    assert (est.exact, est.exact_value, est.std_error) == (True, want, 0.0)
+    assert abs(Fraction(est.value) - want) <= Fraction(math.ulp(est.value)) / 2  # the nearest float
+    assert (est.value > 0) == (n < 1000)  # 2^1000 / 1000! is about 1e-2267, below the least subnormal
+    if n == 23:  # one of the n <= 170 where the float quotient was one ulp off
+        assert est.value != 2.0**n / math.factorial(n)
+
+
 def test_vertex_intrinsic_volume_is_one():
     for family in Family:
         for n in (1, 4, 12):

@@ -2,7 +2,7 @@ import csv
 import io
 import math
 import os
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -37,6 +37,7 @@ from polyproj.hull import (
     _enumerated_facets,
     _enumerates,
     _chunk_size,
+    _f_vector_or_simplices,
     _MAX_ATTEMPTS,
     _MAX_GENERATORS,
     _MAX_POINTS,
@@ -50,6 +51,7 @@ from polyproj.hull import (
     _sample_maps,
     _side_table,
     _signed_facets,
+    _simplicial_f_vectors,
     _subsets,
     _usable_cpus,
 )
@@ -57,6 +59,7 @@ from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator, der
 
 from oracles import (
     covector_sign_by_loops,
+    distinct_subset_f_vectors,
     full_dimensional,
     lifted_side_table_by_loops,
     lp_zonotope_f_vector,
@@ -197,6 +200,95 @@ def test_count_distinct_rows_renumbers_before_overflow():
     group = np.repeat([0, 2], [250, 250])
     expected = [len(np.unique(rows[:250], axis=0)), 0, len(np.unique(rows[250:], axis=0))]
     assert _count_distinct_rows(rows, base, group, 3).tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# simplicial f-vectors read off the h-vector
+
+
+def _largest_enumerated_n(model: str, d: int) -> int:
+    row = MODEL_TABLE[model]
+    n = d + row.shift
+    while _enumerates(row, n + 1, d):
+        n += 1
+    return n
+
+
+def _assert_h_vector_counts_match_distinct_subsets(simplices, sizes):
+    rows = _simplicial_f_vectors(simplices, sizes)
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, distinct_subset_f_vectors(simplices, sizes))
+    return rows
+
+
+@pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
+@pytest.mark.parametrize("model", sorted(_ORACLE_MODELS))
+def test_simplicial_f_vectors_of_minors_route_chunks(model, d):
+    # a chunk's facets counted together, as simulate counts them, at the
+    # smallest n and the largest n the minors route takes
+    row = MODEL_TABLE[model]
+    bitgen = Philox(key=0)
+    for n in sorted({d + row.shift, _largest_enumerated_n(model, d)}):
+        chunk = min(_chunk_size(row, n, d), 200)
+        keys = derive_keys(17, SIM_REPLICATION, MODEL_CODES[model], n, d, np.arange(chunk), 0)
+        maps = _sample_maps(row, keys, bitgen, Generator(bitgen), np.empty((chunk, n, d)))
+        near, facets, counts = _enumerated_facets(maps, row.family is Family.CROSSPOLYTOPE)
+        assert not near.all()
+        _assert_h_vector_counts_match_distinct_subsets(facets, counts)
+
+
+@pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
+def test_simplicial_f_vectors_of_qhull_simplices(d):
+    # qhull's simplices of every model one shape past _ENUM_CAP, and of clouds
+    # with a point 1e-10..1e-5 off a hyperplane through d others, alone and in
+    # one batch of hulls of mixed sizes
+    hulls = []
+    for model in sorted(_ORACLE_MODELS):
+        n = _largest_enumerated_n(model, d) + 1
+        assert not _enumerates(MODEL_TABLE[model], n, d)
+        for index in range(6):
+            rng = derive_generator(19, SIM_REPLICATION, MODEL_CODES[model], n, d, index, 0)
+            hulls.append(_f_vector_or_simplices(model_cloud(model, n, d, rng)))
+    for cloud in _clouds_near_hyperplanes(np.random.default_rng(d), 12, d + 4, d):
+        hulls += [_f_vector_or_simplices(cloud), _f_vector_or_simplices(symmetrize(cloud))]
+    simplicial = [h for h in hulls if isinstance(h, np.ndarray)]
+    assert len(simplicial) >= 40 and len({len(h) for h in simplicial}) > 1
+    rows = _assert_h_vector_counts_match_distinct_subsets(np.concatenate(simplicial), [len(h) for h in simplicial])
+    for h, row in zip(simplicial, rows):
+        assert np.array_equal(_simplicial_f_vectors(h, [len(h)])[0], row)
+        assert sum((-1) ** k * f for k, f in enumerate(row)) == 1 - (-1) ** d  # Euler
+
+
+def _cyclic_facets(n: int, d: int) -> np.ndarray:
+    """Facets of the cyclic polytope C(n, d): the d-subsets of range(n) that pass Gale's evenness condition."""
+    facets = []
+    for s in combinations(range(n), d):
+        gaps = sorted(set(range(n)).difference(s))
+        if all(sum(a < j < b for j in s) % 2 == 0 for a, b in zip(gaps, gaps[1:])):
+            facets.append(s)
+    return np.array(facets)
+
+
+# f-vectors of cyclic polytopes, one per dimension (Upper Bound Theorem)
+_CYCLIC_F = {(6, 2): (6, 6), (7, 3): (7, 15, 10), (8, 4): (8, 28, 40, 20), (9, 5): (9, 36, 74, 75, 30),
+             (8, 6): (8, 28, 56, 68, 48, 16)}
+
+
+@pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
+def test_simplicial_f_vectors_of_known_polytopes(d):
+    # the simplex, the crosspolytope (vertex j + d b for the sign bit b of
+    # coordinate j) and cyclic polytopes with 1..4 vertices more than d, in one batch
+    cross = np.array([[j + d * b for j, b in enumerate(bits)] for bits in product((0, 1), repeat=d)])
+    cyclic = range(d + 1, d + 5)
+    hulls = [_subsets(d + 1, d), cross, *(_cyclic_facets(n, d) for n in cyclic)]
+    rows = _assert_h_vector_counts_match_distinct_subsets(np.concatenate(hulls), [len(h) for h in hulls])
+    assert rows[0].tolist() == [math.comb(d + 1, k + 1) for k in range(d)]
+    assert rows[1].tolist() == [2 ** (k + 1) * math.comb(d, k + 1) for k in range(d)]
+    for n, row in zip(cyclic, rows[2:]):
+        # neighbourly: every set of up to d/2 vertices is a face
+        assert row[: d // 2].tolist() == [math.comb(n, k + 1) for k in range(d // 2)]
+        if (n, d) in _CYCLIC_F:
+            assert tuple(row) == _CYCLIC_F[n, d]
 
 
 def test_hull_degenerate_inputs():
