@@ -94,7 +94,7 @@ from .errors import (
     InvalidPairError,
     NumericError,
 )
-from .families import Family, barycenter, canonical_face, check_int, exact_float, face_count, resolve_family, vertices
+from .families import Family, barycenter, canonical_face, check_count_size, check_int, exact_float, face_count, resolve_family, vertices
 from .streams import ANGLE_SAMPLES, FAMILY_CODES, KIND_EXTERNAL, KIND_INTERNAL, chunk_counts, derive_generator
 
 ORTHONORMALITY_TOL = 1e-12
@@ -404,14 +404,8 @@ def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _log_cdf(t: float) -> float:
-    """log Phi(t), without cancellation near 1 or underflow far below 0."""
-    if t >= 0.0:
-        return math.log1p(-0.5 * math.erfc(t / _SQRT2))
-    if t > -37.0:
-        return math.log(0.5 * math.erfc(-t / _SQRT2))
-    # asymptotic tail; at t <= -37 the first omitted term is 3e-11 of Phi < 1e-299
-    u = 1.0 / (t * t)
-    return -0.5 * t * t - math.log(-t) - _LOG_SQRT_2PI + math.log1p(u * (-1.0 + u * (3.0 - 15.0 * u)))
+    """log Phi(t) for t >= 0, without cancellation near 1: the Newton search keeps x, and t = x / s, above 0."""
+    return math.log1p(-0.5 * math.erfc(t / _SQRT2))
 
 
 def _log_two_sided(t: float) -> float:
@@ -421,24 +415,21 @@ def _log_two_sided(t: float) -> float:
 
 
 def _log_f_nodes(family: Family, t: np.ndarray) -> np.ndarray:
-    """_log_cdf (simplex) or _log_two_sided (crosspolytope) at every entry of t.
+    """log Phi (simplex) or _log_two_sided (crosspolytope) at every entry of t.
 
-    The same branches on the same arguments: erf and erfc come from math,
-    mapped over the entries each branch takes, as NumPy has none and SciPy
-    stays off the formula path; the logarithms are NumPy's.  Each entry is
-    computed on its own, whatever else t holds.
+    _log_cdf's branch for t >= 0 and log(erfc(-t / sqrt 2) / 2) below, or
+    _log_two_sided's branches, on the same arguments: erf and erfc come from
+    math, mapped over the entries each branch takes, as NumPy has none and
+    SciPy stays off the formula path; the logarithms are NumPy's.  Each
+    entry is computed on its own, whatever else t holds.  No simplex node
+    has t <= -20 / sqrt 2: it lies within _QUAD_WIDTHS widths, each below 1
+    as h'' < -1, of a mode x >= 0, and s >= sqrt 2.
     """
     out = np.empty_like(t)
     if family is Family.SIMPLEX:
-        up, far = t >= 0.0, t <= -37.0
-        mid = ~(up | far)
+        up = t >= 0.0
         out[up] = np.log1p(-0.5 * _math_map(math.erfc, t[up] / _SQRT2))
-        out[mid] = np.log(0.5 * _math_map(math.erfc, -t[mid] / _SQRT2))
-        if far.any():  # no integrand window reaches this far
-            tf = t[far]
-            u = 1.0 / (tf * tf)
-            out[far] = (-0.5 * tf * tf - np.log(-tf) - _LOG_SQRT_2PI
-                        + np.log1p(u * (-1.0 + u * (3.0 - 15.0 * u))))
+        out[~up] = np.log(0.5 * _math_map(math.erfc, -t[~up] / _SQRT2))
         return out
     y = t / _SQRT2
     low = y < 0.5
@@ -558,7 +549,8 @@ def external_angles(family: Family, faces: Iterable[tuple[int, int]]) -> list[Es
     """gamma(Q_g, P_n) for every face (n, g) of faces, in order.
 
     Rational for cubes and for g >= n-1 (the polytope itself, or a facet):
-    the codimension's power of 1/2; and for vertices: one over the vertex
+    the codimension's power of 1/2, whose count 2^(n-g) must be a float
+    (codimension at most 1023); and for vertices: one over the vertex
     count.  Every other angle is exact with exact_value None, memoized under
     the face alone; the faces missing from the memo go through
     _external_quadratures as one batch.  A quadrature value does not depend
@@ -591,7 +583,10 @@ def external_angles(family: Family, faces: Iterable[tuple[int, int]]) -> list[Es
 def _rational_external(family: Family, n: int, g: int) -> Fraction | None:
     """The rational external angle of a valid face, or None where it takes quadrature."""
     if family is Family.CUBE or g >= n - 1:
-        return Fraction(1, 2 ** (n - g))
+        check_count_size(n - g)  # before the count 2^(n-g) is built
+        count = 1 << (n - g)
+        exact_float(count)  # 2^1024 passes the size check but is past the float range
+        return Fraction(1, count)
     if g == 0:
         return Fraction(1, face_count(family, n, 0))
     return None

@@ -34,10 +34,11 @@ vectorized comparison over qhull's neighbour array tests.  If no neighbours
 agree the hull is simplicial; otherwise facet labels spread over agreeing
 neighbours, and the face lattice is recovered by closing the facet vertex
 sets under intersection.  A simplicial hull, from either route, has its
-f-vector fixed by Dehn-Sommerville from its facet count and f_k for
-k <= d/2 - 2, the distinct (k+1)-subsets of its facets, counted by sorting
-one key per subset with the hull's position as the top digit: one sort per
-k counts many hulls.
+f-vector fixed by Dehn-Sommerville (_simplicial_f_vectors) from its facet
+count, its vertex count at d >= 4 and its edge count at d = 6, counted
+where its facets are found: off qhull's simplices, or for a chunk of clouds
+by one product of their facet flags with a table of which rows and row
+pairs each candidate facet holds (_incidence).
 
 Zonotope f-vectors are counted combinatorially: a k-face is a covector of
 the generators' hyperplane arrangement with k zeros, and every covector is
@@ -45,8 +46,8 @@ read off a ray of the arrangement: a gather of _insertions from the same
 table of d x d minors, of the normalized generators, gives every ray's sign
 vector (_covector_tables), and the minors' sizes are the general-position
 check.  A projected cube is the zonotope of its frame rows.  simulate counts
-a chunk of zonotopes with one sort of their covector keys, as it counts
-hulls' faces, and zonotope_f_vector is the call for one.
+a chunk of zonotopes with one sort of their covector keys, and
+zonotope_f_vector is the call for one.
 
 Every replication draws from its own counter-based stream derived from
 (seed, model, n, d, replication index, attempt), so estimates are identical
@@ -121,8 +122,6 @@ _ENUM_MARGIN = 1e-7
 # measured at least 1.6 times faster.
 _ENUM_CAP = 160
 _ENUM_ENTRIES = 1 << 16  # float64 entries of the largest per-chunk temporary
-_COUNT_BATCH = 2048  # simplices counted together: key arrays of at most 2048 * C(d, 2) entries
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -242,19 +241,16 @@ def hull_f_vector(points: np.ndarray) -> FVectorSample:
     failures raise a degeneracy error.  Dimension is capped at 6: face-lattice
     recovery enumerates vertex subsets and is meant for desk-scale checks.
     """
-    pts = _real_rows(points, "points", "hull")
-    fv = _f_vector_or_simplices(pts)
-    if isinstance(fv, FVectorSample):
-        return fv
-    return FVectorSample(tuple(int(c) for c in _simplicial_f_vectors(fv, [len(fv)])[0]))
+    return _qhull_f_vector(_real_rows(points, "points", "hull"))
 
 
-def _f_vector_or_simplices(pts: np.ndarray) -> FVectorSample | np.ndarray:
-    """The simplices of qhull's hull of pts if it is simplicial, else its f-vector.
+def _qhull_f_vector(pts: np.ndarray) -> FVectorSample:
+    """The f-vector of qhull's hull of pts; a flat cloud gives a degenerate one.
 
-    A flat cloud gives a degenerate FVectorSample; a hull with merged facets
-    is counted here by intersection closure.  Simplicial hulls come back as
-    qhull's simplices, to be counted many at once.
+    A simplicial hull has its vertices (the distinct ids of its simplices)
+    and, at d = 6, its edges (the distinct sorted id pairs) counted for
+    _simplicial_f_vectors; a hull with merged facets is counted by
+    intersection closure.
     """
     # SciPy loads on the first hull that reaches qhull, not at import
     from scipy.spatial import ConvexHull, QhullError
@@ -274,7 +270,14 @@ def _f_vector_or_simplices(pts: np.ndarray) -> FVectorSample | np.ndarray:
     # nb[i, j] is the simplex across the ridge opposite vertex j of simplex i
     close = np.abs(eq[nb] - eq[:, None]).max(axis=2) <= _FACET_TOL
     if not close.any():
-        return simplices
+        lower = []
+        if d > 3:
+            lower.append(_distinct(simplices))
+        if d == 6:
+            ordered = np.sort(simplices, axis=1).astype(np.int64)
+            first, second = _subsets(d, 2).T
+            lower.append(_distinct(ordered[:, first] * m + ordered[:, second]))
+        return FVectorSample(tuple(_simplicial_f_vectors(lower, len(simplices), d)))
 
     # each facet is labelled by the least simplex index among its simplices,
     # spread over close neighbours until no label moves
@@ -321,59 +324,29 @@ def _f_vector_or_simplices(pts: np.ndarray) -> FVectorSample | np.ndarray:
     return FVectorSample(tuple(counts))
 
 
-def _simplicial_f_vectors(simplices: np.ndarray, sizes) -> np.ndarray:
-    """int64 f-vector rows of simplicial hulls whose facets are stacked in hull order, sizes[h] of hull h.
+def _distinct(ids: np.ndarray) -> int:
+    """How many distinct entries a nonempty integer array has, by one sort: np.unique took about twice as long on one hull's ids."""
+    ids = np.sort(ids, axis=None)
+    return 1 + int(np.count_nonzero(ids[1:] != ids[:-1]))
 
-    Both routes hand in the boundary of a simplicial d-polytope (qhull's
-    with no facet merged, the minors route's with no point near a facet's
-    hyperplane), whose h-vector h_j = sum_{i<=j} (-1)^(j-i) C(d-i, j-i) f_{i-1},
-    f_{-1} = 1, has h_j = h_{d-j} (Dehn-Sommerville), and
-    f_{k-1} = sum_{i<=k} C(d-i, k-i) h_i.  The distinct (k+1)-subsets of the
-    facets count f_k for k <= d/2 - 2, which give h_j for j < d/2; the facet
-    count, sum_j h_j, gives the middle.
+
+def _simplicial_f_vectors(lower: list, facets, d: int) -> list:
+    """f_0 .. f_{d-1} of simplicial d-polytopes from f_0 .. f_{d/2-2} (lower) and their facet counts.
+
+    Python ints for one hull and int64 columns for a chunk take the same
+    arithmetic.  Both routes hand in the boundary of a simplicial d-polytope
+    (qhull's with no facet merged, the minors route's with no point near a
+    facet's hyperplane), whose h-vector
+    h_j = sum_{i<=j} (-1)^(j-i) C(d-i, j-i) f_{i-1}, f_{-1} = 1, has
+    h_j = h_{d-j} (Dehn-Sommerville), and f_{k-1} = sum_{i<=k} C(d-i, k-i) h_i.
+    lower gives h_j for j < d/2; the facet count, sum_j h_j, gives the middle.
     """
-    d = simplices.shape[1]
     half = d // 2
-    rows = np.empty((len(sizes), d), dtype=np.int64)
-    rows[:, d - 1] = sizes
-    if half > 1:
-        ordered = np.sort(simplices, axis=1)
-        base = int(ordered.max()) + 1
-        owner = np.repeat(np.arange(len(sizes)), sizes)
-        for k in range(half - 1):
-            cols = _subsets(d, k + 1)
-            rows[:, k] = _count_distinct_rows(ordered[:, cols].reshape(-1, k + 1), base, np.repeat(owner, len(cols)), len(sizes))
-    f = [1, *rows[:, : half - 1].T]
+    f = [1, *lower]
     h = [sum((-1) ** (j - i) * math.comb(d - i, j - i) * f[i] for i in range(j + 1)) for j in range(half)]
-    h.append((rows[:, d - 1] - 2 * sum(h)) // (1 + d % 2))
+    h.append((facets - 2 * sum(h)) // (1 + d % 2))
     h += h[d - half - 1 :: -1]
-    for k in range(half, d):
-        rows[:, k - 1] = sum(math.comb(d - i, k - i) * h[i] for i in range(k + 1))
-    return rows
-
-
-def _count_distinct_rows(rows: np.ndarray, base: int, group: np.ndarray, groups: int) -> np.ndarray:
-    """Number of distinct rows in each group, for integer rows with entries in [0, base).
-
-    group is the nondecreasing group index (below `groups`) of each row.  A
-    row's key has its group as the top digit and its entries as base-`base`
-    digits below, so after one sort the keys still sit in group order and one
-    bincount over the first key of each run counts every group.  `top` bounds
-    the keys read so far; when the next digit could overflow int64 they are
-    first renumbered densely, which keeps their order and their distinctness.
-    """
-    key, top = group.astype(np.int64), groups
-    for col in rows.T:
-        if top * base > _INT64_MAX:
-            key = np.unique(key, return_inverse=True)[1]
-            top = len(key)
-        key *= base
-        key += col
-        top *= base
-    key.sort()
-    first = np.ones(len(key), dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    return np.bincount(group[first], minlength=groups)
+    return [*lower, *(sum(math.comb(d - i, k - i) * h[i] for i in range(k + 1)) for k in range(half, d)), facets]
 
 
 @cache
@@ -513,19 +486,32 @@ def _covector_tables(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @cache
-def _signed_facets(m: int, d: int) -> np.ndarray:
-    """Vertex ids, shape (2^(d-1), C(m, d), 2, d), of each signed d-subset and its antipode.
+def _incidence(m: int, d: int, symmetric: bool) -> np.ndarray:
+    """Which rows, and at d = 6 which row pairs, each candidate facet of an m x d map's hull holds: 0/1 floats.
 
-    Sign vector e has eps_0 = +1 and eps_p = -1 exactly when bit p-1 of e is
-    set; in the cloud [X; -X] the point eps_j x_j has id j when eps_j is +1
-    and m + j otherwise.
+    Rows are the candidates _enumerated_facets flags: the d-subsets I in
+    combinations order, for the symmetric hull the signed sets eps*I, sign
+    vector e after sign vector, with eps_0 = +1 and eps_p = -1 exactly when
+    bit p-1 of e is set.  Column i is row i; at d = 6, column m + P + C(m, 2) s
+    is the P-th pair (i, j) (combinations order) with s = 1 where
+    eps_i eps_j = -1.  A symmetric hull's faces come in antipodal pairs,
+    eps*J and -eps*J, which share their column.
     """
-    e = np.arange(1 << (d - 1))[:, None]
-    flip = np.concatenate([np.zeros_like(e), (e >> np.arange(d - 1)) & 1], axis=1) * m
-    subsets = _subsets(m, d)
-    ids = np.stack([subsets + flip[:, None], subsets + (m - flip)[:, None]], axis=2)
-    ids.setflags(write=False)  # shared by every caller through the cache
-    return ids
+    sets = _subsets(m, d)
+    signs = 1 << (d - 1) if symmetric else 1
+    cols = [np.broadcast_to(sets, (signs, *sets.shape))]
+    if d == 6:
+        pairs = _subsets(d, 2)
+        flip = (np.arange(signs)[:, None] << 1 >> np.arange(d)) & 1  # bit p-1 of e at p >= 1
+        relative = flip[:, pairs[:, 0]] ^ flip[:, pairs[:, 1]]
+        code = np.array([m, 1])
+        at = np.searchsorted(_subsets(m, 2) @ code, sets[:, pairs] @ code)
+        cols.append(m + at + math.comb(m, 2) * relative[:, None])
+    cols = np.concatenate(cols, axis=2).reshape(signs * len(sets), -1)
+    table = np.zeros((len(cols), int(cols.max()) + 1))
+    np.put_along_axis(table, cols, 1.0, axis=1)
+    table.setflags(write=False)  # shared by every caller through the cache
+    return table
 
 
 def _side_tests(row: Model, n: int, d: int) -> int:
@@ -563,8 +549,8 @@ def _chunk_size(row: Model, n: int, d: int) -> int:
     return max(1, _ENUM_ENTRIES // entries)
 
 
-def _enumerated_facets(maps: np.ndarray, symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Facets of the hulls of a stack of m x d maps' rows, with their negatives if symmetric.
+def _enumerated_facets(maps: np.ndarray, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """f-vectors of the hulls of a stack of m x d maps' rows, with their negatives if symmetric, from their facets.
 
     The point x_i is on the side -det[X_I, 1; x_i, 1] of the hyperplane
     through X_I, which is +-D(J) for the (d+1)-minor D of the lifted map
@@ -582,9 +568,13 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool) -> tuple[np.ndarray, n
     facets are not read.  A D(J) decides d + 1 side tests, so it is compared
     once with the largest of their margins.
 
-    Returns the near flags, the simplices of the other clouds in cloud order
-    and how many belong to each of those clouds.  Arrays are worked with the
-    cloud axis last, so that every gather copies whole rows.
+    The other clouds' facet flags give their facet counts and, by one
+    product with _incidence, their vertex counts at d >= 4 and edge counts
+    at d = 6, each doubled for the symmetric hull, whose faces come in
+    antipodal pairs; _simplicial_f_vectors does the rest.  Returns the near
+    flags and the int64 f-vector rows of the other clouds, in cloud order.
+    Arrays are worked with the cloud axis last, so that every gather copies
+    whole rows.
     """
     m, d = maps.shape[1:]
     x = np.ascontiguousarray(maps.transpose(1, 2, 0))
@@ -607,28 +597,35 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool) -> tuple[np.ndarray, n
         near = np.zeros(len(scale), dtype=bool)
         near[maybe] = (np.abs(lifted[:, maybe]) <= limit).any(axis=0)
         above = np.concatenate([lifted > 0, lifted < 0])[_lifted_side_table(m, d)].sum(axis=1, dtype=np.uint8)
-        facet = ((above == 0) | (above == m - d)).T[~near]
-        return near, subsets[np.nonzero(facet)[1]], facet.sum(axis=1)
-    tol = margins(slice(None))
-    swap = _side_table(m, d)
-    signed = np.concatenate([chi, -chi])
-    side = signed[swap[0]]
-    # sums[e] = sum_p eps_p c_ip for sign vector e, built in place one p at a time
-    sums = np.empty((1 << (d - 1),) + side.shape)
-    sums[0] = side
-    for p in range(1, d):
-        half = 1 << (p - 1)
-        np.take(signed, swap[p], axis=0, out=side)
-        np.subtract(sums[:half], side, out=sums[half : 2 * half])
-        sums[:half] += side
-    size = np.abs(chi)
-    np.abs(sums, out=sums)
-    sums -= size[:, None]
-    facet = (sums < 0).all(axis=2)
-    near = (np.abs(sums, out=sums) <= tol[:, None]).any(axis=(0, 1, 2)) | (2 * size <= tol).any(axis=0)
-    facet = facet.transpose(2, 0, 1)[~near]
-    _, e, r = np.nonzero(facet)
-    return near, _signed_facets(m, d)[e, r].reshape(-1, d), 2 * facet.sum(axis=(1, 2))
+        facet = ((above == 0) | (above == m - d)).T
+    else:
+        tol = margins(slice(None))
+        swap = _side_table(m, d)
+        signed = np.concatenate([chi, -chi])
+        side = signed[swap[0]]
+        # sums[e] = sum_p eps_p c_ip for sign vector e, built in place one p at a time
+        sums = np.empty((1 << (d - 1),) + side.shape)
+        sums[0] = side
+        for p in range(1, d):
+            half = 1 << (p - 1)
+            np.take(signed, swap[p], axis=0, out=side)
+            np.subtract(sums[:half], side, out=sums[half : 2 * half])
+            sums[:half] += side
+        size = np.abs(chi)
+        np.abs(sums, out=sums)
+        sums -= size[:, None]
+        facet = (sums < 0).all(axis=2)
+        near = (np.abs(sums, out=sums) <= tol[:, None]).any(axis=(0, 1, 2)) | (2 * size <= tol).any(axis=0)
+        facet = facet.transpose(2, 0, 1).reshape(len(near), -1)
+    facet = facet[~near]
+    copies = 1 + symmetric  # a face and its antipode
+    lower = []
+    if d > 3:
+        hit = facet @ _incidence(m, d, symmetric) > 0
+        lower.append(copies * hit[:, :m].sum(axis=1))
+        if d == 6:
+            lower.append(copies * hit[:, m:].sum(axis=1))
+    return near, np.column_stack(_simplicial_f_vectors(lower, copies * facet.sum(axis=1), d))
 
 
 def zonotope_f_vector(generators: np.ndarray) -> FVectorSample:
@@ -712,9 +709,8 @@ def _replication_block(args: tuple[str, int, int, int, int, int]) -> tuple[int, 
     a chunk of _chunk_size maps at a time, by re-keying one Philox.  Shapes
     that _enumerates takes are decided on the minors route; the clouds it
     flags, and every cloud of other shapes, go to qhull as drawn.  A flat
-    cube map or a cloud qhull finds flat waits for the next round.  The
-    simplices of simplicial hulls, from either route, are counted together
-    after a chunk that leaves about _COUNT_BATCH of them, and after a round.
+    cube map or a cloud qhull finds flat waits for the next round.  Each
+    chunk writes its rows as soon as they are counted.
     """
     model, n, d, seed, lo, hi = args
     row = MODEL_TABLE[model]
@@ -726,8 +722,6 @@ def _replication_block(args: tuple[str, int, int, int, int, int]) -> tuple[int, 
     maps = np.empty((min(chunk, hi - lo), n, d))
     rows = np.zeros((hi - lo, d), dtype=np.int64)
     degen = 0
-    # simplicial hulls not counted yet: their simplices, hull after hull, their sizes and block rows
-    simplices, sizes, at = [], [], []
     pending = np.arange(hi - lo)  # block rows still undecided, in order
     for attempt in range(_MAX_ATTEMPTS):
         keys = derive_keys(seed, SIM_REPLICATION, MODEL_CODES[model], n, d, lo + pending, attempt)
@@ -746,32 +740,18 @@ def _replication_block(args: tuple[str, int, int, int, int, int]) -> tuple[int, 
             again = np.zeros(len(todo), dtype=bool)
             near = ~again
             if enumerates:
-                near, facets, counts = _enumerated_facets(drawn, symmetric)
-                simplices.append(facets)
-                sizes.append(counts)
-                at.append(todo[~near])
+                near, counts = _enumerated_facets(drawn, symmetric)
+                rows[todo[~near]] = counts
             for j in np.flatnonzero(near):
                 try:
-                    fv = _f_vector_or_simplices(symmetrize(drawn[j]) if symmetric else drawn[j])
+                    fv = _qhull_f_vector(symmetrize(drawn[j]) if symmetric else drawn[j])
                 except DegenerateGeometryError:  # qhull failed on a cloud it did not find flat
                     fv = FVectorSample((0,) * d, degenerate=True)
-                if not isinstance(fv, FVectorSample):
-                    simplices.append(fv)
-                    sizes.append([len(fv)])
-                    at.append(todo[j : j + 1])
-                elif fv.degenerate:
+                if fv.degenerate:
                     again[j] = True
                 else:
                     rows[todo[j]] = fv.counts
             flat.append(todo[again])
-            if at and (sum(map(len, simplices)) >= _COUNT_BATCH or start + chunk >= len(pending)):
-                # counted in runs of hulls of about _COUNT_BATCH simplices
-                stacked, sizes, at = np.concatenate(simplices), np.concatenate(sizes), np.concatenate(at)
-                ends = np.cumsum(sizes)
-                firsts = np.unique((ends - 1) // _COUNT_BATCH, return_index=True)[1]
-                for a, b in zip(firsts, [*firsts[1:], len(at)]):
-                    rows[at[a:b]] = _simplicial_f_vectors(stacked[ends[a] - sizes[a] : ends[b - 1]], sizes[a:b])
-                simplices, sizes, at = [], [], []
         pending = np.concatenate(flat)
         degen += len(pending)
         if not len(pending):

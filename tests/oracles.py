@@ -578,25 +578,22 @@ def simplex_facets_by_side_sums(maps: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def distinct_subset_f_vectors(simplices: np.ndarray, sizes) -> np.ndarray:
-    """hull._simplicial_f_vectors with every f_k counted, none read off the h-vector.
+    """The f-vector rows of simplicial hulls with every f_k counted, none read off the h-vector.
 
-    The per-k loop the library ran before Dehn-Sommerville: the facets of
-    every hull are stacked hull after hull, sizes[h] of hull h; f_{d-1}
-    counts a hull's facets, and f_k for k <= d-2 its distinct sorted
-    (k+1)-subsets of facet vertex ids, one _count_distinct_rows call per k.
+    The facets of every hull are stacked hull after hull, sizes[h] of hull h;
+    f_{d-1} counts a hull's facets, and f_k for k <= d-2 its distinct sorted
+    (k+1)-subsets of facet vertex ids, one np.unique per hull and k.
     """
-    from polyproj.hull import _count_distinct_rows, _subsets
+    from polyproj.hull import _subsets
 
     d = simplices.shape[1]
     ordered = np.sort(simplices, axis=1)
-    base = int(ordered.max()) + 1
-    owner = np.repeat(np.arange(len(sizes)), sizes)
     rows = np.empty((len(sizes), d), dtype=np.int64)
-    rows[:, d - 1] = sizes
-    for k in range(d - 1):
-        cols = _subsets(d, k + 1)
-        subsets = ordered[:, cols].reshape(-1, k + 1)
-        rows[:, k] = _count_distinct_rows(subsets, base, np.repeat(owner, len(cols)), len(sizes))
+    for h, end in enumerate(np.cumsum(sizes)):
+        facets = ordered[end - sizes[h] : end]
+        rows[h, d - 1] = len(facets)
+        for k in range(d - 1):
+            rows[h, k] = len(np.unique(facets[:, _subsets(d, k + 1)].reshape(-1, k + 1), axis=0))
     return rows
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -397,6 +398,23 @@ def test_external_angles_cap_n_at_2_to_the_53():
     clear_angle_memo()
 
 
+@pytest.mark.parametrize("n,g", [(1023, 0), (10**9, 10**9 - 1023), (2**53, 2**53 - 1023)])
+def test_cube_external_angles_up_to_codimension_1023(n, g):
+    start = time.perf_counter()
+    est = external_angle(Family.CUBE, n, g)
+    assert est.exact_value == Fraction(1, 2**1023) and est.value == 2.0**-1023
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n,g", [(1024, 0), (10**9, 10**9 - 1024), (10**9, 1), (2**53, 1)])
+def test_cube_external_angles_past_codimension_1023_fail_at_once(n, g):
+    # the count 2^(n-g) is sized before it is built; 10^9 took 9.7 s to give 0.0 when it was built
+    start = time.perf_counter()
+    with pytest.raises(InvalidDimensionError, match="past the float range"):
+        external_angle(Family.CUBE, n, g)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_external_angles_validate_every_face_before_any_quadrature(monkeypatch):
     def no_quadrature(family, faces):
         if faces:
@@ -440,13 +458,24 @@ def test_quadrature_batches_stay_under_the_chunk_bound(monkeypatch):
     (Family.SIMPLEX, polyproj.angles._log_cdf), (Family.CROSSPOLYTOPE, polyproj.angles._log_two_sided),
 ])
 def test_log_f_nodes_follow_the_scalar_branches(family, scalar):
-    # every branch, the far simplex tail included, which no integrand window reaches
-    lo = -60.0 if family is Family.SIMPLEX else 1e-6
-    t = np.concatenate([np.linspace(lo, 12.0, 3001), [-37.0, -36.999, 0.0, 0.5 * math.sqrt(2.0)]])
+    # every branch; the simplex's t < 0 half, which the scalar never takes, against math inline
+    lo = -36.0 if family is Family.SIMPLEX else 1e-6
+    t = np.concatenate([np.linspace(lo, 12.0, 3001), [-14.2, -1e-300, 0.0, 0.5 * math.sqrt(2.0)]])
     t = t[t > 0] if family is Family.CROSSPOLYTOPE else t
     got = polyproj.angles._log_f_nodes(family, t.reshape(-1, 1)).ravel()
-    want = np.array([scalar(v) for v in t.tolist()])
+    want = np.array([scalar(v) if v >= 0 else math.log(0.5 * math.erfc(-v / math.sqrt(2.0))) for v in t.tolist()])
     assert np.allclose(got, want, rtol=4e-16, atol=0.0)
+
+
+def test_simplex_quadrature_nodes_stay_above_minus_20_over_root_2():
+    # a node lies within _QUAD_WIDTHS widths, each below 1, of a mode x >= 0,
+    # and s = sqrt(g + 1) >= sqrt 2, so _log_f_nodes needs no far tail
+    lowest = math.inf
+    for n in range(2, 10**4 + 1):
+        for g in range(min(5, n - 2) + 1):
+            _, s, a, _, _ = polyproj.angles._quadrature_window(Family.SIMPLEX, n, g)
+            lowest = min(lowest, a / s)
+    assert -polyproj.angles._QUAD_WIDTHS / math.sqrt(2.0) < lowest < 0.0
 
 
 @pytest.mark.parametrize("family,n,g", [

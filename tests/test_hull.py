@@ -32,25 +32,24 @@ from polyproj.hull import (
     _FACET_TOL,
     _GENERAL_POSITION_TOL,
     _MAX_HULL_DIM,
-    _count_distinct_rows,
     _covector_tables,
     _enumerated_facets,
     _enumerates,
     _chunk_size,
-    _f_vector_or_simplices,
     _MAX_ATTEMPTS,
     _MAX_GENERATORS,
     _MAX_POINTS,
+    _incidence,
     _insertions,
     _laplace_level,
     _lifted_minors,
     _lifted_side_table,
     _minors,
+    _qhull_f_vector,
     _replication_block,
     MODELS,
     _sample_maps,
     _side_table,
-    _signed_facets,
     _simplicial_f_vectors,
     _subsets,
     _usable_cpus,
@@ -187,21 +186,6 @@ def test_hull_regular_solids_match_rounded_facet_oracle(family, n):
     assert hull_f_vector(pts).counts == rounded_facet_f_vector(pts)
 
 
-def test_count_distinct_rows_renumbers_before_overflow():
-    # five digits of base 2^40 overflow int64 unless the keys are renumbered;
-    # entries 2^24 apart would wrap onto one another
-    base = 2**40
-    rows = derive_generator(43).integers(0, 4, size=(400, 5)) * 2**24
-    rows = np.vstack([rows, rows[:100]])
-    one = np.zeros(len(rows), dtype=np.int64)
-    assert _count_distinct_rows(rows, base, one, 1).tolist() == [len(np.unique(rows, axis=0))]
-    assert _count_distinct_rows(rows[:, :1], base, one, 1).tolist() == [len(np.unique(rows[:, 0]))]
-    # three groups, one of them empty: rows shared across groups count in each
-    group = np.repeat([0, 2], [250, 250])
-    expected = [len(np.unique(rows[:250], axis=0)), 0, len(np.unique(rows[250:], axis=0))]
-    assert _count_distinct_rows(rows, base, group, 3).tolist() == expected
-
-
 # ---------------------------------------------------------------------------
 # simplicial f-vectors read off the h-vector
 
@@ -214,49 +198,68 @@ def _largest_enumerated_n(model: str, d: int) -> int:
     return n
 
 
-def _assert_h_vector_counts_match_distinct_subsets(simplices, sizes):
-    rows = _simplicial_f_vectors(simplices, sizes)
-    assert rows.dtype == np.int64
-    assert np.array_equal(rows, distinct_subset_f_vectors(simplices, sizes))
-    return rows
+def _assert_minors_route_rows(maps, symmetric):
+    # rows counted where the facets are found, against every f_k counted from
+    # subsets: of the side-sum oracle's facets for the rows' hull, of qhull's
+    # hull of each cloud and its negatives for the symmetric one
+    near, rows = _enumerated_facets(maps, symmetric)
+    assert rows.dtype == np.int64 and rows.shape == (np.count_nonzero(~near), maps.shape[2])
+    if symmetric:
+        assert rows.tolist() == [list(hull_f_vector(symmetrize(cloud)).counts) for cloud in maps[~near]]
+    else:
+        near_ref, facets, counts = simplex_facets_by_side_sums(maps)
+        assert np.array_equal(near, near_ref)
+        assert np.array_equal(rows, distinct_subset_f_vectors(facets, counts))
+    return near
 
 
 @pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
 @pytest.mark.parametrize("model", sorted(_ORACLE_MODELS))
 def test_simplicial_f_vectors_of_minors_route_chunks(model, d):
-    # a chunk's facets counted together, as simulate counts them, at the
-    # smallest n and the largest n the minors route takes
+    # a chunk's rows as simulate counts them, at the smallest n and the
+    # largest n the minors route takes, and on clouds with a row 1e-10..1e-5
+    # off a hyperplane through d others
     row = MODEL_TABLE[model]
+    symmetric = row.family is Family.CROSSPOLYTOPE
     bitgen = Philox(key=0)
-    for n in sorted({d + row.shift, _largest_enumerated_n(model, d)}):
+    largest = _largest_enumerated_n(model, d)
+    for n in sorted({d + row.shift, largest}):
         chunk = min(_chunk_size(row, n, d), 200)
         keys = derive_keys(17, SIM_REPLICATION, MODEL_CODES[model], n, d, np.arange(chunk), 0)
         maps = _sample_maps(row, keys, bitgen, Generator(bitgen), np.empty((chunk, n, d)))
-        near, facets, counts = _enumerated_facets(maps, row.family is Family.CROSSPOLYTOPE)
-        assert not near.all()
-        _assert_h_vector_counts_match_distinct_subsets(facets, counts)
+        assert not _assert_minors_route_rows(maps, symmetric).all()
+    maps = _clouds_near_hyperplanes(np.random.default_rng(MODEL_CODES[model] + 10 * d), 64, largest, d)
+    near = _assert_minors_route_rows(maps, symmetric)
+    assert near.any() and not near.all()
 
 
 @pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
 def test_simplicial_f_vectors_of_qhull_simplices(d):
-    # qhull's simplices of every model one shape past _ENUM_CAP, and of clouds
-    # with a point 1e-10..1e-5 off a hyperplane through d others, alone and in
-    # one batch of hulls of mixed sizes
-    hulls = []
+    # qhull's hulls of every model one shape past _ENUM_CAP, and of clouds
+    # with a point 1e-10..1e-5 off a hyperplane through d others, with and
+    # without points inside, against every f_k counted from their simplices
+    clouds = []
     for model in sorted(_ORACLE_MODELS):
         n = _largest_enumerated_n(model, d) + 1
         assert not _enumerates(MODEL_TABLE[model], n, d)
         for index in range(6):
             rng = derive_generator(19, SIM_REPLICATION, MODEL_CODES[model], n, d, index, 0)
-            hulls.append(_f_vector_or_simplices(model_cloud(model, n, d, rng)))
+            clouds.append(model_cloud(model, n, d, rng))
     for cloud in _clouds_near_hyperplanes(np.random.default_rng(d), 12, d + 4, d):
-        hulls += [_f_vector_or_simplices(cloud), _f_vector_or_simplices(symmetrize(cloud))]
-    simplicial = [h for h in hulls if isinstance(h, np.ndarray)]
-    assert len(simplicial) >= 40 and len({len(h) for h in simplicial}) > 1
-    rows = _assert_h_vector_counts_match_distinct_subsets(np.concatenate(simplicial), [len(h) for h in simplicial])
-    for h, row in zip(simplicial, rows):
-        assert np.array_equal(_simplicial_f_vectors(h, [len(h)])[0], row)
-        assert sum((-1) ** k * f for k, f in enumerate(row)) == 1 - (-1) ** d  # Euler
+        clouds += [cloud, symmetrize(cloud)]
+    simplicial = 0
+    for cloud in clouds:
+        simplices = ConvexHull(cloud).simplices
+        row = distinct_subset_f_vectors(simplices, [len(simplices)])[0].tolist()
+        inner = cloud.mean(axis=0) + 0.01 * (cloud - cloud.mean(axis=0))
+        for points in (cloud, np.vstack([cloud, inner])):
+            counts = _qhull_f_vector(points).counts
+            assert all(type(f) is int for f in counts)
+            if counts[d - 1] == len(simplices):  # no facet merged
+                assert list(counts) == row
+                assert sum((-1) ** k * f for k, f in enumerate(counts)) == 1 - (-1) ** d  # Euler
+                simplicial += 1
+    assert simplicial >= 80
 
 
 def _cyclic_facets(n: int, d: int) -> np.ndarray:
@@ -277,11 +280,17 @@ _CYCLIC_F = {(6, 2): (6, 6), (7, 3): (7, 15, 10), (8, 4): (8, 28, 40, 20), (9, 5
 @pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
 def test_simplicial_f_vectors_of_known_polytopes(d):
     # the simplex, the crosspolytope (vertex j + d b for the sign bit b of
-    # coordinate j) and cyclic polytopes with 1..4 vertices more than d, in one batch
+    # coordinate j) and cyclic polytopes with 1..4 vertices more than d: the
+    # completion on int64 columns and on each hull's Python ints
     cross = np.array([[j + d * b for j, b in enumerate(bits)] for bits in product((0, 1), repeat=d)])
     cyclic = range(d + 1, d + 5)
     hulls = [_subsets(d + 1, d), cross, *(_cyclic_facets(n, d) for n in cyclic)]
-    rows = _assert_h_vector_counts_match_distinct_subsets(np.concatenate(hulls), [len(h) for h in hulls])
+    rows = distinct_subset_f_vectors(np.concatenate(hulls), [len(h) for h in hulls])
+    columns = np.column_stack(_simplicial_f_vectors(list(rows[:, : d // 2 - 1].T), rows[:, d - 1], d))
+    assert columns.dtype == np.int64 and np.array_equal(columns, rows)
+    for row in rows.tolist():
+        counts = _simplicial_f_vectors(row[: d // 2 - 1], row[d - 1], d)
+        assert counts == row and all(type(f) is int for f in counts)
     assert rows[0].tolist() == [math.comb(d + 1, k + 1) for k in range(d)]
     assert rows[1].tolist() == [2 ** (k + 1) * math.comb(d, k + 1) for k in range(d)]
     for n, row in zip(cyclic, rows[2:]):
@@ -982,16 +991,12 @@ def _clouds_near_hyperplanes(rng, clouds, m, d):
 
 @pytest.mark.parametrize("m,d", [(4, 3), (6, 2), (10, 3), (12, 4), (9, 5), (8, 6)])
 def test_lifted_minors_route_matches_side_sum_oracle(m, d):
-    # one (d+1)-minor per point set flags the same clouds and reads the same
-    # facets as summing d minors per side test
+    # one (d+1)-minor per point set flags the same clouds, and counts the same
+    # rows, as summing d minors per side test
     rng = np.random.default_rng(100 * m + d)
     for _ in range(4):
-        maps = _clouds_near_hyperplanes(rng, 64, m, d)
-        near, facets, counts = _enumerated_facets(maps, False)
-        near_ref, facets_ref, counts_ref = simplex_facets_by_side_sums(maps)
+        near = _assert_minors_route_rows(_clouds_near_hyperplanes(rng, 64, m, d), False)
         assert near.any() and not near.all()
-        assert np.array_equal(near, near_ref)
-        assert np.array_equal(facets, facets_ref) and np.array_equal(counts, counts_ref)
 
 
 @pytest.mark.parametrize("m,d", [(4, 3), (6, 2), (10, 3), (12, 4), (9, 5), (8, 6)])
@@ -1037,7 +1042,8 @@ def test_subsets_edge_cases_and_read_only_tables():
         complements = [sorted(set(range(m)).difference(s)) for s in combinations(range(m), k)]
         assert _subsets(m, m - k)[::-1].tolist() == complements
     # every cached table is shared by its callers, so none can be written
-    tables = [_subsets(8, 3), _side_table(8, 3), _lifted_side_table(8, 3), _signed_facets(8, 3)]
+    tables = [_subsets(8, 3), _side_table(8, 3), _lifted_side_table(8, 3)]
+    tables += [_incidence(8, 4, False), _incidence(10, 6, False), _incidence(8, 6, True)]
     tables += [_insertions(8, 3), _insertions(8, 4), *_covector_tables(8, 3)]
     tables += [a for k in (2, 3, 4) for a in _laplace_level(8, k)]
     for table in tables:
