@@ -23,22 +23,33 @@ hull and sums of d minors for the symmetric one (_enumerated_facets).  A
 cloud with a point within a margin of some hyperplane through d others
 (_ENUM_MARGIN, at the cloud's scale) is not read off the table but goes to
 qhull, and so do shapes with more side tests per point than _ENUM_CAP.
+Every array of that route the size of a chunk, the minors' levels included,
+is written into one _Workspace that the chunks of a simulation share.  With
+a fresh array per temporary, each one past the allocator's mmap threshold
+was faulted in again by every chunk, and larger chunks ran slower; in reused
+buffers the chunk size is set by the cache, and _ENUM_ENTRIES keeps a
+chunk's largest temporary near 1.5 MiB, within a core's 2 MiB L2.  Gathers
+into those buffers take mode="clip" (_gather): with mode="raise" np.take
+works through a copy of its output.
 
 Hulls that hull_f_vector is asked for, and those clouds, go through qhull,
 whose output is triangulated.  SciPy, which wraps qhull, is imported when the
 first such hull is built, not with this module: a process that sends no hull
 to qhull (the formula commands, simulate of the cube models, most small
 Gaussian shapes) never loads it.  Two neighbouring simplices lie on one
-facet when their [normal, offset] rows agree within _FACET_TOL, which one
-vectorized comparison over qhull's neighbour array tests.  If no neighbours
-agree the hull is simplicial; otherwise facet labels spread over agreeing
-neighbours, and the face lattice is recovered by closing the facet vertex
-sets under intersection.  A simplicial hull, from either route, has its
-f-vector fixed by Dehn-Sommerville (_simplicial_f_vectors) from its facet
-count, its vertex count at d >= 4 and its edge count at d = 6, counted
-where its facets are found: off qhull's simplices, or for a chunk of clouds
-by one product of their facet flags with a table of which rows and row
-pairs each candidate facet holds (_incidence).
+facet when their [normal, offset] rows agree within _FACET_TOL, tested once
+per ridge of qhull's neighbour array.  If no neighbours agree the hull is
+simplicial; otherwise facet labels spread over agreeing neighbours, and the
+face lattice is recovered by closing the facet vertex sets under
+intersection.  A point just off a facet can leave some of its near-coplanar
+simplices unmerged; a closure that then breaks Euler's relation is a
+DegenerateGeometryError, and simulate resamples the draw.  A simplicial
+hull, from either route, has its f-vector fixed by Dehn-Sommerville
+(_simplicial_f_vectors) from its facet count, its vertex count at d >= 4
+and its edge count at d = 6, counted where its facets are found: off
+qhull's simplices, or for a chunk of clouds by one product of their facet
+flags with a table of which rows and row pairs each candidate facet holds
+(_incidence).
 
 Zonotope f-vectors are counted combinatorially: a k-face is a covector of
 the generators' hyperplane arrangement with k zeros, and every covector is
@@ -46,8 +57,8 @@ read off a ray of the arrangement: a gather of _insertions from the same
 table of d x d minors, of the normalized generators, gives every ray's sign
 vector (_covector_tables), and the minors' sizes are the general-position
 check.  A projected cube is the zonotope of its frame rows.  simulate counts
-a chunk of zonotopes with one sort of their covector keys, and
-zonotope_f_vector is the call for one.
+a chunk of zonotopes with one row-wise sort of their covector keys, a row
+per map, and zonotope_f_vector is the call for one.
 
 Every replication draws from its own counter-based stream derived from
 (seed, model, n, d, replication index, attempt), so estimates are identical
@@ -73,7 +84,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -121,7 +132,34 @@ _ENUM_MARGIN = 1e-7
 # the gaussian one still pays at 330.  At 160 every shape it takes was
 # measured at least 1.6 times faster.
 _ENUM_CAP = 160
-_ENUM_ENTRIES = 1 << 16  # float64 entries of the largest per-chunk temporary
+# Entries of a minors-route chunk's largest temporary: side tests per cloud
+# times clouds (see _chunk_size).  Chunks write into one _Workspace, so their
+# size is set by the cache, not by the allocator; at 3 << 16 a symmetric
+# chunk's sums take 1.5 MiB, within a 2 MiB L2 beside the arrays they are built
+# from.  Microseconds per cloud of _enumerated_facets, median of 15 interleaved
+# passes over 2048 clouds, 2-core VM, one thread, clouds per chunk in
+# brackets; "fresh" allocated every temporary per chunk:
+#                       fresh 2^16   2^16        2^17        3 << 16     2^18
+#   gaussian  n=10 d=3   6.8 (78)    4.4 (78)    3.2 (156)   3.2 (234)   3.1 (312)
+#   gaussian  n=11 d=3   6.4 (49)    5.5 (49)    4.0 (99)    3.6 (148)   3.7 (198)
+#   gaussian  n=19 d=2  25.4 (22)   21.1 (22)   14.1 (45)   11.8 (67)   10.7 (90)
+#   gaussian  n=10 d=6  17.2 (78)   14.5 (78)   11.8 (156)  11.5 (234)  12.2 (312)
+#   symmetric n=8 d=4   34.0 (29)   30.4 (29)   23.4 (58)   20.6 (87)   20.6 (117)
+#   symmetric n=9 d=3   15.8 (32)   14.3 (32)   12.3 (65)   12.0 (97)   11.7 (130)
+#   symmetric n=19 d=2  78.6 (11)   72.0 (11)   51.4 (22)   49.3 (33)   48.4 (45)
+#   symmetric n=8 d=6   35.6 (36)   33.3 (36)   26.9 (73)   23.6 (109)  23.1 (146)
+# 2^18 is no faster, and its 2 MiB sums raised the peak RSS of the benchmark's
+# hull_sim workload by 3.5 MB, against 1.1 MB at 3 << 16.  Cube models, per map
+# of _zonotope_f_vectors, same passes; "fresh" also sorted the chunk's keys in
+# one run, which at 3 << 16 read 38.0 against 35.7 for zonotope n=12 d=3:
+#   zonotope  n=10 d=4  148 (10)    129 (10)    116 (20)    121 (30)    119 (40)
+#   zonotope  n=12 d=3   36.4 (55)   32.7 (55)   31.5 (110)  31.8 (165)  42.1 (220)
+#   zonotope  n=8 d=5   243 (5)     221 (5)     201 (11)    197 (17)    189 (23)
+#   zonotope  n=6 d=6    67.7 (22)   55.5 (22)   49.3 (44)   48.3 (67)   48.2 (89)
+#   proj_cube n=10 d=4  156 (10)    148 (10)    129 (20)    119 (30)    125 (40)
+#   proj_cube n=12 d=3   31.3 (55)   28.7 (55)   28.4 (110)  28.8 (165)  28.1 (220)
+#   proj_cube n=8 d=5   259 (5)     229 (5)     214 (11)    203 (17)    205 (23)
+_ENUM_ENTRIES = 3 << 16
 
 
 @dataclass(frozen=True)
@@ -238,7 +276,8 @@ def hull_f_vector(points: np.ndarray) -> FVectorSample:
     times the cloud's extent.
 
     Flat inputs come back flagged degenerate rather than raising; other qhull
-    failures raise a degeneracy error.  Dimension is capped at 6: face-lattice
+    failures, and merged facets whose count breaks Euler's relation, raise a
+    degeneracy error.  Dimension is capped at 6: face-lattice
     recovery enumerates vertex subsets and is meant for desk-scale checks.
     """
     return _qhull_f_vector(_real_rows(points, "points", "hull"))
@@ -250,7 +289,8 @@ def _qhull_f_vector(pts: np.ndarray) -> FVectorSample:
     A simplicial hull has its vertices (the distinct ids of its simplices)
     and, at d = 6, its edges (the distinct sorted id pairs) counted for
     _simplicial_f_vectors; a hull with merged facets is counted by
-    intersection closure.
+    intersection closure, and a count that breaks Euler's relation raises a
+    degeneracy error.
     """
     # SciPy loads on the first hull that reaches qhull, not at import
     from scipy.spatial import ConvexHull, QhullError
@@ -267,9 +307,12 @@ def _qhull_f_vector(pts: np.ndarray) -> FVectorSample:
 
     simplices, eq, nb = hull.simplices, hull.equations, hull.neighbors
     # neighbouring simplices lie on one facet when their hyperplanes agree;
-    # nb[i, j] is the simplex across the ridge opposite vertex j of simplex i
-    close = np.abs(eq[nb] - eq[:, None]).max(axis=2) <= _FACET_TOL
-    if not close.any():
+    # nb[i, j] is the simplex across the ridge opposite vertex j of simplex i,
+    # and each ridge is tested once, from its simplex of smaller index
+    i, j = np.nonzero(nb > np.arange(len(nb))[:, None])
+    diff = eq.take(nb[i, j], axis=0)
+    diff -= eq.take(i, axis=0)
+    if not (np.abs(diff, out=diff) <= _FACET_TOL).all(axis=1).any():
         lower = []
         if d > 3:
             lower.append(_distinct(simplices))
@@ -281,6 +324,7 @@ def _qhull_f_vector(pts: np.ndarray) -> FVectorSample:
 
     # each facet is labelled by the least simplex index among its simplices,
     # spread over close neighbours until no label moves
+    close = np.abs(eq[nb] - eq[:, None]).max(axis=2) <= _FACET_TOL
     label = np.arange(len(simplices))
     while True:
         relaxed = np.minimum(label, np.where(close, label[nb], len(simplices)).min(axis=1))
@@ -321,6 +365,10 @@ def _qhull_f_vector(pts: np.ndarray) -> FVectorSample:
         dim = int(np.linalg.matrix_rank(rel, tol=rank_tol))
         if dim <= d - 2:
             counts[dim] += 1
+    # a point just off a facet can leave some of its near-coplanar simplices
+    # unmerged, and the closure then miscounts
+    if sum((-1) ** k * f for k, f in enumerate(counts)) != 1 - (-1) ** d:
+        raise DegenerateGeometryError(f"merged facets gave f-vector {tuple(counts)}, which breaks Euler's relation")
     return FVectorSample(tuple(counts))
 
 
@@ -376,35 +424,75 @@ def _laplace_level(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return sets.T, sub
 
 
-def _minors(x: np.ndarray) -> np.ndarray:
-    """Every d x d minor, shape (C(m, d), maps), of a stack of m x d maps given as x[row, column, map]."""
+class _Workspace:
+    """Buffers that the chunks of a simulation write their temporaries into, one per name.
+
+    A buffer is allocated when a chunk first asks it for more entries than it
+    holds: the first full chunk sizes it, and every later chunk, the short
+    last one included, writes into its leading entries.  Nothing is read that
+    the same chunk did not write.
+    """
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """A C-contiguous array of the given shape on the leading entries of the buffer name; its values are left over."""
+        size = math.prod(shape)
+        buffer = self.buffers.get(name)
+        if buffer is None or buffer.size < size or buffer.dtype != dtype:
+            buffer = self.buffers[name] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
+
+
+def _gather(source: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """source[index] written into out; every index table here is in range by construction, which a test checks.
+
+    With mode="raise" NumPy takes through a copy of out: gaussian n=10 d=3
+    chunks then read 4.8 us per cloud against 3.3 with "clip" (5.5 with
+    every temporary allocated afresh; medians of 15 interleaved passes).
+    """
+    return source.take(index, axis=0, out=out, mode="clip")
+
+
+def _minors(x: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Every d x d minor, shape (C(m, d), maps), of a stack of m x d maps given as x[row, column, map], built in work."""
     m, d = x.shape[:2]
     chi = x[:, 0]
     for k in range(1, d):
         at, sub = _laplace_level(m, k + 1)
         # the cofactor of row p in column k has sign (-1)^(p+k)
         col = x[:, k]
-        acc = col[at[k]] * chi[sub[k]]
+        shape = (at.shape[1], x.shape[2])
+        acc = _gather(col, at[k], work.array(f"level{k % 2}", shape))
+        term, factor = work.array("term", shape), work.array("factor", shape)
+        acc *= _gather(chi, sub[k], factor)
         for p in range(k):
-            term = col[at[p]] * chi[sub[p]]
-            acc -= term if (k - p) % 2 else -term
+            _gather(col, at[p], term)
+            term *= _gather(chi, sub[p], factor)
+            if (k - p) % 2:
+                acc -= term
+            else:
+                acc += term
         chi = acc
     return chi
 
 
-def _lifted_minors(chi: np.ndarray, m: int, d: int) -> np.ndarray:
-    """Every (d+1) x (d+1) minor D(J), shape (C(m, d+1), maps), of the lifted maps [X | 1], from their d x d minors chi.
+def _lifted_minors(chi: np.ndarray, m: int, d: int, work: _Workspace) -> np.ndarray:
+    """Every (d+1) x (d+1) minor D(J), shape (C(m, d+1), maps), of the lifted maps [X | 1], from their d x d minors chi, built in work.
 
     It is level d + 1 of the Laplace expansion: its column is all ones, so
     D(J) = sum_r (-1)^(r+d) chi(J without J_r) takes signed adds only.
     """
     sub = _laplace_level(m, d + 1)[1]
-    lifted = chi[sub[d]]
+    shape = (sub.shape[1], chi.shape[1])
+    lifted = _gather(chi, sub[d], work.array("lifted", shape))
+    term = work.array("term", shape)
     for r in range(d):
         if (d - r) % 2:
-            lifted -= chi[sub[r]]
+            lifted -= _gather(chi, sub[r], term)
         else:
-            lifted += chi[sub[r]]
+            lifted += _gather(chi, sub[r], term)
     return lifted
 
 
@@ -538,7 +626,7 @@ def _chunk_size(row: Model, n: int, d: int) -> int:
 
     That is a cube's covector keys, a ray and its negative with every fill
     for each (d-1)-subset of generators, and a cloud's side tests: sums per
-    sign vector, or sign bits (and margins, if it may be near) per pair.
+    sign vector, or sign bits per pair.
     """
     if not _enumerates(row, n, d):
         return 1
@@ -549,7 +637,7 @@ def _chunk_size(row: Model, n: int, d: int) -> int:
     return max(1, _ENUM_ENTRIES // entries)
 
 
-def _enumerated_facets(maps: np.ndarray, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """f-vectors of the hulls of a stack of m x d maps' rows, with their negatives if symmetric, from their facets.
 
     The point x_i is on the side -det[X_I, 1; x_i, 1] of the hyperplane
@@ -574,58 +662,81 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool) -> tuple[np.ndarray, n
     antipodal pairs; _simplicial_f_vectors does the rest.  Returns the near
     flags and the int64 f-vector rows of the other clouds, in cloud order.
     Arrays are worked with the cloud axis last, so that every gather copies
-    whole rows.
+    whole rows, and every array the size of the chunk's minors or side
+    tests is written into work.
     """
-    m, d = maps.shape[1:]
-    x = np.ascontiguousarray(maps.transpose(1, 2, 0))
+    clouds, m, d = maps.shape
+    x = work.array("x", (m, d, clouds))
+    np.copyto(x, maps.transpose(1, 2, 0))
     subsets = _subsets(m, d)
-    chi = _minors(x)
-    norms = np.sqrt((x * x).sum(axis=1))
+    chi = _minors(x, work)
+    norms = np.sqrt(np.multiply(x, x, out=work.array("square", x.shape)).sum(axis=1))
     largest = norms.max(axis=0)
     scale = _ENUM_MARGIN * (1 + largest)
 
-    def margins(clouds) -> np.ndarray:
-        kept = norms[:, clouds]
-        return scale[clouds] * np.prod(kept[subsets[:, 1:]] + kept[subsets[:, :1]], axis=1)
+    def margins(kept: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        sets, width = len(subsets), kept.shape[1]
+        spans = _gather(kept, subsets[:, 1:], work.array("spans", (sets, d - 1, width)))
+        spans += _gather(kept, subsets[:, :1], work.array("base", (sets, 1, width)))
+        tol = np.prod(spans, axis=1, out=work.array("tol", (sets, width)))
+        tol *= scale
+        return tol
 
     if not symmetric:
-        lifted = _lifted_minors(chi, m, d)
+        lifted = _lifted_minors(chi, m, d, work)
         # every margin of a cloud is at most scale * (2R)^(d-1): a cloud with no
         # minor below twice that (room for rounding) is not near, and needs none built
-        maybe = np.flatnonzero(np.abs(lifted).min(axis=0) <= 2 * scale * (2 * largest) ** (d - 1))
-        limit = margins(maybe)[_laplace_level(m, d + 1)[1]].max(axis=0)
-        near = np.zeros(len(scale), dtype=bool)
+        smallest = np.abs(lifted, out=work.array("term", lifted.shape)).min(axis=0)
+        maybe = np.flatnonzero(smallest <= 2 * scale * (2 * largest) ** (d - 1))
+        limit = margins(norms[:, maybe], scale[maybe])[_laplace_level(m, d + 1)[1]].max(axis=0)
+        near = np.zeros(clouds, dtype=bool)
         near[maybe] = (np.abs(lifted[:, maybe]) <= limit).any(axis=0)
-        above = np.concatenate([lifted > 0, lifted < 0])[_lifted_side_table(m, d)].sum(axis=1, dtype=np.uint8)
-        facet = ((above == 0) | (above == m - d)).T
+        top = len(lifted)
+        signs = work.array("signs", (2 * top, clouds), bool)
+        np.greater(lifted, 0, out=signs[:top])
+        np.less(lifted, 0, out=signs[top:])
+        table = _lifted_side_table(m, d)
+        side = _gather(signs, table, work.array("side", (*table.shape, clouds), bool))
+        above = side.sum(axis=1, dtype=np.uint8, out=work.array("above", (len(table), clouds), np.uint8))
+        facet = np.equal(above, 0, out=work.array("facet", above.shape, bool))
+        facet |= np.equal(above, m - d, out=work.array("full", above.shape, bool))
     else:
-        tol = margins(slice(None))
+        tol = margins(norms, scale)
         swap = _side_table(m, d)
-        signed = np.concatenate([chi, -chi])
-        side = signed[swap[0]]
+        top = len(chi)
+        signed = work.array("signed", (2 * top, clouds))
+        signed[:top] = chi
+        np.negative(chi, out=signed[top:])
         # sums[e] = sum_p eps_p c_ip for sign vector e, built in place one p at a time
-        sums = np.empty((1 << (d - 1),) + side.shape)
-        sums[0] = side
+        sums = work.array("sums", (1 << (d - 1), *swap.shape[1:], clouds))
+        _gather(signed, swap[0], sums[0])
+        side = work.array("side", sums.shape[1:])
         for p in range(1, d):
             half = 1 << (p - 1)
-            np.take(signed, swap[p], axis=0, out=side)
+            _gather(signed, swap[p], side)
             np.subtract(sums[:half], side, out=sums[half : 2 * half])
             sums[:half] += side
-        size = np.abs(chi)
+        size = np.abs(chi, out=work.array("size", chi.shape))
         np.abs(sums, out=sums)
         sums -= size[:, None]
-        facet = (sums < 0).all(axis=2)
-        near = (np.abs(sums, out=sums) <= tol[:, None]).any(axis=(0, 1, 2)) | (2 * size <= tol).any(axis=0)
-        facet = facet.transpose(2, 0, 1).reshape(len(near), -1)
-    facet = facet[~near]
+        below = np.less(sums, 0, out=work.array("below", sums.shape, bool))
+        facet = below.all(axis=2, out=work.array("facet", (len(sums), top, clouds), bool)).reshape(-1, clouds)
+        np.abs(sums, out=sums)
+        near = np.less_equal(sums, tol[:, None], out=below).any(axis=(0, 1, 2))
+        size *= 2  # |2 chi(I)|, for the points -eps_j x_j
+        near |= np.less_equal(size, tol, out=work.array("flat", size.shape, bool)).any(axis=0)
+    # facet[r, c]: whether candidate r is a facet of cloud c; the rows of near clouds are counted and dropped
     copies = 1 + symmetric  # a face and its antipode
     lower = []
     if d > 3:
-        hit = facet @ _incidence(m, d, symmetric) > 0
+        flags = work.array("flags", facet.shape)
+        np.copyto(flags, facet)
+        hit = flags.T @ _incidence(m, d, symmetric) > 0
         lower.append(copies * hit[:, :m].sum(axis=1))
         if d == 6:
             lower.append(copies * hit[:, m:].sum(axis=1))
-    return near, np.column_stack(_simplicial_f_vectors(lower, copies * facet.sum(axis=1), d))
+    rows = np.column_stack(_simplicial_f_vectors(lower, copies * facet.sum(axis=0), d))
+    return near, rows[~near]
 
 
 def zonotope_f_vector(generators: np.ndarray) -> FVectorSample:
@@ -643,7 +754,7 @@ def zonotope_f_vector(generators: np.ndarray) -> FVectorSample:
         raise InvalidDimensionError(f"zonotope enumeration capped at n = {_MAX_GENERATORS}, got {n}")
     if n < d:
         raise DegenerateGeometryError("generators do not span the ambient space")
-    flat, rows = _zonotope_f_vectors(g[None])
+    flat, rows = _zonotope_f_vectors(g[None], _Workspace())
     if flat[0]:
         raise DegenerateGeometryError(
             f"generators not in general position: a zero generator, or {d} of them nearly on one hyperplane"
@@ -651,8 +762,8 @@ def zonotope_f_vector(generators: np.ndarray) -> FVectorSample:
     return FVectorSample(tuple(int(c) for c in rows[0]))
 
 
-def _zonotope_f_vectors(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f-vectors of the zonotopes of a stack of n x d generator maps, n >= d.
+def _zonotope_f_vectors(maps: np.ndarray, work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """f-vectors of the zonotopes of a stack of n x d generator maps, n >= d; their minors are built in work.
 
     A k-face is a covector sign(G c) of the arrangement of the planes g_i^perp
     with exactly k zeros.  In a simple arrangement every nonzero covector lies
@@ -660,8 +771,9 @@ def _zonotope_f_vectors(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     next to a ray are its sign vector with the d-1 zeros filled in all
     3^(d-1) ways; f_k counts the distinct ones with k zeros.  The rays' sign
     vectors are read off the d x d minors of the normalized generators (see
-    _covector_tables), and the keys of every map sort together, the map's
-    position their top digit, so that one sort and one bincount count them.
+    _covector_tables).  Each map's keys are sorted in a row of their own, so
+    that a chunk's sort costs the same per map at any chunk size, and one
+    bincount counts them all, the map's position their top digit.
 
     A map is flat when a generator is no longer than _GENERAL_POSITION_TOL
     times the longest, or some d x d minor of the normalized generators is
@@ -673,7 +785,7 @@ def _zonotope_f_vectors(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = np.sqrt((maps * maps).sum(axis=2))
     short = (norms <= _GENERAL_POSITION_TOL * norms.max(axis=1, keepdims=True)).any(axis=1)
     unit = maps / np.where(norms > 0, norms, 1.0)[:, :, None]
-    chi = _minors(np.ascontiguousarray(unit.transpose(1, 2, 0)))
+    chi = _minors(np.ascontiguousarray(unit.transpose(1, 2, 0)), work)
     flat = short | (np.abs(chi) <= _GENERAL_POSITION_TOL).any(axis=0)
     chi = chi[:, ~flat]
     kept = chi.shape[1]
@@ -682,14 +794,15 @@ def _zonotope_f_vectors(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     unit_key = 3 ** n
     low = np.matmul(3.0 ** np.arange(n), negative).astype(np.int64)  # exact below 2^53
     top = np.arange(kept, dtype=np.int64) * (d * unit_key)  # the map's position, above the zero count
-    keys = np.empty((2, len(off), kept, fill.shape[1]), dtype=np.int64)
-    keys[0] = (off[:, None] + top + low)[..., None]
-    keys[1] = (2 * off[:, None] + top - low)[..., None]
-    keys += fill[:, None, :]
-    keys = keys.ravel()
-    keys.sort()
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    low = low.T
+    keys = np.empty((kept, 2, len(off), fill.shape[1]), dtype=np.int64)
+    keys[:, 0] = (off + top[:, None] + low)[..., None]
+    keys[:, 1] = (2 * off + top[:, None] - low)[..., None]
+    keys += fill
+    keys = keys.reshape(kept, 2 * fill.size)
+    keys.sort(axis=1)
+    first = np.ones(keys.shape, dtype=bool)
+    np.not_equal(keys[:, 1:], keys[:, :-1], out=first[:, 1:])
     return flat, np.bincount(keys[first] // unit_key, minlength=kept * d).reshape(kept, d)
 
 
@@ -701,7 +814,7 @@ class SimulationResult:
     degenerate_events: int
 
 
-def _replication_block(args: tuple[str, int, int, int, int, int]) -> tuple[int, np.ndarray, int]:
+def _replication_block(args: tuple[str, int, int, int, int, int], work: _Workspace) -> tuple[int, np.ndarray, int]:
     """Rows lo..hi-1 of a simulation and their degenerate-attempt count.
 
     Attempts run in rounds.  Round a takes the replications still undecided,
@@ -710,7 +823,8 @@ def _replication_block(args: tuple[str, int, int, int, int, int]) -> tuple[int, 
     that _enumerates takes are decided on the minors route; the clouds it
     flags, and every cloud of other shapes, go to qhull as drawn.  A flat
     cube map or a cloud qhull finds flat waits for the next round.  Each
-    chunk writes its rows as soon as they are counted.
+    chunk writes its rows as soon as they are counted, and its maps and
+    temporaries into work, which every block run in one process can share.
     """
     model, n, d, seed, lo, hi = args
     row = MODEL_TABLE[model]
@@ -719,7 +833,7 @@ def _replication_block(args: tuple[str, int, int, int, int, int]) -> tuple[int, 
     rng = Generator(bitgen)
     enumerates = _enumerates(row, n, d)
     chunk = _chunk_size(row, n, d)
-    maps = np.empty((min(chunk, hi - lo), n, d))
+    maps = work.array("maps", (min(chunk, hi - lo), n, d))
     rows = np.zeros((hi - lo, d), dtype=np.int64)
     degen = 0
     pending = np.arange(hi - lo)  # block rows still undecided, in order
@@ -731,7 +845,7 @@ def _replication_block(args: tuple[str, int, int, int, int, int]) -> tuple[int, 
             drawn = _sample_maps(row, keys[start : start + chunk], bitgen, rng, maps[: len(todo)])
             if row.family is Family.CUBE:
                 # the zonotope of the map's rows; zonotope_f_vector would reject a flat map by this same test
-                again, counts = _zonotope_f_vectors(drawn)
+                again, counts = _zonotope_f_vectors(drawn, work)
                 rows[todo[~again]] = counts
                 flat.append(todo[again])
                 continue
@@ -740,7 +854,7 @@ def _replication_block(args: tuple[str, int, int, int, int, int]) -> tuple[int, 
             again = np.zeros(len(todo), dtype=bool)
             near = ~again
             if enumerates:
-                near, counts = _enumerated_facets(drawn, symmetric)
+                near, counts = _enumerated_facets(drawn, symmetric, work)
                 rows[todo[~near]] = counts
             for j in np.flatnonzero(near):
                 try:
@@ -786,10 +900,13 @@ def simulate_expected_f(cfg: SimConfig, dump_path: str | None = None) -> Simulat
     degen = 0
     # a pool starts all its workers at once, so it gets no more than there are blocks or CPUs
     workers = min(cfg.workers, len(blocks), _usable_cpus())
+    # every block run in this process writes into one workspace; a pool's
+    # workers are sent an empty copy of it with each block
+    work = _Workspace()
     # the dump file is opened first, so a bad path fails before any replication is drawn
     with open(dump_path, "w", newline="", encoding="utf-8") if dump_path is not None else nullcontext() as dump:
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-            for lo, block_rows, block_degen in (pool.map if pool else map)(_replication_block, blocks):
+            for lo, block_rows, block_degen in (pool.map if pool else map)(_replication_block, blocks, repeat(work)):
                 rows[lo : lo + len(block_rows)] = block_rows
                 degen += block_degen
         if degen > _DEGENERATE_RATE_LIMIT * r:

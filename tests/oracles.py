@@ -557,13 +557,13 @@ def simplex_facets_by_side_sums(maps: np.ndarray) -> tuple[np.ndarray, np.ndarra
     value within its margin of 0 is near.  Returns the near flags, the
     simplices of the other clouds in cloud order and how many belong to each.
     """
-    from polyproj.hull import _ENUM_MARGIN, _minors, _side_table, _subsets
+    from polyproj.hull import _ENUM_MARGIN, _Workspace, _minors, _side_table, _subsets
 
     m, d = maps.shape[1:]
     x = np.ascontiguousarray(maps.transpose(1, 2, 0))
     subsets = _subsets(m, d)
     swap = _side_table(m, d)
-    chi = _minors(x)
+    chi = _minors(x, _Workspace())
     signed = np.concatenate([chi, -chi])
     norms = np.sqrt((x * x).sum(axis=1))
     volume_bound = np.prod(norms[subsets[:, 1:]] + norms[subsets[:, :1]], axis=1)

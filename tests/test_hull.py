@@ -53,6 +53,8 @@ from polyproj.hull import (
     _simplicial_f_vectors,
     _subsets,
     _usable_cpus,
+    _Workspace,
+    _zonotope_f_vectors,
 )
 from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator, derive_keys
 
@@ -202,7 +204,7 @@ def _assert_minors_route_rows(maps, symmetric):
     # rows counted where the facets are found, against every f_k counted from
     # subsets: of the side-sum oracle's facets for the rows' hull, of qhull's
     # hull of each cloud and its negatives for the symmetric one
-    near, rows = _enumerated_facets(maps, symmetric)
+    near, rows = _enumerated_facets(maps, symmetric, _Workspace())
     assert rows.dtype == np.int64 and rows.shape == (np.count_nonzero(~near), maps.shape[2])
     if symmetric:
         assert rows.tolist() == [list(hull_f_vector(symmetrize(cloud)).counts) for cloud in maps[~near]]
@@ -247,19 +249,47 @@ def test_simplicial_f_vectors_of_qhull_simplices(d):
             clouds.append(model_cloud(model, n, d, rng))
     for cloud in _clouds_near_hyperplanes(np.random.default_rng(d), 12, d + 4, d):
         clouds += [cloud, symmetrize(cloud)]
-    simplicial = 0
-    for cloud in clouds:
+    simplicial, broken = 0, []
+    for c, cloud in enumerate(clouds):
         simplices = ConvexHull(cloud).simplices
         row = distinct_subset_f_vectors(simplices, [len(simplices)])[0].tolist()
         inner = cloud.mean(axis=0) + 0.01 * (cloud - cloud.mean(axis=0))
         for points in (cloud, np.vstack([cloud, inner])):
-            counts = _qhull_f_vector(points).counts
+            try:
+                counts = _qhull_f_vector(points).counts
+            except DegenerateGeometryError:  # merged facets that break Euler's relation
+                broken.append(c)
+                continue
             assert all(type(f) is int for f in counts)
+            assert sum((-1) ** k * f for k, f in enumerate(counts)) == 1 - (-1) ** d  # Euler
             if counts[d - 1] == len(simplices):  # no facet merged
                 assert list(counts) == row
-                assert sum((-1) ** k * f for k, f in enumerate(counts)) == 1 - (-1) ** d  # Euler
                 simplicial += 1
     assert simplicial >= 80
+    # near cloud 10 at d = 6, with and without the inner points (see
+    # test_merged_facets_that_break_euler_are_a_degeneracy_error)
+    assert broken == ([24 + 2 * 10] * 2 if d == 6 else [])
+
+
+def test_merged_facets_that_break_euler_are_a_degeneracy_error(monkeypatch):
+    # row 0 lies 3.3e-10 off the hyperplane through rows 1..6: of qhull's 32
+    # simplices two merge and the next pair, 1.4e-9 apart, does not, and the
+    # closure counts (9, 36, 82, 112, 87, 31), whose Euler sum is -1
+    cloud = _clouds_near_hyperplanes(np.random.default_rng(6), 12, 10, 6)[10]
+    assert rounded_facet_f_vector(cloud) == (10, 42, 96, 128, 96, 32)
+    with pytest.raises(DegenerateGeometryError, match="Euler"):
+        hull_f_vector(cloud)
+    # simulate resamples such a draw from the replication's next attempt
+    model, n, d, seed = "gaussian", 10, 6, 3
+    path = (seed, SIM_REPLICATION, MODEL_CODES[model], n, d)
+    broken = _key(*path, 1, 0)
+    _patch_sample_map(monkeypatch, lambda key, image: cloud if key == broken else image)
+    _, rows, degen = _replication_block((model, n, d, seed, 0, 3), _Workspace())
+    assert degen == 1
+    monkeypatch.undo()
+    redrawn = model_cloud(model, n, d, derive_generator(*path, 1, 1))
+    assert rows[1].tolist() == list(hull_f_vector(redrawn).counts)
+    assert rows[[0, 2]].tolist() == _replication_block((model, n, d, seed, 0, 3), _Workspace())[1][[0, 2]].tolist()
 
 
 def _cyclic_facets(n: int, d: int) -> np.ndarray:
@@ -596,8 +626,8 @@ def test_simulate_pool_has_no_more_workers_than_blocks(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     base = dict(model="symmetric", n=4, d=2, seed=5)
     alone = {r: simulate_expected_f(SimConfig(**base, replications=r)) for r in (10, 1100)}
@@ -699,7 +729,7 @@ def test_simulate_resamples_degenerate_draws_from_later_attempts(monkeypatch):
     rows, degenerate = per_replication_rows(model, n, d, seed, r, sampler=sampler)
     assert degenerate.sum() == 6 and degenerate[1700] == 2
     _patch_sample_map(monkeypatch, flattened)
-    lo, block_rows, block_degen = _replication_block((model, n, d, seed, 512, 1024))
+    lo, block_rows, block_degen = _replication_block((model, n, d, seed, 512, 1024), _Workspace())
     assert block_degen == 2 and np.array_equal(block_rows, rows[512:1024])
     result = simulate_expected_f(SimConfig(model=model, n=n, d=d, replications=r, seed=seed))
     assert result.degenerate_events == 6
@@ -731,7 +761,7 @@ def test_dump_written_a_block_at_a_time_is_the_one_call_dump(tmp_path):
     r = 2 * _BLOCK + 276
     dump = tmp_path / "rows.csv"
     simulate_expected_f(SimConfig(model="zonotope", n=5, d=3, replications=r, seed=6), dump_path=str(dump))
-    rows = np.concatenate([_replication_block(("zonotope", 5, 3, 6, lo, min(lo + _BLOCK, r)))[1]
+    rows = np.concatenate([_replication_block(("zonotope", 5, 3, 6, lo, min(lo + _BLOCK, r)), _Workspace())[1]
                            for lo in range(0, r, _BLOCK)])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -820,6 +850,73 @@ def test_qhull_route_matches_per_replication_oracle(model, n, d, tmp_path):
     _assert_simulate_matches_oracle(model, n, d, 31, 513, tmp_path)
 
 
+@pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
+@pytest.mark.parametrize("model", sorted(_ORACLE_MODELS) + ["projected_cube", "zonotope"])
+def test_workspace_leaks_nothing_across_chunks(monkeypatch, model, d):
+    # one block of maps in chunks that share a workspace whose every byte is
+    # set before each chunk is drawn (NaN in every float), the last chunk
+    # short: 16, 16 and 9 clouds, or 4, 4 and 1 cube maps (16 zonotopes at
+    # n = 15, d = 6 would sort 190 MB of keys).  In the first chunk maps 1 and
+    # 2 have row 0 moved 1e-9 off the affine hull of rows 1..d, near enough
+    # for qhull, or a cube map's row 0 1e-12 off the span of rows 1..d-1,
+    # flat enough to be drawn again.  The block's rows and degenerate count
+    # are those of each map decided in a block of its own
+    row = MODEL_TABLE[model]
+    cube = row.family is Family.CUBE
+    count = _zonotope_f_vectors if cube else _enumerated_facets
+    chunk, block, offset = (4, 9, 1e-12) if cube else (16, 41, 1e-9)
+    found = []
+
+    def recorded(*args):
+        flags, rows = count(*args)
+        found.append(flags)
+        return flags, rows
+
+    monkeypatch.setattr("polyproj.hull._chunk_size", lambda row, n, d: chunk)
+    monkeypatch.setattr(f"polyproj.hull.{count.__name__}", recorded)
+    largest = _MAX_GENERATORS if cube else _largest_enumerated_n(model, d)
+    for n in sorted({d + row.shift, largest}):
+        assert cube or _chunk_size(row, n, d) >= chunk
+        path = (7, SIM_REPLICATION, MODEL_CODES[model], n, d)
+        moved = {_key(*path, i, 0) for i in (1, 2)}
+        span = d - 1 if cube else min(d, n - 1)
+        work = _Workspace()
+
+        def poisoned_draw(row, keys, bitgen, rng, out):
+            for buffer in work.buffers.values():
+                buffer.view(np.uint8).fill(0xFF)
+            _sample_maps(row, keys, bitgen, rng, out)
+            for j, key in enumerate(keys.tolist()):
+                if tuple(key) in moved:
+                    weights = np.arange(1.0, span + 1) / (span * (span + 1) / 2)
+                    out[j, 0] = weights @ out[j, 1 : span + 1] + offset * np.arange(1.0, d + 1)
+            return out
+
+        monkeypatch.setattr("polyproj.hull._sample_maps", poisoned_draw)
+        alone = [_replication_block((model, n, d, 7, i, i + 1), _Workspace()) for i in range(block)]
+        found.clear()
+        _, rows, degen = _replication_block((model, n, d, 7, 0, block), work)
+        assert [len(flags) for flags in found[:3]] == [chunk, chunk, block - 2 * chunk] and found[0][1:3].all()
+        assert rows.tolist() == [alone_block[1][0].tolist() for alone_block in alone]
+        assert degen == sum(alone_block[2] for alone_block in alone)
+
+
+@pytest.mark.parametrize("model,n,d,sums", [
+    ("gaussian", 10, 3, [10744, 24432, 16288]),
+    ("symmetric", 8, 4, [18154, 74778, 113248, 56624]),
+])
+def test_benchmark_shapes_keep_their_counts(model, n, d, sums, tmp_path):
+    # the hull_sim workload's minors-route shapes over two whole blocks and a
+    # short third one: the column sums of their dump rows, pinned when every
+    # chunk allocated its own temporaries
+    dump = tmp_path / "rows.csv"
+    cfg = SimConfig(model=model, n=n, d=d, replications=2 * _BLOCK + 276, seed=5)
+    assert simulate_expected_f(cfg, dump_path=str(dump)).degenerate_events == 0
+    rows = np.loadtxt(dump, delimiter=",", skiprows=1, dtype=np.int64)
+    assert rows[:, 0].tolist() == list(range(cfg.replications))
+    assert rows[:, 1:].sum(axis=0).tolist() == sums
+
+
 def test_enumeration_cap_sends_large_shapes_to_qhull():
     # the cap is in side tests per cloud point; cube shapes take the route up to their own cap
     assert _enumerates(MODEL_TABLE["gaussian"], 10, 3)
@@ -858,7 +955,7 @@ def _routed_block(monkeypatch, model, cloud_map):
     # hull.py imports ConvexHull where it calls qhull, so the name is read from scipy.spatial then
     monkeypatch.setattr("scipy.spatial.ConvexHull", counted_hull)
     n, d = cloud_map.shape
-    _, rows, degen = _replication_block((model, n, d, 0, 0, 1))
+    _, rows, degen = _replication_block((model, n, d, 0, 0, 1), _Workspace())
     assert degen == 0
     assert len(draws) == 1
     return tuple(rows[0].tolist()), bool(calls)
@@ -946,7 +1043,7 @@ def test_cube_general_position_boundary_inside_a_chunk(monkeypatch, d, factor, r
 
     _patch_sample_map(monkeypatch, placing)
     monkeypatch.setattr("polyproj.hull.zonotope_f_vector", counting)
-    _, rows, degen = _replication_block((model, n, d, seed, 0, 16))
+    _, rows, degen = _replication_block((model, n, d, seed, 0, 16), _Workspace())
     parallelotope = [int(expected_f_zonotope(d, d, k).value) for k in range(d)]
     assert rows.tolist() == [parallelotope] * 16
     keys = [tuple(k) for k in derive_keys(*path, np.arange(16), 0).tolist()]
@@ -1004,7 +1101,8 @@ def test_lifted_minors_read_through_the_table_are_side_determinants(m, d):
     # the entry of (I, i) is x_i's side of the hyperplane through X_I: -det[X_I, 1; x_i, 1]
     maps = np.random.default_rng(m + 10 * d).standard_normal((5, m, d))
     x = np.ascontiguousarray(maps.transpose(1, 2, 0))
-    lifted = _lifted_minors(_minors(x), m, d)
+    work = _Workspace()
+    lifted = _lifted_minors(_minors(x, work), m, d, work)
     side = np.concatenate([lifted, -lifted])[_lifted_side_table(m, d)]
     for r, rows in enumerate(combinations(range(m), d)):
         for a, i in enumerate(sorted(set(range(m)).difference(rows))):
@@ -1029,6 +1127,27 @@ def test_insertions_match_covector_sign_oracle(k):
         table = _insertions(m, k)
         assert table.shape == (math.comb(m, k - 1), m)
         assert np.array_equal(table, covector_sign_by_loops(m, k))
+
+
+@pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
+def test_gathered_index_tables_are_in_range(d):
+    # _gather clamps an index past the end of its source (mode="clip") where
+    # plain indexing would raise, so every table it reads is checked here to
+    # stay inside the array it indexes, at every m the minors route takes at d:
+    # the cube models' n up to _MAX_GENERATORS and each cloud model's enumerated n
+    largest = max([_MAX_GENERATORS] + [_largest_enumerated_n(model, d) for model in _ORACLE_MODELS])
+    for m in range(d, largest + 1):
+        # level k reads rows of the map and the (k-1)-minors of the level below
+        for k in range(2, min(m, d + 1) + 1):
+            at, sub = _laplace_level(m, k)
+            assert 0 <= at.min() and at.max() < m
+            assert 0 <= sub.min() and sub.max() < math.comb(m, k - 1)
+        assert 0 <= _subsets(m, d).min() and _subsets(m, d).max() < m
+        # side tables read the minors stacked on their negatives
+        if m > d:
+            swap, lifted = _side_table(m, d), _lifted_side_table(m, d)
+            assert 0 <= swap.min() and swap.max() < 2 * math.comb(m, d)
+            assert 0 <= lifted.min() and lifted.max() < 2 * math.comb(m, d + 1)
 
 
 def test_subsets_edge_cases_and_read_only_tables():
