@@ -17,12 +17,12 @@ shared read-only through a cache: the subsets of _subsets(m, k) in their one
 combinations order, the levels of the expansion (_laplace_level), and the one
 inverted level, _insertions(m, k), which says where the minor of a
 (k-1)-subset with one row put after it sits among the k x k minors.  The side
-tables of both hull types and the zonotope's covector signs are gathers of
-it.  Side tests are (d+1)-minors of the lifted map [X | 1] for the rows'
-hull and sums of d minors for the symmetric one (_enumerated_facets).  A
-cloud with a point within a margin of some hyperplane through d others
-(_ENUM_MARGIN, at the cloud's scale) is not read off the table but goes to
-qhull, and so do shapes with more side tests per point than _ENUM_CAP.
+tables of both hull types are gathers of it.  Side tests are (d+1)-minors of
+the lifted map [X | 1] for the rows' hull and sums of d minors for the
+symmetric one (_enumerated_facets).  A cloud with a point within a margin of
+some hyperplane through d others (_ENUM_MARGIN, at the cloud's scale) is not
+read off the table but goes to qhull, and so do shapes with more side tests
+per point than _ENUM_CAP.
 Every array of that route the size of a chunk, the minors' levels included,
 is written into one _Workspace that the chunks of a simulation share.  With
 a fresh array per temporary, each one past the allocator's mmap threshold
@@ -51,14 +51,11 @@ qhull's simplices, or for a chunk of clouds by one product of their facet
 flags with a table of which rows and row pairs each candidate facet holds
 (_incidence).
 
-Zonotope f-vectors are counted combinatorially: a k-face is a covector of
-the generators' hyperplane arrangement with k zeros, and every covector is
-read off a ray of the arrangement: a gather of _insertions from the same
-table of d x d minors, of the normalized generators, gives every ray's sign
-vector (_covector_tables), and the minors' sizes are the general-position
-check.  A projected cube is the zonotope of its frame rows.  simulate counts
-a chunk of zonotopes with one row-wise sort of their covector keys, a row
-per map, and zonotope_f_vector is the call for one.
+A zonotope whose generators are in general position has the f-vector of a
+generic central arrangement (Zaslavsky, 1975), expected_f_cube_closed_form,
+for every draw, and a projected cube is the zonotope of its frame rows.  So
+a cube map is only tested for general position, on the d x d minors of its
+normalized generators (_flat_generators).
 
 Every replication draws from its own counter-based stream derived from
 (seed, model, n, d, replication index, attempt), so estimates are identical
@@ -84,7 +81,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, product, repeat
+from itertools import combinations, repeat
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -96,6 +93,7 @@ from .errors import (
     InvalidDimensionError,
     SimulationAbortError,
 )
+from .expected import expected_f_cube_closed_form
 from .families import MODEL_TABLE, Family, Model, check_int, face_count, model_row
 from .streams import MODEL_CODES, SIM_REPLICATION, derive_keys, rekey
 
@@ -149,16 +147,7 @@ _ENUM_CAP = 160
 #   symmetric n=19 d=2  78.6 (11)   72.0 (11)   51.4 (22)   49.3 (33)   48.4 (45)
 #   symmetric n=8 d=6   35.6 (36)   33.3 (36)   26.9 (73)   23.6 (109)  23.1 (146)
 # 2^18 is no faster, and its 2 MiB sums raised the peak RSS of the benchmark's
-# hull_sim workload by 3.5 MB, against 1.1 MB at 3 << 16.  Cube models, per map
-# of _zonotope_f_vectors, same passes; "fresh" also sorted the chunk's keys in
-# one run, which at 3 << 16 read 38.0 against 35.7 for zonotope n=12 d=3:
-#   zonotope  n=10 d=4  148 (10)    129 (10)    116 (20)    121 (30)    119 (40)
-#   zonotope  n=12 d=3   36.4 (55)   32.7 (55)   31.5 (110)  31.8 (165)  42.1 (220)
-#   zonotope  n=8 d=5   243 (5)     221 (5)     201 (11)    197 (17)    189 (23)
-#   zonotope  n=6 d=6    67.7 (22)   55.5 (22)   49.3 (44)   48.3 (67)   48.2 (89)
-#   proj_cube n=10 d=4  156 (10)    148 (10)    129 (20)    119 (30)    125 (40)
-#   proj_cube n=12 d=3   31.3 (55)   28.7 (55)   28.4 (110)  28.8 (165)  28.1 (220)
-#   proj_cube n=8 d=5   259 (5)     229 (5)     214 (11)    203 (17)    205 (23)
+# hull_sim workload by 3.5 MB, against 1.1 MB at 3 << 16.
 _ENUM_ENTRIES = 3 << 16
 
 
@@ -552,28 +541,6 @@ def _side_table(m: int, d: int) -> np.ndarray:
 
 
 @cache
-def _covector_tables(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The keys of the covectors of n generators in R^d read off their rays: (off, fill).
-
-    The ray of the (d-1)-subset S (combinations order) is x -> det[g_S; x],
-    so its covector sign at generator i is that of _insertions(n, d)'s
-    entry [S, i].  Covector keys are base 3, digit 0 for a zero, 1 for +,
-    2 for -, with the count of zeros as the digit above the n generator
-    digits: the ray's key is off[S] plus 3^i for each negative i, its
-    negative's 2 off[S] minus that, and fill[S, f] adds the f-th of the
-    3^(d-1) fills of S's zeros.
-    """
-    spans = _subsets(n, d - 1)
-    pow3 = 3 ** np.arange(n + 1, dtype=np.int64)
-    off = (pow3[n] - 1) // 2 - pow3[spans].sum(axis=1)
-    fills = np.array(list(product(range(3), repeat=d - 1)), dtype=np.int64)
-    fill = pow3[spans] @ fills.T + (fills == 0).sum(axis=1) * pow3[n]
-    for table in (off, fill):
-        table.setflags(write=False)  # shared by every caller through the cache
-    return off, fill
-
-
-@cache
 def _incidence(m: int, d: int, symmetric: bool) -> np.ndarray:
     """Which rows, and at d = 6 which row pairs, each candidate facet of an m x d map's hull holds: 0/1 floats.
 
@@ -624,17 +591,15 @@ def _enumerates(row: Model, n: int, d: int) -> bool:
 def _chunk_size(row: Model, n: int, d: int) -> int:
     """Maps drawn at once: one for shapes qhull decides, on the minors route so many that the largest temporary has about _ENUM_ENTRIES entries.
 
-    That is a cube's covector keys, a ray and its negative with every fill
-    for each (d-1)-subset of generators, and a cloud's side tests: sums per
-    sign vector, or sign bits per pair.
+    That is a cloud's side tests: sums per sign vector, or sign bits per
+    pair.  A cube map's largest temporary, its C(n, d) minors, is n - d
+    times smaller than its side-test count, which sizes its chunk all the
+    same: sizing on the minors was no faster (512 maps, medians of 15,
+    zonotope n=12 d=5 20.7 ms against 16.2, n=15 d=6 118 against 126).
     """
     if not _enumerates(row, n, d):
         return 1
-    if row.family is Family.CUBE:
-        entries = 2 * math.comb(n, d - 1) * 3 ** (d - 1)
-    else:
-        entries = max(_side_tests(row, n, d), 1)
-    return max(1, _ENUM_ENTRIES // entries)
+    return max(1, _ENUM_ENTRIES // max(_side_tests(row, n, d), 1))
 
 
 def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
@@ -742,11 +707,12 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
 def zonotope_f_vector(generators: np.ndarray) -> FVectorSample:
     """Exact f-vector of the zonotope sum of segments [0, g_i].
 
-    A k-face is a covector of the generators' hyperplane arrangement with k
-    zeros; they are read off the d x d minors of the normalized generators,
-    the count simulate runs on a chunk of maps (_zonotope_f_vectors) run on
-    one.  Generators not in general position at _GENERAL_POSITION_TOL, a
-    zero generator or a minor that small, raise a degeneracy error.
+    Generators in general position give the face lattice of a generic
+    central arrangement, whose f-vector is expected_f_cube_closed_form;
+    they are tested on the d x d minors of the normalized generators, the
+    test simulate runs on a chunk of maps (_flat_generators) run on one.
+    Generators not in general position at _GENERAL_POSITION_TOL, a zero
+    generator or a minor that small, raise a degeneracy error.
     """
     g = _real_rows(generators, "generators", "zonotope")
     n, d = g.shape
@@ -754,56 +720,26 @@ def zonotope_f_vector(generators: np.ndarray) -> FVectorSample:
         raise InvalidDimensionError(f"zonotope enumeration capped at n = {_MAX_GENERATORS}, got {n}")
     if n < d:
         raise DegenerateGeometryError("generators do not span the ambient space")
-    flat, rows = _zonotope_f_vectors(g[None], _Workspace())
-    if flat[0]:
+    if _flat_generators(g[None], _Workspace())[0]:
         raise DegenerateGeometryError(
             f"generators not in general position: a zero generator, or {d} of them nearly on one hyperplane"
         )
-    return FVectorSample(tuple(int(c) for c in rows[0]))
+    return FVectorSample(tuple(expected_f_cube_closed_form(n, d, k) for k in range(d)))
 
 
-def _zonotope_f_vectors(maps: np.ndarray, work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """f-vectors of the zonotopes of a stack of n x d generator maps, n >= d; their minors are built in work.
-
-    A k-face is a covector sign(G c) of the arrangement of the planes g_i^perp
-    with exactly k zeros.  In a simple arrangement every nonzero covector lies
-    next to a ray, the null vector of some d-1 generators, and the covectors
-    next to a ray are its sign vector with the d-1 zeros filled in all
-    3^(d-1) ways; f_k counts the distinct ones with k zeros.  The rays' sign
-    vectors are read off the d x d minors of the normalized generators (see
-    _covector_tables).  Each map's keys are sorted in a row of their own, so
-    that a chunk's sort costs the same per map at any chunk size, and one
-    bincount counts them all, the map's position their top digit.
+def _flat_generators(maps: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Which of a stack of n x d generator maps, n >= d, are not in general position; their minors are built in work.
 
     A map is flat when a generator is no longer than _GENERAL_POSITION_TOL
     times the longest, or some d x d minor of the normalized generators is
     no larger than _GENERAL_POSITION_TOL: d-1 of them then nearly fail to
-    span a hyperplane, or another lies nearly on it.  Returns the flat flags
-    and the f-vector rows of the other maps, in map order.
+    span a hyperplane, or another lies nearly on it.
     """
-    m, n, d = maps.shape
     norms = np.sqrt((maps * maps).sum(axis=2))
     short = (norms <= _GENERAL_POSITION_TOL * norms.max(axis=1, keepdims=True)).any(axis=1)
     unit = maps / np.where(norms > 0, norms, 1.0)[:, :, None]
     chi = _minors(np.ascontiguousarray(unit.transpose(1, 2, 0)), work)
-    flat = short | (np.abs(chi) <= _GENERAL_POSITION_TOL).any(axis=0)
-    chi = chi[:, ~flat]
-    kept = chi.shape[1]
-    off, fill = _covector_tables(n, d)
-    negative = np.concatenate([chi, -chi, np.zeros((1, kept))])[_insertions(n, d)] < 0
-    unit_key = 3 ** n
-    low = np.matmul(3.0 ** np.arange(n), negative).astype(np.int64)  # exact below 2^53
-    top = np.arange(kept, dtype=np.int64) * (d * unit_key)  # the map's position, above the zero count
-    low = low.T
-    keys = np.empty((kept, 2, len(off), fill.shape[1]), dtype=np.int64)
-    keys[:, 0] = (off + top[:, None] + low)[..., None]
-    keys[:, 1] = (2 * off + top[:, None] - low)[..., None]
-    keys += fill
-    keys = keys.reshape(kept, 2 * fill.size)
-    keys.sort(axis=1)
-    first = np.ones(keys.shape, dtype=bool)
-    np.not_equal(keys[:, 1:], keys[:, :-1], out=first[:, 1:])
-    return flat, np.bincount(keys[first] // unit_key, minlength=kept * d).reshape(kept, d)
+    return short | (np.abs(chi) <= _GENERAL_POSITION_TOL).any(axis=0)
 
 
 @dataclass(frozen=True)
@@ -819,10 +755,11 @@ def _replication_block(args: tuple[str, int, int, int, int, int], work: _Workspa
 
     Attempts run in rounds.  Round a takes the replications still undecided,
     gets their attempt-a keys from one derive_keys call and draws their maps,
-    a chunk of _chunk_size maps at a time, by re-keying one Philox.  Shapes
-    that _enumerates takes are decided on the minors route; the clouds it
-    flags, and every cloud of other shapes, go to qhull as drawn.  A flat
-    cube map or a cloud qhull finds flat waits for the next round.  Each
+    a chunk of _chunk_size maps at a time, by re-keying one Philox.  A cube
+    map in general position takes the closed-form row, built once per block.
+    Other shapes that _enumerates takes are decided on the minors route; the
+    clouds it flags, and every cloud of other shapes, go to qhull as drawn.
+    A flat cube map or a cloud qhull finds flat waits for the next round.  Each
     chunk writes its rows as soon as they are counted, and its maps and
     temporaries into work, which every block run in one process can share.
     """
@@ -833,6 +770,8 @@ def _replication_block(args: tuple[str, int, int, int, int, int], work: _Workspa
     rng = Generator(bitgen)
     enumerates = _enumerates(row, n, d)
     chunk = _chunk_size(row, n, d)
+    if row.family is Family.CUBE:
+        cube = [expected_f_cube_closed_form(n, d, k) for k in range(d)]
     maps = work.array("maps", (min(chunk, hi - lo), n, d))
     rows = np.zeros((hi - lo, d), dtype=np.int64)
     degen = 0
@@ -845,8 +784,8 @@ def _replication_block(args: tuple[str, int, int, int, int, int], work: _Workspa
             drawn = _sample_maps(row, keys[start : start + chunk], bitgen, rng, maps[: len(todo)])
             if row.family is Family.CUBE:
                 # the zonotope of the map's rows; zonotope_f_vector would reject a flat map by this same test
-                again, counts = _zonotope_f_vectors(drawn, work)
-                rows[todo[~again]] = counts
+                again = _flat_generators(drawn, work)
+                rows[todo[~again]] = cube
                 flat.append(todo[again])
                 continue
             # the simplex's vertices are the e_i and the crosspolytope's the +-e_i,

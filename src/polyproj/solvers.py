@@ -1,8 +1,8 @@
 """Nonnegative least squares with verified optimality.
 
 No library module imports this file, so scipy.optimize stays off the import
-path of ``polyproj``: cone membership is a half-space test and zonotopes are
-counted by covectors.  It is kept for the benchmark's traced replay
+path of ``polyproj``: cone membership is a half-space test and zonotopes
+take a closed form.  It is kept for the benchmark's traced replay
 (``bench/staged.py``), whose ``solvers.nnls_us`` probe times this solver.
 
 scipy's active-set solver can stop early on rare inputs and its reported

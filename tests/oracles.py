@@ -12,7 +12,8 @@ instead of qhull bookkeeping, index tables subset by subset through
 dictionaries of positions instead of array operations on one subset list,
 each side test of a point against d others as a sum of d minors instead of
 one minor of the lifted map [X | 1] per d + 1 points,
-rays of a zonotope's arrangement by SVD instead of off a table of minors,
+a zonotope's faces counted as covectors at rays found by SVD instead of
+taken from the closed form of a generic arrangement,
 facets grouped by rounded hyperplane equations instead of by qhull's
 neighbour graph, one freshly derived generator and one f-vector call per
 replication instead of batched stream keys and block-wise face counting,
@@ -340,10 +341,13 @@ def lp_zonotope_f_vector(generators: np.ndarray) -> tuple[int, ...]:
 def svd_zonotope_f_vector(generators: np.ndarray) -> tuple[int, ...]:
     """Zonotope f-vector from covectors at rays found by SVD, one generator set at a time.
 
-    The route the library took before it read rays off d x d minors: the ray
-    of d-1 generators is the last right singular vector of their normalized
-    rows, covector signs are its cosines with the generators, and one
-    np.unique over the base-3 keys of every ray's fills counts the faces.
+    A count of faces where the library takes a closed form: a k-face is a
+    covector of the generators' hyperplane arrangement with k zeros, and in a
+    simple arrangement every covector lies next to a ray.  The ray of d-1
+    generators is the last right singular vector of their normalized rows,
+    covector signs are its cosines with the generators, and one np.unique
+    over the base-3 keys of every ray's sign vector, its d-1 zeros filled in
+    all 3^(d-1) ways, counts the faces.
     General position is checked by the smallest singular value of every d-1
     normalized generators and the cosine of every other one with their ray,
     and raises the library's DegenerateGeometryError like the library's check.

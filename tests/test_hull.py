@@ -32,10 +32,10 @@ from polyproj.hull import (
     _FACET_TOL,
     _GENERAL_POSITION_TOL,
     _MAX_HULL_DIM,
-    _covector_tables,
     _enumerated_facets,
     _enumerates,
     _chunk_size,
+    _flat_generators,
     _MAX_ATTEMPTS,
     _MAX_GENERATORS,
     _MAX_POINTS,
@@ -54,7 +54,6 @@ from polyproj.hull import (
     _subsets,
     _usable_cpus,
     _Workspace,
-    _zonotope_f_vectors,
 )
 from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator, derive_keys
 
@@ -355,16 +354,13 @@ def test_hull_rejects_non_finite_points(bad):
 # zonotopes
 
 
-@pytest.mark.parametrize("n,d", [(3, 2), (5, 2), (3, 3), (4, 3), (5, 3), (4, 4), (5, 4),
-                                 (15, 2), (15, 3), (15, 6)])  # n = 15 is the cap
+@pytest.mark.parametrize("n,d", [(n, d) for d in range(2, _MAX_HULL_DIM + 1)
+                                 for n in range(d, _MAX_GENERATORS + 1)])
 def test_zonotope_counts_match_closed_form(n, d):
-    # generic generators give the same f-vector almost surely
-    for rep in range(3):
-        rng = derive_generator(23, n, d, rep)
-        fv = zonotope_f_vector(rng.standard_normal((n, d)))
-        assert fv.counts == tuple(
-            int(expected_f_zonotope(n, d, k).value) for k in range(d)
-        )
+    # zonotope_f_vector returns the closed form for generators in general
+    # position; the oracle counts the covectors of one Gaussian draw
+    g = derive_generator(23, n, d).standard_normal((n, d))
+    assert zonotope_f_vector(g).counts == svd_zonotope_f_vector(g)
 
 
 @pytest.mark.parametrize("n,d", [(4, 2), (4, 3), (5, 3), (7, 4), (7, 5), (8, 6)])
@@ -855,22 +851,22 @@ def test_qhull_route_matches_per_replication_oracle(model, n, d, tmp_path):
 def test_workspace_leaks_nothing_across_chunks(monkeypatch, model, d):
     # one block of maps in chunks that share a workspace whose every byte is
     # set before each chunk is drawn (NaN in every float), the last chunk
-    # short: 16, 16 and 9 clouds, or 4, 4 and 1 cube maps (16 zonotopes at
-    # n = 15, d = 6 would sort 190 MB of keys).  In the first chunk maps 1 and
-    # 2 have row 0 moved 1e-9 off the affine hull of rows 1..d, near enough
-    # for qhull, or a cube map's row 0 1e-12 off the span of rows 1..d-1,
-    # flat enough to be drawn again.  The block's rows and degenerate count
-    # are those of each map decided in a block of its own
+    # short: 16, 16 and 9 maps.  In the first chunk maps 1 and 2 have row 0
+    # moved 1e-9 off the affine hull of rows 1..d, near enough for qhull, or
+    # a cube map's row 0 1e-12 off the span of rows 1..d-1, flat enough to be
+    # drawn again.  The block's rows and degenerate count are those of each
+    # map decided in a block of its own
     row = MODEL_TABLE[model]
     cube = row.family is Family.CUBE
-    count = _zonotope_f_vectors if cube else _enumerated_facets
-    chunk, block, offset = (4, 9, 1e-12) if cube else (16, 41, 1e-9)
+    count = _flat_generators if cube else _enumerated_facets
+    chunk, block = 16, 41
+    offset = 1e-12 if cube else 1e-9
     found = []
 
     def recorded(*args):
-        flags, rows = count(*args)
-        found.append(flags)
-        return flags, rows
+        result = count(*args)
+        found.append(result if cube else result[0])
+        return result
 
     monkeypatch.setattr("polyproj.hull._chunk_size", lambda row, n, d: chunk)
     monkeypatch.setattr(f"polyproj.hull.{count.__name__}", recorded)
@@ -1047,7 +1043,7 @@ def test_cube_general_position_boundary_inside_a_chunk(monkeypatch, d, factor, r
     parallelotope = [int(expected_f_zonotope(d, d, k).value) for k in range(d)]
     assert rows.tolist() == [parallelotope] * 16
     keys = [tuple(k) for k in derive_keys(*path, np.arange(16), 0).tolist()]
-    # zonotope_f_vector is never called: the chunk's own count finds a flat map
+    # zonotope_f_vector is never called: the chunk's own test finds a flat map
     assert counted == []
     if resampled:
         # found flat in the chunk, drawn again from attempt 1 in the next round
@@ -1163,7 +1159,7 @@ def test_subsets_edge_cases_and_read_only_tables():
     # every cached table is shared by its callers, so none can be written
     tables = [_subsets(8, 3), _side_table(8, 3), _lifted_side_table(8, 3)]
     tables += [_incidence(8, 4, False), _incidence(10, 6, False), _incidence(8, 6, True)]
-    tables += [_insertions(8, 3), _insertions(8, 4), *_covector_tables(8, 3)]
+    tables += [_insertions(8, 3), _insertions(8, 4)]
     tables += [a for k in (2, 3, 4) for a in _laplace_level(8, k)]
     for table in tables:
         assert not table.flags.writeable
@@ -1185,7 +1181,6 @@ def test_stacked_frames_match_per_map_frames(n, d):
 
 @pytest.mark.parametrize("model", ["zonotope", "projected_cube"])
 def test_simulate_cube_models_at_the_cap(model, tmp_path):
-    # n = 15, d = 6: 3003 rays and 1.46 million covector keys per replication
     dump = tmp_path / "rows.csv"
     result = simulate_expected_f(SimConfig(model=model, n=15, d=6, replications=20, seed=2),
                                  dump_path=str(dump))

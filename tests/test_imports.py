@@ -131,6 +131,6 @@ def test_hull_import_builds_no_index_table():
     out = run_fresh(
         "import polyproj.hull as h\n"
         "tables = (h._subsets, h._laplace_level, h._insertions, h._side_table, h._lifted_side_table,\n"
-        "          h._covector_tables, h._incidence)\n"
+        "          h._incidence)\n"
         "print([t.cache_info().currsize for t in tables])\n")
-    assert out.strip() == "[0, 0, 0, 0, 0, 0, 0]"
+    assert out.strip() == "[0, 0, 0, 0, 0, 0]"
