@@ -20,6 +20,13 @@ An exact count past the float range, which a report could not carry, is an
 InvalidDimensionError, found before the count is built where it is a face
 count or a closed form.
 
+A monotonicity table and a Poisson series take E f_k over a range of sizes
+in one pass: one external_angles call for every external angle of the range,
+each internal angle beta(Q_k, Q_{j-1}) and subface count c(j-1, k) once, and
+then each size's terms, added as sn_terms makes them, so that every value is
+the one expected_f_model gives at its size alone, bit for bit.
+expected_f_model and expected_f_projection are that pass over one size.
+
 Every result is an angles.Estimate.  A Poissonized expectation and a row of
 a monotonicity table extend it with keyword-only fields: the truncation bound
 and term count of the Poisson sum, and the row's n and strict-increase
@@ -36,7 +43,7 @@ of n random segments like a projected n-cube.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -111,11 +118,15 @@ def sn_terms(
             # c1 * c2 fits in a float, and overflows from n of about 1000 on
             value, se = exact_float(exact), 0.0
         else:
-            count = exact_float(c1 * c2)  # the float c1 * c2 * beta.value would take, checked
-            value = count * beta.value * gamma.value
-            se = count * math.hypot(beta.value * gamma.std_error, gamma.value * beta.std_error)
+            value, se = _term(c1, c2, beta, gamma)
         terms.append(SnTerm(j, c1, c2, beta, gamma, value, se, exact))
     return terms
+
+
+def _term(faces: int, subfaces: int, beta: Estimate, gamma: Estimate) -> tuple[float, float]:
+    """The value faces * subfaces * beta * gamma of one j-term and its standard error."""
+    count = exact_float(faces * subfaces)  # the float faces * subfaces * beta.value would take, checked
+    return count * beta.value * gamma.value, count * math.hypot(beta.value * gamma.std_error, gamma.value * beta.std_error)
 
 
 def expected_f_projection(
@@ -135,24 +146,7 @@ def expected_f_projection(
     n = check_int("n", n, 1)
     d = check_int("d", d, 1)
     k = check_int("k", k, 0)
-    m = min(n, d)
-    if k > m:
-        return Estimate.rational(0)
-    if k == m:
-        return Estimate.rational(1)
-    if d >= n:
-        return Estimate.rational(face_count(family, n, k, on_polytope=True, fits_float=True))
-    if d == 1:
-        # the image is a segment for every draw; only k = 0 reaches here
-        return Estimate.rational(2)
-    if family is Family.CUBE:
-        return Estimate.rational(expected_f_cube_closed_form(n, d, k))
-    terms = sn_terms(family, n, d, k, cfg)
-    value = 2.0 * sum(t.value for t in terms)
-    se = 2.0 * sum(t.std_error for t in terms)
-    if all(t.beta.exact and t.gamma.exact for t in terms):
-        return Estimate(value, 0.0, True)
-    return Estimate(value, se)
+    return _model_values(target_row(family), (n,), d, k, cfg)[0]
 
 
 def expected_f_cube_closed_form(n: int, d: int, k: int) -> int:
@@ -189,23 +183,56 @@ def expected_f_model(model: str | Model, n: int, d: int, k: int, cfg: MCConfig |
     n = check_int("n", n, 0)
     d = check_int("d", d, 1)
     k = check_int("k", k, 0)
+    return _model_values(row, (n,), d, k, cfg)[0]
+
+
+def _model_values(row: Model, sizes: Sequence[int], d: int, k: int, cfg: MCConfig | None) -> list[Estimate]:
+    """expected_f_model(row, n, d, k, cfg) for each n of sizes, in order, from one batch of angles.
+
+    sizes, d and k are valid.  Where d >= 2 and k < d, a simplex or
+    crosspolytope size with n - shift > d takes the projection sum; every
+    other size is rational and takes no angle.
+    """
+    family, js = row.family, range(d, 0, -2)
+    summed = d >= 2 and k < d and family is not Family.CUBE
+    faces = [(n - row.shift, j - 1) for n in sizes if n - row.shift > d for j in js] if summed else []
+    gammas = iter(external_angles(family, faces) if faces else ())
+    factors: list[tuple[int, Estimate]] = []  # c(j-1, k) and beta(Q_k, Q_{j-1}), for each j
+    values: list[Estimate] = []
+    for n in sizes:
+        m = n - row.shift
+        if not summed or m <= d:
+            values.append(_rational_value(row, n, d, k))
+            continue
+        if not factors:
+            factors = [(face_count(family, j - 1, k, on_polytope=False), internal_angle(family, m, k, j - 1, cfg))
+                       for j in js]
+        size_gammas = [next(gammas) for _ in js]
+        terms = [_term(face_count(family, m, j - 1), c2, beta, gamma)
+                 for j, (c2, beta), gamma in zip(js, factors, size_gammas)]
+        value = 2.0 * sum(v for v, _ in terms)
+        if all(beta.exact for _, beta in factors) and all(gamma.exact for gamma in size_gammas):
+            values.append(Estimate(value, 0.0, True))
+        else:
+            values.append(Estimate(value, 2.0 * sum(se for _, se in terms)))
+    return values
+
+
+def _rational_value(row: Model, n: int, d: int, k: int) -> Estimate:
+    """expected_f_model(row, n, d, k) at a size that takes no projection sum."""
     if n == 0:
         return Estimate.rational(0)
     if n == row.shift:
         return Estimate.rational(1 if k == 0 else 0)
-    return expected_f_projection(row.family, n - row.shift, d, k, cfg)
-
-
-def _fetch_external_angles(row: Model, sizes: Iterable[int], d: int, k: int) -> None:
-    """Memoize, as one batch, every external angle expected_f_model(row, n, d, k) reads for n in sizes.
-
-    Those are gamma(Q_{j-1}, P_{n - shift}) for j = d, d-2, ..., 1 wherever
-    expected_f_projection takes its projection sum: d >= 2, k < d,
-    d < n - shift and a simplex or crosspolytope.
-    """
-    if d >= 2 and k < d and row.family is not Family.CUBE:
-        faces = [(n - row.shift, j - 1) for n in sizes if n - row.shift > d for j in range(d, 0, -2)]
-        external_angles(row.family, faces)
+    m = n - row.shift
+    if k >= min(m, d):  # the image itself, or no face
+        return Estimate.rational(1 if k == min(m, d) else 0)
+    if d >= m:
+        return Estimate.rational(face_count(row.family, m, k, on_polytope=True, fits_float=True))
+    if d == 1:
+        # the image is a segment for every draw; only k = 0 reaches here
+        return Estimate.rational(2)
+    return Estimate.rational(expected_f_cube_closed_form(m, d, k))  # a cube
 
 
 def expected_f_gaussian(n: int, d: int, k: int, cfg: MCConfig | None = None) -> Estimate:
@@ -322,7 +349,7 @@ def _face_bound(row: Model, ell: int, d: int, k: int) -> float:
     # a hull's k-faces are (k+1)-sets of the vertices of P_{ell - shift}, and a
     # zonotope's f-vector is deterministic, so its expectation is one
     if row.family is Family.CUBE:
-        return expected_f_model(row, ell, d, k).value
+        return _rational_value(row, ell, d, k).value
     return math.comb(face_count(row.family, ell - row.shift, 0), k + 1)
 
 
@@ -351,16 +378,16 @@ def poissonized_series(
     Each sum is the adaptively truncated sum of poissonized_expected.  When
     the first item is drawn from the returned iterator, every t's stopping
     size is found from Poisson weights, growth ratios and face bounds alone,
-    up to the first t that runs into its cap; the external angles of every
-    size below the largest are then taken as one quadrature batch (about
-    0.035-0.055 ms an angle, against 0.055-0.11 ms alone, each row of the
-    rule's node matrix one NumPy row sum), and each fixed-size term is built
-    once.  A t's weights are then one array of exponents mapped through
-    math.exp, and its sums are taken left to right by cumsum, which adds
-    what one call per t adds in its order, bit for bit.  A grid thus costs
-    one term build per distinct size and one array pass per t: the
-    10 000-point d = 2 grid over t = 0.01-100 takes about 0.5 s in-process
-    (2-core x86 VM).  The sums, and the TruncationError of a t past its cap,
+    up to the first t that runs into its cap; every size below the largest
+    is then built in one pass over the sizes, as the module docstring says:
+    its external angles are one quadrature batch (0.036-0.06 ms an angle,
+    against 0.06-0.12 ms alone), and each internal angle is taken once.  A t's
+    weights are then one array of exponents mapped through math.exp, and
+    its sums are taken left to right by cumsum, which adds what one call per
+    t adds in its order, bit for bit.  A grid thus costs one term build per
+    distinct size and one array pass per t: the 10 000-point d = 2 grid over
+    t = 0.01-100 takes 0.4-0.65 s in-process (2-core x86 VM, most of it the
+    array passes).  The sums, and the TruncationError of a t past its cap,
     still arrive one per item drawn; the stored sizes are freed with the
     iterator.
     """
@@ -390,8 +417,7 @@ def _poisson_sums(
             failure = exc
             break
     top = max((size for size, _ in stops), default=0)
-    _fetch_external_angles(row, range(top), d, k)
-    terms = [expected_f_model(row, ell, d, k, cfg) for ell in range(top)]
+    terms = _model_values(row, range(top), d, k, cfg)
     # every size's log(ell!), term value and standard error, once for the grid
     ells = np.arange(top, dtype=float)
     log_factorials = np.array([math.lgamma(ell + 1) for ell in range(top)])
@@ -521,17 +547,17 @@ def monotonicity_table(
     compared as rationals; other exact neighbors must be more than
     QUADRATURE_RTOL * (|a| + |b|) apart, and Monte Carlo neighbors more than
     STRICT_SIGMAS times the sum of their standard errors, to earn a strict
-    verdict.  Every external angle the range needs is taken as one quadrature
-    batch before the first row is built.
+    verdict.  The rows are built in one pass over the range, with every
+    external angle it needs taken as one quadrature batch.
     """
     targets = GAUSSIAN_MODELS + tuple(f.value for f in Family)
     if target not in targets:
         raise InvalidArgumentError(f"unknown target {target!r}, expected one of {targets}")
     n_lo = check_int("n_lo", n_lo, 1)
     n_hi = check_int("n_hi", n_hi, n_lo)
-    row = target_row(target)
-    _fetch_external_angles(row, range(n_lo, n_hi + 1), d, k)
-    estimates = [expected_f_model(row, n, d, k, cfg) for n in range(n_lo, n_hi + 1)]
+    d = check_int("d", d, 1)
+    k = check_int("k", k, 0)
+    estimates = _model_values(target_row(target), range(n_lo, n_hi + 1), d, k, cfg)
     rows: list[MonotonicityRow] = []
     for i, est in enumerate(estimates):
         if i + 1 == len(estimates):

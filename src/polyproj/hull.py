@@ -77,7 +77,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
@@ -100,6 +99,8 @@ from .streams import MODEL_CODES, SIM_REPLICATION, derive_keys, rekey
 MODELS = tuple(MODEL_TABLE)
 
 _MAX_HULL_DIM = 6
+# generators of a cube model's map: the cap bounds the C(n, d) d x d minors of
+# its general-position test (5005 at n = 15, d = 6)
 _MAX_GENERATORS = 15
 # points of one simplex or crosspolytope hull (n, or 2n for the crosspolytope
 # models): one replication at the cap, the formula row included, took 4.4-8.1 s
@@ -717,7 +718,7 @@ def zonotope_f_vector(generators: np.ndarray) -> FVectorSample:
     g = _real_rows(generators, "generators", "zonotope")
     n, d = g.shape
     if n > _MAX_GENERATORS:
-        raise InvalidDimensionError(f"zonotope enumeration capped at n = {_MAX_GENERATORS}, got {n}")
+        raise InvalidDimensionError(f"zonotope general-position test capped at n = {_MAX_GENERATORS} generators, got {n}")
     if n < d:
         raise DegenerateGeometryError("generators do not span the ambient space")
     if _flat_generators(g[None], _Workspace())[0]:
@@ -844,6 +845,9 @@ def simulate_expected_f(cfg: SimConfig, dump_path: str | None = None) -> Simulat
     work = _Workspace()
     # the dump file is opened first, so a bad path fails before any replication is drawn
     with open(dump_path, "w", newline="", encoding="utf-8") if dump_path is not None else nullcontext() as dump:
+        if workers > 1:
+            # the pool's modules load only for a run that starts one, not at import
+            from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
             for lo, block_rows, block_degen in (pool.map if pool else map)(_replication_block, blocks, repeat(work)):
                 rows[lo : lo + len(block_rows)] = block_rows

@@ -21,8 +21,10 @@ Poisson tail bounds written out per model name instead of read off the
 model table, every face of a simplicial hull counted as a distinct subset of
 its facets instead of read off the h-vector, exact angles as a ladder of
 branches instead of one power of 1/2 per kind, one exactly rounded math.fsum
-per quadrature window instead of NumPy's row sums, and a linear scan for a
-Poisson sum's stopping size instead of galloping and bisection.
+per quadrature window instead of NumPy's row sums, each size's sum of
+sn_terms on its own instead of one batch of angles for a range of sizes,
+and a linear scan for a Poisson sum's stopping size instead of galloping
+and bisection.
 Agreement between routes is the point.
 """
 
@@ -174,6 +176,37 @@ def poisson_growth_ratio(model: str, ell: int, k: int) -> float:
     raise ValueError(f"model {model!r} has no hull growth ratio")
 
 
+def model_value_by_terms(row, n: int, d: int, k: int, cfg):
+    """E f_k of a target row with parameter n, from this size alone, as an Estimate.
+
+    Every branch of the projection formula written out, as expected_f_model
+    took them one size at a time: a simplex or crosspolytope sum is the sum
+    of sn_terms, with the angles of the one size fetched anew.
+    """
+    from polyproj import Estimate, Family, expected_f_cube_closed_form, face_count, sn_terms
+
+    if n == 0:
+        return Estimate.rational(0)
+    if n == row.shift:
+        return Estimate.rational(1 if k == 0 else 0)
+    m = n - row.shift
+    if k > min(m, d):
+        return Estimate.rational(0)
+    if k == min(m, d):
+        return Estimate.rational(1)
+    if d >= m:
+        return Estimate.rational(face_count(row.family, m, k))
+    if d == 1:
+        return Estimate.rational(2)
+    if row.family is Family.CUBE:
+        return Estimate.rational(expected_f_cube_closed_form(m, d, k))
+    terms = sn_terms(row.family, m, d, k, cfg)
+    value = 2.0 * sum(term.value for term in terms)
+    if all(term.beta.exact and term.gamma.exact for term in terms):
+        return Estimate(value, 0.0, True)
+    return Estimate(value, 2.0 * sum(term.std_error for term in terms))
+
+
 def poisson_sum_per_t(t: float, d: int, k: int, model: str, eps: float, cfg) -> tuple:
     """One Poisson sum with every term, growth ratio and face bound rebuilt at each size.
 
@@ -181,7 +214,7 @@ def poisson_sum_per_t(t: float, d: int, k: int, model: str, eps: float, cfg) -> 
     the same stopping rule, but sharing nothing between sizes or calls.
     Returns (value, std_error, exact, exact_value, truncation_bound, terms).
     """
-    from polyproj.expected import MODEL_TABLE, _face_bound, _growth_ratio, expected_f_model
+    from polyproj.expected import MODEL_TABLE, _face_bound, _growth_ratio
 
     row = MODEL_TABLE[model]
     value = se = 0.0
@@ -189,7 +222,7 @@ def poisson_sum_per_t(t: float, d: int, k: int, model: str, eps: float, cfg) -> 
     ell = 0
     while True:
         weight = math.exp(-t + ell * math.log(t) - math.lgamma(ell + 1))
-        term = expected_f_model(row, ell, d, k, cfg)
+        term = model_value_by_terms(row, ell, d, k, cfg)
         value += weight * term.value
         se += weight * term.std_error
         exact = exact and term.exact

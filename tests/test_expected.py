@@ -41,6 +41,7 @@ from polyproj.families import check_count_size, target_row
 
 from oracles import (
     SHADOW_TETRA_VERTICES,
+    model_value_by_terms,
     poisson_face_bound,
     poisson_growth_ratio,
     poisson_stop_by_scan,
@@ -598,13 +599,13 @@ def test_poisson_series_builds_each_size_once(monkeypatch, model, d):
     # one term build per distinct size for the whole grid, where one call per t
     # builds sum(terms); the hull models' face bounds need no term
     sizes = []
-    original = polyproj.expected.expected_f_model
+    original = polyproj.expected._model_values
 
-    def counting(row, n, *args):
-        sizes.append(n)
-        return original(row, n, *args)
+    def counting(row, ns, *args):
+        sizes.extend(ns)
+        return original(row, ns, *args)
 
-    monkeypatch.setattr(polyproj.expected, "expected_f_model", counting)
+    monkeypatch.setattr(polyproj.expected, "_model_values", counting)
     grid = [0.5 * i for i in range(1, 41)]
     terms = [s.terms for s in poissonized_series(grid, d, 0, model, cfg=FAST)]
     assert sizes == list(range(max(terms)))
@@ -653,7 +654,7 @@ def test_poisson_stopping_sizes_match_the_oracle(monkeypatch, model, d, k, grid)
     want = [poisson_sum_per_t(t, d, k, model, 1e-8, FAST)[4:] for t in grid]
     if row.gaussian and row.family is not Family.CUBE:
         # a hull model's stopping rule reads no term
-        monkeypatch.setattr(polyproj.expected, "expected_f_model", None)
+        monkeypatch.setattr(polyproj.expected, "_model_values", None)
     ratio = lambda ell: polyproj.expected._growth_ratio(row, ell, d, k)  # noqa: E731
     bound = lambda ell: polyproj.expected._face_bound(row, ell, d, k)  # noqa: E731
     got = [polyproj.expected._poisson_stop(t, k, 1e-8, ratio, bound) for t in grid]
@@ -729,15 +730,12 @@ def test_cube_terms_past_the_float_range_of_their_counts():
 def test_tables_and_series_take_their_angles_in_one_batch(monkeypatch, model, d, k):
     # every quadrature a table or a series needs, and no other, is fetched before
     # its loop as one batch; each memoized value is the one a fresh external_angle gives
-    def run():
-        clear_angle_memo()
-        monotonicity_table(model, d, k, 1, 60, FAST)
-        list(poissonized_series([4.0, 1.0, 30.0], d, k, model, cfg=FAST))
-        return {key for key in polyproj.angles._MEMO if key[0] == "ext"}
-
-    with monkeypatch.context() as lazy:
-        lazy.setattr(polyproj.expected, "_fetch_external_angles", lambda *args: None)
-        needed = run()
+    clear_angle_memo()
+    top = max(s.terms for s in poissonized_series([4.0, 1.0, 30.0], d, k, model, cfg=FAST))
+    clear_angle_memo()
+    for n in range(max(61, top)):  # the sizes of the table, 1..60, and of the series, 0..top - 1
+        model_value_by_terms(MODEL_TABLE[model], n, d, k, FAST)
+    needed = {key for key in polyproj.angles._MEMO if key[0] == "ext"}
     batches = []
     original = polyproj.angles._external_quadratures
 
@@ -757,6 +755,53 @@ def test_tables_and_series_take_their_angles_in_one_batch(monkeypatch, model, d,
     for (_, family, n, g), est in memo.items():
         clear_angle_memo()
         assert external_angle(family, n, g) == est
+    clear_angle_memo()
+
+
+def estimate_fields(est):
+    return (est.value, est.std_error, est.exact, est.exact_value)
+
+
+@pytest.mark.parametrize("target", [f.value for f in Family] + list(MODEL_TABLE))
+def test_size_ranges_match_the_per_size_oracle(target):
+    # bit for bit, over n = shift, n <= d, k >= min(n, d), d = 1 and the cube closed form:
+    # a range of sizes in one pass, a table and a series give what summing sn_terms per size gives
+    row = target_row(target)
+    gaussian = target in polyproj.expected.GAUSSIAN_MODELS
+    for d in range(1, 7):
+        for k in range(d):
+            want = [estimate_fields(model_value_by_terms(row, n, d, k, FAST)) for n in range(41)]
+            got = polyproj.expected._model_values(row, range(41), d, k, FAST)
+            assert [estimate_fields(e) for e in got] == want
+            if gaussian or target in tuple(f.value for f in Family):
+                assert [estimate_fields(r) for r in monotonicity_table(target, d, k, 1, 40, FAST)] == want[1:]
+            if gaussian:
+                series = poissonized_series(SERIES_GRID, d, k, target, 1e-8, FAST)
+                assert [sum_fields(s) for s in series] == [
+                    poisson_sum_per_t(t, d, k, target, 1e-8, FAST) for t in SERIES_GRID]
+    clear_angle_memo()
+
+
+@pytest.mark.parametrize("model,d,k", [("gaussian", 2, 0), ("symmetric", 4, 1), ("gaussian", 5, 0), ("zonotope", 3, 0)])
+def test_tables_and_series_request_each_angle_once(monkeypatch, model, d, k):
+    # one external_angles call for the range, and one internal_angle call per (k, g)
+    calls = []
+    external, internal = polyproj.expected.external_angles, polyproj.expected.internal_angle
+    monkeypatch.setattr(polyproj.expected, "external_angles",
+                        lambda family, faces: calls.append("external_angles") or external(family, faces))
+    monkeypatch.setattr(polyproj.expected, "internal_angle",
+                        lambda family, n, k, g, cfg: calls.append((k, g)) or internal(family, n, k, g, cfg))
+    row = MODEL_TABLE[model]
+    clear_angle_memo()
+    monotonicity_table(model, d, k, 1, 40, FAST)
+    table_calls = list(calls)
+    calls.clear()
+    list(poissonized_series(SERIES_GRID, d, k, model, cfg=FAST))
+    for made in (table_calls, calls):
+        if row.family is Family.CUBE:
+            assert made == []  # a cube row takes its closed form
+        else:
+            assert made == ["external_angles"] + [(k, j - 1) for j in range(d, 0, -2)]
     clear_angle_memo()
 
 
@@ -808,7 +853,7 @@ def test_monotonicity_planar_rows_are_exact_and_strict():
 def test_monotonicity_quadrature_tolerance_boundary(monkeypatch, gap, strict):
     # exact neighbours without a rational value must be QUADRATURE_RTOL * (|a| + |b|) apart
     values = {3: Estimate(1.0, 0.0, True), 4: Estimate(1.0 + gap, 0.0, True)}
-    monkeypatch.setattr(polyproj.expected, "expected_f_model", lambda row, n, d, k, cfg: values[n])
+    monkeypatch.setattr(polyproj.expected, "_model_values", lambda row, sizes, d, k, cfg: [values[n] for n in sizes])
     rows = monotonicity_table("gaussian", 2, 0, 3, 4)
     assert QUADRATURE_RTOL == 1e-12
     assert [r.strict_increase for r in rows] == [strict, None]

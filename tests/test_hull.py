@@ -416,7 +416,7 @@ def test_zonotope_degenerate_generators():
     g = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])  # parallel pair
     with pytest.raises(DegenerateGeometryError):
         zonotope_f_vector(g)
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(InvalidDimensionError, match="general-position test capped at n = 15 generators"):
         zonotope_f_vector(np.zeros((16, 3)))
     with pytest.raises(InvalidArgumentError):
         zonotope_f_vector(np.zeros(3))
@@ -627,7 +627,8 @@ def test_simulate_pool_has_no_more_workers_than_blocks(monkeypatch):
 
     base = dict(model="symmetric", n=4, d=2, seed=5)
     alone = {r: simulate_expected_f(SimConfig(**base, replications=r)) for r in (10, 1100)}
-    monkeypatch.setattr("polyproj.hull.ProcessPoolExecutor", RecordingPool)
+    # simulate imports the pool class when it starts one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     for cpus, r, workers, pool in [(64, 10, 64, None), (64, 1100, 64, 3), (64, 1100, 2, 2),
                                    (64, 1100, 1, None), (2, 1100, 5000, 2), (1, 1100, 5000, None)]:
         monkeypatch.setattr("polyproj.hull._usable_cpus", lambda: cpus)

@@ -1,8 +1,9 @@
 """Import hygiene: every name a polyproj module imports is used in that module,
 importing the CLI leaves scipy.optimize and scipy.sparse.csgraph unloaded, and
 SciPy itself loads only when a hull goes to qhull: the package, the CLI and
-every command that builds no convex hull start without it.  External angles
-by quadrature load neither SciPy, numpy.polynomial nor mpmath.
+every command that builds no convex hull start without it.  The process
+pool's modules load only for a simulate run that starts a pool.  External
+angles by quadrature load neither SciPy, numpy.polynomial nor mpmath.
 
 The package's __init__ is exempt from the unused-import scan; its imports are
 the public re-exports.
@@ -95,6 +96,19 @@ def test_no_hull_leaves_scipy_unloaded(code):
     # formula commands evaluate angle sums, and cube models are counted from
     # their minors table; none of them reaches qhull
     assert not loaded_after(code, "scipy")
+
+
+@pytest.mark.parametrize("code", [
+    _cli_run("expected", "--model", "gaussian", "--n", "6", "--d", "3", "--all-k", "--samples", "2000"),
+    _cli_run("monotonicity", "--model", "symmetric", "--d", "3", "--all-k", "--n-min", "4", "--n-max", "6",
+             "--samples", "500"),
+    _cli_run("poisson", "--model", "gaussian", "--d", "2", "--all-k", "--t-min", "1", "--t-max", "3",
+             "--samples", "500"),
+    _cli_run("simulate", "--model", "gaussian", "--n", "6", "--d", "3", "--reps", "200", "--workers", "1"),
+], ids=["expected", "monotonicity", "poisson", "simulate"])
+def test_one_worker_leaves_the_process_pool_unloaded(code):
+    # the process pool's modules load only for a simulate run that starts a pool
+    assert not loaded_after(code, "concurrent.futures.process")
 
 
 @pytest.mark.parametrize("module", ["scipy", "numpy.polynomial", "mpmath"])
