@@ -404,9 +404,13 @@ def poissonized_series(
 def _poisson_sums(
     ts: list[float], row: Model, d: int, k: int, eps: float, cfg: MCConfig
 ) -> Iterator[PoissonizedExpectation]:
-    # each size's growth ratio and face bound are built once for the whole grid
-    ratio = cache(lambda ell: _growth_ratio(row, ell, d, k))
+    # each size's face bound and growth ratio are built once for the whole grid; a
+    # hull row's ratio is _growth_ratio's division of two bounds, read from the cache
     bound = cache(lambda ell: _face_bound(row, ell, d, k))
+    if row.family is Family.CUBE:
+        ratio = cache(lambda ell: _growth_ratio(row, ell, d, k))
+    else:
+        ratio = cache(lambda ell: bound(ell + 1) / bound(ell))
     # every stopping size first, up to the first t that runs into its cap
     stops: list[tuple[int, float]] = []
     failure = None
@@ -448,9 +452,13 @@ def _poisson_stop(
     From size max(k + 2, int(t) + 1) on, the tail beyond ell is at most
     weight(ell) * bound(ell) * q / (1 - q) for q = t * ratio(ell) / (ell + 1)
     < 1/2; the sum ends after the first ell where that bound drops below
-    eps.  q strictly decreases in ell for every row's growth ratio, so the
-    first ell with q < 1/2 is found by galloping, then bisecting; the tail
-    test is scanned from there.  Only Poisson weights, growth ratios and
+    eps.  Every row's growth ratio is at least 1 (a hull's bounds are
+    binomials of a vertex count that does not fall as ell grows, and a
+    cube's ratio is 2d or (ell + 1) / (ell + 2 - d)), so q >= t / (ell + 1)
+    > 1/2 while ell + 1 < 2t, in floats too, as rounding is monotone and
+    1/2 is exact: the scan starts at ceil(2t) - 1 when that is later.  q
+    strictly decreases in ell, so past the first ell with q < 1/2 every
+    size is tested for its tail.  Only Poisson weights, growth ratios and
     face bounds are read, no term.  The tail bound is compared in log space,
     since a hull's face bound is an exact int that may be past the float
     range, and a zero bound is a zero tail.  TruncationError when no ell up
@@ -460,12 +468,8 @@ def _poisson_stop(
     """
     cap = min(int(10 * t + 400), MAX_POISSON_SIZE)
     log_t, log_eps = math.log(t), math.log(eps)
-
-    def below_half(ell: int) -> bool:
-        return t * ratio(ell) / (ell + 1) < 0.5
-
     log_tail = math.inf
-    for ell in range(_first_true(below_half, max(k + 2, int(t) + 1), cap), cap + 1):
+    for ell in range(max(k + 2, int(t) + 1, math.ceil(2 * t) - 1), cap + 1):
         q = t * ratio(ell) / (ell + 1)
         if q < 0.5:
             face_bound = bound(ell)
@@ -478,24 +482,6 @@ def _poisson_stop(
     # q decreases in ell, so this is the cap's bound if q < 1/2 there and inf otherwise
     tail = math.exp(log_tail) if log_tail < LOG_FLOAT_MAX else math.inf
     raise TruncationError(f"poissonized sum did not reach eps={eps} within {cap} terms", tail)
-
-
-def _first_true(test: Callable[[int], bool], lo: int, hi: int) -> int:
-    """The first ell in lo..hi with test(ell), for a test false and then true; past hi if none is."""
-    if lo > hi:
-        return lo
-    end, step = lo, 1
-    while not test(end):  # gallop; test is false below lo
-        if end == hi:
-            return hi + 1
-        lo, end, step = end + 1, min(end + step, hi), 2 * step
-    while lo < end:  # bisect; test is true at end
-        mid = (lo + end) // 2
-        if test(mid):
-            end = mid
-        else:
-            lo = mid + 1
-    return end
 
 
 def poissonized_expected(

@@ -14,15 +14,16 @@ rows, or of those and their negatives) are decided a chunk of clouds at a time
 from one table of d x d minors of each map, built by Laplace expansion one
 column at a time.  Every index table here is built once, on first use, and
 shared read-only through a cache: the subsets of _subsets(m, k) in their one
-combinations order, the levels of the expansion (_laplace_level), and the one
-inverted level, _insertions(m, k), which says where the minor of a
-(k-1)-subset with one row put after it sits among the k x k minors.  The side
-tables of both hull types are gathers of it.  Side tests are (d+1)-minors of
-the lifted map [X | 1] for the rows' hull and sums of d minors for the
-symmetric one (_enumerated_facets).  A cloud with a point within a margin of
-some hyperplane through d others (_ENUM_MARGIN, at the cloud's scale) is not
-read off the table but goes to qhull, and so do shapes with more side tests
-per point than _ENUM_CAP.
+colex order, in which a sorted subset's row is a sum of binomials (_rank) and
+the subsets of range(m') lead those of range(m), the levels of the expansion
+(_laplace_level), and the one inverted level, _insertions(m, k), which says
+where the minor of a (k-1)-subset with one row put after it sits among the
+k x k minors.  The side tables of both hull types are gathers of it.  Side
+tests are (d+1)-minors of the lifted map [X | 1] for the rows' hull and sums
+of d minors for the symmetric one (_enumerated_facets).  A cloud with a
+point within a margin of some hyperplane through d others (_ENUM_MARGIN, at
+the cloud's scale) is not read off the table but goes to qhull, and so do
+shapes with more side tests per point than _ENUM_CAP.
 Every array of that route the size of a chunk, the minors' levels included,
 is written into one _Workspace that the chunks of a simulation share.  With
 a fresh array per temporary, each one past the allocator's mmap threshold
@@ -389,10 +390,23 @@ def _simplicial_f_vectors(lower: list, facets, d: int) -> list:
 
 @cache
 def _subsets(m: int, k: int) -> np.ndarray:
-    """The k-subsets of range(m), shape (C(m, k), k), in combinations order: every index table's one order."""
-    rows = np.array(list(combinations(range(m), k)), dtype=np.intp).reshape(math.comb(m, k), k)
+    """The k-subsets of range(m), shape (C(m, k), k), each sorted, in colex order: every index table's one order.
+
+    Colex order sorts the subsets by their reversed tuples, so the k-subsets
+    of range(m') are the first C(m', k) rows for every m' < m, and the row of
+    a subset is _rank's sum of binomials.
+    """
+    rows = sorted(combinations(range(m), k), key=lambda s: s[::-1])
+    rows = np.array(rows, dtype=np.intp).reshape(math.comb(m, k), k)
     rows.setflags(write=False)  # shared by every caller through the cache
     return rows
+
+
+def _rank(sets: np.ndarray) -> np.ndarray:
+    """The rows in _subsets' colex order of the sorted subsets along sets' last axis: sum_i C(S_i, i + 1)."""
+    top, k = int(sets.max(initial=0)), sets.shape[-1]
+    binomials = np.array([[math.comb(a, i) for i in range(1, k + 1)] for a in range(top + 1)], dtype=np.intp)
+    return binomials[sets, np.arange(k)].sum(axis=-1)
 
 
 @cache
@@ -403,13 +417,12 @@ def _laplace_level(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     _subsets(m, k), expanded along column k-1:
     M_k(S) = sum_p (-1)^(p+k-1) X[S_p, k-1] M_{k-1}(S without S_p), so a
     level is, for each p, one gather of rows at[p], one of the level below
-    at sub[p], found by the increasing base-m codes of the (k-1)-subsets, and
-    a signed add.  Returns (at, sub), each of shape (k, C(m, k)).
+    at sub[p], the _rank of S without S_p, and a signed add.  Returns
+    (at, sub), each of shape (k, C(m, k)).
     """
     sets = _subsets(m, k)
-    code = m ** np.arange(k - 2, -1, -1)
     # row p of _subsets(k, k - 1)[::-1] is the columns of S without S_p
-    sub = np.searchsorted(_subsets(m, k - 1) @ code, sets[:, _subsets(k, k - 1)[::-1]] @ code).T
+    sub = _rank(sets[:, _subsets(k, k - 1)[::-1]]).T
     sub.setflags(write=False)  # shared by every caller through the cache
     return sets.T, sub
 
@@ -490,7 +503,7 @@ def _lifted_minors(chi: np.ndarray, m: int, d: int, work: _Workspace) -> np.ndar
 def _insertions(m: int, k: int) -> np.ndarray:
     """Where the minor of each (k-1)-subset with one more row sits among the k x k minors of an m-row map.
 
-    Entry [S, i], for the (k-1)-subset S (combinations order) and a row i
+    Entry [S, i], for the (k-1)-subset S (colex order) and a row i
     outside it, is chi(S + i) times (-1)^(number of S above i), the minor of
     the rows of S followed by row i: an index into the minors stacked on
     their negatives and one zero, which it gives for i in S.  The table
@@ -517,7 +530,7 @@ def _lifted_side_table(m: int, d: int) -> np.ndarray:
     D stacked on their negatives, moved by C(m, d+1) to its negative.
     """
     top = math.comb(m, d + 1)
-    # the rows outside each d-subset: complements reverse combinations order
+    # the rows outside each d-subset: complements reverse colex order
     table = (np.take_along_axis(_insertions(m, d + 1), _subsets(m, m - d)[::-1], axis=1) + top) % (2 * top)
     table.setflags(write=False)  # shared by every caller through the cache
     return table
@@ -534,7 +547,7 @@ def _side_table(m: int, d: int) -> np.ndarray:
     end to position p flips its sign d-1-p times.
     """
     top = math.comb(m, d)
-    # the rows outside each d-subset: complements reverse combinations order
+    # the rows outside each d-subset: complements reverse colex order
     swap = _insertions(m, d)[_laplace_level(m, d)[1][:, :, None], _subsets(m, m - d)[::-1]]
     swap[d % 2 :: 2] = (swap[d % 2 :: 2] + top) % (2 * top)  # the p with d-1-p odd
     swap.setflags(write=False)  # shared by every caller through the cache
@@ -546,10 +559,10 @@ def _incidence(m: int, d: int, symmetric: bool) -> np.ndarray:
     """Which rows, and at d = 6 which row pairs, each candidate facet of an m x d map's hull holds: 0/1 floats.
 
     Rows are the candidates _enumerated_facets flags: the d-subsets I in
-    combinations order, for the symmetric hull the signed sets eps*I, sign
-    vector e after sign vector, with eps_0 = +1 and eps_p = -1 exactly when
-    bit p-1 of e is set.  Column i is row i; at d = 6, column m + P + C(m, 2) s
-    is the P-th pair (i, j) (combinations order) with s = 1 where
+    colex order, for the symmetric hull the signed sets eps*I, sign vector e
+    after sign vector, with eps_0 = +1 and eps_p = -1 exactly when bit p-1
+    of e is set.  Column i is row i; at d = 6, column m + P + C(m, 2) s is
+    the P-th pair (i, j) (colex order, its _rank) with s = 1 where
     eps_i eps_j = -1.  A symmetric hull's faces come in antipodal pairs,
     eps*J and -eps*J, which share their column.
     """
@@ -560,9 +573,7 @@ def _incidence(m: int, d: int, symmetric: bool) -> np.ndarray:
         pairs = _subsets(d, 2)
         flip = (np.arange(signs)[:, None] << 1 >> np.arange(d)) & 1  # bit p-1 of e at p >= 1
         relative = flip[:, pairs[:, 0]] ^ flip[:, pairs[:, 1]]
-        code = np.array([m, 1])
-        at = np.searchsorted(_subsets(m, 2) @ code, sets[:, pairs] @ code)
-        cols.append(m + at + math.comb(m, 2) * relative[:, None])
+        cols.append(m + _rank(sets[:, pairs]) + math.comb(m, 2) * relative[:, None])
     cols = np.concatenate(cols, axis=2).reshape(signs * len(sets), -1)
     table = np.zeros((len(cols), int(cols.max()) + 1))
     np.put_along_axis(table, cols, 1.0, axis=1)

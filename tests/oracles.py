@@ -23,8 +23,9 @@ its facets instead of read off the h-vector, exact angles as a ladder of
 branches instead of one power of 1/2 per kind, one exactly rounded math.fsum
 per quadrature window instead of NumPy's row sums, each size's sum of
 sn_terms on its own instead of one batch of angles for a range of sizes,
-and a linear scan for a Poisson sum's stopping size instead of galloping
-and bisection.
+a linear scan for a Poisson sum's stopping size from max(k + 2, int(t) + 1)
+instead of a scan that starts past 2t, and colex subset lists built by
+recursion on the largest element instead of sorted by reversed tuple.
 Agreement between routes is the point.
 """
 
@@ -512,14 +513,23 @@ def model_cloud(model: str, n: int, d: int, rng) -> np.ndarray:
     return verts @ frame
 
 
+def colex_subsets(m: int, k: int) -> list[tuple[int, ...]]:
+    """The k-subsets of range(m) as sorted tuples in colex order: those without m - 1, in this order for m - 1, then those with it."""
+    if k == 0:
+        return [()]
+    if k > m:
+        return []
+    return colex_subsets(m - 1, k) + [s + (m - 1,) for s in colex_subsets(m - 1, k - 1)]
+
+
 def minor_levels_by_loops(m: int, d: int) -> list:
     """hull._laplace_level(m, k) for k = 2..d, subset by subset through a dictionary of positions.
 
     Level k (k = 2..d) is the pair (at, sub): at[p] is the p-th row of each
-    k-subset S in combinations order, and sub[p] the position of S without
-    S_p among the (k-1)-subsets.
+    k-subset S in colex order, and sub[p] the position of S without S_p
+    among the (k-1)-subsets.
     """
-    subsets = [list(combinations(range(m), k)) for k in range(d + 1)]
+    subsets = [colex_subsets(m, k) for k in range(d + 1)]
     where = [{s: r for r, s in enumerate(level)} for level in subsets]
     levels = []
     for k in range(2, d + 1):
@@ -536,8 +546,8 @@ def covector_sign_by_loops(n: int, d: int) -> np.ndarray:
     s lies above i; it is 2 C(n, d) for i in s.
     """
     top = math.comb(n, d)
-    where = {s: r for r, s in enumerate(combinations(range(n), d))}
-    rays = list(combinations(range(n), d - 1))
+    where = {s: r for r, s in enumerate(colex_subsets(n, d))}
+    rays = colex_subsets(n, d - 1)
     sign = np.full((len(rays), n), 2 * top, dtype=np.intp)
     for r, s in enumerate(rays):
         for i in set(range(n)).difference(s):
@@ -554,7 +564,7 @@ def side_table_by_permutations(m: int, d: int) -> np.ndarray:
     the permutation that sorts them, counted by its inversions; the entry
     indexes the minors stacked on their negatives.
     """
-    facets = list(combinations(range(m), d))
+    facets = colex_subsets(m, d)
     where = {s: r for r, s in enumerate(facets)}
     top = len(facets)
     swap = np.empty((d, top, m - d), dtype=np.intp)
@@ -575,8 +585,8 @@ def lifted_side_table_by_loops(m: int, d: int) -> np.ndarray:
     indexes the negated minors, when an even number of s lies above i.
     """
     top = math.comb(m, d + 1)
-    where = {s: r for r, s in enumerate(combinations(range(m), d + 1))}
-    facets = list(combinations(range(m), d))
+    where = {s: r for r, s in enumerate(colex_subsets(m, d + 1))}
+    facets = colex_subsets(m, d)
     table = np.empty((len(facets), m - d), dtype=np.intp)
     for r, s in enumerate(facets):
         for a, i in enumerate(sorted(set(range(m)).difference(s))):

@@ -545,17 +545,19 @@ def test_poisson_truncation_valve(monkeypatch):
 
 
 def test_poisson_truncation_bound_at_the_cap(monkeypatch):
-    # q < 1/2 from t on, but face bounds so large that the tail test fails up to the
-    # cap: the achieved bound is the cap's tail bound, weight * bound * q / (1 - q)
-    monkeypatch.setattr(polyproj.expected, "_growth_ratio", lambda *a: 1e-3)
-    monkeypatch.setattr(polyproj.expected, "_face_bound", lambda *a: 1e300)
-    t, cap = 9000.0, 10_000
+    # one face bound past the float range at every size, so the growth ratio of
+    # the hull row is 1.0 and q < 1/2 from 2t on, but the tail test fails up to
+    # the cap: the achieved bound is the cap's tail bound, weight * bound * q / (1 - q)
+    bound = 10**1400
+    monkeypatch.setattr(polyproj.expected, "_face_bound", lambda *a: bound)
+    t, cap = 4000.0, 10_000
     with pytest.raises(TruncationError) as exc:
         poissonized_expected(t, 2, 0, model="gaussian", eps=1e-8)
     assert f"within {cap} terms" in str(exc.value)
-    q = t * 1e-3 / (cap + 1)
-    weight = math.exp(-t + cap * math.log(t) - math.lgamma(cap + 1))
-    assert exc.value.achieved_bound == pytest.approx(weight * 1e300 * q / (1 - q), rel=1e-9)
+    q = t / (cap + 1)
+    log_weight = -t + cap * math.log(t) - math.lgamma(cap + 1)
+    want = log_weight + math.log(bound) + math.log(q / (1 - q))
+    assert math.log(exc.value.achieved_bound) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("model", ["gaussian", "symmetric", "zonotope"])
@@ -666,29 +668,25 @@ def test_poisson_stopping_sizes_match_the_oracle(monkeypatch, model, d, k, grid)
     ("zonotope", 2, 1), ("zonotope", 3, 0), ("zonotope", 3, 2),
 ])
 def test_poisson_stops_match_the_linear_scan(model, d, k):
-    # galloping and bisection find the size a scan of every size finds, tails bit for bit
+    # the scan that starts past 2t finds the size a scan of every size from
+    # max(k + 2, int(t) + 1) finds, tails bit for bit; from t = 1000.5 on it
+    # skips a thousand sizes or more
     row = MODEL_TABLE[model]
     ratio = lambda ell: polyproj.expected._growth_ratio(row, ell, d, k)  # noqa: E731
     bound = lambda ell: polyproj.expected._face_bound(row, ell, d, k)  # noqa: E731
-    for t in (0.01, 0.5, 1.0, 2.5, 3.0, 7.0, 12.25, 30.0, 99.5, 100.0, 137.9, 250.0, 499.9, 500.0):
+    for t in (0.01, 0.5, 1.0, 2.5, 3.0, 7.0, 12.25, 30.0, 99.5, 100.0, 137.9, 250.0, 499.9, 500.0,
+              1000.5, 2500.0, 4000.0, 4900.0):
         for eps in (1e-8, 1e-14):
             assert polyproj.expected._poisson_stop(t, k, eps, ratio, bound) == poisson_stop_by_scan(t, d, k, model, eps)
 
 
-def test_first_true_is_the_first_index_of_a_monotone_test():
-    first_true = polyproj.expected._first_true
-    for lo in range(6):
-        for hi in range(lo - 1, 40):
-            for first in range(lo, hi + 3):
-                calls = []
-
-                def test(ell):
-                    assert lo <= ell <= hi  # never outside the range
-                    calls.append(ell)
-                    return ell >= first
-
-                assert first_true(test, lo, hi) == min(first, hi + 1)
-                assert len(calls) <= 2 * (hi - lo + 2).bit_length() + 1
+@pytest.mark.parametrize("model", ["gaussian", "symmetric", "zonotope"])
+def test_poisson_growth_ratios_are_at_least_one(model):
+    # what lets a stop's scan start past 2t: q = t * ratio / (ell + 1) >= 1/2 while ell + 1 < 2t
+    row = MODEL_TABLE[model]
+    for d in range(2, 7):
+        for k in range(d):
+            assert min(polyproj.expected._growth_ratio(row, ell, d, k) for ell in range(k + 2, 2001)) >= 1.0
 
 
 def test_poisson_sizes_stop_at_max_poisson_size(monkeypatch):

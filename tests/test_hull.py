@@ -58,6 +58,7 @@ from polyproj.hull import (
 from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator, derive_keys
 
 from oracles import (
+    colex_subsets,
     covector_sign_by_loops,
     distinct_subset_f_vectors,
     full_dimensional,
@@ -901,11 +902,17 @@ def test_workspace_leaks_nothing_across_chunks(monkeypatch, model, d):
 @pytest.mark.parametrize("model,n,d,sums", [
     ("gaussian", 10, 3, [10744, 24432, 16288]),
     ("symmetric", 8, 4, [18154, 74778, 113248, 56624]),
+    ("gaussian", 9, 5, [11633, 44141, 86234, 85210, 34084]),
+    ("gaussian", 10, 6, [12990, 57470, 142403, 204809, 160329, 53443]),
+    ("symmetric", 7, 5, [17854, 92656, 218084, 234470, 93788]),
+    ("symmetric", 7, 6, [18128, 105444, 318332, 518416, 431100, 143700]),
 ])
 def test_benchmark_shapes_keep_their_counts(model, n, d, sums, tmp_path):
-    # the hull_sim workload's minors-route shapes over two whole blocks and a
-    # short third one: the column sums of their dump rows, pinned when every
-    # chunk allocated its own temporaries
+    # the hull_sim workload's minors-route shapes, and one d = 5 and one d = 6
+    # minors-route shape of each hull type, over two whole blocks and a short
+    # third one: the column sums of their dump rows, pinned for the first two
+    # when every chunk allocated its own temporaries, for the others when
+    # every index table was in lex order
     dump = tmp_path / "rows.csv"
     cfg = SimConfig(model=model, n=n, d=d, replications=2 * _BLOCK + 276, seed=5)
     assert simulate_expected_f(cfg, dump_path=str(dump)).degenerate_events == 0
@@ -1101,7 +1108,7 @@ def test_lifted_minors_read_through_the_table_are_side_determinants(m, d):
     work = _Workspace()
     lifted = _lifted_minors(_minors(x, work), m, d, work)
     side = np.concatenate([lifted, -lifted])[_lifted_side_table(m, d)]
-    for r, rows in enumerate(combinations(range(m), d)):
+    for r, rows in enumerate(colex_subsets(m, d)):
         for a, i in enumerate(sorted(set(range(m)).difference(rows))):
             lifted_rows = np.concatenate([maps[:, [*rows, i]], np.ones((5, d + 1, 1))], axis=2)
             np.testing.assert_allclose(side[r, a], -np.linalg.det(lifted_rows), rtol=1e-12)
@@ -1115,6 +1122,20 @@ def test_index_tables_match_loop_oracles(d):
         for k, (at_ref, sub_ref) in enumerate(minor_levels_by_loops(m, d), start=2):
             at, sub = _laplace_level(m, k)
             assert np.array_equal(at, at_ref) and np.array_equal(sub, sub_ref)
+
+
+@pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
+def test_index_tables_of_a_prefix_are_leading_slices(d):
+    # in colex order the k-subsets of range(m') are the first C(m', k) rows of
+    # those of range(m), so both tables of each Laplace level an m'-row map
+    # builds, the lifted level d + 1 included, are the leading columns of the
+    # m-row map's
+    for m in range(d + 1, _MAX_GENERATORS + 1):
+        for prefix in range(d, m):
+            assert np.array_equal(_subsets(prefix, d), _subsets(m, d)[: math.comb(prefix, d)])
+            for k in range(2, d + 2):
+                for short, full in zip(_laplace_level(prefix, k), _laplace_level(m, k)):
+                    assert np.array_equal(short, full[:, : math.comb(prefix, k)])
 
 
 @pytest.mark.parametrize("k", range(2, _MAX_HULL_DIM + 2))
@@ -1152,10 +1173,10 @@ def test_subsets_edge_cases_and_read_only_tables():
     assert _subsets(5, 5).tolist() == [[0, 1, 2, 3, 4]]
     assert _subsets(1, 1).tolist() == [[0]]
     for m, k in [(6, 2), (7, 3), (9, 4)]:
-        assert _subsets(m, k).tolist() == [list(s) for s in combinations(range(m), k)]
+        assert _subsets(m, k).tolist() == [list(s) for s in colex_subsets(m, k)]
         assert _subsets(m, k).dtype == np.intp
-        # complements reverse combinations order
-        complements = [sorted(set(range(m)).difference(s)) for s in combinations(range(m), k)]
+        # complements reverse colex order
+        complements = [sorted(set(range(m)).difference(s)) for s in colex_subsets(m, k)]
         assert _subsets(m, m - k)[::-1].tolist() == complements
     # every cached table is shared by its callers, so none can be written
     tables = [_subsets(8, 3), _side_table(8, 3), _lifted_side_table(8, 3)]
