@@ -129,8 +129,9 @@ _SQRT2 = math.sqrt(2.0)
 class MCConfig:
     """Sampling budget and stream identity for Monte Carlo angle estimation.
 
-    workers and cache_path are validated and ignored; they stay so that callers
-    written for the old angle thread pool and angle cache file still build.
+    workers is validated and ignored, and cache_path is neither validated nor
+    read; they stay so that callers written for the old angle thread pool and
+    angle cache file still build.
     """
 
     samples: int = 1_000_000

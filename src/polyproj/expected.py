@@ -51,7 +51,7 @@ from functools import cache
 import numpy as np
 
 from .angles import QUADRATURE_RTOL, Estimate, MCConfig, external_angle, external_angles, internal_angle
-from .errors import InvalidArgumentError, TruncationError
+from .errors import InvalidArgumentError, InvalidDimensionError, TruncationError
 from .families import (
     LOG_FLOAT_MAX,
     MODEL_TABLE,
@@ -302,14 +302,28 @@ def intrinsic_volume(family: Family, n: int, k: int, cfg: MCConfig | None = None
         return Estimate.rational(math.comb(n, k))
     c = face_count(family, n, k, on_polytope=True)
     gamma = external_angle(family, n, k, cfg)
-    value = c * gamma.value * canonical_face_volume(family, k)
+    value = canonical_face_volume(family, k, c, gamma.value)
     return Estimate(value, 0.0, True, c * gamma.exact_value if k == 0 else None)
 
 
+# pi to 50 decimals: an error below 1e-49 in each of the at most 226 factors
+# of a ball volume keeps it far within half an ulp
+_PI = Fraction(314159265358979323846264338327950288419716939937511, 10**50)
+
+
 def unit_ball_volume(ell: int) -> float:
-    """Volume of the ell-dimensional Euclidean unit ball."""
+    """Volume of the ell-dimensional Euclidean unit ball.
+
+    Past the float range of Gamma(ell/2 + 1), from ell = 342 on, the volume
+    V_ell = V_(ell-2) * 2 pi / ell is taken exactly from V_0 = 1 or V_1 = 2
+    and rounded once; from ell = 453 on it is below the least float, 0.0.
+    """
     ell = check_int("ell", ell, 0)
-    return math.pi ** (ell / 2.0) / math.gamma(ell / 2.0 + 1.0)
+    try:
+        return math.pi ** (ell / 2.0) / math.gamma(ell / 2.0 + 1.0)
+    except OverflowError:  # Gamma(ell/2 + 1), or ell itself, past the float range
+        steps = (2 * _PI / j for j in range(2 + ell % 2, ell + 1, 2))
+        return 0.0 if ell > 452 else float(math.prod(steps, start=Fraction(1 + ell % 2)))
 
 
 def t_functional_expected(d: int, k: int, b: float, expected_f_value: float) -> float:
@@ -317,7 +331,10 @@ def t_functional_expected(d: int, k: int, b: float, expected_f_value: float) -> 
 
     The multiplier is (k+1)^(b/2) / (k!)^b * prod_{j=1..k} of the ratio
     Gamma((d+b+1-j)/2) / Gamma((d+1-j)/2); b = 0 or k = 0 returns the input
-    unchanged (the functional degenerates to counting).
+    unchanged (the functional degenerates to counting), and so does a zero
+    input.  A multiplier past the float range is applied through the input's
+    log, and a scaled value that is still past it, or a multiplier whose log
+    is, is an InvalidDimensionError.
     """
     d = check_int("d", d, 1)
     k = check_int("k", k, 0)
@@ -325,12 +342,20 @@ def t_functional_expected(d: int, k: int, b: float, expected_f_value: float) -> 
     expected_f_value = check_real("expected_f_value", expected_f_value, what="finite")
     if k > d:
         raise InvalidArgumentError(f"k must be <= d, got k={k}, d={d}")
-    if b == 0 or k == 0:
+    if b == 0 or k == 0 or expected_f_value == 0:
         return expected_f_value
-    log_m = b * (0.5 * math.log(k + 1) - math.lgamma(k + 1))
-    for j in range(1, k + 1):
-        log_m += math.lgamma((d + b + 1 - j) / 2.0) - math.lgamma((d + 1 - j) / 2.0)
-    return expected_f_value * math.exp(log_m)
+    try:
+        log_m = b * (0.5 * math.log(k + 1) - math.lgamma(k + 1))
+        for j in range(1, k + 1):
+            log_m += math.lgamma((d + b + 1 - j) / 2.0) - math.lgamma((d + 1 - j) / 2.0)
+        if log_m > LOG_FLOAT_MAX:  # math.exp would overflow: the value's log goes into the exponent
+            log_m, expected_f_value = log_m + math.log(abs(expected_f_value)), math.copysign(1.0, expected_f_value)
+        scaled = expected_f_value * math.exp(log_m)
+        if not math.isinf(scaled):
+            return scaled
+    except OverflowError:  # a log-Gamma, or the scaled value, is past the float range
+        pass
+    raise InvalidDimensionError(f"the size functional at d={d}, k={k}, b={b} is past the float range")
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +378,12 @@ def _face_bound(row: Model, ell: int, d: int, k: int) -> float:
     return math.comb(face_count(row.family, ell - row.shift, 0), k + 1)
 
 
-def _growth_ratio(row: Model, ell: int, d: int, k: int) -> float:
+def _growth_ratio(row: Model, ell: int, d: int, bound: Callable[[int], float]) -> float:
     # sup over ell' >= ell of bound(ell'+1)/bound(ell'), as every ratio decreases
     # in ell; a hull's bounds are ints, so their ratio is correctly rounded, and
     # nonzero from ell >= k + 2 on, where the Poisson sum first asks for it
     if row.family is not Family.CUBE:
-        return _face_bound(row, ell + 1, d, k) / _face_bound(row, ell, d, k)
+        return bound(ell + 1) / bound(ell)
     if ell + 1 <= d:
         return 2.0 * d
     return (ell + 1) / (ell + 2 - d)
@@ -404,13 +429,10 @@ def poissonized_series(
 def _poisson_sums(
     ts: list[float], row: Model, d: int, k: int, eps: float, cfg: MCConfig
 ) -> Iterator[PoissonizedExpectation]:
-    # each size's face bound and growth ratio are built once for the whole grid; a
-    # hull row's ratio is _growth_ratio's division of two bounds, read from the cache
+    # each size's face bound and growth ratio are built once for the whole grid;
+    # a hull row's ratio divides two bounds read from the cache
     bound = cache(lambda ell: _face_bound(row, ell, d, k))
-    if row.family is Family.CUBE:
-        ratio = cache(lambda ell: _growth_ratio(row, ell, d, k))
-    else:
-        ratio = cache(lambda ell: bound(ell + 1) / bound(ell))
+    ratio = cache(lambda ell: _growth_ratio(row, ell, d, bound))
     # every stopping size first, up to the first t that runs into its cap
     stops: list[tuple[int, float]] = []
     failure = None

@@ -52,7 +52,12 @@ def resolve_family(family: Family | str) -> Family:
 class Model:
     """A random-polytope model: with parameter n it is the image of P_{n - shift}
     of `family` under a d-column Gaussian matrix when `gaussian`, else under a
-    uniform random orthogonal projection (Baryshnikov & Vitale)."""
+    uniform random orthogonal projection (Baryshnikov & Vitale).
+
+    The projection's frame is the Q of a Gaussian matrix G = QR, and its image
+    is G's image moved by R^-1, with the same face lattice: simulate draws a
+    Gaussian matrix for both kinds.
+    """
 
     family: Family
     shift: int
@@ -256,17 +261,23 @@ def face_volume(face: CanonicalFace) -> float:
     return canonical_face_volume(face.family, face.dim)
 
 
-def canonical_face_volume(family: Family, k: int) -> float:
-    """k-dimensional volume of the canonical k-face of any P_n of the series.
+def canonical_face_volume(family: Family, k: int, *factors: int | float) -> float:
+    """k-dimensional volume of the canonical k-face of any P_n of the series, times the factors.
 
     Simplex-type faces (simplex and crosspolytope families) are regular
-    simplices with edge length sqrt(2): Vol_k = sqrt(k+1)/k!.  Cube faces are
-    unit subcubes, volume 1.  Zero-dimensional volume is 1 by convention.
-    The volume does not depend on n, so no face is built.
+    simplices with edge length sqrt(2): Vol_k = sqrt(k+1)/k!, which is 1 at
+    k = 0.  Cube faces are unit subcubes, volume 1.  The volume does not
+    depend on n, so no face is built.  The factors are multiplied in floats,
+    one after another, and the volume last, while every factor and k! are
+    floats; past that (k! from k = 171 on) the exact product is rounded once,
+    to 0.0 where it underflows, and is an InvalidDimensionError past the
+    float range.
     """
-    if k == 0 or family is Family.CUBE:
-        return 1.0
-    return math.sqrt(k + 1) / math.factorial(k)
+    top, bottom = (1.0, 1) if family is Family.CUBE else (math.sqrt(k + 1), math.factorial(k))
+    try:
+        return math.prod(factors) * (top / bottom)
+    except OverflowError:  # an int factor or k! past the float range
+        return exact_float(math.prod(map(Fraction, factors), start=Fraction(top)) / bottom)
 
 
 def barycenter(face: CanonicalFace) -> np.ndarray:

@@ -8,6 +8,10 @@ P_{n - shift} under a Gaussian map or a uniform orthogonal projection to R^d.
   projected_simplex        image of the (n-1)-simplex (n vertices)
   projected_crosspolytope  image of the n-crosspolytope (2n vertices)
   projected_cube           image of the n-cube (2^n vertices)
+The projection's frame is the Q of a Gaussian map G = QR, and the two images
+differ by R^-1, a linear bijection of R^d, so they have one face lattice draw
+by draw (Baryshnikov & Vitale): simulate counts every model on its Gaussian
+map (_sample_maps).
 
 Simulated hulls of the simplex and crosspolytope images (the hull of the map's
 rows, or of those and their negatives) are decided a chunk of clouds at a time
@@ -54,7 +58,7 @@ flags with a table of which rows and row pairs each candidate facet holds
 
 A zonotope whose generators are in general position has the f-vector of a
 generic central arrangement (Zaslavsky, 1975), expected_f_cube_closed_form,
-for every draw, and a projected cube is the zonotope of its frame rows.  So
+for every draw, and a projected cube is the zonotope of its map's rows.  So
 a cube map is only tested for general position, on the d x d minors of its
 normalized generators (_flat_generators).
 
@@ -205,13 +209,8 @@ def random_orthonormal_frame(ambient: int, d: int, rng: np.random.Generator) -> 
     """
     if d > ambient:
         raise InvalidDimensionError(f"frame needs d <= ambient, got {d} > {ambient}")
-    return _orthonormal_frames(rng.standard_normal((ambient, d)))
-
-
-def _orthonormal_frames(g: np.ndarray) -> np.ndarray:
-    """The Q factors of one Gaussian matrix or a stack of them, with the R-diagonal signs fixed."""
-    q, r = np.linalg.qr(g)
-    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    q, r = np.linalg.qr(rng.standard_normal((ambient, d)))
+    return q * np.sign(np.diagonal(r))
 
 
 def sample_gaussian(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -222,19 +221,19 @@ def symmetrize(cloud: np.ndarray) -> np.ndarray:
     return np.vstack([cloud, -cloud])
 
 
-def _sample_maps(row: Model, keys: np.ndarray, bitgen: Philox, rng: Generator, out: np.ndarray) -> np.ndarray:
-    """The maps of the streams with the given Philox keys, drawn into out.
+def _sample_maps(keys: np.ndarray, bitgen: Philox, rng: Generator, out: np.ndarray) -> np.ndarray:
+    """The n x d Gaussian maps of the streams with the given Philox keys, drawn into out.
 
-    A model's map takes R^n, where its P_{n - shift} lies, to R^d: Gaussian,
-    or a random orthonormal frame for the projected models.  Each map is
-    drawn in place after a re-key, as a fresh generator on that key would
-    draw it, and the frames come from one stacked QR.
+    A model's map takes R^n, where its P_{n - shift} lies, to R^d.  Each map
+    is drawn in place after a re-key, as a fresh generator on that key would
+    draw it.  The projected models take the same Gaussian map G: their frame
+    is the Q of G = QR (random_orthonormal_frame), whose image of
+    P_{n - shift} is G's image moved by R^-1 and has its face lattice, so no
+    frame is built.
     """
     for j, key in enumerate(keys.tolist()):
         rekey(bitgen, key)
         rng.standard_normal(out=out[j])
-    if not row.gaussian:
-        out[:] = _orthonormal_frames(out)
     return out
 
 
@@ -269,7 +268,8 @@ def hull_f_vector(points: np.ndarray) -> FVectorSample:
     Flat inputs come back flagged degenerate rather than raising; other qhull
     failures, and merged facets whose count breaks Euler's relation, raise a
     degeneracy error.  Dimension is capped at 6: face-lattice
-    recovery enumerates vertex subsets and is meant for desk-scale checks.
+    recovery closes the facet vertex sets under intersection and is meant
+    for desk-scale checks.
     """
     return _qhull_f_vector(_real_rows(points, "points", "hull"))
 
@@ -766,8 +766,9 @@ def _replication_block(args: tuple[str, int, int, int, int, int], work: _Workspa
     """Rows lo..hi-1 of a simulation and their degenerate-attempt count.
 
     Attempts run in rounds.  Round a takes the replications still undecided,
-    gets their attempt-a keys from one derive_keys call and draws their maps,
-    a chunk of _chunk_size maps at a time, by re-keying one Philox.  A cube
+    gets their attempt-a keys from one derive_keys call and draws their
+    Gaussian maps, a chunk of _chunk_size maps at a time, by re-keying one
+    Philox; a projected model is counted on that map, not on its frame.  A cube
     map in general position takes the closed-form row, built once per block.
     Other shapes that _enumerates takes are decided on the minors route; the
     clouds it flags, and every cloud of other shapes, go to qhull as drawn.
@@ -793,7 +794,7 @@ def _replication_block(args: tuple[str, int, int, int, int, int], work: _Workspa
         flat = []  # per chunk, the block rows whose draws were flat
         for start in range(0, len(pending), chunk):
             todo = pending[start : start + chunk]
-            drawn = _sample_maps(row, keys[start : start + chunk], bitgen, rng, maps[: len(todo)])
+            drawn = _sample_maps(keys[start : start + chunk], bitgen, rng, maps[: len(todo)])
             if row.family is Family.CUBE:
                 # the zonotope of the map's rows; zonotope_f_vector would reject a flat map by this same test
                 again = _flat_generators(drawn, work)

@@ -17,6 +17,8 @@ taken from the closed form of a generic arrangement,
 facets grouped by rounded hyperplane equations instead of by qhull's
 neighbour graph, one freshly derived generator and one f-vector call per
 replication instead of batched stream keys and block-wise face counting,
+the projected models' vertices multiplied by Haar frames (the Q of a
+Gaussian matrix G = QR) instead of counted on G, whose image differs by R^-1,
 Poisson tail bounds written out per model name instead of read off the
 model table, every face of a simplicial hull counted as a distinct subset of
 its facets instead of read off the h-vector, exact angles as a ladder of
@@ -24,8 +26,11 @@ branches instead of one power of 1/2 per kind, one exactly rounded math.fsum
 per quadrature window instead of NumPy's row sums, each size's sum of
 sn_terms on its own instead of one batch of angles for a range of sizes,
 a linear scan for a Poisson sum's stopping size from max(k + 2, int(t) + 1)
-instead of a scan that starts past 2t, and colex subset lists built by
-recursion on the largest element instead of sorted by reversed tuple.
+instead of a scan that starts past 2t, colex subset lists built by
+recursion on the largest element instead of sorted by reversed tuple,
+ball volumes by their closed forms with pi from Machin's formula instead
+of a product of 2 pi / j with a 50-digit pi, and the size functional's
+Gamma ratios as rising products instead of log-Gamma differences.
 Agreement between routes is the point.
 """
 
@@ -151,6 +156,47 @@ def exact_angle_ladder(kind: str, family: str, n: int, k: int, g: int) -> Fracti
     return None
 
 
+def machin_pi(digits: int) -> Fraction:
+    """pi to about `digits` decimals by Machin's formula, 16 arctan(1/5) - 4 arctan(1/239), in integers."""
+    scale = 10 ** (digits + 10)
+
+    def arctan_inverse(x: int) -> int:
+        total, term, k, sign = 0, scale // x, 1, 1
+        while term:
+            total += sign * (term // k)
+            term //= x * x
+            k, sign = k + 2, -sign
+        return total
+
+    return Fraction(16 * arctan_inverse(5) - 4 * arctan_inverse(239), scale)
+
+
+def ball_volume_closed_form(ell: int) -> Fraction:
+    """The ell-dimensional unit ball's volume as a rational, pi to 80 decimals.
+
+    pi^m / m! at ell = 2m and 2^(2m+1) m! pi^m / (2m+1)! at ell = 2m + 1,
+    instead of a product of 2 pi / j over the dimensions.
+    """
+    m = ell // 2
+    if ell % 2:
+        return Fraction(2 ** ell * math.factorial(m), math.factorial(ell)) * machin_pi(80) ** m
+    return machin_pi(80) ** m / math.factorial(m)
+
+
+def size_functional_multiplier(d: int, k: int, half_b: int) -> Fraction:
+    """t_functional_expected's multiplier at b = 2 half_b as a rational.
+
+    Each ratio Gamma(x + half_b) / Gamma(x) is the rising product
+    x (x+1) ... (x + half_b - 1), instead of a difference of log-Gammas.
+    """
+    multiplier = Fraction((k + 1) ** half_b, math.factorial(k) ** (2 * half_b))
+    for j in range(1, k + 1):
+        x = Fraction(d + 1 - j, 2)
+        for i in range(half_b):
+            multiplier *= x + i
+    return multiplier
+
+
 def poisson_face_bound(model: str, ell: int, k: int) -> float:
     """The Poisson tail's bound on f_k of a hull model with parameter ell, by model name.
 
@@ -228,7 +274,7 @@ def poisson_sum_per_t(t: float, d: int, k: int, model: str, eps: float, cfg) -> 
         se += weight * term.std_error
         exact = exact and term.exact
         if ell >= max(k + 2, int(t) + 1):
-            q = t * _growth_ratio(row, ell, d, k) / (ell + 1)
+            q = t * _growth_ratio(row, ell, d, lambda size: _face_bound(row, size, d, k)) / (ell + 1)
             if q < 0.5:
                 log_tail = _log_tail_bound(t, ell, _face_bound(row, ell, d, k), q)
                 if log_tail < math.log(eps):
@@ -246,7 +292,7 @@ def poisson_stop_by_scan(t: float, d: int, k: int, model: str, eps: float) -> tu
 
     row = MODEL_TABLE[model]
     for ell in range(max(k + 2, int(t) + 1), min(int(10 * t + 400), MAX_POISSON_SIZE) + 1):
-        q = t * _growth_ratio(row, ell, d, k) / (ell + 1)
+        q = t * _growth_ratio(row, ell, d, lambda size: _face_bound(row, size, d, k)) / (ell + 1)
         if q < 0.5:
             log_tail = _log_tail_bound(t, ell, _face_bound(row, ell, d, k), q)
             if log_tail < math.log(eps):
@@ -653,7 +699,9 @@ def per_replication_rows(model: str, n: int, d: int, seed: int, replications: in
     counts its hull alone with hull_f_vector, or its zonotope with
     svd_zonotope_f_vector.  Point clouds come from `sampler`, model_cloud
     unless another is given; zonotope generators and projected-cube frames
-    are drawn here.
+    are drawn here.  The projected models' vertices are multiplied by Haar
+    frames, so their rows check, draw by draw, that simulate may count them
+    on the Gaussian matrices whose Q factors the frames are.
     """
     from polyproj.errors import DegenerateGeometryError, SimulationAbortError
     from polyproj.hull import _MAX_ATTEMPTS, hull_f_vector, random_orthonormal_frame

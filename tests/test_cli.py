@@ -546,8 +546,8 @@ def test_simulate_abort_exits_1(capsys, monkeypatch):
 
     sample_maps = hull._sample_maps
 
-    def flat_maps(row, keys, bitgen, rng, out):
-        sample_maps(row, keys, bitgen, rng, out)
+    def flat_maps(keys, bitgen, rng, out):
+        sample_maps(keys, bitgen, rng, out)
         out[:, :, -1] = 0.0
         return out
 
@@ -695,3 +695,13 @@ def test_negative_b_exits_2_before_sampling(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "argument --b: expected a nonnegative number, got -1.0" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("b", ["1e6", "1e308"])
+def test_b_past_the_float_range_exits_1(capsys, b):
+    # the size-functional multiplier at d = 3, k = 2 leaves the float range
+    # near b = 201.93 and its log-Gammas near b = 1e308: an error line, where
+    # math.exp and math.lgamma raised a bare OverflowError
+    code, out, err = run(capsys, ["poisson", "--model", "gaussian", "--d", "3", "--k", "2", "--t-max", "2", "--b", b])
+    assert code == 1 and out == ""
+    assert err == f"error: the size functional at d=3, k=2, b={float(b)!r} is past the float range\n"

@@ -37,15 +37,17 @@ from polyproj import (
     unit_ball_volume,
 )
 
-from polyproj.families import check_count_size, target_row
+from polyproj.families import canonical_face_volume, check_count_size, target_row
 
 from oracles import (
     SHADOW_TETRA_VERTICES,
+    ball_volume_closed_form,
     model_value_by_terms,
     poisson_face_bound,
     poisson_growth_ratio,
     poisson_stop_by_scan,
     poisson_sum_per_t,
+    size_functional_multiplier,
 )
 
 FAST = MCConfig(samples=20_000, seed=0)
@@ -391,6 +393,79 @@ def test_unit_ball_volume():
     assert unit_ball_volume(3) == pytest.approx(4 * math.pi / 3)
 
 
+def _nearest_float(value: float, exact: Fraction) -> bool:
+    """Whether value is a float nearest to exact: within half an ulp of it, the least subnormal's for 0.0."""
+    return abs(Fraction(value) - exact) <= Fraction(math.ulp(value)) / 2
+
+
+@pytest.mark.parametrize("ell", [341, 342, 343, 400, 452, 453])
+def test_unit_ball_volume_past_the_float_range_of_gamma(ell):
+    # Gamma(ell/2 + 1) leaves the float range at ell = 342, where math.gamma
+    # raised OverflowError; from there on the volume is the nearest float, and
+    # 0.0 from ell = 453 on, below half the least subnormal
+    value, exact = unit_ball_volume(ell), ball_volume_closed_form(ell)
+    if ell < 342:  # the float expression, about 40 ulps off at ell = 341
+        assert value == math.pi ** (ell / 2.0) / math.gamma(ell / 2.0 + 1.0)
+        assert value == pytest.approx(float(exact), rel=1e-13)
+    else:
+        assert _nearest_float(value, exact)
+    assert (value > 0) == (ell < 453)
+
+
+def test_unit_ball_volume_of_dimensions_past_the_float_range():
+    # ell / 2.0 itself raised OverflowError for an ell past the float range
+    for ell in (1000, 2**1024, 10**400):
+        assert unit_ball_volume(ell) == 0.0
+
+
+@pytest.mark.parametrize("family", [Family.SIMPLEX, Family.CROSSPOLYTOPE])
+@pytest.mark.parametrize("k", [170, 171, 200])
+def test_face_volume_past_the_float_range_of_k_factorial(family, k):
+    # 170! is the last factorial in the float range: from k = 171 on, where
+    # sqrt(k + 1) / k! raised OverflowError, the volume is that quotient
+    # rounded once, 0.0 once it is below half the least subnormal
+    value = face_volume(canonical_face(family, k + 1, k))
+    exact = Fraction(math.sqrt(k + 1)) / math.factorial(k)
+    if k == 170:
+        assert value == math.sqrt(k + 1) / math.factorial(k)
+    assert _nearest_float(value, exact)
+    assert (value > 0) == (k < 200)
+
+
+def test_scaled_face_volume_past_the_float_range_of_its_factors():
+    # an int factor past the float range raised OverflowError; the exact
+    # product is rounded once, or is an InvalidDimensionError past the range
+    assert canonical_face_volume(Family.SIMPLEX, 1, 2**1023, 1.0) == 2.0**1023 * math.sqrt(2)
+    big = canonical_face_volume(Family.SIMPLEX, 1, 2**1100, 2.0**-200)
+    assert _nearest_float(big, 2**900 * Fraction(math.sqrt(2)))
+    with pytest.raises(InvalidDimensionError, match="past the float range"):
+        canonical_face_volume(Family.SIMPLEX, 1, 2**1100, 1.0)
+    assert canonical_face_volume(Family.CUBE, 7, 2**1100, 2.0**-1000) == 2.0**100
+
+
+@pytest.mark.parametrize("family,n,k", [
+    (Family.SIMPLEX, 4160, 170),  # the last n whose face count C(n + 1, k + 1) is a float
+    (Family.SIMPLEX, 4161, 170),
+    (Family.SIMPLEX, 172, 171),  # 171! past the float range, the face count not
+    (Family.SIMPLEX, 3000, 1500),
+    (Family.CROSSPOLYTOPE, 3000, 1500),
+])
+def test_intrinsic_volume_past_the_float_range_of_its_count(family, n, k):
+    # the face count times the angle times the face volume: in floats while
+    # the count and k! are floats, as before, else the exact product rounded
+    # once where the float conversion raised OverflowError
+    est = intrinsic_volume(family, n, k)
+    count, gamma = face_count(family, n, k), external_angle(family, n, k).value
+    exact = count * Fraction(gamma) * Fraction(math.sqrt(k + 1)) / math.factorial(k)
+    if (n, k) == (4160, 170):
+        assert est.value == count * gamma * face_volume(canonical_face(family, k + 1, k))
+        assert est.value == pytest.approx(float(exact), rel=1e-15)
+    else:
+        assert _nearest_float(est.value, exact)
+    assert (est.exact, est.std_error) == (True, 0.0)
+    assert (est.value > 0) == (k < 1500)
+
+
 def test_t_functional_reductions():
     assert t_functional_expected(3, 2, 0.0, 7.25) == 7.25
     assert t_functional_expected(3, 0, 2.0, 7.25) == 7.25
@@ -404,6 +479,25 @@ def test_t_functional_known_factors():
     assert t_functional_expected(2, 1, 1.0, 3.0) == pytest.approx(
         3 * math.sqrt(math.pi / 2), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("b,value", [(200.0, 1.0), (200.0, -3.0), (202.0, 1e-10), (202.0, -1e-10), (202.0, 1.0),
+                                     (1e6, 1.0), (1e308, 1.0), (1e308, 0.0)])
+def test_t_functional_past_the_float_range_of_its_multiplier(b, value):
+    # at d = 3, k = 2 the multiplier leaves the float range near b = 201.93,
+    # where math.exp raised OverflowError, and its log-Gammas near b = 1e308;
+    # a scaled value still in the float range is kept, and else it is an
+    # InvalidDimensionError
+    if b < 1e6:
+        exact = size_functional_multiplier(3, 2, int(b) // 2) * Fraction(value)
+        assert (exact > Fraction(sys.float_info.max)) == (b > 201 and value == 1.0)
+    if value == 0.0:
+        assert t_functional_expected(3, 2, b, value) == 0.0
+    elif b > 201 and abs(value) == 1.0:
+        with pytest.raises(InvalidDimensionError, match="size functional at d=3, k=2, .* past the float range"):
+            t_functional_expected(3, 2, b, value)
+    else:
+        assert t_functional_expected(3, 2, b, value) == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_t_functional_validation():
@@ -530,9 +624,10 @@ def test_poisson_tails_read_off_the_row_match_the_closed_forms(model):
     # the ratios as int divisions; both equal the per-model closed forms bit for bit
     row = MODEL_TABLE[model]
     for k in range(12):
+        bound = lambda size: polyproj.expected._face_bound(row, size, 3, k)  # noqa: E731
         for ell in range(k + 2, 3001):
             assert float(polyproj.expected._face_bound(row, ell, 3, k)) == poisson_face_bound(model, ell, k)
-            assert polyproj.expected._growth_ratio(row, ell, 3, k) == poisson_growth_ratio(model, ell, k)
+            assert polyproj.expected._growth_ratio(row, ell, 3, bound) == poisson_growth_ratio(model, ell, k)
 
 
 def test_poisson_truncation_valve(monkeypatch):
@@ -634,7 +729,7 @@ def test_poisson_series_truncation_at_a_later_t(monkeypatch):
     # the tail test passes below size 40 only: t = 1 ends there, t = 30 runs into its cap
     original = polyproj.expected._growth_ratio
     monkeypatch.setattr(polyproj.expected, "_growth_ratio",
-                        lambda row, ell, d, k: original(row, ell, d, k) if ell < 40 else math.inf)
+                        lambda row, ell, d, bound: original(row, ell, d, bound) if ell < 40 else math.inf)
     sums = poissonized_series([1.0, 30.0], 2, 0, "zonotope")
     assert sum_fields(next(sums)) == sum_fields(poissonized_expected(1.0, 2, 0, "zonotope"))
     with pytest.raises(TruncationError) as in_series:
@@ -657,8 +752,8 @@ def test_poisson_stopping_sizes_match_the_oracle(monkeypatch, model, d, k, grid)
     if row.gaussian and row.family is not Family.CUBE:
         # a hull model's stopping rule reads no term
         monkeypatch.setattr(polyproj.expected, "_model_values", None)
-    ratio = lambda ell: polyproj.expected._growth_ratio(row, ell, d, k)  # noqa: E731
     bound = lambda ell: polyproj.expected._face_bound(row, ell, d, k)  # noqa: E731
+    ratio = lambda ell: polyproj.expected._growth_ratio(row, ell, d, bound)  # noqa: E731
     got = [polyproj.expected._poisson_stop(t, k, 1e-8, ratio, bound) for t in grid]
     assert [(tail, size) for size, tail in got] == want
 
@@ -672,8 +767,8 @@ def test_poisson_stops_match_the_linear_scan(model, d, k):
     # max(k + 2, int(t) + 1) finds, tails bit for bit; from t = 1000.5 on it
     # skips a thousand sizes or more
     row = MODEL_TABLE[model]
-    ratio = lambda ell: polyproj.expected._growth_ratio(row, ell, d, k)  # noqa: E731
     bound = lambda ell: polyproj.expected._face_bound(row, ell, d, k)  # noqa: E731
+    ratio = lambda ell: polyproj.expected._growth_ratio(row, ell, d, bound)  # noqa: E731
     for t in (0.01, 0.5, 1.0, 2.5, 3.0, 7.0, 12.25, 30.0, 99.5, 100.0, 137.9, 250.0, 499.9, 500.0,
               1000.5, 2500.0, 4000.0, 4900.0):
         for eps in (1e-8, 1e-14):
@@ -686,7 +781,8 @@ def test_poisson_growth_ratios_are_at_least_one(model):
     row = MODEL_TABLE[model]
     for d in range(2, 7):
         for k in range(d):
-            assert min(polyproj.expected._growth_ratio(row, ell, d, k) for ell in range(k + 2, 2001)) >= 1.0
+            bound = lambda ell: polyproj.expected._face_bound(row, ell, d, k)  # noqa: E731
+            assert min(polyproj.expected._growth_ratio(row, ell, d, bound) for ell in range(k + 2, 2001)) >= 1.0
 
 
 def test_poisson_sizes_stop_at_max_poisson_size(monkeypatch):

@@ -228,7 +228,7 @@ def test_simplicial_f_vectors_of_minors_route_chunks(model, d):
     for n in sorted({d + row.shift, largest}):
         chunk = min(_chunk_size(row, n, d), 200)
         keys = derive_keys(17, SIM_REPLICATION, MODEL_CODES[model], n, d, np.arange(chunk), 0)
-        maps = _sample_maps(row, keys, bitgen, Generator(bitgen), np.empty((chunk, n, d)))
+        maps = _sample_maps(keys, bitgen, Generator(bitgen), np.empty((chunk, n, d)))
         assert not _assert_minors_route_rows(maps, symmetric).all()
     maps = _clouds_near_hyperplanes(np.random.default_rng(MODEL_CODES[model] + 10 * d), 64, largest, d)
     near = _assert_minors_route_rows(maps, symmetric)
@@ -482,13 +482,20 @@ def test_random_orthonormal_frame():
 ])
 def test_sample_cloud_shapes(model, n, rows):
     # the model's map is n x d and takes the rows vertices of P_{n - shift} in R^n
-    # to the cloud; a projected model's map is an orthonormal frame
+    # to the cloud; every model's map is its stream's Gaussian matrix G, and a
+    # projected model's orthonormal frame is the Q of G = QR, R upper
+    # triangular with a positive diagonal
     row = MODEL_TABLE[model]
-    cloud_map = _one_map(row, n, 3, 7, 2)
+    cloud_map = _one_map(n, 3, 7, 2)
     assert cloud_map.shape == (n, 3)
     assert vertices(row.family, n - row.shift).shape == (rows, n)
+    assert cloud_map.tobytes() == derive_generator(7, 2).standard_normal((n, 3)).tobytes()
     if not row.gaussian:
-        assert np.allclose(cloud_map.T @ cloud_map, np.eye(3), atol=1e-12)
+        frame = random_orthonormal_frame(n, 3, derive_generator(7, 2))
+        assert np.allclose(frame.T @ frame, np.eye(3), atol=1e-12)
+        r = frame.T @ cloud_map
+        assert np.allclose(frame @ r, cloud_map, atol=1e-12)
+        assert np.allclose(np.tril(r, -1), 0.0, atol=1e-12) and (np.diagonal(r) > 0).all()
 
 
 def test_model_table_follows_stream_codes():
@@ -505,7 +512,7 @@ def test_sample_cloud_matches_written_out_sampler(model):
     for d in (2, 3, 4):
         n = d + 2
         for index in range(20):
-            image = _one_map(row, n, d, 5, index)
+            image = _one_map(n, d, 5, index)
             if row.family is Family.CUBE:  # the zonotope of the map's rows
                 fv = zonotope_f_vector(image)
             else:  # the hull of the map's rows, with their negatives for the crosspolytope
@@ -673,11 +680,11 @@ def test_simulate_blocks_match_per_replication_oracle(model, d, tmp_path):
         assert result.means[d - 1].value == float(rows[:r, d - 1].mean())
 
 
-def _one_map(row, n, d, *path):
-    """The model's n x d map on the stream (*path), drawn by _sample_maps as simulate draws it."""
+def _one_map(n, d, *path):
+    """The n x d map on the stream (*path), drawn by _sample_maps as simulate draws it."""
     bitgen = Philox(key=0)
     keys = derive_keys(*path[:-1], np.array(path[-1:]))
-    return _sample_maps(row, keys, bitgen, Generator(bitgen), np.empty((1, n, d)))[0]
+    return _sample_maps(keys, bitgen, Generator(bitgen), np.empty((1, n, d)))[0]
 
 
 def _key(*path):
@@ -688,8 +695,8 @@ def _key(*path):
 def _patch_sample_map(monkeypatch, edit):
     """Draw every map with _sample_maps, then replace it by edit(key, map), key the map's Philox key as ints."""
 
-    def sample_maps(row, keys, bitgen, rng, out):
-        _sample_maps(row, keys, bitgen, rng, out)
+    def sample_maps(keys, bitgen, rng, out):
+        _sample_maps(keys, bitgen, rng, out)
         for j, key in enumerate(keys.tolist()):
             out[j] = edit(tuple(key), out[j])
         return out
@@ -880,10 +887,10 @@ def test_workspace_leaks_nothing_across_chunks(monkeypatch, model, d):
         span = d - 1 if cube else min(d, n - 1)
         work = _Workspace()
 
-        def poisoned_draw(row, keys, bitgen, rng, out):
+        def poisoned_draw(keys, bitgen, rng, out):
             for buffer in work.buffers.values():
                 buffer.view(np.uint8).fill(0xFF)
-            _sample_maps(row, keys, bitgen, rng, out)
+            _sample_maps(keys, bitgen, rng, out)
             for j, key in enumerate(keys.tolist()):
                 if tuple(key) in moved:
                     weights = np.arange(1.0, span + 1) / (span * (span + 1) / 2)
@@ -906,13 +913,20 @@ def test_workspace_leaks_nothing_across_chunks(monkeypatch, model, d):
     ("gaussian", 10, 6, [12990, 57470, 142403, 204809, 160329, 53443]),
     ("symmetric", 7, 5, [17854, 92656, 218084, 234470, 93788]),
     ("symmetric", 7, 6, [18128, 105444, 318332, 518416, 431100, 143700]),
+    ("projected_simplex", 10, 3, [10647, 24141, 16094]),
+    ("projected_crosspolytope", 8, 4, [18236, 75286, 114100, 57050]),
+    ("projected_simplex", 10, 6, [12978, 57378, 142119, 204357, 159957, 53319]),
+    ("projected_crosspolytope", 7, 6, [18150, 105500, 318238, 517964, 430614, 143538]),
 ])
 def test_benchmark_shapes_keep_their_counts(model, n, d, sums, tmp_path):
     # the hull_sim workload's minors-route shapes, and one d = 5 and one d = 6
     # minors-route shape of each hull type, over two whole blocks and a short
     # third one: the column sums of their dump rows, pinned for the first two
-    # when every chunk allocated its own temporaries, for the others when
-    # every index table was in lex order
+    # when every chunk allocated its own temporaries, for the next four when
+    # every index table was in lex order; the projected twins of the first two
+    # and two d = 6 projected shapes were pinned when simulate still counted
+    # them on their QR frames, so these check that counting them on the
+    # frames' Gaussian matrices changed no row
     dump = tmp_path / "rows.csv"
     cfg = SimConfig(model=model, n=n, d=d, replications=2 * _BLOCK + 276, seed=5)
     assert simulate_expected_f(cfg, dump_path=str(dump)).degenerate_events == 0
@@ -1190,15 +1204,19 @@ def test_subsets_edge_cases_and_read_only_tables():
 
 
 @pytest.mark.parametrize("n,d", [(4, 2), (8, 3), (10, 4), (15, 6)])
-def test_stacked_frames_match_per_map_frames(n, d):
-    # one QR over the chunk gives each map the frame random_orthonormal_frame gives it alone
+def test_sampled_maps_are_the_frames_gaussian_matrices(n, d):
+    # a chunk's maps are the Gaussian matrices G = QR whose Q factors are the
+    # frames random_orthonormal_frame draws on the same streams one at a time
     path = (3, SIM_REPLICATION, MODEL_CODES["projected_cube"], n, d)
     keys = derive_keys(*path, np.arange(40), 0)
     bitgen = Philox(key=0)
-    frames = _sample_maps(MODEL_TABLE["projected_cube"], keys, bitgen, Generator(bitgen), np.empty((40, n, d)))
+    maps = _sample_maps(keys, bitgen, Generator(bitgen), np.empty((40, n, d)))
     for i in range(40):
-        alone = random_orthonormal_frame(n, d, derive_generator(*path, i, 0))
-        assert frames[i].tobytes() == alone.tobytes()
+        assert maps[i].tobytes() == derive_generator(*path, i, 0).standard_normal((n, d)).tobytes()
+        frame = random_orthonormal_frame(n, d, derive_generator(*path, i, 0))
+        r = frame.T @ maps[i]
+        assert np.allclose(frame @ r, maps[i], atol=1e-12)
+        assert np.allclose(np.tril(r, -1), 0.0, atol=1e-12) and (np.diagonal(r) > 0).all()
 
 
 @pytest.mark.parametrize("model", ["zonotope", "projected_cube"])
