@@ -171,6 +171,11 @@ def expected_f_cube_closed_form(n: int, d: int, k: int) -> int:
     i = min(d - 1, (n + k) // 2)
     i -= (d - 1 - i) % 2
     check_count_size(0, (n, k), (n - k, i - k))
+    return _cube_total(n, d, k)
+
+
+def _cube_total(n: int, d: int, k: int) -> int:
+    """expected_f_cube_closed_form's sum, unvalidated."""
     return 2 * sum(math.comb(n, j - 1) * math.comb(j - 1, k) for j in range(d, k, -2))
 
 
@@ -194,7 +199,9 @@ def _model_values(row: Model, sizes: Sequence[int], d: int, k: int, cfg: MCConfi
     other size is rational and takes no angle.
     """
     family, js = row.family, range(d, 0, -2)
-    summed = d >= 2 and k < d and family is not Family.CUBE
+    if family is Family.CUBE:
+        return _cube_values(row, sizes, d, k)
+    summed = d >= 2 and k < d
     faces = [(n - row.shift, j - 1) for n in sizes if n - row.shift > d for j in js] if summed else []
     gammas = iter(external_angles(family, faces) if faces else ())
     factors: list[tuple[int, Estimate]] = []  # c(j-1, k) and beta(Q_k, Q_{j-1}), for each j
@@ -216,6 +223,24 @@ def _model_values(row: Model, sizes: Sequence[int], d: int, k: int, cfg: MCConfi
         else:
             values.append(Estimate(value, 2.0 * sum(se for _, se in terms)))
     return values
+
+
+def _cube_values(row: Model, sizes: Sequence[int], d: int, k: int) -> list[Estimate]:
+    """_model_values of a cube row, its closed-form sizes summed in one pass.
+
+    The closed form's total does not decrease with n: if the largest size's
+    is a float, so is every other one, and none needs validation; if not,
+    every size goes through _rational_value, which raises where it did.
+    """
+    top = max(sizes, default=0) - row.shift
+    closed = d >= 2 and k < d and top > d  # some size takes the closed form
+    if closed:
+        try:
+            Estimate.rational(expected_f_cube_closed_form(top, d, k))
+        except InvalidDimensionError:
+            return [_rational_value(row, n, d, k) for n in sizes]
+    return [Estimate.rational(_cube_total(n - row.shift, d, k)) if closed and n - row.shift > d
+            else _rational_value(row, n, d, k) for n in sizes]
 
 
 def _rational_value(row: Model, n: int, d: int, k: int) -> Estimate:

@@ -25,9 +25,9 @@ where the minor of a (k-1)-subset with one row put after it sits among the
 k x k minors.  The side tables of both hull types are gathers of it.  Side
 tests are (d+1)-minors of the lifted map [X | 1] for the rows' hull and sums
 of d minors for the symmetric one (_enumerated_facets).  A cloud with a
-point within a margin of some hyperplane through d others (_ENUM_MARGIN, at
-the cloud's scale) is not read off the table but goes to qhull, and so do
-shapes with more side tests per point than _ENUM_CAP.
+point that decides a candidate facet within a margin of its hyperplane
+(_ENUM_MARGIN, at the cloud's scale) goes to qhull, not read off the table,
+and so do shapes with more side tests per point than _ENUM_CAP.
 Every array of that route the size of a chunk, the minors' levels included,
 is written into one _Workspace that the chunks of a simulation share.  With
 a fresh array per temporary, each one past the allocator's mmap threshold
@@ -99,7 +99,7 @@ from .errors import (
 )
 from .expected import expected_f_cube_closed_form
 from .families import MODEL_TABLE, Family, Model, check_int, face_count, model_row
-from .streams import MODEL_CODES, SIM_REPLICATION, derive_keys, rekey
+from .streams import MODEL_CODES, SIM_REPLICATION, derive_keys
 
 MODELS = tuple(MODEL_TABLE)
 
@@ -119,9 +119,9 @@ _GENERAL_POSITION_TOL = 1e-9  # on unit generators: their d x d minors
 _FACET_TOL = 1e-9  # largest entry difference of two simplices' [normal, offset] rows on one facet
 _RANK_TOL = 1e-9  # relative to the cloud's extent, on the scale of _FACET_TOL
 _BLOCK = 512
-# a cloud is enumerated only if every point lies farther than _ENUM_MARGIN * (1 + R)
-# from every hyperplane through d other points, R the largest point norm; qhull's
-# neighbours merge only within sqrt(d) * _FACET_TOL * (1 + R), 40 times less at d = 6
+# a cloud is enumerated only if no point that decides a candidate facet lies within
+# _ENUM_MARGIN * (1 + R) of its hyperplane, R the largest point norm; qhull's
+# neighbours merge only within sqrt(d) * _FACET_TOL * (1 + R) of a facet, 40 times less at d = 6
 _ENUM_MARGIN = 1e-7
 # Side tests per cloud point up to which the minors route decides a shape (see
 # _enumerates); larger shapes go to qhull.  Time per hull of the minors route
@@ -142,16 +142,17 @@ _ENUM_CAP = 160
 # chunk's sums take 1.5 MiB, within a 2 MiB L2 beside the arrays they are built
 # from.  Microseconds per cloud of _enumerated_facets, median of 15 interleaved
 # passes over 2048 clouds, 2-core VM, one thread, clouds per chunk in
-# brackets; "fresh" allocated every temporary per chunk:
+# brackets; "fresh" allocated every temporary per chunk; the symmetric rows
+# were measured later, deciding on worst outside points (compare within a row):
 #                       fresh 2^16   2^16        2^17        3 << 16     2^18
 #   gaussian  n=10 d=3   6.8 (78)    4.4 (78)    3.2 (156)   3.2 (234)   3.1 (312)
 #   gaussian  n=11 d=3   6.4 (49)    5.5 (49)    4.0 (99)    3.6 (148)   3.7 (198)
 #   gaussian  n=19 d=2  25.4 (22)   21.1 (22)   14.1 (45)   11.8 (67)   10.7 (90)
 #   gaussian  n=10 d=6  17.2 (78)   14.5 (78)   11.8 (156)  11.5 (234)  12.2 (312)
-#   symmetric n=8 d=4   34.0 (29)   30.4 (29)   23.4 (58)   20.6 (87)   20.6 (117)
-#   symmetric n=9 d=3   15.8 (32)   14.3 (32)   12.3 (65)   12.0 (97)   11.7 (130)
-#   symmetric n=19 d=2  78.6 (11)   72.0 (11)   51.4 (22)   49.3 (33)   48.4 (45)
-#   symmetric n=8 d=6   35.6 (36)   33.3 (36)   26.9 (73)   23.6 (109)  23.1 (146)
+#   symmetric n=8 d=4   28.6 (29)   27.5 (29)   17.9 (58)   16.0 (87)   15.3 (117)
+#   symmetric n=9 d=3   18.2 (32)   17.4 (32)   13.4 (65)   12.5 (97)   11.6 (130)
+#   symmetric n=19 d=2  46.3 (11)   44.7 (11)   33.5 (22)   31.4 (33)   29.8 (45)
+#   symmetric n=8 d=6   38.2 (36)   36.7 (36)   29.5 (73)   21.9 (109)  20.9 (146)
 # 2^18 is no faster, and its 2 MiB sums raised the peak RSS of the benchmark's
 # hull_sim workload by 3.5 MB, against 1.1 MB at 3 << 16.
 _ENUM_ENTRIES = 3 << 16
@@ -231,9 +232,12 @@ def _sample_maps(keys: np.ndarray, bitgen: Philox, rng: Generator, out: np.ndarr
     P_{n - shift} is G's image moved by R^-1 and has its face lattice, so no
     frame is built.
     """
-    for j, key in enumerate(keys.tolist()):
-        rekey(bitgen, key)
-        rng.standard_normal(out=out[j])
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key, image in zip(keys.tolist(), out):
+        state["state"]["key"] = key
+        bitgen.state = state
+        rng.standard_normal(out=image)
     return out
 
 
@@ -623,15 +627,17 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
     so I is a facet of the rows' hull iff those have one strict sign for
     every i outside I.  With chi(I) the minor of rows I and c_ij the minor of
     X_I with row j replaced by x_i, the signed set eps*I is a facet of the
-    symmetric hull iff |sum_j eps_j c_ij| < |chi(I)| for every i outside I,
-    and its antipode -eps*I with it.  Each such value is, up to sign, the
-    distance of a point from the hyperplane through the d points of I times
-    (d-1)! times their (d-1)-volume, which is at most the product over p >= 1
-    of |x_{I_p}| + |x_{I_0}|.  A cloud with any value within _ENUM_MARGIN *
-    (1 + R) times that product of 0, R its largest point norm, or with
-    |2 chi(I)| that small (the points -eps_j x_j), is flagged near and its
-    facets are not read.  A D(J) decides d + 1 side tests, so it is compared
-    once with the largest of their margins.
+    symmetric hull iff the largest |sum_j eps_j c_ij| over i outside I, its
+    worst point's, is below |chi(I)|, and its antipode -eps*I with it.
+    |chi(I)| -+ sum_j eps_j c_ij is, up to sign, the distance of x_i from
+    the hyperplane through eps*I times (d-1)! times their (d-1)-volume,
+    which is at most the product over p >= 1 of |x_{I_p}| + |x_{I_0}|.  A
+    cloud with some D(J), or some worst value less |chi(I)|, within
+    _ENUM_MARGIN * (1 + R) times that product of 0, R its largest point
+    norm, or with |2 chi(I)| that small (the points -eps_j x_j), is flagged
+    near and its facets are not read; a point qhull would merge is that
+    near a facet, and its worst.  A D(J) decides d + 1 side tests, so it is
+    compared once with the largest of their margins.
 
     The other clouds' facet flags give their facet counts and, by one
     product with _incidence, their vertex counts at d >= 4 and edge counts
@@ -679,7 +685,8 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
         facet |= np.equal(above, m - d, out=work.array("full", above.shape, bool))
     else:
         tol = margins(norms, scale)
-        swap = _side_table(m, d)
+        # swap[p, a, r]: the sums of one outside point a are whole blocks
+        swap = _side_table(m, d).transpose(0, 2, 1)
         top = len(chi)
         signed = work.array("signed", (2 * top, clouds))
         signed[:top] = chi
@@ -694,14 +701,21 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
             np.subtract(sums[:half], side, out=sums[half : 2 * half])
             sums[:half] += side
         size = np.abs(chi, out=work.array("size", chi.shape))
-        np.abs(sums, out=sums)
-        sums -= size[:, None]
-        below = np.less(sums, 0, out=work.array("below", sums.shape, bool))
-        facet = below.all(axis=2, out=work.array("facet", (len(sums), top, clouds), bool)).reshape(-1, clouds)
-        np.abs(sums, out=sums)
-        near = np.less_equal(sums, tol[:, None], out=below).any(axis=(0, 1, 2))
+        facet = work.array("facet", (len(sums), top, clouds), bool)
+        if m == d:  # no point outside I: every candidate is a facet
+            facet.fill(True)
+            near = np.zeros(clouds, dtype=bool)
+        else:
+            # eps*I is decided on its worst outside point: the largest |sum| over a, folded into a = 0
+            worst = np.abs(sums, out=sums)[:, 0]
+            for a in range(1, m - d):
+                np.maximum(worst, sums[:, a], out=worst)
+            np.less(worst, size, out=facet)
+            worst -= size
+            near = np.less_equal(np.abs(worst, out=worst), tol, out=work.array("close", facet.shape, bool)).any(axis=(0, 1))
         size *= 2  # |2 chi(I)|, for the points -eps_j x_j
         near |= np.less_equal(size, tol, out=work.array("flat", size.shape, bool)).any(axis=0)
+        facet = facet.reshape(-1, clouds)
     # facet[r, c]: whether candidate r is a facet of cloud c; the rows of near clouds are counted and dropped
     copies = 1 + symmetric  # a face and its antipode
     lower = []

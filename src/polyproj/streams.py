@@ -11,10 +11,10 @@ Python's salted hash() is never used.
 
 derive_generator builds one such generator.  derive_keys computes the Philox
 keys of many streams that differ in one index entry, by NumPy's own
-SeedSequence hash over one uint32 index column, and rekey points one Philox
-at a key; a block of replications then re-keys one generator instead of
-building one per stream, and draws exactly what derive_generator's
-generators would.
+SeedSequence hash over one uint32 index column; a block of replications
+then re-keys one Philox to each of them (hull._sample_maps) instead of
+building one generator per stream, and draws exactly what
+derive_generator's generators would.
 """
 
 from __future__ import annotations
@@ -145,22 +145,6 @@ def _generate_key(pool: list[np.ndarray]) -> np.ndarray:
         value = value * h
         out.append((value ^ (value >> 16)).astype(np.uint64))
     return np.stack([out[0] | (out[1] << 32), out[2] | (out[3] << 32)], axis=1)
-
-
-def rekey(bitgen: Philox, key) -> None:
-    """Reset bitgen to the fresh state Philox(key=key) would have: counter 0, empty buffer.
-
-    key is a pair of unsigned 64-bit words, a row of derive_keys or, cheaper,
-    that row as a list of Python ints, which the state setter takes as is.
-    """
-    bitgen.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
 
 
 def chunk_counts(total: int, chunk_size: int) -> list[int]:

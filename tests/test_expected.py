@@ -876,6 +876,39 @@ def test_size_ranges_match_the_per_size_oracle(target):
     clear_angle_memo()
 
 
+# around the float edge of 2 (C(n, 2) + 1) at d = 3; face counts then the
+# closed form at d = 1020; a count bound past the float range at its first size
+_EDGE = math.isqrt(2**1024 - 2**970)
+
+
+@pytest.mark.parametrize("lo,hi,d,k", [(_EDGE, _EDGE + 4, 3, 0), (1018, 1025, 1020, 0),
+                                       (10**6 - 1, 10**6 + 1, 10**6 - 2, 0)], ids=["d3", "d1020", "count"])
+def test_cube_ranges_past_the_float_range_raise_where_one_size_does(lo, hi, d, k):
+    # a cube range is summed in one pass only when its largest total is a
+    # float; otherwise its first size past the float range raises the error
+    # the one-size route raises there, value or count bound alike
+    # the sizes below the first one past the float range, summed in one pass, bit for bit
+    below = []
+    for n in range(lo, hi + 1):
+        try:
+            below.append(estimate_fields(expected_f_model("zonotope", n, d, k)))
+        except InvalidDimensionError as exc:
+            message = str(exc)
+            break
+    else:
+        pytest.fail("no size past the float range")
+    assert len(below) == {3: 2, 1020: 6}.get(d, 0)
+    row = target_row("cube")
+    assert [estimate_fields(e) for e in polyproj.expected._model_values(row, range(lo, n), d, k, None)] == below
+    for target in ("zonotope", "cube"):
+        with pytest.raises(InvalidDimensionError) as exc:
+            polyproj.expected._model_values(target_row(target), range(lo, hi + 1), d, k, None)
+        assert str(exc.value) == message
+    with pytest.raises(InvalidDimensionError) as exc:
+        monotonicity_table("cube", d, k, lo, hi)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("model,d,k", [("gaussian", 2, 0), ("symmetric", 4, 1), ("gaussian", 5, 0), ("zonotope", 3, 0)])
 def test_tables_and_series_request_each_angle_once(monkeypatch, model, d, k):
     # one external_angles call for the range, and one internal_angle call per (k, g)

@@ -19,6 +19,7 @@ from polyproj import (
     SimulationAbortError,
     expected_f_cube_closed_form,
     expected_f_zonotope,
+    face_count,
     hull_f_vector,
     random_orthonormal_frame,
     simulate_expected_f,
@@ -220,7 +221,8 @@ def _assert_minors_route_rows(maps, symmetric):
 def test_simplicial_f_vectors_of_minors_route_chunks(model, d):
     # a chunk's rows as simulate counts them, at the smallest n and the
     # largest n the minors route takes, and on clouds with a row 1e-10..1e-5
-    # off a hyperplane through d others
+    # off a hyperplane through d others, for the symmetric hull one of its
+    # facets' hyperplanes (its minors route flags no other)
     row = MODEL_TABLE[model]
     symmetric = row.family is Family.CROSSPOLYTOPE
     bitgen = Philox(key=0)
@@ -230,9 +232,61 @@ def test_simplicial_f_vectors_of_minors_route_chunks(model, d):
         keys = derive_keys(17, SIM_REPLICATION, MODEL_CODES[model], n, d, np.arange(chunk), 0)
         maps = _sample_maps(keys, bitgen, Generator(bitgen), np.empty((chunk, n, d)))
         assert not _assert_minors_route_rows(maps, symmetric).all()
-    maps = _clouds_near_hyperplanes(np.random.default_rng(MODEL_CODES[model] + 10 * d), 64, largest, d)
+    maps = _clouds_near_hyperplanes(np.random.default_rng(MODEL_CODES[model] + 10 * d), 64, largest, d, symmetric)
     near = _assert_minors_route_rows(maps, symmetric)
     assert near.any() and not near.all()
+
+
+def _symmetric_facet(points):
+    """The d vertices, as rows, and the unit outer normal of one facet of the hull of points and their negatives."""
+    hull = ConvexHull(symmetrize(points))
+    return hull.points[hull.simplices[0]], hull.equations[0, :-1]
+
+
+@pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
+def test_symmetric_minors_route_at_n_equal_d(d):
+    # no row lies outside a candidate, so all 2^d are facets and the hull is
+    # the image of the d-crosspolytope; only map 5, whose row 0 lies 1e-12 off
+    # the span of the others, is flagged, by its minor |2 chi| alone
+    rng = np.random.default_rng(50 + d)
+    maps = rng.standard_normal((32, d, d))
+    maps[5, 0] = rng.random(d - 1) @ maps[5, 1:] + 1e-12 * rng.standard_normal(d)
+    near = _assert_minors_route_rows(maps, True)
+    assert np.flatnonzero(near).tolist() == [5]
+    crosspolytope = [face_count(Family.CROSSPOLYTOPE, d, k) for k in range(d)]
+    assert _enumerated_facets(maps, True, _Workspace())[1].tolist() == [crosspolytope] * 31
+
+
+@pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
+def test_symmetric_minors_route_flags_points_near_facets_only(d):
+    # a candidate is decided on its worst outside point, so a point near the
+    # hyperplane of a candidate that is no facet leaves its cloud on the minors
+    # route.  At n = d + 1, one outside point per candidate, and at the largest
+    # n the route takes: in maps 0, 3, 6, ... row 0 lies 1e-12 off the
+    # hyperplane through rows 1..d, inside their simplex, and the cloud is
+    # flagged exactly where that hyperplane is a facet; in maps 1, 4, 7, ...
+    # row 0 lies 1e-9 inside or outside a facet of the hull of the other rows
+    # and their negatives, and the cloud is always flagged.  The decided
+    # clouds have the rows of qhull's hulls
+    rng = np.random.default_rng(40 + d)
+    for n in sorted({d + 1, _largest_enumerated_n("symmetric", d)}):
+        maps = rng.standard_normal((48, n, d))
+        facets = []
+        for c in range(0, 48, 3):
+            weights = rng.random(d)
+            maps[c, 0] = weights / weights.sum() @ maps[c, 1 : d + 1] + 1e-12 * rng.standard_normal(d)
+            # the hyperplane a x = 1 through rows 1..d is a facet iff no other row has |a x| > 1
+            beyond = np.abs(maps[c, d + 1 :] @ np.linalg.solve(maps[c, 1 : d + 1], np.ones(d))).max(initial=0.0)
+            assert abs(beyond - 1) > 1e-3
+            facets.append(bool(beyond < 1))
+        for c in range(1, 48, 3):
+            vertices, normal = _symmetric_facet(maps[c, 1:])
+            maps[c, 0] = vertices.mean(axis=0) + (-1) ** c * 1e-9 * normal
+        near = _assert_minors_route_rows(maps, True)
+        assert near[0::3].tolist() == facets
+        assert near[1::3].all() and not near[2::3].any()
+        if n > d + 1:
+            assert not all(facets)
 
 
 @pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
@@ -861,12 +915,14 @@ def test_workspace_leaks_nothing_across_chunks(monkeypatch, model, d):
     # one block of maps in chunks that share a workspace whose every byte is
     # set before each chunk is drawn (NaN in every float), the last chunk
     # short: 16, 16 and 9 maps.  In the first chunk maps 1 and 2 have row 0
-    # moved 1e-9 off the affine hull of rows 1..d, near enough for qhull, or
-    # a cube map's row 0 1e-12 off the span of rows 1..d-1, flat enough to be
-    # drawn again.  The block's rows and degenerate count are those of each
-    # map decided in a block of its own
+    # moved 1e-9 off the affine hull of rows 1..d, near enough for qhull (for
+    # the symmetric hull with n > d, 1e-9 off one of its facets, the only
+    # hyperplanes its minors route flags), or a cube map's row 0 1e-12 off the
+    # span of rows 1..d-1, flat enough to be drawn again.  The block's rows
+    # and degenerate count are those of each map decided in a block of its own
     row = MODEL_TABLE[model]
     cube = row.family is Family.CUBE
+    symmetric = row.family is Family.CROSSPOLYTOPE
     count = _flat_generators if cube else _enumerated_facets
     chunk, block = 16, 41
     offset = 1e-12 if cube else 1e-9
@@ -892,7 +948,12 @@ def test_workspace_leaks_nothing_across_chunks(monkeypatch, model, d):
                 buffer.view(np.uint8).fill(0xFF)
             _sample_maps(keys, bitgen, rng, out)
             for j, key in enumerate(keys.tolist()):
-                if tuple(key) in moved:
+                if tuple(key) not in moved:
+                    continue
+                if symmetric and n > d:
+                    vertices, normal = _symmetric_facet(out[j, 1:])
+                    out[j, 0] = vertices.mean(axis=0) + offset * normal
+                else:
                     weights = np.arange(1.0, span + 1) / (span * (span + 1) / 2)
                     out[j, 0] = weights @ out[j, 1 : span + 1] + offset * np.arange(1.0, d + 1)
             return out
@@ -917,6 +978,9 @@ def test_workspace_leaks_nothing_across_chunks(monkeypatch, model, d):
     ("projected_crosspolytope", 8, 4, [18236, 75286, 114100, 57050]),
     ("projected_simplex", 10, 6, [12978, 57378, 142119, 204357, 159957, 53319]),
     ("projected_crosspolytope", 7, 6, [18150, 105500, 318238, 517964, 430614, 143538]),
+    ("symmetric", 8, 6, [20644, 134758, 441070, 752640, 638526, 212842]),
+    ("symmetric", 9, 3, [15008, 37224, 24816]),
+    ("symmetric", 19, 2, [9892, 9892]),
 ])
 def test_benchmark_shapes_keep_their_counts(model, n, d, sums, tmp_path):
     # the hull_sim workload's minors-route shapes, and one d = 5 and one d = 6
@@ -926,7 +990,10 @@ def test_benchmark_shapes_keep_their_counts(model, n, d, sums, tmp_path):
     # every index table was in lex order; the projected twins of the first two
     # and two d = 6 projected shapes were pinned when simulate still counted
     # them on their QR frames, so these check that counting them on the
-    # frames' Gaussian matrices changed no row
+    # frames' Gaussian matrices changed no row.  The last three, the largest
+    # symmetric n at d = 6, 3 and 2, were pinned when a symmetric cloud went
+    # to qhull for a point near any candidate's hyperplane, not only near its
+    # facets'
     dump = tmp_path / "rows.csv"
     cfg = SimConfig(model=model, n=n, d=d, replications=2 * _BLOCK + 276, seed=5)
     assert simulate_expected_f(cfg, dump_path=str(dump)).degenerate_events == 0
@@ -1094,13 +1161,18 @@ def test_lifted_side_table_matches_loop_oracle():
             assert np.array_equal(table, lifted_side_table_by_loops(m, d))
 
 
-def _clouds_near_hyperplanes(rng, clouds, m, d):
-    """Gaussian m x d maps; in every other one row 0 is moved to 1e-10..1e-5 off the hyperplane through rows 1..d."""
+def _clouds_near_hyperplanes(rng, clouds, m, d, facet=False):
+    """Gaussian m x d maps; in every other one row 0 is moved to 1e-10..1e-5 off the hyperplane through rows 1..d.
+
+    With facet, it is moved off a facet's hyperplane of the hull of rows 1..
+    and their negatives instead, on the same draws.
+    """
     maps = rng.standard_normal((clouds, m, d))
     for c in range(0, clouds, 2):
         weights = rng.random(d)
         offset = 10 ** rng.uniform(-10, -5) * rng.standard_normal(d)
-        maps[c, 0] = weights / weights.sum() @ maps[c, 1 : d + 1] + offset
+        vertices = _symmetric_facet(maps[c, 1:])[0] if facet else maps[c, 1 : d + 1]
+        maps[c, 0] = weights / weights.sum() @ vertices + offset
     return maps
 
 

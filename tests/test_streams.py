@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox, SeedSequence
 
-from polyproj.streams import SIM_REPLICATION, derive_generator, derive_keys, rekey
+from polyproj.hull import _sample_maps
+from polyproj.streams import SIM_REPLICATION, derive_generator, derive_keys
 
 # hashing mixes Python ints into uint32 columns: any NumPy overflow warning is a failure
 pytestmark = pytest.mark.filterwarnings("error")
@@ -78,18 +79,28 @@ def test_derive_keys_rejects_bad_entries():
 
 
 def test_rekey_draws_equal_derive_generator():
-    # a key is a uint64 row of derive_keys or the list of Python ints tolist() makes of it
+    # _sample_maps re-keys one Philox per map from derive_keys' uint64 rows,
+    # which reach the state setter as the Python ints tolist() makes of them:
+    # each map, each later draw and the state left behind are a fresh
+    # derive_generator generator's, whatever state the Philox had before
     path = (SIM_REPLICATION, 2, 8, 4)
     idx = np.array([0, 1, 511, 512, 2**32 - 1])
     keys = derive_keys(5, *path, idx, 0)
-    assert keys.max() >= 2**63  # a word with the top bit set goes through both forms
+    assert keys.max() >= 2**63  # a word with the top bit set goes through the conversion
     bitgen = Philox()
     rng = Generator(bitgen)
     # leave state behind: a used counter, a partly read buffer, a cached half word
     rng.integers(0, 2**32, size=3, dtype=np.uint32)
-    for i, key in [*zip(idx, keys), *zip(idx, keys.tolist())]:
-        rekey(bitgen, key)
+    maps = _sample_maps(keys, bitgen, rng, np.empty((len(idx), 8, 4)))
+    for i, image in zip(idx, maps):
         fresh = derive_generator(5, *path, int(i), 0)
+        assert np.array_equal(image, fresh.standard_normal((8, 4)))
+    assert _same_state(bitgen, fresh.bit_generator)  # the last map's
+    for i in range(len(idx)):  # one map per call, each after draws that leave state behind
+        rng.integers(0, 2**32, size=3, dtype=np.uint32)
+        image = _sample_maps(keys[i : i + 1], bitgen, rng, np.empty((1, 8, 4)))[0]
+        fresh = derive_generator(5, *path, int(idx[i]), 0)
+        assert np.array_equal(image, fresh.standard_normal((8, 4)))
         assert _same_state(bitgen, fresh.bit_generator)
         assert np.array_equal(rng.standard_normal(41), fresh.standard_normal(41))
         assert np.array_equal(rng.integers(0, 2**32, size=5, dtype=np.uint32),
