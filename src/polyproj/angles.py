@@ -55,8 +55,10 @@ applied twice (one matrix-vector product per pass and row, rows kept in
 order).  Membership is tested in frame coordinates: the normals are projected
 onto the frame once, when the cone is built, into one contiguous block, and
 a sample z is in the cone when every score <z, frame @ a> is at most
-HALFSPACE_TOL * (1 + |z|).  Ambient points of L are mapped to frame
-coordinates first; the frame is orthonormal, so the test is the same.
+HALFSPACE_TOL * (1 + |z|), with |z| computed only for the rows whose
+worst score that bound can decide either way.  Ambient points of L are
+mapped to frame coordinates first; the frame is orthonormal, so the test is
+the same.
 
 Every angle is an Estimate, the package's one value-with-uncertainty type,
 which the formula layers reuse for sums of angles.  Monte Carlo estimates
@@ -67,8 +69,10 @@ chunk by chunk on the calling thread, _SUB_ROWS rows at a time in one buffer
 reused across chunks; consecutive draws from one stream are the numbers a
 single draw of the whole chunk gives.  Sampled estimates are memoized
 in-process, keyed by everything that fixes the draws: the face pair, the
-sample count and the seed.  The memo is the only cache of the formula route;
-sums over many sizes, such as Poisson sums, are rebuilt from it.
+sample count and the seed.  The memo is the only cache of values of the
+formula route; sums over many sizes, such as Poisson sums, are rebuilt from
+it.  The cones behind those estimates are geometry: each canonical internal
+cone is built once per process, read-only, and clear_angle_memo keeps it.
 
 Internal angles of simplex and crosspolytope faces coincide: every proper face
 of either series is a regular simplex with edge sqrt(2), and the canonical
@@ -250,10 +254,25 @@ class Cone:
         """Membership mask of the rows of z, points in frame coordinates.
 
         A row is in the cone when no outer normal scores it above
-        HALFSPACE_TOL * (1 + |z|).
+        HALFSPACE_TOL * (1 + |z|).  That bound is at least HALFSPACE_TOL and
+        at most HALFSPACE_TOL * (1 + 2 sqrt(dim) M), M the largest |z_ij|,
+        so a row whose worst score is at most the first is in and one above
+        the second is out; |z| is computed only for the rows in between.  A
+        z with a NaN or inf entry, or with squares that could pass the float
+        range, has |z| computed for every row.
         """
-        tol = HALFSPACE_TOL * (1.0 + np.sqrt(np.einsum("ij,ij->i", z, z)))
-        return np.maximum.reduce(self.frame_normals @ z.T, axis=0, initial=-np.inf) <= tol
+        worst = np.maximum.reduce(self.frame_normals @ z.T, axis=0, initial=-np.inf)
+        big = float(np.abs(z).max(initial=0.0))
+        if 4.0 * self.dim * big * big < math.inf:
+            inside = worst <= HALFSPACE_TOL
+            rows = np.flatnonzero(~inside & (worst <= HALFSPACE_TOL * (1.0 + 2.0 * math.sqrt(self.dim) * big)))
+            if not rows.size:
+                return inside
+        else:
+            inside, rows = np.empty(len(worst), dtype=bool), slice(None)
+        zr = z[rows]
+        inside[rows] = worst[rows] <= HALFSPACE_TOL * (1.0 + np.sqrt(np.einsum("ij,ij->i", zr, zr)))
+        return inside
 
 
 def orthonormal_basis(vecs: np.ndarray) -> np.ndarray:
@@ -327,6 +346,11 @@ def internal_cone(family: Family, n: int, k: int, g: int) -> Cone:
     fix: k+1..g for simplex-type faces (the vertices e_i outside Q_k), and
     k..g-1 for cube faces (the axes Q_g spans beyond Q_k).
     """
+    return _internal_cone(family, n, k, g, (KIND_INTERNAL, FAMILY_CODES[family.value], k, g))
+
+
+def _internal_cone(family: Family, n: int, k: int, g: int, seed_path: tuple[int, ...]) -> Cone:
+    """internal_cone with the seed path given."""
     face_g = canonical_face(family, n, g)
     face_k = canonical_face(family, n, k)
     if k > g:
@@ -337,11 +361,7 @@ def internal_cone(family: Family, n: int, k: int, g: int) -> Cone:
         raise NumericError(f"internal cone frame has dimension {frame.shape[0]}, expected {g}")
     fixed = range(k, g) if family is Family.CUBE else range(k + 1, g + 1)
     normals = -np.eye(gens.shape[1])[list(fixed)]
-    return Cone(
-        frame,
-        PositiveHullData(gens.astype(float), normals),
-        seed_path=(KIND_INTERNAL, FAMILY_CODES[family.value], k, g),
-    )
+    return Cone(frame, PositiveHullData(gens.astype(float), normals), seed_path)
 
 
 def cone_angle(cone: Cone, cfg: MCConfig | None = None) -> Estimate:
@@ -533,6 +553,7 @@ _MEMO: dict[tuple, Estimate] = {}
 
 
 def clear_angle_memo() -> None:
+    """Drop every memoized angle value; the cached internal cones, being geometry, stay."""
     _MEMO.clear()
 
 
@@ -630,11 +651,16 @@ def internal_angle(
     return _MEMO[key]
 
 
+@cache
 def _canonical_internal_cone(k: int, g: int) -> Cone:
-    """Internal cone of the face pair in its smallest simplex embedding.
+    """Internal cone of the face pair in its smallest simplex embedding, built once per process.
 
     Simplex and crosspolytope proper faces share these canonical coordinates;
-    the seed path uses family code 0 to mark the shared geometry.
+    the seed path uses family code 0 to mark the shared geometry.  The cone
+    is geometry, not an estimate: clear_angle_memo leaves it cached, and its
+    arrays are read-only, so every caller sees the bits a rebuild gives.
     """
-    cone = internal_cone(Family.SIMPLEX, g, k, g)
-    return Cone(cone.frame, cone.data, seed_path=(KIND_INTERNAL, 0, k, g))
+    cone = _internal_cone(Family.SIMPLEX, g, k, g, (KIND_INTERNAL, 0, k, g))
+    for a in (cone.frame, cone.frame_normals, cone.data.generators, cone.data.normals):
+        a.flags.writeable = False
+    return cone

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -39,6 +42,7 @@ from polyproj.angles import (
     ORTHONORMALITY_TOL,
     SPAN_TOL,
     _binomial_estimate,
+    _canonical_internal_cone,
 )
 import polyproj.angles
 from polyproj.streams import ANGLE_SAMPLES, chunk_counts, derive_generator
@@ -599,6 +603,156 @@ def test_contains_coords_matches_one_product_oracle(spec):
     for rows in AGREEMENT_ROWS:
         z = rng.standard_normal((rows, cone.dim))
         assert np.array_equal(cone.contains_coords(z), one_product_member_mask(cone, z)), rows
+
+
+def _orthant(dim: int) -> Cone:
+    """The nonnegative orthant on the identity frame: scores are exactly -z_j."""
+    eye = np.eye(dim)
+    return Cone(eye, PositiveHullData(eye, -eye))
+
+
+def _row_tol(row: np.ndarray) -> float:
+    """HALFSPACE_TOL * (1 + |row|), as the one-product oracle computes it."""
+    return HALFSPACE_TOL * (1.0 + math.sqrt(float(np.einsum("ij,ij->i", row[None], row[None])[0])))
+
+
+def _plant_worst(row: np.ndarray, worst: float) -> np.ndarray:
+    """row with its last entry set so that the orthant's worst score is exactly worst (all else >= 0)."""
+    row = np.abs(row)
+    row[-1] = -worst
+    return row
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6])
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+def test_contains_coords_tolerance_boundaries_inside_one_block(dim, scale):
+    # one _SUB_ROWS block of Gaussian rows, nearly all decided by the worst
+    # score alone, with rows planted at every edge of the test: a worst score
+    # of exactly HALFSPACE_TOL, one ulp either side of HALFSPACE_TOL * (1 + |z|)
+    # at |z| near 0.1 and near scale, at and just past the band's upper end
+    # HALFSPACE_TOL * (1 + 2 sqrt(dim) max|z_ij|), and zero rows
+    cone = _orthant(dim)
+    rng = np.random.default_rng([dim, int(scale)])
+    z = rng.standard_normal((_SUB_ROWS, dim))
+    planted = [_plant_worst(np.zeros(dim), HALFSPACE_TOL), np.zeros(dim), -np.zeros(dim)]
+    for size in (0.1, scale, scale, scale):
+        row = _plant_worst(size * rng.standard_normal(dim) / math.sqrt(dim), 0.0)
+        row[0] = size
+        tol = _row_tol(_plant_worst(row, HALFSPACE_TOL * (1.0 + size)))
+        for worst in (np.nextafter(tol, 0.0), tol, np.nextafter(tol, math.inf)):
+            planted.append(_plant_worst(row, worst))
+            assert _row_tol(planted[-1]) == tol  # the planted score leaves |z| as it was
+    # a row of entries scale, |z| near sqrt(dim) scale: the closest any tolerance comes to the band's end
+    edge = np.full(dim, scale)
+    planted.append(_plant_worst(edge, _row_tol(_plant_worst(edge, HALFSPACE_TOL * (1 + scale)))))
+    z[: len(planted)] = planted
+    big = np.abs(z).max()
+    upper = HALFSPACE_TOL * (1.0 + 2.0 * math.sqrt(dim) * big)
+    for worst in (upper, np.nextafter(upper, math.inf), 2 * upper):
+        z[len(planted)] = _plant_worst(np.zeros(dim), worst)
+        assert np.abs(z).max() == big
+        mask = cone.contains_coords(z)
+        assert np.array_equal(mask, one_product_member_mask(cone, z))
+        assert not mask[len(planted)]
+    inside = mask[: len(planted)].tolist()
+    assert inside == [True, True, True] + [True, True, False] * 4 + [True]
+
+
+@pytest.mark.parametrize("bad", [np.nan, math.inf, -math.inf, 1e200])
+def test_contains_coords_non_finite_rows_keep_the_norm_test(bad):
+    # a NaN or inf entry, or one whose square passes the float range, sends the
+    # whole block to the norm test; every row keeps the one-product answer
+    cones = [_orthant(3), _canonical_internal_cone(0, 3), internal_cone(Family.SIMPLEX, 4, 3, 3)]
+    for cone in cones:
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((_SUB_ROWS, cone.dim))
+        z[0, 0] = bad
+        z[1] = bad
+        z[2] = _plant_worst(np.array([bad, 1.0, 1.0]), 1e195) if math.isfinite(bad) else z[2]
+        z[3] = _plant_worst(np.zeros(3), HALFSPACE_TOL * 2.5)
+        with np.errstate(invalid="ignore"):  # inf times a zero normal entry
+            assert np.array_equal(cone.contains_coords(z), one_product_member_mask(cone, z))
+
+
+@pytest.mark.parametrize("k,g", [(0, 2), (0, 4), (1, 4), (2, 6)])
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+def test_contains_coords_boundary_rays_match_oracle(k, g, scale):
+    # the cone's own generators, scaled and nudged across the facets through
+    # them, have worst scores near HALFSPACE_TOL * (1 + |z|)
+    cone = _canonical_internal_cone(k, g)
+    rng = np.random.default_rng([k, g, int(scale)])
+    rays = cone.data.generators @ cone.frame.T
+    lengths = np.linalg.norm(rays, axis=1)
+    rays = rays[lengths > 0.5] / lengths[lengths > 0.5, None]  # the apex's own vertex is no ray
+    z = rng.standard_normal((_SUB_ROWS, g))
+    picks = rays[rng.integers(len(rays), size=_SUB_ROWS // 2)]
+    normals = cone.frame_normals[np.argmax(picks @ cone.frame_normals.T, axis=1)]  # a facet through the ray
+    nudges = rng.uniform(-6.0, 6.0, (_SUB_ROWS // 2, 1)) * HALFSPACE_TOL * (1.0 + scale)
+    z[::2] = scale * picks + nudges * normals
+    mask = cone.contains_coords(z)
+    assert np.array_equal(mask, one_product_member_mask(cone, z))
+    assert 0 < mask[::2].sum() < _SUB_ROWS // 2
+
+
+def test_contains_coords_of_empty_blocks_and_zero_dimensional_frames():
+    cones = [_orthant(3), Cone(np.zeros((0, 3)), PositiveHullData(np.zeros((0, 3)), np.zeros((0, 3)))),
+             internal_cone(Family.SIMPLEX, 4, 0, 0)]
+    for cone in cones:
+        for rows in (0, 1, _SUB_ROWS):
+            z = np.zeros((rows, cone.dim))
+            mask = cone.contains_coords(z)
+            assert mask.shape == (rows,) and mask.all()
+            assert np.array_equal(mask, one_product_member_mask(cone, z))
+
+
+def test_cached_internal_cone_is_read_only():
+    cone = _canonical_internal_cone(1, 4)
+    assert _canonical_internal_cone(1, 4) is cone
+    for array in (cone.frame, cone.frame_normals, cone.data.generators, cone.data.normals):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    # the public builder still returns fresh, writable arrays on the cone's frame and normals
+    fresh = internal_cone(Family.SIMPLEX, 4, 1, 4)
+    assert np.array_equal(fresh.frame, cone.frame) and np.array_equal(fresh.frame_normals, cone.frame_normals)
+    assert fresh.seed_path != cone.seed_path
+    fresh.frame_normals[0] = 0.0
+
+
+_PAIRS = [(k, g) for g in range(2, 7) for k in range(g - 1)]
+
+
+def test_cached_cones_give_a_fresh_interpreters_angles():
+    cfg = MCConfig(samples=3000, seed=21)
+    for k, g in _PAIRS:  # warm the cone cache at another seed
+        internal_angle(Family.SIMPLEX, 7, k, g, MCConfig(samples=3000, seed=20))
+    clear_angle_memo()
+    warm = [internal_angle(Family.SIMPLEX, 7, k, g, cfg) for k, g in _PAIRS]
+    clear_angle_memo()
+    src = os.path.dirname(os.path.dirname(polyproj.__file__))
+    code = ("from polyproj import Family, MCConfig, internal_angle\n"
+            f"print([internal_angle(Family.SIMPLEX, 7, k, g, MCConfig(samples=3000, seed=21)) for k, g in {_PAIRS!r}])")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=120, check=True).stdout
+    assert warm == eval(out, {"Estimate": Estimate, "Fraction": Fraction})
+
+
+def test_patched_cone_angle_sees_every_sampled_angle(monkeypatch):
+    # the benchmark self-test counts the cones sampled by wrapping cone_angle
+    cfg = MCConfig(samples=2000, seed=4)
+    for k, g in _PAIRS:
+        internal_angle(Family.CROSSPOLYTOPE, 8, k, g, cfg)
+    seen = []
+    original = polyproj.angles.cone_angle
+    monkeypatch.setattr(polyproj.angles, "cone_angle", lambda cone, cfg=None: seen.append(cone) or original(cone, cfg))
+    for family in (Family.SIMPLEX, Family.CROSSPOLYTOPE):
+        clear_angle_memo()
+        seen.clear()
+        for k, g in _PAIRS:
+            internal_angle(family, 8, k, g, cfg)
+        assert [cone.seed_path[2:] for cone in seen] == _PAIRS
+        assert all(cone is _canonical_internal_cone(*cone.seed_path[2:]) for cone in seen)
+    clear_angle_memo()
 
 
 @pytest.mark.parametrize("build", [

@@ -35,6 +35,7 @@ from polyproj.hull import (
     _MAX_HULL_DIM,
     _enumerated_facets,
     _enumerates,
+    _side_tests,
     _chunk_size,
     _flat_generators,
     _MAX_ATTEMPTS,
@@ -291,7 +292,7 @@ def test_symmetric_minors_route_flags_points_near_facets_only(d):
 
 @pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
 def test_simplicial_f_vectors_of_qhull_simplices(d):
-    # qhull's hulls of every model one shape past _ENUM_CAP, and of clouds
+    # qhull's hulls of every model one shape past its cap, and of clouds
     # with a point 1e-10..1e-5 off a hyperplane through d others, with and
     # without points inside, against every f_k counted from their simplices
     clouds = []
@@ -898,9 +899,9 @@ def test_minors_route_matches_per_replication_oracle(model, n, d, tmp_path):
     _assert_simulate_matches_oracle(model, n, d, 29, 300, tmp_path)
 
 
-# past _ENUM_CAP every draw goes to qhull; 513 replications cross a block edge
-_QHULL_GRID = [("gaussian", 14, 3), ("projected_simplex", 14, 3), ("symmetric", 10, 4),
-               ("projected_crosspolytope", 9, 4)]
+# past _ENUM_CAP or _SYMMETRIC_ENUM_CAP every draw goes to qhull; 513 replications cross a block edge
+_QHULL_GRID = [("gaussian", 14, 3), ("projected_simplex", 14, 3), ("symmetric", 11, 4),
+               ("projected_crosspolytope", 11, 4)]
 
 
 @pytest.mark.parametrize("model,n,d", _QHULL_GRID)
@@ -1002,12 +1003,26 @@ def test_benchmark_shapes_keep_their_counts(model, n, d, sums, tmp_path):
     assert rows[:, 1:].sum(axis=0).tolist() == sums
 
 
-def test_enumeration_cap_sends_large_shapes_to_qhull():
-    # the cap is in side tests per cloud point; cube shapes take the route up to their own cap
+def test_enumeration_cap_sends_large_shapes_to_qhull(monkeypatch):
+    # the simplex images' cap is in side tests per cloud point, the crosspolytope
+    # images' in side tests per cloud; cube shapes take the route up to their own cap
     assert _enumerates(MODEL_TABLE["gaussian"], 10, 3)
     assert _enumerates(MODEL_TABLE["symmetric"], 8, 4)
+    assert _enumerates(MODEL_TABLE["symmetric"], 10, 4)
     assert not _enumerates(MODEL_TABLE["gaussian"], 14, 3)
-    assert not _enumerates(MODEL_TABLE["symmetric"], 10, 4)
+    assert not _enumerates(MODEL_TABLE["symmetric"], 11, 4)
+    # each cap takes a shape at its value and refuses it one below, and leaves the other family alone
+    for model, other, name, points in (("gaussian", "symmetric", "_ENUM_CAP", 12),
+                                       ("symmetric", "gaussian", "_SYMMETRIC_ENUM_CAP", 1)):
+        tests = _side_tests(MODEL_TABLE[model], 12, 3)
+        assert tests % points == 0
+        monkeypatch.setattr(f"polyproj.hull.{name}", tests // points)
+        assert _enumerates(MODEL_TABLE[model], 12, 3)
+        monkeypatch.setattr(f"polyproj.hull.{name}", tests // points - 1)
+        assert not _enumerates(MODEL_TABLE[model], 12, 3)
+        monkeypatch.setattr(f"polyproj.hull.{name}", 0)
+        assert _enumerates(MODEL_TABLE[other], 8, 3)
+        monkeypatch.undo()
     for model in ("zonotope", "projected_cube"):
         assert _enumerates(MODEL_TABLE[model], 3, 3)
         assert _enumerates(MODEL_TABLE[model], 15, 6)
