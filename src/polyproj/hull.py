@@ -27,8 +27,7 @@ tests are (d+1)-minors of the lifted map [X | 1] for the rows' hull and sums
 of d minors for the symmetric one (_enumerated_facets).  A cloud with a
 point that decides a candidate facet within a margin of its hyperplane
 (_ENUM_MARGIN, at the cloud's scale) goes to qhull, not read off the table,
-and so do shapes with more side tests than _ENUM_CAP per point (simplex
-images) or _SYMMETRIC_ENUM_CAP per cloud (crosspolytope images).
+and so does every cloud of a shape with more than _ENUM_CAP side tests.
 Every array of that route the size of a chunk, the minors' levels included,
 is written into one _Workspace that the chunks of a simulation share.  With
 a fresh array per temporary, each one past the allocator's mmap threshold
@@ -124,35 +123,26 @@ _BLOCK = 512
 # _ENUM_MARGIN * (1 + R) of its hyperplane, R the largest point norm; qhull's
 # neighbours merge only within sqrt(d) * _FACET_TOL * (1 + R) of a facet, 40 times less at d = 6
 _ENUM_MARGIN = 1e-7
-# Side tests up to which the minors route decides a shape (see _enumerates);
-# larger shapes go to qhull.  Time per hull of the minors route over qhull's,
-# 512-cloud blocks, 2-core VM, one thread, equal rows on both routes.
-# _ENUM_CAP counts a simplex image's tests per point (in brackets; one
-# (d+1)-minor per point set, fastest of six blocks):
-#   gaussian  n=10 d=2 (36) 0.08, n=20 d=2 (171) 0.30, n=10 d=3 (84) 0.13,
-#             n=12 d=3 (165) 0.19, n=14 d=3 (286) 0.31, n=10 d=4 (126) 0.23,
-#             n=12 d=4 (330) 0.43, n=10 d=6 (84) 0.47
-# The gaussian route still pays at 330; at 160 every shape it takes was
-# measured at least 1.6 times faster.
-_ENUM_CAP = 160
-# _SYMMETRIC_ENUM_CAP counts a crosspolytope image's tests per cloud (in
-# brackets, in thousands; sums of d minors, deciding each candidate on its
-# worst outside point, fastest of four blocks; runs moved 10-30 %):
-#   d=2  n=19 (5.8) 0.22, n=24 (12.1) 0.41, n=25 (13.8) 0.48-0.58,
-#        n=26 (15.6) 0.63-0.68, n=28 (19.7) 0.82-0.95, n=32 (29.8) 1.08,
-#        n=40 (59.3) 2.31
-#   d=3  n=10 (3.4) 0.13, n=12 (7.9) 0.28, n=13 (11.4) 0.40, n=14 (16.0) 0.47,
-#        n=15 (21.8) 0.49, n=16 (29.1) 0.88-1.32, n=18 (49.0) 1.40
-#   d=4  n=9 (5.0) 0.12, n=10 (10.1) 0.20, n=11 (18.5) 0.36, n=12 (31.7) 0.61,
-#        n=13 (51.5) 1.41
-#   d=5  n=8 (2.7) 0.05, n=9 (8.1) 0.11, n=10 (20.2) 0.26, n=11 (44.4) 0.66
-#   d=6  n=8 (1.8) 0.04, n=9 (8.1) 0.14, n=10 (26.9) 0.36
-# Per cloud the break-even point moves less with d than per point (about
-# 20 000 tests at d = 2 and 30 000-45 000 at d = 3-5).  At 12 000 every shape
-# taken was measured at least 2.4 times faster, and a chunk holds at least 16
-# clouds; d = 2 sets the cap, and a cap per d would also take d=2 n=24-25,
-# d=3 n=14-15, d=4 n=11 and d=5-6 n=10.
-_SYMMETRIC_ENUM_CAP = 12_000
+# Side tests per cloud up to which the minors route decides a shape (see
+# _side_tests and _enumerates); larger shapes go to qhull.  Time per hull of
+# the minors route over qhull's, one 512-cloud block at seed 5 on each route,
+# fastest of four, 2-core VM, one thread, equal rows on both routes; side
+# tests per cloud in brackets, in thousands (runs moved 10-30 %):
+#   gaussian   d=2  n=20 (3.4) 0.14, n=29 (11.0) 0.47, n=30 (12.2) 0.51-0.59
+#              d=3  n=12 (2.0) 0.10, n=17 (9.5) 0.41, n=18 (12.2) 0.54-0.63
+#              d=4  n=11 (2.3) 0.10, n=14 (10.0) 0.46, n=15 (15.0) 0.79
+#              d=5  n=11 (2.8) 0.14, n=13 (10.3) 0.49, n=14 (18.0) 1.09
+#              d=6  n=11 (2.3) 0.13, n=12 (5.5) 0.30-0.31, n=13 (12.0) 0.57-0.61
+#   projected_simplex  d=3  n=17 (9.5) 0.53-0.73, n=18 (12.2) 0.41-0.74
+#   symmetric  d=2  n=23 (10.6) 0.43, n=24 (12.1) 0.35
+#              d=3  n=13 (11.4) 0.35, n=14 (16.0) 0.48
+#              d=4  n=10 (10.1) 0.29, n=11 (18.5) 0.55
+#              d=5  n=9 (8.1) 0.16, n=10 (20.2) 0.29
+#              d=6  n=9 (8.1) 0.11, n=10 (26.9) 0.31
+# The gaussian break-even point lies near 15 000-18 000 tests at d = 4-5,
+# the symmetric one past 20 000 at every d.  At 12 000 every shape taken read
+# at most 0.73 of qhull's time, and a chunk holds at least 16 clouds.
+_ENUM_CAP = 12_000
 # Entries of a minors-route chunk's largest temporary: side tests per cloud
 # times clouds (see _chunk_size).  Chunks write into one _Workspace, so their
 # size is set by the cache, not by the allocator; at 3 << 16 a symmetric
@@ -611,15 +601,10 @@ def _side_tests(row: Model, n: int, d: int) -> int:
 def _enumerates(row: Model, n: int, d: int) -> bool:
     """Whether the minors route decides the model's draws at (n, d).
 
-    It takes every cube shape, which SimConfig caps at _MAX_GENERATORS,
-    simplex images with at most _ENUM_CAP side tests per point and
-    crosspolytope images with at most _SYMMETRIC_ENUM_CAP per cloud.
+    It takes every cube shape, which SimConfig caps at _MAX_GENERATORS, and
+    every other shape with at most _ENUM_CAP side tests per cloud.
     """
-    if row.family is Family.CUBE:
-        return True
-    if row.family is Family.CROSSPOLYTOPE:
-        return _side_tests(row, n, d) <= _SYMMETRIC_ENUM_CAP
-    return _side_tests(row, n, d) <= _ENUM_CAP * n
+    return row.family is Family.CUBE or _side_tests(row, n, d) <= _ENUM_CAP
 
 
 def _chunk_size(row: Model, n: int, d: int) -> int:

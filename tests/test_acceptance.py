@@ -260,7 +260,7 @@ def test_criterion_7_intrinsic_volumes(capsys):
         for j in (1, 2, 3):
             prev = None
             for n in range(j, 8):
-                est = intrinsic_volume(fam, n, j, CFG)
+                est = intrinsic_volume(fam, n, j)
                 if prev is not None:
                     margin = (est.value - prev.value
                               - 3 * math.hypot(est.std_error, prev.std_error))

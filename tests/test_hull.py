@@ -880,14 +880,16 @@ def _assert_simulate_matches_oracle(model, n, d, seed, r, tmp_path):
 
 
 # (model, n, d): d = 2, the smallest full-dimensional n of each model (n = d
-# for the crosspolytope images), crosspolytope images at d = 5, and the
-# benchmark's gaussian n=10 d=3 and symmetric n=8 d=4
+# for the crosspolytope images), crosspolytope images at d = 5, the
+# benchmark's gaussian n=10 d=3 and symmetric n=8 d=4, and simplex images near
+# the cap at d = 3 and 6
 _MINORS_GRID = [
     ("gaussian", 3, 2), ("gaussian", 7, 2), ("gaussian", 4, 3), ("gaussian", 10, 3),
-    ("gaussian", 5, 4), ("gaussian", 6, 5), ("gaussian", 8, 6),
+    ("gaussian", 5, 4), ("gaussian", 6, 5), ("gaussian", 8, 6), ("gaussian", 12, 6),
     ("symmetric", 2, 2), ("symmetric", 6, 2), ("symmetric", 3, 3), ("symmetric", 8, 4),
     ("symmetric", 5, 5), ("symmetric", 6, 5), ("symmetric", 6, 6),
     ("projected_simplex", 3, 2), ("projected_simplex", 6, 3), ("projected_simplex", 7, 5),
+    ("projected_simplex", 17, 3),
     ("projected_crosspolytope", 2, 2), ("projected_crosspolytope", 4, 3),
     ("projected_crosspolytope", 5, 5), ("projected_crosspolytope", 6, 5),
 ]
@@ -899,8 +901,8 @@ def test_minors_route_matches_per_replication_oracle(model, n, d, tmp_path):
     _assert_simulate_matches_oracle(model, n, d, 29, 300, tmp_path)
 
 
-# past _ENUM_CAP or _SYMMETRIC_ENUM_CAP every draw goes to qhull; 513 replications cross a block edge
-_QHULL_GRID = [("gaussian", 14, 3), ("projected_simplex", 14, 3), ("symmetric", 11, 4),
+# past _ENUM_CAP every draw goes to qhull; 513 replications cross a block edge
+_QHULL_GRID = [("gaussian", 18, 3), ("projected_simplex", 18, 3), ("symmetric", 11, 4),
                ("projected_crosspolytope", 11, 4)]
 
 
@@ -1004,24 +1006,22 @@ def test_benchmark_shapes_keep_their_counts(model, n, d, sums, tmp_path):
 
 
 def test_enumeration_cap_sends_large_shapes_to_qhull(monkeypatch):
-    # the simplex images' cap is in side tests per cloud point, the crosspolytope
-    # images' in side tests per cloud; cube shapes take the route up to their own cap
-    assert _enumerates(MODEL_TABLE["gaussian"], 10, 3)
+    # one cap in side tests per cloud for simplex and crosspolytope images;
+    # cube shapes take the route up to their own cap
+    for n, d in ((10, 3), (14, 3), (17, 3), (11, 6), (12, 6)):
+        assert _enumerates(MODEL_TABLE["gaussian"], n, d)
     assert _enumerates(MODEL_TABLE["symmetric"], 8, 4)
     assert _enumerates(MODEL_TABLE["symmetric"], 10, 4)
-    assert not _enumerates(MODEL_TABLE["gaussian"], 14, 3)
+    for n, d in ((18, 3), (13, 6), (30, 2)):
+        assert not _enumerates(MODEL_TABLE["gaussian"], n, d)
     assert not _enumerates(MODEL_TABLE["symmetric"], 11, 4)
-    # each cap takes a shape at its value and refuses it one below, and leaves the other family alone
-    for model, other, name, points in (("gaussian", "symmetric", "_ENUM_CAP", 12),
-                                       ("symmetric", "gaussian", "_SYMMETRIC_ENUM_CAP", 1)):
+    # the cap takes a shape at its value and refuses it one below, for either hull type
+    for model in ("gaussian", "symmetric"):
         tests = _side_tests(MODEL_TABLE[model], 12, 3)
-        assert tests % points == 0
-        monkeypatch.setattr(f"polyproj.hull.{name}", tests // points)
+        monkeypatch.setattr("polyproj.hull._ENUM_CAP", tests)
         assert _enumerates(MODEL_TABLE[model], 12, 3)
-        monkeypatch.setattr(f"polyproj.hull.{name}", tests // points - 1)
+        monkeypatch.setattr("polyproj.hull._ENUM_CAP", tests - 1)
         assert not _enumerates(MODEL_TABLE[model], 12, 3)
-        monkeypatch.setattr(f"polyproj.hull.{name}", 0)
-        assert _enumerates(MODEL_TABLE[other], 8, 3)
         monkeypatch.undo()
     for model in ("zonotope", "projected_cube"):
         assert _enumerates(MODEL_TABLE[model], 3, 3)
