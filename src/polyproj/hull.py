@@ -24,10 +24,10 @@ the subsets of range(m') lead those of range(m), the levels of the expansion
 where the minor of a (k-1)-subset with one row put after it sits among the
 k x k minors.  The side tables of both hull types are gathers of it.  Side
 tests are (d+1)-minors of the lifted map [X | 1] for the rows' hull and sums
-of d minors for the symmetric one (_enumerated_facets).  A cloud with a
-point that decides a candidate facet within a margin of its hyperplane
-(_ENUM_MARGIN, at the cloud's scale) goes to qhull, not read off the table,
-and so does every cloud of a shape with more than _ENUM_CAP side tests.
+of d minors for the symmetric one (_enumerated_facets).  One within a
+margin of zero (_ENUM_MARGIN, at the cloud's scale) is decided again on
+ints, so the route counts the exact f-vector of the drawn floats.  Shapes
+with more than _ENUM_CAP side tests go to qhull.
 Every array of that route the size of a chunk, the minors' levels included,
 is written into one _Workspace that the chunks of a simulation share.  With
 a fresh array per temporary, each one past the allocator's mmap threshold
@@ -40,14 +40,16 @@ works through a copy of its output.
 Hulls that hull_f_vector is asked for, and those clouds, go through qhull,
 whose output is triangulated.  SciPy, which wraps qhull, is imported when the
 first such hull is built, not with this module: a process that sends no hull
-to qhull (the formula commands, simulate of the cube models, most small
-Gaussian shapes) never loads it.  Two neighbouring simplices lie on one
-facet when their [normal, offset] rows agree within _FACET_TOL, tested once
-per ridge of qhull's neighbour array.  If no neighbours agree the hull is
-simplicial; otherwise facet labels spread over agreeing neighbours, and the
-face lattice is recovered by closing the facet vertex sets under
-intersection.  A point just off a facet can leave some of its near-coplanar
-simplices unmerged; a closure that then breaks Euler's relation is a
+to qhull (the formula commands, simulate of shapes under the cap) never
+loads it.  qhull merges facets within _FACET_TOL, so the routes differ only
+on a cloud with a point within about 1e-9 (1 + R) of a facet's hyperplane,
+R its largest point norm.  Two neighbouring simplices lie on one facet when
+their [normal, offset] rows agree within _FACET_TOL, tested once per ridge
+of qhull's neighbour array.  If no neighbours agree the hull is simplicial;
+otherwise facet labels spread over agreeing neighbours, and the face
+lattice is recovered by closing the facet vertex sets under intersection.
+A point just off a facet can leave some of its near-coplanar simplices
+unmerged; a closure that then breaks Euler's relation is a
 DegenerateGeometryError, and simulate resamples the draw.  A simplicial
 hull, from either route, has its f-vector fixed by Dehn-Sommerville
 (_simplicial_f_vectors) from its facet count, its vertex count at d >= 4
@@ -71,10 +73,9 @@ derive_keys call over the column of their indices, which are the draws
 derive_generator's generators would give.  An index is one SeedSequence
 word, so SimConfig caps replications at 2^32; it also caps replications x d
 at 2^26, which keeps the int64 f-vector rows within 512 MiB, and --dump
-writes them a block at a time.  Every round's maps take the same route, and
-a map the minors route hands to qhull goes there as drawn, so reports
-depend on neither the blocking nor the route.  A flat cube map, or a cloud
-qhull finds flat, waits for the next round.
+writes them a block at a time.  Every round's maps take their shape's route,
+so reports depend on neither the blocking nor the worker count; flat draws
+wait for the next round.
 """
 
 from __future__ import annotations
@@ -119,10 +120,7 @@ _GENERAL_POSITION_TOL = 1e-9  # on unit generators: their d x d minors
 _FACET_TOL = 1e-9  # largest entry difference of two simplices' [normal, offset] rows on one facet
 _RANK_TOL = 1e-9  # relative to the cloud's extent, on the scale of _FACET_TOL
 _BLOCK = 512
-# a cloud is enumerated only if no point that decides a candidate facet lies within
-# _ENUM_MARGIN * (1 + R) of its hyperplane, R the largest point norm; qhull's
-# neighbours merge only within sqrt(d) * _FACET_TOL * (1 + R) of a facet, 40 times less at d = 6
-_ENUM_MARGIN = 1e-7
+_ENUM_MARGIN = 1e-7  # the minors route's float filter (_enumerated_facets)
 # Side tests per cloud up to which the minors route decides a shape (see
 # _side_tests and _enumerates); larger shapes go to qhull.  Time per hull of
 # the minors route over qhull's, one 512-cloud block at seed 5 on each route,
@@ -385,8 +383,8 @@ def _simplicial_f_vectors(lower: list, facets, d: int) -> list:
 
     Python ints for one hull and int64 columns for a chunk take the same
     arithmetic.  Both routes hand in the boundary of a simplicial d-polytope
-    (qhull's with no facet merged, the minors route's with no point near a
-    facet's hyperplane), whose h-vector
+    (qhull's with no facet merged, the minors route's with no side test
+    exactly zero), whose h-vector
     h_j = sum_{i<=j} (-1)^(j-i) C(d-i, j-i) f_{i-1}, f_{-1} = 1, has
     h_j = h_{d-j} (Dehn-Sommerville), and f_{k-1} = sum_{i<=k} C(d-i, k-i) h_i.
     lower gives h_j for j < d/2; the facet count, sum_j h_j, gives the middle.
@@ -621,6 +619,35 @@ def _chunk_size(row: Model, n: int, d: int) -> int:
     return max(1, _ENUM_ENTRIES // max(_side_tests(row, n, d), 1))
 
 
+def _dyadic(rows: list) -> list:
+    """A float matrix's exact values as ints over one shared power of two (math.frexp)."""
+    parts = [[math.frexp(v) for v in row] for row in rows]
+    low = min(e for row in parts for _, e in row)
+    return [[int(f * 2.0**53) << (e - low) for f, e in row] for row in parts]
+
+
+def _fraction_free(rows) -> tuple[int, list]:
+    """det A and N = det A * A^-1 B for the int rows of [A | B], A square, by fraction-free (Bareiss) Gauss-Jordan elimination.
+
+    Past column s, step s leaves (s+1)-minors, so each division is exact.  A
+    zero pivot takes the next row nonzero there; a singular A gives 0, N = 0.
+    """
+    a = [list(row) for row in rows]
+    k, sign, prev = len(a), 1, 1
+    solve = len(a[0]) > k  # rows above a pivot only feed N
+    for s in range(k):
+        r = next((r for r in range(s, k) if a[r][s]), None)
+        if r is None:
+            return 0, [[0] * (len(row) - k) for row in a]
+        if r != s:
+            a[s], a[r], sign = a[r], a[s], -sign
+        top, pivot = a[s][s + 1 :], a[s][s]
+        for row in (a[:s] if solve else []) + a[s + 1 :]:
+            row[s + 1 :] = [(pivot * v - row[s] * t) // prev for v, t in zip(row[s + 1 :], top)]
+        prev = pivot
+    return sign * prev, [[sign * v for v in row[k:]] for row in a]
+
+
 def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """f-vectors of the hulls of a stack of m x d maps' rows, with their negatives if symmetric, from their facets.
 
@@ -634,18 +661,19 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
     worst point's, is below |chi(I)|, and its antipode -eps*I with it.
     |chi(I)| -+ sum_j eps_j c_ij is, up to sign, the distance of x_i from
     the hyperplane through eps*I times (d-1)! times their (d-1)-volume,
-    which is at most the product over p >= 1 of |x_{I_p}| + |x_{I_0}|.  A
-    cloud with some D(J), or some worst value less |chi(I)|, within
-    _ENUM_MARGIN * (1 + R) times that product of 0, R its largest point
-    norm, or with |2 chi(I)| that small (the points -eps_j x_j), is flagged
-    near and its facets are not read; a point qhull would merge is that
-    near a facet, and its worst.  A D(J) decides d + 1 side tests, so it is
-    compared once with the largest of their margins.
+    which is at most the product over p >= 1 of |x_{I_p}| + |x_{I_0}|.
+
+    Values within _ENUM_MARGIN * (1 + R) times that product of 0, R the
+    cloud's largest point norm, are decided again on its exact floats: a
+    D(J), compared once with the largest margin of its d + 1 side tests,
+    and every eps*I of an I with a worst value less |chi(I)|, or |2 chi(I)|
+    (the points -eps_j x_j), that small.  An exact zero there makes the
+    cloud a flat draw.
 
     The other clouds' facet flags give their facet counts and, by one
     product with _incidence, their vertex counts at d >= 4 and edge counts
     at d = 6, each doubled for the symmetric hull, whose faces come in
-    antipodal pairs; _simplicial_f_vectors does the rest.  Returns the near
+    antipodal pairs; _simplicial_f_vectors does the rest.  Returns the flat
     flags and the int64 f-vector rows of the other clouds, in cloud order.
     Arrays are worked with the cloud axis last, so that every gather copies
     whole rows, and every array the size of the chunk's minors or side
@@ -659,6 +687,7 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
     norms = np.sqrt(np.multiply(x, x, out=work.array("square", x.shape)).sum(axis=1))
     largest = norms.max(axis=0)
     scale = _ENUM_MARGIN * (1 + largest)
+    flat = np.zeros(clouds, dtype=bool)
 
     def margins(kept: np.ndarray, scale: np.ndarray) -> np.ndarray:
         sets, width = len(subsets), kept.shape[1]
@@ -675,8 +704,13 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
         smallest = np.abs(lifted, out=work.array("term", lifted.shape)).min(axis=0)
         maybe = np.flatnonzero(smallest <= 2 * scale * (2 * largest) ** (d - 1))
         limit = margins(norms[:, maybe], scale[maybe])[_laplace_level(m, d + 1)[1]].max(axis=0)
-        near = np.zeros(clouds, dtype=bool)
-        near[maybe] = (np.abs(lifted[:, maybe]) <= limit).any(axis=0)
+        close = np.abs(lifted[:, maybe]) <= limit
+        for c in np.flatnonzero(close.any(axis=0)):
+            ints = _dyadic([[*p, 1.0] for p in maps[maybe[c]].tolist()])
+            for j in np.flatnonzero(close[:, c]):
+                det = _fraction_free([ints[i] for i in _subsets(m, d + 1)[j]])[0]
+                lifted[j, maybe[c]] = (det > 0) - (det < 0)
+                flat[maybe[c]] |= det == 0
         top = len(lifted)
         signs = work.array("signs", (2 * top, clouds), bool)
         np.greater(lifted, 0, out=signs[:top])
@@ -705,9 +739,10 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
             sums[:half] += side
         size = np.abs(chi, out=work.array("size", chi.shape))
         facet = work.array("facet", (len(sums), top, clouds), bool)
+        near = work.array("near", size.shape, bool)
         if m == d:  # no point outside I: every candidate is a facet
             facet.fill(True)
-            near = np.zeros(clouds, dtype=bool)
+            near.fill(False)
         else:
             # eps*I is decided on its worst outside point: the largest |sum| over a, folded into a = 0
             worst = np.abs(sums, out=sums)[:, 0]
@@ -715,11 +750,23 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
                 np.maximum(worst, sums[:, a], out=worst)
             np.less(worst, size, out=facet)
             worst -= size
-            near = np.less_equal(np.abs(worst, out=worst), tol, out=work.array("close", facet.shape, bool)).any(axis=(0, 1))
+            np.less_equal(np.abs(worst, out=worst), tol, out=work.array("close", facet.shape, bool)).any(axis=0, out=near)
         size *= 2  # |2 chi(I)|, for the points -eps_j x_j
-        near |= np.less_equal(size, tol, out=work.array("flat", size.shape, bool)).any(axis=0)
+        near |= np.less_equal(size, tol, out=work.array("small", size.shape, bool))
+        for c in np.flatnonzero(near.any(axis=0)):
+            ints = _dyadic(maps[c].tolist())
+            for r in np.flatnonzero(near[:, c]):
+                # chi(I) and coef[p][a] = c_ap from [X_I^T | X_outside^T]
+                order = [*subsets[r], *np.setdiff1d(np.arange(m), subsets[r])]
+                det, coef = _fraction_free(zip(*(ints[i] for i in order)))
+                exact = np.array(coef[:1], dtype=object)  # the sums, sign vector after sign vector
+                for row in np.array(coef[1:], dtype=object):
+                    exact = np.concatenate([exact + row, exact - row])
+                peak = np.abs(exact).max(axis=1, initial=0)
+                facet[:, r, c] = peak < abs(det)
+                flat[c] |= (peak == abs(det)).any()
         facet = facet.reshape(-1, clouds)
-    # facet[r, c]: whether candidate r is a facet of cloud c; the rows of near clouds are counted and dropped
+    # facet[r, c]: whether candidate r is a facet of cloud c; the rows of flat clouds are counted and dropped
     copies = 1 + symmetric  # a face and its antipode
     lower = []
     if d > 3:
@@ -730,7 +777,7 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
         if d == 6:
             lower.append(copies * hit[:, m:].sum(axis=1))
     rows = np.column_stack(_simplicial_f_vectors(lower, copies * facet.sum(axis=0), d))
-    return near, rows[~near]
+    return flat, rows[~flat]
 
 
 def zonotope_f_vector(generators: np.ndarray) -> FVectorSample:
@@ -787,11 +834,11 @@ def _replication_block(args: tuple[str, int, int, int, int, int], work: _Workspa
     Gaussian maps, a chunk of _chunk_size maps at a time, by re-keying one
     Philox; a projected model is counted on that map, not on its frame.  A cube
     map in general position takes the closed-form row, built once per block.
-    Other shapes that _enumerates takes are decided on the minors route; the
-    clouds it flags, and every cloud of other shapes, go to qhull as drawn.
-    A flat cube map or a cloud qhull finds flat waits for the next round.  Each
-    chunk writes its rows as soon as they are counted, and its maps and
-    temporaries into work, which every block run in one process can share.
+    Other shapes that _enumerates takes are decided on the minors route and
+    the rest on qhull, a cloud a chunk; a draw found flat waits for the next
+    round.  Each chunk writes its rows as soon as they are counted, and its
+    maps and temporaries into work, which every block run in one process can
+    share.
     """
     model, n, d, seed, lo, hi = args
     row = MODEL_TABLE[model]
@@ -820,20 +867,15 @@ def _replication_block(args: tuple[str, int, int, int, int, int], work: _Workspa
                 continue
             # the simplex's vertices are the e_i and the crosspolytope's the +-e_i,
             # so their images are the map's rows, and those and their negatives
-            again = np.zeros(len(todo), dtype=bool)
-            near = ~again
             if enumerates:
-                near, counts = _enumerated_facets(drawn, symmetric, work)
-                rows[todo[~near]] = counts
-            for j in np.flatnonzero(near):
+                again, counts = _enumerated_facets(drawn, symmetric, work)
+                rows[todo[~again]] = counts
+            else:  # one cloud a chunk; a flat one's row is redrawn
                 try:
-                    fv = _qhull_f_vector(symmetrize(drawn[j]) if symmetric else drawn[j])
+                    fv = _qhull_f_vector(symmetrize(drawn[0]) if symmetric else drawn[0])
                 except DegenerateGeometryError:  # qhull failed on a cloud it did not find flat
                     fv = FVectorSample((0,) * d, degenerate=True)
-                if fv.degenerate:
-                    again[j] = True
-                else:
-                    rows[todo[j]] = fv.counts
+                rows[todo[0]], again = fv.counts, np.array([fv.degenerate])
             flat.append(todo[again])
         pending = np.concatenate(flat)
         degen += len(pending)

@@ -11,7 +11,10 @@ a time instead of blocked classical Gram-Schmidt, raw subset enumeration
 instead of qhull bookkeeping, index tables subset by subset through
 dictionaries of positions instead of array operations on one subset list,
 each side test of a point against d others as a sum of d minors instead of
-one minor of the lifted map [X | 1] per d + 1 points,
+one minor of the lifted map [X | 1] per d + 1 points, every side test exact
+on Fractions through reduced row echelon forms and determinants as sums
+over permutations instead of a float filter with a fraction-free integer
+elimination behind it,
 a zonotope's faces counted as covectors at rays found by SVD instead of
 taken from the closed form of a generic arrangement,
 facets grouped by rounded hyperplane equations instead of by qhull's
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import numpy as np
 from scipy.integrate import quad
@@ -668,6 +671,91 @@ def simplex_facets_by_side_sums(maps: np.ndarray) -> tuple[np.ndarray, np.ndarra
     above = (side > 0).sum(axis=1)
     facet = ((above == 0) | (above == m - d)).T[~near]
     return near, subsets[np.nonzero(facet)[1]], facet.sum(axis=1)
+
+
+def leibniz_det(rows) -> Fraction:
+    """The determinant of a square matrix, its entries as exact Fractions, as the signed sum over permutations."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    total = Fraction(0)
+    for perm in permutations(range(len(a))):
+        inversions = sum(x > y for x, y in combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(a[i][j] for i, j in enumerate(perm))
+    return total
+
+
+def fraction_rref(rows) -> tuple[list, list]:
+    """The reduced row echelon form of a matrix, its entries as exact Fractions, and its pivot columns."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(len(a[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [v / a[r][col] for v in a[r]]
+        for i, row in enumerate(a):
+            if i != r and row[col]:  # the pivot row is 0 left of col
+                row[col:] = [v - row[col] * t for v, t in zip(row[col:], a[r][col:])]
+        pivots.append(col)
+    return a, pivots
+
+
+def exact_hull_f_vector(cloud: np.ndarray, symmetric: bool = False) -> tuple[int, ...] | None:
+    """The f-vector of the hull of a cloud's rows, with their negatives if symmetric, from exact side tests; None for a flat draw.
+
+    Every float entry is taken as its exact Fraction, the cloud is scaled to
+    ints by their common denominator, and hyperplanes come from reduced row
+    echelon forms.  For the rows' hull, d rows I span a
+    facet iff the null vector (u, c) of [X_I | 1] gives u.y + c one strict
+    sign at every other row; a zero there, or d rows of rank below d, is
+    d + 1 rows on one hyperplane, a flat draw.  For the symmetric hull,
+    eps*I spans the hyperplane u.y = 1 with X_I u = eps, so u.x_a = eps.mu_a
+    for the coordinates mu_a of x_a in the basis X_I: eps*I is a facet iff
+    every |u.x_a| < 1, and a singular X_I or a largest |u.x_a| of exactly 1
+    is a flat draw.  Faces are
+    counted as distinct subsets of the facets.  Meant for small shapes.
+    """
+    m, d = cloud.shape
+    exact = [[Fraction(v) for v in row] for row in cloud.tolist()]
+    # scaled by the common denominator of its entries the cloud has the same hull
+    scale = math.lcm(*(v.denominator for row in exact for v in row))
+    pts = [[int(v * scale) for v in row] for row in exact]
+    facets = []
+    for rows in combinations(range(m), d):
+        others = [pts[i] for i in range(m) if i not in rows]
+        if not symmetric:
+            a, pivots = fraction_rref([[*pts[i], 1] for i in rows])
+            if len(pivots) < d:
+                return None
+            free = min(set(range(d + 1)).difference(pivots))
+            normal = [Fraction(int(j == free)) for j in range(d + 1)]
+            for row, col in zip(a, pivots):
+                normal[col] = -row[free]
+            # and so does the normal over its common denominator
+            den = math.lcm(*(u.denominator for u in normal))
+            normal = [int(u * den) for u in normal]
+            sides = [sum(u * v for u, v in zip(normal, [*y, 1])) for y in others]
+            if 0 in sides:
+                return None
+            if all(v > 0 for v in sides) or all(v < 0 for v in sides):
+                facets.append(rows)
+            continue
+        # [X_I^T | the other rows, transposed] reduces to [1 | their coordinates mu_a]
+        a, pivots = fraction_rref(zip(*(pts[i] for i in rows), *others))
+        if pivots != list(range(d)):
+            return None
+        coords = [[row[d + k] for row in a] for k in range(len(others))]
+        # over a common denominator, |u.x_a| < 1 is |eps.(den mu_a)| < den
+        den = math.lcm(1, *(v.denominator for mu in coords for v in mu))
+        coords = [[int(v * den) for v in mu] for mu in coords]
+        for eps in product((1, -1), repeat=d):
+            worst = max((abs(sum(e * v for e, v in zip(eps, mu))) for mu in coords), default=0)
+            if worst == den:
+                return None
+            if worst < den:
+                facets.append([i + m * (e < 0) for i, e in zip(rows, eps)])
+    return tuple(distinct_subset_f_vectors(np.array(facets).reshape(-1, d), [len(facets)])[0].tolist())
 
 
 def distinct_subset_f_vectors(simplices: np.ndarray, sizes) -> np.ndarray:

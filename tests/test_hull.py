@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import os
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -56,6 +57,8 @@ from polyproj.hull import (
     _subsets,
     _usable_cpus,
     _Workspace,
+    _dyadic,
+    _fraction_free,
 )
 from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator, derive_keys
 
@@ -63,7 +66,9 @@ from oracles import (
     colex_subsets,
     covector_sign_by_loops,
     distinct_subset_f_vectors,
+    exact_hull_f_vector,
     full_dimensional,
+    leibniz_det,
     lifted_side_table_by_loops,
     lp_zonotope_f_vector,
     minor_levels_by_loops,
@@ -202,40 +207,56 @@ def _largest_enumerated_n(model: str, d: int) -> int:
     return n
 
 
-def _assert_minors_route_rows(maps, symmetric):
-    # rows counted where the facets are found, against every f_k counted from
-    # subsets: of the side-sum oracle's facets for the rows' hull, of qhull's
-    # hull of each cloud and its negatives for the symmetric one
-    near, rows = _enumerated_facets(maps, symmetric, _Workspace())
-    assert rows.dtype == np.int64 and rows.shape == (np.count_nonzero(~near), maps.shape[2])
-    if symmetric:
-        assert rows.tolist() == [list(hull_f_vector(symmetrize(cloud)).counts) for cloud in maps[~near]]
-    else:
-        near_ref, facets, counts = simplex_facets_by_side_sums(maps)
-        assert np.array_equal(near, near_ref)
-        assert np.array_equal(rows, distinct_subset_f_vectors(facets, counts))
-    return near
+def _rechecked(monkeypatch, maps, count):
+    """count(), with hull._dyadic recording the clouds it converts, and which of maps those are: the clouds the margin sent to the exact recheck."""
+    firsts = []
+
+    def recorded(rows):
+        firsts.append(rows[0][0])
+        return _dyadic(rows)
+
+    monkeypatch.setattr("polyproj.hull._dyadic", recorded)
+    result = count()
+    monkeypatch.setattr("polyproj.hull._dyadic", _dyadic)
+    return result, np.isin(maps[:, 0, 0], firsts)
+
+
+def _assert_exact_rows(monkeypatch, maps, symmetric, every=True):
+    """A chunk's flat flags and rows, near clouds included, against the exact side-test oracle; returns which clouds were rechecked.
+
+    The oracle, on Fractions, is meant for small shapes: with every=False it
+    takes only the rechecked clouds, and the others, with no point within
+    the margin of a side test, are checked against qhull's hulls
+    """
+    (flat, rows), rechecked = _rechecked(monkeypatch, maps, lambda: _enumerated_facets(maps, symmetric, _Workspace()))
+    expected = [exact_hull_f_vector(cloud, symmetric) if every or again
+                else hull_f_vector(symmetrize(cloud) if symmetric else cloud).counts
+                for cloud, again in zip(maps, rechecked)]
+    assert flat.tolist() == [row is None for row in expected]
+    assert rows.dtype == np.int64 and rows.tolist() == [list(row) for row in expected if row is not None]
+    return rechecked
 
 
 @pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
 @pytest.mark.parametrize("model", sorted(_ORACLE_MODELS))
-def test_simplicial_f_vectors_of_minors_route_chunks(model, d):
+def test_simplicial_f_vectors_of_minors_route_chunks(monkeypatch, model, d):
     # a chunk's rows as simulate counts them, at the smallest n and the
     # largest n the minors route takes, and on clouds with a row 1e-10..1e-5
     # off a hyperplane through d others, for the symmetric hull one of its
-    # facets' hyperplanes (its minors route flags no other)
+    # facets' hyperplanes: every row is the exact oracle's, those the margin
+    # sends to the exact recheck included, and no cloud is flat
     row = MODEL_TABLE[model]
     symmetric = row.family is Family.CROSSPOLYTOPE
     bitgen = Philox(key=0)
     largest = _largest_enumerated_n(model, d)
     for n in sorted({d + row.shift, largest}):
-        chunk = min(_chunk_size(row, n, d), 200)
+        chunk = min(_chunk_size(row, n, d), 48 if n < largest else 16)
         keys = derive_keys(17, SIM_REPLICATION, MODEL_CODES[model], n, d, np.arange(chunk), 0)
         maps = _sample_maps(keys, bitgen, Generator(bitgen), np.empty((chunk, n, d)))
-        assert not _assert_minors_route_rows(maps, symmetric).all()
-    maps = _clouds_near_hyperplanes(np.random.default_rng(MODEL_CODES[model] + 10 * d), 64, largest, d, symmetric)
-    near = _assert_minors_route_rows(maps, symmetric)
-    assert near.any() and not near.all()
+        _assert_exact_rows(monkeypatch, maps, symmetric, every=n < largest)
+    maps = _clouds_near_hyperplanes(np.random.default_rng(MODEL_CODES[model] + 10 * d), 16, d + 2, d, symmetric)
+    rechecked = _assert_exact_rows(monkeypatch, maps, symmetric)
+    assert rechecked.any() and not rechecked.all()
 
 
 def _symmetric_facet(points):
@@ -245,47 +266,49 @@ def _symmetric_facet(points):
 
 
 @pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
-def test_symmetric_minors_route_at_n_equal_d(d):
+def test_symmetric_minors_route_at_n_equal_d(monkeypatch, d):
     # no row lies outside a candidate, so all 2^d are facets and the hull is
     # the image of the d-crosspolytope; only map 5, whose row 0 lies 1e-12 off
-    # the span of the others, is flagged, by its minor |2 chi| alone
+    # the span of the others, is rechecked, by its minor |2 chi| alone, and
+    # that minor is small, not 0: no map is flat
     rng = np.random.default_rng(50 + d)
     maps = rng.standard_normal((32, d, d))
     maps[5, 0] = rng.random(d - 1) @ maps[5, 1:] + 1e-12 * rng.standard_normal(d)
-    near = _assert_minors_route_rows(maps, True)
-    assert np.flatnonzero(near).tolist() == [5]
+    rechecked = _assert_exact_rows(monkeypatch, maps, True)
+    assert np.flatnonzero(rechecked).tolist() == [5]
     crosspolytope = [face_count(Family.CROSSPOLYTOPE, d, k) for k in range(d)]
-    assert _enumerated_facets(maps, True, _Workspace())[1].tolist() == [crosspolytope] * 31
+    assert _enumerated_facets(maps, True, _Workspace())[1].tolist() == [crosspolytope] * 32
 
 
 @pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
-def test_symmetric_minors_route_flags_points_near_facets_only(d):
+def test_symmetric_minors_route_flags_points_near_facets_only(monkeypatch, d):
     # a candidate is decided on its worst outside point, so a point near the
-    # hyperplane of a candidate that is no facet leaves its cloud on the minors
-    # route.  At n = d + 1, one outside point per candidate, and at the largest
-    # n the route takes: in maps 0, 3, 6, ... row 0 lies 1e-12 off the
-    # hyperplane through rows 1..d, inside their simplex, and the cloud is
-    # flagged exactly where that hyperplane is a facet; in maps 1, 4, 7, ...
-    # row 0 lies 1e-9 inside or outside a facet of the hull of the other rows
-    # and their negatives, and the cloud is always flagged.  The decided
-    # clouds have the rows of qhull's hulls
+    # hyperplane of a candidate that is no facet is not rechecked.  At
+    # n = d + 1, one outside point per candidate, and at the largest n the
+    # route takes: in maps 0, 3, 6, ... row 0 lies 1e-12 off the hyperplane
+    # through rows 1..d, inside their simplex, and the cloud is rechecked
+    # exactly where that hyperplane is a facet; in maps 1, 4, 7, ... row 0
+    # lies 1e-9 inside or outside a facet of the hull of the other rows and
+    # their negatives, and the cloud is always rechecked.  Every row is the
+    # exact oracle's
     rng = np.random.default_rng(40 + d)
     for n in sorted({d + 1, _largest_enumerated_n("symmetric", d)}):
-        maps = rng.standard_normal((48, n, d))
+        count = 48 if n == d + 1 else 12
+        maps = rng.standard_normal((count, n, d))
         facets = []
-        for c in range(0, 48, 3):
+        for c in range(0, count, 3):
             weights = rng.random(d)
             maps[c, 0] = weights / weights.sum() @ maps[c, 1 : d + 1] + 1e-12 * rng.standard_normal(d)
             # the hyperplane a x = 1 through rows 1..d is a facet iff no other row has |a x| > 1
             beyond = np.abs(maps[c, d + 1 :] @ np.linalg.solve(maps[c, 1 : d + 1], np.ones(d))).max(initial=0.0)
             assert abs(beyond - 1) > 1e-3
             facets.append(bool(beyond < 1))
-        for c in range(1, 48, 3):
+        for c in range(1, count, 3):
             vertices, normal = _symmetric_facet(maps[c, 1:])
             maps[c, 0] = vertices.mean(axis=0) + (-1) ** c * 1e-9 * normal
-        near = _assert_minors_route_rows(maps, True)
-        assert near[0::3].tolist() == facets
-        assert near[1::3].all() and not near[2::3].any()
+        rechecked = _assert_exact_rows(monkeypatch, maps, True, every=n == d + 1)
+        assert rechecked[0::3].tolist() == facets
+        assert rechecked[1::3].all() and not rechecked[2::3].any()
         if n > d + 1:
             assert not all(facets)
 
@@ -334,16 +357,16 @@ def test_merged_facets_that_break_euler_are_a_degeneracy_error(monkeypatch):
     assert rounded_facet_f_vector(cloud) == (10, 42, 96, 128, 96, 32)
     with pytest.raises(DegenerateGeometryError, match="Euler"):
         hull_f_vector(cloud)
-    # simulate resamples such a draw from the replication's next attempt
+    # simulate decides its side tests exactly: it counts the cloud's exact
+    # row, the one the rounded grouping finds, and draws nothing again
     model, n, d, seed = "gaussian", 10, 6, 3
     path = (seed, SIM_REPLICATION, MODEL_CODES[model], n, d)
-    broken = _key(*path, 1, 0)
-    _patch_sample_map(monkeypatch, lambda key, image: cloud if key == broken else image)
+    placed = _key(*path, 1, 0)
+    _patch_sample_map(monkeypatch, lambda key, image: cloud if key == placed else image)
     _, rows, degen = _replication_block((model, n, d, seed, 0, 3), _Workspace())
-    assert degen == 1
+    assert degen == 0
     monkeypatch.undo()
-    redrawn = model_cloud(model, n, d, derive_generator(*path, 1, 1))
-    assert rows[1].tolist() == list(hull_f_vector(redrawn).counts)
+    assert rows[1].tolist() == list(exact_hull_f_vector(cloud)) == [10, 42, 96, 128, 96, 32]
     assert rows[[0, 2]].tolist() == _replication_block((model, n, d, seed, 0, 3), _Workspace())[1][[0, 2]].tolist()
 
 
@@ -862,7 +885,7 @@ def test_simulate_aborts_when_flat_draws_exceed_the_rate_limit(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the minors route and its qhull fallback
+# the minors route, its exact recheck and the qhull route
 
 
 def _assert_simulate_matches_oracle(model, n, d, seed, r, tmp_path):
@@ -918,9 +941,9 @@ def test_workspace_leaks_nothing_across_chunks(monkeypatch, model, d):
     # one block of maps in chunks that share a workspace whose every byte is
     # set before each chunk is drawn (NaN in every float), the last chunk
     # short: 16, 16 and 9 maps.  In the first chunk maps 1 and 2 have row 0
-    # moved 1e-9 off the affine hull of rows 1..d, near enough for qhull (for
-    # the symmetric hull with n > d, 1e-9 off one of its facets, the only
-    # hyperplanes its minors route flags), or a cube map's row 0 1e-12 off the
+    # moved 1e-9 off the affine hull of rows 1..d, near enough for the exact
+    # recheck (for the symmetric hull with n > d, 1e-9 off one of its facets,
+    # the only hyperplanes it rechecks), or a cube map's row 0 1e-12 off the
     # span of rows 1..d-1, flat enough to be drawn again.  The block's rows
     # and degenerate count are those of each map decided in a block of its own
     row = MODEL_TABLE[model]
@@ -932,8 +955,11 @@ def test_workspace_leaks_nothing_across_chunks(monkeypatch, model, d):
     found = []
 
     def recorded(*args):
-        result = count(*args)
-        found.append(result if cube else result[0])
+        if cube:
+            found.append(count(*args))
+            return found[-1]
+        result, rechecked = _rechecked(monkeypatch, args[0], lambda: count(*args))
+        found.append(rechecked)
         return result
 
     monkeypatch.setattr("polyproj.hull._chunk_size", lambda row, n, d: chunk)
@@ -1037,65 +1063,196 @@ def test_enumeration_margin_dominates_facet_tolerance():
 
 
 def _routed_block(monkeypatch, model, cloud_map):
-    """Row 0 of a one-replication block whose map is cloud_map, and whether qhull ran.
+    """Row 0 of a one-replication block whose map is cloud_map, and whether it was rechecked exactly.
 
-    The map is drawn once, whichever route decides it.
+    The map is drawn once and never reaches qhull.
     """
-    calls, draws = [], []
-
-    def counted_hull(points):
-        calls.append(len(points))
-        return ConvexHull(points)
+    draws = []
 
     def drawing(key, image):
         draws.append(key)
         return cloud_map
 
+    def no_qhull(points):
+        raise AssertionError("a minors-route cloud reached qhull")
+
     _patch_sample_map(monkeypatch, drawing)
-    # hull.py imports ConvexHull where it calls qhull, so the name is read from scipy.spatial then
-    monkeypatch.setattr("scipy.spatial.ConvexHull", counted_hull)
+    monkeypatch.setattr("polyproj.hull._qhull_f_vector", no_qhull)
     n, d = cloud_map.shape
-    _, rows, degen = _replication_block((model, n, d, 0, 0, 1), _Workspace())
+    (_, rows, degen), rechecked = _rechecked(monkeypatch, cloud_map[None], lambda: _replication_block(
+        (model, n, d, 0, 0, 1), _Workspace()))
     assert degen == 0
     assert len(draws) == 1
-    return tuple(rows[0].tolist()), bool(calls)
+    return tuple(rows[0].tolist()), bool(rechecked[0])
 
 
-# a point well within the facet tolerance, just inside the margin, just outside it
-_PLACEMENTS = [("merged", True), ("inside", True), ("outside", False)]
+# a point well within the facet tolerance, within the margin, at it, one ulp past it and past it
+_PLACEMENTS = [("merged", True), ("inside", True), ("margin", True), ("ulp", False), ("outside", False)]
 
 
 def _placement(where, margin):
-    return {"merged": 0.1 * _FACET_TOL, "inside": 0.9 * margin, "outside": 1.1 * margin}[where]
+    """The offset of the test point: margin is the largest one the float side test rechecks."""
+    return {"merged": 0.1 * _FACET_TOL, "inside": 0.9 * margin, "margin": margin,
+            "ulp": np.nextafter(margin, 1.0), "outside": 1.1 * margin}[where]
 
 
-@pytest.mark.parametrize("where,qhull", _PLACEMENTS)
-def test_enumeration_margin_boundary_simplex_type(monkeypatch, where, qhull):
+@pytest.mark.parametrize("where,rechecked", _PLACEMENTS)
+def test_enumeration_margin_boundary_simplex_type(monkeypatch, where, rechecked):
     # p lies at distance h below the segment ab; a and b are antipodal, so the
-    # volume bound is exact there and the cloud goes to qhull exactly when
-    # h <= _ENUM_MARGIN * (1 + R), R = 1.  At h = _FACET_TOL / 10 qhull merges
-    # the edges ap and pb into one facet
+    # volume bound is exact there, and D(a, b, p) = -2h and its limit
+    # 2 * 2 * _ENUM_MARGIN (R = 1) are exact in floats: the cloud is
+    # rechecked exactly when h <= 2 _ENUM_MARGIN.  Every h gives the
+    # quadrilateral; at h = _FACET_TOL / 10 qhull merges the edges ap and pb
     h = _placement(where, 2 * _ENUM_MARGIN)
     cloud = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -h]])
-    counts, ran_qhull = _routed_block(monkeypatch, "gaussian", cloud)
-    assert ran_qhull is qhull
-    assert counts == hull_f_vector(cloud).counts
-    assert counts == ((3, 3) if where == "merged" else (4, 4))
+    assert hull_f_vector(cloud).counts == ((3, 3) if where == "merged" else (4, 4))
+    counts, exact = _routed_block(monkeypatch, "gaussian", cloud)
+    assert exact is rechecked
+    assert counts == exact_hull_f_vector(cloud) == (4, 4)
 
 
-@pytest.mark.parametrize("where,qhull", _PLACEMENTS)
-def test_enumeration_margin_boundary_crosspolytope_type(monkeypatch, where, qhull):
-    # p lies at distance h outside the segment from a = e_1 to c = e_2; the
-    # side value of p at the facet {a, c} is |c - a| h = sqrt(2) h and its
-    # bound _ENUM_MARGIN * (1 + R) * (|a| + |c|) with R = 1, so the cloud
-    # goes to qhull exactly when h <= 2 sqrt(2) _ENUM_MARGIN.  At h =
+@pytest.mark.parametrize("where,rechecked", _PLACEMENTS)
+def test_enumeration_margin_boundary_crosspolytope_type(monkeypatch, where, rechecked):
+    # p = (q, q) lies at distance h = sqrt(2) (q - 1/2) outside the segment
+    # from a = e_1 to c = e_2.  Its side value at the facet {a, c} is 2q - 1,
+    # exact in floats, and its bound _ENUM_MARGIN * (1 + R) * (|a| + |c|) =
+    # 4 _ENUM_MARGIN with R = 1, so the cloud is rechecked exactly when
+    # q - 1/2 <= 2 _ENUM_MARGIN, h <= 2 sqrt(2) _ENUM_MARGIN; "margin" is the
+    # largest float q within it.  Every h gives the hexagon; at h =
     # _FACET_TOL / 10 qhull merges ap with pc, and their antipodes
-    h = _placement(where, 2 * math.sqrt(2) * _ENUM_MARGIN)
-    cloud = np.array([[1.0, 0.0], [0.0, 1.0], [0.5 + h / math.sqrt(2), 0.5 + h / math.sqrt(2)]])
-    counts, ran_qhull = _routed_block(monkeypatch, "symmetric", cloud)
-    assert ran_qhull is qhull
-    assert counts == hull_f_vector(symmetrize(cloud)).counts
-    assert counts == ((4, 4) if where == "merged" else (6, 6))
+    top = 0.5 + 2 * _ENUM_MARGIN
+    while 2 * top - 1 > 4 * _ENUM_MARGIN:
+        top = np.nextafter(top, 0.0)
+    if where in ("margin", "ulp"):
+        q = top if where == "margin" else np.nextafter(top, 1.0)
+    else:
+        q = 0.5 + _placement(where, 2 * math.sqrt(2) * _ENUM_MARGIN) / math.sqrt(2)
+    cloud = np.array([[1.0, 0.0], [0.0, 1.0], [q, q]])
+    assert hull_f_vector(symmetrize(cloud)).counts == ((4, 4) if where == "merged" else (6, 6))
+    counts, exact = _routed_block(monkeypatch, "symmetric", cloud)
+    assert exact is rechecked
+    assert counts == exact_hull_f_vector(cloud, True) == (6, 6)
+
+
+# [A | B] with A square, as floats: 0.0, -0.0, the least subnormal (a zero
+# pivot swapped for a subnormal one), 2^1023 and 2^-1074 with ordinary entries
+# in one matrix, and integers whose zero pivots at steps 0 and 1 need row swaps
+_EXACT_MATRICES = [
+    [[0.0, 1.0, 2.0, -0.0, 5e-324], [-0.0, 3.0, 1.0, 1.0, 0.0], [5e-324, -2.5, 0.5, 2.0**-1074, -1.0]],
+    [[2.0**1023, 1.0, 0.0, 1.0, -0.0], [2.0**-1074, -0.0, 3.0, 2.0**1023, 1.0],
+     [1.5, 2.0**-1074, 2.0**-1000, 0.5, 7e-310]],
+    [[2.0**-1074, 7e-310, 1.0, 1e300, 2.0**-1074], [1e-300, 2.0**1023, -3.0, 0.0, 1.0],
+     [0.25, 1e300, 2.0**-1074, -1.0, 3.0]],
+    [[0.0, 0.0, 2.0, 1.0, 1.0, 0.0], [1.0, 0.0, 3.0, 0.0, 2.0, 1.0], [2.0, 1.0, 6.0, 1.0, 0.0, 1.0],
+     [1.0, 3.0, 5.0, 5.0, 1.0, -1.0]],
+]
+
+
+def _power_of_two(q: Fraction) -> bool:
+    return q > 0 and q.numerator & (q.numerator - 1) == 0 and q.denominator & (q.denominator - 1) == 0
+
+
+@pytest.mark.parametrize("matrix", _EXACT_MATRICES)
+def test_dyadic_entries_share_one_power_of_two(matrix):
+    ints = _dyadic(matrix)
+    assert all(type(v) is int for row in ints for v in row)
+    pairs = [(v, x) for row, floats in zip(ints, matrix) for v, x in zip(row, floats)]
+    assert all(v == 0 for v, x in pairs if x == 0)
+    ratios = {Fraction(v) / Fraction(x) for v, x in pairs if x}
+    assert len(ratios) == 1 and _power_of_two(ratios.pop())
+
+
+@pytest.mark.parametrize("matrix", _EXACT_MATRICES)
+def test_fraction_free_elimination_matches_leibniz_oracle(matrix):
+    # det A, up to the positive power of two of the conversion, and Cramer's
+    # numerators over it: det A with column p replaced by column a of B
+    k = len(matrix)
+    det, numerators = _fraction_free(_dyadic(matrix))
+    exact = leibniz_det([row[:k] for row in matrix])
+    assert exact and _power_of_two(Fraction(det) / exact)
+    for a in range(len(matrix[0]) - k):
+        for p in range(k):
+            replaced = [[*row[:p], row[k + a], *row[p + 1 : k]] for row in matrix]
+            assert Fraction(numerators[p][a], det) == leibniz_det(replaced) / exact
+
+
+def test_fraction_free_elimination_of_singular_and_swapped_int_matrices():
+    # zero pivots at step 0 (a swap from row 2) and at step 1 (after one
+    # elimination), a singular matrix and a zero column
+    for matrix, det in [([[0, 2, 1], [0, 1, 3], [4, 1, 1]], 20), ([[1, 2, 3], [2, 4, 7], [1, 3, 5]], -1),
+                        ([[1, 2, 3], [2, 4, 6], [1, 3, 5]], 0), ([[0, 1], [0, 2]], 0)]:
+        assert _fraction_free(matrix)[0] == det == leibniz_det(matrix)
+    assert _fraction_free([[1, 2, 3, 5], [2, 4, 6, 1], [1, 3, 5, 2]]) == (0, [[0], [0], [0]])
+
+
+# clouds with a side test exactly 0: six dyadic points on the plane z = x + y;
+# the square base of a pyramid, four points on one facet's hyperplane; two rows
+# with the origin on one line, chi = 0; and (1/2, 1/2) on the hyperplane of
+# the symmetric hull's facet through e_1 and e_2
+_EXACTLY_FLAT = [
+    ("gaussian", [[0.5, 0.25, 0.75], [1.0, -2.0, -1.0], [0.125, 3.0, 3.125], [-1.5, 0.5, -1.0],
+                  [2.0, 2.0, 4.0], [-0.25, -0.75, -1.0]]),
+    ("gaussian", [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 0.0], [0.0, 0.0, 1.0],
+                  [0.25, -0.5, 0.5]]),
+    ("symmetric", [[0.5, -1.5], [1.0, -3.0], [2.0, 1.0]]),
+    ("symmetric", [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
+]
+
+
+@pytest.mark.parametrize("model,cloud", _EXACTLY_FLAT)
+def test_exactly_flat_clouds_are_drawn_again(monkeypatch, model, cloud):
+    # the route flags such a cloud flat, as the exact oracle does, and
+    # simulate draws the replication again from its next attempt
+    cloud = np.array(cloud)
+    symmetric = model == "symmetric"
+    flat, rows = _enumerated_facets(cloud[None], symmetric, _Workspace())
+    assert flat.tolist() == [True] and rows.shape == (0, cloud.shape[1])
+    assert exact_hull_f_vector(cloud, symmetric) is None
+    n, d = cloud.shape
+    path = (9, SIM_REPLICATION, MODEL_CODES[model], n, d)
+    placed = _key(*path, 1, 0)
+    _patch_sample_map(monkeypatch, lambda key, image: cloud if key == placed else image)
+    _, rows, degen = _replication_block((model, n, d, 9, 0, 3), _Workspace())
+    assert degen == 1
+    assert tuple(rows[1].tolist()) == exact_hull_f_vector(_one_map(n, d, *path, 1, 1), symmetric)
+
+
+def _clouds_within_rounding_of_an_edge(symmetric, count=200):
+    """Planar clouds with p = a + t (b - a) rounded, within an ulp or so of the line through a and b.
+
+    For the rows' hull a third point c lies 1 off the middle of ab, so ab is
+    an edge; for the symmetric hull ab is always one.  Rounding puts p
+    outside that edge, inside it or exactly on it.
+    """
+    rng = np.random.default_rng(23 + symmetric)
+    clouds = []
+    for _ in range(count):
+        a, b = rng.standard_normal((2, 2))
+        p = a + rng.uniform(0.2, 0.8) * (b - a)
+        if symmetric:
+            clouds.append([a, b, p])
+        else:
+            normal = np.array([a[1] - b[1], b[0] - a[0]])
+            clouds.append([a, b, (a + b) / 2 + normal / np.linalg.norm(normal), p])
+    return np.array(clouds)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_exact_recheck_decides_points_within_rounding_of_an_edge(symmetric):
+    # the floats cannot always tell these clouds' sides apart: every row is
+    # the exact oracle's, which finds p outside the edge and inside it
+    maps = _clouds_within_rounding_of_an_edge(symmetric)
+    flat, rows = _enumerated_facets(maps, symmetric, _Workspace())
+    exact = [exact_hull_f_vector(cloud, symmetric) for cloud in maps]
+    assert not flat.any() and rows.tolist() == [list(row) for row in exact]
+    assert set(exact) == ({(4, 4), (6, 6)} if symmetric else {(3, 3), (4, 4)})
+    if not symmetric:
+        # and the float minor of a, b and p has the wrong sign, or none, on some of them
+        x = np.ascontiguousarray(maps.transpose(1, 2, 0))
+        work = _Workspace()
+        lifted = _lifted_minors(_minors(x, work), 4, 2, work)[_subsets(4, 3).tolist().index([0, 1, 3])]
+        signs = [leibniz_det([[*cloud[i], 1.0] for i in (0, 1, 3)]) for cloud in maps]
+        assert any(np.sign(f) != (v > 0) - (v < 0) for f, v in zip(lifted, signs))
 
 
 # ---------------------------------------------------------------------------
@@ -1192,13 +1349,22 @@ def _clouds_near_hyperplanes(rng, clouds, m, d, facet=False):
 
 
 @pytest.mark.parametrize("m,d", [(4, 3), (6, 2), (10, 3), (12, 4), (9, 5), (8, 6)])
-def test_lifted_minors_route_matches_side_sum_oracle(m, d):
-    # one (d+1)-minor per point set flags the same clouds, and counts the same
-    # rows, as summing d minors per side test
+def test_lifted_minors_route_matches_side_sum_oracle(monkeypatch, m, d):
+    # one (d+1)-minor per point set sends to the exact recheck the clouds that
+    # summing d minors per side test flags, counts the other clouds' rows from
+    # the same facets, and finds no cloud flat; the rechecked rows are the
+    # exact oracle's, which on Fractions takes two of them a batch (about
+    # 0.2 s a cloud at m = 12, d = 4)
     rng = np.random.default_rng(100 * m + d)
     for _ in range(4):
-        near = _assert_minors_route_rows(_clouds_near_hyperplanes(rng, 64, m, d), False)
-        assert near.any() and not near.all()
+        maps = _clouds_near_hyperplanes(rng, 64, m, d)
+        near, facets, counts = simplex_facets_by_side_sums(maps)
+        (flat, rows), rechecked = _rechecked(monkeypatch, maps, lambda: _enumerated_facets(maps, False, _Workspace()))
+        assert np.array_equal(rechecked, near) and near.any() and not near.all()
+        assert not flat.any()
+        assert np.array_equal(rows[~near], distinct_subset_f_vectors(facets, counts))
+        for c in np.flatnonzero(near)[:2]:
+            assert tuple(rows[c].tolist()) == exact_hull_f_vector(maps[c])
 
 
 @pytest.mark.parametrize("m,d", [(4, 3), (6, 2), (10, 3), (12, 4), (9, 5), (8, 6)])

@@ -1,9 +1,10 @@
 """Import hygiene: every name a polyproj module imports is used in that module,
 importing the CLI leaves scipy.optimize and scipy.sparse.csgraph unloaded, and
-SciPy itself loads only when a hull goes to qhull: the package, the CLI and
-every command that builds no convex hull start without it.  The process
-pool's modules load only for a simulate run that starts a pool.  External
-angles by quadrature load neither SciPy, numpy.polynomial nor mpmath.
+SciPy itself loads only when a hull goes to qhull: the package, the CLI,
+every command that builds no convex hull and simulate of every shape under
+the minors cap run without it.  The process pool's modules load only for a
+simulate run that starts a pool.  External angles by quadrature load
+neither SciPy, numpy.polynomial nor mpmath.
 
 The package's __init__ is exempt from the unused-import scan; its imports are
 the public re-exports.
@@ -96,6 +97,35 @@ def test_no_hull_leaves_scipy_unloaded(code):
     # formula commands evaluate angle sums, and cube models are counted from
     # their minors table; none of them reaches qhull
     assert not loaded_after(code, "scipy")
+
+
+# (model, n, d, replications, seed): the hull_sim workload's two minors-route
+# shapes at its sizes, then the largest minors-route gaussian and symmetric n
+# at each d, each at a seed where the margin sends clouds to the exact recheck
+_RECHECKED_SHAPES = [
+    ("gaussian", 10, 3, 4000, 0), ("symmetric", 8, 4, 1000, 0),
+    ("gaussian", 29, 2, 600, 0), ("symmetric", 23, 2, 1200, 7),
+    ("gaussian", 17, 3, 600, 0), ("symmetric", 13, 3, 1200, 0),
+    ("gaussian", 14, 4, 600, 0), ("symmetric", 10, 4, 600, 0),
+    ("gaussian", 13, 5, 600, 0), ("symmetric", 9, 5, 600, 0),
+    ("gaussian", 12, 6, 600, 0), ("symmetric", 9, 6, 600, 0),
+]
+
+
+def test_minors_route_simulate_leaves_scipy_unloaded():
+    # a cloud with a side test within the margin is decided again on ints, so
+    # no shape under the cap reaches qhull, its near clouds included
+    runs = "".join(
+        f"calls.clear()\nassert polyproj.cli.main(['simulate', '--model', {model!r}, '--n', '{n}', '--d', '{d}', "
+        f"'--reps', '{r}', '--seed', '{seed}']) == 0\nrechecked.append(len(calls))\n"
+        for model, n, d, r, seed in _RECHECKED_SHAPES)
+    out = run_fresh(
+        "import sys, polyproj.cli, polyproj.hull as hull\n"
+        "calls, rechecked, convert = [], [], hull._dyadic\n"
+        "hull._dyadic = lambda rows: calls.append(1) or convert(rows)\n"
+        f"{runs}print(min(rechecked), 'scipy' in sys.modules)\n")
+    least, loaded = out.splitlines()[-1].split()
+    assert int(least) > 0 and loaded == "False"
 
 
 @pytest.mark.parametrize("code", [
