@@ -120,7 +120,9 @@ _GENERAL_POSITION_TOL = 1e-9  # on unit generators: their d x d minors
 _FACET_TOL = 1e-9  # largest entry difference of two simplices' [normal, offset] rows on one facet
 _RANK_TOL = 1e-9  # relative to the cloud's extent, on the scale of _FACET_TOL
 _BLOCK = 512
-_ENUM_MARGIN = 1e-7  # the minors route's float filter (_enumerated_facets)
+# float filter of _enumerated_facets: a side test, (d+1)! products of d entries each at most its margin
+# / _ENUM_MARGIN summed in (d+1)(d+2)/2 rounded steps, errs by < 1.6e-11 of that at d <= 6
+_ENUM_MARGIN = 1e-7
 # Side tests per cloud up to which the minors route decides a shape (see
 # _side_tests and _enumerates); larger shapes go to qhull.  Time per hull of
 # the minors route over qhull's, one 512-cloud block at seed 5 on each route,
@@ -292,7 +294,7 @@ def _qhull_f_vector(pts: np.ndarray) -> FVectorSample:
     intersection closure, and a count that breaks Euler's relation raises a
     degeneracy error.
     """
-    # SciPy loads on the first hull that reaches qhull, not at import
+    # SciPy loads here, on the first hull that needs it
     from scipy.spatial import ConvexHull, QhullError
 
     m, d = pts.shape
@@ -667,8 +669,7 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
     cloud's largest point norm, are decided again on its exact floats: a
     D(J), compared once with the largest margin of its d + 1 side tests,
     and every eps*I of an I with a worst value less |chi(I)|, or |2 chi(I)|
-    (the points -eps_j x_j), that small.  An exact zero there makes the
-    cloud a flat draw.
+    (the points -eps_j x_j), that small.  An exact zero is a flat draw.
 
     The other clouds' facet flags give their facet counts and, by one
     product with _incidence, their vertex counts at d >= 4 and edge counts
@@ -863,14 +864,12 @@ def _replication_block(args: tuple[str, int, int, int, int, int], work: _Workspa
                 # the zonotope of the map's rows; zonotope_f_vector would reject a flat map by this same test
                 again = _flat_generators(drawn, work)
                 rows[todo[~again]] = cube
-                flat.append(todo[again])
-                continue
             # the simplex's vertices are the e_i and the crosspolytope's the +-e_i,
             # so their images are the map's rows, and those and their negatives
-            if enumerates:
+            elif enumerates:
                 again, counts = _enumerated_facets(drawn, symmetric, work)
                 rows[todo[~again]] = counts
-            else:  # one cloud a chunk; a flat one's row is redrawn
+            else:  # one cloud a chunk
                 try:
                     fv = _qhull_f_vector(symmetrize(drawn[0]) if symmetric else drawn[0])
                 except DegenerateGeometryError:  # qhull failed on a cloud it did not find flat

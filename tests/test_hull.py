@@ -207,33 +207,51 @@ def _largest_enumerated_n(model: str, d: int) -> int:
     return n
 
 
-def _rechecked(monkeypatch, maps, count):
-    """count(), with hull._dyadic recording the clouds it converts, and which of maps those are: the clouds the margin sent to the exact recheck."""
-    firsts = []
+def _dyadic_calls(monkeypatch) -> list:
+    """A list that every later call of hull._dyadic appends to: the exact recheck converts each cloud it takes."""
+    calls = []
 
-    def recorded(rows):
-        firsts.append(rows[0][0])
+    def counted(rows):
+        calls.append(None)
         return _dyadic(rows)
 
-    monkeypatch.setattr("polyproj.hull._dyadic", recorded)
-    result = count()
-    monkeypatch.setattr("polyproj.hull._dyadic", _dyadic)
-    return result, np.isin(maps[:, 0, 0], firsts)
+    monkeypatch.setattr("polyproj.hull._dyadic", counted)
+    return calls
 
 
-def _assert_exact_rows(monkeypatch, maps, symmetric, every=True):
-    """A chunk's flat flags and rows, near clouds included, against the exact side-test oracle; returns which clouds were rechecked.
+def _rechecked(monkeypatch, maps, symmetric):
+    """Which of maps the margin sends to the exact recheck: those whose decision, each in a chunk of its own, calls hull._dyadic."""
+    calls = _dyadic_calls(monkeypatch)
+    flags = []
+    for cloud in maps:
+        calls.clear()
+        _enumerated_facets(cloud[None], symmetric, _Workspace())
+        flags.append(bool(calls))
+    return np.array(flags)
 
-    The oracle, on Fractions, is meant for small shapes: with every=False it
-    takes only the rechecked clouds, and the others, with no point within
-    the margin of a side test, are checked against qhull's hulls
+
+def _assert_minors_route_rows(monkeypatch, maps, symmetric, exact=2):
+    """A chunk's rows, no cloud flat, against oracles; returns which clouds the margin sends to the exact recheck.
+
+    The other clouds' rows are checked against every f_k counted from
+    subsets: of the side-sum oracle's facets for the rows' hull (it flags
+    the rechecked clouds), of qhull's hull of each cloud and its negatives
+    for the symmetric one.  The exact side-test oracle, on Fractions, takes
+    up to about 1 s a cloud at the largest minors-route shapes, so it checks
+    the first `exact` rechecked clouds, all of them with exact=None.
     """
-    (flat, rows), rechecked = _rechecked(monkeypatch, maps, lambda: _enumerated_facets(maps, symmetric, _Workspace()))
-    expected = [exact_hull_f_vector(cloud, symmetric) if every or again
-                else hull_f_vector(symmetrize(cloud) if symmetric else cloud).counts
-                for cloud, again in zip(maps, rechecked)]
-    assert flat.tolist() == [row is None for row in expected]
-    assert rows.dtype == np.int64 and rows.tolist() == [list(row) for row in expected if row is not None]
+    flat, rows = _enumerated_facets(maps, symmetric, _Workspace())
+    rechecked = _rechecked(monkeypatch, maps, symmetric)
+    assert not flat.any() and rows.dtype == np.int64 and rows.shape == maps.shape[::2]
+    kept = ~rechecked
+    if symmetric:
+        assert rows[kept].tolist() == [list(hull_f_vector(symmetrize(cloud)).counts) for cloud in maps[kept]]
+    else:
+        near, facets, counts = simplex_facets_by_side_sums(maps)
+        assert np.array_equal(rechecked, near)
+        assert np.array_equal(rows[kept], distinct_subset_f_vectors(facets, counts))
+    for c in np.flatnonzero(rechecked)[:exact]:
+        assert tuple(rows[c].tolist()) == exact_hull_f_vector(maps[c], symmetric)
     return rechecked
 
 
@@ -243,19 +261,19 @@ def test_simplicial_f_vectors_of_minors_route_chunks(monkeypatch, model, d):
     # a chunk's rows as simulate counts them, at the smallest n and the
     # largest n the minors route takes, and on clouds with a row 1e-10..1e-5
     # off a hyperplane through d others, for the symmetric hull one of its
-    # facets' hyperplanes: every row is the exact oracle's, those the margin
-    # sends to the exact recheck included, and no cloud is flat
+    # facets' hyperplanes (it rechecks no other): no cloud is flat, and the
+    # rows the margin sends to the exact recheck are the exact oracle's
     row = MODEL_TABLE[model]
     symmetric = row.family is Family.CROSSPOLYTOPE
     bitgen = Philox(key=0)
     largest = _largest_enumerated_n(model, d)
     for n in sorted({d + row.shift, largest}):
-        chunk = min(_chunk_size(row, n, d), 48 if n < largest else 16)
+        chunk = min(_chunk_size(row, n, d), 200)
         keys = derive_keys(17, SIM_REPLICATION, MODEL_CODES[model], n, d, np.arange(chunk), 0)
         maps = _sample_maps(keys, bitgen, Generator(bitgen), np.empty((chunk, n, d)))
-        _assert_exact_rows(monkeypatch, maps, symmetric, every=n < largest)
-    maps = _clouds_near_hyperplanes(np.random.default_rng(MODEL_CODES[model] + 10 * d), 16, d + 2, d, symmetric)
-    rechecked = _assert_exact_rows(monkeypatch, maps, symmetric)
+        assert not _assert_minors_route_rows(monkeypatch, maps, symmetric).all()
+    maps = _clouds_near_hyperplanes(np.random.default_rng(MODEL_CODES[model] + 10 * d), 64, largest, d, symmetric)
+    rechecked = _assert_minors_route_rows(monkeypatch, maps, symmetric)
     assert rechecked.any() and not rechecked.all()
 
 
@@ -274,7 +292,7 @@ def test_symmetric_minors_route_at_n_equal_d(monkeypatch, d):
     rng = np.random.default_rng(50 + d)
     maps = rng.standard_normal((32, d, d))
     maps[5, 0] = rng.random(d - 1) @ maps[5, 1:] + 1e-12 * rng.standard_normal(d)
-    rechecked = _assert_exact_rows(monkeypatch, maps, True)
+    rechecked = _assert_minors_route_rows(monkeypatch, maps, True)
     assert np.flatnonzero(rechecked).tolist() == [5]
     crosspolytope = [face_count(Family.CROSSPOLYTOPE, d, k) for k in range(d)]
     assert _enumerated_facets(maps, True, _Workspace())[1].tolist() == [crosspolytope] * 32
@@ -289,24 +307,23 @@ def test_symmetric_minors_route_flags_points_near_facets_only(monkeypatch, d):
     # through rows 1..d, inside their simplex, and the cloud is rechecked
     # exactly where that hyperplane is a facet; in maps 1, 4, 7, ... row 0
     # lies 1e-9 inside or outside a facet of the hull of the other rows and
-    # their negatives, and the cloud is always rechecked.  Every row is the
-    # exact oracle's
+    # their negatives, and the cloud is always rechecked.  The rechecked rows
+    # are the exact oracle's, all of them at n = d + 1
     rng = np.random.default_rng(40 + d)
     for n in sorted({d + 1, _largest_enumerated_n("symmetric", d)}):
-        count = 48 if n == d + 1 else 12
-        maps = rng.standard_normal((count, n, d))
+        maps = rng.standard_normal((48, n, d))
         facets = []
-        for c in range(0, count, 3):
+        for c in range(0, 48, 3):
             weights = rng.random(d)
             maps[c, 0] = weights / weights.sum() @ maps[c, 1 : d + 1] + 1e-12 * rng.standard_normal(d)
             # the hyperplane a x = 1 through rows 1..d is a facet iff no other row has |a x| > 1
             beyond = np.abs(maps[c, d + 1 :] @ np.linalg.solve(maps[c, 1 : d + 1], np.ones(d))).max(initial=0.0)
             assert abs(beyond - 1) > 1e-3
             facets.append(bool(beyond < 1))
-        for c in range(1, count, 3):
+        for c in range(1, 48, 3):
             vertices, normal = _symmetric_facet(maps[c, 1:])
             maps[c, 0] = vertices.mean(axis=0) + (-1) ** c * 1e-9 * normal
-        rechecked = _assert_exact_rows(monkeypatch, maps, True, every=n == d + 1)
+        rechecked = _assert_minors_route_rows(monkeypatch, maps, True, exact=None if n == d + 1 else 2)
         assert rechecked[0::3].tolist() == facets
         assert rechecked[1::3].all() and not rechecked[2::3].any()
         if n > d + 1:
@@ -955,11 +972,8 @@ def test_workspace_leaks_nothing_across_chunks(monkeypatch, model, d):
     found = []
 
     def recorded(*args):
-        if cube:
-            found.append(count(*args))
-            return found[-1]
-        result, rechecked = _rechecked(monkeypatch, args[0], lambda: count(*args))
-        found.append(rechecked)
+        result = count(*args)
+        found.append(result if cube else _rechecked(monkeypatch, args[0], symmetric))
         return result
 
     monkeypatch.setattr("polyproj.hull._chunk_size", lambda row, n, d: chunk)
@@ -1062,6 +1076,40 @@ def test_enumeration_margin_dominates_facet_tolerance():
     assert _ENUM_MARGIN >= 10 * math.sqrt(_MAX_HULL_DIM) * _FACET_TOL
 
 
+@pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
+def test_enumeration_margin_bounds_side_test_rounding(d):
+    # the bound the float filter relies on: a minor chi(I) of d rows and a
+    # lifted minor D(J) of d + 1, summed by Laplace in at most
+    # (d+1)(d+2)/2 rounded steps, err by at most (d+1)! gamma_{(d+1)(d+2)/2}
+    # times the largest product of the norms of d of their rows, and no
+    # margin is below _ENUM_MARGIN times that product; the bound is under a
+    # thousandth of _ENUM_MARGIN.  Checked against the exact determinants
+    # on clouds whose point norms span 2^-20..2^20
+    steps = (d + 1) * (d + 2) // 2
+    bound = math.factorial(d + 1) * steps * 2.0**-53 / (1 - steps * 2.0**-53)
+    assert 1000 * bound < _ENUM_MARGIN
+    rng = np.random.default_rng(60 + d)
+    m = d + 3
+    maps = rng.standard_normal((40, m, d)) * 2.0 ** rng.integers(-20, 21, (40, m, 1))
+    x = np.ascontiguousarray(maps.transpose(1, 2, 0))
+    work = _Workspace()
+    chi = _minors(x, work).copy()
+    lifted = _lifted_minors(chi, m, d, work)
+    norms = np.linalg.norm(maps, axis=2)
+    inexact = 0
+    for c, cloud in enumerate(maps):
+        ints = _dyadic([[*p, 1.0] for p in cloud.tolist()])
+        one = ints[0][d]  # 1.0 over the shared power of two
+        for k, values in ((d, chi[:, c]), (d + 1, lifted[:, c])):
+            for rows, value in zip(_subsets(m, k).tolist(), values.tolist()):
+                exact = Fraction(_fraction_free([ints[i][:k] for i in rows])[0], one**k)
+                product = np.prod(norms[c, rows]) / (norms[c, rows].min() if k > d else 1.0)
+                error = abs(Fraction(value) - exact)
+                assert error <= Fraction(bound) * Fraction(product)
+                inexact += error > 0
+    assert inexact
+
+
 def _routed_block(monkeypatch, model, cloud_map):
     """Row 0 of a one-replication block whose map is cloud_map, and whether it was rechecked exactly.
 
@@ -1078,12 +1126,12 @@ def _routed_block(monkeypatch, model, cloud_map):
 
     _patch_sample_map(monkeypatch, drawing)
     monkeypatch.setattr("polyproj.hull._qhull_f_vector", no_qhull)
+    calls = _dyadic_calls(monkeypatch)
     n, d = cloud_map.shape
-    (_, rows, degen), rechecked = _rechecked(monkeypatch, cloud_map[None], lambda: _replication_block(
-        (model, n, d, 0, 0, 1), _Workspace()))
+    _, rows, degen = _replication_block((model, n, d, 0, 0, 1), _Workspace())
     assert degen == 0
     assert len(draws) == 1
-    return tuple(rows[0].tolist()), bool(rechecked[0])
+    return tuple(rows[0].tolist()), bool(calls)
 
 
 # a point well within the facet tolerance, within the margin, at it, one ulp past it and past it
@@ -1357,14 +1405,8 @@ def test_lifted_minors_route_matches_side_sum_oracle(monkeypatch, m, d):
     # 0.2 s a cloud at m = 12, d = 4)
     rng = np.random.default_rng(100 * m + d)
     for _ in range(4):
-        maps = _clouds_near_hyperplanes(rng, 64, m, d)
-        near, facets, counts = simplex_facets_by_side_sums(maps)
-        (flat, rows), rechecked = _rechecked(monkeypatch, maps, lambda: _enumerated_facets(maps, False, _Workspace()))
-        assert np.array_equal(rechecked, near) and near.any() and not near.all()
-        assert not flat.any()
-        assert np.array_equal(rows[~near], distinct_subset_f_vectors(facets, counts))
-        for c in np.flatnonzero(near)[:2]:
-            assert tuple(rows[c].tolist()) == exact_hull_f_vector(maps[c])
+        rechecked = _assert_minors_route_rows(monkeypatch, _clouds_near_hyperplanes(rng, 64, m, d), False)
+        assert rechecked.any() and not rechecked.all()
 
 
 @pytest.mark.parametrize("m,d", [(4, 3), (6, 2), (10, 3), (12, 4), (9, 5), (8, 6)])
