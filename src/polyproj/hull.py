@@ -24,18 +24,15 @@ the subsets of range(m') lead those of range(m), the levels of the expansion
 where the minor of a (k-1)-subset with one row put after it sits among the
 k x k minors.  The side tables of both hull types are gathers of it.  Side
 tests are (d+1)-minors of the lifted map [X | 1] for the rows' hull and sums
-of d minors for the symmetric one (_enumerated_facets).  One within a
-margin of zero (_ENUM_MARGIN, at the cloud's scale) is decided again on
-ints, so the route counts the exact f-vector of the drawn floats.  Shapes
-with more than _ENUM_CAP side tests go to qhull.
-Every array of that route the size of a chunk, the minors' levels included,
-is written into one _Workspace that the chunks of a simulation share.  With
-a fresh array per temporary, each one past the allocator's mmap threshold
-was faulted in again by every chunk, and larger chunks ran slower; in reused
-buffers the chunk size is set by the cache, and _ENUM_ENTRIES keeps a
-chunk's largest temporary near 1.5 MiB, within a core's 2 MiB L2.  Gathers
-into those buffers take mode="clip" (_gather): with mode="raise" np.take
-works through a copy of its output.
+of d minors for the symmetric one, one sign-vector product per outside
+point (_worst_sums).  One within a margin of zero (_ENUM_MARGIN, at the
+cloud's scale) is decided again on ints, so the route counts the exact
+f-vector of the drawn floats.  Shapes with more than _ENUM_CAP side tests
+go to qhull.  Every array of that route the size of a chunk is written into
+one _Workspace that the chunks of a simulation share, so the chunk size is
+set by the cache (_ENUM_ENTRIES), not by the allocator.  Gathers into those
+buffers take mode="clip" (_gather): with mode="raise" np.take works through
+a copy of its output.
 
 Hulls that hull_f_vector is asked for, and those clouds, go through qhull,
 whose output is triangulated.  SciPy, which wraps qhull, is imported when the
@@ -43,20 +40,16 @@ first such hull is built, not with this module: a process that sends no hull
 to qhull (the formula commands, simulate of shapes under the cap) never
 loads it.  qhull merges facets within _FACET_TOL, so the routes differ only
 on a cloud with a point within about 1e-9 (1 + R) of a facet's hyperplane,
-R its largest point norm.  Two neighbouring simplices lie on one facet when
-their [normal, offset] rows agree within _FACET_TOL, tested once per ridge
-of qhull's neighbour array.  If no neighbours agree the hull is simplicial;
-otherwise facet labels spread over agreeing neighbours, and the face
-lattice is recovered by closing the facet vertex sets under intersection.
-A point just off a facet can leave some of its near-coplanar simplices
-unmerged; a closure that then breaks Euler's relation is a
-DegenerateGeometryError, and simulate resamples the draw.  A simplicial
-hull, from either route, has its f-vector fixed by Dehn-Sommerville
-(_simplicial_f_vectors) from its facet count, its vertex count at d >= 4
-and its edge count at d = 6, counted where its facets are found: off
-qhull's simplices, or for a chunk of clouds by one product of their facet
-flags with a table of which rows and row pairs each candidate facet holds
-(_incidence).
+R its largest point norm.  Neighbouring simplices lie on one facet when
+their [normal, offset] rows agree within _FACET_TOL (hull_f_vector); merged
+facets are closed under intersection, and a face lattice that breaks
+Euler's relation is a DegenerateGeometryError, which simulate resamples.
+A simplicial hull, from either route, has its f-vector fixed by
+Dehn-Sommerville (_simplicial_f_vectors) from its facet count, its vertex
+count at d >= 4 and its edge count at d = 6, counted where its facets are
+found: off qhull's simplices, or for a chunk of clouds by one product of
+their facet flags with a table of which rows and row pairs each candidate
+facet holds (_incidence).
 
 A zonotope whose generators are in general position has the f-vector of a
 generic central arrangement (Zaslavsky, 1975), expected_f_cube_closed_form,
@@ -120,8 +113,8 @@ _GENERAL_POSITION_TOL = 1e-9  # on unit generators: their d x d minors
 _FACET_TOL = 1e-9  # largest entry difference of two simplices' [normal, offset] rows on one facet
 _RANK_TOL = 1e-9  # relative to the cloud's extent, on the scale of _FACET_TOL
 _BLOCK = 512
-# float filter of _enumerated_facets: a side test, (d+1)! products of d entries each at most its margin
-# / _ENUM_MARGIN summed in (d+1)(d+2)/2 rounded steps, errs by < 1.6e-11 of that at d <= 6
+# float filter of _enumerated_facets: a side test, a lifted minor or a symmetric side sum of d minors
+# (one sign-vector product), errs by at most (d+1)! gamma_{(d+1)(d+2)/2} < 1.6e-11 of its margin / _ENUM_MARGIN at d <= 6
 _ENUM_MARGIN = 1e-7
 # Side tests per cloud up to which the minors route decides a shape (see
 # _side_tests and _enumerates); larger shapes go to qhull.  Time per hull of
@@ -134,34 +127,32 @@ _ENUM_MARGIN = 1e-7
 #              d=5  n=11 (2.8) 0.14, n=13 (10.3) 0.49, n=14 (18.0) 1.09
 #              d=6  n=11 (2.3) 0.13, n=12 (5.5) 0.30-0.31, n=13 (12.0) 0.57-0.61
 #   projected_simplex  d=3  n=17 (9.5) 0.53-0.73, n=18 (12.2) 0.41-0.74
-#   symmetric  d=2  n=23 (10.6) 0.43, n=24 (12.1) 0.35
-#              d=3  n=13 (11.4) 0.35, n=14 (16.0) 0.48
-#              d=4  n=10 (10.1) 0.29, n=11 (18.5) 0.55
-#              d=5  n=9 (8.1) 0.16, n=10 (20.2) 0.29
-#              d=6  n=9 (8.1) 0.11, n=10 (26.9) 0.31
+#   symmetric  d=2  n=23 (10.6) 0.39, n=24 (12.1) 0.40
+#              d=3  n=13 (11.4) 0.32, n=14 (16.0) 0.53
+#              d=4  n=10 (10.1) 0.19, n=11 (18.5) 0.26
+#              d=5  n=9 (8.1) 0.15, n=10 (20.2) 0.18
+#              d=6  n=9 (8.1) 0.08, n=10 (26.9) 0.24
 # The gaussian break-even point lies near 15 000-18 000 tests at d = 4-5,
 # the symmetric one past 20 000 at every d.  At 12 000 every shape taken read
 # at most 0.73 of qhull's time, and a chunk holds at least 16 clouds.
 _ENUM_CAP = 12_000
-# Entries of a minors-route chunk's largest temporary: side tests per cloud
-# times clouds (see _chunk_size).  Chunks write into one _Workspace, so their
-# size is set by the cache, not by the allocator; at 3 << 16 a symmetric
-# chunk's sums take 1.5 MiB, within a 2 MiB L2 beside the arrays they are built
-# from.  Microseconds per cloud of _enumerated_facets, median of 15 interleaved
-# passes over 2048 clouds, 2-core VM, one thread, clouds per chunk in
-# brackets; "fresh" allocated every temporary per chunk; the symmetric rows
-# were measured later, deciding on worst outside points (compare within a row):
+# Side tests of a minors-route chunk (see _chunk_size): at 3 << 16 its largest
+# temporaries fit a 2 MiB L2.  Microseconds per cloud of _enumerated_facets,
+# median of 15 interleaved passes over 2048 clouds, 2-core VM, one thread,
+# clouds per chunk in brackets; "fresh" allocated every temporary per chunk;
+# the symmetric rows were measured later, with each point's sums one
+# sign-vector product (compare within a row):
 #                       fresh 2^16   2^16        2^17        3 << 16     2^18
 #   gaussian  n=10 d=3   6.8 (78)    4.4 (78)    3.2 (156)   3.2 (234)   3.1 (312)
 #   gaussian  n=11 d=3   6.4 (49)    5.5 (49)    4.0 (99)    3.6 (148)   3.7 (198)
 #   gaussian  n=19 d=2  25.4 (22)   21.1 (22)   14.1 (45)   11.8 (67)   10.7 (90)
 #   gaussian  n=10 d=6  17.2 (78)   14.5 (78)   11.8 (156)  11.5 (234)  12.2 (312)
-#   symmetric n=8 d=4   28.6 (29)   27.5 (29)   17.9 (58)   16.0 (87)   15.3 (117)
-#   symmetric n=9 d=3   18.2 (32)   17.4 (32)   13.4 (65)   12.5 (97)   11.6 (130)
-#   symmetric n=19 d=2  46.3 (11)   44.7 (11)   33.5 (22)   31.4 (33)   29.8 (45)
-#   symmetric n=8 d=6   38.2 (36)   36.7 (36)   29.5 (73)   21.9 (109)  20.9 (146)
-# 2^18 is no faster, and its 2 MiB sums raised the peak RSS of the benchmark's
-# hull_sim workload by 3.5 MB, against 1.1 MB at 3 << 16.
+#   symmetric n=8 d=4   18.7 (29)   13.5 (29)    8.9 (58)    8.4 (87)    8.6 (117)
+#   symmetric n=9 d=3    8.2 (32)    7.9 (32)    5.8 (65)    5.1 (97)    5.1 (130)
+#   symmetric n=19 d=2  26.0 (11)   25.4 (11)   17.3 (22)   15.3 (33)   13.5 (45)
+#   symmetric n=8 d=6   34.0 (36)   37.2 (36)   28.8 (73)   27.5 (109)  29.0 (146)
+# 2^18 was no faster, and with every point's sums in one array it raised the
+# peak RSS of the benchmark's hull_sim workload by 3.5 MB, against 1.1 MB.
 _ENUM_ENTRIES = 3 << 16
 
 
@@ -184,8 +175,8 @@ class SimConfig:
 
     def __post_init__(self):
         row = model_row(self.model)
-        # NumPy integers are stored as Python ints
-        for name, lo in (("n", None), ("d", None), ("replications", 1), ("seed", 0), ("workers", 1)):
+        # NumPy integers are stored as Python ints; a standard error takes two replications
+        for name, lo in (("n", None), ("d", None), ("replications", 2), ("seed", 0), ("workers", 1)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
         if self.replications > 2**32:  # each replication index is one SeedSequence word of its stream
             raise InvalidArgumentError(f"replications must be <= 2^32, got {self.replications}")
@@ -462,9 +453,8 @@ class _Workspace:
 def _gather(source: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
     """source[index] written into out; every index table here is in range by construction, which a test checks.
 
-    With mode="raise" NumPy takes through a copy of out: gaussian n=10 d=3
-    chunks then read 4.8 us per cloud against 3.3 with "clip" (5.5 with
-    every temporary allocated afresh; medians of 15 interleaved passes).
+    With mode="raise" NumPy takes through a copy of out, which cost a third
+    of a gaussian n=10 d=3 chunk's time (README).
     """
     return source.take(index, axis=0, out=out, mode="clip")
 
@@ -549,10 +539,10 @@ def _lifted_side_table(m: int, d: int) -> np.ndarray:
 
 @cache
 def _side_table(m: int, d: int) -> np.ndarray:
-    """Where the side tests of an m x d map sit among its signed minors.
+    """Where the side tests of an m x d map sit among its signed minors, point-major: shape (m - d, d, C(m, d)).
 
     For the r-th d-subset I and the a-th row i outside it, the minor of X_I
-    with its p-th row replaced by x_i is entry swap[p, r, a] of the minors
+    with its p-th row replaced by x_i is entry [a, p, r] of the minors
     stacked on their negatives: _insertions(m, d) puts i into I without its
     p-th row, the (d-1)-subset sub[p, r] of level d, and moving i from the
     end to position p flips its sign d-1-p times.
@@ -561,8 +551,42 @@ def _side_table(m: int, d: int) -> np.ndarray:
     # the rows outside each d-subset: complements reverse colex order
     swap = _insertions(m, d)[_laplace_level(m, d)[1][:, :, None], _subsets(m, m - d)[::-1]]
     swap[d % 2 :: 2] = (swap[d % 2 :: 2] + top) % (2 * top)  # the p with d-1-p odd
+    swap = np.ascontiguousarray(swap.transpose(2, 0, 1))
     swap.setflags(write=False)  # shared by every caller through the cache
     return swap
+
+
+@cache
+def _sign_vectors(d: int) -> np.ndarray:
+    """The sign vectors eps of the symmetric hull's candidates, shape (2^(d-1), d): eps_0 = +1, eps_p = -1 exactly when bit p-1 of e is set."""
+    signs = 1 - 2 * ((np.arange(1 << (d - 1))[:, None] << 1 >> np.arange(d)) & 1)
+    signs.setflags(write=False)  # shared by every caller through the cache
+    return signs
+
+
+def _worst_sums(chi: np.ndarray, m: int, d: int, work: _Workspace) -> np.ndarray:
+    """The largest |sum_p eps_p c_ap| over the rows a outside each d-subset I, shape (2^(d-1), C(m, d), maps), 0 at m = d.
+
+    c_ap is the minor of X_I with its p-th row replaced by x_a, read from
+    the minors chi stacked on their negatives; a point's sums for every
+    sign vector are one product of _sign_vectors with its d gathered
+    minors, folded into a running maximum, built in work.
+    """
+    top, clouds = chi.shape
+    signs = _sign_vectors(d).astype(float)
+    signed = work.array("signed", (2 * top, clouds))
+    signed[:top] = chi
+    np.negative(chi, out=signed[top:])
+    worst = work.array("worst", (len(signs), top * clouds))
+    if m == d:
+        worst.fill(0.0)
+    side, sums = work.array("side", (d, top, clouds)), work.array("sums", worst.shape)
+    for a, rows in enumerate(_side_table(m, d)):
+        out = sums if a else worst
+        np.abs(np.matmul(signs, _gather(signed, rows, side).reshape(d, -1), out=out), out=out)
+        if a:
+            np.maximum(worst, sums, out=worst)
+    return worst.reshape(len(signs), top, clouds)
 
 
 @cache
@@ -570,24 +594,24 @@ def _incidence(m: int, d: int, symmetric: bool) -> np.ndarray:
     """Which rows, and at d = 6 which row pairs, each candidate facet of an m x d map's hull holds: 0/1 floats.
 
     Rows are the candidates _enumerated_facets flags: the d-subsets I in
-    colex order, for the symmetric hull the signed sets eps*I, sign vector e
-    after sign vector, with eps_0 = +1 and eps_p = -1 exactly when bit p-1
-    of e is set.  Column i is row i; at d = 6, column m + P + C(m, 2) s is
-    the P-th pair (i, j) (colex order, its _rank) with s = 1 where
-    eps_i eps_j = -1.  A symmetric hull's faces come in antipodal pairs,
-    eps*J and -eps*J, which share their column.
+    colex order, for the symmetric hull the signed sets eps*I, one
+    _sign_vectors row after another.  Column i is row i; at d = 6, column
+    m + P + C(m, 2) s is the P-th pair (i, j) (colex order, its _rank) with
+    s = 1 where eps_i eps_j = -1; the last column is all ones, for the facet
+    count.  A symmetric hull's faces come in antipodal pairs, eps*J and
+    -eps*J, which share their column.
     """
     sets = _subsets(m, d)
-    signs = 1 << (d - 1) if symmetric else 1
-    cols = [np.broadcast_to(sets, (signs, *sets.shape))]
+    signs = _sign_vectors(d)[: 1 << (d - 1) if symmetric else 1]
+    cols = [np.broadcast_to(sets, (len(signs), *sets.shape))]
     if d == 6:
         pairs = _subsets(d, 2)
-        flip = (np.arange(signs)[:, None] << 1 >> np.arange(d)) & 1  # bit p-1 of e at p >= 1
-        relative = flip[:, pairs[:, 0]] ^ flip[:, pairs[:, 1]]
+        relative = signs[:, pairs[:, 0]] != signs[:, pairs[:, 1]]
         cols.append(m + _rank(sets[:, pairs]) + math.comb(m, 2) * relative[:, None])
-    cols = np.concatenate(cols, axis=2).reshape(signs * len(sets), -1)
-    table = np.zeros((len(cols), int(cols.max()) + 1))
+    cols = np.concatenate(cols, axis=2).reshape(len(signs) * len(sets), -1)
+    table = np.zeros((len(cols), int(cols.max()) + 2))
     np.put_along_axis(table, cols, 1.0, axis=1)
+    table[:, -1] = 1.0
     table.setflags(write=False)  # shared by every caller through the cache
     return table
 
@@ -608,13 +632,13 @@ def _enumerates(row: Model, n: int, d: int) -> bool:
 
 
 def _chunk_size(row: Model, n: int, d: int) -> int:
-    """Maps drawn at once: one for shapes qhull decides, on the minors route so many that the largest temporary has about _ENUM_ENTRIES entries.
+    """Maps drawn at once: one for shapes qhull decides, on the minors route so many that they have about _ENUM_ENTRIES side tests.
 
-    That is a cloud's side tests: sums per sign vector, or sign bits per
-    pair.  A cube map's largest temporary, its C(n, d) minors, is n - d
-    times smaller than its side-test count, which sizes its chunk all the
-    same: sizing on the minors was no faster (512 maps, medians of 15,
-    zonotope n=12 d=5 20.7 ms against 16.2, n=15 d=6 118 against 126).
+    The rows' hull holds a sign bit per side test, the symmetric hull the
+    sums of one outside point at a time, and a cube map its C(n, d) minors,
+    both n - d times fewer: sizing cube chunks on the minors was no faster
+    (512 maps, medians of 15, zonotope n=12 d=5 20.7 ms against 16.2, n=15
+    d=6 118 against 126).
     """
     if not _enumerates(row, n, d):
         return 1
@@ -660,7 +684,7 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
     every i outside I.  With chi(I) the minor of rows I and c_ij the minor of
     X_I with row j replaced by x_i, the signed set eps*I is a facet of the
     symmetric hull iff the largest |sum_j eps_j c_ij| over i outside I, its
-    worst point's, is below |chi(I)|, and its antipode -eps*I with it.
+    worst point's (_worst_sums), is below |chi(I)|, and its antipode with it.
     |chi(I)| -+ sum_j eps_j c_ij is, up to sign, the distance of x_i from
     the hyperplane through eps*I times (d-1)! times their (d-1)-volume,
     which is at most the product over p >= 1 of |x_{I_p}| + |x_{I_0}|.
@@ -669,16 +693,17 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
     cloud's largest point norm, are decided again on its exact floats: a
     D(J), compared once with the largest margin of its d + 1 side tests,
     and every eps*I of an I with a worst value less |chi(I)|, or |2 chi(I)|
-    (the points -eps_j x_j), that small.  An exact zero is a flat draw.
+    (the points -eps_j x_j), that small; margins are built only for clouds
+    with such a value within 2 scale (2R)^(d-1), which bounds them all.  An
+    exact zero is a flat draw.
 
-    The other clouds' facet flags give their facet counts and, by one
-    product with _incidence, their vertex counts at d >= 4 and edge counts
-    at d = 6, each doubled for the symmetric hull, whose faces come in
+    The other clouds' facet flags give their facet counts and, at d >= 4 in
+    one product with _incidence, their vertex counts and at d = 6 edge
+    counts, each doubled for the symmetric hull, whose faces come in
     antipodal pairs; _simplicial_f_vectors does the rest.  Returns the flat
     flags and the int64 f-vector rows of the other clouds, in cloud order.
     Arrays are worked with the cloud axis last, so that every gather copies
-    whole rows, and every array the size of the chunk's minors or side
-    tests is written into work.
+    whole rows, and every array the size of a chunk is written into work.
     """
     clouds, m, d = maps.shape
     x = work.array("x", (m, d, clouds))
@@ -689,6 +714,9 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
     largest = norms.max(axis=0)
     scale = _ENUM_MARGIN * (1 + largest)
     flat = np.zeros(clouds, dtype=bool)
+    # every margin of a cloud is at most scale * (2R)^(d-1): a cloud with no
+    # value below twice that (room for rounding) is not near, and needs none built
+    screen = 2 * scale * (2 * largest) ** (d - 1)
 
     def margins(kept: np.ndarray, scale: np.ndarray) -> np.ndarray:
         sets, width = len(subsets), kept.shape[1]
@@ -700,10 +728,8 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
 
     if not symmetric:
         lifted = _lifted_minors(chi, m, d, work)
-        # every margin of a cloud is at most scale * (2R)^(d-1): a cloud with no
-        # minor below twice that (room for rounding) is not near, and needs none built
         smallest = np.abs(lifted, out=work.array("term", lifted.shape)).min(axis=0)
-        maybe = np.flatnonzero(smallest <= 2 * scale * (2 * largest) ** (d - 1))
+        maybe = np.flatnonzero(smallest <= screen)
         limit = margins(norms[:, maybe], scale[maybe])[_laplace_level(m, d + 1)[1]].max(axis=0)
         close = np.abs(lifted[:, maybe]) <= limit
         for c in np.flatnonzero(close.any(axis=0)):
@@ -722,48 +748,25 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
         facet = np.equal(above, 0, out=work.array("facet", above.shape, bool))
         facet |= np.equal(above, m - d, out=work.array("full", above.shape, bool))
     else:
-        tol = margins(norms, scale)
-        # swap[p, a, r]: the sums of one outside point a are whole blocks
-        swap = _side_table(m, d).transpose(0, 2, 1)
-        top = len(chi)
-        signed = work.array("signed", (2 * top, clouds))
-        signed[:top] = chi
-        np.negative(chi, out=signed[top:])
-        # sums[e] = sum_p eps_p c_ip for sign vector e, built in place one p at a time
-        sums = work.array("sums", (1 << (d - 1), *swap.shape[1:], clouds))
-        _gather(signed, swap[0], sums[0])
-        side = work.array("side", sums.shape[1:])
-        for p in range(1, d):
-            half = 1 << (p - 1)
-            _gather(signed, swap[p], side)
-            np.subtract(sums[:half], side, out=sums[half : 2 * half])
-            sums[:half] += side
         size = np.abs(chi, out=work.array("size", chi.shape))
-        facet = work.array("facet", (len(sums), top, clouds), bool)
-        near = work.array("near", size.shape, bool)
-        if m == d:  # no point outside I: every candidate is a facet
-            facet.fill(True)
-            near.fill(False)
-        else:
-            # eps*I is decided on its worst outside point: the largest |sum| over a, folded into a = 0
-            worst = np.abs(sums, out=sums)[:, 0]
-            for a in range(1, m - d):
-                np.maximum(worst, sums[:, a], out=worst)
-            np.less(worst, size, out=facet)
-            worst -= size
-            np.less_equal(np.abs(worst, out=worst), tol, out=work.array("close", facet.shape, bool)).any(axis=0, out=near)
-        size *= 2  # |2 chi(I)|, for the points -eps_j x_j
-        near |= np.less_equal(size, tol, out=work.array("small", size.shape, bool))
-        for c in np.flatnonzero(near.any(axis=0)):
+        worst = _worst_sums(chi, m, d, work)
+        # eps*I is decided on its worst outside point
+        facet = np.less(worst, size, out=work.array("facet", worst.shape, bool))
+        # the value nearest a decision for each I: |2 chi(I)|, for the points
+        # -eps_j x_j, and with points outside I each |worst - |chi(I)||
+        closest = np.multiply(size, 2, out=work.array("closest", size.shape))
+        if m > d:
+            np.minimum(closest, np.abs(np.subtract(worst, size, out=worst), out=worst).min(axis=0), out=closest)
+        maybe = np.flatnonzero(closest.min(axis=0) <= screen)
+        near = closest[:, maybe] <= margins(norms[:, maybe], scale[maybe])
+        outside = _subsets(m, m - d)[::-1]  # complements reverse colex order
+        for j in np.flatnonzero(near.any(axis=0)):
+            c = maybe[j]
             ints = _dyadic(maps[c].tolist())
-            for r in np.flatnonzero(near[:, c]):
+            for r in np.flatnonzero(near[:, j]):
                 # chi(I) and coef[p][a] = c_ap from [X_I^T | X_outside^T]
-                order = [*subsets[r], *np.setdiff1d(np.arange(m), subsets[r])]
-                det, coef = _fraction_free(zip(*(ints[i] for i in order)))
-                exact = np.array(coef[:1], dtype=object)  # the sums, sign vector after sign vector
-                for row in np.array(coef[1:], dtype=object):
-                    exact = np.concatenate([exact + row, exact - row])
-                peak = np.abs(exact).max(axis=1, initial=0)
+                det, coef = _fraction_free(zip(*(ints[i] for i in (*subsets[r], *outside[r]))))
+                peak = np.abs(_sign_vectors(d).astype(object) @ np.array(coef, dtype=object)).max(axis=1, initial=0)
                 facet[:, r, c] = peak < abs(det)
                 flat[c] |= (peak == abs(det)).any()
         facet = facet.reshape(-1, clouds)
@@ -773,11 +776,15 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
     if d > 3:
         flags = work.array("flags", facet.shape)
         np.copyto(flags, facet)
-        hit = flags.T @ _incidence(m, d, symmetric) > 0
+        product = flags.T @ _incidence(m, d, symmetric)
+        facets = product[:, -1].astype(np.int64)
+        hit = product[:, :-1] > 0
         lower.append(copies * hit[:, :m].sum(axis=1))
         if d == 6:
             lower.append(copies * hit[:, m:].sum(axis=1))
-    rows = np.column_stack(_simplicial_f_vectors(lower, copies * facet.sum(axis=0), d))
+    else:
+        facets = facet.sum(axis=0)
+    rows = np.column_stack(_simplicial_f_vectors(lower, copies * facets, d))
     return flat, rows[~flat]
 
 
@@ -937,6 +944,5 @@ def simulate_expected_f(cfg: SimConfig, dump_path: str | None = None) -> Simulat
     for k in range(cfg.d):
         col = rows[:, k].astype(float)
         mean = float(col.mean())
-        se = float(col.std(ddof=1) / math.sqrt(r)) if r > 1 else 0.0
-        means[k] = Estimate(mean, se)
+        means[k] = Estimate(mean, float(col.std(ddof=1) / math.sqrt(r)))
     return SimulationResult(cfg, means, r, degen)

@@ -12,9 +12,10 @@ instead of qhull bookkeeping, index tables subset by subset through
 dictionaries of positions instead of array operations on one subset list,
 each side test of a point against d others as a sum of d minors instead of
 one minor of the lifted map [X | 1] per d + 1 points, every side test exact
-on Fractions through reduced row echelon forms and determinants as sums
-over permutations instead of a float filter with a fraction-free integer
-elimination behind it,
+on ints (memoized cofactor expansions for the rows' hull, row echelon forms
+reduced by cross-multiplication and gcds for the symmetric one) and
+determinants as sums over permutations instead of a float filter with a
+fraction-free (Bareiss) integer elimination behind it,
 a zonotope's faces counted as covectors at rays found by SVD instead of
 taken from the closed form of a generic arrangement,
 facets grouped by rounded hyperplane equations instead of by qhull's
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -658,7 +660,7 @@ def simplex_facets_by_side_sums(maps: np.ndarray) -> tuple[np.ndarray, np.ndarra
     m, d = maps.shape[1:]
     x = np.ascontiguousarray(maps.transpose(1, 2, 0))
     subsets = _subsets(m, d)
-    swap = _side_table(m, d)
+    swap = _side_table(m, d).transpose(1, 2, 0)  # [p, r, a]
     chi = _minors(x, _Workspace())
     signed = np.concatenate([chi, -chi])
     norms = np.sqrt((x * x).sum(axis=1))
@@ -683,9 +685,15 @@ def leibniz_det(rows) -> Fraction:
     return total
 
 
-def fraction_rref(rows) -> tuple[list, list]:
-    """The reduced row echelon form of a matrix, its entries as exact Fractions, and its pivot columns."""
-    a = [[Fraction(v) for v in row] for row in rows]
+def int_rref(rows) -> tuple[list, list]:
+    """A reduced row echelon form of an int matrix, kept on ints, and its pivot columns.
+
+    Row k is a multiple of the k-th row of the reduced form over the
+    rationals: each pivot row clears its column from every other row by
+    cross-multiplication, and each row it changes is divided by the gcd of
+    its entries, which keeps the ints short.  No step divides by a minor.
+    """
+    a = [list(row) for row in rows]
     pivots = []
     for col in range(len(a[0])):
         r = len(pivots)
@@ -693,10 +701,13 @@ def fraction_rref(rows) -> tuple[list, list]:
         if p is None:
             continue
         a[r], a[p] = a[p], a[r]
-        a[r] = [v / a[r][col] for v in a[r]]
-        for i, row in enumerate(a):
-            if i != r and row[col]:  # the pivot row is 0 left of col
-                row[col:] = [v - row[col] * t for v, t in zip(row[col:], a[r][col:])]
+        top = a[r]
+        for row in a:
+            if row is not top and row[col]:
+                f, g = top[col], row[col]
+                row[:] = [f * v - g * t for v, t in zip(row, top)]
+                k = math.gcd(*row) or 1
+                row[:] = [v // k for v in row]
         pivots.append(col)
     return a, pivots
 
@@ -704,51 +715,50 @@ def fraction_rref(rows) -> tuple[list, list]:
 def exact_hull_f_vector(cloud: np.ndarray, symmetric: bool = False) -> tuple[int, ...] | None:
     """The f-vector of the hull of a cloud's rows, with their negatives if symmetric, from exact side tests; None for a flat draw.
 
-    Every float entry is taken as its exact Fraction, the cloud is scaled to
-    ints by their common denominator, and hyperplanes come from reduced row
-    echelon forms.  For the rows' hull, d rows I span a
-    facet iff the null vector (u, c) of [X_I | 1] gives u.y + c one strict
-    sign at every other row; a zero there, or d rows of rank below d, is
-    d + 1 rows on one hyperplane, a flat draw.  For the symmetric hull,
-    eps*I spans the hyperplane u.y = 1 with X_I u = eps, so u.x_a = eps.mu_a
-    for the coordinates mu_a of x_a in the basis X_I: eps*I is a facet iff
-    every |u.x_a| < 1, and a singular X_I or a largest |u.x_a| of exactly 1
-    is a flat draw.  Faces are
-    counted as distinct subsets of the facets.  Meant for small shapes.
+    Every float entry is taken as its exact ratio of ints, and the cloud is
+    scaled to ints by their common denominator.  For the rows' hull, d rows
+    I span a facet iff det[X_I, 1; y, 1] has one strict sign at every other
+    row y; a zero there is d + 1 rows on one hyperplane, a flat draw.  Each
+    determinant is a cofactor expansion along the last column, every smaller
+    minor of [X | 1] taken once.  For the symmetric hull, eps*I spans the
+    hyperplane u.y = 1 with X_I u = eps, so u.x_a = eps.mu_a for the
+    coordinates mu_a of x_a in the basis X_I, read off a reduced row echelon
+    form kept on ints (int_rref): eps*I is a facet iff every |u.x_a| < 1,
+    and a singular X_I or a largest |u.x_a| of exactly 1 is a flat draw.
+    Faces are counted as distinct subsets of the facets.  Meant for small
+    shapes.
     """
     m, d = cloud.shape
-    exact = [[Fraction(v) for v in row] for row in cloud.tolist()]
+    ratios = [[v.as_integer_ratio() for v in row] for row in cloud.tolist()]
     # scaled by the common denominator of its entries the cloud has the same hull
-    scale = math.lcm(*(v.denominator for row in exact for v in row))
-    pts = [[int(v * scale) for v in row] for row in exact]
+    scale = math.lcm(*(q for row in ratios for _, q in row))
+    pts = [[p * (scale // q) for p, q in row] for row in ratios]
+    lifted = [[*p, 1] for p in pts]
+
+    @cache
+    def minor(rows: tuple) -> int:
+        # the minor of the sorted lifted rows on the leading len(rows) columns, expanded along the last of them
+        k = len(rows)
+        return sum((-1) ** (k - 1 - p) * lifted[r][k - 1] * minor(rows[:p] + rows[p + 1 :]) for p, r in enumerate(rows)) if k else 1
+
     facets = []
     for rows in combinations(range(m), d):
-        others = [pts[i] for i in range(m) if i not in rows]
         if not symmetric:
-            a, pivots = fraction_rref([[*pts[i], 1] for i in rows])
-            if len(pivots) < d:
-                return None
-            free = min(set(range(d + 1)).difference(pivots))
-            normal = [Fraction(int(j == free)) for j in range(d + 1)]
-            for row, col in zip(a, pivots):
-                normal[col] = -row[free]
-            # and so does the normal over its common denominator
-            den = math.lcm(*(u.denominator for u in normal))
-            normal = [int(u * den) for u in normal]
-            sides = [sum(u * v for u, v in zip(normal, [*y, 1])) for y in others]
+            # det[X_I, 1; y, 1]: moving y past the rows of I above it sorts them
+            sides = [(-1) ** sum(i > y for i in rows) * minor(tuple(sorted((*rows, y)))) for y in range(m) if y not in rows]
             if 0 in sides:
                 return None
             if all(v > 0 for v in sides) or all(v < 0 for v in sides):
                 facets.append(rows)
             continue
-        # [X_I^T | the other rows, transposed] reduces to [1 | their coordinates mu_a]
-        a, pivots = fraction_rref(zip(*(pts[i] for i in rows), *others))
+        # [X_I^T | the other rows, transposed] reduces to multiples of [1 | their coordinates mu_a]
+        others = [pts[i] for i in range(m) if i not in rows]
+        a, pivots = int_rref(zip(*(pts[i] for i in rows), *others))
         if pivots != list(range(d)):
             return None
-        coords = [[row[d + k] for row in a] for k in range(len(others))]
         # over a common denominator, |u.x_a| < 1 is |eps.(den mu_a)| < den
-        den = math.lcm(1, *(v.denominator for mu in coords for v in mu))
-        coords = [[int(v * den) for v in mu] for mu in coords]
+        den = math.lcm(*(a[k][k] for k in range(d)))
+        coords = [[a[k][d + j] * (den // a[k][k]) for k in range(d)] for j in range(len(others))]
         for eps in product((1, -1), repeat=d):
             worst = max((abs(sum(e * v for e, v in zip(eps, mu))) for mu in coords), default=0)
             if worst == den:

@@ -218,6 +218,10 @@ def test_simulate_semantic_error_exits_1(capsys):
                                   "--reps", str(2**32 + 1)])
     assert (code, out) == (1, "")
     assert err.startswith("error: replications must be <= 2^32")
+    # one replication has no standard error, so it is an error line too, not a stderr of 0
+    code, out, err = run(capsys, ["simulate", "--model", "symmetric", "--n", "3", "--d", "2", "--reps", "1"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: replications must be >= 2, got 1") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from polyproj.hull import (
     _simplicial_f_vectors,
     _subsets,
     _usable_cpus,
+    _worst_sums,
     _Workspace,
     _dyadic,
     _fraction_free,
@@ -230,15 +231,14 @@ def _rechecked(monkeypatch, maps, symmetric):
     return np.array(flags)
 
 
-def _assert_minors_route_rows(monkeypatch, maps, symmetric, exact=2):
+def _assert_minors_route_rows(monkeypatch, maps, symmetric):
     """A chunk's rows, no cloud flat, against oracles; returns which clouds the margin sends to the exact recheck.
 
     The other clouds' rows are checked against every f_k counted from
     subsets: of the side-sum oracle's facets for the rows' hull (it flags
     the rechecked clouds), of qhull's hull of each cloud and its negatives
-    for the symmetric one.  The exact side-test oracle, on Fractions, takes
-    up to about 1 s a cloud at the largest minors-route shapes, so it checks
-    the first `exact` rechecked clouds, all of them with exact=None.
+    for the symmetric one.  Every rechecked cloud's row is checked against
+    the exact side-test oracle.
     """
     flat, rows = _enumerated_facets(maps, symmetric, _Workspace())
     rechecked = _rechecked(monkeypatch, maps, symmetric)
@@ -250,7 +250,7 @@ def _assert_minors_route_rows(monkeypatch, maps, symmetric, exact=2):
         near, facets, counts = simplex_facets_by_side_sums(maps)
         assert np.array_equal(rechecked, near)
         assert np.array_equal(rows[kept], distinct_subset_f_vectors(facets, counts))
-    for c in np.flatnonzero(rechecked)[:exact]:
+    for c in np.flatnonzero(rechecked):
         assert tuple(rows[c].tolist()) == exact_hull_f_vector(maps[c], symmetric)
     return rechecked
 
@@ -308,7 +308,7 @@ def test_symmetric_minors_route_flags_points_near_facets_only(monkeypatch, d):
     # exactly where that hyperplane is a facet; in maps 1, 4, 7, ... row 0
     # lies 1e-9 inside or outside a facet of the hull of the other rows and
     # their negatives, and the cloud is always rechecked.  The rechecked rows
-    # are the exact oracle's, all of them at n = d + 1
+    # are the exact oracle's
     rng = np.random.default_rng(40 + d)
     for n in sorted({d + 1, _largest_enumerated_n("symmetric", d)}):
         maps = rng.standard_normal((48, n, d))
@@ -323,7 +323,7 @@ def test_symmetric_minors_route_flags_points_near_facets_only(monkeypatch, d):
         for c in range(1, 48, 3):
             vertices, normal = _symmetric_facet(maps[c, 1:])
             maps[c, 0] = vertices.mean(axis=0) + (-1) ** c * 1e-9 * normal
-        rechecked = _assert_minors_route_rows(monkeypatch, maps, True, exact=None if n == d + 1 else 2)
+        rechecked = _assert_minors_route_rows(monkeypatch, maps, True)
         assert rechecked[0::3].tolist() == facets
         assert rechecked[1::3].all() and not rechecked[2::3].any()
         if n > d + 1:
@@ -639,7 +639,7 @@ def test_sim_config_caps_hull_points():
     assert _MAX_POINTS == 200_000
     for model, n in (("gaussian", 200_000), ("projected_simplex", 200_000),
                      ("symmetric", 100_000), ("projected_crosspolytope", 100_000)):
-        assert SimConfig(model=model, n=n, d=6, replications=1).n == n
+        assert SimConfig(model=model, n=n, d=6, replications=2).n == n
         with pytest.raises(InvalidDimensionError, match=f"capped at {_MAX_POINTS} hull points"):
             SimConfig(model=model, n=n + 1, d=3, replications=2)
     with pytest.raises(InvalidDimensionError, match="got 100000000000 at n = 100000000000"):
@@ -648,17 +648,21 @@ def test_sim_config_caps_hull_points():
 
 def test_sim_config_validation():
     with pytest.raises(InvalidArgumentError):
-        SimConfig(model="icosahedron", n=5, d=3, replications=1)
+        SimConfig(model="icosahedron", n=5, d=3, replications=2)
     with pytest.raises(InvalidDimensionError):
-        SimConfig(model="gaussian", n=9, d=1, replications=1)
+        SimConfig(model="gaussian", n=9, d=1, replications=2)
     with pytest.raises(InvalidDimensionError):
-        SimConfig(model="gaussian", n=9, d=7, replications=1)
+        SimConfig(model="gaussian", n=9, d=7, replications=2)
     with pytest.raises(InvalidDimensionError):
-        SimConfig(model="gaussian", n=3, d=3, replications=1)  # needs n >= d+1
+        SimConfig(model="gaussian", n=3, d=3, replications=2)  # needs n >= d+1
     with pytest.raises(InvalidDimensionError):
-        SimConfig(model="zonotope", n=16, d=3, replications=1)
+        SimConfig(model="zonotope", n=16, d=3, replications=2)
     with pytest.raises(InvalidArgumentError):
         SimConfig(model="gaussian", n=5, d=2, replications=0)
+    # a standard error takes two replications: one would report 0 for a random mean
+    with pytest.raises(InvalidArgumentError, match="replications must be >= 2, got 1"):
+        SimConfig(model="gaussian", n=5, d=2, replications=1)
+    assert SimConfig(model="gaussian", n=5, d=2, replications=2).replications == 2
     with pytest.raises(InvalidArgumentError):
         SimConfig(model="gaussian", n=5, d=2, replications=5, seed=-1)
     with pytest.raises(InvalidArgumentError):
@@ -760,12 +764,13 @@ _BLOCK_ORACLE_EXTRA_N = {"gaussian": 3, "symmetric": 1, "zonotope": 2,
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("model", sorted(_BLOCK_ORACLE_EXTRA_N))
 def test_simulate_blocks_match_per_replication_oracle(model, d, tmp_path):
-    # 1, 511, 512 and 513 replications sit on either side of a block edge;
-    # replication i's row does not depend on how many there are
+    # 2 (the fewest simulate takes), 511, 512 and 513 replications sit on
+    # either side of a block edge; replication i's row does not depend on how
+    # many there are
     n = d + _BLOCK_ORACLE_EXTRA_N[model]
     rows, degenerate = per_replication_rows(model, n, d, 17, 513)
     dump = tmp_path / "rows.csv"
-    for r, workers in [(1, 1), (511, 1), (512, 1), (513, 1), (513, 2)]:
+    for r, workers in [(2, 1), (511, 1), (512, 1), (513, 1), (513, 2)]:
         cfg = SimConfig(model=model, n=n, d=d, replications=r, seed=17, workers=workers)
         result = simulate_expected_f(cfg, dump_path=str(dump))
         assert result.degenerate_events == degenerate[:r].sum()
@@ -1024,6 +1029,11 @@ def test_workspace_leaks_nothing_across_chunks(monkeypatch, model, d):
     ("symmetric", 8, 6, [20644, 134758, 441070, 752640, 638526, 212842]),
     ("symmetric", 9, 3, [15008, 37224, 24816]),
     ("symmetric", 19, 2, [9892, 9892]),
+    ("symmetric", 10, 4, [21178, 92602, 142848, 71424]),
+    ("symmetric", 9, 5, [22312, 132822, 334168, 368430, 147372]),
+    ("symmetric", 13, 3, [17640, 45120, 30080]),
+    ("symmetric", 23, 2, [10288, 10288]),
+    ("symmetric", 5, 5, [13000, 52000, 104000, 104000, 41600]),
 ])
 def test_benchmark_shapes_keep_their_counts(model, n, d, sums, tmp_path):
     # the hull_sim workload's minors-route shapes, and one d = 5 and one d = 6
@@ -1036,7 +1046,9 @@ def test_benchmark_shapes_keep_their_counts(model, n, d, sums, tmp_path):
     # frames' Gaussian matrices changed no row.  The last three, the largest
     # symmetric n at d = 6, 3 and 2, were pinned when a symmetric cloud went
     # to qhull for a point near any candidate's hyperplane, not only near its
-    # facets'
+    # facets'.  The next five, the largest symmetric n at d = 4, 5, 3 and 2
+    # and n = d = 5 (no outside point), were pinned when the symmetric side
+    # sums were built for every outside point at once
     dump = tmp_path / "rows.csv"
     cfg = SimConfig(model=model, n=n, d=d, replications=2 * _BLOCK + 276, seed=5)
     assert simulate_expected_f(cfg, dump_path=str(dump)).degenerate_events == 0
@@ -1106,6 +1118,44 @@ def test_enumeration_margin_bounds_side_test_rounding(d):
                 product = np.prod(norms[c, rows]) / (norms[c, rows].min() if k > d else 1.0)
                 error = abs(Fraction(value) - exact)
                 assert error <= Fraction(bound) * Fraction(product)
+                inexact += error > 0
+    assert inexact
+
+
+@pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
+def test_enumeration_margin_bounds_symmetric_side_sum_rounding(d):
+    # the symmetric hull's side test is |chi(I)| against the worst
+    # |sum_p eps_p c_ap|, each c_ap a minor within the bound above of its
+    # exact value, summed by one product with the sign vectors in d - 1 more
+    # rounded steps.  With V = prod_{p>=1} (|x_{I_p}| + |x_{I_0}|), which
+    # bounds |chi(I)| and every |c_ap| / R, the worst value of each eps*I as
+    # _worst_sums forms it errs by at most (d+1)! gamma_{(d+1)(d+2)/2} (1+R) V,
+    # under a thousandth of eps*I's margin _ENUM_MARGIN (1+R) V.  Checked
+    # against the exact sums on clouds whose point norms span 2^-20..2^20,
+    # sign vector e taking eps_0 = +1 and eps_p = -1 where bit p-1 of e is set
+    steps = (d + 1) * (d + 2) // 2
+    bound = math.factorial(d + 1) * steps * 2.0**-53 / (1 - steps * 2.0**-53)
+    rng = np.random.default_rng(70 + d)
+    m = d + 3
+    maps = rng.standard_normal((24, m, d)) * 2.0 ** rng.integers(-20, 21, (24, m, 1))
+    work = _Workspace()
+    worst = _worst_sums(_minors(np.ascontiguousarray(maps.transpose(1, 2, 0)), work).copy(), m, d, work)
+    norms = np.linalg.norm(maps, axis=2)
+    table = _side_table(m, d)
+    signs = np.array([[1, *(-1 if e >> (p - 1) & 1 else 1 for p in range(1, d))] for e in range(1 << (d - 1))], dtype=object)
+    inexact = 0
+    for c, cloud in enumerate(maps):
+        ints = _dyadic([[*p, 1.0] for p in cloud.tolist()])
+        scale = ints[0][d] ** d  # 1.0 over the shared power of two, to the d
+        exact = [_fraction_free([ints[i][:d] for i in rows])[0] for rows in _subsets(m, d).tolist()]
+        # every exact sum, shape (outside point, sign vector, I), over scale
+        sums = signs @ np.array(exact + [-v for v in exact], dtype=object)[table]
+        for r, rows in enumerate(_subsets(m, d).tolist()):
+            volume = np.prod(norms[c, rows[1:]] + norms[c, rows[0]]) * (1 + norms[c].max())
+            limit = Fraction(bound) * Fraction(volume) * scale
+            for e, value in enumerate(np.abs(sums[:, :, r]).max(axis=0).tolist()):
+                error = abs(Fraction(worst[e, r, c]) * scale - value)
+                assert error <= limit
                 inexact += error > 0
     assert inexact
 
@@ -1368,8 +1418,8 @@ def test_side_table_matches_permutation_oracle():
     for d in range(2, _MAX_HULL_DIM + 1):
         for m in range(d, 13):
             table = _side_table(m, d)
-            assert table.shape == (d, math.comb(m, d), m - d)
-            assert np.array_equal(table, side_table_by_permutations(m, d))
+            assert table.shape == (m - d, d, math.comb(m, d)) and table.flags.c_contiguous
+            assert np.array_equal(table, side_table_by_permutations(m, d).transpose(2, 0, 1))
 
 
 def test_lifted_side_table_matches_loop_oracle():
@@ -1401,8 +1451,7 @@ def test_lifted_minors_route_matches_side_sum_oracle(monkeypatch, m, d):
     # one (d+1)-minor per point set sends to the exact recheck the clouds that
     # summing d minors per side test flags, counts the other clouds' rows from
     # the same facets, and finds no cloud flat; the rechecked rows are the
-    # exact oracle's, which on Fractions takes two of them a batch (about
-    # 0.2 s a cloud at m = 12, d = 4)
+    # exact oracle's
     rng = np.random.default_rng(100 * m + d)
     for _ in range(4):
         rechecked = _assert_minors_route_rows(monkeypatch, _clouds_near_hyperplanes(rng, 64, m, d), False)
