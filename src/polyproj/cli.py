@@ -275,6 +275,8 @@ def main(argv=None) -> int:
             args.t_grid = t_grid(args.t_min, args.t_max, args.t_step)
         except InvalidArgumentError as exc:
             args.parser.error(str(exc))
+        if args.b is not None and args.k is not None and args.k >= args.d:
+            args.parser.error(f"--b needs a face dimension --k below --d, got --k {args.k} and --d {args.d}")
     try:
         # the report file is opened first, so a bad --out fails before any work is done
         with open(args.out, "w", newline="", encoding="utf-8") if args.out else nullcontext(sys.stdout) as report:

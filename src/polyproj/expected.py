@@ -360,14 +360,15 @@ def t_functional_expected(d: int, k: int, b: float, expected_f_value: float) -> 
     unchanged (the functional degenerates to counting), and so does a zero
     input.  A multiplier past the float range is applied through the input's
     log, and a scaled value that is still past it, or a multiplier whose log
-    is, is an InvalidDimensionError.
+    is, is an InvalidDimensionError.  k must be a proper face dimension,
+    k < d: else it is an InvalidArgumentError.
     """
     d = check_int("d", d, 1)
     k = check_int("k", k, 0)
     b = check_real("b", b, 0, what="a finite real number >= 0")
     expected_f_value = check_real("expected_f_value", expected_f_value, what="finite")
-    if k > d:
-        raise InvalidArgumentError(f"k must be <= d, got k={k}, d={d}")
+    if k >= d:  # a k-face of a d-polytope has k < d; k = d would be the polytope itself
+        raise InvalidArgumentError(f"k must be < d, got k={k}, d={d}")
     if b == 0 or k == 0 or expected_f_value == 0:
         return expected_f_value
     try:

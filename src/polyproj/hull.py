@@ -45,7 +45,8 @@ their [normal, offset] rows agree within _FACET_TOL (hull_f_vector); merged
 facets are closed under intersection, and a face lattice that breaks
 Euler's relation is a DegenerateGeometryError, which simulate resamples.
 A simplicial hull, from either route, has its f-vector fixed by
-Dehn-Sommerville (_simplicial_f_vectors) from its facet count, its vertex
+Dehn-Sommerville, one product with a cached integer matrix
+(_simplicial_f_vectors), from its facet count, its vertex
 count at d >= 4 and its edge count at d = 6, counted where its facets are
 found: off qhull's simplices, or for a chunk of clouds by one product of
 their facet flags with a table of which rows and row pairs each candidate
@@ -59,16 +60,17 @@ normalized generators (_flat_generators).
 
 Every replication draws from its own counter-based stream derived from
 (seed, model, n, d, replication index, attempt), so estimates are identical
-for any worker count and assembly order.  Replications run in blocks of
-_BLOCK whose attempts run in rounds: round a draws the maps of the
-replications still undecided on their attempt-a Philox keys, from one
-derive_keys call over the column of their indices, which are the draws
-derive_generator's generators would give.  An index is one SeedSequence
-word, so SimConfig caps replications at 2^32; it also caps replications x d
-at 2^26, which keeps the int64 f-vector rows within 512 MiB, and --dump
-writes them a block at a time.  Every round's maps take their shape's route,
-so reports depend on neither the blocking nor the worker count; flat draws
-wait for the next round.
+for any worker count and assembly order.  Each worker takes one contiguous
+share of the replications, a block of at most _MAX_BLOCK at a time, and a
+run in one process is one share; a block's attempts run in rounds: round a
+draws the maps of the replications still undecided on their attempt-a
+Philox keys, from one derive_keys call over the column of their indices,
+which are the draws derive_generator's generators would give.  An index is
+one SeedSequence word, so SimConfig caps replications at 2^32; it also caps
+replications x d at 2^26, which keeps the int64 f-vector rows within
+512 MiB, and --dump writes them _BLOCK rows at a time.  Every round's maps
+take their shape's route, so reports depend on neither the blocking nor the
+worker count; flat draws wait for the next round.
 """
 
 from __future__ import annotations
@@ -112,7 +114,13 @@ _DEGENERATE_RATE_LIMIT = 1e-3
 _GENERAL_POSITION_TOL = 1e-9  # on unit generators: their d x d minors
 _FACET_TOL = 1e-9  # largest entry difference of two simplices' [normal, offset] rows on one facet
 _RANK_TOL = 1e-9  # relative to the cloud's extent, on the scale of _FACET_TOL
+# replications per unit of the pool-size rule (simulate_expected_f) and per slice of --dump
 _BLOCK = 512
+# replications of one _replication_block at most: it bounds derive_keys' uint32 and uint64
+# temporaries and the block's own rows.  Peak RSS of simulate at 2 * 10^5 replications, one
+# process (gaussian n=10 d=3 / symmetric n=8 d=4): 46.8 / 48.2 MB in blocks of 512,
+# 47.3 / 48.7 MB at 2^14, 53.1 / 56.0 MB at 2^16 and 57.9 MB in one block
+_MAX_BLOCK = 1 << 14
 # float filter of _enumerated_facets: a side test, a lifted minor or a symmetric side sum of d minors
 # (one sign-vector product), errs by at most (d+1)! gamma_{(d+1)(d+2)/2} < 1.6e-11 of its margin / _ENUM_MARGIN at d <= 6
 _ENUM_MARGIN = 1e-7
@@ -137,22 +145,24 @@ _ENUM_MARGIN = 1e-7
 # at most 0.73 of qhull's time, and a chunk holds at least 16 clouds.
 _ENUM_CAP = 12_000
 # Side tests of a minors-route chunk (see _chunk_size): at 3 << 16 its largest
-# temporaries fit a 2 MiB L2.  Microseconds per cloud of _enumerated_facets,
-# median of 15 interleaved passes over 2048 clouds, 2-core VM, one thread,
-# clouds per chunk in brackets; "fresh" allocated every temporary per chunk;
-# the symmetric rows were measured later, with each point's sums one
-# sign-vector product (compare within a row):
-#                       fresh 2^16   2^16        2^17        3 << 16     2^18
-#   gaussian  n=10 d=3   6.8 (78)    4.4 (78)    3.2 (156)   3.2 (234)   3.1 (312)
-#   gaussian  n=11 d=3   6.4 (49)    5.5 (49)    4.0 (99)    3.6 (148)   3.7 (198)
-#   gaussian  n=19 d=2  25.4 (22)   21.1 (22)   14.1 (45)   11.8 (67)   10.7 (90)
-#   gaussian  n=10 d=6  17.2 (78)   14.5 (78)   11.8 (156)  11.5 (234)  12.2 (312)
-#   symmetric n=8 d=4   18.7 (29)   13.5 (29)    8.9 (58)    8.4 (87)    8.6 (117)
-#   symmetric n=9 d=3    8.2 (32)    7.9 (32)    5.8 (65)    5.1 (97)    5.1 (130)
-#   symmetric n=19 d=2  26.0 (11)   25.4 (11)   17.3 (22)   15.3 (33)   13.5 (45)
-#   symmetric n=8 d=6   34.0 (36)   37.2 (36)   28.8 (73)   27.5 (109)  29.0 (146)
-# 2^18 was no faster, and with every point's sums in one array it raised the
-# peak RSS of the benchmark's hull_sim workload by 3.5 MB, against 1.1 MB.
+# temporaries fit a 2 MiB L2.  Microseconds per replication of a whole
+# simulate run in one block (1000 replications, 4000 at gaussian n=10 d=3),
+# median of 15 runs interleaved over the budgets, 2-core VM, one thread,
+# clouds per chunk in brackets:
+#                         2^16        2^17        3 << 16     2^18
+#   gaussian  n=10 d=3    5.3 (78)    4.5 (156)   4.5 (234)   4.5 (312)
+#   gaussian  n=19 d=2   17.0 (22)   11.2 (45)   10.2 (67)   11.0 (90)
+#   gaussian  n=10 d=6   24.4 (78)   34.1 (156)  24.9 (234)  32.3 (312)
+#   symmetric n=8 d=4    15.3 (29)   11.2 (58)   10.6 (87)   12.0 (117)
+#   symmetric n=9 d=3     9.8 (32)    8.4 (65)    7.7 (97)    7.7 (130)
+#   symmetric n=19 d=2   24.6 (11)   18.5 (22)   16.8 (33)   15.1 (45)
+#   symmetric n=8 d=6    35.1 (36)   29.3 (73)   29.3 (109)  27.7 (146)
+# (gaussian n=10 d=6 moved 10-30 % between runs).  2^18 was no faster on the
+# benchmark's two shapes, gaussian n=10 d=3 and symmetric n=8 d=4; in
+# 512-replication blocks it was no faster either and raised the peak RSS of
+# the benchmark's hull_sim workload by 3.5 MB, against 1.1 MB.  Sizing
+# symmetric chunks on their 2^(d-1) C(n, d) sums per cloud would make them 4
+# to 6 times larger: at 4 times these, n=8 d=4 and n=9 d=3 ran 20-35 % slower.
 _ENUM_ENTRIES = 3 << 16
 
 
@@ -313,7 +323,7 @@ def _qhull_f_vector(pts: np.ndarray) -> FVectorSample:
             ordered = np.sort(simplices, axis=1).astype(np.int64)
             first, second = _subsets(d, 2).T
             lower.append(_distinct(ordered[:, first] * m + ordered[:, second]))
-        return FVectorSample(tuple(_simplicial_f_vectors(lower, len(simplices), d)))
+        return FVectorSample(tuple(_simplicial_f_vectors(np.array([1, *lower, len(simplices)]), d).tolist()))
 
     # each facet is labelled by the least simplex index among its simplices,
     # spread over close neighbours until no label moves
@@ -371,23 +381,39 @@ def _distinct(ids: np.ndarray) -> int:
     return 1 + int(np.count_nonzero(ids[1:] != ids[:-1]))
 
 
-def _simplicial_f_vectors(lower: list, facets, d: int) -> list:
-    """f_0 .. f_{d-1} of simplicial d-polytopes from f_0 .. f_{d/2-2} (lower) and their facet counts.
+@cache
+def _dehn_sommerville(d: int) -> np.ndarray:
+    """The int64 matrix M with 2 (f_0 .. f_{d-1}) = [1, f_0 .. f_{d/2-2}, f_{d-1}] @ M for every simplicial d-polytope.
 
-    Python ints for one hull and int64 columns for a chunk take the same
-    arithmetic.  Both routes hand in the boundary of a simplicial d-polytope
-    (qhull's with no facet merged, the minors route's with no side test
-    exactly zero), whose h-vector
-    h_j = sum_{i<=j} (-1)^(j-i) C(d-i, j-i) f_{i-1}, f_{-1} = 1, has
+    The boundary of a simplicial d-polytope has the h-vector
+    h_j = sum_{i<=j} (-1)^(j-i) C(d-i, j-i) f_{i-1}, f_{-1} = 1, with
     h_j = h_{d-j} (Dehn-Sommerville), and f_{k-1} = sum_{i<=k} C(d-i, k-i) h_i.
-    lower gives h_j for j < d/2; the facet count, sum_j h_j, gives the middle.
+    The known counts give h_j for j < d/2; the facet count, sum_j h_j, gives
+    the middle entry, which appears twice at odd d: so each row is built on 2 h.
     """
     half = d // 2
-    f = [1, *lower]
-    h = [sum((-1) ** (j - i) * math.comb(d - i, j - i) * f[i] for i in range(j + 1)) for j in range(half)]
-    h.append((facets - 2 * sum(h)) // (1 + d % 2))
-    h += h[d - half - 1 :: -1]
-    return [*lower, *(sum(math.comb(d - i, k - i) * h[i] for i in range(k + 1)) for k in range(half, d)), facets]
+    rows = []
+    for known in np.eye(half + 1, dtype=int).tolist():
+        h = [2 * sum((-1) ** (j - i) * math.comb(d - i, j - i) * known[i] for i in range(j + 1)) for j in range(half)]
+        h.append((2 * known[half] - 2 * sum(h)) // (1 + d % 2))
+        h += h[d - half - 1 :: -1]
+        rows.append([sum(math.comb(d - i, k - i) * h[i] for i in range(k + 1)) for k in range(1, d + 1)])
+    table = np.array(rows, dtype=np.int64)
+    table.setflags(write=False)  # shared by every caller through the cache
+    return table
+
+
+def _simplicial_f_vectors(known: np.ndarray, d: int) -> np.ndarray:
+    """f_0 .. f_{d-1} of simplicial d-polytopes, along the last axis, from their int64 rows [1, f_0 .. f_{d/2-2}, f_{d-1}].
+
+    One hull's row and a chunk's rows take the same product with
+    _dehn_sommerville(d).  Both routes hand in the boundary of a simplicial
+    d-polytope: qhull's with no facet merged, the minors route's with no
+    side test exactly zero.
+    """
+    rows = known @ _dehn_sommerville(d)
+    rows //= 2
+    return rows
 
 
 @cache
@@ -730,14 +756,15 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
         lifted = _lifted_minors(chi, m, d, work)
         smallest = np.abs(lifted, out=work.array("term", lifted.shape)).min(axis=0)
         maybe = np.flatnonzero(smallest <= screen)
-        limit = margins(norms[:, maybe], scale[maybe])[_laplace_level(m, d + 1)[1]].max(axis=0)
-        close = np.abs(lifted[:, maybe]) <= limit
-        for c in np.flatnonzero(close.any(axis=0)):
-            ints = _dyadic([[*p, 1.0] for p in maps[maybe[c]].tolist()])
-            for j in np.flatnonzero(close[:, c]):
-                det = _fraction_free([ints[i] for i in _subsets(m, d + 1)[j]])[0]
-                lifted[j, maybe[c]] = (det > 0) - (det < 0)
-                flat[maybe[c]] |= det == 0
+        if len(maybe):
+            limit = margins(norms[:, maybe], scale[maybe])[_laplace_level(m, d + 1)[1]].max(axis=0)
+            close = np.abs(lifted[:, maybe]) <= limit
+            for c in np.flatnonzero(close.any(axis=0)):
+                ints = _dyadic([[*p, 1.0] for p in maps[maybe[c]].tolist()])
+                for j in np.flatnonzero(close[:, c]):
+                    det = _fraction_free([ints[i] for i in _subsets(m, d + 1)[j]])[0]
+                    lifted[j, maybe[c]] = (det > 0) - (det < 0)
+                    flat[maybe[c]] |= det == 0
         top = len(lifted)
         signs = work.array("signs", (2 * top, clouds), bool)
         np.greater(lifted, 0, out=signs[:top])
@@ -758,33 +785,36 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
         if m > d:
             np.minimum(closest, np.abs(np.subtract(worst, size, out=worst), out=worst).min(axis=0), out=closest)
         maybe = np.flatnonzero(closest.min(axis=0) <= screen)
-        near = closest[:, maybe] <= margins(norms[:, maybe], scale[maybe])
-        outside = _subsets(m, m - d)[::-1]  # complements reverse colex order
-        for j in np.flatnonzero(near.any(axis=0)):
-            c = maybe[j]
-            ints = _dyadic(maps[c].tolist())
-            for r in np.flatnonzero(near[:, j]):
-                # chi(I) and coef[p][a] = c_ap from [X_I^T | X_outside^T]
-                det, coef = _fraction_free(zip(*(ints[i] for i in (*subsets[r], *outside[r]))))
-                peak = np.abs(_sign_vectors(d).astype(object) @ np.array(coef, dtype=object)).max(axis=1, initial=0)
-                facet[:, r, c] = peak < abs(det)
-                flat[c] |= (peak == abs(det)).any()
+        if len(maybe):
+            near = closest[:, maybe] <= margins(norms[:, maybe], scale[maybe])
+            outside = _subsets(m, m - d)[::-1]  # complements reverse colex order
+            for j in np.flatnonzero(near.any(axis=0)):
+                c = maybe[j]
+                ints = _dyadic(maps[c].tolist())
+                for r in np.flatnonzero(near[:, j]):
+                    # chi(I) and coef[p][a] = c_ap from [X_I^T | X_outside^T]
+                    det, coef = _fraction_free(zip(*(ints[i] for i in (*subsets[r], *outside[r]))))
+                    peak = np.abs(_sign_vectors(d).astype(object) @ np.array(coef, dtype=object)).max(axis=1, initial=0)
+                    facet[:, r, c] = peak < abs(det)
+                    flat[c] |= (peak == abs(det)).any()
         facet = facet.reshape(-1, clouds)
     # facet[r, c]: whether candidate r is a facet of cloud c; the rows of flat clouds are counted and dropped
-    copies = 1 + symmetric  # a face and its antipode
-    lower = []
+    known = work.array("known", (clouds, d // 2 + 1), np.int64)
+    known[:, 0] = 1
     if d > 3:
         flags = work.array("flags", facet.shape)
         np.copyto(flags, facet)
         product = flags.T @ _incidence(m, d, symmetric)
-        facets = product[:, -1].astype(np.int64)
+        known[:, -1] = product[:, -1]
         hit = product[:, :-1] > 0
-        lower.append(copies * hit[:, :m].sum(axis=1))
+        hit[:, :m].sum(axis=1, out=known[:, 1])
         if d == 6:
-            lower.append(copies * hit[:, m:].sum(axis=1))
+            hit[:, m:].sum(axis=1, out=known[:, 2])
     else:
-        facets = facet.sum(axis=0)
-    rows = np.column_stack(_simplicial_f_vectors(lower, copies * facets, d))
+        facet.sum(axis=0, out=known[:, 1])
+    if symmetric:  # a face and its antipode
+        known[:, 1:] *= 2
+    rows = _simplicial_f_vectors(known, d)
     return flat, rows[~flat]
 
 
@@ -846,7 +876,8 @@ def _replication_block(args: tuple[str, int, int, int, int, int], work: _Workspa
     the rest on qhull, a cloud a chunk; a draw found flat waits for the next
     round.  Each chunk writes its rows as soon as they are counted, and its
     maps and temporaries into work, which every block run in one process can
-    share.
+    share.  A replication's row depends only on its own streams, so any
+    split of a range into blocks gives the same rows and count.
     """
     model, n, d, seed, lo, hi = args
     row = MODEL_TABLE[model]
@@ -904,19 +935,25 @@ def _usable_cpus() -> int:
 def simulate_expected_f(cfg: SimConfig, dump_path: str | None = None) -> SimulationResult:
     """Empirical mean f-vector over cfg.replications independent draws.
 
-    Results are bit-identical for any worker count: each replication has its
-    own derived stream and rows are assembled by index.  A degenerate-draw
-    rate above 0.1% aborts the run.
+    Each worker takes one contiguous share of the replications, so a run in
+    one process of up to _MAX_BLOCK replications derives each round's keys
+    in one call and its chunks run on past every _BLOCK edge.  Results are
+    bit-identical for any worker count: each replication has its own
+    derived stream and rows are assembled by index.  A degenerate-draw rate
+    above 0.1% aborts the run.
     """
     r = cfg.replications
+    # a pool starts all its workers at once, so it gets no more than there are _BLOCK-replication units or CPUs
+    workers = min(cfg.workers, -(-r // _BLOCK), _usable_cpus())
+    # one contiguous share per worker, cut into blocks of at most _MAX_BLOCK
+    bounds = [r * w // workers for w in range(workers + 1)]
     blocks = [
-        (cfg.model, cfg.n, cfg.d, cfg.seed, lo, min(lo + _BLOCK, r))
-        for lo in range(0, r, _BLOCK)
+        (cfg.model, cfg.n, cfg.d, cfg.seed, lo, min(lo + _MAX_BLOCK, hi))
+        for start, hi in zip(bounds, bounds[1:])
+        for lo in range(start, hi, _MAX_BLOCK)
     ]
     rows = np.zeros((r, cfg.d), dtype=np.int64)
     degen = 0
-    # a pool starts all its workers at once, so it gets no more than there are blocks or CPUs
-    workers = min(cfg.workers, len(blocks), _usable_cpus())
     # every block run in this process writes into one workspace; a pool's
     # workers are sent an empty copy of it with each block
     work = _Workspace()
@@ -938,7 +975,7 @@ def simulate_expected_f(cfg: SimConfig, dump_path: str | None = None) -> Simulat
         if dump is not None:
             writer = csv.writer(dump, lineterminator="\n")
             writer.writerow(["replication"] + [f"f_{k}" for k in range(cfg.d)])
-            for lo in range(0, r, _BLOCK):  # one block's slice at a time, not one list of every row
+            for lo in range(0, r, _BLOCK):  # _BLOCK rows at a time, not one list of every row
                 writer.writerows(np.column_stack([np.arange(lo, min(lo + _BLOCK, r)), rows[lo : lo + _BLOCK]]).tolist())
     means: dict[int, Estimate] = {}
     for k in range(cfg.d):

@@ -701,6 +701,22 @@ def test_negative_b_exits_2_before_sampling(monkeypatch, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("k", ["2", "3"])
+def test_b_with_k_not_below_d_exits_2_before_any_sum(monkeypatch, capsys, k):
+    # k = d is the polytope itself, whose size functional was printed as a face's
+    def no_sum(*args, **kwargs):
+        raise AssertionError("poissonized_series ran before --k was checked against --d")
+
+    monkeypatch.setattr(cli, "poissonized_series", no_sum)
+    with pytest.raises(SystemExit) as exc:
+        main(["poisson", "--model", "gaussian", "--d", "2", "--k", k, "--t-min", "5", "--t-max", "5", "--b", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: polyproj poisson")
+    assert f"--b needs a face dimension --k below --d, got --k {k} and --d 2" in captured.err
+
+
 @pytest.mark.parametrize("b", ["1e6", "1e308"])
 def test_b_past_the_float_range_exits_1(capsys, b):
     # the size-functional multiplier at d = 3, k = 2 leaves the float range

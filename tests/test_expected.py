@@ -501,6 +501,9 @@ def test_t_functional_past_the_float_range_of_its_multiplier(b, value):
 def test_t_functional_validation():
     with pytest.raises(InvalidArgumentError):
         t_functional_expected(2, 3, 1.0, 1.0)
+    # k = d is the polytope itself, not one of its faces
+    with pytest.raises(InvalidArgumentError, match="k must be < d, got k=2, d=2"):
+        t_functional_expected(2, 2, 1.0, 0.8753479805159249)
     with pytest.raises(InvalidArgumentError):
         t_functional_expected(2, 1, -1.0, 1.0)
     with pytest.raises(InvalidArgumentError):

@@ -402,19 +402,48 @@ _CYCLIC_F = {(6, 2): (6, 6), (7, 3): (7, 15, 10), (8, 4): (8, 28, 40, 20), (9, 5
              (8, 6): (8, 28, 56, 68, 48, 16)}
 
 
+def _cross_vertices(d):
+    return np.vstack([np.eye(d), -np.eye(d)])
+
+
+def _icosahedron():
+    phi = (1 + math.sqrt(5)) / 2
+    base = [(0.0, a, b * phi) for a in (-1, 1) for b in (-1, 1)]
+    return np.array([np.roll(v, s) for v in base for s in range(3)])
+
+
+# simplicial polytopes with their vertices and f-vectors: a polygon, the
+# octahedron, the icosahedron, C(7, 4), the simplex and crosspolytopes
+_SIMPLICIAL = [
+    (np.array([[math.cos(t), math.sin(t)] for t in np.linspace(0, 2 * math.pi, 9)[:-1]]), (8, 8)),
+    (_cross_vertices(3), (6, 12, 8)),
+    (_icosahedron(), (12, 30, 20)),
+    (np.array([[t, t**2, t**3, t**4] for t in np.linspace(-1, 1, 7)]), (7, 21, 28, 14)),  # cyclic C(7, 4)
+    (_cross_vertices(4), (8, 24, 32, 16)),
+    (np.vstack([np.eye(5), -np.ones(5)]), (6, 15, 20, 15, 6)),
+    (_cross_vertices(5), (10, 40, 80, 80, 32)),
+    (_cross_vertices(6), (12, 60, 160, 240, 192, 64)),
+]
+
+
 @pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
 def test_simplicial_f_vectors_of_known_polytopes(d):
     # the simplex, the crosspolytope (vertex j + d b for the sign bit b of
-    # coordinate j) and cyclic polytopes with 1..4 vertices more than d: the
-    # completion on int64 columns and on each hull's Python ints
+    # coordinate j), cyclic polytopes with 1..4 vertices more than d and the
+    # pinned f-vectors of _SIMPLICIAL: the completion on int64 columns and on
+    # each hull's Python ints, and for the pinned ones on qhull's hull of
+    # their vertices
     cross = np.array([[j + d * b for j, b in enumerate(bits)] for bits in product((0, 1), repeat=d)])
     cyclic = range(d + 1, d + 5)
     hulls = [_subsets(d + 1, d), cross, *(_cyclic_facets(n, d) for n in cyclic)]
-    rows = distinct_subset_f_vectors(np.concatenate(hulls), [len(h) for h in hulls])
-    columns = np.column_stack(_simplicial_f_vectors(list(rows[:, : d // 2 - 1].T), rows[:, d - 1], d))
+    pinned = [(points, f) for points, f in _SIMPLICIAL if len(f) == d]
+    rows = np.vstack([distinct_subset_f_vectors(np.concatenate(hulls), [len(h) for h in hulls]),
+                      np.array([f for _, f in pinned], dtype=np.int64)])
+    known = np.column_stack([np.ones(len(rows), np.int64), rows[:, : d // 2 - 1], rows[:, d - 1]])
+    columns = _simplicial_f_vectors(known, d)
     assert columns.dtype == np.int64 and np.array_equal(columns, rows)
     for row in rows.tolist():
-        counts = _simplicial_f_vectors(row[: d // 2 - 1], row[d - 1], d)
+        counts = _simplicial_f_vectors(np.array([1, *row[: d // 2 - 1], row[d - 1]]), d).tolist()
         assert counts == row and all(type(f) is int for f in counts)
     assert rows[0].tolist() == [math.comb(d + 1, k + 1) for k in range(d)]
     assert rows[1].tolist() == [2 ** (k + 1) * math.comb(d, k + 1) for k in range(d)]
@@ -423,6 +452,8 @@ def test_simplicial_f_vectors_of_known_polytopes(d):
         assert row[: d // 2].tolist() == [math.comb(n, k + 1) for k in range(d // 2)]
         if (n, d) in _CYCLIC_F:
             assert tuple(row) == _CYCLIC_F[n, d]
+    for points, f in pinned:
+        assert hull_f_vector(points).counts == f
 
 
 def test_hull_degenerate_inputs():
@@ -745,6 +776,35 @@ def test_simulate_pool_has_no_more_workers_than_blocks(monkeypatch):
         assert pools == ([] if pool is None else [pool])
         assert result.means == alone[r].means
         assert result.degenerate_events == alone[r].degenerate_events
+
+
+@pytest.mark.parametrize("model,n,d", [("gaussian", 10, 3), ("symmetric", 8, 4), ("zonotope", 8, 3), ("gaussian", 18, 3)])
+def test_blocking_does_not_change_rows(monkeypatch, model, n, d):
+    # one block over every replication, blocks of _BLOCK, and three uneven
+    # shares give the same rows and degenerate count, on the minors route of
+    # both hull types, for a cube model and past the cap on qhull.  Flat
+    # draws are forced at attempt 0 of replications on either side of the
+    # block and share edges, and at attempt 1 of one of them
+    assert _enumerates(MODEL_TABLE[model], n, d) == (n < 18)
+    r = 1100
+    flat = {(i, 0) for i in (0, 366, 367, 511, 512, r - 1)} | {(512, 1)}
+    _patch_sample_map(monkeypatch, _flattening(model, n, d, 13, flat))
+    bounds = [0, 366, 733, r]
+    layouts = {
+        "one": [(0, r)],
+        "blocks": [(lo, min(lo + _BLOCK, r)) for lo in range(0, r, _BLOCK)],
+        "shares": list(zip(bounds, bounds[1:])),
+    }
+    found = {}
+    for name, blocks in layouts.items():
+        work = _Workspace()
+        parts = [_replication_block((model, n, d, 13, lo, hi), work) for lo, hi in blocks]
+        assert [lo for lo, _, _ in parts] == [lo for lo, _ in blocks]
+        found[name] = (np.concatenate([rows for _, rows, _ in parts]), sum(degen for _, _, degen in parts))
+    rows, degen = found["one"]
+    assert degen == len(flat) and rows.shape == (r, d) and rows.all()
+    for name in ("blocks", "shares"):
+        assert np.array_equal(found[name][0], rows) and found[name][1] == degen
 
 
 def test_usable_cpus_reads_the_affinity_set(monkeypatch):
