@@ -25,9 +25,9 @@ where the minor of a (k-1)-subset with one row put after it sits among the
 k x k minors.  The side tables of both hull types are gathers of it.  Side
 tests are (d+1)-minors of the lifted map [X | 1] for the rows' hull and sums
 of d minors for the symmetric one, one sign-vector product per outside
-point (_worst_sums).  One within a margin of zero (_ENUM_MARGIN, at the
-cloud's scale) is decided again on ints, so the route counts the exact
-f-vector of the drawn floats.  Shapes with more than _ENUM_CAP side tests
+point (_worst_sums).  One within its cloud's margin of zero, four times the
+rounding bound of its floats (_rounding_margin), is decided again on ints,
+so the route counts the exact f-vector of the drawn floats.  Shapes with more than _ENUM_CAP side tests
 go to qhull.  Every array of that route the size of a chunk is written into
 one _Workspace that the chunks of a simulation share, so the chunk size is
 set by the cache (_ENUM_ENTRIES), not by the allocator.  Gathers into those
@@ -121,9 +121,6 @@ _BLOCK = 512
 # process (gaussian n=10 d=3 / symmetric n=8 d=4): 46.8 / 48.2 MB in blocks of 512,
 # 47.3 / 48.7 MB at 2^14, 53.1 / 56.0 MB at 2^16 and 57.9 MB in one block
 _MAX_BLOCK = 1 << 14
-# float filter of _enumerated_facets: a side test, a lifted minor or a symmetric side sum of d minors
-# (one sign-vector product), errs by at most (d+1)! gamma_{(d+1)(d+2)/2} < 1.6e-11 of its margin / _ENUM_MARGIN at d <= 6
-_ENUM_MARGIN = 1e-7
 # Side tests per cloud up to which the minors route decides a shape (see
 # _side_tests and _enumerates); larger shapes go to qhull.  Time per hull of
 # the minors route over qhull's, one 512-cloud block at seed 5 on each route,
@@ -132,17 +129,18 @@ _ENUM_MARGIN = 1e-7
 #   gaussian   d=2  n=20 (3.4) 0.14, n=29 (11.0) 0.47, n=30 (12.2) 0.51-0.59
 #              d=3  n=12 (2.0) 0.10, n=17 (9.5) 0.41, n=18 (12.2) 0.54-0.63
 #              d=4  n=11 (2.3) 0.10, n=14 (10.0) 0.46, n=15 (15.0) 0.79
-#              d=5  n=11 (2.8) 0.14, n=13 (10.3) 0.49, n=14 (18.0) 1.09
-#              d=6  n=11 (2.3) 0.13, n=12 (5.5) 0.30-0.31, n=13 (12.0) 0.57-0.61
+#              d=5  n=11 (2.8) 0.11-0.13, n=13 (10.3) 0.30-0.35, n=14 (18.0) 0.59-0.69
+#              d=6  n=11 (2.3) 0.09-0.10, n=12 (5.5) 0.14-0.18, n=13 (12.0) 0.29-0.32
 #   projected_simplex  d=3  n=17 (9.5) 0.53-0.73, n=18 (12.2) 0.41-0.74
 #   symmetric  d=2  n=23 (10.6) 0.39, n=24 (12.1) 0.40
 #              d=3  n=13 (11.4) 0.32, n=14 (16.0) 0.53
 #              d=4  n=10 (10.1) 0.19, n=11 (18.5) 0.26
-#              d=5  n=9 (8.1) 0.15, n=10 (20.2) 0.18
-#              d=6  n=9 (8.1) 0.08, n=10 (26.9) 0.24
-# The gaussian break-even point lies near 15 000-18 000 tests at d = 4-5,
-# the symmetric one past 20 000 at every d.  At 12 000 every shape taken read
-# at most 0.73 of qhull's time, and a chunk holds at least 16 clouds.
+#              d=5  n=9 (8.1) 0.06-0.07, n=10 (20.2) 0.11-0.14
+#              d=6  n=9 (8.1) 0.05, n=10 (26.9) 0.15-0.16
+# The gaussian break-even point lies near 15 000 tests at d = 4 and past
+# 18 000 at d = 5, the symmetric one past 20 000 at every d.  At 12 000
+# every shape taken read at most 0.73 of qhull's time, and a chunk holds at
+# least 16 clouds.
 _ENUM_CAP = 12_000
 # Side tests of a minors-route chunk (see _chunk_size): at 3 << 16 its largest
 # temporaries fit a 2 MiB L2.  Microseconds per replication of a whole
@@ -700,6 +698,22 @@ def _fraction_free(rows) -> tuple[int, list]:
     return sign * prev, [[sign * v for v in row[k:]] for row in a]
 
 
+@cache
+def _rounding_margin(d: int) -> float:
+    """The float filter's margin at d, per (1 + R)(2R)^(d-1) of a cloud whose largest point norm is R.
+
+    A minor of d rows or a lifted one of d + 1, summed by Laplace in at most
+    N = (d+1)(d+2)/2 rounded steps, errs by at most (d+1)! gamma_N
+    (gamma_N = N u / (1 - N u), u = 2^-53) times the largest product of d
+    of its rows' norms, and a symmetric side sum by that times (1 + R)
+    prod_{p>=1} (|x_{I_p}| + |x_{I_0}|): (1 + R)(2R)^(d-1) bounds both
+    products.  The factor 4 covers the symmetric test's two operands, its
+    worst sum and |chi(I)|, and the rounding of the margin itself.
+    """
+    steps = (d + 1) * (d + 2) // 2
+    return 4 * math.factorial(d + 1) * steps * 2.0**-53 / (1 - steps * 2.0**-53)
+
+
 def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """f-vectors of the hulls of a stack of m x d maps' rows, with their negatives if symmetric, from their facets.
 
@@ -715,12 +729,12 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
     the hyperplane through eps*I times (d-1)! times their (d-1)-volume,
     which is at most the product over p >= 1 of |x_{I_p}| + |x_{I_0}|.
 
-    Values within _ENUM_MARGIN * (1 + R) times that product of 0, R the
-    cloud's largest point norm, are decided again on its exact floats: a
-    D(J), compared once with the largest margin of its d + 1 side tests,
-    and every eps*I of an I with a worst value less |chi(I)|, or |2 chi(I)|
-    (the points -eps_j x_j), that small; margins are built only for clouds
-    with such a value within 2 scale (2R)^(d-1), which bounds them all.  An
+    The float values are a filter (Shewchuk's static filter): each errs by
+    at most a quarter of its cloud's margin, _rounding_margin(d) (1 + R)
+    (2R)^(d-1), R the cloud's largest point norm.  A cloud with a value
+    within its margin of 0 is decided again on its exact floats, and only
+    those values: a D(J), or every eps*I of an I whose worst value less
+    |chi(I)|, or |2 chi(I)| (the points -eps_j x_j), is that small.  An
     exact zero is a flat draw.
 
     The other clouds' facet flags give their facet counts and, at d >= 4 in
@@ -736,35 +750,18 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
     np.copyto(x, maps.transpose(1, 2, 0))
     subsets = _subsets(m, d)
     chi = _minors(x, work)
-    norms = np.sqrt(np.multiply(x, x, out=work.array("square", x.shape)).sum(axis=1))
-    largest = norms.max(axis=0)
-    scale = _ENUM_MARGIN * (1 + largest)
+    largest = np.sqrt(np.multiply(x, x, out=work.array("square", x.shape)).sum(axis=1).max(axis=0))
+    margin = _rounding_margin(d) * (1 + largest) * (2 * largest) ** (d - 1)
     flat = np.zeros(clouds, dtype=bool)
-    # every margin of a cloud is at most scale * (2R)^(d-1): a cloud with no
-    # value below twice that (room for rounding) is not near, and needs none built
-    screen = 2 * scale * (2 * largest) ** (d - 1)
-
-    def margins(kept: np.ndarray, scale: np.ndarray) -> np.ndarray:
-        sets, width = len(subsets), kept.shape[1]
-        spans = _gather(kept, subsets[:, 1:], work.array("spans", (sets, d - 1, width)))
-        spans += _gather(kept, subsets[:, :1], work.array("base", (sets, 1, width)))
-        tol = np.prod(spans, axis=1, out=work.array("tol", (sets, width)))
-        tol *= scale
-        return tol
-
     if not symmetric:
         lifted = _lifted_minors(chi, m, d, work)
         smallest = np.abs(lifted, out=work.array("term", lifted.shape)).min(axis=0)
-        maybe = np.flatnonzero(smallest <= screen)
-        if len(maybe):
-            limit = margins(norms[:, maybe], scale[maybe])[_laplace_level(m, d + 1)[1]].max(axis=0)
-            close = np.abs(lifted[:, maybe]) <= limit
-            for c in np.flatnonzero(close.any(axis=0)):
-                ints = _dyadic([[*p, 1.0] for p in maps[maybe[c]].tolist()])
-                for j in np.flatnonzero(close[:, c]):
-                    det = _fraction_free([ints[i] for i in _subsets(m, d + 1)[j]])[0]
-                    lifted[j, maybe[c]] = (det > 0) - (det < 0)
-                    flat[maybe[c]] |= det == 0
+        for c in np.flatnonzero(smallest <= margin):
+            ints = _dyadic([[*p, 1.0] for p in maps[c].tolist()])
+            for j in np.flatnonzero(np.abs(lifted[:, c]) <= margin[c]):
+                det = _fraction_free([ints[i] for i in _subsets(m, d + 1)[j]])[0]
+                lifted[j, c] = (det > 0) - (det < 0)
+                flat[c] |= det == 0
         top = len(lifted)
         signs = work.array("signs", (2 * top, clouds), bool)
         np.greater(lifted, 0, out=signs[:top])
@@ -784,19 +781,15 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
         closest = np.multiply(size, 2, out=work.array("closest", size.shape))
         if m > d:
             np.minimum(closest, np.abs(np.subtract(worst, size, out=worst), out=worst).min(axis=0), out=closest)
-        maybe = np.flatnonzero(closest.min(axis=0) <= screen)
-        if len(maybe):
-            near = closest[:, maybe] <= margins(norms[:, maybe], scale[maybe])
-            outside = _subsets(m, m - d)[::-1]  # complements reverse colex order
-            for j in np.flatnonzero(near.any(axis=0)):
-                c = maybe[j]
-                ints = _dyadic(maps[c].tolist())
-                for r in np.flatnonzero(near[:, j]):
-                    # chi(I) and coef[p][a] = c_ap from [X_I^T | X_outside^T]
-                    det, coef = _fraction_free(zip(*(ints[i] for i in (*subsets[r], *outside[r]))))
-                    peak = np.abs(_sign_vectors(d).astype(object) @ np.array(coef, dtype=object)).max(axis=1, initial=0)
-                    facet[:, r, c] = peak < abs(det)
-                    flat[c] |= (peak == abs(det)).any()
+        outside = _subsets(m, m - d)[::-1]  # complements reverse colex order
+        for c in np.flatnonzero(closest.min(axis=0) <= margin):
+            ints = _dyadic(maps[c].tolist())
+            for r in np.flatnonzero(closest[:, c] <= margin[c]):
+                # chi(I) and coef[p][a] = c_ap from [X_I^T | X_outside^T]
+                det, coef = _fraction_free(zip(*(ints[i] for i in (*subsets[r], *outside[r]))))
+                peak = np.abs(_sign_vectors(d).astype(object) @ np.array(coef, dtype=object)).max(axis=1, initial=0)
+                facet[:, r, c] = peak < abs(det)
+                flat[c] |= (peak == abs(det)).any()
         facet = facet.reshape(-1, clouds)
     # facet[r, c]: whether candidate r is a facet of cloud c; the rows of flat clouds are counted and dropped
     known = work.array("known", (clouds, d // 2 + 1), np.int64)

@@ -646,16 +646,53 @@ def lifted_side_table_by_loops(m: int, d: int) -> np.ndarray:
     return table
 
 
+def filter_margin(cloud: np.ndarray) -> float:
+    """The float filter's margin of one cloud of hull._enumerated_facets: _rounding_margin(d) (1 + R)(2R)^(d-1), R its largest point norm."""
+    from polyproj.hull import _rounding_margin
+
+    d = cloud.shape[1]
+    largest = float(np.sqrt((cloud * cloud).sum(axis=1).max()))
+    return _rounding_margin(d) * (1 + largest) * (2 * largest) ** (d - 1)
+
+
+def near_row(cloud: np.ndarray, symmetric: bool, fraction: float, rng) -> np.ndarray:
+    """A row 0 for an m x d cloud whose side value is fraction times the cloud's margin (filter_margin of rows 1..).
+
+    It is a point of the simplex of d vertices moved along the normal of
+    their hyperplane: rows 1..d; for the symmetric hull a facet of the hull
+    of rows 1.. and their negatives, or at m = d, where the value tested is
+    |2 chi|, the origin and rows 1..d-1.  The side value det[V, 1; p, 1] is
+    affine in p, with a gradient as long as (d-1)! times the simplex's
+    (d-1)-volume, the product of the singular values of its edges from
+    vertex 0; for a signed set eps*I as V it is also
+    +-(|sum_j eps_j c_pj| - |chi(I)|), the value the symmetric test compares
+    (Schur complement: det[V, 1; p, 1] = det V (1 - p V^-1 1)).
+    """
+    m, d = cloud.shape
+    if not symmetric:
+        vertices = cloud[1 : d + 1]
+    elif m > d:
+        hull = ConvexHull(np.vstack([cloud[1:], -cloud[1:]]))
+        vertices = hull.points[hull.simplices[0]]
+    else:
+        vertices, fraction = np.vstack([np.zeros(d), cloud[1:]]), fraction / 2
+    weights = rng.random(d)
+    _, singular, basis = np.linalg.svd(vertices[1:] - vertices[0])
+    value = fraction * filter_margin(cloud[1:])
+    return weights / weights.sum() @ vertices + value / singular.prod() * basis[-1]
+
+
 def simplex_facets_by_side_sums(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """hull._enumerated_facets for the hulls of the maps' rows, each side test summed from d minors.
 
     With chi(I) the minor of rows I and c_ip that of X_I with its p-th row
     replaced by x_i, read through hull._side_table, x_i lies on the side
     sum_p c_ip - chi(I) of the hyperplane through X_I; a cloud with such a
-    value within its margin of 0 is near.  Returns the near flags, the
-    simplices of the other clouds in cloud order and how many belong to each.
+    value within its margin (filter_margin) of 0 is near.  Returns the near
+    flags, the simplices of the other clouds in cloud order and how many
+    belong to each.
     """
-    from polyproj.hull import _ENUM_MARGIN, _Workspace, _minors, _side_table, _subsets
+    from polyproj.hull import _Workspace, _minors, _side_table, _subsets
 
     m, d = maps.shape[1:]
     x = np.ascontiguousarray(maps.transpose(1, 2, 0))
@@ -663,13 +700,10 @@ def simplex_facets_by_side_sums(maps: np.ndarray) -> tuple[np.ndarray, np.ndarra
     swap = _side_table(m, d).transpose(1, 2, 0)  # [p, r, a]
     chi = _minors(x, _Workspace())
     signed = np.concatenate([chi, -chi])
-    norms = np.sqrt((x * x).sum(axis=1))
-    volume_bound = np.prod(norms[subsets[:, 1:]] + norms[subsets[:, :1]], axis=1)
-    tol = _ENUM_MARGIN * (1 + norms.max(axis=0)) * volume_bound
     side = signed[swap[0]] - chi[:, None]
     for p in range(1, d):
         side += signed[swap[p]]
-    near = (np.abs(side) <= tol[:, None]).any(axis=(0, 1))
+    near = (np.abs(side) <= [filter_margin(cloud) for cloud in maps]).any(axis=(0, 1))
     above = (side > 0).sum(axis=1)
     facet = ((above == 0) | (above == m - d)).T[~near]
     return near, subsets[np.nonzero(facet)[1]], facet.sum(axis=1)

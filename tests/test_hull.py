@@ -30,7 +30,7 @@ from polyproj import (
 )
 from polyproj.hull import (
     _BLOCK,
-    _ENUM_MARGIN,
+    _rounding_margin,
     _FACET_TOL,
     _GENERAL_POSITION_TOL,
     _MAX_HULL_DIM,
@@ -68,12 +68,14 @@ from oracles import (
     covector_sign_by_loops,
     distinct_subset_f_vectors,
     exact_hull_f_vector,
+    filter_margin,
     full_dimensional,
     leibniz_det,
     lifted_side_table_by_loops,
     lp_zonotope_f_vector,
     minor_levels_by_loops,
     model_cloud,
+    near_row,
     per_replication_rows,
     rounded_facet_f_vector,
     side_table_by_permutations,
@@ -231,26 +233,30 @@ def _rechecked(monkeypatch, maps, symmetric):
     return np.array(flags)
 
 
-def _assert_minors_route_rows(monkeypatch, maps, symmetric):
+def _assert_minors_route_rows(monkeypatch, maps, symmetric, placed=()):
     """A chunk's rows, no cloud flat, against oracles; returns which clouds the margin sends to the exact recheck.
 
-    The other clouds' rows are checked against every f_k counted from
-    subsets: of the side-sum oracle's facets for the rows' hull (it flags
-    the rechecked clouds), of qhull's hull of each cloud and its negatives
-    for the symmetric one.  Every rechecked cloud's row is checked against
-    the exact side-test oracle.
+    Every rechecked cloud's row, and every placed one's (a cloud with a
+    point put near a hyperplane), is checked against the exact side-test
+    oracle: qhull merges facets within _FACET_TOL, far wider than the
+    margin.  The rows' hull's other rows are checked against every f_k
+    counted from the side-sum oracle's facets (it flags the rechecked
+    clouds), the symmetric hull's against those of qhull's hull of each
+    cloud and its negatives.
     """
     flat, rows = _enumerated_facets(maps, symmetric, _Workspace())
     rechecked = _rechecked(monkeypatch, maps, symmetric)
     assert not flat.any() and rows.dtype == np.int64 and rows.shape == maps.shape[::2]
-    kept = ~rechecked
+    exact = rechecked.copy()
+    exact[list(placed)] = True
     if symmetric:
+        kept = ~exact
         assert rows[kept].tolist() == [list(hull_f_vector(symmetrize(cloud)).counts) for cloud in maps[kept]]
     else:
         near, facets, counts = simplex_facets_by_side_sums(maps)
         assert np.array_equal(rechecked, near)
-        assert np.array_equal(rows[kept], distinct_subset_f_vectors(facets, counts))
-    for c in np.flatnonzero(rechecked):
+        assert np.array_equal(rows[~rechecked], distinct_subset_f_vectors(facets, counts))
+    for c in np.flatnonzero(exact):
         assert tuple(rows[c].tolist()) == exact_hull_f_vector(maps[c], symmetric)
     return rechecked
 
@@ -259,10 +265,12 @@ def _assert_minors_route_rows(monkeypatch, maps, symmetric):
 @pytest.mark.parametrize("model", sorted(_ORACLE_MODELS))
 def test_simplicial_f_vectors_of_minors_route_chunks(monkeypatch, model, d):
     # a chunk's rows as simulate counts them, at the smallest n and the
-    # largest n the minors route takes, and on clouds with a row 1e-10..1e-5
-    # off a hyperplane through d others, for the symmetric hull one of its
-    # facets' hyperplanes (it rechecks no other): no cloud is flat, and the
-    # rows the margin sends to the exact recheck are the exact oracle's
+    # largest n the minors route takes, and on clouds with a row placed
+    # within a tenth of the margin, or past ten times it, off a hyperplane
+    # through d others, for the symmetric hull one of its facets'
+    # hyperplanes (it rechecks no other): no cloud is flat, and the rows of
+    # the placed clouds and of those the margin sends to the exact recheck
+    # are the exact oracle's
     row = MODEL_TABLE[model]
     symmetric = row.family is Family.CROSSPOLYTOPE
     bitgen = Philox(key=0)
@@ -273,26 +281,21 @@ def test_simplicial_f_vectors_of_minors_route_chunks(monkeypatch, model, d):
         maps = _sample_maps(keys, bitgen, Generator(bitgen), np.empty((chunk, n, d)))
         assert not _assert_minors_route_rows(monkeypatch, maps, symmetric).all()
     maps = _clouds_near_hyperplanes(np.random.default_rng(MODEL_CODES[model] + 10 * d), 64, largest, d, symmetric)
-    rechecked = _assert_minors_route_rows(monkeypatch, maps, symmetric)
+    rechecked = _assert_minors_route_rows(monkeypatch, maps, symmetric, range(0, 64, 2))
     assert rechecked.any() and not rechecked.all()
-
-
-def _symmetric_facet(points):
-    """The d vertices, as rows, and the unit outer normal of one facet of the hull of points and their negatives."""
-    hull = ConvexHull(symmetrize(points))
-    return hull.points[hull.simplices[0]], hull.equations[0, :-1]
+    assert rechecked.tolist() == [c % 4 == 0 for c in range(64)]
 
 
 @pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
 def test_symmetric_minors_route_at_n_equal_d(monkeypatch, d):
     # no row lies outside a candidate, so all 2^d are facets and the hull is
-    # the image of the d-crosspolytope; only map 5, whose row 0 lies 1e-12 off
-    # the span of the others, is rechecked, by its minor |2 chi| alone, and
-    # that minor is small, not 0: no map is flat
+    # the image of the d-crosspolytope; only map 5, whose row 0 lies so near
+    # the span of the others that |2 chi| is a tenth of its margin, is
+    # rechecked, by that minor alone, and it is small, not 0: no map is flat
     rng = np.random.default_rng(50 + d)
     maps = rng.standard_normal((32, d, d))
-    maps[5, 0] = rng.random(d - 1) @ maps[5, 1:] + 1e-12 * rng.standard_normal(d)
-    rechecked = _assert_minors_route_rows(monkeypatch, maps, True)
+    maps[5, 0] = near_row(maps[5], True, 0.1, rng)
+    rechecked = _assert_minors_route_rows(monkeypatch, maps, True, [5])
     assert np.flatnonzero(rechecked).tolist() == [5]
     crosspolytope = [face_count(Family.CROSSPOLYTOPE, d, k) for k in range(d)]
     assert _enumerated_facets(maps, True, _Workspace())[1].tolist() == [crosspolytope] * 32
@@ -303,27 +306,26 @@ def test_symmetric_minors_route_flags_points_near_facets_only(monkeypatch, d):
     # a candidate is decided on its worst outside point, so a point near the
     # hyperplane of a candidate that is no facet is not rechecked.  At
     # n = d + 1, one outside point per candidate, and at the largest n the
-    # route takes: in maps 0, 3, 6, ... row 0 lies 1e-12 off the hyperplane
-    # through rows 1..d, inside their simplex, and the cloud is rechecked
-    # exactly where that hyperplane is a facet; in maps 1, 4, 7, ... row 0
-    # lies 1e-9 inside or outside a facet of the hull of the other rows and
-    # their negatives, and the cloud is always rechecked.  The rechecked rows
-    # are the exact oracle's
+    # route takes: in maps 0, 3, 6, ... row 0 lies a tenth of the margin off
+    # the hyperplane through rows 1..d, inside their simplex, and the cloud
+    # is rechecked exactly where that hyperplane is a facet; in maps 1, 4,
+    # 7, ... row 0 lies as near a facet's hyperplane of the hull of the other
+    # rows and their negatives, and the cloud is always rechecked.  The
+    # placed rows are the exact oracle's
     rng = np.random.default_rng(40 + d)
     for n in sorted({d + 1, _largest_enumerated_n("symmetric", d)}):
         maps = rng.standard_normal((48, n, d))
         facets = []
         for c in range(0, 48, 3):
-            weights = rng.random(d)
-            maps[c, 0] = weights / weights.sum() @ maps[c, 1 : d + 1] + 1e-12 * rng.standard_normal(d)
+            maps[c, 0] = near_row(maps[c], False, 0.1, rng)
             # the hyperplane a x = 1 through rows 1..d is a facet iff no other row has |a x| > 1
             beyond = np.abs(maps[c, d + 1 :] @ np.linalg.solve(maps[c, 1 : d + 1], np.ones(d))).max(initial=0.0)
             assert abs(beyond - 1) > 1e-3
             facets.append(bool(beyond < 1))
         for c in range(1, 48, 3):
-            vertices, normal = _symmetric_facet(maps[c, 1:])
-            maps[c, 0] = vertices.mean(axis=0) + (-1) ** c * 1e-9 * normal
-        rechecked = _assert_minors_route_rows(monkeypatch, maps, True)
+            maps[c, 0] = near_row(maps[c], True, 0.1, rng)
+        placed = [c for c in range(48) if c % 3 < 2]
+        rechecked = _assert_minors_route_rows(monkeypatch, maps, True, placed)
         assert rechecked[0::3].tolist() == facets
         assert rechecked[1::3].all() and not rechecked[2::3].any()
         if n > d + 1:
@@ -342,7 +344,7 @@ def test_simplicial_f_vectors_of_qhull_simplices(d):
         for index in range(6):
             rng = derive_generator(19, SIM_REPLICATION, MODEL_CODES[model], n, d, index, 0)
             clouds.append(model_cloud(model, n, d, rng))
-    for cloud in _clouds_near_hyperplanes(np.random.default_rng(d), 12, d + 4, d):
+    for cloud in _clouds_near_facet_tolerance(np.random.default_rng(d), 12, d + 4, d):
         clouds += [cloud, symmetrize(cloud)]
     simplicial, broken = 0, []
     for c, cloud in enumerate(clouds):
@@ -370,7 +372,7 @@ def test_merged_facets_that_break_euler_are_a_degeneracy_error(monkeypatch):
     # row 0 lies 3.3e-10 off the hyperplane through rows 1..6: of qhull's 32
     # simplices two merge and the next pair, 1.4e-9 apart, does not, and the
     # closure counts (9, 36, 82, 112, 87, 31), whose Euler sum is -1
-    cloud = _clouds_near_hyperplanes(np.random.default_rng(6), 12, 10, 6)[10]
+    cloud = _clouds_near_facet_tolerance(np.random.default_rng(6), 12, 10, 6)[10]
     assert rounded_facet_f_vector(cloud) == (10, 42, 96, 128, 96, 32)
     with pytest.raises(DegenerateGeometryError, match="Euler"):
         hull_f_vector(cloud)
@@ -1023,17 +1025,17 @@ def test_workspace_leaks_nothing_across_chunks(monkeypatch, model, d):
     # one block of maps in chunks that share a workspace whose every byte is
     # set before each chunk is drawn (NaN in every float), the last chunk
     # short: 16, 16 and 9 maps.  In the first chunk maps 1 and 2 have row 0
-    # moved 1e-9 off the affine hull of rows 1..d, near enough for the exact
-    # recheck (for the symmetric hull with n > d, 1e-9 off one of its facets,
-    # the only hyperplanes it rechecks), or a cube map's row 0 1e-12 off the
-    # span of rows 1..d-1, flat enough to be drawn again.  The block's rows
-    # and degenerate count are those of each map decided in a block of its own
+    # placed a tenth of the margin off the hyperplane through rows 1..d, near
+    # enough for the exact recheck (for the symmetric hull with n > d off one
+    # of its facets, the only hyperplanes it rechecks, and at n = d off the
+    # span of rows 1..d-1), or a cube map's row 0 1e-12 off the span of rows
+    # 1..d-1, flat enough to be drawn again.  The block's rows and
+    # degenerate count are those of each map decided in a block of its own
     row = MODEL_TABLE[model]
     cube = row.family is Family.CUBE
     symmetric = row.family is Family.CROSSPOLYTOPE
     count = _flat_generators if cube else _enumerated_facets
     chunk, block = 16, 41
-    offset = 1e-12 if cube else 1e-9
     found = []
 
     def recorded(*args):
@@ -1048,7 +1050,6 @@ def test_workspace_leaks_nothing_across_chunks(monkeypatch, model, d):
         assert cube or _chunk_size(row, n, d) >= chunk
         path = (7, SIM_REPLICATION, MODEL_CODES[model], n, d)
         moved = {_key(*path, i, 0) for i in (1, 2)}
-        span = d - 1 if cube else min(d, n - 1)
         work = _Workspace()
 
         def poisoned_draw(keys, bitgen, rng, out):
@@ -1058,12 +1059,11 @@ def test_workspace_leaks_nothing_across_chunks(monkeypatch, model, d):
             for j, key in enumerate(keys.tolist()):
                 if tuple(key) not in moved:
                     continue
-                if symmetric and n > d:
-                    vertices, normal = _symmetric_facet(out[j, 1:])
-                    out[j, 0] = vertices.mean(axis=0) + offset * normal
+                if cube:
+                    weights = np.arange(1.0, d) / (d * (d - 1) / 2)
+                    out[j, 0] = weights @ out[j, 1:d] + 1e-12 * np.arange(1.0, d + 1)
                 else:
-                    weights = np.arange(1.0, span + 1) / (span * (span + 1) / 2)
-                    out[j, 0] = weights @ out[j, 1 : span + 1] + offset * np.arange(1.0, d + 1)
+                    out[j, 0] = near_row(out[j], symmetric, 0.1, np.random.default_rng(j))
             return out
 
         monkeypatch.setattr("polyproj.hull._sample_maps", poisoned_draw)
@@ -1140,26 +1140,17 @@ def test_enumeration_cap_sends_large_shapes_to_qhull(monkeypatch):
         assert _enumerates(MODEL_TABLE[model], 15, 6)
 
 
-def test_enumeration_margin_dominates_facet_tolerance():
-    # qhull's neighbours are merged only if their [normal, offset] rows agree
-    # within _FACET_TOL, which puts a vertex of one within
-    # _FACET_TOL * (|p|_1 + 1) <= sqrt(d) * _FACET_TOL * (1 + R) of the other's
-    # hyperplane; the margin is ten times that at the largest d
-    assert _ENUM_MARGIN >= 10 * math.sqrt(_MAX_HULL_DIM) * _FACET_TOL
-
-
 @pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
 def test_enumeration_margin_bounds_side_test_rounding(d):
     # the bound the float filter relies on: a minor chi(I) of d rows and a
     # lifted minor D(J) of d + 1, summed by Laplace in at most
     # (d+1)(d+2)/2 rounded steps, err by at most (d+1)! gamma_{(d+1)(d+2)/2}
-    # times the largest product of the norms of d of their rows, and no
-    # margin is below _ENUM_MARGIN times that product; the bound is under a
-    # thousandth of _ENUM_MARGIN.  Checked against the exact determinants
-    # on clouds whose point norms span 2^-20..2^20
+    # times the largest product of the norms of d of their rows, and the
+    # cloud's margin is at least twice that for every minor.  Checked
+    # against the exact determinants on clouds whose point norms span
+    # 2^-20..2^20
     steps = (d + 1) * (d + 2) // 2
     bound = math.factorial(d + 1) * steps * 2.0**-53 / (1 - steps * 2.0**-53)
-    assert 1000 * bound < _ENUM_MARGIN
     rng = np.random.default_rng(60 + d)
     m = d + 3
     maps = rng.standard_normal((40, m, d)) * 2.0 ** rng.integers(-20, 21, (40, m, 1))
@@ -1172,12 +1163,14 @@ def test_enumeration_margin_bounds_side_test_rounding(d):
     for c, cloud in enumerate(maps):
         ints = _dyadic([[*p, 1.0] for p in cloud.tolist()])
         one = ints[0][d]  # 1.0 over the shared power of two
+        margin = Fraction(filter_margin(cloud))
         for k, values in ((d, chi[:, c]), (d + 1, lifted[:, c])):
             for rows, value in zip(_subsets(m, k).tolist(), values.tolist()):
                 exact = Fraction(_fraction_free([ints[i][:k] for i in rows])[0], one**k)
                 product = np.prod(norms[c, rows]) / (norms[c, rows].min() if k > d else 1.0)
                 error = abs(Fraction(value) - exact)
                 assert error <= Fraction(bound) * Fraction(product)
+                assert margin >= 2 * Fraction(bound) * Fraction(product)
                 inexact += error > 0
     assert inexact
 
@@ -1190,7 +1183,8 @@ def test_enumeration_margin_bounds_symmetric_side_sum_rounding(d):
     # rounded steps.  With V = prod_{p>=1} (|x_{I_p}| + |x_{I_0}|), which
     # bounds |chi(I)| and every |c_ap| / R, the worst value of each eps*I as
     # _worst_sums forms it errs by at most (d+1)! gamma_{(d+1)(d+2)/2} (1+R) V,
-    # under a thousandth of eps*I's margin _ENUM_MARGIN (1+R) V.  Checked
+    # and the cloud's margin is at least twice that for every I, room for
+    # both operands of the test, the worst value and |chi(I)|.  Checked
     # against the exact sums on clouds whose point norms span 2^-20..2^20,
     # sign vector e taking eps_0 = +1 and eps_p = -1 where bit p-1 of e is set
     steps = (d + 1) * (d + 2) // 2
@@ -1212,6 +1206,7 @@ def test_enumeration_margin_bounds_symmetric_side_sum_rounding(d):
         sums = signs @ np.array(exact + [-v for v in exact], dtype=object)[table]
         for r, rows in enumerate(_subsets(m, d).tolist()):
             volume = np.prod(norms[c, rows[1:]] + norms[c, rows[0]]) * (1 + norms[c].max())
+            assert filter_margin(cloud) >= 2 * Fraction(bound) * Fraction(volume)
             limit = Fraction(bound) * Fraction(volume) * scale
             for e, value in enumerate(np.abs(sums[:, :, r]).max(axis=0).tolist()):
                 error = abs(Fraction(worst[e, r, c]) * scale - value)
@@ -1244,8 +1239,8 @@ def _routed_block(monkeypatch, model, cloud_map):
     return tuple(rows[0].tolist()), bool(calls)
 
 
-# a point well within the facet tolerance, within the margin, at it, one ulp past it and past it
-_PLACEMENTS = [("merged", True), ("inside", True), ("margin", True), ("ulp", False), ("outside", False)]
+# a point well within the facet tolerance (far past the margin), within the margin, at it, one ulp past it and past it
+_PLACEMENTS = [("merged", False), ("inside", True), ("margin", True), ("ulp", False), ("outside", False)]
 
 
 def _placement(where, margin):
@@ -1256,14 +1251,15 @@ def _placement(where, margin):
 
 @pytest.mark.parametrize("where,rechecked", _PLACEMENTS)
 def test_enumeration_margin_boundary_simplex_type(monkeypatch, where, rechecked):
-    # p lies at distance h below the segment ab; a and b are antipodal, so the
-    # volume bound is exact there, and D(a, b, p) = -2h and its limit
-    # 2 * 2 * _ENUM_MARGIN (R = 1) are exact in floats: the cloud is
-    # rechecked exactly when h <= 2 _ENUM_MARGIN.  Every h gives the
-    # quadrilateral; at h = _FACET_TOL / 10 qhull merges the edges ap and pb
-    h = _placement(where, 2 * _ENUM_MARGIN)
+    # p lies at distance h below the segment ab, and D(a, b, p) = -2h and the
+    # margin _rounding_margin(2) (1 + R) 2R = 4 _rounding_margin(2) (R = 1)
+    # are exact in floats: the cloud is rechecked exactly when
+    # h <= 2 _rounding_margin(2).  Every h gives the quadrilateral, on floats
+    # past the margin; qhull merges the edges ap and pb at every h here, all
+    # at most _FACET_TOL / 10
+    h = _placement(where, 2 * _rounding_margin(2))
     cloud = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -h]])
-    assert hull_f_vector(cloud).counts == ((3, 3) if where == "merged" else (4, 4))
+    assert hull_f_vector(cloud).counts == (3, 3)
     counts, exact = _routed_block(monkeypatch, "gaussian", cloud)
     assert exact is rechecked
     assert counts == exact_hull_f_vector(cloud) == (4, 4)
@@ -1273,20 +1269,22 @@ def test_enumeration_margin_boundary_simplex_type(monkeypatch, where, rechecked)
 def test_enumeration_margin_boundary_crosspolytope_type(monkeypatch, where, rechecked):
     # p = (q, q) lies at distance h = sqrt(2) (q - 1/2) outside the segment
     # from a = e_1 to c = e_2.  Its side value at the facet {a, c} is 2q - 1,
-    # exact in floats, and its bound _ENUM_MARGIN * (1 + R) * (|a| + |c|) =
-    # 4 _ENUM_MARGIN with R = 1, so the cloud is rechecked exactly when
-    # q - 1/2 <= 2 _ENUM_MARGIN, h <= 2 sqrt(2) _ENUM_MARGIN; "margin" is the
-    # largest float q within it.  Every h gives the hexagon; at h =
-    # _FACET_TOL / 10 qhull merges ap with pc, and their antipodes
-    top = 0.5 + 2 * _ENUM_MARGIN
-    while 2 * top - 1 > 4 * _ENUM_MARGIN:
+    # exact in floats, and the margin _rounding_margin(2) (1 + R) 2R =
+    # 4 _rounding_margin(2) with R = 1, so the cloud is rechecked exactly when
+    # q - 1/2 <= 2 _rounding_margin(2), h <= 2 sqrt(2) _rounding_margin(2);
+    # "margin" is the largest float q within it.  Every h gives the hexagon,
+    # on floats past the margin; qhull merges ap with pc, and their
+    # antipodes, at every h here, all at most _FACET_TOL / 10
+    rounding = _rounding_margin(2)
+    top = 0.5 + 2 * rounding
+    while 2 * top - 1 > 4 * rounding:
         top = np.nextafter(top, 0.0)
     if where in ("margin", "ulp"):
         q = top if where == "margin" else np.nextafter(top, 1.0)
     else:
-        q = 0.5 + _placement(where, 2 * math.sqrt(2) * _ENUM_MARGIN) / math.sqrt(2)
+        q = 0.5 + _placement(where, 2 * math.sqrt(2) * rounding) / math.sqrt(2)
     cloud = np.array([[1.0, 0.0], [0.0, 1.0], [q, q]])
-    assert hull_f_vector(symmetrize(cloud)).counts == ((4, 4) if where == "merged" else (6, 6))
+    assert hull_f_vector(symmetrize(cloud)).counts == (4, 4)
     counts, exact = _routed_block(monkeypatch, "symmetric", cloud)
     assert exact is rechecked
     assert counts == exact_hull_f_vector(cloud, True) == (6, 6)
@@ -1491,18 +1489,27 @@ def test_lifted_side_table_matches_loop_oracle():
             assert np.array_equal(table, lifted_side_table_by_loops(m, d))
 
 
-def _clouds_near_hyperplanes(rng, clouds, m, d, facet=False):
-    """Gaussian m x d maps; in every other one row 0 is moved to 1e-10..1e-5 off the hyperplane through rows 1..d.
-
-    With facet, it is moved off a facet's hyperplane of the hull of rows 1..
-    and their negatives instead, on the same draws.
-    """
+def _clouds_near_facet_tolerance(rng, clouds, m, d):
+    """Gaussian m x d maps; in every other one row 0 is moved to 1e-10..1e-5 off the hyperplane through rows 1..d, around qhull's _FACET_TOL."""
     maps = rng.standard_normal((clouds, m, d))
     for c in range(0, clouds, 2):
         weights = rng.random(d)
         offset = 10 ** rng.uniform(-10, -5) * rng.standard_normal(d)
-        vertices = _symmetric_facet(maps[c, 1:])[0] if facet else maps[c, 1 : d + 1]
-        maps[c, 0] = weights / weights.sum() @ vertices + offset
+        maps[c, 0] = weights / weights.sum() @ maps[c, 1 : d + 1] + offset
+    return maps
+
+
+def _clouds_near_hyperplanes(rng, clouds, m, d, symmetric=False):
+    """Gaussian m x d maps; in every other one row 0 is placed by near_row.
+
+    Its side value is 10^-3..10^-1 times the cloud's margin in maps 0, 4,
+    8, ..., which the margin sends to the exact recheck, and 10..10^4 times
+    it in maps 2, 6, 10, ..., which the floats decide.
+    """
+    maps = rng.standard_normal((clouds, m, d))
+    for c in range(0, clouds, 2):
+        fraction = 10 ** rng.uniform(-3, -1) if c % 4 == 0 else 10 ** rng.uniform(1, 4)
+        maps[c, 0] = near_row(maps[c], symmetric, fraction, rng)
     return maps
 
 
@@ -1510,11 +1517,12 @@ def _clouds_near_hyperplanes(rng, clouds, m, d, facet=False):
 def test_lifted_minors_route_matches_side_sum_oracle(monkeypatch, m, d):
     # one (d+1)-minor per point set sends to the exact recheck the clouds that
     # summing d minors per side test flags, counts the other clouds' rows from
-    # the same facets, and finds no cloud flat; the rechecked rows are the
-    # exact oracle's
+    # the same facets, and finds no cloud flat; the placed and rechecked rows
+    # are the exact oracle's
     rng = np.random.default_rng(100 * m + d)
     for _ in range(4):
-        rechecked = _assert_minors_route_rows(monkeypatch, _clouds_near_hyperplanes(rng, 64, m, d), False)
+        maps = _clouds_near_hyperplanes(rng, 64, m, d)
+        rechecked = _assert_minors_route_rows(monkeypatch, maps, False, range(0, 64, 2))
         assert rechecked.any() and not rechecked.all()
 
 

@@ -16,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polyproj"
@@ -99,31 +100,52 @@ def test_no_hull_leaves_scipy_unloaded(code):
     assert not loaded_after(code, "scipy")
 
 
-# (model, n, d, replications, seed): the hull_sim workload's two minors-route
+# (model, n, d, replications): the hull_sim workload's two minors-route
 # shapes at its sizes, then the largest minors-route gaussian and symmetric n
-# at each d, each at a seed where the margin sends clouds to the exact recheck
+# at each d
 _RECHECKED_SHAPES = [
-    ("gaussian", 10, 3, 4000, 0), ("symmetric", 8, 4, 1000, 0),
-    ("gaussian", 29, 2, 600, 0), ("symmetric", 23, 2, 1200, 7),
-    ("gaussian", 17, 3, 600, 0), ("symmetric", 13, 3, 1200, 0),
-    ("gaussian", 14, 4, 600, 0), ("symmetric", 10, 4, 600, 0),
-    ("gaussian", 13, 5, 600, 0), ("symmetric", 9, 5, 600, 0),
-    ("gaussian", 12, 6, 600, 0), ("symmetric", 9, 6, 600, 0),
+    ("gaussian", 10, 3, 4000), ("symmetric", 8, 4, 1000),
+    ("gaussian", 29, 2, 600), ("symmetric", 23, 2, 1200),
+    ("gaussian", 17, 3, 600), ("symmetric", 13, 3, 1200),
+    ("gaussian", 14, 4, 600), ("symmetric", 10, 4, 600),
+    ("gaussian", 13, 5, 600), ("symmetric", 9, 5, 600),
+    ("gaussian", 12, 6, 600), ("symmetric", 9, 6, 600),
 ]
 
 
 def test_minors_route_simulate_leaves_scipy_unloaded():
     # a cloud with a side test within the margin is decided again on ints, so
-    # no shape under the cap reaches qhull, its near clouds included
-    runs = "".join(
-        f"calls.clear()\nassert polyproj.cli.main(['simulate', '--model', {model!r}, '--n', '{n}', '--d', '{d}', "
-        f"'--reps', '{r}', '--seed', '{seed}']) == 0\nrechecked.append(len(calls))\n"
-        for model, n, d, r, seed in _RECHECKED_SHAPES)
+    # no shape under the cap reaches qhull, its near clouds included.  Gaussian
+    # draws almost never come that near, so each run's first map is replaced
+    # by one whose row 0 is placed within a tenth of the margin of a value
+    # the route always tests (oracles.near_row): off the hyperplane through
+    # rows 1..d, for the symmetric hull off the span of rows 1..d-1, where
+    # |2 chi| is tested
+    from oracles import near_row
+    from polyproj.hull import _enumerated_facets, _Workspace
+
+    runs = []
+    for model, n, d, r in _RECHECKED_SHAPES:
+        symmetric = model == "symmetric"
+        rng = np.random.default_rng(n + 10 * d)
+        cloud = rng.standard_normal((n, d))
+        cloud[0] = near_row(cloud[:d] if symmetric else cloud[: d + 1], symmetric, 0.1, rng)
+        assert not _enumerated_facets(cloud[None], symmetric, _Workspace())[0].any()
+        runs.append(
+            f"calls.clear()\nnear.append(np.array({cloud.tolist()!r}))\n"
+            f"assert polyproj.cli.main(['simulate', '--model', {model!r}, '--n', '{n}', '--d', '{d}', "
+            f"'--reps', '{r}']) == 0\nrechecked.append(len(calls))\n")
     out = run_fresh(
-        "import sys, polyproj.cli, polyproj.hull as hull\n"
-        "calls, rechecked, convert = [], [], hull._dyadic\n"
+        "import sys, numpy as np, polyproj.cli, polyproj.hull as hull\n"
+        "calls, rechecked, near, convert, draw = [], [], [], hull._dyadic, hull._sample_maps\n"
         "hull._dyadic = lambda rows: calls.append(1) or convert(rows)\n"
-        f"{runs}print(min(rechecked), 'scipy' in sys.modules)\n")
+        "def sample_maps(keys, bitgen, rng, out):\n"
+        "    draw(keys, bitgen, rng, out)\n"
+        "    if near:\n"
+        "        out[0] = near.pop()\n"
+        "    return out\n"
+        "hull._sample_maps = sample_maps\n"
+        f"{''.join(runs)}print(min(rechecked), 'scipy' in sys.modules)\n")
     least, loaded = out.splitlines()[-1].split()
     assert int(least) > 0 and loaded == "False"
 
