@@ -1,11 +1,11 @@
 """Sampled convex hulls against the projection formula, model by model.
 
 Each replication builds an actual polytope and counts faces exactly.  A point
-cloud's facets are read off one table of d x d minors of its points, with
-qhull as the fallback for clouds near a degenerate position and for shapes
-too large for the table; a zonotope is tested for general position on the
-same minors of its generators, and then has the one f-vector of a generic
-hyperplane arrangement, the cube closed form.  The formula side computes the
+cloud's facets are read off one table of d x d minors of its points, the
+minors near zero decided again exactly, with qhull for shapes too large for
+the table; a zonotope is flat only when a d x d minor of its generators is
+exactly zero, decided on the same minors, and otherwise has the one f-vector
+of a generic hyperplane arrangement, the cube closed form.  The formula side computes the
 same expectations from face counts and cone angles, of the projected polytope
 each model reduces to.
 """

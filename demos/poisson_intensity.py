@@ -20,7 +20,7 @@ print("(every term exact: quadrature external angles, no sampling)")
 print(f"{'t':>5} {'E f_1':>10} {'E length':>10}")
 ts = (2, 5, 10, 20, 30)
 for t, res in zip(ts, poissonized_series(ts, 2, 1, model="gaussian", eps=1e-8)):
-    length = t_functional_expected(2, 1, 1.0, res.value)
+    length = t_functional_expected(2, 1, 1.0, res.value, model="gaussian")
     print(f"{t:>5} {res.value:>10.4f} {length:>10.4f}")
 
 print()

@@ -197,7 +197,7 @@ def _cmd_poisson(args) -> int:
         for t in args.t_grid:
             # each sum is taken when drawn, so a row's time includes the sizes its t reaches first
             est, wall = _timed(args, next, sums)
-            tf = None if args.b is None else t_functional_expected(args.d, k, args.b, est.value)
+            tf = None if args.b is None else t_functional_expected(args.d, k, args.b, est.value, args.model)
             rows.append(_row(args, k, est, t=t, t_functional=tf, wall_time_s=wall))
             values.append(est.value)
         drops = sum(1 for a, b in zip(values, values[1:]) if b < a - 2 * args.eps)
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_positive_float, default=1e-8,
                    help="truncation tolerance for the Poisson tail (default 1e-8)")
     p.add_argument("--b", type=_nonneg_float, default=None,
-                   help="also report the size-functional scaling of order b")
+                   help="also report E sum of vol_k(F)^b over the k-faces F (t_functional)")
     _add_common(p)
     p.set_defaults(func=_cmd_poisson, parser=p)
 

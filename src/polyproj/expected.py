@@ -352,17 +352,25 @@ def unit_ball_volume(ell: int) -> float:
     return (1 + ell % 2) * (2 * _PI.numerator) ** m / (_PI.denominator**m * steps)
 
 
-def t_functional_expected(d: int, k: int, b: float, expected_f_value: float) -> float:
-    """Scale an expected face count into the expected size-functional of k-faces.
+def t_functional_expected(d: int, k: int, b: float, expected_f_value: float, model: str = "gaussian") -> float:
+    """Scale the model's expected k-face count into its expected size functional, E sum_F vol_k(F)^b over the k-faces F.
 
-    The multiplier is (k+1)^(b/2) / (k!)^b * prod_{j=1..k} of the ratio
-    Gamma((d+b+1-j)/2) / Gamma((d+1-j)/2); b = 0 or k = 0 returns the input
-    unchanged (the functional degenerates to counting), and so does a zero
-    input.  A multiplier past the float range is applied through the input's
-    log, and a scaled value that is still past it, or a multiplier whose log
-    is, is an InvalidDimensionError.  k must be a proper face dimension,
-    k < d: else it is an InvalidArgumentError.
+    The multiplier is 2^(bk/2) prod_{j=1..k} Gamma((d+b+1-j)/2) /
+    Gamma((d+1-j)/2), times (k+1)^(b/2) / (k!)^b for gaussian and symmetric.
+    Their k-faces are simplices on standard Gaussian points: whether k + 1
+    points span one depends only on their affine hull, in which they are
+    Gaussian with the volume tilt of the affine Blaschke-Petkantschin
+    formula, whose moments are Miles' ("Isotropic random simplices", 1971).
+    A zonotope's k-faces are parallelotopes on k Gaussian generators, every
+    k-set carrying as many.  b = 0 or k = 0 returns the input unchanged (the
+    functional degenerates to counting), and so does a zero input.  A
+    multiplier past the float range is applied through the input's log, and
+    a scaled value that is still past it, or a multiplier whose log is, is
+    an InvalidDimensionError.  k must be a proper face dimension, k < d,
+    and model one of GAUSSIAN_MODELS: else it is an InvalidArgumentError.
     """
+    if model not in GAUSSIAN_MODELS:
+        raise InvalidArgumentError(f"unknown model {model!r}, expected one of {GAUSSIAN_MODELS}")
     d = check_int("d", d, 1)
     k = check_int("k", k, 0)
     b = check_real("b", b, 0, what="a finite real number >= 0")
@@ -371,8 +379,18 @@ def t_functional_expected(d: int, k: int, b: float, expected_f_value: float) -> 
         raise InvalidArgumentError(f"k must be < d, got k={k}, d={d}")
     if b == 0 or k == 0 or expected_f_value == 0:
         return expected_f_value
+    simplex = MODEL_TABLE[model].family is not Family.CUBE
     try:
-        log_m = b * (0.5 * math.log(k + 1) - math.lgamma(k + 1))
+        if (b / 2).is_integer() and b * k <= 128:
+            # each Gamma ratio is a rising product, and one division ends it: a small multiplier is the nearest float
+            m = 2.0 ** (b * k / 2) * math.prod((d + 1 - j) / 2 + i for j in range(1, k + 1) for i in range(int(b) // 2))
+            if simplex:
+                m = m * (k + 1) ** (b / 2) / math.factorial(k) ** b
+            if not math.isinf(expected_f_value * m):
+                return expected_f_value * m
+        log_m = b * k * 0.5 * math.log(2)
+        if simplex:
+            log_m += b * (0.5 * math.log(k + 1) - math.lgamma(k + 1))
         for j in range(1, k + 1):
             log_m += math.lgamma((d + b + 1 - j) / 2.0) - math.lgamma((d + 1 - j) / 2.0)
         if log_m > LOG_FLOAT_MAX:  # math.exp would overflow: the value's log goes into the exponent

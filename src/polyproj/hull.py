@@ -27,12 +27,11 @@ tests are (d+1)-minors of the lifted map [X | 1] for the rows' hull and sums
 of d minors for the symmetric one, one sign-vector product per outside
 point (_worst_sums).  One within its cloud's margin of zero, four times the
 rounding bound of its floats (_rounding_margin), is decided again on ints,
-so the route counts the exact f-vector of the drawn floats.  Shapes with more than _ENUM_CAP side tests
-go to qhull.  Every array of that route the size of a chunk is written into
-one _Workspace that the chunks of a simulation share, so the chunk size is
-set by the cache (_ENUM_ENTRIES), not by the allocator.  Gathers into those
-buffers take mode="clip" (_gather): with mode="raise" np.take works through
-a copy of its output.
+so the route counts the exact f-vector of the drawn floats.  Shapes with
+more than _ENUM_CAP side tests go to qhull.  Every array of that route the
+size of a chunk is written into one _Workspace that the chunks of a
+simulation share, so the chunk size is set by the cache (_ENUM_ENTRIES), not
+by the allocator; gathers into it take mode="clip" (_gather).
 
 Hulls that hull_f_vector is asked for, and those clouds, go through qhull,
 whose output is triangulated.  SciPy, which wraps qhull, is imported when the
@@ -55,8 +54,8 @@ facet holds (_incidence).
 A zonotope whose generators are in general position has the f-vector of a
 generic central arrangement (Zaslavsky, 1975), expected_f_cube_closed_form,
 for every draw, and a projected cube is the zonotope of its map's rows.  So
-a cube map is only tested for general position, on the d x d minors of its
-normalized generators (_flat_generators).
+a cube map is only tested for an exactly zero d x d minor, on the same
+filtered minors (_flat_generators).
 
 Every replication draws from its own counter-based stream derived from
 (seed, model, n, d, replication index, attempt), so estimates are identical
@@ -100,8 +99,8 @@ from .streams import MODEL_CODES, SIM_REPLICATION, derive_keys
 MODELS = tuple(MODEL_TABLE)
 
 _MAX_HULL_DIM = 6
-# generators of a cube model's map: the cap bounds the C(n, d) d x d minors of
-# its general-position test (5005 at n = 15, d = 6)
+# generators of a cube model's map: it bounds the C(n, d) minors of its
+# general-position test, 5005 at n = 15, d = 6, 0.09-0.10 ms a map (2-core VM)
 _MAX_GENERATORS = 15
 # points of one simplex or crosspolytope hull (n, or 2n for the crosspolytope
 # models): one replication at the cap, the formula row included, took 4.4-8.1 s
@@ -111,7 +110,6 @@ _MAX_GENERATORS = 15
 _MAX_POINTS = 200_000
 _MAX_ATTEMPTS = 5
 _DEGENERATE_RATE_LIMIT = 1e-3
-_GENERAL_POSITION_TOL = 1e-9  # on unit generators: their d x d minors
 _FACET_TOL = 1e-9  # largest entry difference of two simplices' [normal, offset] rows on one facet
 _RANK_TOL = 1e-9  # relative to the cloud's extent, on the scale of _FACET_TOL
 # replications per unit of the pool-size rule (simulate_expected_f) and per slice of --dump
@@ -647,11 +645,7 @@ def _side_tests(row: Model, n: int, d: int) -> int:
 
 
 def _enumerates(row: Model, n: int, d: int) -> bool:
-    """Whether the minors route decides the model's draws at (n, d).
-
-    It takes every cube shape, which SimConfig caps at _MAX_GENERATORS, and
-    every other shape with at most _ENUM_CAP side tests per cloud.
-    """
+    """Whether the minors route decides the model's draws at (n, d): every cube shape (capped at _MAX_GENERATORS), else up to _ENUM_CAP side tests per cloud."""
     return row.family is Family.CUBE or _side_tests(row, n, d) <= _ENUM_CAP
 
 
@@ -714,6 +708,15 @@ def _rounding_margin(d: int) -> float:
     return 4 * math.factorial(d + 1) * steps * 2.0**-53 / (1 - steps * 2.0**-53)
 
 
+def _filtered_minors(maps: np.ndarray, work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """The d x d minors of a stack of m x d maps, built in work, and each map's margin: _rounding_margin(d) (1 + R)(2R)^(d-1), R its largest row norm."""
+    clouds, m, d = maps.shape
+    x = work.array("x", (m, d, clouds))
+    np.copyto(x, maps.transpose(1, 2, 0))
+    largest = np.sqrt(np.multiply(x, x, out=work.array("square", x.shape)).sum(axis=1).max(axis=0))
+    return _minors(x, work), _rounding_margin(d) * (1 + largest) * (2 * largest) ** (d - 1)
+
+
 def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """f-vectors of the hulls of a stack of m x d maps' rows, with their negatives if symmetric, from their facets.
 
@@ -730,12 +733,11 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
     which is at most the product over p >= 1 of |x_{I_p}| + |x_{I_0}|.
 
     The float values are a filter (Shewchuk's static filter): each errs by
-    at most a quarter of its cloud's margin, _rounding_margin(d) (1 + R)
-    (2R)^(d-1), R the cloud's largest point norm.  A cloud with a value
-    within its margin of 0 is decided again on its exact floats, and only
-    those values: a D(J), or every eps*I of an I whose worst value less
-    |chi(I)|, or |2 chi(I)| (the points -eps_j x_j), is that small.  An
-    exact zero is a flat draw.
+    at most a quarter of its cloud's margin (_filtered_minors).  A cloud
+    with a value within its margin of 0 is decided again on its exact
+    floats, and only those values: a D(J), or every eps*I of an I whose
+    worst value less |chi(I)|, or |2 chi(I)| (the points -eps_j x_j), is
+    that small.  An exact zero is a flat draw.
 
     The other clouds' facet flags give their facet counts and, at d >= 4 in
     one product with _incidence, their vertex counts and at d = 6 edge
@@ -746,12 +748,8 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
     whole rows, and every array the size of a chunk is written into work.
     """
     clouds, m, d = maps.shape
-    x = work.array("x", (m, d, clouds))
-    np.copyto(x, maps.transpose(1, 2, 0))
     subsets = _subsets(m, d)
-    chi = _minors(x, work)
-    largest = np.sqrt(np.multiply(x, x, out=work.array("square", x.shape)).sum(axis=1).max(axis=0))
-    margin = _rounding_margin(d) * (1 + largest) * (2 * largest) ** (d - 1)
+    chi, margin = _filtered_minors(maps, work)
     flat = np.zeros(clouds, dtype=bool)
     if not symmetric:
         lifted = _lifted_minors(chi, m, d, work)
@@ -814,12 +812,10 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
 def zonotope_f_vector(generators: np.ndarray) -> FVectorSample:
     """Exact f-vector of the zonotope sum of segments [0, g_i].
 
-    Generators in general position give the face lattice of a generic
-    central arrangement, whose f-vector is expected_f_cube_closed_form;
-    they are tested on the d x d minors of the normalized generators, the
-    test simulate runs on a chunk of maps (_flat_generators) run on one.
-    Generators not in general position at _GENERAL_POSITION_TOL, a zero
-    generator or a minor that small, raise a degeneracy error.
+    Generators in general position, every d of them independent, give a
+    generic central arrangement's face lattice, expected_f_cube_closed_form,
+    near-flat ones included.  simulate's test (_flat_generators) finds an
+    exactly zero d x d minor, as a zero generator's are: a degeneracy error.
     """
     g = _real_rows(generators, "generators", "zonotope")
     n, d = g.shape
@@ -828,25 +824,29 @@ def zonotope_f_vector(generators: np.ndarray) -> FVectorSample:
     if n < d:
         raise DegenerateGeometryError("generators do not span the ambient space")
     if _flat_generators(g[None], _Workspace())[0]:
-        raise DegenerateGeometryError(
-            f"generators not in general position: a zero generator, or {d} of them nearly on one hyperplane"
-        )
+        raise DegenerateGeometryError(f"generators not in general position: {d} of them on one hyperplane")
     return FVectorSample(tuple(expected_f_cube_closed_form(n, d, k) for k in range(d)))
 
 
 def _flat_generators(maps: np.ndarray, work: _Workspace) -> np.ndarray:
-    """Which of a stack of n x d generator maps, n >= d, are not in general position; their minors are built in work.
+    """Which of a stack of n x d generator maps, n >= d, are not in general position: some d x d minor is exactly 0.
 
-    A map is flat when a generator is no longer than _GENERAL_POSITION_TOL
-    times the longest, or some d x d minor of the normalized generators is
-    no larger than _GENERAL_POSITION_TOL: d-1 of them then nearly fail to
-    span a hyperplane, or another lies nearly on it.
+    The float minors are a filter (_filtered_minors): those not beyond their
+    map's margin from 0, an overflow's NaN included, are decided on ints.
     """
-    norms = np.sqrt((maps * maps).sum(axis=2))
-    short = (norms <= _GENERAL_POSITION_TOL * norms.max(axis=1, keepdims=True)).any(axis=1)
-    unit = maps / np.where(norms > 0, norms, 1.0)[:, :, None]
-    chi = _minors(np.ascontiguousarray(unit.transpose(1, 2, 0)), work)
-    return short | (np.abs(chi) <= _GENERAL_POSITION_TOL).any(axis=0)
+    chi, margin = _filtered_minors(maps, work)
+    size = np.abs(chi, out=work.array("size", chi.shape))
+    flat = np.zeros(len(maps), dtype=bool)
+    # the chunk's widest margin first: one number is several times faster
+    sure = np.greater(size, margin.max(), out=work.array("sure", chi.shape, bool))
+    if sure.all():
+        return flat
+    r, c = np.nonzero(~sure)
+    keep = ~(size[r, c] > margin[c])
+    for cloud in np.unique(c[keep]):
+        ints = _dyadic(maps[cloud].tolist())
+        flat[cloud] = any(_fraction_free([ints[i] for i in s])[0] == 0 for s in _subsets(*maps.shape[1:])[r[keep & (c == cloud)]])
+    return flat
 
 
 @dataclass(frozen=True)
@@ -892,7 +892,7 @@ def _replication_block(args: tuple[str, int, int, int, int, int], work: _Workspa
             todo = pending[start : start + chunk]
             drawn = _sample_maps(keys[start : start + chunk], bitgen, rng, maps[: len(todo)])
             if row.family is Family.CUBE:
-                # the zonotope of the map's rows; zonotope_f_vector would reject a flat map by this same test
+                # the zonotope of the map's rows
                 again = _flat_generators(drawn, work)
                 rows[todo[~again]] = cube
             # the simplex's vertices are the e_i and the crosspolytope's the +-e_i,

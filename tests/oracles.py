@@ -188,18 +188,42 @@ def ball_volume_closed_form(ell: int) -> Fraction:
     return machin_pi(80) ** m / math.factorial(m)
 
 
-def size_functional_multiplier(d: int, k: int, half_b: int) -> Fraction:
-    """t_functional_expected's multiplier at b = 2 half_b as a rational.
+def size_functional_multiplier(d: int, k: int, half_b: int, model: str = "gaussian") -> Fraction:
+    """t_functional_expected's multiplier of the model at b = 2 half_b as a rational.
 
     Each ratio Gamma(x + half_b) / Gamma(x) is the rising product
-    x (x+1) ... (x + half_b - 1), instead of a difference of log-Gammas.
+    x (x+1) ... (x + half_b - 1), instead of a difference of log-Gammas, and
+    2^(bk/2) is 2^(half_b k).  The hulls' k-faces are simplices, with the
+    factor (k+1)^half_b / (k!)^b; the zonotope's are parallelotopes, without.
     """
-    multiplier = Fraction((k + 1) ** half_b, math.factorial(k) ** (2 * half_b))
+    multiplier = Fraction(2 ** (half_b * k))
+    if model != "zonotope":
+        multiplier *= Fraction((k + 1) ** half_b, math.factorial(k) ** (2 * half_b))
     for j in range(1, k + 1):
         x = Fraction(d + 1 - j, 2)
         for i in range(half_b):
             multiplier *= x + i
     return multiplier
+
+
+def sampled_facet_size_ratio(n: int, d: int, b: float, draws: int, rng) -> tuple[float, float]:
+    """E sum_F vol(F)^b / E f_{d-1} over the facets F of the hull of n standard Gaussian points in R^d, sampled, with its delta-method standard error.
+
+    Each draw's facets are qhull's simplices (the hull is simplicial almost
+    surely), and a facet's (d-1)-volume is sqrt(det(V V^T)) / (d-1)!, V the
+    edges from its first vertex.
+    """
+    sums, counts = np.empty(draws), np.empty(draws)
+    for i in range(draws):
+        points = rng.standard_normal((n, d))
+        simplices = ConvexHull(points).simplices
+        edges = points[simplices[:, 1:]] - points[simplices[:, :1]]
+        volumes = np.sqrt(np.linalg.det(edges @ edges.transpose(0, 2, 1))) / math.factorial(d - 1)
+        counts[i], sums[i] = len(simplices), (volumes**b).sum()
+    ratio = sums.mean() / counts.mean()
+    # the ratio's first-order error, (S - ratio F) / mean F, averaged over the draws
+    residual = (sums - ratio * counts) / counts.mean()
+    return float(ratio), float(residual.std(ddof=1) / math.sqrt(draws))
 
 
 def poisson_face_bound(model: str, ell: int, k: int) -> float:
@@ -423,6 +447,13 @@ def lp_zonotope_f_vector(generators: np.ndarray) -> tuple[int, ...]:
     return tuple(counts)
 
 
+# the SVD oracle's own general-position tolerance, on unit generators: below
+# it the signs of its rays' cosines are not to be trusted.  The library has
+# none (it decides small minors exactly), so a draw within it would make
+# the oracle's rows differ from simulate's, and the comparing test fail
+_SVD_TOL = 1e-9
+
+
 def svd_zonotope_f_vector(generators: np.ndarray) -> tuple[int, ...]:
     """Zonotope f-vector from covectors at rays found by SVD, one generator set at a time.
 
@@ -435,28 +466,28 @@ def svd_zonotope_f_vector(generators: np.ndarray) -> tuple[int, ...]:
     all 3^(d-1) ways, counts the faces.
     General position is checked by the smallest singular value of every d-1
     normalized generators and the cosine of every other one with their ray,
-    and raises the library's DegenerateGeometryError like the library's check.
+    at the oracle's own _SVD_TOL, and raises the library's
+    DegenerateGeometryError.
     """
     from itertools import product
 
     from polyproj.errors import DegenerateGeometryError
-    from polyproj.hull import _GENERAL_POSITION_TOL
 
     g = np.asarray(generators, dtype=float)
     n, d = g.shape
     norms = np.linalg.norm(g, axis=1)
-    if np.any(norms <= _GENERAL_POSITION_TOL * norms.max()):
+    if np.any(norms <= _SVD_TOL * norms.max()):
         raise DegenerateGeometryError("zero generator")
     unit = g / norms[:, None]
     subsets = np.array(list(combinations(range(n), d - 1)))
     _, sing, vt = np.linalg.svd(unit[subsets])
-    if np.any(sing[:, -1] <= _GENERAL_POSITION_TOL):
+    if np.any(sing[:, -1] <= _SVD_TOL):
         raise DegenerateGeometryError(f"some {d - 1} generators are rank-deficient")
     rays = vt[:, -1]
     cos = rays @ unit.T
     on_span = np.zeros(cos.shape, dtype=bool)
     np.put_along_axis(on_span, subsets, True, axis=1)
-    if np.any(np.abs(cos[~on_span]) <= _GENERAL_POSITION_TOL):
+    if np.any(np.abs(cos[~on_span]) <= _SVD_TOL):
         raise DegenerateGeometryError(f"a generator lies in the span of {d - 1} others")
     # base-3 covector keys, digit 0 for a zero, 1 for +, 2 for -; the zero
     # count rides above the n digits, so one unique counts every k at once

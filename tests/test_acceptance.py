@@ -317,7 +317,8 @@ def test_criterion_8_poissonization_t_functional(capsys):
         failures.append(("b=0",))
     if t_functional_expected(3, 0, 2.0, 7.25) != 7.25:
         failures.append(("k=0",))
-    factor_dev = abs(t_functional_expected(2, 1, 1.0, 1.0) - math.sqrt(math.pi / 2))
+    # the mean edge length of standard Gaussian points' hull in the plane
+    factor_dev = abs(t_functional_expected(2, 1, 1.0, 1.0, "gaussian") - math.sqrt(math.pi))
     if not factor_dev < 1e-12:
         failures.append(("factor", factor_dev))
     elapsed = time.monotonic() - t0

@@ -360,13 +360,25 @@ def test_poisson_zonotope_grid(capsys):
 
 
 def test_poisson_t_functional_column(capsys):
-    code, out, _ = run(capsys, ["poisson", "--model", "zonotope", "--d", "2", "--all-k",
-                                "--t-min", "2", "--t-max", "2", "--b", "1.0", *SMALL])
+    # the mean edge length: sqrt(pi) on standard Gaussian points' hull, and
+    # sqrt(pi / 2) for a zonotope, whose edges are its Gaussian generators
+    for model, length in [("gaussian", math.sqrt(math.pi)), ("zonotope", math.sqrt(math.pi / 2))]:
+        code, out, _ = run(capsys, ["poisson", "--model", model, "--d", "2", "--all-k",
+                                    "--t-min", "2", "--t-max", "2", "--b", "1.0", *SMALL])
+        assert code == 0
+        by_k = {r.k: r for r in from_csv(out)}
+        assert by_k[0].t_functional == by_k[0].value  # k = 0 collapses to counting
+        assert by_k[1].t_functional == pytest.approx(by_k[1].value * length)
+
+
+@pytest.mark.parametrize("model,d,k,multiplier", [("gaussian", 2, 1, 4.0), ("zonotope", 3, 2, 6.0)])
+def test_poisson_b2_anchors(capsys, model, d, k, multiplier):
+    # at b = 2 the multipliers are 4 and 6, and the column is the value times them, exactly
+    code, out, _ = run(capsys, ["poisson", "--model", model, "--d", str(d), "--k", str(k),
+                                "--t-min", "3", "--t-max", "3", "--b", "2", *SMALL])
     assert code == 0
-    rows = from_csv(out)
-    by_k = {r.k: r for r in rows}
-    assert by_k[0].t_functional == by_k[0].value  # k = 0 collapses to counting
-    assert by_k[1].t_functional == pytest.approx(by_k[1].value * math.sqrt(math.pi / 2))
+    (row,) = from_csv(out)
+    assert row.t_functional == row.value * multiplier
 
 
 def test_poisson_b_row_columns(capsys):
@@ -375,7 +387,7 @@ def test_poisson_b_row_columns(capsys):
     assert code == 0
     (row,) = from_csv(out)
     assert (row.command, row.model, row.family, row.n, row.d, row.k, row.t) == ("poisson", "zonotope", "", None, 3, 2, 4.0)
-    assert row.t_functional == polyproj.t_functional_expected(3, 2, 1.5, row.value)
+    assert row.t_functional == polyproj.t_functional_expected(3, 2, 1.5, row.value, "zonotope")
     assert row.t_functional != row.value
     assert (row.strict_increase, row.formula_value, row.z_score, row.wall_time_s) == (None,) * 4
 
@@ -412,7 +424,7 @@ def test_poisson_report_matches_one_sum_per_t(capsys, flags):
     for k in range(args.d) if args.all_k else [args.k]:
         for t in cli.t_grid(args.t_min, args.t_max, args.t_step):
             est = polyproj.poissonized_expected(t, args.d, k, args.model, args.eps, cfg)
-            tf = None if args.b is None else polyproj.t_functional_expected(args.d, k, args.b, est.value)
+            tf = None if args.b is None else polyproj.t_functional_expected(args.d, k, args.b, est.value, args.model)
             rows.append(polyproj.ReportRow(command="poisson", model=args.model, d=args.d, k=k, t=t,
                                            value=est.value, stderr=est.std_error, method=est.method,
                                            t_functional=tf))

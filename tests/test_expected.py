@@ -47,6 +47,7 @@ from oracles import (
     poisson_growth_ratio,
     poisson_stop_by_scan,
     poisson_sum_per_t,
+    sampled_facet_size_ratio,
     size_functional_multiplier,
 )
 
@@ -470,28 +471,59 @@ def test_t_functional_reductions():
 
 
 def test_t_functional_known_factors():
-    assert t_functional_expected(2, 1, 1.0, 1.0) == pytest.approx(
-        math.sqrt(math.pi / 2), abs=1e-12
-    )
-    assert t_functional_expected(3, 2, 2.0, 1.0) == pytest.approx(9 / 8, abs=1e-12)
-    assert t_functional_expected(2, 1, 1.0, 3.0) == pytest.approx(
-        3 * math.sqrt(math.pi / 2), abs=1e-12
-    )
+    # the mean length of an edge of standard Gaussian points' hull is sqrt(pi),
+    # that of a zonotope's edge, a Gaussian generator in R^2, sqrt(pi / 2)
+    assert t_functional_expected(2, 1, 1.0, 1.0) == pytest.approx(math.sqrt(math.pi), abs=1e-12)
+    assert t_functional_expected(2, 1, 1.0, 1.0, "symmetric") == t_functional_expected(2, 1, 1.0, 1.0)
+    assert t_functional_expected(2, 1, 1.0, 1.0, "zonotope") == pytest.approx(math.sqrt(math.pi / 2), abs=1e-12)
+    assert t_functional_expected(3, 2, 2.0, 1.0) == 4.5
+    assert t_functional_expected(2, 1, 1.0, 3.0) == pytest.approx(3 * math.sqrt(math.pi), abs=1e-12)
+    with pytest.raises(InvalidArgumentError, match="unknown model 'projected_cube'"):
+        t_functional_expected(2, 1, 1.0, 1.0, "projected_cube")
 
 
-@pytest.mark.parametrize("b,value", [(200.0, 1.0), (200.0, -3.0), (202.0, 1e-10), (202.0, -1e-10), (202.0, 1.0),
+@pytest.mark.parametrize("d", range(2, 7))
+def test_t_functional_b2_anchors(d):
+    # at b = 2 the multipliers are rationals: M_G = (k+1) C(d, k) / k! for the
+    # hulls of standard Gaussian points (Miles 1971), M_Z = d! / (d-k)! for the
+    # zonotope (its k-faces, parallelotopes on k generators); each is the
+    # oracle's product, and the library's value is the nearest float
+    for k in range(1, d):
+        gaussian = Fraction((k + 1) * math.comb(d, k), math.factorial(k))
+        zonotope = Fraction(math.factorial(d), math.factorial(d - k))
+        assert size_functional_multiplier(d, k, 1) == gaussian
+        assert size_functional_multiplier(d, k, 1, "zonotope") == zonotope
+        assert t_functional_expected(d, k, 2, 1.0) == float(gaussian)
+        assert t_functional_expected(d, k, 2, 1.0, "zonotope") == float(zonotope)
+    assert (size_functional_multiplier(2, 1, 1), size_functional_multiplier(3, 2, 1, "zonotope")) == (4, 6)
+
+
+def test_t_functional_matches_sampled_edge_lengths():
+    # sum of the edge lengths of 10 standard Gaussian points' hull in R^2 over
+    # its edge count, 20 000 qhull hulls: 1.7741 +- 0.0034 at this seed, and
+    # the multiplier sqrt(pi) = 1.7725 must lie within 4 standard errors
+    ratio, stderr = sampled_facet_size_ratio(10, 2, 1.0, 20_000, np.random.default_rng(3))
+    assert abs(ratio - t_functional_expected(2, 1, 1.0, 1.0)) < 4 * stderr
+    assert stderr < 0.005
+
+
+@pytest.mark.parametrize("b,value", [(174.0, 1.0), (174.0, -3.0), (176.0, 1e-10), (176.0, -1e-10), (176.0, 1.0),
+                                     (200.0, 1.0), (200.0, -3.0), (202.0, 1e-10), (202.0, -1e-10), (202.0, 1.0),
                                      (1e6, 1.0), (1e308, 1.0), (1e308, 0.0)])
 def test_t_functional_past_the_float_range_of_its_multiplier(b, value):
-    # at d = 3, k = 2 the multiplier leaves the float range near b = 201.93,
-    # where math.exp raised OverflowError, and its log-Gammas near b = 1e308;
-    # a scaled value still in the float range is kept, and else it is an
-    # InvalidDimensionError
+    # at gaussian d = 3, k = 2 the multiplier leaves the float range between
+    # b = 174 and 176, where math.exp would raise OverflowError, and its
+    # log-Gammas near b = 1e308; a scaled value still in the float range is
+    # kept, and else it is an InvalidDimensionError
+    past = value != 0.0
     if b < 1e6:
-        exact = size_functional_multiplier(3, 2, int(b) // 2) * Fraction(value)
-        assert (exact > Fraction(sys.float_info.max)) == (b > 201 and value == 1.0)
+        multiplier = size_functional_multiplier(3, 2, int(b) // 2)
+        assert (multiplier > Fraction(sys.float_info.max)) == (b > 175)
+        exact = multiplier * Fraction(value)
+        past = abs(exact) > Fraction(sys.float_info.max)
     if value == 0.0:
         assert t_functional_expected(3, 2, b, value) == 0.0
-    elif b > 201 and abs(value) == 1.0:
+    elif past:
         with pytest.raises(InvalidDimensionError, match="size functional at d=3, k=2, .* past the float range"):
             t_functional_expected(3, 2, b, value)
     else:

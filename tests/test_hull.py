@@ -32,7 +32,6 @@ from polyproj.hull import (
     _BLOCK,
     _rounding_margin,
     _FACET_TOL,
-    _GENERAL_POSITION_TOL,
     _MAX_HULL_DIM,
     _enumerated_facets,
     _enumerates,
@@ -508,35 +507,96 @@ def test_zonotope_counts_match_lp_route(n, d):
     assert zonotope_f_vector(g).counts == lp_zonotope_f_vector(g)
 
 
-def _near_span_generators(d, gap):
-    # e_1 .. e_{d-1} and one unit generator at distance `gap` from their span;
-    # every other general-position quantity of this set is at least `gap`
+def _placed_generators(d, h):
+    # e_1 .. e_{d-1} and (1/2, 0, .., 0, h): their one d x d minor is h, in
+    # floats too, and their largest row norm is 1, so the filter margin is
+    # exactly _rounding_margin(d) 2^d (filter_margin)
     g = np.eye(d)
-    g[d - 1, : d - 1] = math.sqrt((1.0 - gap**2) / (d - 1))
-    g[d - 1, d - 1] = gap
+    g[d - 1, 0], g[d - 1, d - 1] = 0.5, h
     return g
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_general_position_tolerance_boundary(d):
-    with pytest.raises(DegenerateGeometryError):
-        zonotope_f_vector(_near_span_generators(d, 0.5 * _GENERAL_POSITION_TOL))
-    # d generators in general position span a parallelotope, a d-cube's f-vector
-    fv = zonotope_f_vector(_near_span_generators(d, 2.0 * _GENERAL_POSITION_TOL))
-    assert fv.counts == tuple(int(expected_f_zonotope(d, d, k).value) for k in range(d))
+def _recheck_log(monkeypatch) -> list:
+    """A list that every later call of hull._fraction_free appends to: the rows of the map whose minor it decides."""
+    log, current = [], []
+
+    def dyadic(rows):
+        current[:] = [rows]
+        return _dyadic(rows)
+
+    def fraction_free(rows):
+        log.append(current[0])
+        return _fraction_free(rows)
+
+    monkeypatch.setattr("polyproj.hull._dyadic", dyadic)
+    monkeypatch.setattr("polyproj.hull._fraction_free", fraction_free)
+    return log
+
+
+def _cube_row(n, d):
+    return tuple(expected_f_cube_closed_form(n, d, k) for k in range(d))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_zero_generator_tolerance_boundary(d):
-    g = derive_generator(41, d).standard_normal((d + 2, d))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    g[0] *= 0.5 * _GENERAL_POSITION_TOL
+def test_general_position_tolerance_boundary(monkeypatch, d):
+    # the general-position test's float minors are a filter: a minor within
+    # the margin is decided again on ints, and only an exact 0 is flat
+    margin = filter_margin(_placed_generators(d, 0.0))
+    assert margin == _rounding_margin(d) * 2**d
+    log = _recheck_log(monkeypatch)
+    for factor, rechecked in [(0.0, True), (0.1, True), (10.0, False)]:
+        g = _placed_generators(d, factor * margin)
+        log.clear()
+        if factor == 0.0:
+            with pytest.raises(DegenerateGeometryError, match=f"{d} of them on one hyperplane"):
+                zonotope_f_vector(g)
+        else:
+            # d generators in general position span a parallelotope, a d-cube's f-vector
+            assert zonotope_f_vector(g).counts == _cube_row(d, d)
+        assert log == ([g.tolist()] if rechecked else [])
+    # exactly flat whatever the float minor: the last row twice the first Gaussian one
+    g = derive_generator(41, d).standard_normal((d, d))
+    g[-1] = 2 * g[0]
     with pytest.raises(DegenerateGeometryError):
         zonotope_f_vector(g)
-    g[0] *= 4.0
-    assert zonotope_f_vector(g).counts == tuple(
-        int(expected_f_zonotope(d + 2, d, k).value) for k in range(d)
-    )
+
+
+def test_general_position_margin_boundary_is_exact_at_d2(monkeypatch):
+    # at d = 2 the minor h of (1, 0) and (1/2, h) is exact, so a minor equal
+    # to the margin is rechecked and one ulp above it is not
+    margin = filter_margin(_placed_generators(2, 0.0))
+    log = _recheck_log(monkeypatch)
+    for h, rechecked in [(margin, True), (math.nextafter(margin, math.inf), False)]:
+        log.clear()
+        assert zonotope_f_vector(_placed_generators(2, h)).counts == (4, 4)
+        assert log == ([_placed_generators(2, h).tolist()] if rechecked else [])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_zero_generator_tolerance_boundary(monkeypatch, d):
+    # a zero generator makes its minors exactly 0; one scaled by 2^-1000 has
+    # minors far within the margin, rechecked and nonzero
+    g = derive_generator(41, d).standard_normal((d + 2, d))
+    g[0] = 0.0
+    with pytest.raises(DegenerateGeometryError):
+        zonotope_f_vector(g)
+    g = derive_generator(41, d).standard_normal((d + 2, d))
+    g[0] *= 2.0**-1000
+    log = _recheck_log(monkeypatch)
+    assert zonotope_f_vector(g).counts == _cube_row(d + 2, d)
+    # the C(d+1, d-1) minors with row 0, each nonzero
+    assert log == [g.tolist()] * math.comb(d + 1, d - 1)
+
+
+def test_overflowing_minors_are_decided_exactly():
+    # generators of norm near 2^500 overflow their float minors to inf and
+    # NaN, and the margin to inf: every minor is decided on ints instead
+    g = derive_generator(43).standard_normal((6, 4)) * 2.0**500
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert zonotope_f_vector(g).counts == _cube_row(6, 4)
+        g[5] = 2 * g[1]
+        with pytest.raises(DegenerateGeometryError):
+            zonotope_f_vector(g)
 
 
 def test_zonotope_degenerate_generators():
@@ -1028,8 +1088,8 @@ def test_workspace_leaks_nothing_across_chunks(monkeypatch, model, d):
     # placed a tenth of the margin off the hyperplane through rows 1..d, near
     # enough for the exact recheck (for the symmetric hull with n > d off one
     # of its facets, the only hyperplanes it rechecks, and at n = d off the
-    # span of rows 1..d-1), or a cube map's row 0 1e-12 off the span of rows
-    # 1..d-1, flat enough to be drawn again.  The block's rows and
+    # span of rows 1..d-1), or a cube map's row 0 twice its row 1, exactly
+    # flat, so it is drawn again.  The block's rows and
     # degenerate count are those of each map decided in a block of its own
     row = MODEL_TABLE[model]
     cube = row.family is Family.CUBE
@@ -1060,8 +1120,7 @@ def test_workspace_leaks_nothing_across_chunks(monkeypatch, model, d):
                 if tuple(key) not in moved:
                     continue
                 if cube:
-                    weights = np.arange(1.0, d) / (d * (d - 1) / 2)
-                    out[j, 0] = weights @ out[j, 1:d] + 1e-12 * np.arange(1.0, d + 1)
+                    out[j, 0] = 2 * out[j, 1]
                 else:
                     out[j, 0] = near_row(out[j], symmetric, 0.1, np.random.default_rng(j))
             return out
@@ -1434,41 +1493,69 @@ def test_cube_minors_route_matches_svd_oracle(model, n, d, r, tmp_path):
     _assert_simulate_matches_oracle(model, n, d, 37, r, tmp_path)
 
 
-@pytest.mark.parametrize("factor,resampled", [(0.5, True), (2.0, False)])
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_cube_general_position_boundary_inside_a_chunk(monkeypatch, d, factor, resampled):
-    # replication 5 of a 16-map chunk draws d generators, one at distance
-    # factor * _GENERAL_POSITION_TOL from the span of the others, which is
-    # their only d x d minor; every other map is a Gaussian draw
-    model, n, seed, placed = "zonotope", d, 7, 5
+def _cube_chunk_with(monkeypatch, n, d, placed_map):
+    """A 16-map zonotope chunk, seed 7, whose replication 5 draws placed_map at attempt 0.
+
+    Checks that every row is the closed form, and returns the block's
+    degenerate count, whether replication 5 was drawn again, and the maps
+    whose minors reached hull._fraction_free.
+    """
+    model, seed, placed = "zonotope", 7, 5
     assert _chunk_size(MODEL_TABLE[model], n, d) >= 16
     path = (seed, SIM_REPLICATION, MODEL_CODES[model], n, d)
     placed_key = _key(*path, placed, 0)
-    drawn, counted = [], []
+    drawn = []
 
     def placing(key, image):
         drawn.append(key)
-        return _near_span_generators(d, factor * _GENERAL_POSITION_TOL) if key == placed_key else image
-
-    def counting(generators):
-        counted.append(len(generators))
-        return zonotope_f_vector(generators)
+        return placed_map if key == placed_key else image
 
     _patch_sample_map(monkeypatch, placing)
-    monkeypatch.setattr("polyproj.hull.zonotope_f_vector", counting)
+    # zonotope_f_vector is never called: the chunk runs its own test
+    monkeypatch.setattr("polyproj.hull.zonotope_f_vector", None)
+    log = _recheck_log(monkeypatch)
     _, rows, degen = _replication_block((model, n, d, seed, 0, 16), _Workspace())
-    parallelotope = [int(expected_f_zonotope(d, d, k).value) for k in range(d)]
-    assert rows.tolist() == [parallelotope] * 16
     keys = [tuple(k) for k in derive_keys(*path, np.arange(16), 0).tolist()]
-    # zonotope_f_vector is never called: the chunk's own test finds a flat map
-    assert counted == []
-    if resampled:
-        # found flat in the chunk, drawn again from attempt 1 in the next round
-        assert degen == 1
-        assert drawn == keys + [_key(*path, placed, 1)]
+    assert drawn in (keys, keys + [_key(*path, placed, 1)])
+    assert rows.tolist() == [list(_cube_row(n, d))] * 16
+    return degen, len(drawn) > 16, log
+
+
+@pytest.mark.parametrize("factor,resampled", [(0.0, True), (0.1, False), (10.0, False)])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_cube_general_position_boundary_inside_a_chunk(monkeypatch, d, factor, resampled):
+    # replication 5 of a 16-map chunk draws d generators whose one d x d
+    # minor is factor times the filter margin (_placed_generators); every
+    # other map is a Gaussian draw, none of them rechecked.  The flat map is
+    # drawn again from attempt 1 in the next round, the others keep the
+    # closed form, and only those within the margin reach the recheck
+    g = _placed_generators(d, factor * filter_margin(_placed_generators(d, 0.0)))
+    degen, again, log = _cube_chunk_with(monkeypatch, d, d, g)
+    assert (degen, again) == (int(resampled), resampled)
+    assert log == ([g.tolist()] if factor <= 1 else [])
+
+
+@pytest.mark.parametrize("placement", ["margin", "ulp", "zero", "tiny"])
+def test_cube_exact_boundaries_inside_a_chunk(monkeypatch, placement):
+    # at d = 2 a minor equal to the margin is rechecked and one ulp above it
+    # is not; at d = 3, n = 5 a zero generator's map is drawn again, and one
+    # scaled by 2^-1000 keeps the closed form after its C(4, 2) minors with
+    # row 0 are rechecked
+    if placement in ("margin", "ulp"):
+        n = d = 2
+        margin = filter_margin(_placed_generators(2, 0.0))
+        g = _placed_generators(2, margin if placement == "margin" else math.nextafter(margin, math.inf))
+        rechecked = [g.tolist()] if placement == "margin" else []
     else:
-        assert degen == 0
-        assert drawn == keys
+        n, d = 5, 3
+        g = derive_generator(41, d).standard_normal((n, d))
+        g[0] = 0.0 if placement == "zero" else g[0] * 2.0**-1000
+        rechecked = [g.tolist()] * 6
+    degen, again, log = _cube_chunk_with(monkeypatch, n, d, g)
+    flat = placement == "zero"
+    assert (degen, again) == (int(flat), flat)
+    # the zero map's recheck stops at its first minor, exactly 0
+    assert log == (rechecked[:1] if flat else rechecked)
 
 
 def test_side_table_matches_permutation_oracle():
