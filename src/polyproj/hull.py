@@ -57,17 +57,19 @@ for every draw, and a projected cube is the zonotope of its map's rows.  So
 a cube map is only tested for an exactly zero d x d minor, on the same
 filtered minors (_flat_generators).
 
-The replications form stream blocks of _BLOCK: block b is replications
-[b _BLOCK, (b + 1) _BLOCK).  Round a of block b draws from one counter-based
-stream derived from (seed, model, n, d, b, a): the block's replications still
-undecided after round a - 1, all of them at a = 0, take consecutive maps from
-it in replication order, a chunk at a time.  Each worker takes one share of
-whole stream blocks, a block of at most _MAX_BLOCK replications at a time, and
-a run in one process is one share, so estimates are identical for any worker
-count and assembly order.  SimConfig caps replications x d at 2^26, which
-keeps the int64 f-vector rows within 512 MiB, and --dump writes them _BLOCK
-rows at a time.  Every round's maps take their shape's route; flat draws
-wait for the next round.
+Every replication draws from its own counter-based stream derived from
+(seed, model, n, d, replication index, attempt), so estimates are identical
+for any worker count and assembly order.  Each worker takes one contiguous
+share of the replications, a block of at most _MAX_BLOCK at a time, and a
+run in one process is one share; a block's attempts run in rounds: round a
+draws the maps of the replications still undecided on their attempt-a
+Philox keys, from one derive_keys call over the column of their indices,
+which are the draws derive_generator's generators would give.  An index is
+one SeedSequence word, so SimConfig caps replications at 2^32; it also caps
+replications x d at 2^26, which keeps the int64 f-vector rows within
+512 MiB, and --dump writes them _BLOCK rows at a time.  Every round's maps
+take their shape's route, so reports depend on neither the blocking nor the
+worker count; flat draws wait for the next round.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ from functools import cache
 from itertools import combinations, repeat
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .angles import Estimate
 from .errors import (
@@ -91,7 +94,7 @@ from .errors import (
 )
 from .expected import expected_f_cube_closed_form
 from .families import MODEL_TABLE, Family, Model, check_int, face_count, model_row
-from .streams import MODEL_CODES, SIM_BLOCK, derive_generator
+from .streams import MODEL_CODES, SIM_REPLICATION, derive_keys
 
 MODELS = tuple(MODEL_TABLE)
 
@@ -109,16 +112,13 @@ _MAX_ATTEMPTS = 5
 _DEGENERATE_RATE_LIMIT = 1e-3
 _FACET_TOL = 1e-9  # largest entry difference of two simplices' [normal, offset] rows on one facet
 _RANK_TOL = 1e-9  # relative to the cloud's extent, on the scale of _FACET_TOL
-# replications of one stream block: part of the stream layout, so changing it changes
-# every simulated row.  It is also the unit of the pool-size rule (simulate_expected_f)
-# and the slice --dump writes at a time
+# replications per unit of the pool-size rule (simulate_expected_f) and per slice of --dump
 _BLOCK = 512
-# replications of one _replication_block at most, 2^14: it bounds the block's own rows
-# and, in a pool, the copy of them sent back.  Peak RSS of simulate at 2 * 10^5
-# replications, one process (gaussian n=10 d=3 / symmetric n=8 d=4): 46.4 / 48.2 MB in
-# blocks of 512, 46.6 / 48.5 MB at 2^14, 46.5 / 48.7 MB at 2^16, and 51.1 / 54.4 MB in
-# one block, whose rows are the 4.8 / 6.4 MB more
-_MAX_BLOCK = 32 * _BLOCK
+# replications of one _replication_block at most: it bounds derive_keys' uint32 and uint64
+# temporaries and the block's own rows.  Peak RSS of simulate at 2 * 10^5 replications, one
+# process (gaussian n=10 d=3 / symmetric n=8 d=4): 46.8 / 48.2 MB in blocks of 512,
+# 47.3 / 48.7 MB at 2^14, 53.1 / 56.0 MB at 2^16 and 57.9 MB in one block
+_MAX_BLOCK = 1 << 14
 # Side tests per cloud up to which the minors route decides a shape (see
 # _side_tests and _enumerates); larger shapes go to qhull.  Time per hull of
 # the minors route over qhull's, one 512-cloud block at seed 5 on each route,
@@ -184,6 +184,8 @@ class SimConfig:
         # NumPy integers are stored as Python ints; a standard error takes two replications
         for name, lo in (("n", None), ("d", None), ("replications", 2), ("seed", 0), ("workers", 1)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
+        if self.replications > 2**32:  # each replication index is one SeedSequence word of its stream
+            raise InvalidArgumentError(f"replications must be <= 2^32, got {self.replications}")
         if not (2 <= self.d <= _MAX_HULL_DIM):
             raise InvalidDimensionError(f"hull dimension must be in 2..{_MAX_HULL_DIM}, got {self.d}")
         if self.replications * self.d > 2**26:  # the int64 f-vector rows stay within 512 MiB
@@ -224,17 +226,23 @@ def symmetrize(cloud: np.ndarray) -> np.ndarray:
     return np.vstack([cloud, -cloud])
 
 
-def _sample_maps(rng: np.random.Generator, replications: np.ndarray, attempt: int, out: np.ndarray) -> np.ndarray:
-    """The n x d Gaussian maps of the given replications' attempt, drawn from rng into out in order.
+def _sample_maps(keys: np.ndarray, bitgen: Philox, rng: Generator, out: np.ndarray) -> np.ndarray:
+    """The n x d Gaussian maps of the streams with the given Philox keys, drawn into out.
 
-    A model's map takes R^n, where its P_{n - shift} lies, to R^d.  The
-    projected models take the same Gaussian map G: their frame is the Q of
-    G = QR (random_orthonormal_frame), whose image of P_{n - shift} is G's
-    image moved by R^-1 and has its face lattice, so no frame is built.
-    replications and attempt name the maps for the tests, which patch this
-    function; the draw itself is one call on rng.
+    A model's map takes R^n, where its P_{n - shift} lies, to R^d.  Each map
+    is drawn in place after a re-key, as a fresh generator on that key would
+    draw it.  The projected models take the same Gaussian map G: their frame
+    is the Q of G = QR (random_orthonormal_frame), whose image of
+    P_{n - shift} is G's image moved by R^-1 and has its face lattice, so no
+    frame is built.
     """
-    return rng.standard_normal(out=out)
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key, image in zip(keys.tolist(), out):
+        state["state"]["key"] = key
+        bitgen.state = state
+        rng.standard_normal(out=image)
+    return out
 
 
 def _real_rows(values, name: str, what: str) -> np.ndarray:
@@ -852,64 +860,63 @@ class SimulationResult:
 
 
 def _replication_block(args: tuple[str, int, int, int, int, int], work: _Workspace) -> tuple[int, np.ndarray, int]:
-    """Rows lo..hi-1 of a simulation and their degenerate-attempt count; lo is a multiple of _BLOCK.
+    """Rows lo..hi-1 of a simulation and their degenerate-attempt count.
 
-    The stream blocks run one at a time, and a block's attempts in rounds.
-    Round a derives the block's attempt-a stream and draws from it the
-    Gaussian maps of the replications still undecided, a chunk of
-    _chunk_size maps at a time (_sample_maps); a projected model is counted
-    on that map, not on its frame.  A cube map in general position takes the
-    closed-form row, built once per block.  Other shapes that _enumerates
-    takes are decided on the minors route and the rest on qhull, a cloud a
-    chunk; a draw found flat waits for the next round.  Each chunk writes its
-    rows as soon as they are counted, and its maps and temporaries into work,
-    which every block run in one process can share.  A stream block's rows
-    depend only on its own streams, and a block cut short at hi draws its
-    maps' leading part, so any split of a range at multiples of _BLOCK gives
-    the same rows and count.
+    Attempts run in rounds.  Round a takes the replications still undecided,
+    gets their attempt-a keys from one derive_keys call and draws their
+    Gaussian maps, a chunk of _chunk_size maps at a time, by re-keying one
+    Philox; a projected model is counted on that map, not on its frame.  A cube
+    map in general position takes the closed-form row, built once per block.
+    Other shapes that _enumerates takes are decided on the minors route and
+    the rest on qhull, a cloud a chunk; a draw found flat waits for the next
+    round.  Each chunk writes its rows as soon as they are counted, and its
+    maps and temporaries into work, which every block run in one process can
+    share.  A replication's row depends only on its own streams, so any
+    split of a range into blocks gives the same rows and count.
     """
     model, n, d, seed, lo, hi = args
     row = MODEL_TABLE[model]
     symmetric = row.family is Family.CROSSPOLYTOPE
+    bitgen = Philox(key=0)
+    rng = Generator(bitgen)
     enumerates = _enumerates(row, n, d)
     chunk = _chunk_size(row, n, d)
     if row.family is Family.CUBE:
         cube = [expected_f_cube_closed_form(n, d, k) for k in range(d)]
-    maps = work.array("maps", (min(chunk, hi - lo, _BLOCK), n, d))
+    maps = work.array("maps", (min(chunk, hi - lo), n, d))
     rows = np.zeros((hi - lo, d), dtype=np.int64)
     degen = 0
-    for first in range(lo, hi, _BLOCK):
-        pending = np.arange(first - lo, min(first + _BLOCK, hi) - lo)  # block rows still undecided, in order
-        for attempt in range(_MAX_ATTEMPTS):
-            rng = derive_generator(seed, SIM_BLOCK, MODEL_CODES[model], n, d, first // _BLOCK, attempt)
-            flat = []  # per chunk, the block rows whose draws were flat
-            for start in range(0, len(pending), chunk):
-                todo = pending[start : start + chunk]
-                drawn = _sample_maps(rng, lo + todo, attempt, maps[: len(todo)])
-                if row.family is Family.CUBE:
-                    # the zonotope of the map's rows
-                    again = _flat_generators(drawn, work)
-                    rows[todo[~again]] = cube
-                # the simplex's vertices are the e_i and the crosspolytope's the +-e_i,
-                # so their images are the map's rows, and those and their negatives
-                elif enumerates:
-                    again, counts = _enumerated_facets(drawn, symmetric, work)
-                    rows[todo[~again]] = counts
-                else:  # one cloud a chunk
-                    try:
-                        fv = _qhull_f_vector(symmetrize(drawn[0]) if symmetric else drawn[0])
-                    except DegenerateGeometryError:  # qhull failed on a cloud it did not find flat
-                        fv = FVectorSample((0,) * d, degenerate=True)
-                    rows[todo[0]], again = fv.counts, np.array([fv.degenerate])
-                flat.append(todo[again])
-            pending = np.concatenate(flat)
-            degen += len(pending)
-            if not len(pending):
-                break
-        else:
-            index = lo + int(pending[0])
-            message = f"replication {index} of model {model} stayed degenerate after {_MAX_ATTEMPTS} attempts"
-            raise SimulationAbortError(message, degenerate=_MAX_ATTEMPTS, replications=index)
+    pending = np.arange(hi - lo)  # block rows still undecided, in order
+    for attempt in range(_MAX_ATTEMPTS):
+        keys = derive_keys(seed, SIM_REPLICATION, MODEL_CODES[model], n, d, lo + pending, attempt)
+        flat = []  # per chunk, the block rows whose draws were flat
+        for start in range(0, len(pending), chunk):
+            todo = pending[start : start + chunk]
+            drawn = _sample_maps(keys[start : start + chunk], bitgen, rng, maps[: len(todo)])
+            if row.family is Family.CUBE:
+                # the zonotope of the map's rows
+                again = _flat_generators(drawn, work)
+                rows[todo[~again]] = cube
+            # the simplex's vertices are the e_i and the crosspolytope's the +-e_i,
+            # so their images are the map's rows, and those and their negatives
+            elif enumerates:
+                again, counts = _enumerated_facets(drawn, symmetric, work)
+                rows[todo[~again]] = counts
+            else:  # one cloud a chunk
+                try:
+                    fv = _qhull_f_vector(symmetrize(drawn[0]) if symmetric else drawn[0])
+                except DegenerateGeometryError:  # qhull failed on a cloud it did not find flat
+                    fv = FVectorSample((0,) * d, degenerate=True)
+                rows[todo[0]], again = fv.counts, np.array([fv.degenerate])
+            flat.append(todo[again])
+        pending = np.concatenate(flat)
+        degen += len(pending)
+        if not len(pending):
+            break
+    else:
+        index = lo + int(pending[0])
+        message = f"replication {index} of model {model} stayed degenerate after {_MAX_ATTEMPTS} attempts"
+        raise SimulationAbortError(message, degenerate=_MAX_ATTEMPTS, replications=index)
     return lo, rows, degen
 
 
@@ -923,18 +930,18 @@ def _usable_cpus() -> int:
 def simulate_expected_f(cfg: SimConfig, dump_path: str | None = None) -> SimulationResult:
     """Empirical mean f-vector over cfg.replications independent draws.
 
-    Each worker takes one contiguous share of whole stream blocks, worked
-    _MAX_BLOCK replications at a time.  Results are bit-identical for any
-    worker count: each stream block draws from its own derived streams and
-    rows are assembled by index.  A degenerate-draw rate above 0.1% aborts
-    the run.
+    Each worker takes one contiguous share of the replications, so a run in
+    one process of up to _MAX_BLOCK replications derives each round's keys
+    in one call and its chunks run on past every _BLOCK edge.  Results are
+    bit-identical for any worker count: each replication has its own
+    derived stream and rows are assembled by index.  A degenerate-draw rate
+    above 0.1% aborts the run.
     """
     r = cfg.replications
-    units = -(-r // _BLOCK)
-    # a pool starts all its workers at once, so it gets no more than there are stream blocks or CPUs
-    workers = min(cfg.workers, units, _usable_cpus())
-    # one contiguous share of stream blocks per worker, cut into blocks of at most _MAX_BLOCK
-    bounds = [min(r, _BLOCK * (units * w // workers)) for w in range(workers + 1)]
+    # a pool starts all its workers at once, so it gets no more than there are _BLOCK-replication units or CPUs
+    workers = min(cfg.workers, -(-r // _BLOCK), _usable_cpus())
+    # one contiguous share per worker, cut into blocks of at most _MAX_BLOCK
+    bounds = [r * w // workers for w in range(workers + 1)]
     blocks = [
         (cfg.model, cfg.n, cfg.d, cfg.seed, lo, min(lo + _MAX_BLOCK, hi))
         for start, hi in zip(bounds, bounds[1:])

@@ -19,9 +19,8 @@ fraction-free (Bareiss) integer elimination behind it,
 a zonotope's faces counted as covectors at rays found by SVD instead of
 taken from the closed form of a generic arrangement,
 facets grouped by rounded hyperplane equations instead of by qhull's
-neighbour graph, one draw and one f-vector call per replication from a
-block's stream written out instead of chunked draws and block-wise face
-counting,
+neighbour graph, one freshly derived generator and one f-vector call per
+replication instead of batched stream keys and block-wise face counting,
 the projected models' vertices multiplied by Haar frames (the Q of a
 Gaussian matrix G = QR) instead of counted on G, whose image differs by R^-1,
 Poisson tail bounds written out per model name instead of read off the
@@ -855,66 +854,44 @@ def distinct_subset_f_vectors(simplices: np.ndarray, sizes) -> np.ndarray:
 
 
 def per_replication_rows(model: str, n: int, d: int, seed: int, replications: int,
-                         edit=None) -> tuple[np.ndarray, np.ndarray]:
+                         sampler=model_cloud) -> tuple[np.ndarray, np.ndarray]:
     """simulate's f-vector rows and per-replication degenerate counts, one replication at a time.
 
-    The stream layout written out: replication i is in stream block
-    b = i // 512, and round a of block b draws from the generator
-    derive_generator(seed, SIM_BLOCK, model code, n, d, b, a), one map per
-    replication still undecided, in replication order.  Each draw counts its
-    hull alone with hull_f_vector, or its zonotope with svd_zonotope_f_vector.
-    Point clouds come from model_cloud, zonotope generators and projected-cube
-    frames are drawn here, and edit(index, attempt, cloud), when given,
-    replaces a drawn cloud.  Every draw must take exactly the n x d normals
-    of one map from the stream, which a twin generator checks.  The projected
-    models' vertices are multiplied by Haar frames, so their rows check, draw
-    by draw, that simulate may count them on the Gaussian matrices whose Q
-    factors the frames are.
+    The replication loop simulate_expected_f ran before it worked a block at
+    a time: every attempt builds its own generator with derive_generator and
+    counts its hull alone with hull_f_vector, or its zonotope with
+    svd_zonotope_f_vector.  Point clouds come from `sampler`, model_cloud
+    unless another is given; zonotope generators and projected-cube frames
+    are drawn here.  The projected models' vertices are multiplied by Haar
+    frames, so their rows check, draw by draw, that simulate may count them
+    on the Gaussian matrices whose Q factors the frames are.
     """
     from polyproj.errors import DegenerateGeometryError, SimulationAbortError
     from polyproj.hull import _MAX_ATTEMPTS, hull_f_vector, random_orthonormal_frame
-    from polyproj.streams import MODEL_CODES, SIM_BLOCK, derive_generator
-
-    def position(rng):
-        state = rng.bit_generator.state
-        return state["state"]["counter"].tolist(), state["buffer_pos"], state["has_uint32"]
+    from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator
 
     rows = np.zeros((replications, d), dtype=np.int64)
     degenerate = np.zeros(replications, dtype=np.int64)
-    for block, first in enumerate(range(0, replications, 512)):
-        pending = list(range(first, min(first + 512, replications)))
+    for index in range(replications):
         for attempt in range(_MAX_ATTEMPTS):
-            path = (seed, SIM_BLOCK, MODEL_CODES[model], n, d, block, attempt)
-            rng, twin = derive_generator(*path), derive_generator(*path)
-            again = []
-            for index in pending:
+            rng = derive_generator(seed, SIM_REPLICATION, MODEL_CODES[model], n, d, index, attempt)
+            try:
                 if model == "zonotope":
-                    cloud = rng.standard_normal((n, d))
+                    counts = svd_zonotope_f_vector(rng.standard_normal((n, d)))
                 elif model == "projected_cube":
-                    cloud = random_orthonormal_frame(n, d, rng)
+                    counts = svd_zonotope_f_vector(random_orthonormal_frame(n, d, rng))
                 else:
-                    cloud = model_cloud(model, n, d, rng)
-                twin.standard_normal((n, d))
-                assert position(rng) == position(twin), f"{model} drew other than n x d normals"
-                if edit is not None:
-                    cloud = edit(index, attempt, cloud)
-                try:
-                    if model in ("zonotope", "projected_cube"):
-                        counts = svd_zonotope_f_vector(cloud)
-                    else:
-                        fv = hull_f_vector(cloud)
-                        counts = None if fv.degenerate else fv.counts
-                except DegenerateGeometryError:
-                    counts = None
-                if counts is None:
-                    degenerate[index] += 1
-                    again.append(index)
-                else:
-                    rows[index] = counts
-            pending = again
-            if not pending:
-                break
+                    fv = hull_f_vector(sampler(model, n, d, rng))
+                    if fv.degenerate:
+                        degenerate[index] += 1
+                        continue
+                    counts = fv.counts
+            except DegenerateGeometryError:
+                degenerate[index] += 1
+                continue
+            rows[index] = counts
+            break
         else:
-            raise SimulationAbortError(f"replication {pending[0]} stayed degenerate",
-                                       degenerate=int(degenerate[pending[0]]), replications=pending[0])
+            raise SimulationAbortError(f"replication {index} stayed degenerate",
+                                       degenerate=int(degenerate[index]), replications=index)
     return rows, degenerate

@@ -7,6 +7,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox, SeedSequence
 from scipy.spatial import ConvexHull
 
 from polyproj import (
@@ -38,7 +39,6 @@ from polyproj.hull import (
     _chunk_size,
     _flat_generators,
     _MAX_ATTEMPTS,
-    _MAX_BLOCK,
     _MAX_GENERATORS,
     _MAX_POINTS,
     _incidence,
@@ -60,7 +60,7 @@ from polyproj.hull import (
     _dyadic,
     _fraction_free,
 )
-from polyproj.streams import MODEL_CODES, SIM_BLOCK, SIM_REPLICATION, derive_generator
+from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator, derive_keys
 
 from oracles import (
     colex_subsets,
@@ -272,10 +272,12 @@ def test_simplicial_f_vectors_of_minors_route_chunks(monkeypatch, model, d):
     # are the exact oracle's
     row = MODEL_TABLE[model]
     symmetric = row.family is Family.CROSSPOLYTOPE
+    bitgen = Philox(key=0)
     largest = _largest_enumerated_n(model, d)
     for n in sorted({d + row.shift, largest}):
         chunk = min(_chunk_size(row, n, d), 200)
-        maps = derive_generator(17, SIM_BLOCK, MODEL_CODES[model], n, d, 0, 0).standard_normal((chunk, n, d))
+        keys = derive_keys(17, SIM_REPLICATION, MODEL_CODES[model], n, d, np.arange(chunk), 0)
+        maps = _sample_maps(keys, bitgen, Generator(bitgen), np.empty((chunk, n, d)))
         assert not _assert_minors_route_rows(monkeypatch, maps, symmetric).all()
     maps = _clouds_near_hyperplanes(np.random.default_rng(MODEL_CODES[model] + 10 * d), 64, largest, d, symmetric)
     rechecked = _assert_minors_route_rows(monkeypatch, maps, symmetric, range(0, 64, 2))
@@ -376,7 +378,9 @@ def test_merged_facets_that_break_euler_are_a_degeneracy_error(monkeypatch):
     # simulate decides its side tests exactly: it counts the cloud's exact
     # row, the one the rounded grouping finds, and draws nothing again
     model, n, d, seed = "gaussian", 10, 6, 3
-    _patch_sample_map(monkeypatch, lambda i, attempt, image: cloud if (i, attempt) == (1, 0) else image)
+    path = (seed, SIM_REPLICATION, MODEL_CODES[model], n, d)
+    placed = _key(*path, 1, 0)
+    _patch_sample_map(monkeypatch, lambda key, image: cloud if key == placed else image)
     _, rows, degen = _replication_block((model, n, d, seed, 0, 3), _Workspace())
     assert degen == 0
     monkeypatch.undo()
@@ -705,12 +709,14 @@ def test_sample_cloud_matches_written_out_sampler(model):
             assert fv == hull_f_vector(model_cloud(model, n, d, derive_generator(5, index)))
 
 
-def test_sim_config_rejects_replications_past_the_rows_cap():
-    # no cap of its own bounds the replications: at d >= 2, 2^32 and more
-    # are past the 2^26-entry cap on the f-vector rows
-    for reps in (2**32, 2**32 + 1, np.uint64(2**32 + 1), 2**64):
-        with pytest.raises(InvalidArgumentError, match="replications x d must be <= 2\\^26"):
+def test_sim_config_caps_replications_at_one_stream_word():
+    # a replication index is one SeedSequence word of its stream key
+    for reps in (2**32 + 1, np.uint64(2**32 + 1), 2**64):
+        with pytest.raises(InvalidArgumentError, match="replications must be <= 2\\^32"):
             SimConfig(model="gaussian", n=5, d=2, replications=reps)
+    # 2^32 itself is one stream word, but its f-vector rows pass the 2^26-entry cap below
+    with pytest.raises(InvalidArgumentError, match="replications x d must be <= 2\\^26"):
+        SimConfig(model="gaussian", n=5, d=2, replications=2**32)
 
 
 @pytest.mark.parametrize("d", [2, 3, 6])
@@ -802,10 +808,11 @@ def test_simulate_worker_invariance():
     assert a.degenerate_events == b.degenerate_events
 
 
-def test_simulate_workers_split_at_stream_blocks(monkeypatch, tmp_path):
-    # 1301 replications are three stream blocks, the last one short: one
-    # worker, two shares (512 and 789) and three (512, 512 and 277) give
-    # equal estimates, degenerate counts and dump bytes, in real pools
+def test_simulate_workers_1_2_3_agree_in_real_pools(monkeypatch, tmp_path):
+    # 1301 replications are three 512-replication units: one worker, two
+    # shares (650 and 651) and three (433, 434 and 434), none a whole number
+    # of the shape's 87-map chunks, give equal estimates, degenerate counts
+    # and dump bytes
     monkeypatch.setattr("polyproj.hull._usable_cpus", lambda: 3)
     found = []
     for workers in (1, 2, 3):
@@ -818,9 +825,8 @@ def test_simulate_workers_split_at_stream_blocks(monkeypatch, tmp_path):
 
 def test_simulate_pool_has_no_more_workers_than_blocks(monkeypatch):
     # a pool starts all of its workers at its first task; this stand-in
-    # records the size it is asked for and the ranges it is given, and maps
-    # in this process.  Shares are cut at stream-block edges
-    pools, cuts = [], []
+    # records the size it is asked for and maps in this process
+    pools = []
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -832,45 +838,40 @@ def test_simulate_pool_has_no_more_workers_than_blocks(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, blocks, work):
-            cuts.extend(block[4:] for block in blocks)
-            return map(fn, blocks, work)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     base = dict(model="symmetric", n=4, d=2, seed=5)
     alone = {r: simulate_expected_f(SimConfig(**base, replications=r)) for r in (10, 1100)}
     # simulate imports the pool class when it starts one
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    three, two = [(0, 512), (512, 1024), (1024, 1100)], [(0, 512), (512, 1100)]
-    for cpus, r, workers, pool, shares in [(64, 10, 64, None, []), (64, 1100, 64, 3, three), (64, 1100, 2, 2, two),
-                                           (64, 1100, 1, None, []), (2, 1100, 5000, 2, two), (1, 1100, 5000, None, [])]:
+    for cpus, r, workers, pool in [(64, 10, 64, None), (64, 1100, 64, 3), (64, 1100, 2, 2),
+                                   (64, 1100, 1, None), (2, 1100, 5000, 2), (1, 1100, 5000, None)]:
         monkeypatch.setattr("polyproj.hull._usable_cpus", lambda: cpus)
         pools.clear()
-        cuts.clear()
         result = simulate_expected_f(SimConfig(**base, replications=r, workers=workers))
         # one block, one worker or one CPU runs in this process
         assert pools == ([] if pool is None else [pool])
-        assert cuts == shares
         assert result.means == alone[r].means
         assert result.degenerate_events == alone[r].degenerate_events
 
 
 @pytest.mark.parametrize("model,n,d", [("gaussian", 10, 3), ("symmetric", 8, 4), ("zonotope", 8, 3), ("gaussian", 18, 3)])
 def test_blocking_does_not_change_rows(monkeypatch, model, n, d):
-    # one block over every replication, one per stream block, and the shares
-    # simulate cuts at two workers give the same rows and degenerate count,
-    # on the minors route of both hull types, for a cube model and past the
-    # cap on qhull; a range cut short inside a stream block gives the leading
-    # rows.  Flat draws are forced at attempt 0 of replications on either
-    # side of both stream-block edges, and at attempt 1 of one of them
+    # one block over every replication, blocks of _BLOCK, and three uneven
+    # shares give the same rows and degenerate count, on the minors route of
+    # both hull types, for a cube model and past the cap on qhull.  Flat
+    # draws are forced at attempt 0 of replications on either side of the
+    # block and share edges, and at attempt 1 of one of them
     assert _enumerates(MODEL_TABLE[model], n, d) == (n < 18)
-    r = 1301
-    flat = {(i, 0) for i in (0, 511, 512, 1023, 1024, r - 1)} | {(512, 1)}
-    _patch_sample_map(monkeypatch, _flattening(flat))
+    r = 1100
+    flat = {(i, 0) for i in (0, 366, 367, 511, 512, r - 1)} | {(512, 1)}
+    _patch_sample_map(monkeypatch, _flattening(model, n, d, 13, flat))
+    bounds = [0, 366, 733, r]
     layouts = {
         "one": [(0, r)],
         "blocks": [(lo, min(lo + _BLOCK, r)) for lo in range(0, r, _BLOCK)],
-        "shares": [(0, _BLOCK), (_BLOCK, r)],
-        "cut": [(0, 700)],
+        "shares": list(zip(bounds, bounds[1:])),
     }
     found = {}
     for name, blocks in layouts.items():
@@ -882,32 +883,6 @@ def test_blocking_does_not_change_rows(monkeypatch, model, n, d):
     assert degen == len(flat) and rows.shape == (r, d) and rows.all()
     for name in ("blocks", "shares"):
         assert np.array_equal(found[name][0], rows) and found[name][1] == degen
-    assert np.array_equal(found["cut"][0], rows[:700]) and found["cut"][1] == 4
-
-
-@pytest.mark.parametrize("model,n,d", [("gaussian", 10, 3), ("symmetric", 8, 4), ("zonotope", 8, 3)])
-def test_stream_block_chunks_draw_the_same_maps(monkeypatch, model, n, d):
-    # one stream block drawn in chunks of 1, 87, 234 and 512 maps draws the
-    # maps of one standard_normal call on the block's attempt-0 stream, in
-    # replication order, and counts the same rows
-    drawn = []
-
-    def recording(i, attempt, image):
-        drawn.append((i, attempt, image.copy()))
-        return image
-
-    _patch_sample_map(monkeypatch, recording)
-    whole = derive_generator(5, SIM_BLOCK, MODEL_CODES[model], n, d, 0, 0).standard_normal((_BLOCK, n, d))
-    found = []
-    for chunk in (1, 87, 234, 512):
-        monkeypatch.setattr("polyproj.hull._chunk_size", lambda row, n, d: chunk)
-        drawn.clear()
-        _, rows, degen = _replication_block((model, n, d, 5, 0, _BLOCK), _Workspace())
-        assert degen == 0
-        assert [(i, attempt) for i, attempt, _ in drawn] == [(i, 0) for i in range(_BLOCK)]
-        assert np.array_equal(np.stack([image for _, _, image in drawn]), whole)
-        found.append(rows)
-    assert all(np.array_equal(rows, found[0]) for rows in found)
 
 
 def test_usable_cpus_reads_the_affinity_set(monkeypatch):
@@ -944,27 +919,36 @@ def test_simulate_blocks_match_per_replication_oracle(model, d, tmp_path):
 
 
 def _one_map(n, d, *path):
-    """The first n x d map on the stream (*path), drawn by _sample_maps as simulate draws it."""
-    return _sample_maps(derive_generator(*path), np.arange(1), 0, np.empty((1, n, d)))[0]
+    """The n x d map on the stream (*path), drawn by _sample_maps as simulate draws it."""
+    bitgen = Philox(key=0)
+    keys = derive_keys(*path[:-1], np.array(path[-1:]))
+    return _sample_maps(keys, bitgen, Generator(bitgen), np.empty((1, n, d)))[0]
+
+
+def _key(*path):
+    """The Philox key, as a tuple of ints, of the stream (*path)."""
+    return tuple(SeedSequence(path).generate_state(2, np.uint64).tolist())
 
 
 def _patch_sample_map(monkeypatch, edit):
-    """Draw every map with _sample_maps, then replace it by edit(replication, attempt, map)."""
+    """Draw every map with _sample_maps, then replace it by edit(key, map), key the map's Philox key as ints."""
 
-    def sample_maps(rng, replications, attempt, out):
-        _sample_maps(rng, replications, attempt, out)
-        for j, i in enumerate(replications.tolist()):
-            out[j] = edit(i, attempt, out[j])
+    def sample_maps(keys, bitgen, rng, out):
+        _sample_maps(keys, bitgen, rng, out)
+        for j, key in enumerate(keys.tolist()):
+            out[j] = edit(tuple(key), out[j])
         return out
 
     monkeypatch.setattr("polyproj.hull._sample_maps", sample_maps)
 
 
-def _flattening(flat):
+def _flattening(model, n, d, seed, flat):
     """An edit for _patch_sample_map that flattens the maps of the (replication, attempt) pairs in flat."""
+    path = (seed, SIM_REPLICATION, MODEL_CODES[model], n, d)
+    flat_keys = {_key(*path, i, a) for i, a in flat}
 
-    def flattened(i, attempt, image):
-        if (i, attempt) in flat:
+    def flattened(key, image):
+        if key in flat_keys:
             image[:, -1] = 0.0
         return image
 
@@ -973,28 +957,31 @@ def _flattening(flat):
 
 def test_simulate_resamples_degenerate_draws_from_later_attempts(monkeypatch):
     # flatten the attempt-0 maps of replications 0, 511, 512, 600 and 1700 and
-    # the attempt-1 map of 1700.  Every minor of a flat map is 0, so the
-    # minors route hands it to qhull, which flags it degenerate, and it is
-    # resampled in the next round from its stream block's next stream
+    # the attempt-1 map of 1700; keys pick the draws, whatever the order.  Every
+    # minor of a flat map is 0, so the minors route hands it to qhull, which
+    # flags it degenerate, and it is resampled from its next attempt's stream
     model, n, d, seed, r = "gaussian", 6, 3, 23, 6000  # 6 is the most degenerate draws allowed
     assert _enumerates(MODEL_TABLE[model], n, d)
-    flat = {(0, 0), (511, 0), (512, 0), (600, 0), (1700, 0), (1700, 1)}
-    rows, degenerate = per_replication_rows(model, n, d, seed, r, edit=_flattening(flat))
+    path = (seed, SIM_REPLICATION, MODEL_CODES[model], n, d)
+    flattened = _flattening(model, n, d, seed, {(0, 0), (511, 0), (512, 0), (600, 0), (1700, 0), (1700, 1)})
+
+    def sampler(model, n, d, rng):
+        key = tuple(rng.bit_generator.state["state"]["key"].tolist())
+        return flattened(key, rng.standard_normal((n, d)))  # a gaussian cloud is its map
+
+    rows, degenerate = per_replication_rows(model, n, d, seed, r, sampler=sampler)
     assert degenerate.sum() == 6 and degenerate[1700] == 2
-    _patch_sample_map(monkeypatch, _flattening(flat))
+    _patch_sample_map(monkeypatch, flattened)
     lo, block_rows, block_degen = _replication_block((model, n, d, seed, 512, 1024), _Workspace())
     assert block_degen == 2 and np.array_equal(block_rows, rows[512:1024])
     result = simulate_expected_f(SimConfig(model=model, n=n, d=d, replications=r, seed=seed))
     assert result.degenerate_events == 6
     assert result.means[0].value == float(rows[:, 0].mean())
     monkeypatch.undo()
-    # the resampled rows are the f-vectors of the maps their rounds' streams
-    # draw in order: 0 and 511 are maps 0 and 1 of block 0's attempt-1
-    # stream, 512 and 600 of block 1's, and 1700 map 0 of block 3's attempt-2 stream
-    for i, attempt, position in [(0, 1, 0), (511, 1, 1), (512, 1, 0), (600, 1, 1), (1700, 2, 0)]:
-        rng = derive_generator(seed, SIM_BLOCK, MODEL_CODES[model], n, d, i // _BLOCK, attempt)
-        cloud = rng.standard_normal((position + 1, n, d))[position]
-        assert rows[i].tolist() == list(hull_f_vector(cloud).counts)
+    # the resampled rows are the f-vectors of the next attempts' streams
+    for i, attempt in [(0, 1), (511, 1), (512, 1), (600, 1), (1700, 2)]:
+        rng = derive_generator(*path, i, attempt)
+        assert rows[i].tolist() == list(hull_f_vector(model_cloud(model, n, d, rng)).counts)
 
 
 def test_simulate_dump_is_deterministic(tmp_path):
@@ -1037,7 +1024,7 @@ def test_simulate_aborts_on_a_replication_flat_at_every_attempt(monkeypatch, mod
     # replications 700 and 900 stay flat; the smallest one still flat after
     # the last round is reported, with one degenerate draw per attempt
     flat = {(i, a) for i in (700, 900) for a in range(_MAX_ATTEMPTS)}
-    _patch_sample_map(monkeypatch, _flattening(flat))
+    _patch_sample_map(monkeypatch, _flattening(model, n, d, 3, flat))
     with pytest.raises(SimulationAbortError) as info:
         simulate_expected_f(SimConfig(model=model, n=n, d=d, replications=1000, seed=3))
     assert info.value.replications == 700
@@ -1048,12 +1035,12 @@ def test_simulate_aborts_on_a_replication_flat_at_every_attempt(monkeypatch, mod
 def test_simulate_aborts_when_flat_draws_exceed_the_rate_limit(monkeypatch):
     # 2 flat draws in 1000 replications, each redrawn fine, are over 0.1 %
     cfg = SimConfig(model="gaussian", n=6, d=3, replications=1000, seed=3)
-    _patch_sample_map(monkeypatch, _flattening({(10, 0), (600, 0)}))
+    _patch_sample_map(monkeypatch, _flattening("gaussian", 6, 3, 3, {(10, 0), (600, 0)}))
     with pytest.raises(SimulationAbortError, match="degenerate rate 2/1000") as info:
         simulate_expected_f(cfg)
     assert (info.value.degenerate, info.value.replications) == (2, 1000)
     # one flat draw is within it
-    _patch_sample_map(monkeypatch, _flattening({(10, 0)}))
+    _patch_sample_map(monkeypatch, _flattening("gaussian", 6, 3, 3, {(10, 0)}))
     assert simulate_expected_f(cfg).degenerate_events == 1
 
 
@@ -1119,8 +1106,7 @@ def test_workspace_leaks_nothing_across_chunks(monkeypatch, model, d):
     # of its facets, the only hyperplanes it rechecks, and at n = d off the
     # span of rows 1..d-1), or a cube map's row 0 twice its row 1, exactly
     # flat, so it is drawn again.  The block's rows and
-    # degenerate count are those of each map decided in a chunk of its own,
-    # in a workspace nothing poisons
+    # degenerate count are those of each map decided in a block of its own
     row = MODEL_TABLE[model]
     cube = row.family is Family.CUBE
     symmetric = row.family is Family.CROSSPOLYTOPE
@@ -1133,33 +1119,35 @@ def test_workspace_leaks_nothing_across_chunks(monkeypatch, model, d):
         found.append(result if cube else _rechecked(monkeypatch, args[0], symmetric))
         return result
 
+    monkeypatch.setattr("polyproj.hull._chunk_size", lambda row, n, d: chunk)
     monkeypatch.setattr(f"polyproj.hull.{count.__name__}", recorded)
     largest = _MAX_GENERATORS if cube else _largest_enumerated_n(model, d)
     for n in sorted({d + row.shift, largest}):
         assert cube or _chunk_size(row, n, d) >= chunk
+        path = (7, SIM_REPLICATION, MODEL_CODES[model], n, d)
+        moved = {_key(*path, i, 0) for i in (1, 2)}
         work = _Workspace()
 
-        def poisoned_draw(rng, replications, attempt, out):
+        def poisoned_draw(keys, bitgen, rng, out):
             for buffer in work.buffers.values():
                 buffer.view(np.uint8).fill(0xFF)
-            _sample_maps(rng, replications, attempt, out)
-            for j, i in enumerate(replications.tolist()):
-                if (i, attempt) not in ((1, 0), (2, 0)):
+            _sample_maps(keys, bitgen, rng, out)
+            for j, key in enumerate(keys.tolist()):
+                if tuple(key) not in moved:
                     continue
                 if cube:
                     out[j, 0] = 2 * out[j, 1]
                 else:
-                    out[j, 0] = near_row(out[j], symmetric, 0.1, np.random.default_rng(i))
+                    out[j, 0] = near_row(out[j], symmetric, 0.1, np.random.default_rng(j))
             return out
 
         monkeypatch.setattr("polyproj.hull._sample_maps", poisoned_draw)
-        monkeypatch.setattr("polyproj.hull._chunk_size", lambda row, n, d: 1)
-        _, alone, alone_degen = _replication_block((model, n, d, 7, 0, block), _Workspace())
-        monkeypatch.setattr("polyproj.hull._chunk_size", lambda row, n, d: chunk)
+        alone = [_replication_block((model, n, d, 7, i, i + 1), _Workspace()) for i in range(block)]
         found.clear()
         _, rows, degen = _replication_block((model, n, d, 7, 0, block), work)
         assert [len(flags) for flags in found[:3]] == [chunk, chunk, block - 2 * chunk] and found[0][1:3].all()
-        assert rows.tolist() == alone.tolist() and degen == alone_degen
+        assert rows.tolist() == [alone_block[1][0].tolist() for alone_block in alone]
+        assert degen == sum(alone_block[2] for alone_block in alone)
 
 
 @pytest.mark.parametrize("model,n,d,sums", [
@@ -1182,11 +1170,8 @@ def test_workspace_leaks_nothing_across_chunks(monkeypatch, model, d):
     ("symmetric", 23, 2, [10288, 10288]),
     ("symmetric", 5, 5, [13000, 52000, 104000, 104000, 41600]),
 ])
-def test_benchmark_shapes_keep_their_counts(monkeypatch, model, n, d, sums, tmp_path):
-    # each replication's maps drawn from its own stream, (seed, SIM_REPLICATION,
-    # model, n, d, replication, attempt), the layout before one stream per
-    # stream block: the sums pinned on it then are the sums of the rows the
-    # counting code finds now.  The hull_sim workload's minors-route shapes, and one d = 5 and one d = 6
+def test_benchmark_shapes_keep_their_counts(model, n, d, sums, tmp_path):
+    # the hull_sim workload's minors-route shapes, and one d = 5 and one d = 6
     # minors-route shape of each hull type, over two whole blocks and a short
     # third one: the column sums of their dump rows, pinned for the first two
     # when every chunk allocated its own temporaries, for the next four when
@@ -1199,35 +1184,12 @@ def test_benchmark_shapes_keep_their_counts(monkeypatch, model, n, d, sums, tmp_
     # facets'.  The next five, the largest symmetric n at d = 4, 5, 3 and 2
     # and n = d = 5 (no outside point), were pinned when the symmetric side
     # sums were built for every outside point at once
-    def own_streams(rng, replications, attempt, out):
-        for i, image in zip(replications.tolist(), out):
-            derive_generator(5, SIM_REPLICATION, MODEL_CODES[model], n, d, i, attempt).standard_normal(out=image)
-        return out
-
-    monkeypatch.setattr("polyproj.hull._sample_maps", own_streams)
-    _assert_column_sums(model, n, d, sums, tmp_path)
-
-
-def _assert_column_sums(model, n, d, sums, tmp_path):
-    """simulate at seed 5 over two whole stream blocks and a short third one draws nothing flat, and its dump rows sum to sums."""
     dump = tmp_path / "rows.csv"
     cfg = SimConfig(model=model, n=n, d=d, replications=2 * _BLOCK + 276, seed=5)
     assert simulate_expected_f(cfg, dump_path=str(dump)).degenerate_events == 0
     rows = np.loadtxt(dump, delimiter=",", skiprows=1, dtype=np.int64)
     assert rows[:, 0].tolist() == list(range(cfg.replications))
     assert rows[:, 1:].sum(axis=0).tolist() == sums
-
-
-@pytest.mark.parametrize("model,n,d,sums", [
-    ("gaussian", 10, 3, [10723, 24369, 16246]),
-    ("symmetric", 8, 4, [18228, 75450, 114444, 57222]),
-    ("projected_cube", 8, 3, [75400, 145600, 72800]),
-    ("zonotope", 8, 3, [75400, 145600, 72800]),
-])
-def test_benchmark_shapes_pin_the_stream_block_layout(model, n, d, sums, tmp_path):
-    # the hull_sim workload's four shapes, drawn as simulate draws them: one
-    # stream per stream block and attempt round
-    _assert_column_sums(model, n, d, sums, tmp_path)
 
 
 def test_enumeration_cap_sends_large_shapes_to_qhull(monkeypatch):
@@ -1335,8 +1297,8 @@ def _routed_block(monkeypatch, model, cloud_map):
     """
     draws = []
 
-    def drawing(i, attempt, image):
-        draws.append((i, attempt))
+    def drawing(key, image):
+        draws.append(key)
         return cloud_map
 
     def no_qhull(points):
@@ -1478,12 +1440,12 @@ def test_exactly_flat_clouds_are_drawn_again(monkeypatch, model, cloud):
     assert flat.tolist() == [True] and rows.shape == (0, cloud.shape[1])
     assert exact_hull_f_vector(cloud, symmetric) is None
     n, d = cloud.shape
-    _patch_sample_map(monkeypatch, lambda i, attempt, image: cloud if (i, attempt) == (1, 0) else image)
+    path = (9, SIM_REPLICATION, MODEL_CODES[model], n, d)
+    placed = _key(*path, 1, 0)
+    _patch_sample_map(monkeypatch, lambda key, image: cloud if key == placed else image)
     _, rows, degen = _replication_block((model, n, d, 9, 0, 3), _Workspace())
     assert degen == 1
-    # the only draw of round 1: the first map of the attempt-1 stream
-    redrawn = _one_map(n, d, 9, SIM_BLOCK, MODEL_CODES[model], n, d, 0, 1)
-    assert tuple(rows[1].tolist()) == exact_hull_f_vector(redrawn, symmetric)
+    assert tuple(rows[1].tolist()) == exact_hull_f_vector(_one_map(n, d, *path, 1, 1), symmetric)
 
 
 def _clouds_within_rounding_of_an_edge(symmetric, count=200):
@@ -1556,19 +1518,21 @@ def _cube_chunk_with(monkeypatch, n, d, placed_map):
     """
     model, seed, placed = "zonotope", 7, 5
     assert _chunk_size(MODEL_TABLE[model], n, d) >= 16
+    path = (seed, SIM_REPLICATION, MODEL_CODES[model], n, d)
+    placed_key = _key(*path, placed, 0)
     drawn = []
 
-    def placing(i, attempt, image):
-        drawn.append((i, attempt))
-        return placed_map if (i, attempt) == (placed, 0) else image
+    def placing(key, image):
+        drawn.append(key)
+        return placed_map if key == placed_key else image
 
     _patch_sample_map(monkeypatch, placing)
     # zonotope_f_vector is never called: the chunk runs its own test
     monkeypatch.setattr("polyproj.hull.zonotope_f_vector", None)
     log = _recheck_log(monkeypatch)
     _, rows, degen = _replication_block((model, n, d, seed, 0, 16), _Workspace())
-    first = [(i, 0) for i in range(16)]
-    assert drawn in (first, first + [(placed, 1)])
+    keys = [tuple(k) for k in derive_keys(*path, np.arange(16), 0).tolist()]
+    assert drawn in (keys, keys + [_key(*path, placed, 1)])
     assert rows.tolist() == [list(_cube_row(n, d))] * 16
     return degen, len(drawn) > 16, log
 
@@ -1757,13 +1721,14 @@ def test_subsets_edge_cases_and_read_only_tables():
 @pytest.mark.parametrize("n,d", [(4, 2), (8, 3), (10, 4), (15, 6)])
 def test_sampled_maps_are_the_frames_gaussian_matrices(n, d):
     # a chunk's maps are the Gaussian matrices G = QR whose Q factors are the
-    # frames random_orthonormal_frame draws on the same stream one at a time
-    path = (3, SIM_BLOCK, MODEL_CODES["projected_cube"], n, d, 0, 0)
-    maps = _sample_maps(derive_generator(*path), np.arange(40), 0, np.empty((40, n, d)))
-    one_at_a_time, frames = derive_generator(*path), derive_generator(*path)
+    # frames random_orthonormal_frame draws on the same streams one at a time
+    path = (3, SIM_REPLICATION, MODEL_CODES["projected_cube"], n, d)
+    keys = derive_keys(*path, np.arange(40), 0)
+    bitgen = Philox(key=0)
+    maps = _sample_maps(keys, bitgen, Generator(bitgen), np.empty((40, n, d)))
     for i in range(40):
-        assert maps[i].tobytes() == one_at_a_time.standard_normal((n, d)).tobytes()
-        frame = random_orthonormal_frame(n, d, frames)
+        assert maps[i].tobytes() == derive_generator(*path, i, 0).standard_normal((n, d)).tobytes()
+        frame = random_orthonormal_frame(n, d, derive_generator(*path, i, 0))
         r = frame.T @ maps[i]
         assert np.allclose(frame @ r, maps[i], atol=1e-12)
         assert np.allclose(np.tril(r, -1), 0.0, atol=1e-12) and (np.diagonal(r) > 0).all()

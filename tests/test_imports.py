@@ -139,8 +139,8 @@ def test_minors_route_simulate_leaves_scipy_unloaded():
         "import sys, numpy as np, polyproj.cli, polyproj.hull as hull\n"
         "calls, rechecked, near, convert, draw = [], [], [], hull._dyadic, hull._sample_maps\n"
         "hull._dyadic = lambda rows: calls.append(1) or convert(rows)\n"
-        "def sample_maps(rng, replications, attempt, out):\n"
-        "    draw(rng, replications, attempt, out)\n"
+        "def sample_maps(keys, bitgen, rng, out):\n"
+        "    draw(keys, bitgen, rng, out)\n"
         "    if near:\n"
         "        out[0] = near.pop()\n"
         "    return out\n"
