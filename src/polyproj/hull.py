@@ -64,10 +64,10 @@ share of the replications, a block of at most _MAX_BLOCK at a time, and a
 run in one process is one share; a block's attempts run in rounds: round a
 draws the maps of the replications still undecided on their attempt-a
 Philox keys, from one derive_keys call over the column of their indices,
-which are the draws derive_generator's generators would give.  An index is
-one SeedSequence word, so SimConfig caps replications at 2^32; it also caps
-replications x d at 2^26, which keeps the int64 f-vector rows within
-512 MiB, and --dump writes them _BLOCK rows at a time.  Every round's maps
+which are the draws derive_generator's generators would give.  SimConfig
+caps replications x d at 2^26, which keeps the int64 f-vector rows within
+512 MiB and, since d >= 2, every index within one SeedSequence word, and
+--dump writes the rows _BLOCK at a time.  Every round's maps
 take their shape's route, so reports depend on neither the blocking nor the
 worker count; flat draws wait for the next round.
 """
@@ -184,11 +184,9 @@ class SimConfig:
         # NumPy integers are stored as Python ints; a standard error takes two replications
         for name, lo in (("n", None), ("d", None), ("replications", 2), ("seed", 0), ("workers", 1)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
-        if self.replications > 2**32:  # each replication index is one SeedSequence word of its stream
-            raise InvalidArgumentError(f"replications must be <= 2^32, got {self.replications}")
         if not (2 <= self.d <= _MAX_HULL_DIM):
             raise InvalidDimensionError(f"hull dimension must be in 2..{_MAX_HULL_DIM}, got {self.d}")
-        if self.replications * self.d > 2**26:  # the int64 f-vector rows stay within 512 MiB
+        if self.replications * self.d > 2**26:  # int64 rows within 512 MiB, each index one SeedSequence word
             raise InvalidArgumentError(f"replications x d must be <= 2^26, got {self.replications} x {self.d}")
         min_n = self.d + row.shift
         if self.n < min_n:

@@ -213,11 +213,11 @@ def test_simulate_semantic_error_exits_1(capsys):
                                 "--reps", "5", *SMALL])
     assert code == 1
     assert err.startswith("error:")
-    # a replication index is one stream word, so more than 2^32 replications is an error line
+    # more than 2^32 replications is past the 2^26 cap on replications x d, an error line
     code, out, err = run(capsys, ["simulate", "--model", "gaussian", "--n", "6", "--d", "3",
                                   "--reps", str(2**32 + 1)])
     assert (code, out) == (1, "")
-    assert err.startswith("error: replications must be <= 2^32")
+    assert err.startswith("error: replications x d must be <= 2^26, got 4294967297 x 3")
     # one replication has no standard error, so it is an error line too, not a stderr of 0
     code, out, err = run(capsys, ["simulate", "--model", "symmetric", "--n", "3", "--d", "2", "--reps", "1"])
     assert (code, out) == (1, "")

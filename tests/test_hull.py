@@ -710,13 +710,12 @@ def test_sample_cloud_matches_written_out_sampler(model):
 
 
 def test_sim_config_caps_replications_at_one_stream_word():
-    # a replication index is one SeedSequence word of its stream key
-    for reps in (2**32 + 1, np.uint64(2**32 + 1), 2**64):
-        with pytest.raises(InvalidArgumentError, match="replications must be <= 2\\^32"):
+    # a replication index is one SeedSequence word of its stream key; the
+    # 2^26-entry cap on the f-vector rows keeps it there, since d >= 2
+    assert SimConfig(model="gaussian", n=5, d=2, replications=2**25).replications == 2**25
+    for reps in (2**25 + 1, 2**32, 2**32 + 1, np.uint64(2**32 + 1), 2**64):
+        with pytest.raises(InvalidArgumentError, match="replications x d must be <= 2\\^26"):
             SimConfig(model="gaussian", n=5, d=2, replications=reps)
-    # 2^32 itself is one stream word, but its f-vector rows pass the 2^26-entry cap below
-    with pytest.raises(InvalidArgumentError, match="replications x d must be <= 2\\^26"):
-        SimConfig(model="gaussian", n=5, d=2, replications=2**32)
 
 
 @pytest.mark.parametrize("d", [2, 3, 6])
