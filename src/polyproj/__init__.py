@@ -43,7 +43,6 @@ from .expected import (
     GAUSSIAN_MODELS,
     MonotonicityRow,
     PoissonizedExpectation,
-    SnTerm,
     expected_f_cube_closed_form,
     expected_f_gaussian,
     expected_f_model,
@@ -55,7 +54,6 @@ from .expected import (
     monotonicity_table,
     poissonized_expected,
     poissonized_series,
-    sn_terms,
     t_functional_expected,
     unit_ball_volume,
 )

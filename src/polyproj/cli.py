@@ -164,7 +164,7 @@ def _cmd_simulate(args) -> int:
         formula = expected_f_model(args.model, args.n, args.d, k, args.cfg)
         diff = sim.value - formula.value
         denom = (sim.std_error**2 + formula.std_error**2) ** 0.5
-        z = diff / denom if denom > 0 else 0.0 if diff == 0 else float("inf")
+        z = diff / denom if denom > 0 else 0.0 if diff == 0 else math.copysign(math.inf, diff)
         rows.append(_row(args, k, sim, n=args.n, formula_value=float(formula.value), z_score=z,
                          wall_time_s=wall))
     _emit(rows, args)

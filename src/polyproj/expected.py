@@ -12,10 +12,10 @@ injective on P_n almost surely, so f_k is the face count of P_n and the sum
 is not evaluated.  Cube angles are powers of 1/2 that cancel against the
 face counts, so a cube's value is the exact integer of
 expected_f_cube_closed_form, which is what makes cube monotonicity verdicts
-exact; sn_terms still sums a cube's terms, as a check of that form.  The sum
-of a simplex or crosspolytope always has a quadrature external angle, so
-when its internal angles are exact too (as in every planar sum) it is exact
-with exact_value None and std_error 0, deterministic within QUADRATURE_RTOL.
+exact; no cube angle is taken.  The sum of a simplex or crosspolytope always
+has a quadrature external angle, so when its internal angles are exact too
+(as in every planar sum) it is exact with exact_value None and std_error 0,
+deterministic within QUADRATURE_RTOL.
 An exact count past the float range, which a report could not carry, is an
 InvalidDimensionError, found before the count is built where it is a face
 count or a closed form.
@@ -23,7 +23,7 @@ count or a closed form.
 A monotonicity table and a Poisson series take E f_k over a range of sizes
 in one pass: one external_angles call for every external angle of the range,
 each internal angle beta(Q_k, Q_{j-1}) and subface count c(j-1, k) once, and
-then each size's terms, added as sn_terms makes them, so that every value is
+then each size's terms, j descending from d by 2, so that every value is
 the one expected_f_model gives at its size alone, bit for bit.
 expected_f_model and expected_f_projection are that pass over one size.
 
@@ -75,54 +75,6 @@ GAUSSIAN_MODELS = tuple(name for name, row in MODEL_TABLE.items() if row.gaussia
 MAX_POISSON_SIZE = 10_000
 
 
-@dataclass(frozen=True)
-class SnTerm:
-    """One j-term of the projection sum, with its factors kept visible."""
-
-    j: int
-    faces: int  # c(n, j-1)
-    subfaces: int  # c(j-1, k)
-    beta: Estimate
-    gamma: Estimate
-    value: float
-    std_error: float
-    exact_value: Fraction | None
-
-
-def sn_terms(
-    family: Family, n: int, d: int, k: int, cfg: MCConfig | None = None
-) -> list[SnTerm]:
-    """The terms of the projection sum for E f_k, j descending from d by 2.
-
-    Terms with k > j-1 vanish (the subface count is 0) and are included with
-    value 0 so the sum structure stays inspectable.
-    """
-    family = resolve_family(family)
-    n = check_int("n", n, 1)
-    d = check_int("d", d, 1)
-    k = check_int("k", k, 0)
-    if d > n:
-        raise InvalidArgumentError(f"projection sum needs d <= n, got d={d} > n={n}")
-    cfg = cfg or MCConfig()
-    terms: list[SnTerm] = []
-    js = range(d, 0, -2)
-    for j, gamma in zip(js, external_angles(family, [(n, j - 1) for j in js])):
-        c1 = face_count(family, n, j - 1, on_polytope=True)
-        c2 = face_count(family, j - 1, k, on_polytope=False)
-        beta = internal_angle(family, n, k, j - 1, cfg)
-        exact = None
-        if beta.exact_value is not None and gamma.exact_value is not None:
-            exact = c1 * c2 * beta.exact_value * gamma.exact_value
-        if family is Family.CUBE:
-            # an integer; the float product is this, correctly rounded, while
-            # c1 * c2 fits in a float, and overflows from n of about 1000 on
-            value, se = exact_float(exact), 0.0
-        else:
-            value, se = _term(c1, c2, beta, gamma)
-        terms.append(SnTerm(j, c1, c2, beta, gamma, value, se, exact))
-    return terms
-
-
 def _term(faces: int, subfaces: int, beta: Estimate, gamma: Estimate) -> tuple[float, float]:
     """The value faces * subfaces * beta * gamma of one j-term and its standard error."""
     count = exact_float(faces * subfaces)  # the float faces * subfaces * beta.value would take, checked
@@ -154,7 +106,9 @@ def expected_f_cube_closed_form(n: int, d: int, k: int) -> int:
 
     Cube internal and external angles are powers of 1/2 that cancel against
     the 2-power in the face counts, leaving 2 * sum_j C(n, j-1) * C(j-1, k),
-    whose terms with j - 1 < k vanish.  Requires 1 <= d <= n and 0 <= k < d.
+    whose terms with j - 1 < k vanish.  It is every cube value of the
+    projection sum: no cube angle term is multiplied out.  Requires
+    1 <= d <= n and 0 <= k < d.
     A total past the float range is an InvalidDimensionError, found from its
     largest term before any is built.
     """

@@ -928,9 +928,10 @@ def _usable_cpus() -> int:
 def simulate_expected_f(cfg: SimConfig, dump_path: str | None = None) -> SimulationResult:
     """Empirical mean f-vector over cfg.replications independent draws.
 
-    Each worker takes one contiguous share of the replications, so a run in
-    one process of up to _MAX_BLOCK replications derives each round's keys
-    in one call and its chunks run on past every _BLOCK edge.  Results are
+    The replications are cut into contiguous blocks of ceil(r / workers),
+    at most _MAX_BLOCK, so a run in one process of up to _MAX_BLOCK
+    replications derives each round's keys in one call and its chunks run
+    on past every _BLOCK edge.  Results are
     bit-identical for any worker count: each replication has its own
     derived stream and rows are assembled by index.  A degenerate-draw rate
     above 0.1% aborts the run.
@@ -938,13 +939,9 @@ def simulate_expected_f(cfg: SimConfig, dump_path: str | None = None) -> Simulat
     r = cfg.replications
     # a pool starts all its workers at once, so it gets no more than there are _BLOCK-replication units or CPUs
     workers = min(cfg.workers, -(-r // _BLOCK), _usable_cpus())
-    # one contiguous share per worker, cut into blocks of at most _MAX_BLOCK
-    bounds = [r * w // workers for w in range(workers + 1)]
-    blocks = [
-        (cfg.model, cfg.n, cfg.d, cfg.seed, lo, min(lo + _MAX_BLOCK, hi))
-        for start, hi in zip(bounds, bounds[1:])
-        for lo in range(start, hi, _MAX_BLOCK)
-    ]
+    size = min(-(-r // workers), _MAX_BLOCK)
+    blocks = [(cfg.model, cfg.n, cfg.d, cfg.seed, lo, min(lo + size, r)) for lo in range(0, r, size)]
+    workers = min(workers, len(blocks))
     rows = np.zeros((r, cfg.d), dtype=np.int64)
     degen = 0
     # every block run in this process writes into one workspace; a pool's

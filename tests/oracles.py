@@ -27,8 +27,10 @@ Poisson tail bounds written out per model name instead of read off the
 model table, every face of a simplicial hull counted as a distinct subset of
 its facets instead of read off the h-vector, exact angles as a ladder of
 branches instead of one power of 1/2 per kind, one exactly rounded math.fsum
-per quadrature window instead of NumPy's row sums, each size's sum of
-sn_terms on its own instead of one batch of angles for a range of sizes,
+per quadrature window instead of NumPy's row sums, each size's projection
+sum on its own, one angle call per term, instead of one batch of angles for
+a range of sizes, a cube's sum as exact products of its face counts and
+angles instead of the collapsed binomial sum,
 a linear scan for a Poisson sum's stopping size from max(k + 2, int(t) + 1)
 instead of a scan that starts past 2t, colex subset lists built by
 recursion on the largest element instead of sorted by reversed tuple,
@@ -255,11 +257,12 @@ def poisson_growth_ratio(model: str, ell: int, k: int) -> float:
 def model_value_by_terms(row, n: int, d: int, k: int, cfg):
     """E f_k of a target row with parameter n, from this size alone, as an Estimate.
 
-    Every branch of the projection formula written out, as expected_f_model
-    took them one size at a time: a simplex or crosspolytope sum is the sum
-    of sn_terms, with the angles of the one size fetched anew.
+    Every branch of the projection formula written out, one size at a time.
+    A simplex or crosspolytope sum takes each j-term's face counts and angles
+    anew, one public angle call each, and each term's float steps as
+    polyproj.expected takes them; a cube sum is cube_projection_sum.
     """
-    from polyproj import Estimate, Family, expected_f_cube_closed_form, face_count, sn_terms
+    from polyproj import Estimate, Family, external_angle, face_count, internal_angle
 
     if n == 0:
         return Estimate.rational(0)
@@ -275,12 +278,33 @@ def model_value_by_terms(row, n: int, d: int, k: int, cfg):
     if d == 1:
         return Estimate.rational(2)
     if row.family is Family.CUBE:
-        return Estimate.rational(expected_f_cube_closed_form(m, d, k))
-    terms = sn_terms(row.family, m, d, k, cfg)
-    value = 2.0 * sum(term.value for term in terms)
-    if all(term.beta.exact and term.gamma.exact for term in terms):
-        return Estimate(value, 0.0, True)
-    return Estimate(value, 2.0 * sum(term.std_error for term in terms))
+        return Estimate.rational(cube_projection_sum(m, d, k, exact_angle_ladder))
+    values, errors, exact = [], [], True
+    for j in range(d, 0, -2):
+        beta = internal_angle(row.family, m, k, j - 1, cfg)
+        gamma = external_angle(row.family, m, j - 1)
+        count = float(face_count(row.family, m, j - 1) * face_count(row.family, j - 1, k, on_polytope=False))
+        values.append(count * beta.value * gamma.value)
+        errors.append(count * math.hypot(beta.value * gamma.std_error, gamma.value * beta.std_error))
+        exact = exact and beta.exact and gamma.exact
+    if exact:
+        return Estimate(2.0 * sum(values), 0.0, True)
+    return Estimate(2.0 * sum(values), 2.0 * sum(errors))
+
+
+def cube_projection_sum(n: int, d: int, k: int, angle) -> Fraction:
+    """2 sum_j c(n, j - 1) c(j - 1, k) beta(Q_k, Q_{j-1}) gamma(Q_{j-1}, P_n) of a cube, j = d, d - 2, ..., >= 1.
+
+    Each term an exact Fraction product of the face counts and the angles that
+    angle(kind, "cube", n, k, g) gives, as exact_angle_ladder's signature has it.
+    """
+    from polyproj import Family, face_count
+
+    total = Fraction(0)
+    for j in range(d, 0, -2):
+        faces = face_count(Family.CUBE, n, j - 1) * face_count(Family.CUBE, j - 1, k, on_polytope=False)
+        total += faces * angle("int", "cube", n, k, j - 1) * angle("ext", "cube", n, k, j - 1)
+    return 2 * total
 
 
 def poisson_sum_per_t(t: float, d: int, k: int, model: str, eps: float, cfg) -> tuple:

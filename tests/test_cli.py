@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -196,6 +197,24 @@ def test_simulate_gaussian_z_scores(capsys):
     for r in rows:
         assert abs(r.z_score) < 4.0
         assert r.stderr > 0
+
+
+def test_simulate_mean_below_an_exact_formula_has_z_score_minus_inf(capsys, monkeypatch):
+    # with both standard errors 0, the z-score's infinity takes the sign of the difference
+    simulate = cli.simulate_expected_f
+
+    def one_below(cfg, dump_path):
+        result = simulate(cfg, dump_path)
+        means = {k: polyproj.Estimate(est.value - 1.0, 0.0) for k, est in result.means.items()}
+        return dataclasses.replace(result, means=means)
+
+    monkeypatch.setattr(cli, "simulate_expected_f", one_below)
+    code, out, _ = run(capsys, ["simulate", "--model", "zonotope", "--n", "5", "--d", "3", "--reps", "20", *SMALL])
+    assert code == 0
+    rows = from_csv(out)
+    assert [r.value for r in rows] == [r.formula_value - 1.0 for r in rows]
+    assert [r.z_score for r in rows] == [-math.inf] * 3
+    assert all(line.endswith(",-inf,,") for line in out.splitlines()[1:])
 
 
 def test_simulate_dump(tmp_path, capsys):

@@ -28,11 +28,11 @@ from polyproj import (
     external_angle,
     face_count,
     face_volume,
+    internal_angle,
     intrinsic_volume,
     monotonicity_table,
     poissonized_expected,
     poissonized_series,
-    sn_terms,
     t_functional_expected,
     unit_ball_volume,
 )
@@ -42,6 +42,7 @@ from polyproj.families import canonical_face_volume, check_count_size, target_ro
 from oracles import (
     SHADOW_TETRA_VERTICES,
     ball_volume_closed_form,
+    cube_projection_sum,
     model_value_by_terms,
     poisson_face_bound,
     poisson_growth_ratio,
@@ -83,20 +84,6 @@ def test_d_equals_one_is_a_segment(family):
     est = expected_f_projection(family, 5, 1, 0)
     assert est.exact and est.exact_value == 2
     assert expected_f_projection(family, 5, 1, 1).exact_value == 1
-
-
-def test_sn_terms_structure():
-    terms = sn_terms(Family.CUBE, 4, 3, 1)
-    assert [t.j for t in terms] == [3, 1]
-    top = terms[0]
-    assert top.faces == face_count(Family.CUBE, 4, 2)
-    assert top.subfaces == face_count(Family.CUBE, 2, 1, on_polytope=False)
-    # beta(Q_1, Q_2) = 1/2 and gamma(Q_2, P_4) = 1/4 for the cube
-    assert top.exact_value == top.faces * top.subfaces * Fraction(1, 2) * Fraction(1, 4)
-    # the j = 1 term vanishes for k = 1 but stays visible
-    assert terms[1].subfaces == 0 and terms[1].value == 0.0
-    with pytest.raises(InvalidArgumentError):
-        sn_terms(Family.CUBE, 3, 4, 0)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -308,10 +295,15 @@ def test_cube_values_at_a_trillion_take_no_angle(monkeypatch):
 
 @pytest.mark.parametrize("n,d", [(7, 2), (12, 5), (40, 9), (61, 60)])
 def test_cube_closed_form_rows_are_the_projection_sums(n, d):
-    # the closed form gives every cube row the value and rational the sum of its terms gives
+    # the closed form gives every cube row the value and rational that the exact
+    # products c(n, j - 1) c(j - 1, k) beta gamma of the library's angles add up to
+    def angle(kind, family, n, k, g):
+        est = internal_angle(family, n, k, g) if kind == "int" else external_angle(family, n, g)
+        assert est.exact_value is not None
+        return est.exact_value
+
     for k in range(d):
-        terms = sn_terms(Family.CUBE, n, d, k)
-        total = 2 * sum(t.exact_value for t in terms)
+        total = cube_projection_sum(n, d, k, angle)
         est = expected_f_projection(Family.CUBE, n, d, k)
         assert (est.value, est.exact_value, est.std_error, est.exact) == (float(total), total, 0.0, True)
 
@@ -835,12 +827,6 @@ def test_poisson_sizes_stop_at_max_poisson_size(monkeypatch):
 
 
 def test_cube_terms_past_the_float_range_of_their_counts():
-    # a cube term is an integer: as a float it is the old float product wherever that fits
-    for n in (*range(3, 60), *range(60, 990, 37)):
-        for d, k in ((2, 0), (3, 1), (5, 2)):
-            for term in sn_terms(Family.CUBE, n, d, k) if d <= n else ():
-                product = term.faces * term.subfaces * term.beta.value * term.gamma.value
-                assert (term.value, term.std_error) == (product, 0.0)
     # from n of about 1000 on, c(n, j - 1) overflows a float; the rows stay exact
     rows = monotonicity_table("cube", 3, 0, 1020, 1040)
     assert [r.exact_value for r in rows] == [expected_f_cube_closed_form(n, 3, 0) for n in range(1020, 1041)]
@@ -892,7 +878,7 @@ def estimate_fields(est):
 @pytest.mark.parametrize("target", [f.value for f in Family] + list(MODEL_TABLE))
 def test_size_ranges_match_the_per_size_oracle(target):
     # bit for bit, over n = shift, n <= d, k >= min(n, d), d = 1 and the cube closed form:
-    # a range of sizes in one pass, a table and a series give what summing sn_terms per size gives
+    # a range of sizes in one pass, a table and a series give what the per-size oracle gives
     row = target_row(target)
     gaussian = target in polyproj.expected.GAUSSIAN_MODELS
     for d in range(1, 7):

@@ -23,7 +23,6 @@ from polyproj import (
     hull_f_vector,
     internal_angle,
     intrinsic_volume,
-    sn_terms,
     vertices,
 )
 from polyproj.families import check_int, check_real, resolve_family, target_row
@@ -240,7 +239,6 @@ def test_target_rows():
 
 _FAMILY_ENTRY_POINTS = {
     "expected_f_projection": lambda f: expected_f_projection(f, 3, 2, 1),
-    "sn_terms": lambda f: sn_terms(f, 3, 2, 1),
     "intrinsic_volume": lambda f: intrinsic_volume(f, 3, 1),
     "external_angle": lambda f: external_angle(f, 3, 1),
     "internal_angle": lambda f: internal_angle(f, 3, 0, 2),

@@ -809,7 +809,7 @@ def test_simulate_worker_invariance():
 
 def test_simulate_workers_1_2_3_agree_in_real_pools(monkeypatch, tmp_path):
     # 1301 replications are three 512-replication units: one worker, two
-    # shares (650 and 651) and three (433, 434 and 434), none a whole number
+    # blocks (651 and 650) and three (434, 434 and 433), none a whole number
     # of the shape's 87-map chunks, give equal estimates, degenerate counts
     # and dump bytes
     monkeypatch.setattr("polyproj.hull._usable_cpus", lambda: 3)
