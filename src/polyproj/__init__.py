@@ -39,16 +39,12 @@ from .errors import (
 )
 from .expected import (
     Estimate,
-    ExpectedFVector,
     GAUSSIAN_MODELS,
     MonotonicityRow,
     PoissonizedExpectation,
     expected_f_cube_closed_form,
-    expected_f_gaussian,
     expected_f_model,
     expected_f_projection,
-    expected_f_symmetric,
-    expected_f_vector,
     expected_f_zonotope,
     intrinsic_volume,
     monotonicity_table,
@@ -66,7 +62,6 @@ from .families import (
     barycenter,
     canonical_face,
     face_count,
-    face_volume,
     vertices,
 )
 from .hull import (

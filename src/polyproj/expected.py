@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -136,7 +136,10 @@ def _cube_total(n: int, d: int, k: int) -> int:
 def expected_f_model(model: str | Model, n: int, d: int, k: int, cfg: MCConfig | None = None) -> Estimate:
     """E f_k of a target row or MODEL_TABLE name with parameter n: that of the projected P_{n - shift}.
 
-    n = 0 is the empty hull, and n - shift = 0 a single point.
+    n - shift < 0 is the empty hull.  n - shift = 0 is a single point for
+    simplex and cube rows (P_0 of either is one vertex, the zonotope of no
+    segments is {0}), and the empty hull for crosspolytope rows, whose P_0
+    has no vertex.
     """
     row = model if isinstance(model, Model) else model_row(model)
     n = check_int("n", n, 0)
@@ -199,11 +202,9 @@ def _cube_values(row: Model, sizes: Sequence[int], d: int, k: int) -> list[Estim
 
 def _rational_value(row: Model, n: int, d: int, k: int) -> Estimate:
     """expected_f_model(row, n, d, k) at a size that takes no projection sum."""
-    if n == 0:
-        return Estimate.rational(0)
-    if n == row.shift:
-        return Estimate.rational(1 if k == 0 else 0)
     m = n - row.shift
+    if m < 0 or (m == 0 and row.family is Family.CROSSPOLYTOPE):  # P_m has no vertex: the empty hull
+        return Estimate.rational(0)
     if k >= min(m, d):  # the image itself, or no face
         return Estimate.rational(1 if k == min(m, d) else 0)
     if d >= m:
@@ -214,47 +215,9 @@ def _rational_value(row: Model, n: int, d: int, k: int) -> Estimate:
     return Estimate.rational(expected_f_cube_closed_form(m, d, k))  # a cube
 
 
-def expected_f_gaussian(n: int, d: int, k: int, cfg: MCConfig | None = None) -> Estimate:
-    """E f_k of the convex hull of n iid standard Gaussian points in R^d."""
-    return expected_f_model("gaussian", check_int("n", n, 1), d, k, cfg)
-
-
-def expected_f_symmetric(n: int, d: int, k: int, cfg: MCConfig | None = None) -> Estimate:
-    """E f_k of the convex hull of n iid Gaussian points and their negatives."""
-    return expected_f_model("symmetric", check_int("n", n, 1), d, k, cfg)
-
-
 def expected_f_zonotope(n: int, d: int, k: int) -> Estimate:
     """E f_k of the Minkowski sum of n segments with iid Gaussian directions in R^d; always exact."""
     return expected_f_model("zonotope", check_int("n", n, 1), d, k)
-
-
-@dataclass(frozen=True)
-class ExpectedFVector:
-    """E f_k for every proper face dimension of one target: a model name, or model "" and a family."""
-
-    model: str
-    family: Family | None
-    n: int
-    d: int
-    entries: dict[int, Estimate] = field(default_factory=dict)
-
-
-def expected_f_vector(
-    family: Family | None = None,
-    model: str | None = None,
-    n: int = 0,
-    d: int = 0,
-    cfg: MCConfig | None = None,
-) -> ExpectedFVector:
-    """All proper-face expectations of one projection or model: k below min(n - shift, d)."""
-    if (family is None) == (model is None):
-        raise InvalidArgumentError("exactly one of family/model must be given")
-    n = check_int("n", n, 0)
-    d = check_int("d", d, 0)
-    row = model_row(model) if family is None else target_row(resolve_family(family))
-    entries = {k: expected_f_model(row, n, d, k, cfg) for k in range(min(n - row.shift, d))}
-    return ExpectedFVector(model or "", None if family is None else row.family, n, d, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -256,11 +256,6 @@ def canonical_face(family: Family, n: int, i: int) -> CanonicalFace:
     return CanonicalFace(family, n, i, verts)
 
 
-def face_volume(face: CanonicalFace) -> float:
-    """k-dimensional volume of Q_{k,n}; see canonical_face_volume."""
-    return canonical_face_volume(face.family, face.dim)
-
-
 def canonical_face_volume(family: Family, k: int, *factors: int | float) -> float:
     """k-dimensional volume of the canonical k-face of any P_n of the series, times the factors.
 

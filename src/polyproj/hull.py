@@ -59,9 +59,10 @@ filtered minors (_flat_generators).
 
 Every replication draws from its own counter-based stream derived from
 (seed, model, n, d, replication index, attempt), so estimates are identical
-for any worker count and assembly order.  Each worker takes one contiguous
-share of the replications, a block of at most _MAX_BLOCK at a time, and a
-run in one process is one share; a block's attempts run in rounds: round a
+for any worker count and assembly order.  The replications are cut into
+contiguous blocks of min(ceil(r / workers), _MAX_BLOCK), which the pool
+hands out to its workers one at a time, and a run in one process takes
+them in order; a block's attempts run in rounds: round a
 draws the maps of the replications still undecided on their attempt-a
 Philox keys, from one derive_keys call over the column of their indices,
 which are the draws derive_generator's generators would give.  SimConfig

@@ -264,11 +264,11 @@ def model_value_by_terms(row, n: int, d: int, k: int, cfg):
     """
     from polyproj import Estimate, Family, external_angle, face_count, internal_angle
 
-    if n == 0:
-        return Estimate.rational(0)
-    if n == row.shift:
-        return Estimate.rational(1 if k == 0 else 0)
     m = n - row.shift
+    if m < 0 or (m == 0 and row.family is Family.CROSSPOLYTOPE):  # no vertex: the empty hull
+        return Estimate.rational(0)
+    if m == 0:  # the one vertex of a simplex's or cube's P_0
+        return Estimate.rational(1 if k == 0 else 0)
     if k > min(m, d):
         return Estimate.rational(0)
     if k == min(m, d):

@@ -25,7 +25,6 @@ from polyproj import (
     SimConfig,
     clear_angle_memo,
     expected_f_cube_closed_form,
-    expected_f_gaussian,
     expected_f_model,
     expected_f_projection,
     expected_f_zonotope,
@@ -122,7 +121,7 @@ def test_criterion_3_gaussian_equivalence(capsys):
     failures = []
     zs = []
     for (n, d) in ((4, 2), (5, 2), (5, 3), (6, 3)):
-        formula = expected_f_gaussian(n, d, 0, CFG)
+        formula = expected_f_model("gaussian", n, d, 0, CFG)
         sim = simulate_expected_f(SimConfig(model="gaussian", n=n, d=d,
                                             replications=100_000, seed=0))
         mean = sim.means[0]

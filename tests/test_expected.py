@@ -16,18 +16,13 @@ from polyproj import (
     InvalidDimensionError,
     MCConfig,
     TruncationError,
-    canonical_face,
     clear_angle_memo,
     expected_f_cube_closed_form,
-    expected_f_gaussian,
     expected_f_model,
     expected_f_projection,
-    expected_f_symmetric,
-    expected_f_vector,
     expected_f_zonotope,
     external_angle,
     face_count,
-    face_volume,
     internal_angle,
     intrinsic_volume,
     monotonicity_table,
@@ -129,25 +124,25 @@ def test_polygon_identity(family, n):
 def test_pinned_shadow_value():
     # a planar sum: quadrature external angles and exact internal ones, so it
     # is exact without being rational
-    est = expected_f_gaussian(4, 2, 0)
+    est = expected_f_model("gaussian", 4, 2, 0)
     assert (est.exact, est.exact_value, est.std_error, est.method) == (True, None, 0.0, "exact")
     assert abs(est.value - SHADOW_TETRA_VERTICES) <= QUADRATURE_RTOL * SHADOW_TETRA_VERTICES
 
 
 # ---------------------------------------------------------------------------
-# model wrappers
+# models
 
 
 def test_gaussian_wrapper_matches_simplex():
-    a = expected_f_gaussian(5, 2, 0, FAST)
+    a = expected_f_model("gaussian", 5, 2, 0, FAST)
     b = expected_f_projection(Family.SIMPLEX, 4, 2, 0, FAST)
     assert a == b
-    assert expected_f_gaussian(1, 2, 0).exact_value == 1
-    assert expected_f_gaussian(1, 2, 1).exact_value == 0
+    assert expected_f_model("gaussian", 1, 2, 0).exact_value == 1
+    assert expected_f_model("gaussian", 1, 2, 1).exact_value == 0
 
 
 def test_symmetric_wrapper_matches_cross():
-    a = expected_f_symmetric(4, 2, 0, FAST)
+    a = expected_f_model("symmetric", 4, 2, 0, FAST)
     b = expected_f_projection(Family.CROSSPOLYTOPE, 4, 2, 0, FAST)
     assert a == b
 
@@ -165,7 +160,7 @@ def test_model_dispatch():
     assert expected_f_model("zonotope", 4, 3, 0).exact_value == 14
     assert expected_f_model("gaussian", 0, 3, 0).exact_value == 0
     a = expected_f_model("symmetric", 4, 2, 0, FAST)
-    assert a == expected_f_symmetric(4, 2, 0, FAST)
+    assert a == expected_f_projection(Family.CROSSPOLYTOPE, 4, 2, 0, FAST)
     # a family's row is P_n itself, but its name is no model name
     row = target_row("crosspolytope")
     assert expected_f_model(row, 5, 3, 1, FAST) == expected_f_projection(Family.CROSSPOLYTOPE, 5, 3, 1, FAST)
@@ -173,35 +168,27 @@ def test_model_dispatch():
         expected_f_model("cube", 4, 3, 0)
 
 
-def test_expected_f_vector_shapes():
-    fv = expected_f_vector(family=Family.CUBE, n=4, d=3)
-    assert fv.model == "" and fv.family is Family.CUBE
-    assert sorted(fv.entries) == [0, 1, 2]
-    assert fv.entries[0].exact_value == 14
-    gv = expected_f_vector(model="gaussian", n=3, d=4)
-    assert sorted(gv.entries) == [0, 1]  # hull of 3 points is at most a triangle
-    with pytest.raises(InvalidArgumentError):
-        expected_f_vector(family=Family.CUBE, model="gaussian", n=3, d=2)
-    with pytest.raises(InvalidArgumentError):
-        expected_f_vector(n=3, d=2)
-    # the simplex family's n is P_n itself, projected_simplex's n is P_{n-1}:
-    # the two targets differ and so do their labels
-    sv = expected_f_vector(family="simplex", n=4, d=3, cfg=FAST)
-    pv = expected_f_vector(model="projected_simplex", n=4, d=3, cfg=FAST)
-    assert (sv.model, sv.family) == ("", Family.SIMPLEX)
-    assert (pv.model, pv.family) == ("projected_simplex", None)
+def test_target_rows_at_every_face_dimension():
+    cube = target_row(Family.CUBE)
+    assert [expected_f_model(cube, 4, 3, k).exact_value for k in range(4)] == [14, 24, 12, 1]
+    # the hull of 3 points is at most a triangle: the image itself at k = 2
+    assert [expected_f_model("gaussian", 3, 4, k).exact_value for k in range(4)] == [3, 3, 1, 0]
+    # the simplex family's n is P_n itself, projected_simplex's n is P_{n-1}
+    simplex = target_row("simplex")
     for k in range(3):
-        assert sv.entries[k] == expected_f_projection(Family.SIMPLEX, 4, 3, k, FAST)
-        assert pv.entries[k] == expected_f_projection(Family.SIMPLEX, 3, 3, k, FAST)
-    assert [e.exact_value for e in pv.entries.values()] == [4, 6, 4]  # the tetrahedron itself
-    assert not sv.entries[0].exact
+        assert expected_f_model(simplex, 4, 3, k, FAST) == expected_f_projection(Family.SIMPLEX, 4, 3, k, FAST)
+        assert expected_f_model("projected_simplex", 4, 3, k, FAST) == expected_f_projection(
+            Family.SIMPLEX, 3, 3, k, FAST)
+    # the tetrahedron itself
+    assert [expected_f_model("projected_simplex", 4, 3, k).exact_value for k in range(3)] == [4, 6, 4]
+    assert not expected_f_model(simplex, 4, 3, 0, FAST).exact
 
 
 def test_estimate_method_property():
     assert expected_f_zonotope(4, 3, 0).method == "exact"
-    assert expected_f_gaussian(5, 2, 0, FAST).method == "exact"
+    assert expected_f_model("gaussian", 5, 2, 0, FAST).method == "exact"
     # beta(Q_0, Q_2) is sampled
-    assert expected_f_gaussian(5, 3, 0, FAST).method == "monte_carlo"
+    assert expected_f_model("gaussian", 5, 3, 0, FAST).method == "monte_carlo"
 
 
 def test_argument_validation():
@@ -216,28 +203,30 @@ def test_argument_validation():
     with pytest.raises(InvalidArgumentError):
         expected_f_model("gaussian", True, 2, 0)
     with pytest.raises(InvalidArgumentError, match="unknown model 'bogus'"):
-        expected_f_vector(model="bogus", n=0, d=2)
+        expected_f_model("bogus", 0, 2, 0)
     with pytest.raises(InvalidArgumentError, match="d must be an integer"):
-        expected_f_vector(model="gaussian", n=4, d=3.5)
+        expected_f_model("gaussian", 4, 3.5, 0)
     with pytest.raises(InvalidArgumentError, match="n must be an integer"):
-        expected_f_vector(family=Family.CUBE, n=4.0, d=3)
+        expected_f_model(target_row(Family.CUBE), 4.0, 3, 0)
 
 
 @pytest.mark.parametrize("model", list(MODEL_TABLE))
 def test_every_model_is_its_projected_polytope(model):
-    # the model with parameter n is the projected P_{n - shift}; n = 0 is the
-    # empty hull and n = shift a point
+    # the model with parameter n is the projected P_{n - shift}; n < shift is
+    # the empty hull, and so is the crosspolytope's P_0, which has no vertex,
+    # while the P_0 of a simplex or cube is a point
     row = MODEL_TABLE[model]
     for n in range(row.shift + 1, row.shift + 5):
         for d in (1, 2, 3):
             for k in range(d + 1):
                 assert expected_f_model(model, n, d, k, FAST) == expected_f_projection(
                     row.family, n - row.shift, d, k, FAST)
-    assert expected_f_model(model, 0, 2, 0).exact_value == 0
-    if row.shift:
-        assert [expected_f_model(model, row.shift, 2, k).exact_value for k in range(3)] == [1, 0, 0]
-    fv = expected_f_vector(model=model, n=row.shift + 4, d=3, cfg=FAST)
-    assert sorted(fv.entries) == [0, 1, 2] and fv.family is None and fv.model == model
+    for n in range(row.shift + 1):
+        point = n == row.shift and row.family is not Family.CROSSPOLYTOPE
+        for d in (1, 2, 3):
+            assert [expected_f_model(model, n, d, k).exact_value for k in range(3)] == [int(point), 0, 0]
+    # the image of P_{shift + 4} in R^3 is 3-dimensional
+    assert expected_f_model(model, row.shift + 4, 3, 3, FAST).exact_value == 1
 
 
 def test_numpy_integer_arguments():
@@ -267,11 +256,12 @@ def test_intrinsic_volumes_past_the_cube_vertex_cap(n):
     for k in (0, 1, 3, n):
         est = intrinsic_volume(Family.CUBE, n, k)
         assert est.exact_value == math.comb(n, k) and est.value == float(math.comb(n, k))
-    # simplex and crosspolytope values are those of the built canonical face
+    # simplex and crosspolytope values are the face count times the external
+    # angle times the canonical face's volume
     for family in (Family.SIMPLEX, Family.CROSSPOLYTOPE):
         for k in (0, 1, 3, n - 1):
             want = (face_count(family, n, k) * external_angle(family, n, k).value
-                    * face_volume(canonical_face(family, n, k)))
+                    * canonical_face_volume(family, k))
             assert intrinsic_volume(family, n, k).value == want
 
 
@@ -415,7 +405,7 @@ def test_face_volume_past_the_float_range_of_k_factorial(family, k):
     # 170! is the last factorial in the float range: from k = 171 on, where
     # sqrt(k + 1) / k! raised OverflowError, the volume is that quotient
     # rounded once, 0.0 once it is below half the least subnormal
-    value = face_volume(canonical_face(family, k + 1, k))
+    value = canonical_face_volume(family, k)
     exact = Fraction(math.sqrt(k + 1)) / math.factorial(k)
     if k == 170:
         assert value == math.sqrt(k + 1) / math.factorial(k)
@@ -449,7 +439,7 @@ def test_intrinsic_volume_past_the_float_range_of_its_count(family, n, k):
     count, gamma = face_count(family, n, k), external_angle(family, n, k).value
     exact = count * Fraction(gamma) * Fraction(math.sqrt(k + 1)) / math.factorial(k)
     if (n, k) == (4160, 170):
-        assert est.value == count * gamma * face_volume(canonical_face(family, k + 1, k))
+        assert est.value == count * gamma * canonical_face_volume(family, k)
         assert est.value == pytest.approx(float(exact), rel=1e-15)
     else:
         assert _nearest_float(est.value, exact)
@@ -561,10 +551,20 @@ def test_poisson_small_sizes_enter_the_sum():
     t = 0.01
     got = poissonized_expected(t, 2, 0, model="zonotope", eps=1e-10)
     w = [math.exp(-t) * t**i / math.factorial(i) for i in range(8)]
-    f = [expected_f_zonotope(i, 2, 0).value if i else 0.0 for i in range(8)]
+    # no segment sums to a point
+    f = [expected_f_zonotope(i, 2, 0).value if i else 1.0 for i in range(8)]
     manual = sum(wi * fi for wi, fi in zip(w, f))
     assert got.value == pytest.approx(manual, abs=1e-10)
     assert got.std_error == 0.0
+
+
+@pytest.mark.parametrize("t", [0.01, 0.5, 3.0, 20.0])
+def test_poisson_zonotope_vertices_in_closed_form(t):
+    # a zonotope of ell >= 1 segments has 2 ell vertices in the plane and 2 on
+    # the line, and that of no segment is the point {0}: the Poisson(t) sums are
+    # 2t + e^-t and 2 - e^-t
+    for d, want in ((2, 2 * t + math.exp(-t)), (1, 2 - math.exp(-t))):
+        assert poissonized_expected(t, d, 0, model="zonotope", eps=1e-12).value == pytest.approx(want, abs=1e-10)
 
 
 def test_poisson_zonotope_matches_direct_sum():
@@ -572,7 +572,7 @@ def test_poisson_zonotope_matches_direct_sum():
     got = poissonized_expected(t, 2, 0, model="zonotope", eps=1e-10)
     manual = sum(
         math.exp(-t + i * math.log(t) - math.lgamma(i + 1))
-        * (expected_f_zonotope(i, 2, 0).value if i else 0.0)
+        * (expected_f_zonotope(i, 2, 0).value if i else 1.0)
         for i in range(80)
     )
     assert got.value == pytest.approx(manual, abs=1e-9)
