@@ -37,12 +37,12 @@ Hulls that hull_f_vector is asked for, and those clouds, go through qhull,
 whose output is triangulated.  SciPy, which wraps qhull, is imported when the
 first such hull is built, not with this module: a process that sends no hull
 to qhull (the formula commands, simulate of shapes under the cap) never
-loads it.  qhull merges facets within _FACET_TOL, so the routes differ only
-on a cloud with a point within about 1e-9 (1 + R) of a facet's hyperplane,
-R its largest point norm.  Neighbouring simplices lie on one facet when
-their [normal, offset] rows agree within _FACET_TOL (hull_f_vector); merged
-facets are closed under intersection, and a face lattice that breaks
-Euler's relation is a DegenerateGeometryError, which simulate resamples.
+loads it.  qhull gives every simplex of one facet the same [normal, offset]
+row, so its facets are its own, merged only within qhull's rounding, and
+the routes differ only on a cloud with a point that near a facet's
+hyperplane.  The faces of a non-simplicial hull are found by a walk down
+from its facets (_face_counts); a face lattice that breaks Euler's relation
+is a NumericError, which simulate does not resample.
 A simplicial hull, from either route, has its f-vector fixed by
 Dehn-Sommerville, one product with a cached integer matrix
 (_simplicial_f_vectors), from its facet count, its vertex
@@ -91,6 +91,7 @@ from .errors import (
     DegenerateGeometryError,
     InvalidArgumentError,
     InvalidDimensionError,
+    NumericError,
     SimulationAbortError,
 )
 from .expected import expected_f_cube_closed_form
@@ -111,8 +112,6 @@ _MAX_GENERATORS = 15
 _MAX_POINTS = 200_000
 _MAX_ATTEMPTS = 5
 _DEGENERATE_RATE_LIMIT = 1e-3
-_FACET_TOL = 1e-9  # largest entry difference of two simplices' [normal, offset] rows on one facet
-_RANK_TOL = 1e-9  # relative to the cloud's extent, on the scale of _FACET_TOL
 # replications per unit of the pool-size rule (simulate_expected_f) and per slice of --dump
 _BLOCK = 512
 # replications of one _replication_block at most: it bounds derive_keys' uint32 and uint64
@@ -264,19 +263,18 @@ def _real_rows(values, name: str, what: str) -> np.ndarray:
 def hull_f_vector(points: np.ndarray) -> FVectorSample:
     """Exact f-vector (f_0 .. f_{d-1}) of the convex hull of a point cloud.
 
-    qhull's simplices are merged into facets across ridges where the two
-    neighbours' [normal, offset] rows differ by at most _FACET_TOL in every
-    entry; merging follows the neighbour graph, so one facet is never split
-    by where its rows happen to round.  With nothing merged the hull is
-    simplicial and goes to _simplicial_f_vectors; merged facets go through
-    intersection closure, with faces below the facets ranked at _RANK_TOL
-    times the cloud's extent.
+    The facets are qhull's own: the simplices of its triangulated output
+    that share one [normal, offset] row, bit for bit.  With no two
+    neighbours on one row the hull is simplicial and goes to
+    _simplicial_f_vectors; otherwise the faces below the facets are found by
+    a walk down the face lattice, with no tolerance.  A point off a facet's
+    hyperplane by more than qhull's rounding is a vertex.
 
     Flat inputs come back flagged degenerate rather than raising; other qhull
-    failures, and merged facets whose count breaks Euler's relation, raise a
-    degeneracy error.  Dimension is capped at 6: face-lattice
-    recovery closes the facet vertex sets under intersection and is meant
-    for desk-scale checks.
+    failures raise a degeneracy error, and a face count that breaks Euler's
+    relation a NumericError.  Dimension is capped at 6: face-lattice
+    recovery intersects the faces' vertex sets and is meant for desk-scale
+    checks.
     """
     return _qhull_f_vector(_real_rows(points, "points", "hull"))
 
@@ -284,11 +282,12 @@ def hull_f_vector(points: np.ndarray) -> FVectorSample:
 def _qhull_f_vector(pts: np.ndarray) -> FVectorSample:
     """The f-vector of qhull's hull of pts; a flat cloud gives a degenerate one.
 
-    A simplicial hull has its vertices (the distinct ids of its simplices)
-    and, at d = 6, its edges (the distinct sorted id pairs) counted for
-    _simplicial_f_vectors; a hull with merged facets is counted by
-    intersection closure, and a count that breaks Euler's relation raises a
-    degeneracy error.
+    A hull with no two neighbouring simplices on one equations row is
+    simplicial: its vertices (the distinct ids of its simplices) and, at
+    d = 6, its edges (the distinct sorted id pairs) are counted for
+    _simplicial_f_vectors.  Otherwise each distinct row is a facet, the union
+    of its simplices, and _face_counts counts the faces below; a count that
+    breaks Euler's relation is a NumericError.
     """
     # SciPy loads here, on the first hull that needs it
     from scipy.spatial import ConvexHull, QhullError
@@ -304,13 +303,10 @@ def _qhull_f_vector(pts: np.ndarray) -> FVectorSample:
         raise DegenerateGeometryError(f"qhull failed on non-flat input: {exc}") from exc
 
     simplices, eq, nb = hull.simplices, hull.equations, hull.neighbors
-    # neighbouring simplices lie on one facet when their hyperplanes agree;
     # nb[i, j] is the simplex across the ridge opposite vertex j of simplex i,
     # and each ridge is tested once, from its simplex of smaller index
     i, j = np.nonzero(nb > np.arange(len(nb))[:, None])
-    diff = eq.take(nb[i, j], axis=0)
-    diff -= eq.take(i, axis=0)
-    if not (np.abs(diff, out=diff) <= _FACET_TOL).all(axis=1).any():
+    if not (eq.take(nb[i, j], axis=0) == eq.take(i, axis=0)).all(axis=1).any():
         lower = []
         if d > 3:
             lower.append(_distinct(simplices))
@@ -320,54 +316,43 @@ def _qhull_f_vector(pts: np.ndarray) -> FVectorSample:
             lower.append(_distinct(ordered[:, first] * m + ordered[:, second]))
         return FVectorSample(tuple(_simplicial_f_vectors(np.array([1, *lower, len(simplices)]), d).tolist()))
 
-    # each facet is labelled by the least simplex index among its simplices,
-    # spread over close neighbours until no label moves
-    close = np.abs(eq[nb] - eq[:, None]).max(axis=2) <= _FACET_TOL
-    label = np.arange(len(simplices))
-    while True:
-        relaxed = np.minimum(label, np.where(close, label[nb], len(simplices)).min(axis=1))
-        if np.array_equal(relaxed, label):
-            break
-        label = relaxed
-    order = np.argsort(label, kind="stable")
-    bounds = np.flatnonzero(np.diff(label[order])) + 1
-    facet_sets = [frozenset(block.ravel().tolist()) for block in np.split(simplices[order], bounds)]
-    if d == 2:
-        # a polygon has as many vertices as edges; a merged edge's inner vertex is none
-        return FVectorSample((len(facet_sets), len(facet_sets)))
-
-    # merged facets: close the facet vertex sets under intersection, then
-    # bucket every face by its affine dimension
-    faces: set[frozenset[int]] = set(facet_sets)
-    frontier = list(facet_sets)
-    while frontier:
-        fresh: list[frozenset[int]] = []
-        for f in frontier:
-            for g in facet_sets:
-                h = f & g
-                if h and h not in faces:
-                    faces.add(h)
-                    fresh.append(h)
-        frontier = fresh
-    # facets are (d-1)-faces by construction; a rank call could call a flat
-    # one d-dimensional, so only lower faces are ranked, at the cloud's scale
-    rank_tol = _RANK_TOL * float(np.abs(pts - pts.mean(axis=0)).max())
-    counts = [0] * d
-    counts[d - 1] = len(facet_sets)
-    for fs in faces.difference(facet_sets):
-        idx = sorted(fs)
-        if len(idx) == 1:
-            counts[0] += 1
-            continue
-        rel = pts[idx[1:]] - pts[idx[0]]
-        dim = int(np.linalg.matrix_rank(rel, tol=rank_tol))
-        if dim <= d - 2:
-            counts[dim] += 1
-    # a point just off a facet can leave some of its near-coplanar simplices
-    # unmerged, and the closure then miscounts
+    _, facet = np.unique(eq, axis=0, return_inverse=True)
+    order = np.argsort(facet, kind="stable")
+    bounds = np.flatnonzero(np.diff(facet[order])) + 1
+    counts = _face_counts([frozenset(block.ravel().tolist()) for block in np.split(simplices[order], bounds)], d)
     if sum((-1) ** k * f for k, f in enumerate(counts)) != 1 - (-1) ** d:
-        raise DegenerateGeometryError(f"merged facets gave f-vector {tuple(counts)}, which breaks Euler's relation")
+        raise NumericError(f"qhull's facets gave f-vector {tuple(counts)}, which breaks Euler's relation")
     return FVectorSample(tuple(counts))
+
+
+def _face_counts(facets: list[frozenset[int]], d: int) -> list[int]:
+    """f_0 .. f_{d-1} of a d-polytope from its facets' vertex sets, walking down its face lattice.
+
+    The (k-1)-faces of a k-face G are its inclusion-maximal intersections
+    with the other k-faces of any one (k+1)-face P through G: each lies in G
+    and one other k-face of P (the diamond property), whose intersection it
+    is, and every such intersection is a face of G.  So each face is
+    intersected only with the faces found with it, the facets with each
+    other.  A point inside a face is in no face below it.
+    """
+    counts = [0] * d
+    # each k-face with the k-faces of the first (k+1)-face found to hold it
+    faces = dict.fromkeys(facets, facets)
+    for k in range(d - 1, 0, -1):
+        counts[k] = len(faces)
+        lower: dict[frozenset[int], list[frozenset[int]]] = {}
+        for face, siblings in faces.items():
+            # a (k-1)-face has at least k vertices; the largest cut is a face,
+            # and a cut in no face found so far is one
+            found: list[frozenset[int]] = []
+            for cut in sorted({face & other for other in siblings if other != face}, key=len, reverse=True):
+                if len(cut) >= k and not any(cut <= wider for wider in found):
+                    found.append(cut)
+            for cut in found:
+                lower.setdefault(cut, found)
+        faces = lower
+    counts[0] = len(faces)
+    return counts
 
 
 def _distinct(ids: np.ndarray) -> int:

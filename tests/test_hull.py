@@ -16,6 +16,7 @@ from polyproj import (
     Family,
     InvalidArgumentError,
     InvalidDimensionError,
+    NumericError,
     SimConfig,
     SimulationAbortError,
     expected_f_cube_closed_form,
@@ -28,13 +29,14 @@ from polyproj import (
     vertices,
     zonotope_f_vector,
 )
+from polyproj.cli import main
 from polyproj.hull import (
     _BLOCK,
     _rounding_margin,
-    _FACET_TOL,
     _MAX_HULL_DIM,
     _enumerated_facets,
     _enumerates,
+    _face_counts,
     _side_tests,
     _chunk_size,
     _flat_generators,
@@ -96,27 +98,30 @@ def test_hull_square_pyramid():
 
 def test_hull_facet_straddling_a_rounding_boundary_is_one_facet():
     # the base rows differ by about 5e-13; rounded to 9 places one of their
-    # components is 0.0 and the other -0.0, whose bytes differ
+    # components is 0.0 and the other -0.0, whose bytes differ.  The lifted
+    # corner lies 5e-13 off the plane of the other three, past qhull's
+    # rounding, so the base is two triangles, as exact side tests find
     c = 0.3
     pts = np.array([[1, 1, -c], [1, -1, -c], [-1, 1, -c], [-1, -1, -c + 1e-12], [0, 0, 1]])
-    assert hull_f_vector(pts).counts == (5, 8, 5)
+    assert hull_f_vector(pts).counts == exact_hull_f_vector(pts) == (5, 9, 6)
 
 
-@pytest.mark.parametrize("factor,expected", [(0.5, (5, 8, 5)), (2.0, (5, 9, 6))])
+@pytest.mark.parametrize("factor,expected", [(0.5, (5, 9, 6)), (2.0, (5, 9, 6))])
 def test_facet_tolerance_boundary(factor, expected):
     # the bottom triangles (a, b, p) and (a, b, q) share the ridge ab; lifting
     # q by t tilts the second one so that their [normal, offset] rows differ
-    # by t / sqrt(1 + t^2) in the y entry and by less elsewhere
-    t = factor * _FACET_TOL
+    # by t / sqrt(1 + t^2) in the y entry and by less elsewhere.  At half and
+    # twice 1e-9 they are two facets, as exact side tests find
+    t = factor * 1e-9
     pts = np.array([[-1, 0, 0], [1, 0, 0], [0, -1, 0], [0, 1, t], [0, 0, 1.0]])
-    assert hull_f_vector(pts).counts == expected
+    assert hull_f_vector(pts).counts == exact_hull_f_vector(pts) == expected
 
 
 def test_hull_merged_polygon_has_as_many_vertices_as_edges():
-    # (0, -1e-10) lies within _FACET_TOL of the edge from (-1, 0) to (1, 0),
-    # so qhull's two edges through it merge into one and it is no vertex
+    # (0, -1e-10) lies 1e-10 off the edge from (-1, 0) to (1, 0), past
+    # qhull's rounding, so it is a vertex between two edges
     pts = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1e-10]])
-    assert hull_f_vector(pts).counts == (3, 3)
+    assert hull_f_vector(pts).counts == exact_hull_f_vector(pts) == (4, 4)
 
 
 def test_hull_regular_polygon():
@@ -165,8 +170,9 @@ def test_hull_euler_relation_4d(rep):
 
 
 def test_hull_flat_merged_facet_is_counted():
-    # a projected 8-cube whose flat facet has third singular value 2.3e-16,
-    # above the default matrix_rank cutoff of about 1.8e-16
+    # a projected 8-cube with a facet whose vertices' third singular value is
+    # 2.3e-16, above the default matrix_rank cutoff of about 1.8e-16: the
+    # facet is qhull's, and no rank decides the faces below it
     cloud = model_cloud("projected_cube", 8, 3, derive_generator(11, 2, 6, 8, 3, 104, 0))
     f0, f1, f2 = hull_f_vector(cloud).counts
     assert (f0, f1, f2) == (58, 112, 56)
@@ -237,11 +243,11 @@ def _assert_minors_route_rows(monkeypatch, maps, symmetric, placed=()):
 
     Every rechecked cloud's row, and every placed one's (a cloud with a
     point put near a hyperplane), is checked against the exact side-test
-    oracle: qhull merges facets within _FACET_TOL, far wider than the
-    margin.  The rows' hull's other rows are checked against every f_k
-    counted from the side-sum oracle's facets (it flags the rechecked
-    clouds), the symmetric hull's against those of qhull's hull of each
-    cloud and its negatives.
+    oracle: qhull merges facets within its own rounding, which can be
+    wider than the margin.  The rows' hull's other rows are checked against
+    every f_k counted from the side-sum oracle's facets (it flags the
+    rechecked clouds), the symmetric hull's against those of qhull's hull of
+    each cloud and its negatives.
     """
     flat, rows = _enumerated_facets(maps, symmetric, _Workspace())
     rechecked = _rechecked(monkeypatch, maps, symmetric)
@@ -343,38 +349,35 @@ def test_simplicial_f_vectors_of_qhull_simplices(d):
         for index in range(6):
             rng = derive_generator(19, SIM_REPLICATION, MODEL_CODES[model], n, d, index, 0)
             clouds.append(model_cloud(model, n, d, rng))
-    for cloud in _clouds_near_facet_tolerance(np.random.default_rng(d), 12, d + 4, d):
+    for cloud in _clouds_just_off_hyperplanes(np.random.default_rng(d), 12, d + 4, d):
         clouds += [cloud, symmetrize(cloud)]
-    simplicial, broken = 0, []
+    simplicial, merged = 0, []
     for c, cloud in enumerate(clouds):
         simplices = ConvexHull(cloud).simplices
         row = distinct_subset_f_vectors(simplices, [len(simplices)])[0].tolist()
         inner = cloud.mean(axis=0) + 0.01 * (cloud - cloud.mean(axis=0))
         for points in (cloud, np.vstack([cloud, inner])):
-            try:
-                counts = _qhull_f_vector(points).counts
-            except DegenerateGeometryError:  # merged facets that break Euler's relation
-                broken.append(c)
-                continue
+            counts = _qhull_f_vector(points).counts
             assert all(type(f) is int for f in counts)
             assert sum((-1) ** k * f for k, f in enumerate(counts)) == 1 - (-1) ** d  # Euler
             if counts[d - 1] == len(simplices):  # no facet merged
                 assert list(counts) == row
                 simplicial += 1
+            else:
+                merged.append(c)
     assert simplicial >= 80
-    # near cloud 10 at d = 6, with and without the inner points (see
-    # test_merged_facets_that_break_euler_are_a_degeneracy_error)
-    assert broken == ([24 + 2 * 10] * 2 if d == 6 else [])
+    # a point 1e-10 or more off a hyperplane is far past qhull's rounding, so
+    # qhull merges no facet of any of these clouds
+    assert merged == []
 
 
-def test_merged_facets_that_break_euler_are_a_degeneracy_error(monkeypatch):
-    # row 0 lies 3.3e-10 off the hyperplane through rows 1..6: of qhull's 32
-    # simplices two merge and the next pair, 1.4e-9 apart, does not, and the
-    # closure counts (9, 36, 82, 112, 87, 31), whose Euler sum is -1
-    cloud = _clouds_near_facet_tolerance(np.random.default_rng(6), 12, 10, 6)[10]
+def test_point_just_off_a_hyperplane_is_a_vertex(monkeypatch):
+    # row 0 lies 3.3e-10 off the hyperplane through rows 1..6: it is a vertex,
+    # and qhull's hull is the exact one, which the equations rounded to 9
+    # places also find
+    cloud = _clouds_just_off_hyperplanes(np.random.default_rng(6), 12, 10, 6)[10]
     assert rounded_facet_f_vector(cloud) == (10, 42, 96, 128, 96, 32)
-    with pytest.raises(DegenerateGeometryError, match="Euler"):
-        hull_f_vector(cloud)
+    assert hull_f_vector(cloud).counts == exact_hull_f_vector(cloud) == (10, 42, 96, 128, 96, 32)
     # simulate decides its side tests exactly: it counts the cloud's exact
     # row, the one the rounded grouping finds, and draws nothing again
     model, n, d, seed = "gaussian", 10, 6, 3
@@ -498,6 +501,39 @@ def test_zonotope_counts_match_hull_of_subset_sums(n, d):
     fv = zonotope_f_vector(g)
     hull = hull_f_vector(zonotope_vertex_cloud(g))
     assert fv.counts == hull.counts
+
+
+@pytest.mark.parametrize("n,d", [(8, 3), (6, 4), (7, 5), (7, 6)])
+def test_qhull_gives_the_simplices_of_one_facet_one_equations_row(n, d):
+    # hull_f_vector takes the distinct rows of qhull's triangulated output for
+    # the facets, so every simplex of one facet must carry the same row: the
+    # one property of qhull (through the installed SciPy) that it relies on
+    rng = derive_generator(37, n, d)
+    facets = expected_f_cube_closed_form(n, d, d - 1)
+    for cloud in (model_cloud("projected_cube", n, d, rng), zonotope_vertex_cloud(rng.standard_normal((n, d)))):
+        hull = ConvexHull(cloud)
+        assert len(hull.simplices) > facets
+        assert len(np.unique(hull.equations, axis=0)) == facets
+
+
+def test_face_count_that_breaks_euler_is_a_numeric_error(monkeypatch, capsys):
+    # the walk down the face lattice has no tolerance, so a count that breaks
+    # Euler's relation is a bug: a NumericError, which simulate does not draw
+    # again, and the CLI exits 1.  gaussian n = 18 at d = 3 goes to qhull,
+    # here on the corners of a cube around ten inner points, whose square
+    # facets qhull splits into triangles
+    monkeypatch.setattr("polyproj.hull._face_counts", lambda facets, d: [f + (k == 0) for k, f in enumerate(_face_counts(facets, d))])
+    cube = 2.0 * vertices(Family.CUBE, 3) - 1
+    with pytest.raises(NumericError, match="Euler"):
+        hull_f_vector(cube)
+    model, n, d = "gaussian", 18, 3
+    assert not _enumerates(MODEL_TABLE[model], n, d)
+    cloud = np.vstack([cube, 0.1 * np.random.default_rng(3).standard_normal((10, 3))])
+    _patch_sample_map(monkeypatch, lambda key, image: cloud)
+    with pytest.raises(NumericError, match=r"\(9, 12, 6\)"):
+        _replication_block((model, n, d, 0, 0, 2), _Workspace())
+    assert main(["simulate", "--model", model, "--n", str(n), "--d", str(d), "--reps", "2"]) == 1
+    assert "breaks Euler's relation" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n,d", [(5, 3), (6, 2), (6, 5), (7, 6)])
@@ -1313,13 +1349,13 @@ def _routed_block(monkeypatch, model, cloud_map):
     return tuple(rows[0].tolist()), bool(calls)
 
 
-# a point well within the facet tolerance (far past the margin), within the margin, at it, one ulp past it and past it
-_PLACEMENTS = [("merged", False), ("inside", True), ("margin", True), ("ulp", False), ("outside", False)]
+# a point far past the margin, within the margin, at it, one ulp past it and past it
+_PLACEMENTS = [("far", False), ("inside", True), ("margin", True), ("ulp", False), ("outside", False)]
 
 
 def _placement(where, margin):
     """The offset of the test point: margin is the largest one the float side test rechecks."""
-    return {"merged": 0.1 * _FACET_TOL, "inside": 0.9 * margin, "margin": margin,
+    return {"far": 1e-10, "inside": 0.9 * margin, "margin": margin,
             "ulp": np.nextafter(margin, 1.0), "outside": 1.1 * margin}[where]
 
 
@@ -1329,11 +1365,10 @@ def test_enumeration_margin_boundary_simplex_type(monkeypatch, where, rechecked)
     # margin _rounding_margin(2) (1 + R) 2R = 4 _rounding_margin(2) (R = 1)
     # are exact in floats: the cloud is rechecked exactly when
     # h <= 2 _rounding_margin(2).  Every h gives the quadrilateral, on floats
-    # past the margin; qhull merges the edges ap and pb at every h here, all
-    # at most _FACET_TOL / 10
+    # past the margin, and on qhull
     h = _placement(where, 2 * _rounding_margin(2))
     cloud = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -h]])
-    assert hull_f_vector(cloud).counts == (3, 3)
+    assert hull_f_vector(cloud).counts == exact_hull_f_vector(cloud)
     counts, exact = _routed_block(monkeypatch, "gaussian", cloud)
     assert exact is rechecked
     assert counts == exact_hull_f_vector(cloud) == (4, 4)
@@ -1347,8 +1382,7 @@ def test_enumeration_margin_boundary_crosspolytope_type(monkeypatch, where, rech
     # 4 _rounding_margin(2) with R = 1, so the cloud is rechecked exactly when
     # q - 1/2 <= 2 _rounding_margin(2), h <= 2 sqrt(2) _rounding_margin(2);
     # "margin" is the largest float q within it.  Every h gives the hexagon,
-    # on floats past the margin; qhull merges ap with pc, and their
-    # antipodes, at every h here, all at most _FACET_TOL / 10
+    # on floats past the margin, and on qhull
     rounding = _rounding_margin(2)
     top = 0.5 + 2 * rounding
     while 2 * top - 1 > 4 * rounding:
@@ -1358,7 +1392,7 @@ def test_enumeration_margin_boundary_crosspolytope_type(monkeypatch, where, rech
     else:
         q = 0.5 + _placement(where, 2 * math.sqrt(2) * rounding) / math.sqrt(2)
     cloud = np.array([[1.0, 0.0], [0.0, 1.0], [q, q]])
-    assert hull_f_vector(symmetrize(cloud)).counts == (4, 4)
+    assert hull_f_vector(symmetrize(cloud)).counts == exact_hull_f_vector(cloud, True)
     counts, exact = _routed_block(monkeypatch, "symmetric", cloud)
     assert exact is rechecked
     assert counts == exact_hull_f_vector(cloud, True) == (6, 6)
@@ -1591,8 +1625,8 @@ def test_lifted_side_table_matches_loop_oracle():
             assert np.array_equal(table, lifted_side_table_by_loops(m, d))
 
 
-def _clouds_near_facet_tolerance(rng, clouds, m, d):
-    """Gaussian m x d maps; in every other one row 0 is moved to 1e-10..1e-5 off the hyperplane through rows 1..d, around qhull's _FACET_TOL."""
+def _clouds_just_off_hyperplanes(rng, clouds, m, d):
+    """Gaussian m x d maps; in every other one row 0 is moved to 1e-10..1e-5 off the hyperplane through rows 1..d."""
     maps = rng.standard_normal((clouds, m, d))
     for c in range(0, clouds, 2):
         weights = rng.random(d)

@@ -1,4 +1,5 @@
 """Import hygiene: every name a polyproj module imports is used in that module,
+every private constant it binds at module level is read in that module,
 importing the CLI leaves scipy.optimize and scipy.sparse.csgraph unloaded, and
 SciPy itself loads only when a hull goes to qhull: the package, the CLI,
 every command that builds no convex hull and simulate of every shape under
@@ -49,6 +50,34 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def unread_private_constants(source: str) -> list[str]:
+    """Private names (one leading underscore) bound by module-level assignments in `source` that nothing in it reads."""
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and name.id.startswith("_") and not name.id.startswith("__"):
+                        bound.setdefault(name.id, node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+def test_scanner_flags_unread_private_constant():
+    source = ("_TOL = 1e-9\n_CAP: int = 5\n_A, (_B, PUBLIC) = 1, (2, 3)\n__dunder__ = 0\n"
+              "def f(x):\n    _local = 1\n    return x < _CAP + _B\n")
+    assert unread_private_constants(source) == ["_TOL (line 1)", "_A (line 3)"]
+    assert unread_private_constants("_TOL = 1e-9\nclass C:\n    tol = _TOL\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_private_constants(path):
+    # a private constant that its own module never reads is dead, whatever
+    # the tests import of it
+    assert unread_private_constants(path.read_text(encoding="utf-8")) == []
+
+
 def run_fresh(code: str) -> str:
     """What code prints, run in a fresh interpreter on the package under test.
 
@@ -72,8 +101,8 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 
 def test_cli_import_leaves_scipy_sparse_csgraph_unloaded():
-    # facets are merged over qhull's neighbour graph with array operations,
-    # so no graph library joins the start-up cost
+    # facets are qhull's own equations rows, grouped by one np.unique, so no
+    # graph library joins the start-up cost
     assert not loaded_after("import polyproj.cli", "scipy.sparse.csgraph")
 
 
