@@ -51,7 +51,6 @@ from .expected import (
     poissonized_expected,
     poissonized_series,
     t_functional_expected,
-    unit_ball_volume,
 )
 from .families import (
     MODEL_TABLE,
@@ -76,6 +75,6 @@ from .hull import (
     symmetrize,
     zonotope_f_vector,
 )
-from .report import COLUMNS, ReportRow, from_csv, from_json, render, to_csv, to_json
+from .report import COLUMNS, ReportRow, from_csv, render, to_csv, to_json
 
 __version__ = "0.1.0"

@@ -320,6 +320,7 @@ def normal_cone(family: Family, n: int, g: int) -> Cone:
     Requires 0 <= g <= n-1; the g = n case is the trivial cone {0} and is
     handled exactly by external_angle.
     """
+    family = resolve_family(family)
     face = canonical_face(family, n, g)
     if g > n - 1:
         raise InvalidFaceError(f"normal cone needs a proper face, got g = {g} = n")
@@ -346,6 +347,7 @@ def internal_cone(family: Family, n: int, k: int, g: int) -> Cone:
     fix: k+1..g for simplex-type faces (the vertices e_i outside Q_k), and
     k..g-1 for cube faces (the axes Q_g spans beyond Q_k).
     """
+    family = resolve_family(family)
     return _internal_cone(family, n, k, g, (KIND_INTERNAL, FAMILY_CODES[family.value], k, g))
 
 

@@ -268,7 +268,7 @@ def canonical_face_volume(family: Family, k: int, *factors: int | float) -> floa
     to 0.0 where it underflows, and is an InvalidDimensionError past the
     float range.
     """
-    top, bottom = (1.0, 1) if family is Family.CUBE else (math.sqrt(k + 1), math.factorial(k))
+    top, bottom = (1.0, 1) if resolve_family(family) is Family.CUBE else (math.sqrt(k + 1), math.factorial(k))
     try:
         return math.prod(factors) * (top / bottom)
     except OverflowError:  # an int factor or k! past the float range

@@ -14,6 +14,8 @@ import io
 import json
 from dataclasses import asdict, dataclass, fields
 
+from .errors import InvalidArgumentError
+
 _INT_COLS = {"n", "d", "k"}
 _FLOAT_COLS = {"t", "value", "stderr", "formula_value", "z_score", "t_functional", "wall_time_s"}
 _BOOL_COLS = {"strict_increase"}
@@ -69,20 +71,38 @@ def _parse_cell(col: str, text: str):
     if col in _FLOAT_COLS:
         return float(text)
     if col in _BOOL_COLS:
+        if text not in ("true", "false"):
+            raise ValueError(f"expected true or false, got {text!r}")
         return text == "true"
     return text
 
 
 def from_csv(text: str) -> list[ReportRow]:
+    """The rows of a to_csv report; anything else is an InvalidArgumentError that names the line.
+
+    The header must be COLUMNS, every row must have one cell per column, and
+    every cell must be what to_csv writes for its column.  Blank lines are skipped.
+    """
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise InvalidArgumentError("empty report: no header line")
     if tuple(header) != COLUMNS:
-        raise ValueError(f"unexpected report header {header}")
-    return [
-        ReportRow(**{c: _parse_cell(c, cell) for c, cell in zip(COLUMNS, line)})
-        for line in reader
-        if line
-    ]
+        raise InvalidArgumentError(f"line 1: unexpected report header {header}")
+    rows = []
+    for line in reader:
+        if not line:
+            continue
+        if len(line) != len(COLUMNS):
+            raise InvalidArgumentError(f"line {reader.line_num}: {len(line)} cells, expected {len(COLUMNS)}")
+        cells = {}
+        for c, cell in zip(COLUMNS, line):
+            try:
+                cells[c] = _parse_cell(c, cell)
+            except ValueError as exc:
+                raise InvalidArgumentError(f"line {reader.line_num}, column {c}: {exc}") from None
+        rows.append(ReportRow(**cells))
+    return rows
 
 
 def to_json(rows: list[ReportRow]) -> str:
@@ -90,22 +110,9 @@ def to_json(rows: list[ReportRow]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def from_json(text: str) -> list[ReportRow]:
-    rows = []
-    for obj in json.loads(text):
-        kwargs = {}
-        for c in COLUMNS:
-            v = obj.get(c)
-            if v is None and c not in _INT_COLS | _FLOAT_COLS | _BOOL_COLS:
-                v = ""
-            kwargs[c] = v
-        rows.append(ReportRow(**kwargs))
-    return rows
-
-
 def render(rows: list[ReportRow], fmt: str) -> str:
     if fmt == "csv":
         return to_csv(rows)
     if fmt == "json":
         return to_json(rows)
-    raise ValueError(f"unknown report format {fmt!r}")
+    raise InvalidArgumentError(f"unknown report format {fmt!r}")

@@ -163,33 +163,6 @@ def exact_angle_ladder(kind: str, family: str, n: int, k: int, g: int) -> Fracti
     return None
 
 
-def machin_pi(digits: int) -> Fraction:
-    """pi to about `digits` decimals by Machin's formula, 16 arctan(1/5) - 4 arctan(1/239), in integers."""
-    scale = 10 ** (digits + 10)
-
-    def arctan_inverse(x: int) -> int:
-        total, term, k, sign = 0, scale // x, 1, 1
-        while term:
-            total += sign * (term // k)
-            term //= x * x
-            k, sign = k + 2, -sign
-        return total
-
-    return Fraction(16 * arctan_inverse(5) - 4 * arctan_inverse(239), scale)
-
-
-def ball_volume_closed_form(ell: int) -> Fraction:
-    """The ell-dimensional unit ball's volume as a rational, pi to 80 decimals.
-
-    pi^m / m! at ell = 2m and 2^(2m+1) m! pi^m / (2m+1)! at ell = 2m + 1,
-    instead of a product of 2 pi / j over the dimensions.
-    """
-    m = ell // 2
-    if ell % 2:
-        return Fraction(2 ** ell * math.factorial(m), math.factorial(ell)) * machin_pi(80) ** m
-    return machin_pi(80) ** m / math.factorial(m)
-
-
 def size_functional_multiplier(d: int, k: int, half_b: int, model: str = "gaussian") -> Fraction:
     """t_functional_expected's multiplier of the model at b = 2 half_b as a rational.
 

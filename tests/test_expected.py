@@ -29,14 +29,12 @@ from polyproj import (
     poissonized_expected,
     poissonized_series,
     t_functional_expected,
-    unit_ball_volume,
 )
 
 from polyproj.families import canonical_face_volume, check_count_size, target_row
 
 from oracles import (
     SHADOW_TETRA_VERTICES,
-    ball_volume_closed_form,
     cube_projection_sum,
     model_value_by_terms,
     poisson_face_bound,
@@ -369,34 +367,9 @@ def test_intrinsic_volume_validation():
         intrinsic_volume(Family.CUBE, 3, -1)
 
 
-def test_unit_ball_volume():
-    # the float expression pi ** (ell/2) / Gamma(ell/2 + 1) gave 1.9999999999999998 at ell = 1
-    assert unit_ball_volume(0) == 1.0
-    assert unit_ball_volume(1) == 2.0
-    assert unit_ball_volume(2) == math.pi
-    assert unit_ball_volume(3) == pytest.approx(4 * math.pi / 3)
-
-
 def _nearest_float(value: float, exact: Fraction) -> bool:
     """Whether value is a float nearest to exact: within half an ulp of it, the least subnormal's for 0.0."""
     return abs(Fraction(value) - exact) <= Fraction(math.ulp(value)) / 2
-
-
-@pytest.mark.parametrize("ell", [0, 1, 2, 3, 10, 100, 341, 342, 343, 400, 452, 453])
-def test_unit_ball_volume_past_the_float_range_of_gamma(ell):
-    # Gamma(ell/2 + 1) leaves the float range at ell = 342, where math.gamma
-    # raised OverflowError; below it the float expression pi ** (ell/2) /
-    # Gamma(ell/2 + 1) was up to 54 ulps off.  At every ell the volume is the
-    # nearest float, and 0.0 from ell = 453 on, below half the least subnormal
-    value, exact = unit_ball_volume(ell), ball_volume_closed_form(ell)
-    assert _nearest_float(value, exact)
-    assert (value > 0) == (ell < 453)
-
-
-def test_unit_ball_volume_of_dimensions_past_the_float_range():
-    # ell / 2.0 itself raised OverflowError for an ell past the float range
-    for ell in (1000, 2**1024, 10**400):
-        assert unit_ball_volume(ell) == 0.0
 
 
 @pytest.mark.parametrize("family", [Family.SIMPLEX, Family.CROSSPOLYTOPE])

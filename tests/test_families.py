@@ -20,7 +20,9 @@ from polyproj import (
     face_count,
     hull_f_vector,
     internal_angle,
+    internal_cone,
     intrinsic_volume,
+    normal_cone,
     vertices,
 )
 from polyproj.families import canonical_face_volume, check_int, check_real, resolve_family, target_row
@@ -242,6 +244,9 @@ _FAMILY_ENTRY_POINTS = {
     "vertices": lambda f: vertices(f, 2),
     "canonical_face": lambda f: canonical_face(f, 3, 1),
     "ambient_dim": lambda f: ambient_dim(f, 3),
+    "internal_cone": lambda f: internal_cone(f, 4, 1, 3),
+    "normal_cone": lambda f: normal_cone(f, 5, 1),
+    "canonical_face_volume": lambda f: canonical_face_volume(f, 2),
 }
 
 
@@ -253,7 +258,8 @@ def test_unknown_family_is_a_typed_error(entry):
             _FAMILY_ENTRY_POINTS[entry](bad)
 
 
-@pytest.mark.parametrize("entry", ["face_count", "vertices", "ambient_dim", "canonical_face"])
+@pytest.mark.parametrize("entry", ["face_count", "vertices", "ambient_dim", "canonical_face",
+                                   "internal_cone", "normal_cone", "canonical_face_volume"])
 def test_family_names_resolve_to_members(entry):
     # a name gives what its member gives; the cube's counts are never returned for a simplex name
     for f in Family:
@@ -262,6 +268,8 @@ def test_family_names_resolve_to_members(entry):
             assert np.array_equal(by_name, by_member)
         elif entry == "canonical_face":
             assert by_name.family is by_member.family and np.array_equal(by_name.vertices, by_member.vertices)
+        elif entry in ("internal_cone", "normal_cone"):
+            assert np.array_equal(by_name.frame, by_member.frame) and by_name.seed_path == by_member.seed_path
         else:
             assert by_name == by_member
     assert resolve_family("simplex") is Family.SIMPLEX

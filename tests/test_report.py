@@ -1,6 +1,9 @@
+import json
+from dataclasses import asdict
+
 import pytest
 
-from polyproj import ReportRow, from_csv, from_json, render, to_csv, to_json
+from polyproj import InvalidArgumentError, ReportRow, from_csv, render, to_csv, to_json
 from polyproj.report import COLUMNS
 
 FULL = ReportRow(
@@ -27,13 +30,41 @@ def test_csv_round_trip():
 
 
 def test_json_round_trip():
-    assert from_json(to_json(ROWS)) == ROWS
+    assert json.loads(to_json(ROWS)) == [asdict(r) for r in ROWS]
 
 
 def test_csv_header_is_checked():
     bad = "a,b,c\n1,2,3\n"
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError, match="line 1: unexpected report header"):
         from_csv(bad)
+
+
+def test_empty_csv_is_a_typed_error():
+    # next() on the reader raised a bare StopIteration
+    with pytest.raises(InvalidArgumentError, match="empty report"):
+        from_csv("")
+
+
+@pytest.mark.parametrize("shape", ["short", "long"])
+def test_csv_row_with_the_wrong_cell_count_is_rejected(shape):
+    # zip truncated a long row, and a short one took defaults for its missing cells
+    header, line = to_csv([SPARSE]).splitlines()
+    cells = line.split(",")
+    cells = cells[:-1] if shape == "short" else cells + ["x"]
+    with pytest.raises(InvalidArgumentError, match=f"line 2: {len(cells)} cells, expected {len(COLUMNS)}"):
+        from_csv(f"{header}\n{','.join(cells)}\n")
+
+
+@pytest.mark.parametrize("column, text", [("strict_increase", "yes"), ("strict_increase", "True"),
+                                          ("n", "three"), ("value", "1.0.0")])
+def test_csv_cell_that_to_csv_cannot_write_is_rejected(column, text):
+    # a strict_increase other than "true" read as false, and a bad number was a plain ValueError
+    lines = to_csv([FLAGGED, SPARSE]).splitlines()
+    cells = lines[2].split(",")
+    cells[COLUMNS.index(column)] = text
+    lines[2] = ",".join(cells)
+    with pytest.raises(InvalidArgumentError, match=f"line 3, column {column}: "):
+        from_csv("\n".join(lines) + "\n")
 
 
 def test_float_cells_round_trip_exactly():
@@ -56,18 +87,10 @@ def test_missing_cells_are_empty_or_null():
     assert '"t": null' in js
 
 
-def test_json_missing_keys_default():
-    rows = from_json('[{"command": "expected", "n": 3}]')
-    assert rows[0].command == "expected"
-    assert rows[0].n == 3
-    assert rows[0].model == ""
-    assert rows[0].value is None
-
-
 def test_render_dispatch():
     assert render(ROWS, "csv") == to_csv(ROWS)
     assert render(ROWS, "json") == to_json(ROWS)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError, match="unknown report format 'xml'"):
         render(ROWS, "xml")
 
 
