@@ -266,8 +266,9 @@ def canonical_face_volume(family: Family, k: int, *factors: int | float) -> floa
     one after another, and the volume last, while every factor and k! are
     floats; past that (k! from k = 171 on) the exact product is rounded once,
     to 0.0 where it underflows, and is an InvalidDimensionError past the
-    float range.
+    float range.  A k that is not an int >= 0 is an InvalidArgumentError.
     """
+    k = check_int("k", k, 0)
     top, bottom = (1.0, 1) if resolve_family(family) is Family.CUBE else (math.sqrt(k + 1), math.factorial(k))
     try:
         return math.prod(factors) * (top / bottom)

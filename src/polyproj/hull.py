@@ -45,11 +45,12 @@ from its facets (_face_counts); a face lattice that breaks Euler's relation
 is a NumericError, which simulate does not resample.
 A simplicial hull, from either route, has its f-vector fixed by
 Dehn-Sommerville, one product with a cached integer matrix
-(_simplicial_f_vectors), from its facet count, its vertex
-count at d >= 4 and its edge count at d = 6, counted where its facets are
-found: off qhull's simplices, or for a chunk of clouds by one product of
-their facet flags with a table of which rows and row pairs each candidate
-facet holds (_incidence).
+(_simplicial_f_vectors), from its facet count and f_{j-1} for
+j = 1 .. d/2 - 1, which one rule counts at every d: f_{j-1} is the number
+of distinct j-subsets of points that lie in some facet.  They are counted
+where the facets are found: off the sorted j-subsets of qhull's simplices,
+or for a chunk of clouds by one product of their facet flags with a table
+of which j-subsets each candidate facet holds (_incidence).
 
 A zonotope whose generators are in general position has the f-vector of a
 generic central arrangement (Zaslavsky, 1975), expected_f_cube_closed_form,
@@ -283,11 +284,11 @@ def _qhull_f_vector(pts: np.ndarray) -> FVectorSample:
     """The f-vector of qhull's hull of pts; a flat cloud gives a degenerate one.
 
     A hull with no two neighbouring simplices on one equations row is
-    simplicial: its vertices (the distinct ids of its simplices) and, at
-    d = 6, its edges (the distinct sorted id pairs) are counted for
-    _simplicial_f_vectors.  Otherwise each distinct row is a facet, the union
-    of its simplices, and _face_counts counts the faces below; a count that
-    breaks Euler's relation is a NumericError.
+    simplicial: for j = 1 .. d/2 - 1 its (j-1)-faces, the distinct sorted
+    j-subsets of its simplices' ids, are counted for _simplicial_f_vectors.
+    Otherwise each distinct row is a facet, the union of its simplices, and
+    _face_counts counts the faces below; a count that breaks Euler's
+    relation is a NumericError.
     """
     # SciPy loads here, on the first hull that needs it
     from scipy.spatial import ConvexHull, QhullError
@@ -307,13 +308,9 @@ def _qhull_f_vector(pts: np.ndarray) -> FVectorSample:
     # and each ridge is tested once, from its simplex of smaller index
     i, j = np.nonzero(nb > np.arange(len(nb))[:, None])
     if not (eq.take(nb[i, j], axis=0) == eq.take(i, axis=0)).all(axis=1).any():
-        lower = []
-        if d > 3:
-            lower.append(_distinct(simplices))
-        if d == 6:
-            ordered = np.sort(simplices, axis=1).astype(np.int64)
-            first, second = _subsets(d, 2).T
-            lower.append(_distinct(ordered[:, first] * m + ordered[:, second]))
+        ordered = np.sort(simplices, axis=1).astype(np.int64)
+        # f_{j-1}: the distinct sorted j-subsets of ids, each one int in base m
+        lower = [_distinct(ordered[:, _subsets(d, j)] @ m ** np.arange(j)) for j in range(1, d // 2)]
         return FVectorSample(tuple(_simplicial_f_vectors(np.array([1, *lower, len(simplices)]), d).tolist()))
 
     _, facet = np.unique(eq, axis=0, return_inverse=True)
@@ -597,27 +594,30 @@ def _worst_sums(chi: np.ndarray, m: int, d: int, work: _Workspace) -> np.ndarray
 
 @cache
 def _incidence(m: int, d: int, symmetric: bool) -> np.ndarray:
-    """Which rows, and at d = 6 which row pairs, each candidate facet of an m x d map's hull holds: 0/1 floats.
+    """Which j-subsets of rows, j = 1 .. d/2 - 1, each candidate facet of an m x d map's hull holds: 0/1 floats.
 
     Rows are the candidates _enumerated_facets flags: the d-subsets I in
     colex order, for the symmetric hull the signed sets eps*I, one
-    _sign_vectors row after another.  Column i is row i; at d = 6, column
-    m + P + C(m, 2) s is the P-th pair (i, j) (colex order, its _rank) with
-    s = 1 where eps_i eps_j = -1; the last column is all ones, for the facet
-    count.  A symmetric hull's faces come in antipodal pairs, eps*J and
-    -eps*J, which share their column.
+    _sign_vectors row after another.  Block j of the columns, in order of
+    j, has C(m, j) columns per class s: column P + C(m, j) s is the P-th
+    j-subset J (colex order, its _rank) whose signs relative to eps_{J_0}
+    are s, bit t - 1 set where eps_{J_t} eps_{J_0} = -1, 2^(j-1) classes for
+    the symmetric hull and one for the rows'.  A symmetric hull's faces come
+    in antipodal pairs, eps*J and -eps*J, which share their column.  The
+    last column is all ones, for the facet count; at d <= 3 it is the only one.
     """
     sets = _subsets(m, d)
     signs = _sign_vectors(d)[: 1 << (d - 1) if symmetric else 1]
-    cols = [np.broadcast_to(sets, (len(signs), *sets.shape))]
-    if d == 6:
-        pairs = _subsets(d, 2)
-        relative = signs[:, pairs[:, 0]] != signs[:, pairs[:, 1]]
-        cols.append(m + _rank(sets[:, pairs]) + math.comb(m, 2) * relative[:, None])
+    cols, start = [], 0
+    for j in range(1, d // 2):
+        held = _subsets(d, j)  # positions in I of its j-subsets
+        relative = (signs[:, held[:, 1:]] != signs[:, held[:, :1]]) @ (1 << np.arange(j - 1))
+        cols.append(start + _rank(sets[:, held]) + math.comb(m, j) * relative[:, None])
+        start += math.comb(m, j) << (j - 1) * symmetric
+    cols.append(np.full((len(signs), len(sets), 1), start))
     cols = np.concatenate(cols, axis=2).reshape(len(signs) * len(sets), -1)
-    table = np.zeros((len(cols), int(cols.max()) + 2))
+    table = np.zeros((len(cols), start + 1))
     np.put_along_axis(table, cols, 1.0, axis=1)
-    table[:, -1] = 1.0
     table.setflags(write=False)  # shared by every caller through the cache
     return table
 
@@ -723,11 +723,11 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
     worst value less |chi(I)|, or |2 chi(I)| (the points -eps_j x_j), is
     that small.  An exact zero is a flat draw.
 
-    The other clouds' facet flags give their facet counts and, at d >= 4 in
-    one product with _incidence, their vertex counts and at d = 6 edge
-    counts, each doubled for the symmetric hull, whose faces come in
-    antipodal pairs; _simplicial_f_vectors does the rest.  Returns the flat
-    flags and the int64 f-vector rows of the other clouds, in cloud order.
+    The other clouds' facet flags, in one product with _incidence, give
+    their facet counts and, for j = 1 .. d/2 - 1, f_{j-1}, the j-subsets
+    some facet holds, each doubled for the symmetric hull, whose faces come
+    in antipodal pairs; _simplicial_f_vectors does the rest.  Returns the
+    flat flags and the int64 f-vector rows of the other clouds, in cloud order.
     Arrays are worked with the cloud axis last, so that every gather copies
     whole rows, and every array the size of a chunk is written into work.
     """
@@ -776,17 +776,14 @@ def _enumerated_facets(maps: np.ndarray, symmetric: bool, work: _Workspace) -> t
     # facet[r, c]: whether candidate r is a facet of cloud c; the rows of flat clouds are counted and dropped
     known = work.array("known", (clouds, d // 2 + 1), np.int64)
     known[:, 0] = 1
-    if d > 3:
-        flags = work.array("flags", facet.shape)
-        np.copyto(flags, facet)
-        product = flags.T @ _incidence(m, d, symmetric)
-        known[:, -1] = product[:, -1]
-        hit = product[:, :-1] > 0
-        hit[:, :m].sum(axis=1, out=known[:, 1])
-        if d == 6:
-            hit[:, m:].sum(axis=1, out=known[:, 2])
-    else:
-        facet.sum(axis=0, out=known[:, 1])
+    flags = work.array("flags", facet.shape)
+    np.copyto(flags, facet)
+    product = flags.T @ _incidence(m, d, symmetric)
+    known[:, -1] = product[:, -1]
+    for j in range(1, d // 2):  # f_{j-1}: the j-subsets some facet holds, _incidence's block j
+        width = math.comb(m, j) << (j - 1) * symmetric
+        np.greater(product[:, :width], 0).sum(axis=1, out=known[:, j])
+        product = product[:, width:]
     if symmetric:  # a face and its antipode
         known[:, 1:] *= 2
     rows = _simplicial_f_vectors(known, d)

@@ -674,6 +674,34 @@ def lifted_side_table_by_loops(m: int, d: int) -> np.ndarray:
     return table
 
 
+def incidence_by_loops(m: int, d: int, symmetric: bool) -> np.ndarray:
+    """hull._incidence, one (candidate, column) pair at a time through signed sets.
+
+    Candidate (e, I), sign vector e major and the d-subset I in colex order,
+    is the signed set {(I_p, eps_p)}, eps_0 = +1 and eps_p = -1 where bit
+    p - 1 of e is set; only e = 0 for the rows' hull.  For j = 1 .. d/2 - 1,
+    class s major and the j-subset J in colex order, a column is the signed
+    set {(J_t, sigma_t)}, sigma_0 = +1 and sigma_t = -1 where bit t - 1 of s
+    is set, with s < 2^(j-1) for the symmetric hull and s = 0 for the rows'.
+    A column is marked where the candidate's signed set, or its antipode,
+    holds it; the last column, the facet count's, is marked everywhere.
+    """
+    def signed(rows, bits):
+        return frozenset((i, -1 if t and bits >> (t - 1) & 1 else 1) for t, i in enumerate(rows))
+
+    columns = [signed(subset, s) for j in range(1, d // 2) for s in range((1 << (j - 1)) if symmetric else 1)
+               for subset in colex_subsets(m, j)]
+    candidates = [signed(subset, e) for e in range((1 << (d - 1)) if symmetric else 1)
+                  for subset in colex_subsets(m, d)]
+    table = np.zeros((len(candidates), len(columns) + 1))
+    for r, candidate in enumerate(candidates):
+        antipode = frozenset((i, -sign) for i, sign in candidate)
+        for c, column in enumerate(columns):
+            table[r, c] = column <= candidate or column <= antipode
+    table[:, -1] = 1.0
+    return table
+
+
 def filter_margin(cloud: np.ndarray) -> float:
     """The float filter's margin of one cloud of hull._enumerated_facets: _rounding_margin(d) (1 + R)(2R)^(d-1), R its largest point norm."""
     from polyproj.hull import _rounding_margin

@@ -86,6 +86,14 @@ def test_orthonormal_basis_zero_input():
         orthonormal_basis(np.zeros(5))
 
 
+@pytest.mark.parametrize("t,kept", [(2.1e-10, True), (1.9e-10, False)])
+def test_orthonormal_basis_drop_tolerance_boundary(t, kept):
+    # a row is dropped when its residual is below DROP_TOL * (1 + |row|), here about 2e-10
+    assert polyproj.angles.DROP_TOL == 1e-10
+    basis = orthonormal_basis(np.array([[1.0, 0.0, 0.0], [1.0, t, 0.0]]))
+    assert basis.shape == ((2, 3) if kept else (1, 3))
+
+
 def test_complement_basis_splits_subspace():
     rng = np.random.default_rng(4)
     within = orthonormal_basis(rng.standard_normal((5, 8)))

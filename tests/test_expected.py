@@ -978,6 +978,16 @@ def test_monotonicity_quadrature_tolerance_boundary(monkeypatch, gap, strict):
     assert [r.strict_increase for r in rows] == [strict, None]
 
 
+@pytest.mark.parametrize("gap,strict", [(0.061, True), (0.059, False)])
+def test_monotonicity_strict_sigmas_boundary(monkeypatch, gap, strict):
+    # Monte Carlo neighbours must be STRICT_SIGMAS times their summed standard errors apart, here 0.06
+    values = {3: Estimate(1.0, 0.01), 4: Estimate(1.0 + gap, 0.01)}
+    monkeypatch.setattr(polyproj.expected, "_model_values", lambda row, sizes, d, k, cfg: [values[n] for n in sizes])
+    rows = monotonicity_table("gaussian", 2, 0, 3, 4)
+    assert polyproj.expected.STRICT_SIGMAS == 3.0
+    assert [r.strict_increase for r in rows] == [strict, None]
+
+
 def test_monotonicity_validation():
     with pytest.raises(InvalidArgumentError):
         monotonicity_table("dodecahedron", 2, 0, 2, 4)

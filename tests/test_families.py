@@ -157,6 +157,14 @@ def test_face_volume_conventions():
     assert canonical_face_volume(Family.CROSSPOLYTOPE, 2) == canonical_face_volume(Family.SIMPLEX, 2)
 
 
+@pytest.mark.parametrize("family,k", [("simplex", -1), ("simplex", 2.5), ("cube", -3), ("simplex", True),
+                                      ("crosspolytope", "2")])
+def test_face_volume_rejects_a_bad_k(family, k):
+    # k must be an int >= 0, for the cube too, and a bool is not one
+    with pytest.raises(InvalidArgumentError, match="k must be"):
+        canonical_face_volume(family, k)
+
+
 def test_barycenter():
     face = canonical_face(Family.SIMPLEX, 3, 2)
     assert np.allclose(barycenter(face), [1 / 3, 1 / 3, 1 / 3, 0])

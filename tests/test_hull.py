@@ -71,6 +71,7 @@ from oracles import (
     exact_hull_f_vector,
     filter_margin,
     full_dimensional,
+    incidence_by_loops,
     leibniz_det,
     lifted_side_table_by_loops,
     lp_zonotope_f_vector,
@@ -1625,6 +1626,18 @@ def test_lifted_side_table_matches_loop_oracle():
             assert np.array_equal(table, lifted_side_table_by_loops(m, d))
 
 
+@pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_incidence_matches_signed_set_oracle(d, symmetric):
+    # block j marks the j-subsets, with their relative signs, that each
+    # candidate or its antipode holds; at d <= 3 only the facet count's column is left
+    for m in range(d, d + 3):
+        table = _incidence(m, d, symmetric)
+        assert table.dtype == np.float64
+        assert np.array_equal(table, incidence_by_loops(m, d, symmetric))
+    assert (table.shape[1] == 1) == (d <= 3)
+
+
 def _clouds_just_off_hyperplanes(rng, clouds, m, d):
     """Gaussian m x d maps; in every other one row 0 is moved to 1e-10..1e-5 off the hyperplane through rows 1..d."""
     maps = rng.standard_normal((clouds, m, d))
@@ -1742,7 +1755,7 @@ def test_subsets_edge_cases_and_read_only_tables():
         assert _subsets(m, m - k)[::-1].tolist() == complements
     # every cached table is shared by its callers, so none can be written
     tables = [_subsets(8, 3), _side_table(8, 3), _lifted_side_table(8, 3)]
-    tables += [_incidence(8, 4, False), _incidence(10, 6, False), _incidence(8, 6, True)]
+    tables += [_incidence(8, 4, False), _incidence(10, 6, False), _incidence(8, 6, True), _incidence(9, 3, True)]
     tables += [_insertions(8, 3), _insertions(8, 4)]
     tables += [a for k in (2, 3, 4) for a in _laplace_level(8, k)]
     for table in tables:
