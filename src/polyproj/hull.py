@@ -40,9 +40,11 @@ to qhull (the formula commands, simulate of shapes under the cap) never
 loads it.  qhull gives every simplex of one facet the same [normal, offset]
 row, so its facets are its own, merged only within qhull's rounding, and
 the routes differ only on a cloud with a point that near a facet's
-hyperplane.  The faces of a non-simplicial hull are found by a walk down
-from its facets (_face_counts); a face lattice that breaks Euler's relation
-is a NumericError, which simulate does not resample.
+hyperplane.  A cloud qhull cannot build, flat or within its rounding of
+flat, is degenerate: no verdict here rests on a tolerance.  The faces of a
+non-simplicial hull are found by a walk down from its facets
+(_face_counts); a face lattice that breaks Euler's relation is a
+NumericError, which simulate does not resample.
 A simplicial hull, from either route, has its f-vector fixed by
 Dehn-Sommerville, one product with a cached integer matrix
 (_simplicial_f_vectors), from its facet count and f_{j-1} for
@@ -165,7 +167,7 @@ _ENUM_ENTRIES = 3 << 16
 
 @dataclass(frozen=True)
 class FVectorSample:
-    """One sampled f-vector (f_0 .. f_{d-1}); degenerate marks a flat draw."""
+    """One sampled f-vector (f_0 .. f_{d-1}); degenerate, with zero counts, marks a cloud qhull cannot build."""
 
     counts: tuple[int, ...]
     degenerate: bool = False
@@ -271,17 +273,17 @@ def hull_f_vector(points: np.ndarray) -> FVectorSample:
     a walk down the face lattice, with no tolerance.  A point off a facet's
     hyperplane by more than qhull's rounding is a vertex.
 
-    Flat inputs come back flagged degenerate rather than raising; other qhull
-    failures raise a degeneracy error, and a face count that breaks Euler's
-    relation a NumericError.  Dimension is capped at 6: face-lattice
-    recovery intersects the faces' vertex sets and is meant for desk-scale
-    checks.
+    A cloud qhull cannot build, flat or within qhull's rounding of flat,
+    comes back flagged degenerate rather than raising, and nothing here uses
+    a tolerance; a face count that breaks Euler's relation is a
+    NumericError.  Dimension is capped at 6: face-lattice recovery
+    intersects the faces' vertex sets and is meant for desk-scale checks.
     """
     return _qhull_f_vector(_real_rows(points, "points", "hull"))
 
 
 def _qhull_f_vector(pts: np.ndarray) -> FVectorSample:
-    """The f-vector of qhull's hull of pts; a flat cloud gives a degenerate one.
+    """The f-vector of qhull's hull of pts; fewer than d + 1 points or any QhullError gives a degenerate one.
 
     A hull with no two neighbouring simplices on one equations row is
     simplicial: for j = 1 .. d/2 - 1 its (j-1)-faces, the distinct sorted
@@ -298,10 +300,8 @@ def _qhull_f_vector(pts: np.ndarray) -> FVectorSample:
         return FVectorSample((0,) * d, degenerate=True)
     try:
         hull = ConvexHull(pts)
-    except QhullError as exc:
-        if np.linalg.matrix_rank(pts - pts[0]) < d:
-            return FVectorSample((0,) * d, degenerate=True)
-        raise DegenerateGeometryError(f"qhull failed on non-flat input: {exc}") from exc
+    except QhullError:  # flat, or within qhull's rounding of flat
+        return FVectorSample((0,) * d, degenerate=True)
 
     simplices, eq, nb = hull.simplices, hull.equations, hull.neighbors
     # nb[i, j] is the simplex across the ridge opposite vertex j of simplex i,
@@ -849,11 +849,12 @@ def _replication_block(args: tuple[str, int, int, int, int, int], work: _Workspa
     Philox; a projected model is counted on that map, not on its frame.  A cube
     map in general position takes the closed-form row, built once per block.
     Other shapes that _enumerates takes are decided on the minors route and
-    the rest on qhull, a cloud a chunk; a draw found flat waits for the next
-    round.  Each chunk writes its rows as soon as they are counted, and its
-    maps and temporaries into work, which every block run in one process can
-    share.  A replication's row depends only on its own streams, so any
-    split of a range into blocks gives the same rows and count.
+    the rest on qhull, a cloud a chunk; a draw found flat, or one qhull
+    cannot build, waits for the next round.  Each chunk writes its rows as
+    soon as they are counted, and its maps and temporaries into work, which
+    every block run in one process can share.  A replication's row depends
+    only on its own streams, so any split of a range into blocks gives the
+    same rows and count.
     """
     model, n, d, seed, lo, hi = args
     row = MODEL_TABLE[model]
@@ -884,10 +885,7 @@ def _replication_block(args: tuple[str, int, int, int, int, int], work: _Workspa
                 again, counts = _enumerated_facets(drawn, symmetric, work)
                 rows[todo[~again]] = counts
             else:  # one cloud a chunk
-                try:
-                    fv = _qhull_f_vector(symmetrize(drawn[0]) if symmetric else drawn[0])
-                except DegenerateGeometryError:  # qhull failed on a cloud it did not find flat
-                    fv = FVectorSample((0,) * d, degenerate=True)
+                fv = _qhull_f_vector(symmetrize(drawn[0]) if symmetric else drawn[0])
                 rows[todo[0]], again = fv.counts, np.array([fv.degenerate])
             flat.append(todo[again])
         pending = np.concatenate(flat)

@@ -7,7 +7,8 @@ by a SeedSequence over an explicit integer tuple
 
 so that results are reproducible bit-for-bit, independent of evaluation order
 and worker count.  Purpose and identity codes are fixed integer maps below;
-Python's salted hash() is never used.
+Python's salted hash() is never used.  Scalar path entries go through
+families.check_int: a negative, float or bool is an InvalidArgumentError.
 
 derive_generator builds one such generator.  derive_keys computes the Philox
 keys of many streams that differ in one index entry, by NumPy's own
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
+
+from .families import check_int
 
 # purpose codes
 ANGLE_SAMPLES = 1
@@ -47,12 +50,10 @@ MODEL_CODES = {
 def derive_generator(master_seed: int, *path: int) -> Generator:
     """Philox generator for the stream identified by (master_seed, *path).
 
-    All path entries must be nonnegative integers; SeedSequence rejects
-    negatives, which keeps sentinel conventions honest.
+    Every entry goes through check_int at 0: a negative, a float such as 2.5
+    or a bool is an InvalidArgumentError, never rounded to another stream.
     """
-    entropy = (int(master_seed),) + tuple(int(p) for p in path)
-    if any(p < 0 for p in entropy):
-        raise ValueError(f"seed path entries must be nonnegative, got {entropy}")
+    entropy = tuple(check_int("seed path entry", p, 0) for p in (master_seed, *path))
     return Generator(Philox(SeedSequence(entropy)))
 
 
@@ -79,19 +80,17 @@ def derive_keys(master_seed: int, *path) -> np.ndarray:
 
     One entry, in any position, is the index column: a 1-d integer array of
     length m with entries in [0, 2^32), one SeedSequence word each.  Every
-    other entry is an int.  Row i equals SeedSequence((master_seed, *path_i))
-    .generate_state(2, np.uint64), path_i taking entry i of the column: the
-    key derive_generator's Philox gets, and the tests' oracle.  The hash is
-    SeedSequence's own: constant words are hashed once as Python ints, and
-    only the words the column reaches are uint32 columns.  Other layouts
-    raise TypeError or ValueError; negative entries raise ValueError.
+    other entry is an int that check_int takes at 0.  Row i equals
+    SeedSequence((master_seed, *path_i)).generate_state(2, np.uint64),
+    path_i taking entry i of the column: the key derive_generator's Philox
+    gets, and the tests' oracle.  The hash is SeedSequence's own: constant
+    words are hashed once as Python ints, and only the words the column
+    reaches are uint32 columns.  Other layouts raise TypeError or ValueError.
     """
     words, column = [], None
     for p in (master_seed, *path):
         if not isinstance(p, np.ndarray):
-            if int(p) < 0:
-                raise ValueError(f"seed path entries must be nonnegative, got {p}")
-            words += _words(int(p))
+            words += _words(check_int("seed path entry", p, 0))
             continue
         if column is not None:
             raise ValueError("derive_keys takes one array path entry, got several")
@@ -153,9 +152,8 @@ def chunk_counts(total: int, chunk_size: int) -> list[int]:
     The grid depends only on (total, chunk_size), never on worker count, so a
     chunked estimate is invariant under parallelism.
     """
-    if total < 0 or chunk_size <= 0:
-        raise ValueError("total must be >= 0 and chunk_size positive")
-    full, rem = divmod(total, chunk_size)
+    chunk_size = check_int("chunk_size", chunk_size, 1)
+    full, rem = divmod(check_int("total", total, 0), chunk_size)
     counts = [chunk_size] * full
     if rem:
         counts.append(rem)

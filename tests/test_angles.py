@@ -347,13 +347,19 @@ def test_external_quadrature_matches_pinned_constants(family, n, g, pinned):
     assert abs(est.value - float(pinned)) <= QUADRATURE_RTOL * float(pinned)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 10, 40, 75, 1000, 10_000])
+@pytest.mark.parametrize("n", [3, 4, 5, 10, 40, 75, 1000, 10_000, 10**6, 10**9, 2**40, 2**50, 2**53])
 def test_external_quadrature_ridge_closed_forms(n):
-    # a ridge's normal cone is a planar wedge, its angle (pi - dihedral) / (2 pi)
-    simplex = (math.pi - math.acos(1 / n)) / (2 * math.pi)
-    cross = (math.pi - math.acos((2 - n) / n)) / (2 * math.pi)
-    assert abs(external_angle(Family.SIMPLEX, n, n - 2).value - simplex) <= QUADRATURE_RTOL * simplex
-    assert abs(external_angle(Family.CROSSPOLYTOPE, n, n - 2).value - cross) <= QUADRATURE_RTOL * cross
+    # a ridge's normal cone is a planar wedge, its angle (pi - dihedral) / (2 pi):
+    # for the simplex 1/4 + asin(1/n) / (2 pi), for the crosspolytope
+    # asin(1/sqrt(n)) / pi, both well conditioned up to MAX_EXTERNAL_N = 2^53
+    simplex = 0.25 + math.asin(1 / n) / (2 * math.pi)
+    cross = math.asin(1 / math.sqrt(n)) / math.pi
+    forms = [(simplex, cross)]
+    if n <= 10_000:  # the arccos forms cancel past it: the crosspolytope's was 1.4e-11 off at n = 10^6
+        forms.append(((math.pi - math.acos(1 / n)) / (2 * math.pi), (math.pi - math.acos((2 - n) / n)) / (2 * math.pi)))
+    for simplex, cross in forms:
+        assert abs(external_angle(Family.SIMPLEX, n, n - 2).value - simplex) <= QUADRATURE_RTOL * simplex
+        assert abs(external_angle(Family.CROSSPOLYTOPE, n, n - 2).value - cross) <= QUADRATURE_RTOL * cross
 
 
 @pytest.mark.parametrize("family", [Family.SIMPLEX, Family.CROSSPOLYTOPE])

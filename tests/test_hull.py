@@ -465,6 +465,13 @@ def test_hull_degenerate_inputs():
     assert hull_f_vector(np.zeros((3, 3))).degenerate
     flat = np.hstack([np.random.default_rng(0).standard_normal((9, 2)), np.zeros((9, 1))])
     assert hull_f_vector(flat).degenerate
+    # a sliver 1e-14 thick: NumPy's default rank cutoff calls it full-dimensional,
+    # qhull cannot build its hull, and qhull's refusal alone makes it degenerate
+    sliver = np.random.default_rng(0).standard_normal((6, 3))
+    sliver[:, -1] *= 1e-14
+    assert np.linalg.matrix_rank(sliver - sliver[0]) == 3
+    fv = hull_f_vector(sliver)
+    assert fv.degenerate and fv.counts == (0, 0, 0)
     with pytest.raises(InvalidArgumentError):
         hull_f_vector(np.zeros(4))
     with pytest.raises(InvalidDimensionError):
@@ -643,6 +650,8 @@ def test_zonotope_degenerate_generators():
     g = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])  # parallel pair
     with pytest.raises(DegenerateGeometryError):
         zonotope_f_vector(g)
+    with pytest.raises(DegenerateGeometryError, match="do not span the ambient space"):
+        zonotope_f_vector(np.eye(3)[:2])  # fewer generators than d
     with pytest.raises(InvalidDimensionError, match="general-position test capped at n = 15 generators"):
         zonotope_f_vector(np.zeros((16, 3)))
     with pytest.raises(InvalidArgumentError):
@@ -994,8 +1003,8 @@ def _flattening(model, n, d, seed, flat):
 def test_simulate_resamples_degenerate_draws_from_later_attempts(monkeypatch):
     # flatten the attempt-0 maps of replications 0, 511, 512, 600 and 1700 and
     # the attempt-1 map of 1700; keys pick the draws, whatever the order.  Every
-    # minor of a flat map is 0, so the minors route hands it to qhull, which
-    # flags it degenerate, and it is resampled from its next attempt's stream
+    # minor of a flat map is 0, which the minors route's exact recheck finds,
+    # so it is degenerate and resampled from its next attempt's stream
     model, n, d, seed, r = "gaussian", 6, 3, 23, 6000  # 6 is the most degenerate draws allowed
     assert _enumerates(MODEL_TABLE[model], n, d)
     path = (seed, SIM_REPLICATION, MODEL_CODES[model], n, d)
@@ -1018,6 +1027,24 @@ def test_simulate_resamples_degenerate_draws_from_later_attempts(monkeypatch):
     for i, attempt in [(0, 1), (511, 1), (512, 1), (600, 1), (1700, 2)]:
         rng = derive_generator(*path, i, attempt)
         assert rows[i].tolist() == list(hull_f_vector(model_cloud(model, n, d, rng)).counts)
+
+
+def test_qhull_route_redraws_a_sliver_qhull_cannot_build(monkeypatch):
+    # past the cap every cloud goes to qhull alone: replication 3's attempt-0
+    # map, 1e-14 thick, is full rank to NumPy's default cutoff, and qhull's
+    # refusal makes it one degenerate draw, redrawn from attempt 1
+    model, n, d, seed = "gaussian", 18, 3, 13
+    assert not _enumerates(MODEL_TABLE[model], n, d)
+    path = (seed, SIM_REPLICATION, MODEL_CODES[model], n, d)
+    sliver = _one_map(n, d, *path, 3, 0)
+    sliver[:, -1] *= 1e-14
+    assert np.linalg.matrix_rank(sliver - sliver[0]) == 3 and _qhull_f_vector(sliver).degenerate
+    thin = _key(*path, 3, 0)
+    _patch_sample_map(monkeypatch, lambda key, image: sliver if key == thin else image)
+    _, rows, degen = _replication_block((model, n, d, seed, 0, 8), _Workspace())
+    assert degen == 1
+    for i in range(8):
+        assert rows[i].tolist() == list(hull_f_vector(_one_map(n, d, *path, i, int(i == 3))).counts)
 
 
 def test_simulate_dump_is_deterministic(tmp_path):

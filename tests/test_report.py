@@ -27,6 +27,9 @@ def test_csv_round_trip():
     text = to_csv(ROWS)
     assert text.splitlines()[0] == ",".join(COLUMNS)
     assert from_csv(text) == ROWS
+    # blank lines, between rows and at the end, are skipped
+    lines = text.splitlines()
+    assert from_csv("\n".join([lines[0], "", *lines[1:3], "", "", *lines[3:], ""]) + "\n") == ROWS
 
 
 def test_json_round_trip():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox, SeedSequence
 
+from polyproj import InvalidArgumentError
 from polyproj.hull import _sample_maps
-from polyproj.streams import SIM_REPLICATION, derive_generator, derive_keys
+from polyproj.streams import SIM_REPLICATION, chunk_counts, derive_generator, derive_keys
 
 # hashing mixes Python ints into uint32 columns: any NumPy overflow warning is a failure
 pytestmark = pytest.mark.filterwarnings("error")
@@ -53,11 +54,11 @@ def test_derive_keys_unsigned_and_block_ranges():
 
 
 def test_derive_keys_rejects_bad_entries():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError, match="seed path entry must be >= 0"):
         derive_generator(3, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError, match="seed path entry must be >= 0"):
         derive_keys(3, -1, np.arange(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError, match="seed path entry must be >= 0"):
         derive_keys(-3, np.arange(4))
     with pytest.raises(ValueError):  # no array entry
         derive_keys(3, 1, 2)
@@ -76,6 +77,32 @@ def test_derive_keys_rejects_bad_entries():
         derive_keys(3, np.array([True, False]))
     with pytest.raises(TypeError):  # not 1-d
         derive_keys(3, np.arange(4).reshape(2, 2))
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, np.float64(2.0), np.bool_(True), "2", None],
+                         ids=["2.5", "2.0", "True", "float64", "bool_", "text", "None"])
+def test_scalar_path_entries_must_be_integers(bad):
+    # no coercion: a float, bool or string entry is refused, never rounded onto another stream
+    with pytest.raises(InvalidArgumentError, match="seed path entry must be an integer"):
+        derive_generator(0, bad)
+    with pytest.raises(InvalidArgumentError, match="seed path entry must be an integer"):
+        derive_generator(bad, 1)
+    with pytest.raises(InvalidArgumentError, match="seed path entry must be an integer"):
+        derive_keys(0, bad, np.arange(3))
+    with pytest.raises(InvalidArgumentError):
+        chunk_counts(bad, 7)
+    with pytest.raises(InvalidArgumentError):
+        chunk_counts(70, bad)
+
+
+def test_numpy_integer_path_entries_are_their_ints():
+    a = derive_generator(np.int64(3), np.uint8(1), np.int32(2)).standard_normal(4)
+    assert np.array_equal(a, derive_generator(3, 1, 2).standard_normal(4))
+    assert np.array_equal(derive_keys(np.uint64(9), np.int16(1), np.arange(3)), derive_keys(9, 1, np.arange(3)))
+    assert chunk_counts(np.int64(10), np.uint8(4)) == [4, 4, 2]
+    for bad in [(-1, 7), (10, 0), (10, -2)]:
+        with pytest.raises(InvalidArgumentError):
+            chunk_counts(*bad)
 
 
 def test_rekey_draws_equal_derive_generator():
