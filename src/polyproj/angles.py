@@ -111,7 +111,8 @@ DEFAULT_CHUNK = 1 << 15
 _SUB_ROWS = 2048
 # the relative accuracy every quadrature external angle keeps.  Tests check it
 # on 30-digit constants at g = 1, 2, 5 and n - 2 and on the vertices' 1/f_0
-# for n <= 1e4, and on the ridges' (g = n - 2) closed forms for n <= 2^53
+# for n <= 1e4, and on the ridges' (g = n - 2) closed forms and the edges'
+# (g = 1) Gaussian mean widths, by scipy's quad, for n <= 2^53
 QUADRATURE_RTOL = 1e-12
 # the largest n external_angles takes: up to 2^53 the rule's exponent n - g
 # is an exact float; past it the exponent is rounded, and past 2^64 the

@@ -11,7 +11,7 @@ P_{n - shift} under a Gaussian map or a uniform orthogonal projection to R^d.
 The projection's frame is the Q of a Gaussian map G = QR, and the two images
 differ by R^-1, a linear bijection of R^d, so they have one face lattice draw
 by draw (Baryshnikov & Vitale): simulate counts every model on its Gaussian
-map (_sample_maps).
+map, and builds no frame.
 
 Simulated hulls of the simplex and crosspolytope images (the hull of the map's
 rows, or of those and their negatives) are decided a chunk of clouds at a time
@@ -43,8 +43,9 @@ the routes differ only on a cloud with a point that near a facet's
 hyperplane.  A cloud qhull cannot build, flat or within its rounding of
 flat, is degenerate: no verdict here rests on a tolerance.  The faces of a
 non-simplicial hull are found by a walk down from its facets
-(_face_counts); a face lattice that breaks Euler's relation is a
-NumericError, which simulate does not resample.
+(_face_counts); a face lattice that breaks Euler's relation is no
+polytope's, so the cloud is degenerate too (qhull built it from a sliver
+within its rounding of flat), and simulate draws it again.
 A simplicial hull, from either route, has its f-vector fixed by
 Dehn-Sommerville, one product with a cached integer matrix
 (_simplicial_f_vectors), from its facet count and f_{j-1} for
@@ -60,18 +61,18 @@ for every draw, and a projected cube is the zonotope of its map's rows.  So
 a cube map is only tested for an exactly zero d x d minor, on the same
 filtered minors (_flat_generators).
 
-Every replication draws from its own counter-based stream derived from
-(seed, model, n, d, replication index, attempt), so estimates are identical
-for any worker count and assembly order.  The replications are cut into
-contiguous blocks of min(ceil(r / workers), _MAX_BLOCK), which the pool
-hands out to its workers one at a time, and a run in one process takes
-them in order; a block's attempts run in rounds: round a
-draws the maps of the replications still undecided on their attempt-a
-Philox keys, from one derive_keys call over the column of their indices,
-which are the draws derive_generator's generators would give.  SimConfig
-caps replications x d at 2^26, which keeps the int64 f-vector rows within
-512 MiB and, since d >= 2, every index within one SeedSequence word, and
---dump writes the rows _BLOCK at a time.  Every round's maps
+Every replication draws from its own counter-based stream, fixed by
+(seed, model, n, d, replication index, attempt) alone, so estimates are
+identical for any worker count and assembly order; streams.replication_maps
+holds that layout and draws the maps, and this module only counts them.
+The replications are cut into contiguous blocks of min(ceil(r / workers),
+_MAX_BLOCK), which the pool hands out to its workers one at a time, and a
+run in one process takes them in order; a block's attempts run in rounds:
+round a draws the maps of the replications still undecided at attempt a,
+in one replication_maps call.  SimConfig caps replications x d at 2^26,
+which keeps the int64 f-vector rows within 512 MiB and, since d >= 2, every
+index within one 32-bit word of its stream path, and --dump writes the rows
+_BLOCK at a time.  Every round's maps
 take their shape's route, so reports depend on neither the blocking nor the
 worker count; flat draws wait for the next round.
 """
@@ -87,19 +88,17 @@ from functools import cache
 from itertools import combinations, repeat
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .angles import Estimate
 from .errors import (
     DegenerateGeometryError,
     InvalidArgumentError,
     InvalidDimensionError,
-    NumericError,
     SimulationAbortError,
 )
 from .expected import expected_f_cube_closed_form
 from .families import MODEL_TABLE, Family, Model, check_int, face_count, model_row
-from .streams import MODEL_CODES, SIM_REPLICATION, derive_keys
+from .streams import replication_maps
 
 MODELS = tuple(MODEL_TABLE)
 
@@ -117,7 +116,7 @@ _MAX_ATTEMPTS = 5
 _DEGENERATE_RATE_LIMIT = 1e-3
 # replications per unit of the pool-size rule (simulate_expected_f) and per slice of --dump
 _BLOCK = 512
-# replications of one _replication_block at most: it bounds derive_keys' uint32 and uint64
+# replications of one _replication_block at most: it bounds its stream keys' uint32 and uint64
 # temporaries and the block's own rows.  Peak RSS of simulate at 2 * 10^5 replications, one
 # process (gaussian n=10 d=3 / symmetric n=8 d=4): 46.8 / 48.2 MB in blocks of 512,
 # 47.3 / 48.7 MB at 2^14, 53.1 / 56.0 MB at 2^16 and 57.9 MB in one block
@@ -167,7 +166,7 @@ _ENUM_ENTRIES = 3 << 16
 
 @dataclass(frozen=True)
 class FVectorSample:
-    """One sampled f-vector (f_0 .. f_{d-1}); degenerate, with zero counts, marks a cloud qhull cannot build."""
+    """One sampled f-vector (f_0 .. f_{d-1}); degenerate, with zero counts, marks a cloud qhull cannot build or count."""
 
     counts: tuple[int, ...]
     degenerate: bool = False
@@ -189,7 +188,7 @@ class SimConfig:
             object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
         if not (2 <= self.d <= _MAX_HULL_DIM):
             raise InvalidDimensionError(f"hull dimension must be in 2..{_MAX_HULL_DIM}, got {self.d}")
-        if self.replications * self.d > 2**26:  # int64 rows within 512 MiB, each index one SeedSequence word
+        if self.replications * self.d > 2**26:  # int64 rows within 512 MiB, each index one 32-bit path word
             raise InvalidArgumentError(f"replications x d must be <= 2^26, got {self.replications} x {self.d}")
         min_n = self.d + row.shift
         if self.n < min_n:
@@ -227,25 +226,6 @@ def symmetrize(cloud: np.ndarray) -> np.ndarray:
     return np.vstack([cloud, -cloud])
 
 
-def _sample_maps(keys: np.ndarray, bitgen: Philox, rng: Generator, out: np.ndarray) -> np.ndarray:
-    """The n x d Gaussian maps of the streams with the given Philox keys, drawn into out.
-
-    A model's map takes R^n, where its P_{n - shift} lies, to R^d.  Each map
-    is drawn in place after a re-key, as a fresh generator on that key would
-    draw it.  The projected models take the same Gaussian map G: their frame
-    is the Q of G = QR (random_orthonormal_frame), whose image of
-    P_{n - shift} is G's image moved by R^-1 and has its face lattice, so no
-    frame is built.
-    """
-    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for key, image in zip(keys.tolist(), out):
-        state["state"]["key"] = key
-        bitgen.state = state
-        rng.standard_normal(out=image)
-    return out
-
-
 def _real_rows(values, name: str, what: str) -> np.ndarray:
     """values as finite float rows in R^d, 2 <= d <= _MAX_HULL_DIM; unreadable, ragged or non-finite input is an InvalidArgumentError."""
     try:
@@ -273,10 +253,10 @@ def hull_f_vector(points: np.ndarray) -> FVectorSample:
     a walk down the face lattice, with no tolerance.  A point off a facet's
     hyperplane by more than qhull's rounding is a vertex.
 
-    A cloud qhull cannot build, flat or within qhull's rounding of flat,
-    comes back flagged degenerate rather than raising, and nothing here uses
-    a tolerance; a face count that breaks Euler's relation is a
-    NumericError.  Dimension is capped at 6: face-lattice recovery
+    A cloud qhull cannot build, flat or within qhull's rounding of flat, or
+    whose facets give a face count that breaks Euler's relation, comes back
+    flagged degenerate rather than raising, and nothing here uses a
+    tolerance.  Dimension is capped at 6: face-lattice recovery
     intersects the faces' vertex sets and is meant for desk-scale checks.
     """
     return _qhull_f_vector(_real_rows(points, "points", "hull"))
@@ -290,7 +270,7 @@ def _qhull_f_vector(pts: np.ndarray) -> FVectorSample:
     j-subsets of its simplices' ids, are counted for _simplicial_f_vectors.
     Otherwise each distinct row is a facet, the union of its simplices, and
     _face_counts counts the faces below; a count that breaks Euler's
-    relation is a NumericError.
+    relation, a lattice no polytope has, gives a degenerate one too.
     """
     # SciPy loads here, on the first hull that needs it
     from scipy.spatial import ConvexHull, QhullError
@@ -318,7 +298,7 @@ def _qhull_f_vector(pts: np.ndarray) -> FVectorSample:
     bounds = np.flatnonzero(np.diff(facet[order])) + 1
     counts = _face_counts([frozenset(block.ravel().tolist()) for block in np.split(simplices[order], bounds)], d)
     if sum((-1) ** k * f for k, f in enumerate(counts)) != 1 - (-1) ** d:
-        raise NumericError(f"qhull's facets gave f-vector {tuple(counts)}, which breaks Euler's relation")
+        return FVectorSample((0,) * d, degenerate=True)
     return FVectorSample(tuple(counts))
 
 
@@ -843,14 +823,15 @@ class SimulationResult:
 def _replication_block(args: tuple[str, int, int, int, int, int], work: _Workspace) -> tuple[int, np.ndarray, int]:
     """Rows lo..hi-1 of a simulation and their degenerate-attempt count.
 
-    Attempts run in rounds.  Round a takes the replications still undecided,
-    gets their attempt-a keys from one derive_keys call and draws their
-    Gaussian maps, a chunk of _chunk_size maps at a time, by re-keying one
-    Philox; a projected model is counted on that map, not on its frame.  A cube
-    map in general position takes the closed-form row, built once per block.
-    Other shapes that _enumerates takes are decided on the minors route and
-    the rest on qhull, a cloud a chunk; a draw found flat, or one qhull
-    cannot build, waits for the next round.  Each chunk writes its rows as
+    Attempts run in rounds.  Round a passes the indices of the replications
+    still undecided, the attempt and the chunk's map buffer to one
+    replication_maps call, which draws their Gaussian maps into the buffer a
+    chunk of _chunk_size maps at a time; a projected model is counted on
+    that map, not on its frame.  A cube map in general position takes the
+    closed-form row, built once per block.  Other shapes that _enumerates
+    takes are decided on the minors route and the rest on qhull, a cloud a
+    chunk; a draw found flat, or one qhull cannot build or count, waits for
+    the next round.  Each chunk writes its rows as
     soon as they are counted, and its maps and temporaries into work, which
     every block run in one process can share.  A replication's row depends
     only on its own streams, so any split of a range into blocks gives the
@@ -859,22 +840,17 @@ def _replication_block(args: tuple[str, int, int, int, int, int], work: _Workspa
     model, n, d, seed, lo, hi = args
     row = MODEL_TABLE[model]
     symmetric = row.family is Family.CROSSPOLYTOPE
-    bitgen = Philox(key=0)
-    rng = Generator(bitgen)
     enumerates = _enumerates(row, n, d)
-    chunk = _chunk_size(row, n, d)
     if row.family is Family.CUBE:
         cube = [expected_f_cube_closed_form(n, d, k) for k in range(d)]
-    maps = work.array("maps", (min(chunk, hi - lo), n, d))
+    maps = work.array("maps", (min(_chunk_size(row, n, d), hi - lo), n, d))
     rows = np.zeros((hi - lo, d), dtype=np.int64)
     degen = 0
     pending = np.arange(hi - lo)  # block rows still undecided, in order
     for attempt in range(_MAX_ATTEMPTS):
-        keys = derive_keys(seed, SIM_REPLICATION, MODEL_CODES[model], n, d, lo + pending, attempt)
         flat = []  # per chunk, the block rows whose draws were flat
-        for start in range(0, len(pending), chunk):
-            todo = pending[start : start + chunk]
-            drawn = _sample_maps(keys[start : start + chunk], bitgen, rng, maps[: len(todo)])
+        for indices, drawn in replication_maps(seed, model, n, d, lo + pending, attempt, maps):
+            todo = indices - lo
             if row.family is Family.CUBE:
                 # the zonotope of the map's rows
                 again = _flat_generators(drawn, work)

@@ -1,4 +1,4 @@
-"""Deterministic random-stream derivation.
+"""Deterministic random-stream derivation: the one home of every stream path.
 
 Every Monte Carlo consumer in the package draws from a Philox generator seeded
 by a SeedSequence over an explicit integer tuple
@@ -10,15 +10,17 @@ and worker count.  Purpose and identity codes are fixed integer maps below;
 Python's salted hash() is never used.  Scalar path entries go through
 families.check_int: a negative, float or bool is an InvalidArgumentError.
 
-derive_generator builds one such generator.  derive_keys computes the Philox
-keys of many streams that differ in one index entry, by NumPy's own
-SeedSequence hash over one uint32 index column; a block of replications
-then re-keys one Philox to each of them (hull._sample_maps) instead of
-building one generator per stream, and draws exactly what
-derive_generator's generators would.
+derive_generator builds one such generator.  replication_maps holds
+simulate's layout: replication i of a model's (n, d) shape draws its n x d
+Gaussian map at attempt a from (seed, SIM_REPLICATION, MODEL_CODES[model],
+n, d, i, a).  It re-keys one Philox to each key that one derive_keys call,
+NumPy's own SeedSequence hash over a uint32 index column, gives a round of
+replications, and draws exactly what derive_generator's generators would.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -75,34 +77,49 @@ def _words(v: int) -> list[int]:
     return words
 
 
-def derive_keys(master_seed: int, *path) -> np.ndarray:
-    """Philox keys, shape (m, 2) uint64, of the streams (master_seed, *path).
+def derive_keys(prefix: tuple[int, ...], column: np.ndarray, last: int) -> np.ndarray:
+    """Philox keys, shape (m, 2) uint64, of the streams (*prefix, column[i], last).
 
-    One entry, in any position, is the index column: a 1-d integer array of
-    length m with entries in [0, 2^32), one SeedSequence word each.  Every
-    other entry is an int that check_int takes at 0.  Row i equals
-    SeedSequence((master_seed, *path_i)).generate_state(2, np.uint64),
-    path_i taking entry i of the column: the key derive_generator's Philox
-    gets, and the tests' oracle.  The hash is SeedSequence's own: constant
-    words are hashed once as Python ints, and only the words the column
-    reaches are uint32 columns.  Other layouts raise TypeError or ValueError.
+    prefix, the master seed first, and last are ints that check_int takes at
+    0; column is a 1-d integer array of length m with entries in [0, 2^32),
+    one SeedSequence word each.  Row i equals
+    SeedSequence((*prefix, column[i], last)).generate_state(2, np.uint64):
+    the key derive_generator's Philox gets, and the tests' oracle.  The hash
+    is SeedSequence's own: the constant words are hashed once as Python
+    ints, and only the words the column reaches are uint32 columns.
     """
-    words, column = [], None
-    for p in (master_seed, *path):
-        if not isinstance(p, np.ndarray):
-            words += _words(check_int("seed path entry", p, 0))
-            continue
-        if column is not None:
-            raise ValueError("derive_keys takes one array path entry, got several")
-        if p.ndim != 1 or p.dtype.kind not in "iu":
-            raise TypeError(f"the index column must be a 1-d integer array, got {p.dtype} of shape {p.shape}")
-        if np.any((p < 0) | (p > _MASK32)):
-            raise ValueError("index column entries must be in [0, 2^32)")
-        column = p.astype(np.uint32)
-        words.append(column)
-    if column is None:
-        raise ValueError("derive_keys needs an array path entry")
+    if column.ndim != 1 or column.dtype.kind not in "iu":
+        raise TypeError(f"the index column must be a 1-d integer array, got {column.dtype} of shape {column.shape}")
+    if np.any((column < 0) | (column > _MASK32)):
+        raise ValueError("index column entries must be in [0, 2^32)")
+    words = [w for p in prefix for w in _words(check_int("seed path entry", p, 0))]
+    words += [column.astype(np.uint32), *_words(check_int("seed path entry", last, 0))]
     return _generate_key(_mix_pool(words))
+
+
+def replication_maps(seed: int, model: str, n: int, d: int, indices: np.ndarray, attempt: int,
+                     out: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """simulate's n x d Gaussian maps of replications `indices` at `attempt`, drawn into out.
+
+    Yields the next m = len(out) indices, in order, and out[:m] holding
+    their maps, which the next run overwrites; the last run may be shorter.
+    Every index's key comes from one derive_keys call, and each map is drawn
+    in place after one Philox is re-keyed to it, as a fresh derive_generator
+    generator on its stream would draw it: the Philox and its Generator are
+    built once a call.
+    """
+    keys = derive_keys((seed, SIM_REPLICATION, MODEL_CODES[model], n, d), indices, attempt)
+    bitgen = Philox(key=0)
+    rng = Generator(bitgen)
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for start in range(0, len(keys), len(out)):
+        maps = out[: len(keys) - start]
+        for key, image in zip(keys[start : start + len(out)].tolist(), maps):
+            state["state"]["key"] = key
+            bitgen.state = state
+            rng.standard_normal(out=image)
+        yield indices[start : start + len(out)], maps
 
 
 # The hash steps below take Python ints and uint32 columns alike: a product

@@ -579,14 +579,14 @@ def test_simulate_abort_exits_1(capsys, monkeypatch):
     # every draw flat: replication 0 is still flat after the last attempt
     from polyproj import hull
 
-    sample_maps = hull._sample_maps
+    draws = hull.replication_maps
 
-    def flat_maps(keys, bitgen, rng, out):
-        sample_maps(keys, bitgen, rng, out)
-        out[:, :, -1] = 0.0
-        return out
+    def flat_maps(*args):
+        for indices, maps in draws(*args):
+            maps[:, :, -1] = 0.0
+            yield indices, maps
 
-    monkeypatch.setattr(hull, "_sample_maps", flat_maps)
+    monkeypatch.setattr(hull, "replication_maps", flat_maps)
     code, out, err = run(capsys, ["simulate", "--model", "gaussian", "--n", "6", "--d", "3", "--reps", "10", *SMALL])
     assert code == 1 and out == ""
     assert err == "error: replication 0 of model gaussian stayed degenerate after 5 attempts\n"

@@ -7,7 +7,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox, SeedSequence
+import scipy.spatial
+from numpy.random import SeedSequence
 from scipy.spatial import ConvexHull
 
 from polyproj import (
@@ -16,7 +17,6 @@ from polyproj import (
     Family,
     InvalidArgumentError,
     InvalidDimensionError,
-    NumericError,
     SimConfig,
     SimulationAbortError,
     expected_f_cube_closed_form,
@@ -52,7 +52,6 @@ from polyproj.hull import (
     _qhull_f_vector,
     _replication_block,
     MODELS,
-    _sample_maps,
     _side_table,
     _simplicial_f_vectors,
     _subsets,
@@ -62,7 +61,7 @@ from polyproj.hull import (
     _dyadic,
     _fraction_free,
 )
-from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator, derive_keys
+from polyproj.streams import MODEL_CODES, SIM_REPLICATION, derive_generator, replication_maps
 
 from oracles import (
     colex_subsets,
@@ -279,12 +278,9 @@ def test_simplicial_f_vectors_of_minors_route_chunks(monkeypatch, model, d):
     # are the exact oracle's
     row = MODEL_TABLE[model]
     symmetric = row.family is Family.CROSSPOLYTOPE
-    bitgen = Philox(key=0)
     largest = _largest_enumerated_n(model, d)
     for n in sorted({d + row.shift, largest}):
-        chunk = min(_chunk_size(row, n, d), 200)
-        keys = derive_keys(17, SIM_REPLICATION, MODEL_CODES[model], n, d, np.arange(chunk), 0)
-        maps = _sample_maps(keys, bitgen, Generator(bitgen), np.empty((chunk, n, d)))
+        maps = _draw(model, n, d, 17, np.arange(min(_chunk_size(row, n, d), 200)))
         assert not _assert_minors_route_rows(monkeypatch, maps, symmetric).all()
     maps = _clouds_near_hyperplanes(np.random.default_rng(MODEL_CODES[model] + 10 * d), 64, largest, d, symmetric)
     rechecked = _assert_minors_route_rows(monkeypatch, maps, symmetric, range(0, 64, 2))
@@ -382,9 +378,7 @@ def test_point_just_off_a_hyperplane_is_a_vertex(monkeypatch):
     # simulate decides its side tests exactly: it counts the cloud's exact
     # row, the one the rounded grouping finds, and draws nothing again
     model, n, d, seed = "gaussian", 10, 6, 3
-    path = (seed, SIM_REPLICATION, MODEL_CODES[model], n, d)
-    placed = _key(*path, 1, 0)
-    _patch_sample_map(monkeypatch, lambda key, image: cloud if key == placed else image)
+    _patch_drawn_maps(monkeypatch, lambda i, attempt, image: cloud if (i, attempt) == (1, 0) else image)
     _, rows, degen = _replication_block((model, n, d, seed, 0, 3), _Workspace())
     assert degen == 0
     monkeypatch.undo()
@@ -461,17 +455,20 @@ def test_simplicial_f_vectors_of_known_polytopes(d):
         assert hull_f_vector(points).counts == f
 
 
-def test_hull_degenerate_inputs():
+def test_hull_degenerate_inputs(monkeypatch):
     assert hull_f_vector(np.zeros((3, 3))).degenerate
     flat = np.hstack([np.random.default_rng(0).standard_normal((9, 2)), np.zeros((9, 1))])
     assert hull_f_vector(flat).degenerate
-    # a sliver 1e-14 thick: NumPy's default rank cutoff calls it full-dimensional,
-    # qhull cannot build its hull, and qhull's refusal alone makes it degenerate
-    sliver = np.random.default_rng(0).standard_normal((6, 3))
-    sliver[:, -1] *= 1e-14
-    assert np.linalg.matrix_rank(sliver - sliver[0]) == 3
-    fv = hull_f_vector(sliver)
+    # qhull's refusal alone makes a cloud degenerate, whatever its rank: a
+    # ConvexHull stand-in that raises QhullError, as qhull does on a sliver
+    # within its rounding of flat, on a full-dimensional cloud
+    def refusing(points):
+        raise scipy.spatial.QhullError("QH6154 initial simplex is flat")
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", refusing)
+    fv = hull_f_vector(np.random.default_rng(0).standard_normal((6, 3)))
     assert fv.degenerate and fv.counts == (0, 0, 0)
+    monkeypatch.undo()
     with pytest.raises(InvalidArgumentError):
         hull_f_vector(np.zeros(4))
     with pytest.raises(InvalidDimensionError):
@@ -524,24 +521,42 @@ def test_qhull_gives_the_simplices_of_one_facet_one_equations_row(n, d):
         assert len(np.unique(hull.equations, axis=0)) == facets
 
 
-def test_face_count_that_breaks_euler_is_a_numeric_error(monkeypatch, capsys):
-    # the walk down the face lattice has no tolerance, so a count that breaks
-    # Euler's relation is a bug: a NumericError, which simulate does not draw
-    # again, and the CLI exits 1.  gaussian n = 18 at d = 3 goes to qhull,
-    # here on the corners of a cube around ten inner points, whose square
-    # facets qhull splits into triangles
+def test_face_count_that_breaks_euler_is_degenerate(monkeypatch, capsys):
+    # facets whose face count breaks Euler's relation are no polytope's: qhull
+    # built them from a cloud within its rounding of flat, so the cloud is
+    # degenerate and simulate draws it again.  Here the walk down the face
+    # lattice miscounts f_0 on every non-simplicial hull; gaussian n = 18 at
+    # d = 3 goes to qhull, here on the corners of a cube around ten inner
+    # points, whose square facets qhull splits into triangles.  A walk that
+    # broke the relation on every draw would still abort the run, through
+    # the attempt cap
     monkeypatch.setattr("polyproj.hull._face_counts", lambda facets, d: [f + (k == 0) for k, f in enumerate(_face_counts(facets, d))])
     cube = 2.0 * vertices(Family.CUBE, 3) - 1
-    with pytest.raises(NumericError, match="Euler"):
-        hull_f_vector(cube)
+    fv = hull_f_vector(cube)
+    assert fv.degenerate and fv.counts == (0, 0, 0)
     model, n, d = "gaussian", 18, 3
     assert not _enumerates(MODEL_TABLE[model], n, d)
     cloud = np.vstack([cube, 0.1 * np.random.default_rng(3).standard_normal((10, 3))])
-    _patch_sample_map(monkeypatch, lambda key, image: cloud)
-    with pytest.raises(NumericError, match=r"\(9, 12, 6\)"):
-        _replication_block((model, n, d, 0, 0, 2), _Workspace())
+    _patch_drawn_maps(monkeypatch, lambda i, attempt, image: cloud if attempt == 0 else image)
+    _, rows, degen = _replication_block((model, n, d, 0, 0, 1), _Workspace())
+    assert degen == 1
+    assert rows[0].tolist() == list(hull_f_vector(_draw(model, n, d, 0, [0], 1)[0]).counts)
+    _patch_drawn_maps(monkeypatch, lambda i, attempt, image: cloud)
     assert main(["simulate", "--model", model, "--n", str(n), "--d", str(d), "--reps", "2"]) == 1
-    assert "breaks Euler's relation" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: replication 0 of model {model} stayed degenerate after 5 attempts\n"
+
+
+def test_qhull_slivers_are_counted_or_degenerate():
+    # 300 gaussian n = 18 d = 3 maps with their last column times 1e-14: qhull
+    # refuses some of these slivers and builds the rest, and on one it built
+    # (replication 26 of SciPy 1.17's qhull) facets that break Euler's
+    # relation.  Whatever qhull does, every sliver is counted, with Euler's
+    # relation, or comes back degenerate; none raises
+    for sliver in _draw("gaussian", 18, 3, 3, np.arange(300)):
+        sliver[:, -1] *= 1e-14
+        fv = hull_f_vector(sliver)
+        f0, f1, f2 = fv.counts
+        assert (fv.counts == (0, 0, 0)) if fv.degenerate else (f0 - f1 + f2 == 2)
 
 
 @pytest.mark.parametrize("n,d", [(5, 3), (6, 2), (6, 5), (7, 6)])
@@ -721,12 +736,13 @@ def test_sample_cloud_shapes(model, n, rows):
     # projected model's orthonormal frame is the Q of G = QR, R upper
     # triangular with a positive diagonal
     row = MODEL_TABLE[model]
-    cloud_map = _one_map(n, 3, 7, 2)
+    stream = (7, SIM_REPLICATION, MODEL_CODES[model], n, 3, 2, 0)
+    cloud_map = _draw(model, n, 3, 7, [2])[0]
     assert cloud_map.shape == (n, 3)
     assert vertices(row.family, n - row.shift).shape == (rows, n)
-    assert cloud_map.tobytes() == derive_generator(7, 2).standard_normal((n, 3)).tobytes()
+    assert cloud_map.tobytes() == derive_generator(*stream).standard_normal((n, 3)).tobytes()
     if not row.gaussian:
-        frame = random_orthonormal_frame(n, 3, derive_generator(7, 2))
+        frame = random_orthonormal_frame(n, 3, derive_generator(*stream))
         assert np.allclose(frame.T @ frame, np.eye(3), atol=1e-12)
         r = frame.T @ cloud_map
         assert np.allclose(frame @ r, cloud_map, atol=1e-12)
@@ -747,12 +763,13 @@ def test_sample_cloud_matches_written_out_sampler(model):
     for d in (2, 3, 4):
         n = d + 2
         for index in range(20):
-            image = _one_map(n, d, 5, index)
+            image = _draw(model, n, d, 5, [index])[0]
             if row.family is Family.CUBE:  # the zonotope of the map's rows
                 fv = zonotope_f_vector(image)
             else:  # the hull of the map's rows, with their negatives for the crosspolytope
                 fv = hull_f_vector(symmetrize(image) if row.family is Family.CROSSPOLYTOPE else image)
-            assert fv == hull_f_vector(model_cloud(model, n, d, derive_generator(5, index)))
+            rng = derive_generator(5, SIM_REPLICATION, MODEL_CODES[model], n, d, index, 0)
+            assert fv == hull_f_vector(model_cloud(model, n, d, rng))
 
 
 def test_sim_config_caps_replications_at_one_stream_word():
@@ -911,7 +928,7 @@ def test_blocking_does_not_change_rows(monkeypatch, model, n, d):
     assert _enumerates(MODEL_TABLE[model], n, d) == (n < 18)
     r = 1100
     flat = {(i, 0) for i in (0, 366, 367, 511, 512, r - 1)} | {(512, 1)}
-    _patch_sample_map(monkeypatch, _flattening(model, n, d, 13, flat))
+    _patch_drawn_maps(monkeypatch, _flattening(flat))
     bounds = [0, 366, 733, r]
     layouts = {
         "one": [(0, r)],
@@ -963,37 +980,29 @@ def test_simulate_blocks_match_per_replication_oracle(model, d, tmp_path):
         assert result.means[d - 1].value == float(rows[:r, d - 1].mean())
 
 
-def _one_map(n, d, *path):
-    """The n x d map on the stream (*path), drawn by _sample_maps as simulate draws it."""
-    bitgen = Philox(key=0)
-    keys = derive_keys(*path[:-1], np.array(path[-1:]))
-    return _sample_maps(keys, bitgen, Generator(bitgen), np.empty((1, n, d)))[0]
+def _draw(model, n, d, seed, indices, attempt=0):
+    """The maps simulate draws for replications `indices` at `attempt`, as one array."""
+    indices = np.asarray(indices)
+    return next(replication_maps(seed, model, n, d, indices, attempt, np.empty((len(indices), n, d))))[1]
 
 
-def _key(*path):
-    """The Philox key, as a tuple of ints, of the stream (*path)."""
-    return tuple(SeedSequence(path).generate_state(2, np.uint64).tolist())
+def _patch_drawn_maps(monkeypatch, edit):
+    """Draw every map with replication_maps, then replace it by edit(replication, attempt, map)."""
+
+    def edited(seed, model, n, d, indices, attempt, out):
+        for drawn, maps in replication_maps(seed, model, n, d, indices, attempt, out):
+            for j, i in enumerate(drawn.tolist()):
+                maps[j] = edit(i, attempt, maps[j])
+            yield drawn, maps
+
+    monkeypatch.setattr("polyproj.hull.replication_maps", edited)
 
 
-def _patch_sample_map(monkeypatch, edit):
-    """Draw every map with _sample_maps, then replace it by edit(key, map), key the map's Philox key as ints."""
+def _flattening(flat):
+    """An edit for _patch_drawn_maps that flattens the maps of the (replication, attempt) pairs in flat."""
 
-    def sample_maps(keys, bitgen, rng, out):
-        _sample_maps(keys, bitgen, rng, out)
-        for j, key in enumerate(keys.tolist()):
-            out[j] = edit(tuple(key), out[j])
-        return out
-
-    monkeypatch.setattr("polyproj.hull._sample_maps", sample_maps)
-
-
-def _flattening(model, n, d, seed, flat):
-    """An edit for _patch_sample_map that flattens the maps of the (replication, attempt) pairs in flat."""
-    path = (seed, SIM_REPLICATION, MODEL_CODES[model], n, d)
-    flat_keys = {_key(*path, i, a) for i, a in flat}
-
-    def flattened(key, image):
-        if key in flat_keys:
+    def flattened(i, attempt, image):
+        if (i, attempt) in flat:
             image[:, -1] = 0.0
         return image
 
@@ -1008,15 +1017,18 @@ def test_simulate_resamples_degenerate_draws_from_later_attempts(monkeypatch):
     model, n, d, seed, r = "gaussian", 6, 3, 23, 6000  # 6 is the most degenerate draws allowed
     assert _enumerates(MODEL_TABLE[model], n, d)
     path = (seed, SIM_REPLICATION, MODEL_CODES[model], n, d)
-    flattened = _flattening(model, n, d, seed, {(0, 0), (511, 0), (512, 0), (600, 0), (1700, 0), (1700, 1)})
+    flat = {(0, 0), (511, 0), (512, 0), (600, 0), (1700, 0), (1700, 1)}
+    flattened = _flattening(flat)
+    # the oracle's generators say which pair they draw only by their Philox keys
+    pairs = {tuple(SeedSequence((*path, *pair)).generate_state(2, np.uint64).tolist()): pair for pair in flat}
 
     def sampler(model, n, d, rng):
-        key = tuple(rng.bit_generator.state["state"]["key"].tolist())
-        return flattened(key, rng.standard_normal((n, d)))  # a gaussian cloud is its map
+        pair = pairs.get(tuple(rng.bit_generator.state["state"]["key"].tolist()), (None, None))
+        return flattened(*pair, rng.standard_normal((n, d)))  # a gaussian cloud is its map
 
     rows, degenerate = per_replication_rows(model, n, d, seed, r, sampler=sampler)
     assert degenerate.sum() == 6 and degenerate[1700] == 2
-    _patch_sample_map(monkeypatch, flattened)
+    _patch_drawn_maps(monkeypatch, flattened)
     lo, block_rows, block_degen = _replication_block((model, n, d, seed, 512, 1024), _Workspace())
     assert block_degen == 2 and np.array_equal(block_rows, rows[512:1024])
     result = simulate_expected_f(SimConfig(model=model, n=n, d=d, replications=r, seed=seed))
@@ -1031,20 +1043,15 @@ def test_simulate_resamples_degenerate_draws_from_later_attempts(monkeypatch):
 
 def test_qhull_route_redraws_a_sliver_qhull_cannot_build(monkeypatch):
     # past the cap every cloud goes to qhull alone: replication 3's attempt-0
-    # map, 1e-14 thick, is full rank to NumPy's default cutoff, and qhull's
-    # refusal makes it one degenerate draw, redrawn from attempt 1
+    # map, flattened to a sliver of thickness 0, which qhull always refuses,
+    # is one degenerate draw, redrawn from attempt 1
     model, n, d, seed = "gaussian", 18, 3, 13
     assert not _enumerates(MODEL_TABLE[model], n, d)
-    path = (seed, SIM_REPLICATION, MODEL_CODES[model], n, d)
-    sliver = _one_map(n, d, *path, 3, 0)
-    sliver[:, -1] *= 1e-14
-    assert np.linalg.matrix_rank(sliver - sliver[0]) == 3 and _qhull_f_vector(sliver).degenerate
-    thin = _key(*path, 3, 0)
-    _patch_sample_map(monkeypatch, lambda key, image: sliver if key == thin else image)
+    _patch_drawn_maps(monkeypatch, _flattening({(3, 0)}))
     _, rows, degen = _replication_block((model, n, d, seed, 0, 8), _Workspace())
     assert degen == 1
     for i in range(8):
-        assert rows[i].tolist() == list(hull_f_vector(_one_map(n, d, *path, i, int(i == 3))).counts)
+        assert rows[i].tolist() == list(hull_f_vector(_draw(model, n, d, seed, [i], int(i == 3))[0]).counts)
 
 
 def test_simulate_dump_is_deterministic(tmp_path):
@@ -1087,7 +1094,7 @@ def test_simulate_aborts_on_a_replication_flat_at_every_attempt(monkeypatch, mod
     # replications 700 and 900 stay flat; the smallest one still flat after
     # the last round is reported, with one degenerate draw per attempt
     flat = {(i, a) for i in (700, 900) for a in range(_MAX_ATTEMPTS)}
-    _patch_sample_map(monkeypatch, _flattening(model, n, d, 3, flat))
+    _patch_drawn_maps(monkeypatch, _flattening(flat))
     with pytest.raises(SimulationAbortError) as info:
         simulate_expected_f(SimConfig(model=model, n=n, d=d, replications=1000, seed=3))
     assert info.value.replications == 700
@@ -1098,12 +1105,12 @@ def test_simulate_aborts_on_a_replication_flat_at_every_attempt(monkeypatch, mod
 def test_simulate_aborts_when_flat_draws_exceed_the_rate_limit(monkeypatch):
     # 2 flat draws in 1000 replications, each redrawn fine, are over 0.1 %
     cfg = SimConfig(model="gaussian", n=6, d=3, replications=1000, seed=3)
-    _patch_sample_map(monkeypatch, _flattening("gaussian", 6, 3, 3, {(10, 0), (600, 0)}))
+    _patch_drawn_maps(monkeypatch, _flattening({(10, 0), (600, 0)}))
     with pytest.raises(SimulationAbortError, match="degenerate rate 2/1000") as info:
         simulate_expected_f(cfg)
     assert (info.value.degenerate, info.value.replications) == (2, 1000)
     # one flat draw is within it
-    _patch_sample_map(monkeypatch, _flattening("gaussian", 6, 3, 3, {(10, 0)}))
+    _patch_drawn_maps(monkeypatch, _flattening({(10, 0)}))
     assert simulate_expected_f(cfg).degenerate_events == 1
 
 
@@ -1187,24 +1194,27 @@ def test_workspace_leaks_nothing_across_chunks(monkeypatch, model, d):
     largest = _MAX_GENERATORS if cube else _largest_enumerated_n(model, d)
     for n in sorted({d + row.shift, largest}):
         assert cube or _chunk_size(row, n, d) >= chunk
-        path = (7, SIM_REPLICATION, MODEL_CODES[model], n, d)
-        moved = {_key(*path, i, 0) for i in (1, 2)}
         work = _Workspace()
 
-        def poisoned_draw(keys, bitgen, rng, out):
+        def poison():
             for buffer in work.buffers.values():
                 buffer.view(np.uint8).fill(0xFF)
-            _sample_maps(keys, bitgen, rng, out)
-            for j, key in enumerate(keys.tolist()):
-                if tuple(key) not in moved:
-                    continue
-                if cube:
-                    out[j, 0] = 2 * out[j, 1]
-                else:
-                    out[j, 0] = near_row(out[j], symmetric, 0.1, np.random.default_rng(j))
-            return out
 
-        monkeypatch.setattr("polyproj.hull._sample_maps", poisoned_draw)
+        def poisoned_draws(seed, model, n, d, indices, attempt, out):
+            # each chunk is drawn when the caller asks for it, after the poison
+            poison()
+            for drawn, maps in replication_maps(seed, model, n, d, indices, attempt, out):
+                for j, i in enumerate(drawn.tolist()):
+                    if attempt or i not in (1, 2):
+                        continue
+                    if cube:
+                        maps[j, 0] = 2 * maps[j, 1]
+                    else:
+                        maps[j, 0] = near_row(maps[j], symmetric, 0.1, np.random.default_rng(j))
+                yield drawn, maps
+                poison()
+
+        monkeypatch.setattr("polyproj.hull.replication_maps", poisoned_draws)
         alone = [_replication_block((model, n, d, 7, i, i + 1), _Workspace()) for i in range(block)]
         found.clear()
         _, rows, degen = _replication_block((model, n, d, 7, 0, block), work)
@@ -1360,14 +1370,14 @@ def _routed_block(monkeypatch, model, cloud_map):
     """
     draws = []
 
-    def drawing(key, image):
-        draws.append(key)
+    def drawing(i, attempt, image):
+        draws.append((i, attempt))
         return cloud_map
 
     def no_qhull(points):
         raise AssertionError("a minors-route cloud reached qhull")
 
-    _patch_sample_map(monkeypatch, drawing)
+    _patch_drawn_maps(monkeypatch, drawing)
     monkeypatch.setattr("polyproj.hull._qhull_f_vector", no_qhull)
     calls = _dyadic_calls(monkeypatch)
     n, d = cloud_map.shape
@@ -1501,12 +1511,10 @@ def test_exactly_flat_clouds_are_drawn_again(monkeypatch, model, cloud):
     assert flat.tolist() == [True] and rows.shape == (0, cloud.shape[1])
     assert exact_hull_f_vector(cloud, symmetric) is None
     n, d = cloud.shape
-    path = (9, SIM_REPLICATION, MODEL_CODES[model], n, d)
-    placed = _key(*path, 1, 0)
-    _patch_sample_map(monkeypatch, lambda key, image: cloud if key == placed else image)
+    _patch_drawn_maps(monkeypatch, lambda i, attempt, image: cloud if (i, attempt) == (1, 0) else image)
     _, rows, degen = _replication_block((model, n, d, 9, 0, 3), _Workspace())
     assert degen == 1
-    assert tuple(rows[1].tolist()) == exact_hull_f_vector(_one_map(n, d, *path, 1, 1), symmetric)
+    assert tuple(rows[1].tolist()) == exact_hull_f_vector(_draw(model, n, d, 9, [1], 1)[0], symmetric)
 
 
 def _clouds_within_rounding_of_an_edge(symmetric, count=200):
@@ -1579,21 +1587,19 @@ def _cube_chunk_with(monkeypatch, n, d, placed_map):
     """
     model, seed, placed = "zonotope", 7, 5
     assert _chunk_size(MODEL_TABLE[model], n, d) >= 16
-    path = (seed, SIM_REPLICATION, MODEL_CODES[model], n, d)
-    placed_key = _key(*path, placed, 0)
     drawn = []
 
-    def placing(key, image):
-        drawn.append(key)
-        return placed_map if key == placed_key else image
+    def placing(i, attempt, image):
+        drawn.append((i, attempt))
+        return placed_map if (i, attempt) == (placed, 0) else image
 
-    _patch_sample_map(monkeypatch, placing)
+    _patch_drawn_maps(monkeypatch, placing)
     # zonotope_f_vector is never called: the chunk runs its own test
     monkeypatch.setattr("polyproj.hull.zonotope_f_vector", None)
     log = _recheck_log(monkeypatch)
     _, rows, degen = _replication_block((model, n, d, seed, 0, 16), _Workspace())
-    keys = [tuple(k) for k in derive_keys(*path, np.arange(16), 0).tolist()]
-    assert drawn in (keys, keys + [_key(*path, placed, 1)])
+    first = [(i, 0) for i in range(16)]
+    assert drawn in (first, first + [(placed, 1)])
     assert rows.tolist() == [list(_cube_row(n, d))] * 16
     return degen, len(drawn) > 16, log
 
@@ -1796,9 +1802,7 @@ def test_sampled_maps_are_the_frames_gaussian_matrices(n, d):
     # a chunk's maps are the Gaussian matrices G = QR whose Q factors are the
     # frames random_orthonormal_frame draws on the same streams one at a time
     path = (3, SIM_REPLICATION, MODEL_CODES["projected_cube"], n, d)
-    keys = derive_keys(*path, np.arange(40), 0)
-    bitgen = Philox(key=0)
-    maps = _sample_maps(keys, bitgen, Generator(bitgen), np.empty((40, n, d)))
+    maps = _draw("projected_cube", n, d, 3, np.arange(40))
     for i in range(40):
         assert maps[i].tobytes() == derive_generator(*path, i, 0).standard_normal((n, d)).tobytes()
         frame = random_orthonormal_frame(n, d, derive_generator(*path, i, 0))

@@ -1,6 +1,7 @@
 """Import hygiene: every name a polyproj module imports is used in that module,
-every private constant it binds at module level is read in that module,
-importing the CLI leaves scipy.optimize and scipy.sparse.csgraph unloaded, and
+every private constant it binds at module level is read in that module, no
+module but streams.py names a piece of simulate's stream layout, importing
+the CLI leaves scipy.optimize and scipy.sparse.csgraph unloaded, and
 SciPy itself loads only when a hull goes to qhull: the package, the CLI,
 every command that builds no convex hull and simulate of every shape under
 the minors cap run without it.  The process pool's modules load only for a
@@ -76,6 +77,42 @@ def test_no_unread_private_constants(path):
     # a private constant that its own module never reads is dead, whatever
     # the tests import of it
     assert unread_private_constants(path.read_text(encoding="utf-8")) == []
+
+
+# simulate's stream layout has one home, streams.py: no other module names a
+# piece of it.  angles.py keeps the sampler's own paths (ANGLE_SAMPLES,
+# KIND_*, FAMILY_CODES, derive_generator), which are not scanned for
+STREAM_LAYOUT = {"Philox", "SeedSequence", "SIM_REPLICATION", "MODEL_CODES", "derive_keys"}
+
+
+def stream_layout_names(source: str) -> list[str]:
+    """The names of STREAM_LAYOUT that `source` uses as a name, an attribute or an import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rsplit(".", 1)[-1]
+        else:
+            continue
+        if name in STREAM_LAYOUT:
+            found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_scanner_flags_stream_layout_names():
+    source = ("from numpy.random import Generator, Philox\nfrom .streams import MODEL_CODES as codes\n"
+              "import polyproj.streams as s\nkeys = s.derive_keys((1,), col, 0)\nseq = SeedSequence(3)\n"
+              "# SIM_REPLICATION in a comment is no use of it\nrng: Generator = None\n")
+    assert stream_layout_names(source) == [
+        "Philox (line 1)", "MODEL_CODES (line 2)", "derive_keys (line 4)", "SeedSequence (line 5)"]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE.glob("*.py") if p.name != "streams.py"], ids=lambda p: p.name)
+def test_stream_layout_lives_in_streams(path):
+    assert stream_layout_names(path.read_text(encoding="utf-8")) == []
 
 
 def run_fresh(code: str) -> str:
@@ -166,14 +203,14 @@ def test_minors_route_simulate_leaves_scipy_unloaded():
             f"'--reps', '{r}']) == 0\nrechecked.append(len(calls))\n")
     out = run_fresh(
         "import sys, numpy as np, polyproj.cli, polyproj.hull as hull\n"
-        "calls, rechecked, near, convert, draw = [], [], [], hull._dyadic, hull._sample_maps\n"
+        "calls, rechecked, near, convert, draw = [], [], [], hull._dyadic, hull.replication_maps\n"
         "hull._dyadic = lambda rows: calls.append(1) or convert(rows)\n"
-        "def sample_maps(keys, bitgen, rng, out):\n"
-        "    draw(keys, bitgen, rng, out)\n"
-        "    if near:\n"
-        "        out[0] = near.pop()\n"
-        "    return out\n"
-        "hull._sample_maps = sample_maps\n"
+        "def replication_maps(*args):\n"
+        "    for indices, maps in draw(*args):\n"
+        "        if near:\n"
+        "            maps[0] = near.pop()\n"
+        "        yield indices, maps\n"
+        "hull.replication_maps = replication_maps\n"
         f"{''.join(runs)}print(min(rechecked), 'scipy' in sys.modules)\n")
     least, loaded = out.splitlines()[-1].split()
     assert int(least) > 0 and loaded == "False"
