@@ -178,7 +178,8 @@ def _model_values(row: Model, sizes: Sequence[int], d: int, k: int, cfg: MCConfi
         if all(beta.exact for _, beta in factors):  # every external angle is exact
             values.append(Estimate(value, 0.0, True))
         else:
-            values.append(Estimate(value, 2.0 * sum(se for _, se in terms)))
+            # independent terms: different face pairs on different streams
+            values.append(Estimate(value, 2.0 * math.hypot(*(se for _, se in terms))))
     return values
 
 
@@ -460,8 +461,10 @@ def poissonized_expected(
     Sums Poisson(t) weights against the fixed-size expectations until the
     remaining tail, bounded through face-count growth bounds read off the
     model's row, drops below eps.  exact is true when every term of the sum
-    is exact.  A grid of t values is cheaper through poissonized_series,
-    which builds each fixed-size term once for the whole grid.
+    is exact.  The terms share their internal angles; their weighted
+    standard errors, summed, bound the sum's (Minkowski's inequality).  A
+    grid of t values is cheaper through poissonized_series, which builds
+    each fixed-size term once for the whole grid.
     """
     return next(poissonized_series([t], d, k, model, eps, cfg))
 
@@ -496,8 +499,10 @@ def monotonicity_table(
     compared as rationals; other exact neighbors must be more than
     QUADRATURE_RTOL * (|a| + |b|) apart, and Monte Carlo neighbors more than
     STRICT_SIGMAS times the sum of their standard errors, to earn a strict
-    verdict.  The rows are built in one pass over the range, with every
-    external angle it needs taken as one quadrature batch.
+    verdict: neighbors share their internal angles, and by the triangle
+    inequality that sum bounds the standard error of their difference.  The
+    rows are built in one pass over the range, with every external angle it
+    needs taken as one quadrature batch.
     """
     targets = GAUSSIAN_MODELS + tuple(f.value for f in Family)
     if target not in targets:

@@ -262,7 +262,7 @@ def model_value_by_terms(row, n: int, d: int, k: int, cfg):
         exact = exact and beta.exact and gamma.exact
     if exact:
         return Estimate(2.0 * sum(values), 0.0, True)
-    return Estimate(2.0 * sum(values), 2.0 * sum(errors))
+    return Estimate(2.0 * sum(values), 2.0 * math.hypot(*errors))
 
 
 def cube_projection_sum(n: int, d: int, k: int, angle) -> Fraction:
@@ -832,6 +832,8 @@ def exact_hull_f_vector(cloud: np.ndarray, symmetric: bool = False) -> tuple[int
         return sum((-1) ** (k - 1 - p) * lifted[r][k - 1] * minor(rows[:p] + rows[p + 1 :]) for p, r in enumerate(rows)) if k else 1
 
     facets = []
+    sign_vectors = list(product((1, -1), repeat=d))
+    signs = np.array(sign_vectors, dtype=object)
     for rows in combinations(range(m), d):
         if not symmetric:
             # det[X_I, 1; y, 1]: moving y past the rows of I above it sorts them
@@ -848,13 +850,13 @@ def exact_hull_f_vector(cloud: np.ndarray, symmetric: bool = False) -> tuple[int
             return None
         # over a common denominator, |u.x_a| < 1 is |eps.(den mu_a)| < den
         den = math.lcm(*(a[k][k] for k in range(d)))
-        coords = [[a[k][d + j] * (den // a[k][k]) for k in range(d)] for j in range(len(others))]
-        for eps in product((1, -1), repeat=d):
-            worst = max((abs(sum(e * v for e, v in zip(eps, mu))) for mu in coords), default=0)
-            if worst == den:
-                return None
-            if worst < den:
-                facets.append([i + m * (e < 0) for i, e in zip(rows, eps)])
+        coords = np.array([[a[k][d + j] * (den // a[k][k]) for k in range(d)] for j in range(len(others))],
+                          dtype=object).reshape(-1, d)
+        # the largest |eps.(den mu_a)| of each sign vector eps, one product of Python ints
+        worst = np.abs(signs @ coords.T).max(axis=1, initial=0)
+        if (worst == den).any():
+            return None
+        facets += [[i + m * (e < 0) for i, e in zip(rows, eps)] for eps, w in zip(sign_vectors, worst) if w < den]
     return tuple(distinct_subset_f_vectors(np.array(facets).reshape(-1, d), [len(facets)])[0].tolist())
 
 

@@ -41,7 +41,7 @@ from polyproj.angles import (
     HALFSPACE_TOL,
     ORTHONORMALITY_TOL,
     SPAN_TOL,
-    _binomial_estimate,
+    _antithetic_estimate,
     _canonical_internal_cone,
 )
 import polyproj.angles
@@ -49,6 +49,7 @@ from polyproj.streams import ANGLE_SAMPLES, chunk_counts, derive_generator
 
 from oracles import (
     TETRA_EDGE_ANGLE,
+    TETRA_VERTEX_ANGLE,
     TRIANGLE_VERTEX_ANGLE,
     cross_external_quadrature,
     exact_angle_ladder,
@@ -270,8 +271,11 @@ def test_angle_argument_validation():
 
 
 def test_angle_estimate_validation():
-    with pytest.raises(NumericError):
-        _binomial_estimate(3, 2)
+    # more hits than draws, more draws hit on either side than drawn, more
+    # draws with both than with either, and a negative count
+    for counts in [(3, 0, 0, 2), (2, 2, 0, 3), (1, 2, 2, 4), (1, 1, -1, 4)]:
+        with pytest.raises(NumericError):
+            _antithetic_estimate(*counts)
     with pytest.raises(NumericError):
         Estimate(0.5, 0.1, True)
 
@@ -587,6 +591,40 @@ def test_internal_angle_independent_of_n():
     assert abs(big.value - shared.value) < 4 * (big.std_error + shared.std_error)
 
 
+@pytest.mark.parametrize("k,g", [(0, 2), (0, 3), (1, 3)])
+def test_sampled_angle_error_bars_match_their_seed_spread(k, g):
+    # over 300 seeds the values spread by the standard error each reports, and
+    # their mean is the closed form
+    exact = {(0, 2): TRIANGLE_VERTEX_ANGLE, (0, 3): TETRA_VERTEX_ANGLE, (1, 3): TETRA_EDGE_ANGLE}[k, g]
+    cone = _canonical_internal_cone(k, g)
+    estimates = [cone_angle(cone, MCConfig(samples=4000, seed=seed)) for seed in range(300)]
+    values = np.array([est.value for est in estimates])
+    spread = values.std(ddof=1)
+    assert abs(values.mean() - exact) <= 4 * spread / math.sqrt(len(values))
+    assert 0.85 <= spread / np.mean([est.std_error for est in estimates]) <= 1.15
+
+
+@pytest.mark.parametrize("hits,mirrored,both,samples", [
+    (0, 0, 0, 4), (3, 3, 3, 3), (2, 0, 0, 3), (3, 1, 0, 8), (3, 2, 1, 6), (5, 4, 2, 9),
+])
+def test_antithetic_estimate_of_hand_counts(hits, mirrored, both, samples):
+    # a draw scores 1 when z and -z both hit, 1/2 when one of them does, else 0
+    scores = np.zeros(samples)
+    scores[:both] = 1.0
+    scores[both : hits + mirrored - both] = 0.5
+    est = _antithetic_estimate(hits, mirrored, both, samples)
+    assert math.isclose(est.value, scores.mean(), rel_tol=1e-14)
+    assert math.isclose(est.std_error, scores.std() / math.sqrt(samples), rel_tol=1e-12, abs_tol=1e-300)
+    assert est.samples == samples and not est.exact
+
+
+def test_half_line_angle_is_one_half_with_no_error():
+    # of every nonzero z on a line, exactly one of z and -z lies on the half-line u >= 0
+    cone = Cone(np.eye(1), PositiveHullData(np.array([[1.0]]), np.array([[-1.0]])))
+    est = cone_angle(cone, MCConfig(samples=DEFAULT_CHUNK + 5, seed=2))
+    assert (est.value, est.std_error) == (0.5, 0.0)
+
+
 MEMBERSHIP_CONES = [
     # every canonical pair the sampler sees up to g = 7, minimal embedding
     *[(Family.SIMPLEX, g, k, g) for g in range(2, 8) for k in range(g - 1)],
@@ -608,8 +646,8 @@ def test_nnls_membership_matches_hrep_oracle(family, n, k, g):
     for idx, count in enumerate(chunk_counts(cfg.samples, DEFAULT_CHUNK)):
         rng = derive_generator(cfg.seed, ANGLE_SAMPLES, *cone.seed_path, idx)
         u = rng.standard_normal((count, cone.dim)) @ cone.frame
-        hits += nnls_member_count(cone.data.generators, u)
-    assert round(est.value * cfg.samples) == hits
+        hits += nnls_member_count(cone.data.generators, u) + nnls_member_count(cone.data.generators, -u)
+    assert round(est.value * 2 * cfg.samples) == hits
 
 
 @pytest.mark.parametrize("build", [
@@ -628,9 +666,9 @@ def test_cone_angle_counts_contains_on_its_draws(build):
     hits = 0
     for idx, count in enumerate(chunk_counts(cfg.samples, DEFAULT_CHUNK)):
         rng = derive_generator(cfg.seed, ANGLE_SAMPLES, *cone.seed_path, idx)
-        z = rng.standard_normal((count, cone.dim))
-        hits += int(np.count_nonzero(cone.contains(z @ cone.frame)))
-    assert round(est.value * cfg.samples) == hits
+        u = rng.standard_normal((count, cone.dim)) @ cone.frame
+        hits += int(np.count_nonzero(cone.contains(u))) + int(np.count_nonzero(cone.contains(-u)))
+    assert round(est.value * 2 * cfg.samples) == hits
 
 
 AGREEMENT_CONES = [
@@ -705,6 +743,29 @@ def test_contains_coords_tolerance_boundaries_inside_one_block(dim, scale):
         assert not mask[len(planted)]
     inside = mask[: len(planted)].tolist()
     assert inside == [True, True, True] + [True, True, False] * 4 + [True]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_both_signs_share_the_one_membership_test(scale):
+    # rows one ulp either side of HALFSPACE_TOL * (1 + |z|), planted as z and
+    # as -z in one block: stacked, the worst scores of z and of -z (minus the
+    # best of z) give the one-product masks of z and of -z, band rows included
+    cone = _orthant(3)
+    rng = np.random.default_rng(int(scale))
+    z = rng.standard_normal((_SUB_ROWS, 3))
+    starts = range(0, 60, 3)
+    for i in starts:
+        row = _plant_worst(scale * rng.standard_normal(3), 0.0)
+        tol = _row_tol(_plant_worst(row, HALFSPACE_TOL * (1.0 + scale)))
+        for j, worst in enumerate((np.nextafter(tol, 0.0), tol, np.nextafter(tol, math.inf))):
+            z[i + j] = _plant_worst(row, worst) * (-1.0 if i % 2 else 1.0)
+            assert _row_tol(z[i + j]) == tol
+    scores = cone.frame_normals @ z.T
+    inside = cone._within(np.stack((scores.max(axis=0), -scores.min(axis=0))), z)
+    assert np.array_equal(inside[0], one_product_member_mask(cone, z))
+    assert np.array_equal(inside[1], one_product_member_mask(cone, -z))
+    for i in starts:
+        assert inside[i % 2, i : i + 3].tolist() == [True, True, False]
 
 
 @pytest.mark.parametrize("bad", [np.nan, math.inf, -math.inf, 1e200])
@@ -821,27 +882,33 @@ def test_cone_angle_hits_match_oracle_on_single_call_draws(build, samples):
     for idx, count in enumerate(chunk_counts(cfg.samples, DEFAULT_CHUNK)):
         rng = derive_generator(cfg.seed, ANGLE_SAMPLES, *cone.seed_path, idx)
         z = rng.standard_normal((count, cone.dim))
-        hits += int(np.count_nonzero(one_product_member_mask(cone, z)))
-    assert round(cone_angle(cone, cfg).value * cfg.samples) == hits
+        hits += sum(int(np.count_nonzero(one_product_member_mask(cone, sign * z))) for sign in (1.0, -1.0))
+    assert round(cone_angle(cone, cfg).value * 2 * cfg.samples) == hits
 
 
-# hit counts of 2e4 samples at seed 1, from the one-product sampler that drew
-# each chunk in a single call; a sampler change that moves one decision fails
+# hit counts of 2e4 samples z at seed 1 and of their negatives -z, with no draw
+# hitting both; the z column is what the one-product sampler that drew each
+# chunk in a single call counted, so a sampler change that moves one decision,
+# or moves a draw, fails
 PINNED_EXTERNAL_HITS = [
-    (Family.CROSSPOLYTOPE, 40, 0, 274),
-    (Family.CROSSPOLYTOPE, 40, 1, 27),
-    (Family.CROSSPOLYTOPE, 75, 0, 124),
-    (Family.CROSSPOLYTOPE, 75, 1, 12),
-    (Family.SIMPLEX, 39, 1, 91),
-    (Family.SIMPLEX, 74, 1, 19),
+    (Family.CROSSPOLYTOPE, 40, 0, 274, 253),
+    (Family.CROSSPOLYTOPE, 40, 1, 27, 38),
+    (Family.CROSSPOLYTOPE, 75, 0, 124, 151),
+    (Family.CROSSPOLYTOPE, 75, 1, 12, 4),
+    (Family.SIMPLEX, 39, 1, 91, 99),
+    (Family.SIMPLEX, 74, 1, 19, 28),
 ]
 
 
-@pytest.mark.parametrize("family,n,g,hits", PINNED_EXTERNAL_HITS)
-def test_external_angle_hits_are_pinned(family, n, g, hits):
+@pytest.mark.parametrize("family,n,g,hits,mirrored", PINNED_EXTERNAL_HITS,
+                         ids=[f"{family.value}-{n}-{g}-{hits}" for family, n, g, hits, _ in PINNED_EXTERNAL_HITS])
+def test_external_angle_hits_are_pinned(family, n, g, hits, mirrored, monkeypatch):
     cfg = MCConfig(samples=20_000, seed=1)
+    counts = []
+    monkeypatch.setattr(polyproj.angles, "_antithetic_estimate", lambda *c: counts.append(c) or _antithetic_estimate(*c))
     est = cone_angle(normal_cone(family, n, g), cfg)
-    assert round(est.value * cfg.samples) == hits
+    assert counts == [(hits, mirrored, 0, cfg.samples)]
+    assert round(est.value * 2 * cfg.samples) == hits + mirrored
     assert est == cone_angle(normal_cone(family, n, g), MCConfig(samples=20_000, seed=1, workers=2))
 
 
