@@ -67,12 +67,10 @@ variance per draw at codimension 2 and 3.
 
 Every angle is an Estimate, the package's one value-with-uncertainty type,
 which the formula layers reuse for sums of angles.  Monte Carlo estimates
-are deterministic: every chunk of samples draws from a counter-based stream
-derived from the angle's identity, so values do not depend on the order of
-evaluation.  Every estimate is sampled on the fixed chunk grid DEFAULT_CHUNK,
-chunk by chunk on the calling thread, _SUB_ROWS rows at a time in one buffer
-reused across chunks; consecutive draws from one stream are the numbers a
-single draw of the whole chunk gives.  Sampled estimates are memoized
+are deterministic: streams.angle_draws, the home of the sampler's stream
+layout, draws a cone's rows on a fixed chunk grid from counter-based streams
+derived from its seed_path, so values do not depend on the order of
+evaluation, and cone_angle only scores them.  Sampled estimates are memoized
 in-process, keyed by everything that fixes the draws: the face pair, the
 sample count and the seed.  The memo is the only cache of values of the
 formula route; sums over many sizes, such as Poisson sums, are rebuilt from
@@ -104,16 +102,13 @@ from .errors import (
     NumericError,
 )
 from .families import Family, barycenter, canonical_face, check_count_size, check_int, exact_float, face_count, resolve_family, vertices
-from .streams import ANGLE_SAMPLES, FAMILY_CODES, KIND_EXTERNAL, KIND_INTERNAL, chunk_counts, derive_generator
+from .streams import DEFAULT_CHUNK, angle_draws, cone_path
 
 ORTHONORMALITY_TOL = 1e-12
 SPAN_TOL = 1e-10
 HALFSPACE_TOL = 1e-10
 # a row whose Gram-Schmidt residual is below this times 1 + |row| is dependent
 DROP_TOL = 1e-10
-DEFAULT_CHUNK = 1 << 15
-# rows drawn and scored at a time within a chunk, in one reused buffer
-_SUB_ROWS = 2048
 # the relative accuracy every quadrature external angle keeps.  Tests check it
 # on 30-digit constants at g = 1, 2, 5 and n - 2 and on the vertices' 1/f_0
 # for n <= 1e4, and on the ridges' (g = n - 2) closed forms and the edges'
@@ -223,7 +218,8 @@ class Cone:
     """A polyhedral cone: orthonormal frame of its linear hull plus outer normals.
 
     frame rows are unit vectors in the ambient space; seed_path is the identity
-    tuple mixed into sampling streams so distinct cones never share randomness.
+    tuple mixed into sampling streams (streams.cone_path), and cones built
+    without one all sample the one bare path ().
     frame_normals, set when the cone is built, holds the outer normals in frame
     coordinates, one contiguous row per normal.
     """
@@ -339,14 +335,8 @@ def normal_cone(family: Family, n: int, g: int) -> Cone:
     lin_p = orthonormal_basis(verts - x)
     frame = complement_basis(face.vertices - x, lin_p)
     if frame.shape[0] != n - g:
-        raise NumericError(
-            f"normal cone frame has dimension {frame.shape[0]}, expected {n - g}"
-        )
-    return Cone(
-        frame,
-        NormalConeData(x, verts),
-        seed_path=(KIND_EXTERNAL, FAMILY_CODES[family.value], n, g),
-    )
+        raise NumericError(f"normal cone frame has dimension {frame.shape[0]}, expected {n - g}")
+    return Cone(frame, NormalConeData(x, verts), cone_path("external", family.value, n, g))
 
 
 def internal_cone(family: Family, n: int, k: int, g: int) -> Cone:
@@ -358,7 +348,7 @@ def internal_cone(family: Family, n: int, k: int, g: int) -> Cone:
     k..g-1 for cube faces (the axes Q_g spans beyond Q_k).
     """
     family = resolve_family(family)
-    return _internal_cone(family, n, k, g, (KIND_INTERNAL, FAMILY_CODES[family.value], k, g))
+    return _internal_cone(family, n, k, g, cone_path("internal", family.value, k, g))
 
 
 def _internal_cone(family: Family, n: int, k: int, g: int, seed_path: tuple[int, ...]) -> Cone:
@@ -379,36 +369,25 @@ def _internal_cone(family: Family, n: int, k: int, g: int, seed_path: tuple[int,
 def cone_angle(cone: Cone, cfg: MCConfig | None = None) -> Estimate:
     """Monte Carlo estimate of the solid angle of `cone` within its linear hull.
 
-    Samples standard Gaussians z in frame coordinates and returns the mean of
-    (1[z in C] + 1[-z in C]) / 2 with its standard error; samples counts the
-    z.  The chunks of the DEFAULT_CHUNK grid are scored in order, on the
-    calling thread, each from its own stream.  One buffer of at most
-    _SUB_ROWS rows, shared by all chunks, is filled, scored while still in
-    cache, and refilled; the draws and hit counts of z are those of one
-    (count, dim) draw per chunk.  Nothing is memoized here; internal_angle
-    memoizes what it asks for.  A zero-dimensional frame means the cone is
-    {0}: angle exactly 1.
+    Scores each block of standard Gaussian rows z in frame coordinates that
+    streams.angle_draws draws for the cone's seed path while it is in cache,
+    and returns the mean of (1[z in C] + 1[-z in C]) / 2 with its standard
+    error; samples counts the z.  Nothing is memoized here.  A
+    zero-dimensional frame means the cone is {0}: angle exactly 1.
     """
     cfg = cfg or MCConfig()
     if cone.dim == 0:
         return Estimate.rational(1)
-    counts = chunk_counts(cfg.samples, DEFAULT_CHUNK)
-    # consecutive fills draw what one (count, dim) call would, row for row
-    buf = np.empty((min(counts[0], _SUB_ROWS), cone.dim))
     hits = mirrored = both = 0
-    for idx, count in enumerate(counts):
-        rng = derive_generator(cfg.seed, ANGLE_SAMPLES, *cone.seed_path, idx)
-        for start in range(0, count, _SUB_ROWS):
-            z = buf[: min(count - start, _SUB_ROWS)]
-            rng.standard_normal(out=z)
-            scores = cone.frame_normals @ z.T
-            worst = np.empty((2, len(z)))  # of z, and of -z: minus the best score of z
-            np.maximum.reduce(scores, axis=0, initial=-np.inf, out=worst[0])
-            np.negative(np.minimum.reduce(scores, axis=0, initial=np.inf), out=worst[1])
-            inside = cone._within(worst, z)
-            hits += int(np.count_nonzero(inside[0]))
-            mirrored += int(np.count_nonzero(inside[1]))
-            both += int(np.count_nonzero(inside[0] & inside[1]))
+    for z in angle_draws(cfg.seed, cone.seed_path, cfg.samples, cone.dim):
+        scores = cone.frame_normals @ z.T
+        worst = np.empty((2, len(z)))  # of z, and of -z: minus the best score of z
+        np.maximum.reduce(scores, axis=0, initial=-np.inf, out=worst[0])
+        np.negative(np.minimum.reduce(scores, axis=0, initial=np.inf), out=worst[1])
+        inside = cone._within(worst, z)
+        hits += int(np.count_nonzero(inside[0]))
+        mirrored += int(np.count_nonzero(inside[1]))
+        both += int(np.count_nonzero(inside[0] & inside[1]))
     return _antithetic_estimate(hits, mirrored, both, cfg.samples)
 
 
@@ -676,11 +655,11 @@ def _canonical_internal_cone(k: int, g: int) -> Cone:
     """Internal cone of the face pair in its smallest simplex embedding, built once per process.
 
     Simplex and crosspolytope proper faces share these canonical coordinates;
-    the seed path uses family code 0 to mark the shared geometry.  The cone
+    the seed path has no family (code 0) to mark the shared geometry.  The cone
     is geometry, not an estimate: clear_angle_memo leaves it cached, and its
     arrays are read-only, so every caller sees the bits a rebuild gives.
     """
-    cone = _internal_cone(Family.SIMPLEX, g, k, g, (KIND_INTERNAL, 0, k, g))
+    cone = _internal_cone(Family.SIMPLEX, g, k, g, cone_path("internal", None, k, g))
     for a in (cone.frame, cone.frame_normals, cone.data.generators, cone.data.normals):
         a.flags.writeable = False
     return cone

@@ -84,7 +84,7 @@ import math
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, repeat
 
 import numpy as np
@@ -288,9 +288,11 @@ def _qhull_f_vector(pts: np.ndarray) -> FVectorSample:
     # and each ridge is tested once, from its simplex of smaller index
     i, j = np.nonzero(nb > np.arange(len(nb))[:, None])
     if not (eq.take(nb[i, j], axis=0) == eq.take(i, axis=0)).all(axis=1).any():
-        ordered = np.sort(simplices, axis=1).astype(np.int64)
-        # f_{j-1}: the distinct sorted j-subsets of ids, each one int in base m
-        lower = [_distinct(ordered[:, _subsets(d, j)] @ m ** np.arange(j)) for j in range(1, d // 2)]
+        # f_{j-1}: the distinct j-subsets of ids, each folded into one int64 in base m; a subset
+        # of two or more ids is folded in order, so it is taken off the sorted simplices
+        ordered = np.sort(simplices, axis=1).astype(np.int64) if d // 2 > 2 else simplices
+        lower = [_distinct(reduce(lambda ids, c: ids * m + ordered[:, c], sub.T[1:], ordered[:, sub[:, 0]]))
+                 for sub in (_subsets(d, j) for j in range(1, d // 2))]
         return FVectorSample(tuple(_simplicial_f_vectors(np.array([1, *lower, len(simplices)]), d).tolist()))
 
     _, facet = np.unique(eq, axis=0, return_inverse=True)

@@ -10,12 +10,13 @@ and worker count.  Purpose and identity codes are fixed integer maps below;
 Python's salted hash() is never used.  Scalar path entries go through
 families.check_int: a negative, float or bool is an InvalidArgumentError.
 
-derive_generator builds one such generator.  replication_maps holds
-simulate's layout: replication i of a model's (n, d) shape draws its n x d
-Gaussian map at attempt a from (seed, SIM_REPLICATION, MODEL_CODES[model],
-n, d, i, a).  It re-keys one Philox to each key that one derive_keys call,
-NumPy's own SeedSequence hash over a uint32 index column, gives a round of
-replications, and draws exactly what derive_generator's generators would.
+derive_generator builds one such generator; both layouts built on it live
+here alone.  angle_draws holds the angle sampler's: chunk c of a cone's
+DEFAULT_CHUNK grid draws from (seed, ANGLE_SAMPLES, *seed_path, c), with the
+seed path from cone_path.  replication_maps holds simulate's: replication i
+of a model's (n, d) shape draws its n x d Gaussian map at attempt a from
+(seed, SIM_REPLICATION, MODEL_CODES[model], n, d, i, a), by re-keying one
+Philox to each key that one derive_keys call gives a round of replications.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ KIND_EXTERNAL = 2
 # family codes (align with families.Family order)
 FAMILY_CODES = {"simplex": 1, "crosspolytope": 2, "cube": 3}
 
+# the fixed chunk grid of every sampled angle, whatever the worker count, and the rows drawn at a time, a divisor of it
+DEFAULT_CHUNK = 1 << 15
+_SUB_ROWS = 2048
+
 # simulation model codes
 MODEL_CODES = {
     "gaussian": 1,
@@ -57,6 +62,34 @@ def derive_generator(master_seed: int, *path: int) -> Generator:
     """
     entropy = tuple(check_int("seed path entry", p, 0) for p in (master_seed, *path))
     return Generator(Philox(SeedSequence(entropy)))
+
+
+def cone_path(kind: str, family: str | None, i: int, j: int) -> tuple[int, int, int, int]:
+    """The seed path (kind code, family code, i, j) of an "internal" or "external" cone.
+
+    family None is code 0: the canonical internal cones simplex and
+    crosspolytope share.  i, j are k, g for an internal cone and n, g for a
+    normal cone.  Cones built without a seed path all sample the bare path ().
+    """
+    return {"internal": KIND_INTERNAL, "external": KIND_EXTERNAL}[kind], 0 if family is None else FAMILY_CODES[family], i, j
+
+
+def angle_draws(seed: int, path: tuple[int, ...], samples: int, dim: int) -> Iterator[np.ndarray]:
+    """The angle sampler's `samples` standard Gaussian rows of `dim` entries for the cone at `path`.
+
+    Chunk c of the DEFAULT_CHUNK grid draws from derive_generator(seed,
+    ANGLE_SAMPLES, *path, c).  Rows come in blocks of at most _SUB_ROWS, no
+    block across two chunks, each a view of one buffer allocated once a call
+    that the next block overwrites; consecutive fills draw what one
+    (count, dim) draw of each chunk would, row for row.
+    """
+    buf = np.empty((min(samples, _SUB_ROWS), dim))
+    for start in range(0, samples, _SUB_ROWS):
+        if start % DEFAULT_CHUNK == 0:
+            rng = derive_generator(seed, ANGLE_SAMPLES, *path, start // DEFAULT_CHUNK)
+        block = buf[: min(samples - start, _SUB_ROWS)]
+        rng.standard_normal(out=block)
+        yield block
 
 
 # NumPy's SeedSequence constants (numpy/random/bit_generator.pyx)
@@ -161,17 +194,3 @@ def _generate_key(pool: list[np.ndarray]) -> np.ndarray:
         value = value * h
         out.append((value ^ (value >> 16)).astype(np.uint64))
     return np.stack([out[0] | (out[1] << 32), out[2] | (out[3] << 32)], axis=1)
-
-
-def chunk_counts(total: int, chunk_size: int) -> list[int]:
-    """Split `total` samples into a fixed chunk grid.
-
-    The grid depends only on (total, chunk_size), never on worker count, so a
-    chunked estimate is invariant under parallelism.
-    """
-    chunk_size = check_int("chunk_size", chunk_size, 1)
-    full, rem = divmod(check_int("total", total, 0), chunk_size)
-    counts = [chunk_size] * full
-    if rem:
-        counts.append(rem)
-    return counts

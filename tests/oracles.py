@@ -21,6 +21,7 @@ taken from the closed form of a generic arrangement,
 facets grouped by rounded hyperplane equations instead of by qhull's
 neighbour graph, one freshly derived generator and one f-vector call per
 replication instead of batched stream keys and block-wise face counting,
+each angle chunk's rows drawn by one call instead of a sub-block at a time,
 the projected models' vertices multiplied by Haar frames (the Q of a
 Gaussian matrix G = QR) instead of counted on G, whose image differs by R^-1,
 Poisson tail bounds written out per model name instead of read off the
@@ -878,6 +879,14 @@ def distinct_subset_f_vectors(simplices: np.ndarray, sizes) -> np.ndarray:
         for k in range(d - 1):
             rows[h, k] = len(np.unique(facets[:, _subsets(d, k + 1)].reshape(-1, k + 1), axis=0))
     return rows
+
+
+def angle_chunk_draws(seed: int, path: tuple[int, ...], samples: int, dim: int) -> np.ndarray:
+    """The angle sampler's samples x dim rows at seed path `path`; chunk c, rows c 2^15 on, is one (count, dim) draw."""
+    from polyproj.streams import ANGLE_SAMPLES, derive_generator
+
+    return np.concatenate([derive_generator(seed, ANGLE_SAMPLES, *path, c).standard_normal((min(1 << 15, samples - start), dim))
+                           for c, start in enumerate(range(0, samples, 1 << 15))])
 
 
 def per_replication_rows(model: str, n: int, d: int, seed: int, replications: int,

@@ -36,8 +36,6 @@ from polyproj import (
     vertices,
 )
 from polyproj.angles import (
-    _SUB_ROWS,
-    DEFAULT_CHUNK,
     HALFSPACE_TOL,
     ORTHONORMALITY_TOL,
     SPAN_TOL,
@@ -45,12 +43,13 @@ from polyproj.angles import (
     _canonical_internal_cone,
 )
 import polyproj.angles
-from polyproj.streams import ANGLE_SAMPLES, chunk_counts, derive_generator
+from polyproj.streams import _SUB_ROWS, DEFAULT_CHUNK
 
 from oracles import (
     TETRA_EDGE_ANGLE,
     TETRA_VERTEX_ANGLE,
     TRIANGLE_VERTEX_ANGLE,
+    angle_chunk_draws,
     cross_external_quadrature,
     exact_angle_ladder,
     fsum_rule_sums,
@@ -642,11 +641,8 @@ def test_nnls_membership_matches_hrep_oracle(family, n, k, g):
     cone = internal_cone(family, n, k, g)
     cfg = MCConfig(samples=4000, seed=12345)
     est = cone_angle(cone, cfg)
-    hits = 0
-    for idx, count in enumerate(chunk_counts(cfg.samples, DEFAULT_CHUNK)):
-        rng = derive_generator(cfg.seed, ANGLE_SAMPLES, *cone.seed_path, idx)
-        u = rng.standard_normal((count, cone.dim)) @ cone.frame
-        hits += nnls_member_count(cone.data.generators, u) + nnls_member_count(cone.data.generators, -u)
+    u = angle_chunk_draws(cfg.seed, cone.seed_path, cfg.samples, cone.dim) @ cone.frame
+    hits = nnls_member_count(cone.data.generators, u) + nnls_member_count(cone.data.generators, -u)
     assert round(est.value * 2 * cfg.samples) == hits
 
 
@@ -663,11 +659,8 @@ def test_cone_angle_counts_contains_on_its_draws(build):
     cone = build()
     cfg = MCConfig(samples=2 * DEFAULT_CHUNK + 5000, seed=7)  # three chunks
     est = cone_angle(cone, cfg)
-    hits = 0
-    for idx, count in enumerate(chunk_counts(cfg.samples, DEFAULT_CHUNK)):
-        rng = derive_generator(cfg.seed, ANGLE_SAMPLES, *cone.seed_path, idx)
-        u = rng.standard_normal((count, cone.dim)) @ cone.frame
-        hits += int(np.count_nonzero(cone.contains(u))) + int(np.count_nonzero(cone.contains(-u)))
+    u = angle_chunk_draws(cfg.seed, cone.seed_path, cfg.samples, cone.dim) @ cone.frame
+    hits = int(np.count_nonzero(cone.contains(u))) + int(np.count_nonzero(cone.contains(-u)))
     assert round(est.value * 2 * cfg.samples) == hits
 
 
@@ -874,15 +867,12 @@ def test_patched_cone_angle_sees_every_sampled_angle(monkeypatch):
     1, _SUB_ROWS - 1, _SUB_ROWS + 1, 3 * _SUB_ROWS, DEFAULT_CHUNK + _SUB_ROWS + 3, DEFAULT_CHUNK + 5,
 ])
 def test_cone_angle_hits_match_oracle_on_single_call_draws(build, samples):
-    # cone_angle fills one buffer a sub-block at a time, sized by the first chunk
-    # and reused for a shorter last one; the oracle draws each chunk at once
+    # cone_angle scores angle_draws' blocks of one buffer, filled a sub-block at
+    # a time and reused for a shorter last chunk; the oracle draws each chunk at once
     cone = build()
     cfg = MCConfig(samples=samples, seed=3)
-    hits = 0
-    for idx, count in enumerate(chunk_counts(cfg.samples, DEFAULT_CHUNK)):
-        rng = derive_generator(cfg.seed, ANGLE_SAMPLES, *cone.seed_path, idx)
-        z = rng.standard_normal((count, cone.dim))
-        hits += sum(int(np.count_nonzero(one_product_member_mask(cone, sign * z))) for sign in (1.0, -1.0))
+    z = angle_chunk_draws(cfg.seed, cone.seed_path, cfg.samples, cone.dim)
+    hits = sum(int(np.count_nonzero(one_product_member_mask(cone, sign * z))) for sign in (1.0, -1.0))
     assert round(cone_angle(cone, cfg).value * 2 * cfg.samples) == hits
 
 
@@ -1025,10 +1015,6 @@ def test_mcconfig_validation():
 
 
 def test_stream_helpers():
-    assert chunk_counts(70_000, 1 << 15) == [32768, 32768, 4464]
-    assert sum(chunk_counts(123, 7)) == 123
-    with pytest.raises(ValueError):
-        derive_generator(3, -1)
-    a = derive_generator(3, 1, 2).standard_normal(4)
-    b = derive_generator(3, 1, 2).standard_normal(4)
-    assert np.array_equal(a, b)
+    # seed paths (kind, family, i, j): internal 1, external 2, and family 0 for the shared canonical cones
+    cones = [internal_cone(Family.CUBE, 4, 0, 3), normal_cone(Family.CROSSPOLYTOPE, 40, 1), _canonical_internal_cone(1, 4)]
+    assert [cone.seed_path for cone in cones] == [(1, 3, 0, 3), (2, 2, 40, 1), (1, 0, 1, 4)]

@@ -1,6 +1,6 @@
-"""Import hygiene: every name a polyproj module imports is used in that module,
-every private constant it binds at module level is read in that module, no
-module but streams.py names a piece of simulate's stream layout, importing
+"""Import hygiene: every name a polyproj module, test or demo imports is used in
+that file, every private constant a module binds at module level is read in
+it, no module but streams.py names a piece of a stream layout, importing
 the CLI leaves scipy.optimize and scipy.sparse.csgraph unloaded, and
 SciPy itself loads only when a hull goes to qhull: the package, the CLI,
 every command that builds no convex hull and simulate of every shape under
@@ -46,7 +46,8 @@ def test_scanner_flags_unused_import():
     assert unused_imports("import numpy as np\nx: np.ndarray\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*MODULES, *sorted(PACKAGE.parents[1].glob("tests/*.py")), *sorted(PACKAGE.parents[1].glob("demos/*.py"))],
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -79,10 +80,10 @@ def test_no_unread_private_constants(path):
     assert unread_private_constants(path.read_text(encoding="utf-8")) == []
 
 
-# simulate's stream layout has one home, streams.py: no other module names a
-# piece of it.  angles.py keeps the sampler's own paths (ANGLE_SAMPLES,
-# KIND_*, FAMILY_CODES, derive_generator), which are not scanned for
-STREAM_LAYOUT = {"Philox", "SeedSequence", "SIM_REPLICATION", "MODEL_CODES", "derive_keys"}
+# every stream layout, the angle sampler's and simulate's, has one home,
+# streams.py: no other module names a piece of it
+STREAM_LAYOUT = {"Philox", "SeedSequence", "SIM_REPLICATION", "MODEL_CODES", "derive_keys", "ANGLE_SAMPLES",
+                 "KIND_INTERNAL", "KIND_EXTERNAL", "FAMILY_CODES", "derive_generator"}
 
 
 def stream_layout_names(source: str) -> list[str]:
@@ -104,10 +105,10 @@ def stream_layout_names(source: str) -> list[str]:
 
 def test_scanner_flags_stream_layout_names():
     source = ("from numpy.random import Generator, Philox\nfrom .streams import MODEL_CODES as codes\n"
-              "import polyproj.streams as s\nkeys = s.derive_keys((1,), col, 0)\nseq = SeedSequence(3)\n"
+              "import polyproj.streams as s\nkeys = s.derive_keys((1,), col, 0)\nseq = SeedSequence(s.KIND_INTERNAL)\n"
               "# SIM_REPLICATION in a comment is no use of it\nrng: Generator = None\n")
     assert stream_layout_names(source) == [
-        "Philox (line 1)", "MODEL_CODES (line 2)", "derive_keys (line 4)", "SeedSequence (line 5)"]
+        "Philox (line 1)", "MODEL_CODES (line 2)", "derive_keys (line 4)", "SeedSequence (line 5)", "KIND_INTERNAL (line 5)"]
 
 
 @pytest.mark.parametrize("path", [p for p in PACKAGE.glob("*.py") if p.name != "streams.py"], ids=lambda p: p.name)

@@ -3,7 +3,9 @@ import pytest
 from numpy.random import SeedSequence
 
 from polyproj import InvalidArgumentError
-from polyproj.streams import MODEL_CODES, SIM_REPLICATION, chunk_counts, derive_generator, derive_keys, replication_maps
+from polyproj.streams import MODEL_CODES, SIM_REPLICATION, angle_draws, derive_generator, derive_keys, replication_maps
+
+from oracles import angle_chunk_draws
 
 # hashing mixes Python ints into uint32 columns: any NumPy overflow warning is a failure
 pytestmark = pytest.mark.filterwarnings("error")
@@ -75,10 +77,6 @@ def test_scalar_path_entries_must_be_integers(bad):
         derive_keys((0, bad), np.arange(3), 0)
     with pytest.raises(InvalidArgumentError, match="seed path entry must be an integer"):
         derive_keys((0,), np.arange(3), bad)
-    with pytest.raises(InvalidArgumentError):
-        chunk_counts(bad, 7)
-    with pytest.raises(InvalidArgumentError):
-        chunk_counts(70, bad)
 
 
 def test_numpy_integer_path_entries_are_their_ints():
@@ -86,10 +84,6 @@ def test_numpy_integer_path_entries_are_their_ints():
     assert np.array_equal(a, derive_generator(3, 1, 2).standard_normal(4))
     assert np.array_equal(derive_keys((np.uint64(9), np.int16(1)), np.arange(3), np.uint8(2)),
                           derive_keys((9, 1), np.arange(3), 2))
-    assert chunk_counts(np.int64(10), np.uint8(4)) == [4, 4, 2]
-    for bad in [(-1, 7), (10, 0), (10, -2)]:
-        with pytest.raises(InvalidArgumentError):
-            chunk_counts(*bad)
 
 
 def test_rekey_draws_equal_derive_generator():
@@ -114,3 +108,12 @@ def test_rekey_draws_equal_derive_generator():
                 drawn += [image.copy() for image in maps]
             assert np.array_equal(drawn, fresh)
         assert list(replication_maps(seed, model, n, d, np.arange(0), attempt, out)) == []
+
+
+@pytest.mark.parametrize("samples", [1, 2047, 2048, 2049, 32_767, 32_768, 32_769, 2 * 32_768 + 1437])
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_angle_draws_equal_whole_chunk_draws(samples, dim):
+    # the angle sampler's blocks: at most 2048 rows, views of one buffer, the oracle's whole-chunk draws
+    blocks = [(block.base, block.copy()) for block in angle_draws(11, (1, 0, 2, 5), samples, dim)]
+    assert blocks[0][0] is not None and all(base is blocks[0][0] and len(rows) <= 2048 for base, rows in blocks)
+    assert np.array_equal(np.concatenate([rows for _, rows in blocks]), angle_chunk_draws(11, (1, 0, 2, 5), samples, dim))
