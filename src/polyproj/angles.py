@@ -58,19 +58,35 @@ a sample z is in the cone when every score <z, frame @ a> is at most
 HALFSPACE_TOL * (1 + |z|), with |z| computed only for the rows whose
 worst score that bound can decide either way.  Ambient points of L are
 mapped to frame coordinates first; the frame is orthonormal, so the test is
-the same.
+the same.  The sampler does not use this test: it stays for the cone-build
+check and the tests.
 
-Each draw z is scored with -z too (antithetic variates; Hammersley & Morton
-1956), whose worst score is minus the best of z.  -z is Gaussian, so the mean
-of (1[z in C] + 1[-z in C]) / 2 is unbiased, with 0.38-0.48 of the binomial
-variance per draw at codimension 2 and 3.
+Sampling is conditional Monte Carlo (Rao-Blackwellization; Genz 1992 does
+the same for multivariate normal probabilities).  Each cone carries an axis
+u, minus the normalised sum of its unit outer normals a_i (normals below
+DROP_TOL dropped), which must have c_i = -<a_i, u> > 0 for every i; an
+orthonormal basis W of span(a_i) ∩ u^perp, r - 1 rows for normals of rank r,
+so a cone's lineality drops out; and ray normals R_i = W (a_i / c_i + u).  A
+point t u + w, w in W's span, is in the cone exactly when t >= max_i <R_i, w>,
+so a standard Gaussian point is in it with probability Phi(-max_i <R_i, w>)
+given its cross-section w.  The estimate is the mean of that probability over
+standard Gaussian w, with its standard error (the scores' standard deviation
+over sqrt(samples)): unbiased, with 5.8-6.6 times less variance per draw
+than the hit rate 1[z in C] at codimension 2 and 3, 8.2-8.3 times at 4, 12
+at 5, 17 and 29 at beta(0, 6) and beta(0, 7).  Phi comes from a table built
+once per process, on the first sampled angle, from math.erfc: nodes every
+1/_CDF_STEPS on [-_CDF_EDGE, _CDF_EDGE], each with its degree-_CDF_DEGREE
+Taylor step, whose coefficients are Hermite polynomials times phi; values
+within 2.2e-16 of math.erfc's, NumPy only, as SciPy stays off the formula
+path.  A cone of rank 1 is a half-space, angle exactly 1/2, and one of
+rank 0 its whole linear hull, angle exactly 1; neither is sampled.
 
 Every angle is an Estimate, the package's one value-with-uncertainty type,
 which the formula layers reuse for sums of angles.  Monte Carlo estimates
 are deterministic: streams.angle_draws, the home of the sampler's stream
-layout, draws a cone's rows on a fixed chunk grid from counter-based streams
-derived from its seed_path, so values do not depend on the order of
-evaluation, and cone_angle only scores them.  Sampled estimates are memoized
+layout, draws a cone's cross-section rows on a fixed chunk grid from
+counter-based streams derived from its seed_path, so values do not depend on
+the order of evaluation, and cone_angle only scores them.  Sampled estimates are memoized
 in-process, keyed by everything that fixes the draws: the face pair, the
 sample count and the seed.  The memo is the only cache of values of the
 formula route; sums over many sizes, such as Poisson sums, are rebuilt from
@@ -130,6 +146,12 @@ _BATCH_ROWS = (1 << 16) // _QUAD_NODES
 _NEWTON_STEPS = 100
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
+# the Phi table: nodes every 1/_CDF_STEPS on [-_CDF_EDGE, _CDF_EDGE], and
+# the degree of each node's Taylor step, whose remainder stays below 1e-17
+# within half a node spacing; past the edges Phi is within 1e-17 of 0 or 1
+_CDF_EDGE = 8.5
+_CDF_STEPS = 64
+_CDF_DEGREE = 6
 
 
 @dataclass(frozen=True)
@@ -221,13 +243,19 @@ class Cone:
     tuple mixed into sampling streams (streams.cone_path), and cones built
     without one all sample the one bare path ().
     frame_normals, set when the cone is built, holds the outer normals in frame
-    coordinates, one contiguous row per normal.
+    coordinates, one contiguous row per normal.  axis, cross_section and
+    ray_normals, set with it, are the sampler's u, W and R_i (see the module
+    docstring), all in frame coordinates; a cone whose mean-normal axis is
+    not interior is a NumericError.
     """
 
     frame: np.ndarray
     data: NormalConeData | PositiveHullData
     seed_path: tuple[int, ...] = ()
     frame_normals: np.ndarray = field(init=False, repr=False, compare=False)
+    axis: np.ndarray = field(init=False, repr=False, compare=False)
+    cross_section: np.ndarray = field(init=False, repr=False, compare=False)
+    ray_normals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = self.frame
@@ -237,6 +265,8 @@ class Cone:
         if gram.size and np.abs(gram - np.eye(f.shape[0])).max() > ORTHONORMALITY_TOL:
             raise NumericError("frame rows are not orthonormal to 1e-12")
         object.__setattr__(self, "frame_normals", np.ascontiguousarray((f @ self.data.normals.T).T))
+        for name, value in zip(("axis", "cross_section", "ray_normals"), _axis_split(self.frame_normals)):
+            object.__setattr__(self, name, value)
         if isinstance(self.data, PositiveHullData):
             g = self.data.generators
             resid = g - (g @ f.T) @ f
@@ -265,10 +295,7 @@ class Cone:
         z with a NaN or inf entry, or with squares that could pass the float
         range, has |z| computed for every row.
         """
-        return self._within(np.maximum.reduce(self.frame_normals @ z.T, axis=0, initial=-np.inf), z)
-
-    def _within(self, worst: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """contains_coords' test of worst <= HALFSPACE_TOL * (1 + |z|); worst may stack those of z and -z."""
+        worst = np.maximum.reduce(self.frame_normals @ z.T, axis=0, initial=-np.inf)
         big = float(np.abs(z).max(initial=0.0))
         if not 4.0 * self.dim * big * big < math.inf:
             return worst <= HALFSPACE_TOL * (1.0 + np.sqrt(np.einsum("ij,ij->i", z, z)))
@@ -276,9 +303,31 @@ class Cone:
         band = worst <= HALFSPACE_TOL * (1.0 + 2.0 * math.sqrt(self.dim) * big)
         if np.count_nonzero(band) > np.count_nonzero(inside):
             pending = np.flatnonzero(band & ~inside)
-            zr = z[pending % len(z)]
-            inside.flat[pending] = worst.flat[pending] <= HALFSPACE_TOL * (1.0 + np.sqrt(np.einsum("ij,ij->i", zr, zr)))
+            zr = z[pending]
+            inside[pending] = worst[pending] <= HALFSPACE_TOL * (1.0 + np.sqrt(np.einsum("ij,ij->i", zr, zr)))
         return inside
+
+
+def _axis_split(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The axis u, cross-section basis W and ray normals R of the cone {z : <z, a> <= 0 for every row a}.
+
+    Rows of normals shorter than DROP_TOL are dropped, the rest normalised;
+    a cone without normals has u = 0, W with no rows and R with none.  W is
+    the complement of u in the normals' span, with one row fewer than their
+    rank.  Every c_i = -<a_i, u> must be positive.
+    """
+    lengths = np.linalg.norm(normals, axis=1)
+    unit = normals[lengths > DROP_TOL] / lengths[lengths > DROP_TOL, None]
+    total = unit.sum(axis=0)
+    if not len(unit):
+        return total, np.zeros((0, normals.shape[1])), np.zeros((0, 0))
+    scaled = unit @ total  # c_i times |total|
+    if not scaled.min() > 0.0:
+        raise NumericError("the cone's mean-normal axis is not interior: some outer normal has <a, u> >= 0")
+    norm = math.sqrt(float(total @ total))
+    axis = -total / norm
+    cross = complement_basis(axis[None], unit)
+    return axis, cross, (unit * (norm / scaled)[:, None] + axis) @ cross.T
 
 
 def orthonormal_basis(vecs: np.ndarray) -> np.ndarray:
@@ -367,28 +416,69 @@ def _internal_cone(family: Family, n: int, k: int, g: int, seed_path: tuple[int,
 
 
 def cone_angle(cone: Cone, cfg: MCConfig | None = None) -> Estimate:
-    """Monte Carlo estimate of the solid angle of `cone` within its linear hull.
+    """Conditional Monte Carlo estimate of the solid angle of `cone` within its linear hull.
 
-    Scores each block of standard Gaussian rows z in frame coordinates that
-    streams.angle_draws draws for the cone's seed path while it is in cache,
-    and returns the mean of (1[z in C] + 1[-z in C]) / 2 with its standard
-    error; samples counts the z.  Nothing is memoized here.  A
-    zero-dimensional frame means the cone is {0}: angle exactly 1.
+    Scores each block of standard Gaussian cross-section rows w that
+    streams.angle_draws draws for the cone's seed path, one entry per row of
+    cone.cross_section, by Phi(-max_i <R_i, w>), the probability that the
+    axis coordinate puts the point in the cone, and returns the mean with its
+    sample standard error; samples counts the rows.  Nothing is memoized
+    here.  A cone of rank 1 is a half-space, exactly 1/2, and one of rank 0,
+    the zero-dimensional {0} included, exactly 1: neither draws.  Only cones
+    whose mean-normal axis is interior can be built (Cone).
     """
     cfg = cfg or MCConfig()
-    if cone.dim == 0:
+    if not len(cone.ray_normals):
         return Estimate.rational(1)
-    hits = mirrored = both = 0
-    for z in angle_draws(cfg.seed, cone.seed_path, cfg.samples, cone.dim):
-        scores = cone.frame_normals @ z.T
-        worst = np.empty((2, len(z)))  # of z, and of -z: minus the best score of z
-        np.maximum.reduce(scores, axis=0, initial=-np.inf, out=worst[0])
-        np.negative(np.minimum.reduce(scores, axis=0, initial=np.inf), out=worst[1])
-        inside = cone._within(worst, z)
-        hits += int(np.count_nonzero(inside[0]))
-        mirrored += int(np.count_nonzero(inside[1]))
-        both += int(np.count_nonzero(inside[0] & inside[1]))
-    return _antithetic_estimate(hits, mirrored, both, cfg.samples)
+    width = cone.cross_section.shape[0]
+    if width == 0:
+        return Estimate.rational(Fraction(1, 2))
+    shift = None
+    sums, squares = [], []
+    for w in angle_draws(cfg.seed, cone.seed_path, cfg.samples, width):
+        lam = np.maximum.reduce(cone.ray_normals @ w.T, axis=0)
+        h = _normal_cdf(np.negative(lam, out=lam))
+        if shift is None:  # every sum is taken about the first block's mean, against cancellation
+            shift = float(h.mean())
+        h -= shift
+        sums.append(float(h.sum()))
+        squares.append(float(h @ h))
+    mean = math.fsum(sums) / cfg.samples
+    spread = max(math.fsum(squares) / cfg.samples - mean * mean, 0.0)
+    return Estimate(shift + mean, math.sqrt(spread / cfg.samples), samples=cfg.samples)
+
+
+@cache
+def _cdf_table() -> np.ndarray:
+    """Row i, column j: the Taylor coefficient Phi^(i)(x_j) / i! at node x_j = j / _CDF_STEPS - _CDF_EDGE, read-only.
+
+    Phi comes from math.erfc; Phi^(i) = (-1)^(i-1) He_(i-1) phi for i >= 1,
+    with the probabilists' Hermite polynomials He from their recurrence.
+    """
+    x = np.arange(2 * _CDF_EDGE * _CDF_STEPS + 1) / _CDF_STEPS - _CDF_EDGE
+    phi = np.exp(-0.5 * x * x - _LOG_SQRT_2PI)
+    table = np.empty((_CDF_DEGREE + 1, len(x)))
+    table[0] = [0.5 * math.erfc(-v / _SQRT2) for v in x.tolist()]
+    older, he = np.zeros_like(x), np.ones_like(x)  # He_(i-2), He_(i-1)
+    for i in range(1, _CDF_DEGREE + 1):
+        table[i] = (-1) ** (i - 1) * he * phi / math.factorial(i)
+        older, he = he, x * he - (i - 1) * older
+    table.flags.writeable = False
+    return table
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi at every entry of the 1-d array x, within 2.2e-16: the nearest node's Taylor step, clipped at +-_CDF_EDGE."""
+    table = _cdf_table()
+    x = np.clip(x, -_CDF_EDGE, _CDF_EDGE)
+    nodes = np.rint(x * _CDF_STEPS)
+    index = (nodes + _CDF_EDGE * _CDF_STEPS).astype(np.intp)
+    step = x - nodes / _CDF_STEPS  # exact: the node is a multiple of 2^-6 within 2^-7 of x
+    out = table[_CDF_DEGREE].take(index)
+    for i in range(_CDF_DEGREE - 1, -1, -1):
+        out *= step
+        out += table[i].take(index)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -537,14 +627,6 @@ def _external_quadratures(family: Family, faces: list[tuple[int, int]]) -> list[
     return values
 
 
-def _antithetic_estimate(hits: int, mirrored: int, both: int, samples: int) -> Estimate:
-    """cone_angle's estimate from the counts of draws with z, -z and both in C; its plug-in variance has an int numerator."""
-    if not (0 <= both <= min(hits, mirrored) and hits + mirrored - both <= samples):
-        raise NumericError(f"hit counts {hits}, {mirrored}, {both} impossible in {samples} draws")
-    spread = (hits + mirrored + 2 * both) * samples - (hits + mirrored) ** 2
-    return Estimate((hits + mirrored) / (2 * samples), math.sqrt(spread / samples) / (2 * samples), samples=samples)
-
-
 # ---------------------------------------------------------------------------
 # memoization
 
@@ -660,6 +742,7 @@ def _canonical_internal_cone(k: int, g: int) -> Cone:
     arrays are read-only, so every caller sees the bits a rebuild gives.
     """
     cone = _internal_cone(Family.SIMPLEX, g, k, g, cone_path("internal", None, k, g))
-    for a in (cone.frame, cone.frame_normals, cone.data.generators, cone.data.normals):
+    for a in (cone.frame, cone.frame_normals, cone.axis, cone.cross_section, cone.ray_normals,
+              cone.data.generators, cone.data.normals):
         a.flags.writeable = False
     return cone

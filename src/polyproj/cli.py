@@ -90,7 +90,7 @@ def _workers(text: str) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=_positive_int, default=1_000_000,
-                   help="draws per sampled internal angle, each scored with its negative (default 1e6); "
+                   help="draws per sampled internal angle, each integrated along the cone's axis (default 1e6); "
                         "external angles are computed by quadrature")
     p.add_argument("--seed", type=_nonneg_int, default=0, help="master seed (default 0)")
     # the "" default goes through `type` at parse time, which reads

@@ -77,6 +77,9 @@ def cone_path(kind: str, family: str | None, i: int, j: int) -> tuple[int, int, 
 def angle_draws(seed: int, path: tuple[int, ...], samples: int, dim: int) -> Iterator[np.ndarray]:
     """The angle sampler's `samples` standard Gaussian rows of `dim` entries for the cone at `path`.
 
+    cone_angle asks for rows of the cone's cross-section width, one entry
+    fewer than the rank of its outer normals (angles.Cone.cross_section).
+
     Chunk c of the DEFAULT_CHUNK grid draws from derive_generator(seed,
     ANGLE_SAMPLES, *path, c).  Rows come in blocks of at most _SUB_ROWS, no
     block across two chunks, each a view of one buffer allocated once a call

@@ -22,6 +22,8 @@ facets grouped by rounded hyperplane equations instead of by qhull's
 neighbour graph, one freshly derived generator and one f-vector call per
 replication instead of batched stream keys and block-wise face counting,
 each angle chunk's rows drawn by one call instead of a sub-block at a time,
+and each sampled row's Phi taken from math.erfc instead of a Taylor table,
+with NumPy's mean and standard deviation instead of shifted block sums,
 the projected models' vertices multiplied by Haar frames (the Q of a
 Gaussian matrix G = QR) instead of counted on G, whose image differs by R^-1,
 Poisson tail bounds written out per model name instead of read off the
@@ -128,6 +130,12 @@ def golub_welsch_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 TETRA_VERTEX_ANGLE = (3 * math.acos(1 / 3) - math.pi) / (4 * math.pi)
 TETRA_EDGE_ANGLE = math.acos(1 / 3) / (2 * math.pi)
 TRIANGLE_VERTEX_ANGLE = 1 / 6
+# beta(Q_0, Q_5), the orthant probability of five Gaussians with pairwise
+# correlations -1/5: int phi(x) Re Phi(i x / sqrt 6)^5 dx, Steck's
+# equicorrelated formula continued to negative correlation, by mpmath's quad
+# at 30 and at 45 digits, which agree to 3e-33; the same integral gives the
+# three closed forms above to 30 digits
+SIMPLEX_5_VERTEX_ANGLE = 0.001922043736984349261570562
 
 # the pinned composite value: expected vertex count of the planar shadow of a
 # regular 3-simplex, 12 * (pi - arccos(1/3)) / (2 pi)
@@ -887,6 +895,19 @@ def angle_chunk_draws(seed: int, path: tuple[int, ...], samples: int, dim: int) 
 
     return np.concatenate([derive_generator(seed, ANGLE_SAMPLES, *path, c).standard_normal((min(1 << 15, samples - start), dim))
                            for c, start in enumerate(range(0, samples, 1 << 15))])
+
+
+def erfc_angle_estimate(cone, seed: int, samples: int) -> tuple[float, float]:
+    """cone_angle's value and standard error on one-call chunk draws of the cone's cross-section.
+
+    Each row w scores Phi(-max_i <R_i, w>) = erfc(max_i <R_i, w> / sqrt 2) / 2
+    by math.erfc; the value is NumPy's mean and the standard error NumPy's
+    standard deviation over sqrt(samples).
+    """
+    w = angle_chunk_draws(seed, cone.seed_path, samples, cone.cross_section.shape[0])
+    lam = (w @ cone.ray_normals.T).max(axis=1)
+    h = np.array([0.5 * math.erfc(v / math.sqrt(2.0)) for v in lam.tolist()])
+    return float(h.mean()), float(h.std()) / math.sqrt(samples)
 
 
 def per_replication_rows(model: str, n: int, d: int, seed: int, replications: int,

@@ -36,21 +36,26 @@ from polyproj import (
     vertices,
 )
 from polyproj.angles import (
+    DROP_TOL,
     HALFSPACE_TOL,
     ORTHONORMALITY_TOL,
     SPAN_TOL,
-    _antithetic_estimate,
+    _CDF_EDGE,
+    _CDF_STEPS,
     _canonical_internal_cone,
+    _normal_cdf,
 )
 import polyproj.angles
 from polyproj.streams import _SUB_ROWS, DEFAULT_CHUNK
 
 from oracles import (
+    SIMPLEX_5_VERTEX_ANGLE,
     TETRA_EDGE_ANGLE,
     TETRA_VERTEX_ANGLE,
     TRIANGLE_VERTEX_ANGLE,
     angle_chunk_draws,
     cross_external_quadrature,
+    erfc_angle_estimate,
     exact_angle_ladder,
     fsum_rule_sums,
     full_pass_orthonormal_basis,
@@ -270,11 +275,6 @@ def test_angle_argument_validation():
 
 
 def test_angle_estimate_validation():
-    # more hits than draws, more draws hit on either side than drawn, more
-    # draws with both than with either, and a negative count
-    for counts in [(3, 0, 0, 2), (2, 2, 0, 3), (1, 2, 2, 4), (1, 1, -1, 4)]:
-        with pytest.raises(NumericError):
-            _antithetic_estimate(*counts)
     with pytest.raises(NumericError):
         Estimate(0.5, 0.1, True)
 
@@ -590,11 +590,12 @@ def test_internal_angle_independent_of_n():
     assert abs(big.value - shared.value) < 4 * (big.std_error + shared.std_error)
 
 
-@pytest.mark.parametrize("k,g", [(0, 2), (0, 3), (1, 3)])
+@pytest.mark.parametrize("k,g", [(0, 2), (0, 3), (1, 3), (0, 5)])
 def test_sampled_angle_error_bars_match_their_seed_spread(k, g):
     # over 300 seeds the values spread by the standard error each reports, and
-    # their mean is the closed form
-    exact = {(0, 2): TRIANGLE_VERTEX_ANGLE, (0, 3): TETRA_VERTEX_ANGLE, (1, 3): TETRA_EDGE_ANGLE}[k, g]
+    # their mean is the closed form, or at (0, 5) the 30-digit integral
+    exact = {(0, 2): TRIANGLE_VERTEX_ANGLE, (0, 3): TETRA_VERTEX_ANGLE, (1, 3): TETRA_EDGE_ANGLE,
+             (0, 5): SIMPLEX_5_VERTEX_ANGLE}[k, g]
     cone = _canonical_internal_cone(k, g)
     estimates = [cone_angle(cone, MCConfig(samples=4000, seed=seed)) for seed in range(300)]
     values = np.array([est.value for est in estimates])
@@ -603,25 +604,73 @@ def test_sampled_angle_error_bars_match_their_seed_spread(k, g):
     assert 0.85 <= spread / np.mean([est.std_error for est in estimates]) <= 1.15
 
 
-@pytest.mark.parametrize("hits,mirrored,both,samples", [
-    (0, 0, 0, 4), (3, 3, 3, 3), (2, 0, 0, 3), (3, 1, 0, 8), (3, 2, 1, 6), (5, 4, 2, 9),
-])
-def test_antithetic_estimate_of_hand_counts(hits, mirrored, both, samples):
-    # a draw scores 1 when z and -z both hit, 1/2 when one of them does, else 0
-    scores = np.zeros(samples)
-    scores[:both] = 1.0
-    scores[both : hits + mirrored - both] = 0.5
-    est = _antithetic_estimate(hits, mirrored, both, samples)
-    assert math.isclose(est.value, scores.mean(), rel_tol=1e-14)
-    assert math.isclose(est.std_error, scores.std() / math.sqrt(samples), rel_tol=1e-12, abs_tol=1e-300)
-    assert est.samples == samples and not est.exact
+@pytest.mark.parametrize("g", [4, 5, 6])
+def test_sampled_angles_satisfy_grams_relation(g):
+    # sum_k (-1)^k C(g + 1, k + 1) beta(k, g) = 0 over the faces of the
+    # regular g-simplex, the simplex itself included; the sampled angles come
+    # from independent streams, so their errors add in quadrature
+    cfg = MCConfig(samples=20_000, seed=3)
+    terms = [(-1) ** k * math.comb(g + 1, k + 1) for k in range(g + 1)]
+    angles = [internal_angle(Family.SIMPLEX, g, k, g, cfg) for k in range(g + 1)]
+    assert [est.method for est in angles] == ["monte_carlo"] * (g - 1) + ["exact"] * 2
+    total = sum(c * est.value for c, est in zip(terms, angles))
+    error = math.sqrt(sum((c * est.std_error) ** 2 for c, est in zip(terms, angles)))
+    assert abs(total) <= 4 * error
+
+
+def _normal_cdf_errors(x: np.ndarray) -> np.ndarray:
+    """|the table's Phi - math.erfc's| at every entry of x."""
+    return np.abs(_normal_cdf(x) - np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.tolist()]))
+
+
+def test_normal_cdf_table_matches_erfc_at_nodes_midpoints_and_edges():
+    nodes = np.arange(-_CDF_EDGE * _CDF_STEPS, _CDF_EDGE * _CDF_STEPS + 1) / _CDF_STEPS
+    assert nodes[0] == -_CDF_EDGE and nodes[-1] == _CDF_EDGE
+    midpoints = nodes[:-1] + 0.5 / _CDF_STEPS  # the farthest any value is from its node
+    edges = [side * np.nextafter(_CDF_EDGE, edge) for side in (-1.0, 1.0) for edge in (0.0, _CDF_EDGE, math.inf)]
+    past = np.concatenate([np.linspace(_CDF_EDGE, 40.0, 4001), [1e3, 1e300, math.inf]])
+    for x in (nodes, midpoints, np.array(edges), past, -past, np.linspace(-12.0, 12.0, 24_001)):
+        assert _normal_cdf_errors(x).max() <= 1e-15
+
+
+def test_normal_cdf_table_waits_for_the_first_sampled_angle():
+    # importing the package, and a formula run with no sampled angle, leave
+    # the table unbuilt; the first sampled angle builds it
+    src = os.path.dirname(os.path.dirname(polyproj.__file__))
+    code = ("import polyproj.cli\n"
+            "from polyproj import Family, expected_f_projection\n"
+            "from polyproj.angles import _cdf_table\n"
+            "expected_f_projection(Family.SIMPLEX, 5, 2, 0)\n"
+            "before = _cdf_table.cache_info().currsize\n"
+            "expected_f_projection(Family.SIMPLEX, 5, 3, 0)\n"
+            "print(before, _cdf_table.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=120, check=True).stdout
+    assert out.split() == ["0", "1"]
+
+
+def test_cone_whose_mean_normal_axis_is_not_interior_is_a_numeric_error():
+    # the planar wedge {x <= 0, y <= 2.06 x} with its normal (1, 0) given ten
+    # times: the mean of the unit normals leans to (1, 0), and the axis it
+    # gives, nearly (-1, 0), leaves the wedge
+    slant = np.array([-0.9, math.sqrt(1 - 0.81)])
+    rays = np.array([[0.0, -1.0], [-slant[1], slant[0]]])
+    Cone(np.eye(2), PositiveHullData(rays, np.array([[1.0, 0.0], slant])))  # one copy: interior axis
+    with pytest.raises(NumericError, match="axis is not interior"):
+        Cone(np.eye(2), PositiveHullData(rays, np.array([[1.0, 0.0]] * 10 + [slant])))
+    # a flat cone, two opposite normals, has no axis at all
+    with pytest.raises(NumericError, match="axis is not interior"):
+        Cone(np.eye(2), PositiveHullData(np.array([[0.0, 1.0]]), np.array([[1.0, 0.0], [-1.0, 0.0]])))
 
 
 def test_half_line_angle_is_one_half_with_no_error():
-    # of every nonzero z on a line, exactly one of z and -z lies on the half-line u >= 0
-    cone = Cone(np.eye(1), PositiveHullData(np.array([[1.0]]), np.array([[-1.0]])))
-    est = cone_angle(cone, MCConfig(samples=DEFAULT_CHUNK + 5, seed=2))
-    assert (est.value, est.std_error) == (0.5, 0.0)
+    # a cone whose normals have rank 1 is a half-space: exactly 1/2, with no draw
+    half_line = Cone(np.eye(1), PositiveHullData(np.array([[1.0]]), np.array([[-1.0]])))
+    half_plane = Cone(np.eye(3)[:2], PositiveHullData(np.eye(3)[:2], np.array([[0.0, -1.0, 0.0]] * 3)))
+    for cone in (half_line, half_plane):
+        assert cone.cross_section.shape == (0, cone.dim)
+        assert cone_angle(cone, MCConfig(samples=DEFAULT_CHUNK + 5, seed=2)) == Estimate.rational(Fraction(1, 2))
 
 
 MEMBERSHIP_CONES = [
@@ -635,33 +684,83 @@ MEMBERSHIP_CONES = [
 ]
 
 
+def _thresholds(cone: Cone, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cross-section row's threshold max_i <R_i, w> and the row as a point of the frame."""
+    return (w @ cone.ray_normals.T).max(axis=1), w @ cone.cross_section
+
+
+def _kept_normals(cone: Cone) -> np.ndarray:
+    """The cone's outer normals in frame coordinates longer than DROP_TOL, normalised."""
+    lengths = np.linalg.norm(cone.frame_normals, axis=1)
+    return cone.frame_normals[lengths > DROP_TOL] / lengths[lengths > DROP_TOL, None]
+
+
+def _assert_brackets(cone: Cone, w: np.ndarray, member_count) -> None:
+    """member_count(points) admits every row's point just above its threshold on the axis and none just below.
+
+    The step eps is 1e-6 (1 + |lam| + |w|) / min_i c_i, c_i = -<a_i, u>, so
+    the point below lies at least 1e-6 (1 + |lam| + |w|) outside the facet it
+    crosses: about 100 times NNLS's residual tolerance 1e-8 (1 + |point|).
+    """
+    lam, base = _thresholds(cone, w)
+    scale = 1.0 + np.abs(lam) + np.linalg.norm(base, axis=1)
+    eps = 1e-6 * scale / (-_kept_normals(cone) @ cone.axis).min()
+    for sign, want in ((1.0, len(w)), (-1.0, 0)):
+        u = ((lam + sign * eps)[:, None] * cone.axis + base) @ cone.frame
+        assert member_count(u) == want
+
+
 @pytest.mark.parametrize("family,n,k,g", MEMBERSHIP_CONES)
 def test_nnls_membership_matches_hrep_oracle(family, n, k, g):
-    # replay the sampler's own draws through NNLS on the cone's generators
+    # on the sampler's own cross-section rows, NNLS on the cone's generators
+    # puts each row's threshold, from the half-spaces, where it should be
     cone = internal_cone(family, n, k, g)
+    assert cone.cross_section.shape == (g - k - 1, g)  # an internal cone's lineality drops out
     cfg = MCConfig(samples=4000, seed=12345)
-    est = cone_angle(cone, cfg)
-    u = angle_chunk_draws(cfg.seed, cone.seed_path, cfg.samples, cone.dim) @ cone.frame
-    hits = nnls_member_count(cone.data.generators, u) + nnls_member_count(cone.data.generators, -u)
-    assert round(est.value * 2 * cfg.samples) == hits
+    w = angle_chunk_draws(cfg.seed, cone.seed_path, cfg.samples, cone.cross_section.shape[0])
+    _assert_brackets(cone, w, lambda u: nnls_member_count(cone.data.generators, u))
 
 
-@pytest.mark.parametrize("build", [
+_NORMAL_BUILDS = [
     lambda: normal_cone(Family.SIMPLEX, 10, 1),
     lambda: normal_cone(Family.CROSSPOLYTOPE, 40, 1),
     lambda: normal_cone(Family.CUBE, 4, 1),
+]
+
+
+@pytest.mark.parametrize("build", [*_NORMAL_BUILDS, *[lambda spec=spec: internal_cone(*spec) for spec in MEMBERSHIP_CONES]],
+                         ids=[f"normal-{f.value}" for f in (Family.SIMPLEX, Family.CROSSPOLYTOPE, Family.CUBE)]
+                         + ["internal-" + "-".join(str(getattr(x, "value", x)) for x in spec) for spec in MEMBERSHIP_CONES])
+def test_contains_coords_is_the_axis_threshold_on_full_rows(build):
+    # per-sample agreement with the hit counts the sampler took before it drew
+    # only cross-sections: on those full rows z, z in C exactly when the axis
+    # coordinate <z, u> reaches the threshold of z's cross-section, except
+    # within HALFSPACE_TOL of a facet (normal cones also carry the zero
+    # normals of the face's own vertices, which no row can violate)
+    cone = build()
+    cfg = MCConfig(samples=4000, seed=12345)
+    z = angle_chunk_draws(cfg.seed, cone.seed_path, cfg.samples, cone.dim)
+    lam, _ = _thresholds(cone, z @ cone.cross_section.T)
+    worst = (z @ _kept_normals(cone).T).max(axis=1)
+    clear = np.abs(worst) > 2 * HALFSPACE_TOL * (1.0 + np.linalg.norm(z, axis=1))
+    assert clear.sum() >= len(z) - 1
+    assert np.array_equal(cone.contains_coords(z)[clear], (z @ cone.axis >= lam)[clear])
+
+
+@pytest.mark.parametrize("build", [
+    *_NORMAL_BUILDS,
     lambda: internal_cone(Family.SIMPLEX, 5, 0, 3),
     lambda: internal_cone(Family.CROSSPOLYTOPE, 6, 1, 4),
     lambda: internal_cone(Family.CUBE, 4, 0, 3),
 ])
 def test_cone_angle_counts_contains_on_its_draws(build):
-    # the sampler scores in frame coordinates; contains() takes ambient points
+    # each of cone_angle's draws scores the Gaussian mass of the axis line
+    # through it that contains() admits: contains() takes the ambient points
+    # just above the draw's threshold and none just below
     cone = build()
     cfg = MCConfig(samples=2 * DEFAULT_CHUNK + 5000, seed=7)  # three chunks
-    est = cone_angle(cone, cfg)
-    u = angle_chunk_draws(cfg.seed, cone.seed_path, cfg.samples, cone.dim) @ cone.frame
-    hits = int(np.count_nonzero(cone.contains(u))) + int(np.count_nonzero(cone.contains(-u)))
-    assert round(est.value * 2 * cfg.samples) == hits
+    w = angle_chunk_draws(cfg.seed, cone.seed_path, cfg.samples, cone.cross_section.shape[0])
+    _assert_brackets(cone, w, lambda u: int(np.count_nonzero(cone.contains(u))))
 
 
 AGREEMENT_CONES = [
@@ -738,29 +837,6 @@ def test_contains_coords_tolerance_boundaries_inside_one_block(dim, scale):
     assert inside == [True, True, True] + [True, True, False] * 4 + [True]
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e6])
-def test_both_signs_share_the_one_membership_test(scale):
-    # rows one ulp either side of HALFSPACE_TOL * (1 + |z|), planted as z and
-    # as -z in one block: stacked, the worst scores of z and of -z (minus the
-    # best of z) give the one-product masks of z and of -z, band rows included
-    cone = _orthant(3)
-    rng = np.random.default_rng(int(scale))
-    z = rng.standard_normal((_SUB_ROWS, 3))
-    starts = range(0, 60, 3)
-    for i in starts:
-        row = _plant_worst(scale * rng.standard_normal(3), 0.0)
-        tol = _row_tol(_plant_worst(row, HALFSPACE_TOL * (1.0 + scale)))
-        for j, worst in enumerate((np.nextafter(tol, 0.0), tol, np.nextafter(tol, math.inf))):
-            z[i + j] = _plant_worst(row, worst) * (-1.0 if i % 2 else 1.0)
-            assert _row_tol(z[i + j]) == tol
-    scores = cone.frame_normals @ z.T
-    inside = cone._within(np.stack((scores.max(axis=0), -scores.min(axis=0))), z)
-    assert np.array_equal(inside[0], one_product_member_mask(cone, z))
-    assert np.array_equal(inside[1], one_product_member_mask(cone, -z))
-    for i in starts:
-        assert inside[i % 2, i : i + 3].tolist() == [True, True, False]
-
-
 @pytest.mark.parametrize("bad", [np.nan, math.inf, -math.inf, 1e200])
 def test_contains_coords_non_finite_rows_keep_the_norm_test(bad):
     # a NaN or inf entry, or one whose square passes the float range, sends the
@@ -811,7 +887,8 @@ def test_contains_coords_of_empty_blocks_and_zero_dimensional_frames():
 def test_cached_internal_cone_is_read_only():
     cone = _canonical_internal_cone(1, 4)
     assert _canonical_internal_cone(1, 4) is cone
-    for array in (cone.frame, cone.frame_normals, cone.data.generators, cone.data.normals):
+    for array in (cone.frame, cone.frame_normals, cone.axis, cone.cross_section, cone.ray_normals,
+                  cone.data.generators, cone.data.normals):
         with pytest.raises(ValueError):
             array[0] = 0.0
     # the public builder still returns fresh, writable arrays on the cone's frame and normals
@@ -865,40 +942,52 @@ def test_patched_cone_angle_sees_every_sampled_angle(monkeypatch):
 ])
 @pytest.mark.parametrize("samples", [
     1, _SUB_ROWS - 1, _SUB_ROWS + 1, 3 * _SUB_ROWS, DEFAULT_CHUNK + _SUB_ROWS + 3, DEFAULT_CHUNK + 5,
+    2 * DEFAULT_CHUNK + _SUB_ROWS // 2,
 ])
 def test_cone_angle_hits_match_oracle_on_single_call_draws(build, samples):
     # cone_angle scores angle_draws' blocks of one buffer, filled a sub-block at
-    # a time and reused for a shorter last chunk; the oracle draws each chunk at once
+    # a time and reused for a shorter last chunk, by the Phi table, and sums
+    # about the first block's mean; the oracle draws each chunk at once and
+    # scores every row by math.erfc
     cone = build()
     cfg = MCConfig(samples=samples, seed=3)
-    z = angle_chunk_draws(cfg.seed, cone.seed_path, cfg.samples, cone.dim)
-    hits = sum(int(np.count_nonzero(one_product_member_mask(cone, sign * z))) for sign in (1.0, -1.0))
-    assert round(cone_angle(cone, cfg).value * 2 * cfg.samples) == hits
+    est = cone_angle(cone, cfg)
+    value, std_error = erfc_angle_estimate(cone, cfg.seed, cfg.samples)
+    assert math.isclose(est.value, value, rel_tol=1e-13)
+    assert math.isclose(est.std_error, std_error, rel_tol=1e-13)
+    assert (est.samples, est.exact) == (samples, False)
+    assert (est.std_error == 0.0) == (samples == 1)
 
 
-# hit counts of 2e4 samples z at seed 1 and of their negatives -z, with no draw
-# hitting both; the z column is what the one-product sampler that drew each
-# chunk in a single call counted, so a sampler change that moves one decision,
-# or moves a draw, fails
+# hit counts of the 2e4 full rows z at seed 1 that the sampler drew before it
+# drew only cross-sections, and of their negatives -z, with no draw hitting
+# both, as one product over every normal decides them; and the value and
+# standard error cone_angle now gives from the cross-sections of the same
+# streams, to 1e-12, which BLAS's summation order may move in the last bits:
+# a sampler change that moves one decision, or one draw, fails
 PINNED_EXTERNAL_HITS = [
-    (Family.CROSSPOLYTOPE, 40, 0, 274, 253),
-    (Family.CROSSPOLYTOPE, 40, 1, 27, 38),
-    (Family.CROSSPOLYTOPE, 75, 0, 124, 151),
-    (Family.CROSSPOLYTOPE, 75, 1, 12, 4),
-    (Family.SIMPLEX, 39, 1, 91, 99),
-    (Family.SIMPLEX, 74, 1, 19, 28),
+    (Family.CROSSPOLYTOPE, 40, 0, 274, 253, 0.01249896879705189, 8.586380931751105e-05),
+    (Family.CROSSPOLYTOPE, 40, 1, 27, 38, 0.0014125433082966157, 1.8849713417683533e-05),
+    (Family.CROSSPOLYTOPE, 75, 0, 124, 151, 0.0066609607230085025, 4.6631200267037906e-05),
+    (Family.CROSSPOLYTOPE, 75, 1, 12, 4, 0.0004178479446062466, 5.70926961464839e-06),
+    (Family.SIMPLEX, 39, 1, 91, 99, 0.004909703714156938, 5.455774843855928e-05),
+    (Family.SIMPLEX, 74, 1, 19, 28, 0.0015513762257057361, 1.883015023761351e-05),
 ]
 
 
-@pytest.mark.parametrize("family,n,g,hits,mirrored", PINNED_EXTERNAL_HITS,
-                         ids=[f"{family.value}-{n}-{g}-{hits}" for family, n, g, hits, _ in PINNED_EXTERNAL_HITS])
-def test_external_angle_hits_are_pinned(family, n, g, hits, mirrored, monkeypatch):
+@pytest.mark.parametrize("family,n,g,hits,mirrored,value,std_error", PINNED_EXTERNAL_HITS,
+                         ids=[f"{family.value}-{n}-{g}-{hits}" for family, n, g, hits, *_ in PINNED_EXTERNAL_HITS])
+def test_external_angle_hits_are_pinned(family, n, g, hits, mirrored, value, std_error):
+    cone = normal_cone(family, n, g)
     cfg = MCConfig(samples=20_000, seed=1)
-    counts = []
-    monkeypatch.setattr(polyproj.angles, "_antithetic_estimate", lambda *c: counts.append(c) or _antithetic_estimate(*c))
-    est = cone_angle(normal_cone(family, n, g), cfg)
-    assert counts == [(hits, mirrored, 0, cfg.samples)]
-    assert round(est.value * 2 * cfg.samples) == hits + mirrored
+    z = angle_chunk_draws(cfg.seed, cone.seed_path, cfg.samples, cone.dim)
+    inside = [cone.contains_coords(sign * z) for sign in (1.0, -1.0)]
+    assert [int(np.count_nonzero(mask)) for mask in inside] == [hits, mirrored]
+    assert not np.any(inside[0] & inside[1])
+    assert np.array_equal(inside[0], one_product_member_mask(cone, z))
+    est = cone_angle(cone, cfg)
+    assert math.isclose(est.value, value, rel_tol=1e-12)
+    assert math.isclose(est.std_error, std_error, rel_tol=1e-12)
     assert est == cone_angle(normal_cone(family, n, g), MCConfig(samples=20_000, seed=1, workers=2))
 
 

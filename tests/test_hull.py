@@ -521,6 +521,35 @@ def test_qhull_gives_the_simplices_of_one_facet_one_equations_row(n, d):
         assert len(np.unique(hull.equations, axis=0)) == facets
 
 
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_qhull_rows_do_not_depend_on_the_order_of_each_simplex_ids(d, monkeypatch):
+    # qhull promises no order of the ids within a simplex: a hull whose ids
+    # come in a seeded random order, each simplex's neighbours permuted with
+    # them, counts the same rows (at d = 6 the edges are the distinct id
+    # pairs, which are folded into one int each only off sorted simplices)
+    rng = np.random.default_rng(d)
+    clouds = [rng.standard_normal((n, d)) for n in (d + 3, 2 * d, 3 * d) for _ in range(3)]
+    clouds += [symmetrize(cloud) for cloud in clouds[::3]]
+    plain = [_qhull_f_vector(cloud) for cloud in clouds]
+    assert not any(fv.degenerate for fv in plain)
+    shuffle = np.random.default_rng(100 + d)
+    real = scipy.spatial.ConvexHull
+    moved = []
+
+    class ShuffledHull:
+        def __init__(self, points):
+            hull = real(points)
+            order = shuffle.permuted(np.tile(np.arange(d), (len(hull.simplices), 1)), axis=1)
+            self.simplices = np.take_along_axis(hull.simplices, order, axis=1)
+            self.neighbors = np.take_along_axis(hull.neighbors, order, axis=1)
+            self.equations = hull.equations
+            moved.append(not np.array_equal(np.sort(self.simplices, axis=1), self.simplices))
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", ShuffledHull)
+    assert [_qhull_f_vector(cloud) for cloud in clouds] == plain
+    assert len(moved) == len(clouds) and all(moved)
+
+
 def test_face_count_that_breaks_euler_is_degenerate(monkeypatch, capsys):
     # facets whose face count breaks Euler's relation are no polytope's: qhull
     # built them from a cloud within its rounding of flat, so the cloud is
