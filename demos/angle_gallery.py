@@ -4,7 +4,9 @@ Cube angles and codimension-one pairs are exact powers of 1/2, and a vertex
 of the simplex or the crosspolytope has one over the vertex count.  Other
 external angles come from one-dimensional quadrature; the classical
 tetrahedron angles have closed forms worth comparing against it, and against
-the normal-cone sampler that still checks it.  Internal angles are sampled.
+the normal-cone sampler that still checks it.  Internal angles of faces of
+dimension 3 and up come from the shifted Steck integral, exact to float
+rounding; only the triangle's vertex angle beta(Q_0, Q_2) is still sampled.
 """
 
 import math
@@ -22,7 +24,7 @@ print("  edge-in-triangle internal:    ",
       internal_angle(Family.SIMPLEX, 5, 1, 2).exact_value)
 
 print()
-print("Tetrahedron internal angles (sampled) vs closed forms")
+print("Tetrahedron internal angles (Steck integral) vs closed forms")
 known = {
     "vertex internal beta(Q_0, Q_3)": (
         internal_angle(Family.SIMPLEX, 3, 0, 3, cfg),
@@ -34,9 +36,11 @@ known = {
     ),
 }
 for name, (est, exact) in known.items():
-    sigma = abs(est.value - exact) / est.std_error
-    print(f"  {name}: {est.value:.6f} +- {est.std_error:.6f}"
-          f"  (closed form {exact:.6f}, {sigma:.1f} sigma off)")
+    print(f"  {name}: {est.value:.15f} ({est.method})"
+          f"  closed form {exact:.15f}, difference {est.value - exact:.1e}")
+triangle = internal_angle(Family.SIMPLEX, 3, 0, 2, cfg)
+print(f"  triangle vertex beta(Q_0, Q_2), the one sampled angle: {triangle.value:.6f}"
+      f" +- {triangle.std_error:.6f}  (exactly 1/6 = {1 / 6:.6f})")
 
 print()
 print("Ridge external angles (quadrature) vs closed forms, with the sampler beside them")

@@ -2,7 +2,7 @@
 
 For cubes the table is exact rational arithmetic.  Planar Gaussian tables
 use quadrature external angles and exact internal ones, so they are exact up
-to QUADRATURE_RTOL; in R^3 the internal angles are sampled, and each
+to QUADRATURE_RTOL; in R^3 the internal angle beta(Q_0, Q_2) is sampled, and each
 consecutive pair must be separated by three combined standard errors before
 the step is called a strict increase.
 """
@@ -23,7 +23,7 @@ for row in monotonicity_table("gaussian", 2, 0, 3, 9):
     print(f"{row.n:>3} {row.value:>18.15f}  {verdict}")
 
 print()
-print("Gaussian polytope, d=3, k=0 (sampled internal angles, 3-sigma verdicts)")
+print("Gaussian polytope, d=3, k=0 (sampled internal angle, 3-sigma verdicts)")
 cfg = MCConfig(samples=300_000, seed=0)
 print(f"{'n':>3} {'E f_0':>10} {'se':>9}  verdict")
 for row in monotonicity_table("gaussian", 3, 0, 4, 9, cfg):

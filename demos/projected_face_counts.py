@@ -2,8 +2,10 @@
 
 Projecting the n-cube to R^d gives exact rational expectations.  Planar
 shadows of the simplex and crosspolytope need only external angles, which
-come from quadrature; in R^3 and up their internal angles are sampled.  Every
-run is reproducible: the estimates depend only on (samples, seed).
+come from quadrature; in R^3 their one inexact input is the sampled
+triangle angle beta(Q_0, Q_2), and from R^4 on the internal angles are
+exact Steck integrals.  Every run is reproducible: the estimates depend only
+on (samples, seed).
 """
 
 from polyproj import Family, MCConfig, expected_f_projection
@@ -26,7 +28,7 @@ for n in (3, 5, 7, 9):
     print(f"{n:>3} {row[0]:>12} {row[1]:>14} {cube.value:>8.0f}")
 
 print()
-print("Shadows in R^3: expected vertex count (sampled internal angles,", cfg.samples, "samples)")
+print("Shadows in R^3: expected vertex count (sampled beta(Q_0, Q_2),", cfg.samples, "samples)")
 print(f"{'n':>3} {'simplex':>14} {'crosspolytope':>14}")
 for n in (4, 6, 8):
     row = []

@@ -3,7 +3,8 @@
 Library layout:
   families   vertices, face counts, canonical faces of the three series
   angles     internal/external angles: exact branches, external angles by
-             quadrature, internal angles by Gaussian Monte Carlo
+             quadrature, internal angles by the shifted Steck integral
+             (beta(Q_0, Q_2) alone by Gaussian Monte Carlo)
   expected   projection formula, Gaussian models, intrinsic volumes,
              Poissonization, monotonicity tables
   hull       simulation side: sampled hulls and zonotopes with exact f-vectors

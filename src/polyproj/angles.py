@@ -42,10 +42,36 @@ n = 4-79, g = 1-3, 2-core x86 VM, one thread).  The row sums stay within
 5e-16 relative of one math.fsum per row (4.5e-16 over 31 380 faces with
 g <= 5 and n <= 1e4).
 
-Internal angles are sampled.  Both kinds of cone carry an H-representation,
-a set of outer normals a with the cone equal to {u in L : <u, a> <= 0 for all
-a}.  Normal cones take the vertex directions v - x as their normals; they
-stay as an independent check of the quadrature.  Internal cones are cut out
+Internal angles beta(Q_k, Q_g) of the simplex and the crosspolytope with
+codimension m = g - k >= 2 are angles of the regular g-simplex, that is,
+orthant probabilities of m Gaussians with correlation -1/g.  Steck's
+equicorrelated formula, continued to negative correlation, gives
+(Boeroeczky & Henk 1999; Kabluchko & Zaporozhets, Adv. Appl. Probab. 2020)
+
+  beta(Q_k, Q_g) = Re int phi(y) Phi(i y / s)^m dy,   s = sqrt(g + 1).
+
+On the real line the integrand oscillates; it is entire, so the sum runs on
+the line Im y = c, where c minimises the log-integrand c^2/2 + m log
+Phi(-c / s) along the imaginary axis (Newton steps by math.erfc), and there
+the integrand hardly changes sign.  The same _QUAD_NODES-point rule sums it
+over +-_QUAD_WIDTHS curvature widths, in log space.  Phi of a complex
+argument is log Phi(z) = -log 2 - v^2 + log w(i v), v = -z / sqrt 2, with
+the Faddeeva function w by Weideman's 40-term rational approximation (SIAM
+J. Numer. Anal. 1994), NumPy only; the y^2 terms of phi and of Phi^m are
+added before they are rounded, as they nearly cancel.  Such an angle is
+exact=True with exact_value None and std_error 0: within 2.5e-15 relative of
+the closed forms at m = 2, 3 and g <= 12, and log beta within 4.6e-14 of
+40-digit references up to g = 128, the cap (MAX_INTERNAL_G); it costs
+0.08-0.1 ms (2-core x86 VM, one thread).  Every g >= 3 takes it.
+
+beta(0, 2) = 1/6 alone is still sampled, by cone_angle: the benchmark's
+self-test needs one formula row with a nonzero stderr, and beta(0, 2) is
+the only sampled input of that row (see _INTEGRAL_MIN_G).  The sampler
+also stays as the integral's test oracle.  Both kinds of cone carry an
+H-representation, a set of outer normals a with the cone equal to
+{u in L : <u, a> <= 0 for all a}.  Normal cones take the vertex directions
+v - x as their normals; they stay as an independent check of the
+quadrature.  Internal cones are cut out
 by the facets of Q_g that contain Q_k, which in canonical coordinates are
 sign conditions u_i >= 0: on coordinates k+1..g for simplex-type faces,
 k..g-1 for cube faces.
@@ -88,9 +114,10 @@ layout, draws a cone's cross-section rows on a fixed chunk grid from
 counter-based streams derived from its seed_path, so values do not depend on
 the order of evaluation, and cone_angle only scores them.  Sampled estimates are memoized
 in-process, keyed by everything that fixes the draws: the face pair, the
-sample count and the seed.  The memo is the only cache of values of the
-formula route; sums over many sizes, such as Poisson sums, are rebuilt from
-it.  The cones behind those estimates are geometry: each canonical internal
+sample count and the seed; integral values are memoized under the face pair
+alone, as quadrature values are under the face.  The memo is the only cache
+of values of the formula route; sums over many sizes, such as Poisson sums,
+are rebuilt from it.  The cones behind those estimates are geometry: each canonical internal
 cone is built once per process, read-only, and clear_angle_memo keeps it.
 
 Internal angles of simplex and crosspolytope faces coincide: every proper face
@@ -152,6 +179,20 @@ _SQRT2 = math.sqrt(2.0)
 _CDF_EDGE = 8.5
 _CDF_STEPS = 64
 _CDF_DEGREE = 6
+# the smallest g whose internal angles come from the shifted Steck integral;
+# below it only beta(0, 2) is left, and it stays sampled: the benchmark
+# self-test shifts a gaussian n=6 d=3 row by 20 of its stderrs, and that
+# row's one inexact input is beta(0, 2).  It goes to 2 once the benchmark's
+# formula workload is rebuilt around exact rows (ROADMAP item 5a)
+_INTEGRAL_MIN_G = 3
+# the largest g internal_angle takes, the range measured: log beta within
+# 4.6e-14 of 40-digit references at g = 64 and 128 (tests/oracles.py); past
+# it beta(0, g) soon leaves the float range, and beta(0, 256) is below it
+MAX_INTERNAL_G = 128
+# Weideman's rational approximation of the Faddeeva function: its number of
+# terms, within 1.5e-14 relative of scipy's wofz on every pair's nodes up to
+# g = 128 at 40
+_FADDEEVA_TERMS = 40
 
 
 @dataclass(frozen=True)
@@ -182,8 +223,9 @@ class Estimate:
 
     Exact estimates carry std_error 0 and, when the value is rational,
     exact_value as a Fraction; exact results with irrational values (simplex
-    volumes, quadrature external angles and sums of them) keep exact=True
-    with exact_value=None, and are deterministic within QUADRATURE_RTOL.
+    volumes, quadrature external angles, integral internal angles and sums
+    of them) keep exact=True with exact_value=None, and are deterministic
+    within QUADRATURE_RTOL.
     samples is the number of draws behind a sampled angle, and 0 for
     everything else.
     """
@@ -628,6 +670,107 @@ def _external_quadratures(family: Family, faces: list[tuple[int, int]]) -> list[
 
 
 # ---------------------------------------------------------------------------
+# internal angles by the shifted Steck integral
+
+
+@cache
+def _faddeeva_coefficients() -> tuple[float, tuple[float, ...]]:
+    """L and the _FADDEEVA_TERMS coefficients a_1.. of Weideman's approximation.
+
+    Weideman (SIAM J. Numer. Anal. 1994) takes a_j from the discrete Fourier
+    transform of f(t) = exp(-t^2) (L^2 + t^2) at t = L tan(theta / 2); f is
+    even in theta, so the real part of that transform is one cosine sum per
+    coefficient.  These are math's functions and math.fsum: NumPy's fft
+    module, and its tan loop, would each add resident memory for 40 numbers.
+    """
+    n = _FADDEEVA_TERMS
+    half = 2 * n  # the transform has 2 * half points, theta = j pi / half
+    scale = math.sqrt(n / _SQRT2)
+    theta = [j * math.pi / half for j in range(1, half)]
+    f = [math.exp(-t * t) * (scale * scale + t * t) for t in (scale * math.tan(0.5 * a) for a in theta)]
+    return scale, tuple(
+        (scale * scale + 2.0 * math.fsum(fi * math.cos(j * a) for fi, a in zip(f, theta))) / (2 * half)
+        for j in range(1, n + 1)
+    )
+
+
+def _faddeeva(z: np.ndarray) -> np.ndarray:
+    """w(z) = exp(-z^2) erfc(-i z) at every entry of z, Im z >= 0, by Weideman's rational approximation.
+
+    1 / (L - i z) is its conjugate over its squared modulus, so that no
+    complex division is taken.
+    """
+    scale, coefficients = _faddeeva_coefficients()
+    below = scale - 1j * z
+    inverse = below.conjugate() * (1.0 / (below.real * below.real + below.imag * below.imag))
+    ratio = (scale + 1j * z) * inverse
+    p = np.zeros_like(ratio)
+    for a in reversed(coefficients):  # Horner, from a_N down to a_1
+        p *= ratio
+        p += a
+    return (2.0 * p * inverse + 1.0 / math.sqrt(math.pi)) * inverse
+
+
+def _steck_window(k: int, g: int) -> tuple[int, float, float, float]:
+    """(m, s, c, w): the contour Im y = c and the curvature width w for beta(k, g), m = g - k >= 2.
+
+    c minimises h(c) = c^2/2 + m log Phi(-c / s), the log-integrand on the
+    imaginary axis, with h' = c - (m / s) R and h'' = 1 - (m / s^2) R (R - t)
+    for R = phi(t) / Phi(-t), t = c / s.  h is convex (R (R - t) < 1 and
+    m < s^2), h'(0) < 0, and t < R < t + 1/t puts the minimum below
+    sqrt(m s^2 / (k + 1)); Newton steps start there and fall back to
+    bisection when they leave the bracket.  w = h''^(-1/2).
+    """
+    m, s = g - k, math.sqrt(g + 1)
+
+    def slopes(c: float) -> tuple[float, float]:
+        t = c / s
+        r = math.exp(-0.5 * t * t - _LOG_SQRT_2PI) / (0.5 * math.erfc(t / _SQRT2))
+        return c - m / s * r, 1.0 - m / (s * s) * r * (r - t)
+
+    lo, hi = 0.0, math.sqrt(m * (g + 1) / (k + 1))
+    c = hi
+    for _ in range(_NEWTON_STEPS):
+        d1, d2 = slopes(c)
+        if d1 < 0.0:
+            lo = c
+        else:
+            hi = c
+        step = -d1 / d2
+        if abs(step) * math.sqrt(d2) < 1e-9:  # within 1e-9 widths of the minimum
+            break
+        c += step
+        if not lo < c < hi:
+            c = 0.5 * (lo + hi)
+    else:
+        raise NumericError(f"no contour found for the internal angle beta({k}, {g})")
+    return m, s, c, 1.0 / math.sqrt(d2)
+
+
+def _steck_integral(k: int, g: int) -> float:
+    """beta(k, g) of the regular g-simplex, m = g - k >= 2, 3 <= g <= MAX_INTERNAL_G.
+
+    beta(k, g) = Re int phi(y) Phi(i y / s)^m dy, s = sqrt(g + 1), summed on
+    the line y = x + i c of _steck_window by _legendre_rule over
+    x in +-_QUAD_WIDTHS w.  log Phi(z) = -log 2 - v^2 + log w(i v) with
+    v = -z / sqrt 2, i v = y / (s sqrt 2) in the upper half-plane; each
+    node's log-integrand is taken relative to the largest real part.
+    """
+    m, s, c, w = _steck_window(k, g)
+    nodes, weights = _legendre_rule()
+    half = _QUAD_WIDTHS * w
+    y = half * nodes + 1j * c
+    # m v^2 - y^2 / 2 is one term, as its two parts nearly cancel at large c
+    log_f = m * np.log(0.5 * _faddeeva(y / (s * _SQRT2))) - (k + 1) / (2 * s * s) * (y * y) - _LOG_SQRT_2PI
+    peak = float(log_f.real.max())
+    total = float((weights * np.exp(log_f - peak)).sum().real)
+    value = math.exp(peak) * half * total
+    if not value > 0.0:
+        raise NumericError(f"the internal angle beta({k}, {g}) left the float range")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # memoization
 
 _MEMO: dict[tuple, Estimate] = {}
@@ -702,11 +845,15 @@ def internal_angle(
 
     k > g gives 0.  Cubes and codimension g-k <= 1 are exact powers 2^-(g-k);
     k = g gives 1, the empty-cone convention that makes the top projection
-    term reproduce facet counts.  The Monte Carlo branch samples the positive
-    hull on a minimal canonical embedding; the value does not depend on n, and
-    simplex and crosspolytope share it because their proper faces are the
-    same regular simplices.  It is memoized in-process under (k, g,
-    cfg.samples, cfg.seed).
+    term reproduce facet counts.  Every other angle is the regular
+    g-simplex's: it does not depend on n, and simplex and crosspolytope share
+    it because their proper faces are the same regular simplices.  For
+    g >= 3 it is the shifted Steck integral (module docstring), exact=True
+    with exact_value None and std_error 0, memoized in-process under (k, g)
+    whatever cfg says; g is at most MAX_INTERNAL_G = 128, past which a
+    simplex or crosspolytope pair is an InvalidDimensionError.  beta(0, 2)
+    alone is sampled, by cone_angle on a minimal canonical embedding at
+    cfg.samples draws, and memoized under (0, 2, cfg.samples, cfg.seed).
     """
     cfg = cfg or MCConfig()
     family = resolve_family(family)
@@ -726,6 +873,15 @@ def internal_angle(
         return Estimate.rational(0)
     if family is Family.CUBE or g - k <= 1:
         return Estimate.rational(Fraction(1, 2 ** (g - k)))
+    if g > MAX_INTERNAL_G:
+        raise InvalidDimensionError(
+            f"internal angles of simplex faces capped at g = {MAX_INTERNAL_G}, got beta({k}, {g})"
+        )
+    if g >= _INTEGRAL_MIN_G:
+        key = ("int", k, g)
+        if key not in _MEMO:
+            _MEMO[key] = Estimate(_steck_integral(k, g), 0.0, True)
+        return _MEMO[key]
     key = ("int", k, g, cfg.samples, cfg.seed)
     if key not in _MEMO:
         _MEMO[key] = cone_angle(_canonical_internal_cone(k, g), cfg)

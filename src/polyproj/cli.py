@@ -90,8 +90,9 @@ def _workers(text: str) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=_positive_int, default=1_000_000,
-                   help="draws per sampled internal angle, each integrated along the cone's axis (default 1e6); "
-                        "external angles are computed by quadrature")
+                   help="draws for beta(Q_0, Q_2), the one sampled internal angle, each integrated along the "
+                        "cone's axis (default 1e6); the other internal angles are Steck integrals and the "
+                        "external angles quadratures")
     p.add_argument("--seed", type=_nonneg_int, default=0, help="master seed (default 0)")
     # the "" default goes through `type` at parse time, which reads
     # $POLYPROJ_WORKERS (or 1) then: the cached parser sees the current
@@ -165,7 +166,7 @@ def _cmd_simulate(args) -> int:
         diff = sim.value - formula.value
         denom = (sim.std_error**2 + formula.std_error**2) ** 0.5
         z = diff / denom if denom > 0 else 0.0 if diff == 0 else math.copysign(math.inf, diff)
-        rows.append(_row(args, k, sim, n=args.n, formula_value=float(formula.value), z_score=z,
+        rows.append(_row(args, k, sim, n=args.n, formula_value=float(formula.value), z_score=float(z),
                          wall_time_s=wall))
     _emit(rows, args)
     print(f"simulate {args.model} n={args.n} d={args.d}: {result.replications} replications, "

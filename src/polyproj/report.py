@@ -50,7 +50,7 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a NumPy float's own repr reads np.float64(...)
     return str(value)
 
 

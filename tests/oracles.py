@@ -136,6 +136,21 @@ TRIANGLE_VERTEX_ANGLE = 1 / 6
 # at 30 and at 45 digits, which agree to 3e-33; the same integral gives the
 # three closed forms above to 30 digits
 SIMPLEX_5_VERTEX_ANGLE = 0.001922043736984349261570562
+# beta(Q_k, Q_g) of the regular g-simplex at (k, g), by the same integral on
+# the shifted line y = x + i c of polyproj.angles._steck_window: mpmath's
+# quad at 40 digits (50 at (3, 10) and (64, 128)), with breakpoints every
+# half width (quarter width at 50 digits) over +-40 widths, once at height c
+# and once at c + 1/2; the two heights agree to 1e-28 relative or better
+STECK_ANGLES = {
+    (0, 6): 0.000340695139691114750090425814516,
+    (2, 9): 0.000546266115167069861489522059419,
+    (3, 10): 0.000872969400995471306493886571335,
+    (0, 12): 2.43075571571247485157452560170e-9,
+    (0, 64): 7.87117585381257353088731251680e-70,
+    (0, 128): 2.13241755952873676433183487832e-158,
+    (1, 128): 2.13280583872022415842043007166e-138,
+    (64, 128): 1.68424644180787290084168769707e-26,
+}
 
 # the pinned composite value: expected vertex count of the planar shadow of a
 # regular 3-simplex, 12 * (pi - arccos(1/3)) / (2 pi)
@@ -145,7 +160,8 @@ SHADOW_TETRA_VERTICES = 6 * (math.pi - math.acos(1 / 3)) / math.pi
 def exact_angle_ladder(kind: str, family: str, n: int, k: int, g: int) -> Fraction | None:
     """The rational value of an angle, branch by branch; None where it is not rational.
 
-    None means a sampled internal angle, or a quadrature external angle.
+    None means an internal angle of codimension >= 2 (the Steck integral, or
+    sampled at beta(0, 2)), or a quadrature external angle.
 
     kind is "ext" for gamma(Q_g, P_n), with k ignored, or "int" for
     beta(Q_k, Q_g).  family is the family's name.
@@ -170,6 +186,26 @@ def exact_angle_ladder(kind: str, family: str, n: int, k: int, g: int) -> Fracti
     if g == k + 1:
         return Fraction(1, 2)
     return None
+
+
+def mcmullen_internal_angle(k: int, g: int) -> float:
+    """beta(Q_k, Q_g) of the regular g-simplex by McMullen's angle-sum relation.
+
+    Over the faces F between Q_k and Q_g, sum beta(Q_k, F) gamma(F, Q_g) = 1
+    (McMullen 1975); Q_k lies in C(g - k, j - k) faces of dimension j, so
+    beta(k, g) = 1 - sum_{j=k}^{g-1} C(g - k, j - k) beta(k, j) gamma(j, g),
+    with gamma from polyproj's external angles of the g-simplex.  The sum
+    cancels, so it keeps about 1e-15 absolute: 1.7e-13 relative at
+    beta(0, 5), and worse past g = 5.
+    """
+    from polyproj import external_angle
+
+    betas = [1.0]  # beta(k, j) for j = k, k + 1, ...
+    for top in range(k + 1, g + 1):
+        betas.append(1.0 - math.fsum(
+            math.comb(top - k, j - k) * betas[j - k] * external_angle("simplex", top, j).value
+            for j in range(k, top)))
+    return betas[-1]
 
 
 def size_functional_multiplier(d: int, k: int, half_b: int, model: str = "gaussian") -> Fraction:

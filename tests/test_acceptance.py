@@ -45,6 +45,8 @@ from polyproj.streams import derive_generator
 CFG = MCConfig(samples=1_000_000, seed=0)
 CFG_POISSON = MCConfig(samples=50_000, seed=0)
 CFG_TAIL = MCConfig(samples=10_000, seed=0)
+# float rounding of the integral's sum and of the closed form, with room
+TETRA_RTOL = 1e-14
 
 SHADOW_PIN = 6 * (math.pi - math.acos(1.0 / 3.0)) / math.pi
 
@@ -183,9 +185,12 @@ def test_criterion_5_angle_identities(capsys):
             worst = max(worst, dev / QUADRATURE_RTOL)
             if not (g.exact and dev <= QUADRATURE_RTOL):
                 failures.append(("ridge", fam.value, n, dev))
+    # the tetrahedron's vertex angle, (3 arccos(1/3) - pi) / (4 pi), by the
+    # Steck integral: exact, and within float rounding of the closed form
     beta = internal_angle(Family.SIMPLEX, 3, 0, 3, CFG)
-    tetra_dev = abs(beta.value - 0.043869)
-    if not tetra_dev < 3 * beta.std_error:
+    tetra = (3 * math.acos(1 / 3) - math.pi) / (4 * math.pi)
+    tetra_dev = abs(beta.value - tetra) / tetra
+    if not (beta.exact and tetra_dev <= TETRA_RTOL):
         failures.append(("tetra", beta.value, beta.std_error))
     half = Fraction(1, 2)
     for fam in Family:
@@ -202,7 +207,7 @@ def test_criterion_5_angle_identities(capsys):
     ok = not failures and elapsed < 300.0
     _verdict(capsys, "5 angle identities", ok,
              f"vertex sums exact, worst ridge dev {worst:.3f}x gate, "
-             f"tetra dev {tetra_dev:.1e} < {3 * beta.std_error:.1e}, "
+             f"tetra relative dev {tetra_dev:.1e} <= {TETRA_RTOL:.0e}, "
              f"codim-1 exact, {elapsed:.0f}s < 300s; failures {failures[:4]}")
 
 

@@ -38,11 +38,13 @@ from polyproj import (
 from polyproj.angles import (
     DROP_TOL,
     HALFSPACE_TOL,
+    MAX_INTERNAL_G,
     ORTHONORMALITY_TOL,
     SPAN_TOL,
     _CDF_EDGE,
     _CDF_STEPS,
     _canonical_internal_cone,
+    _faddeeva_coefficients,
     _normal_cdf,
 )
 import polyproj.angles
@@ -50,6 +52,7 @@ from polyproj.streams import _SUB_ROWS, DEFAULT_CHUNK
 
 from oracles import (
     SIMPLEX_5_VERTEX_ANGLE,
+    STECK_ANGLES,
     TETRA_EDGE_ANGLE,
     TETRA_VERTEX_ANGLE,
     TRIANGLE_VERTEX_ANGLE,
@@ -60,6 +63,7 @@ from oracles import (
     fsum_rule_sums,
     full_pass_orthonormal_basis,
     golub_welsch_rule,
+    mcmullen_internal_angle,
     mgs_orthonormal_basis,
     nnls_member_count,
     one_product_member_mask,
@@ -67,6 +71,9 @@ from oracles import (
 )
 
 FAST = MCConfig(samples=20_000, seed=0)
+# the relative tolerance of an integral internal angle against a closed form:
+# float rounding, 2.5e-15 at most at m = 2, 3 and g <= 12, with room
+INTEGRAL_RTOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +242,17 @@ def test_internal_angle_cube_exact():
 @pytest.mark.parametrize("family", list(Family))
 def test_exact_angles_match_the_branch_ladder(family, monkeypatch):
     # a sampled angle comes back as this marker, so nothing is drawn; a fresh
-    # memo keeps earlier values out and the markers in
+    # memo keeps earlier values out and the markers in.  Of the irrational
+    # internal angles only beta(0, 2) is sampled, the rest are integrals
     sampled = object()
     monkeypatch.setattr(polyproj.angles, "cone_angle", lambda cone, cfg: sampled)
     monkeypatch.setattr(polyproj.angles, "_MEMO", {})
 
-    def check(est, want, kind):
-        if want is None and kind == "int":
+    def check(est, want, kind, g=None):
+        if want is None and kind == "int" and g == 2:
             assert est is sampled
         elif want is None:
-            # a quadrature external angle: exact, but not rational
+            # a quadrature external angle or an integral internal one: exact, but not rational
             assert (est.exact, est.exact_value, est.std_error, est.samples) == (True, None, 0.0, 0)
             assert est.method == "exact"
         else:
@@ -258,7 +266,7 @@ def test_exact_angles_match_the_branch_ladder(family, monkeypatch):
         hi = n - 1 if family is Family.CROSSPOLYTOPE else n
         for g in range(hi + 1):
             for k in range(n + 1):
-                check(internal_angle(family, n, k, g), exact_angle_ladder("int", family.value, n, k, g), "int")
+                check(internal_angle(family, n, k, g), exact_angle_ladder("int", family.value, n, k, g), "int", g)
 
 
 def test_angle_argument_validation():
@@ -572,8 +580,10 @@ def test_internal_angle_triangle_vertex():
 
 
 def test_internal_angle_tetra_edge():
+    # the Steck integral: exact, and within float rounding of arccos(1/3) / (2 pi)
     est = internal_angle(Family.SIMPLEX, 4, 1, 3, FAST)
-    assert abs(est.value - TETRA_EDGE_ANGLE) < 4 * est.std_error
+    assert (est.exact, est.exact_value, est.std_error, est.samples) == (True, None, 0.0, 0)
+    assert math.isclose(est.value, TETRA_EDGE_ANGLE, rel_tol=INTEGRAL_RTOL)
 
 
 def test_internal_shared_between_simplex_and_cross():
@@ -607,15 +617,110 @@ def test_sampled_angle_error_bars_match_their_seed_spread(k, g):
 @pytest.mark.parametrize("g", [4, 5, 6])
 def test_sampled_angles_satisfy_grams_relation(g):
     # sum_k (-1)^k C(g + 1, k + 1) beta(k, g) = 0 over the faces of the
-    # regular g-simplex, the simplex itself included; the sampled angles come
-    # from independent streams, so their errors add in quadrature
+    # regular g-simplex, the simplex itself included, with cone_angle, the
+    # integral's oracle, on each canonical cone of codimension >= 2; the
+    # sampled angles come from independent streams, so their errors add in
+    # quadrature
     cfg = MCConfig(samples=20_000, seed=3)
     terms = [(-1) ** k * math.comb(g + 1, k + 1) for k in range(g + 1)]
-    angles = [internal_angle(Family.SIMPLEX, g, k, g, cfg) for k in range(g + 1)]
+    angles = [cone_angle(_canonical_internal_cone(k, g), cfg) for k in range(g - 1)]
+    angles += [internal_angle(Family.SIMPLEX, g, k, g, cfg) for k in (g - 1, g)]
     assert [est.method for est in angles] == ["monte_carlo"] * (g - 1) + ["exact"] * 2
     total = sum(c * est.value for c, est in zip(terms, angles))
     error = math.sqrt(sum((c * est.std_error) ** 2 for c, est in zip(terms, angles)))
     assert abs(total) <= 4 * error
+
+
+def _integral(k: int, g: int) -> Estimate:
+    """beta(k, g) through internal_angle, which takes it from the Steck integral for g >= 3."""
+    return internal_angle(Family.SIMPLEX, g, k, g)
+
+
+@pytest.mark.parametrize("g", range(3, 13))
+def test_integral_matches_the_closed_forms_at_codimension_2_and_3(g):
+    # beta(g - 2, g) = 1/4 - arcsin(1/g) / (2 pi) and
+    # beta(g - 3, g) = 1/8 - 3 arcsin(1/g) / (4 pi): the orthant probabilities
+    # of two and three Gaussians with correlation -1/g
+    for m, closed in ((2, 0.25 - math.asin(1 / g) / (2 * math.pi)),
+                      (3, 0.125 - 3 * math.asin(1 / g) / (4 * math.pi))):
+        est = _integral(g - m, g)
+        assert (est.exact, est.exact_value, est.std_error, est.samples) == (True, None, 0.0, 0)
+        assert type(est.value) is float
+        assert math.isclose(est.value, closed, rel_tol=INTEGRAL_RTOL)
+
+
+def test_integral_matches_the_30_digit_constants():
+    # beta(0, 5) within float rounding; the others, up to the cap g = 128,
+    # within the 4.6e-14 the module docstring states, with room
+    assert math.isclose(_integral(0, 5).value, SIMPLEX_5_VERTEX_ANGLE, rel_tol=INTEGRAL_RTOL)
+    for (k, g), want in STECK_ANGLES.items():
+        assert math.isclose(_integral(k, g).value, want, rel_tol=1e-13), (k, g)
+
+
+@pytest.mark.parametrize("g", range(3, 9))
+def test_integral_angles_satisfy_grams_relation(g):
+    # sum_k (-1)^k C(g + 1, k + 1) beta(k, g) = 0 over the faces of the
+    # regular g-simplex, within float rounding of the terms' sizes
+    terms = [(-1) ** k * math.comb(g + 1, k + 1) * _integral(k, g).value for k in range(g + 1)]
+    assert abs(math.fsum(terms)) <= 1e-14 * math.fsum(map(abs, terms))
+
+
+@pytest.mark.parametrize("g", [3, 4, 5])
+def test_integral_matches_mcmullens_recursion(g):
+    # the recursion reads only external angles, and its sum keeps about 1e-15
+    # absolute (6.7e-16 at worst here)
+    for k in range(g - 1):
+        assert math.isclose(_integral(k, g).value, mcmullen_internal_angle(k, g), rel_tol=0.0, abs_tol=2e-15)
+
+
+@pytest.mark.parametrize("g", range(3, 8))
+def test_sampler_agrees_with_the_integral(g):
+    # cone_angle on each canonical cone, the integral's oracle, at 1e5 draws
+    cfg = MCConfig(samples=100_000, seed=7)
+    for k in range(g - 1):
+        sampled = cone_angle(_canonical_internal_cone(k, g), cfg)
+        assert abs(sampled.value - _integral(k, g).value) <= 4 * sampled.std_error, (k, g)
+
+
+@pytest.mark.parametrize("family", [Family.SIMPLEX, Family.CROSSPOLYTOPE])
+def test_internal_angles_are_capped_at_g_128(family):
+    # g = 128 is the edge of the measured range; g = 129 raises rather than
+    # returning a value nobody measured, and cube angles stay exact past it
+    top = internal_angle(family, MAX_INTERNAL_G + 1, 0, MAX_INTERNAL_G)
+    assert top.exact and 0.0 < top.value < math.inf
+    assert math.isclose(top.value, STECK_ANGLES[0, 128], rel_tol=1e-13)
+    with pytest.raises(InvalidDimensionError, match="capped at g = 128"):
+        internal_angle(family, MAX_INTERNAL_G + 2, 0, MAX_INTERNAL_G + 1)
+    with pytest.raises(InvalidDimensionError, match="capped at g = 128"):
+        internal_angle(family, 300, 200, 202)
+    # codimension <= 1 is rational at any g
+    assert internal_angle(family, 300, 199, 200).exact_value == Fraction(1, 2)
+    assert internal_angle(Family.CUBE, 300, 0, 200).exact_value == Fraction(1, 2**200)
+
+
+def test_integral_memo_hit_equals_a_recomputation():
+    # the memo key is the face pair alone: sample count and seed do not enter
+    clear_angle_memo()
+    first = internal_angle(Family.SIMPLEX, 9, 2, 7, MCConfig(samples=10, seed=1))
+    assert internal_angle(Family.CROSSPOLYTOPE, 12, 2, 7, MCConfig(samples=99, seed=5)) is first
+    assert polyproj.angles._MEMO["int", 2, 7] is first
+    clear_angle_memo()
+    again = internal_angle(Family.SIMPLEX, 9, 2, 7)
+    assert again is not first and again == first
+
+
+def test_faddeeva_coefficients_match_weidemans_transform():
+    # Weideman's own recipe, by NumPy's FFT: f at theta = k pi / M for
+    # k = -M..M-1 (f = 0 at k = -M), shifted so k = 0 comes first; the
+    # library takes the same real parts as cosine sums
+    scale, coefficients = _faddeeva_coefficients()
+    terms = len(coefficients)
+    m = 2 * terms
+    t = scale * np.tan(np.arange(-m + 1, m) * math.pi / (2 * m))
+    f = np.concatenate([[0.0], np.exp(-t * t) * (scale * scale + t * t)])
+    transform = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
+    assert (scale, terms) == (math.sqrt(terms / math.sqrt(2.0)), 40)
+    assert np.allclose(coefficients, transform[1 : terms + 1], rtol=0.0, atol=2e-15)  # 4.5e-16 at most
 
 
 def _normal_cdf_errors(x: np.ndarray) -> np.ndarray:
@@ -918,7 +1023,8 @@ def test_cached_cones_give_a_fresh_interpreters_angles():
 
 
 def test_patched_cone_angle_sees_every_sampled_angle(monkeypatch):
-    # the benchmark self-test counts the cones sampled by wrapping cone_angle
+    # the benchmark self-test counts the cones sampled by wrapping cone_angle;
+    # of _PAIRS only beta(0, 2) is sampled, the others are integrals
     cfg = MCConfig(samples=2000, seed=4)
     for k, g in _PAIRS:
         internal_angle(Family.CROSSPOLYTOPE, 8, k, g, cfg)
@@ -930,7 +1036,7 @@ def test_patched_cone_angle_sees_every_sampled_angle(monkeypatch):
         seen.clear()
         for k, g in _PAIRS:
             internal_angle(family, 8, k, g, cfg)
-        assert [cone.seed_path[2:] for cone in seen] == _PAIRS
+        assert [cone.seed_path[2:] for cone in seen] == [(0, 2)]
         assert all(cone is _canonical_internal_cone(*cone.seed_path[2:]) for cone in seen)
     clear_angle_memo()
 

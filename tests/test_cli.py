@@ -108,13 +108,14 @@ def test_expected_worker_invariance(capsys):
 
 
 def test_formula_commands_start_no_thread(monkeypatch, capsys):
-    # --workers is simulate's; three chunks of every sampled angle are scored on this thread
+    # --workers is simulate's; three chunks of every sampled angle are scored
+    # on this thread.  d = 3 rows read beta(0, 2), the one sampled angle
     def no_thread(self):
         raise AssertionError(f"a formula command started thread {self.name}")
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     clear_angle_memo()
-    code, out, err = run(capsys, ["expected", "--model", "gaussian", "--n", "8", "--d", "4", "--all-k",
+    code, out, err = run(capsys, ["expected", "--model", "gaussian", "--n", "8", "--d", "3", "--all-k",
                                   "--samples", "70000", "--workers", "4"])
     clear_angle_memo()
     assert (code, err) == (0, "")
@@ -602,10 +603,12 @@ def test_every_result_is_an_estimate(capsys):
         assert code == 0
         return [r.method for r in from_csv(out)]
 
+    # beta(0, 2) is the one sampled angle; beta(0, 3) is the Steck integral
     angles = [polyproj.external_angle("simplex", 5, 1, cfg), polyproj.external_angle("cube", 5, 1),
-              polyproj.internal_angle("simplex", 5, 0, 3, cfg), polyproj.internal_angle("simplex", 5, 0, 1)]
+              polyproj.internal_angle("simplex", 5, 0, 2, cfg), polyproj.internal_angle("simplex", 5, 0, 3, cfg),
+              polyproj.internal_angle("simplex", 5, 0, 1)]
     assert all(isinstance(a, polyproj.Estimate) for a in angles)
-    assert [a.method for a in angles] == ["exact", "exact", "monte_carlo", "exact"]
+    assert [a.method for a in angles] == ["exact", "exact", "monte_carlo", "exact", "exact"]
 
     for target, flag in (("gaussian", "--model"), ("cube", "--family")):
         ests = [polyproj.expected_f_model(target_row(target), 6, 3, k, cfg) for k in range(3)]

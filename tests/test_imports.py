@@ -238,6 +238,29 @@ def test_planar_monotonicity_loads_no_quadrature_library(module):
     assert not loaded_after(code, module)
 
 
+@pytest.mark.parametrize("module", ["scipy", "numpy.fft", "mpmath"])
+def test_integral_internal_angles_load_no_transform_or_quadrature_library(module):
+    # gaussian rows at d = 4 and 6 read beta(k, 3) and beta(k, 5), every one
+    # of them a Steck integral; Weideman's coefficients come from a cosine
+    # product, not from numpy.fft
+    for d in ("4", "6"):
+        assert not loaded_after(_cli_run("expected", "--model", "gaussian", "--n", "9", "--d", d, "--all-k"), module)
+
+
+def test_integral_tables_wait_for_the_first_integral_angle():
+    # importing the CLI builds neither the Faddeeva coefficients nor the
+    # Legendre rule; the first integral angle builds both
+    out = run_fresh(
+        "import polyproj.cli\n"
+        "from polyproj import internal_angle\n"
+        "from polyproj.angles import _faddeeva_coefficients, _legendre_rule\n"
+        "tables = (_faddeeva_coefficients, _legendre_rule)\n"
+        "print([t.cache_info().currsize for t in tables])\n"
+        "internal_angle('simplex', 3, 0, 3)\n"
+        "print([t.cache_info().currsize for t in tables])\n")
+    assert out.split() == ["[0,", "0]", "[1,", "1]"]
+
+
 def test_hull_f_vector_loads_qhull():
     out = run_fresh(
         "import sys\n"

@@ -1,10 +1,11 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 from polyproj import InvalidArgumentError, ReportRow, from_csv, render, to_csv, to_json
-from polyproj.report import COLUMNS
+from polyproj.report import _FLOAT_COLS, COLUMNS
 
 FULL = ReportRow(
     command="simulate", model="gaussian", family="", n=5, d=2, k=0,
@@ -74,6 +75,19 @@ def test_float_cells_round_trip_exactly():
     row = from_csv(to_csv([FULL]))[0]
     assert row.formula_value == 6.0999999999
     assert row.stderr == 0.03125
+
+
+def test_numpy_floats_in_every_float_column_render_as_floats():
+    # repr of np.float64 reads np.float64(0.5) under NumPy 2, which from_csv rejected
+    values = {col: np.float64(0.5 + i) for i, col in enumerate(sorted(_FLOAT_COLS))}
+    values["z_score"] = np.float64(-np.inf)
+    row = replace(FULL, **values)
+    text = to_csv([row])
+    assert "np." not in text
+    back = from_csv(text)[0]
+    assert back == replace(FULL, **{col: float(v) for col, v in values.items()})
+    assert all(type(getattr(back, col)) is float for col in _FLOAT_COLS)
+    assert to_csv([back]) == text
 
 
 def test_bool_cells():
