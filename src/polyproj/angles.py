@@ -22,25 +22,37 @@ simplex or crosspolytope external angle is a one-dimensional Gaussian integral
   crosspolytope  gamma(Q_g, C_n) = int_0^inf phi(z) (2 Phi(z / s) - 1)^(n - g - 1) dz
 
 Both integrands are log-concave.  Scalar Newton steps on each face's
-log-integrand find its mode and curvature width w, and one _QUAD_NODES-point
-Gauss-Legendre rule on the mode +- _QUAD_WIDTHS w (clipped at 0 for the
-crosspolytope) sums it in log space, with log Phi from math.erfc.  The rule's
-nodes come from Newton steps on the Legendre recurrence.  Such an angle is
-exact=True with exact_value None and std_error 0: deterministic, and within
-QUADRATURE_RTOL of the integral over the n ranges its comment names.
-Quadrature values are memoized in-process under the face alone.
+log-integrand, with log Phi from math.erfc, find its mode and curvature
+width w, and one _QUAD_NODES-point Gauss-Legendre rule on the mode
++- _QUAD_WIDTHS w (clipped at 0 for the crosspolytope) sums it in log
+space.  The rule's nodes come from Newton steps on the Legendre recurrence.
+Such an angle is exact=True with exact_value None and std_error 0:
+deterministic, and within QUADRATURE_RTOL of the integral over the n ranges
+its comment names.  An angle below the smallest normal float, which could
+not keep that accuracy, is a NumericError.  Quadrature values are memoized
+in-process under the face alone.
 
 external_angles takes every face a caller needs at once: the rule runs over
 one node matrix of _BATCH_ROWS faces by _QUAD_NODES nodes at a time (no
-temporary above about 2^16 floats), with math.erf and math.erfc mapped over
-its entries, NumPy logarithms and exponentials, and NumPy's sum of each row.
-Each entry and each row is computed on its own, so a value does not depend
-on its batch, and external_angle is the batch of one face.  An angle costs
-about 0.035-0.055 ms inside a batch of a few hundred faces and 0.055-0.11 ms
-alone, of which the Newton search is about 0.005-0.009 ms (medians over
-n = 4-79, g = 1-3, 2-core x86 VM, one thread).  The row sums stay within
-5e-16 relative of one math.fsum per row (4.5e-16 over 31 380 faces with
-g <= 5 and n <= 1e4).
+temporary above about 2^16 floats), and each row is summed by NumPy's row
+sum.  The node values are NumPy array expressions: log Phi(t) and
+log(2 Phi(t) - 1) come from Q(t) = erfcx(t / sqrt 2) = 2 exp(t^2 / 2)
+Phi(-t) and exp(-t^2 / 2), and from erf(t / sqrt 2) itself below
+t = sqrt(2) / 2.  Q and erf are read from one table built on the first
+quadrature angle from math.erfc and math.erf: nodes every 1/_TAIL_STEPS on
+[0, _TAIL_EDGE], each with its degree-_TAIL_DEGREE Taylor step (2561 nodes,
+148 KB with erf's 91 and exp(-t_j^2 / 2)).  Past the edge, where no node of
+a face with n <= 2^53 lies, Q is its asymptotic series.  exp(-t^2 / 2) is
+split at the nearest node, so no rounding of t^2 enters it.  Both logs stay
+within 6.6e-16 relative of 40-digit values on [-36, 36], where math.erfc on
+the rounded t / sqrt 2 loses 2e-14 by t = 12 and 1.2e-13 by t = 30.  Each
+entry and each row is computed on its own, so a value does not depend on
+its batch, and external_angle is the batch of one face.  An angle costs
+about 0.017-0.026 ms inside a batch of 227 faces and a median 0.053 ms
+alone, of which the Newton search is about 0.004-0.008 ms (n = 4-79,
+g = 1-3, 2-core x86 VM, one thread, whose load moved these figures by up
+to 1.7x between runs).  The row sums stay within 5e-16 relative of one
+math.fsum per row (4.5e-16 over 31 380 faces with g <= 5 and n <= 1e4).
 
 Internal angles beta(Q_k, Q_g) of the simplex and the crosspolytope with
 codimension m = g - k >= 2 are angles of the regular g-simplex, that is,
@@ -129,7 +141,8 @@ once on a minimal canonical embedding and shared across the two families.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -179,6 +192,20 @@ _SQRT2 = math.sqrt(2.0)
 _CDF_EDGE = 8.5
 _CDF_STEPS = 64
 _CDF_DEGREE = 6
+# the table of the external-angle rule: nodes every 1/_TAIL_STEPS on
+# [0, _TAIL_EDGE], each with its degree-_TAIL_DEGREE Taylor step (Q within
+# 5.1e-16 relative of 40-digit values at degree 5 and 6, 4.8e-14 at 4; erf
+# within 4e-16 at 5).  No node of a face with n <= 2^53 lies past the edge:
+# the widest window, n = 2 and g = 0, reaches t = 15.4.  Past it the first
+# _TAIL_TERMS terms of Q's asymptotic series stand in, whose remainder is
+# below 1e-17 there.  The first _ERF_NODES nodes, t < _ERF_EDGE, also carry
+# the steps of erf(t / sqrt 2), which 1 - erfc would lose to cancellation
+_TAIL_EDGE = 20
+_TAIL_STEPS = 128
+_TAIL_DEGREE = 5
+_TAIL_TERMS = 10
+_ERF_NODES = 91
+_ERF_EDGE = (_ERF_NODES - 0.5) / _TAIL_STEPS  # just below sqrt(2) / 2
 # the smallest g whose internal angles come from the shifted Steck integral;
 # below it only beta(0, 2) is left, and it stays sampled: the benchmark
 # self-test shifts a gaussian n=6 d=3 row by 20 of its stderrs, and that
@@ -566,33 +593,106 @@ def _log_two_sided(t: float) -> float:
     return math.log(math.erf(y)) if y < 0.5 else math.log1p(-math.erfc(y))
 
 
-def _log_f_nodes(family: Family, t: np.ndarray) -> np.ndarray:
-    """log Phi (simplex) or _log_two_sided (crosspolytope) at every entry of t.
+@cache
+def _tail_table() -> tuple[np.ndarray, np.ndarray]:
+    """Taylor coefficients of Q(t) = erfcx(t / sqrt 2) and of erf(t / sqrt 2) at t_j = j / _TAIL_STEPS, and exp(-t_j^2 / 2); read-only.
 
-    _log_cdf's branch for t >= 0 and log(erfc(-t / sqrt 2) / 2) below, or
-    _log_two_sided's branches, on the same arguments: erf and erfc come from
-    math, mapped over the entries each branch takes, as NumPy has none and
-    SciPy stays off the formula path; the logarithms are NumPy's.  Each
-    entry is computed on its own, whatever else t holds.  No simplex node
-    has t <= -20 / sqrt 2: it lies within _QUAD_WIDTHS widths, each below 1
-    as h'' < -1, of a mode x >= 0, and s >= sqrt 2.
+    erfcx(y) = exp(y^2) erfc(y), so Phi(-t) = Q(t) exp(-t^2 / 2) / 2.  Row i
+    of the first array is the i-th coefficient, Q^(i)(t_j) / i! in column j
+    for every node, then E^(i)(t_j) / i! for E(t) = erf(t / sqrt 2) in the
+    _ERF_NODES columns after them.  Q(t_j) is _scaled_erfc(t_j / sqrt 2);
+    from Q' = t Q - sqrt(2 / pi) the rest follow c_1 = t c_0 - sqrt(2 / pi)
+    and (i + 1) c_(i+1) = t c_i + c_(i-1).  That recurrence loses relative
+    accuracy in c_i as t grows, but not in c_i times the i-th power of a
+    Taylor step.  E(t_j) is math.erf, and E^(i) = (-1)^(i-1) He_(i-1) E',
+    E' = sqrt(2 / pi) exp(-t^2 / 2), with the probabilists' Hermite
+    polynomials He from their recurrence.
     """
-    out = np.empty_like(t)
+    t = np.arange(_TAIL_EDGE * _TAIL_STEPS + 1) / _TAIL_STEPS
+    table = np.empty((_TAIL_DEGREE + 1, len(t) + _ERF_NODES))
+    tail, erf = table[:, : len(t)], table[:, len(t) :]
+    tail[0] = [_scaled_erfc(v) for v in (t / _SQRT2).tolist()]
+    tail[1] = t * tail[0] - math.sqrt(2.0 / math.pi)
+    for i in range(1, _TAIL_DEGREE):
+        tail[i + 1] = (t * tail[i] + tail[i - 1]) / (i + 1)
+    gauss = np.exp(-0.5 * t * t)  # t_j^2 = j^2 / 2^14 is exact
+    low = t[:_ERF_NODES]
+    erf[0] = [math.erf(v) for v in (low / _SQRT2).tolist()]
+    older, he = np.zeros_like(low), np.ones_like(low)  # He_(i-2), He_(i-1)
+    for i in range(1, _TAIL_DEGREE + 1):
+        erf[i] = (-1) ** (i - 1) * he * math.sqrt(2.0 / math.pi) * gauss[:_ERF_NODES] / math.factorial(i)
+        older, he = he, low * he - (i - 1) * older
+    table.flags.writeable = gauss.flags.writeable = False
+    return table, gauss
+
+
+def _scaled_erfc(y: float) -> float:
+    """erfcx(y) = exp(y^2) erfc(y) from math.erfc and math.exp.
+
+    y^2 is split into its rounded value and the exact rest (Dekker's
+    product), as rounding it would move exp(y^2) by about y^2 ulps.
+    """
+    square = y * y
+    split = 134217729.0 * y  # 2^27 + 1 splits y into two halves of 26 bits
+    high = split - (split - y)
+    low = y - high
+    rest = ((high * high - square) + 2.0 * high * low) + low * low
+    return math.erfc(y) * math.exp(square) * (1.0 + rest)
+
+
+def _tail_factors(t: np.ndarray, erf_below: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Q(t) = erfcx(t / sqrt 2), or erf(t / sqrt 2) below _ERF_EDGE if erf_below, and exp(-t^2 / 2), at every t >= 0.
+
+    Q exp(-t^2 / 2) is 2 Phi(-t).  Each value is the nearest node's Taylor
+    step, and past the table's edge Q is the first _TAIL_TERMS terms of its
+    asymptotic series.  exp(-t^2 / 2) is the node's exp(-t_j^2 / 2) times
+    exp(-(t - t_j)(t + t_j) / 2), so that no rounding of t^2, about t^2 / 2
+    ulps, enters it; past the edge the nearest multiple of 2^-7 stands in
+    for t_j.
+    """
+    table, gauss = _tail_table()
+    nodes = np.rint(np.minimum(t, _TAIL_EDGE) * _TAIL_STEPS)
+    index = nodes.astype(np.intp)
+    nodes /= _TAIL_STEPS
+    delta = t - nodes  # exact within the table: the node is a multiple of 2^-7 within 2^-8 of t
+    step = np.minimum(delta, 0.5 / _TAIL_STEPS)
+    delta *= -0.5 * (t + nodes)
+    gaussian = np.exp(delta, out=delta) * gauss.take(index)
+    if erf_below:
+        index[t < _ERF_EDGE] += len(gauss)  # to erf's columns: these nodes are below _ERF_NODES
+    values = table[_TAIL_DEGREE].take(index)
+    for i in range(_TAIL_DEGREE - 1, -1, -1):
+        values *= step
+        values += table[i].take(index)
+    far = t > _TAIL_EDGE
+    if far.any():  # no quadrature node gets here (see _TAIL_EDGE)
+        beyond = t[far]
+        inverse = 1.0 / (beyond * beyond)
+        series = np.ones_like(inverse)
+        for k in range(_TAIL_TERMS - 1, 0, -1):  # Horner on 1 - 1/t^2 + 1 3/t^4 - 1 3 5/t^6 ...
+            series *= -(2 * k - 1) * inverse
+            series += 1.0
+        values[far] = series * math.sqrt(2.0 / math.pi) / beyond
+        rounded = np.rint(beyond * _TAIL_STEPS) / _TAIL_STEPS
+        gaussian[far] = np.exp(-0.5 * rounded * rounded) * np.exp(-0.5 * (beyond - rounded) * (beyond + rounded))
+    return values, gaussian
+
+
+def _log_f_nodes(family: Family, t: np.ndarray) -> np.ndarray:
+    """log Phi (simplex) or _log_two_sided (crosspolytope) at every entry of the array t.
+
+    From _tail_factors, Phi(t) = 1 - Q(t) exp(-t^2 / 2) / 2 for t >= 0, and
+    log Phi(t) = log(Q(|t|) / 2) - t^2 / 2 below, which keeps its accuracy
+    at any t; 2 Phi(t) - 1 = erf(t / sqrt 2) below _ERF_EDGE, and
+    1 - Q(t) exp(-t^2 / 2) from there on.  NumPy only, as SciPy stays off
+    the formula path; each entry is computed on its own, whatever else t
+    holds.
+    """
     if family is Family.SIMPLEX:
-        up = t >= 0.0
-        out[up] = np.log1p(-0.5 * _math_map(math.erfc, t[up] / _SQRT2))
-        out[~up] = np.log(0.5 * _math_map(math.erfc, -t[~up] / _SQRT2))
-        return out
-    y = t / _SQRT2
-    low = y < 0.5
-    out[low] = np.log(_math_map(math.erf, y[low]))
-    out[~low] = np.log1p(-_math_map(math.erfc, y[~low]))
-    return out
-
-
-def _math_map(f: Callable[[float], float], a: np.ndarray) -> np.ndarray:
-    """The scalar math function f at every entry of the 1-d array a."""
-    return np.array(list(map(f, a.tolist())), dtype=float)
+        scaled, gauss = _tail_factors(np.abs(t), False)
+        return np.where(t >= 0.0, np.log1p(-0.5 * scaled * gauss), np.log(0.5 * scaled) - 0.5 * t * t)
+    values, gauss = _tail_factors(t, True)  # erf(t / sqrt 2) < 0.53 below _ERF_EDGE, so both logs are finite
+    return np.where(t < _ERF_EDGE, np.log(values), np.log1p(-values * gauss))
 
 
 def _quadrature_window(family: Family, n: int, g: int) -> tuple[int, float, float, float, float]:
@@ -660,12 +760,18 @@ def _external_quadratures(family: Family, faces: list[tuple[int, int]]) -> list[
     """gamma(Q_g, P_n) of the simplex or the crosspolytope for every (n, g) of faces, 0 <= g <= n - 2.
 
     Each face's window comes from its own Newton search; the rule then runs
-    over _BATCH_ROWS windows at a time.
+    over _BATCH_ROWS windows at a time.  An angle below the smallest normal
+    float is a NumericError that names its face.
     """
     windows = [_quadrature_window(family, n, g) for n, g in faces]
     values: list[float] = []
     for start in range(0, len(windows), _BATCH_ROWS):
         values += _rule_sums(family, windows[start : start + _BATCH_ROWS])
+    for (n, g), value in zip(faces, values):
+        if not value >= sys.float_info.min:  # a subnormal cannot keep QUADRATURE_RTOL
+            raise NumericError(
+                f"the external angle of the {family.value} n={n} g={g} is below the smallest normal float"
+            )
     return values
 
 
@@ -765,8 +871,8 @@ def _steck_integral(k: int, g: int) -> float:
     peak = float(log_f.real.max())
     total = float((weights * np.exp(log_f - peak)).sum().real)
     value = math.exp(peak) * half * total
-    if not value > 0.0:
-        raise NumericError(f"the internal angle beta({k}, {g}) left the float range")
+    if not value >= sys.float_info.min:  # a subnormal cannot keep the integral's accuracy
+        raise NumericError(f"the internal angle beta({k}, {g}) is below the smallest normal float")
     return value
 
 

@@ -152,6 +152,326 @@ STECK_ANGLES = {
     (64, 128): 1.68424644180787290084168769707e-26,
 }
 
+# log Phi(t) and log(2 Phi(t) - 1) = log erf(t / sqrt 2) to 30 digits at
+# the float t of test_log_f_nodes_follow_the_scalar_branches: every branch of
+# polyproj.angles._log_f_nodes (t < 0 down to -36, t = -1e-300 and 0, both
+# sides of t = sqrt(2) / 2, of the erf branch's edge t = 90.5 / 128 and of
+# the tail table's edge t = 20, and t = 30 past it).  By mpmath at 50
+# digits: log1p(-ncdf(-t)) for t > 0 and log(ncdf(t)) otherwise,
+# log1p(-erfc(y)) for y = t / sqrt 2 > 0.5 and log(erf(y)) otherwise, each
+# printed by mpmath.nstr(value, 30)
+LOG_NORMAL_CDF = {
+    -36.0: -652.503227593798396854348782066,
+    -35.75: -643.527519712059721709393030204,
+    -35.5: -634.614263155088385004489796079,
+    -35.25: -625.763457238135175589573745953,
+    -35.0: -616.975101261922513473244205684,
+    -34.75: -608.249194512231194045371843602,
+    -34.5: -599.585736259472357693692970994,
+    -34.25: -590.984725758244047453785864792,
+    -34.0: -582.446162246871685076760869003,
+    -33.75: -573.970044946931761768058820617,
+    -33.5: -565.556373062758003720525737549,
+    -33.25: -557.205145780929234302929002675,
+    -33.0: -548.916362269738114229005305202,
+    -32.75: -540.690021678639898069074306396,
+    -32.5: -532.526123137680299911816865391,
+    -32.25: -524.424665756901512661161882002,
+    -32.0: -516.385648625725374172025387736,
+    -31.75: -508.409070812312618983950653494,
+    -31.5: -500.494931362897096582694310851,
+    -31.25: -492.643229301093775668451854801,
+    -31.0: -484.85396362717928857896650793,
+    -30.75: -477.127133317343700529130195729,
+    -30.5: -469.462737322912114386655540797,
+    -30.25: -461.860774569534642982689951937,
+    -30.0: -454.321243956343197107355771338,
+    -29.75: -446.84414435507344798506215709,
+    -29.5: -439.429474609150227753818066571,
+    -29.25: -432.077233532734529843458663403,
+    -29.0: -424.787419909730162679335964859,
+    -28.75: -417.560032492747994309713362999,
+    -28.5: -410.395070002025601801585691418,
+    -28.25: -403.292531124300006957133644171,
+    -28.0: -396.252414511631038404583103965,
+    -27.75: -389.27471878017270868771123866,
+    -27.5: -382.359442508889832828594641463,
+    -27.25: -375.50658423821694110931576939,
+    -27.0: -368.716142468656352574140103019,
+    -26.75: -361.988115659312075973443276379,
+    -26.5: -355.322502226355990440622781959,
+    -26.25: -348.719300541422527897117860382,
+    -26.0: -342.178508929927831689320015764,
+    -25.75: -335.700125669309099820909544964,
+    -25.5: -329.284148987179534763901018367,
+    -25.25: -322.930577059394013468517635346,
+    -25.0: -316.639408008020258935195763525,
+    -24.75: -310.410639899209936465068308487,
+    -24.5: -304.244270740963711165989063594,
+    -24.25: -298.140298480783885929269177782,
+    -24.0: -292.098721003207788124444378518,
+    -23.75: -286.119536127214585621106409663,
+    -23.5: -280.20274160349768506109291734,
+    -23.25: -274.348335111594293846269345194,
+    -23.0: -268.556314256863107964368434694,
+    -22.75: -262.826676567300416003332644406,
+    -22.5: -257.159419490184180476340613041,
+    -22.25: -251.554540388534865329039679254,
+    -22.0: -246.012036537380917058108504113,
+    -21.75: -240.531905119815869391215689957,
+    -21.5: -235.114143222833020360300248841,
+    -21.25: -229.758747832922517390123776592,
+    -21.0: -224.465715831414471313820858284,
+    -20.75: -219.235043989550393532983813309,
+    -20.5: -214.066728963263800166530353549,
+    -20.25: -208.960767287649239918658850999,
+    -20.01: -204.117702778659932606013564719,
+    -20.0: -203.917155371097263936804458655,
+    -19.99: -203.716707717208404040601504947,
+    -19.75: -198.935889489070949775722657332,
+    -19.5: -194.016965777497499407602969434,
+    -19.25: -189.160380225746132453821708706,
+    -19.0: -184.366128669160967350982645572,
+    -18.75: -179.634206781114798999231559887,
+    -18.5: -174.964610064546612278093202163,
+    -18.25: -170.357333842942283602654700278,
+    -18.0: -165.812373250714180090914156465,
+    -17.75: -161.329723222931225677235378281,
+    -17.5: -156.909378484346417775103300991,
+    -17.25: -152.551333537663692557852150788,
+    -17.0: -148.255582650980389875990126776,
+    -16.75: -144.022119844335290027365114716,
+    -16.5: -139.850938875285203977294464355,
+    -16.25: -135.742033223425304775541318402,
+    -16.0: -131.69539607375968629013187142,
+    -15.75: -127.711020298818906209840041221,
+    -15.5: -123.788898439410376121714200379,
+    -15.25: -119.92902268387524435409061444,
+    -15.0: -116.131384845711695235908562754,
+    -14.75: -112.395976339409151525855191901,
+    -14.5: -108.722788154320472334521353867,
+    -14.25: -105.111810826379605833557194475,
+    -14.2: -104.39707979709809146497708018,
+    -14.0: -101.563034407449958244118343843,
+    -13.75: -98.0764484320635987352317321791,
+    -13.5: -94.6520418812828919767110783502,
+    -13.25: -91.2898031433837200900293858565,
+    -13.0: -87.989719971022519666177752402,
+    -12.75: -84.7517794345072090175665036491,
+    -12.5: -81.5759678707438832173856602051,
+    -12.25: -78.4622708273759286433104280538,
+    -12.0: -75.4106730015687959388396832681,
+    -11.75: -72.4211581728206986696295751052,
+    -11.5: -69.4937091290953462628399491018,
+    -11.25: -66.6283075854755366855977709681,
+    -11.0: -63.824934094423715501980637572,
+    -10.75: -61.0835679466046889084367512831,
+    -10.5: -58.4041870610732434157484667369,
+    -10.25: -55.7867678634514863991057018911,
+    -10.0: -53.2312851505124705783470273541,
+    -9.75: -50.7377119393422850361984045028,
+    -9.5: -48.3060192989652302819631419754,
+    -9.25: -45.9361761619773620584462102224,
+    -9.0: -43.6281491133321154967890520134,
+    -8.75: -41.3819021529450915246635818624,
+    -8.5: -39.197396428217669288507983651,
+    -8.25: -37.0745899319015329186353734931,
+    -8.0: -35.0134371599145498955041281525,
+    -7.75: -33.0138887227430871781593682206,
+    -7.5: -31.0758909028900012425820878518,
+    -7.25: -29.1993851494053486070499432485,
+    -7.0: -27.3843074988110752426301238858,
+    -6.75: -25.6305879096298529069796194325,
+    -6.5: -23.9381494951618385542858691259,
+    -6.25: -22.306907636008250681671823097,
+    -6.0: -20.7367689499747056549688537181,
+    -5.75: -19.2276300922204557647215075968,
+    -5.5: -17.7793763526252605105944255987,
+    -5.25: -16.3918800100377931893773793147,
+    -5.0: -15.0649983939887257360837047919,
+    -4.75: -13.7985715931474665936743239918,
+    -4.5: -12.5924197357130786656070029867,
+    -4.25: -11.4463397493658470576612508674,
+    -4.0: -10.3601014865272908278607203442,
+    -3.75: -9.33344307348920159271550812753,
+    -3.5: -8.36606530834409293497210262585,
+    -3.25: -7.45762489137411203569307341758,
+    -3.0: -6.60772622151034954327607708325,
+    -2.75: -5.81591143294522184296708082794,
+    -2.5: -5.08164827727869049838046229731,
+    -2.25: -4.40431538115327156123749079239,
+    -2.0: -3.78318433368203194883554748015,
+    -1.75: -3.21739799580027384021444094608,
+    -1.5: -2.7059444008238898069570566212,
+    -1.25: -2.2476256772143181847047407619,
+    -1.0: -1.84102164500926350577078307323,
+    -0.75: -1.48444822991965629199220010126,
+    -0.5: -1.17591176159361860887972909327,
+    -0.25: -0.913061764811135055166213958761,
+    -1e-300: -0.693147180559945309417232121458,
+    0.0: -0.693147180559945309417232121458,
+    0.25: -0.512984075409430432128150932341,
+    0.5: -0.368946415288656393065615639043,
+    0.7071067811865476: -0.274108032784385709299865345998,
+    0.75: -0.256994266838365236690637136775,
+    1.0: -0.172753779023449889526483173521,
+    1.25: -0.111657828472925170657032694903,
+    1.5: -0.0691434556122339829930151391175,
+    1.75: -0.0408836181520949309025776297335,
+    2.0: -0.0230129093289634884653361749085,
+    2.25: -0.0122998060914494089062765757427,
+    2.5: -0.00622902548586000238098609075516,
+    2.75: -0.00298421156837419199925316472837,
+    3.0: -0.00135080996474819379884111049052,
+    3.25: -0.000577191585409950150254548420264,
+    3.5: -0.00023265614137680455218134100151,
+    3.75: -0.0000884211942393844251443036605201,
+    4.0: -0.0000316717433774892638602732867991,
+    4.25: -0.000010688582897633079841785714645,
+    4.5: -0.00000339767889683446614453067036573,
+    4.75: -0.00000101708375979821503863537631379,
+    5.0: -0.000000286651612963763593384596258496,
+    5.25: -0.0000000760496080566585119911234016549,
+    5.5: -0.0000000189895626461894629893446003862,
+    5.75: -0.00000000446217246385710340686380225907,
+    6.0: -9.86587645524375731691479730372e-10,
+    6.25: -2.0522634254295281399761444618e-10,
+    6.5: -4.01600058393975911179608833485e-11,
+    6.75: -7.39225777804514515704469688196e-12,
+    7.0: -1.2798125438866539644573681557e-12,
+    7.25: -2.08385815867228655443127087827e-13,
+    7.5: -3.1908916729109471367156296063e-14,
+    7.75: -4.59462743577860601545609168687e-15,
+    8.0: -6.22096057427178605853351850479e-16,
+    8.25: -7.91972631464247765457169891609e-17,
+    8.5: -9.47953482220331839908184069053e-18,
+    8.75: -1.06676373754748580085525092977e-18,
+    9.0: -1.12858840595384064779918766547e-19,
+    9.25: -1.12246335913279826595844759203e-20,
+    9.5: -1.04945150753626074928402869139e-21,
+    9.75: -9.22341352493941814852065156874e-23,
+    10.0: -7.61985302416052606597337228268e-24,
+    10.25: -5.91717690736561785032027329108e-25,
+    10.5: -4.31900631780923034654781725056e-26,
+    10.75: -2.96308087809435858530311471626e-27,
+    11.0: -1.91065957449867571115041563389e-28,
+    11.25: -1.15796031856864176537168105211e-29,
+    11.5: -6.59577144611367507905247210593e-31,
+    11.75: -3.53094239588599325861883023945e-32,
+    12.0: -1.77648211207767899769617100185e-33,
+    19.99: -3.36479001764704663855714841343e-89,
+    20.01: -2.25324296841931784570604941419e-89,
+    30.0: -4.90671392714818705953380925658e-198,
+}
+LOG_TWO_SIDED = {
+    1e-300: -691.001319250858432612701442185,
+    1e-06: -14.0413019106091682483896011727,
+    0.125: -2.30783434966424038115962323515,
+    0.25: -1.62245906403720490157713699628,
+    0.375: -1.2298393667956187872882770801,
+    0.5: -0.959916333695622319332828692402,
+    0.625: -0.759225143304387746512291325651,
+    0.7070312499999999: -0.653055804236193068589300296396,
+    0.70703125: -0.653055804236192936027498999146,
+    0.7071067811865475: -0.652965625676331235486432277017,
+    0.7071067811865476: -0.652965625676331102943663409662,
+    0.7071067811865477: -0.652965625676330970400894542307,
+    0.75: -0.603772224407388022423637481621,
+    0.875: -0.480577586132516839017874856754,
+    1.0: -0.381715146302126072274183007511,
+    1.125: -0.301901402015622436654732925333,
+    1.25: -0.237368684638595557398078382493,
+    1.375: -0.185283673175427467421862930752,
+    1.5: -0.143425206861177099609921187085,
+    1.625: -0.10999630973323896989366154083,
+    1.75: -0.0835102190868448200736043362321,
+    1.875: -0.0627190824197082611914275111713,
+    2.0: -0.0465679122923901635476538765889,
+    2.125: -0.0341635993487921778397381805527,
+    2.25: -0.02475278334343659700268748989,
+    2.375: -0.0177047585577206005967472831357,
+    2.5: -0.0124970950639048899928800467063,
+    2.625: -0.0087026552175086545600187721144,
+    2.75: -0.00597735531759927503727764750073,
+    2.875: -0.00404845894192449604960457964356,
+    3.0: -0.00270344708547596315419565380687,
+    3.125: -0.00177963320643165743556612624898,
+    3.25: -0.00115471651335793613599587700389,
+    3.375: -0.000738429480503122452618233859177,
+    3.5: -0.000465366424230320783167796172625,
+    3.625: -0.00028900320916715445998815293277,
+    3.75: -0.000176850207477729889858406049588,
+    3.875: -0.000106630384319562876574569104777,
+    4.0: -0.0000633444898860780918709641911554,
+    4.125: -0.0000370741629306895374807614041906,
+    4.25: -0.0000213772800422916591484943781366,
+    4.375: -0.0000121433215524919194426286809394,
+    4.5: -0.00000679536933793004198679397202737,
+    4.625: -0.00000374599102732904649082129038782,
+    4.75: -0.00000203416855405685665553314061826,
+    4.875: -0.00000108808514311425727267082321894,
+    5.0: -0.000000573303308096697955422412084144,
+    5.125: -0.000000297537790639896609339535916284,
+    5.25: -0.000000152099221896860349389831923495,
+    5.375: -0.0000000765826850549423186258697833242,
+    5.5: -0.0000000379791256529824223199460557425,
+    5.625: -0.0000000185507976411876882894783621141,
+    5.75: -0.00000000892434494762518999977841826214,
+    5.875: -0.00000000422843349382151909597230365077,
+    6.0: -0.00000000197317529202210664664459092106,
+    6.125: -9.0683606575023272273258207167e-10,
+    6.25: -4.10452685128023479677429989101e-10,
+    6.375: -1.8296295168890992428005436866e-10,
+    6.5: -8.03200116804080083050069864186e-11,
+    6.625: -3.47248179076440439922994033198e-11,
+    6.75: -1.47845155561449357891468666639e-11,
+    6.875: -6.19898590353364457431205818779e-12,
+    7.0: -2.55962508777494584906222803621e-12,
+    7.125: -1.04080688006389793807139601649e-12,
+    7.25: -4.1677163173450073553450883523e-13,
+    7.375: -1.64345052151700249673409755193e-13,
+    7.5: -6.38178334582199609132794174008e-14,
+    7.625: -2.44034386357987672821054936851e-14,
+    7.75: -9.18925487155723314151345698332e-15,
+    7.875: -3.40742858326575222037281399735e-15,
+    8.0: -1.2441921148543575987102083674e-15,
+    8.125: -4.47362412888821109402566554353e-16,
+    8.25: -1.58394526292849559363640468206e-16,
+    8.375: -5.52238718145052339085194056642e-17,
+    8.5: -1.89590696444066368880252618264e-17,
+    8.625: -6.40926545404151933549844309622e-18,
+    8.75: -2.13352747509497160284848673129e-18,
+    8.875: -6.99334139642780156386422097533e-19,
+    9.0: -2.25717681190768129572574650995e-19,
+    9.125: -7.17362587329945677698495435604e-20,
+    9.25: -2.24492671826559653192949442398e-20,
+    9.375: -6.917576974467160079400762246e-21,
+    9.5: -2.09890301507252149856915873125e-21,
+    9.625: -6.2706924637749527913908230968e-22,
+    9.75: -1.8446827049878836297042153851e-22,
+    9.875: -5.34329605750644963348059176874e-23,
+    10.0: -1.52397060483210521319468026275e-23,
+    10.125: -4.27978734743925797441465235892e-24,
+    10.25: -1.18343538147312357006405500835e-24,
+    10.375: -3.2221238368715126331563663904e-25,
+    10.5: -8.63801263561846069309563468766e-26,
+    10.625: -2.2801216925607823375555611298e-26,
+    10.75: -5.9261617561887171706062294413e-27,
+    10.875: -1.51655792245265032410324813983e-27,
+    11.0: -3.82131914899735142230083126815e-28,
+    11.125: -9.48058743894319588355028368693e-29,
+    11.25: -2.31592063713728353074336210423e-29,
+    11.375: -5.57028580158741309261144546524e-30,
+    11.5: -1.31915428922273501581049442119e-30,
+    11.625: -3.07593376596905211097280640388e-31,
+    11.75: -7.0618847917719865172376604789e-32,
+    11.875: -1.5963406118575497486301318617e-32,
+    12.0: -3.55296422415535799539234200369e-33,
+    19.99: -6.72958003529409327711429682686e-89,
+    20.01: -4.50648593683863569141209882837e-89,
+    30.0: -9.81342785429637411906761851316e-198,
+}
+
 # the pinned composite value: expected vertex count of the planar shadow of a
 # regular 3-simplex, 12 * (pi - arccos(1/3)) / (2 pi)
 SHADOW_TETRA_VERTICES = 6 * (math.pi - math.acos(1 / 3)) / math.pi

@@ -51,6 +51,8 @@ import polyproj.angles
 from polyproj.streams import _SUB_ROWS, DEFAULT_CHUNK
 
 from oracles import (
+    LOG_NORMAL_CDF,
+    LOG_TWO_SIDED,
     SIMPLEX_5_VERTEX_ANGLE,
     STECK_ANGLES,
     TETRA_EDGE_ANGLE,
@@ -447,6 +449,24 @@ def test_rule_row_sums_stay_within_1e_15_of_one_fsum_per_row(family):
     assert max(abs(a - b) / b for a, b in zip(got, want)) <= 1e-15
 
 
+def test_angles_below_the_smallest_normal_float_raise():
+    # a value that underflows to 0.0 or to a subnormal cannot keep its
+    # relative accuracy: gamma(Q_500, C_1834) = 2.30e-308 is just above the
+    # smallest normal float, 2.23e-308, and gamma(Q_500, C_1835) = 1.81e-308
+    # just below; gamma(Q_500, C_2000) was once 0.0 marked exact
+    tiny = sys.float_info.min
+    clear_angle_memo()
+    assert tiny < external_angle(Family.CROSSPOLYTOPE, 1834, 500).value < 1.1 * tiny
+    for n in (1835, 2000):
+        with pytest.raises(NumericError, match=f"crosspolytope n={n} g=500 is below the smallest normal float"):
+            external_angle(Family.CROSSPOLYTOPE, n, 500)
+    # the integral past MAX_INTERNAL_G: beta(0, 226) = 2.9e-307, beta(0, 227) below
+    assert tiny < polyproj.angles._steck_integral(0, 226) < 1e-306
+    with pytest.raises(NumericError, match=r"beta\(0, 227\) is below the smallest normal float"):
+        polyproj.angles._steck_integral(0, 227)
+    clear_angle_memo()
+
+
 def test_external_angles_cap_n_at_2_to_the_53():
     # up to 2^53 the rule's exponent n - g is an exact float; past it the face is refused before any work
     cap = polyproj.angles.MAX_EXTERNAL_N
@@ -522,13 +542,31 @@ def test_quadrature_batches_stay_under_the_chunk_bound(monkeypatch):
     (Family.SIMPLEX, polyproj.angles._log_cdf), (Family.CROSSPOLYTOPE, polyproj.angles._log_two_sided),
 ])
 def test_log_f_nodes_follow_the_scalar_branches(family, scalar):
-    # every branch; the simplex's t < 0 half, which the scalar never takes, against math inline
+    # against the 30-digit constants of every branch, on both sides of the
+    # erf and tail-table edges and past the table, the kernel is within 1e-15
+    # (5.4e-16 measured) and no less accurate than math's branches (1.3e-14
+    # by t = 12, 1.2e-13 at 30, from rounding t / sqrt 2); the simplex's
+    # t < 0 half of those branches is math inline
+    def math_route(v):
+        return scalar(v) if v >= 0 else math.log(0.5 * math.erfc(-v / math.sqrt(2.0)))
+
+    constants = LOG_NORMAL_CDF if family is Family.SIMPLEX else LOG_TWO_SIDED
+    points = np.array(list(constants))
+    want = np.array(list(constants.values()))
+    kernel = np.abs(polyproj.angles._log_f_nodes(family, points) - want) / np.abs(want)
+    scalar_error = np.abs(np.array([math_route(v) for v in points.tolist()]) - want) / np.abs(want)
+    assert kernel.max() <= 1e-15
+    within = points <= 12.0
+    assert kernel[within].max() <= scalar_error[within].max() and kernel.max() <= scalar_error.max()
+    # on a dense grid the two routes differ by at most the sum of their errors
+    # against the constants: 6e-16 for the kernel, and for math 3e-16 times
+    # max(t^2, 1), as rounding u = t / sqrt 2 moves erfc(u) by about 2 u^2 ulps
     lo = -36.0 if family is Family.SIMPLEX else 1e-6
     t = np.concatenate([np.linspace(lo, 12.0, 3001), [-14.2, -1e-300, 0.0, 0.5 * math.sqrt(2.0)]])
     t = t[t > 0] if family is Family.CROSSPOLYTOPE else t
     got = polyproj.angles._log_f_nodes(family, t.reshape(-1, 1)).ravel()
-    want = np.array([scalar(v) if v >= 0 else math.log(0.5 * math.erfc(-v / math.sqrt(2.0))) for v in t.tolist()])
-    assert np.allclose(got, want, rtol=4e-16, atol=0.0)
+    route = np.array([math_route(v) for v in t.tolist()])
+    assert np.all(np.abs(got - route) <= (6e-16 + 3e-16 * np.maximum(t * t, 1.0)) * np.abs(route))
 
 
 def test_simplex_quadrature_nodes_stay_above_minus_20_over_root_2():

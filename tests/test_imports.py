@@ -230,9 +230,10 @@ def test_one_worker_leaves_the_process_pool_unloaded(code):
     assert not loaded_after(code, "concurrent.futures.process")
 
 
-@pytest.mark.parametrize("module", ["scipy", "numpy.polynomial", "mpmath"])
+@pytest.mark.parametrize("module", ["scipy", "numpy.polynomial", "numpy.fft", "mpmath"])
 def test_planar_monotonicity_loads_no_quadrature_library(module):
-    # every angle of a planar table is exact or a quadrature external angle
+    # every angle of a planar table is exact or a quadrature external angle,
+    # whose tail table is NumPy's arithmetic on math.erfc values
     code = _cli_run("monotonicity", "--family", "crosspolytope", "--d", "2", "--k", "0",
                     "--n-min", "2", "--n-max", "60")
     assert not loaded_after(code, module)
@@ -259,6 +260,23 @@ def test_integral_tables_wait_for_the_first_integral_angle():
         "internal_angle('simplex', 3, 0, 3)\n"
         "print([t.cache_info().currsize for t in tables])\n")
     assert out.split() == ["[0,", "0]", "[1,", "1]"]
+
+
+def test_tail_table_waits_for_the_first_quadrature_angle():
+    # importing the CLI builds neither the external-angle rule's tail table
+    # nor the Legendre rule, a rational external angle neither, and the first
+    # quadrature angle both
+    out = run_fresh(
+        "import polyproj.cli\n"
+        "from polyproj import external_angle\n"
+        "from polyproj.angles import _legendre_rule, _tail_table\n"
+        "tables = (_tail_table, _legendre_rule)\n"
+        "print([t.cache_info().currsize for t in tables])\n"
+        "external_angle('crosspolytope', 10, 0)\n"
+        "print([t.cache_info().currsize for t in tables])\n"
+        "external_angle('crosspolytope', 10, 3)\n"
+        "print([t.cache_info().currsize for t in tables])\n")
+    assert out.split() == ["[0,", "0]", "[0,", "0]", "[1,", "1]"]
 
 
 def test_hull_f_vector_loads_qhull():
