@@ -21,8 +21,8 @@ simplex or crosspolytope external angle is a one-dimensional Gaussian integral
   simplex        gamma(Q_g, T_n) = int phi(x) Phi(x / s)^(n - g) dx
   crosspolytope  gamma(Q_g, C_n) = int_0^inf phi(z) (2 Phi(z / s) - 1)^(n - g - 1) dz
 
-Both integrands are log-concave.  Scalar Newton steps on each face's
-log-integrand, with log Phi from math.erfc, find its mode and curvature
+Both integrands are log-concave.  A scalar Newton search on each face's
+log-integrand, with log Phi from math.erfc, finds its mode and curvature
 width w, and one _QUAD_NODES-point Gauss-Legendre rule on the mode
 +- _QUAD_WIDTHS w (clipped at 0 for the crosspolytope) sums it in log
 space.  The rule's nodes come from Newton steps on the Legendre recurrence.
@@ -92,12 +92,11 @@ A cone's frame is an orthonormal basis of L, built by classical Gram-Schmidt
 applied twice (one matrix-vector product per pass and row, rows kept in
 order).  Membership is tested in frame coordinates: the normals are projected
 onto the frame once, when the cone is built, into one contiguous block, and
-a sample z is in the cone when every score <z, frame @ a> is at most
-HALFSPACE_TOL * (1 + |z|), with |z| computed only for the rows whose
-worst score that bound can decide either way.  Ambient points of L are
-mapped to frame coordinates first; the frame is orthonormal, so the test is
-the same.  The sampler does not use this test: it stays for the cone-build
-check and the tests.
+a point z is in the cone when every score <z, frame @ a> is at most
+HALFSPACE_TOL * (1 + |z|).  Ambient points of L are mapped to frame
+coordinates first; the frame is orthonormal, so the test is the same.  The
+sampler does not use it; its one library caller checks a built cone's
+generators.
 
 Sampling is conditional Monte Carlo (Rao-Blackwellization; Genz 1992 does
 the same for multivariate normal probabilities).  Each cone carries an axis
@@ -142,7 +141,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -357,24 +356,10 @@ class Cone:
         """Membership mask of the rows of z, points in frame coordinates.
 
         A row is in the cone when no outer normal scores it above
-        HALFSPACE_TOL * (1 + |z|).  That bound is at least HALFSPACE_TOL and
-        at most HALFSPACE_TOL * (1 + 2 sqrt(dim) M), M the largest |z_ij|,
-        so a row whose worst score is at most the first is in and one above
-        the second is out; |z| is computed only for the rows in between.  A
-        z with a NaN or inf entry, or with squares that could pass the float
-        range, has |z| computed for every row.
+        HALFSPACE_TOL * (1 + |z|).
         """
         worst = np.maximum.reduce(self.frame_normals @ z.T, axis=0, initial=-np.inf)
-        big = float(np.abs(z).max(initial=0.0))
-        if not 4.0 * self.dim * big * big < math.inf:
-            return worst <= HALFSPACE_TOL * (1.0 + np.sqrt(np.einsum("ij,ij->i", z, z)))
-        inside = worst <= HALFSPACE_TOL
-        band = worst <= HALFSPACE_TOL * (1.0 + 2.0 * math.sqrt(self.dim) * big)
-        if np.count_nonzero(band) > np.count_nonzero(inside):
-            pending = np.flatnonzero(band & ~inside)
-            zr = z[pending]
-            inside[pending] = worst[pending] <= HALFSPACE_TOL * (1.0 + np.sqrt(np.einsum("ij,ij->i", zr, zr)))
-        return inside
+        return worst <= HALFSPACE_TOL * (1.0 + np.sqrt(np.einsum("ij,ij->i", z, z)))
 
 
 def _axis_split(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -543,10 +528,15 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
     nodes = np.rint(x * _CDF_STEPS)
     index = (nodes + _CDF_EDGE * _CDF_STEPS).astype(np.intp)
     step = x - nodes / _CDF_STEPS  # exact: the node is a multiple of 2^-6 within 2^-7 of x
-    out = table[_CDF_DEGREE].take(index)
-    for i in range(_CDF_DEGREE - 1, -1, -1):
+    return _taylor(table, index, step)
+
+
+def _taylor(table: np.ndarray, index: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """sum_i table[i, index] step^i, by Horner from the top row: each node's Taylor step, row i its i-th coefficients."""
+    out = table[-1].take(index)
+    for row in table[-2::-1]:
         out *= step
-        out += table[i].take(index)
+        out += row.take(index)
     return out
 
 
@@ -580,6 +570,32 @@ def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     weights = 2.0 / ((1.0 - x * x) * slope * slope)
     x.flags.writeable = weights.flags.writeable = False
     return x, weights
+
+
+def _newton_mode(
+    slopes: Callable[[float], tuple[float, float]], lo: float, hi: float, x: float, failure: Callable[[], str]
+) -> tuple[float, float]:
+    """The mode of a concave h and its curvature width (-h'')^(-1/2), from the start x.
+
+    slopes(x) is (h'(x), h''(x)), and h' changes sign in the bracket
+    (lo, hi).  Newton steps stop within 1e-9 widths of the mode; each moves
+    the bracket's end on its side of the mode, and a step that leaves the
+    bracket falls back to bisection.  No mode within _NEWTON_STEPS steps is a
+    NumericError whose message is failure().
+    """
+    for _ in range(_NEWTON_STEPS):
+        d1, d2 = slopes(x)
+        if d1 > 0.0:
+            lo = x
+        else:
+            hi = x
+        step = -d1 / d2
+        if abs(step) * math.sqrt(-d2) < 1e-9:  # within 1e-9 widths of the mode
+            return x, 1.0 / math.sqrt(-d2)
+        x += step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    raise NumericError(failure())
 
 
 def _log_cdf(t: float) -> float:
@@ -660,10 +676,7 @@ def _tail_factors(t: np.ndarray, erf_below: bool) -> tuple[np.ndarray, np.ndarra
     gaussian = np.exp(delta, out=delta) * gauss.take(index)
     if erf_below:
         index[t < _ERF_EDGE] += len(gauss)  # to erf's columns: these nodes are below _ERF_NODES
-    values = table[_TAIL_DEGREE].take(index)
-    for i in range(_TAIL_DEGREE - 1, -1, -1):
-        values *= step
-        values += table[i].take(index)
+    values = _taylor(table, index, step)
     far = t > _TAIL_EDGE
     if far.any():  # no quadrature node gets here (see _TAIL_EDGE)
         beyond = t[far]
@@ -702,10 +715,10 @@ def _quadrature_window(family: Family, n: int, g: int) -> tuple[int, float, floa
     F = 2 Phi - 1 on x > 0 (crosspolytope); F' = c phi.  Its log
     h(x) = -x^2/2 + m log F(x / s) is concave, with h' = -x + (m / s) r and
     h'' = -1 - (m / s^2) r (t + r) for r = c phi(t) / F(t), t = x / s.
-    The mode lies in (0, s + 1.2 m / s), where h' changes sign; Newton steps
-    fall back to bisection when they leave that bracket.  The rule runs over
-    [a, b], the mode +- _QUAD_WIDTHS curvature widths clipped at the support,
-    and peak is h at the mode.
+    The mode lies in (0, s + 1.2 m / s), where h' changes sign, and
+    _newton_mode finds it from x = s.  The rule runs over [a, b], the mode
+    +- _QUAD_WIDTHS curvature widths clipped at the support, and peak is h
+    at the mode.
     """
     s = math.sqrt(g + 1)
     if family is Family.SIMPLEX:
@@ -718,23 +731,9 @@ def _quadrature_window(family: Family, n: int, g: int) -> tuple[int, float, floa
         r = c * math.exp(-0.5 * t * t - _LOG_SQRT_2PI - log_f(t))
         return -x + m / s * r, -1.0 - m / (s * s) * r * (t + r)
 
-    lo, hi = 0.0, s + 1.2 * m / s
-    x = s
-    for _ in range(_NEWTON_STEPS):
-        d1, d2 = slopes(x)
-        if d1 > 0.0:
-            lo = x
-        else:
-            hi = x
-        step = -d1 / d2
-        if abs(step) * math.sqrt(-d2) < 1e-9:  # within 1e-9 widths of the mode
-            break
-        x += step
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-    else:
-        raise NumericError(f"no mode found for the external angle of {family.value} n={n} g={g}")
-    width = 1.0 / math.sqrt(-d2)
+    x, width = _newton_mode(
+        slopes, 0.0, s + 1.2 * m / s, s, lambda: f"no mode found for the external angle of {family.value} n={n} g={g}"
+    )
     peak = -0.5 * x * x + m * log_f(x / s)
     return m, s, max(floor, x - _QUAD_WIDTHS * width), x + _QUAD_WIDTHS * width, peak
 
@@ -824,33 +823,19 @@ def _steck_window(k: int, g: int) -> tuple[int, float, float, float]:
     imaginary axis, with h' = c - (m / s) R and h'' = 1 - (m / s^2) R (R - t)
     for R = phi(t) / Phi(-t), t = c / s.  h is convex (R (R - t) < 1 and
     m < s^2), h'(0) < 0, and t < R < t + 1/t puts the minimum below
-    sqrt(m s^2 / (k + 1)); Newton steps start there and fall back to
-    bisection when they leave the bracket.  w = h''^(-1/2).
+    sqrt(m s^2 / (k + 1)); _newton_mode finds the mode of -h from there, and
+    w = h''^(-1/2).
     """
     m, s = g - k, math.sqrt(g + 1)
 
-    def slopes(c: float) -> tuple[float, float]:
+    def slopes(c: float) -> tuple[float, float]:  # of -h
         t = c / s
         r = math.exp(-0.5 * t * t - _LOG_SQRT_2PI) / (0.5 * math.erfc(t / _SQRT2))
-        return c - m / s * r, 1.0 - m / (s * s) * r * (r - t)
+        return m / s * r - c, m / (s * s) * r * (r - t) - 1.0
 
-    lo, hi = 0.0, math.sqrt(m * (g + 1) / (k + 1))
-    c = hi
-    for _ in range(_NEWTON_STEPS):
-        d1, d2 = slopes(c)
-        if d1 < 0.0:
-            lo = c
-        else:
-            hi = c
-        step = -d1 / d2
-        if abs(step) * math.sqrt(d2) < 1e-9:  # within 1e-9 widths of the minimum
-            break
-        c += step
-        if not lo < c < hi:
-            c = 0.5 * (lo + hi)
-    else:
-        raise NumericError(f"no contour found for the internal angle beta({k}, {g})")
-    return m, s, c, 1.0 / math.sqrt(d2)
+    hi = math.sqrt(m * (g + 1) / (k + 1))
+    c, width = _newton_mode(slopes, 0.0, hi, hi, lambda: f"no contour found for the internal angle beta({k}, {g})")
+    return m, s, c, width
 
 
 def _steck_integral(k: int, g: int) -> float:

@@ -467,6 +467,19 @@ def test_angles_below_the_smallest_normal_float_raise():
     clear_angle_memo()
 
 
+def test_a_mode_search_out_of_steps_is_a_numeric_error_naming_its_face(monkeypatch):
+    # one Newton step reaches no mode; the Legendre rule, which reads the
+    # same cap, is built first, and a fresh memo sends every face to the search
+    polyproj.angles._legendre_rule()
+    monkeypatch.setattr(polyproj.angles, "_NEWTON_STEPS", 1)
+    monkeypatch.setattr(polyproj.angles, "_MEMO", {})
+    for family in ("simplex", "crosspolytope"):
+        with pytest.raises(NumericError, match=f"no mode found for the external angle of {family} n=40 g=1$"):
+            external_angle(family, 40, 1)
+    with pytest.raises(NumericError, match=r"no contour found for the internal angle beta\(0, 6\)$"):
+        internal_angle("simplex", 9, 0, 6)
+
+
 def test_external_angles_cap_n_at_2_to_the_53():
     # up to 2^53 the rule's exponent n - g is an exact float; past it the face is refused before any work
     cap = polyproj.angles.MAX_EXTERNAL_N
@@ -948,11 +961,11 @@ def _plant_worst(row: np.ndarray, worst: float) -> np.ndarray:
 @pytest.mark.parametrize("dim", [2, 3, 6])
 @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
 def test_contains_coords_tolerance_boundaries_inside_one_block(dim, scale):
-    # one _SUB_ROWS block of Gaussian rows, nearly all decided by the worst
-    # score alone, with rows planted at every edge of the test: a worst score
-    # of exactly HALFSPACE_TOL, one ulp either side of HALFSPACE_TOL * (1 + |z|)
-    # at |z| near 0.1 and near scale, at and just past the band's upper end
-    # HALFSPACE_TOL * (1 + 2 sqrt(dim) max|z_ij|), and zero rows
+    # one _SUB_ROWS block of Gaussian rows, with rows planted at every edge
+    # of the test: a worst score of exactly HALFSPACE_TOL, one ulp either side
+    # of HALFSPACE_TOL * (1 + |z|) at |z| near 0.1 and near scale, at and just
+    # past HALFSPACE_TOL * (1 + 2 sqrt(dim) max|z_ij|), which bounds every
+    # row's tolerance from above, and zero rows
     cone = _orthant(dim)
     rng = np.random.default_rng([dim, int(scale)])
     z = rng.standard_normal((_SUB_ROWS, dim))
@@ -964,7 +977,7 @@ def test_contains_coords_tolerance_boundaries_inside_one_block(dim, scale):
         for worst in (np.nextafter(tol, 0.0), tol, np.nextafter(tol, math.inf)):
             planted.append(_plant_worst(row, worst))
             assert _row_tol(planted[-1]) == tol  # the planted score leaves |z| as it was
-    # a row of entries scale, |z| near sqrt(dim) scale: the closest any tolerance comes to the band's end
+    # a row of entries scale, |z| near sqrt(dim) scale: the closest any tolerance comes to that bound
     edge = np.full(dim, scale)
     planted.append(_plant_worst(edge, _row_tol(_plant_worst(edge, HALFSPACE_TOL * (1 + scale)))))
     z[: len(planted)] = planted
@@ -982,8 +995,8 @@ def test_contains_coords_tolerance_boundaries_inside_one_block(dim, scale):
 
 @pytest.mark.parametrize("bad", [np.nan, math.inf, -math.inf, 1e200])
 def test_contains_coords_non_finite_rows_keep_the_norm_test(bad):
-    # a NaN or inf entry, or one whose square passes the float range, sends the
-    # whole block to the norm test; every row keeps the one-product answer
+    # a NaN or inf entry, or one whose square passes the float range, in the
+    # block: every row keeps the one-product answer
     cones = [_orthant(3), _canonical_internal_cone(0, 3), internal_cone(Family.SIMPLEX, 4, 3, 3)]
     for cone in cones:
         rng = np.random.default_rng(5)
