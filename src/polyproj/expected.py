@@ -95,11 +95,7 @@ def expected_f_projection(
     otherwise.  An exact value past the float range is an
     InvalidDimensionError.
     """
-    family = resolve_family(family)
-    n = check_int("n", n, 1)
-    d = check_int("d", d, 1)
-    k = check_int("k", k, 0)
-    return _model_values(target_row(family), (n,), d, k, cfg)[0]
+    return expected_f_model(target_row(resolve_family(family)), check_int("n", n, 1), d, k, cfg)
 
 
 def expected_f_cube_closed_form(n: int, d: int, k: int) -> int:
@@ -126,11 +122,6 @@ def expected_f_cube_closed_form(n: int, d: int, k: int) -> int:
     i = min(d - 1, (n + k) // 2)
     i -= (d - 1 - i) % 2
     check_count_size(0, (n, k), (n - k, i - k))
-    return _cube_total(n, d, k)
-
-
-def _cube_total(n: int, d: int, k: int) -> int:
-    """expected_f_cube_closed_form's sum, unvalidated."""
     return 2 * sum(math.comb(n, j - 1) * math.comb(j - 1, k) for j in range(d, k, -2))
 
 
@@ -154,12 +145,11 @@ def _model_values(row: Model, sizes: Sequence[int], d: int, k: int, cfg: MCConfi
 
     sizes, d and k are valid.  Where d >= 2 and k < d, a simplex or
     crosspolytope size with n - shift > d takes the projection sum; every
-    other size is rational and takes no angle.
+    other size, each cube size included, is rational and takes no angle:
+    _rational_value gives it, one size at a time.
     """
     family, js = row.family, range(d, 0, -2)
-    if family is Family.CUBE:
-        return _cube_values(row, sizes, d, k)
-    summed = d >= 2 and k < d
+    summed = d >= 2 and k < d and family is not Family.CUBE
     sums = [n - row.shift for n in sizes if n - row.shift > d] if summed else []
     subfaces = [face_count(family, j - 1, k, on_polytope=False) for j in js] if sums else []
     rows: list[Estimate | list[float]] = []  # a rational size's value, or the counts of its terms
@@ -189,26 +179,12 @@ def _model_values(row: Model, sizes: Sequence[int], d: int, k: int, cfg: MCConfi
     return values
 
 
-def _cube_values(row: Model, sizes: Sequence[int], d: int, k: int) -> list[Estimate]:
-    """_model_values of a cube row, its closed-form sizes summed in one pass.
-
-    The closed form's total does not decrease with n: if the largest size's
-    is a float, so is every other one, and none needs validation; if not,
-    every size goes through _rational_value, which raises where it did.
-    """
-    top = max(sizes, default=0) - row.shift
-    closed = d >= 2 and k < d and top > d  # some size takes the closed form
-    if closed:
-        try:
-            Estimate.rational(expected_f_cube_closed_form(top, d, k))
-        except InvalidDimensionError:
-            return [_rational_value(row, n, d, k) for n in sizes]
-    return [Estimate.rational(_cube_total(n - row.shift, d, k)) if closed and n - row.shift > d
-            else _rational_value(row, n, d, k) for n in sizes]
-
-
 def _rational_value(row: Model, n: int, d: int, k: int) -> Estimate:
-    """expected_f_model(row, n, d, k) at a size that takes no projection sum."""
+    """expected_f_model(row, n, d, k) at a size that takes no projection sum.
+
+    A cube size past the injective case ends in expected_f_cube_closed_form,
+    which checks its own total against the float range and sums its terms.
+    """
     m = n - row.shift
     if m < 0 or (m == 0 and row.family is Family.CROSSPOLYTOPE):  # P_m has no vertex: the empty hull
         return Estimate.rational(0)

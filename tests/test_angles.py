@@ -197,6 +197,8 @@ def test_internal_cone_frame_and_errors():
 
 
 def test_cone_validation():
+    with pytest.raises(InvalidArgumentError, match="frame must be a 2-d array"):
+        Cone(np.ones(2), PositiveHullData(np.eye(2), -np.eye(2)))
     bad_frame = np.array([[1.0, 0.0], [1.0, 1.0]])
     with pytest.raises(NumericError):
         Cone(bad_frame, PositiveHullData(np.eye(2), -np.eye(2)))
@@ -282,6 +284,16 @@ def test_angle_argument_validation():
         internal_angle(Family.SIMPLEX, 3, -1, 2)
     with pytest.raises(InvalidArgumentError):
         external_angle(Family.SIMPLEX, True, 0)
+
+
+@pytest.mark.parametrize("n", [0, -1, np.int64(0)], ids=["0", "-1", "int64-0"])
+def test_angles_of_a_polytope_below_dimension_1_are_dimension_errors(n):
+    # a batch is validated before any of its faces is computed
+    message = f"polytope dimension must be >= 1, got {int(n)}"
+    with pytest.raises(InvalidDimensionError, match=message):
+        polyproj.angles.external_angles(Family.SIMPLEX, [(5, 1), (n, 0)])
+    with pytest.raises(InvalidDimensionError, match=message):
+        internal_angle(Family.SIMPLEX, n, 0, 0)
 
 
 def test_angle_estimate_validation():
@@ -960,12 +972,11 @@ def _plant_worst(row: np.ndarray, worst: float) -> np.ndarray:
 
 @pytest.mark.parametrize("dim", [2, 3, 6])
 @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
-def test_contains_coords_tolerance_boundaries_inside_one_block(dim, scale):
+def test_contains_coords_row_tolerance_edges_inside_one_block(dim, scale):
     # one _SUB_ROWS block of Gaussian rows, with rows planted at every edge
     # of the test: a worst score of exactly HALFSPACE_TOL, one ulp either side
-    # of HALFSPACE_TOL * (1 + |z|) at |z| near 0.1 and near scale, at and just
-    # past HALFSPACE_TOL * (1 + 2 sqrt(dim) max|z_ij|), which bounds every
-    # row's tolerance from above, and zero rows
+    # of HALFSPACE_TOL * (1 + |z|) at |z| near 0.1, near scale and at the
+    # block's largest row, and zero rows
     cone = _orthant(dim)
     rng = np.random.default_rng([dim, int(scale)])
     z = rng.standard_normal((_SUB_ROWS, dim))
@@ -981,22 +992,26 @@ def test_contains_coords_tolerance_boundaries_inside_one_block(dim, scale):
     edge = np.full(dim, scale)
     planted.append(_plant_worst(edge, _row_tol(_plant_worst(edge, HALFSPACE_TOL * (1 + scale)))))
     z[: len(planted)] = planted
-    big = np.abs(z).max()
-    upper = HALFSPACE_TOL * (1.0 + 2.0 * math.sqrt(dim) * big)
-    for worst in (upper, np.nextafter(upper, math.inf), 2 * upper):
-        z[len(planted)] = _plant_worst(np.zeros(dim), worst)
-        assert np.abs(z).max() == big
+    # a row twice as long as any other, so its tolerance is the block's largest
+    top = np.zeros(dim)
+    top[0] = 2.0 * np.linalg.norm(z, axis=1).max()
+    tol = _row_tol(_plant_worst(top, HALFSPACE_TOL * (1.0 + top[0])))
+    for worst, inside_top in ((np.nextafter(tol, 0.0), True), (np.nextafter(tol, math.inf), False)):
+        z[len(planted)] = _plant_worst(top, worst)
+        assert _row_tol(z[len(planted)]) == tol
+        assert np.linalg.norm(z, axis=1).argmax() == len(planted)
         mask = cone.contains_coords(z)
         assert np.array_equal(mask, one_product_member_mask(cone, z))
-        assert not mask[len(planted)]
+        assert mask[len(planted)] == inside_top
     inside = mask[: len(planted)].tolist()
     assert inside == [True, True, True] + [True, True, False] * 4 + [True]
 
 
 @pytest.mark.parametrize("bad", [np.nan, math.inf, -math.inf, 1e200])
-def test_contains_coords_non_finite_rows_keep_the_norm_test(bad):
+def test_contains_coords_non_finite_and_overflowing_rows_match_oracle(bad):
     # a NaN or inf entry, or one whose square passes the float range, in the
-    # block: every row keeps the one-product answer
+    # block: every row, those rows and the finite ones beside them, gets the
+    # one-product answer
     cones = [_orthant(3), _canonical_internal_cone(0, 3), internal_cone(Family.SIMPLEX, 4, 3, 3)]
     for cone in cones:
         rng = np.random.default_rng(5)

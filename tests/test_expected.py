@@ -896,10 +896,9 @@ _EDGE = math.isqrt(2**1024 - 2**970)
 @pytest.mark.parametrize("lo,hi,d,k", [(_EDGE, _EDGE + 4, 3, 0), (1018, 1025, 1020, 0),
                                        (10**6 - 1, 10**6 + 1, 10**6 - 2, 0)], ids=["d3", "d1020", "count"])
 def test_cube_ranges_past_the_float_range_raise_where_one_size_does(lo, hi, d, k):
-    # a cube range is summed in one pass only when its largest total is a
-    # float; otherwise its first size past the float range raises the error
-    # the one-size route raises there, value or count bound alike
-    # the sizes below the first one past the float range, summed in one pass, bit for bit
+    # a cube range takes each size's closed form in turn: its first size past
+    # the float range raises the error the one-size route raises there, value
+    # or count bound alike, and the sizes below it give the one-size values, bit for bit
     below = []
     for n in range(lo, hi + 1):
         try:
