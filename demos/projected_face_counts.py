@@ -4,7 +4,8 @@ Projecting the n-cube to R^d gives exact rational expectations.  Planar
 shadows of the simplex and crosspolytope need only external angles, which
 come from quadrature; in R^3 their one inexact input is the sampled
 triangle angle beta(Q_0, Q_2), and from R^4 on the internal angles are
-exact Steck integrals.  Every run is reproducible: the estimates depend only
+exact: closed forms at codimension 2 and 3 (every angle R^4 reads) and
+Steck integrals past them.  Every run is reproducible: the estimates depend only
 on (samples, seed).
 """
 

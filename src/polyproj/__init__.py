@@ -3,7 +3,8 @@
 Library layout:
   families   vertices, face counts, canonical faces of the three series
   angles     internal/external angles: exact branches, external angles by
-             quadrature, internal angles by the shifted Steck integral
+             quadrature, internal angles by closed forms at codimension
+             2 and 3 and the shifted Steck integral past them
              (beta(Q_0, Q_2) alone by Gaussian Monte Carlo)
   expected   projection formula, Gaussian models, intrinsic volumes,
              Poissonization, monotonicity tables

@@ -56,9 +56,13 @@ math.fsum per row (4.5e-16 over 31 380 faces with g <= 5 and n <= 1e4).
 
 Internal angles beta(Q_k, Q_g) of the simplex and the crosspolytope with
 codimension m = g - k >= 2 are angles of the regular g-simplex, that is,
-orthant probabilities of m Gaussians with correlation -1/g.  Steck's
-equicorrelated formula, continued to negative correlation, gives
-(Boeroeczky & Henk 1999; Kabluchko & Zaporozhets, Adv. Appl. Probab. 2020)
+orthant probabilities of m Gaussians with correlation -1/g.  At m = 2 and
+3 these are closed forms, 1/4 - arcsin(1/g) / (2 pi) (Sheppard 1899) and
+1/8 - 3 arcsin(1/g) / (4 pi) (Steck 1962), within 5.5e-17 and 3.1e-16
+relative of 40-digit values for every g = 3..128, at about 0.3 us each.
+Past m = 3, Steck's equicorrelated formula, continued to negative
+correlation, gives (Boeroeczky & Henk 1999; Kabluchko & Zaporozhets, Adv.
+Appl. Probab. 2020)
 
   beta(Q_k, Q_g) = Re int phi(y) Phi(i y / s)^m dy,   s = sqrt(g + 1).
 
@@ -71,10 +75,12 @@ argument is log Phi(z) = -log 2 - v^2 + log w(i v), v = -z / sqrt 2, with
 the Faddeeva function w by Weideman's 40-term rational approximation (SIAM
 J. Numer. Anal. 1994), NumPy only; the y^2 terms of phi and of Phi^m are
 added before they are rounded, as they nearly cancel.  Such an angle is
-exact=True with exact_value None and std_error 0: within 2.5e-15 relative of
-the closed forms at m = 2, 3 and g <= 12, and log beta within 4.6e-14 of
+exact=True with exact_value None and std_error 0, as is a closed-form
+angle: within 3e-15 relative of the closed forms at m = 2, 3 and every
+g = 3..128 (its tests check it there), and log beta within 4.6e-14 of
 40-digit references up to g = 128, the cap (MAX_INTERNAL_G); it costs
-0.08-0.1 ms (2-core x86 VM, one thread).  Every g >= 3 takes it.
+0.09-0.16 ms (2-core x86 VM, one thread).  Every g >= 3 takes a closed
+form at m = 2, 3 and the integral at m >= 4.
 
 beta(0, 2) = 1/6 alone is still sampled, by cone_angle: the benchmark's
 self-test needs one formula row with a nonzero stderr, and beta(0, 2) is
@@ -205,8 +211,9 @@ _TAIL_DEGREE = 5
 _TAIL_TERMS = 10
 _ERF_NODES = 91
 _ERF_EDGE = (_ERF_NODES - 0.5) / _TAIL_STEPS  # just below sqrt(2) / 2
-# the smallest g whose internal angles come from the shifted Steck integral;
-# below it only beta(0, 2) is left, and it stays sampled: the benchmark
+# the smallest g whose internal angles are deterministic: closed forms at
+# m = g - k = 2, 3 (about 0.3 us) and the shifted Steck integral at m >= 4
+# (0.09-0.16 ms); below it only beta(0, 2) is left, and it stays sampled: the benchmark
 # self-test shifts a gaussian n=6 d=3 row by 20 of its stderrs, and that
 # row's one inexact input is beta(0, 2).  It goes to 2 once the benchmark's
 # formula workload is rebuilt around exact rows (ROADMAP item 5a)
@@ -775,7 +782,7 @@ def _external_quadratures(family: Family, faces: list[tuple[int, int]]) -> list[
 
 
 # ---------------------------------------------------------------------------
-# internal angles by the shifted Steck integral
+# internal angles: closed forms at codimension 2 and 3, the shifted Steck integral past them
 
 
 @cache
@@ -861,6 +868,21 @@ def _steck_integral(k: int, g: int) -> float:
     return value
 
 
+def _simplex_internal_angle(k: int, g: int) -> float:
+    """beta(k, g) of the regular g-simplex, m = g - k >= 2: a closed form at m = 2, 3, else _steck_integral.
+
+    With rho = -1/g, Sheppard's bivariate orthant probability
+    1/4 + arcsin(rho) / (2 pi) and the trivariate one of equal correlations
+    1/8 + 3 arcsin(rho) / (4 pi).
+    """
+    m = g - k
+    if m == 2:
+        return 0.25 - math.asin(1 / g) / (2 * math.pi)
+    if m == 3:
+        return 0.125 - 3 * math.asin(1 / g) / (4 * math.pi)
+    return _steck_integral(k, g)
+
+
 # ---------------------------------------------------------------------------
 # memoization
 
@@ -939,8 +961,9 @@ def internal_angle(
     term reproduce facet counts.  Every other angle is the regular
     g-simplex's: it does not depend on n, and simplex and crosspolytope share
     it because their proper faces are the same regular simplices.  For
-    g >= 3 it is the shifted Steck integral (module docstring), exact=True
-    with exact_value None and std_error 0, memoized in-process under (k, g)
+    g >= 3 it is a closed form at m = g - k = 2, 3 and the shifted Steck
+    integral at m >= 4 (module docstring), exact=True with exact_value None
+    and std_error 0 either way, memoized in-process under (k, g)
     whatever cfg says; g is at most MAX_INTERNAL_G = 128, past which a
     simplex or crosspolytope pair is an InvalidDimensionError.  beta(0, 2)
     alone is sampled, by cone_angle on a minimal canonical embedding at
@@ -971,7 +994,7 @@ def internal_angle(
     if g >= _INTEGRAL_MIN_G:
         key = ("int", k, g)
         if key not in _MEMO:
-            _MEMO[key] = Estimate(_steck_integral(k, g), 0.0, True)
+            _MEMO[key] = Estimate(_simplex_internal_angle(k, g), 0.0, True)
         return _MEMO[key]
     key = ("int", k, g, cfg.samples, cfg.seed)
     if key not in _MEMO:

@@ -91,8 +91,8 @@ def _workers(text: str) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=_positive_int, default=1_000_000,
                    help="draws for beta(Q_0, Q_2), the one sampled internal angle, each integrated along the "
-                        "cone's axis (default 1e6); the other internal angles are Steck integrals and the "
-                        "external angles quadratures")
+                        "cone's axis (default 1e6); the other internal angles are closed forms at codimension "
+                        "2 and 3 and Steck integrals past them, and the external angles quadratures")
     p.add_argument("--seed", type=_nonneg_int, default=0, help="master seed (default 0)")
     # the "" default goes through `type` at parse time, which reads
     # $POLYPROJ_WORKERS (or 1) then: the cached parser sees the current

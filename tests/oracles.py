@@ -151,6 +151,26 @@ STECK_ANGLES = {
     (1, 128): 2.13280583872022415842043007166e-138,
     (64, 128): 1.68424644180787290084168769707e-26,
 }
+# beta(Q_{g-2}, Q_g) and beta(Q_{g-3}, Q_g) of the regular g-simplex, the
+# orthant probabilities of two and three Gaussians with correlation -1/g:
+# 1/4 - asin(1/g) / (2 pi) and 1/8 - 3 asin(1/g) / (4 pi) by mpmath at 40
+# digits, printed by mpmath.nstr(value, 30); mpmath's quad of Steck's
+# integral Re int phi(y) Phi(i y / sqrt(g + 1))^m dy on the real line, with
+# breakpoints every unit on [-30, 30], agrees with each to 3e-41 relative
+CODIM_2_3_ANGLES = {
+    (1, 3): 0.195913276015303635085427779611,
+    (0, 3): 0.0438699140229554526281416694168,
+    (2, 4): 0.209784688372416878114524903336,
+    (1, 4): 0.0646770325586253171717873550036,
+    (5, 7): 0.227185525828505031141569584777,
+    (4, 7): 0.0907782887427575467123543771656,
+    (10, 12): 0.236721689313335669882247143167,
+    (9, 12): 0.10508253397000350482337071475,
+    (62, 64): 0.247513102815082971345466363976,
+    (61, 64): 0.121269654222624457018199545964,
+    (126, 128): 0.248756589358248690694949829093,
+    (125, 128): 0.12313488403737303604242474364,
+}
 
 # log Phi(t) and log(2 Phi(t) - 1) = log erf(t / sqrt 2) to 30 digits at
 # the float t of test_log_f_nodes_follow_the_scalar_branches: every branch of

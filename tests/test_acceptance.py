@@ -45,7 +45,7 @@ from polyproj.streams import derive_generator
 CFG = MCConfig(samples=1_000_000, seed=0)
 CFG_POISSON = MCConfig(samples=50_000, seed=0)
 CFG_TAIL = MCConfig(samples=10_000, seed=0)
-# float rounding of the integral's sum and of the closed form, with room
+# float rounding of two closed forms of the same angle, with room
 TETRA_RTOL = 1e-14
 
 SHADOW_PIN = 6 * (math.pi - math.acos(1.0 / 3.0)) / math.pi
@@ -185,8 +185,9 @@ def test_criterion_5_angle_identities(capsys):
             worst = max(worst, dev / QUADRATURE_RTOL)
             if not (g.exact and dev <= QUADRATURE_RTOL):
                 failures.append(("ridge", fam.value, n, dev))
-    # the tetrahedron's vertex angle, (3 arccos(1/3) - pi) / (4 pi), by the
-    # Steck integral: exact, and within float rounding of the closed form
+    # the tetrahedron's vertex angle, (3 arccos(1/3) - pi) / (4 pi), which
+    # internal_angle takes as 1/8 - 3 arcsin(1/3) / (4 pi): exact, and
+    # within float rounding of it
     beta = internal_angle(Family.SIMPLEX, 3, 0, 3, CFG)
     tetra = (3 * math.acos(1 / 3) - math.pi) / (4 * math.pi)
     tetra_dev = abs(beta.value - tetra) / tetra

@@ -51,6 +51,7 @@ import polyproj.angles
 from polyproj.streams import _SUB_ROWS, DEFAULT_CHUNK
 
 from oracles import (
+    CODIM_2_3_ANGLES,
     LOG_NORMAL_CDF,
     LOG_TWO_SIDED,
     SIMPLEX_5_VERTEX_ANGLE,
@@ -74,7 +75,7 @@ from oracles import (
 
 FAST = MCConfig(samples=20_000, seed=0)
 # the relative tolerance of an integral internal angle against a closed form:
-# float rounding, 2.5e-15 at most at m = 2, 3 and g <= 12, with room
+# float rounding, 3.0e-15 at most at m = 2, 3 and g <= 128, with room
 INTEGRAL_RTOL = 1e-14
 
 
@@ -247,7 +248,7 @@ def test_internal_angle_cube_exact():
 def test_exact_angles_match_the_branch_ladder(family, monkeypatch):
     # a sampled angle comes back as this marker, so nothing is drawn; a fresh
     # memo keeps earlier values out and the markers in.  Of the irrational
-    # internal angles only beta(0, 2) is sampled, the rest are integrals
+    # internal angles only beta(0, 2) is sampled, the rest are closed forms or integrals
     sampled = object()
     monkeypatch.setattr(polyproj.angles, "cone_angle", lambda cone, cfg: sampled)
     monkeypatch.setattr(polyproj.angles, "_MEMO", {})
@@ -256,7 +257,7 @@ def test_exact_angles_match_the_branch_ladder(family, monkeypatch):
         if want is None and kind == "int" and g == 2:
             assert est is sampled
         elif want is None:
-            # a quadrature external angle or an integral internal one: exact, but not rational
+            # a quadrature external angle or a closed-form or integral internal one: exact, but not rational
             assert (est.exact, est.exact_value, est.std_error, est.samples) == (True, None, 0.0, 0)
             assert est.method == "exact"
         else:
@@ -643,7 +644,7 @@ def test_internal_angle_triangle_vertex():
 
 
 def test_internal_angle_tetra_edge():
-    # the Steck integral: exact, and within float rounding of arccos(1/3) / (2 pi)
+    # Sheppard's closed form: exact, and within float rounding of arccos(1/3) / (2 pi)
     est = internal_angle(Family.SIMPLEX, 4, 1, 3, FAST)
     assert (est.exact, est.exact_value, est.std_error, est.samples) == (True, None, 0.0, 0)
     assert math.isclose(est.value, TETRA_EDGE_ANGLE, rel_tol=INTEGRAL_RTOL)
@@ -695,21 +696,38 @@ def test_sampled_angles_satisfy_grams_relation(g):
 
 
 def _integral(k: int, g: int) -> Estimate:
-    """beta(k, g) through internal_angle, which takes it from the Steck integral for g >= 3."""
+    """beta(k, g) through internal_angle: for g >= 3 a closed form at m = 2, 3 and the Steck integral past them."""
     return internal_angle(Family.SIMPLEX, g, k, g)
 
 
-@pytest.mark.parametrize("g", range(3, 13))
+@pytest.mark.parametrize("g", range(3, MAX_INTERNAL_G + 1))
 def test_integral_matches_the_closed_forms_at_codimension_2_and_3(g):
     # beta(g - 2, g) = 1/4 - arcsin(1/g) / (2 pi) and
     # beta(g - 3, g) = 1/8 - 3 arcsin(1/g) / (4 pi): the orthant probabilities
-    # of two and three Gaussians with correlation -1/g
+    # of two and three Gaussians with correlation -1/g.  internal_angle takes
+    # these pairs from the closed forms, so the integral is called directly
     for m, closed in ((2, 0.25 - math.asin(1 / g) / (2 * math.pi)),
                       (3, 0.125 - 3 * math.asin(1 / g) / (4 * math.pi))):
-        est = _integral(g - m, g)
+        value = polyproj.angles._steck_integral(g - m, g)
+        assert type(value) is float
+        assert math.isclose(value, closed, rel_tol=INTEGRAL_RTOL)
+
+
+@pytest.mark.parametrize("g", sorted({g for _, g in CODIM_2_3_ANGLES}))
+def test_closed_forms_at_codimension_2_and_3_match_the_30_digit_constants(g):
+    # exact, memoized under the face pair alone and shared by both families,
+    # as an integral angle is; within float rounding of the 30-digit values
+    clear_angle_memo()
+    for k in (g - 2, g - 3):
+        est = internal_angle(Family.SIMPLEX, g, k, g)
         assert (est.exact, est.exact_value, est.std_error, est.samples) == (True, None, 0.0, 0)
-        assert type(est.value) is float
-        assert math.isclose(est.value, closed, rel_tol=INTEGRAL_RTOL)
+        assert type(est.value) is float and est.method == "exact"
+        assert polyproj.angles._MEMO["int", k, g] is est
+        assert internal_angle(Family.CROSSPOLYTOPE, g + 1, k, g, FAST) is est
+        want = CODIM_2_3_ANGLES[k, g]
+        assert abs(est.value - want) <= 5e-16 * want, (k, g)
+    # below _INTEGRAL_MIN_G the one codimension-2 pair, beta(0, 2), is still sampled
+    assert internal_angle(Family.SIMPLEX, 3, 0, 2, FAST).method == "monte_carlo"
 
 
 def test_integral_matches_the_30_digit_constants():
@@ -720,10 +738,11 @@ def test_integral_matches_the_30_digit_constants():
         assert math.isclose(_integral(k, g).value, want, rel_tol=1e-13), (k, g)
 
 
-@pytest.mark.parametrize("g", range(3, 9))
+@pytest.mark.parametrize("g", range(3, 13))
 def test_integral_angles_satisfy_grams_relation(g):
     # sum_k (-1)^k C(g + 1, k + 1) beta(k, g) = 0 over the faces of the
-    # regular g-simplex, within float rounding of the terms' sizes
+    # regular g-simplex, within float rounding of the terms' sizes; the
+    # terms mix closed forms (m = 2, 3) and integrals (m >= 4)
     terms = [(-1) ** k * math.comb(g + 1, k + 1) * _integral(k, g).value for k in range(g + 1)]
     assert abs(math.fsum(terms)) <= 1e-14 * math.fsum(map(abs, terms))
 
@@ -1090,7 +1109,7 @@ def test_cached_cones_give_a_fresh_interpreters_angles():
 
 def test_patched_cone_angle_sees_every_sampled_angle(monkeypatch):
     # the benchmark self-test counts the cones sampled by wrapping cone_angle;
-    # of _PAIRS only beta(0, 2) is sampled, the others are integrals
+    # of _PAIRS only beta(0, 2) is sampled, the others are closed forms or integrals
     cfg = MCConfig(samples=2000, seed=4)
     for k, g in _PAIRS:
         internal_angle(Family.CROSSPOLYTOPE, 8, k, g, cfg)

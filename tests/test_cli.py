@@ -603,7 +603,7 @@ def test_every_result_is_an_estimate(capsys):
         assert code == 0
         return [r.method for r in from_csv(out)]
 
-    # beta(0, 2) is the one sampled angle; beta(0, 3) is the Steck integral
+    # beta(0, 2) is the one sampled angle; beta(0, 3) is a closed form
     angles = [polyproj.external_angle("simplex", 5, 1, cfg), polyproj.external_angle("cube", 5, 1),
               polyproj.internal_angle("simplex", 5, 0, 2, cfg), polyproj.internal_angle("simplex", 5, 0, 3, cfg),
               polyproj.internal_angle("simplex", 5, 0, 1)]
