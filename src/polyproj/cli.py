@@ -1,14 +1,17 @@
 """Command-line harness: expected values, simulations, monotonicity sweeps, Poissonization.
 
 Reports go to stdout (or --out) in CSV or JSON with a fixed schema; human
-summaries go to stderr so the data stream stays parseable.  The four commands
-share one row builder, _row, and one --timings clock, _timed.  Exit codes:
-0 success, 1 numeric or simulation failure, 2 usage error.
+summaries go to stderr so the data stream stays parseable.  The library
+returns whole results; this module is the one layer that opens files (--out,
+--dump) and keeps the clock.  The four commands share one row builder, _row,
+and one --timings clock, _timed.  Exit codes: 0 success, 1 numeric or
+simulation failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import math
 import os
@@ -16,10 +19,13 @@ import sys
 import time
 from contextlib import nullcontext
 
+import numpy as np
+
 from .angles import MCConfig
 from .errors import InvalidArgumentError, PolyprojError
 from .expected import (
     GAUSSIAN_MODELS,
+    MAX_TABLE_ROWS,
     expected_f_model,
     monotonicity_table,
     poissonized_series,
@@ -31,10 +37,8 @@ from .report import ReportRow, render
 
 
 MAX_T_POINTS = 10_000
-# rows of one monotonicity table: the crosspolytope d = 2 table of 100 000 rows took
-# 6.4 s and 134 MB peak RSS (2-core x86 VM); a cube row costs more as n grows,
-# about 2 ms near n = 90 000
-MAX_TABLE_ROWS = 100_000
+# rows of --dump per csv.writerows call: a slice at a time, not one list of every row
+_DUMP_SLICE = 512
 
 
 def t_grid(t_min: float, t_max: float, t_step: float) -> list[float]:
@@ -158,7 +162,15 @@ def _cmd_expected(args) -> int:
 def _cmd_simulate(args) -> int:
     sim_cfg = SimConfig(model=args.model, n=args.n, d=args.d,
                         replications=args.reps, seed=args.seed, workers=args.workers)
-    result, wall = _timed(args, simulate_expected_f, sim_cfg, args.dump)
+    # the dump file is opened first, so a bad path fails before any replication is drawn
+    with open(args.dump, "w", newline="", encoding="utf-8") if args.dump is not None else nullcontext() as dump:
+        result, wall = _timed(args, simulate_expected_f, sim_cfg)
+        if dump is not None:
+            writer = csv.writer(dump, lineterminator="\n")
+            writer.writerow(["replication"] + [f"f_{k}" for k in range(args.d)])
+            for lo in range(0, args.reps, _DUMP_SLICE):
+                block = result.rows[lo : lo + _DUMP_SLICE]
+                writer.writerows(np.column_stack([np.arange(lo, lo + len(block)), block]).tolist())
     rows = []
     for k in range(args.d):
         sim = result.means[k]
@@ -193,14 +205,11 @@ def _cmd_monotonicity(args) -> int:
 def _cmd_poisson(args) -> int:
     rows = []
     for k in _ks(args, args.d):
-        values = []
-        sums = poissonized_series(args.t_grid, args.d, k, model=args.model, eps=args.eps, cfg=args.cfg)
-        for t in args.t_grid:
-            # each sum is taken when drawn, so a row's time includes the sizes its t reaches first
-            est, wall = _timed(args, next, sums)
+        sums, wall = _timed(args, poissonized_series, args.t_grid, args.d, k, args.model, args.eps, args.cfg)
+        for t, est in zip(args.t_grid, sums):
             tf = None if args.b is None else t_functional_expected(args.d, k, args.b, est.value, args.model)
             rows.append(_row(args, k, est, t=t, t_functional=tf, wall_time_s=wall))
-            values.append(est.value)
+        values = [est.value for est in sums]
         drops = sum(1 for a, b in zip(values, values[1:]) if b < a - 2 * args.eps)
         summary = "non-decreasing" if drops == 0 else f"{drops} decreasing steps"
         print(f"poisson {args.model} d={args.d} k={k}: {summary} over t grid", file=sys.stderr)

@@ -45,7 +45,7 @@ of n random segments like a projected n-cube.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -75,6 +75,10 @@ GAUSSIAN_MODELS = tuple(name for name, row in MODEL_TABLE.items() if row.gaussia
 # gaussian d = 2 sum at t = 4900 took 0.65 s, and a 10 000-point grid over
 # t = 4000-5000 took 13 s (2-core x86 VM)
 MAX_POISSON_SIZE = 10_000
+# rows of one monotonicity table: the crosspolytope d = 2 table of 100 000 rows took
+# 6.4 s and 134 MB peak RSS (2-core x86 VM); a cube row costs more as n grows,
+# about 2 ms near n = 90 000
+MAX_TABLE_ROWS = 100_000
 
 
 def _term(count: float, beta: Estimate, gamma: Estimate) -> tuple[float, float]:
@@ -320,26 +324,24 @@ def poissonized_series(
     model: str = "gaussian",
     eps: float = 1e-8,
     cfg: MCConfig | None = None,
-) -> Iterator[PoissonizedExpectation]:
+) -> list[PoissonizedExpectation]:
     """E f_k when the number of points is Poisson(t), for each t of ts in order.
 
     Every argument, each t included, is validated before any sum is taken.
-    Each sum is the adaptively truncated sum of poissonized_expected.  When
-    the first item is drawn from the returned iterator, every t's stopping
-    size is found from Poisson weights, growth ratios and face bounds alone,
-    up to the first t that runs into its cap; every size below the largest
-    is then built in one pass over the sizes, as the module docstring says:
-    its external angles are one quadrature batch (0.017-0.026 ms an angle,
-    against a median 0.053 ms alone, on a 2-core x86 VM), and each internal
-    angle is taken once.  A t's
-    weights are then one array of exponents mapped through math.exp, and
-    its sums are taken left to right by cumsum, which adds what one call per
-    t adds in its order, bit for bit.  A grid thus costs one term build per
-    distinct size and one array pass per t: the 10 000-point d = 2 grid over
-    t = 0.01-100 takes 0.4-0.65 s in-process (2-core x86 VM, most of it the
-    array passes).  The sums, and the TruncationError of a t past its cap,
-    still arrive one per item drawn; the stored sizes are freed with the
-    iterator.
+    Each sum is the adaptively truncated sum of poissonized_expected.  Every
+    t's stopping size is found first, from Poisson weights, growth ratios
+    and face bounds alone; the first t that runs into its cap raises its
+    TruncationError then, before any term is built.  Every size below the
+    largest is then built in one pass over the sizes, as the module
+    docstring says: its external angles are one quadrature batch
+    (0.017-0.026 ms an angle, against a median 0.053 ms alone, on a 2-core
+    x86 VM), and each internal angle is taken once.  A t's weights are then
+    one array of exponents mapped through math.exp, and its sums are taken
+    left to right by cumsum, which adds what one call per t adds in its
+    order, bit for bit.  A grid thus costs one term build per distinct size
+    and one array pass per t: the 10 000-point d = 2 grid over t = 0.01-100
+    takes 0.4-0.65 s in-process (2-core x86 VM, most of it the array
+    passes).
     """
     if model not in GAUSSIAN_MODELS:
         raise InvalidArgumentError(f"unknown model {model!r}, expected one of {GAUSSIAN_MODELS}")
@@ -348,42 +350,28 @@ def poissonized_series(
     eps = check_real("eps", eps, 0, strict=True, what="a positive finite real")
     d = check_int("d", d, 1)
     k = check_int("k", k, 0)
-    return _poisson_sums(ts, row, d, k, eps, cfg or MCConfig())
-
-
-def _poisson_sums(
-    ts: list[float], row: Model, d: int, k: int, eps: float, cfg: MCConfig
-) -> Iterator[PoissonizedExpectation]:
     # each size's face bound and growth ratio are built once for the whole grid;
     # a hull row's ratio divides two bounds read from the cache
     bound = cache(lambda ell: _face_bound(row, ell, d, k))
     ratio = cache(lambda ell: _growth_ratio(row, ell, d, bound))
-    # every stopping size first, up to the first t that runs into its cap
-    stops: list[tuple[int, float]] = []
-    failure = None
-    for t in ts:
-        try:
-            stops.append(_poisson_stop(t, k, eps, ratio, bound))
-        except TruncationError as exc:
-            failure = exc
-            break
+    stops = [_poisson_stop(t, k, eps, ratio, bound) for t in ts]
     top = max((size for size, _ in stops), default=0)
-    terms = _model_values(row, range(top), d, k, cfg)
+    terms = _model_values(row, range(top), d, k, cfg or MCConfig())
     # every size's log(ell!), term value and standard error, once for the grid
     ells = np.arange(top, dtype=float)
     log_factorials = np.array([math.lgamma(ell + 1) for ell in range(top)])
     values = np.array([term.value for term in terms], dtype=float)
     errors = np.array([term.std_error for term in terms], dtype=float)
     exact_below = next((ell for ell, term in enumerate(terms) if not term.exact), top)  # first inexact size
+    sums = []
     for t, (size, tail) in zip(ts, stops):
         # the weights P(Poisson(t) = ell), summed left to right by cumsum
         exponents = _poisson_exponent(t, math.log(t), ells[:size], log_factorials[:size])
         weights = np.array(list(map(math.exp, exponents.tolist())))
         value = float(np.cumsum(weights * values[:size])[-1])
         se = float(np.cumsum(weights * errors[:size])[-1])
-        yield PoissonizedExpectation(value, se, size <= exact_below, truncation_bound=tail, terms=size)
-    if failure is not None:
-        raise failure
+        sums.append(PoissonizedExpectation(value, se, size <= exact_below, truncation_bound=tail, terms=size))
+    return sums
 
 
 def _poisson_exponent(t, log_t, ell, log_factorial):
@@ -449,7 +437,7 @@ def poissonized_expected(
     grid of t values is cheaper through poissonized_series, which builds
     each fixed-size term once for the whole grid.
     """
-    return next(poissonized_series([t], d, k, model, eps, cfg))
+    return poissonized_series([t], d, k, model, eps, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +473,9 @@ def monotonicity_table(
     verdict: neighbors share their internal angles, and by the triangle
     inequality that sum bounds the standard error of their difference.  The
     rows are built in one pass over the range, with every external angle it
-    needs taken as one quadrature batch.
+    needs taken as one quadrature batch.  A range of more than
+    MAX_TABLE_ROWS sizes is an InvalidArgumentError, raised before any row
+    is built.
     """
     targets = GAUSSIAN_MODELS + tuple(f.value for f in Family)
     if target not in targets:
@@ -494,6 +484,8 @@ def monotonicity_table(
     n_hi = check_int("n_hi", n_hi, n_lo)
     d = check_int("d", d, 1)
     k = check_int("k", k, 0)
+    if n_hi - n_lo >= MAX_TABLE_ROWS:
+        raise InvalidArgumentError(f"n_lo {n_lo} to n_hi {n_hi} gives more than {MAX_TABLE_ROWS} table rows")
     estimates = _model_values(target_row(target), range(n_lo, n_hi + 1), d, k, cfg)
     rows: list[MonotonicityRow] = []
     for i, est in enumerate(estimates):

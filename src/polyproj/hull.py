@@ -71,19 +71,17 @@ run in one process takes them in order; a block's attempts run in rounds:
 round a draws the maps of the replications still undecided at attempt a,
 in one replication_maps call.  SimConfig caps replications x d at 2^26,
 which keeps the int64 f-vector rows within 512 MiB and, since d >= 2, every
-index within one 32-bit word of its stream path, and --dump writes the rows
-_BLOCK at a time.  Every round's maps
+index within one 32-bit word of its stream path.  Every round's maps
 take their shape's route, so reports depend on neither the blocking nor the
 worker count; flat draws wait for the next round.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import combinations, repeat
 
@@ -114,7 +112,7 @@ _MAX_GENERATORS = 15
 _MAX_POINTS = 200_000
 _MAX_ATTEMPTS = 5
 _DEGENERATE_RATE_LIMIT = 1e-3
-# replications per unit of the pool-size rule (simulate_expected_f) and per slice of --dump
+# replications per unit of the pool-size rule (simulate_expected_f)
 _BLOCK = 512
 # replications of one _replication_block at most: it bounds its stream keys' uint32 and uint64
 # temporaries and the block's own rows.  Peak RSS of simulate at 2 * 10^5 replications, one
@@ -820,6 +818,7 @@ class SimulationResult:
     means: dict[int, Estimate]
     replications: int
     degenerate_events: int
+    rows: np.ndarray = field(compare=False)  # the (replications, d) int64 f-vectors, read-only
 
 
 def _replication_block(args: tuple[str, int, int, int, int, int], work: _Workspace) -> tuple[int, np.ndarray, int]:
@@ -884,8 +883,8 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def simulate_expected_f(cfg: SimConfig, dump_path: str | None = None) -> SimulationResult:
-    """Empirical mean f-vector over cfg.replications independent draws.
+def simulate_expected_f(cfg: SimConfig) -> SimulationResult:
+    """Empirical mean f-vector over cfg.replications independent draws, and every draw's row.
 
     The replications are cut into contiguous blocks of ceil(r / workers),
     at most _MAX_BLOCK, so a run in one process of up to _MAX_BLOCK
@@ -906,29 +905,23 @@ def simulate_expected_f(cfg: SimConfig, dump_path: str | None = None) -> Simulat
     # every block run in this process writes into one workspace; a pool's
     # workers are sent an empty copy of it with each block
     work = _Workspace()
-    # the dump file is opened first, so a bad path fails before any replication is drawn
-    with open(dump_path, "w", newline="", encoding="utf-8") if dump_path is not None else nullcontext() as dump:
-        if workers > 1:
-            # the pool's modules load only for a run that starts one, not at import
-            from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-            for lo, block_rows, block_degen in (pool.map if pool else map)(_replication_block, blocks, repeat(work)):
-                rows[lo : lo + len(block_rows)] = block_rows
-                degen += block_degen
-        if degen > _DEGENERATE_RATE_LIMIT * r:
-            raise SimulationAbortError(
-                f"degenerate rate {degen}/{r} exceeds {_DEGENERATE_RATE_LIMIT:.1%}",
-                degenerate=degen,
-                replications=r,
-            )
-        if dump is not None:
-            writer = csv.writer(dump, lineterminator="\n")
-            writer.writerow(["replication"] + [f"f_{k}" for k in range(cfg.d)])
-            for lo in range(0, r, _BLOCK):  # _BLOCK rows at a time, not one list of every row
-                writer.writerows(np.column_stack([np.arange(lo, min(lo + _BLOCK, r)), rows[lo : lo + _BLOCK]]).tolist())
+    if workers > 1:
+        # the pool's modules load only for a run that starts one, not at import
+        from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for lo, block_rows, block_degen in (pool.map if pool else map)(_replication_block, blocks, repeat(work)):
+            rows[lo : lo + len(block_rows)] = block_rows
+            degen += block_degen
+    if degen > _DEGENERATE_RATE_LIMIT * r:
+        raise SimulationAbortError(
+            f"degenerate rate {degen}/{r} exceeds {_DEGENERATE_RATE_LIMIT:.1%}",
+            degenerate=degen,
+            replications=r,
+        )
+    rows.flags.writeable = False
     means: dict[int, Estimate] = {}
     for k in range(cfg.d):
         col = rows[:, k].astype(float)
         mean = float(col.mean())
         means[k] = Estimate(mean, float(col.std(ddof=1) / math.sqrt(r)))
-    return SimulationResult(cfg, means, r, degen)
+    return SimulationResult(cfg, means, r, degen, rows)

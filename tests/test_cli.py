@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -15,6 +17,7 @@ import polyproj.cli as cli
 from polyproj import InvalidArgumentError, clear_angle_memo
 from polyproj.cli import build_parser, main
 from polyproj.families import target_row
+from oracles import per_replication_rows
 
 SMALL = ["--samples", "5000", "--seed", "1"]
 
@@ -123,9 +126,10 @@ def test_formula_commands_start_no_thread(monkeypatch, capsys):
 
 
 def test_timings_column(capsys):
-    # an expected row is timed over its own k, a poisson row over its own sum
-    # (the sizes its t reaches first included); the rows of one simulate run
-    # share that run's time, and those of one monotonicity k that k's table
+    # an expected row is timed over its own k; the rows of one simulate run
+    # share that run's time, those of one monotonicity k that k's table, and
+    # those of one poisson k that k's series.  Every other column is the
+    # untimed run's
     for argv in (["expected", "--family", "cube", "--n", "3", "--d", "2", "--k", "0", *SMALL],
                  ["simulate", "--model", "zonotope", "--n", "4", "--d", "3", "--reps", "5", *SMALL],
                  ["monotonicity", "--family", "cube", "--d", "3", "--all-k", "--n-min", "2", "--n-max", "4", *SMALL],
@@ -134,12 +138,12 @@ def test_timings_column(capsys):
         assert all(r.wall_time_s is None for r in from_csv(bare))
         _, timed, _ = run(capsys, argv + ["--timings"])
         timed = from_csv(timed)
-        assert len(timed) == len(from_csv(bare))
+        assert [dataclasses.replace(r, wall_time_s=None) for r in timed] == from_csv(bare)
         assert all(r.wall_time_s >= 0.0 for r in timed)
         if argv[0] == "simulate":
             assert len({r.wall_time_s for r in timed}) == 1
-        if argv[0] == "monotonicity":
-            for k in range(3):
+        if argv[0] in ("monotonicity", "poisson"):
+            for k in {r.k for r in timed}:
                 assert len({r.wall_time_s for r in timed if r.k == k}) == 1
 
 
@@ -204,8 +208,8 @@ def test_simulate_mean_below_an_exact_formula_has_z_score_minus_inf(capsys, monk
     # with both standard errors 0, the z-score's infinity takes the sign of the difference
     simulate = cli.simulate_expected_f
 
-    def one_below(cfg, dump_path):
-        result = simulate(cfg, dump_path)
+    def one_below(cfg):
+        result = simulate(cfg)
         means = {k: polyproj.Estimate(est.value - 1.0, 0.0) for k, est in result.means.items()}
         return dataclasses.replace(result, means=means)
 
@@ -226,6 +230,23 @@ def test_simulate_dump(tmp_path, capsys):
     lines = dump.read_text().splitlines()
     assert lines[0] == "replication,f_0,f_1"
     assert len(lines) == 11
+
+
+def test_dump_written_a_block_at_a_time_is_the_one_call_dump(tmp_path, capsys):
+    # 1301 replications cross the 512- and 1024-row slice edges; the dump, written a
+    # slice at a time, is one csv.writer pass over the rows of the per-replication
+    # oracle, header included, on the minors route and on a cube model at d = 2
+    for model, n, d in [("gaussian", 10, 3), ("projected_cube", 4, 2)]:
+        dump = tmp_path / f"{model}.csv"
+        code, _, _ = run(capsys, ["simulate", "--model", model, "--n", str(n), "--d", str(d), "--reps", "1301",
+                                  "--seed", "6", "--samples", "5000", "--dump", str(dump)])
+        assert code == 0
+        rows, _ = per_replication_rows(model, n, d, 6, 1301)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["replication"] + [f"f_{k}" for k in range(d)])
+        writer.writerows([i, *row] for i, row in enumerate(rows.tolist()))
+        assert dump.read_bytes() == buf.getvalue().encode()
 
 
 def test_simulate_semantic_error_exits_1(capsys):
@@ -269,7 +290,7 @@ def test_monotonicity_all_k(capsys):
 
 def test_monotonicity_row_cap_boundary(monkeypatch, capsys):
     # MAX_TABLE_ROWS rows are a table; one more is a usage error, before any row is built
-    assert cli.MAX_TABLE_ROWS == 100_000
+    assert cli.MAX_TABLE_ROWS is polyproj.expected.MAX_TABLE_ROWS == 100_000
     monkeypatch.setattr(cli, "MAX_TABLE_ROWS", 5)
     argv = ["monotonicity", "--family", "cube", "--d", "2", "--k", "0", "--n-min", "2"]
     code, out, _ = run(capsys, [*argv, "--n-max", "6"])

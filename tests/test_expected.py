@@ -614,14 +614,14 @@ def test_poisson_validation():
 
 def test_poisson_takes_numpy_reals():
     # NumPy t and eps give the sums of the Python floats they hold
-    assert list(poissonized_series(np.arange(1, 4), 2, 0)) == list(poissonized_series([1.0, 2.0, 3.0], 2, 0))
+    assert poissonized_series(np.arange(1, 4), 2, 0) == poissonized_series([1.0, 2.0, 3.0], 2, 0)
     eps = np.float32(1e-6)
     assert poissonized_expected(2.0, 2, 0, eps=eps) == poissonized_expected(2.0, 2, 0, eps=float(eps))
     for bad in (np.float64(0.0), np.float32(np.nan), np.bool_(True)):
         with pytest.raises(InvalidArgumentError, match="eps must be a positive finite real"):
             poissonized_expected(1.0, 2, 0, eps=bad)
         with pytest.raises(InvalidArgumentError, match="t must be a positive real"):
-            list(poissonized_series([1.0, bad], 2, 0))
+            poissonized_series([1.0, bad], 2, 0)
 
 
 @pytest.mark.parametrize("model", ["gaussian", "symmetric"])
@@ -723,7 +723,7 @@ def test_poisson_series_validates_every_t_before_any_work(monkeypatch, bad):
     monkeypatch.setattr(polyproj.angles, "cone_angle", no_sampling)
     clear_angle_memo()
     with pytest.raises(InvalidArgumentError, match="t must be a positive real"):
-        list(poissonized_series([1.0, 2.0, bad], 3, 0, "symmetric", cfg=FAST))
+        poissonized_series([1.0, 2.0, bad], 3, 0, "symmetric", cfg=FAST)
     for kwargs, message in (({"eps": 0.0}, "eps must be"), ({"model": "cube"}, "unknown model")):
         with pytest.raises(InvalidArgumentError, match=message):
             poissonized_series([1.0, 2.0], 3, 0, **{"model": "symmetric", **kwargs})
@@ -732,16 +732,18 @@ def test_poisson_series_validates_every_t_before_any_work(monkeypatch, bad):
 
 
 def test_poisson_series_truncation_at_a_later_t(monkeypatch):
-    # the tail test passes below size 40 only: t = 1 ends there, t = 30 runs into its cap
+    # the tail test passes below size 40 only: t = 1 ends there, t = 30 runs into its cap,
+    # so the series call raises t = 30's error, before any term is built
     original = polyproj.expected._growth_ratio
     monkeypatch.setattr(polyproj.expected, "_growth_ratio",
                         lambda row, ell, d, bound: original(row, ell, d, bound) if ell < 40 else math.inf)
-    sums = poissonized_series([1.0, 30.0], 2, 0, "zonotope")
-    assert sum_fields(next(sums)) == sum_fields(poissonized_expected(1.0, 2, 0, "zonotope"))
-    with pytest.raises(TruncationError) as in_series:
-        next(sums)
+    [one] = poissonized_series([1.0], 2, 0, "zonotope")
+    assert sum_fields(one) == sum_fields(poissonized_expected(1.0, 2, 0, "zonotope"))
     with pytest.raises(TruncationError) as alone:
         poissonized_expected(30.0, 2, 0, "zonotope")
+    monkeypatch.setattr(polyproj.expected, "_model_values", None)
+    with pytest.raises(TruncationError) as in_series:
+        poissonized_series([1.0, 30.0], 2, 0, "zonotope")
     assert "within 700 terms" in str(in_series.value)
     assert str(in_series.value) == str(alone.value)
     assert in_series.value.achieved_bound == alone.value.achieved_bound
@@ -842,7 +844,7 @@ def test_tables_and_series_take_their_angles_in_one_batch(monkeypatch, model, d,
     clear_angle_memo()
     monotonicity_table(model, d, k, 1, 60, FAST)
     assert len(batches) == 1
-    list(poissonized_series([4.0, 1.0, 30.0], d, k, model, cfg=FAST))
+    poissonized_series([4.0, 1.0, 30.0], d, k, model, cfg=FAST)
     assert len(batches) == 2  # sizes past 60 only
     memo = {key: est for key, est in polyproj.angles._MEMO.items() if key[0] == "ext"}
     assert set(memo) == needed and len(memo) == sum(batches)
@@ -934,7 +936,7 @@ def test_tables_and_series_request_each_angle_once(monkeypatch, model, d, k):
     monotonicity_table(model, d, k, 1, 40, FAST)
     table_calls = list(calls)
     calls.clear()
-    list(poissonized_series(SERIES_GRID, d, k, model, cfg=FAST))
+    poissonized_series(SERIES_GRID, d, k, model, cfg=FAST)
     for made in (table_calls, calls):
         if row.family is Family.CUBE:
             assert made == []  # a cube row takes its closed form
@@ -1012,3 +1014,22 @@ def test_monotonicity_validation():
         monotonicity_table("dodecahedron", 2, 0, 2, 4)
     with pytest.raises(InvalidArgumentError):
         monotonicity_table("cube", 2, 0, 4, 2)
+
+
+def test_monotonicity_table_row_cap(monkeypatch):
+    # MAX_TABLE_ROWS rows reach the row builder; one more is an InvalidArgumentError before it runs
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    cap = polyproj.expected.MAX_TABLE_ROWS
+    assert cap == 100_000
+    monkeypatch.setattr(polyproj.expected, "_model_values", reached)
+    with pytest.raises(Reached):
+        monotonicity_table("crosspolytope", 2, 0, 2, 2 + cap - 1)
+    with pytest.raises(InvalidArgumentError, match=f"gives more than {cap} table rows"):
+        monotonicity_table("crosspolytope", 2, 0, 2, 2 + cap)
+    with pytest.raises(InvalidArgumentError, match=f"gives more than {cap} table rows"):
+        monotonicity_table("crosspolytope", 2, 0, 2, 10**9)

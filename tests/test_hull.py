@@ -1,5 +1,3 @@
-import csv
-import io
 import math
 import os
 from fractions import Fraction
@@ -899,18 +897,17 @@ def test_simulate_worker_invariance():
     assert a.degenerate_events == b.degenerate_events
 
 
-def test_simulate_workers_1_2_3_agree_in_real_pools(monkeypatch, tmp_path):
+def test_simulate_workers_1_2_3_agree_in_real_pools(monkeypatch):
     # 1301 replications are three 512-replication units: one worker, two
     # blocks (651 and 650) and three (434, 434 and 433), none a whole number
     # of the shape's 87-map chunks, give equal estimates, degenerate counts
-    # and dump bytes
+    # and rows
     monkeypatch.setattr("polyproj.hull._usable_cpus", lambda: 3)
     found = []
     for workers in (1, 2, 3):
-        dump = tmp_path / f"w{workers}.csv"
         cfg = SimConfig(model="symmetric", n=8, d=4, replications=1301, seed=3, workers=workers)
-        result = simulate_expected_f(cfg, dump_path=str(dump))
-        found.append((result.means, result.degenerate_events, dump.read_bytes()))
+        result = simulate_expected_f(cfg)
+        found.append((result.means, result.degenerate_events, result.rows.tolist()))
     assert found[1] == found[0] and found[2] == found[0]
 
 
@@ -992,20 +989,19 @@ _BLOCK_ORACLE_EXTRA_N = {"gaussian": 3, "symmetric": 1, "zonotope": 2,
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("model", sorted(_BLOCK_ORACLE_EXTRA_N))
-def test_simulate_blocks_match_per_replication_oracle(model, d, tmp_path):
+def test_simulate_blocks_match_per_replication_oracle(model, d):
     # 2 (the fewest simulate takes), 511, 512 and 513 replications sit on
     # either side of a block edge; replication i's row does not depend on how
     # many there are
     n = d + _BLOCK_ORACLE_EXTRA_N[model]
     rows, degenerate = per_replication_rows(model, n, d, 17, 513)
-    dump = tmp_path / "rows.csv"
     for r, workers in [(2, 1), (511, 1), (512, 1), (513, 1), (513, 2)]:
         cfg = SimConfig(model=model, n=n, d=d, replications=r, seed=17, workers=workers)
-        result = simulate_expected_f(cfg, dump_path=str(dump))
+        result = simulate_expected_f(cfg)
         assert result.degenerate_events == degenerate[:r].sum()
-        dumped = np.loadtxt(dump, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
-        assert np.array_equal(dumped[:, 0], np.arange(r))
-        assert np.array_equal(dumped[:, 1:], rows[:r])
+        assert result.rows.dtype == np.int64 and result.rows.shape == (r, d)
+        assert not result.rows.flags.writeable
+        assert np.array_equal(result.rows, rows[:r])
         assert result.means[d - 1].value == float(rows[:r, d - 1].mean())
 
 
@@ -1083,33 +1079,13 @@ def test_qhull_route_redraws_a_sliver_qhull_cannot_build(monkeypatch):
         assert rows[i].tolist() == list(hull_f_vector(_draw(model, n, d, seed, [i], int(i == 3))[0]).counts)
 
 
-def test_simulate_dump_is_deterministic(tmp_path):
+def test_simulate_dump_is_deterministic():
     cfg = SimConfig(model="projected_cube", n=3, d=2, replications=25, seed=4)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    simulate_expected_f(cfg, dump_path=str(p1))
-    simulate_expected_f(cfg, dump_path=str(p2))
-    data = p1.read_bytes()
-    assert data == p2.read_bytes()
-    lines = data.decode().splitlines()
-    assert lines[0] == "replication,f_0,f_1"
-    assert len(lines) == 26
+    rows = simulate_expected_f(cfg).rows
+    assert rows.shape == (25, 2)
+    assert np.array_equal(rows, simulate_expected_f(cfg).rows)
     # a generic planar shadow of the 3-cube is a hexagon
-    assert lines[1].split(",")[1] == "6"
-
-
-def test_dump_written_a_block_at_a_time_is_the_one_call_dump(tmp_path):
-    # two whole blocks and a part of one, each written as its own slice, give the
-    # bytes one writerows call over every row gives
-    r = 2 * _BLOCK + 276
-    dump = tmp_path / "rows.csv"
-    simulate_expected_f(SimConfig(model="zonotope", n=5, d=3, replications=r, seed=6), dump_path=str(dump))
-    rows = np.concatenate([_replication_block(("zonotope", 5, 3, 6, lo, min(lo + _BLOCK, r)), _Workspace())[1]
-                           for lo in range(0, r, _BLOCK)])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["replication", "f_0", "f_1", "f_2"])
-    writer.writerows(np.column_stack([np.arange(r), rows]).tolist())
-    assert dump.read_bytes() == buf.getvalue().encode()
+    assert rows[0].tolist() == [6, 6]
 
 
 def test_simulation_abort_error_fields():
@@ -1147,18 +1123,12 @@ def test_simulate_aborts_when_flat_draws_exceed_the_rate_limit(monkeypatch):
 # the minors route, its exact recheck and the qhull route
 
 
-def _assert_simulate_matches_oracle(model, n, d, seed, r, tmp_path):
-    """simulate's degenerate count and --dump bytes are those of per_replication_rows."""
+def _assert_simulate_matches_oracle(model, n, d, seed, r):
+    """simulate's degenerate count and rows are those of per_replication_rows."""
     rows, degenerate = per_replication_rows(model, n, d, seed, r)
-    dump = tmp_path / "rows.csv"
-    result = simulate_expected_f(SimConfig(model=model, n=n, d=d, replications=r, seed=seed),
-                                 dump_path=str(dump))
+    result = simulate_expected_f(SimConfig(model=model, n=n, d=d, replications=r, seed=seed))
     assert result.degenerate_events == degenerate.sum()
-    expected = "".join(
-        [",".join(["replication"] + [f"f_{k}" for k in range(d)]) + "\n"]
-        + [",".join(map(str, [i, *row])) + "\n" for i, row in enumerate(rows.tolist())]
-    )
-    assert dump.read_bytes() == expected.encode()
+    assert result.rows.dtype == np.int64 and np.array_equal(result.rows, rows)
 
 
 # (model, n, d): d = 2, the smallest full-dimensional n of each model (n = d
@@ -1178,9 +1148,9 @@ _MINORS_GRID = [
 
 
 @pytest.mark.parametrize("model,n,d", _MINORS_GRID)
-def test_minors_route_matches_per_replication_oracle(model, n, d, tmp_path):
+def test_minors_route_matches_per_replication_oracle(model, n, d):
     assert _enumerates(MODEL_TABLE[model], n, d)
-    _assert_simulate_matches_oracle(model, n, d, 29, 300, tmp_path)
+    _assert_simulate_matches_oracle(model, n, d, 29, 300)
 
 
 # past _ENUM_CAP every draw goes to qhull; 513 replications cross a block edge
@@ -1189,9 +1159,9 @@ _QHULL_GRID = [("gaussian", 18, 3), ("projected_simplex", 18, 3), ("symmetric", 
 
 
 @pytest.mark.parametrize("model,n,d", _QHULL_GRID)
-def test_qhull_route_matches_per_replication_oracle(model, n, d, tmp_path):
+def test_qhull_route_matches_per_replication_oracle(model, n, d):
     assert not _enumerates(MODEL_TABLE[model], n, d)
-    _assert_simulate_matches_oracle(model, n, d, 31, 513, tmp_path)
+    _assert_simulate_matches_oracle(model, n, d, 31, 513)
 
 
 @pytest.mark.parametrize("d", range(2, _MAX_HULL_DIM + 1))
@@ -1272,7 +1242,7 @@ def test_workspace_leaks_nothing_across_chunks(monkeypatch, model, d):
     ("symmetric", 23, 2, [10288, 10288]),
     ("symmetric", 5, 5, [13000, 52000, 104000, 104000, 41600]),
 ])
-def test_benchmark_shapes_keep_their_counts(model, n, d, sums, tmp_path):
+def test_benchmark_shapes_keep_their_counts(model, n, d, sums):
     # the hull_sim workload's minors-route shapes, and one d = 5 and one d = 6
     # minors-route shape of each hull type, over two whole blocks and a short
     # third one: the column sums of their dump rows, pinned for the first two
@@ -1286,12 +1256,11 @@ def test_benchmark_shapes_keep_their_counts(model, n, d, sums, tmp_path):
     # facets'.  The next five, the largest symmetric n at d = 4, 5, 3 and 2
     # and n = d = 5 (no outside point), were pinned when the symmetric side
     # sums were built for every outside point at once
-    dump = tmp_path / "rows.csv"
     cfg = SimConfig(model=model, n=n, d=d, replications=2 * _BLOCK + 276, seed=5)
-    assert simulate_expected_f(cfg, dump_path=str(dump)).degenerate_events == 0
-    rows = np.loadtxt(dump, delimiter=",", skiprows=1, dtype=np.int64)
-    assert rows[:, 0].tolist() == list(range(cfg.replications))
-    assert rows[:, 1:].sum(axis=0).tolist() == sums
+    result = simulate_expected_f(cfg)
+    assert result.degenerate_events == 0
+    assert result.rows.shape == (cfg.replications, d)
+    assert result.rows.sum(axis=0).tolist() == sums
 
 
 def test_enumeration_cap_sends_large_shapes_to_qhull(monkeypatch):
@@ -1601,10 +1570,10 @@ _CUBE_GRID = [
 
 @pytest.mark.parametrize("n,d,r", _CUBE_GRID)
 @pytest.mark.parametrize("model", ["zonotope", "projected_cube"])
-def test_cube_minors_route_matches_svd_oracle(model, n, d, r, tmp_path):
+def test_cube_minors_route_matches_svd_oracle(model, n, d, r):
     # the oracle finds each replication's rays by SVD, one replication at a time
     assert _enumerates(MODEL_TABLE[model], n, d)
-    _assert_simulate_matches_oracle(model, n, d, 37, r, tmp_path)
+    _assert_simulate_matches_oracle(model, n, d, 37, r)
 
 
 def _cube_chunk_with(monkeypatch, n, d, placed_map):
@@ -1841,10 +1810,7 @@ def test_sampled_maps_are_the_frames_gaussian_matrices(n, d):
 
 
 @pytest.mark.parametrize("model", ["zonotope", "projected_cube"])
-def test_simulate_cube_models_at_the_cap(model, tmp_path):
-    dump = tmp_path / "rows.csv"
-    result = simulate_expected_f(SimConfig(model=model, n=15, d=6, replications=20, seed=2),
-                                 dump_path=str(dump))
+def test_simulate_cube_models_at_the_cap(model):
+    result = simulate_expected_f(SimConfig(model=model, n=15, d=6, replications=20, seed=2))
     assert result.degenerate_events == 0
-    rows = np.loadtxt(dump, delimiter=",", skiprows=1, dtype=np.int64)[:, 1:]
-    assert rows.tolist() == [[expected_f_cube_closed_form(15, 6, k) for k in range(6)]] * 20
+    assert result.rows.tolist() == [[expected_f_cube_closed_form(15, 6, k) for k in range(6)]] * 20
